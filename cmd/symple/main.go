@@ -57,7 +57,7 @@ func main() {
 		reducers  = flag.Int("reducers", 4, "reduce tasks")
 		condensed = flag.Bool("condensed", false, "use the condensed RedShift variant (R1c-R4c)")
 		compress  = flag.Bool("compress", false, "flate-compress shuffle segments (Config.CompressShuffle)")
-		columnar  = flag.Bool("columnar", false, "attach columnar segment form and run SYMPLE on the batched execution path (SympleOptions.Columnar)")
+		columnar  = flag.Bool("columnar", false, "attach the columnar form to the loaded segments (an input form: SYMPLE groups vectorized over columns when a segment has them)")
 		input     = flag.String("input", "", "read segments from this directory (written by datagen) instead of generating")
 		tracePath = flag.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
 		profile   = flag.String("profile", "", "write a CPU profile covering each engine run to this file")
@@ -93,14 +93,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	symple := spec.Symple
 	if *columnar {
 		plan := data.ColSpecFor(spec.Dataset)
 		if plan == nil {
 			log.Fatalf("no column plan for dataset %q", spec.Dataset)
 		}
 		data.Columnarize(segs, plan)
-		symple = spec.SympleColumnar
 	}
 	var inputBytes, inputRecords int64
 	for _, s := range segs {
@@ -129,7 +127,7 @@ func main() {
 	// TCP, a Pool routing map attempts to them, and the driver's retry
 	// machinery covering worker death. Other engines stay local — they
 	// are the cross-check, not the system under test.
-	sympleRun := func() (*queries.Run, error) { return symple(segs, conf) }
+	sympleRun := func() (*queries.Run, error) { return spec.Symple(segs, conf) }
 	if *workers > 0 {
 		bin, err := cluster.ResolveWorkerBinary(*workerBin)
 		if err != nil {
@@ -139,7 +137,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := core.SympleOptions{Columnar: *columnar}
+		opt := core.SympleOptions{}
 		var popts []cluster.PoolOption
 		if *w2w {
 			popts = append(popts, cluster.WithW2W())

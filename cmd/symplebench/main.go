@@ -6,28 +6,26 @@
 //	symplebench -experiment fig5 -records 500000
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, b1latency,
-// ablation, shuffle, wire, symexec, faults, obs, columnar, cluster,
-// serve, all. See EXPERIMENTS.md for the paper-vs-measured record;
-// -experiment shuffle also writes BENCH_SHUFFLE.json, -experiment wire
-// writes BENCH_WIRE.json (compact shuffle encoding vs the seed framing
-// across all 12 queries), -experiment symexec writes
-// BENCH_SYMEXEC.json, -experiment faults writes BENCH_FAULTS.json
+// ablation, shuffle, wire, faults, obs, cluster, serve, all. See
+// EXPERIMENTS.md for the paper-vs-measured record; -experiment shuffle
+// also writes BENCH_SHUFFLE.json, -experiment wire writes
+// BENCH_WIRE.json (compact shuffle encoding vs the seed framing across
+// all 12 queries), -experiment faults writes BENCH_FAULTS.json
 // (380-node replay latency clean vs failures vs failures+speculation),
 // -experiment obs writes BENCH_OBS.json (traced-vs-untraced overhead
-// on the hot-loop queries; target ≤3%), -experiment columnar writes
-// BENCH_COLUMNAR.json (batched columnar execution vs the scalar fast
-// engine on the hot-loop queries; target ≥2x exec-pass throughput),
-// -experiment cluster writes BENCH_CLUSTER.json (real
-// coordinator/worker execution over loopback TCP on 1/2/4 spawned
-// worker subprocesses, measured wall clock vs dcsim prediction), and
-// -experiment serve writes BENCH_SERVE.json (query-service latency:
-// cold submission vs warm-cache re-submission vs incremental append
-// against a loopback serve daemon, digest-checked per round).
+// on the hot-loop queries; target ≤3%), -experiment cluster writes
+// BENCH_CLUSTER.json (real coordinator/worker execution over loopback
+// TCP on 1/2/4 spawned worker subprocesses, measured wall clock vs
+// dcsim prediction), and -experiment serve writes BENCH_SERVE.json
+// (query-service latency: cold submission vs warm-cache re-submission
+// vs incremental append against a loopback serve daemon,
+// digest-checked per round). BENCH_SYMEXEC.json and
+// BENCH_COLUMNAR.json are frozen records of experiments whose
+// baselines (the seed executor, the scalar chunk loop) no longer
+// exist; see EXPERIMENTS.md.
 //
-// -memo-size and -map-parallelism tune the SYMPLE runtime knobs the
-// symexec experiment exercises (see README). -trace streams every
-// engine run's spans to a JSONL file and -profile captures a CPU
-// profile over the whole invocation.
+// -trace streams every engine run's spans to a JSONL file and -profile
+// captures a CPU profile over the whole invocation.
 package main
 
 import (
@@ -56,11 +54,9 @@ func main() {
 		return
 	}
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | shuffle | wire | symexec | faults | obs | columnar | cluster | serve | all")
+		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | shuffle | wire | faults | obs | cluster | serve | all")
 		records    = flag.Int("records", 200000, "records per generated corpus")
 		segments   = flag.Int("segments", 8, "input segments (measured mapper count)")
-		memoSize   = flag.Int("memo-size", 0, "record-transition memo entries per map chunk (0 default, <0 disables)")
-		mapPar     = flag.Int("map-parallelism", 0, "sub-chunks per map task for symexec (0 = min(4, GOMAXPROCS))")
 		tracePath  = flag.String("trace", "", "stream every engine run's spans to this JSONL file")
 		profile    = flag.String("profile", "", "write a CPU profile covering the whole invocation to this file")
 	)
@@ -120,10 +116,8 @@ func main() {
 		{"ablation", func() (*bench.Table, error) { return bench.AblationMerging(datasets()) }},
 		{"shuffle", func() (*bench.Table, error) { return bench.Shuffle(sc) }},
 		{"wire", func() (*bench.Table, error) { return bench.Wire(datasets()) }},
-		{"symexec", func() (*bench.Table, error) { return bench.SymExec(datasets(), *mapPar, *memoSize) }},
 		{"faults", func() (*bench.Table, error) { return bench.Faults(datasets()) }},
 		{"obs", func() (*bench.Table, error) { return bench.Obs(datasets()) }},
-		{"columnar", func() (*bench.Table, error) { return bench.Columnar(datasets(), *memoSize) }},
 		{"cluster", func() (*bench.Table, error) { return bench.ClusterRun(datasets()) }},
 		{"serve", func() (*bench.Table, error) { return bench.ServeRun(datasets()) }},
 	}

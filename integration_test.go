@@ -86,7 +86,7 @@ func TestEndToEndDiskPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := symple.RunSympleTree(q, segs, symple.Config{NumReducers: 3})
+	comb, err := symple.RunSympleOpts(q, segs, symple.Config{NumReducers: 3}, symple.SympleOptions{Combine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEndToEndDiskPipeline(t *testing.T) {
 		t.Fatal("no outage windows detected")
 	}
 	for name, out := range map[string]*symple.Output[[]int64]{
-		"baseline": base, "symple": symp, "symple-tree": tree,
+		"baseline": base, "symple": symp, "symple-combined": comb,
 	} {
 		if !reflect.DeepEqual(seq.Results, out.Results) {
 			t.Fatalf("%s differs from sequential", name)

@@ -415,42 +415,6 @@ func TestBarChartRender(t *testing.T) {
 	}
 }
 
-// TestSymExecShapes: the fast engine must beat the seed executor on
-// exec-pass throughput for the skewed-key queries the memo targets (G1,
-// R1), with every run digest-checked inside SymExec itself.
-func TestSymExecShapes(t *testing.T) {
-	t.Chdir(t.TempDir()) // BENCH_SYMEXEC.json goes to scratch space
-	tb, err := SymExec(testDatasets(), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 12 * 3; len(tb.Rows) != want {
-		t.Fatalf("%d rows, want %d", len(tb.Rows), want)
-	}
-	speedup := func(query, engine string) float64 {
-		t.Helper()
-		for _, r := range tb.Rows {
-			if r[0] == query && r[1] == engine {
-				v, err := strconv.ParseFloat(strings.TrimSuffix(r[6], "x"), 64)
-				if err != nil {
-					t.Fatalf("%s/%s speedup cell %q not numeric", query, engine, r[6])
-				}
-				return v
-			}
-		}
-		t.Fatalf("row %s/%s not found", query, engine)
-		return 0
-	}
-	for _, q := range []string{"G1", "R1"} {
-		if s := speedup(q, "fast"); s < 1.5 {
-			t.Errorf("%s fast vs seed %.2fx, want ≥ 1.5x", q, s)
-		}
-	}
-	if _, err := os.Stat("BENCH_SYMEXEC.json"); err != nil {
-		t.Errorf("report not written: %v", err)
-	}
-}
-
 func TestFaultsShapes(t *testing.T) {
 	t.Chdir(t.TempDir()) // BENCH_FAULTS.json goes to scratch space
 	tb, err := Faults(testDatasets())

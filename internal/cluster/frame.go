@@ -29,8 +29,9 @@ import (
 // partition_done, run_receipt, reduce, reduce_done, job_done) and the
 // extended assignment payload (topology, segment digest). Version 3
 // added the query-service job frames (job_submit, job_accept,
-// job_update, job_result, job_cancel).
-const ProtocolVersion = 3
+// job_update, job_result, job_cancel). Version 4 shrank the job spec
+// to the fields JobSpec has today (two engine knobs left the wire).
+const ProtocolVersion = 4
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -22,7 +22,7 @@ func seedAssignment() *assignment {
 	return &assignment{
 		spec: JobSpec{
 			Query: "G1", NumReducers: 3, Compress: true,
-			Combine: true, MemoSize: 64, MapParallelism: 2,
+			Combine: true, MemoSize: 64,
 		},
 		task: 4, attempt: 1, abortAfter: -1,
 		peerDropAfter: -1, refillPart: -1,
@@ -457,8 +457,10 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	if _, err := DecodeHello(helloWith(helloMagic, ProtocolVersion+1)); err == nil {
-		t.Error("future protocol version accepted")
+	for _, v := range []uint64{ProtocolVersion + 1, ProtocolVersion - 1} {
+		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
+		}
 	}
 	if _, err := DecodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
 		t.Error("bad hello magic accepted")
@@ -485,8 +487,10 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		t.Error("forged partition count accepted")
 	}
 
-	if _, err := decodePeerHello(peerHelloWith(helloMagic, ProtocolVersion+1, 7)); err == nil {
-		t.Error("future peer protocol version accepted")
+	for _, v := range []uint64{ProtocolVersion + 1, ProtocolVersion - 1} {
+		if _, err := decodePeerHello(peerHelloWith(helloMagic, v, 7)); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("peer hello from a v%d peer: %v, want the version error", v, err)
+		}
 	}
 	if _, err := decodePeerHello(peerHelloWith(0xDEAD, ProtocolVersion, 7)); err == nil {
 		t.Error("bad peer hello magic accepted")

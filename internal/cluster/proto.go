@@ -27,12 +27,11 @@ type JobSpec struct {
 	// every run the worker ships.
 	NumReducers int
 	Compress    bool
-	// Combine, Columnar, MemoSize, and MapParallelism are the
-	// core.SympleOptions knobs that affect the map side.
-	Combine        bool
-	Columnar       bool
-	MemoSize       int
-	MapParallelism int
+	// Combine and MemoSize are the core.SympleOptions fields; both
+	// affect the map side. (Whether a worker groups vectorized is not a
+	// knob: it follows from whether the assigned segment has columns.)
+	Combine  bool
+	MemoSize int
 }
 
 func appendJobSpec(e *wire.Encoder, s JobSpec) {
@@ -40,20 +39,16 @@ func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.Uvarint(uint64(s.NumReducers))
 	e.Bool(s.Compress)
 	e.Bool(s.Combine)
-	e.Bool(s.Columnar)
 	e.Varint(int64(s.MemoSize))
-	e.Varint(int64(s.MapParallelism))
 }
 
 func decodeJobSpec(d *wire.Decoder) JobSpec {
 	return JobSpec{
-		Query:          d.String(),
-		NumReducers:    int(d.Uvarint()),
-		Compress:       d.Bool(),
-		Combine:        d.Bool(),
-		Columnar:       d.Bool(),
-		MemoSize:       int(d.Varint()),
-		MapParallelism: int(d.Varint()),
+		Query:       d.String(),
+		NumReducers: int(d.Uvarint()),
+		Compress:    d.Bool(),
+		Combine:     d.Bool(),
+		MemoSize:    int(d.Varint()),
 	}
 }
 

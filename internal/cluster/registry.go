@@ -23,9 +23,10 @@ import (
 type MapBuilder func(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error)
 
 // GroupCombiner folds one merged key group on the reduce owner before
-// the group crosses back to the coordinator — for SYMPLE jobs,
-// composing the group's summary bundles into one (ApplyAll ∘ ComposeAll
-// = ApplyAll, §4.2), which is what shrinks the reduce reply to KBs. The
+// the group crosses back to the coordinator — for SYMPLE jobs, folding
+// the group's summary bundles onto the initial state and returning the
+// result as one constant summary (core.SympleCombiner), which is what
+// shrinks the reduce reply to KBs. The
 // rows slice and its values are only valid for the call; the returned
 // rows must not alias them unless they are the input rows unchanged
 // (the allowed "cannot combine, pass through" fallback).

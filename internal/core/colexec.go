@@ -36,13 +36,13 @@ func (b *Batch[E]) Reset() {
 
 // scalarBatch is the fallback vectorizer: the scalar GroupBy applied
 // per record with map-based key interning. It is what makes GroupByBatch
-// optional — every query runs under SympleOptions.Columnar whether or
-// not it understands columns.
-func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, lo, hi int, b *Batch[E]) {
+// and Segment.Columns optional — every query and every segment runs on
+// the one batched executor.
+func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *Batch[E]) {
 	b.Reset()
 	idx := make(map[string]int32, 64)
-	for i := lo; i < hi; i++ {
-		key, ev, ok := q.GroupBy(records[i])
+	for i, rec := range records {
+		key, ev, ok := q.GroupBy(rec)
 		if !ok {
 			continue
 		}
@@ -58,22 +58,22 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, lo,
 	}
 }
 
-// batchExec bundles the executor and memo one chunk of the batch path
-// runs with. Pooled per engine run (the sympleMapFunc closure) so the
-// memo — whose cached transitions depend only on the schema and update
-// function, never on the chunk — persists across chunks instead of
-// being allocated, rebuilt, and torn down once per chunk, and the
-// executor's identity caches, power ladder, and summary block cache
-// stay warm. used marks an executor that has fed keys since its last
-// Reset and so needs one before its next FeedBatch.
+// batchExec bundles the executor and memo one map chunk runs with.
+// Pooled per engine run (the sympleMapFunc closure) so the memo — whose
+// cached transitions depend only on the schema and update function,
+// never on the chunk — persists across chunks instead of being
+// allocated, rebuilt, and torn down once per chunk, and the executor's
+// identity caches, power ladder, and summary block cache stay warm.
+// used marks an executor that has fed keys since its last Reset and so
+// needs one before its next FeedBatch.
 type batchExec[S sym.State, E any] struct {
 	fast *sym.Executor[S, E]
 	memo *sym.Memo[S, E]
 	used bool
 }
 
-// batchExecPool hands batch executors to concurrently running chunks
-// of one engine run. Zero value is ready; an empty pool means the
+// batchExecPool hands batch executors to the concurrently running map
+// tasks of one engine run. Zero value is ready; an empty pool means the
 // chunk builds a fresh batchExec and parks it here when done.
 type batchExecPool[S sym.State, E any] struct {
 	mu   sync.Mutex
@@ -111,26 +111,51 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 	dst.RunProbes += cur.RunProbes - prev.RunProbes
 }
 
-// symExecChunkBatch is the batched symExecChunk: same two passes, same
-// spans, vectorized internals. Pass one fills a Batch — through the
-// query's GroupByBatch over the segment's columns when possible, else
-// through the scalar fallback — and counting-sorts the key-index vector
-// into per-key contiguous event vectors. Pass two feeds each key's
-// vector to the executor's batch API (FeedBatch), which folds runs of
-// identical events through single transition probes and executes quiet
-// stretches in place. ExecWall covers exactly pass two, as in the
-// scalar chunk, so engine throughput stays comparable across paths.
-func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, lo, hi int, trace *obs.Trace, mapperID, chunk int) chunkResult[S] {
+// chunkResult is one map chunk's symbolic output: per-key ordered
+// summary lists plus the work counters. The per-key data is
+// order-aligned slices, not maps — the executor emits keys in a known
+// order, so the timed execution pass appends instead of hashing.
+type chunkResult[S sym.State] struct {
+	order []string
+	// sums holds every key's summaries back to back; key i's summaries
+	// are sums[sumOff[i]:sumOff[i+1]] (sumOff has len(order)+1 entries).
+	sums   []*sym.Summary[S]
+	sumOff []int32
+	// lastRec holds, per key in order, the segment index of the key's
+	// last record: the recordID of the key's bundle in the §5.4
+	// (key, mapperID, recordID) shuffle order.
+	lastRec []int64
+	stats   SymStats
+}
+
+// keySums returns key i's summary list (a sub-slice of the arena).
+func (c *chunkResult[S]) keySums(i int) []*sym.Summary[S] {
+	return c.sums[c.sumOff[i]:c.sumOff[i+1]]
+}
+
+// symExecChunk is the one place events reach a symbolic executor: it
+// runs the per-key UDA loop over a map task's segment in two passes.
+// Pass one fills a Batch — through the query's GroupByBatch when the
+// segment arrived with columns and the query can read them, else
+// through the scalar GroupBy per record; that selection is made here,
+// from the input, and nowhere else — and counting-sorts the key-index
+// vector into per-key contiguous event vectors. Pass two feeds each
+// key's vector to the executor's batch API (FeedBatch), which folds runs
+// of identical events through single transition probes and executes
+// quiet stretches in place. Batching keeps per-record map lookups out of
+// the symbolic hot loop and lets pass two be timed on its own
+// (stats.ExecWall), net of the parse cost every engine shares.
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult[S], error) {
 	out := chunkResult[S]{}
-	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d.%d", mapperID, chunk)).
-		Attr(obs.AttrTask, int64(mapperID)).Attr(obs.AttrChunk, int64(chunk)).
-		Attr(obs.AttrRecords, int64(hi-lo))
+	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
+		Attr(obs.AttrTask, int64(mapperID)).
+		Attr(obs.AttrRecords, int64(len(seg.Records)))
 	var b Batch[E]
-	if seg.Columns == nil || q.GroupByBatch == nil || !q.GroupByBatch(seg.Columns, lo, hi, &b) {
+	if seg.Columns == nil || q.GroupByBatch == nil || !q.GroupByBatch(seg.Columns, 0, len(seg.Records), &b) {
 		// A false return means the columns don't match the shape the
 		// query compiled against (different plan, foreign dataset); the
 		// batch content is then unspecified and rebuilt scalar.
-		scalarBatch(q, seg.Records, lo, hi, &b)
+		scalarBatch(q, seg.Records, &b)
 	}
 	out.order = b.Keys
 	parseSpan.Attr(obs.AttrGroups, int64(len(b.Keys))).
@@ -156,99 +181,65 @@ func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[
 		last[ki] = int64(b.Rows[r]) // rows ascend, so the final write is the max
 	}
 
-	// lastRec falls straight out of the counting sort (rows ascend, so
-	// the final write per key was the max); the summary arena and its
-	// offsets are sized here so the timed pass below only appends.
+	// lastRec falls straight out of the counting sort; the summary arena
+	// and its offsets are sized here so the timed pass below only appends.
 	out.lastRec = last
 	out.sums = make([]*sym.Summary[S], 0, nk)
 	out.sumOff = make([]int32, 1, nk+1)
 
 	start := time.Now()
-	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d.%d", mapperID, chunk)).
-		Attr(obs.AttrTask, int64(mapperID)).Attr(obs.AttrChunk, int64(chunk)).
+	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d", mapperID)).
+		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrGroups, int64(len(b.Keys))).
 		Attr(obs.AttrBatchRecords, int64(len(b.Events)))
-	var be *batchExec[S, E]
-	var fast *sym.Executor[S, E]
-	var prev sym.Stats
-	if !opt.SeedExecutor {
-		if pool != nil {
-			be = pool.get()
+	be := pool.get()
+	if be == nil {
+		// One memo serves every key: transitions are built from the fully
+		// symbolic state, so they are key-independent.
+		var memo *sym.Memo[S, E]
+		if opt.MemoSize >= 0 {
+			memo = sym.NewMemo[S, E](sc, opt.MemoSize)
 		}
-		if be == nil {
-			var memo *sym.Memo[S, E]
-			if opt.MemoSize >= 0 {
-				memo = sym.NewMemo[S, E](sc, opt.MemoSize)
-			}
-			be = &batchExec[S, E]{
-				fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo),
-				memo: memo,
-			}
+		be = &batchExec[S, E]{
+			fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo),
+			memo: memo,
 		}
-		fast = be.fast
-		prev = fast.Stats()
 	}
+	fast := be.fast
+	prev := fast.Stats()
 	// needReset tracks whether the executor has run a key since its last
 	// reset; the all-identity fast finish below bypasses the executor's
 	// paths entirely and so neither needs nor forces one. A pooled
 	// executor arrives with the previous chunk's last key still live.
-	needReset := be != nil && be.used
+	needReset := be.used
 	for ki, key := range b.Keys {
 		evs := events[offs[ki]:offs[ki+1]]
 		var err error
-		if opt.SeedExecutor {
-			// The frozen seed engine predates the batch API; feed it
-			// record-at-a-time, as symExecChunk does.
-			x := sym.NewSeedExecutor(q.NewState, q.Update, q.Options)
-			for _, ev := range evs {
-				if err = x.Feed(ev); err != nil {
-					break
-				}
+		var done bool
+		if out.sums, done = fast.TryFinishIdentity(evs, out.sums); !done {
+			if needReset {
+				fast.Reset()
 			}
-			var sums []*sym.Summary[S]
-			if err == nil {
-				sums, err = x.Finish()
-			}
-			if err == nil {
-				out.sums = append(out.sums, sums...)
-				addStats(&out.stats, x.Stats())
-			}
-		} else {
-			var done bool
-			if out.sums, done = fast.TryFinishIdentity(evs, out.sums); !done {
-				if needReset {
-					fast.Reset()
-				}
-				needReset = true
-				if err = fast.FeedBatch(evs); err == nil {
-					out.sums, err = fast.FinishInto(out.sums)
-				}
+			needReset = true
+			if err = fast.FeedBatch(evs); err == nil {
+				out.sums, err = fast.FinishInto(out.sums)
 			}
 		}
 		if err != nil {
 			// Don't repool: an errored executor's path state is
 			// unspecified, and the whole run is aborting anyway.
-			out.err = fmt.Errorf("key %q: %w", key, err)
 			execSpan.Tag("outcome", "error").End()
-			if be != nil && be.memo != nil {
+			if be.memo != nil {
 				be.memo.Release()
 			}
-			return out
+			return out, fmt.Errorf("key %q: %w", key, err)
 		}
 		out.sumOff = append(out.sumOff, int32(len(out.sums)))
 	}
-	if fast != nil {
-		addStatsDelta(&out.stats, fast.Stats(), prev)
-	}
+	addStatsDelta(&out.stats, fast.Stats(), prev)
 	out.stats.ExecWall = time.Since(start)
 	execSpan.End()
-	if be != nil {
-		be.used = needReset
-		if pool != nil {
-			pool.put(be)
-		} else if be.memo != nil {
-			be.memo.Release()
-		}
-	}
-	return out
+	be.used = needReset
+	pool.put(be)
+	return out, nil
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // TestCombinerAgrees: the mapper-side combiner must not change any
-// result, under either reducer composition strategy, across randomized
-// chunkings.
+// result, with and without memoization, across randomized chunkings.
 func TestCombinerAgrees(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	q := maxQuery()
@@ -25,7 +24,7 @@ func TestCombinerAgrees(t *testing.T) {
 		}
 		for _, opt := range []SympleOptions{
 			{Combine: true},
-			{Combine: true, Tree: true},
+			{Combine: true, MemoSize: -1},
 		} {
 			got, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 3}, opt)
 			if err != nil {

@@ -6,32 +6,33 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/sym"
-	"repro/internal/wire"
 )
 
-// Reduce-side group combining for worker-resident reduces. When a
+// Reduce-side group folding for worker-resident reduces. When a
 // partition's owning worker merges its runs (cluster w2w topology),
 // each key group holds one summary bundle per mapper chunk. The owner
-// does the real reduce work in place: compose the group's summaries,
-// apply the result to the query's initial state, and ship the concrete
-// final state back as a single constant summary — legitimate because
-// ApplyAll(sums) ≡ Apply(ComposeAll(sums)) (§4.2), and a concretized
-// state admits any input (Concretize clears every field's constraint),
-// so the coordinator-side apply over the constant bundle reproduces
-// the sequential semantics byte for byte. Shipping the applied state
-// rather than the composed summary matters for reply size: a composed
-// summary is still a function of the unknown initial state and keeps
-// one path per feasible precondition, while the applied state has
-// collapsed to the single path the real initial state selects.
+// does the real reduce work in place: fold the group's summaries onto
+// the query's initial state (foldGroup, the reducer's own fold) and
+// ship the concrete final state back as a single constant summary —
+// legitimate because a concretized state admits any input (Concretize
+// clears every field's constraint, §4.2), so the coordinator-side fold
+// over the constant bundle reproduces the sequential semantics byte for
+// byte. Shipping the applied state rather than a composed summary
+// matters for reply size: a composed summary is still a function of the
+// unknown initial state and keeps one path per feasible precondition,
+// while the applied state has collapsed to the single path the real
+// initial state selects.
 
 // SympleCombiner builds the reduce-side group combiner for a query.
 // The returned function matches cluster.GroupCombiner: it reduces a
 // merged group's summary bundles to one constant-summary bundle, or
-// passes the rows through unchanged when the apply fails — the
+// passes the rows through unchanged when the fold fails — the
 // coordinator-side reducer then sees exactly the via-coordinator bytes
 // and surfaces the identical error. Correctness never depends on the
-// combiner firing, only reply size does. The emitted combine spans
-// carry the s≥2, composes==s−1 shape the trace verifier pins.
+// combiner firing, only reply size does. Each folded group emits the
+// reducer's compose span shape (composes = 0, applies = summaries)
+// under an "owner/" name, so the trace verifier's compose-count
+// invariant covers the owner-side reduce too.
 func SympleCombiner[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error), error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -41,55 +42,18 @@ func SympleCombiner[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) 
 		return nil, fmt.Errorf("core %q: %w", q.Name, err)
 	}
 	return func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error) {
-		if len(rows) == 0 {
+		span := trace.Start(obs.KindCompose, "owner/"+key)
+		final, n, err := foldGroup(sc, rows)
+		if err != nil || n == 0 {
+			// A half-open span is never flushed.
 			return rows, nil
 		}
-		sums, err := decodeSummaryBundles(sc, rows)
-		if err != nil {
-			return nil, fmt.Errorf("combining group %q: %w", key, err)
-		}
-		if len(sums) == 0 {
-			return rows, nil
-		}
-		// Compose first when there is anything to fold: the balanced
-		// tree is the owner-resident share of the reduce, and the span
-		// is emitted only when composition succeeds — the same
-		// convention as the mapper-side combiner (a fallback did no
-		// combining, and a half-open span is never flushed).
-		var final S
-		var aerr error
-		if len(sums) >= 2 {
-			span := trace.Start(obs.KindCombine, "combine-reduce/"+key)
-			if composed, n, cerr := sym.ComposeAllCounted(sums); cerr == nil {
-				span.Attr(obs.AttrSummaries, int64(len(sums))).
-					Attr(obs.AttrComposes, int64(n)).End()
-				final, aerr = composed.Apply(q.NewState())
-				composed.Release()
-			} else {
-				// ComposeAllCounted leaves its inputs intact on failure;
-				// the sequential fold is the reduce that cannot fail to
-				// compose (§3.6).
-				final, aerr = sym.ApplyAll(q.NewState(), sums)
-			}
-		} else {
-			final, aerr = sums[0].Apply(q.NewState())
-		}
-		for _, s := range sums {
-			s.Release()
-		}
-		if aerr != nil {
-			return rows, nil
-		}
-		e := wire.GetEncoder()
-		e.Uvarint(1)
-		sym.NewSummary(q.NewState, []S{final}).Encode(e)
-		buf := make([]byte, e.Len())
-		copy(buf, e.Bytes())
-		wire.PutEncoder(e)
-		// Row identity comes from the group's first row: the classic and
-		// tree reducers ignore (MapperID, RecordID), and keeping the
-		// minimum preserves the merge order's invariants for any future
-		// reader that does look.
+		span.Attr(obs.AttrSummaries, n).Attr(obs.AttrComposes, 0).Attr(obs.AttrApplies, n).End()
+		buf := sc.EncodeSummaryBundle([]*sym.Summary[S]{sym.NewSummary(q.NewState, []S{final})})
+		// Row identity comes from the group's first row: the reducer
+		// ignores (MapperID, RecordID), and keeping the minimum preserves
+		// the merge order's invariants for any future reader that does
+		// look.
 		return []mapreduce.Shuffled{{MapperID: rows[0].MapperID, RecordID: rows[0].RecordID, Value: buf}}, nil
 	}, nil
 }

@@ -44,7 +44,7 @@ const (
 	MetricMemoHits   = "memo_hits"
 	MetricMemoMisses = "memo_misses"
 	// MetricMemoRunProbes counts runs of identical events the batch path
-	// handled with a single transition probe (SympleOptions.Columnar).
+	// handled with a single transition probe.
 	MetricMemoRunProbes = "memo_run_probes"
 )
 
@@ -116,8 +116,8 @@ type SymStats struct {
 	// (both zero when memoization is off).
 	MemoHits   int
 	MemoMisses int
-	// RunProbes counts runs of identical events the batch path folded
-	// through a single transition probe (zero outside Columnar runs).
+	// RunProbes counts runs of identical events the executor folded
+	// through a single transition probe.
 	RunProbes int
 	// ExecWall is the wall time spent inside the symbolic-execution pass
 	// of the map chunks (feeding grouped events and finishing executors),
@@ -218,7 +218,7 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 				emitted++
 			}
 			span.Attr(obs.AttrRecords, int64(len(seg.Records))).
-				Attr(obs.AttrValues, emitted).End()
+				Attr(obs.AttrValues, emitted).Attr(obs.AttrBatchRecords, emitted).End()
 			return nil
 		},
 		Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
@@ -254,8 +254,9 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 	return &Output[R]{Results: results, Metrics: metrics}, nil
 }
 
-// SympleOptions tunes how the SYMPLE engines execute a query. The zero
-// value is RunSymple's classic behavior.
+// SympleOptions tunes how the SYMPLE engine executes a query. The zero
+// value is RunSymple's behavior. Neither field selects an engine: there
+// is one chunk executor (symExecChunk) and one summary fold (sym.Fold).
 type SympleOptions struct {
 	// Combine enables the mapper-side combiner: before shuffling, each
 	// group's ordered summary list is pre-composed into a single summary
@@ -269,45 +270,20 @@ type SympleOptions struct {
 	// the mapper falls back to shipping the uncombined list, so results
 	// are identical either way.
 	Combine bool
-	// Tree composes each group's summaries at the reducer as a parallel
-	// binary tree (RunSympleTree's strategy) instead of applying them
-	// left-to-right onto the concrete state.
-	Tree bool
 	// MemoSize bounds the per-mapper record-transition cache: records
 	// whose projected event was seen before skip path exploration and
 	// fold their cached transition summary into the live paths by
 	// composition (§3.6), which is byte-identical to direct exploration.
 	// 0 uses sym.DefaultMemoSize; negative disables memoization.
 	MemoSize int
-	// MapParallelism splits each mapper's segment into that many
-	// contiguous sub-chunks executed symbolically in parallel and
-	// stitched back per key in chunk order — associativity of summary
-	// composition makes the concatenated per-key summary lists
-	// equivalent to the single-threaded run (§3.6), and the §5.4
-	// (key, mapperID, recordID) contract is preserved because each key's
-	// bundle keeps its global record order. 0 or 1 runs mappers
-	// single-threaded (classic behavior).
-	MapParallelism int
-	// SeedExecutor runs mappers on the frozen pre-optimization executor
-	// (sym.SeedExecutor): the equivalence oracle and the baseline the
-	// symexec benchmark measures against. Disables memoization.
-	SeedExecutor bool
-	// Columnar runs mappers on the batched execution path: vectorized
-	// grouping (Query.GroupByBatch over Segment.Columns, with a scalar
-	// fallback), counting-sorted per-key event vectors, and the
-	// executor's batch API with run-length transition probes. Results
-	// are byte-identical to the scalar path — the batch boundary cannot
-	// change summaries because composition is associative and exact
-	// (§3.6); only the work profile changes.
-	Columnar bool
 }
 
 // RunSymple executes the query with symbolic parallelism: each mapper
 // groups its segment and runs the UDA symbolically per group, shuffling
 // one compact record per (mapper, group) that carries the group's ordered
-// symbolic summaries. Reducers compose the summaries in (mapperID,
-// recordID) order starting from the initial aggregation state — exactly
-// the sequential semantics (paper §5.4).
+// symbolic summaries. Reducers fold the summaries in (mapperID,
+// recordID) order onto the initial aggregation state — exactly the
+// sequential semantics (paper §5.4).
 func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
 	return RunSympleOpts(q, segments, conf, SympleOptions{})
 }
@@ -329,23 +305,8 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	var mu sync.Mutex
 	results := make(map[string]R)
 	stats := SymStats{}
-	name := q.Name + "/symple"
-	if opt.Tree {
-		name = q.Name + "/symple-tree"
-	}
 	agg := &composeAgg{}
 	reduce := func(_ int, key string, values []mapreduce.Shuffled) error {
-		// values arrive ordered by (mapperID, recordID): the order
-		// the chunks appear in the input.
-		sums, err := decodeSummaryBundles(sc, values)
-		if err != nil {
-			return err
-		}
-		// The classic path folds summaries onto the concrete state one
-		// by one: n applies, zero summary∘summary compositions. The
-		// compose span records both so the verifier's compose-count
-		// invariant (composes + applies = summaries) covers this path
-		// as well as the tree path.
 		var t0 time.Time
 		timed := false
 		if trace != nil {
@@ -353,29 +314,28 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 				t0 = time.Now()
 			}
 		}
-		final, err := sym.ApplyAll(q.NewState(), sums)
+		// values arrive ordered by (mapperID, recordID): the order the
+		// chunks appear in the input.
+		final, n, err := foldGroup(sc, values)
 		if err != nil {
-			return fmt.Errorf("composing %d summaries: %w", len(sums), err)
-		}
-		for _, s := range sums {
-			s.Release()
+			return err
 		}
 		r := q.Result(key, final)
+		// The fold is n applies and zero summary∘summary compositions;
+		// the compose span records both so the verifier's compose-count
+		// invariant (composes + applies = summaries) checks it.
 		if timed {
-			emitComposeSpan(trace, key, t0, time.Now(), int64(len(sums)), 0, int64(len(sums)))
+			emitComposeSpan(trace, key, t0, time.Now(), n, 0, n)
 		} else if trace != nil {
-			agg.addOverflow(int64(len(sums)), 0, int64(len(sums)))
+			agg.addOverflow(n, 0, n)
 		}
 		mu.Lock()
 		results[key] = r
 		mu.Unlock()
 		return nil
 	}
-	if opt.Tree {
-		reduce = treeReduceFunc(q, sc, &mu, results, trace, agg)
-	}
 	job := &mapreduce.Job{
-		Name:   name,
+		Name:   q.Name + "/symple",
 		Map:    sympleMapFunc(q, sc, &mu, &stats, opt, trace, conf.Registry),
 		Reduce: reduce,
 		Conf:   conf,
@@ -388,4 +348,22 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 		return nil, err
 	}
 	return &Output[R]{Results: results, Metrics: metrics, Sym: stats}, nil
+}
+
+// foldGroup folds one group's ordered summary bundles onto the initial
+// state — the reduce of a SYMPLE job, wherever it runs (in-process
+// reducer, partition owner) — returning the final state and how many
+// summaries it applied.
+func foldGroup[S sym.State](sc *sym.Schema[S], values []mapreduce.Shuffled) (S, int64, error) {
+	f := sym.NewFold(sc)
+	var n int64
+	for _, v := range values {
+		k, err := f.AddBundle(v.Value)
+		n += int64(k)
+		if err != nil {
+			var zero S
+			return zero, n, fmt.Errorf("folding summary bundle of mapper %d: %w", v.MapperID, err)
+		}
+	}
+	return f.State(), n, nil
 }

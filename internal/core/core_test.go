@@ -316,9 +316,6 @@ func TestEnginesRejectInvalidState(t *testing.T) {
 	if _, err := RunSymple(q, segs, mapreduce.Config{}); err == nil {
 		t.Error("symple accepted invalid state")
 	}
-	if _, err := RunSympleTree(q, segs, mapreduce.Config{}); err == nil {
-		t.Error("symple-tree accepted invalid state")
-	}
 }
 
 func TestEnginesRejectNilFuncs(t *testing.T) {

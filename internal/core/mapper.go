@@ -34,3 +34,82 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, t
 	stats := &SymStats{}
 	return sympleMapFunc(q, sc, &mu, stats, opt, trace, nil), nil
 }
+
+// sympleMapFunc is the shared SYMPLE mapper: groupby plus symbolic UDA
+// execution per group (symExecChunk, one chunk per map task —
+// Config.Parallelism across tasks is the map-side parallelism), emitting
+// one summary bundle per group. With opt.Combine it acts as its own
+// combiner, pre-composing each group's summary list into one summary
+// before the shuffle (falling back to the uncombined list when
+// composition fails).
+func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], mu *sync.Mutex, stats *SymStats, opt SympleOptions, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
+	// One executor/memo pool for the whole engine run: memoized
+	// transitions depend only on the schema and update function, so the
+	// memo built by early chunks answers probes for every later chunk,
+	// and reused executors keep identity caches and summary blocks warm.
+	pool := &batchExecPool[S, E]{}
+	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
+		out, err := symExecChunk(q, sc, opt, pool, seg, trace, mapperID)
+		if err != nil {
+			return err
+		}
+		local := out.stats
+
+		// Observe into a task-local registry and merge once at task end:
+		// the job registry's histogram mutex would otherwise be hammered
+		// once per bundle by every mapper in parallel.
+		var lreg *obs.Registry
+		var sumBytes *obs.Histogram
+		if reg != nil {
+			lreg = obs.NewRegistry()
+			sumBytes = lreg.Histogram(MetricSummaryBytes)
+		}
+		for i, key := range out.order {
+			sums := out.keySums(i)
+			if opt.Combine && len(sums) > 1 {
+				// The combine span is emitted only when composition
+				// succeeds: a fallback to the uncombined list did no
+				// combining, and a half-open span is never flushed.
+				span := trace.Start(obs.KindCombine, fmt.Sprintf("combine-%d/%s", mapperID, key)).
+					Attr(obs.AttrTask, int64(mapperID))
+				if composed, n, cerr := sym.ComposeAllCounted(sums); cerr == nil {
+					span.Attr(obs.AttrSummaries, int64(len(sums))).
+						Attr(obs.AttrComposes, int64(n)).End()
+					for _, s := range sums {
+						s.Release()
+					}
+					sums = []*sym.Summary[S]{composed}
+				}
+			}
+			// The shuffle retains emitted values; the bundle codec hands
+			// back an exact-size buffer that aliases no pooled state.
+			buf := sc.EncodeSummaryBundle(sums)
+			sumBytes.Observe(int64(len(buf)))
+			emit(key, out.lastRec[i], buf)
+			for _, s := range sums {
+				s.Release()
+			}
+			local.Summaries += len(sums)
+		}
+		if reg != nil {
+			lreg.Counter(MetricMemoHits).Add(int64(local.MemoHits))
+			lreg.Counter(MetricMemoMisses).Add(int64(local.MemoMisses))
+			if local.RunProbes > 0 {
+				lreg.Counter(MetricMemoRunProbes).Add(int64(local.RunProbes))
+			}
+			lreg.MergeInto(reg)
+		}
+		mu.Lock()
+		stats.Records += local.Records
+		stats.Runs += local.Runs
+		stats.Merges += local.Merges
+		stats.Restarts += local.Restarts
+		stats.Summaries += local.Summaries
+		stats.MemoHits += local.MemoHits
+		stats.MemoMisses += local.MemoMisses
+		stats.RunProbes += local.RunProbes
+		stats.ExecWall += local.ExecWall
+		mu.Unlock()
+		return nil
+	}
+}

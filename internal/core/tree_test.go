@@ -1,84 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
-	"repro/internal/mapreduce"
 	"repro/internal/sym"
 )
-
-func TestTreeEngineAgreesMax(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	q := maxQuery()
-	for _, numSegs := range []int{1, 2, 7, 16} {
-		lines := randMaxInput(r, 800, 5)
-		segs := makeSegments(lines, numSegs)
-		seq, err := RunSequential(q, segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Results, tree.Results) {
-			t.Fatalf("segs=%d: tree composition differs from sequential", numSegs)
-		}
-	}
-}
-
-func TestTreeEngineAgreesSessions(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	q := sessionQuery()
-	lines := make([]string, 300)
-	ts := map[string]int64{}
-	for i := range lines {
-		k := fmt.Sprintf("u%d", r.Intn(3))
-		ts[k] += int64(r.Intn(200))
-		lines[i] = fmt.Sprintf("%s\t%d", k, ts[k])
-	}
-	segs := makeSegments(lines, 9)
-	seq, err := RunSequential(q, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Results, tree.Results) {
-		t.Fatalf("tree differs:\nseq:  %v\ntree: %v", seq.Results, tree.Results)
-	}
-}
-
-func TestTreeEngineWithRestarts(t *testing.T) {
-	// Many summaries per group (cap 1 forces a restart per record):
-	// the tree has real depth.
-	q := maxQuery()
-	q.Options = sym.Options{MaxLivePaths: 1, DisableMerging: true, MaxRunsPerRecord: 64}
-	var lines []string
-	for i := 0; i < 120; i++ {
-		lines = append(lines, fmt.Sprintf("k\t%d", (i*31)%100))
-	}
-	segs := makeSegments(lines, 4)
-	seq, err := RunSequential(maxQuery(), segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Results, tree.Results) {
-		t.Fatal("tree composition differs under restarts")
-	}
-	if tree.Sym.Restarts == 0 {
-		t.Fatal("expected restarts")
-	}
-}
 
 func TestComposeTreeOddCounts(t *testing.T) {
 	// The tree reduction must handle odd level sizes (carry the last
@@ -102,7 +28,7 @@ func TestComposeTreeOddCounts(t *testing.T) {
 			}
 			sums = append(sums, s...)
 		}
-		composed, err := sym.ComposeAllParallel(sums)
+		composed, err := sym.ComposeAll(sums)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -114,7 +40,7 @@ func TestComposeTreeOddCounts(t *testing.T) {
 			t.Fatalf("n=%d: max %d, want %d", n, got, want)
 		}
 	}
-	if _, err := sym.ComposeAllParallel[*maxState](nil); err == nil {
+	if _, err := sym.ComposeAll[*maxState](nil); err == nil {
 		t.Fatal("expected error for zero summaries")
 	}
 }

@@ -62,13 +62,14 @@ const (
 	// reducer. Attrs: part, runs.
 	KindMerge = "merge"
 	// KindMapParse covers the groupby/parse pass of one map chunk.
-	// Attrs: task, chunk, records.
+	// Attrs: task, records, groups, batch_records.
 	KindMapParse = "map_parse"
 	// KindMapExec covers the symbolic-execution pass of one map chunk.
-	// Attrs: task, chunk, records, summaries.
+	// Attrs: task, groups, batch_records.
 	KindMapExec = "map_exec"
-	// KindCompose covers the reduce-side composition of one group's
-	// summaries. Name: group key. Attrs: summaries, composes, applies —
+	// KindCompose covers the reduce-side fold of one group's summaries.
+	// Name: group key ("owner/"+key when a w2w partition owner ran it).
+	// Attrs: summaries, composes, applies —
 	// the compose-count invariant requires composes+applies = summaries.
 	KindCompose = "compose"
 	// KindCombine covers a mapper-side combiner pre-composing one
@@ -104,7 +105,6 @@ const (
 	AttrValues       = "values"
 	AttrGroups       = "groups"
 	AttrRuns         = "runs"
-	AttrChunk        = "chunk"
 	AttrParallelism  = "parallelism"
 	AttrWireBytes    = "wire_bytes"
 	AttrLogicalBytes = "logical_bytes"
@@ -112,9 +112,8 @@ const (
 	// AttrWorker identifies the cluster worker a span executed on
 	// (w2w reduce placement); in-process spans don't set it.
 	AttrWorker = "worker"
-	// AttrBatchRecords is the number of events a batched map chunk kept
-	// after vectorized grouping (its parse and exec spans carry the same
-	// value; scalar chunks don't set it).
+	// AttrBatchRecords is the number of events a map chunk kept after
+	// grouping; its parse and exec spans carry the same value.
 	AttrBatchRecords = "batch_records"
 	// AttrSegments, AttrCachedSegments, and AttrMappedSegments carry a
 	// serve job's fold provenance on its root span: how many input

@@ -22,7 +22,7 @@ const (
 	InvGroupOnce       = "group-once"        // each group composed by exactly one winning reducer
 	InvDuplicateSpan   = "duplicate-span"    // span IDs unique within a job
 	InvJobMissing      = "job-missing"       // non-empty trace must contain a job span
-	InvBatchRecords    = "batch-records"     // kept batch events <= chunk records; parse/exec agree per chunk
+	InvBatchRecords    = "batch-records"     // every parse/exec span: kept events <= chunk records; parse/exec agree per task
 	InvOwnerDecode     = "owner-decode"      // w2w: runs decoded only on their partition's owning worker
 	InvServeCache      = "serve-cache"       // warm serve jobs do no map work; fold provenance adds up
 )
@@ -274,22 +274,26 @@ func verifyOwners(job *Span, children []*Span) []Violation {
 	return out
 }
 
-// verifyBatches checks the batched map chunks: a chunk's kept-event
-// count (batch_records, set by vectorized grouping) can never exceed its
-// record count — grouping only filters — and the parse and exec spans of
-// one (task, chunk) must agree on it, since pass two consumes exactly
-// the events pass one kept. Scalar chunks carry no batch_records and are
-// skipped.
+// verifyBatches checks the map chunks: every parse and exec span
+// carries the chunk's kept-event count (batch_records), which can never
+// exceed its record count — grouping only filters — and the parse and
+// exec spans of one task must agree on it, since pass two consumes
+// exactly the events pass one kept (attempts of one task re-run the
+// same deterministic chunk, so they agree too).
 func verifyBatches(job *Span, children []*Span) []Violation {
 	var out []Violation
-	type chunkKey struct{ task, chunk int64 }
-	parse := make(map[chunkKey]int64)
+	parse := make(map[int64]int64)
 	for _, sp := range children {
-		if sp.Kind != KindMapParse {
+		if sp.Kind != KindMapParse && sp.Kind != KindMapExec {
 			continue
 		}
 		batch, ok := sp.Attrs[AttrBatchRecords]
 		if !ok {
+			out = append(out, Violation{InvBatchRecords,
+				fmt.Sprintf("job %q: %s %q carries no %s", job.Name, sp.Kind, sp.Name, AttrBatchRecords)})
+			continue
+		}
+		if sp.Kind != KindMapParse {
 			continue
 		}
 		if recs := sp.Attr(AttrRecords); batch > recs {
@@ -297,21 +301,18 @@ func verifyBatches(job *Span, children []*Span) []Violation {
 				fmt.Sprintf("job %q: %s %q kept %d batch events from %d records",
 					job.Name, sp.Kind, sp.Name, batch, recs)})
 		}
-		parse[chunkKey{sp.Attr(AttrTask), sp.Attr(AttrChunk)}] = batch
+		parse[sp.Attr(AttrTask)] = batch
 	}
 	for _, sp := range children {
 		if sp.Kind != KindMapExec {
 			continue
 		}
 		batch, ok := sp.Attrs[AttrBatchRecords]
-		if !ok {
-			continue
-		}
-		k := chunkKey{sp.Attr(AttrTask), sp.Attr(AttrChunk)}
-		if want, seen := parse[k]; seen && want != batch {
+		task := sp.Attr(AttrTask)
+		if want, seen := parse[task]; ok && seen && want != batch {
 			out = append(out, Violation{InvBatchRecords,
-				fmt.Sprintf("job %q: task %d chunk %d parsed %d batch events but executed %d",
-					job.Name, k.task, k.chunk, want, batch)})
+				fmt.Sprintf("job %q: task %d parsed %d batch events but executed %d",
+					job.Name, task, want, batch)})
 		}
 	}
 	return out
@@ -432,10 +433,11 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 // verifyComposes checks the summary-composition algebra per group:
 // composing n summaries takes exactly n−1 pairwise composes however the
 // tree is shaped, so composes + applies must equal summaries (the apply
-// path replays summaries individually; the tree path folds n−1 composes
-// and applies the single survivor). Combine spans (mapper-side) fold
-// in place: composes == summaries − 1. Each group must be composed by
-// exactly one winning reducer.
+// fold — the in-process reducer's, and the w2w partition owner's under
+// an "owner/" name — replays summaries individually: composes = 0,
+// applies = n). Combine spans (the mapper-side combiner) fold in place:
+// s ≥ 2, composes == s − 1. Each group must be composed by exactly one
+// winning reducer.
 func verifyComposes(job *Span, children []*Span) []Violation {
 	var out []Violation
 	// Group-once is only strict when every reduce task ran exactly one

@@ -58,6 +58,16 @@ func goodTrace() []*Span {
 		// Mapper-side combiner folded 4 summaries with 3 composes.
 		sp(15, 1, KindCombine, "map-1/alpha", 10, 12,
 			map[string]int64{AttrSummaries: 4, AttrComposes: 3}, nil),
+		// Map task 0's chunk: 10 records, 8 kept by grouping, all 8
+		// executed.
+		sp(16, 1, KindMapParse, "parse-0", 1, 10,
+			map[string]int64{AttrTask: 0, AttrRecords: 10, AttrGroups: 2, AttrBatchRecords: 8}, nil),
+		sp(17, 1, KindMapExec, "exec-0", 10, 28,
+			map[string]int64{AttrTask: 0, AttrGroups: 2, AttrBatchRecords: 8}, nil),
+		// A w2w partition owner folded group "alpha" in place: the
+		// reducer's apply shape under the owner's name.
+		sp(18, 1, KindCompose, "owner/alpha", 48, 49,
+			map[string]int64{AttrSummaries: 3, AttrComposes: 0, AttrApplies: 3}, nil),
 	}
 }
 
@@ -130,6 +140,31 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 		}},
 		{"combiner count short", InvComposeCount, func(s []*Span) []*Span {
 			s[14].Attrs[AttrComposes] = 2 // 4 summaries need 3
+			return s
+		}},
+		{"owner fold count short", InvComposeCount, func(s []*Span) []*Span {
+			s[17].Attrs[AttrApplies] = 2 // 3 summaries, 2 applies
+			return s
+		}},
+		{"single-summary combine", InvComposeCount, func(s []*Span) []*Span {
+			s[14].Attrs = map[string]int64{AttrSummaries: 1, AttrComposes: 0}
+			return s
+		}},
+		{"chunk keeps more than it read", InvBatchRecords, func(s []*Span) []*Span {
+			s[15].Attrs[AttrBatchRecords] = 11
+			s[16].Attrs[AttrBatchRecords] = 11
+			return s
+		}},
+		{"exec disagrees with parse", InvBatchRecords, func(s []*Span) []*Span {
+			s[16].Attrs[AttrBatchRecords] = 7
+			return s
+		}},
+		{"parse span without batch count", InvBatchRecords, func(s []*Span) []*Span {
+			delete(s[15].Attrs, AttrBatchRecords)
+			return s
+		}},
+		{"exec span without batch count", InvBatchRecords, func(s []*Span) []*Span {
+			delete(s[16].Attrs, AttrBatchRecords)
 			return s
 		}},
 		{"group composed twice", InvGroupOnce, func(s []*Span) []*Span {

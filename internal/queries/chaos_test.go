@@ -49,7 +49,8 @@ func chaosSeedCount(t *testing.T, def int) int {
 // chaosDatasets generates reduced corpora so a wide seed sweep stays
 // fast; seeds differ from smallDatasets so the two suites cannot mask
 // each other's generator assumptions. Segments carry their columnar
-// form (Columnar: true) so half the sweep can run the batch path.
+// form (Columnar: true); half of each sweep strips it, so retries replay
+// both the vectorized and the scalar grouping.
 func chaosDatasets() map[string][]*mapreduce.Segment {
 	return map[string][]*mapreduce.Segment{
 		"github": data.GenGithub(data.GithubConfig{
@@ -126,13 +127,13 @@ func TestChaosQueriesDifferential(t *testing.T) {
 				// Half the sweep ships flate-compressed segments, so fault
 				// recovery and the compressed wire path are tested together.
 				conf.CompressShuffle = seed%2 == 0
-				// The other half runs the columnar batch path, so task
-				// retries and speculation replay batched mappers too.
-				run := spec.Symple
-				if seed%2 == 1 {
-					run = spec.SympleColumnar
+				// That half also runs column-less segments, so task retries
+				// and speculation replay both grouping forms.
+				in := segs
+				if seed%2 == 0 {
+					in = stripColumns(segs)
 				}
-				got, err := run(segs, conf)
+				got, err := spec.Symple(in, conf)
 				if err != nil {
 					t.Fatalf("seed %d: chaos run failed (final attempts are spared; this must succeed): %v", seed, err)
 				}
@@ -243,9 +244,14 @@ func TestClusterChaosDifferential(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				conf := chaosConf(nil)
 				conf.CompressShuffle = seed%2 == 0
-				// Odd seeds run the columnar batch path on the worker,
-				// riding the colcodec payload in the assignment.
-				opt := core.SympleOptions{Columnar: seed%2 == 1}
+				// Odd seeds ship the segments' columns to the workers
+				// (the colcodec payload in the assignment); even seeds
+				// ship rows only.
+				opt := core.SympleOptions{}
+				in := segs
+				if seed%2 == 0 {
+					in = stripColumns(segs)
+				}
 				plan := cluster.NewChaosPlan(int64(seed*53+qi), conf.MaxAttempts)
 				popts := []cluster.PoolOption{cluster.WithChaos(plan)}
 				// Even seeds run the w2w topology, so peer-conn drops and
@@ -264,7 +270,7 @@ func TestClusterChaosDifferential(t *testing.T) {
 				if w2w {
 					conf.RemoteReduce = pool
 				}
-				got, err := spec.SympleOpts(segs, conf, opt)
+				got, err := spec.SympleOpts(in, conf, opt)
 				pool.Close()
 				injected += plan.Injected()
 				if err != nil {

@@ -22,10 +22,8 @@ import (
 func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
 	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
 		return core.SympleMapper(q, core.SympleOptions{
-			Combine:        spec.Combine,
-			Columnar:       spec.Columnar,
-			MemoSize:       spec.MemoSize,
-			MapParallelism: spec.MapParallelism,
+			Combine:  spec.Combine,
+			MemoSize: spec.MemoSize,
 		}, trace)
 	})
 	cluster.RegisterJobCombiner(id, func(spec cluster.JobSpec, trace *obs.Trace) (cluster.GroupCombiner, error) {
@@ -48,13 +46,11 @@ func RegisterClusterJobs() {
 // worker would produce different bytes than the in-process engine.
 func ClusterSpec(id string, conf mapreduce.Config, opt core.SympleOptions) cluster.JobSpec {
 	return cluster.JobSpec{
-		Query:          id,
-		NumReducers:    conf.NumReducers,
-		Compress:       conf.CompressShuffle,
-		Combine:        opt.Combine,
-		Columnar:       opt.Columnar,
-		MemoSize:       opt.MemoSize,
-		MapParallelism: opt.MapParallelism,
+		Query:       id,
+		NumReducers: conf.NumReducers,
+		Compress:    conf.CompressShuffle,
+		Combine:     opt.Combine,
+		MemoSize:    opt.MemoSize,
 	}
 }
 

@@ -3,83 +3,19 @@ package queries
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 )
 
 // columnarDatasets is smallDatasets with the columnar form attached to
 // every segment — the corpora the golden digests pin, now carrying
-// columns for the batch path.
+// columns for vectorized grouping.
 func columnarDatasets(segments int) map[string][]*mapreduce.Segment {
 	datasets := smallDatasets(segments)
 	for name, segs := range datasets {
 		data.Columnarize(segs, data.ColSpecFor(name))
 	}
 	return datasets
-}
-
-// TestGoldenDigestsColumnar runs every query through the columnar batch
-// path — vectorized GroupBy over segment columns, batched symbolic
-// execution with run-length memo probes — and checks the output against
-// the committed reference digests. The batch boundary must be invisible
-// to query semantics, so there is no -update escape hatch: a divergence
-// here is a batch-execution bug, not a query change. Three variants per
-// query:
-//
-//   - columns attached directly by the generator-side converter;
-//   - columns round-tripped through the columnar segment codec
-//     (EncodeColumnar/DecodeColumnar, both raw and flate) — the form a
-//     multi-node shuffle would ship;
-//   - no columns at all, exercising the per-chunk scalar fallback that
-//     the Columnar option must tolerate.
-//
-// Each run is traced and must pass every obs.Verifier invariant —
-// including the batch-records parse/exec consistency check — so the
-// golden runs double as end-to-end observability checks on the batch
-// path.
-func TestGoldenDigestsColumnar(t *testing.T) {
-	datasets := columnarDatasets(goldenSegments)
-	want := readGoldenFile(t)
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.ID, func(t *testing.T) {
-			w, ok := want[spec.ID]
-			if !ok {
-				t.Fatalf("missing from golden file (regenerate with -update)")
-			}
-			segs := datasets[spec.Dataset]
-			variants := []struct {
-				name string
-				segs []*mapreduce.Segment
-			}{
-				{"columns", segs},
-				{"shipped-raw", reshipColumns(t, segs, false)},
-				{"shipped-flate", reshipColumns(t, segs, true)},
-				{"fallback", stripColumns(segs)},
-			}
-			for _, v := range variants {
-				sink := obs.NewMemSink()
-				reg := obs.NewRegistry()
-				run, err := spec.SympleColumnar(v.segs, mapreduce.Config{
-					NumReducers: 3, Trace: obs.NewTrace(sink), Registry: reg})
-				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
-				}
-				if run.Digest != w.digest || run.NumResults != w.results {
-					t.Errorf("%s: digest %016x (%d results), golden %016x (%d) — batch path changed query output",
-						v.name, run.Digest, run.NumResults, w.digest, w.results)
-				}
-				if err := (obs.Verifier{}).Check(sink.Spans()); err != nil {
-					t.Errorf("%s: trace failed verification: %v", v.name, err)
-				}
-				if err := reg.SelfCheck(); err != nil {
-					t.Errorf("%s: registry self-check: %v", v.name, err)
-				}
-			}
-		})
-	}
 }
 
 // reshipColumns round-trips every segment's columns through the
@@ -113,60 +49,55 @@ func stripColumns(segs []*mapreduce.Segment) []*mapreduce.Segment {
 
 // TestColumnarBatchBoundaries is the metamorphic batch-boundary check:
 // summaries compose associatively, so any placement of the batch
-// boundary — segment cuts, intra-mapper chunk splits, or none at all —
-// must reproduce the sequential digest exactly. Sweeps segment counts
-// crossed with map parallelism under the columnar path for every query.
+// boundary — one segment or many — must reproduce the sequential digest
+// exactly. Sweeps segment counts over columnar segments for every query.
 func TestColumnarBatchBoundaries(t *testing.T) {
 	for _, segments := range []int{1, 4, 9} {
 		datasets := columnarDatasets(segments)
 		for _, spec := range All() {
-			spec := spec
 			segs := datasets[spec.Dataset]
 			want, err := spec.Sequential(segs)
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", spec.ID, err)
 			}
-			for _, par := range []int{1, 3} {
-				got, err := spec.SympleOpts(segs, mapreduce.Config{NumReducers: 2},
-					core.SympleOptions{Columnar: true, MapParallelism: par})
-				if err != nil {
-					t.Fatalf("%s segments=%d par=%d: %v", spec.ID, segments, par, err)
-				}
-				if got.Digest != want.Digest || got.NumResults != want.NumResults {
-					t.Errorf("%s segments=%d par=%d: digest %016x (%d results) != sequential %016x (%d)",
-						spec.ID, segments, par, got.Digest, got.NumResults, want.Digest, want.NumResults)
-				}
+			got, err := spec.Symple(segs, mapreduce.Config{NumReducers: 2})
+			if err != nil {
+				t.Fatalf("%s segments=%d: %v", spec.ID, segments, err)
+			}
+			if got.Digest != want.Digest || got.NumResults != want.NumResults {
+				t.Errorf("%s segments=%d: digest %016x (%d results) != sequential %016x (%d)",
+					spec.ID, segments, got.Digest, got.NumResults, want.Digest, want.NumResults)
 			}
 		}
 	}
 }
 
-// TestColumnarMatchesScalarStats pins the batch path's work accounting
-// on one query per symbolic regime: identical records and runs to the
-// scalar engine (the batch boundary moves work between probe kinds, it
-// must never change how many records execute), and run probes occurring
-// where event columns actually repeat.
+// TestColumnarMatchesScalarStats pins the work accounting of the two
+// grouping forms on one query per symbolic regime: vectorized GroupBy
+// over columns keeps exactly the records the scalar GroupBy keeps (the
+// input form moves parse work, it must never change how many records
+// execute), and run probes occur where event columns actually repeat.
 func TestColumnarMatchesScalarStats(t *testing.T) {
 	datasets := columnarDatasets(goldenSegments)
 	for _, id := range []string{"G1", "B2", "R1"} {
 		spec := ByID(id)
 		segs := datasets[spec.Dataset]
-		scalar, err := spec.Symple(segs, mapreduce.Config{NumReducers: 2})
+		scalar, err := spec.Symple(stripColumns(segs), mapreduce.Config{NumReducers: 2})
 		if err != nil {
-			t.Fatalf("%s scalar: %v", id, err)
+			t.Fatalf("%s rows: %v", id, err)
 		}
-		batch, err := spec.SympleColumnar(segs, mapreduce.Config{NumReducers: 2})
+		batch, err := spec.Symple(segs, mapreduce.Config{NumReducers: 2})
 		if err != nil {
-			t.Fatalf("%s columnar: %v", id, err)
+			t.Fatalf("%s columns: %v", id, err)
 		}
 		if batch.Sym.Records != scalar.Sym.Records {
-			t.Errorf("%s: batch executed %d records, scalar %d", id, batch.Sym.Records, scalar.Sym.Records)
+			t.Errorf("%s: executed %d records over columns, %d over rows", id, batch.Sym.Records, scalar.Sym.Records)
 		}
 		if id == "R1" && batch.Sym.RunProbes == 0 {
 			t.Errorf("%s: no run probes — unit events must form runs", id)
 		}
 		if batch.Digest != scalar.Digest {
-			t.Errorf("%s: digests diverge: batch %016x scalar %016x", id, batch.Digest, scalar.Digest)
+			t.Errorf("%s: digests diverge: columns %016x rows %016x", id, batch.Digest, scalar.Digest)
 		}
 	}
 }

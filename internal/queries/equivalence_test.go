@@ -5,8 +5,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
+	"repro/internal/serve"
 )
 
 // randomChunking re-segments a corpus at random cut points, preserving
@@ -38,8 +41,8 @@ func randomChunking(rng *rand.Rand, segs []*mapreduce.Segment, numSegments int) 
 // TestEquivalenceAllEnginesAllQueries is the streaming-shuffle
 // determinism/equivalence gate: for every one of the paper's 12
 // evaluation queries, on randomized chunkings, every engine —
-// Sequential, Baseline, Symple, SympleTree, and Symple with the
-// mapper-side combiner — produces identical results, and the streaming
+// Sequential, Baseline, Symple, and Symple with the mapper-side
+// combiner — produces identical results, and the streaming
 // engine matches the retained barrier engine exactly.
 func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -65,7 +68,6 @@ func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 					{"baseline/barrier", func() (*Run, error) { return spec.Baseline(segs, barrier) }},
 					{"symple", func() (*Run, error) { return spec.Symple(segs, conf) }},
 					{"symple/barrier", func() (*Run, error) { return spec.Symple(segs, barrier) }},
-					{"symple-tree", func() (*Run, error) { return spec.SympleTree(segs, conf) }},
 					{"symple-combined", func() (*Run, error) { return spec.SympleCombined(segs, conf) }},
 				}
 				for _, eng := range engines {
@@ -111,5 +113,87 @@ func TestCombinerShrinksSummaryTraffic(t *testing.T) {
 	if combined.Metrics.ShuffleBytes > plain.Metrics.ShuffleBytes {
 		t.Errorf("combiner increased shuffle bytes: %d > %d",
 			combined.Metrics.ShuffleBytes, plain.Metrics.ShuffleBytes)
+	}
+}
+
+// serveSessionFold answers the query the way the query service does,
+// minus the server and the shuffle: map each segment with the session's
+// mapper (one bundle per key) and fold the per-key bundles, in dataset
+// order, through the session's standing per-key folds.
+func serveSessionFold(t *testing.T, id string, segs []*mapreduce.Segment) serve.Result {
+	t.Helper()
+	sess, err := serve.Lookup(id).NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFn, err := sess.Mapper(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range segs {
+		bundles := map[string][]byte{}
+		emit := func(key string, _ int64, value []byte) { bundles[key] = value }
+		if err := mapFn(i, seg, emit); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Fold(bundles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestFoldSitesAgree pins the one-fold claim on all 12 queries: the
+// three places an ordered summary list becomes a state — the
+// in-process reducer, the w2w partition owner (SympleCombiner, whose
+// constant summary the coordinator-side reducer then applies) and the
+// query service's standing session — all go through sym.Fold and must
+// all produce the sequential digest.
+func TestFoldSitesAgree(t *testing.T) {
+	datasets := smallDatasets(goldenSegments)
+	eps := chaosWorkers(t, 2)
+	for _, spec := range All() {
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
+			segs := datasets[spec.Dataset]
+			seq, err := spec.Sequential(segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conf := mapreduce.Config{NumReducers: 3}
+			reducer, err := spec.Symple(segs, conf)
+			if err != nil {
+				t.Fatalf("reducer fold: %v", err)
+			}
+			pool, err := cluster.NewPool(ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps, cluster.WithW2W())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			conf.RemoteMap, conf.RemoteReduce = pool, pool
+			owner, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
+			if err != nil {
+				t.Fatalf("owner fold: %v", err)
+			}
+			session := serveSessionFold(t, spec.ID, segs)
+			for _, got := range []struct {
+				site    string
+				digest  uint64
+				results int
+			}{
+				{"reducer", reducer.Digest, reducer.NumResults},
+				{"w2w owner", owner.Digest, owner.NumResults},
+				{"serve session", session.Digest, session.NumResults},
+			} {
+				if got.digest != seq.Digest || got.results != seq.NumResults {
+					t.Errorf("%s fold: digest %016x (%d results) != sequential %016x (%d)",
+						got.site, got.digest, got.results, seq.Digest, seq.NumResults)
+				}
+			}
+		})
 	}
 }

@@ -120,17 +120,27 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestsCompressShuffle runs every golden-digest query through
-// the SYMPLE engine with CompressShuffle off and on and checks both
-// against the committed reference digests. The wire encoding — segment
-// compaction, and the flate layer in particular — must be invisible to
-// query semantics; any divergence here is a codec bug, not a query
-// change, so there is no -update escape hatch. Each run is traced and
-// the trace must pass every obs.Verifier invariant, so the golden runs
-// double as end-to-end observability checks on all 12 queries in both
-// codec modes.
-func TestGoldenDigestsCompressShuffle(t *testing.T) {
-	datasets := smallDatasets(goldenSegments)
+// TestGoldenDigestsSymple runs every golden-digest query through the
+// SYMPLE engine over every input form and codec mode a job can meet,
+// and checks each against the committed reference digests:
+//
+//   - column-less segments (the chunk executor groups with the scalar
+//     GroupBy per record), with CompressShuffle off and on;
+//   - segments carrying columns attached by the generator-side converter
+//     (vectorized GroupBy);
+//   - columns round-tripped through the columnar segment codec
+//     (EncodeColumnar/DecodeColumnar, raw and flate) — the form a
+//     cluster assignment ships.
+//
+// The wire encoding and the input form must both be invisible to query
+// semantics; any divergence here is a codec or batch-execution bug, not
+// a query change, so there is no -update escape hatch. Each run is
+// traced and the trace must pass every obs.Verifier invariant, so the
+// golden runs double as end-to-end observability checks on all 12
+// queries in every mode.
+func TestGoldenDigestsSymple(t *testing.T) {
+	rows := smallDatasets(goldenSegments)
+	cols := columnarDatasets(goldenSegments)
 	want := readGoldenFile(t)
 	for _, spec := range All() {
 		spec := spec
@@ -139,29 +149,39 @@ func TestGoldenDigestsCompressShuffle(t *testing.T) {
 			if !ok {
 				t.Fatalf("missing from golden file (regenerate with -update)")
 			}
-			segs := datasets[spec.Dataset]
-			for _, compress := range []bool{false, true} {
+			csegs := cols[spec.Dataset]
+			for _, v := range []struct {
+				name     string
+				segs     []*mapreduce.Segment
+				compress bool
+			}{
+				{"rows", rows[spec.Dataset], false},
+				{"rows-compressed", rows[spec.Dataset], true},
+				{"columns", csegs, false},
+				{"columns-shipped-raw", reshipColumns(t, csegs, false), false},
+				{"columns-shipped-flate", reshipColumns(t, csegs, true), false},
+			} {
 				sink := obs.NewMemSink()
 				reg := obs.NewRegistry()
-				run, err := spec.Symple(segs, mapreduce.Config{
-					NumReducers: 3, CompressShuffle: compress,
+				run, err := spec.Symple(v.segs, mapreduce.Config{
+					NumReducers: 3, CompressShuffle: v.compress,
 					Trace: obs.NewTrace(sink), Registry: reg})
 				if err != nil {
-					t.Fatalf("compress=%v: %v", compress, err)
+					t.Fatalf("%s: %v", v.name, err)
 				}
 				if run.Digest != w.digest || run.NumResults != w.results {
-					t.Errorf("compress=%v: digest %016x (%d results), golden %016x (%d)",
-						compress, run.Digest, run.NumResults, w.digest, w.results)
+					t.Errorf("%s: digest %016x (%d results), golden %016x (%d)",
+						v.name, run.Digest, run.NumResults, w.digest, w.results)
 				}
-				if compress && run.Metrics.ShuffleBytes > run.Metrics.ShuffleLogicalBytes*2 {
-					t.Errorf("compressed shuffle %d bytes vs %d logical — codec is inflating badly",
-						run.Metrics.ShuffleBytes, run.Metrics.ShuffleLogicalBytes)
+				if v.compress && run.Metrics.ShuffleBytes > run.Metrics.ShuffleLogicalBytes*2 {
+					t.Errorf("%s: shuffle %d bytes vs %d logical — codec is inflating badly",
+						v.name, run.Metrics.ShuffleBytes, run.Metrics.ShuffleLogicalBytes)
 				}
 				if err := (obs.Verifier{}).Check(sink.Spans()); err != nil {
-					t.Errorf("compress=%v: trace failed verification: %v", compress, err)
+					t.Errorf("%s: trace failed verification: %v", v.name, err)
 				}
 				if err := reg.SelfCheck(); err != nil {
-					t.Errorf("compress=%v: registry self-check: %v", compress, err)
+					t.Errorf("%s: registry self-check: %v", v.name, err)
 				}
 			}
 		})

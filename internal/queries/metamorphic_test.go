@@ -5,12 +5,12 @@ import (
 )
 
 // TestMetamorphicComposition checks the composition algebra the SYMPLE
-// engines rely on — associativity of summary composition and the
-// equivalence of ComposeAll / ComposeAllParallel with the sequential
-// apply fold (§3.6) — on real summaries produced from the seeded small
-// corpora, for every query schema and several mapper-split widths. The
-// subtests run in parallel so the race detector also exercises the
-// parallel tree fold's goroutines against the shared schema pool.
+// engine relies on — associativity of summary composition and the
+// equivalence of ComposeAll with the sequential apply fold (§3.6) — on
+// real summaries produced from the seeded small corpora, for every
+// query schema and several mapper-split widths. The subtests run in
+// parallel so the race detector also exercises concurrent folds against
+// the schema pools.
 func TestMetamorphicComposition(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
 	for _, spec := range All() {

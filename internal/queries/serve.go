@@ -10,7 +10,7 @@ import (
 
 // registerServeQuery publishes the query to the serve registry so the
 // long-running query service can fold it incrementally. The serve
-// session uses exactly the batch SYMPLE mapper (default options), so
+// session uses exactly the in-process SYMPLE mapper (default options), so
 // cached bundles are the bytes a batch run shuffles, and reuses the
 // spec's format func through digestResults — the service's digest is
 // Run.Digest for the same data.
@@ -39,24 +39,18 @@ func (r *serveRunner[S, E, R]) NewSession() (serve.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &serveSession[S, E, R]{
-		r:     r,
-		sc:    sc,
-		comps: map[string]*sym.StreamComposer[S]{},
-	}, nil
+	return &serveSession[S, E, R]{r: r, sc: sc, folds: map[string]*sym.Fold[S]{}}, nil
 }
 
-// serveSession is one job's standing fold: a StreamComposer per group
-// key, fed one chunk per folded segment. All composers share the
-// session's schema pool with the decoded summaries they consume.
+// serveSession is one job's standing fold: a sym.Fold per group key,
+// fed each folded segment's bundle for that key. Segments arrive in
+// dataset order (the Session contract), so a key absent from a segment
+// simply keeps its state. All folds share the session's schema pool
+// with the summaries they decode and consume.
 type serveSession[S sym.State, E, R any] struct {
 	r     *serveRunner[S, E, R]
 	sc    *sym.Schema[S]
-	comps map[string]*sym.StreamComposer[S]
-	// seq is the number of segments folded so far — each composer's
-	// per-key chunk sequence must be dense from 0, so keys absent from a
-	// segment are fed an empty chunk.
-	seq int
+	folds map[string]*sym.Fold[S]
 }
 
 func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, error) {
@@ -65,47 +59,25 @@ func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, err
 
 func (s *serveSession[S, E, R]) Fold(bundles map[string][]byte) error {
 	for key, data := range bundles {
-		c := s.comps[key]
-		if c == nil {
-			c = sym.NewStreamComposerSchema(s.sc)
-			s.comps[key] = c
-			// Backfill empty chunks for the segments folded before this
-			// key first appeared.
-			for i := 0; i < s.seq; i++ {
-				if _, err := c.Add(i, nil); err != nil {
-					return err
-				}
-			}
+		f := s.folds[key]
+		if f == nil {
+			f = sym.NewFold(s.sc)
+			s.folds[key] = f
 		}
-		sums, err := s.sc.DecodeSummaryBundle(nil, data)
-		if err != nil {
-			return err
-		}
-		if _, err := c.Add(s.seq, sums); err != nil {
+		if _, err := f.AddBundle(data); err != nil {
 			return err
 		}
 	}
-	// Keys with no events in this segment still advance their sequence.
-	for key, c := range s.comps {
-		if _, ok := bundles[key]; ok {
-			continue
-		}
-		if _, err := c.Add(s.seq, nil); err != nil {
-			return err
-		}
-	}
-	s.seq++
 	return nil
 }
 
 func (s *serveSession[S, E, R]) Result() (serve.Result, error) {
-	// Prefix states are live composer state: the queries' Result funcs
-	// are read-only over the final state (they build fresh output
-	// containers), so formatting here does not disturb the fold.
-	results := make(map[string]R, len(s.comps))
-	for key, c := range s.comps {
-		st, _ := c.Prefix()
-		results[key] = s.r.q.Result(key, st)
+	// Fold states are live: the queries' Result funcs are read-only over
+	// the final state (they build fresh output containers), so
+	// formatting here does not disturb the fold.
+	results := make(map[string]R, len(s.folds))
+	for key, f := range s.folds {
+		results[key] = s.r.q.Result(key, f.State())
 	}
 	d, n := digestResults(results, s.r.format)
 	return serve.Result{Digest: d, NumResults: n}, nil

@@ -42,32 +42,22 @@ type Spec struct {
 	Baseline   func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 	Symple     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 
-	// SympleTree composes summaries as a parallel binary tree at
-	// reducers (§3.6); SympleCombined enables the mapper-side combiner
-	// that pre-composes each group's summary list before the shuffle.
-	SympleTree     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
+	// SympleCombined enables the mapper-side combiner that pre-composes
+	// each group's summary list before the shuffle.
 	SympleCombined func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 
-	// SympleColumnar runs the SYMPLE engine through the columnar batch
-	// path (vectorized GroupBy over segment columns, batched symbolic
-	// execution). Segments without attached columns fall back to the
-	// scalar loop per chunk; results are byte-identical either way.
-	SympleColumnar func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
-
 	// SympleWithOptions runs the SYMPLE engine with explicit symbolic
-	// engine options (for the merging / path-cap ablations). Not safe to
-	// call concurrently with the other runners.
+	// engine options (for the merging / path-cap ablations).
 	SympleWithOptions func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error)
 
 	// SympleOpts runs the SYMPLE engine with explicit runtime options
-	// (memoization, intra-mapper parallelism, combiner, tree reduce,
-	// seed-executor baseline).
+	// (combiner, memo size).
 	SympleOpts func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error)
 
 	// ComposeCheck runs the metamorphic composition properties over this
 	// query's schema on real summaries: associativity of summary
-	// composition (§3.6) and ComposeAll/ComposeAllParallel equivalence
-	// with the sequential apply fold. splits controls how many mapper
+	// composition (§3.6) and ComposeAll equivalence with the sequential
+	// apply fold. splits controls how many mapper
 	// slices each group's event stream is cut into (more slices → more
 	// summaries per group).
 	ComposeCheck func(segs []*mapreduce.Segment, splits int) (*ComposeReport, error)
@@ -145,20 +135,16 @@ func makeSpec[S sym.State, E, R any](
 		Symple: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 			return wrap(core.RunSymple(q, segs, conf))
 		},
-		SympleTree: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Tree: true}))
-		},
 		SympleCombined: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Combine: true}))
 		},
-		SympleColumnar: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Columnar: true}))
-		},
 		SympleWithOptions: func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error) {
-			saved := q.Options
-			q.Options = opts
-			defer func() { q.Options = saved }()
-			return wrap(core.RunSymple(q, segs, conf))
+			// A shallow copy: q is shared with every other runner, the
+			// cluster job and the serve runner, any of which may be
+			// running concurrently.
+			qq := *q
+			qq.Options = opts
+			return wrap(core.RunSymple(&qq, segs, conf))
 		},
 		SympleOpts: func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error) {
 			return wrap(core.RunSympleOpts(q, segs, conf, opt))
@@ -173,11 +159,10 @@ func makeSpec[S sym.State, E, R any](
 // summaries produced from real records (not synthetic states):
 //
 //  1. Compose(Compose(a,b),c) ≡ Compose(a,Compose(b,c)) — associativity,
-//     which licenses the combiner and the parallel tree reduce (§3.6);
+//     which licenses the combiner's balanced tree (§3.6);
 //  2. ComposeAll(sums) then one apply ≡ the sequential left-to-right
-//     ApplyAll fold — the classic reducer and the combined reducer agree;
-//  3. ComposeAllParallel likewise, and both counted variants perform
-//     exactly n−1 pairwise compositions.
+//     ApplyAll fold — the reducer agrees with and without the combiner —
+//     in exactly n−1 pairwise compositions.
 //
 // Equivalence is judged on the formatted query result after applying to
 // the initial state — the observable output, which is what the paper's
@@ -232,7 +217,7 @@ func composeCheck[S sym.State, E, R any](
 				x.Reset()
 			}
 			fresh = false
-			if err := x.FeedAll(evs[lo:hi]); err != nil {
+			if err := x.FeedBatch(evs[lo:hi]); err != nil {
 				return nil, fmt.Errorf("key %q: %w", key, err)
 			}
 			ss, err := x.Finish()
@@ -305,21 +290,7 @@ func composeCheck[S sym.State, E, R any](
 			releaseAll([]*sym.Summary[S]{ab, bc})
 		}
 
-		// Property 3: the parallel tree fold agrees too. It CONSUMES its
-		// inputs, so it must run after every other use of sums.
-		pfolded, pn, err := sym.ComposeAllParallelCounted(sums)
-		if err != nil {
-			return nil, fmt.Errorf("key %q: parallel compose failed where sequential succeeded: %w", key, err)
-		}
-		if pn != len(sums)-1 {
-			return nil, fmt.Errorf("key %q: ComposeAllParallel did %d composes for %d summaries, want %d",
-				key, pn, len(sums), len(sums)-1)
-		}
-		err = checkApplied(q, format, key, pfolded, nil, want, "ComposeAllParallel")
-		pfolded.Release()
-		if err != nil {
-			return nil, err
-		}
+		releaseAll(sums)
 		rep.Keys++
 		rep.Summaries += len(sums)
 	}

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -73,6 +74,29 @@ func TestSympleWithOptionsRestoresDefaults(t *testing.T) {
 	if again.Sym.Restarts != base.Sym.Restarts {
 		t.Fatalf("options leaked: restarts %d vs %d", again.Sym.Restarts, base.Sym.Restarts)
 	}
+	// Nor into default runs in flight at the same time: every runner of
+	// a spec shares one query, so SympleWithOptions must not write to it
+	// (under -race this is also the data-race check).
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := spec.SympleWithOptions(segs, conf, tight); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			run, err := spec.Symple(segs, conf)
+			if err != nil {
+				t.Error(err)
+			} else if run.Sym.Restarts != base.Sym.Restarts {
+				t.Errorf("options leaked into a concurrent run: restarts %d vs %d", run.Sym.Restarts, base.Sym.Restarts)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSpecMetadataComplete(t *testing.T) {

@@ -7,12 +7,10 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// TestSympleOptsEquivalence pins the fast symbolic runtime to the
-// sequential reference across every knob combination the symexec work
-// introduced: memoization on/off, intra-mapper parallelism, the frozen
-// seed executor, and their interactions with the combiner and the tree
-// reducer. Every configuration must produce the sequential digest on
-// all 12 queries.
+// TestSympleOptsEquivalence pins the symbolic runtime to the sequential
+// reference across the SympleOptions values: memoization on, off and
+// under constant eviction, and the mapper-side combiner. Every
+// configuration must produce the sequential digest on all 12 queries.
 func TestSympleOptsEquivalence(t *testing.T) {
 	configs := []struct {
 		name string
@@ -21,12 +19,8 @@ func TestSympleOptsEquivalence(t *testing.T) {
 		{"memo", core.SympleOptions{}},
 		{"nomemo", core.SympleOptions{MemoSize: -1}},
 		{"tinymemo", core.SympleOptions{MemoSize: 2}}, // constant eviction
-		{"parallel3", core.SympleOptions{MapParallelism: 3}},
-		{"parallel8", core.SympleOptions{MapParallelism: 8}},
-		{"seed", core.SympleOptions{SeedExecutor: true}},
-		{"seed-parallel", core.SympleOptions{SeedExecutor: true, MapParallelism: 3}},
-		{"combine-parallel", core.SympleOptions{Combine: true, MapParallelism: 3}},
-		{"tree-memo-parallel", core.SympleOptions{Tree: true, MapParallelism: 3}},
+		{"combine", core.SympleOptions{Combine: true}},
+		{"combine-nomemo", core.SympleOptions{Combine: true, MemoSize: -1}},
 	}
 	for _, segments := range []int{1, 4} {
 		datasets := smallDatasets(segments)
@@ -54,16 +48,19 @@ func TestSympleOptsEquivalence(t *testing.T) {
 }
 
 // TestSympleOptsMemoStats sanity-checks the surfaced counters: a
-// skewed-key query (G1 groups by repo) must report real memo traffic,
-// and a disabled memo must report none.
+// skewed-key query (G1 groups by repo) must report memo traffic and run
+// probes, and a disabled memo must report no memo traffic. (How the
+// traffic splits between hits, misses and probe-free identity skips
+// depends on which pooled executor a map task drew, so only the totals
+// are pinned.)
 func TestSympleOptsMemoStats(t *testing.T) {
 	segs := smallDatasets(4)["github"]
 	on, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Sym.MemoHits == 0 {
-		t.Fatalf("G1 with memo reported no hits: %+v", on.Sym)
+	if on.Sym.MemoHits+on.Sym.MemoMisses == 0 || on.Sym.RunProbes == 0 {
+		t.Fatalf("G1 with memo reported no memo traffic or no run probes: %+v", on.Sym)
 	}
 	off, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
 	if err != nil {

@@ -5,7 +5,7 @@ package sym
 // run-length transition probes and speculative in-place windows — while
 // remaining observationally identical to feeding the records one by one
 // (pinned by the equivalence and metamorphic tests, and end to end by
-// the columnar golden digests).
+// the golden digests, which every job reaches through this path).
 //
 // Three regimes, chosen per position in the vector:
 //

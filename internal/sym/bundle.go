@@ -14,7 +14,7 @@ import (
 // Mappers emit bundles into the shuffle, reducers decode them back into
 // pooled containers, and the serve layer caches the encoded bytes per
 // segment so a re-submitted job can decode straight into a
-// StreamComposer without re-running the map side. The helpers here are
+// Fold without re-running the map side. The helpers here are
 // the single codec both paths share.
 
 // EncodeSummaryBundle encodes an ordered summary list as one bundle and

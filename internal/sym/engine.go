@@ -66,7 +66,7 @@ type Stats struct {
 // records whose transition summary is already cached skip exploration
 // entirely and fold into every live path via summary composition
 // (§3.6) — byte-identical to direct exploration, pinned by the
-// seed-equivalence tests against SeedExecutor.
+// seed-equivalence tests against the frozen seed executor.
 //
 // The zero Executor is not usable; construct with NewExecutor (symbolic
 // start, for mappers), NewConcreteExecutor (concrete start, for the
@@ -235,29 +235,6 @@ func (x *Executor[S, E]) Feed(rec E) (err error) {
 		}
 	}()
 	x.feed(rec)
-	return nil
-}
-
-// FeedAll processes a batch of records with a single panic barrier and
-// no per-record interface indirection: the form the mapper's batched
-// per-key loop uses. Equivalent to calling Feed on each record.
-func (x *Executor[S, E]) FeedAll(recs []E) (err error) {
-	if x.err != nil {
-		return x.err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			x.err = f.err
-			err = f.err
-		}
-	}()
-	for _, rec := range recs {
-		x.feed(rec)
-	}
 	return nil
 }
 

@@ -257,7 +257,10 @@ func (sc *Schema[S]) captureEnv(e *Env, fs []Value) {
 	}
 }
 
-// allConcreteFields is allConcrete over a captured field slice.
+// allConcreteFields reports whether no field depends on symbolic input,
+// in which case running the UDA on the state cannot fork and needs no
+// cloning — the paper's "once bound, as fast as the concrete type but
+// for the bound check" fast path.
 func allConcreteFields(fs []Value) bool {
 	for _, f := range fs {
 		if !f.IsConcrete() {
@@ -267,9 +270,11 @@ func allConcreteFields(fs []Value) bool {
 	return true
 }
 
-// tryMergeFields is tryMergePaths over captured field slices: merge b
-// into a when every transfer matches and at most one constraint differs
-// with a canonical union. a is mutated only on success.
+// tryMergeFields merges path b into path a when sound: every field pair
+// must have an identical transfer function, and the constraints may
+// differ in at most one field whose union is canonical (the union of two
+// boxes differing in one dimension is a box). Reports whether the merge
+// happened; a is mutated only on success.
 func tryMergeFields(af, bf []Value) bool {
 	if len(af) != len(bf) {
 		fail(ErrStateMismatch)
@@ -294,10 +299,11 @@ func tryMergeFields(af, bf []Value) bool {
 	return af[diff].UnionConstraint(bf[diff])
 }
 
-// mergePathStates is mergeAll over containers, recycling absorbed paths
-// into the pool (the seed engine dropped them to the GC). sc may be nil
-// for summaries built outside a schema; absorbed paths then fall to the
-// GC as before.
+// mergePathStates repeatedly merges path pairs until no pair merges,
+// returning the compacted slice (paper §3.5) and recycling absorbed
+// paths into the pool. Path counts are small (bounded by the live-path
+// cap), so the quadratic scan is cheap. sc may be nil for summaries
+// built outside a schema; absorbed paths then fall to the GC.
 func mergePathStates[S State](sc *Schema[S], paths []*pathState[S]) ([]*pathState[S], int) {
 	merged := 0
 	for i := 0; i < len(paths); i++ {

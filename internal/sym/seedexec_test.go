@@ -170,3 +170,69 @@ func (x *SeedExecutor[S, E]) LivePaths() int { return len(x.paths) }
 
 // Err returns the sticky error, if any.
 func (x *SeedExecutor[S, E]) Err() error { return x.err }
+
+// The seed executor's reflective path helpers, frozen with it: the
+// engine proper runs their schema-container forms (allConcreteFields,
+// tryMergeFields, mergePathStates).
+
+// allConcrete reports whether no field of s depends on symbolic input, in
+// which case running the UDA on s cannot fork and needs no cloning — the
+// paper's "once bound, as fast as the concrete type but for the bound
+// check" fast path.
+func allConcrete(s State) bool {
+	for _, f := range s.Fields() {
+		if !f.IsConcrete() {
+			return false
+		}
+	}
+	return true
+}
+
+// tryMergePaths merges path b into path a when sound: every field pair
+// must have an identical transfer function, and the constraints may
+// differ in at most one field whose union is canonical (the union of two
+// boxes differing in one dimension is a box). Reports whether the merge
+// happened; a is mutated only on success.
+func tryMergePaths(a, b State) bool {
+	af, bf := a.Fields(), b.Fields()
+	if len(af) != len(bf) {
+		fail(ErrStateMismatch)
+	}
+	for i := range af {
+		if !af[i].SameTransfer(bf[i]) {
+			return false
+		}
+	}
+	diff := -1
+	for i := range af {
+		if !af[i].ConstraintEq(bf[i]) {
+			if diff >= 0 {
+				return false
+			}
+			diff = i
+		}
+	}
+	if diff < 0 {
+		// Identical paths; absorbing b is trivially sound.
+		return true
+	}
+	return af[diff].UnionConstraint(bf[diff])
+}
+
+// mergeAll repeatedly merges path pairs until no pair merges, returning
+// the compacted slice (paper §3.5). Path counts are small (bounded by the
+// live-path cap), so the quadratic scan is cheap.
+func mergeAll[S State](paths []S) ([]S, int) {
+	merged := 0
+	for i := 0; i < len(paths); i++ {
+		for j := i + 1; j < len(paths); j++ {
+			if tryMergePaths(paths[i], paths[j]) {
+				paths[j] = paths[len(paths)-1]
+				paths = paths[:len(paths)-1]
+				merged++
+				j--
+			}
+		}
+	}
+	return paths, merged
+}

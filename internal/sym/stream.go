@@ -8,7 +8,8 @@ import (
 // StreamComposer consumes chunk summaries as they arrive — possibly out
 // of order, as mappers finish at different times — and maintains the
 // aggregation state composed through the longest contiguous prefix of
-// chunk sequence numbers. It is the incremental/streaming consumption
+// chunk sequence numbers: a Fold plus the buffer of chunks waiting
+// behind a gap. It is the incremental/streaming consumption
 // mode the paper's conclusion points at ("a platform for interactive
 // ad-hoc querying"): results tighten as chunks land, without waiting for
 // a full barrier before composing.
@@ -24,16 +25,10 @@ import (
 // the (mapperID, recordID) order already used by the shuffle, flattened).
 // Add is not safe for concurrent use; wrap with a lock if needed.
 type StreamComposer[S State] struct {
-	sc      *Schema[S]
-	state   *pathState[S] // composed through chunks [0, next)
-	next    int           // first missing sequence number
+	fold    *Fold[S] // composed through chunks [0, next)
+	next    int      // first missing sequence number
 	pending map[int][]*Summary[S]
 }
-
-// streamTreeFoldMin is the bundle length above which Add pre-composes a
-// chunk's summaries as a balanced tree before applying them, instead of
-// applying one by one. Short bundles aren't worth the cross products.
-const streamTreeFoldMin = 4
 
 // NewStreamComposer starts a composer from the initial concrete state.
 func NewStreamComposer[S State](newState func() S) *StreamComposer[S] {
@@ -44,17 +39,14 @@ func NewStreamComposer[S State](newState func() S) *StreamComposer[S] {
 // circulate through sc's pool — share the schema of the executors that
 // produce the summaries so the whole stream runs on one arena.
 func NewStreamComposerSchema[S State](sc *Schema[S]) *StreamComposer[S] {
-	return &StreamComposer[S]{
-		sc:      sc,
-		state:   wrapState(sc.newState()),
-		pending: map[int][]*Summary[S]{},
-	}
+	return &StreamComposer[S]{fold: NewFold(sc), pending: map[int][]*Summary[S]{}}
 }
 
 // Add delivers the ordered summaries of chunk seq, taking ownership of
 // them. It returns the number of chunks newly folded into the prefix
 // state (0 if seq leaves a gap). Delivering the same sequence number
-// twice is an error.
+// twice is an error. A chunk that fails to fold stays pending and the
+// prefix state is left as it was.
 func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 	if seq < c.next {
 		return 0, fmt.Errorf("sym: chunk %d already composed", seq)
@@ -69,52 +61,8 @@ func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 		if !ok {
 			break
 		}
-		// A long bundle folds cheaper as a tree: pre-compose the chunk's
-		// summaries pairwise (ComposeAll keeps the §5.4 order and leaves
-		// the inputs intact), then apply the single result. Falls back to
-		// the sequential walk when composition fails — applyPS to a
-		// concrete state is total where symbolic composition may not be.
-		if len(sums) > streamTreeFoldMin {
-			if composed, err := ComposeAll(sums); err == nil {
-				nxt, aerr := composed.applyPS(c.state)
-				composed.Release()
-				if aerr == nil {
-					for _, s := range sums {
-						s.Release()
-					}
-					c.sc.put(c.state)
-					c.state = nxt
-					delete(c.pending, c.next)
-					c.next++
-					folded++
-					continue
-				}
-			}
-		}
-		// Apply the chunk onto a working copy so an error leaves the
-		// prefix state untouched, then retire the superseded state and
-		// the consumed summaries to the pool.
-		cur := c.state
-		for i, s := range sums {
-			nxt, err := s.applyPS(cur)
-			if err != nil {
-				if cur != c.state {
-					c.sc.put(cur)
-				}
-				return folded, fmt.Errorf("sym: folding chunk %d summary %d/%d: %w",
-					c.next, i+1, len(sums), err)
-			}
-			if cur != c.state {
-				c.sc.put(cur)
-			}
-			cur = nxt
-		}
-		if cur != c.state {
-			c.sc.put(c.state)
-			c.state = cur
-		}
-		for _, s := range sums {
-			s.Release()
+		if err := c.fold.Add(sums); err != nil {
+			return folded, fmt.Errorf("sym: folding chunk %d: %w", c.next, err)
 		}
 		delete(c.pending, c.next)
 		c.next++
@@ -127,7 +75,7 @@ func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 // the number of chunks it covers. The state must not be mutated and is
 // invalidated by the next Add that folds a chunk.
 func (c *StreamComposer[S]) Prefix() (S, int) {
-	return c.state.s, c.next
+	return c.fold.State(), c.next
 }
 
 // Pending returns the sequence numbers received but not yet foldable
@@ -147,7 +95,7 @@ func (c *StreamComposer[S]) Pending() []int {
 // Pending is empty. The prefix state and pending summaries are not
 // affected.
 func (c *StreamComposer[S]) Speculate() (S, error) {
-	cur := c.state.s
+	cur := c.fold.State()
 	for _, seq := range c.Pending() {
 		next, err := ApplyAll(cur, c.pending[seq])
 		if err != nil {

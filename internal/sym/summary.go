@@ -3,8 +3,6 @@ package sym
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -159,19 +157,15 @@ func (s *Summary[S]) concretizePS(p, cw *pathState[S]) *pathState[S] {
 
 // ApplyAll composes an ordered sequence of summaries onto the concrete
 // state c, the reducer-side evaluation S_n(…S_2(S_1(c))…) of paper §3.6.
-// The summaries are not consumed; see StreamComposer for the folding
-// consumer that recycles them.
+// It is the non-consuming convenience over Fold: neither c nor the
+// summaries are modified or released.
 func ApplyAll[S State](c S, summaries []*Summary[S]) (S, error) {
-	cur := c
-	for i, s := range summaries {
-		next, err := s.Apply(cur)
-		if err != nil {
-			var zero S
-			return zero, fmt.Errorf("sym: applying summary %d/%d: %w", i+1, len(summaries), err)
-		}
-		cur = next
+	f := Fold[S]{state: wrapState(c)}
+	if err := f.apply(summaries); err != nil {
+		var zero S
+		return zero, err
 	}
-	return cur, nil
+	return f.state.s, nil
 }
 
 // ComposeWith composes two summaries into one: s runs first, next runs
@@ -281,67 +275,6 @@ func ComposeAllCounted[S State](summaries []*Summary[S]) (*Summary[S], int, erro
 		level, owned = level[:w], owned[:w]
 	}
 	return level[0], composes, nil
-}
-
-// ComposeAllParallel is ComposeAll for wide fan-ins: the pairs of each
-// tree level compose on their own goroutines. It CONSUMES its input —
-// every input and intermediate summary except the returned one is
-// released (on error the not-yet-composed summaries fall to the GC).
-// Narrow levels compose inline; goroutines only pay off once a level has
-// several cross products to overlap.
-func ComposeAllParallel[S State](summaries []*Summary[S]) (*Summary[S], error) {
-	s, _, err := ComposeAllParallelCounted(summaries)
-	return s, err
-}
-
-// ComposeAllParallelCounted is ComposeAllParallel returning the number
-// of pairwise composes performed (n−1 on success; see
-// ComposeAllCounted).
-func ComposeAllParallelCounted[S State](summaries []*Summary[S]) (*Summary[S], int, error) {
-	if len(summaries) == 0 {
-		return nil, 0, fmt.Errorf("sym: ComposeAll of zero summaries")
-	}
-	const minParallelPairs = 4
-	var composes atomic.Int64
-	level := summaries
-	for len(level) > 1 {
-		next := make([]*Summary[S], (len(level)+1)/2)
-		errs := make([]error, len(next))
-		compose := func(i int) {
-			c, err := level[i].ComposeWith(level[i+1])
-			composes.Add(1)
-			if err == nil {
-				level[i].Release()
-				level[i+1].Release()
-			}
-			next[i/2], errs[i/2] = c, err
-		}
-		if len(level)/2 < minParallelPairs {
-			for i := 0; i+1 < len(level); i += 2 {
-				compose(i)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i := 0; i+1 < len(level); i += 2 {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					compose(i)
-				}(i)
-			}
-			wg.Wait()
-		}
-		if len(level)%2 == 1 {
-			next[len(next)-1] = level[len(level)-1]
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, int(composes.Load()), err
-			}
-		}
-		level = next
-	}
-	return level[0], int(composes.Load()), nil
 }
 
 // summaryTagless is the header bit marking a summary whose fields are

@@ -14,16 +14,14 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries
+# The race leg covers the one SYMPLE engine end to end — the batched
+# chunk executor over rows and over columns, the column codec
+# (internal/mapreduce) and the record↔columnar converter (internal/data).
+go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Short chaos sweep: seeded fault injection at every task boundary,
 # digests checked against the fault-free run. CI runs the wide sweep
 # (CHAOS_SEEDS=100) in its own job.
 CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/queries
-# Columnar leg: the batch execution path must stay byte-identical to
-# the sequential reference — golden digests through columnar segments,
-# metamorphic batch-boundary splits, and the FeedBatch equivalence
-# suite. CI's `columnar` job runs the wide form under -race.
-go test -count=1 -run 'Columnar|Batch' ./internal/sym ./internal/data ./internal/mapreduce ./internal/queries
 # Cluster leg: the transport/coordinator/worker path — frame codec
 # seeds, pool lifecycle, and transport-equivalence golden digests: all
 # 12 queries byte-identical across in-memory, via-coordinator, and
@@ -47,4 +45,7 @@ go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|
 # registry fails its self-check. CI's `traced` job runs the wide form
 # (-count=2 -shuffle=on).
 OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries
+# Size record (ROADMAP item 3): lines per package and option-struct
+# field counts. Printed for comparison across commits; not a gate.
+./scripts/loc.sh
 echo "verify: OK"

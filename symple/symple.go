@@ -151,12 +151,6 @@ func ComposeAll[S State](summaries []*Summary[S]) (*Summary[S], error) {
 	return sym.ComposeAll(summaries)
 }
 
-// ComposeAllParallel is ComposeAll with each tree level's pairs composed
-// concurrently, for wide fan-ins. It consumes its input summaries.
-func ComposeAllParallel[S State](summaries []*Summary[S]) (*Summary[S], error) {
-	return sym.ComposeAllParallel(summaries)
-}
-
 // RunSequential executes a query sequentially (the reference semantics).
 func RunSequential[S State, E, R any](q *Query[S, E, R], segments []*Segment) (*Output[R], error) {
 	return core.RunSequential(q, segments)
@@ -172,15 +166,9 @@ func RunSymple[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf C
 	return core.RunSymple(q, segments, conf)
 }
 
-// RunSympleTree is RunSymple with the reducer composing summaries as a
-// parallel binary tree (paper §3.6).
-func RunSympleTree[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf Config) (*Output[R], error) {
-	return core.RunSympleTree(q, segments, conf)
-}
-
-// SympleOptions tunes the SYMPLE engines: a mapper-side combiner
-// (pre-composing each group's summaries before the shuffle) and tree
-// composition at reducers.
+// SympleOptions tunes the SYMPLE engine: a mapper-side combiner
+// (pre-composing each group's summaries before the shuffle) and the
+// record-transition memo's size.
 type SympleOptions = core.SympleOptions
 
 // RunSympleOpts is RunSymple with explicit engine options.
