@@ -60,12 +60,20 @@ func main() {
 		columnar  = flag.Bool("columnar", false, "attach the columnar form to the loaded segments (an input form: SYMPLE groups vectorized over columns when a segment has them)")
 		input     = flag.String("input", "", "read segments from this directory (written by datagen) instead of generating")
 		tracePath = flag.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
-		profile   = flag.String("profile", "", "write a CPU profile covering each engine run to this file")
+		profile   = flag.String("profile", "", "write one CPU profile covering the whole invocation (every engine run, sequential included) to this file")
 		workers   = flag.Int("workers", 0, "run SYMPLE maps on this many spawned worker subprocesses (0 = in-process)")
 		w2w       = flag.Bool("w2w", false, "with -workers: shuffle runs worker-to-worker and reduce on the partition owners (coordinator receives only receipts and final summaries)")
 		workerBin = flag.String("worker-bin", "sympled", "worker binary: a path, or a name resolved next to this executable then on PATH")
 	)
 	flag.Parse()
+
+	if *profile != "" {
+		stop, err := obs.CPUProfile(*profile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
+	}
 
 	spec := queries.ByID(strings.ToUpper(*queryID))
 	if spec == nil {
@@ -108,8 +116,7 @@ func main() {
 	fmt.Printf("corpus: %d records, %.1f MB, %d segments\n\n",
 		inputRecords, float64(inputBytes)/1e6, len(segs))
 
-	conf := mapreduce.Config{NumReducers: *reducers, CompressShuffle: *compress,
-		Profile: *profile}
+	conf := mapreduce.Config{NumReducers: *reducers, CompressShuffle: *compress}
 	var mem *obs.MemSink
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -164,7 +171,6 @@ func main() {
 		rconf.MaxAttempts = 4
 		rconf.Speculation = true
 		rconf.RetryBackoff = 10 * time.Millisecond
-		rconf.MaxRetryBackoff = 250 * time.Millisecond
 		sympleRun = func() (*queries.Run, error) { return spec.SympleOpts(segs, rconf, opt) }
 		mode := "SYMPLE maps run remotely"
 		if *w2w {

@@ -6,9 +6,8 @@
 //	symplebench -experiment fig5 -records 500000
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, b1latency,
-// ablation, shuffle, wire, faults, obs, cluster, serve, all. See
-// EXPERIMENTS.md for the paper-vs-measured record; -experiment shuffle
-// also writes BENCH_SHUFFLE.json, -experiment wire writes
+// ablation, wire, faults, obs, cluster, serve, all. See
+// EXPERIMENTS.md for the paper-vs-measured record; -experiment wire writes
 // BENCH_WIRE.json (compact shuffle encoding vs the seed framing across
 // all 12 queries), -experiment faults writes BENCH_FAULTS.json
 // (380-node replay latency clean vs failures vs failures+speculation),
@@ -19,10 +18,10 @@
 // dcsim prediction), and -experiment serve writes BENCH_SERVE.json
 // (query-service latency: cold submission vs warm-cache re-submission
 // vs incremental append against a loopback serve daemon,
-// digest-checked per round). BENCH_SYMEXEC.json and
-// BENCH_COLUMNAR.json are frozen records of experiments whose
-// baselines (the seed executor, the scalar chunk loop) no longer
-// exist; see EXPERIMENTS.md.
+// digest-checked per round). BENCH_SYMEXEC.json, BENCH_COLUMNAR.json
+// and BENCH_SHUFFLE.json are frozen records of experiments whose
+// baselines (the seed executor, the scalar chunk loop, the barrier
+// shuffle) no longer exist; see EXPERIMENTS.md.
 //
 // -trace streams every engine run's spans to a JSONL file and -profile
 // captures a CPU profile over the whole invocation.
@@ -54,7 +53,7 @@ func main() {
 		return
 	}
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | shuffle | wire | faults | obs | cluster | serve | all")
+		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | wire | faults | obs | cluster | serve | all")
 		records    = flag.Int("records", 200000, "records per generated corpus")
 		segments   = flag.Int("segments", 8, "input segments (measured mapper count)")
 		tracePath  = flag.String("trace", "", "stream every engine run's spans to this JSONL file")
@@ -114,7 +113,6 @@ func main() {
 		{"fig8", func() (*bench.Table, error) { return bench.Fig8(datasets()) }},
 		{"b1latency", func() (*bench.Table, error) { return bench.B1Latency(datasets()) }},
 		{"ablation", func() (*bench.Table, error) { return bench.AblationMerging(datasets()) }},
-		{"shuffle", func() (*bench.Table, error) { return bench.Shuffle(sc) }},
 		{"wire", func() (*bench.Table, error) { return bench.Wire(datasets()) }},
 		{"faults", func() (*bench.Table, error) { return bench.Faults(datasets()) }},
 		{"obs", func() (*bench.Table, error) { return bench.Obs(datasets()) }},

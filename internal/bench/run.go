@@ -19,13 +19,14 @@ type measured struct {
 // dataset and verifies their outputs agree (every reported number comes
 // from runs that produced the correct answer).
 //
-// The cluster replays (Figs 5–8) deliberately measure under the barrier
-// shuffle: their dcsim models scale the measured reduce-task CPU to
-// paper scale, where Hadoop's reduce side pays a disk-bound multi-pass
-// merge. The barrier engine's concatenate-and-sort reducer approximates
-// that cost regime; the streaming engine's in-memory merge is far
-// cheaper and would understate the baseline's reduce tail by the same
-// factor it wins in BENCH_SHUFFLE.json.
+// The cluster replays (Figs 5–8, B1 latency, faults) measure under the
+// default engine — the configuration `go run ./benchmark` and every
+// user-facing path drive. Their dcsim models charge each job for the
+// bytes it shuffles and the CPU its reducers spend composing, scaled to
+// paper size; both are properties of the job (what the mappers emit,
+// what the reducer computes per group), not of how the substrate
+// ordered the runs, so there is nothing a second, slower shuffle could
+// add to a replay except its own sort cost billed to both engines.
 func runPair(d *Datasets, id string, condensed bool, reducers int) (*measured, error) {
 	spec := queries.ByID(id)
 	if spec == nil {
@@ -35,8 +36,7 @@ func runPair(d *Datasets, id string, condensed bool, reducers int) (*measured, e
 	if err != nil {
 		return nil, err
 	}
-	conf := mapreduce.Config{NumReducers: reducers, BarrierShuffle: true,
-		Trace: Trace, Registry: Registry}
+	conf := mapreduce.Config{NumReducers: reducers, Trace: Trace, Registry: Registry}
 	base, err := spec.Baseline(segs, conf)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s baseline: %w", id, err)

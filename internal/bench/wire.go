@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -195,4 +196,45 @@ func Wire(d *Datasets) (*Table, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return t, nil
+}
+
+// shuffleSegments builds the pipeline microbenchmark corpus: fixed-width
+// random records whose leading bytes pick one of 512 keys, giving
+// realistic group fan-in per reducer.
+func shuffleSegments(sc Scale) []*mapreduce.Segment {
+	const payload = 100
+	numSegs := max(sc.Segments, 1)
+	perSeg := max(sc.Records/numSegs, 1)
+	rng := rand.New(rand.NewSource(1))
+	segs := make([]*mapreduce.Segment, numSegs)
+	for i := range segs {
+		segs[i] = &mapreduce.Segment{ID: i}
+		for r := 0; r < perSeg; r++ {
+			rec := make([]byte, payload)
+			for j := range rec {
+				rec[j] = byte('a' + rng.Intn(26))
+			}
+			segs[i].Records = append(segs[i].Records, rec)
+		}
+	}
+	return segs
+}
+
+func shuffleJob(conf mapreduce.Config) *mapreduce.Job {
+	return &mapreduce.Job{
+		Name: "bench/shuffle",
+		Map: func(id int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
+			for i, rec := range seg.Records {
+				emit(fmt.Sprintf("key-%d", (int(rec[0])*31+int(rec[1]))%512), int64(i), rec)
+			}
+			return nil
+		},
+		Reduce: func(_ int, _ string, values []mapreduce.Shuffled) error {
+			for i := range values {
+				_ = values[i].Value
+			}
+			return nil
+		},
+		Conf: conf,
+	}
 }

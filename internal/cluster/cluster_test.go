@@ -162,12 +162,11 @@ func columnarGoldenDatasets() map[string][]*mapreduce.Segment {
 // so injected faults are survivable.
 func remoteConf(pool *cluster.Pool) mapreduce.Config {
 	return mapreduce.Config{
-		NumReducers:     3,
-		MaxAttempts:     4,
-		Speculation:     true,
-		RetryBackoff:    100 * time.Microsecond,
-		MaxRetryBackoff: time.Millisecond,
-		RemoteMap:       pool,
+		NumReducers:  3,
+		MaxAttempts:  4,
+		Speculation:  true,
+		RetryBackoff: 100 * time.Microsecond,
+		RemoteMap:    pool,
 	}
 }
 

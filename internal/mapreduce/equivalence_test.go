@@ -1,33 +1,43 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
+
+// wordMap is the map function the equivalence tests run: every record
+// emits the keys emitsPerRecord names, with itself as the value.
+func wordMap(emitsPerRecord func(rec []byte) []string) MapFunc {
+	return func(id int, seg *Segment, emit Emit) error {
+		for i, rec := range seg.Records {
+			for _, key := range emitsPerRecord(rec) {
+				emit(key, int64(i), rec)
+			}
+		}
+		return nil
+	}
+}
 
 // captureJob runs a word-emitting job under the given config and records
 // the exact reduce-side delivery — per reducer, the ordered stream of
-// (key, mapperID, recordID, value) — in a printable form, so engine
-// variants can be compared byte for byte.
+// (key, mapperID, recordID, value) — in a printable form, comparable
+// byte for byte with modelShuffle's rendering.
 func captureJob(t *testing.T, segs []*Segment, conf Config, emitsPerRecord func(rec []byte) []string) (map[int]string, *Metrics) {
 	t.Helper()
 	var mu sync.Mutex
 	streams := map[int]*strings.Builder{}
 	job := &Job{
 		Name: "capture",
-		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
-				for _, key := range emitsPerRecord(rec) {
-					emit(key, int64(i), rec)
-				}
-			}
-			return nil
-		},
+		Map:  wordMap(emitsPerRecord),
 		Reduce: func(r int, key string, values []Shuffled) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -55,6 +65,76 @@ func captureJob(t *testing.T, segs []*Segment, conf Config, emitsPerRecord func(
 	return out, m
 }
 
+// modelShuffle is §5.4 as a specification, not a second engine: run Map
+// serially, partition by FNV-1a, order each partition by (key, mapperID,
+// recordID, emit seq), and print it the way captureJob does. It returns
+// the per-reducer streams plus the record, group and logical-byte counts.
+func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]string, recs, groups, logical int64) {
+	parts := make([][]kvRec, reducers)
+	for _, seg := range segs {
+		_ = mapFn(seg.ID, seg, func(key string, recordID int64, value []byte) {
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			r := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: recs, value: value}
+			p := h.Sum32() % uint32(reducers)
+			parts[p] = append(parts[p], r)
+			recs, logical = recs+1, logical+r.wireSize()
+		})
+	}
+	out = map[int]string{}
+	for p, rs := range parts {
+		slices.SortFunc(rs, func(x, y kvRec) int {
+			return cmp.Or(strings.Compare(x.key, y.key), cmp.Compare(x.mapperID, y.mapperID),
+				cmp.Compare(x.recordID, y.recordID), cmp.Compare(x.seq, y.seq))
+		})
+		var b strings.Builder
+		for i, r := range rs {
+			if i == 0 || rs[i-1].key != r.key {
+				groups++
+				fmt.Fprintf(&b, "group %q\n", r.key)
+			}
+			fmt.Fprintf(&b, "  %d %d %q\n", r.mapperID, r.recordID, r.value)
+		}
+		if len(rs) > 0 {
+			out[p] = b.String()
+		}
+	}
+	return out, recs, groups, logical
+}
+
+// checkAgainstModel runs the job under conf and requires a delivery
+// byte-identical to the model's — same reducers, same group order, same
+// within-group record order, same payloads — and matching accounting.
+func checkAgainstModel(t *testing.T, label string, segs []*Segment, conf Config, emits func(rec []byte) []string) {
+	t.Helper()
+	got, gm := captureJob(t, segs, conf, emits)
+	want, recs, groups, logical := modelShuffle(segs, max(conf.NumReducers, 1), wordMap(emits))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d reducers produced output, model %d", label, len(got), len(want))
+	}
+	for r, s := range want {
+		if got[r] != s {
+			t.Errorf("%s reducer %d: streams differ\nengine:\n%s\nmodel:\n%s", label, r, got[r], s)
+		}
+	}
+	var inBytes, inRecs int64
+	for _, seg := range segs {
+		inBytes, inRecs = inBytes+seg.Bytes(), inRecs+int64(len(seg.Records))
+	}
+	// The engine ships compact segments, so its wire bytes are its own —
+	// but the logical volume (the legacy framing) is a property of the
+	// records, and the segment encoding must never inflate past it.
+	if gm.ShuffleLogicalBytes != logical || gm.ShuffleRecords != recs || gm.Groups != groups ||
+		gm.InputBytes != inBytes || gm.InputRecords != inRecs {
+		t.Errorf("%s: accounting diverged: engine %+v, model %d recs %d groups %d logical bytes",
+			label, gm, recs, groups, logical)
+	}
+	if gm.ShuffleBytes > gm.ShuffleLogicalBytes {
+		t.Errorf("%s: segment encoding inflated the shuffle: wire %d > logical %d",
+			label, gm.ShuffleBytes, gm.ShuffleLogicalBytes)
+	}
+}
+
 func randomSegments(rng *rand.Rand, numSegments, maxPerSeg int) []*Segment {
 	segs := make([]*Segment, numSegments)
 	for i := range segs {
@@ -68,61 +148,30 @@ func randomSegments(rng *rand.Rand, numSegments, maxPerSeg int) []*Segment {
 	return segs
 }
 
-// TestStreamingMatchesBarrier asserts the determinism/equivalence
-// invariant of the shuffle rewrite: the streaming spill-run/merge engine
-// delivers a byte-identical group stream — same reducers, same group
-// order, same within-group record order, same payloads — as the
-// pre-streaming barrier engine, across randomized inputs, segmentations
-// and reducer counts.
-func TestStreamingMatchesBarrier(t *testing.T) {
+// TestStreamingMatchesModel asserts the shuffle's determinism contract
+// across randomized inputs, segmentations and reducer counts, raw and
+// compressed.
+func TestStreamingMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		numSegs := 1 + rng.Intn(7)
 		reducers := 1 + rng.Intn(5)
 		segs := randomSegments(rng, numSegs, 120)
 		// One emit per record with a skewed key space: ties in
-		// (key, mapperID, recordID) cannot occur, so both engines'
-		// orders are fully determined.
+		// (key, mapperID, recordID) cannot occur.
 		emits := func(rec []byte) []string {
 			return []string{fmt.Sprintf("key-%d", len(rec)%17)}
 		}
-		conf := Config{NumReducers: reducers, Parallelism: 4}
-		barrier := conf
-		barrier.BarrierShuffle = true
-		got, gm := captureJob(t, segs, conf, emits)
-		want, wm := captureJob(t, segs, barrier, emits)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d reducers produced output, barrier %d", seed, len(got), len(want))
-		}
-		for r, s := range want {
-			if got[r] != s {
-				t.Errorf("seed %d reducer %d: streams differ\nstreaming:\n%s\nbarrier:\n%s", seed, r, got[r], s)
-			}
-		}
-		// The streaming engine ships compact segments, so its wire bytes
-		// differ from the barrier's legacy framing — but the logical
-		// volume (the framing both engines agree on) must match exactly,
-		// and the segment encoding must never inflate past it.
-		if gm.ShuffleLogicalBytes != wm.ShuffleBytes || gm.ShuffleRecords != wm.ShuffleRecords ||
-			gm.Groups != wm.Groups || gm.InputBytes != wm.InputBytes ||
-			gm.InputRecords != wm.InputRecords {
-			t.Errorf("seed %d: accounting diverged: streaming %+v barrier %+v", seed, gm, wm)
-		}
-		if gm.ShuffleBytes > gm.ShuffleLogicalBytes {
-			t.Errorf("seed %d: segment encoding inflated the shuffle: wire %d > logical %d",
-				seed, gm.ShuffleBytes, gm.ShuffleLogicalBytes)
-		}
+		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs,
+			Config{NumReducers: reducers, Parallelism: 4, CompressShuffle: seed%2 == 1}, emits)
 	}
 }
 
-// TestStreamingMatchesBarrierMultiEmit covers records that emit several
+// TestStreamingMatchesModelMultiEmit covers records that emit several
 // keys — including repeated keys from the same record, the one case
-// where the shuffle's (key, mapperID, recordID) order has ties. The
-// streaming engine resolves ties by emit order; the barrier engine's
-// unstable sort does not promise an order, so tied emits here carry the
-// record payload (identical for tied emits) and the comparison stays
-// exact.
-func TestStreamingMatchesBarrierMultiEmit(t *testing.T) {
+// where the shuffle's (key, mapperID, recordID) order has ties, which
+// the engine must resolve by emit order.
+func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		segs := randomSegments(rng, 1+rng.Intn(5), 80)
@@ -130,75 +179,39 @@ func TestStreamingMatchesBarrierMultiEmit(t *testing.T) {
 			k := fmt.Sprintf("w%d", len(rec)%11)
 			return []string{k, fmt.Sprintf("w%d", int(rec[0])%7), k}
 		}
-		conf := Config{NumReducers: 3, Parallelism: 3}
-		barrier := conf
-		barrier.BarrierShuffle = true
-		got, _ := captureJob(t, segs, conf, emits)
-		want, _ := captureJob(t, segs, barrier, emits)
-		for r, s := range want {
-			if got[r] != s {
-				t.Errorf("seed %d reducer %d: streams differ\nstreaming:\n%s\nbarrier:\n%s", seed, r, got[r], s)
-			}
-		}
+		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs, Config{NumReducers: 3, Parallelism: 3}, emits)
 	}
 }
 
-// TestStreamingExternalSortMatchesBarrier pins the §6.2 Unix-sort path
-// through the streaming engine against the barrier engine's.
-func TestStreamingExternalSortMatchesBarrier(t *testing.T) {
+// TestExternalSortMatchesModel pins the §6.2 Unix-sort path.
+func TestExternalSortMatchesModel(t *testing.T) {
 	if !externalSortAvailable() {
 		t.Skip("no sort binary")
 	}
-	rng := rand.New(rand.NewSource(7))
-	segs := randomSegments(rng, 5, 60)
+	segs := randomSegments(rand.New(rand.NewSource(7)), 5, 60)
 	emits := func(rec []byte) []string {
 		return []string{fmt.Sprintf("key-%d", len(rec)%13)}
 	}
-	conf := Config{NumReducers: 2, ExternalSort: true}
-	barrier := conf
-	barrier.BarrierShuffle = true
-	got, _ := captureJob(t, segs, conf, emits)
-	want, _ := captureJob(t, segs, barrier, emits)
-	for r, s := range want {
-		if got[r] != s {
-			t.Errorf("reducer %d: streams differ\nstreaming:\n%s\nbarrier:\n%s", r, got[r], s)
-		}
-	}
+	checkAgainstModel(t, "external sort", segs, Config{NumReducers: 2, ExternalSort: true}, emits)
 }
 
-// TestStreamingExternalSortFallsBackWithoutSortBinary pins the Config
-// contract that ExternalSort falls back to the in-process sort when no
-// sort binary is on PATH. The map side skips its spill sort under
-// ExternalSort, so the streaming engine must do the full partition sort
+// TestExternalSortFallsBackWithoutSortBinary pins the Config contract
+// that ExternalSort falls back to the in-process sort when no sort
+// binary is on PATH. The map side skips its spill sort under
+// ExternalSort, so the engine must do the full partition sort
 // reduce-side here — without it, the loser tree merges unsorted runs and
-// fragments each key into many Reduce calls. The barrier engine, which
-// has always honored the fallback, is the oracle.
-func TestStreamingExternalSortFallsBackWithoutSortBinary(t *testing.T) {
+// fragments each key into many Reduce calls (the model's group count
+// catches that).
+func TestExternalSortFallsBackWithoutSortBinary(t *testing.T) {
 	t.Setenv("PATH", "")
 	if externalSortAvailable() {
 		t.Fatal("sort binary still resolvable with empty PATH")
 	}
-	rng := rand.New(rand.NewSource(11))
-	segs := randomSegments(rng, 6, 80)
+	segs := randomSegments(rand.New(rand.NewSource(11)), 6, 80)
 	emits := func(rec []byte) []string {
 		return []string{fmt.Sprintf("key-%d", len(rec)%5)}
 	}
-	conf := Config{NumReducers: 2, ExternalSort: true, Parallelism: 4}
-	barrier := conf
-	barrier.BarrierShuffle = true
-	got, gm := captureJob(t, segs, conf, emits)
-	want, wm := captureJob(t, segs, barrier, emits)
-	if len(got) != len(want) {
-		t.Fatalf("%d reducers produced output, barrier %d", len(got), len(want))
-	}
-	for r, s := range want {
-		if got[r] != s {
-			t.Errorf("reducer %d: streams differ\nstreaming:\n%s\nbarrier:\n%s", r, got[r], s)
-		}
-	}
-	if gm.Groups != wm.Groups {
-		t.Errorf("groups = %d, barrier %d (fragmented groups?)", gm.Groups, wm.Groups)
-	}
+	checkAgainstModel(t, "fallback", segs, Config{NumReducers: 2, ExternalSort: true, Parallelism: 4}, emits)
 }
 
 // TestLoserTreeMerge checks the k-way merge against sort over the
@@ -266,8 +279,9 @@ func TestPartitionMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestWireSizeMatchesEncoder pins the arithmetic wire size against the
-// original encoder-backed computation across varint length boundaries.
+// TestWireSizeMatchesEncoder pins the arithmetic wire size against
+// what wire.Encoder actually produces for the legacy frame, across
+// varint length boundaries.
 func TestWireSizeMatchesEncoder(t *testing.T) {
 	recs := []kvRec{
 		{},
@@ -286,7 +300,13 @@ func TestWireSizeMatchesEncoder(t *testing.T) {
 		})
 	}
 	for _, r := range recs {
-		if got, want := r.wireSize(), legacyWireSize(&r); got != want {
+		e := wire.NewEncoder(0)
+		e.Uvarint(uint64(len(r.key)))
+		e.Uvarint(uint64(r.mapperID))
+		e.Uvarint(uint64(r.recordID))
+		e.Uvarint(uint64(len(r.value)))
+		want := int64(e.Len() + len(r.key) + len(r.value))
+		if got := r.wireSize(); got != want {
 			t.Fatalf("wireSize(%d-byte key, mapper %d, record %d, %d-byte value) = %d, encoder says %d",
 				len(r.key), r.mapperID, r.recordID, len(r.value), got, want)
 		}

@@ -142,8 +142,7 @@ func trimZeros(b []byte) string {
 
 // sortPartition is the in-process shuffle order. seq breaks the
 // (key, mapperID, recordID) ties a multi-emitting record can produce,
-// so the streaming engine's ExternalSort fallback reproduces emit order
-// exactly; barrier-engine records all carry seq 0 and are unaffected.
+// so the ExternalSort fallback reproduces emit order exactly.
 func sortPartition(part []kvRec) {
 	sort.Slice(part, func(a, b int) bool {
 		ra, rb := &part[a], &part[b]

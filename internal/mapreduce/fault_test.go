@@ -17,30 +17,6 @@ import (
 
 // ---- shared harness ----
 
-// spillTestDir returns a fresh spill directory and registers a cleanup
-// asserting that no job left any file behind — failed and losing
-// attempts must remove their temp dirs, and a finished job must remove
-// its whole spill tree.
-func spillTestDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	t.Cleanup(func() {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Errorf("reading spill dir: %v", err)
-			return
-		}
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		if len(names) != 0 {
-			t.Errorf("spill dir not empty after test: %v", names)
-		}
-	})
-	return dir
-}
-
 // checkGoroutineLeaks snapshots the goroutine count and asserts at test
 // cleanup that it returns to the baseline — a hand-rolled goleak. The
 // poll loop tolerates goroutines still draining when the job returns.
@@ -65,8 +41,72 @@ func checkGoroutineLeaks(t *testing.T) {
 // fastRetries keeps chaos-era retry backoffs out of the test budget.
 func fastRetries(conf Config) Config {
 	conf.RetryBackoff = 100 * time.Microsecond
-	conf.MaxRetryBackoff = time.Millisecond
 	return conf
+}
+
+// recordingTransport is the in-memory transport plus a log of every
+// published run's producer — what the tests inspect to prove a losing or
+// killed attempt's runs never reached a reducer.
+type recordingTransport struct {
+	Transport
+	mu        sync.Mutex
+	published []Run
+}
+
+func newRecordingTransport() *recordingTransport {
+	return &recordingTransport{Transport: NewMemTransport()}
+}
+
+func (t *recordingTransport) Publish(r Run) error {
+	t.mu.Lock()
+	t.published = append(t.published, Run{Task: r.Task, Attempt: r.Attempt, Part: r.Part})
+	t.mu.Unlock()
+	return t.Transport.Publish(r)
+}
+
+// checkOneAttemptPerTask asserts the commit protocol's visible outcome:
+// each (task, partition) run was published at most once and every run of
+// a task came from the same (winning) attempt. It returns task → winner.
+func (t *recordingTransport) checkOneAttemptPerTask(tb testing.TB) map[int]int {
+	tb.Helper()
+	winner := map[int]int{}
+	seen := map[[2]int]bool{}
+	for _, r := range t.published {
+		if seen[[2]int{r.Task, r.Part}] {
+			tb.Errorf("task %d partition %d published twice", r.Task, r.Part)
+		}
+		seen[[2]int{r.Task, r.Part}] = true
+		if w, ok := winner[r.Task]; ok && w != r.Attempt {
+			tb.Errorf("task %d published runs from attempts %d and %d", r.Task, w, r.Attempt)
+		}
+		winner[r.Task] = r.Attempt
+	}
+	return winner
+}
+
+// TestBackoffDelay pins the retry curve: RetryBackoff before the second
+// attempt, doubling per further attempt, capped at maxBackoffFactor
+// times the base.
+func TestBackoffDelay(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		base  time.Duration
+		retry int
+		want  time.Duration
+	}{
+		{ms, 1, ms}, {ms, 2, 2 * ms}, {ms, 3, 4 * ms}, {ms, 6, 32 * ms},
+		{ms, 7, 50 * ms},                     // 64ms, capped
+		{ms, 8, 50 * ms}, {ms, 200, 50 * ms}, // far past the cap: no overflow
+		{10 * ms, 1, 10 * ms}, {10 * ms, 4, 80 * ms}, {10 * ms, 7, 500 * ms},
+		{100 * time.Microsecond, 9, 5 * ms},
+	} {
+		if got := backoffDelay(Config{RetryBackoff: tc.base}, tc.retry); got != tc.want {
+			t.Errorf("backoffDelay(base %v, retry %d) = %v, want %v", tc.base, tc.retry, got, tc.want)
+		}
+	}
+	if got := backoffDelay(Config{}.withDefaults(), 1); got != ms {
+		t.Errorf("default first retry delay = %v, want 1ms", got)
+	}
 }
 
 // countingSegments builds numSegments segments of numbered records.
@@ -270,12 +310,24 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 		},
 		Conf: Config{NumReducers: 2, Parallelism: 4, Speculation: true},
 	}
+	rec := newRecordingTransport()
+	job.Conf.Transport = rec
 	m, err := job.Run(countingSegments(tasks, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(counts) != tasks*6 {
 		t.Errorf("got %d keys, want %d", len(counts), tasks*6)
+	}
+	// Both attempts of the straggler ran to completion and produced full
+	// output; only the winner's may be published and merged.
+	for key, n := range counts {
+		if n != 1 {
+			t.Errorf("key %q delivered %d times: a losing attempt's run was merged", key, n)
+		}
+	}
+	if w := rec.checkOneAttemptPerTask(t)[straggler]; w != 1 {
+		t.Errorf("straggler's published runs came from attempt %d, want the backup (1)", w)
 	}
 	if m.SpeculativeTasks < 1 {
 		t.Errorf("no speculative attempt launched (SpeculativeTasks=%d)", m.SpeculativeTasks)
@@ -289,118 +341,37 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 	}
 }
 
-// ---- disk spill commit protocol ----
-
-func TestSpillModeMatchesMemoryMode(t *testing.T) {
+// TestChaosKillAtSpillWriteNeverPublishes kills every non-final attempt at
+// PointSpillWrite — after its runs are sorted and encoded, the last
+// point before commit — and checks the dead attempts' complete output is
+// dropped: only the retry's runs are published, and the delivery equals
+// the fault-free run's.
+func TestChaosKillAtSpillWriteNeverPublishes(t *testing.T) {
 	checkGoroutineLeaks(t)
-	segs := countingSegments(6, 40)
-	memConf := Config{NumReducers: 3, Parallelism: 4}
-	spillConf := memConf
-	spillConf.SpillDir = spillTestDir(t)
-	got, gm := runIdempotentCapture(t, segs, spillConf)
-	want, wm := runIdempotentCapture(t, segs, memConf)
+	const tasks = 5
+	segs := countingSegments(tasks, 30)
+	want, wm := runIdempotentCapture(t, segs, Config{NumReducers: 3, CompressShuffle: true})
+	plan := NewFaultPlan(5).WithRate(1).WithKinds(KindKill).WithPoints(PointSpillWrite)
+	rec := newRecordingTransport()
+	got, gm := runIdempotentCapture(t, segs, fastRetries(Config{
+		NumReducers: 3, MaxAttempts: 2, CompressShuffle: true, Faults: plan, Transport: rec}))
 	if got != want {
-		t.Errorf("disk-spill output differs from in-memory output:\nspill:\n%s\nmemory:\n%s", got, want)
+		t.Errorf("output after spill-write kills differs from the fault-free run:\n%s\nwant:\n%s", got, want)
 	}
-	if gm.ShuffleBytes != wm.ShuffleBytes || gm.ShuffleRecords != wm.ShuffleRecords || gm.Groups != wm.Groups {
-		t.Errorf("accounting diverged: spill %d/%d/%d, memory %d/%d/%d",
-			gm.ShuffleBytes, gm.ShuffleRecords, gm.Groups,
-			wm.ShuffleBytes, wm.ShuffleRecords, wm.Groups)
+	if gm.ShuffleBytes != wm.ShuffleBytes || gm.ShuffleRecords != wm.ShuffleRecords {
+		t.Errorf("killed attempts leaked into the accounting: %d bytes / %d records, fault-free %d / %d",
+			gm.ShuffleBytes, gm.ShuffleRecords, wm.ShuffleBytes, wm.ShuffleRecords)
 	}
-}
-
-func TestFailedJobLeavesNoSpillFiles(t *testing.T) {
-	checkGoroutineLeaks(t)
-	dir := spillTestDir(t)
-	job := &Job{
-		Name: "doomed-spill",
-		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), rec)
-			}
-			if id == 2 {
-				return errors.New("dies after emitting")
-			}
-			return nil
-		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
-		Conf:   fastRetries(Config{NumReducers: 2, MaxAttempts: 2, SpillDir: dir}),
+	if n := plan.InjectedAt(PointSpillWrite, KindKill); n != tasks {
+		t.Errorf("%d spill-write kills injected, want one per task (%d)", n, tasks)
 	}
-	if _, err := job.Run(countingSegments(4, 20)); err == nil {
-		t.Fatal("job should have failed")
+	if gm.MapAttempts != 2*tasks {
+		t.Errorf("MapAttempts = %d, want %d", gm.MapAttempts, 2*tasks)
 	}
-	// The spillTestDir cleanup asserts the directory is empty.
-}
-
-func TestRunFileRoundTrip(t *testing.T) {
-	// One run is one mapper's output: mapperID is constant, encoded once
-	// per segment (the codec panics on a mixed run).
-	const mapper = 1 << 18
-	recs := []kvRec{
-		{key: "", mapperID: mapper, recordID: 0, seq: 0, value: nil},
-		{key: "k", mapperID: mapper, recordID: 7, seq: 1, value: []byte("v")},
-		{key: strings.Repeat("long", 100), mapperID: mapper, recordID: 1 << 40, seq: 9, value: make([]byte, 3000)},
-	}
-	for i := 0; i < 200; i++ {
-		recs = append(recs, kvRec{
-			key:      fmt.Sprintf("key-%d", i%17),
-			mapperID: mapper,
-			recordID: int64(i),
-			seq:      int64(i),
-			value:    []byte(strconv.Itoa(i * 13)),
-		})
-	}
-	for _, compress := range []bool{false, true} {
-		dir := t.TempDir()
-		path := dir + "/round.run"
-		if err := writeRunFile(path, encodeSegment(recs, compress)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeRunFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("compress=%v: decoded %d records, want %d", compress, len(got), len(recs))
-		}
-		for i := range recs {
-			a, b := &recs[i], &got[i]
-			if a.key != b.key || a.mapperID != b.mapperID || a.recordID != b.recordID ||
-				a.seq != b.seq || string(a.value) != string(b.value) {
-				t.Fatalf("compress=%v: record %d: got %+v want %+v", compress, i, got[i], recs[i])
-			}
-		}
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestRunFileRejectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	for _, compress := range []bool{false, true} {
-		path := dir + "/bad.run"
-		seg := encodeSegment([]kvRec{{key: "k", value: []byte("v")}}, compress)
-		if err := writeRunFile(path, seg); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mutate := range []func([]byte) []byte{
-			func(b []byte) []byte { return b[:len(b)-1] },          // truncated
-			func(b []byte) []byte { b[0] ^= 0xFF; return b },       // bad magic
-			func(b []byte) []byte { b[4] ^= 0xF0; return b },       // bad segment flags
-			func(b []byte) []byte { return append(b, 0x00, 0x01) }, // trailing bytes
-		} {
-			bad := mutate(append([]byte(nil), buf...))
-			if err := os.WriteFile(path, bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := decodeRunFile(path); err == nil {
-				t.Errorf("corrupted run file decoded without error (compress=%v)", compress)
-			}
+	winners := rec.checkOneAttemptPerTask(t)
+	for task := 0; task < tasks; task++ {
+		if winners[task] != 1 {
+			t.Errorf("task %d published attempt %d's runs, want the retry (1)", task, winners[task])
 		}
 	}
 }
@@ -436,9 +407,6 @@ func TestChaosDifferentialEngine(t *testing.T) {
 			Speculation: true,
 			Faults:      plan,
 		})
-		if seed%3 == 0 {
-			conf.SpillDir = spillTestDir(t)
-		}
 		// Half the sweep exercises the flate wire path, so retried and
 		// speculative attempts re-encode compressed frames too.
 		refOut, refM := want, wm
@@ -466,7 +434,6 @@ func TestChaosDifferentialEngine(t *testing.T) {
 // aggregated error, with nothing leaked.
 func TestChaosKillsEveryAttemptFailsCleanly(t *testing.T) {
 	checkGoroutineLeaks(t)
-	dir := spillTestDir(t)
 	plan := NewFaultPlan(7).
 		WithRate(1).
 		WithKinds(KindKill).
@@ -479,7 +446,7 @@ func TestChaosKillsEveryAttemptFailsCleanly(t *testing.T) {
 			return nil
 		},
 		Reduce: func(int, string, []Shuffled) error { return nil },
-		Conf:   fastRetries(Config{NumReducers: 2, MaxAttempts: 3, SpillDir: dir, Faults: plan}),
+		Conf:   fastRetries(Config{NumReducers: 2, MaxAttempts: 3, Faults: plan}),
 	}
 	_, err := job.Run(countingSegments(3, 2))
 	if err == nil {

@@ -77,9 +77,8 @@ const (
 	// partial map output exists when the fault hits.
 	PointMapMid
 	// PointSpillWrite fires after the attempt's spill runs are sorted
-	// (and, in disk-spill mode, written to the attempt's temp dir) but
-	// before they are committed — the window where a dying attempt must
-	// leave no files behind.
+	// and encoded but before they are committed — the window where a
+	// dying attempt holds complete output that must never be published.
 	PointSpillWrite
 	// PointReduceMerge fires at the start of a reduce attempt's merge,
 	// before any user Reduce call.

@@ -23,8 +23,6 @@
 // early arrivals together while later maps still run — and k-way merge
 // them with a loser tree, streaming each key group to the reduce
 // function through a reusable buffer. See runmerge.go and pipeline.go.
-// The pre-streaming engine is retained behind Config.BarrierShuffle as
-// the equivalence oracle and benchmark baseline (barrier.go).
 package mapreduce
 
 import (
@@ -96,20 +94,10 @@ type Config struct {
 	// shuffles mapper output through Unix sort. Falls back to the
 	// in-process sort when no sort binary is available.
 	ExternalSort bool
-	// BarrierShuffle selects the pre-streaming reference engine: all map
-	// output is materialized behind a global map barrier, concatenated,
-	// and fully re-sorted per partition, with a freshly allocated group
-	// slice per key. Kept as the equivalence oracle for the streaming
-	// shuffle and as the benchmark baseline; not intended for production
-	// runs. The barrier engine predates the task lifecycle and ignores
-	// the fault-tolerance knobs below.
-	BarrierShuffle bool
-	// CompressShuffle flate-compresses every shuffle segment (spill-run
-	// files and in-memory runs alike) at the map side; reducers inflate
-	// segments as they collect them. Metrics.ShuffleBytes then counts
-	// the compressed wire bytes while ShuffleLogicalBytes keeps the
-	// uncompressed logical volume. The barrier oracle ignores this knob
-	// (it predates segment encoding).
+	// CompressShuffle flate-compresses every shuffle segment at the map
+	// side; reducers inflate segments as they collect them.
+	// Metrics.ShuffleBytes then counts the compressed wire bytes while
+	// ShuffleLogicalBytes keeps the uncompressed logical volume.
 	CompressShuffle bool
 
 	// MaxAttempts is the per-task attempt budget: a failed map or reduce
@@ -119,29 +107,19 @@ type Config struct {
 	// (no retries — the pre-lifecycle behavior).
 	MaxAttempts int
 	// RetryBackoff is the delay before a task's second attempt; it
-	// doubles per further attempt, capped at MaxRetryBackoff. Defaults:
-	// 1ms base, 50ms cap — in-process tasks are sub-second, so the
-	// backoff curve is scaled to match.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
+	// doubles per further attempt, capped at maxBackoffFactor (50) times
+	// itself. Default 1ms, so a 50ms cap — in-process tasks are
+	// sub-second, so the backoff curve is scaled to match.
+	RetryBackoff time.Duration
 	// Speculation enables backup attempts for straggler map tasks: once
 	// at least half the map tasks have committed, any task still running
-	// after SpeculationMultiple times the median committed duration gets
+	// after speculationMultiple times the median committed duration gets
 	// one speculative re-execution racing the original; the first
-	// attempt to commit wins and the loser's output is discarded.
-	// Requires Map to be deterministic over its segment (all in-tree
-	// engines are) for the winner's identity not to matter.
+	// attempt to commit wins (a per-task CAS) and the loser's output is
+	// dropped unpublished. Requires Map to be deterministic over its
+	// segment (all in-tree engines are) for the winner's identity not to
+	// matter.
 	Speculation bool
-	// SpeculationMultiple is the straggler threshold multiplier.
-	// Default 3.
-	SpeculationMultiple float64
-	// SpillDir, when set, makes every map attempt write its sorted spill
-	// runs to disk under this directory and commit them by atomically
-	// renaming the attempt's temp dir — the durable variant of the
-	// first-finisher-wins protocol. Reducers then read runs only from
-	// committed task directories. Empty (the default) keeps runs in
-	// memory, with a per-task CAS as the commit arbiter.
-	SpillDir string
 	// Faults injects deterministic seeded faults at task boundaries for
 	// chaos testing. nil (the default) injects nothing and costs one nil
 	// check per boundary.
@@ -149,15 +127,13 @@ type Config struct {
 
 	// Transport carries committed map-output runs to reduce partitions
 	// (transport.go). nil (the default) uses the in-process
-	// memTransport, which reproduces the pre-transport channel behavior
-	// exactly. The barrier oracle predates the transport seam and
-	// ignores it.
+	// memTransport.
 	Transport Transport
 	// RemoteMap, when set, executes every map attempt's body out of
 	// process through the given RemoteMapper (remote.go) while the
 	// local task lifecycle — retries, speculation, first-finisher-wins
-	// commit — stays in charge. Incompatible with SpillDir,
-	// ExternalSort, and Faults (see validateRemote).
+	// commit — stays in charge. Incompatible with ExternalSort and
+	// Faults (see validateRemote).
 	RemoteMap RemoteMapper
 	// RemoteReduce, when set alongside RemoteMap, keeps shuffle data off
 	// the coordinator entirely: map workers stream runs directly to each
@@ -179,9 +155,6 @@ type Config struct {
 	// registry per job — the legacy Metrics struct is derived from it —
 	// so cross-job aggregation happens only when the caller asks.
 	Registry *obs.Registry
-	// Profile, when set, writes a CPU profile covering the job to this
-	// path. Skipped quietly if another profile is already active.
-	Profile string
 }
 
 func (c Config) withDefaults() Config {
@@ -197,19 +170,12 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
 	}
-	if c.MaxRetryBackoff <= 0 {
-		c.MaxRetryBackoff = 50 * time.Millisecond
-	}
-	if c.SpeculationMultiple <= 1 {
-		c.SpeculationMultiple = 3
-	}
 	return c
 }
 
 // TaskMetrics records one task's cost, replayed by the cluster simulator.
-// For reduce tasks under the streaming shuffle, Duration counts active
-// work (run folding, merging, reducing), not time spent waiting for map
-// output to arrive.
+// For reduce tasks, Duration counts active work (run folding, merging,
+// reducing), not time spent waiting for map output to arrive.
 type TaskMetrics struct {
 	Duration   time.Duration
 	InputBytes int64
@@ -229,7 +195,7 @@ type TaskMetrics struct {
 	LogicalOutBytes []int64
 }
 
-// Registry instrument names the streaming engine populates. The engine
+// Registry instrument names the engine populates. The engine
 // observes into a fresh per-job obs.Registry at the instrumentation
 // sites; Metrics is derived from it after the run, and the whole
 // registry merges into Config.Registry when set.
@@ -251,8 +217,7 @@ const (
 	MetricGroupValues    = "group_values"   // histogram: records per reduced key group
 )
 
-// Metrics aggregates a job run. Under the streaming engine it is a
-// derived view over the job's obs.Registry (see the Metric* names); the
+// Metrics aggregates a job run. It is a derived view over the job's obs.Registry (see the Metric* names); the
 // struct is kept because the simulator, benchmarks, and tests consume
 // it as a typed snapshot.
 type Metrics struct {
@@ -266,8 +231,7 @@ type Metrics struct {
 	// ShuffleLogicalBytes is the same traffic in the legacy per-record
 	// framing (length-prefixed key and value plus the ordering pair) — the
 	// quantity a stock Hadoop shuffle would move, and the baseline the
-	// wire experiment's reduction ratios divide by. Equal to ShuffleBytes
-	// under the barrier oracle, which still ships that framing.
+	// wire experiment's reduction ratios divide by.
 	ShuffleLogicalBytes int64
 	ShuffleRecords      int64
 	MapWall             time.Duration
@@ -279,7 +243,7 @@ type Metrics struct {
 	ReduceTasks         []TaskMetrics
 	Groups              int64
 
-	// Task-lifecycle counters (streaming engine). On a clean run with
+	// Task-lifecycle counters. On a clean run with
 	// MaxAttempts 1 and no speculation: MapAttempts == map task count,
 	// ReduceAttempts == reduce task count, and the rest are zero.
 	MapAttempts      int64
@@ -306,10 +270,10 @@ type kvRec struct {
 // intermediate file would use (length-prefixed key and value plus the
 // ordering pair as varints). Since the segment codec (segcodec.go) this
 // is no longer what ships — it defines Metrics.ShuffleLogicalBytes, the
-// uncompressed baseline the wire experiment compares against, and it is
-// still the exact wire size of the barrier oracle's shuffle (pinned by
-// TestWireSizeMatchesEncoder). Computed arithmetically — this runs once
-// per emitted record, so it must not touch an encoder.
+// uncompressed baseline the wire experiment compares against. Computed
+// arithmetically (pinned against wire.Encoder output by
+// TestWireSizeMatchesEncoder) — this runs once per emitted record, so it
+// must not touch an encoder.
 func (r *kvRec) wireSize() int64 {
 	return int64(wire.UvarintLen(uint64(len(r.key))) +
 		wire.UvarintLen(uint64(r.mapperID)) +
@@ -332,27 +296,15 @@ func (j *Job) Run(segments []*Segment) (*Metrics, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled, the
-// streaming engine stops launching attempts, wakes any attempt sleeping
-// in a backoff or injected delay, drains its task goroutines, and
-// returns ctx's error. A user Map or Reduce call already in flight runs
-// to completion first (the engine cannot preempt user code). The
-// barrier engine checks ctx only on entry.
+// engine stops launching attempts, wakes any attempt sleeping in a
+// backoff or injected delay, drains its task goroutines, and returns
+// ctx's error. A user Map or Reduce call already in flight runs to
+// completion first (the engine cannot preempt user code).
 func (j *Job) RunContext(ctx context.Context, segments []*Segment) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	conf := j.Conf.withDefaults()
-	if conf.Profile != "" {
-		stop, err := obs.CPUProfile(conf.Profile)
-		if err != nil {
-			return nil, err
-		}
-		defer stop()
-	}
-	if conf.BarrierShuffle {
-		return j.runBarrier(conf, segments)
-	}
-	return j.runStreaming(ctx, conf, segments)
+	return j.runStreaming(ctx, j.Conf.withDefaults(), segments)
 }
 
 // partition assigns a key to a reducer by FNV-1a hash, Hadoop's default

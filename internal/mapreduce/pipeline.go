@@ -11,15 +11,13 @@ import (
 	"repro/internal/obs"
 )
 
-// The streaming engine. Map and reduce overlap: reduce tasks start
-// before any map task and consume sorted spill runs from per-partition
-// channels as map attempts commit, pre-merging early arrivals while
-// later maps still run. User Reduce calls begin only once every run has
+// The engine. Map and reduce overlap: reduce tasks start before any map
+// task and consume sorted spill runs from per-partition channels as map
+// attempts commit, pre-merging early arrivals while later maps still run. User Reduce calls begin only once every run has
 // arrived — a k-way merge cannot know its smallest key earlier — but by
 // then most merge work is already done, off the critical path. The
 // (mapperID, recordID) composition order is unaffected: runs are sorted
-// at the mapper and merged under the same total order the barrier
-// engine sorts by.
+// at the mapper and merged under the same total order (§5.4).
 //
 // Fault tolerance layers on top (task.go): each task runs as retryable
 // attempts, and only a committed attempt's runs ever reach a reduce
@@ -68,21 +66,8 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 			End()
 		env.reg.MergeInto(conf.Registry)
 	}()
-	if conf.RemoteMap != nil {
-		if verr := validateRemote(conf); verr != nil {
-			return nil, fmt.Errorf("mapreduce %q: %w", j.Name, verr)
-		}
-	}
-	if conf.RemoteReduce != nil && conf.RemoteMap == nil {
-		return nil, fmt.Errorf("mapreduce %q: RemoteReduce requires RemoteMap (worker-resident reduce consumes runs pushed by worker-resident maps)", j.Name)
-	}
-	if conf.SpillDir != "" {
-		spill, err := newSpillStore(conf.SpillDir)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce %q: %w", j.Name, err)
-		}
-		env.spill = spill
-		defer spill.close()
+	if verr := validateRemote(conf); verr != nil {
+		return nil, fmt.Errorf("mapreduce %q: %w", j.Name, verr)
 	}
 
 	// The shuffle transport: per-partition run streams, buffered for one
@@ -263,9 +248,9 @@ func (env *runEnv) collectReceipts(p int) (commits []Run, inBytes int64) {
 }
 
 // collectRuns drains one partition's channel until all map tasks are
-// resolved. Disk-backed runs are decoded into pooled buffers on arrival.
-// While the channel is open but momentarily empty — the reducer would
-// otherwise idle — it folds the two smallest pending runs into one,
+// resolved, decoding each run into a pooled buffer on arrival. While the
+// channel is open but momentarily empty — the reducer would otherwise
+// idle — it folds the two smallest pending runs into one,
 // overlapping merge work with still-running map tasks. Folding is CPU
 // work and stays under the Parallelism cap: it runs only when a
 // semaphore slot is free right now (non-blocking try), never at the
@@ -282,13 +267,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
 		t0 := time.Now()
-		var recs []kvRec
-		var derr error
-		if r.Path != "" {
-			recs, derr = decodeRunFile(r.Path)
-		} else {
-			recs, derr = decodeSegment(r.Seg)
-		}
+		recs, derr := decodeSegment(r.Seg)
 		active += time.Since(t0)
 		if derr != nil {
 			span.Tag("outcome", "error").End()

@@ -171,38 +171,23 @@ func (env *runEnv) runRemoteMapAttempt(st *mapTask, attempt int) (*attemptResult
 	if err != nil {
 		return nil, err
 	}
-	res := &attemptResult{
-		emitted: out.Emitted,
-		attempt: attempt,
-	}
+	res := &attemptResult{emitted: out.Emitted, runs: make([]Run, 0, len(out.Runs))}
 	wireOut := make([]int64, conf.NumReducers)
-	if conf.RemoteReduce != nil {
-		// Worker-to-worker topology: the run bytes went straight to each
-		// partition's owning worker; what comes back are receipts. Commit
-		// publishes the receipts so the reduce side knows exactly which
-		// (task, attempt, part) runs the winning attempt placed.
-		res.receipts = make([]Run, 0, len(out.Runs))
-		for _, r := range out.Runs {
-			if r.Part < 0 || r.Part >= conf.NumReducers || r.Seg != nil || r.Bytes <= 0 ||
-				wireOut[r.Part] != 0 {
-				return nil, fmt.Errorf("mapreduce %q: remote map task %d attempt %d returned invalid run receipt (part %d of %d)",
-					env.job.Name, st.id, attempt, r.Part, conf.NumReducers)
-			}
-			res.receipts = append(res.receipts, Run{Task: st.id, Attempt: attempt,
-				Part: r.Part, Bytes: r.Bytes})
-			wireOut[r.Part] = r.Bytes
+	// Worker-to-worker topology: the run bytes went straight to each
+	// partition's owning worker and what comes back are Seg-less receipts;
+	// commit publishes them so the reduce side knows exactly which (task,
+	// attempt, part) runs the winning attempt placed. Via-coordinator, the
+	// runs come back whole. Either way: one run per partition at most.
+	receipts := conf.RemoteReduce != nil
+	for _, r := range out.Runs {
+		if r.Part < 0 || r.Part >= conf.NumReducers || wireOut[r.Part] != 0 ||
+			r.Bytes <= 0 || (r.Seg == nil) != receipts {
+			return nil, fmt.Errorf("mapreduce %q: remote map task %d attempt %d returned invalid run (part %d of %d, receipts %v)",
+				env.job.Name, st.id, attempt, r.Part, conf.NumReducers, receipts)
 		}
-	} else {
-		res.memRuns = make([]spillRun, conf.NumReducers)
-		for _, r := range out.Runs {
-			if r.Part < 0 || r.Part >= conf.NumReducers || r.Seg == nil {
-				return nil, fmt.Errorf("mapreduce %q: remote map task %d attempt %d returned invalid run (part %d of %d)",
-					env.job.Name, st.id, attempt, r.Part, conf.NumReducers)
-			}
-			res.memRuns[r.Part] = spillRun{seg: r.Seg, bytes: r.Bytes,
-				task: st.id, attempt: attempt, part: r.Part}
-			wireOut[r.Part] = r.Bytes
-		}
+		res.runs = append(res.runs, Run{Task: st.id, Attempt: attempt,
+			Part: r.Part, Bytes: r.Bytes, Seg: r.Seg})
+		wireOut[r.Part] = r.Bytes
 	}
 	logical := out.LogicalOutBytes
 	if len(logical) != conf.NumReducers {
@@ -324,17 +309,20 @@ func (env *runEnv) deliverRemoteGroups(p int, out *ReduceOutput, groupHist *obs.
 	return nil
 }
 
-// validateRemote rejects Config combinations the remote map path cannot
-// honor: the fault hooks, spill persistence, and the external-sort
-// baseline all live inside the in-process attempt body.
+// validateRemote rejects Config combinations the remote paths cannot
+// honor: the fault hooks and the external-sort baseline live inside the
+// in-process attempt body, and worker-resident reduce consumes runs
+// pushed by worker-resident maps.
 func validateRemote(conf Config) error {
 	switch {
-	case conf.SpillDir != "":
-		return fmt.Errorf("mapreduce: RemoteMap is incompatible with SpillDir (runs arrive encoded, not as local spill files)")
+	case conf.RemoteMap == nil && conf.RemoteReduce != nil:
+		return errors.New("RemoteReduce requires RemoteMap (worker-resident reduce consumes runs pushed by worker-resident maps)")
+	case conf.RemoteMap == nil:
+		return nil
 	case conf.ExternalSort:
-		return fmt.Errorf("mapreduce: RemoteMap is incompatible with ExternalSort (workers ship pre-sorted runs)")
+		return errors.New("RemoteMap is incompatible with ExternalSort (workers ship pre-sorted runs)")
 	case conf.Faults != nil:
-		return fmt.Errorf("mapreduce: RemoteMap is incompatible with Faults (inject worker faults at the cluster layer instead)")
+		return errors.New("RemoteMap is incompatible with Faults (inject worker faults at the cluster layer instead)")
 	}
 	return nil
 }

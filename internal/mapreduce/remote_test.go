@@ -1,0 +1,51 @@
+package mapreduce
+
+import (
+	"context"
+	"strings"
+	"testing"
+)
+
+type stubRemote struct{}
+
+func (stubRemote) RunMap(context.Context, int, int, *Segment) (*MapOutput, error) {
+	return &MapOutput{}, nil
+}
+
+func (stubRemote) RunReduce(context.Context, int, int, []Run) (*ReduceOutput, error) {
+	return &ReduceOutput{}, nil
+}
+
+// TestValidateRemoteRejections is the whole list of Config combinations
+// the remote paths refuse, one row each, checked through Job.Run so the
+// rejection is known to reach the caller. An issue that makes a
+// combination work deletes its row.
+func TestValidateRemoteRejections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		conf Config
+		want string // substring of the error; "" = accepted
+	}{
+		{"map only", Config{RemoteMap: stubRemote{}}, ""},
+		{"map and reduce", Config{RemoteMap: stubRemote{}, RemoteReduce: stubRemote{}}, ""},
+		{"reduce without map", Config{RemoteReduce: stubRemote{}}, "RemoteReduce requires RemoteMap"},
+		{"external sort", Config{RemoteMap: stubRemote{}, ExternalSort: true}, "RemoteMap is incompatible with ExternalSort"},
+		{"faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1)}, "RemoteMap is incompatible with Faults"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := &Job{
+				Name:   "remote-validate",
+				Map:    func(int, *Segment, Emit) error { t.Error("local map ran"); return nil },
+				Reduce: func(int, string, []Shuffled) error { return nil },
+				Conf:   tc.conf,
+			}
+			_, err := job.Run(countingSegments(2, 3))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("accepted combination failed: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}

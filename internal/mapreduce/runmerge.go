@@ -6,27 +6,15 @@ import (
 	"sync"
 )
 
-// A spillRun is one mapper's sorted output for one reduce partition: the
-// in-process analogue of a Hadoop spill file. Runs are immutable once
-// handed to the shuffle; their record buffers come from and return to
-// kvBufs. A run crosses the map→reduce boundary in encoded segment form
-// (segcodec.go): in memory mode seg holds the encoded bytes, under
-// Config.SpillDir path references a committed run file. Either way the
-// reducer decodes into a pooled record buffer on receipt, after which
-// only recs is set.
+// A spillRun is one mapper's sorted output for one reduce partition, as
+// the reducer holds it: the in-process analogue of a Hadoop spill file.
+// A run crosses the map→reduce boundary in encoded segment form (Run,
+// segcodec.go); the reducer decodes it into a pooled record buffer on
+// receipt. Runs are immutable once decoded; their record buffers come
+// from and return to kvBufs.
 type spillRun struct {
 	recs  []kvRec
-	bytes int64  // encoded segment size (wire bytes)
-	seg   []byte // encoded segment (memory mode), or nil
-	path  string // committed run file (disk-spill mode), or ""
-
-	// Producer identity, carried so the reducer's decode span matches the
-	// winning attempt's run_commit event — the trace verifier's
-	// run-merged-once invariant joins on (task, attempt, part). Zeroed
-	// once runs are folded together (a merged run has no single producer).
-	task    int
-	attempt int
-	part    int
+	bytes int64 // encoded segment size (wire bytes)
 }
 
 // sortRun key-sorts one mapper's partition in place into the shuffle

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// The shuffle benchmarks compare the streaming spill-run/merge engine
-// against the retained barrier engine on the same workload, and the
-// allocation-free emit hot path against the original encoder/hasher
-// version. cmd/symplebench -experiment shuffle records the same
-// comparisons to BENCH_SHUFFLE.json for the perf trajectory.
+// The shuffle benchmarks time the full shuffle path and the
+// allocation-free emit hot path; scripts/benchsmoke.sh gates the latter
+// against scripts/bench_baseline.txt.
 
 func benchSegments(numSegs, perSeg, payload int) []*Segment {
 	rng := rand.New(rand.NewSource(1))
@@ -49,7 +47,7 @@ func benchJob(conf Config) *Job {
 }
 
 // BenchmarkShuffleMerge drives the full shuffle path — emit, spill sort,
-// run transfer, k-way merge, group streaming — under both engines.
+// run transfer, k-way merge, group streaming.
 func BenchmarkShuffleMerge(b *testing.B) {
 	const numSegs, perSeg, payload = 8, 4000, 100
 	segs := benchSegments(numSegs, perSeg, payload)
@@ -57,58 +55,41 @@ func BenchmarkShuffleMerge(b *testing.B) {
 	for _, s := range segs {
 		inputBytes += s.Bytes()
 	}
-	for _, eng := range []struct {
-		name    string
-		barrier bool
-	}{{"streaming", false}, {"barrier", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			job := benchJob(Config{NumReducers: 4, Parallelism: 4, BarrierShuffle: eng.barrier})
-			b.SetBytes(inputBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := job.Run(segs); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("streaming", func(b *testing.B) {
+		job := benchJob(Config{NumReducers: 4, Parallelism: 4})
+		b.SetBytes(inputBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := job.Run(segs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkEmitHotPath isolates the per-record emit cost: partition the
-// key, account the wire size, append to the run buffer. The legacy
-// variant pays the original hasher + scratch-encoder allocations.
+// key, account the wire size, append to the run buffer.
 func BenchmarkEmitHotPath(b *testing.B) {
 	keys := make([]string, 512)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	value := make([]byte, 100)
-	for _, eng := range []struct {
-		name   string
-		legacy bool
-	}{{"streaming", false}, {"legacy", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			parts := make([][]kvRec, 4)
-			outBytes := make([]int64, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				key := keys[i%len(keys)]
-				rec := kvRec{key: key, mapperID: 3, recordID: int64(i), value: value}
-				var p int
-				if eng.legacy {
-					p = legacyPartition(key, len(parts))
-					outBytes[p] += legacyWireSize(&rec)
-				} else {
-					p = partition(key, len(parts))
-					outBytes[p] += rec.wireSize()
-				}
-				if len(parts[p]) > 1<<16 {
-					parts[p] = parts[p][:0] // bound memory; keep append cost amortized
-				}
-				parts[p] = append(parts[p], rec)
+	b.Run("streaming", func(b *testing.B) {
+		parts := make([][]kvRec, 4)
+		outBytes := make([]int64, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := keys[i%len(keys)]
+			rec := kvRec{key: key, mapperID: 3, recordID: int64(i), value: value}
+			p := partition(key, len(parts))
+			outBytes[p] += rec.wireSize()
+			if len(parts[p]) > 1<<16 {
+				parts[p] = parts[p][:0] // bound memory; keep append cost amortized
 			}
-		})
-	}
+			parts[p] = append(parts[p], rec)
+		}
+	})
 }

@@ -18,16 +18,24 @@ import (
 // get one speculative backup attempt (Config.Speculation) racing the
 // original, first finisher wins. An attempt's output becomes visible to
 // reducers only when the attempt commits — a single CompareAndSwap per
-// task in memory mode, an atomic directory rename in spill mode — so a
-// losing or dying attempt's runs are never merged. This is safe for the
-// same reason the paper's summaries parallelize at all: a map attempt is
-// a deterministic recomputation over its segment, and reducers compose
-// whatever committed in (mapperID, recordID) order (§5.4).
+// task — so a losing or dying attempt's runs are never published, let
+// alone merged. This is safe for the same reason the paper's summaries
+// parallelize at all: a map attempt is a deterministic recomputation
+// over its segment, and reducers compose whatever committed in
+// (mapperID, recordID) order (§5.4).
 
 // speculationTick is the straggler watchdog's poll interval. It bounds
 // how quickly a backup attempt can launch; at in-process task durations
 // a sub-millisecond tick keeps speculation responsive without cost.
 const speculationTick = 500 * time.Microsecond
+
+// speculationMultiple is the straggler threshold: a task running longer
+// than this many median committed durations gets a backup attempt.
+const speculationMultiple = 3
+
+// maxBackoffFactor caps the retry backoff curve at this multiple of
+// Config.RetryBackoff.
+const maxBackoffFactor = 50
 
 // sleepCtx sleeps for d unless ctx is cancelled first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -47,14 +55,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // backoffDelay returns the capped exponential delay before the given
 // retry (attempt ≥ 1 of the driver's budget).
 func backoffDelay(conf Config, retry int) time.Duration {
-	d := conf.RetryBackoff
-	for i := 1; i < retry; i++ {
+	d, limit := conf.RetryBackoff, conf.RetryBackoff*maxBackoffFactor
+	for i := 1; i < retry && d < limit; i++ {
 		d *= 2
-		if d >= conf.MaxRetryBackoff {
-			return conf.MaxRetryBackoff
-		}
 	}
-	return min(d, conf.MaxRetryBackoff)
+	return min(d, limit)
 }
 
 // runEnv bundles the per-job scheduler state shared by task drivers,
@@ -65,7 +70,6 @@ type runEnv struct {
 	conf      Config
 	sem       chan struct{}
 	transport Transport
-	spill     *spillStore
 	aborted   *atomic.Bool
 
 	// trace is Config.Trace (possibly nil — span calls are nil-safe).
@@ -112,35 +116,15 @@ func newMapTask(id int, seg *Segment) *mapTask {
 }
 
 // attemptResult is one successful map attempt's output, pending commit.
+// A losing attempt's result is simply dropped: its runs are plain heap
+// bytes that were never published.
 type attemptResult struct {
 	task    TaskMetrics
 	emitted int64
-	memRuns []spillRun  // memory mode: per-partition runs (nil entries empty)
-	attempt int         // spill mode: attempt ID owning dirTmp
-	files   []spillFile // spill mode: encoded runs awaiting rename
-	onDisk  bool
-	// receipts is the w2w-mode output: run bytes already live on each
-	// partition's owning worker, so commit publishes only these
-	// (Seg-less) receipts. Non-nil exactly when RemoteReduce is set.
-	receipts []Run
-}
-
-// discard releases a losing or unused attempt's output: buffers back to
-// the pool, temp dir off the disk.
-func (r *attemptResult) discard(taskID int, spill *spillStore) {
-	if r == nil {
-		return
-	}
-	for p := range r.memRuns {
-		if r.memRuns[p].recs != nil {
-			kvBufs.put(r.memRuns[p].recs)
-			r.memRuns[p].recs = nil
-		}
-		r.memRuns[p].seg = nil // encoded segments are plain heap bytes
-	}
-	if r.onDisk {
-		spill.removeAttempt(taskID, r.attempt)
-	}
+	// runs holds one Run per non-empty partition: the encoded segment,
+	// or under RemoteReduce a Seg-less receipt (the bytes already live
+	// on the partition's owning worker).
+	runs []Run
 }
 
 // driveMapTask runs the task's retry loop: attempts with capped
@@ -170,18 +154,11 @@ func (env *runEnv) driveMapTask(st *mapTask) {
 		id := int(st.attemptSeq.Add(1) - 1)
 		res, err := env.runMapAttempt(st, id, false)
 		if err == nil {
-			won, cerr := env.commit(st, id, res)
-			if won {
-				if cerr != nil {
-					env.finishTask(st, cerr) // transport fault after commit: abort
-				}
-				return
+			// Losing the commit race to a backup just drops res.
+			if won, cerr := env.commit(st, id, res); won && cerr != nil {
+				env.finishTask(st, cerr) // transport fault after commit: abort
 			}
-			res.discard(st.id, env.spill)
-			if cerr == nil {
-				return // lost the commit race to a backup
-			}
-			err = cerr // commit failed; counts against this attempt
+			return
 		}
 		if env.ctx.Err() != nil {
 			env.finishTask(st, nil)
@@ -214,8 +191,8 @@ func (env *runEnv) finishTask(st *mapTask, err error) {
 }
 
 // runMapAttempt executes one attempt: acquire a task slot, run the user
-// map with fault hooks armed, sort and (in spill mode) persist the spill
-// runs. The returned result is uncommitted.
+// map with fault hooks armed, sort and encode the spill runs. The
+// returned result is uncommitted.
 func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *attemptResult, err error) {
 	env.mapAttempts.Add(1)
 	select {
@@ -304,10 +281,7 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *atte
 		return nil, err
 	}
 
-	res = &attemptResult{
-		emitted: 0,
-		attempt: attempt,
-	}
+	res = &attemptResult{}
 	// The spill sort is map-side work, as in Hadoop — except under
 	// ExternalSort, where the §6.2 baseline pays for sorting in the
 	// reducer's Unix sort pipe.
@@ -325,46 +299,27 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *atte
 			sortRun(parts[p])
 		}
 	}
-	// Encode each non-empty partition into its wire segment (segcodec.go).
-	// Both modes ship encoded segments — memory mode included — so
-	// OutBytes is always real encoder output and compression acts on the
-	// actual shuffle path, not a model of it.
+	// Encode each non-empty partition into its wire segment (segcodec.go),
+	// so OutBytes is always real encoder output and compression acts on
+	// the actual shuffle path, not a model of it.
 	wireOut := make([]int64, conf.NumReducers)
 	encSpan := env.trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", st.id)).
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt))
-	if env.spill != nil {
-		files, werr := env.spill.writeAttempt(st.id, attempt, parts, conf.CompressShuffle)
-		if werr != nil {
-			encSpan.Tag("outcome", "error").End()
-			discardParts()
-			return nil, werr
-		}
-		for _, f := range files {
-			wireOut[f.part] = f.bytes
-		}
-		res.files = files
-		res.onDisk = true
-	} else {
-		res.memRuns = make([]spillRun, conf.NumReducers)
-		for p := range parts {
-			if parts[p] == nil {
-				continue
-			}
-			sg := encodeSegment(parts[p], conf.CompressShuffle)
-			wireOut[p] = int64(len(sg))
-			res.memRuns[p] = spillRun{seg: sg, bytes: int64(len(sg)),
-				task: st.id, attempt: attempt, part: p}
-			kvBufs.put(parts[p])
-			parts[p] = nil
-		}
-	}
 	var encBytes int64
-	for _, b := range wireOut {
-		encBytes += b
+	for p := range parts {
+		if parts[p] == nil {
+			continue
+		}
+		sg := encodeSegment(parts[p], conf.CompressShuffle)
+		wireOut[p] = int64(len(sg))
+		encBytes += wireOut[p]
+		res.runs = append(res.runs, Run{Task: st.id, Attempt: attempt, Part: p,
+			Bytes: wireOut[p], Seg: sg})
+		kvBufs.put(parts[p])
+		parts[p] = nil
 	}
 	encSpan.Attr(obs.AttrBytes, encBytes).End()
 	if ferr := conf.Faults.fire(env.ctx, PointSpillWrite, st.id, attempt, conf.MaxAttempts); ferr != nil {
-		res.discard(st.id, env.spill)
 		return nil, ferr
 	}
 	res.task = TaskMetrics{
@@ -377,25 +332,15 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *atte
 	return res, nil
 }
 
-// commit makes one attempt's runs the task's output. In spill mode the
-// directory rename arbitrates between racing attempts; in memory mode
-// the CAS does. Exactly one attempt per task can win; the winner hands
-// its runs to the reducers' channels. won=false with nil error means
-// another attempt committed first (the caller discards); a non-nil error
-// is an unexpected commit failure counted against this attempt.
+// commit makes one attempt's runs the task's output. The per-task CAS
+// arbitrates between racing attempts: exactly one can win, and the
+// winner publishes its runs to the transport. won=false means another
+// attempt committed first (the caller drops res). A Publish failure
+// after the CAS is a transport fault, not an attempt fault: the task
+// has committed and cannot retry, so the error aborts the job
+// (won=true, err!=nil).
 func (env *runEnv) commit(st *mapTask, attempt int, res *attemptResult) (won bool, err error) {
-	if res.onDisk {
-		won, err = env.spill.commitRename(st.id, attempt)
-		if !won {
-			// The rename arbitrated: clear disk state so discard does not
-			// re-remove, and report the loss or the failure.
-			res.onDisk = false
-			return false, err
-		}
-	}
 	if !st.committed.CompareAndSwap(false, true) {
-		// Memory-mode loss. Unreachable in spill mode: only the rename
-		// winner reaches the CAS.
 		return false, nil
 	}
 	st.task = res.task
@@ -405,51 +350,23 @@ func (env *runEnv) commit(st *mapTask, attempt int, res *attemptResult) (won boo
 	env.trace.Start(obs.KindCommit, fmt.Sprintf("map-%d", st.id)).
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt)).
 		Tag("phase", "map").End()
-	runCommit := func(r Run) error {
+	for _, r := range res.runs {
 		env.reg.Histogram(MetricRunBytes).Observe(r.Bytes)
 		env.trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes).End()
-		return env.transport.Publish(r)
-	}
-	// A Publish failure after the CAS is a transport fault, not an
-	// attempt fault: the task has committed and cannot retry, so the
-	// error aborts the job (won=true, err!=nil).
-	if res.receipts != nil {
-		for _, r := range res.receipts {
-			if perr := runCommit(r); perr != nil {
-				return true, fmt.Errorf("mapreduce %q: map task %d: publishing committed run: %w",
-					env.job.Name, st.id, perr)
-			}
-		}
-	} else if res.onDisk {
-		for _, f := range res.files {
-			r := Run{Path: env.spill.committedRunPath(st.id, f), Bytes: f.bytes,
-				Task: st.id, Attempt: attempt, Part: f.part}
-			if perr := runCommit(r); perr != nil {
-				return true, fmt.Errorf("mapreduce %q: map task %d: publishing committed run: %w",
-					env.job.Name, st.id, perr)
-			}
-		}
-	} else {
-		for p := range res.memRuns {
-			if res.memRuns[p].seg != nil {
-				r := res.memRuns[p]
-				if perr := runCommit(Run{Task: r.task, Attempt: r.attempt, Part: r.part,
-					Bytes: r.bytes, Seg: r.seg}); perr != nil {
-					return true, fmt.Errorf("mapreduce %q: map task %d: publishing committed run: %w",
-						env.job.Name, st.id, perr)
-				}
-			}
+		if perr := env.transport.Publish(r); perr != nil {
+			return true, fmt.Errorf("mapreduce %q: map task %d: publishing committed run: %w",
+				env.job.Name, st.id, perr)
 		}
 	}
 	return true, nil
 }
 
 // speculationWatchdog launches one backup attempt for any map task still
-// running after SpeculationMultiple times the median committed-task
+// running after speculationMultiple times the median committed-task
 // duration, once at least half the tasks have committed. First finisher
-// wins at commit; the loser's output is discarded.
+// wins at commit; the loser's output is dropped.
 func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(speculationTick)
@@ -474,10 +391,7 @@ func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}, 
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		median := durs[len(durs)/2]
-		threshold := time.Duration(float64(median) * env.conf.SpeculationMultiple)
-		if threshold < speculationTick {
-			threshold = speculationTick
-		}
+		threshold := max(time.Duration(median)*speculationMultiple, speculationTick)
 		now := time.Now().UnixNano()
 		for _, st := range states {
 			if st.committed.Load() {
@@ -509,16 +423,11 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 	if err != nil {
 		return // the driver's own attempts decide the task's fate
 	}
-	won, cerr := env.commit(st, id, res)
-	if won {
-		if cerr != nil {
-			env.finishTask(st, cerr) // transport fault after commit: abort
-			return
-		}
+	if won, cerr := env.commit(st, id, res); cerr != nil {
+		env.finishTask(st, cerr) // transport fault after commit: abort
+	} else if won {
 		env.specWins.Add(1)
-		return
 	}
-	res.discard(st.id, env.spill)
 }
 
 // runReduceTask merges one partition's committed runs and streams the

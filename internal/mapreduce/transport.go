@@ -3,18 +3,17 @@ package mapreduce
 // The transport seam. All shuffle movement — committed map-output runs
 // travelling from map-side producers to reduce partitions — crosses a
 // Transport. The in-process engine uses memTransport (per-partition
-// channels, the pre-transport behavior unchanged); internal/cluster
-// implements the same seam across processes, streaming the identical
-// encoded-run payloads through its length-prefixed TCP frame protocol.
+// channels); internal/cluster implements the same seam across
+// processes, streaming the identical encoded-run payloads through its
+// length-prefixed TCP frame protocol.
 // Because a Run carries the segcodec wire form either way, the reducer
 // merge consumes byte-identical input regardless of placement — the
 // property the transport-equivalence golden tests pin.
 
 // Run is one committed spill run in wire form: the unit of shuffle
-// movement every Transport carries. Exactly one of Seg and Path is set:
-// Seg holds the segcodec-encoded segment (memory mode and everything
-// that crossed a socket), Path names a committed spill-run file
-// (Config.SpillDir mode).
+// movement every Transport carries. Seg holds the segcodec-encoded
+// segment; a Run with nil Seg is a receipt (Config.RemoteReduce): the
+// bytes already sit on the partition's owning worker.
 type Run struct {
 	// Task, Attempt, Part identify the producer: map task, committing
 	// attempt, and destination reduce partition. They join the
@@ -25,7 +24,6 @@ type Run struct {
 	// Bytes is the encoded (wire) size of the run.
 	Bytes int64
 	Seg   []byte
-	Path  string
 }
 
 // RunSink is the producer half of a Transport: committing map attempts

@@ -55,8 +55,8 @@ const (
 	// and doubles as the run's consumption record for the merged-once
 	// invariant. Attrs: task, attempt, part, bytes.
 	KindSegDecode = "seg_decode"
-	// KindSpillEncode covers encoding (and, in spill mode, persisting)
-	// one attempt's partition segments. Attrs: task, attempt, bytes.
+	// KindSpillEncode covers encoding one attempt's partition segments.
+	// Attrs: task, attempt, bytes.
 	KindSpillEncode = "spill_encode"
 	// KindMerge covers one pre-merge fold of pending runs at an idle
 	// reducer. Attrs: part, runs.

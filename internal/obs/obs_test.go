@@ -155,18 +155,30 @@ func TestCPUProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second profile while one is active must be skipped, not fail.
-	stop2, err := CPUProfile(t.TempDir() + "/cpu2.pprof")
-	if err != nil {
-		t.Fatalf("nested profile errored: %v", err)
+	// One profile per process: a second call must fail, and must leave the
+	// active profile's file alone even when it names the same path.
+	if _, err := CPUProfile(path); err == nil {
+		t.Fatal("second CPUProfile while one is active did not error")
 	}
-	stop2()
 	stop()
 	fi, err := os.Stat(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("active profile's file was removed by the failed second call: %v", err)
 	}
 	if fi.Size() == 0 {
 		t.Fatal("profile file is empty")
 	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) < 2 || buf[0] != 0x1f || buf[1] != 0x8b {
+		t.Fatalf("profile is not a gzip stream (starts % x)", buf[:min(len(buf), 4)])
+	}
+	// And the profiler is free again afterwards.
+	stop, err = CPUProfile(path)
+	if err != nil {
+		t.Fatalf("CPUProfile after stop: %v", err)
+	}
+	stop()
 }

@@ -65,39 +65,16 @@ func chaosDatasets() map[string][]*mapreduce.Segment {
 	}
 }
 
-// chaosSpillDir returns a spill directory whose cleanup asserts that
-// the job removed every file — losing and failed attempts included.
-func chaosSpillDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	t.Cleanup(func() {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Errorf("reading spill dir: %v", err)
-			return
-		}
-		if len(entries) != 0 {
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = e.Name()
-			}
-			t.Errorf("spill dir not empty after chaos run: %v", names)
-		}
-	})
-	return dir
-}
-
 // chaosConf is the fault-tolerant engine configuration the sweeps run
 // under: a retry budget deep enough for the default 30% fault rate,
 // speculation on, and backoffs scaled down to test time.
 func chaosConf(plan *mapreduce.FaultPlan) mapreduce.Config {
 	return mapreduce.Config{
-		NumReducers:     3,
-		MaxAttempts:     4,
-		Speculation:     true,
-		RetryBackoff:    100 * time.Microsecond,
-		MaxRetryBackoff: time.Millisecond,
-		Faults:          plan,
+		NumReducers:  3,
+		MaxAttempts:  4,
+		Speculation:  true,
+		RetryBackoff: 100 * time.Microsecond,
+		Faults:       plan,
 	}
 }
 
@@ -121,9 +98,6 @@ func TestChaosQueriesDifferential(t *testing.T) {
 				// loops do not replay identical fault schedules.
 				plan := mapreduce.NewFaultPlan(int64(seed*31 + qi))
 				conf := chaosConf(plan)
-				if seed%4 == 1 {
-					conf.SpillDir = chaosSpillDir(t)
-				}
 				// Half the sweep ships flate-compressed segments, so fault
 				// recovery and the compressed wire path are tested together.
 				conf.CompressShuffle = seed%2 == 0
@@ -168,9 +142,6 @@ func TestChaosBaselineDifferential(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				plan := mapreduce.NewFaultPlan(int64(seed*17 + qi + 1000))
 				conf := chaosConf(plan)
-				if seed%2 == 1 {
-					conf.SpillDir = chaosSpillDir(t)
-				}
 				got, err := spec.Baseline(segs, conf)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -297,7 +268,6 @@ func TestChaosExhaustionSurfacesCleanly(t *testing.T) {
 		WithSpareFinal(false)
 	conf := chaosConf(plan)
 	conf.MaxAttempts = 2
-	conf.SpillDir = chaosSpillDir(t)
 	if _, err := ByID("G1").Symple(segs, conf); err == nil {
 		t.Fatal("unsparing kill plan should have exhausted the retry budget")
 	}

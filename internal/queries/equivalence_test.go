@@ -38,12 +38,11 @@ func randomChunking(rng *rand.Rand, segs []*mapreduce.Segment, numSegments int) 
 	return out
 }
 
-// TestEquivalenceAllEnginesAllQueries is the streaming-shuffle
-// determinism/equivalence gate: for every one of the paper's 12
-// evaluation queries, on randomized chunkings, every engine —
-// Sequential, Baseline, Symple, and Symple with the mapper-side
-// combiner — produces identical results, and the streaming
-// engine matches the retained barrier engine exactly.
+// TestEquivalenceAllEnginesAllQueries is the determinism/equivalence
+// gate: for every one of the paper's 12 evaluation queries, on
+// randomized chunkings, every engine — Sequential, Baseline, Symple,
+// and Symple with the mapper-side combiner — produces identical
+// results.
 func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base := smallDatasets(4)
@@ -58,16 +57,12 @@ func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 					t.Fatalf("sequential: %v", err)
 				}
 				conf := mapreduce.Config{NumReducers: 1 + rng.Intn(4)}
-				barrier := conf
-				barrier.BarrierShuffle = true
 				engines := []struct {
 					name string
 					run  func() (*Run, error)
 				}{
 					{"baseline", func() (*Run, error) { return spec.Baseline(segs, conf) }},
-					{"baseline/barrier", func() (*Run, error) { return spec.Baseline(segs, barrier) }},
 					{"symple", func() (*Run, error) { return spec.Symple(segs, conf) }},
-					{"symple/barrier", func() (*Run, error) { return spec.Symple(segs, barrier) }},
 					{"symple-combined", func() (*Run, error) { return spec.SympleCombined(segs, conf) }},
 				}
 				for _, eng := range engines {

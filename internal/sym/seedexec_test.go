@@ -4,9 +4,8 @@ import "fmt"
 
 // SeedExecutor is the pre-optimization symbolic executor, frozen
 // verbatim: per-record Fields() walks, reflection-free but
-// allocation-heavy cloning, no schema, no memoization. It is retained —
-// exactly like the barrier shuffle behind Config.BarrierShuffle — as
-// the byte-level equivalence oracle for the schema-compiled, memoizing
+// allocation-heavy cloning, no schema, no memoization. It is retained,
+// in this test file only, as the byte-level equivalence oracle for the schema-compiled, memoizing
 // Executor and as the benchmark baseline the symexec experiment
 // measures against. Not intended for production runs.
 type SeedExecutor[S State, E any] struct {

@@ -2,7 +2,12 @@
 # Size record for ROADMAP item 3 ("one engine per job shape"): non-test,
 # non-generated Go lines per package (benchmark/ excluded — it measures
 # the program, it is not part of it) and the field counts of the four
-# option structs. A record to compare across commits, not a gate.
+# option structs.
+#
+# `loc.sh --check` is a ratchet: it compares the total and the four
+# field counts against scripts/loc_record.txt and fails when any of them
+# has grown. A PR that shrinks them lowers the record in the same
+# commit; lowering it is the only edit a simplification PR makes to it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,8 +36,26 @@ fields() {
             for (i = 1; i <= NF; i++) { n++; if ($i !~ /,$/) break }
         }' "$1"
 }
-printf 'fields: core.SympleOptions %d, mapreduce.Config %d, cluster.JobSpec %d, serve.Config %d\n' \
-    "$(fields internal/core/core.go SympleOptions)" \
-    "$(fields internal/mapreduce/mapreduce.go Config)" \
-    "$(fields internal/cluster/proto.go JobSpec)" \
-    "$(fields internal/serve/server.go Config)"
+measured=$(
+    echo "total $total"
+    echo "core.SympleOptions $(fields internal/core/core.go SympleOptions)"
+    echo "mapreduce.Config $(fields internal/mapreduce/mapreduce.go Config)"
+    echo "cluster.JobSpec $(fields internal/cluster/proto.go JobSpec)"
+    echo "serve.Config $(fields internal/serve/server.go Config)"
+)
+echo "fields: $(echo "$measured" | tail -n +2 | paste -sd, - | sed 's/,/, /g')"
+
+[ "${1:-}" = "--check" ] || exit 0
+# Join measured against the record by name; any name over its record, or
+# missing from either side, fails.
+awk '
+    NR == FNR { if ($0 !~ /^#/ && NF == 2) rec[$1] = $2; next }
+    !($1 in rec) { printf "loc: %s is not in the record\n", $1; bad = 1; next }
+    $2 > rec[$1] { printf "loc: %s grew: %d > record %d\n", $1, $2, rec[$1]; bad = 1 }
+    $2 < rec[$1] { printf "loc: %s shrank: %d < record %d — lower scripts/loc_record.txt\n", $1, $2, rec[$1] }
+    { seen[$1] = 1 }
+    END {
+        for (k in rec) if (!(k in seen)) { printf "loc: record names %s, which is no longer measured\n", k; bad = 1 }
+        exit bad
+    }' scripts/loc_record.txt <(echo "$measured") >&2
+echo "loc: OK (nothing above scripts/loc_record.txt)"

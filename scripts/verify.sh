@@ -45,7 +45,7 @@ go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|
 # registry fails its self-check. CI's `traced` job runs the wide form
 # (-count=2 -shuffle=on).
 OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries
-# Size record (ROADMAP item 3): lines per package and option-struct
-# field counts. Printed for comparison across commits; not a gate.
-./scripts/loc.sh
+# Size ratchet (ROADMAP item 3): lines per package and option-struct
+# field counts, failing when any has grown past scripts/loc_record.txt.
+./scripts/loc.sh --check
 echo "verify: OK"
