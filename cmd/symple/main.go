@@ -35,7 +35,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
@@ -57,7 +56,6 @@ func main() {
 		reducers  = flag.Int("reducers", 4, "reduce tasks")
 		condensed = flag.Bool("condensed", false, "use the condensed RedShift variant (R1c-R4c)")
 		compress  = flag.Bool("compress", false, "flate-compress shuffle segments (Config.CompressShuffle)")
-		columnar  = flag.Bool("columnar", false, "attach the columnar form to the loaded segments (an input form: SYMPLE groups vectorized over columns when a segment has them)")
 		input     = flag.String("input", "", "read segments from this directory (written by datagen) instead of generating")
 		tracePath = flag.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
 		profile   = flag.String("profile", "", "write one CPU profile covering the whole invocation (every engine run, sequential included) to this file")
@@ -100,13 +98,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *columnar {
-		plan := data.ColSpecFor(spec.Dataset)
-		if plan == nil {
-			log.Fatalf("no column plan for dataset %q", spec.Dataset)
-		}
-		data.Columnarize(segs, plan)
 	}
 	var inputBytes, inputRecords int64
 	for _, s := range segs {

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
@@ -147,16 +146,6 @@ func readGolden(t *testing.T) map[string]goldenEntry {
 	return want
 }
 
-// columnarGoldenDatasets is the golden corpora with the columnar form
-// attached to every segment, so assignments ship columns.
-func columnarGoldenDatasets() map[string][]*mapreduce.Segment {
-	datasets := queries.GoldenDatasets(queries.GoldenSegments)
-	for name, segs := range datasets {
-		data.Columnarize(segs, data.ColSpecFor(name))
-	}
-	return datasets
-}
-
 // remoteConf is the engine configuration for a coordinator run: the
 // given pool executes map attempts, with a retry budget and speculation
 // so injected faults are survivable.
@@ -181,70 +170,60 @@ func remoteConf(pool *cluster.Pool) mapreduce.Config {
 func TestTransportEquivalenceGolden(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
-	rows := queries.GoldenDatasets(queries.GoldenSegments)
-	cols := columnarGoldenDatasets()
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
 	eps := startWorkers(t, 2)
 	var viaIngress, w2wIngress int64
 	for _, spec := range queries.All() {
-		spec := spec
-		for _, form := range []struct {
-			name string
-			segs []*mapreduce.Segment
-		}{
-			// Workers group vectorized exactly when the assigned segment
-			// arrived with columns; both forms must hit the same digests.
-			{"rows", rows[spec.Dataset]},
-			{"columns", cols[spec.Dataset]},
-		} {
-			segs := form.segs
-			t.Run(spec.ID+"/"+form.name, func(t *testing.T) {
-				mem, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
-				if err != nil {
-					t.Fatalf("in-memory transport: %v", err)
-				}
-				pool, err := cluster.NewPool(
-					queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pool.Close()
-				conf := remoteConf(pool)
-				tcp, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
-				if err != nil {
-					t.Fatalf("TCP transport: %v", err)
-				}
-				viaIngress += pool.Stats().ShuffleIngressBytes
+		// Workers index their own digest-cached copy of each segment, as
+		// the in-memory run indexes the coordinator's.
+		segs := datasets[spec.Dataset]
+		t.Run(spec.ID, func(t *testing.T) {
+			mem, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
+			if err != nil {
+				t.Fatalf("in-memory transport: %v", err)
+			}
+			pool, err := cluster.NewPool(
+				queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			conf := remoteConf(pool)
+			tcp, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
+			if err != nil {
+				t.Fatalf("TCP transport: %v", err)
+			}
+			viaIngress += pool.Stats().ShuffleIngressBytes
 
-				w2wPool, err := cluster.NewPool(
-					queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}),
-					eps, cluster.WithW2W())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer w2wPool.Close()
-				w2wConf := remoteConf(w2wPool)
-				w2wConf.RemoteReduce = w2wPool
-				w2w, err := spec.SympleOpts(segs, w2wConf, core.SympleOptions{})
-				if err != nil {
-					t.Fatalf("w2w transport: %v", err)
-				}
-				w2wIngress += w2wPool.Stats().ShuffleIngressBytes
+			w2wPool, err := cluster.NewPool(
+				queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}),
+				eps, cluster.WithW2W())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2wPool.Close()
+			w2wConf := remoteConf(w2wPool)
+			w2wConf.RemoteReduce = w2wPool
+			w2w, err := spec.SympleOpts(segs, w2wConf, core.SympleOptions{})
+			if err != nil {
+				t.Fatalf("w2w transport: %v", err)
+			}
+			w2wIngress += w2wPool.Stats().ShuffleIngressBytes
 
-				w := golden[spec.ID]
-				if mem.Digest != w.digest || mem.NumResults != w.results {
-					t.Errorf("in-memory digest %016x (%d results) != golden %016x (%d)",
-						mem.Digest, mem.NumResults, w.digest, w.results)
-				}
-				if tcp.Digest != w.digest || tcp.NumResults != w.results {
-					t.Errorf("TCP digest %016x (%d results) != golden %016x (%d)",
-						tcp.Digest, tcp.NumResults, w.digest, w.results)
-				}
-				if w2w.Digest != w.digest || w2w.NumResults != w.results {
-					t.Errorf("w2w digest %016x (%d results) != golden %016x (%d)",
-						w2w.Digest, w2w.NumResults, w.digest, w.results)
-				}
-			})
-		}
+			w := golden[spec.ID]
+			if mem.Digest != w.digest || mem.NumResults != w.results {
+				t.Errorf("in-memory digest %016x (%d results) != golden %016x (%d)",
+					mem.Digest, mem.NumResults, w.digest, w.results)
+			}
+			if tcp.Digest != w.digest || tcp.NumResults != w.results {
+				t.Errorf("TCP digest %016x (%d results) != golden %016x (%d)",
+					tcp.Digest, tcp.NumResults, w.digest, w.results)
+			}
+			if w2w.Digest != w.digest || w2w.NumResults != w.results {
+				t.Errorf("w2w digest %016x (%d results) != golden %016x (%d)",
+					w2w.Digest, w2w.NumResults, w.digest, w.results)
+			}
+		})
 	}
 	if viaIngress == 0 || w2wIngress == 0 {
 		t.Fatalf("shuffle ingress not recorded (via %d, w2w %d)", viaIngress, w2wIngress)
@@ -375,29 +354,26 @@ func TestW2WOwnerDeathFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceCompressedColumnar covers the knobs that
-// change the bytes on the wire: flate-compressed runs — over rows and
-// over shipped columns — and the mapper-side combiner must survive the
-// socket and still hit the golden digests.
-func TestTransportEquivalenceCompressedColumnar(t *testing.T) {
+// TestTransportEquivalenceCompressedCombined covers the knobs that
+// change the bytes on the wire: flate-compressed runs and the
+// mapper-side combiner must survive the socket and still hit the golden
+// digests.
+func TestTransportEquivalenceCompressedCombined(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
-	rows := queries.GoldenDatasets(queries.GoldenSegments)
-	cols := columnarGoldenDatasets()
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
 	eps := startWorkers(t, 2)
 	for _, id := range []string{"G1", "B1", "R1"} {
 		spec := queries.ByID(id)
+		segs := datasets[spec.Dataset]
 		for _, mode := range []struct {
 			name     string
 			compress bool
-			segs     []*mapreduce.Segment
 			opt      core.SympleOptions
 		}{
-			{"compressed", true, rows[spec.Dataset], core.SympleOptions{}},
-			{"compressed-columns", true, cols[spec.Dataset], core.SympleOptions{}},
-			{"combined", false, rows[spec.Dataset], core.SympleOptions{Combine: true}},
+			{"compressed", true, core.SympleOptions{}},
+			{"combined", false, core.SympleOptions{Combine: true}},
 		} {
-			segs := mode.segs
 			t.Run(id+"/"+mode.name, func(t *testing.T) {
 				base := mapreduce.Config{NumReducers: 3, CompressShuffle: mode.compress}
 				pool, err := cluster.NewPool(queries.ClusterSpec(id, base, mode.opt), eps)

@@ -485,8 +485,8 @@ func (p *Pool) WorkerProcs() map[string]int {
 	return out
 }
 
-// segmentDigest content-addresses a segment (FNV-1a over ID, records,
-// and columnar presence), memoizing per pointer — segments are
+// segmentDigest content-addresses a segment (FNV-1a over ID and
+// records), memoizing per pointer — segments are
 // immutable once built. Zero is reserved for "no digest".
 func (p *Pool) segmentDigest(seg *mapreduce.Segment) uint64 {
 	p.mu.Lock()
@@ -515,9 +515,6 @@ func (p *Pool) segmentDigest(seg *mapreduce.Segment) uint64 {
 			h ^= uint64(b)
 			h *= prime64
 		}
-	}
-	if seg.Columns != nil {
-		mix(1)
 	}
 	if h == 0 {
 		h = 1

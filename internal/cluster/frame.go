@@ -2,9 +2,9 @@
 // coordinator/worker system over TCP. The coordinator keeps the whole
 // task lifecycle — retries with backoff, speculation, the
 // first-finisher-wins commit — and ships only the map attempt body to
-// worker processes: a worker receives an input segment (records, plus
-// the colcodec columnar form when attached), runs the registered map
-// side, and streams the segcodec-encoded runs and composed summaries
+// worker processes: a worker receives an input segment's records (it
+// builds the typed-column index over its own cached copy), runs the
+// registered map side, and streams the segcodec-encoded runs and composed summaries
 // back. Worker death and connection drops surface as attempt errors
 // the existing lifecycle retries, so a worker whose output never
 // commits cannot perturb the merged stream — the paper's placement-
@@ -31,7 +31,9 @@ import (
 // added the query-service job frames (job_submit, job_accept,
 // job_update, job_result, job_cancel). Version 4 shrank the job spec
 // to the fields JobSpec has today (two engine knobs left the wire).
-const ProtocolVersion = 4
+// Version 5 dropped the columnar payload from the assignment: a segment
+// ships as its records and nothing else.
+const ProtocolVersion = 5
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -462,6 +462,11 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}
 	}
+	// Version 4 is the last whose assignments carried a columnar
+	// payload; a peer still speaking it must be turned away at hello.
+	if _, err := DecodeHello(helloWith(helloMagic, 4)); err == nil || !strings.Contains(err.Error(), "not supported") {
+		t.Errorf("hello from a v4 peer: %v, want the version error", err)
+	}
 	if _, err := DecodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
 		t.Error("bad hello magic accepted")
 	}
@@ -546,7 +551,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAssignRoundTrip pins the assignment codec on both record forms.
+// TestAssignRoundTrip pins the assignment codec: metadata and records.
 func TestAssignRoundTrip(t *testing.T) {
 	a := seedAssignment()
 	got, err := decodeAssign(encodeAssign(a))

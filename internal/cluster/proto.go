@@ -29,7 +29,8 @@ type JobSpec struct {
 	Compress    bool
 	// Combine and MemoSize are the core.SympleOptions fields; both
 	// affect the map side. (Whether a worker groups vectorized is not a
-	// knob: it follows from whether the assigned segment has columns.)
+	// knob: it indexes its cached copy of the segment at first touch,
+	// as an in-process job does.)
 	Combine  bool
 	MemoSize int
 }
@@ -156,15 +157,6 @@ func encodeAssign(a *assignment) []byte {
 	for _, r := range a.seg.Records {
 		e.BytesField(r)
 	}
-	// The columnar form rides along in colcodec framing when the
-	// coordinator has it, so workers run the same batched execution
-	// path they would in process.
-	if a.seg.Columns != nil {
-		e.Bool(true)
-		e.BytesField(mapreduce.EncodeColumnar(a.seg.Columns, false))
-	} else {
-		e.Bool(false)
-	}
 	return e.Bytes()
 }
 
@@ -238,13 +230,6 @@ func decodeAssign(payload []byte) (*assignment, error) {
 		recs[i] = append([]byte(nil), b...)
 	}
 	a.seg = &mapreduce.Segment{ID: a.segID, Records: recs}
-	if d.Bool() {
-		cols, err := mapreduce.DecodeColumnar(d.BytesField())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: assignment columnar payload: %w", err)
-		}
-		a.seg.Columns = cols
-	}
 	if d.Err() != nil {
 		return nil, d.Err()
 	}

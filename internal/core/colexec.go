@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,8 +37,8 @@ func (b *Batch[E]) Reset() {
 
 // scalarBatch is the fallback vectorizer: the scalar GroupBy applied
 // per record with map-based key interning. It is what makes GroupByBatch
-// and Segment.Columns optional — every query and every segment runs on
-// the one batched executor.
+// optional — a query without one, or a segment indexed under another
+// query's plan, still runs on the one batched executor.
 func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *Batch[E]) {
 	b.Reset()
 	idx := make(map[string]int32, 64)
@@ -70,6 +71,21 @@ type batchExec[S sym.State, E any] struct {
 	fast *sym.Executor[S, E]
 	memo *sym.Memo[S, E]
 	used bool
+
+	// Chunk scratch, dead once a chunk's exec pass ends and so reused by
+	// the next chunk this executor runs: the GroupBy batch (but for its
+	// Keys, which leave with the chunk's result), the counting-sorted
+	// events and the sort's offsets and cursors. A job's map tasks
+	// otherwise allocate these per chunk, a few hundred KB each.
+	batch     Batch[E]
+	events    []E
+	offs, cur []int32
+}
+
+// sized returns s resliced to n elements, reallocated only when its
+// capacity falls short; the contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // batchExecPool hands batch executors to the concurrently running map
@@ -135,27 +151,47 @@ func (c *chunkResult[S]) keySums(i int) []*sym.Summary[S] {
 
 // symExecChunk is the one place events reach a symbolic executor: it
 // runs the per-key UDA loop over a map task's segment in two passes.
-// Pass one fills a Batch — through the query's GroupByBatch when the
-// segment arrived with columns and the query can read them, else
-// through the scalar GroupBy per record; that selection is made here,
-// from the input, and nowhere else — and counting-sorts the key-index
-// vector into per-key contiguous event vectors. Pass two feeds each
-// key's vector to the executor's batch API (FeedBatch), which folds runs
-// of identical events through single transition probes and executes
-// quiet stretches in place. Batching keeps per-record map lookups out of
-// the symbolic hot loop and lets pass two be timed on its own
-// (stats.ExecWall), net of the parse cost every engine shares.
+// Pass one fills a Batch — through the query's GroupByBatch over the
+// segment's typed-column index, which the first such job to touch the
+// segment builds and every later one finds resident, else through the
+// scalar GroupBy per record; that selection is made here, from the
+// input, and nowhere else — and counting-sorts the key-index vector into
+// per-key contiguous event vectors. Pass two feeds each key's vector to
+// the executor's batch API (FeedBatch), which folds runs of identical
+// events through single transition probes and executes quiet stretches
+// in place. Batching keeps per-record map lookups out of the symbolic
+// hot loop and lets pass two be timed on its own (stats.ExecWall), net
+// of the parse cost every engine shares.
 func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult[S], error) {
 	out := chunkResult[S]{}
+	be := pool.get()
+	if be == nil {
+		// One memo serves every key: transitions are built from the fully
+		// symbolic state, so they are key-independent.
+		var memo *sym.Memo[S, E]
+		if opt.MemoSize >= 0 {
+			memo = sym.NewMemo[S, E](sc, opt.MemoSize)
+		}
+		be = &batchExec[S, E]{
+			fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo),
+			memo: memo,
+		}
+	}
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrRecords, int64(len(seg.Records)))
-	var b Batch[E]
-	if seg.Columns == nil || q.GroupByBatch == nil || !q.GroupByBatch(seg.Columns, 0, len(seg.Records), &b) {
-		// A false return means the columns don't match the shape the
-		// query compiled against (different plan, foreign dataset); the
-		// batch content is then unspecified and rebuilt scalar.
-		scalarBatch(q, seg.Records, &b)
+	b := &be.batch
+	b.Keys = nil // the previous chunk's keys left with its result
+	var cols *mapreduce.Columnar
+	if q.GroupByBatch != nil && q.Columns != nil {
+		cols = seg.Index(q.Columns)
+	}
+	if cols == nil || !q.GroupByBatch(cols, b) {
+		// No index under this query's plan (none set, or the segment is
+		// resident under another's), or columns that don't match the
+		// shape the query compiled against; the batch content is then
+		// unspecified and rebuilt scalar.
+		scalarBatch(q, seg.Records, b)
 	}
 	out.order = b.Keys
 	parseSpan.Attr(obs.AttrGroups, int64(len(b.Keys))).
@@ -164,16 +200,18 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 	// Counting sort over the key-index vector: per-key contiguous event
 	// runs without per-record map lookups or per-key slice growth.
 	nk := len(b.Keys)
-	offs := make([]int32, nk+1)
+	be.offs = sized(be.offs, nk+1)
+	offs := be.offs
+	clear(offs)
 	for _, ki := range b.KeyIdx {
 		offs[ki+1]++
 	}
 	for i := 1; i <= nk; i++ {
 		offs[i] += offs[i-1]
 	}
-	events := make([]E, len(b.Events))
+	be.events, be.cur = sized(be.events, len(b.Events)), sized(be.cur, nk)
+	events, cur := be.events, be.cur
 	last := make([]int64, nk)
-	cur := make([]int32, nk)
 	copy(cur, offs[:nk])
 	for r, ki := range b.KeyIdx {
 		events[cur[ki]] = b.Events[r]
@@ -192,19 +230,6 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrGroups, int64(len(b.Keys))).
 		Attr(obs.AttrBatchRecords, int64(len(b.Events)))
-	be := pool.get()
-	if be == nil {
-		// One memo serves every key: transitions are built from the fully
-		// symbolic state, so they are key-independent.
-		var memo *sym.Memo[S, E]
-		if opt.MemoSize >= 0 {
-			memo = sym.NewMemo[S, E](sc, opt.MemoSize)
-		}
-		be = &batchExec[S, E]{
-			fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo),
-			memo: memo,
-		}
-	}
 	fast := be.fast
 	prev := fast.Stats()
 	// needReset tracks whether the executor has run a key since its last

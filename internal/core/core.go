@@ -59,16 +59,20 @@ type Query[S sym.State, E, R any] struct {
 	// hand-optimization the paper applies to its baseline.
 	GroupBy func(record []byte) (key string, event E, ok bool)
 
-	// GroupByBatch, when set, vectorizes GroupBy over a columnar segment:
-	// it fills out with the kept rows of [lo, hi) — key indexes, row
-	// numbers and events — reading the typed columns directly and routing
-	// ragged rows through the scalar GroupBy. It must keep exactly the
-	// rows GroupBy keeps, produce identical keys and events, and intern
-	// keys in first-use order. Returning false (columns don't match the
-	// shape the query expects) makes the engine rebuild the batch with
-	// the scalar GroupBy, so the field is purely an optimization; nil is
-	// always valid.
-	GroupByBatch func(cols *mapreduce.Columnar, lo, hi int, out *Batch[E]) bool
+	// GroupByBatch, when set together with Columns, vectorizes GroupBy
+	// over a segment's typed-column index: it fills out with the kept
+	// rows — key indexes, row numbers and events — reading the columns
+	// directly and routing ragged rows through the scalar GroupBy. It
+	// must keep exactly the rows GroupBy keeps, produce identical keys
+	// and events, and intern keys in first-use order. Returning false
+	// (columns don't match the shape the query expects) makes the engine
+	// rebuild the batch with the scalar GroupBy, so the pair is purely an
+	// optimization; nil is always valid.
+	GroupByBatch func(cols *mapreduce.Columnar, out *Batch[E]) bool
+	// Columns is the index plan GroupByBatch reads. A segment builds its
+	// index under the plan of the first query that touches it
+	// (mapreduce.Segment.Index) and keeps it while resident.
+	Columns *mapreduce.ColPlan
 
 	// NewState returns the initial aggregation state.
 	NewState func() S

@@ -29,8 +29,6 @@ type BingConfig struct {
 	// successful query). Regional outages are injected per geo at twice
 	// the rate.
 	Outages int
-
-	Columnar bool // also attach the columnar form to each segment
 }
 
 // DefaultBingConfig returns a laptop-scale configuration.
@@ -98,9 +96,5 @@ func GenBing(cfg BingConfig) []*mapreduce.Segment {
 		b.field(pad)
 		records = append(records, b.bytes())
 	}
-	segs := segmented(records, cfg.Segments)
-	if cfg.Columnar {
-		Columnarize(segs, ColSpecFor("bing"))
-	}
-	return segs
+	return segmented(records, cfg.Segments)
 }

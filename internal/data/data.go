@@ -81,18 +81,14 @@ func filler(r *rand.Rand, n int) string {
 	return string(b)
 }
 
-// maxFieldSpans bounds the leading fields the shared splitter can
-// resolve in one scan; every query and column plan stays well under it.
+// maxFieldSpans bounds the leading fields the splitter can resolve in
+// one scan; every query stays well under it.
 const maxFieldSpans = 8
 
-// fieldSpans is the one tab-splitter implementation behind both the
-// scalar Field accessors and the columnar converter: it scans rec once,
-// recording [start, end) for each of the first upto fields (upto ≤
-// maxFieldSpans). It returns the number of fields found and the offset
-// where the scan stopped — for a fully resolved record that is the end
-// of field upto−1, so rec[stop:] is the raw tail (including its leading
-// tab) that the columnar form stores verbatim.
-func fieldSpans(rec []byte, upto int, spans *[maxFieldSpans][2]int32) (n, stop int) {
+// fieldSpans is the tab-splitter behind the Field accessors: it scans
+// rec once, recording [start, end) for each of the first upto fields
+// (upto ≤ maxFieldSpans), and returns the number of fields found.
+func fieldSpans(rec []byte, upto int, spans *[maxFieldSpans][2]int32) int {
 	start, f := 0, 0
 	for f < upto {
 		end := start
@@ -101,12 +97,12 @@ func fieldSpans(rec []byte, upto int, spans *[maxFieldSpans][2]int32) (n, stop i
 		}
 		spans[f] = [2]int32{int32(start), int32(end)}
 		f++
-		if end == len(rec) || f == upto {
-			return f, end
+		if end == len(rec) {
+			break
 		}
 		start = end + 1
 	}
-	return f, 0
+	return f
 }
 
 // span returns the field's bytes, nil when it was not found.
@@ -121,7 +117,7 @@ func span(rec []byte, spans *[maxFieldSpans][2]int32, n, i int) []byte {
 // It returns nil when the field does not exist.
 func Field(rec []byte, i int) []byte {
 	var spans [maxFieldSpans][2]int32
-	n, _ := fieldSpans(rec, i+1, &spans)
+	n := fieldSpans(rec, i+1, &spans)
 	return span(rec, &spans, n, i)
 }
 
@@ -130,14 +126,14 @@ func Field(rec []byte, i int) []byte {
 // per-record parse cost, so one pass instead of two matters there.
 func Field2(rec []byte, i, j int) (fi, fj []byte) {
 	var spans [maxFieldSpans][2]int32
-	n, _ := fieldSpans(rec, j+1, &spans)
+	n := fieldSpans(rec, j+1, &spans)
 	return span(rec, &spans, n, i), span(rec, &spans, n, j)
 }
 
 // Field3 extracts fields i, j and k (i < j < k) in a single scan.
 func Field3(rec []byte, i, j, k int) (fi, fj, fk []byte) {
 	var spans [maxFieldSpans][2]int32
-	n, _ := fieldSpans(rec, k+1, &spans)
+	n := fieldSpans(rec, k+1, &spans)
 	return span(rec, &spans, n, i), span(rec, &spans, n, j), span(rec, &spans, n, k)
 }
 

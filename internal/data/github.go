@@ -51,7 +51,6 @@ type GithubConfig struct {
 	Segments int
 	Filler   int // payload bytes per record (complete-variant realism)
 	Seed     int64
-	Columnar bool // also attach the columnar form to each segment
 }
 
 // DefaultGithubConfig returns a laptop-scale configuration preserving the
@@ -113,9 +112,5 @@ func GenGithub(cfg GithubConfig) []*mapreduce.Segment {
 		b.field(pad)
 		records = append(records, b.bytes())
 	}
-	segs := segmented(records, cfg.Segments)
-	if cfg.Columnar {
-		Columnarize(segs, ColSpecFor("github"))
-	}
-	return segs
+	return segmented(records, cfg.Segments)
 }

@@ -41,8 +41,6 @@ type RedshiftConfig struct {
 	// DarkWindows injects, per advertiser, windows longer than one hour
 	// with no impressions (R3's pattern).
 	DarkWindows int
-
-	Columnar bool // also attach the columnar form to each segment
 }
 
 // DefaultRedshiftConfig returns a laptop-scale complete-variant config.
@@ -124,11 +122,7 @@ func GenRedshift(cfg RedshiftConfig) []*mapreduce.Segment {
 		}
 		records = append(records, b.bytes())
 	}
-	segs := segmented(records, cfg.Segments)
-	if cfg.Columnar {
-		Columnarize(segs, ColSpecFor("redshift"))
-	}
-	return segs
+	return segmented(records, cfg.Segments)
 }
 
 // CountryIndex maps a country code to its enum value; -1 when unknown.

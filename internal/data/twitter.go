@@ -24,7 +24,6 @@ type TwitterConfig struct {
 	Segments int
 	Filler   int
 	Seed     int64
-	Columnar bool // also attach the columnar form to each segment
 }
 
 // DefaultTwitterConfig returns a laptop-scale configuration.
@@ -75,9 +74,5 @@ func GenTwitter(cfg TwitterConfig) []*mapreduce.Segment {
 		b.field(pad)
 		records = append(records, b.bytes())
 	}
-	segs := segmented(records, cfg.Segments)
-	if cfg.Columnar {
-		Columnarize(segs, ColSpecFor("twitter"))
-	}
-	return segs
+	return segmented(records, cfg.Segments)
 }

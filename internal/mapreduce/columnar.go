@@ -1,156 +1,186 @@
 package mapreduce
 
-import "strconv"
+import (
+	"bytes"
+	"slices"
+	"unsafe"
+)
 
-// Columnar is the per-field column representation of one segment's
-// records (ROADMAP item 4). A tab-separated record set is decomposed by
-// a fixed column plan: each leading field becomes one typed column, and
-// the final column is the tail — the raw remainder of the record,
-// including its leading tab, so reassembly is byte-exact even when
-// records carry trailing fields the plan does not type.
+// Columnar is a typed index over one segment's records: per field some
+// query reads, one vector with an entry per row, so a batched GroupBy
+// (internal/queries) scans vectors instead of re-splitting every record.
+// It is derived state. A segment builds it the first time a job asks
+// (Segment.Index) and keeps it while the segment is resident; Records
+// stay authoritative, so the index holds nothing the queries do not read
+// — no filler, no tail — and is never shipped or used to reconstruct a
+// record.
 //
-// Rows that do not fit the plan (too few fields, a non-canonical
-// integer) are ragged: their raw bytes are kept aside and the typed
-// columns simply skip them, staying dense. Row order is preserved —
-// iteration interleaves dense and ragged rows by ascending row index —
-// so the columnar form carries exactly the information of the record
-// slice it was built from: Materialize is the identity (pinned by the
-// round-trip tests and, end to end, by the columnar golden digests).
-//
-// The representation is the read-path analogue of the shuffle's segment
-// codec: dictionary codes for low-cardinality strings, int64 vectors
-// for numeric fields, shared blobs for everything else. The batched
-// GroupBy implementations (internal/queries) scan these vectors
-// directly instead of re-splitting every record.
+// Rows that do not fit the plan (too few fields, a field its parser
+// rejects) are ragged: the typed vectors skip them, staying dense, and
+// their raw bytes go to the scalar GroupBy. A reader walks rows in
+// order, interleaving dense and ragged rows by ascending row index.
 type Columnar struct {
+	// Plan is the plan the index was built under; a query reads the
+	// index only when this is its own plan.
+	Plan *ColPlan
 	// Rows is the total row count, dense plus ragged.
 	Rows int
-	// Cols hold one entry per plan column. Every column has exactly
-	// Rows − len(Ragged) dense entries, in row order.
+	// Cols holds one entry per plan field. Every indexed column has
+	// exactly Rows − len(Ragged) dense entries, in row order.
 	Cols []Col
-	// Ragged lists the row indexes stored raw, ascending.
+	// Ragged lists the row indexes left to the scalar path, ascending.
 	Ragged []int32
-	// RaggedRecs holds the raw bytes of each ragged row, parallel to
+	// RaggedRecs aliases the record of each ragged row, parallel to
 	// Ragged.
 	RaggedRecs [][]byte
 }
 
-// ColKind types one column.
+// ColKind types one plan field.
 type ColKind uint8
 
 const (
-	// ColInt holds canonical decimal int64s: a row lands here only if
-	// strconv re-rendering reproduces its bytes exactly, so
-	// reconstruction is exact.
-	ColInt ColKind = iota
+	// ColSkip marks a field no query reads: it must be present for the
+	// row to be dense, but nothing is stored for it.
+	ColSkip ColKind = iota
+	// ColInt holds one int64 per dense row, as the field's Parse
+	// returned it (a decimal integer, a datetime as Unix seconds).
+	ColInt
+	// ColByte is ColInt for fields whose values fit a byte (0/1 flags):
+	// a row whose value falls outside [0, 255] is ragged.
+	ColByte
 	// ColDict holds dictionary-coded strings: a code per dense row into
-	// Dict, built in first-use order. For low-cardinality fields (ops,
-	// geos, keys) this is both the compact form and the fast one — a
-	// batched GroupBy can map dictionary entries once per segment
-	// instead of once per record.
+	// Dict, built in first-use order. A batched GroupBy translates each
+	// dictionary entry once per segment instead of once per record.
 	ColDict
-	// ColStr holds arbitrary strings as offsets into a shared blob
-	// (high-cardinality fields like datetimes).
-	ColStr
-	// ColTail is the final column: the raw record remainder including
-	// its leading tab ("" when the record ends at the previous field).
-	// Offsets into Blob, like ColStr.
-	ColTail
-	numColKinds
 )
 
-// Col is one typed column. Exactly one representation is populated,
-// chosen by Kind.
+// ColSpec describes one leading tab-separated field of a record.
+type ColSpec struct {
+	Kind ColKind
+	// Parse converts the field's bytes for ColInt and ColByte; a false
+	// return makes the row ragged. It must be the function the scalar
+	// GroupBy applies to the same field, so both paths see one value.
+	Parse func(field []byte) (int64, bool)
+}
+
+// ColPlan is a dataset's index plan: one ColSpec per leading field, up
+// to the last field some query reads. Plans are compared by pointer.
+type ColPlan struct {
+	Fields []ColSpec
+}
+
+// Col is one indexed column. Exactly one representation is populated,
+// chosen by Kind (none for ColSkip).
 type Col struct {
 	Kind  ColKind
 	Ints  []int64  // ColInt: value per dense row
+	Bytes []uint8  // ColByte: value per dense row
 	Codes []uint32 // ColDict: dictionary index per dense row
-	Dict  []string // ColDict: entries in first-use order
-	Offs  []uint32 // ColStr/ColTail: len(dense)+1 prefix offsets into Blob
-	Blob  []byte   // ColStr/ColTail: concatenated bytes
+	// Dict holds the ColDict entries in first-use order. The strings
+	// alias the bytes of the records they were first seen in, so they
+	// are valid exactly as long as those records are unmodified.
+	Dict []string
 }
 
-// Str returns the dense row's bytes for a ColStr/ColTail column.
-func (c *Col) Str(dense int) []byte {
-	return c.Blob[c.Offs[dense]:c.Offs[dense+1]]
+// Index returns the segment's typed columns under plan, building them
+// on the first call and whenever the record count no longer matches the
+// resident index (Records were replaced). It returns nil when the
+// resident index was built under a different plan: one segment keeps
+// one index, and a query with a foreign plan groups scalar. Safe for
+// concurrent use; a concurrent first touch builds once.
+func (s *Segment) Index(plan *ColPlan) *Columnar {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.index == nil || s.index.Rows != len(s.Records) {
+		s.index = buildIndex(s.Records, plan)
+	}
+	if s.index.Plan != plan {
+		return nil
+	}
+	return s.index
+}
+
+// buildIndex scans records once under plan. Vectors are sized to the
+// row count up front, which is exact unless rows turn out ragged; then
+// they are cut down to the dense count.
+func buildIndex(records [][]byte, plan *ColPlan) *Columnar {
+	c := &Columnar{Plan: plan, Rows: len(records), Cols: make([]Col, len(plan.Fields))}
+	dicts := make([]map[string]uint32, len(plan.Fields))
+	for f, spec := range plan.Fields {
+		col := &c.Cols[f]
+		col.Kind = spec.Kind
+		switch spec.Kind {
+		case ColInt:
+			col.Ints = make([]int64, 0, len(records))
+		case ColByte:
+			col.Bytes = make([]uint8, 0, len(records))
+		case ColDict:
+			col.Codes = make([]uint32, 0, len(records))
+			dicts[f] = make(map[string]uint32, 64)
+		}
+	}
+	fields := make([][]byte, len(plan.Fields))
+	ints := make([]int64, len(plan.Fields))
+rows:
+	for ri, rec := range records {
+		rest := rec
+		for f, spec := range plan.Fields {
+			if rest == nil {
+				c.addRagged(ri, rec) // fewer fields than the plan types
+				continue rows
+			}
+			fb := rest
+			if tab := bytes.IndexByte(rest, '\t'); tab >= 0 {
+				fb, rest = rest[:tab], rest[tab+1:]
+			} else {
+				rest = nil
+			}
+			fields[f] = fb
+			if spec.Kind == ColInt || spec.Kind == ColByte {
+				v, ok := spec.Parse(fb)
+				if !ok || (spec.Kind == ColByte && uint64(v) > 0xFF) {
+					c.addRagged(ri, rec)
+					continue rows
+				}
+				ints[f] = v
+			}
+		}
+		for f := range plan.Fields {
+			col := &c.Cols[f]
+			switch col.Kind {
+			case ColInt:
+				col.Ints = append(col.Ints, ints[f])
+			case ColByte:
+				col.Bytes = append(col.Bytes, uint8(ints[f]))
+			case ColDict:
+				fb := fields[f]
+				code, seen := dicts[f][string(fb)]
+				if !seen {
+					code = uint32(len(col.Dict))
+					s := unsafe.String(unsafe.SliceData(fb), len(fb))
+					col.Dict = append(col.Dict, s)
+					dicts[f][s] = code
+				}
+				col.Codes = append(col.Codes, code)
+			}
+		}
+	}
+	for f := range c.Cols {
+		col := &c.Cols[f]
+		col.Dict = slices.Clone(col.Dict)
+		if len(c.Ragged) > 0 {
+			col.Ints = slices.Clone(col.Ints)
+			col.Bytes = slices.Clone(col.Bytes)
+			col.Codes = slices.Clone(col.Codes)
+		}
+	}
+	return c
+}
+
+func (c *Columnar) addRagged(row int, rec []byte) {
+	c.Ragged = append(c.Ragged, int32(row))
+	c.RaggedRecs = append(c.RaggedRecs, rec)
 }
 
 // Dense returns the number of dense rows.
 func (c *Columnar) Dense() int { return c.Rows - len(c.Ragged) }
-
-// RowIter walks rows [lo, hi) of a Columnar in row order, yielding for
-// each row either its raw bytes (ragged) or its dense index (typed).
-type RowIter struct {
-	c     *Columnar
-	row   int
-	hi    int
-	dense int
-	rag   int
-}
-
-// Iter positions an iterator at row lo. Dense and ragged cursors are
-// recovered by counting ragged rows before lo.
-func (c *Columnar) Iter(lo, hi int) RowIter {
-	rag := 0
-	for rag < len(c.Ragged) && int(c.Ragged[rag]) < lo {
-		rag++
-	}
-	return RowIter{c: c, row: lo, hi: hi, dense: lo - rag, rag: rag}
-}
-
-// Next yields the next row. raw is non-nil for ragged rows; otherwise
-// dense indexes the typed columns. ok is false once the range is done.
-func (it *RowIter) Next() (row int, raw []byte, dense int, ok bool) {
-	if it.row >= it.hi {
-		return 0, nil, 0, false
-	}
-	row = it.row
-	it.row++
-	if it.rag < len(it.c.Ragged) && int(it.c.Ragged[it.rag]) == row {
-		raw = it.c.RaggedRecs[it.rag]
-		it.rag++
-		return row, raw, 0, true
-	}
-	dense = it.dense
-	it.dense++
-	return row, nil, dense, true
-}
-
-// AppendRow reconstructs one row's record bytes. For dense rows it
-// re-joins the typed columns with tabs and appends the tail verbatim;
-// ragged rows are copied raw. Byte-identity with the source record is
-// the format's contract.
-func (c *Columnar) appendRow(dst []byte, raw []byte, dense int) []byte {
-	if raw != nil {
-		return append(dst, raw...)
-	}
-	for i := range c.Cols {
-		col := &c.Cols[i]
-		if col.Kind != ColTail && i > 0 {
-			dst = append(dst, '\t')
-		}
-		switch col.Kind {
-		case ColInt:
-			dst = strconv.AppendInt(dst, col.Ints[dense], 10)
-		case ColDict:
-			dst = append(dst, col.Dict[col.Codes[dense]]...)
-		case ColStr, ColTail:
-			dst = append(dst, col.Str(dense)...)
-		}
-	}
-	return dst
-}
-
-// Materialize reconstructs every record, in row order, appending to
-// dst. Each record is freshly allocated (none alias the columns).
-func (c *Columnar) Materialize(dst [][]byte) [][]byte {
-	it := c.Iter(0, c.Rows)
-	for {
-		_, raw, dense, ok := it.Next()
-		if !ok {
-			return dst
-		}
-		rec := c.appendRow(make([]byte, 0, 32), raw, dense)
-		dst = append(dst, rec)
-	}
-}

@@ -1,358 +1,147 @@
 package mapreduce
 
 import (
-	"bytes"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/fuzzseed"
-	"repro/internal/wire"
+	"unsafe"
 )
 
-// colSeedColumnar builds a columnar segment shaped like real dataset
-// traffic: an int column with negatives and large jumps (delta stress),
-// a low-cardinality dictionary column, a string column, the mandatory
-// tail — and ragged rows interleaved at the front, middle, and end.
-func colSeedColumnar() (*Columnar, [][]byte) {
-	records := [][]byte{
-		[]byte("short"), // ragged: too few fields
-		[]byte("1000\tpush\talpha\textra\ttail-bytes"),
-		[]byte("-5\tdelete\tbeta\t"),
-		[]byte("1000000007\tpush\t\t"),
-		[]byte("007\tpush\tgamma\t"), // ragged: non-canonical int
-		[]byte("0\tmerge\tdelta\t"),
-		[]byte("-9223372036854775808\tpush\tepsilon\t"),
-		[]byte("x\ty\tz"), // ragged: field 3 missing
-	}
-	c := &Columnar{Rows: len(records), Cols: []Col{
-		{Kind: ColInt}, {Kind: ColDict}, {Kind: ColStr}, {Kind: ColTail},
+func parseDecimal(b []byte) (int64, bool) {
+	v, err := strconv.ParseInt(string(b), 10, 64)
+	return v, err == nil
+}
+
+// testPlan types four leading fields: an int, a dictionary string, a
+// field nobody reads, and a byte-wide flag.
+func testPlan(parse func([]byte) (int64, bool)) *ColPlan {
+	return &ColPlan{Fields: []ColSpec{
+		{Kind: ColInt, Parse: parse},
+		{Kind: ColDict},
+		{Kind: ColSkip},
+		{Kind: ColByte, Parse: parse},
 	}}
-	c.Cols[2].Offs = []uint32{0}
-	c.Cols[3].Offs = []uint32{0}
-	dict := map[string]uint32{}
-	for row, rec := range records {
-		fields := bytes.SplitN(rec, []byte{'\t'}, 4)
-		canonical := func(b []byte) bool {
-			if len(b) == 0 || (b[0] == '0' && len(b) > 1) || (len(b) > 1 && b[0] == '-' && b[1] == '0') {
-				return false
-			}
-			for i, ch := range b {
-				if ch == '-' && i == 0 {
-					continue
-				}
-				if ch < '0' || ch > '9' {
-					return false
-				}
-			}
-			return true
-		}
-		if len(fields) < 4 || !canonical(fields[0]) {
-			c.Ragged = append(c.Ragged, int32(row))
-			c.RaggedRecs = append(c.RaggedRecs, rec)
-			continue
-		}
-		var v int64
-		neg := fields[0][0] == '-'
-		for _, ch := range fields[0] {
-			if ch != '-' {
-				v = v*10 + int64(ch-'0')
-			}
-		}
-		if neg {
-			v = -v
-		}
-		c.Cols[0].Ints = append(c.Cols[0].Ints, v)
-		code, ok := dict[string(fields[1])]
-		if !ok {
-			code = uint32(len(c.Cols[1].Dict))
-			c.Cols[1].Dict = append(c.Cols[1].Dict, string(fields[1]))
-			dict[string(fields[1])] = code
-		}
-		c.Cols[1].Codes = append(c.Cols[1].Codes, code)
-		c.Cols[2].Blob = append(c.Cols[2].Blob, fields[2]...)
-		c.Cols[2].Offs = append(c.Cols[2].Offs, uint32(len(c.Cols[2].Blob)))
-		tail := rec[len(rec)-len(fields[3])-1:] // remainder including its leading tab
-		c.Cols[3].Blob = append(c.Cols[3].Blob, tail...)
-		c.Cols[3].Offs = append(c.Cols[3].Offs, uint32(len(c.Cols[3].Blob)))
-	}
-	return c, records
 }
 
-// checkSameRecords asserts a Columnar materializes to exactly want.
-func checkSameRecords(t *testing.T, label string, c *Columnar, want [][]byte) {
-	t.Helper()
-	got := c.Materialize(nil)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+func TestBuildIndexDenseAndRagged(t *testing.T) {
+	records := [][]byte{
+		[]byte("100\trepo/a\tx\t1\tpayload"),
+		[]byte("short"),                     // too few fields
+		[]byte("1e3\trepo/a\tx\t1"),         // int field its parser rejects
+		[]byte("101\trepo/b\tx\t0"),         // no tail at all
+		[]byte("102\trepo/a\tx\t256\ttail"), // flag outside a byte
+		[]byte("103\trepo/a\tx\t-1\ttail"),  // flag outside a byte
+		[]byte(""),                          // empty record
+		nil,                                 // nil record
+		[]byte("104\trepo/c\t\t255\t\t"),    // empty skipped field, empty tail fields
+		[]byte("105\trepo/b\tx\t7\ta\tb\tc"),
 	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("%s: record %d = %q, want %q", label, i, got[i], want[i])
+	plan := testPlan(parseDecimal)
+	c := buildIndex(records, plan)
+	if c.Plan != plan || c.Rows != len(records) {
+		t.Fatalf("plan %p rows %d, want %p and %d", c.Plan, c.Rows, plan, len(records))
+	}
+	if want := []int32{1, 2, 4, 5, 6, 7}; !slices.Equal(c.Ragged, want) {
+		t.Fatalf("ragged rows %v, want %v", c.Ragged, want)
+	}
+	for i, row := range c.Ragged {
+		if string(c.RaggedRecs[i]) != string(records[row]) {
+			t.Fatalf("ragged row %d holds %q, want %q", row, c.RaggedRecs[i], records[row])
 		}
+	}
+	if c.Dense() != 4 {
+		t.Fatalf("dense = %d, want 4", c.Dense())
+	}
+	if want := []int64{100, 101, 104, 105}; !slices.Equal(c.Cols[0].Ints, want) {
+		t.Errorf("int column %v, want %v", c.Cols[0].Ints, want)
+	}
+	// Dictionary codes dedupe in first-use order over the dense rows.
+	if want := []string{"repo/a", "repo/b", "repo/c"}; !slices.Equal(c.Cols[1].Dict, want) {
+		t.Errorf("dictionary %v, want %v", c.Cols[1].Dict, want)
+	}
+	if want := []uint32{0, 1, 2, 1}; !slices.Equal(c.Cols[1].Codes, want) {
+		t.Errorf("codes %v, want %v", c.Cols[1].Codes, want)
+	}
+	if want := []uint8{1, 0, 255, 7}; !slices.Equal(c.Cols[3].Bytes, want) {
+		t.Errorf("byte column %v, want %v", c.Cols[3].Bytes, want)
+	}
+	if sk := c.Cols[2]; sk.Ints != nil || sk.Bytes != nil || sk.Codes != nil || sk.Dict != nil {
+		t.Errorf("skipped field stored something: %+v", sk)
+	}
+	// The index is resident with the segment, so the vectors carry no
+	// growth slack past the dense rows.
+	if got := cap(c.Cols[0].Ints); got > 2*c.Dense() {
+		t.Errorf("int column cap %d for %d dense rows", got, c.Dense())
 	}
 }
 
-func TestColumnarMaterializeIdentity(t *testing.T) {
-	c, records := colSeedColumnar()
-	checkSameRecords(t, "hand-built", c, records)
-	if c.Dense() != len(records)-3 {
-		t.Fatalf("dense = %d, want %d", c.Dense(), len(records)-3)
+// TestBuildIndexDictAliasesRecords pins the memory contract: a dictionary
+// entry is a view of the record it was first seen in, not a copy.
+func TestBuildIndexDictAliasesRecords(t *testing.T) {
+	rec := []byte("7\tsome-key\tx\t1")
+	c := buildIndex([][]byte{rec}, testPlan(parseDecimal))
+	if got, want := unsafe.StringData(c.Cols[1].Dict[0]), &rec[2]; got != want {
+		t.Fatalf("dictionary entry at %p, record bytes at %p", got, want)
 	}
 }
 
-func TestColumnarIterResumesMidSegment(t *testing.T) {
-	c, records := colSeedColumnar()
-	// Starting an iterator at every row must agree with a full scan —
-	// the dense/ragged cursor recovery the chunked mappers rely on.
-	for lo := 0; lo <= c.Rows; lo++ {
-		it := c.Iter(lo, c.Rows)
-		for want := lo; want < c.Rows; want++ {
-			row, raw, dense, ok := it.Next()
-			if !ok || row != want {
-				t.Fatalf("iter from %d: stopped at %d (ok=%v), want %d", lo, row, ok, want)
-			}
-			rec := c.appendRow(nil, raw, dense)
-			if !bytes.Equal(rec, records[want]) {
-				t.Fatalf("iter from %d row %d: %q, want %q", lo, want, rec, records[want])
-			}
-		}
-		if _, _, _, ok := it.Next(); ok {
-			t.Fatalf("iter from %d: yielded past hi", lo)
-		}
+func TestSegmentIndexResidentUntilRecordsChange(t *testing.T) {
+	seg := &Segment{Records: [][]byte{[]byte("1\ta\tx\t1"), []byte("2\tb\tx\t0")}}
+	plan, other := testPlan(parseDecimal), testPlan(parseDecimal)
+	first := seg.Index(plan)
+	if first == nil || first.Rows != 2 {
+		t.Fatalf("first touch: %+v", first)
+	}
+	if again := seg.Index(plan); again != first {
+		t.Fatal("second touch rebuilt a resident index")
+	}
+	// A foreign plan neither reads the resident index nor evicts it.
+	if got := seg.Index(other); got != nil {
+		t.Fatalf("foreign plan was served an index built under another: %+v", got)
+	}
+	if again := seg.Index(plan); again != first {
+		t.Fatal("a foreign plan's touch evicted the resident index")
+	}
+	// Replaced records: the stale index must not be served.
+	seg.Records = [][]byte{[]byte("9\tz\tx\t1")}
+	rebuilt := seg.Index(plan)
+	if rebuilt == first || rebuilt.Rows != 1 || rebuilt.Cols[0].Ints[0] != 9 {
+		t.Fatalf("index after Records were replaced: %+v", rebuilt)
 	}
 }
 
-func TestColumnarCodecRoundTrip(t *testing.T) {
-	c, records := colSeedColumnar()
-	for _, compress := range []bool{false, true} {
-		buf := EncodeColumnar(c, compress)
-		got, err := DecodeColumnar(buf)
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if got.Rows != c.Rows || got.Dense() != c.Dense() || len(got.Cols) != len(c.Cols) {
-			t.Fatalf("compress=%v: shape changed: %d rows %d dense %d cols",
-				compress, got.Rows, got.Dense(), len(got.Cols))
-		}
-		for i := range got.Cols {
-			if got.Cols[i].Kind != c.Cols[i].Kind {
-				t.Fatalf("compress=%v: column %d kind %d, want %d",
-					compress, i, got.Cols[i].Kind, c.Cols[i].Kind)
-			}
-		}
-		checkSameRecords(t, "round trip", got, records)
+// TestSegmentIndexConcurrentFirstTouch: jobs racing to a segment's first
+// touch get one index, built once (the parser runs once per typed field
+// per row). Run under -race by scripts/verify.sh.
+func TestSegmentIndexConcurrentFirstTouch(t *testing.T) {
+	const rows = 500
+	seg := &Segment{}
+	for i := 0; i < rows; i++ {
+		seg.Records = append(seg.Records, []byte(strconv.Itoa(i)+"\tk"+strconv.Itoa(i%7)+"\tx\t1\tfiller"))
 	}
-
-	// Empty segment: zero rows, no columns.
-	for _, compress := range []bool{false, true} {
-		got, err := DecodeColumnar(EncodeColumnar(&Columnar{}, compress))
-		if err != nil {
-			t.Fatalf("empty compress=%v: %v", compress, err)
-		}
-		if got.Rows != 0 || len(got.Cols) != 0 || len(got.Ragged) != 0 {
-			t.Fatalf("empty compress=%v: decoded %+v", compress, got)
-		}
-	}
-}
-
-// colSeedCorpus builds the committed columnar corpus: genuine encoder
-// output in both framings plus one seed per corruption class the
-// decoder must reject. Names are load-bearing: corrupt-* seeds are
-// asserted rejected by TestFuzzSeedColumnarCorpus, valid-* accepted.
-func colSeedCorpus() []fuzzseed.Seed {
-	c, _ := colSeedColumnar()
-	raw := EncodeColumnar(c, false)
-	comp := EncodeColumnar(c, true)
-
-	badFlags := append([]byte(nil), raw...)
-	badFlags[0] = 0x7C
-
-	// Forged dense row count: header claims more rows than the payload
-	// can hold, which must fail before allocation.
-	fe := wire.NewEncoder(0)
-	fe.Uvarint(1 << 30) // rows
-	fe.Uvarint(0)       // ragged
-	fe.Uvarint(1)       // one column
-	fe.Byte(byte(ColInt))
-	forged := append([]byte{colRaw}, fe.Bytes()...)
-
-	// Dictionary code outside the dictionary.
-	de := wire.NewEncoder(0)
-	de.Uvarint(1) // one row
-	de.Uvarint(0) // ragged
-	de.Uvarint(1) // one column
-	de.Byte(byte(ColDict))
-	de.StringDict([]string{"only"})
-	de.Varint(7) // code 7 of a 1-entry dictionary
-	badDict := append([]byte{colRaw}, de.Bytes()...)
-
-	// Unknown column kind.
-	ke := wire.NewEncoder(0)
-	ke.Uvarint(1)
-	ke.Uvarint(0)
-	ke.Uvarint(1)
-	ke.Byte(byte(numColKinds) + 3)
-	badKind := append([]byte{colRaw}, ke.Bytes()...)
-
-	// Blob lengths out-sizing the blob.
-	be := wire.NewEncoder(0)
-	be.Uvarint(1)
-	be.Uvarint(0)
-	be.Uvarint(1)
-	be.Byte(byte(ColStr))
-	be.Uvarint(3)                   // row claims 3 bytes
-	be.BytesField([]byte("xxxxxx")) // blob holds 6
-	badBlob := append([]byte{colRaw}, be.Bytes()...)
-
-	// Dense rows with no columns: the shape has nowhere to put the rows
-	// (found by the fuzzer — materializing it would loop over a row
-	// count backed by zero bytes).
-	ne := wire.NewEncoder(0)
-	ne.Uvarint(1 << 30) // rows
-	ne.Uvarint(0)       // ragged
-	ne.Uvarint(0)       // no columns
-	noCols := append([]byte{colRaw}, ne.Bytes()...)
-
-	// Ragged row index outside the row range.
-	re := wire.NewEncoder(0)
-	re.Uvarint(2) // two rows
-	re.Uvarint(1) // one ragged
-	re.Uvarint(0) // no columns
-	re.Uvarint(9) // gap lands past row 1
-	re.BytesField([]byte("rec"))
-	badRagged := append([]byte{colRaw}, re.Bytes()...)
-
-	// Valid flate frame around a garbage payload.
-	ge := wire.NewEncoder(0)
-	ge.Byte(colFlate)
-	ge.CompressedBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
-	return []fuzzseed.Seed{
-		{Name: "valid-raw.bin", Data: raw},
-		{Name: "valid-flate.bin", Data: comp},
-		{Name: "valid-empty-raw.bin", Data: EncodeColumnar(&Columnar{}, false)},
-		{Name: "valid-empty-flate.bin", Data: EncodeColumnar(&Columnar{}, true)},
-		{Name: "corrupt-truncated-raw.bin", Data: raw[:len(raw)/2]},
-		{Name: "corrupt-truncated-raw-tail.bin", Data: raw[:len(raw)-1]},
-		{Name: "corrupt-truncated-flate.bin", Data: comp[:len(comp)/2]},
-		{Name: "corrupt-flags.bin", Data: badFlags},
-		{Name: "corrupt-forged-rows.bin", Data: forged},
-		{Name: "corrupt-dense-no-columns.bin", Data: noCols},
-		{Name: "corrupt-dict-code.bin", Data: badDict},
-		{Name: "corrupt-column-kind.bin", Data: badKind},
-		{Name: "corrupt-blob-length.bin", Data: badBlob},
-		{Name: "corrupt-ragged-row.bin", Data: badRagged},
-		{Name: "corrupt-trailing.bin", Data: append(append([]byte(nil), raw...), 0xAA, 0xBB)},
-		{Name: "corrupt-flate-garbage-payload.bin", Data: ge.Bytes()},
-	}
-}
-
-// TestUpdateColumnarFuzzSeeds regenerates the committed corpus when run
-// with -update-fuzz-seeds; otherwise it only checks the generator still
-// produces every corruption class.
-func TestUpdateColumnarFuzzSeeds(t *testing.T) {
-	corpus := colSeedCorpus()
-	if !*updateFuzzSeeds {
-		t.Skipf("generator healthy (%d seeds); pass -update-fuzz-seeds to rewrite testdata/fuzz-seeds/columnar", len(corpus))
-	}
-	if err := fuzzseed.Update("columnar", corpus); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFuzzSeedColumnarCorpus is the regression net over the committed
-// corpus: every corrupt-* seed must be rejected and every valid-* seed
-// accepted, independent of how the seed was built.
-func TestFuzzSeedColumnarCorpus(t *testing.T) {
-	seeds, err := fuzzseed.Load("columnar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var valid, corrupt int
-	for _, s := range seeds {
-		got, err := DecodeColumnar(s.Data)
-		switch {
-		case strings.HasPrefix(s.Name, "corrupt-"):
-			corrupt++
-			if err == nil {
-				t.Errorf("%s: corrupt seed accepted (%d rows)", s.Name, got.Rows)
-			}
-		case strings.HasPrefix(s.Name, "valid-"):
-			valid++
-			if err != nil {
-				t.Errorf("%s: valid seed rejected: %v", s.Name, err)
-			}
-		default:
-			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)
-		}
-	}
-	if valid < 2 || corrupt < 9 {
-		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
-	}
-}
-
-// TestDecodeColumnarRejectsCorruption pins truncation behaviour: an
-// encoded columnar segment cut at any byte must be rejected — never
-// accepted, never a panic.
-func TestDecodeColumnarRejectsCorruption(t *testing.T) {
-	c, _ := colSeedColumnar()
-	for _, compress := range []bool{false, true} {
-		buf := EncodeColumnar(c, compress)
-		for cut := 0; cut < len(buf); cut++ {
-			got, err := DecodeColumnar(buf[:cut])
-			if err == nil {
-				t.Fatalf("compress=%v: truncation at %d/%d accepted (%d rows)",
-					compress, cut, len(buf), got.Rows)
-			}
-		}
-	}
-	for _, s := range colSeedCorpus() {
-		got, err := DecodeColumnar(s.Data)
-		if strings.HasPrefix(s.Name, "corrupt-") && err == nil {
-			t.Errorf("%s: accepted (%d rows)", s.Name, got.Rows)
-		}
-	}
-}
-
-// FuzzColumnarDecode feeds DecodeColumnar arbitrary bytes. Malformed
-// input must error — never panic, never over-allocate; accepted input
-// must survive a re-encode/decode round trip with identical rows
-// (decode→encode→decode is a fixpoint on the materialized records).
-func FuzzColumnarDecode(f *testing.F) {
-	seeds, err := fuzzseed.Load("columnar")
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, s := range seeds {
-		f.Add(s.Data)
-	}
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, in []byte) {
-		got, err := DecodeColumnar(in)
-		if err != nil {
-			return
-		}
-		want := got.Materialize(nil)
-		for _, compress := range []bool{false, true} {
-			re := EncodeColumnar(got, compress)
-			got2, err := DecodeColumnar(re)
-			if err != nil {
-				t.Fatalf("compress=%v: re-decode of re-encoded columnar failed: %v", compress, err)
-			}
-			if got2.Rows != got.Rows || got2.Dense() != got.Dense() {
-				t.Fatalf("compress=%v: round trip changed shape: %d/%d rows %d/%d dense",
-					compress, got2.Rows, got.Rows, got2.Dense(), got.Dense())
-			}
-			again := got2.Materialize(nil)
-			if len(again) != len(want) {
-				t.Fatalf("compress=%v: round trip changed row count: %d vs %d", compress, len(again), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(again[i], want[i]) {
-					t.Fatalf("compress=%v: round trip changed row %d: %q vs %q", compress, i, again[i], want[i])
-				}
-			}
-		}
+	var parses atomic.Int64
+	plan := testPlan(func(b []byte) (int64, bool) {
+		parses.Add(1)
+		return parseDecimal(b)
 	})
+	got := make([]*Columnar, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = seg.Index(plan)
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] || c.Dense() != rows {
+			t.Fatalf("goroutine %d saw index %p (first saw %p)", i, c, got[0])
+		}
+	}
+	if n := parses.Load(); n != 2*rows {
+		t.Fatalf("parser ran %d times, want %d: the index was built more than once", n, 2*rows)
+	}
 }

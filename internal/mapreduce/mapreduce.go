@@ -28,6 +28,7 @@ package mapreduce
 import (
 	"context"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -37,14 +38,18 @@ import (
 // Segment is one ordered slice of the input, as stored in one distributed
 // file chunk. Segment IDs order the global input: the concatenation of
 // segments by ID is the full dataset.
+//
+// A Segment is shared by pointer and must not be copied: it carries the
+// lock behind its lazily built index.
 type Segment struct {
 	ID      int
 	Records [][]byte
-	// Columns, when non-nil, is the columnar form of Records (same rows,
-	// same order; Columns.Materialize reproduces Records byte for byte).
-	// Records stays authoritative — consumers that understand columns
-	// read them, everything else keeps working off the record slice.
-	Columns *Columnar
+
+	// index is the typed-column index over Records (columnar.go), built
+	// at first touch by Index and resident with the segment. It is
+	// derived from Records and takes no part in a segment's identity.
+	mu    sync.Mutex
+	index *Columnar
 }
 
 // Bytes returns the total payload size of the segment.

@@ -41,27 +41,28 @@ func ReadSegments(dir string) ([]*Segment, error) {
 }
 
 // readRecords reads one newline-delimited file; the trailing newline is
-// optional and empty lines are skipped.
+// optional, a carriage return before a newline is dropped, and blank
+// lines are skipped. The file is read into one buffer and the records
+// are sub-slices of it — capacity-clipped, so appending to one cannot
+// write into the next — instead of one allocation per line.
 func readRecords(path string) ([][]byte, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: %w", err)
 	}
-	defer f.Close()
-	var recs [][]byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
+	recs := make([][]byte, 0, bytes.Count(buf, []byte{'\n'})+1)
+	for len(buf) > 0 {
+		line := buf
+		if nl := bytes.IndexByte(buf, '\n'); nl >= 0 {
+			line, buf = buf[:nl], buf[nl+1:]
+		} else {
+			buf = nil
+		}
+		line = bytes.TrimSuffix(line, []byte{'\r'})
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		rec := make([]byte, len(line))
-		copy(rec, line)
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: scanning %s: %w", path, err)
+		recs = append(recs, line[:len(line):len(line)])
 	}
 	return recs, nil
 }

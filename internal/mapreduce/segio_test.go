@@ -72,6 +72,28 @@ func TestReadSegmentsSkipsBlankLines(t *testing.T) {
 	}
 }
 
+// TestReadSegmentsRecordsAreIsolated: the records of one file share a
+// buffer, so each must be clipped to its own bytes — an append to one
+// may not write into its neighbour — and a CRLF file loads like an LF one.
+func TestReadSegmentsRecordsAreIsolated(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.tsv"), []byte("a\tb\r\nc\td\r\n\r\ne"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := segs[0].Records
+	if len(recs) != 3 || string(recs[0]) != "a\tb" || string(recs[1]) != "c\td" || string(recs[2]) != "e" {
+		t.Fatalf("records %q", recs)
+	}
+	_ = append(recs[0], "XXXX"...)
+	if string(recs[1]) != "c\td" {
+		t.Fatalf("append to record 0 wrote into record 1: %q", recs[1])
+	}
+}
+
 func TestReadSegmentsErrors(t *testing.T) {
 	if _, err := ReadSegments(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("expected error for missing dir")

@@ -48,20 +48,17 @@ func chaosSeedCount(t *testing.T, def int) int {
 
 // chaosDatasets generates reduced corpora so a wide seed sweep stays
 // fast; seeds differ from smallDatasets so the two suites cannot mask
-// each other's generator assumptions. Segments carry their columnar
-// form (Columnar: true); half of each sweep strips it, so retries replay
-// both the vectorized and the scalar grouping.
+// each other's generator assumptions.
 func chaosDatasets() map[string][]*mapreduce.Segment {
 	return map[string][]*mapreduce.Segment{
 		"github": data.GenGithub(data.GithubConfig{
-			Records: 3000, Repos: 120, Segments: 6, Filler: 8, Seed: 31,
-			Columnar: true}),
+			Records: 3000, Repos: 120, Segments: 6, Filler: 8, Seed: 31}),
 		"bing": data.GenBing(data.BingConfig{
 			Records: 3000, Users: 200, Geos: 8, Segments: 6,
-			Filler: 8, Seed: 32, Outages: 5, Columnar: true}),
+			Filler: 8, Seed: 32, Outages: 5}),
 		"redshift": data.GenRedshift(data.RedshiftConfig{
 			Records: 3000, Advertisers: 25, Segments: 6,
-			Seed: 33, DarkWindows: 2, Columnar: true}),
+			Seed: 33, DarkWindows: 2}),
 	}
 }
 
@@ -101,13 +98,7 @@ func TestChaosQueriesDifferential(t *testing.T) {
 				// Half the sweep ships flate-compressed segments, so fault
 				// recovery and the compressed wire path are tested together.
 				conf.CompressShuffle = seed%2 == 0
-				// That half also runs column-less segments, so task retries
-				// and speculation replay both grouping forms.
-				in := segs
-				if seed%2 == 0 {
-					in = stripColumns(segs)
-				}
-				got, err := spec.Symple(in, conf)
+				got, err := spec.Symple(segs, conf)
 				if err != nil {
 					t.Fatalf("seed %d: chaos run failed (final attempts are spared; this must succeed): %v", seed, err)
 				}
@@ -215,14 +206,7 @@ func TestClusterChaosDifferential(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				conf := chaosConf(nil)
 				conf.CompressShuffle = seed%2 == 0
-				// Odd seeds ship the segments' columns to the workers
-				// (the colcodec payload in the assignment); even seeds
-				// ship rows only.
 				opt := core.SympleOptions{}
-				in := segs
-				if seed%2 == 0 {
-					in = stripColumns(segs)
-				}
 				plan := cluster.NewChaosPlan(int64(seed*53+qi), conf.MaxAttempts)
 				popts := []cluster.PoolOption{cluster.WithChaos(plan)}
 				// Even seeds run the w2w topology, so peer-conn drops and
@@ -241,7 +225,7 @@ func TestClusterChaosDifferential(t *testing.T) {
 				if w2w {
 					conf.RemoteReduce = pool
 				}
-				got, err := spec.SympleOpts(in, conf, opt)
+				got, err := spec.SympleOpts(segs, conf, opt)
 				pool.Close()
 				injected += plan.Injected()
 				if err != nil {

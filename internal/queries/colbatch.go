@@ -1,7 +1,7 @@
 package queries
 
 import (
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -19,7 +19,29 @@ import (
 // a byte-comparison cascade. Ragged rows (and whole chunks whose columns
 // don't match the expected shape) fall back to the scalar GroupBy, so
 // the batch path never changes which rows are kept or what they yield —
-// pinned by the columnar golden digests and the metamorphic tests.
+// pinned by the golden digests, which every SYMPLE job reaches through
+// this path, and the metamorphic tests.
+
+// The index plans (core.Query.Columns), one per dataset: the leading
+// fields some query below reads, parsed by the function the scalar
+// GroupBy applies to the same field. Fields no query reads are skipped,
+// and everything past the last read field is not in the plan at all.
+var (
+	colDecimal = mapreduce.ColSpec{Kind: mapreduce.ColInt, Parse: data.ParseInt}
+	colFlag    = mapreduce.ColSpec{Kind: mapreduce.ColByte, Parse: data.ParseInt}
+	colDict    = mapreduce.ColSpec{Kind: mapreduce.ColDict}
+	colSkip    = mapreduce.ColSpec{Kind: mapreduce.ColSkip}
+
+	// ts repo op [actor payload…]
+	githubPlan = &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{colDecimal, colDict, colDict}}
+	// ts user geo ok [query…]
+	bingPlan = &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{colDecimal, colDict, colDict, colFlag}}
+	// ts hashtag user spam [text…]
+	twitterPlan = &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{colSkip, colDict, colSkip, colFlag}}
+	// datetime advertiser campaign country [imp url …]
+	redshiftPlan = &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{
+		{Kind: mapreduce.ColInt, Parse: parseRedshiftTime}, colDict, colDict, colDict}}
+)
 
 // dictCol returns column i if it is dictionary-coded, else nil.
 func dictCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
@@ -37,9 +59,9 @@ func intCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
 	return &c.Cols[i]
 }
 
-// strCol returns column i if it is a string column, else nil.
-func strCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
-	if i >= len(c.Cols) || c.Cols[i].Kind != mapreduce.ColStr {
+// byteCol returns column i if it is a byte vector, else nil.
+func byteCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
+	if i >= len(c.Cols) || c.Cols[i].Kind != mapreduce.ColByte {
 		return nil
 	}
 	return &c.Cols[i]
@@ -62,12 +84,23 @@ func newKeyInterner(codes int) keyInterner {
 	return keyInterner{byCode: byCode}
 }
 
-// code interns the key named by a dictionary code.
+// code interns the key named by a dictionary code. Until a key has come
+// in by value there is no string map to consult: dictionary entries are
+// distinct, so a code not seen before is a key not seen before.
 func (in *keyInterner) code(keys *[]string, code uint32, name string) int32 {
 	if ki := in.byCode[code]; ki >= 0 {
 		return ki
 	}
-	ki := in.str(keys, name)
+	var ki int32
+	if in.m == nil {
+		if cap(*keys) == 0 {
+			*keys = make([]string, 0, len(in.byCode)) // at most a key per code
+		}
+		ki = int32(len(*keys))
+		*keys = append(*keys, name)
+	} else {
+		ki = in.str(keys, name)
+	}
 	in.byCode[code] = ki
 	return ki
 }
@@ -75,13 +108,9 @@ func (in *keyInterner) code(keys *[]string, code uint32, name string) int32 {
 // str interns a key by value, building the map on first need.
 func (in *keyInterner) str(keys *[]string, key string) int32 {
 	if in.m == nil {
-		if in.byCode != nil || len(*keys) > 0 {
-			in.m = make(map[string]int32, len(*keys)+8)
-			for i, k := range *keys {
-				in.m[k] = int32(i)
-			}
-		} else {
-			in.m = make(map[string]int32, 8)
+		in.m = make(map[string]int32, len(*keys)+8)
+		for i, k := range *keys {
+			in.m[k] = int32(i)
 		}
 	}
 	if ki, ok := in.m[key]; ok {
@@ -93,40 +122,42 @@ func (in *keyInterner) str(keys *[]string, key string) int32 {
 	return ki
 }
 
-// makeGroupByBatch adapts a per-chunk compile step into the engine's
+// makeGroupByBatch adapts a per-segment compile step into the engine's
 // GroupByBatch contract. compile shape-checks the columns and returns
-// the dense-row emitter (nil → the whole chunk falls back to scalar);
-// ragged rows always go through the scalar groupBy, interned into the
-// same key space.
+// the emitter for a stretch of consecutive dense rows — row is the
+// segment row of dense index lo — (nil → the whole segment falls back to
+// scalar); ragged rows always go through the scalar groupBy, interned
+// into the same key space, in row order with the dense ones.
 func makeGroupByBatch[E any](
 	groupBy func([]byte) (string, E, bool),
-	compile func(cols *mapreduce.Columnar, b *core.Batch[E], in *keyInterner) func(row, dense int),
-) func(*mapreduce.Columnar, int, int, *core.Batch[E]) bool {
-	return func(cols *mapreduce.Columnar, lo, hi int, b *core.Batch[E]) bool {
+	compile func(cols *mapreduce.Columnar, b *core.Batch[E], in *keyInterner) func(row, lo, hi int),
+) func(*mapreduce.Columnar, *core.Batch[E]) bool {
+	return func(cols *mapreduce.Columnar, b *core.Batch[E]) bool {
 		b.Reset()
+		b.KeyIdx = slices.Grow(b.KeyIdx, cols.Rows)
+		b.Rows = slices.Grow(b.Rows, cols.Rows)
+		b.Events = slices.Grow(b.Events, cols.Rows)
 		var in keyInterner
 		emit := compile(cols, b, &in)
 		if emit == nil {
 			return false
 		}
-		it := cols.Iter(lo, hi)
-		for {
-			row, raw, dense, ok := it.Next()
-			if !ok {
-				return true
+		// Dense rows go to the emitter a stretch at a time: the whole
+		// segment in one call when nothing is ragged.
+		row := 0
+		for rag, ragRow := range cols.Ragged {
+			emit(row, row-rag, int(ragRow)-rag)
+			row = int(ragRow) + 1
+			key, ev, kept := groupBy(cols.RaggedRecs[rag])
+			if kept {
+				ki := in.str(&b.Keys, key)
+				b.KeyIdx = append(b.KeyIdx, ki)
+				b.Rows = append(b.Rows, ragRow)
+				b.Events = append(b.Events, ev)
 			}
-			if raw != nil {
-				key, ev, kept := groupBy(raw)
-				if kept {
-					ki := in.str(&b.Keys, key)
-					b.KeyIdx = append(b.KeyIdx, ki)
-					b.Rows = append(b.Rows, int32(row))
-					b.Events = append(b.Events, ev)
-				}
-				continue
-			}
-			emit(row, dense)
 		}
+		emit(row, row-len(cols.Ragged), cols.Dense())
+		return true
 	}
 }
 
@@ -142,28 +173,30 @@ func githubOpTable(dict []string) []int64 {
 
 // compileGithubOp is the shared G1/G2/G3 shape: key = repo (field 1),
 // event = op code (field 2), unknown ops dropped.
-func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
+func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
 	repoCol, opCol := dictCol(cols, 1), dictCol(cols, 2)
 	if repoCol == nil || opCol == nil {
 		return nil
 	}
 	ops := githubOpTable(opCol.Dict)
 	*in = newKeyInterner(len(repoCol.Dict))
-	return func(row, dense int) {
-		op := ops[opCol.Codes[dense]]
-		if op < 0 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			op := ops[opCol.Codes[dense]]
+			if op < 0 {
+				continue
+			}
+			code := repoCol.Codes[dense]
+			ki := in.code(&b.Keys, code, repoCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, op)
 		}
-		code := repoCol.Codes[dense]
-		ki := in.code(&b.Keys, code, repoCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, op)
 	}
 }
 
 // compileG4: key = repo, event = {op, ts}, only branch create/delete.
-func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner) func(row, dense int) {
+func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner) func(row, lo, hi int) {
 	tsCol, repoCol, opCol := intCol(cols, 0), dictCol(cols, 1), dictCol(cols, 2)
 	if tsCol == nil || repoCol == nil || opCol == nil {
 		return nil
@@ -177,110 +210,122 @@ func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner
 		ops[i] = int64(op)
 	}
 	*in = newKeyInterner(len(repoCol.Dict))
-	return func(row, dense int) {
-		op := ops[opCol.Codes[dense]]
-		if op < 0 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			op := ops[opCol.Codes[dense]]
+			if op < 0 {
+				continue
+			}
+			code := repoCol.Codes[dense]
+			ki := in.code(&b.Keys, code, repoCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, g4Event{Op: op, Ts: tsCol.Ints[dense]})
 		}
-		code := repoCol.Codes[dense]
-		ki := in.code(&b.Keys, code, repoCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, g4Event{Op: op, Ts: tsCol.Ints[dense]})
 	}
 }
 
 // compileB1: single constant group, event = ts, successful queries only.
-func compileB1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
-	tsCol, okCol := intCol(cols, 0), intCol(cols, 3)
+func compileB1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
+	tsCol, okCol := intCol(cols, 0), byteCol(cols, 3)
 	if tsCol == nil || okCol == nil {
 		return nil
 	}
-	return func(row, dense int) {
-		if okCol.Ints[dense] != 1 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			if okCol.Bytes[dense] != 1 {
+				continue
+			}
+			ki := in.str(&b.Keys, "all")
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, tsCol.Ints[dense])
 		}
-		ki := in.str(&b.Keys, "all")
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, tsCol.Ints[dense])
 	}
 }
 
 // compileB2: key = geo, event = ts, successful queries only.
-func compileB2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
-	tsCol, geoCol, okCol := intCol(cols, 0), dictCol(cols, 2), intCol(cols, 3)
+func compileB2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
+	tsCol, geoCol, okCol := intCol(cols, 0), dictCol(cols, 2), byteCol(cols, 3)
 	if tsCol == nil || geoCol == nil || okCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(geoCol.Dict))
-	return func(row, dense int) {
-		if okCol.Ints[dense] != 1 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			if okCol.Bytes[dense] != 1 {
+				continue
+			}
+			code := geoCol.Codes[dense]
+			ki := in.code(&b.Keys, code, geoCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, tsCol.Ints[dense])
 		}
-		code := geoCol.Codes[dense]
-		ki := in.code(&b.Keys, code, geoCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, tsCol.Ints[dense])
 	}
 }
 
 // compileB3: key = user, event = ts, no filter.
-func compileB3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
+func compileB3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
 	tsCol, userCol := intCol(cols, 0), dictCol(cols, 1)
 	if tsCol == nil || userCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(userCol.Dict))
-	return func(row, dense int) {
-		code := userCol.Codes[dense]
-		ki := in.code(&b.Keys, code, userCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, tsCol.Ints[dense])
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			code := userCol.Codes[dense]
+			ki := in.code(&b.Keys, code, userCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, tsCol.Ints[dense])
+		}
 	}
 }
 
 // compileT1: key = hashtag, event = spam flag, flag must be 0 or 1.
-func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
-	tagCol, spamCol := dictCol(cols, 1), intCol(cols, 3)
+func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
+	tagCol, spamCol := dictCol(cols, 1), byteCol(cols, 3)
 	if tagCol == nil || spamCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(tagCol.Dict))
-	return func(row, dense int) {
-		spam := spamCol.Ints[dense]
-		if spam != 0 && spam != 1 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			spam := int64(spamCol.Bytes[dense])
+			if spam > 1 {
+				continue
+			}
+			code := tagCol.Codes[dense]
+			ki := in.code(&b.Keys, code, tagCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, spam)
 		}
-		code := tagCol.Codes[dense]
-		ki := in.code(&b.Keys, code, tagCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, spam)
 	}
 }
 
 // compileR1: key = advertiser, unit event, no filter (a dense row always
 // has its advertiser field).
-func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterner) func(row, dense int) {
+func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterner) func(row, lo, hi int) {
 	advCol := dictCol(cols, 1)
 	if advCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, dense int) {
-		code := advCol.Codes[dense]
-		ki := in.code(&b.Keys, code, advCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, struct{}{})
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			code := advCol.Codes[dense]
+			ki := in.code(&b.Keys, code, advCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, struct{}{})
+		}
 	}
 }
 
 // compileR2: key = advertiser, event = country index, unknown dropped.
-func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
+func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
 	advCol, ccCol := dictCol(cols, 1), dictCol(cols, 3)
 	if advCol == nil || ccCol == nil {
 		return nil
@@ -290,43 +335,42 @@ func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 		ccs[i] = int64(data.CountryIndex([]byte(s)))
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, dense int) {
-		cc := ccs[ccCol.Codes[dense]]
-		if cc < 0 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			cc := ccs[ccCol.Codes[dense]]
+			if cc < 0 {
+				continue
+			}
+			code := advCol.Codes[dense]
+			ki := in.code(&b.Keys, code, advCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, cc)
 		}
-		code := advCol.Codes[dense]
-		ki := in.code(&b.Keys, code, advCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, cc)
 	}
 }
 
-// compileR3: key = advertiser, event = Unix seconds of the datetime
-// column. Datetime parsing stays per-row (high-cardinality strings); the
-// batch path only saves the record re-splitting.
-func compileR3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
-	dtCol, advCol := strCol(cols, 0), dictCol(cols, 1)
+// compileR3: key = advertiser, event = the datetime column, which the
+// index holds as Unix seconds (rows it could not parse are ragged).
+func compileR3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
+	dtCol, advCol := intCol(cols, 0), dictCol(cols, 1)
 	if dtCol == nil || advCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, dense int) {
-		t, err := time.Parse(redshiftLayout, string(dtCol.Str(dense)))
-		if err != nil {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			code := advCol.Codes[dense]
+			ki := in.code(&b.Keys, code, advCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, dtCol.Ints[dense])
 		}
-		code := advCol.Codes[dense]
-		ki := in.code(&b.Keys, code, advCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, t.Unix())
 	}
 }
 
 // compileR4: key = advertiser, event = campaign index, unknown dropped.
-func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, dense int) {
+func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
 	advCol, campCol := dictCol(cols, 1), dictCol(cols, 2)
 	if advCol == nil || campCol == nil {
 		return nil
@@ -336,15 +380,17 @@ func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 		camps[i] = int64(data.CampaignIndex([]byte(s)))
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, dense int) {
-		c := camps[campCol.Codes[dense]]
-		if c < 0 {
-			return
+	return func(row, lo, hi int) {
+		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
+			c := camps[campCol.Codes[dense]]
+			if c < 0 {
+				continue
+			}
+			code := advCol.Codes[dense]
+			ki := in.code(&b.Keys, code, advCol.Dict[code])
+			b.KeyIdx = append(b.KeyIdx, ki)
+			b.Rows = append(b.Rows, int32(row))
+			b.Events = append(b.Events, c)
 		}
-		code := advCol.Codes[dense]
-		ki := in.code(&b.Keys, code, advCol.Dict[code])
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(row))
-		b.Events = append(b.Events, c)
 	}
 }

@@ -121,26 +121,22 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // TestGoldenDigestsSymple runs every golden-digest query through the
-// SYMPLE engine over every input form and codec mode a job can meet,
-// and checks each against the committed reference digests:
+// SYMPLE engine in every state a job can find its segments in, and
+// checks each against the committed reference digests:
 //
-//   - column-less segments (the chunk executor groups with the scalar
-//     GroupBy per record), with CompressShuffle off and on;
-//   - segments carrying columns attached by the generator-side converter
-//     (vectorized GroupBy);
-//   - columns round-tripped through the columnar segment codec
-//     (EncodeColumnar/DecodeColumnar, raw and flate) — the form a
-//     cluster assignment ships.
+//   - first touch: nothing resident, the job builds each segment's index;
+//   - resident: the same segments again, with CompressShuffle off and on;
+//   - a segment resident under a foreign plan (the chunk executor groups
+//     with the scalar GroupBy per record).
 //
-// The wire encoding and the input form must both be invisible to query
-// semantics; any divergence here is a codec or batch-execution bug, not
-// a query change, so there is no -update escape hatch. Each run is
-// traced and the trace must pass every obs.Verifier invariant, so the
-// golden runs double as end-to-end observability checks on all 12
-// queries in every mode.
+// The wire encoding and where the GroupBy read its fields from must
+// both be invisible to query semantics; any divergence here is a codec
+// or batch-execution bug, not a query change, so there is no -update
+// escape hatch. Each run is traced and the trace must pass every
+// obs.Verifier invariant, so the golden runs double as end-to-end
+// observability checks on all 12 queries in every mode.
 func TestGoldenDigestsSymple(t *testing.T) {
-	rows := smallDatasets(goldenSegments)
-	cols := columnarDatasets(goldenSegments)
+	datasets := smallDatasets(goldenSegments)
 	want := readGoldenFile(t)
 	for _, spec := range All() {
 		spec := spec
@@ -149,17 +145,18 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			if !ok {
 				t.Fatalf("missing from golden file (regenerate with -update)")
 			}
-			csegs := cols[spec.Dataset]
+			// Queries of one dataset share its segments, so each takes
+			// fresh ones to make its first run a first touch.
+			segs := unindexed(datasets[spec.Dataset])
 			for _, v := range []struct {
 				name     string
 				segs     []*mapreduce.Segment
 				compress bool
 			}{
-				{"rows", rows[spec.Dataset], false},
-				{"rows-compressed", rows[spec.Dataset], true},
-				{"columns", csegs, false},
-				{"columns-shipped-raw", reshipColumns(t, csegs, false), false},
-				{"columns-shipped-flate", reshipColumns(t, csegs, true), false},
+				{"first-touch", segs, false},
+				{"resident", segs, false},
+				{"resident-compressed", segs, true},
+				{"foreign-plan", scalarOnly(segs), false},
 			} {
 				sink := obs.NewMemSink()
 				reg := obs.NewRegistry()

@@ -273,8 +273,9 @@ func (x *Executor[S, E]) feed(rec E) {
 		}
 		next = x.explore(next, p, rec)
 		// p was replaced by its clones and is never referenced again;
-		// recycle it. Sharing through CopyFrom is pointer-level and
-		// copy-on-append, so reuse cannot alias live paths.
+		// recycle it. Sharing through CopyFrom is pointer-level, and a
+		// reused container is overwritten field by field before it is
+		// appended to (see Schema.put), so reuse cannot alias live paths.
 		x.recycle(p)
 	}
 	x.settle(next, 1)

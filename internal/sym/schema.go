@@ -182,10 +182,13 @@ func (sc *Schema[S]) get() *pathState[S] {
 }
 
 // put retires a container to the pool. Safe even while other states
-// alias its slice-valued fields: every Value either copies on append
-// (three-index slices in SymVector/SymIntVector/SymPred) or replaces
-// whole slice headers, so a recycled container can never scribble over
-// data a live path still references.
+// alias its slice-valued fields: a recycled container's next user
+// overwrites every field before appending to any (get's contract:
+// CopyFrom, ResetSymbolic or Decode), and those either install a
+// clipped view (SymVector/SymIntVector — see SymVector on who may hold
+// spare capacity), copy on append (SymPred) or replace whole slice
+// headers, so it can never scribble over data a live path still
+// references.
 func (sc *Schema[S]) put(p *pathState[S]) {
 	if p != nil {
 		sc.pool.Put(p)

@@ -16,6 +16,16 @@ import (
 //
 // Use SymIntVector instead when appended elements can themselves be
 // symbolic (e.g. a count that is still a·x+b when pushed).
+//
+// Forked paths share a backing array (CopyFrom copies the slice header,
+// not the elements) under one invariant: at most one holder has spare
+// capacity over it. CopyFrom clips the receiver to its length, so the
+// copy's first Push reallocates while the source keeps appending in
+// place — past every clipped view's length, where no other holder can
+// see. Push is therefore plain append, amortised O(1); a vector value
+// must only ever be duplicated through CopyFrom, never by struct
+// assignment, or two holders would append into the same spare slots.
+// SymIntVector follows the same rule.
 type SymVector[T any] struct {
 	codec Codec[T]
 	elems []T
@@ -28,11 +38,7 @@ func NewSymVector[T any](codec Codec[T]) SymVector[T] {
 }
 
 // Push appends a concrete element.
-func (v *SymVector[T]) Push(e T) {
-	// Three-index append: paths sharing a backing array after CopyFrom
-	// must not see each other's appends.
-	v.elems = append(v.elems[:len(v.elems):len(v.elems)], e)
-}
+func (v *SymVector[T]) Push(e T) { v.elems = append(v.elems, e) }
 
 // Elems returns the vector contents. The slice must not be mutated.
 func (v *SymVector[T]) Elems() []T { return v.elems }
@@ -46,7 +52,7 @@ func (v *SymVector[T]) ResetSymbolic(int) { v.elems = nil }
 // CopyFrom implements Value.
 func (v *SymVector[T]) CopyFrom(src Value) {
 	s := src.(*SymVector[T])
-	v.elems = s.elems // copy-on-append via Push's three-index slice
+	v.elems = s.elems[:len(s.elems):len(s.elems)] // clipped: see the type comment
 	if s.codec.Encode != nil {
 		v.codec = s.codec
 	}
@@ -192,9 +198,7 @@ func (v *SymIntVector) PushEnum(s *SymEnum) {
 	v.push(intElem{sym: true, field: s.id, a: 1, b: 0})
 }
 
-func (v *SymIntVector) push(e intElem) {
-	v.elems = append(v.elems[:len(v.elems):len(v.elems)], e)
-}
+func (v *SymIntVector) push(e intElem) { v.elems = append(v.elems, e) }
 
 // Len returns the number of elements.
 func (v *SymIntVector) Len() int { return len(v.elems) }
@@ -217,7 +221,8 @@ func (v *SymIntVector) ResetSymbolic(int) { v.elems = nil }
 
 // CopyFrom implements Value.
 func (v *SymIntVector) CopyFrom(src Value) {
-	v.elems = src.(*SymIntVector).elems // copy-on-append via push
+	e := src.(*SymIntVector).elems
+	v.elems = e[:len(e):len(e)] // clipped: see SymVector
 }
 
 // IsConcrete implements Value.

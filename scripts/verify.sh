@@ -15,8 +15,9 @@ go vet ./...
 go build ./...
 go test ./...
 # The race leg covers the one SYMPLE engine end to end — the batched
-# chunk executor over rows and over columns, the column codec
-# (internal/mapreduce) and the record↔columnar converter (internal/data).
+# chunk executor over a segment's index, built at first touch under
+# concurrent jobs (internal/mapreduce, internal/queries), and the scalar
+# fallback.
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Short chaos sweep: seeded fault injection at every task boundary,
 # digests checked against the fault-free run. CI runs the wide sweep
@@ -45,6 +46,9 @@ go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|
 # registry fails its self-check. CI's `traced` job runs the wide form
 # (-count=2 -shuffle=on).
 OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries
+# Benchmark smoke: all four workloads at 2000-record inputs, traced and
+# untraced, every job digest-checked against Spec.Sequential.
+go run ./benchmark -smoke
 # Size ratchet (ROADMAP item 3): lines per package and option-struct
 # field counts, failing when any has grown past scripts/loc_record.txt.
 ./scripts/loc.sh --check
