@@ -12,7 +12,7 @@ import (
 // partition's owning worker merges its runs (cluster w2w topology),
 // each key group holds one summary bundle per mapper chunk. The owner
 // does the real reduce work in place: fold the group's summaries onto
-// the query's initial state (foldGroup, the reducer's own fold) and
+// the query's initial state (groupFolder, the reducer's own fold) and
 // ship the concrete final state back as a single constant summary —
 // legitimate because a concretized state admits any input (Concretize
 // clears every field's constraint, §4.2), so the coordinator-side fold
@@ -32,7 +32,9 @@ import (
 // combiner firing, only reply size does. Each folded group emits the
 // reducer's compose span shape (composes = 0, applies = summaries)
 // under an "owner/" name, so the trace verifier's compose-count
-// invariant covers the owner-side reduce too.
+// invariant covers the owner-side reduce too. The combiner folds every
+// group on one site, so calls must not overlap (the cluster worker makes
+// them under its cachedReducer's lock).
 func SympleCombiner[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error), error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -41,15 +43,16 @@ func SympleCombiner[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) 
 	if err != nil {
 		return nil, fmt.Errorf("core %q: %w", q.Name, err)
 	}
+	site := newGroupFolder(sc)
 	return func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error) {
 		span := trace.Start(obs.KindCompose, "owner/"+key)
-		final, n, err := foldGroup(sc, rows)
+		final, n, err := site.fold(rows)
 		if err != nil || n == 0 {
 			// A half-open span is never flushed.
 			return rows, nil
 		}
 		span.Attr(obs.AttrSummaries, n).Attr(obs.AttrComposes, 0).Attr(obs.AttrApplies, n).End()
-		buf := sc.EncodeSummaryBundle([]*sym.Summary[S]{sym.NewSummary(q.NewState, []S{final})})
+		buf := sym.EncodeSummaryBundle([]*sym.Summary[S]{sym.NewSummary(q.NewState, []S{final})})
 		// Row identity comes from the group's first row: the reducer
 		// ignores (MapperID, RecordID), and keeping the minimum preserves
 		// the merge order's invariants for any future reader that does

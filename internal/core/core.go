@@ -260,7 +260,7 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 
 // SympleOptions tunes how the SYMPLE engine executes a query. The zero
 // value is RunSymple's behavior. Neither field selects an engine: there
-// is one chunk executor (symExecChunk) and one summary fold (sym.Fold).
+// is one chunk executor (symExecChunk) and one summary fold (sym.Folder).
 type SympleOptions struct {
 	// Combine enables the mapper-side combiner: before shuffling, each
 	// group's ordered summary list is pre-composed into a single summary
@@ -297,9 +297,9 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	// One compiled schema serves the whole run: mapper executors, memo
-	// transitions, reducer decoding and summary application all draw
-	// path-state containers from its pool (it is concurrency-safe).
+	// One compiled schema serves the whole run: mapper executors and
+	// memo transitions draw path-state containers from its pool (it is
+	// concurrency-safe), and each reduce task's fold site is built on it.
 	sc, err := sym.NewSchema(q.NewState)
 	if err != nil {
 		return nil, fmt.Errorf("core %q: %w", q.Name, err)
@@ -309,8 +309,12 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	var mu sync.Mutex
 	results := make(map[string]R)
 	stats := SymStats{}
-	agg := &composeAgg{}
-	reduce := func(_ int, key string, values []mapreduce.Shuffled) error {
+	// One fold site per reduce task: attempts of a task run one after
+	// another and tasks never share a partition, so sites[p] has one
+	// user at a time and a retry folds on the site the failure left.
+	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
+	agg := &composeAgg{over: make([]overflowSums, len(sites))}
+	reduce := func(p int, key string, values []mapreduce.Shuffled) error {
 		var t0 time.Time
 		timed := false
 		if trace != nil {
@@ -318,12 +322,17 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 				t0 = time.Now()
 			}
 		}
+		if sites[p] == nil {
+			sites[p] = newGroupFolder(sc)
+		}
 		// values arrive ordered by (mapperID, recordID): the order the
 		// chunks appear in the input.
-		final, n, err := foldGroup(sc, values)
+		final, n, err := sites[p].fold(values)
 		if err != nil {
 			return err
 		}
+		// Result reads the site's one state, which the next group resets:
+		// whatever outlives this call must be taken from it here.
 		r := q.Result(key, final)
 		// The fold is n applies and zero summary∘summary compositions;
 		// the compose span records both so the verifier's compose-count
@@ -331,7 +340,7 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 		if timed {
 			emitComposeSpan(trace, key, t0, time.Now(), n, 0, n)
 		} else if trace != nil {
-			agg.addOverflow(n, 0, n)
+			agg.addOverflow(p, n, 0, n)
 		}
 		mu.Lock()
 		results[key] = r
@@ -354,20 +363,33 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	return &Output[R]{Results: results, Metrics: metrics, Sym: stats}, nil
 }
 
-// foldGroup folds one group's ordered summary bundles onto the initial
-// state — the reduce of a SYMPLE job, wherever it runs (in-process
-// reducer, partition owner) — returning the final state and how many
+// groupFolder is the reduce of a SYMPLE job wherever it runs (in-process
+// reduce task, partition owner): one fold site and the one state every
+// group of the partition is folded on in turn. Not safe for concurrent
+// use.
+type groupFolder[S sym.State] struct {
+	site  *sym.Folder[S]
+	state *sym.FoldState[S]
+}
+
+func newGroupFolder[S sym.State](sc *sym.Schema[S]) *groupFolder[S] {
+	site := sym.NewFolder(sc)
+	return &groupFolder[S]{site: site, state: site.NewState()}
+}
+
+// fold folds one group's ordered summary bundles onto the initial state,
+// returning the final state — valid until the next fold — and how many
 // summaries it applied.
-func foldGroup[S sym.State](sc *sym.Schema[S], values []mapreduce.Shuffled) (S, int64, error) {
-	f := sym.NewFold(sc)
+func (g *groupFolder[S]) fold(values []mapreduce.Shuffled) (S, int64, error) {
+	g.site.Reset(g.state)
 	var n int64
 	for _, v := range values {
-		k, err := f.AddBundle(v.Value)
-		n += int64(k)
+		k, err := g.site.AddBundle(g.state, v.Value)
 		if err != nil {
 			var zero S
 			return zero, n, fmt.Errorf("folding summary bundle of mapper %d: %w", v.MapperID, err)
 		}
+		n += int64(k)
 	}
-	return f.State(), n, nil
+	return g.state.State(), n, nil
 }

@@ -1,0 +1,184 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/mapreduce"
+	"repro/internal/sym"
+)
+
+// sessionInput is n key\ttimestamp lines over the given number of keys,
+// timestamps rising so sessions open and close.
+func sessionInput(r *rand.Rand, n, keys int) []string {
+	lines := make([]string, n)
+	ts := int64(0)
+	for i := range lines {
+		ts += int64(r.Intn(200))
+		lines[i] = fmt.Sprintf("k%d\t%d", r.Intn(keys), ts)
+	}
+	return lines
+}
+
+// partitionGroups maps every segment with the engine's own mapper and
+// returns one reduce partition's worth of groups: keys in sorted order,
+// each with its bundles in mapper order.
+func partitionGroups(t *testing.T, q *Query[*sessState, int64, []int64], segs []*mapreduce.Segment) (keys []string, groups map[string][]mapreduce.Shuffled) {
+	t.Helper()
+	mapFn, err := SympleMapper(q, SympleOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups = map[string][]mapreduce.Shuffled{}
+	for i, seg := range segs {
+		emit := func(key string, rec int64, value []byte) {
+			if cap(value) != len(value) {
+				t.Errorf("mapper %d key %q: emitted value has %d spare bytes a holder could append into", i, key, cap(value)-len(value))
+			}
+			groups[key] = append(groups[key], mapreduce.Shuffled{MapperID: i, RecordID: rec, Value: value})
+		}
+		if err := mapFn(i, seg, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys, groups
+}
+
+// TestGroupFolderRetryAfterMidPartitionFailure: a reduce attempt that
+// dies inside a group — one bundle already folded, the next corrupt —
+// leaves its site dirty; the retry folds the whole partition again on
+// that same site and must produce the sequential results.
+func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
+	q := sessionQuery()
+	segs := makeSegments(sessionInput(rand.New(rand.NewSource(21)), 900, 7), 4)
+	want, err := RunSequential(q, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, groups := partitionGroups(t, q, segs)
+	sc, err := sym.NewSchema(q.NewState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := newGroupFolder(sc)
+	for failAt := range keys {
+		for i, key := range keys {
+			values := groups[key]
+			if i == failAt {
+				if len(values) < 2 {
+					t.Fatalf("key %q has %d bundles; the test wants a failure after the first", key, len(values))
+				}
+				values = append([]mapreduce.Shuffled(nil), values...)
+				last := &values[len(values)-1]
+				last.Value = last.Value[:len(last.Value)-1]
+			}
+			_, _, err := site.fold(values)
+			if (err != nil) != (i == failAt) {
+				t.Fatalf("failAt %d, group %d: err = %v", failAt, i, err)
+			}
+			if err != nil {
+				break // the attempt is over
+			}
+		}
+		got := map[string][]int64{}
+		for _, key := range keys {
+			final, _, err := site.fold(groups[key])
+			if err != nil {
+				t.Fatalf("retry after failing in group %d: key %q: %v", failAt, key, err)
+			}
+			got[key] = q.Result(key, final)
+		}
+		if !reflect.DeepEqual(got, want.Results) {
+			t.Fatalf("retry after failing in group %d diverges from sequential", failAt)
+		}
+	}
+}
+
+// TestReduceAttemptsShareASite: with every reduce task's early attempts
+// failed by the fault plan, the attempt that succeeds runs on the site
+// its task kept, and the job's answer is the fault-free one.
+func TestReduceAttemptsShareASite(t *testing.T) {
+	q := sessionQuery()
+	segs := makeSegments(sessionInput(rand.New(rand.NewSource(22)), 1200, 40), 5)
+	want, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mapreduce.NewFaultPlan(7).WithPoints(mapreduce.PointReduceMerge).
+		WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
+	got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3, MaxAttempts: 3, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics.ReduceAttempts <= 3 {
+		t.Fatalf("%d reduce attempts for 3 tasks: the plan injected nothing", got.Metrics.ReduceAttempts)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatal("results under reduce retries diverge from the fault-free run")
+	}
+}
+
+// TestBundleSlab: a slab value is the bundle's exact bytes, clipped so
+// that appending to it cannot reach its neighbour; chunks roll over, and
+// a bundle larger than a chunk gets an array of its own.
+func TestBundleSlab(t *testing.T) {
+	q := sessionQuery()
+	sc, err := sym.NewSchema(q.NewState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := sym.NewSchemaExecutor(sc, q.Update, q.Options)
+	var slab bundleSlab
+	var values, want [][]byte
+	total := 0
+	add := func(sums []*sym.Summary[*sessState]) {
+		want = append(want, sym.EncodeSummaryBundle(sums))
+		values = append(values, slab.put(want[len(want)-1]))
+		total += len(want[len(want)-1])
+	}
+	small := func(events int) []*sym.Summary[*sessState] {
+		x.Reset()
+		for i := 0; i < events; i++ {
+			if err := x.Feed(int64(i) * 150); err != nil { // every event opens a session
+				t.Fatal(err)
+			}
+		}
+		sums, err := x.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sums
+	}
+	for total < 2*slabChunk {
+		add(small(1 + len(values)%7))
+	}
+	long := q.NewState()
+	for i := 0; i < slabChunk; i++ {
+		long.Counts.Push(int64(i))
+	}
+	add([]*sym.Summary[*sessState]{sym.NewSummary(q.NewState, []*sessState{long})})
+	if big := len(values[len(values)-1]); big <= slabChunk {
+		t.Fatalf("the large bundle is %d bytes, want more than a chunk", big)
+	}
+	add(small(3))
+	for i, v := range values {
+		if !bytes.Equal(v, want[i]) {
+			t.Fatalf("bundle %d of %d: the slab's copy differs", i, len(values))
+		}
+		if cap(v) != len(v) {
+			t.Fatalf("bundle %d: %d spare bytes", i, cap(v)-len(v))
+		}
+	}
+	_ = append(values[0], 0xff) // reallocates: values[1] is untouched
+	if !bytes.Equal(values[1], want[1]) {
+		t.Fatal("appending to one value wrote into the next")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/sym"
+	"repro/internal/wire"
 )
 
 // SympleMapper builds the standalone map side of a SYMPLE query — the
@@ -64,6 +65,11 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			lreg = obs.NewRegistry()
 			sumBytes = lreg.Histogram(MetricSummaryBytes)
 		}
+		// A bundle's size is unknown until encoded: encode into enc, then
+		// copy into the task's slab.
+		enc := wire.GetEncoder()
+		defer wire.PutEncoder(enc)
+		var slab bundleSlab
 		for i, key := range out.order {
 			sums := out.keySums(i)
 			if opt.Combine && len(sums) > 1 {
@@ -81,9 +87,9 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 					sums = []*sym.Summary[S]{composed}
 				}
 			}
-			// The shuffle retains emitted values; the bundle codec hands
-			// back an exact-size buffer that aliases no pooled state.
-			buf := sc.EncodeSummaryBundle(sums)
+			enc.Reset()
+			sym.AppendSummaryBundle(enc, sums)
+			buf := slab.put(enc.Bytes())
 			sumBytes.Observe(int64(len(buf)))
 			emit(key, out.lastRec[i], buf)
 			for _, s := range sums {
@@ -112,4 +118,28 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		mu.Unlock()
 		return nil
 	}
+}
+
+// slabChunk is the allocation unit of a bundleSlab: a heap object per
+// thousand or so bundles (tens of bytes each on high-cardinality
+// queries), and a last chunk whose unfilled tail is noise beside them.
+const slabChunk = 64 << 10
+
+// bundleSlab lays one map task's encoded bundles back to back in
+// slabChunk-sized arrays instead of one heap object per (mapper, group).
+// The shuffle — and after it the serve cache — retains emitted values,
+// so each is a cap-clipped sub-slice: nothing can append over a
+// neighbour. A slab belongs to one task, so a retained value pins chunks
+// of its own segment's output only.
+type bundleSlab struct{ chunk []byte }
+
+// put copies one encoded bundle into the slab and returns the copy. A
+// bundle larger than a chunk gets an array of its own.
+func (b *bundleSlab) put(bundle []byte) []byte {
+	if cap(b.chunk)-len(b.chunk) < len(bundle) {
+		b.chunk = make([]byte, 0, max(len(bundle), slabChunk))
+	}
+	off := len(b.chunk)
+	b.chunk = append(b.chunk, bundle...)
+	return b.chunk[off:len(b.chunk):len(b.chunk)]
 }

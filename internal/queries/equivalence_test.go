@@ -10,6 +10,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/serve"
+	"repro/internal/sym"
+	"repro/internal/wire"
 )
 
 // randomChunking re-segments a corpus at random cut points, preserving
@@ -111,11 +113,10 @@ func TestCombinerShrinksSummaryTraffic(t *testing.T) {
 	}
 }
 
-// serveSessionFold answers the query the way the query service does,
-// minus the server and the shuffle: map each segment with the session's
-// mapper (one bundle per key) and fold the per-key bundles, in dataset
-// order, through the session's standing per-key folds.
-func serveSessionFold(t *testing.T, id string, segs []*mapreduce.Segment) serve.Result {
+// segmentBundles maps each segment with the serve session's mapper —
+// the engine's own — and returns, per segment, the one bundle per key a
+// batch run would shuffle and the service would cache.
+func segmentBundles(t *testing.T, id string, segs []*mapreduce.Segment) []map[string][]byte {
 	t.Helper()
 	sess, err := serve.Lookup(id).NewSession()
 	if err != nil {
@@ -125,13 +126,28 @@ func serveSessionFold(t *testing.T, id string, segs []*mapreduce.Segment) serve.
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]map[string][]byte, len(segs))
 	for i, seg := range segs {
-		bundles := map[string][]byte{}
-		emit := func(key string, _ int64, value []byte) { bundles[key] = value }
+		out[i] = map[string][]byte{}
+		emit := func(key string, _ int64, value []byte) { out[i][key] = value }
 		if err := mapFn(i, seg, emit); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Fold(bundles); err != nil {
+	}
+	return out
+}
+
+// sessionFold answers the query the way the query service does, minus
+// the server: fold each segment's bundles, in dataset order, through a
+// session's standing per-key states.
+func sessionFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) serve.Result {
+	t.Helper()
+	sess, err := run.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bundles {
+		if err := sess.Fold(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,15 +158,91 @@ func serveSessionFold(t *testing.T, id string, segs []*mapreduce.Segment) serve.
 	return res
 }
 
-// TestFoldSitesAgree pins the one-fold claim on all 12 queries: the
-// three places an ordered summary list becomes a state — the
-// in-process reducer, the w2w partition owner (SympleCombiner, whose
-// constant summary the coordinator-side reducer then applies) and the
-// query service's standing session — all go through sym.Fold and must
-// all produce the sequential digest.
+// bundleSites folds the same per-segment bundles at the two sites that
+// need the query's types: a StreamComposer per key (a chunk per
+// segment, delivered last-first and empty where the key is absent) and
+// the partition owner's combiner, whose constant bundle a session then
+// applies as the coordinator-side reducer would. absent counts the
+// (key, segment) pairs with no bundle.
+func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer, owner serve.Result, absent int) {
+	t.Helper()
+	r := run.(*serveRunner[S, E, R])
+	rows := map[string][]mapreduce.Shuffled{}
+	for i, b := range bundles {
+		for key, data := range b {
+			rows[key] = append(rows[key], mapreduce.Shuffled{MapperID: i, Value: data})
+		}
+	}
+	comb, err := core.SympleCombiner(r.q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(map[string]R, len(rows))
+	constant := make(map[string][]byte, len(rows))
+	for key, group := range rows {
+		c := sym.NewStreamComposer(r.q.NewState)
+		for i := len(bundles) - 1; i >= 0; i-- {
+			var sums []*sym.Summary[S]
+			if data, ok := bundles[i][key]; ok {
+				d := wire.NewDecoder(data)
+				for n := d.Uvarint(); n > 0; n-- {
+					s, err := sym.DecodeSummary(r.q.NewState, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sums = append(sums, s)
+				}
+			} else {
+				absent++
+			}
+			if _, err := c.Add(i, sums); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state, n := c.Prefix()
+		if n != len(bundles) {
+			t.Fatalf("key %q: composer folded %d of %d chunks", key, n, len(bundles))
+		}
+		results[key] = r.q.Result(key, state)
+
+		out, err := comb(key, group)
+		if err != nil || len(out) != 1 {
+			t.Fatalf("key %q: combiner returned %d rows, err %v", key, len(out), err)
+		}
+		constant[key] = out[0].Value
+	}
+	composer.Digest, composer.NumResults = digestResults(results, r.format)
+	return composer, sessionFold(t, run, []map[string][]byte{constant}), absent
+}
+
+// typedSites instantiates bundleSites for each query's types.
+var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) (composer, owner serve.Result, absent int){
+	"G1": bundleSites[*g1State, int64, bool],
+	"G2": bundleSites[*g2State, int64, []int64],
+	"G3": bundleSites[*g3State, int64, []int64],
+	"G4": bundleSites[*g4State, g4Event, []int64],
+	"B1": bundleSites[*b1State, int64, []int64],
+	"B2": bundleSites[*b2State, int64, int64],
+	"B3": bundleSites[*b3State, int64, []int64],
+	"T1": bundleSites[*t1State, int64, []int64],
+	"R1": bundleSites[*r1State, struct{}, int64],
+	"R2": bundleSites[*r2State, int64, string],
+	"R3": bundleSites[*r3State, int64, []int64],
+	"R4": bundleSites[*r4State, int64, []int64],
+}
+
+// TestFoldSitesAgree pins the one-fold claim on all 12 queries: every
+// place an ordered summary list becomes a state goes through sym.Folder
+// and produces the sequential digest. Two sites run as whole jobs — the
+// in-process reducer and the w2w partition owner (SympleCombiner, whose
+// constant summary the coordinator-side reducer then applies) — and
+// three fold the very same per-segment bundles: the query service's
+// standing session, a StreamComposer per key, and the owner's combiner
+// called directly. Keys absent from some segments are part of the input.
 func TestFoldSitesAgree(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
 	eps := chaosWorkers(t, 2)
+	absent := 0
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
@@ -174,7 +266,10 @@ func TestFoldSitesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("owner fold: %v", err)
 			}
-			session := serveSessionFold(t, spec.ID, segs)
+			bundles := segmentBundles(t, spec.ID, segs)
+			session := sessionFold(t, serve.Lookup(spec.ID), bundles)
+			composer, combiner, n := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
+			absent += n
 			for _, got := range []struct {
 				site    string
 				digest  uint64
@@ -183,6 +278,8 @@ func TestFoldSitesAgree(t *testing.T) {
 				{"reducer", reducer.Digest, reducer.NumResults},
 				{"w2w owner", owner.Digest, owner.NumResults},
 				{"serve session", session.Digest, session.NumResults},
+				{"stream composer", composer.Digest, composer.NumResults},
+				{"owner combiner", combiner.Digest, combiner.NumResults},
 			} {
 				if got.digest != seq.Digest || got.results != seq.NumResults {
 					t.Errorf("%s fold: digest %016x (%d results) != sequential %016x (%d)",
@@ -190,5 +287,8 @@ func TestFoldSitesAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+	if absent == 0 {
+		t.Error("every key appeared in every segment: the absent-key case went untested")
 	}
 }

@@ -39,18 +39,17 @@ func (r *serveRunner[S, E, R]) NewSession() (serve.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &serveSession[S, E, R]{r: r, sc: sc, folds: map[string]*sym.Fold[S]{}}, nil
+	return &serveSession[S, E, R]{r: r, site: sym.NewFolder(sc), states: map[string]*sym.FoldState[S]{}}, nil
 }
 
-// serveSession is one job's standing fold: a sym.Fold per group key,
-// fed each folded segment's bundle for that key. Segments arrive in
-// dataset order (the Session contract), so a key absent from a segment
-// simply keeps its state. All folds share the session's schema pool
-// with the summaries they decode and consume.
+// serveSession is one job's standing fold: one fold site for the
+// session and a state per group key, fed each folded segment's bundle
+// for that key. Segments arrive in dataset order (the Session
+// contract), so a key absent from a segment simply keeps its state.
 type serveSession[S sym.State, E, R any] struct {
-	r     *serveRunner[S, E, R]
-	sc    *sym.Schema[S]
-	folds map[string]*sym.Fold[S]
+	r      *serveRunner[S, E, R]
+	site   *sym.Folder[S]
+	states map[string]*sym.FoldState[S]
 }
 
 func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, error) {
@@ -59,12 +58,12 @@ func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, err
 
 func (s *serveSession[S, E, R]) Fold(bundles map[string][]byte) error {
 	for key, data := range bundles {
-		f := s.folds[key]
-		if f == nil {
-			f = sym.NewFold(s.sc)
-			s.folds[key] = f
+		st := s.states[key]
+		if st == nil {
+			st = s.site.NewState()
+			s.states[key] = st
 		}
-		if _, err := f.AddBundle(data); err != nil {
+		if _, err := s.site.AddBundle(st, data); err != nil {
 			return err
 		}
 	}
@@ -72,12 +71,12 @@ func (s *serveSession[S, E, R]) Fold(bundles map[string][]byte) error {
 }
 
 func (s *serveSession[S, E, R]) Result() (serve.Result, error) {
-	// Fold states are live: the queries' Result funcs are read-only over
+	// The states are live: the queries' Result funcs are read-only over
 	// the final state (they build fresh output containers), so
 	// formatting here does not disturb the fold.
-	results := make(map[string]R, len(s.folds))
-	for key, f := range s.folds {
-		results[key] = s.r.q.Result(key, f.State())
+	results := make(map[string]R, len(s.states))
+	for key, st := range s.states {
+		results[key] = s.r.q.Result(key, st.State())
 	}
 	d, n := digestResults(results, s.r.format)
 	return serve.Result{Digest: d, NumResults: n}, nil

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -331,13 +332,18 @@ func checkApplied[S sym.State, E, R any](
 	return nil
 }
 
-// formatInts renders an int64 slice compactly.
+// formatInts renders an int64 slice compactly, comma-separated.
 func formatInts(vs []int64) string {
-	parts := make([]string, len(vs))
+	var b strings.Builder
+	b.Grow(4 * len(vs))
+	var digits [20]byte
 	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(strconv.AppendInt(digits[:0], v, 10))
 	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // All returns every query spec, in Table 1 order.

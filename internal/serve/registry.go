@@ -8,7 +8,7 @@
 // it depends only on (segment content, query schema) — never on which
 // job asked. The cache stores each mapped segment's encoded per-key
 // summary bundles under that key, so a re-submitted job folds cached
-// bytes through sym.Fold with zero map work, and an
+// bytes through sym.Folder with zero map work, and an
 // append-only job maps only the new segments. Admission control (fair
 // per-tenant FIFO with concurrency and in-flight-memory budgets, plus
 // global queue-depth rejection) keeps one tenant from starving the
@@ -32,10 +32,10 @@ type Result struct {
 	NumResults int
 }
 
-// Session is one job's standing fold state: one sym.Fold per key over
-// the query's schema. A session is single-goroutine (the job that
-// owns it); tail jobs keep theirs alive across refreshes and Fold only
-// the appended segments.
+// Session is one job's standing fold state: one sym.Folder and a state
+// per key over the query's schema. A session is single-goroutine (the
+// job that owns it); tail jobs keep theirs alive across refreshes and
+// Fold only the appended segments.
 type Session interface {
 	// Mapper builds a fresh engine map function for one cold run —
 	// exactly the mapper the in-process SYMPLE engine would use, so the

@@ -1,106 +1,177 @@
 package sym
 
-import "fmt"
+import (
+	"fmt"
 
-// Fold is the one way an ordered summary list becomes a state: it holds
-// the concrete prefix state and applies summaries onto it left to right,
-// the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. A summary is a monoid
-// element with two operations — compose with another summary
-// (ComposeAll) and act on a state (Fold) — and every reducer, the
-// worker-resident reduce, the query service's standing sessions,
-// StreamComposer and ApplyAll all act through this type.
+	"repro/internal/wire"
+)
+
+// Folder is a fold site: the one way an ordered summary list becomes a
+// state, the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. A site owns
+// the machinery of folding — the containers a bundle decodes into, two
+// spare states and the Env — and a key owns nothing but its FoldState,
+// so a reduce attempt, an owner combiner or a serve session holds one
+// Folder and folds every key through it. A bundle's life is wire bytes
+// → site-owned containers → CopyFrom(admitting path) + Concretize
+// against the current state into a spare → swap: steady state, the
+// only allocations are the ones Value.Decode and Value.Concretize make.
 //
 // Applying onto a concrete state costs O(paths) per summary and cannot
 // hit a path cap, where summary∘summary composition is a cross product
 // that can; so the fold never pre-composes.
 //
-// A Fold is not safe for concurrent use.
-type Fold[S State] struct {
-	// sc recycles superseded states; nil leaves them to the GC and marks
-	// a fold over a caller-owned start state (ApplyAll).
-	sc    *Schema[S]
-	state *pathState[S]
-	// scratch backs AddBundle's decoded list between calls.
-	scratch []*Summary[S]
+// A Folder and the states it folds are not safe for concurrent use.
+type Folder[S State] struct {
+	sc *Schema[S]
+	// initial is the query's start state; Reset copies it, nothing
+	// writes it.
+	initial *pathState[S]
+	// spare are the two working states a call ping-pongs between. With
+	// the committed state that is three, which is enough: step i reads
+	// one and writes another, and the committed one is never written.
+	spare [2]*pathState[S]
+	env   Env
+	dec   wire.Decoder
+	// paths[:ends[len(ends)-1]] hold the decoded bundle, summary i's
+	// paths ending at ends[i]; the containers persist across calls and
+	// every Decode overwrites one in full.
+	paths []*pathState[S]
+	ends  []int
 }
 
-// NewFold starts a fold from the schema's initial state. Superseded
-// states circulate through sc's pool — share the schema that decodes (or
-// whose executors produce) the summaries so the fold runs on one arena.
-func NewFold[S State](sc *Schema[S]) *Fold[S] {
-	return &Fold[S]{sc: sc, state: wrapState(sc.newState())}
+// FoldState is one key's concrete state at a fold site: the user state
+// with its field slice captured once (a container, by its public name).
+type FoldState[S State] pathState[S]
+
+// State returns the state folded so far. It must not be mutated, and
+// the next successful fold onto (or Reset of) this FoldState
+// invalidates it — read what outlives that (Query.Result) first.
+func (st *FoldState[S]) State() S { return st.s }
+
+// NewFolder starts a fold site for the schema's state type.
+func NewFolder[S State](sc *Schema[S]) *Folder[S] { return &Folder[S]{sc: sc} }
+
+// NewState returns a key's state holding the query's initial state.
+func (f *Folder[S]) NewState() *FoldState[S] {
+	return (*FoldState[S])(f.sc.newContainer())
 }
 
-// State returns the state folded so far. It must not be mutated and is
-// invalidated by the next successful Add.
-func (f *Fold[S]) State() S { return f.state.s }
+// Reset returns st to the initial state, so one FoldState serves every
+// key of a partition in turn. Values a Result took from the old state
+// stay valid: Reset replaces slice headers, it does not write elements.
+func (f *Folder[S]) Reset(st *FoldState[S]) {
+	if f.initial == nil {
+		f.initial = f.sc.newContainer()
+	}
+	for i, v := range st.fs {
+		v.CopyFrom(f.initial.fs[i])
+	}
+}
 
-// Add applies the ordered summaries onto the state and takes ownership
-// of them: on success they are released to their schema pool and the
-// superseded state is recycled. On error (no path of a summary admits
-// the state) the fold's state is exactly what it was before the call
-// and the summaries remain the caller's.
-func (f *Fold[S]) Add(sums []*Summary[S]) error {
-	if err := f.apply(sums); err != nil {
-		return err
+// Add applies the ordered summaries onto st. The summaries are borrowed.
+// On error (no path of a summary admits the state) st is exactly what it
+// was before the call.
+func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
+	defer catchFailure(&err)
+	cur := (*pathState[S])(st)
+	for i, s := range sums {
+		if cur, err = f.step(cur, s.ps, i, len(sums)); err != nil {
+			return err
+		}
 	}
-	for _, s := range sums {
-		s.Release()
-	}
+	commit(st, cur)
 	return nil
 }
 
-// AddBundle decodes one encoded summary bundle (Schema.EncodeSummaryBundle)
-// into pooled summaries and Adds them, returning how many it folded. A
-// corrupt bundle is rejected before anything is applied.
-func (f *Fold[S]) AddBundle(data []byte) (int, error) {
-	sums, err := f.sc.DecodeSummaryBundle(f.scratch[:0], data)
-	if err != nil {
+// AddBundle decodes one encoded summary bundle (EncodeSummaryBundle)
+// into the site's containers and applies it onto st, returning how many
+// summaries it folded. The whole bundle is decoded first, so a corrupt
+// one is rejected with nothing applied; an apply error leaves st as Add
+// does.
+func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) {
+	defer catchFailure(&err)
+	if err := f.decode(data); err != nil {
 		return 0, err
 	}
-	n := len(sums)
-	err = f.Add(sums)
-	for i := range sums {
-		sums[i] = nil
+	cur, lo := (*pathState[S])(st), 0
+	for i, hi := range f.ends {
+		if cur, err = f.step(cur, f.paths[lo:hi], i, len(f.ends)); err != nil {
+			return 0, err
+		}
+		lo = hi
 	}
-	f.scratch = sums
-	return n, err
+	commit(st, cur)
+	return len(f.ends), nil
 }
 
-// apply is Add without consuming the summaries. Intermediate states are
-// built on a working copy, so an error leaves f.state untouched.
-func (f *Fold[S]) apply(sums []*Summary[S]) (err error) {
-	cur := f.state
-	// retire recycles a state the fold has moved past; the committed
-	// state stays live until the whole list has applied.
-	retire := func(p *pathState[S]) {
-		if f.sc != nil && p != f.state {
-			f.sc.put(p)
+// step applies summary i of n, given as its paths, to cur and returns
+// the spare holding the result. cur is only read.
+func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*pathState[S], error) {
+	for _, p := range paths {
+		if !admitsFields(p.fs, cur.fs) {
+			continue
 		}
+		out := f.spare[i&1]
+		if out == nil {
+			out = f.sc.newContainer()
+			f.spare[i&1] = out
+		}
+		f.sc.captureEnv(&f.env, cur.fs)
+		for fi, v := range out.fs {
+			v.CopyFrom(p.fs[fi])
+			v.Concretize(cur.fs[fi], &f.env)
+		}
+		return out, nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			fl, ok := r.(failure)
-			if !ok {
-				panic(r)
+	return nil, fmt.Errorf("sym: applying summary %d/%d: %w", i+1, n, ErrNoPath)
+}
+
+// commit swaps the spare a call ended on with the key's state.
+func commit[S State](st *FoldState[S], cur *pathState[S]) {
+	if p := (*pathState[S])(st); cur != p {
+		*p, *cur = *cur, *p
+	}
+}
+
+// decode reads one bundle into f.paths/f.ends. Trailing bytes are an
+// error: a bundle is a complete unit, not a stream prefix.
+func (f *Folder[S]) decode(data []byte) error {
+	d := &f.dec
+	d.Reset(data)
+	n := d.Length(d.Remaining() + 1)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	f.ends = f.ends[:0]
+	used := 0
+	for i := 0; i < n; i++ {
+		np, tagless, err := decodeSummaryHeader(d)
+		for j := 0; j < np && err == nil; j++ {
+			if used == len(f.paths) {
+				f.paths = append(f.paths, f.sc.newContainer())
 			}
-			retire(cur)
-			err = fl.err
+			err = decodePath(d, f.paths[used], tagless, j)
+			used++
 		}
-	}()
-	for i, s := range sums {
-		next, aerr := s.applyPS(cur)
-		retire(cur)
-		if aerr != nil {
-			return fmt.Errorf("sym: applying summary %d/%d: %w", i+1, len(sums), aerr)
+		if err != nil {
+			return fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
 		}
-		cur = next
+		f.ends = append(f.ends, used)
 	}
-	if cur != f.state {
-		if f.sc != nil {
-			f.sc.put(f.state)
-		}
-		f.state = cur
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after summary bundle", wire.ErrCorrupt, d.Remaining())
 	}
 	return nil
+}
+
+// catchFailure turns an aborted symbolic operation (fail) into the
+// error it carries; deferred by every entry point that runs Value code.
+func catchFailure(err *error) {
+	if r := recover(); r != nil {
+		f, ok := r.(failure)
+		if !ok {
+			panic(r)
+		}
+		*err = f.err
+	}
 }

@@ -1,10 +1,15 @@
 package sym
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // partialSummary returns chunk's Max summary with every path admitting
@@ -35,27 +40,28 @@ func partialSummary(t *testing.T, chunk []int64, v int64) *Summary[*intState] {
 // apply returns the error and leaves State() equal to the pre-Add
 // prefix, and the fold stays usable.
 func TestFoldAddFailureLeavesPrefix(t *testing.T) {
-	f := NewFold(newSchema(newIntState(math.MinInt64)))
-	if err := f.Add(maxChunkSummaries(t, []int64{2, 1})); err != nil {
+	f := NewFolder(newSchema(newIntState(math.MinInt64)))
+	st := f.NewState()
+	if err := f.Add(st, maxChunkSummaries(t, []int64{2, 1})); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.State().V.Get(); got != 2 {
+	if got := st.State().V.Get(); got != 2 {
 		t.Fatalf("prefix = %d, want 2", got)
 	}
 	// 9 then 3 apply; the third summary has no path for the state 9.
 	bundle := append(maxChunkSummaries(t, []int64{9}), maxChunkSummaries(t, []int64{3})...)
 	bundle = append(bundle, partialSummary(t, []int64{5}, 9))
-	err := f.Add(bundle)
+	err := f.Add(st, bundle)
 	if !errors.Is(err, ErrNoPath) || !strings.Contains(err.Error(), "3/3") {
 		t.Fatalf("Add error = %v, want ErrNoPath naming summary 3/3", err)
 	}
-	if got := f.State().V.Get(); got != 2 {
+	if got := st.State().V.Get(); got != 2 {
 		t.Fatalf("failed Add moved the prefix to %d, want 2", got)
 	}
-	if err := f.Add(maxChunkSummaries(t, []int64{7})); err != nil {
+	if err := f.Add(st, maxChunkSummaries(t, []int64{7})); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.State().V.Get(); got != 7 {
+	if got := st.State().V.Get(); got != 7 {
 		t.Fatalf("prefix after recovery = %d, want 7", got)
 	}
 }
@@ -65,20 +71,21 @@ func TestFoldAddFailureLeavesPrefix(t *testing.T) {
 // anything.
 func TestFoldAddBundle(t *testing.T) {
 	sc := newSchema(newIntState(math.MinInt64))
-	f := NewFold(sc)
+	f := NewFolder(sc)
+	st := f.NewState()
 	sums := append(maxChunkSummaries(t, []int64{4, 8}), maxChunkSummaries(t, []int64{6})...)
-	data := sc.EncodeSummaryBundle(sums)
-	n, err := f.AddBundle(data)
+	data := EncodeSummaryBundle(sums)
+	n, err := f.AddBundle(st, data)
 	if err != nil || n != 2 {
 		t.Fatalf("AddBundle = %d, %v; want 2 summaries", n, err)
 	}
-	if got := f.State().V.Get(); got != 8 {
+	if got := st.State().V.Get(); got != 8 {
 		t.Fatalf("state = %d, want 8", got)
 	}
-	if _, err := f.AddBundle(data[:len(data)-1]); err == nil {
+	if _, err := f.AddBundle(st, data[:len(data)-1]); err == nil {
 		t.Fatal("truncated bundle accepted")
 	}
-	if got := f.State().V.Get(); got != 8 {
+	if got := st.State().V.Get(); got != 8 {
 		t.Fatalf("corrupt bundle moved the state to %d", got)
 	}
 }
@@ -96,5 +103,327 @@ func TestApplyAllBorrows(t *testing.T) {
 		if out.V.Get() != 8 || start.V.Get() != 5 {
 			t.Fatalf("round %d: out %d (want 8), start %d (want 5)", round, out.V.Get(), start.V.Get())
 		}
+	}
+}
+
+// chunkSums runs update over one chunk from a fresh symbolic start, the
+// way a mapper does for one (mapper, key) pair.
+func chunkSums[S State, E any](t testing.TB, sc *Schema[S], update func(*Ctx, S, E), events []E) []*Summary[S] {
+	t.Helper()
+	x := NewSchemaExecutor(sc, update, DefaultOptions())
+	if err := x.FeedBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := x.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// stateBytes is the canonical encoding of a state, field by field: two
+// states are the same state iff these are equal.
+func stateBytes[S State](st *FoldState[S]) []byte {
+	e := wire.NewEncoder(64)
+	for _, f := range st.fs {
+		f.Encode(e)
+	}
+	return e.Bytes()
+}
+
+// copyOfState returns a new state of site f holding st's contents.
+func copyOfState[S State](f *Folder[S], st *FoldState[S]) *FoldState[S] {
+	c := f.NewState()
+	for i, v := range c.fs {
+		v.CopyFrom(st.fs[i])
+	}
+	return c
+}
+
+// sessionChunk is a random event chunk for sessionUpdate: values close
+// enough that the withinTen predicate goes both ways.
+func sessionChunk(r *rand.Rand) []int64 {
+	evs := make([]int64, 1+r.Intn(6))
+	for i := range evs {
+		evs[i] = int64(r.Intn(40))
+	}
+	return evs
+}
+
+// TestFoldBundleErrorContract: a bundle whose second summary admits no
+// path leaves the state byte-equal to before the call, and the next good
+// bundle folds as if the bad one never arrived — on the reducer's shape
+// (one state, Reset per key) and the session's (a state per key); a
+// corrupt bundle is rejected with nothing applied.
+func TestFoldBundleErrorContract(t *testing.T) {
+	for _, shape := range []string{"reset per key", "state per key"} {
+		t.Run(shape, func(t *testing.T) {
+			r := rand.New(rand.NewSource(11))
+			sc := newSchema(newPredState)
+			site, ref := NewFolder(sc), NewFolder(sc)
+			keys := map[string]*FoldState[*predState]{}
+			one := site.NewState()
+			for trial := 0; trial < 200; trial++ {
+				var st *FoldState[*predState]
+				if shape == "reset per key" {
+					st = one
+					site.Reset(st)
+				} else {
+					key := string(rune('a' + r.Intn(5)))
+					if keys[key] == nil {
+						keys[key] = site.NewState()
+					}
+					st = keys[key]
+				}
+				good := EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))
+				if _, err := site.AddBundle(st, good); err != nil {
+					t.Fatal(err)
+				}
+				before := bytes.Clone(stateBytes(st))
+
+				// head applies; tail has lost the path admitting head(st).
+				head := chunkSums(t, sc, sessionUpdate, sessionChunk(r))
+				mid := copyOfState(ref, st)
+				if err := ref.Add(mid, head); err != nil {
+					t.Fatal(err)
+				}
+				tail := chunkSums(t, sc, sessionUpdate, sessionChunk(r))
+				last := tail[len(tail)-1]
+				last.ps = slices.DeleteFunc(last.ps, func(p *pathState[*predState]) bool {
+					return admitsFields(p.fs, mid.fs)
+				})
+				if len(last.ps) == 0 {
+					continue // a one-path summary admits everything: nothing to drop
+				}
+				bad := EncodeSummaryBundle(append(head, tail...))
+				n, err := site.AddBundle(st, bad)
+				if !errors.Is(err, ErrNoPath) || n != 0 {
+					t.Fatalf("trial %d: bad bundle folded %d, err %v; want ErrNoPath", trial, n, err)
+				}
+				if got := stateBytes(st); !bytes.Equal(got, before) {
+					t.Fatalf("trial %d: failed bundle moved the state:\n got %x\nwant %x", trial, got, before)
+				}
+				if _, err := site.AddBundle(st, bad[:len(bad)-1]); !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("trial %d: truncated bundle: err %v, want ErrCorrupt", trial, err)
+				}
+				if _, err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("trial %d: trailing byte: err %v, want ErrCorrupt", trial, err)
+				}
+				if got := stateBytes(st); !bytes.Equal(got, before) {
+					t.Fatalf("trial %d: corrupt bundle moved the state", trial)
+				}
+
+				// The next good bundle lands where it would have without
+				// the failures: fold it on a copy taken before them.
+				want := copyOfState(ref, st)
+				next := EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))
+				if _, err := ref.AddBundle(want, next); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := site.AddBundle(st, next); err != nil {
+					t.Fatal(err)
+				}
+				if got := stateBytes(st); !bytes.Equal(got, stateBytes(want)) {
+					t.Fatalf("trial %d: state after recovery differs from the fold without the bad bundle", trial)
+				}
+			}
+		})
+	}
+}
+
+// checkSiteAliasing folds random traffic for several keys through one
+// site and checks, after every bundle, that no state the site handed
+// out changed except the one folded onto: the site's containers are
+// re-decoded by every bundle, and CopyFrom shares slices with them.
+// elems reads a state's vector contents (what a Result would retain).
+func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update func(*Ctx, S, E),
+	chunk func(*rand.Rand) []E, elems func(S) []int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(5))
+	sc := newSchema(newState)
+	site := NewFolder(sc)
+	const nkeys = 6
+	states := make([]*FoldState[S], nkeys)
+	want := make([][]byte, nkeys)  // stateBytes after the key's last fold
+	held := make([][]int64, nkeys) // elems as returned then…
+	copyOf := make([][]int64, nkeys)
+	bundles := make([][][]byte, nkeys)
+	for k := range states {
+		states[k] = site.NewState()
+		want[k] = bytes.Clone(stateBytes(states[k]))
+	}
+	scratch := site.NewState()
+	for step := 0; step < 400; step++ {
+		k := r.Intn(nkeys)
+		var sums []*Summary[S]
+		for c := 1 + r.Intn(2); c > 0; c-- {
+			sums = append(sums, chunkSums(t, sc, update, chunk(r))...)
+		}
+		data := EncodeSummaryBundle(sums)
+		if r.Intn(4) == 0 {
+			// Other keys' traffic through the reducer's shape.
+			site.Reset(scratch)
+			if _, err := site.AddBundle(scratch, data); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if _, err := site.AddBundle(states[k], data); err != nil {
+				t.Fatal(err)
+			}
+			bundles[k] = append(bundles[k], data)
+			want[k] = bytes.Clone(stateBytes(states[k]))
+			held[k] = elems(states[k].State())
+			copyOf[k] = slices.Clone(held[k])
+		}
+		for j := range states {
+			if got := stateBytes(states[j]); !bytes.Equal(got, want[j]) {
+				t.Fatalf("step %d: key %d's state changed while key %d folded", step, j, k)
+			}
+			if !slices.Equal(held[j], copyOf[j]) {
+				t.Fatalf("step %d: elements taken from key %d were overwritten: %v, were %v", step, j, held[j], copyOf[j])
+			}
+		}
+	}
+	// And each state is the fold of its own bundles on a site of its own.
+	for k, st := range states {
+		solo := NewFolder(sc)
+		ref := solo.NewState()
+		for _, data := range bundles[k] {
+			if _, err := solo.AddBundle(ref, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(stateBytes(st), stateBytes(ref)) {
+			t.Fatalf("key %d: shared-site state differs from a private site's", k)
+		}
+	}
+}
+
+func TestFoldSiteReuseNeverAliases(t *testing.T) {
+	t.Run("SymPred+SymIntVector", func(t *testing.T) {
+		checkSiteAliasing(t, newPredState, sessionUpdate, sessionChunk,
+			func(s *predState) []int64 { return s.Out.Elems() })
+	})
+	t.Run("SymVector+SymIntVector", func(t *testing.T) {
+		checkSiteAliasing(t, newLogState, logUpdate, sessionChunk,
+			func(s *logState) []int64 { return s.Seen.Elems() })
+	})
+}
+
+// TestFoldResultOutlivesReset: SymVector.Elems hands out the backing
+// slice and queries' Result funcs keep it; folding the next key on the
+// same state — longer vectors, several bundles — must not write it.
+func TestFoldResultOutlivesReset(t *testing.T) {
+	sc := newSchema(newLogState)
+	site := NewFolder(sc)
+	st := site.NewState()
+	fold := func(chunks ...[]int64) {
+		site.Reset(st)
+		for _, c := range chunks {
+			if _, err := site.AddBundle(st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, c))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fold([]int64{3, 1}, []int64{4, 1, 5})
+	a := st.State().Seen.Elems()
+	if want := []int64{3, 1, 4, 1, 5}; !slices.Equal(a, want) {
+		t.Fatalf("key A = %v, want %v", a, want)
+	}
+	keep := slices.Clone(a)
+	fold([]int64{9, 2, 6, 5, 3, 5}, []int64{8, 9, 7, 9, 3, 2, 3, 8}, []int64{4, 6})
+	if b := st.State().Seen.Elems(); len(b) != 16 {
+		t.Fatalf("key B has %d elements, want 16", len(b))
+	}
+	if !slices.Equal(a, keep) {
+		t.Fatalf("key A's result changed under key B's fold: %v, was %v", a, keep)
+	}
+}
+
+// t1Shape is queries.T1's state: two of its three scalars decide a
+// branch, and the vector takes a symbolic element.
+type t1Shape struct {
+	Done  SymBool
+	Clean SymInt
+	Run   SymInt
+	Out   SymIntVector
+}
+
+func (s *t1Shape) Fields() []Value { return []Value{&s.Done, &s.Clean, &s.Run, &s.Out} }
+
+func newT1Shape() *t1Shape {
+	return &t1Shape{Done: NewSymBool(false), Clean: NewSymInt(0), Run: NewSymInt(0)}
+}
+
+func t1ShapeUpdate(ctx *Ctx, s *t1Shape, spam int64) {
+	if s.Done.IsTrue(ctx) {
+		return
+	}
+	if spam == 1 {
+		s.Run.Inc()
+		if s.Run.Eq(ctx, 5) {
+			s.Out.PushInt(&s.Clean)
+			s.Done.Set(true)
+		}
+	} else {
+		s.Run.Set(0)
+		s.Clean.Inc()
+	}
+}
+
+// TestFoldAllocCeiling: on a warm site a fold allocates what the Values
+// allocate — the slices Decode makes and the vector Concretize builds —
+// and nothing per bundle, per summary or per key; and however many
+// folds, the site holds the containers it started with.
+func TestFoldAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	check := func(name string, paths int, fold func() int, allocated func() int64) {
+		t.Helper()
+		if got := fold(); got != paths {
+			t.Fatalf("%s: bundle has %d paths, want %d", name, got, paths)
+		}
+		base := allocated()
+		if got := testing.AllocsPerRun(100, func() { fold() }); got > 4 {
+			t.Errorf("%s: %v allocations per fold on a warm site, want at most 4", name, got)
+		}
+		for i := 0; i < 10000; i++ {
+			fold()
+		}
+		if got := allocated(); got != base {
+			t.Errorf("%s: the schema built %d containers across 10000 folds", name, got-base)
+		}
+	}
+	{
+		sc := newSchema(newPredState)
+		site := NewFolder(sc)
+		st := site.NewState()
+		// One session, like most of B3's (mapper, user) chunks: the path
+		// that continues the previous session pushes nothing, the one
+		// that closes it pushes the symbolic count.
+		sums := chunkSums(t, sc, sessionUpdate, []int64{50, 55})
+		data := EncodeSummaryBundle(sums)
+		check("B3 shape", 2, func() int {
+			site.Reset(st)
+			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
+				t.Fatalf("AddBundle = %d, %v", n, err)
+			}
+			return sums[0].NumPaths()
+		}, sc.Allocated)
+	}
+	{
+		sc := newSchema(newT1Shape)
+		site := NewFolder(sc)
+		st := site.NewState()
+		sums := chunkSums(t, sc, t1ShapeUpdate, []int64{0, 1, 1, 1, 1, 1, 0})
+		data := EncodeSummaryBundle(sums)
+		check("T1 shape", sums[0].NumPaths(), func() int {
+			site.Reset(st)
+			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
+				t.Fatalf("AddBundle = %d, %v", n, err)
+			}
+			return sums[0].NumPaths()
+		}, sc.Allocated)
 	}
 }

@@ -274,7 +274,7 @@ func TestQuickSummaryDisjointCover(t *testing.T) {
 		c.Count.Set(int64(count))
 		n := 0
 		for _, p := range s.Paths() {
-			if admits(p, c) {
+			if admitsFields(p.Fields(), c.Fields()) {
 				n++
 			}
 		}

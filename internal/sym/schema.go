@@ -18,8 +18,10 @@ import (
 //
 // A Schema is safe for concurrent use: the container pool is a
 // sync.Pool and the counters are atomic. Share one schema across all
-// executors, summaries and reducers of a query run so retired path
-// states circulate instead of being reallocated.
+// executors and summaries of a query run so retired path states
+// circulate instead of being reallocated. The pool serves the map side
+// (executors, memo transitions, composition); a fold site (Folder) keeps
+// the few containers it needs for its lifetime and crosses no pool.
 type Schema[S State] struct {
 	newState func() S
 	nf       int
@@ -40,8 +42,9 @@ type Schema[S State] struct {
 	// high-cardinality chunks.
 	sumFreeMu sync.Mutex
 	sumFree   []*Summary[S]
-	// allocated counts containers ever created (pool misses). Tests use
-	// it to assert that long runs recycle instead of growing the heap.
+	// allocated counts containers ever created (pool misses and fold
+	// sites' own). Tests use it to assert that long runs recycle instead
+	// of growing the heap.
 	allocated atomic.Int64
 }
 
@@ -172,6 +175,13 @@ func (sc *Schema[S]) get() *pathState[S] {
 	if v := sc.pool.Get(); v != nil {
 		return v.(*pathState[S])
 	}
+	return sc.newContainer()
+}
+
+// newContainer builds a container around a new initial state, outside
+// the pool: what a pool miss falls back to, and what a fold site draws
+// the few containers it keeps for its lifetime from.
+func (sc *Schema[S]) newContainer() *pathState[S] {
 	sc.allocated.Add(1)
 	s := sc.newState()
 	fs := s.Fields()
@@ -224,9 +234,8 @@ func wrapState[S State](s S) *pathState[S] {
 }
 
 // captureSymEnv fills e with the scalar transfer functions of the path
-// fields fs, reusing e's entry slice. It is the allocation-free
-// equivalent of NewSymEnv, driven by the schema's capability plan
-// instead of per-field type assertions on the miss side.
+// fields fs, reusing e's entry slice, driven by the schema's capability
+// plan instead of per-field type assertions on the miss side.
 func (sc *Schema[S]) captureSymEnv(e *SymEnv, fs []Value) {
 	if cap(e.entries) < len(fs) {
 		e.entries = make([]symEnvEntry, len(fs))
@@ -243,7 +252,7 @@ func (sc *Schema[S]) captureSymEnv(e *SymEnv, fs []Value) {
 }
 
 // captureEnv fills e with the concrete scalar inputs of fs, reusing e's
-// slices: the allocation-free equivalent of NewEnv.
+// slices.
 func (sc *Schema[S]) captureEnv(e *Env, fs []Value) {
 	if cap(e.ints) < len(fs) {
 		e.ints = make([]int64, len(fs))
@@ -341,24 +350,6 @@ func captureSymEnvInto(e *SymEnv, fs []Value) {
 		}
 		bound, a, b := st.transfer()
 		e.entries[i] = symEnvEntry{ok: true, bound: bound, a: a, b: b}
-	}
-}
-
-// captureEnvInto is captureEnv without a schema plan.
-func captureEnvInto(e *Env, fs []Value) {
-	if cap(e.ints) < len(fs) {
-		e.ints = make([]int64, len(fs))
-		e.ok = make([]bool, len(fs))
-	}
-	e.ints = e.ints[:len(fs)]
-	e.ok = e.ok[:len(fs)]
-	for i, f := range fs {
-		si, ok := f.(scalarInput)
-		if !ok {
-			e.ints[i], e.ok[i] = 0, false
-			continue
-		}
-		e.ints[i], e.ok[i] = si.concreteInput()
 	}
 }
 

@@ -24,18 +24,3 @@ func freshSymbolic[S State](newState func() S) S {
 	}
 	return s
 }
-
-// admits reports whether concrete state c satisfies every per-field
-// constraint of path p.
-func admits(p, c State) bool {
-	pf, cf := p.Fields(), c.Fields()
-	if len(pf) != len(cf) {
-		fail(ErrStateMismatch)
-	}
-	for i := range pf {
-		if !pf[i].Admits(cf[i]) {
-			return false
-		}
-	}
-	return true
-}

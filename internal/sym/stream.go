@@ -8,25 +8,25 @@ import (
 // StreamComposer consumes chunk summaries as they arrive — possibly out
 // of order, as mappers finish at different times — and maintains the
 // aggregation state composed through the longest contiguous prefix of
-// chunk sequence numbers: a Fold plus the buffer of chunks waiting
-// behind a gap. It is the incremental/streaming consumption
+// chunk sequence numbers: a fold site, one state and the buffer of
+// chunks waiting behind a gap. It is the incremental/streaming consumption
 // mode the paper's conclusion points at ("a platform for interactive
 // ad-hoc querying"): results tighten as chunks land, without waiting for
 // a full barrier before composing.
 //
 // The composer takes ownership of the summaries handed to Add: once a
-// chunk folds into the prefix, its summaries' path states are released
-// back to the schema pool (and the superseded prefix state recycled), so
-// a long stream holds live memory proportional to the out-of-order
-// window, not to the number of chunks folded. Summaries still pending
-// behind a gap are retained untouched until they fold.
+// chunk folds into the prefix its summaries are released back to the
+// schema pool, so a long stream holds live memory proportional to the
+// out-of-order window, not to the number of chunks folded. Summaries
+// still pending behind a gap are retained untouched until they fold.
 //
 // Chunks are identified by a dense sequence number starting at 0 (e.g.
 // the (mapperID, recordID) order already used by the shuffle, flattened).
 // Add is not safe for concurrent use; wrap with a lock if needed.
 type StreamComposer[S State] struct {
-	fold    *Fold[S] // composed through chunks [0, next)
-	next    int      // first missing sequence number
+	site    *Folder[S]
+	prefix  *FoldState[S] // composed through chunks [0, next)
+	next    int           // first missing sequence number
 	pending map[int][]*Summary[S]
 }
 
@@ -35,11 +35,12 @@ func NewStreamComposer[S State](newState func() S) *StreamComposer[S] {
 	return NewStreamComposerSchema(newSchema(newState))
 }
 
-// NewStreamComposerSchema starts a composer whose recycled states
-// circulate through sc's pool — share the schema of the executors that
-// produce the summaries so the whole stream runs on one arena.
+// NewStreamComposerSchema starts a composer over sc — share the schema
+// of the executors that produce the summaries, so the summaries the
+// composer releases go back to the pool those executors draw from.
 func NewStreamComposerSchema[S State](sc *Schema[S]) *StreamComposer[S] {
-	return &StreamComposer[S]{fold: NewFold(sc), pending: map[int][]*Summary[S]{}}
+	site := NewFolder(sc)
+	return &StreamComposer[S]{site: site, prefix: site.NewState(), pending: map[int][]*Summary[S]{}}
 }
 
 // Add delivers the ordered summaries of chunk seq, taking ownership of
@@ -61,8 +62,11 @@ func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 		if !ok {
 			break
 		}
-		if err := c.fold.Add(sums); err != nil {
+		if err := c.site.Add(c.prefix, sums); err != nil {
 			return folded, fmt.Errorf("sym: folding chunk %d: %w", c.next, err)
+		}
+		for _, s := range sums {
+			s.Release()
 		}
 		delete(c.pending, c.next)
 		c.next++
@@ -75,7 +79,7 @@ func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 // the number of chunks it covers. The state must not be mutated and is
 // invalidated by the next Add that folds a chunk.
 func (c *StreamComposer[S]) Prefix() (S, int) {
-	return c.fold.State(), c.next
+	return c.prefix.State(), c.next
 }
 
 // Pending returns the sequence numbers received but not yet foldable
@@ -95,7 +99,7 @@ func (c *StreamComposer[S]) Pending() []int {
 // Pending is empty. The prefix state and pending summaries are not
 // affected.
 func (c *StreamComposer[S]) Speculate() (S, error) {
-	cur := c.fold.State()
+	cur := c.prefix.State()
 	for _, seq := range c.Pending() {
 		next, err := ApplyAll(cur, c.pending[seq])
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 // any concrete state selects exactly one path.
 //
 // Paths are held in schema containers. A summary produced by an Executor
-// carries its schema, which lets Apply, ComposeWith and Encode run off
-// the captured field slices with pooled scratch, and lets Release return
+// carries its schema, which lets ComposeWith and Encode run off the
+// captured field slices with pooled scratch, and lets Release return
 // the containers once the summary is consumed. Summaries built by
 // NewSummary or DecodeSummary have no schema and fall back to the
 // allocating paths.
@@ -81,91 +81,46 @@ func (s *Summary[S]) Release() {
 // Apply composes the summary onto the concrete state c: it selects the
 // path admitting c, applies the transfer functions, and resolves symbolic
 // vector elements (paper §3.6). c is not mutated.
-func (s *Summary[S]) Apply(c S) (out S, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			err = f.err
-		}
-	}()
-	res, aerr := s.applyPS(wrapState(c))
-	if aerr != nil {
-		var zero S
-		return zero, aerr
-	}
-	return res.s, nil
-}
-
-// applyPS is Apply over containers: the returned container is freshly
-// drawn from the schema pool (or GC-allocated without a schema) and owned
-// by the caller.
-func (s *Summary[S]) applyPS(cw *pathState[S]) (*pathState[S], error) {
-	for _, p := range s.ps {
-		if admitsFields(p.fs, cw.fs) {
-			return s.concretizePS(p, cw), nil
-		}
-	}
-	return nil, ErrNoPath
+func (s *Summary[S]) Apply(c S) (S, error) {
+	return ApplyAll(c, []*Summary[S]{s})
 }
 
 // ApplyStrict is Apply plus a validity check: it errors if the number of
 // admitting paths differs from one (the partition property is violated).
 // Use in tests; Apply takes the first admitting path.
 func (s *Summary[S]) ApplyStrict(c S) (out S, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			err = f.err
-		}
-	}()
-	cw := wrapState(c)
-	var chosen *pathState[S]
+	defer catchFailure(&err)
+	cf := c.Fields()
 	n := 0
 	for _, p := range s.ps {
-		if admitsFields(p.fs, cw.fs) {
-			chosen = p
+		if admitsFields(p.fs, cf) {
 			n++
 		}
 	}
 	if n != 1 {
-		var zero S
-		return zero, fmt.Errorf("%w: %d of %d paths admit the state", ErrNoPath, n, len(s.ps))
+		return out, fmt.Errorf("%w: %d of %d paths admit the state", ErrNoPath, n, len(s.ps))
 	}
-	return s.concretizePS(chosen, cw).s, nil
-}
-
-func (s *Summary[S]) concretizePS(p, cw *pathState[S]) *pathState[S] {
-	var env Env
-	captureEnvInto(&env, cw.fs)
-	var out *pathState[S]
-	if s.sc != nil {
-		out = s.sc.cloneOf(p)
-	} else {
-		out = wrapState(cloneState(s.newState, p.s))
-	}
-	for i, f := range out.fs {
-		f.Concretize(cw.fs[i], &env)
-	}
-	return out
+	return s.Apply(c)
 }
 
 // ApplyAll composes an ordered sequence of summaries onto the concrete
 // state c, the reducer-side evaluation S_n(…S_2(S_1(c))…) of paper §3.6.
-// It is the non-consuming convenience over Fold: neither c nor the
+// It is the one-shot convenience over Folder: neither c nor the
 // summaries are modified or released.
 func ApplyAll[S State](c S, summaries []*Summary[S]) (S, error) {
-	f := Fold[S]{state: wrapState(c)}
-	if err := f.apply(summaries); err != nil {
+	if len(summaries) == 0 {
+		return c, nil
+	}
+	sc := summaries[0].sc
+	if sc == nil { // built outside an executor: compile the plan here
+		sc = newSchema(summaries[0].newState)
+	}
+	st := (*FoldState[S])(wrapState(c))
+	if err := NewFolder(sc).Add(st, summaries); err != nil {
 		var zero S
 		return zero, err
 	}
-	return f.state.s, nil
+	return st.s, nil
 }
 
 // ComposeWith composes two summaries into one: s runs first, next runs
@@ -175,15 +130,7 @@ func ApplyAll[S State](c S, summaries []*Summary[S]) (S, error) {
 // path pairs, eliminates infeasible combinations, and re-merges. Neither
 // input is consumed; release them separately if pooled.
 func (s *Summary[S]) ComposeWith(next *Summary[S]) (out *Summary[S], err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			err = f.err
-		}
-	}()
+	defer catchFailure(&err)
 	var senv SymEnv
 	var paths []*pathState[S]
 	for _, pa := range s.ps {
@@ -329,63 +276,53 @@ func (s *Summary[S]) EncodedSize() int {
 // states of the same shape (field order, enum domains, codecs) as the
 // encoding side.
 func DecodeSummary[S State](newState func() S, d *wire.Decoder) (*Summary[S], error) {
-	return decodeSummary[S](nil, newState, d)
-}
-
-// DecodeSummary reads a summary written by Encode into pooled containers
-// of the schema, so reducers that Release consumed summaries recycle
-// their path states instead of reallocating per summary.
-func (sc *Schema[S]) DecodeSummary(d *wire.Decoder) (*Summary[S], error) {
-	return decodeSummary(sc, sc.newState, d)
-}
-
-func decodeSummary[S State](sc *Schema[S], newState func() S, d *wire.Decoder) (*Summary[S], error) {
-	h := d.Uvarint()
-	if err := d.Err(); err != nil {
+	n, tagless, err := decodeSummaryHeader(d)
+	if err != nil {
 		return nil, err
 	}
-	tagless := h&summaryTagless != 0
+	ps := make([]*pathState[S], n)
+	for i := range ps {
+		ps[i] = wrapState(newState())
+		if err := decodePath(d, ps[i], tagless, i); err != nil {
+			return nil, err
+		}
+	}
+	return &Summary[S]{ps: ps, newState: newState}, nil
+}
+
+// decodeSummaryHeader reads a summary's path count and whether its
+// fields are encoded tagless.
+func decodeSummaryHeader(d *wire.Decoder) (n int, tagless bool, err error) {
+	h := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return 0, false, err
+	}
 	if h>>1 > uint64(d.Remaining()+1) {
-		return nil, fmt.Errorf("%w: summary claims %d paths with %d bytes left",
+		return 0, false, fmt.Errorf("%w: summary claims %d paths with %d bytes left",
 			wire.ErrCorrupt, h>>1, d.Remaining())
 	}
-	n := int(h >> 1)
-	ps := make([]*pathState[S], 0, n)
-	bail := func(i int, err error) (*Summary[S], error) {
-		if sc != nil {
-			for _, p := range ps {
-				sc.put(p)
-			}
-		}
-		return nil, fmt.Errorf("sym: decoding summary path %d: %w", i, err)
-	}
-	for i := 0; i < n; i++ {
-		var p *pathState[S]
-		if sc != nil {
-			// Every Value.Decode fully overwrites its receiver (scalars
-			// assigned, slices freshly made), so a recycled container
-			// needs no reset.
-			p = sc.get()
+	return int(h >> 1), h&summaryTagless != 0, nil
+}
+
+// decodePath reads path i of a summary into the container p. Every
+// Value.Decode fully overwrites its receiver (scalars assigned, slices
+// freshly made), so a reused container needs no reset — and whatever
+// shared the old contents (CopyFrom copies slice headers) keeps them.
+func decodePath[S State](d *wire.Decoder, p *pathState[S], tagless bool, i int) error {
+	for fi, f := range p.fs {
+		var err error
+		if !tagless {
+			err = f.Decode(d)
+		} else if tc, ok := f.(taglessCodec); ok {
+			err = tc.decodeTagless(d, fi)
 		} else {
-			p = wrapState(newState())
+			err = fmt.Errorf("%w: tagless summary but field %d cannot decode tagless", wire.ErrCorrupt, fi)
 		}
-		ps = append(ps, p)
-		for fi, f := range p.fs {
-			if tagless {
-				tc, ok := f.(taglessCodec)
-				if !ok {
-					return bail(i, fmt.Errorf("%w: tagless summary but field %d cannot decode tagless",
-						wire.ErrCorrupt, fi))
-				}
-				if err := tc.decodeTagless(d, fi); err != nil {
-					return bail(i, err)
-				}
-			} else if err := f.Decode(d); err != nil {
-				return bail(i, err)
-			}
+		if err != nil {
+			return fmt.Errorf("sym: decoding summary path %d: %w", i, err)
 		}
 	}
-	return &Summary[S]{ps: ps, newState: newState, sc: sc}, nil
+	return nil
 }
 
 // String renders the summary for diagnostics, one path per line.

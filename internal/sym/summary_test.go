@@ -298,7 +298,7 @@ func TestSummaryPartitionProperty(t *testing.T) {
 		c.Count.Set(int64(count))
 		n := 0
 		for _, p := range s.Paths() {
-			if admits(p, c) {
+			if admitsFields(p.Fields(), c.Fields()) {
 				n++
 			}
 		}

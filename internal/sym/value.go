@@ -98,18 +98,6 @@ type scalarInput interface {
 	concreteInput() (int64, bool)
 }
 
-// NewEnv captures the concrete scalar inputs of state s.
-func NewEnv(s State) *Env {
-	fs := s.Fields()
-	e := &Env{ints: make([]int64, len(fs)), ok: make([]bool, len(fs))}
-	for i, f := range fs {
-		if si, isScalar := f.(scalarInput); isScalar {
-			e.ints[i], e.ok[i] = si.concreteInput()
-		}
-	}
-	return e
-}
-
 // Int returns the concrete int64 input of field id.
 func (e *Env) Int(id int) int64 {
 	if e == nil || id < 0 || id >= len(e.ints) || !e.ok[id] {
@@ -137,19 +125,6 @@ type scalarTransfer interface {
 	// transfer returns (bound, a, b): the current value is b if bound,
 	// else a·x+b over the field's symbolic input x.
 	transfer() (bound bool, a, b int64)
-}
-
-// NewSymEnv captures the scalar transfer functions of path state p.
-func NewSymEnv(p State) *SymEnv {
-	fs := p.Fields()
-	e := &SymEnv{entries: make([]symEnvEntry, len(fs))}
-	for i, f := range fs {
-		if st, isScalar := f.(scalarTransfer); isScalar {
-			bound, a, b := st.transfer()
-			e.entries[i] = symEnvEntry{ok: true, bound: bound, a: a, b: b}
-		}
-	}
-	return e
 }
 
 func (e *SymEnv) lookup(id int) symEnvEntry {

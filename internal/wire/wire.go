@@ -137,6 +137,10 @@ func NewDecoder(buf []byte) *Decoder {
 	return &Decoder{buf: buf}
 }
 
+// Reset points the decoder at buf and clears its error, so a long-lived
+// owner decodes many buffers through one Decoder.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
+
 // Err returns the first decoding error encountered, or nil.
 func (d *Decoder) Err() error { return d.err }
 
