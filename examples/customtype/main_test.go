@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sym"
+	"repro/internal/wire"
 )
 
 // TestUserValueFoldsThroughSharedSite: a fold site decodes every bundle
@@ -50,5 +53,66 @@ func TestUserValueFoldsThroughSharedSite(t *testing.T) {
 				t.Fatalf("step %d (key %d folded): key %d holds %d, want %d", step, k, j, got, want[j])
 			}
 		}
+	}
+}
+
+// TestUserValueFoldsFromFrozenState: the query service shares a frozen
+// state between jobs and folds from it into states of their own
+// (AddBundleFrom), so a user Value's Admits, Concretize and CopyFrom
+// must only read the value they are handed. Eight sites fold different
+// bundles from one state at once; under -race any write to it shows, and
+// its encoding is byte-identical afterwards.
+func TestUserValueFoldsFromFrozenState(t *testing.T) {
+	newCustom := func() *customState { return &customState{Max: NewSymMax(math.MinInt64)} }
+	sc, err := sym.NewSchema(newCustom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := func(events ...int64) []byte {
+		x := sym.NewSchemaExecutor(sc, func(_ *sym.Ctx, s *customState, e int64) { s.Max.Observe(e) }, sym.DefaultOptions())
+		for _, e := range events {
+			if err := x.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sums, err := x.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sym.EncodeSummaryBundle(sums)
+	}
+	site := sym.NewFolder(sc)
+	frozen := site.NewState()
+	if _, err := site.AddBundle(frozen, bundle(40, 10)); err != nil {
+		t.Fatal(err)
+	}
+	var before wire.Encoder
+	frozen.Encode(&before)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		data, want := bundle(int64(g*10)), max(int64(g*10), 40)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			site := sym.NewFolder(sc)
+			for i := 0; i < 200; i++ {
+				own := site.NewState()
+				if _, err := site.AddBundleFrom(own, frozen, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := own.State().Max.Get(); got != want {
+					t.Errorf("folded from 40: got %d, want %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var after wire.Encoder
+	frozen.Encode(&after)
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("folding from the frozen state changed it")
 	}
 }

@@ -4,7 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/queries"
+)
+
+// Trace and Registry, when set (symplebench -trace / cmd wiring), are
+// attached to every engine run the bench harness launches, so whole
+// experiments can be captured as one JSONL stream and their metrics
+// folded into one registry.
+var (
+	Trace    *obs.Trace
+	Registry *obs.Registry
 )
 
 // measured holds one query's paired engine runs on the same input.

@@ -120,7 +120,6 @@ type Pool struct {
 	lastEp     map[int]Endpoint             // task → endpoint of the latest dispatched attempt
 	epSegs     map[Endpoint]map[uint64]bool // segments acknowledged cached per endpoint
 	segs       map[int]*mapreduce.Segment   // task → segment, retained for w2w refills
-	segDigests map[*mapreduce.Segment]uint64
 	placements []Placement
 	procs      map[string]int // worker addr → GOMAXPROCS, from map-done
 
@@ -171,20 +170,19 @@ func NewPool(spec JobSpec, endpoints []Endpoint, opts ...PoolOption) (*Pool, err
 		return nil, errors.New("cluster: pool needs at least one worker endpoint")
 	}
 	p := &Pool{
-		spec:       spec,
-		jobID:      uint64(os.Getpid())<<20 ^ jobSeq.Add(1),
-		endpoints:  endpoints,
-		epIndex:    make(map[Endpoint]int, len(endpoints)),
-		free:       make(chan *workerConn, len(endpoints)),
-		dead:       make(chan struct{}),
-		conns:      map[*workerConn]struct{}{},
-		lastEp:     map[int]Endpoint{},
-		epSegs:     map[Endpoint]map[uint64]bool{},
-		segs:       map[int]*mapreduce.Segment{},
-		segDigests: map[*mapreduce.Segment]uint64{},
-		procs:      map[string]int{},
-		rconns:     map[int]*ownerConn{},
-		live:       len(endpoints),
+		spec:      spec,
+		jobID:     uint64(os.Getpid())<<20 ^ jobSeq.Add(1),
+		endpoints: endpoints,
+		epIndex:   make(map[Endpoint]int, len(endpoints)),
+		free:      make(chan *workerConn, len(endpoints)),
+		dead:      make(chan struct{}),
+		conns:     map[*workerConn]struct{}{},
+		lastEp:    map[int]Endpoint{},
+		epSegs:    map[Endpoint]map[uint64]bool{},
+		segs:      map[int]*mapreduce.Segment{},
+		procs:     map[string]int{},
+		rconns:    map[int]*ownerConn{},
+		live:      len(endpoints),
 	}
 	for i, ep := range endpoints {
 		p.epIndex[ep] = i
@@ -485,44 +483,14 @@ func (p *Pool) WorkerProcs() map[string]int {
 	return out
 }
 
-// segmentDigest content-addresses a segment (FNV-1a over ID and
-// records), memoizing per pointer — segments are
-// immutable once built. Zero is reserved for "no digest".
-func (p *Pool) segmentDigest(seg *mapreduce.Segment) uint64 {
-	p.mu.Lock()
-	if d, ok := p.segDigests[seg]; ok {
-		p.mu.Unlock()
+// wireDigest is the segment's address on the wire: 64 bits drawn from
+// its ID and content digest (workers cache segments by it and answer
+// need_segment with it). Zero is reserved for "no digest".
+func wireDigest(seg *mapreduce.Segment) uint64 {
+	if d := (mapreduce.Digest{uint64(seg.ID)}).Chain(seg.Digest())[0]; d != 0 {
 		return d
 	}
-	p.mu.Unlock()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(seg.ID))
-	mix(uint64(len(seg.Records)))
-	for _, r := range seg.Records {
-		mix(uint64(len(r)))
-		for _, b := range r {
-			h ^= uint64(b)
-			h *= prime64
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	p.mu.Lock()
-	p.segDigests[seg] = h
-	p.mu.Unlock()
-	return h
+	return 1
 }
 
 // markCached records that ep acknowledged an attempt over digest, so
@@ -552,7 +520,7 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		// nearest equivalent worker-side death.
 		kind = ChaosWorkerAbort
 	}
-	digest := p.segmentDigest(seg)
+	digest := wireDigest(seg)
 	if p.w2w {
 		// Retain the segment: a dead reduce owner is refilled by
 		// re-running this task's committed attempt.
@@ -861,7 +829,7 @@ func (p *Pool) refill(ctx context.Context, part int, missing []taskAttempt) erro
 }
 
 func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *mapreduce.Segment) error {
-	digest := p.segmentDigest(seg)
+	digest := wireDigest(seg)
 	w, err := p.acquire(ctx, ta.task, ta.attempt, digest)
 	if err != nil {
 		return err

@@ -349,7 +349,7 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	}
 	job := &mapreduce.Job{
 		Name:   q.Name + "/symple",
-		Map:    sympleMapFunc(q, sc, &mu, &stats, opt, trace, conf.Registry),
+		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, opt, trace, conf.Registry),
 		Reduce: reduce,
 		Conf:   conf,
 	}

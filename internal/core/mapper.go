@@ -24,6 +24,20 @@ import (
 // mapper owns private stats/mutex state, so one built mapper is safe
 // for any number of sequential or concurrent attempts.
 func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, trace *obs.Trace) (mapreduce.MapFunc, error) {
+	mk, err := SympleMappers(q, opt)
+	if err != nil {
+		return nil, err
+	}
+	return mk(trace), nil
+}
+
+// SympleMappers returns a maker of SympleMapper mappers that share one
+// compiled schema and one executor/memo pool. A caller that outlives
+// its jobs (the query service) makes it once per query and a mapper per
+// job, bound to that job's trace: the next job finds the executors, memo
+// and path containers the last one left instead of building — and
+// dropping — its own.
+func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -31,9 +45,10 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, t
 	if err != nil {
 		return nil, fmt.Errorf("core %q: %w", q.Name, err)
 	}
-	var mu sync.Mutex
-	stats := &SymStats{}
-	return sympleMapFunc(q, sc, &mu, stats, opt, trace, nil), nil
+	pool := &batchExecPool[S, E]{}
+	return func(trace *obs.Trace) mapreduce.MapFunc {
+		return sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, opt, trace, nil)
+	}, nil
 }
 
 // sympleMapFunc is the shared SYMPLE mapper: groupby plus symbolic UDA
@@ -43,12 +58,12 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, t
 // combiner, pre-composing each group's summary list into one summary
 // before the shuffle (falling back to the uncombined list when
 // composition fails).
-func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], mu *sync.Mutex, stats *SymStats, opt SympleOptions, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
-	// One executor/memo pool for the whole engine run: memoized
-	// transitions depend only on the schema and update function, so the
-	// memo built by early chunks answers probes for every later chunk,
-	// and reused executors keep identity caches and summary blocks warm.
-	pool := &batchExecPool[S, E]{}
+//
+// pool is the executor/memo pool every chunk draws from: memoized
+// transitions depend only on the schema and update function, so the
+// memo built by early chunks answers probes for every later chunk, and
+// reused executors keep identity caches and summary blocks warm.
+func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, opt SympleOptions, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		out, err := symExecChunk(q, sc, opt, pool, seg, trace, mapperID)
 		if err != nil {

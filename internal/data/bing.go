@@ -31,14 +31,6 @@ type BingConfig struct {
 	Outages int
 }
 
-// DefaultBingConfig returns a laptop-scale configuration.
-func DefaultBingConfig() BingConfig {
-	return BingConfig{
-		Records: 200000, Users: 40000, Geos: 50, Segments: 8,
-		Filler: 24, Seed: 43, Outages: 12,
-	}
-}
-
 // GenBing generates the dataset as ordered, timestamp-sorted segments.
 func GenBing(cfg BingConfig) []*mapreduce.Segment {
 	r := rand.New(rand.NewSource(cfg.Seed))

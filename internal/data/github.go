@@ -53,12 +53,6 @@ type GithubConfig struct {
 	Seed     int64
 }
 
-// DefaultGithubConfig returns a laptop-scale configuration preserving the
-// paper's many-groups regime (records/repos ≈ 20).
-func DefaultGithubConfig() GithubConfig {
-	return GithubConfig{Records: 200000, Repos: 10000, Segments: 8, Filler: 64, Seed: 42}
-}
-
 // GenGithub generates the dataset as ordered, timestamp-sorted segments.
 func GenGithub(cfg GithubConfig) []*mapreduce.Segment {
 	r := rand.New(rand.NewSource(cfg.Seed))

@@ -43,14 +43,6 @@ type RedshiftConfig struct {
 	DarkWindows int
 }
 
-// DefaultRedshiftConfig returns a laptop-scale complete-variant config.
-func DefaultRedshiftConfig() RedshiftConfig {
-	return RedshiftConfig{
-		Records: 200000, Advertisers: 100, Segments: 8,
-		Seed: 45, DarkWindows: 3,
-	}
-}
-
 // GenRedshift generates the dataset as ordered, timestamp-sorted
 // segments.
 func GenRedshift(cfg RedshiftConfig) []*mapreduce.Segment {

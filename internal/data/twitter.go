@@ -26,14 +26,6 @@ type TwitterConfig struct {
 	Seed     int64
 }
 
-// DefaultTwitterConfig returns a laptop-scale configuration.
-func DefaultTwitterConfig() TwitterConfig {
-	return TwitterConfig{
-		Records: 200000, Hashtags: 20000, Users: 50000,
-		Segments: 8, Filler: 48, Seed: 44,
-	}
-}
-
 // GenTwitter generates the dataset as ordered, timestamp-sorted segments.
 func GenTwitter(cfg TwitterConfig) []*mapreduce.Segment {
 	r := rand.New(rand.NewSource(cfg.Seed))

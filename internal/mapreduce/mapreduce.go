@@ -29,6 +29,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -40,25 +41,18 @@ import (
 // segments by ID is the full dataset.
 //
 // A Segment is shared by pointer and must not be copied: it carries the
-// lock behind its lazily built index.
+// lock behind its derived state.
 type Segment struct {
 	ID      int
 	Records [][]byte
 
 	// index is the typed-column index over Records (columnar.go), built
-	// at first touch by Index and resident with the segment. It is
-	// derived from Records and takes no part in a segment's identity.
+	// at first touch by Index; addr is the content address (digest.go),
+	// computed at first touch by Digest. Both are derived from Records,
+	// resident with the segment, and built under mu.
 	mu    sync.Mutex
 	index *Columnar
-}
-
-// Bytes returns the total payload size of the segment.
-func (s *Segment) Bytes() int64 {
-	var n int64
-	for _, r := range s.Records {
-		n += int64(len(r))
-	}
-	return n
+	addr  atomic.Pointer[address]
 }
 
 // Emit sends one keyed record from a mapper into the shuffle. recordID

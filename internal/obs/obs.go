@@ -19,8 +19,8 @@
 // makes every span call a no-op nil-pointer check, so the hot paths pay
 // nothing when observability is off. Span granularity is per task /
 // per segment / per group — never per record — keeping the traced
-// overhead within a few percent (measured by `symplebench -experiment
-// obs`, recorded in BENCH_OBS.json).
+// overhead within a few percent (`obs.trace_overhead_pct` in `go run
+// ./benchmark -trace 1`, on every workload).
 package obs
 
 import (
@@ -115,13 +115,15 @@ const (
 	// AttrBatchRecords is the number of events a map chunk kept after
 	// grouping; its parse and exec spans carry the same value.
 	AttrBatchRecords = "batch_records"
-	// AttrSegments, AttrCachedSegments, and AttrMappedSegments carry a
-	// serve job's fold provenance on its root span: how many input
-	// segments the result folded, how many of those came from the
-	// summary cache, and how many were mapped fresh. The serve-cache
-	// invariant joins them against the map spans in the job's subtree.
+	// AttrSegments, AttrCachedSegments, AttrPrefixSegments and
+	// AttrMappedSegments carry a serve job's fold provenance on its root
+	// span: how many input segments the result folded, how many of those
+	// came from the summary cache (of which how many as part of a cached
+	// prefix: resumed from, never folded), and how many were mapped fresh.
+	// The serve-cache invariant joins them against the job's subtree.
 	AttrSegments       = "segments"
 	AttrCachedSegments = "cached_segments"
+	AttrPrefixSegments = "prefix_segments"
 	AttrMappedSegments = "mapped_segments"
 )
 
@@ -234,6 +236,13 @@ func (t *Trace) EmitRaw(sp *Span) {
 	t.sink.Emit(sp)
 }
 
+// now is the current time in Unix nanoseconds: the wall time the process
+// started at plus the monotonic clock since, one clock read where
+// time.Now takes two.
+func now() int64 { return epoch.UnixNano() + int64(time.Since(epoch)) }
+
+var epoch = time.Now()
+
 // ActiveSpan is an in-flight span. Attr/Tag/End are safe on a nil
 // receiver; a span is owned by one goroutine until End.
 type ActiveSpan struct {
@@ -252,7 +261,7 @@ func (t *Trace) StartJob(name string) *ActiveSpan {
 		Parent: t.forkParent,
 		Kind:   KindJob,
 		Name:   name,
-		Start:  time.Now().UnixNano(),
+		Start:  now(),
 	}}
 	t.jobID.Store(s.sp.ID)
 	return s
@@ -268,7 +277,7 @@ func (t *Trace) Start(kind, name string) *ActiveSpan {
 		Parent: t.jobID.Load(),
 		Kind:   kind,
 		Name:   name,
-		Start:  time.Now().UnixNano(),
+		Start:  now(),
 	}}
 }
 
@@ -320,7 +329,7 @@ func (s *ActiveSpan) End() {
 	if s == nil {
 		return
 	}
-	s.sp.End = time.Now().UnixNano()
+	s.sp.End = now()
 	if s.sp.End < s.sp.Start {
 		s.sp.End = s.sp.Start
 	}

@@ -24,7 +24,7 @@ const (
 	InvJobMissing      = "job-missing"       // non-empty trace must contain a job span
 	InvBatchRecords    = "batch-records"     // every parse/exec span: kept events <= chunk records; parse/exec agree per task
 	InvOwnerDecode     = "owner-decode"      // w2w: runs decoded only on their partition's owning worker
-	InvServeCache      = "serve-cache"       // warm serve jobs do no map work; fold provenance adds up
+	InvServeCache      = "serve-cache"       // warm serve jobs do no map work, prefix-answered ones no fold; provenance adds up
 )
 
 // Violation is one failed invariant over a trace.
@@ -119,11 +119,13 @@ func (v Verifier) Verify(spans []*Span) []Violation {
 // verifyServeCache checks the serve layer's central promise: a fully
 // warm job — every folded segment served from the summary cache
 // (cached_segments == segments > 0 on the job root) — performed zero
-// map work, anywhere in its subtree. Nested engine job roots are
-// climbed through, so a warm path that quietly launched an engine run
-// cannot hide its map attempts under the inner root. Roots without the
-// provenance attrs (ordinary engine jobs) are skipped, and the attrs
-// must add up: cached + mapped == segments.
+// map work, anywhere in its subtree, and one answered whole from a
+// cached prefix (prefix_segments == segments) did not fold either.
+// Nested engine job roots are climbed through, so a warm path that
+// quietly launched an engine run cannot hide its map attempts under the
+// inner root. Roots without the provenance attrs (ordinary engine jobs)
+// are skipped, and the attrs must add up: cached + mapped == segments,
+// prefix segments among the cached.
 func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 	var out []Violation
 	warm := make(map[int64]*Span)
@@ -132,11 +134,11 @@ func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 		if !ok {
 			continue
 		}
-		segs := job.Attr(AttrSegments)
-		if mapped := job.Attr(AttrMappedSegments); cached+mapped != segs {
+		segs, prefix := job.Attr(AttrSegments), job.Attr(AttrPrefixSegments)
+		if mapped := job.Attr(AttrMappedSegments); cached+mapped != segs || prefix > cached {
 			out = append(out, Violation{InvServeCache,
-				fmt.Sprintf("job %q: %d cached + %d mapped segments != %d folded",
-					job.Name, cached, mapped, segs)})
+				fmt.Sprintf("job %q: %d cached (%d by prefix) + %d mapped segments != %d folded",
+					job.Name, cached, prefix, mapped, segs)})
 		}
 		if segs > 0 && cached == segs {
 			warm[job.ID] = job
@@ -147,7 +149,7 @@ func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 	}
 	for _, sp := range spans {
 		switch sp.Kind {
-		case KindMapAttempt, KindMapParse, KindMapExec:
+		case KindMapAttempt, KindMapParse, KindMapExec, KindFold:
 		default:
 			continue
 		}
@@ -155,9 +157,11 @@ func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 		// warm serve root — however deeply nested — is a violation.
 		for p, hops := sp.Parent, 0; p != 0 && hops < 16; hops++ {
 			if job, ok := warm[p]; ok {
-				out = append(out, Violation{InvServeCache,
-					fmt.Sprintf("job %q: warm-cache job contains %s %q (id %d) — cached fold ran map work",
-						job.Name, sp.Kind, sp.Name, sp.ID)})
+				if sp.Kind != KindFold || job.Attr(AttrPrefixSegments) == job.Attr(AttrSegments) {
+					out = append(out, Violation{InvServeCache,
+						fmt.Sprintf("job %q: warm-cache job contains %s %q (id %d) — cached answer redid work",
+							job.Name, sp.Kind, sp.Name, sp.ID)})
+				}
 				break
 			}
 			ps, ok := byID[p]

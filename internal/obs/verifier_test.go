@@ -245,3 +245,42 @@ func TestCheckErrorNamesInvariant(t *testing.T) {
 		t.Fatalf("error does not name the invariant: %v", err)
 	}
 }
+
+// TestVerifierServeCache pins the serve-cache invariant's three rules on
+// minimal serve traces: the provenance attrs add up (prefix segments
+// among the cached), a fully cached job has no map work under it, and a
+// job answered whole from a cached prefix has no fold span either —
+// while one that resumed from a prefix and folded the rest does.
+func TestVerifierServeCache(t *testing.T) {
+	job := func(segs, cached, prefix, mapped int64, kinds ...string) []*Span {
+		spans := []*Span{{ID: 1, Kind: KindJob, Name: "serve/G1/github", Start: 10, End: 100, Attrs: map[string]int64{
+			AttrSegments: segs, AttrCachedSegments: cached, AttrPrefixSegments: prefix, AttrMappedSegments: mapped}}}
+		for i, k := range kinds {
+			spans = append(spans, &Span{ID: int64(2 + i), Parent: 1, Kind: k, Start: 20, End: 30})
+		}
+		return spans
+	}
+	for _, tc := range []struct {
+		name  string
+		spans []*Span
+		ok    bool
+	}{
+		{"answered from a prefix", job(8, 8, 8, 0, KindQueue), true},
+		{"answered from a prefix, yet folded", job(8, 8, 8, 0, KindQueue, KindFold), false},
+		{"resumed from a prefix, folded the rest", job(9, 9, 8, 0, KindQueue, KindFold), true},
+		{"warm from parts", job(8, 8, 0, 0, KindQueue, KindFold), true},
+		{"warm, yet mapped", job(8, 8, 0, 0, KindQueue, KindMapAttempt, KindFold), false},
+		{"more by prefix than cached", job(8, 6, 7, 2, KindQueue, KindFold), false},
+		{"cached and mapped do not add up", job(8, 5, 5, 2, KindQueue, KindFold), false},
+	} {
+		viols := (Verifier{}).Verify(tc.spans)
+		if ok := len(viols) == 0; ok != tc.ok {
+			t.Errorf("%s: violations %v, want ok=%v", tc.name, viols, tc.ok)
+		}
+		for _, v := range viols {
+			if v.Invariant != InvServeCache {
+				t.Errorf("%s: unexpected %s violation: %s", tc.name, v.Invariant, v.Detail)
+			}
+		}
+	}
+}

@@ -158,6 +158,44 @@ func sessionFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) se
 	return res
 }
 
+// resumedFold answers the query the way a job that finds a cached prefix
+// does: one session folds the first half and freezes, a second resumes
+// from the frozen prefix and folds the rest as an overlay. The first
+// session goes on past its own freeze and must agree.
+func resumedFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) serve.Result {
+	t.Helper()
+	k := len(bundles) / 2
+	first, err := run.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := run.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bundles[:k] {
+		if err := first.Fold(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second.Resume(first.Freeze())
+	var res [2]serve.Result
+	for i, sess := range []serve.Session{first, second} {
+		for _, b := range bundles[k:] {
+			if err := sess.Fold(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res[i], err = sess.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res[0] != res[1] {
+		t.Errorf("freezing session went on to %+v, resumed session to %+v", res[0], res[1])
+	}
+	return res[1]
+}
+
 // bundleSites folds the same per-segment bundles at the two sites that
 // need the query's types: a StreamComposer per key (a chunk per
 // segment, delivered last-first and empty where the key is absent) and
@@ -236,9 +274,10 @@ var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) 
 // and produces the sequential digest. Two sites run as whole jobs — the
 // in-process reducer and the w2w partition owner (SympleCombiner, whose
 // constant summary the coordinator-side reducer then applies) — and
-// three fold the very same per-segment bundles: the query service's
-// standing session, a StreamComposer per key, and the owner's combiner
-// called directly. Keys absent from some segments are part of the input.
+// four fold the very same per-segment bundles: the query service's
+// standing session, a session resumed from a frozen prefix, a
+// StreamComposer per key, and the owner's combiner called directly. Keys
+// absent from some segments are part of the input.
 func TestFoldSitesAgree(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
 	eps := chaosWorkers(t, 2)
@@ -268,6 +307,7 @@ func TestFoldSitesAgree(t *testing.T) {
 			}
 			bundles := segmentBundles(t, spec.ID, segs)
 			session := sessionFold(t, serve.Lookup(spec.ID), bundles)
+			resumed := resumedFold(t, serve.Lookup(spec.ID), bundles)
 			composer, combiner, n := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
 			absent += n
 			for _, got := range []struct {
@@ -278,6 +318,7 @@ func TestFoldSitesAgree(t *testing.T) {
 				{"reducer", reducer.Digest, reducer.NumResults},
 				{"w2w owner", owner.Digest, owner.NumResults},
 				{"serve session", session.Digest, session.NumResults},
+				{"resumed session", resumed.Digest, resumed.NumResults},
 				{"stream composer", composer.Digest, composer.NumResults},
 				{"owner combiner", combiner.Digest, combiner.NumResults},
 			} {

@@ -1,0 +1,122 @@
+package queries
+
+import (
+	"bytes"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/serve"
+	"repro/internal/wire"
+)
+
+// encodeStates is every state of the prefix in canonical form, by key.
+func (p *servePrefix[S, E, R]) encodeStates() []byte {
+	keys := make([]string, 0, len(p.states))
+	for key := range p.states {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var enc wire.Encoder
+	for _, key := range keys {
+		enc.String(key)
+		p.states[key].Encode(&enc)
+	}
+	return enc.Bytes()
+}
+
+// TestServePrefixIsFrozen is the contract the prefix cache rests on: a
+// frozen prefix is shared by pointer between the cache, concurrent jobs
+// and tail sessions with no lock, so nothing a session does over it may
+// write it. For every query (SymPred's shared assumption lists, SymVector
+// and SymIntVector's shared backing arrays included) eight sessions at
+// once resume from one prefix and fold the remaining segments over it —
+// as a job's overlay, as a tail's refresh loop that freezes as it goes,
+// and with bundles of zero summaries — and read its result; -race sees
+// a write the moment it happens, and the prefix's states encode to the
+// same bytes afterwards.
+func TestServePrefixIsFrozen(t *testing.T) {
+	datasets := smallDatasets(8)
+	var noSummaries wire.Encoder
+	noSummaries.Uvarint(0)
+	for _, spec := range All() {
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
+			run := serve.Lookup(spec.ID)
+			bundles := segmentBundles(t, spec.ID, datasets[spec.Dataset])
+			const k = 4
+			atPrefix, atEnd := sessionFold(t, run, bundles[:k]), sessionFold(t, run, bundles)
+			empty := map[string][]byte{}
+			for key := range bundles[0] {
+				empty[key] = noSummaries.Bytes()
+			}
+
+			sess, err := run.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range bundles[:k] {
+				if err := sess.Fold(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prefix := sess.Freeze()
+			frozen := prefix.(interface{ encodeStates() []byte })
+			before := bytes.Clone(frozen.encodeStates())
+
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					sess, err := run.NewSession()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sess.Resume(prefix)
+					want := atEnd
+					switch g % 3 {
+					case 0: // a job's overlay
+						for _, b := range bundles[k:] {
+							if err := sess.Fold(b); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					case 1: // a tail: result per refresh, freezing as it goes
+						for i, b := range bundles[k:] {
+							if err := sess.Fold(b); err != nil {
+								t.Error(err)
+								return
+							}
+							if _, err := sess.Result(); err != nil {
+								t.Error(err)
+								return
+							}
+							if i%2 == 0 {
+								sess.Freeze()
+							}
+						}
+					case 2: // the memoised result, then folds that fold nothing
+						want = atPrefix
+						if got, _ := sess.Result(); got != want {
+							t.Errorf("result over the prefix %+v, want %+v", got, want)
+						}
+						if err := sess.Fold(empty); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if got, _ := sess.Result(); got != want {
+						t.Errorf("session %d: result %+v, want %+v", g, got, want)
+					}
+				}(g)
+			}
+			wg.Wait()
+			if !bytes.Equal(before, frozen.encodeStates()) {
+				t.Error("sessions over the frozen prefix changed its states")
+			}
+		})
+	}
+}

@@ -6,18 +6,18 @@
 // The service is the "Monoidify!" payoff of the paper's summaries:
 // because a segment's symbolic summary is a composable monoid element,
 // it depends only on (segment content, query schema) — never on which
-// job asked. The cache stores each mapped segment's encoded per-key
-// summary bundles under that key, so a re-submitted job folds cached
-// bytes through sym.Folder with zero map work, and an
-// append-only job maps only the new segments. Admission control (fair
-// per-tenant FIFO with concurrency and in-flight-memory budgets, plus
-// global queue-depth rejection) keeps one tenant from starving the
-// rest; a tail mode re-folds a growing dataset and streams refreshed
-// results.
+// job asked — and so does the fold of an ordered list of them. The cache
+// holds each mapped segment's encoded per-key summary bundles under the
+// segment's address and, for a segment list seen twice, the folded
+// states under the list's: a re-submitted job is a lookup, an append-only
+// job maps the new segments and folds them over the shared prefix.
+// Admission control (fair per-tenant FIFO with concurrency and
+// in-flight-memory budgets, plus global queue-depth rejection) keeps one
+// tenant from starving the rest; a tail mode re-folds a growing dataset
+// and streams refreshed results.
 package serve
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/mapreduce"
@@ -32,23 +32,42 @@ type Result struct {
 	NumResults int
 }
 
-// Session is one job's standing fold state: one sym.Folder and a state
-// per key over the query's schema. A session is single-goroutine (the
-// job that owns it); tail jobs keep theirs alive across refreshes and
-// Fold only the appended segments.
+// Session is one job's standing fold: one sym.Folder and, per key, either
+// a state the session owns or one it shares with a frozen Prefix. A
+// session is single-goroutine (the job that owns it); tail jobs keep
+// theirs alive across refreshes and Fold only the appended segments.
 type Session interface {
 	// Mapper builds a fresh engine map function for one cold run —
 	// exactly the mapper the in-process SYMPLE engine would use, so the
 	// bundles a serve job caches are the bytes a batch run shuffles.
 	// trace receives the run's map spans; it may be nil.
 	Mapper(trace *obs.Trace) (mapreduce.MapFunc, error)
-	// Fold folds one segment's per-key summary bundles into the
+	// FoldPart folds one segment's per-key summary bundles into the
 	// standing result. Segments must be folded in dataset order; the
-	// bundle map is immutable and may be shared with the cache.
+	// part is immutable and may be shared with the cache. A key whose
+	// state is shared folds from it into a state the session owns.
+	FoldPart(part *Part) error
+	// Fold is FoldPart over bundles held in a map.
 	Fold(bundles map[string][]byte) error
+	// Freeze returns the standing fold as a Prefix. The session goes on
+	// from it: everything it owned is now shared and no longer written.
+	Freeze() Prefix
+	// Resume replaces the standing fold with a frozen one (of the same
+	// Runner) that covers everything folded so far and more.
+	Resume(p Prefix)
 	// Result formats and digests the standing result. Callable between
-	// Folds (tail jobs call it per refresh).
+	// Folds (tail jobs call it per refresh). With nothing folded since
+	// Freeze or Resume it is the Prefix's memoised result.
 	Result() (Result, error)
+}
+
+// Prefix is a fold frozen after some prefix of a dataset's segments: the
+// per-key states and, once some job has asked for it, their Result. It
+// is immutable, so the cache, concurrent jobs and tail sessions share
+// one without locks.
+type Prefix interface {
+	// Bytes estimates the memory the prefix holds, for the cache budget.
+	Bytes() int64
 }
 
 // Runner builds fold sessions for one registered query. Implementations
@@ -81,16 +100,4 @@ func Lookup(id string) Runner {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	return runners[id]
-}
-
-// RegisteredQueries returns the registered query IDs, sorted.
-func RegisteredQueries() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	ids := make([]string, 0, len(runners))
-	for id := range runners {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -7,16 +7,20 @@
 package serve_test
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/data"
+	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
 	"repro/internal/serve"
@@ -148,73 +152,100 @@ func checkResult(t *testing.T, label, query string, res cluster.JobResult, golde
 	}
 }
 
+// wantProvenance checks one job's segment accounting.
+func wantProvenance(t *testing.T, label string, res cluster.JobResult, cached, mapped int) {
+	t.Helper()
+	if res.Segments != cached+mapped || res.CacheHits != cached || res.MappedSegments != mapped {
+		t.Errorf("%s: %d segments, %d cached, %d mapped; want %d cached and %d mapped",
+			label, res.Segments, res.CacheHits, res.MappedSegments, cached, mapped)
+	}
+}
+
 // TestServeBatchGolden is the core tentpole contract: every query run
-// cold through the service reproduces the committed golden digest, a
-// warm re-submission reproduces it again with zero map work — pinned
-// both by the result's provenance counters and by a trace-span
-// assertion over the warm job's subtree — and the whole trace passes
-// the verifier, including the serve-cache invariant.
+// cold through the service reproduces the committed golden digest; a
+// warm re-submission reproduces it from the cached parts with zero map
+// work and — the list now seen twice — leaves the folded prefix behind;
+// a third is answered from that prefix with no fold either; and a job
+// over one appended segment folds only that segment over the prefix.
+// The provenance is pinned by the result's counters and by the trace:
+// the whole trace passes the verifier, whose serve-cache invariant
+// forbids map spans under every warm root and fold spans under the
+// prefix-answered ones.
 func TestServeBatchGolden(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
 	sink := obs.NewMemSink()
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, serve.Config{Trace: obs.NewTrace(sink), Registry: reg})
-	for name, segs := range queries.GoldenDatasets(queries.GoldenSegments) {
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
+	for name, segs := range datasets {
 		srv.AddDataset(name, segs)
 	}
 	c := dialClient(t, addr)
 
+	const n = queries.GoldenSegments
 	for _, spec := range queries.All() {
-		cold := submitWait(t, c, "acme", spec.ID, spec.Dataset)
-		checkResult(t, "cold", spec.ID, cold, golden)
-		if cold.MappedSegments != queries.GoldenSegments || cold.CacheHits != 0 {
-			t.Errorf("cold %s: mapped %d cached %d, want %d/0",
-				spec.ID, cold.MappedSegments, cold.CacheHits, queries.GoldenSegments)
+		for _, step := range []struct {
+			label          string
+			cached, mapped int
+		}{{"cold", 0, n}, {"warm", n, 0}, {"prefix", n, 0}} {
+			res := submitWait(t, c, "acme", spec.ID, spec.Dataset)
+			checkResult(t, step.label, spec.ID, res, golden)
+			wantProvenance(t, step.label+" "+spec.ID, res, step.cached, step.mapped)
 		}
-		warm := submitWait(t, c, "acme", spec.ID, spec.Dataset)
-		checkResult(t, "warm", spec.ID, warm, golden)
-		if warm.CacheHits != queries.GoldenSegments || warm.MappedSegments != 0 {
-			t.Errorf("warm %s: cached %d mapped %d, want %d/0",
-				spec.ID, warm.CacheHits, warm.MappedSegments, queries.GoldenSegments)
+	}
+	if st := srv.CacheStats(); st.Prefixes != len(queries.All()) {
+		t.Errorf("%d prefixes cached, want one per query (%d)", st.Prefixes, len(queries.All()))
+	}
+	// Appended data: the standing prefix plus one mapped segment. The
+	// appended segment repeats the dataset's first, so there is no golden
+	// digest for it; the incremental suite checks such answers.
+	for name, segs := range datasets {
+		if err := srv.AppendSegment(name, &mapreduce.Segment{Records: segs[0].Records}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, spec := range queries.All() {
+		res := submitWait(t, c, "acme", spec.ID, spec.Dataset)
+		// The appended segment's content is the first segment's, so its
+		// part is cached: all n+1 segments are hits, n of them by prefix.
+		wantProvenance(t, "append "+spec.ID, res, n+1, 0)
 	}
 
-	// Trace-level pin of the zero-map-work claim: for every warm serve
-	// root (cached == segments > 0), no map span anywhere in the trace
-	// may have that root on its ancestor chain.
+	// Trace-level pins: per query one cold root, two warm roots of which
+	// one is answered whole from the prefix, and one append root that
+	// resumed from the prefix and folded one segment.
 	spans := sink.Spans()
-	byID := make(map[int64]*obs.Span, len(spans))
+	folds := map[int64]int{}
 	for _, sp := range spans {
-		byID[sp.ID] = sp
-	}
-	warmRoots := map[int64]bool{}
-	for _, sp := range spans {
-		if sp.Kind == obs.KindJob && sp.Attr(obs.AttrSegments) > 0 &&
-			sp.Attr(obs.AttrCachedSegments) == sp.Attr(obs.AttrSegments) {
-			warmRoots[sp.ID] = true
+		if sp.Kind == obs.KindFold {
+			folds[sp.Parent]++
 		}
 	}
-	if len(warmRoots) != len(queries.All()) {
-		t.Errorf("trace has %d warm serve roots, want %d", len(warmRoots), len(queries.All()))
-	}
-	mapKinds := map[string]bool{obs.KindMapAttempt: true, obs.KindMapParse: true, obs.KindMapExec: true}
-	var mapSpans int
+	var byPrefix, resumed, mapSpans int
 	for _, sp := range spans {
-		if !mapKinds[sp.Kind] {
+		switch sp.Kind {
+		case obs.KindMapAttempt, obs.KindMapParse, obs.KindMapExec:
+			mapSpans++
+		}
+		if sp.Kind != obs.KindJob || sp.Attr(obs.AttrSegments) == 0 {
 			continue
 		}
-		mapSpans++
-		for p, hops := sp.Parent, 0; p != 0 && hops < 16; hops++ {
-			if warmRoots[p] {
-				t.Fatalf("map span %d (%s) under warm serve root %d", sp.ID, sp.Kind, p)
+		switch prefix := sp.Attr(obs.AttrPrefixSegments); {
+		case prefix == sp.Attr(obs.AttrSegments):
+			byPrefix++
+			if folds[sp.ID] != 0 {
+				t.Errorf("job %q answered from a prefix has %d fold spans", sp.Name, folds[sp.ID])
 			}
-			parent := byID[p]
-			if parent == nil {
-				break
+		case prefix > 0:
+			resumed++
+			if folds[sp.ID] != 1 {
+				t.Errorf("job %q resumed from a prefix has %d fold spans, want 1", sp.Name, folds[sp.ID])
 			}
-			p = parent.Parent
 		}
+	}
+	if want := len(queries.All()); byPrefix != want || resumed != want {
+		t.Errorf("%d jobs answered from a prefix and %d resumed from one, want %d each", byPrefix, resumed, want)
 	}
 	if mapSpans == 0 {
 		t.Error("trace has no map spans at all — cold runs were not traced")
@@ -223,28 +254,66 @@ func TestServeBatchGolden(t *testing.T) {
 		t.Errorf("trace verifier: %v", err)
 	}
 
-	// Service metrics must reflect what happened: 24 completed jobs, 12
-	// fully warm, no rejections or failures.
+	// Service metrics must reflect what happened: four completed jobs a
+	// query, no rejections or failures, and a hit per cached segment.
 	snap := reg.Snapshot()
-	if got := snap[serve.MetricJobsCompleted]; got != int64(2*len(queries.All())) {
-		t.Errorf("completed jobs metric %d, want %d", got, 2*len(queries.All()))
+	if got := snap[serve.MetricJobsCompleted]; got != int64(4*len(queries.All())) {
+		t.Errorf("completed jobs metric %d, want %d", got, 4*len(queries.All()))
 	}
 	if snap[serve.MetricJobsRejected] != 0 || snap[serve.MetricJobsFailed] != 0 {
 		t.Errorf("unexpected rejected/failed jobs: %v / %v",
 			snap[serve.MetricJobsRejected], snap[serve.MetricJobsFailed])
 	}
-	st := srv.CacheStats()
-	if st.Hits < int64(12*queries.GoldenSegments) {
-		t.Errorf("cache hits %d, want at least %d", st.Hits, 12*queries.GoldenSegments)
+	if st, want := srv.CacheStats(), int64(len(queries.All())*(3*n+1)); st.Hits != want {
+		t.Errorf("cache hits %d, want %d (a prefix of k segments is k hits)", st.Hits, want)
+	}
+}
+
+// TestServePrefixSplits is the prefix cache's exactness contract: for
+// all 12 queries and every split point k of an 8-segment dataset, a job
+// over the first k segments twice and then over all 8 returns the
+// golden digest, the third job resuming from the k-segment prefix the
+// second left behind and mapping exactly the rest.
+func TestServePrefixSplits(t *testing.T) {
+	checkGoroutineLeaks(t)
+	golden := readGolden(t)
+	const n = 8
+	datasets := queries.GoldenDatasets(n)
+	srv, addr := startServer(t, serve.Config{})
+	c := dialClient(t, addr)
+	for _, spec := range queries.All() {
+		segs := datasets[spec.Dataset]
+		for k := 1; k <= n; k++ {
+			srv.FlushCache() // each split starts cold
+			srv.AddDataset("split", segs[:k])
+			first := submitWait(t, c, "split", spec.ID, "split")
+			wantProvenance(t, fmt.Sprintf("%s[:%d] first", spec.ID, k), first, 0, k)
+			second := submitWait(t, c, "split", spec.ID, "split")
+			wantProvenance(t, fmt.Sprintf("%s[:%d] second", spec.ID, k), second, k, 0)
+			if second.Digest != first.Digest || second.NumResults != first.NumResults {
+				t.Errorf("%s[:%d]: warm digest %016x, cold %016x", spec.ID, k, second.Digest, first.Digest)
+			}
+			if st := srv.CacheStats(); st.Prefixes != 1 {
+				t.Errorf("%s[:%d]: %d prefixes after the second sight, want 1", spec.ID, k, st.Prefixes)
+			}
+			srv.AddDataset("split", segs)
+			full := submitWait(t, c, "split", spec.ID, "split")
+			checkResult(t, fmt.Sprintf("split %d", k), spec.ID, full, golden)
+			wantProvenance(t, fmt.Sprintf("%s[:%d] full", spec.ID, k), full, k, n-k)
+		}
 	}
 }
 
 // TestServeIncrementalAppend drives the metamorphic incremental suite:
 // for every query, the dataset is revealed segment by segment with a
-// batch re-submission after each prefix, so the service folds cached
-// prefix summaries plus exactly the newly arrived segments — and every
+// batch re-submission after each prefix. Each list is a job's for the
+// first time, so each job folds cached parts plus exactly the newly
+// arrived segment, and stores the previous job's list — now seen twice
+// — as a prefix on the way, which the job after it resumes from. Every
 // prefix's digest must match a from-scratch batch run over the same
-// prefix, with the full dataset landing on the committed golden digest.
+// prefix (a reference server flushed before each job, prefixes and
+// marks included), with the full dataset landing on the committed
+// golden digest.
 func TestServeIncrementalAppend(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
@@ -277,12 +346,8 @@ func TestServeIncrementalAppend(t *testing.T) {
 			if got.Segments != n {
 				t.Fatalf("%s prefix %d: folded %d segments", spec.ID, n, got.Segments)
 			}
-			// Incrementality: beyond the first submission, only the
-			// newly appended segment may be mapped.
-			if n > 1 && got.MappedSegments != 1 {
-				t.Errorf("%s prefix %d: mapped %d segments, want 1 (cached %d)",
-					spec.ID, n, got.MappedSegments, got.CacheHits)
-			}
+			// Incrementality: only the newly appended segment is mapped.
+			wantProvenance(t, fmt.Sprintf("%s prefix %d", spec.ID, n), got, n-1, 1)
 			ref.FlushCache()
 			want := submitWait(t, rc, "inc", spec.ID, ds)
 			if want.MappedSegments != n {
@@ -296,37 +361,151 @@ func TestServeIncrementalAppend(t *testing.T) {
 		}
 		final := submitWait(t, c, "inc", spec.ID, ds)
 		checkResult(t, "final", spec.ID, final, golden)
-		if final.CacheHits != len(segs) || final.MappedSegments != 0 {
-			t.Errorf("%s final: cached %d mapped %d, want %d/0",
-				spec.ID, final.CacheHits, final.MappedSegments, len(segs))
-		}
+		wantProvenance(t, spec.ID+" final", final, len(segs), 0)
+	}
+	// Every list but the first of each query was seen twice (by its own
+	// job and as the start of the next one's), the full list by the
+	// final job: one prefix each, none for a list seen once.
+	if st, want := srv.CacheStats(), len(queries.All())*queries.GoldenSegments; st.Prefixes != want {
+		t.Errorf("%d prefixes cached, want %d", st.Prefixes, want)
 	}
 }
 
-// TestServeEvictionMidStream covers the cache-eviction interleaving: a
-// flush between submissions forces a full re-map, and a flush racing a
-// running job is harmless (bundle maps are immutable) — digests stay
-// golden throughout.
+// TestServeEvictionMidStream covers the cache-eviction interleaving:
+// losing cached state — parts, prefixes or marks, to a flush or to the
+// LRU — only ever costs recomputation. A flush between submissions
+// forces a full re-map and forgets the second sight with it; a cache too
+// small to keep a prefix beside the parts keeps answering from whatever
+// survived; a flush racing a running job is harmless (everything cached
+// is immutable). Digests stay golden throughout.
 func TestServeEvictionMidStream(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
+	const n = queries.GoldenSegments
+	datasets := queries.GoldenDatasets(n)
 	srv, addr := startServer(t, serve.Config{})
-	for name, segs := range queries.GoldenDatasets(queries.GoldenSegments) {
+	for name, segs := range datasets {
 		srv.AddDataset(name, segs)
 	}
 	c := dialClient(t, addr)
 	spec := queries.ByID("G2")
-	cold := submitWait(t, c, "evict", spec.ID, spec.Dataset)
-	checkResult(t, "cold", spec.ID, cold, golden)
-	srv.FlushCache()
-	recold := submitWait(t, c, "evict", spec.ID, spec.Dataset)
-	checkResult(t, "re-cold", spec.ID, recold, golden)
-	if recold.MappedSegments != queries.GoldenSegments {
-		t.Errorf("post-flush run mapped %d segments, want %d",
-			recold.MappedSegments, queries.GoldenSegments)
+	run := func(srv *serve.Server, c *serve.Client, label string, cached, mapped int) {
+		t.Helper()
+		res := submitWait(t, c, "evict", spec.ID, spec.Dataset)
+		checkResult(t, label, spec.ID, res, golden)
+		wantProvenance(t, label, res, cached, mapped)
 	}
-	if st := srv.CacheStats(); st.Evictions < int64(queries.GoldenSegments) {
-		t.Errorf("evictions %d, want at least %d", st.Evictions, queries.GoldenSegments)
+	run(srv, c, "cold", 0, n)
+	run(srv, c, "warm", n, 0)
+	run(srv, c, "prefix", n, 0)
+	before := srv.CacheStats()
+	if before.Prefixes != 1 {
+		t.Fatalf("%d prefixes before the flush, want 1", before.Prefixes)
+	}
+	srv.FlushCache()
+	if st := srv.CacheStats(); st.Evictions-before.Evictions != int64(before.Entries) || st.Entries != 0 {
+		t.Errorf("flush evicted %d of %d entries, %d left",
+			st.Evictions-before.Evictions, before.Entries, st.Entries)
+	}
+	run(srv, c, "re-cold", 0, n)
+	run(srv, c, "re-warm", n, 0) // second sight again: the flush took the marks
+	if st := srv.CacheStats(); st.Prefixes != 1 {
+		t.Errorf("%d prefixes after re-warming, want 1", st.Prefixes)
+	}
+
+	// A budget with room for one query's parts and prefix: a second
+	// query over the same dataset pushes the first's out through the LRU,
+	// prefix included, and the first is answered again from whatever
+	// survived.
+	small, smallAddr := startServer(t, serve.Config{CacheBytes: before.Bytes})
+	small.AddDataset(spec.Dataset, datasets[spec.Dataset])
+	sc := dialClient(t, smallAddr)
+	for _, id := range []string{"G2", "G3", "G2"} {
+		for i := 0; i < 3; i++ {
+			res := submitWait(t, sc, "evict", id, spec.Dataset)
+			checkResult(t, fmt.Sprintf("small cache %s job %d", id, i), id, res, golden)
+		}
+	}
+	if st := small.CacheStats(); st.Evictions == 0 || st.Bytes > before.Bytes {
+		t.Errorf("small cache: %d evictions, %d bytes held of a %d budget", st.Evictions, st.Bytes, before.Bytes)
+	}
+}
+
+// TestServeSecondSightAdmission: a list seen once leaves no prefix. The
+// append-once pattern — re-register the base, append a segment nobody
+// will send again — repeated 200 times keeps one prefix (the base's) and
+// a cache whose growth is the parts and 16-byte marks alone, inside its
+// budget.
+func TestServeSecondSightAdmission(t *testing.T) {
+	checkGoroutineLeaks(t)
+	spec := queries.ByID("G1")
+	segs := queries.GoldenDatasets(queries.GoldenSegments)[spec.Dataset]
+	base, fresh := segs[:len(segs)-1], segs[len(segs)-1]
+	const budget = 96 << 10
+	srv, addr := startServer(t, serve.Config{CacheBytes: budget})
+	c := dialClient(t, addr)
+	srv.AddDataset("ds", base)
+	submitWait(t, c, "t", spec.ID, "ds")
+	if st := srv.CacheStats(); st.Prefixes != 0 {
+		t.Fatalf("%d prefixes after a list's first sight, want 0", st.Prefixes)
+	}
+	want, err := spec.Sequential(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		srv.AddDataset("ds", base)
+		// A variant nobody has seen: the filler of its first record differs.
+		recs := append([][]byte(nil), fresh.Records...)
+		recs[0] = append(append([]byte(nil), recs[0]...), fmt.Sprintf("%08x", i)...)
+		if err := srv.AppendSegment("ds", &mapreduce.Segment{Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+		res := submitWait(t, c, "t", spec.ID, "ds")
+		wantProvenance(t, fmt.Sprintf("variant %d", i), res, len(base), 1)
+		if res.Digest != want.Digest {
+			t.Fatalf("variant %d: digest %016x, sequential %016x", i, res.Digest, want.Digest)
+		}
+		if st := srv.CacheStats(); st.Prefixes != 1 || st.Bytes > budget {
+			t.Fatalf("variant %d: %d prefixes, %d bytes of a %d budget; want the base's prefix alone",
+				i, st.Prefixes, st.Bytes, budget)
+		}
+	}
+	if st := srv.CacheStats(); st.Evictions == 0 {
+		t.Errorf("200 variants never filled a %d-byte cache (%d bytes): the budget was not exercised", budget, st.Bytes)
+	}
+}
+
+// TestServeWarmCostIndependentOfDatasetBytes: a re-submitted job is a
+// lookup by the dataset's resident address, so a dataset a hundred times
+// the bytes (same records, longer filler) is answered in the same time.
+// The bound is loose — before the address was resident state the ratio
+// was the ratio of the bytes.
+func TestServeWarmCostIndependentOfDatasetBytes(t *testing.T) {
+	checkGoroutineLeaks(t)
+	srv, addr := startServer(t, serve.Config{})
+	c := dialClient(t, addr)
+	warm := func(name string, filler int) time.Duration {
+		srv.AddDataset(name, data.GenGithub(data.GithubConfig{
+			Records: 4000, Repos: 150, Segments: 4, Filler: filler, Seed: 11}))
+		for i := 0; i < 3; i++ { // cold, second sight, first answer from the prefix
+			submitWait(t, c, "t", "G1", name)
+		}
+		times := make([]time.Duration, 31)
+		for i := range times {
+			t0 := time.Now()
+			if res := submitWait(t, c, "t", "G1", name); res.CacheHits != 4 || res.MappedSegments != 0 {
+				t.Fatalf("%s: warm job mapped %d, cached %d", name, res.MappedSegments, res.CacheHits)
+			}
+			times[i] = time.Since(t0)
+		}
+		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		return times[len(times)/2]
+	}
+	thin, fat := warm("thin", 8), warm("fat", 4000)
+	t.Logf("warm job median: %v over ~50 B records, %v over ~4 KB records", thin, fat)
+	if fat > 3*thin+time.Millisecond {
+		t.Errorf("warm job over 100x the bytes took %v against %v", fat, thin)
 	}
 }
 

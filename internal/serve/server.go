@@ -24,9 +24,9 @@ type Config struct {
 	// Registry are overridden per run.
 	Engine mapreduce.Config
 	// Trace, when set, receives the service's spans: one serve job root
-	// per job (tenant tag, fold provenance attrs), queue-wait and fold
-	// children, and each cold engine run nested as a sub-job. Forked
-	// per job, so concurrent jobs share one span ID space.
+	// per job (fold provenance attrs), a queue-wait child named by the
+	// tenant, fold children, and each cold engine run nested as a
+	// sub-job. Forked per job, so concurrent jobs share one span ID space.
 	Trace *obs.Trace
 	// Registry, when set, receives service metrics (Metric* names plus
 	// per-tenant tenant.<name>.* instruments).
@@ -48,19 +48,43 @@ type Server struct {
 	datasets map[string]*dataset
 }
 
-// dataset is one named, append-only segment sequence.
+// dataset is one named, append-only segment sequence: its state now,
+// with what a job needs of it worked out when it changes, not per job.
 type dataset struct {
-	mu      sync.Mutex
-	segs    []*mapreduce.Segment
-	changed chan struct{} // closed and replaced on every append
+	mu sync.Mutex
+	snapshot
 }
 
-// snapshot returns the current segments (shared slice prefix; segments
-// are immutable) and a channel closed on the next append.
-func (d *dataset) snapshot() ([]*mapreduce.Segment, <-chan struct{}) {
+// snapshot is a dataset at one moment.
+type snapshot struct {
+	segs    []*mapreduce.Segment
+	chain   []mapreduce.Digest // chain[i] addresses the list segs[:i+1]
+	bytes   int64              // payload of segs, the admission charge
+	changed chan struct{}      // closed and replaced on the next append
+}
+
+// snap returns the current snapshot (shared slice prefixes; segments are
+// immutable).
+func (d *dataset) snap() snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.segs[:len(d.segs):len(d.segs)], d.changed
+	s, n := d.snapshot, len(d.segs)
+	s.segs, s.chain = s.segs[:n:n], s.chain[:n:n]
+	return s
+}
+
+// add appends seg, whose ID becomes its dataset position (the fold
+// order). Digest reads resident state unless the segment is new to this
+// process: registration pays for that pass, not a job. Caller holds d.mu.
+func (d *dataset) add(seg *mapreduce.Segment) {
+	var prev mapreduce.Digest
+	if n := len(d.chain); n > 0 {
+		prev = d.chain[n-1]
+	}
+	seg.ID = len(d.segs)
+	d.segs = append(d.segs, seg)
+	d.chain = append(d.chain, prev.Chain(seg.Digest()))
+	d.bytes += seg.Bytes()
 }
 
 // New returns a server ready to Serve.
@@ -83,9 +107,9 @@ func New(cfg Config) *Server {
 // AddDataset publishes segs under name, replacing any previous dataset.
 // Segment IDs are rewritten to dataset positions (the fold order).
 func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
-	d := &dataset{segs: append([]*mapreduce.Segment(nil), segs...), changed: make(chan struct{})}
-	for i, seg := range d.segs {
-		seg.ID = i
+	d := &dataset{snapshot: snapshot{changed: make(chan struct{})}}
+	for _, seg := range segs {
+		d.add(seg)
 	}
 	s.mu.Lock()
 	s.datasets[name] = d
@@ -95,15 +119,13 @@ func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
 // AppendSegment appends one segment to a dataset and wakes its tail
 // jobs. The segment's ID is rewritten to its dataset position.
 func (s *Server) AppendSegment(name string, seg *mapreduce.Segment) error {
-	s.mu.Lock()
-	d := s.datasets[name]
-	s.mu.Unlock()
+	d := s.dataset(name)
 	if d == nil {
 		return fmt.Errorf("serve: unknown dataset %q", name)
 	}
+	seg.Digest() // the pass over the records, outside the lock
 	d.mu.Lock()
-	seg.ID = len(d.segs)
-	d.segs = append(d.segs, seg)
+	d.add(seg)
 	close(d.changed)
 	d.changed = make(chan struct{})
 	d.mu.Unlock()
@@ -155,12 +177,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// runningJob is one accepted job's cancel handle, for FrameJobCancel
-// and disconnect teardown.
-type runningJob struct {
-	cancel context.CancelFunc
-}
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(s.ctx, func() { conn.Close() })
@@ -186,7 +202,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var jobs sync.WaitGroup
 	defer jobs.Wait()
 	var mu sync.Mutex
-	active := map[uint64]*runningJob{}
+	active := map[uint64]context.CancelFunc{} // accepted jobs, for FrameJobCancel
 
 	for {
 		f, err := fc.Next()
@@ -206,8 +222,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			mu.Lock()
-			if rj := active[c.ID]; rj != nil {
-				rj.cancel()
+			if cancel := active[c.ID]; cancel != nil {
+				cancel()
 			}
 			mu.Unlock()
 		default:
@@ -220,7 +236,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // goroutine. The accept frame is written before the goroutine starts,
 // so a job's accept always precedes its updates and result.
 func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cluster.JobSubmit,
-	jobs *sync.WaitGroup, mu *sync.Mutex, active map[uint64]*runningJob) {
+	jobs *sync.WaitGroup, mu *sync.Mutex, active map[uint64]context.CancelFunc) {
 	s.reg.Counter(MetricJobsSubmitted).Inc()
 	reject := func(reason string) {
 		s.reg.Counter(MetricJobsRejected).Inc()
@@ -243,12 +259,7 @@ func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cl
 		reject("unknown dataset " + sub.Dataset)
 		return
 	}
-	segs, _ := ds.snapshot()
-	var bytes int64
-	for _, seg := range segs {
-		bytes += seg.Bytes()
-	}
-	p, err := s.admit.enqueue(sub.Tenant, bytes)
+	p, err := s.admit.enqueue(sub.Tenant, ds.snap().bytes)
 	if err != nil {
 		reject(err.Error())
 		return
@@ -256,7 +267,7 @@ func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cl
 	id := s.nextJob.Add(1)
 	jctx, jcancel := context.WithCancel(ctx)
 	mu.Lock()
-	active[id] = &runningJob{cancel: jcancel}
+	active[id] = jcancel
 	mu.Unlock()
 	if err := fc.Write(cluster.FrameJobAccept, cluster.EncodeJobAccept(
 		cluster.JobAccept{ID: id, OK: true, QueuePos: p.queuePos})); err != nil {
@@ -280,6 +291,7 @@ func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cl
 type foldState struct {
 	folded int // segments folded into the standing result
 	cached int // of those, served from the summary cache
+	prefix int // of those, as part of a cached prefix
 	mapped int // of those, mapped fresh by this job
 }
 
@@ -289,7 +301,6 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 	sub cluster.JobSubmit, runner Runner, ds *dataset, p *pending) {
 	jt := s.cfg.Trace.Fork()
 	root := jt.StartJob("serve/" + sub.Query + "/" + sub.Dataset)
-	root.Tag("tenant", sub.Tenant)
 	st := &foldState{}
 	settled := false
 	settle := func(res Result, updates int, errMsg string) {
@@ -299,6 +310,7 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 		settled = true
 		root.Attr(obs.AttrSegments, int64(st.folded)).
 			Attr(obs.AttrCachedSegments, int64(st.cached)).
+			Attr(obs.AttrPrefixSegments, int64(st.prefix)).
 			Attr(obs.AttrMappedSegments, int64(st.mapped))
 		if errMsg != "" {
 			root.Tag("outcome", errMsg)
@@ -319,8 +331,9 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 		}))
 	}
 
-	// Admission wait, traced as a queue span under the job root.
-	qs := jt.Start(obs.KindQueue, sub.Tenant).Tag("tenant", sub.Tenant)
+	// Admission wait, traced as a queue span under the job root, named by
+	// the tenant (a tag map per span is what a warm job cannot afford).
+	qs := jt.Start(obs.KindQueue, sub.Tenant)
 	t0 := time.Now()
 	select {
 	case <-p.ready:
@@ -347,8 +360,8 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 	}
 	schema := runner.SchemaKey()
 
-	segs, changed := ds.snapshot()
-	if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, segs, st); err != nil {
+	snap := ds.snap()
+	if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, snap, st); err != nil {
 		settle(Result{}, 0, jobErr(ctx, err))
 		return
 	}
@@ -383,14 +396,12 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 		case <-ctx.Done():
 			settle(res, updates, "cancelled")
 			return
-		case <-changed:
+		case <-snap.changed:
 		}
-		var segs []*mapreduce.Segment
-		segs, changed = ds.snapshot()
-		if len(segs)-st.folded < every {
+		if snap = ds.snap(); len(snap.segs)-st.folded < every {
 			continue
 		}
-		if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, segs[st.folded:], st); err != nil {
+		if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, snap, st); err != nil {
 			settle(res, updates, jobErr(ctx, err))
 			return
 		}
@@ -411,31 +422,35 @@ func jobErr(ctx context.Context, err error) string {
 	return err.Error()
 }
 
-// foldSegments folds segs (in dataset order) into the session: cached
-// segments decode straight from the summary cache; the rest run one
-// engine job (nested under the serve root as its own traced sub-job)
-// whose reduce side collects each segment's per-key bundles.
+// foldSegments brings the session from the st.folded segments it holds
+// to all of snap, in dataset order. The longest cached prefix of snap's
+// list beyond that is resumed from, not folded; of the remaining
+// segments the cached ones decode straight from the summary cache and
+// the rest run one engine job (nested under the serve root as its own
+// traced sub-job) whose reduce side collects each segment's per-key
+// bundles. A list some earlier job also began with is stored as a prefix
+// on the way — this second sight is what says it will be asked for again.
 func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
-	schema, query string, segs []*mapreduce.Segment, st *foldState) error {
+	schema, query string, snap snapshot, st *foldState) error {
+	p, from, admit := s.cache.Lookup(schema, snap.chain, st.folded)
+	if p != nil {
+		sess.Resume(p)
+		st.cached += from - st.folded
+		st.prefix += from - st.folded
+		st.folded = from
+	}
+	segs := snap.segs[from:]
 	if len(segs) == 0 {
 		return nil
 	}
-	type pendSeg struct {
-		seg     *mapreduce.Segment
-		bundles map[string][]byte
-		cached  bool
-	}
-	pend := make([]*pendSeg, len(segs))
+	parts := make([]*Part, len(segs)) // nil: not cached
 	var missing []*mapreduce.Segment
 	for i, seg := range segs {
-		ps := &pendSeg{seg: seg}
-		key := cacheKey{digest: segmentDigest(seg), schema: schema}
-		if b, ok := s.cache.Get(key); ok {
-			ps.bundles, ps.cached = b, true
-		} else {
+		p, ok := s.cache.Get(schema, seg.Digest())
+		if !ok {
 			missing = append(missing, seg)
 		}
-		pend[i] = ps
+		parts[i] = p
 	}
 
 	if len(missing) > 0 {
@@ -449,17 +464,17 @@ func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
 			return err
 		}
 		var cmu sync.Mutex
-		got := map[int]map[string][]byte{}
+		got := map[int]*Part{}
 		collect := func(_ int, key string, values []mapreduce.Shuffled) error {
 			cmu.Lock()
 			defer cmu.Unlock()
 			for _, v := range values {
-				m := got[v.MapperID]
-				if m == nil {
-					m = map[string][]byte{}
-					got[v.MapperID] = m
+				p := got[v.MapperID]
+				if p == nil {
+					p = &Part{}
+					got[v.MapperID] = p
 				}
-				m[key] = v.Value
+				p.Add(key, v.Value)
 			}
 			return nil
 		}
@@ -470,24 +485,25 @@ func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
 		if _, err := job.Start(ctx, missing).Wait(); err != nil {
 			return err
 		}
-		for _, ps := range pend {
-			if ps.cached {
+		for i, seg := range segs {
+			if parts[i] != nil {
 				continue
 			}
-			b := got[ps.seg.ID]
-			if b == nil {
-				b = map[string][]byte{} // segment produced no groups
+			if parts[i] = got[seg.ID]; parts[i] == nil {
+				parts[i] = &Part{} // segment produced no groups
 			}
-			ps.bundles = b
-			s.cache.Put(cacheKey{digest: segmentDigest(ps.seg), schema: schema}, b)
+			s.cache.Put(schema, seg.Digest(), parts[i])
 		}
 	}
 
 	fs := jt.Start(obs.KindFold, query).Attr(obs.AttrSegments, int64(len(segs)))
-	for _, ps := range pend {
-		if err := sess.Fold(ps.bundles); err != nil {
+	for i, p := range parts {
+		if err := sess.FoldPart(p); err != nil {
 			fs.Tag("outcome", "error").End()
 			return err
+		}
+		if n := from + i + 1; n == admit {
+			s.cache.PutPrefix(schema, snap.chain[n-1], sess.Freeze())
 		}
 	}
 	fs.End()

@@ -48,6 +48,13 @@ type FoldState[S State] pathState[S]
 // invalidates it — read what outlives that (Query.Result) first.
 func (st *FoldState[S]) State() S { return st.s }
 
+// Encode appends the canonical form of every field of the state to e.
+func (st *FoldState[S]) Encode(e *wire.Encoder) {
+	for _, v := range st.fs {
+		v.Encode(e)
+	}
+}
+
 // NewFolder starts a fold site for the schema's state type.
 func NewFolder[S State](sc *Schema[S]) *Folder[S] { return &Folder[S]{sc: sc} }
 
@@ -63,9 +70,7 @@ func (f *Folder[S]) Reset(st *FoldState[S]) {
 	if f.initial == nil {
 		f.initial = f.sc.newContainer()
 	}
-	for i, v := range st.fs {
-		v.CopyFrom(f.initial.fs[i])
-	}
+	(*pathState[S])(st).copyFrom(f.initial)
 }
 
 // Add applies the ordered summaries onto st. The summaries are borrowed.
@@ -89,18 +94,30 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 // one is rejected with nothing applied; an apply error leaves st as Add
 // does.
 func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) {
+	return f.AddBundleFrom(st, st, data)
+}
+
+// AddBundleFrom is AddBundle reading one state and writing another: dst
+// becomes src with the bundle applied, and src — when it is not dst — is
+// only read, so a frozen state shared between fold sites can be folded
+// from by all of them at once. On error dst is what it was.
+func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) (n int, err error) {
 	defer catchFailure(&err)
 	if err := f.decode(data); err != nil {
 		return 0, err
 	}
-	cur, lo := (*pathState[S])(st), 0
+	cur, lo := (*pathState[S])(src), 0
 	for i, hi := range f.ends {
 		if cur, err = f.step(cur, f.paths[lo:hi], i, len(f.ends)); err != nil {
 			return 0, err
 		}
 		lo = hi
 	}
-	commit(st, cur)
+	if cur == (*pathState[S])(src) && src != dst { // no summaries: dst is a copy
+		(*pathState[S])(dst).copyFrom(cur)
+	} else {
+		commit(dst, cur)
+	}
 	return len(f.ends), nil
 }
 

@@ -427,3 +427,53 @@ func TestFoldAllocCeiling(t *testing.T) {
 		}, sc.Allocated)
 	}
 }
+
+// TestFoldAddBundleFrom: folding from one state into another leaves the
+// source exactly as it was — whether the bundle has summaries, none, or
+// one that fails to apply — so a frozen state can be the source of any
+// number of folds.
+func TestFoldAddBundleFrom(t *testing.T) {
+	f := NewFolder(newSchema(newIntState(math.MinInt64)))
+	src := f.NewState()
+	if err := f.Add(src, maxChunkSummaries(t, []int64{5})); err != nil {
+		t.Fatal(err)
+	}
+	var before wire.Encoder
+	src.Encode(&before)
+	check := func(step string, dst *FoldState[*intState], want int64) {
+		t.Helper()
+		if got := dst.State().V.Get(); got != want {
+			t.Errorf("%s: dst = %d, want %d", step, got, want)
+		}
+		var after wire.Encoder
+		src.Encode(&after)
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("%s wrote the source state", step)
+		}
+	}
+
+	two := append(maxChunkSummaries(t, []int64{3}), maxChunkSummaries(t, []int64{8})...)
+	dst := f.NewState()
+	if n, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(two)); err != nil || n != 2 {
+		t.Fatalf("AddBundleFrom = %d, %v", n, err)
+	}
+	check("two summaries", dst, 8)
+
+	dst = f.NewState()
+	if n, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle[*intState](nil)); err != nil || n != 0 {
+		t.Fatalf("empty bundle = %d, %v", n, err)
+	}
+	check("no summaries", dst, 5)
+	// The copy is dst's own: folding onto it leaves the source alone too.
+	if _, err := f.AddBundle(dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
+		t.Fatal(err)
+	}
+	check("fold onto the copy", dst, 6)
+
+	dst = f.NewState()
+	bad := append(maxChunkSummaries(t, []int64{7}), partialSummary(t, []int64{4}, 7))
+	if _, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(bad)); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("error = %v, want ErrNoPath", err)
+	}
+	check("failed fold", dst, math.MinInt64)
+}

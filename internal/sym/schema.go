@@ -211,10 +211,15 @@ func (sc *Schema[S]) cloneOf(src *pathState[S]) *pathState[S] {
 	if len(src.fs) != len(dst.fs) {
 		fail(ErrStateMismatch)
 	}
-	for i, f := range dst.fs {
+	dst.copyFrom(src)
+	return dst
+}
+
+// copyFrom overwrites every field of p with src's.
+func (p *pathState[S]) copyFrom(src *pathState[S]) {
+	for i, f := range p.fs {
 		f.CopyFrom(src.fs[i])
 	}
-	return dst
 }
 
 // fresh returns a pooled container reset to the fully symbolic state:

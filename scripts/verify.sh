@@ -35,17 +35,22 @@ CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./interna
 go test -race -count=1 ./internal/cluster
 CHAOS_SEEDS=4 go test -race -count=1 -run 'TestClusterChaosDifferential' ./internal/queries
 # Serve leg: the multi-tenant query service under -race — the 8-tenant
-# soak with goroutine-leak checks, the metamorphic incremental suite
-# (every append interleaving reproduces the golden digests with warm
-# submissions pinned to zero map attempts), the serve chaos sweep, and
-# the job-frame codec regression over the committed fuzz seeds.
+# soak with goroutine-leak checks, the heap-ceiling soak (resubmit +
+# append variants for a fixed job count: live heap and cache bytes
+# bounded, one prefix), the metamorphic incremental suite (every append
+# interleaving and every prefix split point reproduces the golden
+# digests, warm submissions pinned to zero map attempts and
+# prefix-answered ones to zero folds), the serve chaos sweep, and the
+# job-frame codec regression over the committed fuzz seeds.
 go test -race -count=1 ./internal/serve
 go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|TestJobFrameRoundTrips' ./internal/cluster
 # Traced leg: every engine run auto-attaches a trace; the run fails if
 # the completed trace breaks an obs.Verifier invariant or the metrics
-# registry fails its self-check. CI's `traced` job runs the wide form
-# (-count=2 -shuffle=on).
-OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries
+# registry fails its self-check. ./internal/serve adds the service's own
+# traced jobs — cold, warm, answered from a prefix, appended — checked
+# against the serve-cache invariant. CI's `traced` job runs the wide
+# form (-count=2 -shuffle=on).
+OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve
 # Benchmark smoke: all four workloads at 2000-record inputs, traced and
 # untraced, every job digest-checked against Spec.Sequential.
 go run ./benchmark -smoke
