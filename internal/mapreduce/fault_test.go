@@ -563,7 +563,15 @@ func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	}
 }
 
+// TestNoGoroutineLeakOnCancel cancels mid-map: the run drains and returns
+// the context's error, as a shuffle job and as a map-only one.
 func TestNoGoroutineLeakOnCancel(t *testing.T) {
+	for _, reduce := range []ReduceFunc{func(int, string, []Shuffled) error { return nil }, nil} {
+		cancelMidMap(t, reduce)
+	}
+}
+
+func cancelMidMap(t *testing.T, reduce ReduceFunc) {
 	checkGoroutineLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -578,7 +586,7 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: reduce,
 		Conf:   Config{NumReducers: 2, Parallelism: 2, MaxAttempts: 3, Speculation: true},
 	}
 	done := make(chan error, 1)

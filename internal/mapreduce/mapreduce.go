@@ -27,6 +27,7 @@ package mapreduce
 
 import (
 	"context"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -281,11 +282,22 @@ func (r *kvRec) wireSize() int64 {
 		len(r.key) + len(r.value))
 }
 
-// Job is one configured MapReduce execution.
+// Job is one configured MapReduce execution. Its shape is whether it has
+// a Reduce. With one, map output is partitioned, sorted, shuffled and
+// merged into key groups. Without one the job is map-only: a map task's
+// output is the (key, value) pairs it emitted, in emit order, and
+// committing the task hands them to Output — the same attempts, retries,
+// speculation and commit CAS, with nothing in between to cross.
 type Job struct {
 	Name   string
 	Map    MapFunc
 	Reduce ReduceFunc
+	// Output receives each map task's committed pairs when Reduce is nil:
+	// once per task, only ever the winning attempt's, on that attempt's
+	// goroutine (tasks commit concurrently). The sequence is valid for
+	// the duration of the call; the values are stable. An error aborts
+	// the job. nil drops the output.
+	Output func(task int, pairs iter.Seq2[string, []byte]) error
 	Conf   Config
 }
 

@@ -53,10 +53,14 @@ func TestTracedJobVerifies(t *testing.T) {
 		{"raw", Config{NumReducers: 3}},
 		{"compressed", Config{NumReducers: 3, CompressShuffle: true}},
 		{"external-sort", Config{NumReducers: 2, ExternalSort: true}},
+		{"map-only", Config{NumReducers: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			job, segs := obsTestJob(3)
+			if tc.name == "map-only" {
+				job.Reduce = nil
+			}
 			sink := obs.NewMemSink()
 			conf := tc.conf
 			conf.Trace = obs.NewTrace(sink)
@@ -71,14 +75,25 @@ func TestTracedJobVerifies(t *testing.T) {
 				t.Fatalf("trace failed verification: %v", err)
 			}
 			var jobSpan *obs.Span
-			attempts := 0
+			attempts, commits := 0, 0
 			for _, sp := range spans {
 				switch sp.Kind {
 				case obs.KindJob:
 					jobSpan = sp
 				case obs.KindMapAttempt:
 					attempts++
+				case obs.KindCommit:
+					commits++
+				case obs.KindSpillEncode, obs.KindRunCommit, obs.KindSegDecode, obs.KindMerge, obs.KindReduceAttempt:
+					// A map-only job commits its tasks and crosses nothing
+					// else: no run is committed that nothing would consume.
+					if job.Reduce == nil {
+						t.Errorf("map-only job emitted a %s span", sp.Kind)
+					}
 				}
+			}
+			if job.Reduce == nil && commits != len(segs) {
+				t.Errorf("%d commit spans, want one per map task (%d)", commits, len(segs))
 			}
 			if jobSpan == nil {
 				t.Fatal("no job span")
@@ -103,11 +118,15 @@ func TestTracedJobVerifies(t *testing.T) {
 // enabled and requires the trace to still verify: failed attempts carry
 // error outcomes, only winners commit, and every committed run is merged
 // exactly once despite the retries — on even seeds through the
-// compressed wire path.
+// compressed wire path, and from seed 5 as a map-only job (commit matches
+// attempt and the cpu bound are all that is left to check, and are).
 func TestTracedChaosJobVerifies(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			job, segs := obsTestJob(2)
+			if seed > 4 {
+				job.Reduce = nil
+			}
 			sink := obs.NewMemSink()
 			job.Conf = Config{
 				NumReducers: 2,

@@ -66,50 +66,36 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 			End()
 		env.reg.MergeInto(conf.Registry)
 	}()
-	if verr := validateRemote(conf); verr != nil {
+	mapOnly := j.Reduce == nil
+	if verr := validateRemote(conf, mapOnly); verr != nil {
 		return nil, fmt.Errorf("mapreduce %q: %w", j.Name, verr)
 	}
 
-	// The shuffle transport: per-partition run streams, buffered for one
-	// run per map task so committing attempts never block on reducers.
-	env.transport = conf.Transport
-	if env.transport == nil {
-		env.transport = NewMemTransport()
-	}
-	env.transport.Open(conf.NumReducers, len(segments))
-
 	// ---- Reduce tasks (launched first: there is no map barrier) ----
+	// A map-only job has no reduce side: no transport opens, no reducer
+	// waits, and a task's commit is where its output leaves the engine.
 	type redOut struct {
-		task   TaskMetrics
-		groups int64
-		err    error
+		task TaskMetrics // Records: the partition's groups
+		err  error
 	}
-	redOuts := make([]redOut, conf.NumReducers)
+	var redOuts []redOut
 	var rwg sync.WaitGroup
-	for p := 0; p < conf.NumReducers; p++ {
+	if !mapOnly {
+		// The shuffle transport: per-partition run streams, buffered for
+		// one run per map task so committing attempts never block on
+		// reducers.
+		env.transport = conf.Transport
+		if env.transport == nil {
+			env.transport = NewMemTransport()
+		}
+		env.transport.Open(conf.NumReducers, len(segments))
+		redOuts = make([]redOut, conf.NumReducers)
+	}
+	for p := range redOuts {
 		rwg.Add(1)
 		go func(p int) {
 			defer rwg.Done()
-			if conf.RemoteReduce != nil {
-				// W2w topology: the partition stream carries receipts, not
-				// bytes — the runs themselves sit on the owning worker.
-				// Nothing to pre-merge; the owner merges when asked.
-				commits, inBytes := env.collectReceipts(p)
-				if env.aborted.Load() {
-					return
-				}
-				env.sem <- struct{}{}
-				defer func() { <-env.sem }()
-				t0 := time.Now()
-				groups, rerr := env.runRemoteReduceTask(p, commits)
-				redOuts[p] = redOut{
-					task:   TaskMetrics{Duration: time.Since(t0), InputBytes: inBytes, Records: groups},
-					groups: groups,
-					err:    rerr,
-				}
-				return
-			}
-			runs, inBytes, active, lerr := env.collectRuns(p)
+			runs, receipts, inBytes, active, lerr := env.collectRuns(p)
 			if env.aborted.Load() || lerr != nil {
 				releaseRuns(runs)
 				if lerr != nil {
@@ -123,12 +109,9 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 			env.sem <- struct{}{}
 			defer func() { <-env.sem }()
 			t0 := time.Now()
-			groups, err := env.runReduceTask(p, runs)
-			redOuts[p] = redOut{
-				task:   TaskMetrics{Duration: active + time.Since(t0), InputBytes: inBytes, Records: groups},
-				groups: groups,
-				err:    err,
-			}
+			groups, err := env.runReduceTask(p, runs, receipts)
+			redOuts[p] = redOut{err: err,
+				task: TaskMetrics{Duration: active + time.Since(t0), InputBytes: inBytes, Records: groups}}
 		}(p)
 	}
 
@@ -207,8 +190,10 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	if mapErr != nil {
 		env.aborted.Store(true)
 	}
-	env.transport.CloseSend()
-	rwg.Wait()
+	if !mapOnly {
+		env.transport.CloseSend()
+		rwg.Wait()
+	}
 	m.ReduceAttempts = env.reduceAttempts.Value()
 	m.TaskRetries = env.retries.Value() // map and reduce retries
 	if mapErr != nil {
@@ -223,7 +208,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 		}
 		m.ReduceTasks = append(m.ReduceTasks, redOuts[p].task)
 		m.ReduceCPU += redOuts[p].task.Duration
-		env.reg.Counter(MetricGroups).Add(redOuts[p].groups)
+		env.reg.Counter(MetricGroups).Add(redOuts[p].task.Records)
 	}
 	m.Groups = env.reg.Counter(MetricGroups).Value()
 	if len(reduceFailures) > 0 {
@@ -236,17 +221,6 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	return m, nil
 }
 
-// collectReceipts drains one partition's receipt stream (w2w mode):
-// commit published one Seg-less receipt per placed run, so the slice
-// names exactly the runs the owning worker must merge.
-func (env *runEnv) collectReceipts(p int) (commits []Run, inBytes int64) {
-	for r := range env.transport.Partition(p) {
-		commits = append(commits, r)
-		inBytes += r.Bytes
-	}
-	return commits, inBytes
-}
-
 // collectRuns drains one partition's channel until all map tasks are
 // resolved, decoding each run into a pooled buffer on arrival. While the
 // channel is open but momentarily empty — the reducer would otherwise
@@ -257,12 +231,22 @@ func (env *runEnv) collectReceipts(p int) (commits []Run, inBytes int64) {
 // expense of map progress. Returns the pending runs, total wire bytes
 // received, active (non-waiting) time, and the first run-load error.
 //
+// In the w2w topology the stream carries receipts, not bytes — commit
+// published one Seg-less Run per placed run, the bytes sit on the owning
+// worker — and they come back as they are: nothing to decode or
+// pre-merge, the slice names exactly the runs the owner must merge.
+//
 // Each successful decode emits a seg_decode span carrying the run's
 // producer identity — the consumption record the trace verifier joins
 // against run_commit events for the merged-exactly-once invariant.
-func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
+func (env *runEnv) collectRuns(p int) (runs []spillRun, receipts []Run, inBytes int64, active time.Duration, err error) {
 	ch, external := env.transport.Partition(p), env.conf.ExternalSort
 	add := func(r Run) {
+		if r.Seg == nil {
+			receipts = append(receipts, r)
+			inBytes += r.Bytes
+			return
+		}
 		span := env.trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", p)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
@@ -284,7 +268,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 		select {
 		case r, ok := <-ch:
 			if !ok {
-				return runs, inBytes, active, err
+				return runs, receipts, inBytes, active, err
 			}
 			add(r)
 		default:
@@ -304,7 +288,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			}
 			r, ok := <-ch
 			if !ok {
-				return runs, inBytes, active, err
+				return runs, receipts, inBytes, active, err
 			}
 			add(r)
 		}
@@ -335,12 +319,25 @@ func foldSmallest(runs []spillRun) []spillRun {
 }
 
 // reduceMerge merges the partition's runs and streams each key group to
-// the reduce function through a reusable buffer — no per-group slice is
-// materialized. It never mutates the runs (the loser tree keeps its own
-// cursors), so a retrying reduce attempt re-merges identical inputs.
+// the reduce function.
 func (env *runEnv) reduceMerge(p int, runs []spillRun) (groups int64, err error) {
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
+	return mergeGroups(runs, func(key string, group []Shuffled) error {
+		groupHist.Observe(int64(len(group)))
+		if err := j.Reduce(p, key, group); err != nil {
+			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
+		}
+		return nil
+	})
+}
+
+// mergeGroups k-way merges the runs and streams each key group —
+// ascending key, rows ordered by (mapperID, recordID) — to fn through a
+// reusable buffer: no per-group slice is materialized. It never mutates
+// the runs (the loser tree keeps its own cursors), so a retrying reduce
+// attempt re-merges identical inputs. It returns the groups streamed.
+func mergeGroups(runs []spillRun, fn func(key string, group []Shuffled) error) (groups int64, err error) {
 	tree := newLoserTree(runs)
 	group := make([]Shuffled, 0, 64)
 	for {
@@ -359,9 +356,8 @@ func (env *runEnv) reduceMerge(p int, runs []spillRun) (groups int64, err error)
 			tree.advance()
 		}
 		groups++
-		groupHist.Observe(int64(len(group)))
-		if err := j.Reduce(p, key, group); err != nil {
-			return groups, fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
+		if err := fn(key, group); err != nil {
+			return groups, err
 		}
 	}
 }

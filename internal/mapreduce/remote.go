@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -19,13 +20,15 @@ import (
 // or speculated exactly like an injected fault; a worker whose output
 // never commits cannot perturb the merged stream.
 
-// MapOutput is one remotely executed map attempt's result: the encoded
-// runs plus the task metrics the coordinator would have measured
-// locally. Runs hold the segcodec wire form — byte-identical to what an
-// in-process attempt over the same segment encodes, which is what makes
-// placement invisible to reducers.
+// MapOutput is one executed map attempt's result, wherever its body ran:
+// the encoded runs plus the task metrics. Runs hold the segcodec wire
+// form — byte-identical for an in-process and a worker attempt over the
+// same segment, which is what makes placement invisible to reducers.
 type MapOutput struct {
-	Runs    []Run
+	Runs []Run
+	// pairs is a map-only attempt's output instead of runs: the records
+	// it emitted, in emit order.
+	pairs   []kvRec
 	Emitted int64 // shuffle records across all partitions
 	Records int64 // input records consumed
 	// InputBytes is the segment payload the worker read.
@@ -86,128 +89,49 @@ type RemoteReducer interface {
 
 // ExecuteMap runs one map attempt locally and publishes each non-empty
 // partition's encoded run into sink. It is the worker-side half of
-// remote execution and mirrors the engine's in-process attempt path —
-// same emit sequence numbering, same per-partition spill sort, same
-// segcodec encoding — so a run produced here is byte-identical to one
-// produced by runMapAttempt over the same segment.
+// remote execution and runs the engine's own attempt body (executeMap),
+// so a run produced here is byte-identical to one an in-process attempt
+// produces over the same segment.
 //
 // task and attempt label the published runs and trace spans; trace may
 // be nil. The returned MapOutput carries metrics only (Runs stays nil —
 // the runs went through sink, which may have streamed them away).
 func ExecuteMap(mapFn MapFunc, seg *Segment, task, attempt, numParts int,
 	compress bool, trace *obs.Trace, sink RunSink) (*MapOutput, error) {
-	if numParts <= 0 {
-		numParts = 1
-	}
-	t0 := time.Now()
-	parts := make([][]kvRec, numParts)
-	logical := make([]int64, numParts)
-	discardParts := func() {
-		for p := range parts {
-			if parts[p] != nil {
-				kvBufs.put(parts[p])
-				parts[p] = nil
-			}
-		}
-	}
-	var seq int64
-	emit := func(key string, recordID int64, value []byte) {
-		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: seq, value: value}
-		seq++
-		p := partition(key, numParts)
-		buf := parts[p]
-		if buf == nil {
-			buf = kvBufs.get(0)
-		}
-		parts[p] = append(buf, rec)
-		logical[p] += rec.wireSize()
-	}
-	if err := mapFn(seg.ID, seg, emit); err != nil {
-		discardParts()
-		return nil, err
-	}
-	out := &MapOutput{
-		Records:         int64(len(seg.Records)),
-		InputBytes:      seg.Bytes(),
-		LogicalOutBytes: logical,
-	}
-	encSpan := trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", task)).
-		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
-	var encBytes int64
-	for p := range parts {
-		if parts[p] == nil {
-			continue
-		}
-		if len(parts[p]) == 0 {
-			kvBufs.put(parts[p])
-			parts[p] = nil
-			continue
-		}
-		out.Emitted += int64(len(parts[p]))
-		sortRun(parts[p])
-		sg := encodeSegment(parts[p], compress)
-		kvBufs.put(parts[p])
-		parts[p] = nil
-		encBytes += int64(len(sg))
-		if err := sink.Publish(Run{Task: task, Attempt: attempt, Part: p,
-			Bytes: int64(len(sg)), Seg: sg}); err != nil {
-			encSpan.Tag("outcome", "error").End()
-			discardParts()
-			return nil, err
-		}
-	}
-	encSpan.Attr(obs.AttrBytes, encBytes).End()
-	out.Duration = time.Since(t0)
-	return out, nil
+	conf := Config{NumReducers: max(numParts, 1), CompressShuffle: compress, Trace: trace}
+	return executeMap(context.Background(), mapFn, seg, task, attempt, conf, sink)
 }
 
-// runRemoteMapAttempt is the attempt body in cluster mode: delegate the
-// map to Config.RemoteMap and adapt its output into the same
-// attemptResult an in-process attempt builds, so commit and the reduce
-// side cannot tell where the work ran.
-func (env *runEnv) runRemoteMapAttempt(st *mapTask, attempt int) (*attemptResult, error) {
-	conf := env.conf
-	out, err := conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg)
-	if err != nil {
-		return nil, err
-	}
-	res := &attemptResult{emitted: out.Emitted, runs: make([]Run, 0, len(out.Runs))}
-	wireOut := make([]int64, conf.NumReducers)
-	// Worker-to-worker topology: the run bytes went straight to each
-	// partition's owning worker and what comes back are Seg-less receipts;
-	// commit publishes them so the reduce side knows exactly which (task,
-	// attempt, part) runs the winning attempt placed. Via-coordinator, the
-	// runs come back whole. Either way: one run per partition at most.
-	receipts := conf.RemoteReduce != nil
-	for _, r := range out.Runs {
-		if r.Part < 0 || r.Part >= conf.NumReducers || wireOut[r.Part] != 0 ||
-			r.Bytes <= 0 || (r.Seg == nil) != receipts {
-			return nil, fmt.Errorf("mapreduce %q: remote map task %d attempt %d returned invalid run (part %d of %d, receipts %v)",
-				env.job.Name, st.id, attempt, r.Part, conf.NumReducers, receipts)
+// adopt checks an attempt body's output — run here or on a worker — and
+// labels its runs as this task's and attempt's. In the worker-to-worker
+// topology the run bytes went straight to each partition's owning worker
+// and what comes back are Seg-less receipts; commit publishes them so the
+// reduce side knows exactly which (task, attempt, part) runs the winning
+// attempt placed. Otherwise the runs are whole. Either way: one run per
+// partition at most.
+func (env *runEnv) adopt(st *mapTask, attempt int, out *MapOutput) error {
+	n, receipts := env.conf.NumReducers, env.conf.RemoteReduce != nil
+	seen := make([]bool, n)
+	for i := range out.Runs {
+		r := &out.Runs[i]
+		if r.Part < 0 || r.Part >= n || seen[r.Part] || r.Bytes <= 0 || (r.Seg == nil) != receipts {
+			return fmt.Errorf("mapreduce %q: map task %d attempt %d returned invalid run (part %d of %d, receipts %v)",
+				env.job.Name, st.id, attempt, r.Part, n, receipts)
 		}
-		res.runs = append(res.runs, Run{Task: st.id, Attempt: attempt,
-			Part: r.Part, Bytes: r.Bytes, Seg: r.Seg})
-		wireOut[r.Part] = r.Bytes
+		seen[r.Part] = true
+		r.Task, r.Attempt = st.id, attempt
 	}
-	logical := out.LogicalOutBytes
-	if len(logical) != conf.NumReducers {
-		logical = make([]int64, conf.NumReducers)
-	}
-	dur := out.Duration
-	if dur <= 0 {
-		dur = time.Nanosecond // keep the speculation median well-defined
-	}
-	res.task = TaskMetrics{
-		Duration:        dur,
-		InputBytes:      st.seg.Bytes(),
-		Records:         int64(len(st.seg.Records)),
-		OutBytes:        wireOut,
-		LogicalOutBytes: logical,
-	}
-	// Re-parent the worker's spans under the coordinator job root only
-	// for an attempt that came back whole; a dying worker's half-trace
-	// is discarded with the attempt.
-	for _, sp := range out.Spans {
+	// Re-parent a worker's spans under the coordinator job root only for
+	// an attempt that came back whole; a dying worker's half-trace is
+	// discarded with the attempt.
+	env.emitRemote(out.Spans, nil)
+	return nil
+}
+
+// emitRemote re-parents spans a worker shipped back under the job root,
+// tagged remote and carrying attrs.
+func (env *runEnv) emitRemote(spans []*obs.Span, attrs map[string]int64) {
+	for _, sp := range spans {
 		if sp == nil {
 			continue
 		}
@@ -217,61 +141,34 @@ func (env *runEnv) runRemoteMapAttempt(st *mapTask, attempt int) (*attemptResult
 			sp.Tags = map[string]string{}
 		}
 		sp.Tags["remote"] = "1"
+		if sp.Attrs == nil && attrs != nil {
+			sp.Attrs = map[string]int64{}
+		}
+		maps.Copy(sp.Attrs, attrs)
 		env.trace.EmitRaw(sp)
 	}
-	return res, nil
 }
 
-// runRemoteReduceTask is the reduce lifecycle in worker-to-worker mode:
-// the same retry/backoff budget and commit span as runReduceTask, but
-// the attempt body — decode, k-way merge, optional combine — runs on
-// the partition's owning worker. The coordinator receives only final
-// groups and feeds them to the user ReduceFunc locally, so reducers
-// (and their idempotency contract) are unchanged.
+// runRemoteReduceTask is the reduce task in worker-to-worker mode: the
+// same lifecycle as runReduceTask (driveReduceTask), but the attempt body
+// — decode, k-way merge, optional combine — runs on the partition's
+// owning worker. The coordinator receives only final groups and feeds
+// them to the user ReduceFunc locally, so reducers (and their
+// idempotency contract) are unchanged.
 func (env *runEnv) runRemoteReduceTask(p int, commits []Run) (groups int64, err error) {
-	conf := env.conf
 	// Receipts drain off the transport in commit order, which varies with
 	// scheduling; the worker decodes in the order given, so fix it for
 	// deterministic span streams. Merge output is order-independent
 	// either way (distinct tasks mean distinct mapperIDs).
 	sort.Slice(commits, func(i, j int) bool { return commits[i].Task < commits[j].Task })
 	groupHist := env.reg.Histogram(MetricGroupValues)
-	var attemptErrs []error
-	for a := 0; a < conf.MaxAttempts; a++ {
-		if env.ctx.Err() != nil {
-			return 0, env.ctx.Err()
+	return env.driveReduceTask(p, func(a int) (int64, error) {
+		out, err := env.conf.RemoteReduce.RunReduce(env.ctx, p, a, commits)
+		if err != nil {
+			return 0, err
 		}
-		if a > 0 {
-			env.retries.Add(1)
-			if serr := sleepCtx(env.ctx, backoffDelay(conf, a)); serr != nil {
-				return 0, serr
-			}
-		}
-		env.reduceAttempts.Add(1)
-		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
-			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
-		t0 := time.Now()
-		out, rerr := conf.RemoteReduce.RunReduce(env.ctx, p, a, commits)
-		if rerr == nil {
-			rerr = env.deliverRemoteGroups(p, out, groupHist)
-		}
-		if rerr == nil {
-			groups = int64(len(out.Groups))
-			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
-			span.Tag("outcome", "ok").Attr(obs.AttrGroups, groups).End()
-			env.trace.Start(obs.KindCommit, fmt.Sprintf("reduce-%d", p)).
-				Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a)).
-				Tag("phase", "reduce").End()
-			return groups, nil
-		}
-		span.Tag("outcome", "error").End()
-		if env.ctx.Err() != nil {
-			return 0, env.ctx.Err()
-		}
-		attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, rerr))
-	}
-	return 0, fmt.Errorf("mapreduce %q: reduce task %d failed after %d attempts: %w",
-		env.job.Name, p, len(attemptErrs), errors.Join(attemptErrs...))
+		return int64(len(out.Groups)), env.deliverRemoteGroups(p, out, groupHist)
+	})
 }
 
 // deliverRemoteGroups feeds a worker-reduced partition to the user
@@ -288,37 +185,25 @@ func (env *runEnv) deliverRemoteGroups(p int, out *ReduceOutput, groupHist *obs.
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, g.Key, err)
 		}
 	}
-	for _, sp := range out.Spans {
-		if sp == nil {
-			continue
-		}
-		sp.ID = 0 // EmitRaw reassigns from the coordinator's sequence
-		sp.Parent = env.trace.CurrentJob()
-		if sp.Tags == nil {
-			sp.Tags = map[string]string{}
-		}
-		sp.Tags["remote"] = "1"
-		if sp.Attrs == nil {
-			sp.Attrs = map[string]int64{}
-		}
-		sp.Attrs[obs.AttrWorker] = int64(out.Worker)
-		env.trace.EmitRaw(sp)
-	}
+	env.emitRemote(out.Spans, map[string]int64{obs.AttrWorker: int64(out.Worker)})
 	env.trace.Start(obs.KindPartOwner, fmt.Sprintf("part-%d", p)).
 		Attr(obs.AttrPart, int64(p)).Attr(obs.AttrWorker, int64(out.Worker)).End()
 	return nil
 }
 
-// validateRemote rejects Config combinations the remote paths cannot
-// honor: the fault hooks and the external-sort baseline live inside the
-// in-process attempt body, and worker-resident reduce consumes runs
-// pushed by worker-resident maps.
-func validateRemote(conf Config) error {
+// validateRemote rejects job shapes the remote paths cannot honor: the
+// fault hooks and the external-sort baseline live inside the in-process
+// attempt body, worker-resident reduce consumes runs pushed by
+// worker-resident maps, and a worker ships runs, never a map-only job's
+// pairs.
+func validateRemote(conf Config, mapOnly bool) error {
 	switch {
 	case conf.RemoteMap == nil && conf.RemoteReduce != nil:
 		return errors.New("RemoteReduce requires RemoteMap (worker-resident reduce consumes runs pushed by worker-resident maps)")
 	case conf.RemoteMap == nil:
 		return nil
+	case mapOnly:
+		return errors.New("RemoteMap is incompatible with a map-only job (workers ship runs for a Reduce to merge)")
 	case conf.ExternalSort:
 		return errors.New("RemoteMap is incompatible with ExternalSort (workers ship pre-sorted runs)")
 	case conf.Faults != nil:

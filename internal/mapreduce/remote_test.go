@@ -31,6 +31,7 @@ func TestValidateRemoteRejections(t *testing.T) {
 		{"reduce without map", Config{RemoteReduce: stubRemote{}}, "RemoteReduce requires RemoteMap"},
 		{"external sort", Config{RemoteMap: stubRemote{}, ExternalSort: true}, "RemoteMap is incompatible with ExternalSort"},
 		{"faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1)}, "RemoteMap is incompatible with Faults"},
+		{"no reduce", Config{RemoteMap: stubRemote{}}, "RemoteMap is incompatible with a map-only job"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job := &Job{
@@ -38,6 +39,9 @@ func TestValidateRemoteRejections(t *testing.T) {
 				Map:    func(int, *Segment, Emit) error { t.Error("local map ran"); return nil },
 				Reduce: func(int, string, []Shuffled) error { return nil },
 				Conf:   tc.conf,
+			}
+			if tc.name == "no reduce" {
+				job.Reduce = nil
 			}
 			_, err := job.Run(countingSegments(2, 3))
 			switch {

@@ -115,18 +115,6 @@ func newMapTask(id int, seg *Segment) *mapTask {
 	return &mapTask{id: id, seg: seg, done: make(chan struct{})}
 }
 
-// attemptResult is one successful map attempt's output, pending commit.
-// A losing attempt's result is simply dropped: its runs are plain heap
-// bytes that were never published.
-type attemptResult struct {
-	task    TaskMetrics
-	emitted int64
-	// runs holds one Run per non-empty partition: the encoded segment,
-	// or under RemoteReduce a Seg-less receipt (the bytes already live
-	// on the partition's owning worker).
-	runs []Run
-}
-
 // driveMapTask runs the task's retry loop: attempts with capped
 // exponential backoff until one commits, the budget is exhausted, the
 // job aborts, or ctx is cancelled. If a speculative attempt is in
@@ -190,10 +178,10 @@ func (env *runEnv) finishTask(st *mapTask, err error) {
 	st.failErr = err
 }
 
-// runMapAttempt executes one attempt: acquire a task slot, run the user
-// map with fault hooks armed, sort and encode the spill runs. The
-// returned result is uncommitted.
-func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *attemptResult, err error) {
+// runMapAttempt executes one attempt: acquire a task slot and run the
+// attempt body, here (executeMap, the job's fault hooks armed) or on a
+// worker. The returned result is uncommitted.
+func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapOutput, err error) {
 	env.mapAttempts.Add(1)
 	select {
 	case env.sem <- struct{}{}:
@@ -211,146 +199,207 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (res *atte
 		span.Tag("speculative", "1")
 	}
 	defer func() {
-		if err == nil && res != nil {
-			span.Tag("outcome", "ok").Attr(obs.AttrRecords, res.task.Records)
+		if err == nil {
+			span.Tag("outcome", "ok").Attr(obs.AttrRecords, int64(len(st.seg.Records)))
 		} else {
 			span.Tag("outcome", "error")
 		}
 		span.End()
 	}()
 
-	// Cluster mode: delegate the attempt body to the remote mapper. The
-	// semaphore slot stays held — it bounds in-flight remote attempts the
-	// way it bounds local CPU — and the span above still wraps the
-	// attempt, so the verifier's commit-matches-attempt and cpu-bound
-	// invariants see the same shape as an in-process run.
-	if env.conf.RemoteMap != nil {
-		res, err = env.runRemoteMapAttempt(st, attempt)
-		return res, err
-	}
-
-	conf := env.conf
-	seg := st.seg
-	t0 := time.Now()
-	parts := make([][]kvRec, conf.NumReducers)
-	outBytes := make([]int64, conf.NumReducers)
-	discardParts := func() {
-		for p := range parts {
-			if parts[p] != nil {
-				kvBufs.put(parts[p])
-				parts[p] = nil
-			}
+	// Cluster mode delegates the body to the remote mapper. The semaphore
+	// slot stays held — it bounds in-flight remote attempts the way it
+	// bounds local CPU — and the span above still wraps the attempt, so
+	// the verifier's commit-matches-attempt and cpu-bound invariants see
+	// the same shape wherever the body ran; adopt checks either's output
+	// the same way, so commit and the reduce side cannot tell.
+	switch {
+	case env.conf.RemoteMap != nil:
+		out, err = env.conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg)
+	case env.job.Reduce == nil:
+		out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, nil)
+	default:
+		var runs runList
+		if out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, &runs); err == nil {
+			out.Runs = runs
 		}
 	}
+	if err == nil {
+		err = env.adopt(st, attempt, out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runList is the in-process attempt's RunSink: its runs wait for the
+// commit.
+type runList []Run
+
+func (l *runList) Publish(r Run) error {
+	*l = append(*l, r)
+	return nil
+}
+
+// executeMap is the one map attempt body — emit, partition, spill sort,
+// segcodec encode, publish into sink — run by the engine's in-process
+// attempts (conf is the job's, fault hooks included) and by cluster
+// workers through ExecuteMap, which is what makes a run byte-identical
+// wherever it was produced. A nil sink is the map-only job's: nothing
+// is partitioned, sorted or encoded, and the emitted records themselves
+// come back as the output.
+func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt int,
+	conf Config, sink RunSink) (out *MapOutput, err error) {
+	t0 := time.Now()
+	n := conf.NumReducers
+	if sink == nil {
+		n = 1
+	}
+	parts := make([][]kvRec, n)
+	logical := make([]int64, n)
 	// A kill or error fault inside the user map surfaces as a panic;
-	// recover it into the attempt's error, as if the worker died.
+	// recover it into the attempt's error, as if the worker died. A failed
+	// attempt's record buffers go back to the pool.
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(attemptAbort)
 			if !ok {
 				panic(r)
 			}
-			discardParts()
-			res, err = nil, ab.err
+			out, err = nil, ab.err
+		}
+		if err != nil {
+			for p := range parts {
+				kvBufs.put(parts[p])
+			}
 		}
 	}()
 
-	if ferr := conf.Faults.fire(env.ctx, PointMapStart, st.id, attempt, conf.MaxAttempts); ferr != nil {
+	if ferr := conf.Faults.fire(ctx, PointMapStart, task, attempt, conf.MaxAttempts); ferr != nil {
 		return nil, ferr
 	}
-	trigs := conf.Faults.emitTriggers(st.id, attempt, conf.MaxAttempts)
+	trigs := conf.Faults.emitTriggers(task, attempt, conf.MaxAttempts)
 	var seq int64
 	emit := func(key string, recordID int64, value []byte) {
 		if len(trigs) > 0 && seq == trigs[0].at {
 			tr := trigs[0]
 			trigs = trigs[1:]
-			conf.Faults.fireEmit(env.ctx, tr, st.id, attempt)
+			conf.Faults.fireEmit(ctx, tr, task, attempt)
 		}
 		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: seq, value: value}
 		seq++
-		p := partition(key, conf.NumReducers)
+		p := partition(key, n)
 		buf := parts[p]
 		if buf == nil {
 			buf = kvBufs.get(0)
 		}
 		parts[p] = append(buf, rec)
-		outBytes[p] += rec.wireSize()
+		logical[p] += rec.wireSize()
 	}
-	if err := env.job.Map(seg.ID, seg, emit); err != nil {
-		discardParts()
+	if err := mapFn(seg.ID, seg, emit); err != nil {
 		return nil, err
 	}
 
-	res = &attemptResult{}
-	// The spill sort is map-side work, as in Hadoop — except under
-	// ExternalSort, where the §6.2 baseline pays for sorting in the
-	// reducer's Unix sort pipe.
+	out = &MapOutput{Records: int64(len(seg.Records)), InputBytes: seg.Bytes()}
+	if sink == nil {
+		out.pairs = parts[0]
+	} else {
+		out.LogicalOutBytes = logical
+		if err := spillRuns(parts, task, attempt, conf, sink, out); err != nil {
+			return nil, err
+		}
+	}
+	if ferr := conf.Faults.fire(ctx, PointSpillWrite, task, attempt, conf.MaxAttempts); ferr != nil {
+		return nil, ferr
+	}
+	out.Duration = time.Since(t0)
+	return out, nil
+}
+
+// spillRuns sorts each non-empty partition — map-side work, as in
+// Hadoop, except under ExternalSort, where the §6.2 baseline pays for
+// sorting in the reducer's Unix sort pipe — then encodes it into its wire
+// segment (segcodec.go) and publishes the run, so run sizes are always
+// real encoder output and compression acts on the actual shuffle path,
+// not a model of it.
+func spillRuns(parts [][]kvRec, task, attempt int, conf Config, sink RunSink, out *MapOutput) error {
 	for p := range parts {
-		if parts[p] == nil {
-			continue
-		}
-		if len(parts[p]) == 0 {
-			kvBufs.put(parts[p])
-			parts[p] = nil
-			continue
-		}
-		res.emitted += int64(len(parts[p]))
+		out.Emitted += int64(len(parts[p]))
 		if !conf.ExternalSort {
 			sortRun(parts[p])
 		}
 	}
-	// Encode each non-empty partition into its wire segment (segcodec.go),
-	// so OutBytes is always real encoder output and compression acts on
-	// the actual shuffle path, not a model of it.
-	wireOut := make([]int64, conf.NumReducers)
-	encSpan := env.trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", st.id)).
-		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt))
-	var encBytes int64
+	span := conf.Trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", task)).
+		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
+	var bytes int64
 	for p := range parts {
-		if parts[p] == nil {
+		if len(parts[p]) == 0 {
 			continue
 		}
 		sg := encodeSegment(parts[p], conf.CompressShuffle)
-		wireOut[p] = int64(len(sg))
-		encBytes += wireOut[p]
-		res.runs = append(res.runs, Run{Task: st.id, Attempt: attempt, Part: p,
-			Bytes: wireOut[p], Seg: sg})
 		kvBufs.put(parts[p])
 		parts[p] = nil
+		bytes += int64(len(sg))
+		if err := sink.Publish(Run{Task: task, Attempt: attempt, Part: p,
+			Bytes: int64(len(sg)), Seg: sg}); err != nil {
+			span.Tag("outcome", "error").End()
+			return err
+		}
 	}
-	encSpan.Attr(obs.AttrBytes, encBytes).End()
-	if ferr := conf.Faults.fire(env.ctx, PointSpillWrite, st.id, attempt, conf.MaxAttempts); ferr != nil {
-		return nil, ferr
-	}
-	res.task = TaskMetrics{
-		Duration:        time.Since(t0),
-		InputBytes:      seg.Bytes(),
-		Records:         int64(len(seg.Records)),
-		OutBytes:        wireOut,
-		LogicalOutBytes: outBytes,
-	}
-	return res, nil
+	span.Attr(obs.AttrBytes, bytes).End()
+	return nil
 }
 
-// commit makes one attempt's runs the task's output. The per-task CAS
+// commit makes one attempt's output the task's. The per-task CAS
 // arbitrates between racing attempts: exactly one can win, and the
-// winner publishes its runs to the transport. won=false means another
-// attempt committed first (the caller drops res). A Publish failure
-// after the CAS is a transport fault, not an attempt fault: the task
-// has committed and cannot retry, so the error aborts the job
-// (won=true, err!=nil).
-func (env *runEnv) commit(st *mapTask, attempt int, res *attemptResult) (won bool, err error) {
+// winner publishes its runs to the transport — or, map-only, hands its
+// pairs to the job's Output. won=false means another attempt committed
+// first (the caller drops out: its runs are plain heap bytes that were
+// never published). A Publish or Output failure after the CAS is not an
+// attempt fault: the task has committed and cannot retry, so the error
+// aborts the job (won=true, err!=nil).
+func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, err error) {
 	if !st.committed.CompareAndSwap(false, true) {
 		return false, nil
 	}
-	st.task = res.task
-	st.emitted = res.emitted
-	st.commitDur.Store(int64(res.task.Duration))
-	env.reg.Histogram(MetricMapTaskNS).Observe(int64(res.task.Duration))
+	n := env.conf.NumReducers
+	st.task = TaskMetrics{
+		Duration:        max(out.Duration, time.Nanosecond), // keep the speculation median well-defined
+		InputBytes:      st.seg.Bytes(),
+		Records:         int64(len(st.seg.Records)),
+		OutBytes:        make([]int64, n),
+		LogicalOutBytes: out.LogicalOutBytes,
+	}
+	if len(out.LogicalOutBytes) != n {
+		st.task.LogicalOutBytes = make([]int64, n)
+	}
+	for _, r := range out.Runs {
+		st.task.OutBytes[r.Part] = r.Bytes
+	}
+	st.emitted = out.Emitted
+	st.commitDur.Store(int64(st.task.Duration))
+	env.reg.Histogram(MetricMapTaskNS).Observe(int64(st.task.Duration))
 	env.trace.Start(obs.KindCommit, fmt.Sprintf("map-%d", st.id)).
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt)).
 		Tag("phase", "map").End()
-	for _, r := range res.runs {
+	if env.job.Reduce == nil {
+		defer kvBufs.put(out.pairs)
+		if env.job.Output == nil {
+			return true, nil
+		}
+		if err = env.job.Output(st.id, func(yield func(string, []byte) bool) {
+			for i := range out.pairs {
+				if !yield(out.pairs[i].key, out.pairs[i].value) {
+					return
+				}
+			}
+		}); err != nil {
+			err = fmt.Errorf("mapreduce %q: map task %d: output: %w", env.job.Name, st.id, err)
+		}
+		return true, err
+	}
+	for _, r := range out.Runs {
 		env.reg.Histogram(MetricRunBytes).Observe(r.Bytes)
 		env.trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
@@ -419,11 +468,11 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 	defer env.specWG.Done()
 	defer close(b)
 	id := int(st.attemptSeq.Add(1) - 1)
-	res, err := env.runMapAttempt(st, id, true)
+	out, err := env.runMapAttempt(st, id, true)
 	if err != nil {
 		return // the driver's own attempts decide the task's fate
 	}
-	if won, cerr := env.commit(st, id, res); cerr != nil {
+	if won, cerr := env.commit(st, id, out); cerr != nil {
 		env.finishTask(st, cerr) // transport fault after commit: abort
 	} else if won {
 		env.specWins.Add(1)
@@ -431,25 +480,40 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 }
 
 // runReduceTask merges one partition's committed runs and streams the
-// key groups to the user reduce function, with the same per-attempt
-// retry/backoff budget map tasks get. The merge never mutates the runs,
-// so a retry re-merges the identical committed inputs; a retried
-// attempt re-invokes Reduce for every group, which the ReduceFunc
-// contract requires to be idempotent.
-func (env *runEnv) runReduceTask(p int, runs []spillRun) (groups int64, err error) {
+// key groups to the user reduce function — here, or given receipts on the
+// worker that holds their bytes. The merge never mutates the runs, so a
+// retry re-merges the identical committed inputs.
+func (env *runEnv) runReduceTask(p int, runs []spillRun, receipts []Run) (groups int64, err error) {
 	conf := env.conf
+	if conf.RemoteReduce != nil {
+		return env.runRemoteReduceTask(p, receipts)
+	}
 	if conf.ExternalSort {
 		runs = externalSortRuns(runs)
 	}
 	defer releaseRuns(runs)
+	return env.driveReduceTask(p, func(a int) (int64, error) {
+		if ferr := conf.Faults.fire(env.ctx, PointReduceMerge, p, a, conf.MaxAttempts); ferr != nil {
+			return 0, ferr
+		}
+		return env.reduceMerge(p, runs)
+	})
+}
+
+// driveReduceTask is the reduce task lifecycle, wherever the attempt body
+// runs: the same per-attempt retry/backoff budget map tasks get, an
+// attempt span per try and a commit span for the one that succeeds. A
+// retried attempt re-invokes Reduce for every group, which the
+// ReduceFunc contract requires to be idempotent.
+func (env *runEnv) driveReduceTask(p int, body func(attempt int) (groups int64, err error)) (int64, error) {
 	var attemptErrs []error
-	for a := 0; a < conf.MaxAttempts; a++ {
+	for a := 0; a < env.conf.MaxAttempts; a++ {
 		if env.ctx.Err() != nil {
 			return 0, env.ctx.Err()
 		}
 		if a > 0 {
 			env.retries.Add(1)
-			if serr := sleepCtx(env.ctx, backoffDelay(conf, a)); serr != nil {
+			if serr := sleepCtx(env.ctx, backoffDelay(env.conf, a)); serr != nil {
 				return 0, serr
 			}
 		}
@@ -457,12 +521,7 @@ func (env *runEnv) runReduceTask(p int, runs []spillRun) (groups int64, err erro
 		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
 			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
 		t0 := time.Now()
-		if ferr := conf.Faults.fire(env.ctx, PointReduceMerge, p, a, conf.MaxAttempts); ferr != nil {
-			span.Tag("outcome", "error").End()
-			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, ferr))
-			continue
-		}
-		groups, err = env.reduceMerge(p, runs)
+		groups, err := body(a)
 		if err == nil {
 			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
 			span.Tag("outcome", "ok").Attr(obs.AttrGroups, groups).End()

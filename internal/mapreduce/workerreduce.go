@@ -42,25 +42,6 @@ func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 		span.End()
 		runs = append(runs, spillRun{recs: recs, bytes: r.Bytes})
 	}
-	tree := newLoserTree(runs)
-	group := make([]Shuffled, 0, 64)
-	for {
-		head := tree.peek()
-		if head == nil {
-			return nil
-		}
-		key := head.key
-		group = group[:0]
-		for {
-			h := tree.peek()
-			if h == nil || h.key != key {
-				break
-			}
-			group = append(group, Shuffled{MapperID: h.mapperID, RecordID: h.recordID, Value: h.value})
-			tree.advance()
-		}
-		if err := fn(key, group); err != nil {
-			return err
-		}
-	}
+	_, err := mergeGroups(runs, fn)
+	return err
 }

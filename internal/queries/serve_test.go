@@ -2,7 +2,8 @@ package queries
 
 import (
 	"bytes"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,15 +13,11 @@ import (
 
 // encodeStates is every state of the prefix in canonical form, by key.
 func (p *servePrefix[S, E, R]) encodeStates() []byte {
-	keys := make([]string, 0, len(p.states))
-	for key := range p.states {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(p.ids))
 	var enc wire.Encoder
 	for _, key := range keys {
 		enc.String(key)
-		p.states[key].Encode(&enc)
+		p.sts[p.ids[key]].Encode(&enc)
 	}
 	return enc.Bytes()
 }

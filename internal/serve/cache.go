@@ -42,7 +42,10 @@ type cacheKey struct {
 // is one pointer-free buffer — a length-prefixed key and bundle per group,
 // end to end — and the collector has nothing to walk in a cache full of
 // them. It is immutable once folded or cached.
-type Part struct{ data []byte }
+type Part struct {
+	data []byte
+	n    int
+}
 
 // Add appends key's bundle, copying both. A key is added once.
 func (p *Part) Add(key string, bundle []byte) {
@@ -50,14 +53,19 @@ func (p *Part) Add(key string, bundle []byte) {
 	p.data = append(p.data, key...)
 	p.data = binary.AppendUvarint(p.data, uint64(len(bundle)))
 	p.data = append(p.data, bundle...)
+	p.n++
 }
 
-// All ranges over the keys and their bundles. The bundles alias the part.
-func (p *Part) All() iter.Seq2[string, []byte] {
-	return func(yield func(string, []byte) bool) {
+// Len is the number of groups.
+func (p *Part) Len() int { return p.n }
+
+// All ranges over the keys and their bundles. Both alias the part: a
+// consumer copies the key it keeps.
+func (p *Part) All() iter.Seq2[[]byte, []byte] {
+	return func(yield func(key, bundle []byte) bool) {
 		for d := p.data; len(d) > 0; {
 			n, w := binary.Uvarint(d)
-			key := string(d[w : w+int(n)])
+			key := d[w : w+int(n) : w+int(n)]
 			d = d[w+int(n):]
 			n, w = binary.Uvarint(d)
 			if !yield(key, d[w:w+int(n):w+int(n)]) {

@@ -25,13 +25,14 @@ func TestPartRoundTrip(t *testing.T) {
 		p.Add(k, []byte(want[k]))
 	}
 	i := 0
-	for k, v := range p.All() {
+	for key, v := range p.All() {
+		k := string(key)
 		if k != order[i] || string(v) != want[k] {
 			t.Fatalf("entry %d: %q=%q, want %q=%q", i, k, v, order[i], want[order[i]])
 		}
 		i++
 	}
-	if i != len(order) || p.Bytes() < 40 {
+	if i != len(order) || p.Len() != i || p.Bytes() < 40 {
 		t.Fatalf("%d entries charged %d bytes", i, p.Bytes())
 	}
 	for range (&Part{}).All() {

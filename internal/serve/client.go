@@ -26,16 +26,20 @@ type Client struct {
 
 	mu      sync.Mutex
 	err     error
-	accepts []chan acceptReply // FIFO: server replies in submit order
+	accepts []pendingAccept // FIFO: server replies in submit order
 	jobs    map[uint64]*Job
 }
 
-// acceptReply is one admission decision delivered to a waiting Submit:
-// either a registered job handle or the rejection frame.
-type acceptReply struct {
+// pendingAccept is a Submit waiting for its admission decision: the
+// handle the job will have if it is accepted, and where the decision goes.
+type pendingAccept struct {
 	job *Job
-	acc cluster.JobAccept
+	ch  chan cluster.JobAccept
 }
+
+// tailUpdateSlots is how many refreshes a tail job's handle buffers for
+// a slow consumer before dropping; a job that does not tail has none.
+const tailUpdateSlots = 1024
 
 // Job is one accepted job's client-side handle.
 type Job struct {
@@ -99,25 +103,30 @@ func (c *Client) Close() error { return c.conn.Close() }
 // handle before consuming any later frame, so a result racing the
 // accept is never dropped.
 func (c *Client) Submit(sub cluster.JobSubmit) (*Job, error) {
-	ch := make(chan acceptReply, 1)
+	slots := 0 // a job that does not tail has a channel that is only ever closed
+	if sub.Tail {
+		slots = tailUpdateSlots
+	}
+	p := pendingAccept{ch: make(chan cluster.JobAccept, 1),
+		job: &Job{c: c, updates: make(chan cluster.JobUpdate, slots), done: make(chan struct{})}}
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
 		return nil, c.err
 	}
-	c.accepts = append(c.accepts, ch)
+	c.accepts = append(c.accepts, p)
 	c.mu.Unlock()
 	if err := c.fc.Write(cluster.FrameJobSubmit, cluster.EncodeJobSubmit(sub)); err != nil {
 		return nil, err
 	}
-	rep, ok := <-ch
+	acc, ok := <-p.ch
 	if !ok {
 		return nil, c.closedErr()
 	}
-	if rep.job == nil {
-		return nil, &RejectedError{Reason: rep.acc.Reason}
+	if !acc.OK {
+		return nil, &RejectedError{Reason: acc.Reason}
 	}
-	return rep.job, nil
+	return p.job, nil
 }
 
 // Updates streams the job's tail refreshes (empty for batch jobs). The
@@ -159,8 +168,8 @@ func (c *Client) readLoop() {
 	jobs := c.jobs
 	c.jobs = map[uint64]*Job{}
 	c.mu.Unlock()
-	for _, ch := range accepts {
-		close(ch)
+	for _, p := range accepts {
+		close(p.ch)
 	}
 	for _, j := range jobs {
 		j.err = err
@@ -182,22 +191,18 @@ func (c *Client) run() error {
 				return err
 			}
 			c.mu.Lock()
-			var ch chan acceptReply
-			if len(c.accepts) > 0 {
-				ch = c.accepts[0]
-				c.accepts = c.accepts[1:]
-			}
-			rep := acceptReply{acc: acc}
-			if ch != nil && acc.OK {
-				rep.job = &Job{Accept: acc, c: c,
-					updates: make(chan cluster.JobUpdate, 1024), done: make(chan struct{})}
-				c.jobs[acc.ID] = rep.job
-			}
-			c.mu.Unlock()
-			if ch == nil {
+			if len(c.accepts) == 0 {
+				c.mu.Unlock()
 				return fmt.Errorf("serve: unmatched job_accept")
 			}
-			ch <- rep
+			p := c.accepts[0]
+			c.accepts = c.accepts[1:]
+			if acc.OK {
+				p.job.Accept = acc
+				c.jobs[acc.ID] = p.job
+			}
+			c.mu.Unlock()
+			p.ch <- acc
 		case cluster.FrameJobUpdate:
 			u, err := cluster.DecodeJobUpdate(f.Payload)
 			if err != nil {

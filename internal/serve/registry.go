@@ -9,8 +9,10 @@
 // job asked — and so does the fold of an ordered list of them. The cache
 // holds each mapped segment's encoded per-key summary bundles under the
 // segment's address and, for a segment list seen twice, the folded
-// states under the list's: a re-submitted job is a lookup, an append-only
-// job maps the new segments and folds them over the shared prefix.
+// states and their sorted result lines under the list's: a re-submitted
+// job is a lookup, an append-only job maps the new segments (a map-only
+// engine job whose task outputs are the parts), folds them over the
+// shared prefix and re-formats only the lines of the keys they touched.
 // Admission control (fair per-tenant FIFO with concurrency and
 // in-flight-memory budgets, plus global queue-depth rejection) keeps one
 // tenant from starving the rest; a tail mode re-folds a growing dataset
@@ -57,16 +59,17 @@ type Session interface {
 	Resume(p Prefix)
 	// Result formats and digests the standing result. Callable between
 	// Folds (tail jobs call it per refresh). With nothing folded since
-	// Freeze or Resume it is the Prefix's memoised result.
+	// Freeze or Resume it is the Prefix's own; otherwise it costs what
+	// the keys folded since cost, not the keys standing.
 	Result() (Result, error)
 }
 
 // Prefix is a fold frozen after some prefix of a dataset's segments: the
-// per-key states and, once some job has asked for it, their Result. It
-// is immutable, so the cache, concurrent jobs and tail sessions share
-// one without locks.
+// per-key states, their result lines in digest order and the Result
+// over them, all built by Freeze. It is immutable, so the cache,
+// concurrent jobs and tail sessions share one without locks.
 type Prefix interface {
-	// Bytes estimates the memory the prefix holds, for the cache budget.
+	// Bytes is the memory held (states, lines, index), for the cache budget.
 	Bytes() int64
 }
 

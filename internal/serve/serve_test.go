@@ -8,6 +8,7 @@ package serve_test
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -576,5 +578,93 @@ func TestServeTail(t *testing.T) {
 		if res.Updates < int(last.Seq) {
 			t.Errorf("result reports %d updates, saw %d", res.Updates, last.Seq)
 		}
+	}
+}
+
+// TestServeColdPartsMatchShuffle: a cold run is a map-only job, and what
+// it leaves in the summary cache is what the engine's shuffle would have
+// delivered. For every query, a cold job over 8 segments at Parallelism 2
+// caches, per segment, exactly the keys and bundle bytes a job with a
+// Reduce over the same mapper hands its reducers for that segment's
+// mapper ID — the bytes a batch run shuffles; only the order of keys
+// within a part differs, which no fold reads.
+func TestServeColdPartsMatchShuffle(t *testing.T) {
+	checkGoroutineLeaks(t)
+	engine := mapreduce.Config{NumReducers: 3, Parallelism: 2}
+	srv, addr := startServer(t, serve.Config{Engine: engine})
+	c := dialClient(t, addr)
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
+	for name, segs := range datasets {
+		srv.AddDataset(name, segs)
+	}
+	for _, spec := range queries.All() {
+		segs := datasets[spec.Dataset]
+		runner := serve.Lookup(spec.ID)
+		sess, err := runner.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapFn, err := sess.Mapper(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		shuffled := make([]map[string]string, len(segs)) // by mapper ID
+		for i := range shuffled {
+			shuffled[i] = map[string]string{}
+		}
+		ref := &mapreduce.Job{Name: "reference/" + spec.ID, Map: mapFn, Conf: engine,
+			Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, v := range values {
+					shuffled[v.MapperID][key] += string(v.Value)
+				}
+				return nil
+			}}
+		if _, err := ref.Run(segs); err != nil {
+			t.Fatal(err)
+		}
+
+		wantProvenance(t, "cold "+spec.ID, submitWait(t, c, "t", spec.ID, spec.Dataset), 0, len(segs))
+		for i, seg := range segs {
+			part, ok := srv.CachedPart(runner.SchemaKey(), seg.Digest())
+			if !ok {
+				t.Fatalf("%s: segment %d left no part", spec.ID, i)
+			}
+			got := map[string]string{}
+			for key, bundle := range part.All() {
+				got[string(key)] += string(bundle)
+			}
+			if part.Len() != len(got) || !maps.Equal(got, shuffled[i]) {
+				t.Errorf("%s segment %d: part holds %d groups (%d distinct), the shuffle delivers %d; or their bytes differ",
+					spec.ID, i, part.Len(), len(got), len(shuffled[i]))
+			}
+		}
+	}
+}
+
+// TestClientJobAllocCeiling: a job's handle buffers updates only if the
+// job tails. A submitted-and-awaited job answered from a prefix costs the
+// whole process — client, server and framing — a few KB; the 1 024-slot
+// update channel every handle used to carry was 56 KB on its own.
+func TestClientJobAllocCeiling(t *testing.T) {
+	srv, addr := startServer(t, serve.Config{})
+	c := dialClient(t, addr)
+	srv.AddDataset("ds", data.GenGithub(data.GithubConfig{Records: 2000, Repos: 50, Segments: 2, Seed: 5}))
+	for i := 0; i < 3; i++ { // cold, second sight, first answer from the prefix
+		submitWait(t, c, "t", "G1", "ds")
+	}
+	const jobs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		submitWait(t, c, "t", "G1", "ds")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / jobs; per > 8<<10 {
+		t.Errorf("a warm non-tail job allocates %d bytes end to end, want under 8 KB", per)
+	} else {
+		t.Logf("%d bytes per warm job", per)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -426,10 +427,10 @@ func jobErr(ctx context.Context, err error) string {
 // to all of snap, in dataset order. The longest cached prefix of snap's
 // list beyond that is resumed from, not folded; of the remaining
 // segments the cached ones decode straight from the summary cache and
-// the rest run one engine job (nested under the serve root as its own
-// traced sub-job) whose reduce side collects each segment's per-key
-// bundles. A list some earlier job also began with is stored as a prefix
-// on the way — this second sight is what says it will be asked for again.
+// the rest run one map-only engine job (nested under the serve root as
+// its own traced sub-job) whose task outputs are the segments' parts. A
+// list some earlier job also began with is stored as a prefix on the way
+// — this second sight is what says it will be asked for again.
 func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
 	schema, query string, snap snapshot, st *foldState) error {
 	p, from, admit := s.cache.Lookup(schema, snap.chain, st.folded)
@@ -463,36 +464,27 @@ func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
 		if err != nil {
 			return err
 		}
-		var cmu sync.Mutex
-		got := map[int]*Part{}
-		collect := func(_ int, key string, values []mapreduce.Shuffled) error {
-			cmu.Lock()
-			defer cmu.Unlock()
-			for _, v := range values {
-				p := got[v.MapperID]
-				if p == nil {
-					p = &Part{}
-					got[v.MapperID] = p
-				}
-				p.Add(key, v.Value)
-			}
-			return nil
-		}
+		// Map-only: a task's committed output is its segment's part.
+		built := make([]*Part, len(missing))
 		conf := s.cfg.Engine
 		conf.Trace = et
 		conf.Registry = s.reg
-		job := &mapreduce.Job{Name: "serve-map/" + query, Map: mapFn, Reduce: collect, Conf: conf}
-		if _, err := job.Start(ctx, missing).Wait(); err != nil {
+		job := &mapreduce.Job{Name: "serve-map/" + query, Map: mapFn, Conf: conf,
+			Output: func(task int, pairs iter.Seq2[string, []byte]) error {
+				built[task] = &Part{}
+				for key, bundle := range pairs {
+					built[task].Add(key, bundle)
+				}
+				return nil
+			}}
+		if _, err := job.RunContext(ctx, missing); err != nil {
 			return err
 		}
 		for i, seg := range segs {
-			if parts[i] != nil {
-				continue
+			if parts[i] == nil {
+				parts[i], built = built[0], built[1:]
+				s.cache.Put(schema, seg.Digest(), parts[i])
 			}
-			if parts[i] = got[seg.ID]; parts[i] == nil {
-				parts[i] = &Part{} // segment produced no groups
-			}
-			s.cache.Put(schema, seg.Digest(), parts[i])
 		}
 	}
 

@@ -20,7 +20,9 @@ go test ./...
 # fallback.
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Short chaos sweep: seeded fault injection at every task boundary,
-# digests checked against the fault-free run. CI runs the wide sweep
+# digests checked against the fault-free run — the shuffle shape and the
+# map-only one (TestChaosMapOnlyDelivery: every task's output delivered
+# once, whole, never a losing attempt's). CI runs the wide sweep
 # (CHAOS_SEEDS=100) in its own job.
 CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/queries
 # Cluster leg: the transport/coordinator/worker path — frame codec
@@ -40,16 +42,22 @@ CHAOS_SEEDS=4 go test -race -count=1 -run 'TestClusterChaosDifferential' ./inter
 # bounded, one prefix), the metamorphic incremental suite (every append
 # interleaving and every prefix split point reproduces the golden
 # digests, warm submissions pinned to zero map attempts and
-# prefix-answered ones to zero folds), the serve chaos sweep, and the
-# job-frame codec regression over the committed fuzz seeds.
+# prefix-answered ones to zero folds), a cold run's parts against a
+# shuffling job's bundles for every query, the client's per-job
+# allocation ceiling, the serve chaos sweep, and the job-frame codec
+# regression over the committed fuzz seeds. (The overlay suite — a
+# prefix's kept lines merged with an append's, against Spec.Sequential —
+# is internal/queries' and runs in the race leg above.)
 go test -race -count=1 ./internal/serve
 go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|TestJobFrameRoundTrips' ./internal/cluster
 # Traced leg: every engine run auto-attaches a trace; the run fails if
 # the completed trace breaks an obs.Verifier invariant or the metrics
-# registry fails its self-check. ./internal/serve adds the service's own
-# traced jobs — cold, warm, answered from a prefix, appended — checked
-# against the serve-cache invariant. CI's `traced` job runs the wide
-# form (-count=2 -shuffle=on).
+# registry fails its self-check. ./internal/mapreduce includes map-only
+# traces, clean and under chaos (no run_commit without a consumer;
+# commit-matches-attempt and cpu-bound still hold); ./internal/serve adds
+# the service's own traced jobs — cold (a map-only sub-job), warm,
+# answered from a prefix, appended — checked against the serve-cache
+# invariant. CI's `traced` job runs the wide form (-count=2 -shuffle=on).
 OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve
 # Benchmark smoke: all four workloads at 2000-record inputs, traced and
 # untraced, every job digest-checked against Spec.Sequential.
