@@ -9,6 +9,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/sym"
+	"repro/internal/wire"
 )
 
 // Batch is the vectorized GroupBy output for one chunk of rows: the
@@ -59,18 +60,25 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 	}
 }
 
-// batchExec bundles the executor and memo one map chunk runs with.
-// Pooled per engine run (the sympleMapFunc closure) so the memo — whose
-// cached transitions depend only on the schema and update function,
-// never on the chunk — persists across chunks instead of being
-// allocated, rebuilt, and torn down once per chunk, and the executor's
-// identity caches, power ladder, and summary block cache stay warm.
-// used marks an executor that has fed keys since its last Reset and so
-// needs one before its next FeedBatch.
+// batchExec is the exec site one map attempt runs on: the executor —
+// which owns every path container the attempt touches, the memo's
+// transitions included — and the scratch a chunk is staged in. A key
+// that passes through owns nothing but its bundle's bytes. Pooled per
+// engine run (the sympleMapFunc closure) so the memo — whose cached
+// transitions depend only on the schema and update function, never on
+// the chunk — persists across chunks instead of being allocated,
+// rebuilt, and torn down once per chunk, and the executor's identity
+// caches, power ladder and container stack stay warm. A site is pooled
+// again only by the attempt that ran it to the end: one that errored
+// or was killed mid-chunk is simply dropped. used marks an executor
+// that has fed keys since its last Reset and so needs one before its
+// next FeedBatch.
 type batchExec[S sym.State, E any] struct {
 	fast *sym.Executor[S, E]
-	memo *sym.Memo[S, E]
 	used bool
+	// enc stages one key's bundle, whose size is unknown until encoded,
+	// on its way into the chunk's slab.
+	enc wire.Encoder
 
 	// Chunk scratch, dead once a chunk's exec pass ends and so reused by
 	// the next chunk this executor runs: the GroupBy batch (but for its
@@ -127,26 +135,17 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 	dst.RunProbes += cur.RunProbes - prev.RunProbes
 }
 
-// chunkResult is one map chunk's symbolic output: per-key ordered
-// summary lists plus the work counters. The per-key data is
-// order-aligned slices, not maps — the executor emits keys in a known
-// order, so the timed execution pass appends instead of hashing.
-type chunkResult[S sym.State] struct {
-	order []string
-	// sums holds every key's summaries back to back; key i's summaries
-	// are sums[sumOff[i]:sumOff[i+1]] (sumOff has len(order)+1 entries).
-	sums   []*sym.Summary[S]
-	sumOff []int32
-	// lastRec holds, per key in order, the segment index of the key's
-	// last record: the recordID of the key's bundle in the §5.4
-	// (key, mapperID, recordID) shuffle order.
+// chunkResult is one map chunk's symbolic output: per key, in the
+// order the executor ran them, the encoded summary bundle and the
+// segment index of the key's last record — the recordID of the bundle
+// in the §5.4 (key, mapperID, recordID) shuffle order — plus the work
+// counters. Order-aligned slices, not maps: the timed execution pass
+// appends instead of hashing.
+type chunkResult struct {
+	order   []string
+	bundles [][]byte
 	lastRec []int64
 	stats   SymStats
-}
-
-// keySums returns key i's summary list (a sub-slice of the arena).
-func (c *chunkResult[S]) keySums(i int) []*sym.Summary[S] {
-	return c.sums[c.sumOff[i]:c.sumOff[i+1]]
 }
 
 // symExecChunk is the one place events reach a symbolic executor: it
@@ -156,14 +155,18 @@ func (c *chunkResult[S]) keySums(i int) []*sym.Summary[S] {
 // segment builds and every later one finds resident, else through the
 // scalar GroupBy per record; that selection is made here, from the
 // input, and nowhere else — and counting-sorts the key-index vector into
-// per-key contiguous event vectors. Pass two feeds each key's vector to
-// the executor's batch API (FeedBatch), which folds runs of identical
-// events through single transition probes and executes quiet stretches
-// in place. Batching keeps per-record map lookups out of the symbolic
-// hot loop and lets pass two be timed on its own (stats.ExecWall), net
-// of the parse cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult[S], error) {
-	out := chunkResult[S]{}
+// per-key contiguous event vectors. Pass two runs each key through the
+// site: Reset, feed the key's vector to the executor's batch API
+// (FeedBatch, which folds runs of identical events through single
+// transition probes and executes quiet stretches in place), pre-compose
+// a restarted key's summaries when opt.Combine asks (falling back to the
+// uncombined list when composition fails), and append the key's bundle
+// — encoded straight from the executor's paths — to the chunk's slab.
+// Batching keeps per-record map lookups out of the symbolic hot loop and
+// lets pass two be timed on its own (stats.ExecWall), net of the parse
+// cost every engine shares.
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult, error) {
+	out := chunkResult{}
 	be := pool.get()
 	if be == nil {
 		// One memo serves every key: transitions are built from the fully
@@ -172,10 +175,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		if opt.MemoSize >= 0 {
 			memo = sym.NewMemo[S, E](sc, opt.MemoSize)
 		}
-		be = &batchExec[S, E]{
-			fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo),
-			memo: memo,
-		}
+		be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo)}
 	}
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
@@ -219,47 +219,59 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		last[ki] = int64(b.Rows[r]) // rows ascend, so the final write is the max
 	}
 
-	// lastRec falls straight out of the counting sort; the summary arena
-	// and its offsets are sized here so the timed pass below only appends.
+	// lastRec falls straight out of the counting sort; the bundle list is
+	// sized here so the timed pass below only appends.
 	out.lastRec = last
-	out.sums = make([]*sym.Summary[S], 0, nk)
-	out.sumOff = make([]int32, 1, nk+1)
+	out.bundles = make([][]byte, 0, nk)
 
 	start := time.Now()
 	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrGroups, int64(len(b.Keys))).
 		Attr(obs.AttrBatchRecords, int64(len(b.Events)))
-	fast := be.fast
+	fast, enc := be.fast, &be.enc
 	prev := fast.Stats()
+	var slab bundleSlab
 	// needReset tracks whether the executor has run a key since its last
-	// reset; the all-identity fast finish below bypasses the executor's
+	// reset; the all-identity shortcut below bypasses the executor's
 	// paths entirely and so neither needs nor forces one. A pooled
 	// executor arrives with the previous chunk's last key still live.
 	needReset := be.used
 	for ki, key := range b.Keys {
 		evs := events[offs[ki]:offs[ki+1]]
-		var err error
-		var done bool
-		if out.sums, done = fast.TryFinishIdentity(evs, out.sums); !done {
-			if needReset {
-				fast.Reset()
+		if bundle := fast.IdentityBundle(evs); bundle != nil {
+			out.bundles = append(out.bundles, bundle)
+			out.stats.Summaries++
+			continue
+		}
+		if needReset {
+			fast.Reset()
+		}
+		needReset = true
+		err := fast.FeedBatch(evs)
+		if err == nil && opt.Combine && fast.Summaries() > 1 {
+			// The combine span is emitted only when composition
+			// succeeds: a fallback to the uncombined list did no
+			// combining, and a half-open span is never flushed.
+			span := trace.Start(obs.KindCombine, fmt.Sprintf("combine-%d/%s", mapperID, key)).
+				Attr(obs.AttrTask, int64(mapperID))
+			if n, composes, ok := fast.Combine(); ok {
+				span.Attr(obs.AttrSummaries, int64(n)).Attr(obs.AttrComposes, int64(composes)).End()
 			}
-			needReset = true
-			if err = fast.FeedBatch(evs); err == nil {
-				out.sums, err = fast.FinishInto(out.sums)
-			}
+		}
+		n := 0
+		if err == nil {
+			enc.Reset()
+			n, err = fast.AppendBundle(enc)
 		}
 		if err != nil {
-			// Don't repool: an errored executor's path state is
-			// unspecified, and the whole run is aborting anyway.
+			// The site is dropped, not repooled: an errored executor's
+			// path state is unspecified, and the attempt is over.
 			execSpan.Tag("outcome", "error").End()
-			if be.memo != nil {
-				be.memo.Release()
-			}
 			return out, fmt.Errorf("key %q: %w", key, err)
 		}
-		out.sumOff = append(out.sumOff, int32(len(out.sums)))
+		out.bundles = append(out.bundles, slab.put(enc.Bytes()))
+		out.stats.Summaries += n
 	}
 	addStatsDelta(&out.stats, fast.Stats(), prev)
 	out.stats.ExecWall = time.Since(start)
@@ -267,4 +279,28 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 	be.used = needReset
 	pool.put(be)
 	return out, nil
+}
+
+// slabChunk is the allocation unit of a bundleSlab: a heap object per
+// thousand or so bundles (tens of bytes each on high-cardinality
+// queries), and a last chunk whose unfilled tail is noise beside them.
+const slabChunk = 64 << 10
+
+// bundleSlab lays one map task's encoded bundles back to back in
+// slabChunk-sized arrays instead of one heap object per (mapper, group).
+// The shuffle — and after it the serve cache — retains emitted values,
+// so each is a cap-clipped sub-slice: nothing can append over a
+// neighbour. A slab belongs to one task, so a retained value pins chunks
+// of its own segment's output only.
+type bundleSlab struct{ chunk []byte }
+
+// put copies one encoded bundle into the slab and returns the copy. A
+// bundle larger than a chunk gets an array of its own.
+func (b *bundleSlab) put(bundle []byte) []byte {
+	if cap(b.chunk)-len(b.chunk) < len(bundle) {
+		b.chunk = make([]byte, 0, max(len(bundle), slabChunk))
+	}
+	off := len(b.chunk)
+	b.chunk = append(b.chunk, bundle...)
+	return b.chunk[off:len(b.chunk):len(b.chunk)]
 }

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"fmt"
+	"iter"
+	"math/rand"
+	"os"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/mapreduce"
+	"repro/internal/sym"
+)
+
+// denseSessionInput is a B3-shaped corpus: about as many keys as a
+// segment has records, so most (mapper, key) groups hold one or two.
+func denseSessionInput(r *rand.Rand, n int) []string {
+	lines := make([]string, n)
+	ts := int64(0)
+	for i := range lines {
+		ts += int64(r.Intn(60))
+		lines[i] = fmt.Sprintf("u%d\t%d", r.Intn(n), ts)
+	}
+	return lines
+}
+
+// mapBundles runs a map-only job of the engine's mapper over segs on
+// pool and returns every task's emitted (key, bundle) pairs in emit
+// order.
+func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.Schema[S],
+	pool *batchExecPool[S, E], opt SympleOptions, segs []*mapreduce.Segment, conf mapreduce.Config) [][]string {
+	t.Helper()
+	out := make([][]string, len(segs))
+	var mu sync.Mutex
+	job := &mapreduce.Job{
+		Name: "bundles",
+		Map:  sympleMapFunc(q, sc, pool, &mu, &SymStats{}, opt, nil, nil),
+		Output: func(task int, pairs iter.Seq2[string, []byte]) error {
+			var got []string
+			for k, v := range pairs {
+				got = append(got, k+"="+string(v))
+			}
+			mu.Lock()
+			out[task] = got
+			mu.Unlock()
+			return nil
+		},
+		Conf: conf,
+	}
+	if _, err := job.Run(segs); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestExecSitePoolSteadyState: map tasks that draw their exec sites from
+// one pool build containers while the first chunks run and none after —
+// a site keeps what its chunks needed — and eight tasks running at once
+// over that pool (the -race leg's subject) emit, byte for byte, what one
+// task at a time does.
+func TestExecSitePoolSteadyState(t *testing.T) {
+	q := sessionQuery()
+	sc, err := sym.NewSchema(q.NewState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := makeSegments(denseSessionInput(rand.New(rand.NewSource(41)), 16000), 8)
+	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, SympleOptions{}, segs, mapreduce.Config{Parallelism: 1})
+
+	pool := &batchExecPool[*sessState, int64]{}
+	conf := mapreduce.Config{Parallelism: 8}
+	mapBundles(t, q, sc, pool, SympleOptions{}, segs, conf)
+	base := sc.Allocated()
+	for round := 0; round < 5; round++ {
+		got := mapBundles(t, q, sc, pool, SympleOptions{}, segs, conf)
+		for task := range want {
+			if len(got[task]) != len(want[task]) {
+				t.Fatalf("round %d task %d: %d bundles, want %d", round, task, len(got[task]), len(want[task]))
+			}
+			for i := range want[task] {
+				if got[task][i] != want[task][i] {
+					t.Fatalf("round %d task %d bundle %d: concurrent sites emitted %q, one site %q", round, task, i, got[task][i], want[task][i])
+				}
+			}
+		}
+	}
+	if len(pool.free) == 0 || len(pool.free) > 8 {
+		t.Errorf("the pool holds %d sites after jobs of 8 concurrent tasks", len(pool.free))
+	}
+	// A later job may run more tasks at once than any earlier one did and
+	// so start a new site; short of that, the sites are warm.
+	if grew := sc.Allocated() - base; grew > base {
+		t.Errorf("the schema built %d containers in the first job and %d more in the next five", base, grew)
+	}
+}
+
+// chaosSeedCount reads the CHAOS_SEEDS override shared with the engine's
+// chaos sweeps.
+func chaosSeedCount(t *testing.T, def int) int {
+	t.Helper()
+	if v := os.Getenv("CHAOS_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			t.Fatalf("bad CHAOS_SEEDS %q", v)
+		}
+		return n
+	}
+	return def
+}
+
+// TestChaosDroppedExecSite: a map attempt that errors inside its exec
+// site (an Update that aborts mid-chunk) or is killed around it never
+// puts the site back — the pool only ever holds sites whose last chunk
+// ran to the end — so whatever attempt finally commits emits the
+// fault-free bytes, on the pool the failures left behind, job after job.
+func TestChaosDroppedExecSite(t *testing.T) {
+	q := sessionQuery()
+	// fuse, when armed, makes the Update call it counts down to read a
+	// symbolic count: the executor aborts and the attempt errors.
+	var fuse atomic.Int64
+	update := q.Update
+	q.Update = func(ctx *sym.Ctx, s *sessState, ts int64) {
+		if fuse.Load() > 0 && fuse.Add(-1) == 0 {
+			s.Count.Get()
+		}
+		update(ctx, s, ts)
+	}
+	sc, err := sym.NewSchema(q.NewState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := makeSegments(denseSessionInput(rand.New(rand.NewSource(42)), 6000), 6)
+	for _, opt := range []SympleOptions{{}, {Combine: true}} {
+		if opt.Combine {
+			// A live-path cap of 1 makes every forking key restart, so
+			// the combiner composes inside the site.
+			q.Options = sym.Options{MaxLivePaths: 1}
+		}
+		fuse.Store(0)
+		want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, opt, segs, mapreduce.Config{Parallelism: 1})
+		pool := &batchExecPool[*sessState, int64]{}
+		var injected, aborted int64
+		for seed := 0; seed < chaosSeedCount(t, 8); seed++ {
+			plan := mapreduce.NewFaultPlan(int64(seed)).WithRate(0.3).WithMaxDelay(time.Millisecond).
+				WithPoints(mapreduce.PointMapStart, mapreduce.PointMapEmit, mapreduce.PointMapMid, mapreduce.PointSpillWrite)
+			fuse.Store(int64(500 + 700*(seed%8)))
+			got := mapBundles(t, q, sc, pool, opt, segs, mapreduce.Config{
+				Parallelism: 4, MaxAttempts: 6, RetryBackoff: time.Microsecond, Speculation: true, Faults: plan})
+			if fuse.Load() == 0 {
+				aborted++
+			}
+			for task := range want {
+				if len(got[task]) != len(want[task]) {
+					t.Fatalf("combine %v seed %d task %d: %d bundles, want %d", opt.Combine, seed, task, len(got[task]), len(want[task]))
+				}
+				for i := range want[task] {
+					if got[task][i] != want[task][i] {
+						t.Fatalf("combine %v seed %d task %d bundle %d diverged from the fault-free run", opt.Combine, seed, task, i)
+					}
+				}
+			}
+			for i, be := range pool.free {
+				if be.fast.Err() != nil {
+					t.Fatalf("combine %v seed %d: pooled site %d carries %v", opt.Combine, seed, i, be.fast.Err())
+				}
+			}
+			injected += plan.Injected()
+		}
+		if injected == 0 || aborted == 0 {
+			t.Errorf("combine %v: %d faults injected, %d executors aborted — the sweep is not arming", opt.Combine, injected, aborted)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/sym"
-	"repro/internal/wire"
 )
 
 // SympleMapper builds the standalone map side of a SYMPLE query — the
@@ -53,23 +52,20 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) 
 
 // sympleMapFunc is the shared SYMPLE mapper: groupby plus symbolic UDA
 // execution per group (symExecChunk, one chunk per map task —
-// Config.Parallelism across tasks is the map-side parallelism), emitting
-// one summary bundle per group. With opt.Combine it acts as its own
-// combiner, pre-composing each group's summary list into one summary
-// before the shuffle (falling back to the uncombined list when
-// composition fails).
+// Config.Parallelism across tasks is the map-side parallelism), then one
+// emitted summary bundle per group and the task's counts.
 //
-// pool is the executor/memo pool every chunk draws from: memoized
+// pool is the exec-site pool every chunk draws from: memoized
 // transitions depend only on the schema and update function, so the
 // memo built by early chunks answers probes for every later chunk, and
-// reused executors keep identity caches and summary blocks warm.
+// reused executors keep identity caches and containers warm.
 func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, opt SympleOptions, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		out, err := symExecChunk(q, sc, opt, pool, seg, trace, mapperID)
 		if err != nil {
 			return err
 		}
-		local := out.stats
+		local := &out.stats
 
 		// Observe into a task-local registry and merge once at task end:
 		// the job registry's histogram mutex would otherwise be hammered
@@ -80,37 +76,9 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			lreg = obs.NewRegistry()
 			sumBytes = lreg.Histogram(MetricSummaryBytes)
 		}
-		// A bundle's size is unknown until encoded: encode into enc, then
-		// copy into the task's slab.
-		enc := wire.GetEncoder()
-		defer wire.PutEncoder(enc)
-		var slab bundleSlab
 		for i, key := range out.order {
-			sums := out.keySums(i)
-			if opt.Combine && len(sums) > 1 {
-				// The combine span is emitted only when composition
-				// succeeds: a fallback to the uncombined list did no
-				// combining, and a half-open span is never flushed.
-				span := trace.Start(obs.KindCombine, fmt.Sprintf("combine-%d/%s", mapperID, key)).
-					Attr(obs.AttrTask, int64(mapperID))
-				if composed, n, cerr := sym.ComposeAllCounted(sums); cerr == nil {
-					span.Attr(obs.AttrSummaries, int64(len(sums))).
-						Attr(obs.AttrComposes, int64(n)).End()
-					for _, s := range sums {
-						s.Release()
-					}
-					sums = []*sym.Summary[S]{composed}
-				}
-			}
-			enc.Reset()
-			sym.AppendSummaryBundle(enc, sums)
-			buf := slab.put(enc.Bytes())
-			sumBytes.Observe(int64(len(buf)))
-			emit(key, out.lastRec[i], buf)
-			for _, s := range sums {
-				s.Release()
-			}
-			local.Summaries += len(sums)
+			sumBytes.Observe(int64(len(out.bundles[i])))
+			emit(key, out.lastRec[i], out.bundles[i])
 		}
 		if reg != nil {
 			lreg.Counter(MetricMemoHits).Add(int64(local.MemoHits))
@@ -133,28 +101,4 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		mu.Unlock()
 		return nil
 	}
-}
-
-// slabChunk is the allocation unit of a bundleSlab: a heap object per
-// thousand or so bundles (tens of bytes each on high-cardinality
-// queries), and a last chunk whose unfilled tail is noise beside them.
-const slabChunk = 64 << 10
-
-// bundleSlab lays one map task's encoded bundles back to back in
-// slabChunk-sized arrays instead of one heap object per (mapper, group).
-// The shuffle — and after it the serve cache — retains emitted values,
-// so each is a cap-clipped sub-slice: nothing can append over a
-// neighbour. A slab belongs to one task, so a retained value pins chunks
-// of its own segment's output only.
-type bundleSlab struct{ chunk []byte }
-
-// put copies one encoded bundle into the slab and returns the copy. A
-// bundle larger than a chunk gets an array of its own.
-func (b *bundleSlab) put(bundle []byte) []byte {
-	if cap(b.chunk)-len(b.chunk) < len(bundle) {
-		b.chunk = make([]byte, 0, max(len(bundle), slabChunk))
-	}
-	off := len(b.chunk)
-	b.chunk = append(b.chunk, bundle...)
-	return b.chunk[off:len(b.chunk):len(b.chunk)]
 }

@@ -92,7 +92,9 @@ func (s *Segment) Index(plan *ColPlan) *Columnar {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.index == nil || s.index.Rows != len(s.Records) {
-		s.index = buildIndex(s.Records, plan)
+		var total int64
+		s.index, total = buildIndex(s.Records, plan)
+		s.size.Store(&extent{rows: len(s.Records), bytes: total})
 	}
 	if s.index.Plan != plan {
 		return nil
@@ -100,10 +102,11 @@ func (s *Segment) Index(plan *ColPlan) *Columnar {
 	return s.index
 }
 
-// buildIndex scans records once under plan. Vectors are sized to the
-// row count up front, which is exact unless rows turn out ragged; then
-// they are cut down to the dense count.
-func buildIndex(records [][]byte, plan *ColPlan) *Columnar {
+// buildIndex scans records once under plan, returning the index and the
+// records' total size. Vectors are sized to the row count up front,
+// which is exact unless rows turn out ragged; then they are cut down to
+// the dense count.
+func buildIndex(records [][]byte, plan *ColPlan) (*Columnar, int64) {
 	c := &Columnar{Plan: plan, Rows: len(records), Cols: make([]Col, len(plan.Fields))}
 	dicts := make([]map[string]uint32, len(plan.Fields))
 	for f, spec := range plan.Fields {
@@ -121,8 +124,10 @@ func buildIndex(records [][]byte, plan *ColPlan) *Columnar {
 	}
 	fields := make([][]byte, len(plan.Fields))
 	ints := make([]int64, len(plan.Fields))
+	var total int64
 rows:
 	for ri, rec := range records {
+		total += int64(len(rec))
 		rest := rec
 		for f, spec := range plan.Fields {
 			if rest == nil {
@@ -174,7 +179,7 @@ rows:
 			col.Codes = slices.Clone(col.Codes)
 		}
 	}
-	return c
+	return c, total
 }
 
 func (c *Columnar) addRagged(row int, rec []byte) {

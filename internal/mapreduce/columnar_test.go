@@ -39,7 +39,7 @@ func TestBuildIndexDenseAndRagged(t *testing.T) {
 		[]byte("105\trepo/b\tx\t7\ta\tb\tc"),
 	}
 	plan := testPlan(parseDecimal)
-	c := buildIndex(records, plan)
+	c, _ := buildIndex(records, plan)
 	if c.Plan != plan || c.Rows != len(records) {
 		t.Fatalf("plan %p rows %d, want %p and %d", c.Plan, c.Rows, plan, len(records))
 	}
@@ -81,7 +81,7 @@ func TestBuildIndexDenseAndRagged(t *testing.T) {
 // entry is a view of the record it was first seen in, not a copy.
 func TestBuildIndexDictAliasesRecords(t *testing.T) {
 	rec := []byte("7\tsome-key\tx\t1")
-	c := buildIndex([][]byte{rec}, testPlan(parseDecimal))
+	c, _ := buildIndex([][]byte{rec}, testPlan(parseDecimal))
 	if got, want := unsafe.StringData(c.Cols[1].Dict[0]), &rec[2]; got != want {
 		t.Fatalf("dictionary entry at %p, record bytes at %p", got, want)
 	}

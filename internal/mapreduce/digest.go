@@ -56,12 +56,18 @@ func (d Digest) Chain(next Digest) Digest {
 	return h.sum()
 }
 
-// address is what one pass over a segment's records leaves: valid while
-// rows matches len(Records), the index's invalidation rule.
+// address is the digest one pass over a segment's records leaves, and
+// extent the payload total any pass over them does (the digest's, the
+// index build's, or Bytes' own): each valid while rows matches
+// len(Records), the index's invalidation rule.
 type address struct {
 	rows   int
 	digest Digest
-	bytes  int64
+}
+
+type extent struct {
+	rows  int
+	bytes int64
 }
 
 // Digest content-addresses the segment: the record count and every
@@ -80,25 +86,32 @@ func (s *Segment) Digest() Digest {
 		a = &address{rows: len(s.Records)}
 		h := newDigester()
 		h.word(uint64(len(s.Records)))
+		var n int64
 		for _, r := range s.Records {
 			h.bytes(r)
-			a.bytes += int64(len(r))
+			n += int64(len(r))
 		}
 		a.digest = h.sum()
 		s.addr.Store(a)
+		s.size.Store(&extent{rows: a.rows, bytes: n})
 	}
 	return a.digest
 }
 
-// Bytes returns the total payload size of the segment: what the digest
-// pass left when there was one, else a sum (a batch job never digests).
+// Bytes returns the total payload size of the segment. It is resident
+// derived state like the index and the digest: summed once — by
+// whichever of the index build, the digest pass or the first call here
+// comes first — and again only when Records was replaced by a slice of
+// another length. Safe for concurrent use (racing first calls store the
+// same total).
 func (s *Segment) Bytes() int64 {
-	if a := s.addr.Load(); a != nil && a.rows == len(s.Records) {
-		return a.bytes
+	if e := s.size.Load(); e != nil && e.rows == len(s.Records) {
+		return e.bytes
 	}
 	var n int64
 	for _, r := range s.Records {
 		n += int64(len(r))
 	}
+	s.size.Store(&extent{rows: len(s.Records), bytes: n})
 	return n
 }

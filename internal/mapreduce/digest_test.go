@@ -109,3 +109,36 @@ func TestDigestIsResidentDerivedState(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestBytesIsResidentDerivedState: a batch job never digests, and its map
+// attempts ask for the segment's size twice each — the total is summed
+// once by whichever pass over the records comes first (Bytes itself, the
+// index build, the digest), after which asking allocates nothing and
+// reads no record; replacing Records with a slice of another length
+// recomputes, the index's rule.
+func TestBytesIsResidentDerivedState(t *testing.T) {
+	recs := func() [][]byte { return [][]byte{[]byte("1\talpha"), []byte("2\tbeta")} }
+	plan := &ColPlan{Fields: []ColSpec{{Kind: ColInt, Parse: parseDecimal}}}
+	for name, first := range map[string]func(*Segment){
+		"bytes":  func(s *Segment) { s.Bytes() },
+		"index":  func(s *Segment) { s.Index(plan) },
+		"digest": func(s *Segment) { s.Digest() },
+	} {
+		seg := &Segment{Records: recs()}
+		first(seg)
+		// Swapping a record for a longer one behind the segment's back is
+		// outside the contract (the slice keeps its length); it is how the
+		// test sees that nothing walks the records again.
+		seg.Records[0] = []byte("1\talphabet")
+		if got := seg.Bytes(); got != 13 {
+			t.Errorf("after %s: Bytes = %d, want the resident 13", name, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { seg.Bytes() }); n != 0 {
+			t.Errorf("after %s: Bytes on a resident segment allocates %v times", name, n)
+		}
+		seg.Records = append(seg.Records, []byte("3\tgamma"))
+		if got := seg.Bytes(); got != 10+6+7 {
+			t.Errorf("after %s: Bytes after replacement = %d, want 23", name, got)
+		}
+	}
+}

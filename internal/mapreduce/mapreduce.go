@@ -49,11 +49,13 @@ type Segment struct {
 
 	// index is the typed-column index over Records (columnar.go), built
 	// at first touch by Index; addr is the content address (digest.go),
-	// computed at first touch by Digest. Both are derived from Records,
-	// resident with the segment, and built under mu.
+	// computed at first touch by Digest; size is the payload total, left
+	// by either or by Bytes. All are derived from Records and resident
+	// with the segment; index and addr are built under mu.
 	mu    sync.Mutex
 	index *Columnar
 	addr  atomic.Pointer[address]
+	size  atomic.Pointer[extent]
 }
 
 // Emit sends one keyed record from a mapper into the shuffle. recordID
@@ -257,9 +259,12 @@ type Metrics struct {
 // emit sequence number within its map task; it totalizes the spill-sort
 // order — (key, recordID) can tie when one input record emits the same
 // key twice — so the sort can be unstable yet reproduce emit order
-// exactly. It is engine-internal and costs nothing on the wire.
+// exactly. prefix is sortRun's scratch: the key's first eight bytes as
+// an integer that orders like they do. Both are engine-internal and cost
+// nothing on the wire.
 type kvRec struct {
 	key      string
+	prefix   uint64
 	mapperID int
 	recordID int64
 	seq      int64

@@ -25,8 +25,23 @@ type spillRun struct {
 // and reproduces emit order exactly. pdqsort beats a stable merge sort
 // here twice over: no rotation memmoves, and near-linear behaviour on
 // the low-cardinality key sets real groupbys produce.
+//
+// Keys are compared by prefix first: an integer compare on a word the
+// record already carries decides most pairs without following either
+// string pointer. Equal prefixes (one key twice, keys sharing eight
+// bytes, keys differing only past a NUL the padding hides) fall through
+// to the full comparison, so the order is strings.Compare's exactly.
 func sortRun(recs []kvRec) {
+	for i := range recs {
+		recs[i].prefix = keyPrefix(recs[i].key)
+	}
 	slices.SortFunc(recs, func(a, b kvRec) int {
+		if a.prefix != b.prefix {
+			if a.prefix < b.prefix {
+				return -1
+			}
+			return 1
+		}
 		if c := strings.Compare(a.key, b.key); c != 0 {
 			return c
 		}
@@ -42,6 +57,20 @@ func sortRun(recs []kvRec) {
 		}
 		return 0
 	})
+}
+
+// keyPrefix packs the key's first eight bytes big-endian, zero-padded:
+// unsigned integer order on prefixes is byte order on those bytes.
+func keyPrefix(key string) uint64 {
+	if len(key) >= 8 {
+		return uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
+			uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
+	}
+	var p uint64
+	for i := 0; i < len(key); i++ {
+		p |= uint64(key[i]) << (56 - 8*i)
+	}
+	return p
 }
 
 // recLess is the shuffle's total order over records. Records from

@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -59,12 +58,7 @@ func B1() *Spec {
 	q.Columns, q.GroupByBatch = bingPlan, makeGroupByBatch(q.GroupBy, compileB1)
 	return makeSpec("B1", "Outages: more than 2 minutes with no successful query by any user", "bing",
 		false, true, false, q,
-		func(key string, gaps []int64) string {
-			if len(gaps) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(gaps))
-		})
+		func(key string, gaps []int64) string { return resultLine(key, gaps...) })
 }
 
 // ---- B2: outages per geographic area ----
@@ -120,7 +114,7 @@ func B2() *Spec {
 			if count == 0 {
 				return ""
 			}
-			return fmt.Sprintf("%s:%d", key, count)
+			return resultLine(key, count)
 		})
 }
 
@@ -186,10 +180,5 @@ func B3() *Spec {
 	q.Columns, q.GroupByBatch = bingPlan, makeGroupByBatch(q.GroupBy, compileB3)
 	return makeSpec("B3", "Number of queries in a session per user (< 2 minutes between queries)", "bing",
 		false, true, true, q,
-		func(key string, sessions []int64) string {
-			if len(sessions) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(sessions))
-		})
+		func(key string, sessions []int64) string { return resultLine(key, sessions...) })
 }

@@ -1,8 +1,6 @@
 package queries
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/sym"
@@ -105,12 +103,7 @@ func G2() *Spec {
 	q.Columns, q.GroupByBatch = githubPlan, makeGroupByBatch(q.GroupBy, compileGithubOp)
 	return makeSpec("G2", "All operations on a repository directly preceding a delete operation", "github",
 		true, false, false, q,
-		func(key string, ops []int64) string {
-			if len(ops) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(ops))
-		})
+		func(key string, ops []int64) string { return resultLine(key, ops...) })
 }
 
 // ---- G3: number of operations between pull open and close ----
@@ -164,12 +157,7 @@ func G3() *Spec {
 	q.Columns, q.GroupByBatch = githubPlan, makeGroupByBatch(q.GroupBy, compileGithubOp)
 	return makeSpec("G3", "Number of operations executed on a repository between pull open and close", "github",
 		true, true, false, q,
-		func(key string, counts []int64) string {
-			if len(counts) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(counts))
-		})
+		func(key string, counts []int64) string { return resultLine(key, counts...) })
 }
 
 // ---- G4: time between branch deletion and branch creation ----
@@ -235,10 +223,5 @@ func G4() *Spec {
 	q.Columns, q.GroupByBatch = githubPlan, makeGroupByBatch(q.GroupBy, compileG4)
 	return makeSpec("G4", "The time between branch deletion and branch creation in a repository", "github",
 		true, true, false, q,
-		func(key string, deltas []int64) string {
-			if len(deltas) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(deltas))
-		})
+		func(key string, deltas []int64) string { return resultLine(key, deltas...) })
 }

@@ -2,15 +2,22 @@ package queries
 
 import (
 	"testing"
+
+	"repro/internal/sym"
 )
 
 // TestMetamorphicComposition checks the composition algebra the SYMPLE
 // engine relies on — associativity of summary composition and the
 // equivalence of ComposeAll with the sequential apply fold (§3.6) — on
 // real summaries produced from the seeded small corpora, for every
-// query schema and several mapper-split widths. The subtests run in
-// parallel so the race detector also exercises concurrent folds against
-// the schema pools.
+// query schema and several mapper-split widths — and, over the same
+// executor runs, that the bundle a map task appends straight from the
+// executor's paths is byte for byte the snapshot API's
+// (EncodeSummaryBundle over Finish), combined and not. A second pass
+// under a live-path cap of 1 makes keys restart, so multi-summary
+// bundles and the combiner's in-site composition are compared too. The
+// subtests run in parallel so the race detector also exercises
+// concurrent exec and fold sites over shared schemas.
 func TestMetamorphicComposition(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
 	for _, spec := range All() {
@@ -20,7 +27,7 @@ func TestMetamorphicComposition(t *testing.T) {
 			segs := datasets[spec.Dataset]
 			checkedTriples := 0
 			for _, splits := range []int{2, 3, 4, 7} {
-				rep, err := spec.ComposeCheck(segs, splits)
+				rep, err := spec.ComposeCheck(segs, splits, sym.Options{})
 				if err != nil {
 					t.Fatalf("splits=%d: %v", splits, err)
 				}
@@ -33,6 +40,20 @@ func TestMetamorphicComposition(t *testing.T) {
 			}
 			if checkedTriples == 0 {
 				t.Error("no associativity triples checked at any split width — groups never yielded 3 composable summaries")
+			}
+			rep, err := spec.ComposeCheck(segs, 2, sym.Options{MaxLivePaths: 1, DisableMerging: true})
+			if err != nil {
+				t.Fatalf("path cap 1: %v", err)
+			}
+			t.Logf("path cap 1: %d bundles, %d restarted and combined", rep.Bundles, rep.Combined)
+			if rep.Bundles == 0 {
+				t.Error("no bundle compared")
+			}
+			// G1, G2 and R1 never hold two live paths (an enum or a flag
+			// that binds on every branch; a bare counter), so no cap makes
+			// them restart.
+			if rep.Combined == 0 && spec.ID != "G1" && spec.ID != "G2" && spec.ID != "R1" {
+				t.Error("no key restarted under a live-path cap of 1: the combined bundle went unchecked")
 			}
 		})
 	}

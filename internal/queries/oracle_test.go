@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,16 @@ func flatten(segs []*mapreduce.Segment) [][]byte {
 // dropping empties — the same normalization the Spec formatters use.
 func oracleDigest(lines map[string]string) (uint64, int) {
 	return digestResults(lines, func(_ string, line string) string { return line })
+}
+
+// formatInts is the oracles' own comma-separated rendering, independent
+// of the specs' resultLine.
+func formatInts(vs []int64) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
 }
 
 func intsLine(key string, vs []int64) string {

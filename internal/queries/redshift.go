@@ -47,7 +47,7 @@ func R1() *Spec {
 	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR1)
 	return makeSpec("R1", "Number of impressions per advertiser", "redshift",
 		false, true, false, q,
-		func(key string, count int64) string { return fmt.Sprintf("%s:%d", key, count) })
+		func(key string, count int64) string { return resultLine(key, count) })
 }
 
 // ---- R2: advertisers operating only in a single country ----
@@ -113,7 +113,7 @@ func R2() *Spec {
 			if country == "" {
 				return ""
 			}
-			return fmt.Sprintf("%s:%s", key, country)
+			return key + ":" + country
 		})
 }
 
@@ -196,12 +196,7 @@ func R3() *Spec {
 	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR3)
 	return makeSpec("R3", "Cases for advertiser when their ads were not showing for more than 1 hour", "redshift",
 		false, true, false, q,
-		func(key string, gaps []int64) string {
-			if len(gaps) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(gaps))
-		})
+		func(key string, gaps []int64) string { return resultLine(key, gaps...) })
 }
 
 // ---- R4: lengths of single-campaign runs ----
@@ -263,10 +258,5 @@ func R4() *Spec {
 	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR4)
 	return makeSpec("R4", "Lengths of runs for which only a single campaign by an advertiser is shown", "redshift",
 		true, true, false, q,
-		func(key string, runs []int64) string {
-			if len(runs) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(runs))
-		})
+		func(key string, runs []int64) string { return resultLine(key, runs...) })
 }

@@ -8,6 +8,7 @@
 package queries
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/sym"
+	"repro/internal/wire"
 )
 
 // Run is the type-erased outcome of executing a query under one engine.
@@ -57,11 +59,13 @@ type Spec struct {
 
 	// ComposeCheck runs the metamorphic composition properties over this
 	// query's schema on real summaries: associativity of summary
-	// composition (§3.6) and ComposeAll equivalence with the sequential
-	// apply fold. splits controls how many mapper
-	// slices each group's event stream is cut into (more slices → more
-	// summaries per group).
-	ComposeCheck func(segs []*mapreduce.Segment, splits int) (*ComposeReport, error)
+	// composition (§3.6), ComposeAll equivalence with the sequential
+	// apply fold, and the map task's bundle — appended straight from the
+	// executor's paths — against the snapshot API's. splits controls how
+	// many mapper slices each group's event stream is cut into (more
+	// slices → more summaries per group); opts replaces the query's
+	// symbolic options when non-zero (a low path cap makes keys restart).
+	ComposeCheck func(segs []*mapreduce.Segment, splits int, opts sym.Options) (*ComposeReport, error)
 }
 
 // ComposeReport counts the work a ComposeCheck actually did, so tests
@@ -71,6 +75,8 @@ type ComposeReport struct {
 	Summaries int // summaries folded across all groups
 	Triples   int // associativity triples compared
 	Skipped   int // groups skipped because composition hit a path cap
+	Bundles   int // (slice, key) bundles compared byte for byte
+	Combined  int // of those, restarted ones also compared combined
 }
 
 // SymTypesString renders the Table 1 "Sym Types Used" cell.
@@ -150,8 +156,12 @@ func makeSpec[S sym.State, E, R any](
 		SympleOpts: func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error) {
 			return wrap(core.RunSympleOpts(q, segs, conf, opt))
 		},
-		ComposeCheck: func(segs []*mapreduce.Segment, splits int) (*ComposeReport, error) {
-			return composeCheck(q, format, segs, splits)
+		ComposeCheck: func(segs []*mapreduce.Segment, splits int, opts sym.Options) (*ComposeReport, error) {
+			qq := *q
+			if opts != (sym.Options{}) {
+				qq.Options = opts
+			}
+			return composeCheck(&qq, format, segs, splits)
 		},
 	}
 }
@@ -163,7 +173,10 @@ func makeSpec[S sym.State, E, R any](
 //     which licenses the combiner's balanced tree (§3.6);
 //  2. ComposeAll(sums) then one apply ≡ the sequential left-to-right
 //     ApplyAll fold — the reducer agrees with and without the combiner —
-//     in exactly n−1 pairwise compositions.
+//     in exactly n−1 pairwise compositions;
+//  3. the bundle a map task appends straight from the executor's paths
+//     is, byte for byte, the encoded Finish snapshot — and for a key
+//     that restarted, with the combiner, the encoded ComposeAll of it.
 //
 // Equivalence is judged on the formatted query result after applying to
 // the initial state — the observable output, which is what the paper's
@@ -222,6 +235,9 @@ func composeCheck[S sym.State, E, R any](
 				return nil, fmt.Errorf("key %q: %w", key, err)
 			}
 			ss, err := x.Finish()
+			if err == nil {
+				err = checkBundle(x, evs[lo:hi], rep)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("key %q: %w", key, err)
 			}
@@ -244,21 +260,13 @@ func composeCheck[S sym.State, E, R any](
 		folded, n, err := sym.ComposeAllCounted(sums)
 		if err != nil {
 			rep.Skipped++ // path cap: the engines fall back here too
-			releaseAll(sums)
 			continue
 		}
 		if n != len(sums)-1 {
 			return nil, fmt.Errorf("key %q: ComposeAll did %d composes for %d summaries, want %d",
 				key, n, len(sums), len(sums)-1)
 		}
-		err = checkApplied(q, format, key, folded, nil, want, "ComposeAll")
-		// With a single input ComposeAll returns that input itself, still
-		// borrowed — releasing it here would free a summary sums still
-		// references.
-		if len(sums) > 1 {
-			folded.Release()
-		}
-		if err != nil {
+		if err := checkApplied(q, format, key, folded, nil, want, "ComposeAll"); err != nil {
 			return nil, err
 		}
 
@@ -278,33 +286,63 @@ func composeCheck[S sym.State, E, R any](
 					if errA == nil {
 						errA = checkApplied(q, format, key, right, sums[3:], want, "right-assoc")
 					}
-					left.Release()
-					right.Release()
 					if errA != nil {
 						return nil, errA
 					}
 					rep.Triples++
-				} else {
-					releaseAll([]*sym.Summary[S]{left, right})
 				}
 			}
-			releaseAll([]*sym.Summary[S]{ab, bc})
 		}
 
-		releaseAll(sums)
 		rep.Keys++
 		rep.Summaries += len(sums)
 	}
 	return rep, nil
 }
 
-// releaseAll releases every non-nil summary in the slice.
-func releaseAll[S sym.State](sums []*sym.Summary[S]) {
-	for _, s := range sums {
-		if s != nil {
-			s.Release()
-		}
+// checkBundle is composeCheck's property 3 for one executor run: x has
+// just been fed evs.
+func checkBundle[S sym.State, E any](x *sym.Executor[S, E], evs []E, rep *ComposeReport) error {
+	snap, err := x.Finish()
+	if err != nil {
+		return err
 	}
+	// Composed before anything encodes (and so compacts) snap: the
+	// mapper's combiner composes the paths as they ran.
+	var composed *sym.Summary[S]
+	if len(snap) > 1 {
+		composed, _ = sym.ComposeAll(snap)
+	}
+	var enc wire.Encoder
+	if _, err := x.AppendBundle(&enc); err != nil {
+		return err
+	}
+	if !bytes.Equal(enc.Bytes(), sym.EncodeSummaryBundle(snap)) {
+		return fmt.Errorf("the appended bundle of %d summaries differs from the encoded snapshot", len(snap))
+	}
+	rep.Bundles++
+	if len(snap) == 1 {
+		return nil
+	}
+	x.Reset()
+	if err := x.FeedBatch(evs); err != nil {
+		return err
+	}
+	if _, _, ok := x.Combine(); ok != (composed != nil) {
+		return fmt.Errorf("Combine ok=%v but ComposeAll of the snapshot composed=%v", ok, composed != nil)
+	}
+	enc.Reset()
+	if _, err := x.AppendBundle(&enc); err != nil {
+		return err
+	}
+	if composed != nil {
+		snap = []*sym.Summary[S]{composed}
+	}
+	if !bytes.Equal(enc.Bytes(), sym.EncodeSummaryBundle(snap)) {
+		return fmt.Errorf("the combined bundle differs from the encoded ComposeAll of the snapshot")
+	}
+	rep.Combined++
+	return nil
 }
 
 // checkApplied applies head then rest to the initial state and compares
@@ -332,18 +370,23 @@ func checkApplied[S sym.State, E, R any](
 	return nil
 }
 
-// formatInts renders an int64 slice compactly, comma-separated.
-func formatInts(vs []int64) string {
-	var b strings.Builder
-	b.Grow(4 * len(vs))
-	var digits [20]byte
+// resultLine renders one result line, "key:v₁,v₂,…", appended into a
+// single buffer — the one allocation is the returned string's, for any
+// line that fits the stack scratch. No values, no line: a key with
+// nothing to report renders "".
+func resultLine(key string, vs ...int64) string {
+	if len(vs) == 0 {
+		return ""
+	}
+	var scratch [128]byte
+	buf := append(append(scratch[:0], key...), ':')
 	for i, v := range vs {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		b.Write(strconv.AppendInt(digits[:0], v, 10))
+		buf = strconv.AppendInt(buf, v, 10)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // All returns every query spec, in Table 1 order.

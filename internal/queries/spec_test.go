@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,15 +39,27 @@ func TestDigestProperties(t *testing.T) {
 	}
 }
 
-func TestFormatInts(t *testing.T) {
-	if got := formatInts(nil); got != "" {
-		t.Errorf("empty: %q", got)
+func TestResultLine(t *testing.T) {
+	if got := resultLine("k"); got != "" {
+		t.Errorf("no values: %q, want no line", got)
 	}
-	if got := formatInts([]int64{1}); got != "1" {
+	if got := resultLine("k", 1); got != "k:1" {
 		t.Errorf("single: %q", got)
 	}
-	if got := formatInts([]int64{-1, 0, 7}); got != "-1,0,7" {
+	if got := resultLine("repo/a", -1, 0, 7); got != "repo/a:-1,0,7" {
 		t.Errorf("multi: %q", got)
+	}
+	// Past the stack scratch the line is still whole.
+	long := make([]int64, 100)
+	for i := range long {
+		long[i] = math.MinInt64
+	}
+	want := "k:" + strings.TrimSuffix(strings.Repeat("-9223372036854775808,", 100), ",")
+	if got := resultLine("k", long...); got != want {
+		t.Errorf("long line: %d bytes, want %d", len(got), len(want))
+	}
+	if n := testing.AllocsPerRun(100, func() { resultLine("repo/alpha", 12, 345, 6789) }); n != 1 {
+		t.Errorf("%v allocations per line, want 1 (the string)", n)
 	}
 }
 

@@ -1,8 +1,6 @@
 package queries
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/sym"
@@ -68,10 +66,5 @@ func T1() *Spec {
 	q.Columns, q.GroupByBatch = twitterPlan, makeGroupByBatch(q.GroupBy, compileT1)
 	return makeSpec("T1", "Spam learning speed — no. queries not marked as spam, followed by at least 5 queries marked as spam per hashtag", "twitter",
 		true, true, false, q,
-		func(key string, counts []int64) string {
-			if len(counts) == 0 {
-				return ""
-			}
-			return fmt.Sprintf("%s:%s", key, formatInts(counts))
-		})
+		func(key string, counts []int64) string { return resultLine(key, counts...) })
 }

@@ -1,5 +1,7 @@
 package sym
 
+import "repro/internal/wire"
+
 // Batch execution: FeedBatch processes a key's whole event vector with
 // batch-level strategies the record-at-a-time loop cannot use —
 // run-length transition probes and speculative in-place windows — while
@@ -100,30 +102,31 @@ func (x *Executor[S, E]) FeedBatch(evs []E) (err error) {
 	return nil
 }
 
-// TryFinishIdentity recognizes a key whose entire event vector consists
-// of known-identity events and appends that key's summary directly:
-// identity transitions advance no path, so the group's summary is the
-// identity summary — one fresh symbolic path — no matter what the
-// events' values or multiplicities are. The whole Reset/FeedBatch/Finish
-// cycle for the key collapses to filling one pooled container, without
-// touching the executor's live paths (so no Reset is needed before or
-// after; the caller Resets only between keys that take the regular
-// path). On high-cardinality corpora where no-op events dominate (G1's
-// push events), most groups finish through this path.
+// IdentityBundle recognizes a key whose entire event vector consists of
+// known-identity events and returns that key's bundle directly: identity
+// transitions advance no path, so the group's summary is the identity
+// summary — one fresh symbolic path — no matter what the events' values
+// or multiplicities are, and its bundle is constant bytes built once
+// (shared by every such key: read-only, clipped to its length). The
+// whole Reset/FeedBatch/AppendBundle cycle for the key collapses to a
+// scan, without touching the executor's live paths (so no Reset is
+// needed before or after; the caller Resets only between keys that take
+// the regular path). On high-cardinality corpora where no-op events
+// dominate (G1's push events), most groups finish through this path.
 //
-// It reports false — and appends nothing — when the vector is not
-// provably all-identity: an event with no cached verdict, a cached
-// non-identity verdict, or no cheap event comparison at all. Callers
-// then run the regular Reset/FeedBatch/FinishInto path, which (via
-// feedRun) is what seeds the identity cache in the first place.
-func (x *Executor[S, E]) TryFinishIdentity(evs []E, dst []*Summary[S]) ([]*Summary[S], bool) {
+// It returns nil when the vector is not provably all-identity: an event
+// with no cached verdict, a cached non-identity verdict, or no cheap
+// event comparison at all. Callers then run the regular
+// Reset/FeedBatch/AppendBundle path, which (via feedRun) is what seeds
+// the identity cache in the first place.
+func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	// identHotSet is true iff at least one identity verdict is cached, so
 	// without it the all-identity check cannot succeed. With it, runs of
 	// the hot identity are swallowed by the typed scan — an all-hot
 	// vector (the dominant case) costs one indirect call — and only
 	// other events pay the cache scan.
 	if x.err != nil || len(evs) == 0 || x.eq == nil || !x.identHotSet {
-		return dst, false
+		return nil
 	}
 	hot, scan := x.identHotEv, x.identScan
 	for i := 0; i < len(evs); i++ {
@@ -133,21 +136,22 @@ func (x *Executor[S, E]) TryFinishIdentity(evs []E, dst []*Summary[S]) ([]*Summa
 		}
 		ci := x.identLookup(evs[i])
 		if ci < 0 || !x.identIsID[ci] {
-			return dst, false
+			return nil
 		}
 	}
-	s, k := x.nextSummary(1)
-	if k == 1 {
-		for i, f := range s.ps[0].fs {
-			f.ResetSymbolic(i)
-		}
-	} else {
-		s.ps[0] = x.sc.fresh()
+	if x.identBundle == nil {
+		p := x.fresh()
+		ps, _ := x.compact([]*pathState[S]{p})
+		var e wire.Encoder
+		e.Uvarint(1)
+		encodePaths(&e, ps)
+		x.identBundle = e.Bytes()[:e.Len():e.Len()]
+		x.put(p)
 	}
 	x.stats.RunProbes++
 	x.stats.Records += len(evs)
 	x.noForkRun = min(x.noForkRun+len(evs), memoQuietStreak)
-	return append(dst, s), true
+	return x.identBundle
 }
 
 // identCacheCap bounds the identity-verdict cache. Query event alphabets
@@ -358,12 +362,11 @@ func (x *Executor[S, E]) concreteTail(evs []E, skipID bool, hot E) {
 }
 
 // saveCkpt snapshots every live path into the executor-owned checkpoint
-// buffer. Entries are pooled containers claimed once and reused for all
-// subsequent windows, so a window costs field copies only — no
-// container pool round trip per window.
+// buffer. Entries are containers claimed once and reused for all
+// subsequent windows, so a window costs field copies only.
 func (x *Executor[S, E]) saveCkpt() {
 	for len(x.ckpt) < len(x.paths) {
-		x.ckpt = append(x.ckpt, x.sc.get())
+		x.ckpt = append(x.ckpt, x.get())
 	}
 	for pi, p := range x.paths {
 		cf := x.ckpt[pi].fs
@@ -401,7 +404,7 @@ func (x *Executor[S, E]) feedRun(ev E, n int) {
 		// The verdict depends only on the event (transitions are built
 		// deterministically from the fresh state), so cache it for the
 		// next run of this event — and, when it is the identity, for the
-		// probe-free skip in FeedBatch and TryFinishIdentity.
+		// probe-free skip in FeedBatch and IdentityBundle.
 		ident = x.isIdentity(tr)
 		x.identInsert(ev, ident)
 	}
@@ -429,18 +432,14 @@ func (x *Executor[S, E]) feedRun(ev E, n int) {
 		}
 	}
 	if !ok {
-		for _, c := range next {
-			x.sc.put(c)
-		}
+		x.putAll(next)
 		if powOwned {
 			x.releaseTransition(pow)
 		}
 		x.feedLoop(ev, n)
 		return
 	}
-	for _, p := range x.paths {
-		x.sc.put(p)
-	}
+	x.putAll(x.paths)
 	if powOwned {
 		x.releaseTransition(pow)
 	}
@@ -463,7 +462,7 @@ func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 	if len(tr.ps) != 1 {
 		return false
 	}
-	fresh := x.sc.fresh()
+	fresh := x.fresh()
 	same := true
 	for i, f := range tr.ps[0].fs {
 		if !f.SameTransfer(fresh.fs[i]) || !f.ConstraintEq(fresh.fs[i]) {
@@ -471,7 +470,7 @@ func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 			break
 		}
 	}
-	x.sc.put(fresh)
+	x.put(fresh)
 	return same
 }
 
@@ -536,12 +535,12 @@ func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], owned bool, n int) (*
 	return result, resultOwned
 }
 
-// cloneTransition deep-copies a transition into pool-backed containers
-// owned by the caller.
+// cloneTransition deep-copies a transition into containers owned by the
+// caller.
 func (x *Executor[S, E]) cloneTransition(tr *transition[S]) *transition[S] {
 	ps := make([]*pathState[S], len(tr.ps))
 	for i, p := range tr.ps {
-		ps[i] = x.sc.cloneOf(p)
+		ps[i] = x.cloneOf(p)
 	}
 	return &transition[S]{ps: ps}
 }
@@ -562,57 +561,26 @@ func (x *Executor[S, E]) resetLadder() {
 // live cap) and the caller must fall back.
 func (x *Executor[S, E]) composeTransitions(a, b *transition[S]) *transition[S] {
 	var out []*pathState[S]
-	failed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(failure); !ok {
-					panic(r)
-				}
-				failed = true
-			}
-		}()
-		for _, pa := range a.ps {
-			x.sc.captureSymEnv(&x.senv, pa.fs)
-			for _, pb := range b.ps {
-				cand := x.sc.cloneOf(pb)
-				feasible := true
-				for i, f := range cand.fs {
-					if !f.ComposeAfter(pa.fs[i], &x.senv) {
-						feasible = false
-						break
-					}
-				}
-				if feasible {
-					out = append(out, cand)
-				} else {
-					x.sc.put(cand)
-				}
-			}
+	for _, pa := range a.ps {
+		var err error
+		if out, err = x.composeAfter(out, pa, b.ps, &x.senv); err != nil {
+			x.putAll(out)
+			return nil
 		}
-	}()
-	if failed || len(out) == 0 {
-		for _, c := range out {
-			x.sc.put(c)
-		}
+	}
+	if len(out) == 0 {
 		return nil
 	}
 	if !x.opts.DisableMerging {
 		var m int
-		out, m = mergePathStates(x.sc, out)
+		out, m = x.merge(out)
 		x.stats.Merges += m
 	}
 	if len(out) > x.opts.MaxLivePaths {
-		for _, c := range out {
-			x.sc.put(c)
-		}
+		x.putAll(out)
 		return nil
 	}
 	return &transition[S]{ps: out}
 }
 
-func (x *Executor[S, E]) releaseTransition(tr *transition[S]) {
-	for _, p := range tr.ps {
-		x.sc.put(p)
-	}
-}
+func (x *Executor[S, E]) releaseTransition(tr *transition[S]) { x.putAll(tr.ps) }

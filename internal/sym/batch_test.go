@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // FeedBatch must be observationally identical to a Feed loop: same
@@ -215,11 +217,9 @@ func BenchmarkRunProbe(b *testing.B) {
 }
 
 // BenchmarkBatchKeyedGroups measures the per-group fixed cost of the
-// batch path — Reset, FeedBatch over a short identity run, FinishInto —
+// batch path — Reset, FeedBatch over a short identity run, AppendBundle —
 // the regime high-cardinality queries (G1-shaped groups of two or three
-// identical no-op events) spend their execution pass in. Mirroring the
-// mapper's exec pass, summaries accumulate over a block of groups and
-// are released in bulk outside the timed region; one op is
+// identical no-op events) spend their execution pass in. One op is
 // keyedGroupBlock groups, so per-group cost is ns/op divided by it.
 func BenchmarkBatchKeyedGroups(b *testing.B) {
 	const keyedGroupBlock = 512
@@ -227,12 +227,11 @@ func BenchmarkBatchKeyedGroups(b *testing.B) {
 	x := NewSchemaExecutor(sc, gateUpdate, DefaultOptions()).
 		WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
 	evs := []int64{0, 0, 0}
-	dst := make([]*Summary[*intState], 0, keyedGroupBlock)
+	var enc wire.Encoder
 	first := true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = dst[:0]
 		for g := 0; g < keyedGroupBlock; g++ {
 			if !first {
 				x.Reset()
@@ -241,16 +240,11 @@ func BenchmarkBatchKeyedGroups(b *testing.B) {
 			if err := x.FeedBatch(evs); err != nil {
 				b.Fatal(err)
 			}
-			var err error
-			if dst, err = x.FinishInto(dst); err != nil {
+			enc.Reset()
+			if _, err := x.AppendBundle(&enc); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		for _, s := range dst {
-			s.Release()
-		}
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keyedGroupBlock, "ns/group")
 	if x.Stats().RunProbes == 0 {

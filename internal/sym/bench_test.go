@@ -241,11 +241,9 @@ func BenchmarkComposeTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := ComposeAll(sums)
-		if err != nil {
+		if _, err := ComposeAll(sums); err != nil {
 			b.Fatal(err)
 		}
-		c.Release()
 	}
 }
 

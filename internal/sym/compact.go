@@ -54,28 +54,33 @@ type taglessCodec interface {
 // Compact canonicalizes path fields and merges semantically equivalent
 // paths, returning the number of paths eliminated. It is idempotent and
 // run automatically by Encode; call it directly to shrink a summary
-// that is composed further rather than shipped. Absorbed paths return
-// to the schema pool when the summary has one.
+// that is composed further rather than shipped.
 func (s *Summary[S]) Compact() int {
-	if len(s.ps) == 0 {
-		return 0
+	var n int
+	s.ps, n = new(containers[S]).compact(s.ps) // absorbed paths drop to the GC
+	return n
+}
+
+// compact is Compact over a bare path set, in place; absorbed paths'
+// containers retire to c.
+func (c *containers[S]) compact(ps []*pathState[S]) ([]*pathState[S], int) {
+	if len(ps) == 0 {
+		return ps, 0
 	}
-	total := 0
-	s.ps, total = mergePathStates(s.sc, s.ps)
-	for _, p := range s.ps {
+	ps, total := c.merge(ps)
+	for _, p := range ps {
 		for _, f := range p.fs {
-			if c, ok := f.(canonicalizer); ok {
-				c.canonicalize()
+			if cz, ok := f.(canonicalizer); ok {
+				cz.canonicalize()
 			}
 		}
 	}
-	for len(s.ps) > 1 {
+	for len(ps) > 1 {
 		var n int
-		s.ps, n = mergePathStates(s.sc, s.ps)
-		if n == 0 {
+		if ps, n = c.merge(ps); n == 0 {
 			break
 		}
 		total += n
 	}
-	return total
+	return ps, total
 }

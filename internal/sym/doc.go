@@ -37,4 +37,16 @@
 // hot path). The Executor explores paths by re-running the user Update
 // function under a lexicographically incremented choice vector, exactly as
 // the paper's C++ library does with operator overloading (§5.1).
+//
+// Who owns what. A Schema is the compiled field plan of a State type and
+// owns nothing else. Machinery belongs to sites, data to keys: an
+// Executor is an exec site — it keeps the containers its paths, memo and
+// ladders live in on a private stack, and a key that runs through it
+// leaves only the bytes of its bundle (Reset, FeedBatch, AppendBundle);
+// a Folder is a fold site — it keeps the containers bundles decode into
+// and the spares it applies through, and a key owns one FoldState. A
+// bundle is wire bytes from the one to the other. A Summary is the
+// snapshot form for whoever wants to hold a chunk's function as a value
+// — Finish produces them, ComposeAll and Apply consume them — and is
+// never on the engine's data path.
 package sym

@@ -1,6 +1,10 @@
 package sym
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/wire"
+)
 
 // Options configure an Executor's path-explosion controls (paper §5.2).
 type Options struct {
@@ -59,10 +63,14 @@ type Stats struct {
 // incremented choice vector (paper §5.1) and maintaining the set of live
 // paths that constitutes the symbolic summary so far.
 //
-// The executor is driven by a compiled Schema: path states live in
-// pooled containers whose field slices are captured once, so the
-// per-record clone/merge/compose work runs with zero State.Fields calls
-// and no steady-state allocation. With a Memo attached (WithMemo),
+// The executor is an exec site: it is driven by a compiled Schema and
+// owns the containers its path states live in — live paths, summaries
+// closed by a restart, checkpoints, the power ladder and (through the
+// memo attached to it) cached transitions all draw from and retire to
+// its private stack, so the per-record clone/merge/compose work runs with
+// zero State.Fields calls, no steady-state allocation and no
+// synchronization. A key that runs through it owns nothing but the bytes
+// AppendBundle leaves. With a Memo attached (WithMemo),
 // records whose transition summary is already cached skip exploration
 // entirely and fold into every live path via summary composition
 // (§3.6) — byte-identical to direct exploration, pinned by the
@@ -73,7 +81,7 @@ type Stats struct {
 // sequential baseline), or NewSchemaExecutor (symbolic start sharing a
 // schema across the executors of one mapper).
 type Executor[S State, E any] struct {
-	sc      *Schema[S]
+	containers[S]
 	update  func(*Ctx, S, E)
 	opts    Options
 	ctx     Ctx
@@ -90,22 +98,18 @@ type Executor[S State, E any] struct {
 	// composing a cached transition, and even the cache lookup is pure
 	// overhead. Any fork resets the streak and re-engages the memo.
 	noForkRun int
-	// spare is a one-container cache in front of the schema pool. The
-	// dominant record shape retires exactly one container (the replaced
-	// path) and clones exactly one (its successor); handing the retired
-	// container straight to the next clone skips two sync.Pool crossings
-	// per record.
-	spare *pathState[S]
 	// fastConcrete caches "exactly one live path and it is fully
 	// concrete". Concreteness is monotone within a path (no operation
 	// reintroduces symbolic state; only a restart does), so once set the
 	// per-record field walk is skipped entirely — the native-speed
 	// execution mode of a bound state (paper §4.1).
 	fastConcrete bool
-	done         []*Summary[S]
-	maxSeen      int
-	err          error
-	stats        Stats
+	// done holds the path sets closed by live-path-cap restarts since the
+	// last Reset, in order: the key's earlier summaries.
+	done    [][]*pathState[S]
+	maxSeen int
+	err     error
+	stats   Stats
 	// eq compares two events for the batch path's run-length detection;
 	// nil (after eqInit) means the event type has no cheap comparison
 	// and FeedBatch never detects runs. Lazily specialized on first use.
@@ -156,10 +160,10 @@ type Executor[S State, E any] struct {
 	// full ladder rebuild. Survives Reset like the memo does.
 	ladderEv E
 	ladder   []*transition[S]
-	// sumCache holds parked summary structs claimed from the schema's
-	// free stack in blocks (refillSummaries), so the per-key Finish
-	// draws one with a plain slice pop. Survives Reset.
-	sumCache []*Summary[S]
+	// identBundle is the encoded bundle of an all-identity key — one
+	// summary of one fresh symbolic path — built at first need
+	// (IdentityBundle).
+	identBundle []byte
 }
 
 // NewExecutor returns an executor starting from a fresh symbolic state:
@@ -171,15 +175,14 @@ func NewExecutor[S State, E any](newState func() S, update func(*Ctx, S, E), opt
 }
 
 // NewSchemaExecutor is NewExecutor over a shared compiled schema: the
-// form mappers use, so every per-key executor of a map task draws from
-// one path-state pool and one field plan.
+// form mappers use, so every executor of a query runs on one field plan.
 func NewSchemaExecutor[S State, E any](sc *Schema[S], update func(*Ctx, S, E), opts Options) *Executor[S, E] {
 	x := &Executor[S, E]{
-		sc:     sc,
-		update: update,
-		opts:   opts.withDefaults(),
+		containers: containers[S]{sc: sc},
+		update:     update,
+		opts:       opts.withDefaults(),
 	}
-	x.paths = []*pathState[S]{sc.fresh()}
+	x.paths = []*pathState[S]{x.fresh()}
 	x.maxSeen = 1
 	x.stats.MaxLive = 1
 	return x
@@ -193,9 +196,9 @@ func NewSchemaExecutor[S State, E any](sc *Schema[S], update func(*Ctx, S, E), o
 func NewConcreteExecutor[S State, E any](newState func() S, update func(*Ctx, S, E), opts Options) *Executor[S, E] {
 	sc := newSchema(newState)
 	x := &Executor[S, E]{
-		sc:     sc,
-		update: update,
-		opts:   opts.withDefaults(),
+		containers: containers[S]{sc: sc},
+		update:     update,
+		opts:       opts.withDefaults(),
 	}
 	x.paths = []*pathState[S]{wrapState(sc.newState())}
 	x.maxSeen = 1
@@ -267,16 +270,14 @@ func (x *Executor[S, E]) feed(rec E) {
 			var ok bool
 			next, ok = x.composeOnto(next, p, tr)
 			if ok {
-				x.sc.put(p)
+				x.put(p)
 				continue
 			}
 		}
 		next = x.explore(next, p, rec)
-		// p was replaced by its clones and is never referenced again;
-		// recycle it. Sharing through CopyFrom is pointer-level, and a
-		// reused container is overwritten field by field before it is
-		// appended to (see Schema.put), so reuse cannot alias live paths.
-		x.recycle(p)
+		// p was replaced by its clones and is never referenced again:
+		// the next clone reuses it (see containers on why that is safe).
+		x.put(p)
 	}
 	x.settle(next, 1)
 }
@@ -298,7 +299,7 @@ func (x *Executor[S, E]) settle(next []*pathState[S], records int) {
 	if len(x.paths) > x.maxSeen {
 		if !x.opts.DisableMerging {
 			var m int
-			x.paths, m = mergePathStates(x.sc, x.paths)
+			x.paths, m = x.merge(x.paths)
 			x.stats.Merges += m
 		}
 		if len(x.paths) > x.maxSeen {
@@ -309,8 +310,8 @@ func (x *Executor[S, E]) settle(next []*pathState[S], records int) {
 		}
 	}
 	if len(x.paths) > x.opts.MaxLivePaths {
-		x.done = append(x.done, &Summary[S]{ps: x.paths, newState: x.sc.newState, sc: x.sc})
-		x.paths = []*pathState[S]{x.sc.fresh()}
+		x.done = append(x.done, x.paths)
+		x.paths = []*pathState[S]{x.fresh()}
 		x.maxSeen = 1
 		x.stats.Restarts++
 	}
@@ -318,7 +319,7 @@ func (x *Executor[S, E]) settle(next []*pathState[S], records int) {
 }
 
 // explore runs the seed exploration loop for one symbolic path: one
-// Update invocation per feasible choice vector, each on a pooled clone.
+// Update invocation per feasible choice vector, each on a clone.
 func (x *Executor[S, E]) explore(next []*pathState[S], p *pathState[S], rec E) []*pathState[S] {
 	x.ctx.reset()
 	for {
@@ -337,31 +338,6 @@ func (x *Executor[S, E]) explore(next []*pathState[S], p *pathState[S], rec E) [
 	return next
 }
 
-// cloneOf deep-copies p into the spare container when one is held,
-// falling back to the schema pool.
-func (x *Executor[S, E]) cloneOf(p *pathState[S]) *pathState[S] {
-	sp := x.spare
-	if sp == nil {
-		return x.sc.cloneOf(p)
-	}
-	x.spare = nil
-	for i, f := range sp.fs {
-		f.CopyFrom(p.fs[i])
-	}
-	return sp
-}
-
-// recycle retires a container to the spare slot, overflowing to the
-// schema pool. Ownership rules are identical to sc.put: the container
-// must not be referenced by any live path.
-func (x *Executor[S, E]) recycle(p *pathState[S]) {
-	if x.spare == nil {
-		x.spare = p
-		return
-	}
-	x.sc.put(p)
-}
-
 // lookupTransition returns the record's cached transition summary,
 // building and caching it on first sight. nil means the record cannot be
 // folded through the memo (its transition failed to build) and must be
@@ -374,7 +350,9 @@ func (x *Executor[S, E]) lookupTransition(rec E) *transition[S] {
 			return nil
 		}
 		tr = x.buildTransition(rec)
-		x.memo.add(rec, tr)
+		if old := x.memo.add(rec, tr); old != nil {
+			x.putAll(old.ps)
+		}
 		return tr
 	}
 	if tr != nil {
@@ -406,118 +384,99 @@ func (x *Executor[S, E]) buildTransition(rec E) (tr *transition[S]) {
 			if _, ok := r.(failure); !ok {
 				panic(r)
 			}
-			for _, t := range built {
-				x.sc.put(t)
-			}
+			x.putAll(built)
 			tr = nil
 		}
 	}()
-	base := x.sc.fresh()
+	base := x.fresh()
 	built = x.explore(built[:0], base, rec)
-	x.sc.put(base)
+	x.put(base)
 	return &transition[S]{ps: built}
 }
 
-// composeOnto folds the cached transition onto live path p: each
-// transition path is cloned from the pool and composed after p,
-// infeasible combinations dropped (paper §3.6). On any composition
-// failure (e.g. transfer-coefficient overflow that direct execution on
-// p's concrete values would not hit) it unwinds and reports ok=false so
-// the caller falls back to direct exploration; p is never mutated.
-func (x *Executor[S, E]) composeOnto(next []*pathState[S], p *pathState[S], tr *transition[S]) (out []*pathState[S], ok bool) {
-	base := len(next)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isFailure := r.(failure); !isFailure {
-				panic(r)
-			}
-			for _, c := range next[base:] {
-				x.sc.put(c)
-			}
-			out, ok = next[:base], false
-		}
-	}()
-	x.sc.captureSymEnv(&x.senv, p.fs)
-	for _, t := range tr.ps {
-		cand := x.sc.cloneOf(t)
-		feasible := true
-		for i, f := range cand.fs {
-			if !f.ComposeAfter(p.fs[i], &x.senv) {
-				feasible = false
-				break
-			}
-		}
-		if feasible {
-			next = append(next, cand)
-		} else {
-			x.sc.put(cand)
-		}
-	}
-	if len(next) == base {
-		// A valid transition partitions the state space, so some path
-		// must admit p; reaching here means the composition could not
-		// represent the combination. Fall back to direct exploration.
-		return next, false
-	}
-	return next, true
+// composeOnto folds the cached transition onto live path p (paper
+// §3.6). When the composition aborts (e.g. transfer-coefficient overflow
+// that direct execution on p's concrete values would not hit) or no
+// transition path admits p — a valid transition partitions the state
+// space, so that means the combination could not be represented — it
+// reports ok=false with next as it was, and the caller falls back to
+// direct exploration; p is never mutated.
+func (x *Executor[S, E]) composeOnto(next []*pathState[S], p *pathState[S], tr *transition[S]) ([]*pathState[S], bool) {
+	out, err := x.composeAfter(next, p, tr.ps, &x.senv)
+	return out, err == nil && len(out) > len(next)
 }
 
 // Finish returns the ordered symbolic summaries for everything fed so
 // far. A mapper usually produces one summary; path-explosion restarts
-// produce several, composed in order at the reducer. The summary holds
-// copies: the executor's own paths stay live, so feeding may continue
-// after a Finish snapshot.
+// produce several, composed in order at the reducer. It is the snapshot
+// API: the summaries are plainly allocated copies the caller owns, and
+// the executor's own paths stay live, so feeding may continue. A map
+// task never materializes summaries — it appends each key's bundle
+// straight from the paths (AppendBundle).
 func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
-	return x.FinishInto(make([]*Summary[S], 0, len(x.done)+1))
-}
-
-// FinishInto is Finish appending into a caller-owned slice: the form the
-// per-key mapper loops use, so finishing a key costs one pool crossing
-// and, in the steady state, no allocation. The summary is drawn from the
-// schema's summary pool as a unit — struct, path list and the containers
-// a previous Release parked in it — and the live paths' field contents
-// are copied in. The executor keeps its own containers, which lets Reset
-// reinitialize them in place instead of drawing fresh ones. For
-// high-cardinality queries these per-key fixed costs, not the per-record
-// work, bounded the mapper's execution pass.
-func (x *Executor[S, E]) FinishInto(dst []*Summary[S]) ([]*Summary[S], error) {
 	if x.err != nil {
-		return dst, x.err
+		return nil, x.err
 	}
-	if x.spare != nil {
-		x.sc.put(x.spare)
-		x.spare = nil
-	}
-	dst = append(dst, x.done...)
-	s, k := x.nextSummary(len(x.paths))
-	for i, p := range x.paths {
-		if i < k {
-			for fi, f := range s.ps[i].fs {
-				f.CopyFrom(p.fs[fi])
-			}
-		} else {
-			s.ps[i] = x.sc.cloneOf(p)
+	out := make([]*Summary[S], 0, len(x.done)+1)
+	for _, ps := range append(x.done[:len(x.done):len(x.done)], x.paths) {
+		cp := make([]*pathState[S], len(ps))
+		for i, p := range ps {
+			cp[i] = x.sc.newContainer()
+			cp[i].copyFrom(p)
 		}
+		out = append(out, &Summary[S]{ps: cp, newState: x.sc.newState, sc: x.sc})
 	}
-	dst = append(dst, s)
-	return dst, nil
+	return out, nil
 }
 
-// nextSummary draws a summary readied for n paths (see prepSummary for
-// the returned prefix contract) from the executor's private cache,
-// refilling the cache from the schema's free stack in blocks.
-func (x *Executor[S, E]) nextSummary(n int) (*Summary[S], int) {
-	if len(x.sumCache) == 0 {
-		x.sumCache = x.sc.refillSummaries(x.sumCache, summaryRefill)
-		if len(x.sumCache) == 0 {
-			s := &Summary[S]{ps: make([]*pathState[S], n), newState: x.sc.newState, sc: x.sc}
-			return s, 0
-		}
+// AppendBundle appends to e the summary bundle of everything fed since
+// the last Reset — the summaries closed by restarts, then the live paths
+// — and returns how many summaries that is. The bytes are exactly
+// EncodeSummaryBundle(Finish()), without a Summary in between: each path
+// set is compacted in place (which preserves its semantics, so feeding
+// may continue) and encoded from the executor's own containers.
+func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
+	if x.err != nil {
+		return 0, x.err
 	}
-	s := x.sumCache[len(x.sumCache)-1]
-	x.sumCache[len(x.sumCache)-1] = nil
-	x.sumCache = x.sumCache[:len(x.sumCache)-1]
-	return s, x.sc.prepSummary(s, n)
+	e.Uvarint(uint64(len(x.done) + 1))
+	for i, ps := range x.done {
+		x.done[i], _ = x.compact(ps)
+		encodePaths(e, x.done[i])
+	}
+	x.paths, _ = x.compact(x.paths)
+	encodePaths(e, x.paths)
+	return len(x.done) + 1, nil
+}
+
+// Summaries returns how many summaries a bundle appended now would
+// carry: one more than the restarts since the last Reset.
+func (x *Executor[S, E]) Summaries() int { return len(x.done) + 1 }
+
+// Combine is the mapper-side combiner (paper §3.6, Lin's "monoidify"):
+// it pre-composes the summaries closed by restarts and the live paths
+// into one path set, in place, by ComposeAll's balanced tree, so the
+// next AppendBundle ships a single summary. It reports how many
+// summaries went in and how many compositions that took. ok=false — the
+// executor exactly as it was — when there was nothing to combine or a
+// composition failed (e.g. the path product overflowed), in which case
+// the uncombined list ships and results are identical either way.
+func (x *Executor[S, E]) Combine() (summaries, composes int, ok bool) {
+	if x.err != nil || len(x.done) == 0 {
+		return 0, 0, false
+	}
+	lists := append(x.done, x.paths)
+	ps, composes, err := x.composeTree(lists, &x.senv)
+	if err != nil {
+		return len(lists), composes, false
+	}
+	for _, l := range lists {
+		x.putAll(l)
+	}
+	x.done, x.paths = x.done[:0], ps
+	x.maxSeen = max(x.maxSeen, len(ps))
+	x.fastConcrete = len(ps) == 1 && allConcreteFields(ps[0].fs)
+	return len(lists), composes, true
 }
 
 // Reset returns the executor to a fresh symbolic start for a new input
@@ -526,22 +485,23 @@ func (x *Executor[S, E]) nextSummary(n int) (*Summary[S], int) {
 // map chunk in turn — for high-cardinality queries the per-group
 // constructor cost, not the per-record cost, dominated the mapper's
 // symbolic-execution profile. The first live container is reinitialized
-// in place (Finish copies contents out rather than taking ownership, so
-// the executor always still holds its paths here); extras are recycled.
+// in place; the rest, and the summaries restarts closed, retire to the
+// executor's stack.
 func (x *Executor[S, E]) Reset() {
-	x.err = nil
-	x.done = x.done[:0]
-	if len(x.paths) == 0 {
-		x.paths = append(x.paths, x.sc.fresh())
-	} else {
-		for _, p := range x.paths[1:] {
-			x.sc.put(p)
-		}
-		x.paths = x.paths[:1]
-		for i, f := range x.paths[0].fs {
-			f.ResetSymbolic(i)
-		}
+	if x.err != nil {
+		// An aborted feed leaves the path set and the stack unspecified
+		// (a container may be both retired and still listed live):
+		// drop both rather than reuse either.
+		x.err, x.free, x.done = nil, nil, x.done[:0]
+		x.paths = append(x.paths[:0], x.fresh())
 	}
+	for _, ps := range x.done {
+		x.putAll(ps)
+	}
+	x.done = x.done[:0]
+	x.putAll(x.paths[1:])
+	x.paths = x.paths[:1]
+	x.paths[0].resetSymbolic()
 	x.maxSeen = 1
 	x.fastConcrete = false
 	// noForkRun deliberately survives Reset: forking behavior is a

@@ -1,0 +1,243 @@
+package sym
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// checkSiteBundles runs many keys through one reused executor the way a
+// map task does — IdentityBundle, else Reset, FeedBatch, Combine when
+// asked, AppendBundle — and holds every key's bytes to the snapshot API
+// on an executor of the key's own: EncodeSummaryBundle over Finish, and
+// over ComposeAll of it when the key restarted and the combiner is on.
+// It returns how many keys took the identity shortcut, restarted, and
+// were combined, so callers can reject a vacuous pass.
+func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
+	opts Options, memo bool, keys [][]int64) (ident, restarted, combined int) {
+	t.Helper()
+	sc := newSchema(newState)
+	site := NewSchemaExecutor(sc, update, opts)
+	if memo {
+		site = site.WithMemo(NewMemo[S, int64](sc, 8))
+	}
+	var enc wire.Encoder
+	used := false
+	for _, combine := range []bool{false, true} {
+		for ki, evs := range keys {
+			// Reference: a fresh executor, the snapshot API.
+			ref := NewSchemaExecutor(sc, update, opts)
+			if err := ref.FeedBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ref.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if combine && len(snap) > 1 {
+				if one, err := ComposeAll(snap); err == nil {
+					snap = []*Summary[S]{one}
+					combined++
+				}
+			}
+			want := EncodeSummaryBundle(snap)
+
+			got := site.IdentityBundle(evs)
+			if got != nil {
+				ident++
+			} else {
+				if used {
+					site.Reset()
+				}
+				used = true
+				if err := site.FeedBatch(evs); err != nil {
+					t.Fatal(err)
+				}
+				if site.Summaries() > 1 {
+					restarted++
+					if combine {
+						site.Combine()
+					}
+				}
+				enc.Reset()
+				n, err := site.AppendBundle(&enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(snap) {
+					t.Fatalf("key %d (combine %v): AppendBundle reports %d summaries, snapshot has %d", ki, combine, n, len(snap))
+				}
+				got = enc.Bytes()
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("key %d %v (combine %v): site bundle %x, snapshot bundle %x", ki, evs, combine, got, want)
+			}
+		}
+	}
+	return ident, restarted, combined
+}
+
+// siteKeys is a seeded key mix in the shapes a high-cardinality chunk
+// has: mostly one or two records, some runs, a few long streams.
+func siteKeys(r *rand.Rand, n, span int) [][]int64 {
+	keys := make([][]int64, n)
+	for k := range keys {
+		var evs []int64
+		switch r.Intn(6) {
+		case 0, 1:
+			evs = []int64{int64(r.Intn(span))}
+		case 2:
+			evs = []int64{int64(r.Intn(span)), int64(r.Intn(span))}
+		case 3:
+			evs = make([]int64, 2+r.Intn(6)) // one event repeated: a foldable run
+			v := int64(r.Intn(span))
+			for i := range evs {
+				evs[i] = v
+			}
+		default:
+			evs = runStream(r, 3+r.Intn(40), span, 1+r.Intn(4))
+		}
+		keys[k] = evs
+	}
+	return keys
+}
+
+// TestExecSiteBundleMatchesSnapshot: what a map task appends straight
+// from a reused executor's paths is byte for byte what Finish +
+// EncodeSummaryBundle produce — for forking, vector-carrying and
+// predicate states, with and without a memo, for keys that restart
+// (path cap → several summaries), one-record keys and all-identity
+// keys, combiner on and off.
+func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
+	caps := []Options{
+		DefaultOptions(),
+		{MaxLivePaths: 2},
+		{MaxLivePaths: 1, DisableMerging: true},
+	}
+	for oi, opts := range caps {
+		for _, memo := range []bool{false, true} {
+			r := rand.New(rand.NewSource(int64(100 + oi)))
+			var restarted, combined int
+			tally := func(_, rs, cb int) { restarted, combined = restarted+rs, combined+cb }
+			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, memo, siteKeys(r, 300, 30)))
+			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, memo, siteKeys(r, 300, 40)))
+			tally(checkSiteBundles(t, newLogState, logUpdate, opts, memo, siteKeys(r, 200, 25)))
+			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, memo, siteKeys(r, 300, 2)))
+			if opts.MaxLivePaths == 1 && (restarted == 0 || combined == 0) {
+				t.Errorf("cap 1, memo %v: %d keys restarted, %d combined — the multi-summary bundle went unchecked", memo, restarted, combined)
+			}
+		}
+	}
+	// The gate state's zero event is the identity: once a run of zeros
+	// has seeded the verdict, all-zero keys take the constant bundle.
+	r := rand.New(rand.NewSource(7))
+	keys := [][]int64{{0, 0, 0}}
+	for k := 0; k < 200; k++ {
+		evs := make([]int64, 1+r.Intn(5))
+		if r.Intn(3) == 0 {
+			evs[r.Intn(len(evs))] = int64(1 + r.Intn(3))
+		}
+		keys = append(keys, evs)
+	}
+	if ident, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, keys); ident < 100 {
+		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
+	}
+}
+
+// TestExecSiteResetAfterError: an aborted feed leaves the executor's
+// path set and stack unspecified; Reset must drop both, so the next key
+// — and every one after — still matches a fresh executor's bundle.
+func TestExecSiteResetAfterError(t *testing.T) {
+	// Min explores its symbolic path (x below everything seen) before
+	// the concrete one. The abort comes while the concrete path is
+	// updated in place, after the symbolic one was explored and retired:
+	// its container is on the stack while the path set still lists it.
+	const explode = -1000
+	update := func(ctx *Ctx, s *intState, e int64) {
+		if e == explode && s.V.IsConcrete() {
+			fail(ErrPathExplosion)
+		}
+		if !s.V.Le(ctx, e) {
+			s.V.Set(e)
+		}
+	}
+	sc := newSchema(newIntState(math.MaxInt64))
+	site := NewSchemaExecutor(sc, update, DefaultOptions())
+	if err := site.FeedBatch([]int64{3, explode, 5}); err == nil {
+		t.Fatal("exploding update fed cleanly")
+	}
+	if !slices.Contains(site.free, site.paths[0]) {
+		t.Fatal("the abort did not come between a live path's retirement and its reuse: the test no longer sets up what it checks")
+	}
+	site.Reset()
+	for _, p := range site.free {
+		if p == site.paths[0] {
+			t.Fatal("after Reset the live path's container is also on the stack")
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	var enc wire.Encoder
+	for k := 0; k < 50; k++ {
+		evs := runStream(r, 1+r.Intn(20), 30, 2)
+		site.Reset()
+		if err := site.FeedBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		enc.Reset()
+		if _, err := site.AppendBundle(&enc); err != nil {
+			t.Fatal(err)
+		}
+		want := EncodeSummaryBundle(chunkSums(t, sc, update, evs))
+		if !bytes.Equal(enc.Bytes(), want) {
+			t.Fatalf("key %d after the aborted one: bundle %x, want %x", k, enc.Bytes(), want)
+		}
+	}
+}
+
+// TestExecSiteAllocCeiling: on a warm site a B3-shaped chunk — 5 000
+// keys of one or two records — allocates what the Values allocate (the
+// assumption a forked SymPred path records, the element a closing
+// session pushes) and nothing per key for the site itself: no summary,
+// no container, no path list; and however many chunks follow the first,
+// the schema builds no container.
+func TestExecSiteAllocCeiling(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const nkeys = 5000
+	keys := make([][]int64, nkeys)
+	for k := range keys {
+		keys[k] = []int64{int64(r.Intn(1000))}
+		if r.Intn(4) == 0 { // B3 at the benchmark's size: 72% of groups hold one record
+			keys[k] = append(keys[k], keys[k][0]+int64(r.Intn(30)))
+		}
+	}
+	sc := newSchema(newPredState)
+	site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions()).
+		WithMemo(NewMemo[*predState, int64](sc, DefaultMemoSize))
+	var enc wire.Encoder
+	chunk := func() {
+		for _, evs := range keys {
+			site.Reset()
+			if err := site.FeedBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+			enc.Reset()
+			if _, err := site.AppendBundle(&enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chunk()
+	base := sc.Allocated()
+	// Allocation counts are not meaningful under the race detector; the
+	// container count is.
+	if perKey := testing.AllocsPerRun(5, chunk) / nkeys; perKey > 4 && !raceEnabled {
+		t.Errorf("%.2f allocations per key on a warm site, want at most 4", perKey)
+	}
+	if got := sc.Allocated(); got != base {
+		t.Errorf("the schema built %d containers after the first chunk", got-base)
+	}
+}

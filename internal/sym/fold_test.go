@@ -233,8 +233,10 @@ func TestFoldBundleErrorContract(t *testing.T) {
 
 // checkSiteAliasing folds random traffic for several keys through one
 // site and checks, after every bundle, that no state the site handed
-// out changed except the one folded onto: the site's containers are
-// re-decoded by every bundle, and CopyFrom shares slices with them.
+// out changed except the one folded onto: every bundle is decoded over
+// the storage of the last one in the site's containers, and CopyFrom
+// shares slices with them. One key's state is frozen early and from then
+// on only folded *from* (AddBundleFrom): it must not change either.
 // elems reads a state's vector contents (what a Result would retain).
 func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update func(*Ctx, S, E),
 	chunk func(*rand.Rand) []E, elems func(S) []int64) {
@@ -253,6 +255,7 @@ func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update f
 		want[k] = bytes.Clone(stateBytes(states[k]))
 	}
 	scratch := site.NewState()
+	const frozen = 0 // states[frozen] is only read once step 40 has passed
 	for step := 0; step < 400; step++ {
 		k := r.Intn(nkeys)
 		var sums []*Summary[S]
@@ -260,7 +263,13 @@ func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update f
 			sums = append(sums, chunkSums(t, sc, update, chunk(r))...)
 		}
 		data := EncodeSummaryBundle(sums)
-		if r.Intn(4) == 0 {
+		if k == frozen && step >= 40 {
+			// A resumed session's shape: fold from the frozen prefix
+			// into a state of the job's own.
+			if _, err := site.AddBundleFrom(scratch, states[frozen], data); err != nil {
+				t.Fatal(err)
+			}
+		} else if r.Intn(4) == 0 {
 			// Other keys' traffic through the reducer's shape.
 			site.Reset(scratch)
 			if _, err := site.AddBundle(scratch, data); err != nil {
@@ -299,6 +308,55 @@ func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update f
 	}
 }
 
+// zooState holds one of every stock Value the other two shapes lack —
+// SymBool, SymEnum, a SymStruct of scalars, a SymVector of strings —
+// beside a second SymPred and SymVector, all driven by one event stream.
+type zooState struct {
+	Open  SymBool
+	Kind  SymEnum
+	Lo    SymInt
+	Hi    SymInt
+	Range SymStruct
+	Last  SymPred[int64]
+	Tags  SymVector[string]
+	Seen  SymVector[int64]
+}
+
+func (s *zooState) Fields() []Value {
+	return []Value{&s.Open, &s.Kind, &s.Range, &s.Last, &s.Tags, &s.Seen}
+}
+
+func newZooState() *zooState {
+	s := &zooState{
+		Open: NewSymBool(false), Kind: NewSymEnum(4, 0), Lo: NewSymInt(0), Hi: NewSymInt(0),
+		Last: NewSymPred(withinTen, Int64Codec(), 0),
+		Tags: NewSymVector(StringCodec()), Seen: NewSymVector(Int64Codec()),
+	}
+	s.Range = NewSymStruct(&s.Lo, &s.Hi)
+	return s
+}
+
+func zooUpdate(ctx *Ctx, s *zooState, e int64) {
+	if s.Open.IsTrue(ctx) {
+		s.Hi.Add(e)
+		if s.Kind.Eq(ctx, e%4) {
+			s.Tags.Push("same")
+			s.Open.Set(false)
+		}
+	} else {
+		if s.Lo.Lt(ctx, e) {
+			s.Lo.Set(e)
+		}
+		s.Open.Set(true)
+		s.Tags.Push("open")
+	}
+	if !s.Last.EvalPred(ctx, e) {
+		s.Seen.Push(e)
+	}
+	s.Last.SetValue(e)
+	s.Kind.Set(e % 4)
+}
+
 func TestFoldSiteReuseNeverAliases(t *testing.T) {
 	t.Run("SymPred+SymIntVector", func(t *testing.T) {
 		checkSiteAliasing(t, newPredState, sessionUpdate, sessionChunk,
@@ -307,6 +365,10 @@ func TestFoldSiteReuseNeverAliases(t *testing.T) {
 	t.Run("SymVector+SymIntVector", func(t *testing.T) {
 		checkSiteAliasing(t, newLogState, logUpdate, sessionChunk,
 			func(s *logState) []int64 { return s.Seen.Elems() })
+	})
+	t.Run("SymBool+SymEnum+SymStruct+SymVector[string]", func(t *testing.T) {
+		checkSiteAliasing(t, newZooState, zooUpdate, sessionChunk,
+			func(s *zooState) []int64 { return s.Seen.Elems() })
 	})
 }
 
@@ -337,6 +399,17 @@ func TestFoldResultOutlivesReset(t *testing.T) {
 	}
 	if !slices.Equal(a, keep) {
 		t.Fatalf("key A's result changed under key B's fold: %v, was %v", a, keep)
+	}
+
+	// A key with a single bundle: its vector is the decoded path's
+	// elements and nothing before them, and it must still be an array of
+	// the state's own — the next bundle is decoded over the path's.
+	fold([]int64{7, 7, 2})
+	c := st.State().Seen.Elems()
+	keep = slices.Clone(c)
+	fold([]int64{1, 1, 1})
+	if want := []int64{7, 7, 2}; !slices.Equal(c, want) || !slices.Equal(keep, want) {
+		t.Fatalf("a single-bundle key's result changed under the next key's decode: %v, was %v", c, keep)
 	}
 }
 
@@ -371,10 +444,11 @@ func t1ShapeUpdate(ctx *Ctx, s *t1Shape, spam int64) {
 	}
 }
 
-// TestFoldAllocCeiling: on a warm site a fold allocates what the Values
-// allocate — the slices Decode makes and the vector Concretize builds —
-// and nothing per bundle, per summary or per key; and however many
-// folds, the site holds the containers it started with.
+// TestFoldAllocCeiling: on a warm site a fold allocates the one thing
+// that outlives it — the vector Concretize builds for the key's state —
+// and nothing per bundle, per summary, per path or per key: the stock
+// Values decode into the storage the site's containers kept; and however
+// many folds, the site holds the containers it started with.
 func TestFoldAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -385,8 +459,8 @@ func TestFoldAllocCeiling(t *testing.T) {
 			t.Fatalf("%s: bundle has %d paths, want %d", name, got, paths)
 		}
 		base := allocated()
-		if got := testing.AllocsPerRun(100, func() { fold() }); got > 4 {
-			t.Errorf("%s: %v allocations per fold on a warm site, want at most 4", name, got)
+		if got := testing.AllocsPerRun(100, func() { fold() }); got > 1 {
+			t.Errorf("%s: %v allocations per fold on a warm site, want at most 1", name, got)
 		}
 		for i := 0; i < 10000; i++ {
 			fold()

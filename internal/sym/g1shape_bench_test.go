@@ -3,6 +3,8 @@ package sym
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // BenchmarkBatchMixedGate drives the batch path over G1-shaped keyed
@@ -27,15 +29,13 @@ func BenchmarkBatchMixedGate(b *testing.B) {
 	sc := newSchema(newIntState(0))
 	x := NewSchemaExecutor(sc, gateUpdate, DefaultOptions()).
 		WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
-	dst := make([]*Summary[*intState], 0, keys)
+	var enc wire.Encoder
 	first := true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = dst[:0]
 		for _, evs := range groups {
-			var done bool
-			if dst, done = x.TryFinishIdentity(evs, dst); done {
+			if x.IdentityBundle(evs) != nil {
 				continue
 			}
 			if !first {
@@ -45,16 +45,11 @@ func BenchmarkBatchMixedGate(b *testing.B) {
 			if err := x.FeedBatch(evs); err != nil {
 				b.Fatal(err)
 			}
-			var err error
-			if dst, err = x.FinishInto(dst); err != nil {
+			enc.Reset()
+			if _, err := x.AppendBundle(&enc); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		for _, s := range dst {
-			s.Release()
-		}
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/rec")
 }

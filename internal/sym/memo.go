@@ -47,8 +47,9 @@ type transition[S State] struct {
 // Eviction is FIFO over insertion order, which is cheap, allocation-free
 // amortized, and good enough for the skewed record distributions that
 // make memoization pay (the hot classes are re-inserted immediately
-// after an unlucky eviction). Evicted transitions return their path
-// states to the schema pool.
+// after an unlucky eviction). The executor the memo is attached to owns
+// the containers of its transitions: it builds them from its stack and
+// takes an evicted transition's back.
 //
 // A Memo is NOT safe for concurrent use; give each worker its own (the
 // parallel mapper does) while sharing the schema.
@@ -121,11 +122,12 @@ func (m *Memo[S, E]) admit() bool {
 	return true
 }
 
-// add inserts a transition (nil for a negative entry), evicting the
-// oldest entry at capacity. The memo owns tr's path states from here on.
-func (m *Memo[S, E]) add(rec E, tr *transition[S]) {
+// add inserts a transition (nil for a negative entry). At capacity the
+// oldest entry is evicted and, when it held a transition, returned for
+// the caller to retire.
+func (m *Memo[S, E]) add(rec E, tr *transition[S]) (evicted *transition[S]) {
 	if _, dup := m.m[rec]; dup {
-		return
+		return nil
 	}
 	if len(m.m) >= m.cap {
 		old := m.fifo[m.head]
@@ -136,20 +138,13 @@ func (m *Memo[S, E]) add(rec E, tr *transition[S]) {
 		}
 		if ev, ok := m.m[old]; ok {
 			delete(m.m, old)
-			if ev != nil {
-				for _, p := range ev.ps {
-					m.sc.put(p)
-				}
-			}
+			evicted = ev
 			m.evicts++
 		}
 	}
-	if tr == nil {
-		m.m[rec] = nil
-	} else {
-		m.m[rec] = tr
-	}
+	m.m[rec] = tr
 	m.fifo = append(m.fifo, rec)
+	return evicted
 }
 
 // Len returns the number of cached entries (including negative ones).
@@ -158,18 +153,9 @@ func (m *Memo[S, E]) Len() int { return len(m.m) }
 // Evicts returns the number of evictions performed.
 func (m *Memo[S, E]) Evicts() int64 { return m.evicts }
 
-// Release returns every cached transition's path states to the schema
-// pool and empties the memo. Call when the mapper that owns the memo is
-// done, so cached states recycle instead of waiting for the GC.
+// Release empties the memo, dropping every cached transition.
 func (m *Memo[S, E]) Release() {
-	for k, tr := range m.m {
-		if tr != nil {
-			for _, p := range tr.ps {
-				m.sc.put(p)
-			}
-		}
-		delete(m.m, k)
-	}
+	clear(m.m)
 	m.fifo = m.fifo[:0]
 	m.head = 0
 }

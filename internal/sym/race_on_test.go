@@ -2,6 +2,6 @@
 
 package sym
 
-// raceEnabled lets pool-bound assertions stand down under the race
-// detector, where sync.Pool deliberately drops a fraction of Puts.
+// raceEnabled lets allocation-count assertions stand down under the race
+// detector, whose instrumentation allocates.
 const raceEnabled = true

@@ -1,27 +1,23 @@
 package sym
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Schema is the compiled field plan of one State type: everything the
 // runtime needs to clone, merge, compose, apply and serialize states of
 // that shape without consulting State.Fields on the hot path. Fields()
 // allocates a fresh []Value on every call — at one executor run per
 // record per path that allocation (three per clone in the seed engine)
-// dominated the mapper profile. The schema walks the type once, pins the
-// field count and the per-field capability plan (which fields carry a
-// scalar input, which carry a scalar transfer), and thereafter hands out
-// pooled pathStates whose field slice is captured exactly once per
-// container lifetime.
+// dominated the mapper profile. The schema walks the type once and pins
+// the field count and the per-field capability plan (which fields carry
+// a scalar input, which carry a scalar transfer); containers built on it
+// capture their field slice exactly once.
 //
-// A Schema is safe for concurrent use: the container pool is a
-// sync.Pool and the counters are atomic. Share one schema across all
-// executors and summaries of a query run so retired path states
-// circulate instead of being reallocated. The pool serves the map side
-// (executors, memo transitions, composition); a fold site (Folder) keeps
-// the few containers it needs for its lifetime and crosses no pool.
+// A Schema is a plan, not a store: it owns no containers. An exec site
+// (Executor) keeps the containers it works in on a private stack, a fold
+// site (Folder) keeps the few it decodes and applies into, and a
+// Summary's are plain heap objects. Share one schema across every
+// executor, fold site and summary of a query; it is safe for concurrent
+// use (immutable but for an atomic counter).
 type Schema[S State] struct {
 	newState func() S
 	nf       int
@@ -31,93 +27,10 @@ type Schema[S State] struct {
 	scalarIn []bool
 	scalarTr []bool
 
-	pool sync.Pool // *pathState[S]
-	// sumFree parks released summaries — struct, path-list backing array
-	// and retained containers, one unit per entry — for reuse by the
-	// per-key Finish. A plain LIFO under a mutex rather than a sync.Pool:
-	// executors claim blocks into a private cache (refillSummaries), so
-	// the hot per-key draw touches no synchronization at all and the lock
-	// is crossed once per block. sync.Pool's per-P pinning on every
-	// Get/Put was a measurable share of the per-key fixed cost on
-	// high-cardinality chunks.
-	sumFreeMu sync.Mutex
-	sumFree   []*Summary[S]
-	// allocated counts containers ever created (pool misses and fold
-	// sites' own). Tests use it to assert that long runs recycle instead
-	// of growing the heap.
+	// allocated counts containers ever built on the plan. Tests use it
+	// to assert that long runs reuse what a site holds instead of
+	// growing the heap.
 	allocated atomic.Int64
-}
-
-// sumFreeCap bounds the parked-summary stack; overflow drops the struct
-// to the GC and returns its retained containers to the container pool,
-// so a release burst cannot strand containers unreachable.
-const sumFreeCap = 1 << 14
-
-// summaryRefill is the block size executors claim from the free stack:
-// one lock crossing amortized over this many per-key draws.
-const summaryRefill = 32
-
-// parkSummary retires a released summary (held containers included) to
-// the schema's free stack.
-func (sc *Schema[S]) parkSummary(s *Summary[S]) {
-	sc.sumFreeMu.Lock()
-	if len(sc.sumFree) < sumFreeCap {
-		sc.sumFree = append(sc.sumFree, s)
-		sc.sumFreeMu.Unlock()
-		return
-	}
-	sc.sumFreeMu.Unlock()
-	for _, p := range s.ps[:s.held] {
-		sc.put(p)
-	}
-}
-
-// refillSummaries moves up to n parked summaries into dst with one lock
-// crossing. dst should be an executor-private cache.
-func (sc *Schema[S]) refillSummaries(dst []*Summary[S], n int) []*Summary[S] {
-	sc.sumFreeMu.Lock()
-	k := min(n, len(sc.sumFree))
-	if k > 0 {
-		off := len(sc.sumFree) - k
-		dst = append(dst, sc.sumFree[off:]...)
-		for i := off; i < len(sc.sumFree); i++ {
-			sc.sumFree[i] = nil
-		}
-		sc.sumFree = sc.sumFree[:off]
-	}
-	sc.sumFreeMu.Unlock()
-	return dst
-}
-
-// prepSummary readies a parked (or zero) summary for n paths, binding it
-// to sc. It returns k: entries ps[:k] are valid containers retained by a
-// previous Release — the caller copies state contents into them; entries
-// ps[k:] are nil and must be filled with cloned containers. Surplus
-// retained containers beyond n go back to the container pool so nothing
-// leaks when path counts shrink.
-func (sc *Schema[S]) prepSummary(s *Summary[S], n int) int {
-	held := s.held
-	s.held = 0
-	s.ps = s.ps[:held]
-	k := min(held, n)
-	for _, p := range s.ps[k:] {
-		sc.put(p)
-	}
-	if cap(s.ps) >= n {
-		s.ps = s.ps[:n]
-		// Cells past the retained prefix may hold stale pointers to
-		// containers already recycled — nil them so no caller can ever
-		// alias a container that lives elsewhere.
-		for i := k; i < n; i++ {
-			s.ps[i] = nil
-		}
-	} else {
-		np := make([]*pathState[S], n)
-		copy(np, s.ps[:k])
-		s.ps = np
-	}
-	s.newState, s.sc = sc.newState, sc
-	return k
 }
 
 // pathState pairs a state with its captured field slice. All engine and
@@ -141,8 +54,7 @@ func NewSchema[S State](newState func() S) (*Schema[S], error) {
 // newSchema compiles the plan without validating; NewExecutor uses it so
 // constructing a per-key executor stays as cheap as in the seed engine.
 func newSchema[S State](newState func() S) *Schema[S] {
-	probe := newState()
-	fs := probe.Fields()
+	fs := newState().Fields()
 	sc := &Schema[S]{
 		newState: newState,
 		nf:       len(fs),
@@ -153,34 +65,20 @@ func newSchema[S State](newState func() S) *Schema[S] {
 		_, sc.scalarIn[i] = f.(scalarInput)
 		_, sc.scalarTr[i] = f.(scalarTransfer)
 	}
-	// The probe state becomes the pool's first container.
-	sc.allocated.Add(1)
-	sc.pool.Put(&pathState[S]{s: probe, fs: fs})
 	return sc
 }
 
 // NumFields returns the number of symbolic fields in the plan.
 func (sc *Schema[S]) NumFields() int { return sc.nf }
 
-// Allocated returns the number of path-state containers created so far.
-// Pooled operation keeps it near the peak number of simultaneously live
-// paths; it is a lower bound on — not a census of — live memory, since
-// sync.Pool may drop containers under GC.
+// Allocated returns the number of path-state containers built on the
+// plan so far, by every site and snapshot. A site in steady state builds
+// none: its stack already holds its peak working set.
 func (sc *Schema[S]) Allocated() int64 { return sc.allocated.Load() }
 
-// get returns a pooled or fresh container. The state's contents are
-// whatever the previous user left; callers overwrite via CopyFrom or
-// ResetSymbolic before use.
-func (sc *Schema[S]) get() *pathState[S] {
-	if v := sc.pool.Get(); v != nil {
-		return v.(*pathState[S])
-	}
-	return sc.newContainer()
-}
-
-// newContainer builds a container around a new initial state, outside
-// the pool: what a pool miss falls back to, and what a fold site draws
-// the few containers it keeps for its lifetime from.
+// newContainer builds a container around a new initial state: what a
+// site's empty stack falls back to, and what snapshots (Finish,
+// ComposeWith) are made of.
 func (sc *Schema[S]) newContainer() *pathState[S] {
 	sc.allocated.Add(1)
 	s := sc.newState()
@@ -191,28 +89,52 @@ func (sc *Schema[S]) newContainer() *pathState[S] {
 	return &pathState[S]{s: s, fs: fs}
 }
 
-// put retires a container to the pool. Safe even while other states
-// alias its slice-valued fields: a recycled container's next user
-// overwrites every field before appending to any (get's contract:
-// CopyFrom, ResetSymbolic or Decode), and those either install a
-// clipped view (SymVector/SymIntVector — see SymVector on who may hold
-// spare capacity), copy on append (SymPred) or replace whole slice
-// headers, so it can never scribble over data a live path still
-// references.
-func (sc *Schema[S]) put(p *pathState[S]) {
-	if p != nil {
-		sc.pool.Put(p)
-	}
+// containers is a site's private stack of path containers: whoever holds
+// one (an Executor; a composition, for its duration) draws from it and
+// retires to it with a slice push and pop — no pool, no lock — and builds
+// on the schema only when it is empty. Retiring a container is safe even
+// while live states alias its slice-valued fields: its next user
+// overwrites every field before appending to any (CopyFrom or
+// ResetSymbolic), and those install a clipped view (SymVector,
+// SymIntVector — see SymVector on who may hold spare capacity), copy on
+// append (SymPred) or replace whole slice headers, so reuse can never
+// scribble over data a live path still references.
+type containers[S State] struct {
+	sc   *Schema[S]
+	free []*pathState[S]
 }
 
-// cloneOf deep-copies src into a pooled container.
-func (sc *Schema[S]) cloneOf(src *pathState[S]) *pathState[S] {
-	dst := sc.get()
+// get returns a retired or new container. Its contents are whatever the
+// previous user left; callers overwrite via CopyFrom or ResetSymbolic.
+func (c *containers[S]) get() *pathState[S] {
+	if n := len(c.free); n > 0 {
+		p := c.free[n-1]
+		c.free = c.free[:n-1]
+		return p
+	}
+	return c.sc.newContainer()
+}
+
+// put retires a container no live path references; putAll, a list.
+func (c *containers[S]) put(p *pathState[S])       { c.free = append(c.free, p) }
+func (c *containers[S]) putAll(ps []*pathState[S]) { c.free = append(c.free, ps...) }
+
+// cloneOf deep-copies src into a container.
+func (c *containers[S]) cloneOf(src *pathState[S]) *pathState[S] {
+	dst := c.get()
 	if len(src.fs) != len(dst.fs) {
 		fail(ErrStateMismatch)
 	}
 	dst.copyFrom(src)
 	return dst
+}
+
+// fresh returns a container reset to the fully symbolic state: every
+// field an unconstrained symbolic input named by its index.
+func (c *containers[S]) fresh() *pathState[S] {
+	p := c.get()
+	p.resetSymbolic()
+	return p
 }
 
 // copyFrom overwrites every field of p with src's.
@@ -222,18 +144,15 @@ func (p *pathState[S]) copyFrom(src *pathState[S]) {
 	}
 }
 
-// fresh returns a pooled container reset to the fully symbolic state:
-// every field an unconstrained symbolic input named by its index.
-func (sc *Schema[S]) fresh() *pathState[S] {
-	p := sc.get()
+// resetSymbolic makes p the fully symbolic state.
+func (p *pathState[S]) resetSymbolic() {
 	for i, f := range p.fs {
 		f.ResetSymbolic(i)
 	}
-	return p
 }
 
-// wrap adopts an externally built state into a container, capturing its
-// field slice once.
+// wrapState adopts an externally built state into a container,
+// capturing its field slice once.
 func wrapState[S State](s S) *pathState[S] {
 	return &pathState[S]{s: s, fs: s.Fields()}
 }
@@ -316,19 +235,16 @@ func tryMergeFields(af, bf []Value) bool {
 	return af[diff].UnionConstraint(bf[diff])
 }
 
-// mergePathStates repeatedly merges path pairs until no pair merges,
-// returning the compacted slice (paper §3.5) and recycling absorbed
-// paths into the pool. Path counts are small (bounded by the live-path
-// cap), so the quadratic scan is cheap. sc may be nil for summaries
-// built outside a schema; absorbed paths then fall to the GC.
-func mergePathStates[S State](sc *Schema[S], paths []*pathState[S]) ([]*pathState[S], int) {
+// merge repeatedly merges path pairs until no pair merges, returning the
+// compacted slice (paper §3.5) and how many paths it absorbed; their
+// containers retire to c. Path counts are small (bounded by the
+// live-path cap), so the quadratic scan is cheap.
+func (c *containers[S]) merge(paths []*pathState[S]) ([]*pathState[S], int) {
 	merged := 0
 	for i := 0; i < len(paths); i++ {
 		for j := i + 1; j < len(paths); j++ {
 			if tryMergeFields(paths[i].fs, paths[j].fs) {
-				if sc != nil {
-					sc.put(paths[j])
-				}
+				c.put(paths[j])
 				paths[j] = paths[len(paths)-1]
 				paths = paths[:len(paths)-1]
 				merged++
@@ -337,25 +253,6 @@ func mergePathStates[S State](sc *Schema[S], paths []*pathState[S]) ([]*pathStat
 		}
 	}
 	return paths, merged
-}
-
-// captureSymEnvInto is captureSymEnv without a schema plan (per-field
-// type assertions instead of the precomputed capability bits), for
-// summary composition outside an executor.
-func captureSymEnvInto(e *SymEnv, fs []Value) {
-	if cap(e.entries) < len(fs) {
-		e.entries = make([]symEnvEntry, len(fs))
-	}
-	e.entries = e.entries[:len(fs)]
-	for i, f := range fs {
-		st, ok := f.(scalarTransfer)
-		if !ok {
-			e.entries[i] = symEnvEntry{}
-			continue
-		}
-		bound, a, b := st.transfer()
-		e.entries[i] = symEnvEntry{ok: true, bound: bound, a: a, b: b}
-	}
 }
 
 // admitsFields is admits over captured field slices.

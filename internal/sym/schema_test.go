@@ -2,7 +2,10 @@ package sym
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestSchemaCompilesFieldPlan(t *testing.T) {
@@ -26,39 +29,51 @@ func TestSchemaCompilesFieldPlan(t *testing.T) {
 	}
 }
 
-func TestSchemaPoolRoundTrip(t *testing.T) {
+func TestContainersRoundTrip(t *testing.T) {
 	sc := newSchema(newIntState(5))
-	p := sc.get()
+	c := containers[*intState]{sc: sc}
+	p := c.get()
 	if len(p.fs) != 1 {
 		t.Fatalf("container has %d fields, want 1", len(p.fs))
 	}
 	p.s.V.Set(42)
-	c := sc.cloneOf(p)
-	if c.s.V.Get() != 42 {
-		t.Fatalf("clone value %d, want 42", c.s.V.Get())
+	cl := c.cloneOf(p)
+	if cl.s.V.Get() != 42 {
+		t.Fatalf("clone value %d, want 42", cl.s.V.Get())
 	}
-	c.s.V.Set(7)
+	cl.s.V.Set(7)
 	if p.s.V.Get() != 42 {
 		t.Fatal("clone aliases its source")
 	}
-	f := sc.fresh()
+	f := c.fresh()
 	if allConcreteFields(f.fs) {
 		t.Fatal("fresh container not reset to symbolic")
 	}
-	sc.put(p)
-	sc.put(c)
-	sc.put(f)
+	c.put(p)
+	c.putAll([]*pathState[*intState]{cl, f})
+	// A stack holding three containers hands those out before the schema
+	// builds a fourth.
+	for i := 0; i < 3; i++ {
+		c.get()
+	}
+	if got := sc.Allocated(); got != 3 {
+		t.Fatalf("schema built %d containers, want 3", got)
+	}
+	c.get()
+	if got := sc.Allocated(); got != 4 {
+		t.Fatalf("empty stack: schema built %d containers, want 4", got)
+	}
 }
 
-// TestSchemaPoolBoundedAcrossRuns: repeated runs of a Reset-loop
-// executor over one schema must recycle containers through the pool
-// rather than allocate per run. (A Reset loop is the supported
-// recycling idiom: Finish snapshots copy into pooled summaries and the
-// executor's own containers are reinitialized in place; an executor
-// dropped without Reset hands its final working set to the GC.)
-func TestSchemaPoolBoundedAcrossRuns(t *testing.T) {
+// TestExecSiteBoundedAcrossRuns: a Reset-loop executor — the mapper's
+// idiom: Reset, feed, AppendBundle — keeps every container it needs on
+// its own stack, so after the first run the schema builds none, however
+// many runs follow. (Finish is the snapshot API and does build: its
+// summaries are the caller's.)
+func TestExecSiteBoundedAcrossRuns(t *testing.T) {
 	sc := newSchema(newIntState(math.MinInt64))
 	x := NewSchemaExecutor(sc, maxUpdate, DefaultOptions())
+	var enc wire.Encoder
 	run := func() {
 		x.Reset()
 		for i := 0; i < 300; i++ {
@@ -66,12 +81,9 @@ func TestSchemaPoolBoundedAcrossRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sums, err := x.Finish()
-		if err != nil {
+		enc.Reset()
+		if _, err := x.AppendBundle(&enc); err != nil {
 			t.Fatal(err)
-		}
-		for _, s := range sums {
-			s.Release()
 		}
 	}
 	run()
@@ -79,22 +91,22 @@ func TestSchemaPoolBoundedAcrossRuns(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		run()
 	}
-	if raceEnabled {
-		// The race detector makes sync.Pool drop Puts on purpose; the
-		// recycling bound only holds without it.
-		return
+	if grew := sc.Allocated() - after; grew != 0 {
+		t.Fatalf("site not reusing: %d containers after the first run, %d more after 100 runs", after, grew)
 	}
-	if grew := sc.Allocated() - after; grew > after*10 {
-		t.Fatalf("pool not recycling: %d containers after first run, %d more after 100 runs",
-			after, grew)
+	if _, err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Allocated() == after {
+		t.Fatal("Finish built no container: a snapshot must not share the executor's")
 	}
 }
 
 // TestStreamComposerBoundedLiveMemory is the regression test for the
-// composer releasing composed-out summaries: folding a long
-// out-of-order stream of chunks through one schema must keep the number
-// of live containers bounded — each chunk's summaries return to the
-// pool as they fold, instead of accumulating for the GC.
+// composer dropping composed-out summaries: folding a long out-of-order
+// stream of chunks must keep live memory bounded by the out-of-order
+// window — each chunk's summaries become garbage as they fold, instead
+// of accumulating in the composer.
 func TestStreamComposerBoundedLiveMemory(t *testing.T) {
 	sc := newSchema(newIntState(math.MinInt64))
 	x := NewSchemaExecutor(sc, maxUpdate, DefaultOptions())
@@ -111,12 +123,22 @@ func TestStreamComposerBoundedLiveMemory(t *testing.T) {
 		}
 		return sums
 	}
-	c := NewStreamComposerSchema(sc)
-	const chunks = 400
+	c := NewStreamComposer(newIntState(math.MinInt64))
+	liveObjects := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapObjects
+	}
+	const chunks = 4000
+	var mid uint64
 	// Deliver each adjacent pair out of order (1,0),(3,2),...: the
 	// composer always holds at most one pending chunk while the folded
 	// prefix keeps advancing.
 	for i := 0; i < chunks; i += 2 {
+		if i == chunks/2 {
+			mid = liveObjects()
+		}
 		if _, err := c.Add(i+1, chunkSummaries(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +153,11 @@ func TestStreamComposerBoundedLiveMemory(t *testing.T) {
 	if want := int64(chunks - 1 + 12); state.V.Get() != want {
 		t.Fatalf("prefix max = %d, want %d", state.V.Get(), want)
 	}
-	// The bound: live containers stay O(paths per chunk), not O(chunks).
-	// 400 chunks × ≥2 paths each would exceed 800 allocations if folded
-	// summaries leaked instead of returning to the pool. (Skipped under
-	// the race detector, which makes sync.Pool drop Puts on purpose.)
-	if got := sc.Allocated(); !raceEnabled && got > 200 {
-		t.Fatalf("allocated %d containers across %d chunks — composer leaks summaries", got, chunks)
+	// The bound: live objects stay O(paths per chunk), not O(chunks).
+	// The second 2000 chunks build ≥ 2 containers each — over 10 000
+	// objects with their states and field slices — all of which would
+	// still be live if folded summaries stayed reachable.
+	if end := liveObjects(); end > mid+1000 {
+		t.Fatalf("live heap objects grew %d → %d across %d folded chunks — composer retains summaries", mid, end, chunks/2)
 	}
 }

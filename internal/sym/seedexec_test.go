@@ -172,7 +172,7 @@ func (x *SeedExecutor[S, E]) Err() error { return x.err }
 
 // The seed executor's reflective path helpers, frozen with it: the
 // engine proper runs their schema-container forms (allConcreteFields,
-// tryMergeFields, mergePathStates).
+// tryMergeFields, containers.merge).
 
 // allConcrete reports whether no field of s depends on symbolic input, in
 // which case running the UDA on s cannot fork and needs no cloning — the

@@ -15,10 +15,10 @@ import (
 // a full barrier before composing.
 //
 // The composer takes ownership of the summaries handed to Add: once a
-// chunk folds into the prefix its summaries are released back to the
-// schema pool, so a long stream holds live memory proportional to the
-// out-of-order window, not to the number of chunks folded. Summaries
-// still pending behind a gap are retained untouched until they fold.
+// chunk folds into the prefix the composer drops them, so a long stream
+// holds live memory proportional to the out-of-order window, not to the
+// number of chunks folded. Summaries still pending behind a gap are
+// retained untouched until they fold.
 //
 // Chunks are identified by a dense sequence number starting at 0 (e.g.
 // the (mapperID, recordID) order already used by the shuffle, flattened).
@@ -32,14 +32,7 @@ type StreamComposer[S State] struct {
 
 // NewStreamComposer starts a composer from the initial concrete state.
 func NewStreamComposer[S State](newState func() S) *StreamComposer[S] {
-	return NewStreamComposerSchema(newSchema(newState))
-}
-
-// NewStreamComposerSchema starts a composer over sc — share the schema
-// of the executors that produce the summaries, so the summaries the
-// composer releases go back to the pool those executors draw from.
-func NewStreamComposerSchema[S State](sc *Schema[S]) *StreamComposer[S] {
-	site := NewFolder(sc)
+	site := NewFolder(newSchema(newState))
 	return &StreamComposer[S]{site: site, prefix: site.NewState(), pending: map[int][]*Summary[S]{}}
 }
 
@@ -64,9 +57,6 @@ func (c *StreamComposer[S]) Add(seq int, sums []*Summary[S]) (int, error) {
 		}
 		if err := c.site.Add(c.prefix, sums); err != nil {
 			return folded, fmt.Errorf("sym: folding chunk %d: %w", c.next, err)
-		}
-		for _, s := range sums {
-			s.Release()
 		}
 		delete(c.pending, c.next)
 		c.next++

@@ -14,24 +14,29 @@ import (
 // constraints partition the initial-state space, so applying a summary to
 // any concrete state selects exactly one path.
 //
-// Paths are held in schema containers. A summary produced by an Executor
-// carries its schema, which lets ComposeWith and Encode run off the
-// captured field slices with pooled scratch, and lets Release return
-// the containers once the summary is consumed. Summaries built by
-// NewSummary or DecodeSummary have no schema and fall back to the
-// allocating paths.
+// Summaries are the snapshot form: plainly allocated containers the
+// holder owns, released by dropping them. Executor.Finish produces them
+// for callers that want to hold, compose or inspect a chunk's function;
+// the engine's own data path never does — a map task encodes each key's
+// bundle straight from the executor's paths (Executor.AppendBundle) and
+// a fold site decodes bundles into containers it keeps (Folder). A
+// summary produced by an Executor carries its schema; one built by
+// NewSummary or DecodeSummary has none and compiles the plan when an
+// operation needs it.
 type Summary[S State] struct {
 	ps       []*pathState[S]
 	newState func() S
-	sc       *Schema[S] // nil for schemaless summaries
-	// held counts path containers a released summary keeps parked in
-	// ps[:cap] for its next pooled use. Retaining them makes the
-	// summary+containers a single pooled unit, so finishing a key costs
-	// one pool crossing (getSummary) instead of one per container —
-	// sync.Pool's per-P pinning was a measurable share of the per-key
-	// fixed cost on high-cardinality chunks. Only meaningful while the
-	// struct sits parked in the schema's free stack.
-	held int
+	sc       *Schema[S] // nil for summaries built outside an executor
+}
+
+// schema returns the summary's compiled plan. A summary built outside
+// an executor compiles one per call rather than keep it: summaries are
+// shared read-only.
+func (s *Summary[S]) schema() *Schema[S] {
+	if s.sc == nil {
+		return newSchema(s.newState)
+	}
+	return s.sc
 }
 
 // NewSummary builds a summary from explored paths. Intended for tests and
@@ -56,26 +61,6 @@ func (s *Summary[S]) Paths() []S {
 		out[i] = p.s
 	}
 	return out
-}
-
-// Release recycles the summary — struct, path-list backing array AND
-// path containers — through the schema's summary pool as one unit. The
-// containers stay parked inside the pooled struct (held) rather than
-// going back to the container pool, so the next Finish on this schema
-// reuses them with a single pool crossing. Call once the summary has
-// been consumed (folded into a state or composed away); no-op for
-// schemaless summaries. The summary must not be used — or released
-// again — afterwards.
-func (s *Summary[S]) Release() {
-	sc := s.sc
-	if sc == nil {
-		return
-	}
-	s.held = len(s.ps)
-	s.ps = s.ps[:0]
-	s.newState = nil
-	s.sc = nil
-	sc.parkSummary(s)
 }
 
 // Apply composes the summary onto the concrete state c: it selects the
@@ -106,90 +91,92 @@ func (s *Summary[S]) ApplyStrict(c S) (out S, err error) {
 // ApplyAll composes an ordered sequence of summaries onto the concrete
 // state c, the reducer-side evaluation S_n(…S_2(S_1(c))…) of paper §3.6.
 // It is the one-shot convenience over Folder: neither c nor the
-// summaries are modified or released.
+// summaries are modified.
 func ApplyAll[S State](c S, summaries []*Summary[S]) (S, error) {
 	if len(summaries) == 0 {
 		return c, nil
 	}
-	sc := summaries[0].sc
-	if sc == nil { // built outside an executor: compile the plan here
-		sc = newSchema(summaries[0].newState)
-	}
 	st := (*FoldState[S])(wrapState(c))
-	if err := NewFolder(sc).Add(st, summaries); err != nil {
+	if err := NewFolder(summaries[0].schema()).Add(st, summaries); err != nil {
 		var zero S
 		return zero, err
 	}
 	return st.s, nil
 }
 
-// ComposeWith composes two summaries into one: s runs first, next runs
-// second, and the result maps s's input directly to next's output
-// (paper §3.6: function composition is associative, enabling parallel
-// reduction of summaries). The composition takes the cross product of
-// path pairs, eliminates infeasible combinations, and re-merges. Neither
-// input is consumed; release them separately if pooled.
-func (s *Summary[S]) ComposeWith(next *Summary[S]) (out *Summary[S], err error) {
-	defer catchFailure(&err)
-	var senv SymEnv
-	var paths []*pathState[S]
-	for _, pa := range s.ps {
-		captureSymEnvInto(&senv, pa.fs)
-		for _, pb := range next.ps {
-			var cand *pathState[S]
-			if s.sc != nil {
-				cand = s.sc.cloneOf(pb)
-			} else {
-				cand = wrapState(cloneState(s.newState, pb.s))
+// composeAfter appends to out a clone of every path of next composed
+// after p — next's path expressed over p's symbolic input (paper §3.6) —
+// dropping the infeasible pairs. When a composition aborts (e.g. a
+// transfer coefficient overflows) it returns the abort's error with out
+// as it was and every clone retired.
+func (c *containers[S]) composeAfter(out []*pathState[S], p *pathState[S], next []*pathState[S], senv *SymEnv) (res []*pathState[S], err error) {
+	base := len(out)
+	res = out
+	var cand *pathState[S]
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(failure)
+			if !ok {
+				panic(r)
 			}
-			feasible := true
-			for i, f := range cand.fs {
-				if !f.ComposeAfter(pa.fs[i], &senv) {
-					feasible = false
-					break
-				}
+			c.putAll(res[base:])
+			if cand != nil {
+				c.put(cand)
 			}
-			if feasible {
-				paths = append(paths, cand)
-			} else if s.sc != nil {
-				s.sc.put(cand)
+			res, err = res[:base], f.err
+		}
+	}()
+	c.sc.captureSymEnv(senv, p.fs)
+	for _, t := range next {
+		cand = c.cloneOf(t)
+		feasible := true
+		for i, f := range cand.fs {
+			if !f.ComposeAfter(p.fs[i], senv) {
+				feasible = false
+				break
 			}
 		}
+		if feasible {
+			res = append(res, cand)
+		} else {
+			c.put(cand)
+		}
+		cand = nil
 	}
-	if len(paths) == 0 {
+	return res, nil
+}
+
+// compose builds "a then b" as one path set: the cross product of path
+// pairs, infeasible combinations eliminated, then re-merged. Both inputs
+// are borrowed.
+func (c *containers[S]) compose(a, b []*pathState[S], senv *SymEnv) (out []*pathState[S], err error) {
+	defer catchFailure(&err) // merge aborts on mismatched shapes
+	for _, pa := range a {
+		if out, err = c.composeAfter(out, pa, b, senv); err != nil {
+			c.putAll(out)
+			return nil, err
+		}
+	}
+	if len(out) == 0 {
 		return nil, ErrInfeasible
 	}
-	paths, _ = mergePathStates(s.sc, paths)
-	return &Summary[S]{ps: paths, newState: s.newState, sc: s.sc}, nil
+	out, _ = c.merge(out)
+	return out, nil
 }
 
-// ComposeAll reduces an ordered list of summaries to a single summary.
-// Composition is associative (paper §3.6), so instead of a left-to-right
-// fold the reduction runs as a balanced pairwise tree: adjacent
-// summaries compose first and the list halves per level. Every
-// ComposeWith still pairs a summary with its immediate successor, so the
-// §5.4 order is preserved at every node. The balanced shape matters for
-// cost, not just depth — a skewed fold drags one ever-growing
+// composeTree reduces ordered path sets to one and counts the pairwise
+// compositions it performed. Composition is associative (paper §3.6), so
+// instead of a left-to-right fold the reduction runs as a balanced
+// pairwise tree: adjacent sets compose first and the list halves per
+// level. Every compose still pairs a set with its immediate successor,
+// so the §5.4 order is preserved at every node. The balanced shape
+// matters for cost, not just depth — a skewed fold drags one ever-growing
 // accumulator through every step, while the tree composes like-sized
-// summaries whose path products stay small. The inputs are not consumed;
-// intermediate results are recycled. With a single input, that input
-// itself is returned.
-func ComposeAll[S State](summaries []*Summary[S]) (*Summary[S], error) {
-	s, _, err := ComposeAllCounted(summaries)
-	return s, err
-}
-
-// ComposeAllCounted is ComposeAll returning the number of pairwise
-// ComposeWith calls actually performed. Folding n summaries takes
-// exactly n−1 composes however the tree is shaped — the count is
-// measured, not derived, so the observability layer can assert that
-// algebraic identity on real runs rather than trust it by construction.
-func ComposeAllCounted[S State](summaries []*Summary[S]) (*Summary[S], int, error) {
-	composes := 0
-	if len(summaries) == 0 {
-		return nil, 0, fmt.Errorf("sym: ComposeAll of zero summaries")
-	}
-	level := append([]*Summary[S](nil), summaries...)
+// sets whose path products stay small. The inputs are borrowed;
+// intermediates retire to c. With a single input, that input itself is
+// returned.
+func (c *containers[S]) composeTree(lists [][]*pathState[S], senv *SymEnv) (out []*pathState[S], composes int, err error) {
+	level := append([][]*pathState[S](nil), lists...)
 	owned := make([]bool, len(level)) // inputs are borrowed, intermediates owned
 	for len(level) > 1 {
 		w := 0
@@ -199,29 +186,76 @@ func ComposeAllCounted[S State](summaries []*Summary[S]) (*Summary[S], int, erro
 				w++
 				break
 			}
-			c, err := level[i].ComposeWith(level[i+1])
+			ps, err := c.compose(level[i], level[i+1], senv)
 			composes++
 			if err != nil {
-				for j, s := range level {
-					if s != nil && owned[j] {
-						s.Release()
+				// Retire every intermediate: this level's results so
+				// far, and the owned sets not yet consumed.
+				for j := 0; j < w; j++ {
+					c.putAll(level[j])
+				}
+				for j := i; j < len(level); j++ {
+					if owned[j] {
+						c.putAll(level[j])
 					}
 				}
 				return nil, composes, err
 			}
 			if owned[i] {
-				level[i].Release()
+				c.putAll(level[i])
 			}
 			if owned[i+1] {
-				level[i+1].Release()
+				c.putAll(level[i+1])
 			}
-			level[i], level[i+1] = nil, nil
-			level[w], owned[w] = c, true
+			level[w], owned[w] = ps, true
 			w++
 		}
 		level, owned = level[:w], owned[:w]
 	}
 	return level[0], composes, nil
+}
+
+// ComposeWith composes two summaries into one: s runs first, next runs
+// second, and the result maps s's input directly to next's output
+// (paper §3.6: function composition is associative, enabling parallel
+// reduction of summaries). Neither input is consumed.
+func (s *Summary[S]) ComposeWith(next *Summary[S]) (*Summary[S], error) {
+	out, _, err := ComposeAllCounted([]*Summary[S]{s, next})
+	return out, err
+}
+
+// ComposeAll reduces an ordered list of summaries to a single summary
+// (see composeTree for the shape). The inputs are not consumed. With a
+// single input, that input itself is returned.
+func ComposeAll[S State](summaries []*Summary[S]) (*Summary[S], error) {
+	s, _, err := ComposeAllCounted(summaries)
+	return s, err
+}
+
+// ComposeAllCounted is ComposeAll returning the number of pairwise
+// compositions actually performed. Folding n summaries takes exactly
+// n−1 composes however the tree is shaped — the count is measured, not
+// derived, so the observability layer can assert that algebraic
+// identity on real runs rather than trust it by construction.
+func ComposeAllCounted[S State](summaries []*Summary[S]) (*Summary[S], int, error) {
+	if len(summaries) == 0 {
+		return nil, 0, fmt.Errorf("sym: ComposeAll of zero summaries")
+	}
+	if len(summaries) == 1 {
+		return summaries[0], 0, nil
+	}
+	lists := make([][]*pathState[S], len(summaries))
+	for i, s := range summaries {
+		lists[i] = s.ps
+	}
+	first := summaries[0]
+	c := containers[S]{sc: first.schema()}
+	var senv SymEnv
+	ps, n, err := c.composeTree(lists, &senv)
+	if err != nil {
+		return nil, n, err
+	}
+	return &Summary[S]{ps: ps, newState: first.newState, sc: c.sc}, n, nil
 }
 
 // summaryTagless is the header bit marking a summary whose fields are
@@ -235,8 +269,14 @@ const summaryTagless = 1
 // path set.
 func (s *Summary[S]) Encode(e *wire.Encoder) {
 	s.Compact()
+	encodePaths(e, s.ps)
+}
+
+// encodePaths appends one summary — the path set ps, already compact —
+// to e.
+func encodePaths[S State](e *wire.Encoder, ps []*pathState[S]) {
 	tagless := true
-	for _, p := range s.ps {
+	for _, p := range ps {
 		for i, f := range p.fs {
 			if tc, ok := f.(taglessCodec); !ok || !tc.tagMatches(i) {
 				tagless = false
@@ -247,12 +287,12 @@ func (s *Summary[S]) Encode(e *wire.Encoder) {
 			break
 		}
 	}
-	h := uint64(len(s.ps)) << 1
+	h := uint64(len(ps)) << 1
 	if tagless {
 		h |= summaryTagless
 	}
 	e.Uvarint(h)
-	for _, p := range s.ps {
+	for _, p := range ps {
 		for _, f := range p.fs {
 			if tagless {
 				f.(taglessCodec).encodeTagless(e)
@@ -305,9 +345,9 @@ func decodeSummaryHeader(d *wire.Decoder) (n int, tagless bool, err error) {
 }
 
 // decodePath reads path i of a summary into the container p. Every
-// Value.Decode fully overwrites its receiver (scalars assigned, slices
-// freshly made), so a reused container needs no reset — and whatever
-// shared the old contents (CopyFrom copies slice headers) keeps them.
+// Value.Decode overwrites its receiver in full, so a reused container
+// needs no reset; it may reuse the receiver's storage, so p must be a
+// container nothing else shares storage with (see Value.Decode).
 func decodePath[S State](d *wire.Decoder, p *pathState[S], tagless bool, i int) error {
 	for fi, f := range p.fs {
 		var err error

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -227,7 +228,7 @@ func (v *SymPred[T]) decodeBody(d *wire.Decoder, pos int) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	v.assumps = make([]predAssump[T], n)
+	v.assumps = slices.Grow(v.assumps[:0], n)[:n]
 	for i := range v.assumps {
 		v.assumps[i].outcome = d.Bool()
 		v.assumps[i].arg = v.codec.Decode(d)

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/wire"
@@ -84,10 +85,12 @@ func (v *SymVector[T]) UnionConstraint(Value) bool { return true }
 // Admits implements Value.
 func (v *SymVector[T]) Admits(Value) bool { return true }
 
-// Concretize implements Value: prepend the previous contents.
+// Concretize implements Value: prepend the previous contents, in an
+// array of the receiver's own — also when there are none: what the
+// receiver holds is the storage of the path it was copied from, which a
+// fold site decodes over (see Value on storage).
 func (v *SymVector[T]) Concretize(prev Value, _ *Env) {
-	p := prev.(*SymVector[T])
-	v.elems = concatElems(p.elems, v.elems)
+	v.elems = slices.Concat(prev.(*SymVector[T]).elems, v.elems)
 }
 
 // ComposeAfter implements Value.
@@ -101,9 +104,7 @@ func concatElems[T any](a, b []T) []T {
 	if len(a) == 0 {
 		return b
 	}
-	out := make([]T, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+	return slices.Concat(a, b)
 }
 
 // Encode implements Value.
@@ -136,7 +137,7 @@ func (v *SymVector[T]) Decode(d *wire.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	v.elems = make([]T, n)
+	v.elems = slices.Grow(v.elems[:0], n)[:n]
 	for i := range v.elems {
 		v.elems[i] = v.codec.Decode(d)
 	}
@@ -329,14 +330,14 @@ func (v *SymIntVector) Decode(d *wire.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	v.elems = make([]intElem, n)
+	v.elems = slices.Grow(v.elems[:0], n)[:n]
 	for i := range v.elems {
-		v.elems[i].sym = d.Bool()
-		v.elems[i].b = d.Varint()
-		if v.elems[i].sym {
-			v.elems[i].field = d.Length(maxFieldID)
-			v.elems[i].a = d.Varint()
+		e := intElem{sym: d.Bool(), b: d.Varint()}
+		if e.sym {
+			e.field = d.Length(maxFieldID)
+			e.a = d.Varint()
 		}
+		v.elems[i] = e
 	}
 	return d.Err()
 }

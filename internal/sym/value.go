@@ -12,6 +12,15 @@ import "repro/internal/wire"
 // User-defined symbolic types (paper §4.5) implement this interface; they
 // must keep a canonical constraint form, decide branch feasibility without
 // a general solver, support merging, and serialize compactly.
+//
+// Storage. A Value whose representation has slices may share them between
+// copies (CopyFrom copies headers, not elements), under two rules the
+// runtime relies on. A value that shares storage never writes it in
+// place: appends go past every sharer's view or to a fresh array. And the
+// one pair of calls that makes a value outlive its source — CopyFrom(path)
+// then Concretize(prev), how a fold site turns a decoded path into a
+// key's state — leaves the receiver sharing no storage with path, so the
+// site may decode the next bundle over path's storage (see Decode).
 type Value interface {
 	// ResetSymbolic reinitializes the value to a fresh, unconstrained
 	// symbolic input identified by field index id. Field indices are the
@@ -20,7 +29,8 @@ type Value interface {
 	ResetSymbolic(id int)
 
 	// CopyFrom overwrites the value with src, which must have the same
-	// dynamic type. Used to clone paths.
+	// dynamic type. Used to clone paths. The copy may share src's storage
+	// (see the type comment).
 	CopyFrom(src Value)
 
 	// IsConcrete reports whether the current value no longer depends on
@@ -50,7 +60,8 @@ type Value interface {
 	// value, given prev as the concrete input for this field and env for
 	// cross-field references (symbolic elements inside vectors). The
 	// caller must have established Admits(prev). After Concretize the
-	// value reports IsConcrete and carries no constraint.
+	// value reports IsConcrete and carries no constraint, and shares no
+	// storage with the value it was copied from (it may with prev).
 	Concretize(prev Value, env *Env)
 
 	// ComposeAfter rewrites the receiver — a field of a later summary's
@@ -65,7 +76,11 @@ type Value interface {
 
 	// Decode reads the canonical form written by Encode. The receiver
 	// must have been constructed with the same shape (e.g. enum domain
-	// size, vector codec) as the encoder side.
+	// size, vector codec) as the encoder side. Decode overwrites the
+	// receiver in full, whatever it held, and may reuse its storage: only
+	// decode into a value whose storage nothing else shares — a fold
+	// site's decode containers are written by Decode alone. Allocating
+	// afresh is always correct, reusing is cheaper.
 	Decode(d *wire.Decoder) error
 
 	// String renders the constraint and transfer for diagnostics, e.g.

@@ -13,18 +13,29 @@ fi
 
 go vet ./...
 go build ./...
+# The unit leg runs every fuzz target's seed corpus as plain tests
+# (FuzzKeyPrefixOrder: the spill sort's prefix-first order against
+# strings.Compare) and the allocation ceilings of the two kinds of site
+# (TestExecSiteAllocCeiling, TestFoldAllocCeiling), which stand down
+# under the race detector.
 go test ./...
 # The race leg covers the one SYMPLE engine end to end — the batched
 # chunk executor over a segment's index, built at first touch under
 # concurrent jobs (internal/mapreduce, internal/queries), and the scalar
-# fallback.
+# fallback — and the sites' ownership rules: eight concurrent map tasks
+# over one exec-site pool, no container built after a site's first chunk
+# (internal/core, internal/sym), and the storage contract between a fold
+# site's decode containers and the states it hands out
+# (TestFoldSiteReuseNeverAliases, TestFoldResultOutlivesReset).
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Short chaos sweep: seeded fault injection at every task boundary,
-# digests checked against the fault-free run — the shuffle shape and the
+# digests checked against the fault-free run — the shuffle shape, the
 # map-only one (TestChaosMapOnlyDelivery: every task's output delivered
-# once, whole, never a losing attempt's). CI runs the wide sweep
-# (CHAOS_SEEDS=100) in its own job.
-CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/queries
+# once, whole, never a losing attempt's) and the exec sites under it
+# (TestChaosDroppedExecSite: an errored or killed attempt's site is
+# dropped, never repooled, and the bytes stay the fault-free ones). CI
+# runs the wide sweep (CHAOS_SEEDS=100) in its own job.
+CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries
 # Cluster leg: the transport/coordinator/worker path — frame codec
 # seeds, pool lifecycle, and transport-equivalence golden digests: all
 # 12 queries byte-identical across in-memory, via-coordinator, and

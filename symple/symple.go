@@ -28,6 +28,12 @@
 //	}
 //	summaries, _ := x.Finish() // compact, serializable, composable
 //
+// Finish is the snapshot API: it copies the executor's paths into
+// summaries the caller owns, to compose (ComposeAll), apply (ApplyAll) or
+// stream (StreamComposer) at leisure. The query runtime's own mappers
+// (RunSymple) never materialize summaries — they encode each group's
+// bundle straight from the executor's paths.
+//
 // See the examples/ directory for complete programs, including the
 // paper's Figure 1 purchase-funnel UDA and the §4.4 GPS sessionization
 // UDA, and the internal/queries package for the 12 evaluation queries.
