@@ -128,10 +128,25 @@ func TestFig7Shapes(t *testing.T) {
 	if len(tb.Rows) != 8 {
 		t.Fatalf("%d rows, want 8", len(tb.Rows))
 	}
-	// B3 is the paper's no-win case; B2 and G1 save CPU.
-	if s := numCell(t, tb, "B3", 3); s > 1.1 {
-		t.Errorf("B3 savings %.2fx: expected none (group count ~ record count)", s)
+	// B3 is the paper's no-win case (§6.5): a mapper sees about one event
+	// per group, so lifting the UDA into mappers buys nothing. Its CPU
+	// ratio is a sub-millisecond wall clock at this scale and swings
+	// across 1.0 from run to run, so the shape is pinned on counts that
+	// repeat: most of B3's (mapper, user) groups hold one event and ship
+	// it as itself — the baseline's cost — and every group ships exactly
+	// one element.
+	b3, err := runPair(testDatasets(), "B3", false, cluster380Reducers)
+	if err != nil {
+		t.Fatal(err)
 	}
+	groups, sym := b3.symple.Metrics.ShuffleRecords, b3.symple.Sym
+	if int64(sym.Summaries) != groups {
+		t.Errorf("B3 shipped %d elements for %d (mapper, key) groups, want one each", sym.Summaries, groups)
+	}
+	if share := float64(sym.Events) / float64(groups); share < 0.5 {
+		t.Errorf("B3 shipped %d of %d groups (%.0f%%) as events, want most", sym.Events, groups, 100*share)
+	}
+	// B2 and G1 save CPU.
 	// B2's measured reduce CPU is sub-millisecond at test scale, so its
 	// ratio is noisy; assert only that SYMPLE is not badly behind. The
 	// full-scale run (cmd/symplebench) shows the paper's clear win.

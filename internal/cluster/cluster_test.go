@@ -264,7 +264,7 @@ func TestW2WTraceSpans(t *testing.T) {
 	var owners, remoteDecodes, ownerFolds int
 	for _, sp := range spans {
 		switch {
-		case sp.Kind == obs.KindCompose && sp.Tags["remote"] == "1":
+		case sp.Kind == obs.KindCompose && sp.Tag(obs.TagRemote) == "1":
 			// The owner-side reduce is the reducer's fold: n applies,
 			// no summary∘summary composes.
 			ownerFolds++
@@ -273,12 +273,12 @@ func TestW2WTraceSpans(t *testing.T) {
 			}
 		case sp.Kind == obs.KindPartOwner:
 			owners++
-			if _, ok := sp.Attrs[obs.AttrWorker]; !ok {
+			if _, ok := sp.Lookup(obs.AttrWorker); !ok {
 				t.Errorf("part_owner span %d missing the worker attr", sp.ID)
 			}
-		case sp.Kind == obs.KindSegDecode && sp.Tags["remote"] == "1":
+		case sp.Kind == obs.KindSegDecode && sp.Tag(obs.TagRemote) == "1":
 			remoteDecodes++
-			if _, ok := sp.Attrs[obs.AttrWorker]; !ok {
+			if _, ok := sp.Lookup(obs.AttrWorker); !ok {
 				t.Errorf("remote seg_decode span %d missing the worker attr", sp.ID)
 			}
 		}
@@ -429,7 +429,7 @@ func TestRemoteTraceSpans(t *testing.T) {
 		t.Fatal("no job root span")
 	}
 	for _, sp := range spans {
-		if sp.Tags["remote"] != "1" {
+		if sp.Tag(obs.TagRemote) != "1" {
 			continue
 		}
 		remote++

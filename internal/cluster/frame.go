@@ -30,10 +30,13 @@ import (
 // extended assignment payload (topology, segment digest). Version 3
 // added the query-service job frames (job_submit, job_accept,
 // job_update, job_result, job_cancel). Version 4 shrank the job spec
-// to the fields JobSpec has today (two engine knobs left the wire).
-// Version 5 dropped the columnar payload from the assignment: a segment
-// ships as its records and nothing else.
-const ProtocolVersion = 5
+// (two engine knobs left the wire). Version 5 dropped the columnar
+// payload from the assignment: a segment ships as its records and
+// nothing else. Version 6 carries the event bundle — a one-event group's
+// event in place of its summary — in runs and reduce replies, which a
+// v5 peer would misread; the job spec lost the memo size; and span
+// attributes and tags travel as key bytes, not names.
+const ProtocolVersion = 6
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

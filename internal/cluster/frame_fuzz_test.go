@@ -21,8 +21,7 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
 func seedAssignment() *assignment {
 	return &assignment{
 		spec: JobSpec{
-			Query: "G1", NumReducers: 3, Compress: true,
-			Combine: true, MemoSize: 64,
+			Query: "G1", NumReducers: 3, Compress: true, Combine: true,
 		},
 		task: 4, attempt: 1, abortAfter: -1,
 		peerDropAfter: -1, refillPart: -1,
@@ -75,11 +74,11 @@ func seedReduceGroups() []mapreduce.ReducedGroup {
 
 // seedSpans builds a spans payload shaped like a real worker attempt.
 func seedSpans() []*obs.Span {
-	return []*obs.Span{
-		{Kind: "map_exec", Name: "G1/symple", Start: 100, End: 2100,
-			Attrs: map[string]int64{"records": 3}, Tags: map[string]string{"chunk": "0"}},
-		{Kind: "spill_encode", Name: "part0", Start: 2200, End: 2300},
-	}
+	exec := &obs.Span{Kind: obs.KindMapExec, Name: "exec-4", Start: 100, End: 2100}
+	exec.SetAttr(obs.AttrTask, 4)
+	exec.SetAttr(obs.AttrBatchRecords, 3)
+	exec.SetTag(obs.TagOutcome, "ok")
+	return []*obs.Span{exec, {Kind: obs.KindSpillEncode, Name: "part0", Start: 2200, End: 2300}}
 }
 
 // frame wraps a payload in its wire framing.
@@ -173,6 +172,8 @@ func frameSeedCorpus() []fuzzseed.Seed {
 			Data: frame(FrameMapDone, forgedMapDoneParts())},
 		{Name: "corrupt-spans-forged-count.bin",
 			Data: frame(FrameSpans, binary.AppendUvarint(nil, maxSpans+1))},
+		{Name: "corrupt-spans-unknown-attr.bin",
+			Data: frame(FrameSpans, forgedSpanKey())},
 		{Name: "corrupt-peerhello-version.bin",
 			Data: frame(FramePeerHello, peerHelloWith(helloMagic, ProtocolVersion+9, 77))},
 		{Name: "corrupt-peerhello-magic.bin",
@@ -265,6 +266,21 @@ func forgedAssignCount() []byte {
 	e.Uvarint(0)                     // segment digest
 	e.Bool(true)                     // payload attached
 	e.Uvarint(maxSegmentRecords + 1) // forged record count
+	return e.Bytes()
+}
+
+// forgedSpanKey is one span whose attribute key is no declared key.
+func forgedSpanKey() []byte {
+	e := wire.NewEncoder(16)
+	e.Uvarint(1)
+	e.String(obs.KindMapExec)
+	e.String("exec-0")
+	e.Varint(1)
+	e.Varint(2)
+	e.Uvarint(1) // one attribute
+	e.Byte(0xEE) // no such key
+	e.Varint(7)
+	e.Uvarint(0) // no tags
 	return e.Bytes()
 }
 
@@ -463,9 +479,17 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Version 4 is the last whose assignments carried a columnar
-	// payload; a peer still speaking it must be turned away at hello.
-	if _, err := DecodeHello(helloWith(helloMagic, 4)); err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Errorf("hello from a v4 peer: %v, want the version error", err)
+	// payload, and version 5 the last whose runs held summary bundles
+	// only — it would misread a one-event group's event as an empty
+	// summary list; peers still speaking either must be turned away at
+	// hello.
+	for _, v := range []uint64{4, 5} {
+		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
+		}
+		if _, err := decodePeerHello(peerHelloWith(helloMagic, v, 7)); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("peer hello from a v%d peer: %v, want the version error", v, err)
+		}
 	}
 	if _, err := DecodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
 		t.Error("bad hello magic accepted")
@@ -740,19 +764,8 @@ func TestSpansRoundTrip(t *testing.T) {
 	}
 	for i := range in {
 		a, b := in[i], got[i]
-		if a.Kind != b.Kind || a.Name != b.Name || a.Start != b.Start || a.End != b.End ||
-			len(a.Attrs) != len(b.Attrs) || len(a.Tags) != len(b.Tags) {
+		if *a != *b {
 			t.Fatalf("span %d diverged: %+v vs %+v", i, a, b)
-		}
-		for k, v := range a.Attrs {
-			if b.Attrs[k] != v {
-				t.Fatalf("span %d attr %q: %d vs %d", i, k, v, b.Attrs[k])
-			}
-		}
-		for k, v := range a.Tags {
-			if b.Tags[k] != v {
-				t.Fatalf("span %d tag %q: %q vs %q", i, k, v, b.Tags[k])
-			}
 		}
 	}
 }

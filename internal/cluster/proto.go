@@ -27,12 +27,11 @@ type JobSpec struct {
 	// every run the worker ships.
 	NumReducers int
 	Compress    bool
-	// Combine and MemoSize are the core.SympleOptions fields; both
-	// affect the map side. (Whether a worker groups vectorized is not a
-	// knob: it indexes its cached copy of the segment at first touch,
-	// as an in-process job does.)
-	Combine  bool
-	MemoSize int
+	// Combine is the core.SympleOptions field: it shapes map output.
+	// (Whether a worker groups vectorized is not a knob: it indexes its
+	// cached copy of the segment at first touch, as an in-process job
+	// does.)
+	Combine bool
 }
 
 func appendJobSpec(e *wire.Encoder, s JobSpec) {
@@ -40,7 +39,6 @@ func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.Uvarint(uint64(s.NumReducers))
 	e.Bool(s.Compress)
 	e.Bool(s.Combine)
-	e.Varint(int64(s.MemoSize))
 }
 
 func decodeJobSpec(d *wire.Decoder) JobSpec {
@@ -49,7 +47,6 @@ func decodeJobSpec(d *wire.Decoder) JobSpec {
 		NumReducers: int(d.Uvarint()),
 		Compress:    d.Bool(),
 		Combine:     d.Bool(),
-		MemoSize:    int(d.Varint()),
 	}
 }
 
@@ -326,9 +323,10 @@ func decodeMapDone(payload []byte) (*mapDone, error) {
 // maxSpans and maxSpanKVs cap a decoded spans frame.
 const (
 	maxSpans   = 1 << 20
-	maxSpanKVs = 1 << 10
+	maxSpanKVs = 1 << 8
 )
 
+// encodeSpans writes each span's attributes and tags by key byte.
 func encodeSpans(spans []*obs.Span) []byte {
 	e := wire.NewEncoder(len(spans) * 64)
 	e.Uvarint(uint64(len(spans)))
@@ -337,14 +335,21 @@ func encodeSpans(spans []*obs.Span) []byte {
 		e.String(sp.Name)
 		e.Varint(sp.Start)
 		e.Varint(sp.End)
-		e.Uvarint(uint64(len(sp.Attrs)))
-		for k, v := range sp.Attrs {
-			e.String(k)
+		na, nt := 0, 0
+		for range sp.Attrs() {
+			na++
+		}
+		for range sp.Tags() {
+			nt++
+		}
+		e.Uvarint(uint64(na))
+		for k, v := range sp.Attrs() {
+			e.Byte(byte(k))
 			e.Varint(v)
 		}
-		e.Uvarint(uint64(len(sp.Tags)))
-		for k, v := range sp.Tags {
-			e.String(k)
+		e.Uvarint(uint64(nt))
+		for k, v := range sp.Tags() {
+			e.Byte(byte(k))
 			e.String(v)
 		}
 	}
@@ -365,19 +370,19 @@ func decodeSpans(payload []byte) ([]*obs.Span, error) {
 			Start: d.Varint(),
 			End:   d.Varint(),
 		}
-		if na := d.Length(maxSpanKVs); na > 0 {
-			sp.Attrs = make(map[string]int64, na)
-			for j := 0; j < na; j++ {
-				k := d.String()
-				sp.Attrs[k] = d.Varint()
+		for j := d.Length(maxSpanKVs); j > 0 && d.Err() == nil; j-- {
+			k, v := obs.AttrKey(d.Byte()), d.Varint()
+			if !k.Valid() {
+				return nil, fmt.Errorf("%w: span attribute key %d", ErrFrame, k)
 			}
+			sp.SetAttr(k, v)
 		}
-		if nt := d.Length(maxSpanKVs); nt > 0 {
-			sp.Tags = make(map[string]string, nt)
-			for j := 0; j < nt; j++ {
-				k := d.String()
-				sp.Tags[k] = d.String()
+		for j := d.Length(maxSpanKVs); j > 0 && d.Err() == nil; j-- {
+			k, v := obs.TagKey(d.Byte()), d.String()
+			if !k.Valid() {
+				return nil, fmt.Errorf("%w: span tag key %d", ErrFrame, k)
 			}
+			sp.SetTag(k, v)
 		}
 		if d.Err() != nil {
 			return nil, d.Err()

@@ -133,6 +133,7 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 	dst.MemoHits += cur.MemoHits - prev.MemoHits
 	dst.MemoMisses += cur.MemoMisses - prev.MemoMisses
 	dst.RunProbes += cur.RunProbes - prev.RunProbes
+	dst.Events += cur.Events - prev.Events
 }
 
 // chunkResult is one map chunk's symbolic output: per key, in the
@@ -172,8 +173,8 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		// One memo serves every key: transitions are built from the fully
 		// symbolic state, so they are key-independent.
 		var memo *sym.Memo[S, E]
-		if opt.MemoSize >= 0 {
-			memo = sym.NewMemo[S, E](sc, opt.MemoSize)
+		if n := int(memoSize.Load()); n >= 0 {
+			memo = sym.NewMemo[S, E](sc, n)
 		}
 		be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo)}
 	}
@@ -267,7 +268,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		if err != nil {
 			// The site is dropped, not repooled: an errored executor's
 			// path state is unspecified, and the attempt is over.
-			execSpan.Tag("outcome", "error").End()
+			execSpan.Tag(obs.TagOutcome, "error").End()
 			return out, fmt.Errorf("key %q: %w", key, err)
 		}
 		out.bundles = append(out.bundles, slab.put(enc.Bytes()))

@@ -22,16 +22,15 @@ func TestCombinerAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []SympleOptions{
-			{Combine: true},
-			{Combine: true, MemoSize: -1},
-		} {
-			got, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 3}, opt)
+		for _, memo := range []int{0, -1} {
+			restore := SetMemoSizeForTest(memo)
+			got, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 3}, SympleOptions{Combine: true})
+			restore()
 			if err != nil {
-				t.Fatalf("segs=%d opt=%+v: %v", numSegs, opt, err)
+				t.Fatalf("segs=%d memo=%d: %v", numSegs, memo, err)
 			}
 			if !reflect.DeepEqual(got.Results, want.Results) {
-				t.Errorf("segs=%d opt=%+v: results diverge from sequential", numSegs, opt)
+				t.Errorf("segs=%d memo=%d: results diverge from sequential", numSegs, memo)
 			}
 		}
 		// A SymPred/vector query exercises summaries whose composition

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/sym"
@@ -39,9 +37,9 @@ func SympleCombiner[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) 
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
-		return nil, fmt.Errorf("core %q: %w", q.Name, err)
+		return nil, err
 	}
 	site := newGroupFolder(sc)
 	return func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error) {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -86,7 +87,9 @@ type Query[S sym.State, E, R any] struct {
 	Result func(key string, s S) R
 
 	// EncodeEvent/DecodeEvent serialize events for the baseline's
-	// shuffle.
+	// shuffle and SYMPLE's, where a (mapper, key) group of one event
+	// ships the event (sym.NewEventSchema); both rely on
+	// DecodeEvent(EncodeEvent(e)) looking the same to Update as e.
 	EncodeEvent func(*wire.Encoder, E)
 	DecodeEvent func(*wire.Decoder) (E, error)
 
@@ -107,14 +110,27 @@ func validateQuery[S sym.State, E, R any](q *Query[S, E, R]) error {
 	return nil
 }
 
+// Schema compiles the query's state plan with its event codec: the one
+// every exec and fold site of the query is built on.
+func (q *Query[S, E, R]) Schema() (*sym.Schema[S], error) {
+	sc, err := sym.NewEventSchema(q.NewState, q.Update, q.EncodeEvent, q.DecodeEvent)
+	if err != nil {
+		return nil, fmt.Errorf("core %q: %w", q.Name, err)
+	}
+	return sc, nil
+}
+
 // SymStats aggregates symbolic-execution work across all mapper-side
 // executors of a run.
 type SymStats struct {
-	Records   int // events fed to symbolic executors
-	Runs      int // Update invocations (symbolic overhead factor)
-	Merges    int
-	Restarts  int
-	Summaries int // summaries shuffled
+	Records  int // events fed to symbolic executors
+	Runs     int // Update invocations (symbolic overhead factor)
+	Merges   int
+	Restarts int
+	// Summaries counts the elements shuffled: summaries, and the events
+	// one-event groups ship instead (Events of them).
+	Summaries int
+	Events    int
 	// MemoHits/MemoMisses count records folded through the
 	// record-transition cache vs records that required path exploration
 	// (both zero when memoization is off).
@@ -259,8 +275,8 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 }
 
 // SympleOptions tunes how the SYMPLE engine executes a query. The zero
-// value is RunSymple's behavior. Neither field selects an engine: there
-// is one chunk executor (symExecChunk) and one summary fold (sym.Folder).
+// value is RunSymple's behavior. It selects no engine: there is one
+// chunk executor (symExecChunk) and one fold (sym.Folder).
 type SympleOptions struct {
 	// Combine enables the mapper-side combiner: before shuffling, each
 	// group's ordered summary list is pre-composed into a single summary
@@ -274,12 +290,18 @@ type SympleOptions struct {
 	// the mapper falls back to shipping the uncombined list, so results
 	// are identical either way.
 	Combine bool
-	// MemoSize bounds the per-mapper record-transition cache: records
-	// whose projected event was seen before skip path exploration and
-	// fold their cached transition summary into the live paths by
-	// composition (§3.6), which is byte-identical to direct exploration.
-	// 0 uses sym.DefaultMemoSize; negative disables memoization.
-	MemoSize int
+}
+
+// memoSize is each new exec site's record-transition cache capacity
+// (sym.NewMemo): 0 is sym.DefaultMemoSize, negative none.
+var memoSize atomic.Int64
+
+// SetMemoSizeForTest sets memoSize and returns a func restoring it: a
+// test hook, for the engine with the memo off or under constant
+// eviction, which must not change a byte.
+func SetMemoSizeForTest(n int) (restore func()) {
+	old := memoSize.Swap(int64(n))
+	return func() { memoSize.Store(old) }
 }
 
 // RunSymple executes the query with symbolic parallelism: each mapper
@@ -297,12 +319,11 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	// One compiled schema serves the whole run: mapper executors and
-	// memo transitions draw path-state containers from its pool (it is
-	// concurrency-safe), and each reduce task's fold site is built on it.
-	sc, err := sym.NewSchema(q.NewState)
+	// One compiled schema serves the whole run: every map task's exec
+	// site and each reduce task's fold site is built on it.
+	sc, err := q.Schema()
 	if err != nil {
-		return nil, fmt.Errorf("core %q: %w", q.Name, err)
+		return nil, err
 	}
 	finish := obsAutoVerify(&conf)
 	trace := conf.Trace
@@ -377,9 +398,9 @@ func newGroupFolder[S sym.State](sc *sym.Schema[S]) *groupFolder[S] {
 	return &groupFolder[S]{site: site, state: site.NewState()}
 }
 
-// fold folds one group's ordered summary bundles onto the initial state,
+// fold folds one group's ordered bundles onto the initial state,
 // returning the final state — valid until the next fold — and how many
-// summaries it applied.
+// elements (summaries and events) it applied.
 func (g *groupFolder[S]) fold(values []mapreduce.Shuffled) (S, int64, error) {
 	g.site.Reset(g.state)
 	var n int64

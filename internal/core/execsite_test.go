@@ -63,7 +63,7 @@ func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.
 // task at a time does.
 func TestExecSitePoolSteadyState(t *testing.T) {
 	q := sessionQuery()
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestChaosDroppedExecSite(t *testing.T) {
 		}
 		update(ctx, s, ts)
 	}
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, groups := partitionGroups(t, q, segs)
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReduceAttemptsShareASite(t *testing.T) {
 // a bundle larger than a chunk gets an array of its own.
 func TestBundleSlab(t *testing.T) {
 	q := sessionQuery()
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
 		t.Fatal(err)
 	}

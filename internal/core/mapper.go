@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/mapreduce"
@@ -40,9 +39,9 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) 
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
-		return nil, fmt.Errorf("core %q: %w", q.Name, err)
+		return nil, err
 	}
 	pool := &batchExecPool[S, E]{}
 	return func(trace *obs.Trace) mapreduce.MapFunc {
@@ -94,6 +93,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		stats.Merges += local.Merges
 		stats.Restarts += local.Restarts
 		stats.Summaries += local.Summaries
+		stats.Events += local.Events
 		stats.MemoHits += local.MemoHits
 		stats.MemoMisses += local.MemoMisses
 		stats.RunProbes += local.RunProbes

@@ -76,33 +76,31 @@ func (a *composeAgg) flush(trace *obs.Trace) {
 	if start == 0 || start > end {
 		start = end
 	}
-	trace.EmitRaw(&obs.Span{
+	sp := &obs.Span{
 		Parent: trace.CurrentJob(),
 		Kind:   obs.KindCompose,
 		Name:   fmt.Sprintf("overflow+%d-groups", sum.groups),
 		Start:  start,
 		End:    end,
-		Attrs: map[string]int64{
-			obs.AttrGroups:    sum.groups,
-			obs.AttrSummaries: sum.summaries,
-			obs.AttrComposes:  sum.composes,
-			obs.AttrApplies:   sum.applies,
-		},
-	})
+	}
+	sp.SetAttr(obs.AttrGroups, sum.groups)
+	sp.SetAttr(obs.AttrSummaries, sum.summaries)
+	sp.SetAttr(obs.AttrComposes, sum.composes)
+	sp.SetAttr(obs.AttrApplies, sum.applies)
+	trace.EmitRaw(sp)
 }
 
 // emitComposeSpan emits one under-cap per-group compose span.
 func emitComposeSpan(trace *obs.Trace, key string, start, end time.Time, summaries, composes, applies int64) {
-	trace.EmitRaw(&obs.Span{
+	sp := &obs.Span{
 		Parent: trace.CurrentJob(),
 		Kind:   obs.KindCompose,
 		Name:   key,
 		Start:  start.UnixNano(),
 		End:    end.UnixNano(),
-		Attrs: map[string]int64{
-			obs.AttrSummaries: summaries,
-			obs.AttrComposes:  composes,
-			obs.AttrApplies:   applies,
-		},
-	})
+	}
+	sp.SetAttr(obs.AttrSummaries, summaries)
+	sp.SetAttr(obs.AttrComposes, composes)
+	sp.SetAttr(obs.AttrApplies, applies)
+	trace.EmitRaw(sp)
 }

@@ -343,38 +343,31 @@ func (c Cluster) emitSimTrace(j Job, res Result, mapIv, redIv []interval) {
 		return
 	}
 	const ns = 1e9
-	jobID := tr.NewID()
-	tr.EmitRaw(&obs.Span{
-		ID: jobID, Kind: obs.KindJob, Name: "dcsim",
-		Start: 0, End: int64(res.TotalS * ns),
-		Attrs: map[string]int64{
-			obs.AttrParallelism:  int64(c.Nodes * c.Node.Cores),
-			obs.AttrWireBytes:    res.ShuffleBytes,
-			obs.AttrLogicalBytes: res.ShuffleBytes,
-		},
-		Tags: map[string]string{"sim": "1", "outcome": "ok"},
-	})
+	emit := func(sp *obs.Span, task int) {
+		if task >= 0 {
+			sp.SetAttr(obs.AttrTask, int64(task))
+			sp.SetAttr(obs.AttrAttempt, 0)
+		}
+		sp.SetTag(obs.TagSim, "1")
+		sp.SetTag(obs.TagOutcome, "ok")
+		tr.EmitRaw(sp)
+	}
+	job := &obs.Span{ID: tr.NewID(), Kind: obs.KindJob, Name: "dcsim", Start: 0, End: int64(res.TotalS * ns)}
+	job.SetAttr(obs.AttrParallelism, int64(c.Nodes*c.Node.Cores))
+	job.SetAttr(obs.AttrWireBytes, res.ShuffleBytes)
+	job.SetAttr(obs.AttrLogicalBytes, res.ShuffleBytes)
+	emit(job, -1)
 	mapOff := c.SchedulingOverheadS
 	for i, iv := range mapIv {
-		tr.EmitRaw(&obs.Span{
-			Parent: jobID, Kind: obs.KindMapAttempt, Name: fmt.Sprintf("map-%d", i),
-			Start: int64((mapOff + iv.start) * ns), End: int64((mapOff + iv.end) * ns),
-			Attrs: map[string]int64{
-				obs.AttrTask:    int64(i),
-				obs.AttrAttempt: 0,
-				obs.AttrBytes:   j.Maps[i].InputBytes,
-			},
-			Tags: map[string]string{"sim": "1", "outcome": "ok"},
-		})
+		sp := &obs.Span{Parent: job.ID, Kind: obs.KindMapAttempt, Name: fmt.Sprintf("map-%d", i),
+			Start: int64((mapOff + iv.start) * ns), End: int64((mapOff + iv.end) * ns)}
+		sp.SetAttr(obs.AttrBytes, j.Maps[i].InputBytes)
+		emit(sp, i)
 	}
 	redOff := mapOff + res.MapPhaseS + res.ShuffleS
 	for i, iv := range redIv {
-		tr.EmitRaw(&obs.Span{
-			Parent: jobID, Kind: obs.KindReduceAttempt, Name: fmt.Sprintf("reduce-%d", i),
-			Start: int64((redOff + iv.start) * ns), End: int64((redOff + iv.end) * ns),
-			Attrs: map[string]int64{obs.AttrTask: int64(i), obs.AttrAttempt: 0},
-			Tags:  map[string]string{"sim": "1", "outcome": "ok"},
-		})
+		emit(&obs.Span{Parent: job.ID, Kind: obs.KindReduceAttempt, Name: fmt.Sprintf("reduce-%d", i),
+			Start: int64((redOff + iv.start) * ns), End: int64((redOff + iv.end) * ns)}, i)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestSimulatedTraceVerifies(t *testing.T) {
 				case obs.KindReduceAttempt:
 					redSpans++
 				}
-				if sp.Tags["sim"] != "1" {
+				if sp.Tag(obs.TagSim) != "1" {
 					t.Errorf("span %s/%s missing sim tag", sp.Kind, sp.Name)
 				}
 			}

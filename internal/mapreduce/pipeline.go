@@ -55,9 +55,9 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	jobSpan := env.trace.StartJob(j.Name)
 	defer func() {
 		if err != nil {
-			jobSpan.Tag("outcome", "error")
+			jobSpan.Tag(obs.TagOutcome, "error")
 		} else {
-			jobSpan.Tag("outcome", "ok")
+			jobSpan.Tag(obs.TagOutcome, "ok")
 		}
 		jobSpan.Attr(obs.AttrParallelism, int64(conf.Parallelism)).
 			Attr(obs.AttrWireBytes, m.ShuffleBytes).
@@ -254,7 +254,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, receipts []Run, inBytes 
 		recs, derr := decodeSegment(r.Seg)
 		active += time.Since(t0)
 		if derr != nil {
-			span.Tag("outcome", "error").End()
+			span.Tag(obs.TagOutcome, "error").End()
 			if err == nil {
 				err = derr
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -124,27 +123,23 @@ func (env *runEnv) adopt(st *mapTask, attempt int, out *MapOutput) error {
 	// Re-parent a worker's spans under the coordinator job root only for
 	// an attempt that came back whole; a dying worker's half-trace is
 	// discarded with the attempt.
-	env.emitRemote(out.Spans, nil)
+	env.emitRemote(out.Spans, -1)
 	return nil
 }
 
 // emitRemote re-parents spans a worker shipped back under the job root,
-// tagged remote and carrying attrs.
-func (env *runEnv) emitRemote(spans []*obs.Span, attrs map[string]int64) {
+// tagged remote and, at a partition owner (worker ≥ 0), with its worker.
+func (env *runEnv) emitRemote(spans []*obs.Span, worker int) {
 	for _, sp := range spans {
 		if sp == nil {
 			continue
 		}
 		sp.ID = 0 // EmitRaw reassigns from the coordinator's sequence
 		sp.Parent = env.trace.CurrentJob()
-		if sp.Tags == nil {
-			sp.Tags = map[string]string{}
+		sp.SetTag(obs.TagRemote, "1")
+		if worker >= 0 {
+			sp.SetAttr(obs.AttrWorker, int64(worker))
 		}
-		sp.Tags["remote"] = "1"
-		if sp.Attrs == nil && attrs != nil {
-			sp.Attrs = map[string]int64{}
-		}
-		maps.Copy(sp.Attrs, attrs)
 		env.trace.EmitRaw(sp)
 	}
 }
@@ -185,7 +180,7 @@ func (env *runEnv) deliverRemoteGroups(p int, out *ReduceOutput, groupHist *obs.
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, g.Key, err)
 		}
 	}
-	env.emitRemote(out.Spans, map[string]int64{obs.AttrWorker: int64(out.Worker)})
+	env.emitRemote(out.Spans, out.Worker)
 	env.trace.Start(obs.KindPartOwner, fmt.Sprintf("part-%d", p)).
 		Attr(obs.AttrPart, int64(p)).Attr(obs.AttrWorker, int64(out.Worker)).End()
 	return nil

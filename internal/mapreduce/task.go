@@ -196,13 +196,13 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapO
 	span := env.trace.Start(obs.KindMapAttempt, fmt.Sprintf("map-%d", st.id)).
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt))
 	if spec {
-		span.Tag("speculative", "1")
+		span.Tag(obs.TagSpeculative, "1")
 	}
 	defer func() {
 		if err == nil {
-			span.Tag("outcome", "ok").Attr(obs.AttrRecords, int64(len(st.seg.Records)))
+			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrRecords, int64(len(st.seg.Records)))
 		} else {
-			span.Tag("outcome", "error")
+			span.Tag(obs.TagOutcome, "error")
 		}
 		span.End()
 	}()
@@ -343,7 +343,7 @@ func spillRuns(parts [][]kvRec, task, attempt int, conf Config, sink RunSink, ou
 		bytes += int64(len(sg))
 		if err := sink.Publish(Run{Task: task, Attempt: attempt, Part: p,
 			Bytes: int64(len(sg)), Seg: sg}); err != nil {
-			span.Tag("outcome", "error").End()
+			span.Tag(obs.TagOutcome, "error").End()
 			return err
 		}
 	}
@@ -382,7 +382,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 	env.reg.Histogram(MetricMapTaskNS).Observe(int64(st.task.Duration))
 	env.trace.Start(obs.KindCommit, fmt.Sprintf("map-%d", st.id)).
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt)).
-		Tag("phase", "map").End()
+		Tag(obs.TagPhase, "map").End()
 	if env.job.Reduce == nil {
 		defer kvBufs.put(out.pairs)
 		if env.job.Output == nil {
@@ -524,13 +524,13 @@ func (env *runEnv) driveReduceTask(p int, body func(attempt int) (groups int64, 
 		groups, err := body(a)
 		if err == nil {
 			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
-			span.Tag("outcome", "ok").Attr(obs.AttrGroups, groups).End()
+			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrGroups, groups).End()
 			env.trace.Start(obs.KindCommit, fmt.Sprintf("reduce-%d", p)).
 				Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a)).
-				Tag("phase", "reduce").End()
+				Tag(obs.TagPhase, "reduce").End()
 			return groups, nil
 		}
-		span.Tag("outcome", "error").End()
+		span.Tag(obs.TagOutcome, "error").End()
 		if env.ctx.Err() != nil {
 			return 0, env.ctx.Err()
 		}

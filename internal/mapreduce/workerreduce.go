@@ -35,7 +35,7 @@ func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
 		recs, derr := decodeSegment(r.Seg)
 		if derr != nil {
-			span.Tag("outcome", "error").End()
+			span.Tag(obs.TagOutcome, "error").End()
 			return fmt.Errorf("mapreduce: run (task %d attempt %d part %d): %w",
 				r.Task, r.Attempt, r.Part, derr)
 		}

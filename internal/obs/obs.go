@@ -26,6 +26,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"iter"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,60 +93,137 @@ const (
 	KindFold = "fold"
 )
 
-// Common attribute keys shared by emitters and the Verifier.
+// AttrKey names an integer attribute of a span, TagKey a string tag:
+// the fixed vocabulary the kinds above document, declared in the order
+// of the names, so that key order is name order.
+type (
+	AttrKey uint8
+	TagKey  uint8
+)
+
+// Attribute keys shared by emitters and the Verifier.
 const (
-	AttrTask         = "task"
-	AttrAttempt      = "attempt"
-	AttrPart         = "part"
-	AttrBytes        = "bytes"
-	AttrRecords      = "records"
-	AttrSummaries    = "summaries"
-	AttrComposes     = "composes"
-	AttrApplies      = "applies"
-	AttrValues       = "values"
-	AttrGroups       = "groups"
-	AttrRuns         = "runs"
-	AttrParallelism  = "parallelism"
-	AttrWireBytes    = "wire_bytes"
-	AttrLogicalBytes = "logical_bytes"
-	AttrOutBytes     = "out_bytes"
-	// AttrWorker identifies the cluster worker a span executed on
-	// (w2w reduce placement); in-process spans don't set it.
-	AttrWorker = "worker"
+	AttrApplies AttrKey = iota + 1
+	AttrAttempt
 	// AttrBatchRecords is the number of events a map chunk kept after
 	// grouping; its parse and exec spans carry the same value.
-	AttrBatchRecords = "batch_records"
+	AttrBatchRecords
+	AttrBytes
 	// AttrSegments, AttrCachedSegments, AttrPrefixSegments and
 	// AttrMappedSegments carry a serve job's fold provenance on its root
 	// span: how many input segments the result folded, how many of those
 	// came from the summary cache (of which how many as part of a cached
 	// prefix: resumed from, never folded), and how many were mapped fresh.
 	// The serve-cache invariant joins them against the job's subtree.
-	AttrSegments       = "segments"
-	AttrCachedSegments = "cached_segments"
-	AttrPrefixSegments = "prefix_segments"
-	AttrMappedSegments = "mapped_segments"
+	AttrCachedSegments
+	AttrComposes
+	AttrGroups
+	AttrLogicalBytes
+	AttrMappedSegments
+	AttrOutBytes
+	AttrParallelism
+	AttrPart
+	AttrPrefixSegments
+	AttrRecords
+	AttrRuns
+	AttrSegments
+	AttrSummaries
+	AttrTask
+	AttrValues
+	AttrWireBytes
+	// AttrWorker identifies the cluster worker a span executed on
+	// (w2w reduce placement); in-process spans don't set it.
+	AttrWorker
+	numAttrKeys
 )
+
+// Tag keys: how an attempt, job or wait ended (ok, error, cancelled, a
+// job's error message); a commit's phase (map, reduce); and 1 on a span
+// a cluster worker shipped, a simulated one, a backup map attempt.
+const (
+	TagOutcome TagKey = iota + 1
+	TagPhase
+	TagRemote
+	TagSim
+	TagSpeculative
+	numTagKeys
+)
+
+var (
+	attrNames = [numAttrKeys]string{"", "applies", "attempt", "batch_records", "bytes",
+		"cached_segments", "composes", "groups", "logical_bytes", "mapped_segments", "out_bytes",
+		"parallelism", "part", "prefix_segments", "records", "runs", "segments", "summaries",
+		"task", "values", "wire_bytes", "worker"}
+	tagNames = [numTagKeys]string{"", "outcome", "phase", "remote", "sim", "speculative"}
+)
+
+func (k AttrKey) String() string { return attrNames[k] }
+func (k TagKey) String() string  { return tagNames[k] }
+
+// Valid reports whether k is a declared key, for decoders of spans from
+// outside the process.
+func (k AttrKey) Valid() bool { return k > 0 && k < numAttrKeys }
+func (k TagKey) Valid() bool  { return k > 0 && k < numTagKeys }
 
 // Span is one traced interval (or instant event, when End == Start).
 // Times are Unix nanoseconds; simulated traces (dcsim) use an epoch of 0
 // and nanoseconds of simulated time instead.
 type Span struct {
-	ID     int64             `json:"id"`
-	Parent int64             `json:"parent,omitempty"`
-	Kind   string            `json:"kind"`
-	Name   string            `json:"name,omitempty"`
-	Start  int64             `json:"start_ns"`
-	End    int64             `json:"end_ns"`
-	Attrs  map[string]int64  `json:"attrs,omitempty"`
-	Tags   map[string]string `json:"tags,omitempty"`
+	ID     int64
+	Parent int64
+	Kind   string
+	Name   string
+	Start  int64
+	End    int64
+	// Attributes and tags sit in fixed arrays indexed by key, so setting
+	// one is a store: has marks the attributes set, and a tag is set when
+	// it is not empty.
+	attrs [numAttrKeys]int64
+	has   uint32
+	tags  [numTagKeys]string
 }
+
+var _ [32 - numAttrKeys]struct{} // has holds a bit per attribute key
 
 // Duration returns the span's length.
 func (s *Span) Duration() time.Duration { return time.Duration(s.End - s.Start) }
 
-// Attr returns the named attribute, or 0.
-func (s *Span) Attr(k string) int64 { return s.Attrs[k] }
+// Attr returns the attribute k, or 0.
+func (s *Span) Attr(k AttrKey) int64 { return s.attrs[k] }
+
+// Lookup returns the attribute k and whether the span carries it.
+func (s *Span) Lookup(k AttrKey) (int64, bool) { return s.attrs[k], s.has&(1<<k) != 0 }
+
+// SetAttr sets the attribute k.
+func (s *Span) SetAttr(k AttrKey, v int64) { s.attrs[k], s.has = v, s.has|1<<k }
+
+// Tag returns the tag k, or "".
+func (s *Span) Tag(k TagKey) string { return s.tags[k] }
+
+// SetTag sets the tag k to a non-empty value.
+func (s *Span) SetTag(k TagKey, v string) { s.tags[k] = v }
+
+// Attrs yields the span's attributes in key order, which is name order.
+func (s *Span) Attrs() iter.Seq2[AttrKey, int64] {
+	return func(yield func(AttrKey, int64) bool) {
+		for k := AttrKey(1); k < numAttrKeys; k++ {
+			if s.has&(1<<k) != 0 && !yield(k, s.attrs[k]) {
+				return
+			}
+		}
+	}
+}
+
+// Tags yields the span's tags in key order.
+func (s *Span) Tags() iter.Seq2[TagKey, string] {
+	return func(yield func(TagKey, string) bool) {
+		for k := TagKey(1); k < numTagKeys; k++ {
+			if s.tags[k] != "" && !yield(k, s.tags[k]) {
+				return
+			}
+		}
+	}
+}
 
 // Sink receives completed spans. Implementations must be safe for
 // concurrent Emit calls.
@@ -299,26 +377,20 @@ func (s *ActiveSpan) ID() int64 {
 }
 
 // Attr sets an integer attribute, returning the span for chaining.
-func (s *ActiveSpan) Attr(k string, v int64) *ActiveSpan {
+func (s *ActiveSpan) Attr(k AttrKey, v int64) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	if s.sp.Attrs == nil {
-		s.sp.Attrs = make(map[string]int64, 4)
-	}
-	s.sp.Attrs[k] = v
+	s.sp.SetAttr(k, v)
 	return s
 }
 
 // Tag sets a string tag, returning the span for chaining.
-func (s *ActiveSpan) Tag(k, v string) *ActiveSpan {
+func (s *ActiveSpan) Tag(k TagKey, v string) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	if s.sp.Tags == nil {
-		s.sp.Tags = make(map[string]string, 2)
-	}
-	s.sp.Tags[k] = v
+	s.sp.SetTag(k, v)
 	return s
 }
 
@@ -426,34 +498,8 @@ func appendSpanJSON(b []byte, sp *Span) []byte {
 	b = strconv.AppendInt(b, sp.Start, 10)
 	b = append(b, `,"end_ns":`...)
 	b = strconv.AppendInt(b, sp.End, 10)
-	if len(sp.Attrs) > 0 {
-		b = append(b, `,"attrs":{`...)
-		first := true
-		for _, k := range sortedKeys(sp.Attrs) {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = appendJSONString(b, k)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, sp.Attrs[k], 10)
-		}
-		b = append(b, '}')
-	}
-	if len(sp.Tags) > 0 {
-		b = append(b, `,"tags":{`...)
-		first := true
-		for _, k := range sortedKeys(sp.Tags) {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = appendJSONString(b, k)
-			b = append(b, ':')
-			b = appendJSONString(b, sp.Tags[k])
-		}
-		b = append(b, '}')
-	}
+	b = appendObject(b, "attrs", sp.Attrs(), func(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) })
+	b = appendObject(b, "tags", sp.Tags(), appendJSONString)
 	b = append(b, '}', '\n')
 	return b
 }
@@ -486,20 +532,22 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// sortedKeys returns the map's keys in sorted order, for deterministic
-// JSONL output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: attr maps hold a handful of keys.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// appendObject renders kvs — a span's attributes or tags, in name order
+// — as the JSON object field name; none, no field.
+func appendObject[K interface{ String() string }, V any](b []byte, name string, kvs iter.Seq2[K, V], val func([]byte, V) []byte) []byte {
+	n := 0
+	for k, v := range kvs {
+		if n++; n == 1 {
+			b = append(append(append(b, `,"`...), name...), `":{`...)
+		} else {
+			b = append(b, ',')
 		}
+		b = val(append(appendJSONString(b, k.String()), ':'), v)
 	}
-	return keys
+	if n > 0 {
+		b = append(b, '}')
+	}
+	return b
 }
 
 // MultiSink fans one span out to several sinks (e.g. a JSONL file plus

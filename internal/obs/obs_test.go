@@ -16,7 +16,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	job := tr.StartJob("nil-job")
 	sp := tr.Start(KindMapAttempt, "t0")
-	sp.Attr(AttrTask, 1).Tag("outcome", "ok").End()
+	sp.Attr(AttrTask, 1).Tag(TagOutcome, "ok").End()
 	job.End()
 	tr.Event(KindCommit, "t0")
 	tr.EmitRaw(&Span{Kind: KindJob})
@@ -33,9 +33,9 @@ func TestTraceParentsSpansToJob(t *testing.T) {
 	tr := NewTrace(sink)
 	job := tr.StartJob("j")
 	tr.Start(KindMapAttempt, "t0").
-		Attr(AttrTask, 0).Attr(AttrAttempt, 1).Tag("outcome", "ok").End()
+		Attr(AttrTask, 0).Attr(AttrAttempt, 1).Tag(TagOutcome, "ok").End()
 	tr.Start(KindCommit, "t0").
-		Attr(AttrTask, 0).Attr(AttrAttempt, 1).Tag("phase", "map").End()
+		Attr(AttrTask, 0).Attr(AttrAttempt, 1).Tag(TagPhase, "map").End()
 	job.Attr(AttrParallelism, 2).End()
 
 	spans := sink.Spans()
@@ -64,8 +64,20 @@ func TestTraceParentsSpansToJob(t *testing.T) {
 	}
 }
 
+// jsonSpan is a JSONL line as the real JSON parser reads it.
+type jsonSpan struct {
+	ID     int64             `json:"id"`
+	Parent int64             `json:"parent"`
+	Kind   string            `json:"kind"`
+	Name   string            `json:"name"`
+	Start  int64             `json:"start_ns"`
+	End    int64             `json:"end_ns"`
+	Attrs  map[string]int64  `json:"attrs"`
+	Tags   map[string]string `json:"tags"`
+}
+
 // TestJSONLSinkOutput checks the hand-rolled encoder against the real
-// JSON parser: every line must round-trip into the same Span, with
+// JSON parser: every line must parse back into the span, with
 // deterministic key order and proper escaping of hostile group keys.
 func TestJSONLSinkOutput(t *testing.T) {
 	var buf bytes.Buffer
@@ -74,7 +86,7 @@ func TestJSONLSinkOutput(t *testing.T) {
 	job := tr.StartJob("job with \"quotes\" and\nnewline")
 	tr.Start(KindCompose, `group"key`+"\x01\\end").
 		Attr(AttrSummaries, 3).Attr(AttrComposes, 2).Attr(AttrApplies, 1).
-		Tag("engine", "symple").End()
+		Tag(TagRemote, "1").End()
 	job.End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -85,7 +97,7 @@ func TestJSONLSinkOutput(t *testing.T) {
 		t.Fatalf("got %d lines, want 2", len(lines))
 	}
 	for _, line := range lines {
-		var sp Span
+		var sp jsonSpan
 		if err := json.Unmarshal([]byte(line), &sp); err != nil {
 			t.Fatalf("line is not valid JSON: %v\n%s", err, line)
 		}
@@ -93,15 +105,63 @@ func TestJSONLSinkOutput(t *testing.T) {
 			t.Fatalf("decoded span malformed: %+v", sp)
 		}
 	}
-	var got Span
+	var got jsonSpan
 	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindCompose || got.Attrs[AttrSummaries] != 3 || got.Tags["engine"] != "symple" {
+	if got.Kind != KindCompose || got.Attrs["summaries"] != 3 || got.Tags["remote"] != "1" {
 		t.Fatalf("compose span did not round-trip: %+v", got)
 	}
 	if got.Name != `group"key`+"\x01\\end" {
 		t.Fatalf("hostile group key mangled: %q", got.Name)
+	}
+}
+
+// TestJSONLBytes pins the rendering byte for byte — the form the
+// benchmark's traces and the verifier's readers take: fixed field order,
+// empty fields omitted, attrs and tags in key-name order whatever order
+// they were set in.
+func TestJSONLBytes(t *testing.T) {
+	sp := withSlots(&Span{ID: 7, Parent: 3, Kind: KindSegDecode, Name: "part-1", Start: 10, End: 25},
+		[]attr{{AttrWorker, 1}, {AttrTask, 4}, {AttrBytes, 512}, {AttrAttempt, 0}, {AttrPart, 1}},
+		[]tag{{TagRemote, "1"}, {TagOutcome, "ok"}})
+	want := `{"id":7,"parent":3,"kind":"seg_decode","name":"part-1","start_ns":10,"end_ns":25,` +
+		`"attrs":{"attempt":0,"bytes":512,"part":1,"task":4,"worker":1},"tags":{"outcome":"ok","remote":"1"}}` + "\n"
+	if got := string(appendSpanJSON(nil, sp)); got != want {
+		t.Fatalf("rendered\n%s want\n%s", got, want)
+	}
+	if got := string(appendSpanJSON(nil, &Span{ID: 1, Kind: KindJob})); got != `{"id":1,"kind":"job","start_ns":0,"end_ns":0}`+"\n" {
+		t.Fatalf("bare span rendered %s", got)
+	}
+	for k := AttrKey(2); k < numAttrKeys; k++ {
+		if attrNames[k-1] >= attrNames[k] {
+			t.Errorf("attr %q is declared after %q: keys must be in name order", attrNames[k], attrNames[k-1])
+		}
+	}
+	for k := TagKey(2); k < numTagKeys; k++ {
+		if tagNames[k-1] >= tagNames[k] {
+			t.Errorf("tag %q is declared after %q: keys must be in name order", tagNames[k], tagNames[k-1])
+		}
+	}
+}
+
+// TestSpanAllocs: recording a span — open, three attributes, a tag, end
+// into an in-memory sink — allocates one object, the span record: an
+// attribute or a tag is a store into it.
+func TestSpanAllocs(t *testing.T) {
+	sink := NewMemSink()
+	tr := NewTrace(sink)
+	tr.StartJob("allocs").End()
+	const spans = 1000
+	got := testing.AllocsPerRun(10, func() {
+		sink.Reset()
+		for i := 0; i < spans; i++ {
+			tr.Start(KindMapExec, "exec").Attr(AttrTask, int64(i)).Attr(AttrGroups, 2).
+				Attr(AttrBatchRecords, 8).Tag(TagOutcome, "ok").End()
+		}
+	})
+	if perSpan := got / spans; perSpan > 1 {
+		t.Fatalf("%.2f allocations per span, want at most 1", perSpan)
 	}
 }
 

@@ -130,7 +130,7 @@ func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 	var out []Violation
 	warm := make(map[int64]*Span)
 	for _, job := range jobs {
-		cached, ok := job.Attrs[AttrCachedSegments]
+		cached, ok := job.Lookup(AttrCachedSegments)
 		if !ok {
 			continue
 		}
@@ -258,7 +258,7 @@ func verifyOwners(job *Span, children []*Span) []Violation {
 		if sp.Kind != KindSegDecode {
 			continue
 		}
-		w, ok := sp.Attrs[AttrWorker]
+		w, ok := sp.Lookup(AttrWorker)
 		if !ok {
 			continue
 		}
@@ -291,7 +291,7 @@ func verifyBatches(job *Span, children []*Span) []Violation {
 		if sp.Kind != KindMapParse && sp.Kind != KindMapExec {
 			continue
 		}
-		batch, ok := sp.Attrs[AttrBatchRecords]
+		batch, ok := sp.Lookup(AttrBatchRecords)
 		if !ok {
 			out = append(out, Violation{InvBatchRecords,
 				fmt.Sprintf("job %q: %s %q carries no %s", job.Name, sp.Kind, sp.Name, AttrBatchRecords)})
@@ -311,7 +311,7 @@ func verifyBatches(job *Span, children []*Span) []Violation {
 		if sp.Kind != KindMapExec {
 			continue
 		}
-		batch, ok := sp.Attrs[AttrBatchRecords]
+		batch, ok := sp.Lookup(AttrBatchRecords)
 		task := sp.Attr(AttrTask)
 		if want, seen := parse[task]; ok && seen && want != batch {
 			out = append(out, Violation{InvBatchRecords,
@@ -387,7 +387,7 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 	for _, sp := range children {
 		switch sp.Kind {
 		case KindCommit:
-			k := taskKey{sp.Tags["phase"], sp.Attr(AttrTask)}
+			k := taskKey{sp.Tag(TagPhase), sp.Attr(AttrTask)}
 			commits[k] = append(commits[k], sp.Attr(AttrAttempt))
 		case KindMapAttempt, KindReduceAttempt:
 			phase := "map"
@@ -398,7 +398,7 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 			if attempts[k] == nil {
 				attempts[k] = make(map[int64]string)
 			}
-			attempts[k][sp.Attr(AttrAttempt)] = sp.Tags["outcome"]
+			attempts[k][sp.Attr(AttrAttempt)] = sp.Tag(TagOutcome)
 		}
 	}
 	keys := make([]taskKey, 0, len(commits))
@@ -452,7 +452,7 @@ func verifyComposes(job *Span, children []*Span) []Violation {
 	for _, sp := range children {
 		if sp.Kind == KindReduceAttempt {
 			reduceAttempts[sp.Attr(AttrTask)]++
-			if o := sp.Tags["outcome"]; o != "" && o != "ok" {
+			if o := sp.Tag(TagOutcome); o != "" && o != "ok" {
 				cleanReduce = false
 			}
 		}

@@ -14,62 +14,89 @@ import (
 func goodTrace() []*Span {
 	base := int64(1_000_000_000)
 	ms := int64(time.Millisecond)
-	sp := func(id, parent int64, kind, name string, startMS, endMS int64, attrs map[string]int64, tags map[string]string) *Span {
-		return &Span{ID: id, Parent: parent, Kind: kind, Name: name,
-			Start: base + startMS*ms, End: base + endMS*ms, Attrs: attrs, Tags: tags}
+	sp := func(id, parent int64, kind, name string, startMS, endMS int64, attrs []attr, tags []tag) *Span {
+		return withSlots(&Span{ID: id, Parent: parent, Kind: kind, Name: name,
+			Start: base + startMS*ms, End: base + endMS*ms}, attrs, tags)
 	}
 	return []*Span{
 		sp(1, 0, KindJob, "test-job", 0, 100,
-			map[string]int64{AttrParallelism: 4, AttrWireBytes: 900, AttrLogicalBytes: 1000}, nil),
+			[]attr{{AttrParallelism, 4}, {AttrWireBytes, 900}, {AttrLogicalBytes, 1000}}, nil),
 		// Map task 0: one clean attempt, committed, one run for part 0.
 		sp(2, 1, KindMapAttempt, "map-0", 1, 30,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1, AttrRecords: 10}, map[string]string{"outcome": "ok"}),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrRecords, 10}}, []tag{{TagOutcome, "ok"}}),
 		sp(3, 1, KindCommit, "map-0", 30, 30,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1}, map[string]string{"phase": "map"}),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}}, []tag{{TagPhase, "map"}}),
 		sp(4, 1, KindRunCommit, "map-0", 30, 30,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1, AttrPart: 0, AttrBytes: 450}, nil),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
 		// Map task 1: attempt 1 won; speculative attempt 2 finished later
 		// and lost the commit race — it has a span but no commit.
 		sp(5, 1, KindMapAttempt, "map-1", 1, 40,
-			map[string]int64{AttrTask: 1, AttrAttempt: 1, AttrRecords: 12}, map[string]string{"outcome": "ok"}),
+			[]attr{{AttrTask, 1}, {AttrAttempt, 1}, {AttrRecords, 12}}, []tag{{TagOutcome, "ok"}}),
 		sp(6, 1, KindMapAttempt, "map-1", 20, 60,
-			map[string]int64{AttrTask: 1, AttrAttempt: 2, AttrRecords: 12},
-			map[string]string{"outcome": "ok", "speculative": "1"}),
+			[]attr{{AttrTask, 1}, {AttrAttempt, 2}, {AttrRecords, 12}},
+			[]tag{{TagOutcome, "ok"}, {TagSpeculative, "1"}}),
 		sp(7, 1, KindCommit, "map-1", 40, 40,
-			map[string]int64{AttrTask: 1, AttrAttempt: 1}, map[string]string{"phase": "map"}),
+			[]attr{{AttrTask, 1}, {AttrAttempt, 1}}, []tag{{TagPhase, "map"}}),
 		sp(8, 1, KindRunCommit, "map-1", 40, 40,
-			map[string]int64{AttrTask: 1, AttrAttempt: 1, AttrPart: 0, AttrBytes: 450}, nil),
+			[]attr{{AttrTask, 1}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
 		// Reduce task 0: decodes both committed runs exactly once and
 		// composes two groups.
 		sp(9, 1, KindSegDecode, "part-0", 45, 46,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1, AttrPart: 0, AttrBytes: 450}, nil),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
 		sp(10, 1, KindSegDecode, "part-0", 46, 47,
-			map[string]int64{AttrTask: 1, AttrAttempt: 1, AttrPart: 0, AttrBytes: 450}, nil),
+			[]attr{{AttrTask, 1}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
 		sp(11, 1, KindReduceAttempt, "reduce-0", 45, 90,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1, AttrGroups: 2}, map[string]string{"outcome": "ok"}),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrGroups, 2}}, []tag{{TagOutcome, "ok"}}),
 		sp(12, 1, KindCommit, "reduce-0", 90, 90,
-			map[string]int64{AttrTask: 0, AttrAttempt: 1}, map[string]string{"phase": "reduce"}),
+			[]attr{{AttrTask, 0}, {AttrAttempt, 1}}, []tag{{TagPhase, "reduce"}}),
 		// Group "alpha": tree path — 3 summaries, 2 composes, 1 apply.
 		sp(13, 1, KindCompose, "alpha", 50, 60,
-			map[string]int64{AttrSummaries: 3, AttrComposes: 2, AttrApplies: 1}, nil),
+			[]attr{{AttrSummaries, 3}, {AttrComposes, 2}, {AttrApplies, 1}}, nil),
 		// Group "beta": apply path — 2 summaries replayed individually.
 		sp(14, 1, KindCompose, "beta", 60, 70,
-			map[string]int64{AttrSummaries: 2, AttrComposes: 0, AttrApplies: 2}, nil),
+			[]attr{{AttrSummaries, 2}, {AttrComposes, 0}, {AttrApplies, 2}}, nil),
 		// Mapper-side combiner folded 4 summaries with 3 composes.
 		sp(15, 1, KindCombine, "map-1/alpha", 10, 12,
-			map[string]int64{AttrSummaries: 4, AttrComposes: 3}, nil),
+			[]attr{{AttrSummaries, 4}, {AttrComposes, 3}}, nil),
 		// Map task 0's chunk: 10 records, 8 kept by grouping, all 8
 		// executed.
 		sp(16, 1, KindMapParse, "parse-0", 1, 10,
-			map[string]int64{AttrTask: 0, AttrRecords: 10, AttrGroups: 2, AttrBatchRecords: 8}, nil),
+			[]attr{{AttrTask, 0}, {AttrRecords, 10}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
 		sp(17, 1, KindMapExec, "exec-0", 10, 28,
-			map[string]int64{AttrTask: 0, AttrGroups: 2, AttrBatchRecords: 8}, nil),
+			[]attr{{AttrTask, 0}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
 		// A w2w partition owner folded group "alpha" in place: the
 		// reducer's apply shape under the owner's name.
 		sp(18, 1, KindCompose, "owner/alpha", 48, 49,
-			map[string]int64{AttrSummaries: 3, AttrComposes: 0, AttrApplies: 3}, nil),
+			[]attr{{AttrSummaries, 3}, {AttrComposes, 0}, {AttrApplies, 3}}, nil),
 	}
 }
+
+// attr and tag are a span attribute and tag, for building test spans.
+type (
+	attr struct {
+		k AttrKey
+		v int64
+	}
+	tag struct {
+		k TagKey
+		v string
+	}
+)
+
+// withSlots replaces sp's attributes and tags with the given ones.
+func withSlots(sp *Span, attrs []attr, tags []tag) *Span {
+	sp.attrs, sp.has, sp.tags = [numAttrKeys]int64{}, 0, [numTagKeys]string{}
+	for _, a := range attrs {
+		sp.SetAttr(a.k, a.v)
+	}
+	for _, t := range tags {
+		sp.SetTag(t.k, t.v)
+	}
+	return sp
+}
+
+// withoutAttr drops sp's attribute k.
+func withoutAttr(sp *Span, k AttrKey) { sp.attrs[k], sp.has = 0, sp.has&^(1<<k) }
 
 func TestVerifierAcceptsHealthyTrace(t *testing.T) {
 	if err := (Verifier{}).Check(goodTrace()); err != nil {
@@ -106,7 +133,7 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 		{"decode of unknown run", InvRunUnknown, func(s []*Span) []*Span {
 			ghost := *s[9]
 			ghost.ID = 99
-			ghost.Attrs = map[string]int64{AttrTask: 7, AttrAttempt: 1, AttrPart: 0, AttrBytes: 10}
+			withSlots(&ghost, []attr{{AttrTask, 7}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 10}}, nil)
 			return append(s, &ghost)
 		}},
 		{"orphan span", InvOrphanSpan, func(s []*Span) []*Span {
@@ -114,7 +141,7 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 			return s
 		}},
 		{"bytes inflation", InvWireBytes, func(s []*Span) []*Span {
-			s[0].Attrs[AttrWireBytes] = s[0].Attrs[AttrLogicalBytes]*2 + 4096
+			s[0].SetAttr(AttrWireBytes, s[0].Attr(AttrLogicalBytes)*2+4096)
 			return s
 		}},
 		{"speculation loser commits", InvSingleCommit, func(s []*Span) []*Span {
@@ -122,49 +149,48 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 			c := *s[6]
 			c.ID = 99
 			c.Kind = KindCommit
-			c.Attrs = map[string]int64{AttrTask: 1, AttrAttempt: 2}
-			c.Tags = map[string]string{"phase": "map"}
+			withSlots(&c, []attr{{AttrTask, 1}, {AttrAttempt, 2}}, []tag{{TagPhase, "map"}})
 			return append(s, &c)
 		}},
 		{"commit without attempt", InvCommitNoAttempt, func(s []*Span) []*Span {
-			s[2].Attrs[AttrAttempt] = 9
+			s[2].SetAttr(AttrAttempt, 9)
 			return s
 		}},
 		{"commit of failed attempt", InvCommitNoAttempt, func(s []*Span) []*Span {
-			s[1].Tags["outcome"] = "error"
+			s[1].SetTag(TagOutcome, "error")
 			return s
 		}},
 		{"compose count short", InvComposeCount, func(s []*Span) []*Span {
-			s[12].Attrs[AttrComposes] = 1 // 3 summaries, 1 compose + 1 apply
+			s[12].SetAttr(AttrComposes, 1) // 3 summaries, 1 compose + 1 apply
 			return s
 		}},
 		{"combiner count short", InvComposeCount, func(s []*Span) []*Span {
-			s[14].Attrs[AttrComposes] = 2 // 4 summaries need 3
+			s[14].SetAttr(AttrComposes, 2) // 4 summaries need 3
 			return s
 		}},
 		{"owner fold count short", InvComposeCount, func(s []*Span) []*Span {
-			s[17].Attrs[AttrApplies] = 2 // 3 summaries, 2 applies
+			s[17].SetAttr(AttrApplies, 2) // 3 summaries, 2 applies
 			return s
 		}},
 		{"single-summary combine", InvComposeCount, func(s []*Span) []*Span {
-			s[14].Attrs = map[string]int64{AttrSummaries: 1, AttrComposes: 0}
+			withSlots(s[14], []attr{{AttrSummaries, 1}, {AttrComposes, 0}}, nil)
 			return s
 		}},
 		{"chunk keeps more than it read", InvBatchRecords, func(s []*Span) []*Span {
-			s[15].Attrs[AttrBatchRecords] = 11
-			s[16].Attrs[AttrBatchRecords] = 11
+			s[15].SetAttr(AttrBatchRecords, 11)
+			s[16].SetAttr(AttrBatchRecords, 11)
 			return s
 		}},
 		{"exec disagrees with parse", InvBatchRecords, func(s []*Span) []*Span {
-			s[16].Attrs[AttrBatchRecords] = 7
+			s[16].SetAttr(AttrBatchRecords, 7)
 			return s
 		}},
 		{"parse span without batch count", InvBatchRecords, func(s []*Span) []*Span {
-			delete(s[15].Attrs, AttrBatchRecords)
+			withoutAttr(s[15], AttrBatchRecords)
 			return s
 		}},
 		{"exec span without batch count", InvBatchRecords, func(s []*Span) []*Span {
-			delete(s[16].Attrs, AttrBatchRecords)
+			withoutAttr(s[16], AttrBatchRecords)
 			return s
 		}},
 		{"group composed twice", InvGroupOnce, func(s []*Span) []*Span {
@@ -182,7 +208,7 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 		}},
 		{"task time exceeds cluster", InvCPUBound, func(s []*Span) []*Span {
 			// One attempt claims 10× the whole job's wall-clock budget.
-			s[0].Attrs[AttrParallelism] = 1
+			s[0].SetAttr(AttrParallelism, 1)
 			s[1].Start = s[0].Start
 			s[1].End = s[0].Start + 10*(s[0].End-s[0].Start)
 			s[0].End = s[1].End + ms // keep containment satisfied
@@ -222,10 +248,9 @@ func TestVerifierToleratesRetriedReduce(t *testing.T) {
 	// the duplicate compose it performed.
 	retry := *spans[10]
 	retry.ID = 90
-	retry.Attrs = map[string]int64{AttrTask: 0, AttrAttempt: 2, AttrGroups: 2}
-	retry.Tags = map[string]string{"outcome": "ok"}
-	spans[10].Tags["outcome"] = "error"
-	spans[11].Attrs[AttrAttempt] = 2 // commit belongs to the clean attempt
+	withSlots(&retry, []attr{{AttrTask, 0}, {AttrAttempt, 2}, {AttrGroups, 2}}, []tag{{TagOutcome, "ok"}})
+	spans[10].SetTag(TagOutcome, "error")
+	spans[11].SetAttr(AttrAttempt, 2) // commit belongs to the clean attempt
 	dup := *spans[12]
 	dup.ID = 91
 	spans = append(spans, &retry, &dup)
@@ -236,7 +261,7 @@ func TestVerifierToleratesRetriedReduce(t *testing.T) {
 
 func TestCheckErrorNamesInvariant(t *testing.T) {
 	spans := goodTrace()
-	spans[0].Attrs[AttrWireBytes] = 1 << 40
+	spans[0].SetAttr(AttrWireBytes, 1<<40)
 	err := (Verifier{}).Check(spans)
 	if err == nil {
 		t.Fatal("expected error")
@@ -253,8 +278,8 @@ func TestCheckErrorNamesInvariant(t *testing.T) {
 // while one that resumed from a prefix and folded the rest does.
 func TestVerifierServeCache(t *testing.T) {
 	job := func(segs, cached, prefix, mapped int64, kinds ...string) []*Span {
-		spans := []*Span{{ID: 1, Kind: KindJob, Name: "serve/G1/github", Start: 10, End: 100, Attrs: map[string]int64{
-			AttrSegments: segs, AttrCachedSegments: cached, AttrPrefixSegments: prefix, AttrMappedSegments: mapped}}}
+		spans := []*Span{withSlots(&Span{ID: 1, Kind: KindJob, Name: "serve/G1/github", Start: 10, End: 100},
+			[]attr{{AttrSegments, segs}, {AttrCachedSegments, cached}, {AttrPrefixSegments, prefix}, {AttrMappedSegments, mapped}}, nil)}
 		for i, k := range kinds {
 			spans = append(spans, &Span{ID: int64(2 + i), Parent: 1, Kind: k, Start: 20, End: 30})
 		}

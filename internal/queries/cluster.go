@@ -21,10 +21,7 @@ import (
 // any process that constructs the specs can serve worker assignments.
 func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
 	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		return core.SympleMapper(q, core.SympleOptions{
-			Combine:  spec.Combine,
-			MemoSize: spec.MemoSize,
-		}, trace)
+		return core.SympleMapper(q, core.SympleOptions{Combine: spec.Combine}, trace)
 	})
 	cluster.RegisterJobCombiner(id, func(spec cluster.JobSpec, trace *obs.Trace) (cluster.GroupCombiner, error) {
 		return core.SympleCombiner(q, trace)
@@ -50,7 +47,6 @@ func ClusterSpec(id string, conf mapreduce.Config, opt core.SympleOptions) clust
 		NumReducers: conf.NumReducers,
 		Compress:    conf.CompressShuffle,
 		Combine:     opt.Combine,
-		MemoSize:    opt.MemoSize,
 	}
 }
 

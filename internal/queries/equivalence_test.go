@@ -198,11 +198,13 @@ func resumedFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) se
 
 // bundleSites folds the same per-segment bundles at the two sites that
 // need the query's types: a StreamComposer per key (a chunk per
-// segment, delivered last-first and empty where the key is absent) and
-// the partition owner's combiner, whose constant bundle a session then
-// applies as the coordinator-side reducer would. absent counts the
-// (key, segment) pairs with no bundle.
-func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer, owner serve.Result, absent int) {
+// segment, delivered last-first and empty where the key is absent; a
+// one-event group's chunk is its event's summary, the composer being a
+// summary-only API) and the partition owner's combiner, whose constant
+// bundle a session then applies as the coordinator-side reducer would.
+// absent counts the (key, segment) pairs with no bundle, events those
+// whose bundle is an event.
+func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer, owner serve.Result, absent, events int) {
 	t.Helper()
 	r := run.(*serveRunner[S, E, R])
 	rows := map[string][]mapreduce.Shuffled{}
@@ -223,7 +225,12 @@ func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles 
 			var sums []*sym.Summary[S]
 			if data, ok := bundles[i][key]; ok {
 				d := wire.NewDecoder(data)
-				for n := d.Uvarint(); n > 0; n-- {
+				n := d.Uvarint()
+				if n == 0 {
+					events++
+					sums = eventSummary(t, r.q, d)
+				}
+				for ; n > 0; n-- {
 					s, err := sym.DecodeSummary(r.q.NewState, d)
 					if err != nil {
 						t.Fatal(err)
@@ -250,11 +257,29 @@ func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles 
 		constant[key] = out[0].Value
 	}
 	composer.Digest, composer.NumResults = digestResults(results, r.format)
-	return composer, sessionFold(t, run, []map[string][]byte{constant}), absent
+	return composer, sessionFold(t, run, []map[string][]byte{constant}), absent, events
+}
+
+// eventSummary decodes the event d holds and returns its summary.
+func eventSummary[S sym.State, E, R any](t *testing.T, q *core.Query[S, E, R], d *wire.Decoder) []*sym.Summary[S] {
+	t.Helper()
+	ev, err := q.DecodeEvent(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := sym.NewExecutor(q.NewState, q.Update, q.Options)
+	if err := x.Feed(ev); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := x.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
 }
 
 // typedSites instantiates bundleSites for each query's types.
-var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) (composer, owner serve.Result, absent int){
+var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) (composer, owner serve.Result, absent, events int){
 	"G1": bundleSites[*g1State, int64, bool],
 	"G2": bundleSites[*g2State, int64, []int64],
 	"G3": bundleSites[*g3State, int64, []int64],
@@ -270,8 +295,9 @@ var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) 
 }
 
 // TestFoldSitesAgree pins the one-fold claim on all 12 queries: every
-// place an ordered summary list becomes a state goes through sym.Folder
-// and produces the sequential digest. Two sites run as whole jobs — the
+// place an ordered list of bundles — summary lists and one-event groups'
+// events — becomes a state goes through sym.Folder and produces the
+// sequential digest. Two sites run as whole jobs — the
 // in-process reducer and the w2w partition owner (SympleCombiner, whose
 // constant summary the coordinator-side reducer then applies) — and
 // four fold the very same per-segment bundles: the query service's
@@ -281,7 +307,7 @@ var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) 
 func TestFoldSitesAgree(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
 	eps := chaosWorkers(t, 2)
-	absent := 0
+	absent, events, bundleCount := 0, 0, 0
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
@@ -308,8 +334,12 @@ func TestFoldSitesAgree(t *testing.T) {
 			bundles := segmentBundles(t, spec.ID, segs)
 			session := sessionFold(t, serve.Lookup(spec.ID), bundles)
 			resumed := resumedFold(t, serve.Lookup(spec.ID), bundles)
-			composer, combiner, n := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
+			composer, combiner, n, ev := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
 			absent += n
+			events += ev
+			for _, b := range bundles {
+				bundleCount += len(b)
+			}
 			for _, got := range []struct {
 				site    string
 				digest  uint64
@@ -331,5 +361,8 @@ func TestFoldSitesAgree(t *testing.T) {
 	}
 	if absent == 0 {
 		t.Error("every key appeared in every segment: the absent-key case went untested")
+	}
+	if events == 0 || events == bundleCount {
+		t.Errorf("%d of %d bundles were events: both forms must be folded", events, bundleCount)
 	}
 }

@@ -13,7 +13,10 @@ import (
 // query schema and several mapper-split widths — and, over the same
 // executor runs, that the bundle a map task appends straight from the
 // executor's paths is byte for byte the snapshot API's
-// (EncodeSummaryBundle over Finish), combined and not. A second pass
+// (EncodeSummaryBundle over Finish), combined and not — and, for a group
+// of one event, that its event bundle folds to the state its summary's
+// does, from the initial state and from seeded random prefixes, without
+// writing them. A second pass
 // under a live-path cap of 1 makes keys restart, so multi-summary
 // bundles and the combiner's in-site composition are compared too. The
 // subtests run in parallel so the race detector also exercises
@@ -34,8 +37,11 @@ func TestMetamorphicComposition(t *testing.T) {
 				if rep.Keys == 0 && rep.Skipped == 0 {
 					t.Fatalf("splits=%d: vacuous check — no groups produced summaries", splits)
 				}
-				t.Logf("splits=%d: %d keys, %d summaries, %d triples, %d skipped",
-					splits, rep.Keys, rep.Summaries, rep.Triples, rep.Skipped)
+				if rep.Events < rep.Keys {
+					t.Fatalf("splits=%d: %d one-event groups checked for %d keys", splits, rep.Events, rep.Keys)
+				}
+				t.Logf("splits=%d: %d keys, %d summaries, %d triples, %d skipped, %d one-event groups",
+					splits, rep.Keys, rep.Summaries, rep.Triples, rep.Skipped, rep.Events)
 				checkedTriples += rep.Triples
 			}
 			if checkedTriples == 0 {

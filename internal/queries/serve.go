@@ -27,7 +27,7 @@ func registerServeQuery[S sym.State, E, R any](
 ) {
 	serve.Register(id, &serveRunner[S, E, R]{id: id, q: q, format: format,
 		empty:  &servePrefix[S, E, R]{res: digestMerged(nil, nil, nil)},
-		schema: sync.OnceValues(func() (*sym.Schema[S], error) { return sym.NewSchema(q.NewState) }),
+		schema: sync.OnceValues(q.Schema),
 		mappers: sync.OnceValues(func() (func(*obs.Trace) mapreduce.MapFunc, error) {
 			return core.SympleMappers(q, core.SympleOptions{})
 		})})

@@ -29,24 +29,27 @@ func (p *servePrefix[S, E, R]) encodeStates() []byte {
 // and SymIntVector's shared backing arrays included) eight sessions at
 // once resume from one prefix and fold the remaining segments over it —
 // as a job's overlay, as a tail's refresh loop that freezes as it goes,
-// and with bundles of zero summaries — and read its result; -race sees
-// a write the moment it happens, and the prefix's states encode to the
+// and as the remaining segments' one-event groups alone, each an Update
+// run on a copy of a shared state — and read its result; -race sees a
+// write the moment it happens, and the prefix's states encode to the
 // same bytes afterwards.
 func TestServePrefixIsFrozen(t *testing.T) {
 	datasets := smallDatasets(8)
-	var noSummaries wire.Encoder
-	noSummaries.Uvarint(0)
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			run := serve.Lookup(spec.ID)
 			bundles := segmentBundles(t, spec.ID, datasets[spec.Dataset])
 			const k = 4
-			atPrefix, atEnd := sessionFold(t, run, bundles[:k]), sessionFold(t, run, bundles)
-			empty := map[string][]byte{}
-			for key := range bundles[0] {
-				empty[key] = noSummaries.Bytes()
+			// events: the event bundles of the segments after the prefix.
+			var events []map[string][]byte
+			for _, b := range bundles[k:] {
+				e := maps.Clone(b)
+				maps.DeleteFunc(e, func(_ string, v []byte) bool { return v[0] != 0 })
+				events = append(events, e)
 			}
+			atPrefix, atEnd := sessionFold(t, run, bundles[:k]), sessionFold(t, run, bundles)
+			atEvents := sessionFold(t, run, append(slices.Clone(bundles[:k]), events...))
 
 			sess, err := run.NewSession()
 			if err != nil {
@@ -95,15 +98,17 @@ func TestServePrefixIsFrozen(t *testing.T) {
 								sess.Freeze()
 							}
 						}
-					case 2: // the memoised result, then folds that fold nothing
-						want = atPrefix
-						if got, _ := sess.Result(); got != want {
-							t.Errorf("result over the prefix %+v, want %+v", got, want)
+					case 2: // the memoised result, then the events alone
+						if got, _ := sess.Result(); got != atPrefix {
+							t.Errorf("result over the prefix %+v, want %+v", got, atPrefix)
 						}
-						if err := sess.Fold(empty); err != nil {
-							t.Error(err)
-							return
+						for _, b := range events {
+							if err := sess.Fold(b); err != nil {
+								t.Error(err)
+								return
+							}
 						}
+						want = atEvents
 					}
 					if got, _ := sess.Result(); got != want {
 						t.Errorf("session %d: result %+v, want %+v", g, got, want)

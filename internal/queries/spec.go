@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,8 +61,9 @@ type Spec struct {
 	// ComposeCheck runs the metamorphic composition properties over this
 	// query's schema on real summaries: associativity of summary
 	// composition (§3.6), ComposeAll equivalence with the sequential
-	// apply fold, and the map task's bundle — appended straight from the
-	// executor's paths — against the snapshot API's. splits controls how
+	// apply fold, the map task's bundle — appended straight from the
+	// executor's paths — against the snapshot API's, and a one-event
+	// group's event bundle against its summary's. splits controls how
 	// many mapper slices each group's event stream is cut into (more
 	// slices → more summaries per group); opts replaces the query's
 	// symbolic options when non-zero (a low path cap makes keys restart).
@@ -77,6 +79,7 @@ type ComposeReport struct {
 	Skipped   int // groups skipped because composition hit a path cap
 	Bundles   int // (slice, key) bundles compared byte for byte
 	Combined  int // of those, restarted ones also compared combined
+	Events    int // one-event groups whose event bundle was folded beside its summary's
 }
 
 // SymTypesString renders the Table 1 "Sym Types Used" cell.
@@ -176,7 +179,12 @@ func makeSpec[S sym.State, E, R any](
 //     in exactly n−1 pairwise compositions;
 //  3. the bundle a map task appends straight from the executor's paths
 //     is, byte for byte, the encoded Finish snapshot — and for a key
-//     that restarted, with the combiner, the encoded ComposeAll of it.
+//     that restarted, with the combiner, the encoded ComposeAll of it;
+//  4. a group of one event — every one-event slice, and a seeded random
+//     event of every key — ships the event, and its bundle folds to the
+//     state its summary's bundle does, from the initial state and from
+//     the state the key's earlier events reach, neither written by a
+//     fold from it (a frozen serve prefix's shape).
 //
 // Equivalence is judged on the formatted query result after applying to
 // the initial state — the observable output, which is what the paper's
@@ -189,13 +197,14 @@ func composeCheck[S sym.State, E, R any](
 	segs []*mapreduce.Segment,
 	splits int,
 ) (*ComposeReport, error) {
-	sc, err := sym.NewSchema(q.NewState)
+	sc, err := q.Schema()
 	if err != nil {
 		return nil, err
 	}
 	if splits < 1 {
 		splits = 1
 	}
+	r := rand.New(rand.NewSource(int64(splits)))
 	// Group events per key across all segments in (segment, record)
 	// order — the §5.4 shuffle order the reducers see.
 	events := make(map[string][]E)
@@ -214,9 +223,13 @@ func composeCheck[S sym.State, E, R any](
 	}
 	rep := &ComposeReport{}
 	x := sym.NewSchemaExecutor(sc, q.Update, q.Options)
-	fresh := true
+	site := sym.NewFolder(sc)
 	for _, key := range order {
 		evs := events[key]
+		at := r.Intn(len(evs))
+		if err := checkEvent(x, site, evs[:at], evs[at], rep); err != nil {
+			return nil, fmt.Errorf("key %q, event %d: %w", key, at, err)
+		}
 		// Cut the group's event stream into contiguous slices, one
 		// executor run per slice, and concatenate the summary lists —
 		// exactly what `splits` independent mappers would shuffle.
@@ -227,15 +240,15 @@ func composeCheck[S sym.State, E, R any](
 		}
 		for i := 0; i < p; i++ {
 			lo, hi := i*len(evs)/p, (i+1)*len(evs)/p
-			if !fresh {
-				x.Reset()
-			}
-			fresh = false
+			x.Reset()
 			if err := x.FeedBatch(evs[lo:hi]); err != nil {
 				return nil, fmt.Errorf("key %q: %w", key, err)
 			}
 			ss, err := x.Finish()
-			if err == nil {
+			switch {
+			case err == nil && hi-lo == 1:
+				err = checkEvent(x, site, evs[:lo], evs[lo], rep)
+			case err == nil:
 				err = checkBundle(x, evs[lo:hi], rep)
 			}
 			if err != nil {
@@ -343,6 +356,64 @@ func checkBundle[S sym.State, E any](x *sym.Executor[S, E], evs []E, rep *Compos
 	}
 	rep.Combined++
 	return nil
+}
+
+// checkEvent is composeCheck's property 4 for event e of a key whose
+// events before it are prefix.
+func checkEvent[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], prefix []E, e E, rep *ComposeReport) error {
+	bundle := func(evs []E) ([]byte, error) {
+		var enc wire.Encoder
+		x.Reset()
+		err := x.FeedBatch(evs)
+		if err == nil {
+			_, err = x.AppendBundle(&enc)
+		}
+		return enc.Bytes(), err
+	}
+	event, err := bundle([]E{e})
+	if err != nil {
+		return err
+	}
+	sums, err := x.Finish() // e explored: its summary
+	if err != nil {
+		return err
+	}
+	if event[0] != 0 {
+		return fmt.Errorf("a group of one event shipped %d summaries", event[0])
+	}
+	starts := []*sym.FoldState[S]{site.NewState(), site.NewState()}
+	if len(prefix) > 0 {
+		b, err := bundle(prefix)
+		if err == nil {
+			_, err = site.AddBundle(starts[1], b)
+		}
+		if err != nil {
+			return fmt.Errorf("folding the events before it: %w", err)
+		}
+	}
+	summary, got, want := sym.EncodeSummaryBundle(sums), site.NewState(), site.NewState()
+	for i, src := range starts {
+		before := foldStateBytes(src)
+		_, errE := site.AddBundleFrom(got, src, event)
+		_, errS := site.AddBundleFrom(want, src, summary)
+		switch {
+		case errE != nil || errS != nil:
+			return fmt.Errorf("start state %d: event bundle %v, summary bundle %v", i, errE, errS)
+		case !bytes.Equal(foldStateBytes(got), foldStateBytes(want)):
+			return fmt.Errorf("start state %d: the event bundle folds to another state than its summary's", i)
+		case !bytes.Equal(foldStateBytes(src), before):
+			return fmt.Errorf("start state %d was written by a fold from it", i)
+		}
+	}
+	rep.Events++
+	return nil
+}
+
+// foldStateBytes is st in canonical form.
+func foldStateBytes[S sym.State](st *sym.FoldState[S]) []byte {
+	var enc wire.Encoder
+	st.Encode(&enc)
+	return enc.Bytes()
 }
 
 // checkApplied applies head then rest to the initial state and compares

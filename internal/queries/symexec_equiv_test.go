@@ -8,19 +8,20 @@ import (
 )
 
 // TestSympleOptsEquivalence pins the symbolic runtime to the sequential
-// reference across the SympleOptions values: memoization on, off and
-// under constant eviction, and the mapper-side combiner. Every
-// configuration must produce the sequential digest on all 12 queries.
+// reference across memoization on, off and under constant eviction (the
+// memo test hook), and the mapper-side combiner. Every configuration
+// must produce the sequential digest on all 12 queries.
 func TestSympleOptsEquivalence(t *testing.T) {
 	configs := []struct {
 		name string
+		memo int
 		opt  core.SympleOptions
 	}{
-		{"memo", core.SympleOptions{}},
-		{"nomemo", core.SympleOptions{MemoSize: -1}},
-		{"tinymemo", core.SympleOptions{MemoSize: 2}}, // constant eviction
-		{"combine", core.SympleOptions{Combine: true}},
-		{"combine-nomemo", core.SympleOptions{Combine: true, MemoSize: -1}},
+		{"memo", 0, core.SympleOptions{}},
+		{"nomemo", -1, core.SympleOptions{}},
+		{"tinymemo", 2, core.SympleOptions{}}, // constant eviction
+		{"combine", 0, core.SympleOptions{Combine: true}},
+		{"combine-nomemo", -1, core.SympleOptions{Combine: true}},
 	}
 	for _, segments := range []int{1, 4} {
 		datasets := smallDatasets(segments)
@@ -33,7 +34,9 @@ func TestSympleOptsEquivalence(t *testing.T) {
 			}
 			t.Run(spec.ID, func(t *testing.T) {
 				for _, cfg := range configs {
+					restore := core.SetMemoSizeForTest(cfg.memo)
 					got, err := spec.SympleOpts(segs, mapreduce.Config{NumReducers: 3}, cfg.opt)
+					restore()
 					if err != nil {
 						t.Fatalf("segments=%d %s: %v", segments, cfg.name, err)
 					}
@@ -62,7 +65,9 @@ func TestSympleOptsMemoStats(t *testing.T) {
 	if on.Sym.MemoHits+on.Sym.MemoMisses == 0 || on.Sym.RunProbes == 0 {
 		t.Fatalf("G1 with memo reported no memo traffic or no run probes: %+v", on.Sym)
 	}
-	off, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
+	restore := core.SetMemoSizeForTest(-1)
+	off, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}

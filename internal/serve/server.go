@@ -314,7 +314,7 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 			Attr(obs.AttrPrefixSegments, int64(st.prefix)).
 			Attr(obs.AttrMappedSegments, int64(st.mapped))
 		if errMsg != "" {
-			root.Tag("outcome", errMsg)
+			root.Tag(obs.TagOutcome, errMsg)
 		}
 		root.End()
 		switch errMsg {
@@ -340,7 +340,7 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 	case <-p.ready:
 	case <-ctx.Done():
 		if s.admit.cancel(p) {
-			qs.Tag("outcome", "cancelled").End()
+			qs.Tag(obs.TagOutcome, "cancelled").End()
 			settle(Result{}, 0, "cancelled")
 			return
 		}
@@ -491,7 +491,7 @@ func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
 	fs := jt.Start(obs.KindFold, query).Attr(obs.AttrSegments, int64(len(segs)))
 	for i, p := range parts {
 		if err := sess.FoldPart(p); err != nil {
-			fs.Tag("outcome", "error").End()
+			fs.Tag(obs.TagOutcome, "error").End()
 			return err
 		}
 		if n := from + i + 1; n == admit {

@@ -45,21 +45,20 @@ const (
 )
 
 // FeedBatch processes a key's event vector. Equivalent to calling Feed
-// on each event in order; a returned error is sticky.
+// on each event in order; a returned error is sticky. One event right
+// after a Reset, given the event codec, is recorded, not explored: a
+// group of it ships the event (AppendBundle).
 func (x *Executor[S, E]) FeedBatch(evs []E) (err error) {
-	if x.err != nil {
-		return x.err
+	if err := x.flush(); err != nil || len(evs) == 0 {
+		return err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			x.err = f.err
-			err = f.err
-		}
-	}()
+	defer x.catch(&err)
+	if x.empty && len(evs) == 1 && x.encodeEvent != nil {
+		x.empty, x.lone, x.pending, x.one = false, true, true, evs[0]
+		x.stats.Records++
+		return nil
+	}
+	x.empty, x.lone = false, false
 	if !x.eqInit {
 		x.initEq()
 	}
@@ -127,6 +126,9 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	// other events pay the cache scan.
 	if x.err != nil || len(evs) == 0 || x.eq == nil || !x.identHotSet {
 		return nil
+	}
+	if len(evs) == 1 && x.encodeEvent != nil {
+		return nil // a lone event ships itself, whatever keys ran before
 	}
 	hot, scan := x.identHotEv, x.identScan
 	for i := 0; i < len(evs); i++ {

@@ -56,6 +56,9 @@ type Stats struct {
 	// with a single transition probe (identity skip or transition
 	// powering) instead of per-record processing.
 	RunProbes int
+	// Events counts the one-event groups AppendBundle shipped as their
+	// event (bundle.go).
+	Events int
 }
 
 // Executor runs a UDA's Update function over a stream of records,
@@ -164,6 +167,14 @@ type Executor[S State, E any] struct {
 	// summary of one fresh symbolic path — built at first need
 	// (IdentityBundle).
 	identBundle []byte
+	// encodeEvent is the schema's event codec, nil when it has none for
+	// E. empty: nothing fed since the last Reset. lone: the group is the
+	// single event one, which AppendBundle ships; pending: FeedBatch
+	// recorded it without feeding it, which flush does for the APIs that
+	// read the paths (Finish) or feed more.
+	encodeEvent          func(*wire.Encoder, E)
+	one                  E
+	empty, lone, pending bool
 }
 
 // NewExecutor returns an executor starting from a fresh symbolic state:
@@ -181,7 +192,9 @@ func NewSchemaExecutor[S State, E any](sc *Schema[S], update func(*Ctx, S, E), o
 		containers: containers[S]{sc: sc},
 		update:     update,
 		opts:       opts.withDefaults(),
+		empty:      true,
 	}
+	x.encodeEvent, _ = sc.encodeEvent.(func(*wire.Encoder, E))
 	x.paths = []*pathState[S]{x.fresh()}
 	x.maxSeen = 1
 	x.stats.MaxLive = 1
@@ -224,21 +237,36 @@ func (x *Executor[S, E]) WithMemo(m *Memo[S, E]) *Executor[S, E] {
 // Feed processes one input record, advancing every live path. A returned
 // error (path explosion, overflow) is sticky: the executor is dead.
 func (x *Executor[S, E]) Feed(rec E) (err error) {
-	if x.err != nil {
-		return x.err
+	if err := x.flush(); err != nil {
+		return err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			x.err = f.err
-			err = f.err
-		}
-	}()
+	defer x.catch(&err)
+	x.empty, x.lone = false, false
 	x.feed(rec)
 	return nil
+}
+
+// catch turns an aborted operation (fail) into the executor's sticky
+// error; deferred by every entry point that runs Update.
+func (x *Executor[S, E]) catch(err *error) {
+	if r := recover(); r != nil {
+		f, ok := r.(failure)
+		if !ok {
+			panic(r)
+		}
+		x.err, *err = f.err, f.err
+	}
+}
+
+// flush feeds a pending lone event and returns the sticky error.
+func (x *Executor[S, E]) flush() (err error) {
+	if x.err == nil && x.pending {
+		defer x.catch(&err)
+		x.pending = false
+		x.stats.Records-- // counted when FeedBatch took it
+		x.feed(x.one)
+	}
+	return x.err
 }
 
 func (x *Executor[S, E]) feed(rec E) {
@@ -414,8 +442,8 @@ func (x *Executor[S, E]) composeOnto(next []*pathState[S], p *pathState[S], tr *
 // task never materializes summaries — it appends each key's bundle
 // straight from the paths (AppendBundle).
 func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
-	if x.err != nil {
-		return nil, x.err
+	if err := x.flush(); err != nil {
+		return nil, err
 	}
 	out := make([]*Summary[S], 0, len(x.done)+1)
 	for _, ps := range append(x.done[:len(x.done):len(x.done)], x.paths) {
@@ -429,15 +457,22 @@ func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
 	return out, nil
 }
 
-// AppendBundle appends to e the summary bundle of everything fed since
-// the last Reset — the summaries closed by restarts, then the live paths
-// — and returns how many summaries that is. The bytes are exactly
+// AppendBundle appends to e the bundle of everything fed since the last
+// Reset — a lone event FeedBatch took, or the summaries closed by
+// restarts and then the live paths (bundle.go) — and returns how many
+// elements that is. The summary form's bytes are exactly
 // EncodeSummaryBundle(Finish()), without a Summary in between: each path
 // set is compacted in place (which preserves its semantics, so feeding
 // may continue) and encoded from the executor's own containers.
 func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 	if x.err != nil {
 		return 0, x.err
+	}
+	if x.lone {
+		e.Uvarint(0)
+		x.encodeEvent(e, x.one)
+		x.stats.Events++
+		return 1, nil
 	}
 	e.Uvarint(uint64(len(x.done) + 1))
 	for i, ps := range x.done {
@@ -504,6 +539,7 @@ func (x *Executor[S, E]) Reset() {
 	x.paths[0].resetSymbolic()
 	x.maxSeen = 1
 	x.fastConcrete = false
+	x.empty, x.lone, x.pending = true, false, false
 	// noForkRun deliberately survives Reset: forking behavior is a
 	// property of the query's Update function and event mix, not of the
 	// group, so a quiet streak learned on one group's stream carries to

@@ -14,13 +14,18 @@ import (
 // map task does — IdentityBundle, else Reset, FeedBatch, Combine when
 // asked, AppendBundle — and holds every key's bytes to the snapshot API
 // on an executor of the key's own: EncodeSummaryBundle over Finish, and
-// over ComposeAll of it when the key restarted and the combiner is on.
-// It returns how many keys took the identity shortcut, restarted, and
-// were combined, so callers can reject a vacuous pass.
+// over ComposeAll of it when the key restarted and the combiner is on —
+// or, with the event codec and a key of one event, to that event's
+// bundle. It returns how many keys took the identity shortcut,
+// restarted, were combined and shipped an event, so callers can reject
+// a vacuous pass.
 func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
-	opts Options, memo bool, keys [][]int64) (ident, restarted, combined int) {
+	opts Options, memo, events bool, keys [][]int64) (ident, restarted, combined, evented int) {
 	t.Helper()
 	sc := newSchema(newState)
+	if events {
+		sc = eventSchema(t, newState, update)
+	}
 	site := NewSchemaExecutor(sc, update, opts)
 	if memo {
 		site = site.WithMemo(NewMemo[S, int64](sc, 8))
@@ -45,6 +50,10 @@ func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx
 				}
 			}
 			want := EncodeSummaryBundle(snap)
+			if events && len(evs) == 1 {
+				want, snap = eventBundle(evs[0]), snap[:1]
+				evented++
+			}
 
 			got := site.IdentityBundle(evs)
 			if got != nil {
@@ -78,7 +87,7 @@ func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx
 			}
 		}
 	}
-	return ident, restarted, combined
+	return ident, restarted, combined, evented
 }
 
 // siteKeys is a seeded key mix in the shapes a high-cardinality chunk
@@ -120,15 +129,20 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 	}
 	for oi, opts := range caps {
 		for _, memo := range []bool{false, true} {
+			// Both forms, each with and without a memo across the caps.
+			events := memo != (oi == 1)
 			r := rand.New(rand.NewSource(int64(100 + oi)))
-			var restarted, combined int
-			tally := func(_, rs, cb int) { restarted, combined = restarted+rs, combined+cb }
-			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, memo, siteKeys(r, 300, 30)))
-			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, memo, siteKeys(r, 300, 40)))
-			tally(checkSiteBundles(t, newLogState, logUpdate, opts, memo, siteKeys(r, 200, 25)))
-			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, memo, siteKeys(r, 300, 2)))
+			var restarted, combined, evented int
+			tally := func(_, rs, cb, ev int) { restarted, combined, evented = restarted+rs, combined+cb, evented+ev }
+			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, memo, events, siteKeys(r, 300, 30)))
+			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, memo, events, siteKeys(r, 300, 40)))
+			tally(checkSiteBundles(t, newLogState, logUpdate, opts, memo, events, siteKeys(r, 200, 25)))
+			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, memo, events, siteKeys(r, 300, 2)))
 			if opts.MaxLivePaths == 1 && (restarted == 0 || combined == 0) {
 				t.Errorf("cap 1, memo %v: %d keys restarted, %d combined — the multi-summary bundle went unchecked", memo, restarted, combined)
+			}
+			if events && evented == 0 {
+				t.Errorf("memo %v: no key shipped its event", memo)
 			}
 		}
 	}
@@ -143,8 +157,13 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		}
 		keys = append(keys, evs)
 	}
-	if ident, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, keys); ident < 100 {
+	if ident, _, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, false, keys); ident < 100 {
 		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
+	}
+	// With the event codec a lone zero ships as itself, whatever the
+	// identity cache has learnt: the form depends on the group alone.
+	if ident, _, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev == 0 {
+		t.Errorf("with events: %d keys took the identity bundle and %d their event", ident, ev)
 	}
 }
 
@@ -202,7 +221,8 @@ func TestExecSiteResetAfterError(t *testing.T) {
 // keys of one or two records — allocates what the Values allocate (the
 // assumption a forked SymPred path records, the element a closing
 // session pushes) and nothing per key for the site itself: no summary,
-// no container, no path list; and however many chunks follow the first,
+// no container, no path list; a key of one event, shipped as itself,
+// allocates nothing at all; and however many chunks follow the first,
 // the schema builds no container.
 func TestExecSiteAllocCeiling(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
@@ -214,11 +234,17 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 			keys[k] = append(keys[k], keys[k][0]+int64(r.Intn(30)))
 		}
 	}
-	sc := newSchema(newPredState)
+	sc := eventSchema(t, newPredState, sessionUpdate)
 	site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions()).
 		WithMemo(NewMemo[*predState, int64](sc, DefaultMemoSize))
 	var enc wire.Encoder
-	chunk := func() {
+	var lone [][]int64
+	for _, evs := range keys {
+		if len(evs) == 1 {
+			lone = append(lone, evs)
+		}
+	}
+	run := func(keys [][]int64) {
 		for _, evs := range keys {
 			site.Reset()
 			if err := site.FeedBatch(evs); err != nil {
@@ -230,12 +256,16 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 			}
 		}
 	}
+	chunk := func() { run(keys) }
 	chunk()
 	base := sc.Allocated()
 	// Allocation counts are not meaningful under the race detector; the
 	// container count is.
 	if perKey := testing.AllocsPerRun(5, chunk) / nkeys; perKey > 4 && !raceEnabled {
 		t.Errorf("%.2f allocations per key on a warm site, want at most 4", perKey)
+	}
+	if got := testing.AllocsPerRun(5, func() { run(lone) }); got != 0 && !raceEnabled {
+		t.Errorf("%v allocations for %d one-event keys, want none", got, len(lone))
 	}
 	if got := sc.Allocated(); got != base {
 		t.Errorf("the schema built %d containers after the first chunk", got-base)

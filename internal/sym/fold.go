@@ -6,15 +6,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Folder is a fold site: the one way an ordered summary list becomes a
+// Folder is a fold site: the one way an ordered list of bundles becomes a
 // state, the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. A site owns
 // the machinery of folding — the containers a bundle decodes into, two
 // spare states and the Env — and a key owns nothing but its FoldState,
 // so a reduce attempt, an owner combiner or a serve session holds one
 // Folder and folds every key through it. A bundle's life is wire bytes
 // → site-owned containers → CopyFrom(admitting path) + Concretize
-// against the current state into a spare → swap: steady state, the
-// only allocations are the ones Value.Decode and Value.Concretize make.
+// against the current state into a spare → swap, and an event bundle's
+// is wire bytes → the current state copied into a spare → Update → swap:
+// steady state, the only allocations are the ones Value.Decode,
+// Value.Concretize and the query's event decoder and Update make.
 //
 // Applying onto a concrete state costs O(paths) per summary and cannot
 // hit a path cap, where summary∘summary composition is a cross product
@@ -31,6 +33,7 @@ type Folder[S State] struct {
 	// one and writes another, and the committed one is never written.
 	spare [2]*pathState[S]
 	env   Env
+	ctx   Ctx // runs Update for an event bundle
 	dec   wire.Decoder
 	// paths[:ends[len(ends)-1]] hold the decoded bundle, summary i's
 	// paths ending at ends[i]; the containers persist across calls and
@@ -88,11 +91,10 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 	return nil
 }
 
-// AddBundle decodes one encoded summary bundle (EncodeSummaryBundle)
-// into the site's containers and applies it onto st, returning how many
-// summaries it folded. The whole bundle is decoded first, so a corrupt
-// one is rejected with nothing applied; an apply error leaves st as Add
-// does.
+// AddBundle decodes one encoded bundle (bundle.go) and applies it onto
+// st, returning how many elements it folded: its summaries, or 1 for an
+// event. The whole bundle is decoded first, so a corrupt one is rejected
+// with nothing applied; an apply error leaves st as Add does.
 func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) {
 	return f.AddBundleFrom(st, st, data)
 }
@@ -100,24 +102,33 @@ func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) 
 // AddBundleFrom is AddBundle reading one state and writing another: dst
 // becomes src with the bundle applied, and src — when it is not dst — is
 // only read, so a frozen state shared between fold sites can be folded
-// from by all of them at once. On error dst is what it was.
+// from by all of them at once. An event runs Update on a copy of src in
+// a spare, committed by swap like a summary's result. On error dst is
+// what it was.
 func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) (n int, err error) {
 	defer catchFailure(&err)
-	if err := f.decode(data); err != nil {
+	event, err := f.decode(data)
+	if err != nil {
 		return 0, err
 	}
-	cur, lo := (*pathState[S])(src), 0
+	cur := (*pathState[S])(src)
+	if event {
+		out := f.spareAt(0)
+		out.copyFrom(cur)
+		if err := f.sc.applyEvent(&f.ctx, out.s, &f.dec); err != nil {
+			return 0, err
+		}
+		commit(dst, out)
+		return 1, nil
+	}
+	lo := 0
 	for i, hi := range f.ends {
 		if cur, err = f.step(cur, f.paths[lo:hi], i, len(f.ends)); err != nil {
 			return 0, err
 		}
 		lo = hi
 	}
-	if cur == (*pathState[S])(src) && src != dst { // no summaries: dst is a copy
-		(*pathState[S])(dst).copyFrom(cur)
-	} else {
-		commit(dst, cur)
-	}
+	commit(dst, cur)
 	return len(f.ends), nil
 }
 
@@ -128,11 +139,7 @@ func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*p
 		if !admitsFields(p.fs, cur.fs) {
 			continue
 		}
-		out := f.spare[i&1]
-		if out == nil {
-			out = f.sc.newContainer()
-			f.spare[i&1] = out
-		}
+		out := f.spareAt(i & 1)
 		f.sc.captureEnv(&f.env, cur.fs)
 		for fi, v := range out.fs {
 			v.CopyFrom(p.fs[fi])
@@ -143,6 +150,14 @@ func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*p
 	return nil, fmt.Errorf("sym: applying summary %d/%d: %w", i+1, n, ErrNoPath)
 }
 
+// spareAt returns spare i, built at first need.
+func (f *Folder[S]) spareAt(i int) *pathState[S] {
+	if f.spare[i] == nil {
+		f.spare[i] = f.sc.newContainer()
+	}
+	return f.spare[i]
+}
+
 // commit swaps the spare a call ended on with the key's state.
 func commit[S State](st *FoldState[S], cur *pathState[S]) {
 	if p := (*pathState[S])(st); cur != p {
@@ -150,14 +165,22 @@ func commit[S State](st *FoldState[S], cur *pathState[S]) {
 	}
 }
 
-// decode reads one bundle into f.paths/f.ends. Trailing bytes are an
-// error: a bundle is a complete unit, not a stream prefix.
-func (f *Folder[S]) decode(data []byte) error {
+// decode reads one bundle: a summary list into f.paths/f.ends, or, for
+// an event bundle, nothing — event reports it, and f.dec is left at the
+// event for the schema's codec. Trailing bytes are an error: a bundle is
+// a complete unit, not a stream prefix.
+func (f *Folder[S]) decode(data []byte) (event bool, err error) {
 	d := &f.dec
 	d.Reset(data)
 	n := d.Length(d.Remaining() + 1)
 	if err := d.Err(); err != nil {
-		return err
+		return false, err
+	}
+	if n == 0 {
+		if f.sc.applyEvent == nil {
+			return false, fmt.Errorf("%w: an event bundle, but the query has no event codec", wire.ErrCorrupt)
+		}
+		return true, nil
 	}
 	f.ends = f.ends[:0]
 	used := 0
@@ -171,14 +194,14 @@ func (f *Folder[S]) decode(data []byte) error {
 			used++
 		}
 		if err != nil {
-			return fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
+			return false, fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
 		}
 		f.ends = append(f.ends, used)
 	}
 	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after summary bundle", wire.ErrCorrupt, d.Remaining())
+		return false, fmt.Errorf("%w: %d trailing bytes after summary bundle", wire.ErrCorrupt, d.Remaining())
 	}
-	return nil
+	return false, nil
 }
 
 // catchFailure turns an aborted symbolic operation (fail) into the

@@ -131,6 +131,34 @@ func stateBytes[S State](st *FoldState[S]) []byte {
 	return e.Bytes()
 }
 
+// int64Codec is the event codec of the tests' int64 events.
+var int64Codec = struct {
+	encode func(*wire.Encoder, int64)
+	decode func(*wire.Decoder) (int64, error)
+}{
+	func(e *wire.Encoder, v int64) { e.Varint(v) },
+	func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
+}
+
+// eventSchema compiles newState's plan with the int64 event codec, so a
+// one-event group ships its event.
+func eventSchema[S State](tb testing.TB, newState func() S, update func(*Ctx, S, int64)) *Schema[S] {
+	tb.Helper()
+	sc, err := NewEventSchema(newState, update, int64Codec.encode, int64Codec.decode)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc
+}
+
+// eventBundle is the bundle of a group holding the one int64 event ev.
+func eventBundle(ev int64) []byte {
+	e := wire.NewEncoder(8)
+	e.Uvarint(0)
+	e.Varint(ev)
+	return e.Bytes()
+}
+
 // copyOfState returns a new state of site f holding st's contents.
 func copyOfState[S State](f *Folder[S], st *FoldState[S]) *FoldState[S] {
 	c := f.NewState()
@@ -150,16 +178,29 @@ func sessionChunk(r *rand.Rand) []int64 {
 	return evs
 }
 
+// failEvent is the event failingSession aborts on.
+const failEvent = -1
+
+// failingSession is sessionUpdate aborting, after it has written the
+// state, on failEvent.
+func failingSession(ctx *Ctx, s *predState, e int64) {
+	sessionUpdate(ctx, s, e)
+	if e == failEvent {
+		fail(ErrOverflow)
+	}
+}
+
 // TestFoldBundleErrorContract: a bundle whose second summary admits no
-// path leaves the state byte-equal to before the call, and the next good
-// bundle folds as if the bad one never arrived — on the reducer's shape
-// (one state, Reset per key) and the session's (a state per key); a
-// corrupt bundle is rejected with nothing applied.
+// path, and an event whose Update fails after writing, each leave the
+// state byte-equal to before the call, and the next good bundle folds as
+// if the bad one never arrived — on the reducer's shape (one state,
+// Reset per key) and the session's (a state per key); a corrupt bundle,
+// summaries or event, is rejected with nothing applied.
 func TestFoldBundleErrorContract(t *testing.T) {
 	for _, shape := range []string{"reset per key", "state per key"} {
 		t.Run(shape, func(t *testing.T) {
 			r := rand.New(rand.NewSource(11))
-			sc := newSchema(newPredState)
+			sc := eventSchema(t, newPredState, failingSession)
 			site, ref := NewFolder(sc), NewFolder(sc)
 			keys := map[string]*FoldState[*predState]{}
 			one := site.NewState()
@@ -209,14 +250,27 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				if _, err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: trailing byte: err %v, want ErrCorrupt", trial, err)
 				}
+				if _, err := site.AddBundle(st, eventBundle(failEvent)); !errors.Is(err, ErrOverflow) {
+					t.Fatalf("trial %d: failing event: err %v, want ErrOverflow", trial, err)
+				}
+				ev := eventBundle(int64(r.Intn(40)))
+				if _, err := site.AddBundle(st, ev[:1]); !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("trial %d: truncated event: err %v, want ErrCorrupt", trial, err)
+				}
+				if _, err := site.AddBundle(st, append(bytes.Clone(ev), 0)); !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("trial %d: trailing byte after an event: err %v, want ErrCorrupt", trial, err)
+				}
 				if got := stateBytes(st); !bytes.Equal(got, before) {
-					t.Fatalf("trial %d: corrupt bundle moved the state", trial)
+					t.Fatalf("trial %d: corrupt bundle or failed event moved the state", trial)
 				}
 
 				// The next good bundle lands where it would have without
 				// the failures: fold it on a copy taken before them.
 				want := copyOfState(ref, st)
 				next := EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))
+				if trial%2 == 0 {
+					next = ev
+				}
 				if _, err := ref.AddBundle(want, next); err != nil {
 					t.Fatal(err)
 				}
@@ -235,14 +289,16 @@ func TestFoldBundleErrorContract(t *testing.T) {
 // site and checks, after every bundle, that no state the site handed
 // out changed except the one folded onto: every bundle is decoded over
 // the storage of the last one in the site's containers, and CopyFrom
-// shares slices with them. One key's state is frozen early and from then
-// on only folded *from* (AddBundleFrom): it must not change either.
-// elems reads a state's vector contents (what a Result would retain).
-func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update func(*Ctx, S, E),
-	chunk func(*rand.Rand) []E, elems func(S) []int64) {
+// shares slices with them; a third of the bundles are events, which run
+// Update on a copy of the state sharing its slices. One key's state is
+// frozen early and from then on only folded *from* (AddBundleFrom): it
+// must not change either. elems reads a state's vector contents (what a
+// Result would retain).
+func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
+	chunk func(*rand.Rand) []int64, elems func(S) []int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(5))
-	sc := newSchema(newState)
+	sc := eventSchema(t, newState, update)
 	site := NewFolder(sc)
 	const nkeys = 6
 	states := make([]*FoldState[S], nkeys)
@@ -263,6 +319,9 @@ func checkSiteAliasing[S State, E any](t *testing.T, newState func() S, update f
 			sums = append(sums, chunkSums(t, sc, update, chunk(r))...)
 		}
 		data := EncodeSummaryBundle(sums)
+		if r.Intn(3) == 0 {
+			data = eventBundle(chunk(r)[0])
+		}
 		if k == frozen && step >= 40 {
 			// A resumed session's shape: fold from the frozen prefix
 			// into a state of the job's own.
@@ -445,10 +504,11 @@ func t1ShapeUpdate(ctx *Ctx, s *t1Shape, spam int64) {
 }
 
 // TestFoldAllocCeiling: on a warm site a fold allocates the one thing
-// that outlives it — the vector Concretize builds for the key's state —
-// and nothing per bundle, per summary, per path or per key: the stock
-// Values decode into the storage the site's containers kept; and however
-// many folds, the site holds the containers it started with.
+// that outlives it — the vector Concretize (or an event's Update) builds
+// for the key's state — and nothing per bundle, per summary, per path or
+// per key: the stock Values decode into the storage the site's
+// containers kept; and however many folds, the site holds the
+// containers it started with.
 func TestFoldAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -487,6 +547,22 @@ func TestFoldAllocCeiling(t *testing.T) {
 		}, sc.Allocated)
 	}
 	{
+		// Most of B3's groups: one event, shipped as itself, applied by
+		// Update on a copy — which closes the state's open session and so
+		// pushes one element, the one allocation.
+		sc := eventSchema(t, newPredState, sessionUpdate)
+		site := NewFolder(sc)
+		st := site.NewState()
+		data := eventBundle(50)
+		check("B3 event", 1, func() int {
+			site.Reset(st)
+			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
+				t.Fatalf("AddBundle = %d, %v", n, err)
+			}
+			return 1
+		}, sc.Allocated)
+	}
+	{
 		sc := newSchema(newT1Shape)
 		site := NewFolder(sc)
 		st := site.NewState()
@@ -503,11 +579,11 @@ func TestFoldAllocCeiling(t *testing.T) {
 }
 
 // TestFoldAddBundleFrom: folding from one state into another leaves the
-// source exactly as it was — whether the bundle has summaries, none, or
-// one that fails to apply — so a frozen state can be the source of any
-// number of folds.
+// source exactly as it was — whether the bundle has summaries, is an
+// event, or has a summary that fails to apply — so a frozen state can be
+// the source of any number of folds.
 func TestFoldAddBundleFrom(t *testing.T) {
-	f := NewFolder(newSchema(newIntState(math.MinInt64)))
+	f := NewFolder(eventSchema(t, newIntState(math.MinInt64), maxUpdate))
 	src := f.NewState()
 	if err := f.Add(src, maxChunkSummaries(t, []int64{5})); err != nil {
 		t.Fatal(err)
@@ -534,10 +610,10 @@ func TestFoldAddBundleFrom(t *testing.T) {
 	check("two summaries", dst, 8)
 
 	dst = f.NewState()
-	if n, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle[*intState](nil)); err != nil || n != 0 {
-		t.Fatalf("empty bundle = %d, %v", n, err)
+	if n, err := f.AddBundleFrom(dst, src, eventBundle(2)); err != nil || n != 1 {
+		t.Fatalf("event bundle = %d, %v", n, err)
 	}
-	check("no summaries", dst, 5)
+	check("an event", dst, 5)
 	// The copy is dst's own: folding onto it leaves the source alone too.
 	if _, err := f.AddBundle(dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
 		t.Fatal(err)

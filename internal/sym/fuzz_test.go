@@ -1,8 +1,13 @@
 package sym
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"strings"
 	"testing"
 
+	"repro/internal/fuzzseed"
 	"repro/internal/wire"
 )
 
@@ -69,4 +74,192 @@ func FuzzSymIntDecode(f *testing.F) {
 			t.Fatalf("decode/encode not idempotent: %+v vs %+v", got, again)
 		}
 	})
+}
+
+var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
+	"regenerate testdata/fuzz-seeds/bundles from the current encoder")
+
+// bundleSite folds fuzzed bundles for one schema. Its fold site's start
+// state is a genuine prefix, so a fold that wrongly wrote it shows.
+type bundleSite struct {
+	name string
+	fold func(t *testing.T, data []byte) error
+}
+
+// bundleSites are the two schemas the bundle corpus is cut for: "pred",
+// the B3 shape with int64 events, and "count", R1's counter with
+// zero-byte struct{} events.
+func bundleSites() []bundleSite {
+	return []bundleSite{
+		{"pred", siteFold(newPredState, sessionUpdate, int64Codec.encode, int64Codec.decode, []int64{3, 40})},
+		{"count", siteFold(newR1Shape, r1ShapeUpdate, func(*wire.Encoder, struct{}) {},
+			func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() }, []struct{}{{}, {}})},
+	}
+}
+
+// siteFold returns a fold of data through a fresh site of the schema,
+// from a state prefix reached and into a state of its own (the resumed
+// serve session's shape) and in place: on error neither state may
+// change, and the prefix never does.
+func siteFold[S State, E any](newState func() S, update func(*Ctx, S, E),
+	encode func(*wire.Encoder, E), decode func(*wire.Decoder) (E, error), prefix []E) func(*testing.T, []byte) error {
+	return func(t *testing.T, data []byte) error {
+		sc, err := NewEventSchema(newState, update, encode, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := NewFolder(sc)
+		src := site.NewState()
+		if _, err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, update, prefix))); err != nil {
+			t.Fatal(err)
+		}
+		dst := site.NewState()
+		frozen, before := stateBytes(src), stateBytes(dst)
+		_, errFrom := site.AddBundleFrom(dst, src, data)
+		if !bytes.Equal(stateBytes(src), frozen) {
+			t.Fatalf("folding from the prefix wrote it (err %v)", errFrom)
+		}
+		if errFrom != nil && !bytes.Equal(stateBytes(dst), before) {
+			t.Fatalf("a rejected bundle moved the destination: %v", errFrom)
+		}
+		_, err = site.AddBundle(src, data)
+		if err != nil && !bytes.Equal(stateBytes(src), frozen) {
+			t.Fatalf("a rejected bundle moved the state: %v", err)
+		}
+		if (err == nil) != (errFrom == nil) {
+			t.Fatalf("in place: %v; into another state: %v", err, errFrom)
+		}
+		return err
+	}
+}
+
+// bundleSeedCorpus builds the committed bundle corpus. Names are
+// load-bearing: valid-<site>-* must fold at that site, corrupt-<site>-*
+// must be rejected there, and corrupt-any-* at every site; each count-0
+// form is here — an event, a zero-byte event, a truncated event, trailing
+// bytes after one.
+func bundleSeedCorpus(t *testing.T) []fuzzseed.Seed {
+	pred := EncodeSummaryBundle(append(chunkSums(t, newSchema(newPredState), sessionUpdate, []int64{50, 55}),
+		chunkSums(t, newSchema(newPredState), sessionUpdate, []int64{7})...))
+	count := EncodeSummaryBundle(chunkSums(t, newSchema(newR1Shape), r1ShapeUpdate, []struct{}{{}, {}, {}}))
+	forged := wire.NewEncoder(4)
+	forged.Uvarint(1 << 20)
+	return []fuzzseed.Seed{
+		{Name: "valid-pred-summaries.bin", Data: pred},
+		{Name: "valid-pred-event.bin", Data: eventBundle(55)},
+		{Name: "valid-count-summary.bin", Data: count},
+		{Name: "valid-count-zero-byte-event.bin", Data: []byte{0}},
+		{Name: "corrupt-pred-zero-byte-event.bin", Data: []byte{0}}, // an int64 event cut to nothing
+		{Name: "corrupt-pred-summaries-truncated.bin", Data: pred[:len(pred)/2]},
+		{Name: "corrupt-pred-summaries-trailing.bin", Data: append(bytes.Clone(pred), 0)},
+		{Name: "corrupt-any-empty.bin", Data: []byte{}},
+		{Name: "corrupt-any-truncated-event.bin", Data: []byte{0, 0x80}},
+		{Name: "corrupt-any-event-trailing.bin", Data: append(eventBundle(55), 1)},
+		{Name: "corrupt-any-forged-count.bin", Data: forged.Bytes()},
+	}
+}
+
+// TestUpdateBundleFuzzSeeds regenerates the committed corpus when run
+// with -update-fuzz-seeds; otherwise it only checks the generator runs.
+func TestUpdateBundleFuzzSeeds(t *testing.T) {
+	corpus := bundleSeedCorpus(t)
+	if !*updateFuzzSeeds {
+		t.Skipf("generator healthy (%d seeds); pass -update-fuzz-seeds to rewrite testdata/fuzz-seeds/bundles", len(corpus))
+	}
+	if err := fuzzseed.Update("bundles", corpus); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFuzzSeedBundleCorpus holds every committed bundle seed to its
+// name at every site (siteFold checks the states).
+func TestFuzzSeedBundleCorpus(t *testing.T) {
+	seeds, err := fuzzseed.Load("bundles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var valid, corrupt int
+	for _, s := range seeds {
+		verdict, site, ok := strings.Cut(s.Name, "-")
+		site, _, _ = strings.Cut(site, "-")
+		if !ok || (verdict != "valid" && verdict != "corrupt") {
+			t.Fatalf("%s: seed name must be valid-<site>-… or corrupt-<site>-…", s.Name)
+		}
+		for _, bs := range bundleSites() {
+			err := bs.fold(t, s.Data)
+			switch {
+			case verdict == "valid" && site == bs.name && err != nil:
+				t.Errorf("%s: rejected at %s: %v", s.Name, bs.name, err)
+			case verdict == "corrupt" && (site == bs.name || site == "any") && err == nil:
+				t.Errorf("%s: accepted at %s", s.Name, bs.name)
+			}
+		}
+		if verdict == "valid" {
+			valid++
+		} else {
+			corrupt++
+		}
+	}
+	if valid < 4 || corrupt < 7 {
+		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
+	}
+}
+
+// FuzzBundleFold feeds arbitrary bytes to a fold site as a bundle, at
+// both schemas: it must never panic, a rejected bundle must leave the
+// state it was folded onto as it was, and no fold may write the state it
+// was folded from.
+func FuzzBundleFold(f *testing.F) {
+	seeds, err := fuzzseed.Load("bundles")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range seeds {
+		f.Add(s.Data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, bs := range bundleSites() {
+			_ = bs.fold(t, data)
+		}
+	})
+}
+
+// TestBundleCountZeroIsAnEvent pins the format rule: a count of 0 always
+// announces an event — even one its codec writes as zero bytes, whose
+// bundle is the single byte a zero count is — so no summary list may be
+// empty, and a query without an event codec rejects the bundle.
+func TestBundleCountZeroIsAnEvent(t *testing.T) {
+	sc, err := NewEventSchema(newR1Shape, r1ShapeUpdate, func(*wire.Encoder, struct{}) {},
+		func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewSchemaExecutor(sc, r1ShapeUpdate, DefaultOptions())
+	if err := x.FeedBatch([]struct{}{{}}); err != nil {
+		t.Fatal(err)
+	}
+	var enc wire.Encoder
+	if n, err := x.AppendBundle(&enc); err != nil || n != 1 || !bytes.Equal(enc.Bytes(), []byte{0}) {
+		t.Fatalf("a one-impression group shipped %x (%d elements, %v), want the lone byte 00", enc.Bytes(), n, err)
+	}
+	site := NewFolder(sc)
+	st := site.NewState()
+	for i := 0; i < 3; i++ {
+		if n, err := site.AddBundle(st, enc.Bytes()); err != nil || n != 1 {
+			t.Fatalf("AddBundle = %d, %v", n, err)
+		}
+	}
+	if got := st.State().Count.Get(); got != 3 {
+		t.Fatalf("three zero-byte events counted %d", got)
+	}
+	plain := NewFolder(newSchema(newR1Shape))
+	if _, err := plain.AddBundle(plain.NewState(), enc.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("without an event codec: %v, want ErrCorrupt", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an empty summary list was encoded")
+		}
+	}()
+	EncodeSummaryBundle[*r1Shape](nil)
 }

@@ -1,6 +1,10 @@
 package sym
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/wire"
+)
 
 // Schema is the compiled field plan of one State type: everything the
 // runtime needs to clone, merge, compose, apply and serialize states of
@@ -26,6 +30,12 @@ type Schema[S State] struct {
 	// type-asserted per field per record in Env/SymEnv capture.
 	scalarIn []bool
 	scalarTr []bool
+	// The query's event codec (NewEventSchema), nil without one:
+	// applyEvent decodes the one event d holds — trailing bytes are an
+	// error — and only then runs Update with it on s; encodeEvent is the
+	// func(*wire.Encoder, E) an Executor of the event type ships it with.
+	applyEvent  func(ctx *Ctx, s S, d *wire.Decoder) error
+	encodeEvent any
 
 	// allocated counts containers ever built on the plan. Tests use it
 	// to assert that long runs reuse what a site holds instead of

@@ -15,18 +15,24 @@ go vet ./...
 go build ./...
 # The unit leg runs every fuzz target's seed corpus as plain tests
 # (FuzzKeyPrefixOrder: the spill sort's prefix-first order against
-# strings.Compare) and the allocation ceilings of the two kinds of site
-# (TestExecSiteAllocCeiling, TestFoldAllocCeiling), which stand down
-# under the race detector.
+# strings.Compare; FuzzBundleFold and TestFuzzSeedBundleCorpus: the
+# committed bundle seeds, each form a count of 0 takes, at two schemas)
+# and the allocation ceilings of the two kinds of site, one-event groups
+# included (TestExecSiteAllocCeiling, TestFoldAllocCeiling), which stand
+# down under the race detector.
 go test ./...
 # The race leg covers the one SYMPLE engine end to end — the batched
 # chunk executor over a segment's index, built at first touch under
 # concurrent jobs (internal/mapreduce, internal/queries), and the scalar
 # fallback — and the sites' ownership rules: eight concurrent map tasks
 # over one exec-site pool, no container built after a site's first chunk
-# (internal/core, internal/sym), and the storage contract between a fold
-# site's decode containers and the states it hands out
-# (TestFoldSiteReuseNeverAliases, TestFoldResultOutlivesReset).
+# (internal/core, internal/sym), the storage contract between a fold
+# site's decode containers — or an event's Update on a copy — and the
+# states it hands out (TestFoldSiteReuseNeverAliases,
+# TestFoldResultOutlivesReset, TestServePrefixIsFrozen), and the
+# one-event differential on all 12 queries (TestMetamorphicComposition:
+# an event bundle folds to its summary's state from the initial state
+# and a reached one, which stays byte-equal).
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Short chaos sweep: seeded fault injection at every task boundary,
 # digests checked against the fault-free run — the shuffle shape, the

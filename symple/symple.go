@@ -88,7 +88,11 @@ type (
 
 // Query runtime (paper §1.2, §5.4).
 type (
-	// Query is a groupby-aggregate query with a UDA.
+	// Query is a groupby-aggregate query with a UDA. Its event codec
+	// (EncodeEvent/DecodeEvent) serves both engines that shuffle: the
+	// baseline ships every event, SYMPLE the event of a (mapper, key)
+	// group that holds exactly one; both rely on a decoded event looking
+	// the same to Update as the one encoded.
 	Query[S sym.State, E, R any] = core.Query[S, E, R]
 	// Output is an engine run's results and metrics.
 	Output[R any] = core.Output[R]
@@ -173,8 +177,7 @@ func RunSymple[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf C
 }
 
 // SympleOptions tunes the SYMPLE engine: a mapper-side combiner
-// (pre-composing each group's summaries before the shuffle) and the
-// record-transition memo's size.
+// (pre-composing each group's summaries before the shuffle).
 type SympleOptions = core.SympleOptions
 
 // RunSympleOpts is RunSymple with explicit engine options.
