@@ -100,8 +100,7 @@ type PoolStats struct {
 
 // Pool leases worker connections to concurrent map attempts.
 type Pool struct {
-	spec  JobSpec
-	chaos *ChaosPlan
+	spec JobSpec
 
 	w2w       bool
 	jobID     uint64
@@ -135,11 +134,6 @@ type Pool struct {
 
 // PoolOption configures NewPool.
 type PoolOption func(*Pool)
-
-// WithChaos injects a deterministic worker-fault plan (tests only).
-func WithChaos(plan *ChaosPlan) PoolOption {
-	return func(p *Pool) { p.chaos = plan }
-}
 
 // WithW2W switches the pool to the worker-to-worker shuffle topology.
 // The pool then also implements mapreduce.RemoteReducer; wire it into
@@ -512,14 +506,11 @@ func (p *Pool) markCached(ep Endpoint, digest uint64, procs int) {
 }
 
 // RunMap implements mapreduce.RemoteMapper: execute one map attempt on
-// some worker. Safe for concurrent calls; each call holds one lease.
-func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Segment) (*mapreduce.MapOutput, error) {
-	kind, after := p.chaos.decide(task, attempt)
-	if kind == ChaosPeerDrop && !p.w2w {
-		// No peer mesh to drop; keep the seeded schedule by taking the
-		// nearest equivalent worker-side death.
-		kind = ChaosWorkerAbort
-	}
+// some worker. Safe for concurrent calls; each call holds one lease. The
+// attempt's faults ride in the assignment for the worker to fire, and
+// the pool fires the run-recv fault as the runs arrive.
+func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Segment,
+	faults mapreduce.AttemptFaults) (*mapreduce.MapOutput, error) {
 	digest := wireDigest(seg)
 	if p.w2w {
 		// Retain the segment: a dead reduce owner is refilled by
@@ -531,10 +522,6 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 	w, err := p.acquire(ctx, task, attempt, digest)
 	if err != nil {
 		return nil, err
-	}
-	if kind == ChaosLoseWorker {
-		p.retire(w)
-		return nil, fmt.Errorf("cluster: worker lost before assignment (injected, task %d attempt %d)", task, attempt)
 	}
 	// ctx cancellation unblocks the socket read by closing the conn.
 	stop := context.AfterFunc(ctx, func() { w.conn.Close() })
@@ -551,9 +538,8 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 	p.mu.Unlock()
 	sendAssign := func(withPayload bool) error {
 		a := &assignment{
-			spec: p.spec, task: task, attempt: attempt, abortAfter: -1,
-			segID: seg.ID, segDigest: digest,
-			peerDropAfter: -1, refillPart: -1,
+			spec: p.spec, task: task, attempt: attempt, faults: faults,
+			segID: seg.ID, segDigest: digest, refillPart: -1,
 		}
 		if withPayload {
 			a.seg = seg
@@ -564,12 +550,6 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 			a.selfID = p.epIndex[w.ep]
 			a.owners = p.owners
 			a.addrs = p.addrs
-		}
-		switch kind {
-		case ChaosWorkerAbort:
-			a.abortAfter = after
-		case ChaosPeerDrop:
-			a.peerDropAfter = after
 		}
 		return w.fw.write(FrameAssign, encodeAssign(a))
 	}
@@ -584,12 +564,17 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 			return fail(fmt.Errorf("cluster: worker stream (task %d attempt %d): %w", task, attempt, err))
 		}
 		switch f.Type {
-		case FrameRun:
+		case FrameRun, FrameRunReceipt:
+			// Run payloads come via the coordinator, receipts under w2w.
+			decode := decodeRun
 			if p.w2w {
-				return fail(fmt.Errorf("%w: run payload on a w2w attempt stream", ErrFrame))
+				decode = decodeRunReceipt
+			}
+			if (f.Type == FrameRunReceipt) != p.w2w {
+				return fail(fmt.Errorf("%w: frame type %d on a w2w=%v attempt stream", ErrFrame, f.Type, p.w2w))
 			}
 			p.shuffleIn.Add(int64(len(f.Payload)))
-			r, err := decodeRun(f.Payload)
+			r, err := decode(f.Payload)
 			if err != nil {
 				return fail(err)
 			}
@@ -598,29 +583,9 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 					ErrFrame, r.Task, r.Attempt, task, attempt))
 			}
 			out.Runs = append(out.Runs, r)
-			if kind == ChaosDropConn && len(out.Runs) > after {
-				p.retire(w)
-				return nil, fmt.Errorf("cluster: connection dropped mid-stream (injected, task %d attempt %d after %d runs)",
-					task, attempt, len(out.Runs))
-			}
-		case FrameRunReceipt:
-			if !p.w2w {
-				return fail(fmt.Errorf("%w: run receipt on a via-coordinator attempt stream", ErrFrame))
-			}
-			p.shuffleIn.Add(int64(len(f.Payload)))
-			r, err := decodeRunReceipt(f.Payload)
-			if err != nil {
-				return fail(err)
-			}
-			if r.Task != task || r.Attempt != attempt {
-				return fail(fmt.Errorf("%w: receipt for task %d attempt %d on stream for task %d attempt %d",
-					ErrFrame, r.Task, r.Attempt, task, attempt))
-			}
-			out.Runs = append(out.Runs, r)
-			if kind == ChaosDropConn && len(out.Runs) > after {
-				p.retire(w)
-				return nil, fmt.Errorf("cluster: connection dropped mid-stream (injected, task %d attempt %d after %d runs)",
-					task, attempt, len(out.Runs))
+			// A kill or error here drops the connection mid-stream.
+			if err := faults.Fire(ctx, mapreduce.PointRunRecv, int64(len(out.Runs)-1)); err != nil {
+				return fail(fmt.Errorf("cluster: dropping the connection (task %d attempt %d): %w", task, attempt, err))
 			}
 		case FrameSpans:
 			spans, err := decodeSpans(f.Payload)
@@ -671,13 +636,15 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 }
 
 // RunReduce implements mapreduce.RemoteReducer: run one reduce attempt
-// for a partition on its owning worker. If the owner reports committed
-// runs it never received (it restarted, or chaos dropped its state),
-// the pool refills them — re-running each missing committed attempt
-// over its retained segment, pushing only this partition — and asks
-// again. One refill round per attempt; the engine's retry budget
-// handles the rest.
-func (p *Pool) RunReduce(ctx context.Context, part, attempt int, commits []mapreduce.Run) (*mapreduce.ReduceOutput, error) {
+// for a partition on its owning worker, its faults in the request. If
+// the owner reports committed runs it never received (it restarted, or
+// an injected kill lost its state), the pool refills them — re-running
+// each missing committed attempt over its retained segment, pushing only
+// this partition — and asks again; the owner fires the faults only once
+// it has every run, so at most once per attempt. One refill round per
+// attempt; the engine's retry budget handles the rest.
+func (p *Pool) RunReduce(ctx context.Context, part, attempt int, commits []mapreduce.Run,
+	faults mapreduce.AttemptFaults) (*mapreduce.ReduceOutput, error) {
 	if !p.w2w {
 		return nil, errors.New("cluster: RunReduce requires the worker-to-worker topology (WithW2W)")
 	}
@@ -689,11 +656,9 @@ func (p *Pool) RunReduce(ctx context.Context, part, attempt int, commits []mapre
 	for i, c := range commits {
 		reqCommits[i] = taskAttempt{task: c.Task, attempt: c.Attempt}
 	}
-	drop := p.chaos.decideReduce(part, attempt)
 	refilled := false
 	for {
-		out, missing, err := p.reduceOnce(ctx, owner, part, reqCommits, drop)
-		drop = false
+		out, missing, err := p.reduceOnce(ctx, owner, part, reqCommits, faults)
 		if err != nil {
 			return nil, err
 		}
@@ -747,7 +712,8 @@ func (p *Pool) dropOwnerConn(oc *ownerConn) {
 }
 
 // reduceOnce runs one reduce conversation with the owner.
-func (p *Pool) reduceOnce(ctx context.Context, owner, part int, commits []taskAttempt, drop bool) (*mapreduce.ReduceOutput, []taskAttempt, error) {
+func (p *Pool) reduceOnce(ctx context.Context, owner, part int, commits []taskAttempt,
+	faults mapreduce.AttemptFaults) (*mapreduce.ReduceOutput, []taskAttempt, error) {
 	oc, err := p.reduceConn(ctx, owner)
 	if err != nil {
 		return nil, nil, err
@@ -763,7 +729,7 @@ func (p *Pool) reduceOnce(ctx context.Context, owner, part int, commits []taskAt
 		}
 		return nil, nil, err
 	}
-	req := &reduceReq{jobID: p.jobID, spec: p.spec, part: part, dropState: drop, commits: commits}
+	req := &reduceReq{jobID: p.jobID, spec: p.spec, part: part, faults: faults, commits: commits}
 	if err := w.fw.write(FrameReduce, encodeReduce(req)); err != nil {
 		return fail(fmt.Errorf("cluster: sending reduce request (part %d): %w", part, err))
 	}
@@ -811,7 +777,7 @@ func (p *Pool) reduceOnce(ctx context.Context, owner, part int, commits []taskAt
 // refill re-derives missing committed runs: each missing (task,
 // attempt) is re-run over the task's retained segment on some free
 // worker, pushing only the affected partition to its owner, with no
-// receipts, no spans, and no chaos — the original attempt already
+// receipts, no spans, and no faults — the original attempt already
 // committed; this is recovery, not a new attempt.
 func (p *Pool) refill(ctx context.Context, part int, missing []taskAttempt) error {
 	for _, ta := range missing {
@@ -844,10 +810,9 @@ func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *map
 		return err
 	}
 	a := &assignment{
-		spec: p.spec, task: ta.task, attempt: ta.attempt, abortAfter: -1,
+		spec: p.spec, task: ta.task, attempt: ta.attempt,
 		w2w: true, jobID: p.jobID, selfID: p.epIndex[w.ep],
-		owners: p.owners, addrs: p.addrs,
-		peerDropAfter: -1, refillPart: part,
+		owners: p.owners, addrs: p.addrs, refillPart: part,
 		segID: seg.ID, segDigest: digest, seg: seg,
 	}
 	if err := w.fw.write(FrameAssign, encodeAssign(a)); err != nil {

@@ -35,8 +35,11 @@ import (
 // nothing else. Version 6 carries the event bundle — a one-event group's
 // event in place of its summary — in runs and reduce replies, which a
 // v5 peer would misread; the job spec lost the memo size; and span
-// attributes and tags travel as key bytes, not names.
-const ProtocolVersion = 6
+// attributes and tags travel as key bytes, not names. Version 7 carries
+// an attempt's armed faults as one field of assign and reduce, in place
+// of the three ad-hoc fault fields before it, which a v6 peer would
+// misread.
+const ProtocolVersion = 7
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

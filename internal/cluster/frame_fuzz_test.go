@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +24,11 @@ func seedAssignment() *assignment {
 		spec: JobSpec{
 			Query: "G1", NumReducers: 3, Compress: true, Combine: true,
 		},
-		task: 4, attempt: 1, abortAfter: -1,
-		peerDropAfter: -1, refillPart: -1,
+		task: 4, attempt: 1, refillPart: -1,
+		faults: mapreduce.AttemptFaults{
+			{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: 17},
+			{Point: mapreduce.PointRunSend, Kind: mapreduce.KindDelay, At: 1, Delay: 1500 * time.Microsecond},
+		},
 		segID: 4, segDigest: 0xFEEDFACE,
 		seg: &mapreduce.Segment{
 			ID: 4,
@@ -55,6 +59,8 @@ func seedReduce() *reduceReq {
 		jobID: 77,
 		spec:  JobSpec{Query: "G1", NumReducers: 3, Compress: true, Combine: true},
 		part:  2,
+		faults: mapreduce.AttemptFaults{
+			{Point: mapreduce.PointReduceMid, Kind: mapreduce.KindError, At: 2}},
 		commits: []taskAttempt{
 			{task: 0, attempt: 0}, {task: 1, attempt: 2}, {task: 2, attempt: 0},
 		},
@@ -160,6 +166,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-frame-trailing.bin", Data: append(append([]byte(nil), run...), 0xAB)},
 		{Name: "corrupt-hello-magic.bin", Data: frame(FrameHello, helloWith(0xBADC0DE, ProtocolVersion))},
 		{Name: "corrupt-hello-version.bin", Data: frame(FrameHello, helloWith(helloMagic, ProtocolVersion+9))},
+		{Name: "corrupt-hello-v6.bin", Data: frame(FrameHello, helloWith(helloMagic, 6))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -188,6 +195,10 @@ func frameSeedCorpus() []fuzzseed.Seed {
 			Data: frame(FrameReduceDone, forgedReduceGroups())},
 		{Name: "corrupt-assign-forged-owner.bin",
 			Data: frame(FrameAssign, encodeAssign(forgedOwnerAssignment()))},
+		{Name: "corrupt-assign-forged-fault.bin",
+			Data: frame(FrameAssign, encodeAssign(forgedFaultAssignment()))},
+		{Name: "corrupt-reduce-forged-fault-count.bin",
+			Data: frame(FrameReduce, forgedReduceFaultCount())},
 		{Name: "corrupt-jobdone-trailing.bin",
 			Data: frame(FrameJobDone, append(encodeJobDone(77), 0x00))},
 		{Name: "corrupt-jobsubmit-trailing.bin",
@@ -233,9 +244,26 @@ func forgedReduceCommits() []byte {
 	e.Uvarint(77)
 	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
 	e.Uvarint(2)                    // part
-	e.Bool(false)                   // dropState
+	e.Uvarint(0)                    // no faults
 	e.Uvarint(maxReduceCommits + 1) // forged commit count
 	return e.Bytes()
+}
+
+// forgedReduceFaultCount claims more faults than the plan has points.
+func forgedReduceFaultCount() []byte {
+	e := wire.NewEncoder(32)
+	e.Uvarint(77)
+	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
+	e.Uvarint(2)                                           // part
+	e.Uvarint(uint64(len(mapreduce.AllFaultPoints()) + 1)) // forged fault count
+	return e.Bytes()
+}
+
+// forgedFaultAssignment carries a fault at a point no plan has.
+func forgedFaultAssignment() *assignment {
+	a := seedAssignment()
+	a.faults = mapreduce.AttemptFaults{{Point: mapreduce.FaultPoint(0xEE), Kind: mapreduce.KindKill}}
+	return a
 }
 
 // forgedReduceGroups claims a huge group count with no data.
@@ -260,7 +288,7 @@ func forgedAssignCount() []byte {
 	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
 	e.Uvarint(0)                     // task
 	e.Uvarint(0)                     // attempt
-	e.Varint(-1)                     // abortAfter
+	e.Uvarint(0)                     // no faults
 	e.Bool(false)                    // not w2w
 	e.Uvarint(0)                     // segment ID
 	e.Uvarint(0)                     // segment digest
@@ -479,11 +507,12 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Version 4 is the last whose assignments carried a columnar
-	// payload, and version 5 the last whose runs held summary bundles
-	// only — it would misread a one-event group's event as an empty
-	// summary list; peers still speaking either must be turned away at
+	// payload, version 5 the last whose runs held summary bundles only —
+	// it would misread a one-event group's event as an empty summary
+	// list — and version 6 the last with three ad-hoc fault fields in
+	// assign and reduce; peers still speaking any must be turned away at
 	// hello.
-	for _, v := range []uint64{4, 5} {
+	for _, v := range []uint64{4, 5, 6} {
 		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}
@@ -536,6 +565,23 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeAssign(encodeAssign(forgedOwnerAssignment())); err == nil {
 		t.Error("out-of-range partition owner accepted")
 	}
+	if _, err := decodeAssign(encodeAssign(forgedFaultAssignment())); err == nil {
+		t.Error("fault at an unknown point accepted")
+	}
+	for _, f := range []mapreduce.Fault{
+		{Point: mapreduce.PointMapStart, Kind: mapreduce.FaultKind(9)},
+		{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: -1},
+		{Point: mapreduce.PointMapEmit, Kind: mapreduce.KindDelay, Delay: time.Hour},
+	} {
+		req := seedReduce()
+		req.faults = mapreduce.AttemptFaults{f}
+		if _, err := decodeReduce(encodeReduce(req)); err == nil {
+			t.Errorf("out-of-range fault %+v accepted", f)
+		}
+	}
+	if _, err := decodeReduce(forgedReduceFaultCount()); err == nil {
+		t.Error("forged fault count accepted")
+	}
 	if _, err := decodeJobDone(append(encodeJobDone(7), 0x00)); err == nil {
 		t.Error("trailing garbage after job done accepted")
 	}
@@ -583,7 +629,7 @@ func TestAssignRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.spec != a.spec || got.task != a.task || got.attempt != a.attempt ||
-		got.abortAfter != a.abortAfter || got.seg.ID != a.seg.ID {
+		!slices.Equal(got.faults, a.faults) || got.seg.ID != a.seg.ID {
 		t.Fatalf("assignment metadata diverged: %+v vs %+v", got, a)
 	}
 	if len(got.seg.Records) != len(a.seg.Records) {
@@ -600,14 +646,13 @@ func TestAssignRoundTrip(t *testing.T) {
 // tables, digest-only form, refill markers.
 func TestAssignW2WRoundTrip(t *testing.T) {
 	a := seedAssignmentW2W()
-	a.peerDropAfter = 2
 	a.refillPart = 1
 	got, err := decodeAssign(encodeAssign(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.w2w || got.jobID != a.jobID || got.selfID != a.selfID ||
-		got.peerDropAfter != 2 || got.refillPart != 1 || got.segDigest != a.segDigest {
+		!slices.Equal(got.faults, a.faults) || got.refillPart != 1 || got.segDigest != a.segDigest {
 		t.Fatalf("w2w assignment metadata diverged: %+v vs %+v", got, a)
 	}
 	if len(got.owners) != len(a.owners) || len(got.addrs) != len(a.addrs) {
@@ -668,7 +713,7 @@ func TestW2WCodecRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotReq.jobID != req.jobID || gotReq.spec != req.spec || gotReq.part != req.part ||
-		gotReq.dropState != req.dropState || len(gotReq.commits) != len(req.commits) {
+		!slices.Equal(gotReq.faults, req.faults) || len(gotReq.commits) != len(req.commits) {
 		t.Fatalf("reduce request diverged: %+v vs %+v", gotReq, req)
 	}
 	for i := range req.commits {

@@ -85,10 +85,9 @@ type assignment struct {
 	spec    JobSpec
 	task    int
 	attempt int
-	// abortAfter, when ≥ 0, instructs the worker to abort the
-	// connection after streaming that many runs — the deterministic
-	// worker-death injection the chaos plans drive. -1 disables.
-	abortAfter int
+	// faults are what the job's plan armed for the attempt, fired by the
+	// worker at their points (appendFaults).
+	faults mapreduce.AttemptFaults
 	// w2w switches the attempt to the worker-to-worker topology: the
 	// worker pushes runs straight to each partition's owner and sends
 	// the coordinator byte-counted receipts instead of run payloads.
@@ -99,10 +98,6 @@ type assignment struct {
 	// worker i's listen address for peer dials.
 	owners []int
 	addrs  []string
-	// peerDropAfter, when ≥ 0, closes the attempt's peer connections
-	// after that many pushes — the chaos peer-drop injection. -1
-	// disables.
-	peerDropAfter int
 	// refillPart, when ≥ 0, marks a refill re-execution: re-derive and
 	// re-push only that partition's run, with no receipts and no spans
 	// (the original attempt already committed). -1 is a normal attempt.
@@ -122,12 +117,52 @@ const maxSegmentRecords = 1 << 26
 // maxWorkers caps decoded topology tables (owners/addrs).
 const maxWorkers = 1 << 12
 
+// maxFaultDelay caps a decoded fault's stall: plans delay by
+// milliseconds, so anything near a second is forged.
+const maxFaultDelay = time.Second
+
+// appendFaults writes an attempt's armed faults — the one per-attempt
+// fault field of assign and reduce (protocol v7): count, then point,
+// kind, ordinal and delay per fault.
+func appendFaults(e *wire.Encoder, fs mapreduce.AttemptFaults) {
+	e.Uvarint(uint64(len(fs)))
+	for _, f := range fs {
+		e.Byte(byte(f.Point))
+		e.Byte(byte(f.Kind))
+		e.Varint(f.At)
+		e.Varint(int64(f.Delay))
+	}
+}
+
+// decodeFaults rejects a fault outside the plan's points and kinds, a
+// negative ordinal, or a delay no plan arms.
+func decodeFaults(d *wire.Decoder) (mapreduce.AttemptFaults, error) {
+	points, kinds := len(mapreduce.AllFaultPoints()), len(mapreduce.AllFaultKinds())
+	n := d.Length(points)
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	var fs mapreduce.AttemptFaults
+	for i := 0; i < n; i++ {
+		f := mapreduce.Fault{Point: mapreduce.FaultPoint(d.Byte()), Kind: mapreduce.FaultKind(d.Byte()),
+			At: d.Varint(), Delay: time.Duration(d.Varint())}
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		if int(f.Point) >= points || int(f.Kind) >= kinds || f.At < 0 || f.Delay < 0 || f.Delay > maxFaultDelay {
+			return nil, fmt.Errorf("%w: fault %+v outside the plan's range", ErrFrame, f)
+		}
+		fs = append(fs, f)
+	}
+	return fs, nil
+}
+
 func encodeAssign(a *assignment) []byte {
 	e := wire.NewEncoder(1 << 16)
 	appendJobSpec(e, a.spec)
 	e.Uvarint(uint64(a.task))
 	e.Uvarint(uint64(a.attempt))
-	e.Varint(int64(a.abortAfter))
+	appendFaults(e, a.faults)
 	e.Bool(a.w2w)
 	if a.w2w {
 		e.Uvarint(a.jobID)
@@ -140,7 +175,6 @@ func encodeAssign(a *assignment) []byte {
 		for _, s := range a.addrs {
 			e.String(s)
 		}
-		e.Varint(int64(a.peerDropAfter))
 		e.Varint(int64(a.refillPart))
 	}
 	e.Uvarint(uint64(a.segID))
@@ -160,12 +194,14 @@ func encodeAssign(a *assignment) []byte {
 func decodeAssign(payload []byte) (*assignment, error) {
 	d := wire.NewDecoder(payload)
 	a := &assignment{
-		spec:          decodeJobSpec(d),
-		task:          int(d.Uvarint()),
-		attempt:       int(d.Uvarint()),
-		abortAfter:    int(d.Varint()),
-		peerDropAfter: -1,
-		refillPart:    -1,
+		spec:       decodeJobSpec(d),
+		task:       int(d.Uvarint()),
+		attempt:    int(d.Uvarint()),
+		refillPart: -1,
+	}
+	var err error
+	if a.faults, err = decodeFaults(d); err != nil {
+		return nil, err
 	}
 	if d.Bool() {
 		a.w2w = true
@@ -187,7 +223,6 @@ func decodeAssign(payload []byte) (*assignment, error) {
 		for i := range a.addrs {
 			a.addrs[i] = d.String()
 		}
-		a.peerDropAfter = int(d.Varint())
 		a.refillPart = int(d.Varint())
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -536,10 +571,10 @@ type reduceReq struct {
 	jobID uint64
 	spec  JobSpec
 	part  int
-	// dropState injects the chaos reduce-owner death: the worker drops
-	// the partition's buffered runs and aborts the connection, so the
-	// retried attempt exercises the refill path.
-	dropState bool
+	// faults are the reduce attempt's, fired by the owner at the reduce
+	// points; a kill loses the partition's buffered runs with the
+	// connection, so the retried attempt exercises the refill path.
+	faults mapreduce.AttemptFaults
 	// commits is the coordinator's committed run list for the
 	// partition; the worker reduces exactly these and reports any it
 	// never received.
@@ -554,7 +589,7 @@ func encodeReduce(q *reduceReq) []byte {
 	e.Uvarint(q.jobID)
 	appendJobSpec(e, q.spec)
 	e.Uvarint(uint64(q.part))
-	e.Bool(q.dropState)
+	appendFaults(e, q.faults)
 	e.Uvarint(uint64(len(q.commits)))
 	for _, c := range q.commits {
 		e.Uvarint(uint64(c.task))
@@ -566,10 +601,13 @@ func encodeReduce(q *reduceReq) []byte {
 func decodeReduce(payload []byte) (*reduceReq, error) {
 	d := wire.NewDecoder(payload)
 	q := &reduceReq{
-		jobID:     d.Uvarint(),
-		spec:      decodeJobSpec(d),
-		part:      int(d.Uvarint()),
-		dropState: d.Bool(),
+		jobID: d.Uvarint(),
+		spec:  decodeJobSpec(d),
+		part:  int(d.Uvarint()),
+	}
+	var err error
+	if q.faults, err = decodeFaults(d); err != nil {
+		return nil, err
 	}
 	n := d.Length(maxReduceCommits)
 	if d.Err() != nil {

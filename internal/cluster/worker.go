@@ -144,12 +144,10 @@ func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// errAbortConn is the sentinel the chaos-injected worker abort uses to
-// tear down the connection mid-stream.
-var errAbortConn = errors.New("cluster: injected worker abort")
-
 // serveConn handshakes and then serves the connection until the peer
-// disconnects or a protocol/injected fault kills it. The opening frame
+// disconnects or a protocol fault or an injected kill
+// (mapreduce.ErrAttemptKilled, from wherever the attempt's faults fired)
+// ends it — the worker dies, abandoning the connection. The opening frame
 // decides the connection's role: FrameHello starts a coordinator
 // conversation (assignments, reduce requests, job-done), FramePeerHello
 // a worker-to-worker push stream.
@@ -202,7 +200,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) error {
 				return err
 			}
 			if err := w.runAssignment(a, fw); err != nil {
-				if errors.Is(err, errAbortConn) {
+				if errors.Is(err, mapreduce.ErrAttemptKilled) {
 					return err // injected death: abandon the conn abruptly
 				}
 				// Attempt-level failure: report and stay available.
@@ -217,7 +215,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) error {
 				return err
 			}
 			if err := w.runReduce(req, fw); err != nil {
-				if errors.Is(err, errAbortConn) {
+				if errors.Is(err, mapreduce.ErrAttemptKilled) {
 					return err
 				}
 				if werr := fw.write(FrameError, encodeError(err.Error())); werr != nil {
@@ -372,43 +370,27 @@ func (w *Worker) reducer(spec JobSpec) (*cachedReducer, error) {
 }
 
 // runSink streams runs to the coordinator as FrameRun messages,
-// implementing the worker half of the transport seam. abortAfter ≥ 0
-// injects the chaos worker death after that many runs.
-type runSink struct {
-	fw         *frameWriter
-	sent       int
-	abortAfter int
-}
+// implementing the worker half of the transport seam.
+type runSink struct{ fw *frameWriter }
 
-func (s *runSink) Publish(r mapreduce.Run) error {
-	if s.abortAfter >= 0 && s.sent >= s.abortAfter {
-		return errAbortConn
-	}
-	if err := s.fw.write(FrameRun, encodeRun(r)); err != nil {
-		return err
-	}
-	s.sent++
-	return nil
+func (s runSink) Publish(r mapreduce.Run) error {
+	return s.fw.write(FrameRun, encodeRun(r))
 }
 
 // peerRunSink is the w2w run sink: self-owned partitions buffer
 // locally, the rest push to their owners, and (outside refill mode) a
-// byte-counted receipt goes to the coordinator per run. The injected
-// faults keep their via-coordinator counting semantics: abortAfter
-// counts published runs, peerDropAfter counts remote pushes.
+// byte-counted receipt goes to the coordinator per run. It fires the
+// attempt's peer-push fault: a kill takes the peer links down with the
+// worker.
 type peerRunSink struct {
 	a      *assignment
 	js     *jobState
 	fw     *frameWriter // coordinator connection, for receipts
-	sent   int
 	pushed int
 	counts map[int]int // owner → pushes, for the partDone barriers
 }
 
 func (s *peerRunSink) Publish(r mapreduce.Run) error {
-	if s.a.abortAfter >= 0 && s.sent >= s.a.abortAfter {
-		return errAbortConn
-	}
 	if s.a.refillPart >= 0 && r.Part != s.a.refillPart {
 		return nil // refill re-derives one partition; drop the rest
 	}
@@ -416,10 +398,11 @@ func (s *peerRunSink) Publish(r mapreduce.Run) error {
 	if owner == s.a.selfID {
 		s.js.putRun(r)
 	} else {
-		if s.a.peerDropAfter >= 0 && s.pushed >= s.a.peerDropAfter {
-			s.js.dropPeers()
-			return fmt.Errorf("cluster: injected peer-connection drop (task %d attempt %d after %d pushes)",
-				r.Task, r.Attempt, s.pushed)
+		if err := s.a.faults.Fire(context.Background(), mapreduce.PointPeerPush, int64(s.pushed)); err != nil {
+			if errors.Is(err, mapreduce.ErrAttemptKilled) {
+				s.js.dropPeers()
+			}
+			return err
 		}
 		pc, err := s.js.peer(owner)
 		if err != nil {
@@ -433,11 +416,8 @@ func (s *peerRunSink) Publish(r mapreduce.Run) error {
 		s.counts[owner]++
 	}
 	if s.a.refillPart < 0 {
-		if err := s.fw.write(FrameRunReceipt, encodeRunReceipt(r)); err != nil {
-			return err
-		}
+		return s.fw.write(FrameRunReceipt, encodeRunReceipt(r))
 	}
-	s.sent++
 	return nil
 }
 
@@ -477,10 +457,10 @@ func (w *Worker) runAssignment(a *assignment, fw *frameWriter) error {
 		ps = &peerRunSink{a: a, js: js, fw: fw, counts: map[int]int{}}
 		sink = ps
 	} else {
-		sink = &runSink{fw: fw, abortAfter: a.abortAfter}
+		sink = runSink{fw: fw}
 	}
 	out, err := mapreduce.ExecuteMap(cm.fn, seg, a.task, a.attempt,
-		a.spec.NumReducers, a.spec.Compress, cm.trace, sink)
+		a.spec.NumReducers, a.spec.Compress, cm.trace, sink, a.faults...)
 	if err != nil {
 		return err
 	}
@@ -515,13 +495,10 @@ func (w *Worker) runAssignment(a *assignment, fw *frameWriter) error {
 // the coordinator can refill them. Spans for the attempt precede the
 // reply frame and ship only on success, preserving the verifier's
 // run-merged-once invariant (a failed attempt's decodes never reach
-// the coordinator's trace).
+// the coordinator's trace). The attempt's faults fire in the merge; a
+// kill loses the partition's buffered runs as the worker dies.
 func (w *Worker) runReduce(req *reduceReq, fw *frameWriter) error {
 	js := w.jobState(req.jobID)
-	if req.dropState {
-		js.dropPart(req.part)
-		return errAbortConn
-	}
 	var missing []taskAttempt
 	runs := make([]mapreduce.Run, 0, len(req.commits))
 	for _, c := range req.commits {
@@ -562,7 +539,10 @@ func (w *Worker) runReduce(req *reduceReq, fw *frameWriter) error {
 		}
 		groups = append(groups, g)
 		return nil
-	})
+	}, req.faults...)
+	if errors.Is(err, mapreduce.ErrAttemptKilled) {
+		js.dropPart(req.part)
+	}
 	if err != nil {
 		return err
 	}

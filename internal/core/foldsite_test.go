@@ -103,8 +103,10 @@ func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
 }
 
 // TestReduceAttemptsShareASite: with every reduce task's early attempts
-// failed by the fault plan, the attempt that succeeds runs on the site
-// its task kept, and the job's answer is the fault-free one.
+// failed by the fault plan — before the first group, or mid-partition
+// after some groups have folded on the site — the attempt that succeeds
+// runs on the site its task kept, and the job's answer is the
+// fault-free one.
 func TestReduceAttemptsShareASite(t *testing.T) {
 	q := sessionQuery()
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(22)), 1200, 40), 5)
@@ -112,17 +114,20 @@ func TestReduceAttemptsShareASite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := mapreduce.NewFaultPlan(7).WithPoints(mapreduce.PointReduceMerge).
-		WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
-	got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3, MaxAttempts: 3, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Metrics.ReduceAttempts <= 3 {
-		t.Fatalf("%d reduce attempts for 3 tasks: the plan injected nothing", got.Metrics.ReduceAttempts)
-	}
-	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Fatal("results under reduce retries diverge from the fault-free run")
+	for _, pt := range []mapreduce.FaultPoint{mapreduce.PointReduceMerge, mapreduce.PointReduceMid} {
+		plan := mapreduce.NewFaultPlan(7).WithPoints(pt).
+			WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
+		got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3, MaxAttempts: 3, Faults: plan})
+		if err != nil {
+			t.Fatalf("%v: %v", pt, err)
+		}
+		if got.Metrics.ReduceAttempts != 9 || plan.Injected() != 6 {
+			t.Fatalf("%v: %d reduce attempts, %d faults for 3 tasks: want every non-final attempt failed",
+				pt, got.Metrics.ReduceAttempts, plan.Injected())
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("%v: results under reduce retries diverge from the fault-free run", pt)
+		}
 	}
 }
 

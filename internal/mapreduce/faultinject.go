@@ -8,18 +8,26 @@ import (
 	"time"
 )
 
-// Deterministic fault injection for chaos-testing the task lifecycle.
+// Deterministic fault injection: the one mechanism every chaos test
+// arms, through Config.Faults.
 //
 // A FaultPlan decides, as a pure function of a single int64 seed and the
-// coordinates (injection point, task ID, attempt ID), whether a task
-// attempt is killed, delayed, or errored at that point. Because the
-// decision depends only on those coordinates — never on wall-clock time
-// or goroutine scheduling — the same seed injects the same faults into
-// the same attempts on every run, which is what makes the differential
-// chaos suite meaningful: any divergence from the fault-free run is an
-// engine bug, not injection noise. (With speculation enabled, *which*
-// attempt IDs exist can vary with timing; the decision per attempt ID is
-// still fixed.)
+// coordinates (injection point, task — a partition at the reduce points,
+// a job at the serve point — and attempt ID), whether an attempt is
+// killed, delayed, or errored at that point. Because the decision
+// depends only on those coordinates — never on wall-clock time or
+// goroutine scheduling — the same seed injects the same faults into the
+// same attempts on every run, which is what makes the differential chaos
+// suites meaningful: any divergence from the fault-free run is an engine
+// or protocol bug, not injection noise. (With speculation enabled,
+// *which* attempt IDs exist can vary with timing; the decision per
+// attempt ID is still fixed.)
+//
+// The coordinator decides and whatever runs the attempt executes: the
+// engine arms an attempt's faults once, before it runs (Arm), at the
+// points that attempt can reach, and hands them to the attempt body —
+// here, or on the cluster worker they travel to in the assignment or
+// reduce request — which fires each at its point (Fire).
 //
 // The paper's premise makes this testable at all: mappers recompute
 // symbolic summaries deterministically anywhere, and reducers compose
@@ -31,19 +39,23 @@ import (
 // can tell injected failures from real ones with errors.Is.
 var ErrFaultInjected = errors.New("mapreduce: injected fault")
 
-// errAttemptKilled marks an attempt that died in place — the in-process
-// stand-in for a lost worker. Like an error it consumes an attempt, but
-// it surfaces no user-code failure and abandons any partial output.
-var errAttemptKilled = errors.New("mapreduce: task attempt killed")
+// ErrAttemptKilled is the error carried by KindKill faults. In process
+// the attempt died in place, the stand-in for a lost worker: like an
+// error it consumes an attempt, but it surfaces no user-code failure and
+// abandons any partial output. On a worker it is the instruction to die:
+// the worker aborts the attempt's connection.
+var ErrAttemptKilled = errors.New("mapreduce: task attempt killed")
 
 // FaultKind is what an injected fault does to the attempt.
 type FaultKind uint8
 
 const (
-	// KindError makes the attempt fail with ErrFaultInjected.
+	// KindError makes the attempt fail with ErrFaultInjected; on a worker
+	// it is a clean error frame on a connection that stays usable.
 	KindError FaultKind = iota
-	// KindKill makes the attempt die in place, as if its worker was
-	// lost: partial output is discarded and no user error surfaces.
+	// KindKill makes the attempt die in place with ErrAttemptKilled: in
+	// process its partial output is discarded, on a worker the connection
+	// is aborted.
 	KindKill
 	// KindDelay stalls the attempt, long enough relative to its peers to
 	// look like a straggler and provoke speculative re-execution.
@@ -64,48 +76,76 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
 
-// FaultPoint is a task-lifecycle boundary where faults can fire.
+// FaultPoint is a boundary where faults can fire. A point has nothing to
+// fire on in some settings (a run received, in process); it is never
+// armed there. DESIGN.md's "Fault plan" table says what each kind does
+// at each point, in process and on a worker.
 type FaultPoint uint8
 
 const (
-	// PointMapStart fires before the user map function runs.
+	// PointMapStart fires before the user map runs.
 	PointMapStart FaultPoint = iota
 	// PointMapEmit fires at the attempt's first emit — user code has
 	// begun producing output.
 	PointMapEmit
-	// PointMapMid fires at a seed-derived emit ordinal mid-stream, so
+	// PointMapMid fires at a seed-derived emit ordinal in [1, 128), so
 	// partial map output exists when the fault hits.
 	PointMapMid
-	// PointSpillWrite fires after the attempt's spill runs are sorted
-	// and encoded but before they are committed — the window where a
-	// dying attempt holds complete output that must never be published.
+	// PointRunSend fires before the attempt publishes its k-th spill run
+	// (k seed-derived in [0, 3)): on a worker, k runs have streamed.
+	PointRunSend
+	// PointRunRecv fires on the coordinator when it has received a remote
+	// attempt's k-th run or receipt (k in [0, 3)): a kill or error drops
+	// the connection mid-stream.
+	PointRunRecv
+	// PointPeerPush fires on a worker-to-worker map attempt before its
+	// k-th push to a peer (k in [0, 3)): a kill takes the peer links down.
+	PointPeerPush
+	// PointSpillWrite fires after the attempt's spill runs are sorted,
+	// encoded and published to its sink but before they are committed —
+	// the window where a dying attempt holds complete output that must
+	// never be published.
 	PointSpillWrite
 	// PointReduceMerge fires at the start of a reduce attempt's merge,
-	// before any user Reduce call.
+	// before any user Reduce call; on a partition owner a kill loses the
+	// partition's buffered runs.
 	PointReduceMerge
+	// PointReduceMid fires after a seed-derived k-th group of a reduce
+	// attempt (k in [0, 4)), with part of the partition reduced.
+	PointReduceMid
+	// PointServeJob fires once per serve job, drawn by the serve chaos
+	// harness: a kill disconnects the tenant mid-job, an error cancels
+	// the job, a delay flushes the summary cache mid-fold (a slowdown,
+	// never a different answer).
+	PointServeJob
 
 	numFaultPoints
 )
 
+var pointNames = [numFaultPoints]string{"map-start", "map-emit", "map-mid", "run-send",
+	"run-recv", "peer-push", "spill-write", "reduce-merge", "reduce-mid", "serve-job"}
+
 func (p FaultPoint) String() string {
-	switch p {
-	case PointMapStart:
-		return "map-start"
-	case PointMapEmit:
-		return "map-emit"
-	case PointMapMid:
-		return "map-mid"
-	case PointSpillWrite:
-		return "spill-write"
-	case PointReduceMerge:
-		return "reduce-merge"
+	if p < numFaultPoints {
+		return pointNames[p]
 	}
 	return fmt.Sprintf("FaultPoint(%d)", uint8(p))
 }
 
+// ordinals derives the occurrence a point's fault fires at: lo + roll%n
+// for the points that recur within an attempt, 0 for the rest.
+var ordinals = [numFaultPoints]struct{ lo, n uint64 }{
+	PointMapMid: {1, 127}, PointRunSend: {0, 3}, PointRunRecv: {0, 3},
+	PointPeerPush: {0, 3}, PointReduceMid: {0, 4},
+}
+
 // AllFaultPoints lists every injection point, in lifecycle order.
 func AllFaultPoints() []FaultPoint {
-	return []FaultPoint{PointMapStart, PointMapEmit, PointMapMid, PointSpillWrite, PointReduceMerge}
+	pts := make([]FaultPoint, numFaultPoints)
+	for i := range pts {
+		pts[i] = FaultPoint(i)
+	}
+	return pts
 }
 
 // AllFaultKinds lists every fault kind.
@@ -194,7 +234,7 @@ func (p *FaultPlan) WithSpareFinal(spare bool) *FaultPlan {
 	return p
 }
 
-// Injected returns the total number of faults fired so far.
+// Injected returns the total number of faults armed so far.
 func (p *FaultPlan) Injected() int64 {
 	var n int64
 	for i := range p.stats {
@@ -205,13 +245,27 @@ func (p *FaultPlan) Injected() int64 {
 	return n
 }
 
-// InjectedAt returns the number of faults of one kind fired at one point.
+// InjectedAt returns the number of faults of one kind armed at one point.
 func (p *FaultPlan) InjectedAt(pt FaultPoint, k FaultKind) int64 {
 	if pt >= numFaultPoints || k >= numFaultKinds {
 		return 0
 	}
 	return p.stats[pt][k].Load()
 }
+
+// Fault is one armed fault: what it does, where, and at which occurrence
+// of its point it fires — the At-th emit, run, push or group, counting
+// from 0 (0 at the points an attempt passes once).
+type Fault struct {
+	Point FaultPoint
+	Kind  FaultKind
+	At    int64
+	Delay time.Duration // KindDelay's stall
+}
+
+// AttemptFaults is what a plan armed for one attempt — the one fault
+// value a remote attempt carries to the worker that executes it.
+type AttemptFaults []Fault
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
 // well-mixed 64-bit hash used to derive independent per-coordinate
@@ -223,100 +277,76 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// roll derives the decision hash for one (point, task, attempt, salt)
+// roll derives the decision hash for one (point, id, attempt, salt)
 // coordinate.
-func (p *FaultPlan) roll(point FaultPoint, task, attempt int, salt uint64) uint64 {
+func (p *FaultPlan) roll(point FaultPoint, id, attempt int, salt uint64) uint64 {
 	h := splitmix64(uint64(p.seed))
-	h = splitmix64(h ^ uint64(point) ^ uint64(task)<<8 ^ uint64(attempt)<<32 ^ salt<<48)
-	return h
+	return splitmix64(h ^ uint64(point) ^ uint64(id)<<8 ^ uint64(attempt)<<32 ^ salt<<48)
 }
 
-// decide returns the fault, if any, for the coordinate. maxAttempts is
-// the task's attempt budget, used by the spare-final rule; speculative
-// attempt IDs at or beyond the budget are spared by the same rule.
-func (p *FaultPlan) decide(point FaultPoint, task, attempt, maxAttempts int) (FaultKind, time.Duration, bool) {
-	if p == nil || len(p.kinds) == 0 || !p.points[point] {
-		return 0, 0, false
+// decide is the one decision function: the fault, if any, at one
+// coordinate. The one spare-final rule spares attempt IDs at or past
+// maxAttempts-1 — the job's last budgeted attempt and any speculative
+// attempt beyond it — so every task keeps a survivable path.
+func (p *FaultPlan) decide(pt FaultPoint, id, attempt, maxAttempts int) (Fault, bool) {
+	if p == nil || pt >= numFaultPoints || !p.points[pt] || len(p.kinds) == 0 ||
+		p.spareFinal && attempt >= maxAttempts-1 {
+		return Fault{}, false
 	}
-	if p.spareFinal && attempt >= maxAttempts-1 {
-		return 0, 0, false
-	}
-	h := p.roll(point, task, attempt, 1)
+	h := p.roll(pt, id, attempt, 1)
 	if h%1000 >= p.rateMille {
-		return 0, 0, false
+		return Fault{}, false
 	}
-	k := p.kinds[(h/1000)%uint64(len(p.kinds))]
-	var d time.Duration
-	if k == KindDelay {
-		d = time.Duration(1 + (h>>20)%uint64(p.maxDelay))
+	f := Fault{Point: pt, Kind: p.kinds[(h/1000)%uint64(len(p.kinds))]}
+	if f.Kind == KindDelay {
+		f.Delay = time.Duration(1 + (h>>20)%uint64(p.maxDelay))
 	}
-	return k, d, true
+	if o := ordinals[pt]; o.n > 0 {
+		f.At = int64(o.lo + p.roll(pt, id, attempt, 2)%o.n)
+	}
+	return f, true
 }
 
-// fire executes the coordinate's fault, if any: delays sleep (honoring
-// ctx) and return nil; errors and kills return their sentinel error.
-func (p *FaultPlan) fire(ctx context.Context, point FaultPoint, task, attempt, maxAttempts int) error {
-	k, d, ok := p.decide(point, task, attempt, maxAttempts)
-	if !ok {
-		return nil
-	}
-	p.stats[point][k].Add(1)
-	switch k {
-	case KindDelay:
-		return sleepCtx(ctx, d)
-	case KindKill:
-		return fmt.Errorf("%w at %v (task %d attempt %d)", errAttemptKilled, point, task, attempt)
-	default:
-		return fmt.Errorf("%w at %v (task %d attempt %d)", ErrFaultInjected, point, task, attempt)
-	}
-}
-
-// emitTrigger is a fault armed to fire at one emit ordinal of a map
-// attempt.
-type emitTrigger struct {
-	at    int64
-	point FaultPoint
-	kind  FaultKind
-	delay time.Duration
-}
-
-// emitTriggers precomputes the attempt's emit-point faults: PointMapEmit
-// arms at the first emit, PointMapMid at a seed-derived ordinal in
-// [1, 128) — if the attempt emits fewer records the fault never fires,
-// which is itself deterministic.
-func (p *FaultPlan) emitTriggers(task, attempt, maxAttempts int) []emitTrigger {
+// Arm decides one attempt's faults at the given points, in the order
+// given, and counts each as injected. maxAttempts is the job's
+// Config.MaxAttempts (the spare-final budget). A nil plan arms nothing.
+func (p *FaultPlan) Arm(id, attempt, maxAttempts int, pts ...FaultPoint) AttemptFaults {
 	if p == nil {
 		return nil
 	}
-	var trigs []emitTrigger
-	if k, d, ok := p.decide(PointMapEmit, task, attempt, maxAttempts); ok {
-		trigs = append(trigs, emitTrigger{at: 0, point: PointMapEmit, kind: k, delay: d})
+	var fs AttemptFaults
+	for _, pt := range pts {
+		if f, ok := p.decide(pt, id, attempt, maxAttempts); ok {
+			p.stats[pt][f.Kind].Add(1)
+			fs = append(fs, f)
+		}
 	}
-	if k, d, ok := p.decide(PointMapMid, task, attempt, maxAttempts); ok {
-		at := int64(1 + p.roll(PointMapMid, task, attempt, 2)%127)
-		trigs = append(trigs, emitTrigger{at: at, point: PointMapMid, kind: k, delay: d})
-	}
-	return trigs
+	return fs
 }
 
-// fireEmit executes an armed emit trigger inside the user map function.
-// Delays sleep in place; kills and errors abort the attempt by panicking
-// with attemptAbort, which the attempt runner recovers into an error —
-// the in-process analogue of a worker dying mid-task.
-func (p *FaultPlan) fireEmit(ctx context.Context, tr emitTrigger, task, attempt int) {
-	p.stats[tr.point][tr.kind].Add(1)
-	switch tr.kind {
-	case KindDelay:
-		if err := sleepCtx(ctx, tr.delay); err != nil {
-			panic(attemptAbort{err})
+// Fire executes the fault armed at pt for its n-th occurrence, if any: a
+// delay sleeps and returns nil (ctx's error if ctx cuts it short), a
+// kill returns an error wrapping ErrAttemptKilled, an error fault one
+// wrapping ErrFaultInjected.
+func (fs AttemptFaults) Fire(ctx context.Context, pt FaultPoint, n int64) error {
+	for _, f := range fs {
+		if f.Point == pt && f.At == n {
+			return f.fire(ctx)
 		}
-	case KindKill:
-		panic(attemptAbort{fmt.Errorf("%w at %v (task %d attempt %d)", errAttemptKilled, tr.point, task, attempt)})
-	default:
-		panic(attemptAbort{fmt.Errorf("%w at %v (task %d attempt %d)", ErrFaultInjected, tr.point, task, attempt)})
 	}
+	return nil
+}
+
+func (f Fault) fire(ctx context.Context) error {
+	switch f.Kind {
+	case KindDelay:
+		return sleepCtx(ctx, f.Delay)
+	case KindKill:
+		return fmt.Errorf("%w at %v", ErrAttemptKilled, f.Point)
+	}
+	return fmt.Errorf("%w at %v", ErrFaultInjected, f.Point)
 }
 
 // attemptAbort carries an injected mid-map fault out of user code via
-// panic; the attempt runner recovers it into the attempt's error.
+// panic; the attempt body recovers it into the attempt's error.
 type attemptAbort struct{ err error }

@@ -122,9 +122,11 @@ type Config struct {
 	// segment (all in-tree engines are) for the winner's identity not to
 	// matter.
 	Speculation bool
-	// Faults injects deterministic seeded faults at task boundaries for
-	// chaos testing. nil (the default) injects nothing and costs one nil
-	// check per boundary.
+	// Faults injects deterministic seeded faults for chaos testing — the
+	// one place a fault is armed (faultinject.go): at task boundaries in
+	// process and, under RemoteMap/RemoteReduce, on the coordinator's
+	// connections and inside the worker attempts it ships them to. nil
+	// (the default) injects nothing and costs one nil check per boundary.
 	Faults *FaultPlan
 
 	// Transport carries committed map-output runs to reduce partitions
@@ -134,8 +136,8 @@ type Config struct {
 	// RemoteMap, when set, executes every map attempt's body out of
 	// process through the given RemoteMapper (remote.go) while the
 	// local task lifecycle — retries, speculation, first-finisher-wins
-	// commit — stays in charge. Incompatible with ExternalSort and
-	// Faults (see validateRemote).
+	// commit — stays in charge. Incompatible with ExternalSort (see
+	// validateRemote).
 	RemoteMap RemoteMapper
 	// RemoteReduce, when set alongside RemoteMap, keeps shuffle data off
 	// the coordinator entirely: map workers stream runs directly to each

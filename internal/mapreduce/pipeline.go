@@ -320,16 +320,41 @@ func foldSmallest(runs []spillRun) []spillRun {
 
 // reduceMerge merges the partition's runs and streams each key group to
 // the reduce function.
-func (env *runEnv) reduceMerge(p int, runs []spillRun) (groups int64, err error) {
+func (env *runEnv) reduceMerge(p int, runs []spillRun, faults AttemptFaults) (groups int64, err error) {
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
-	return mergeGroups(runs, func(key string, group []Shuffled) error {
+	return mergeAttempt(env.ctx, runs, faults, func(key string, group []Shuffled) error {
 		groupHist.Observe(int64(len(group)))
 		if err := j.Reduce(p, key, group); err != nil {
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
 		}
 		return nil
 	})
+}
+
+// mergeAttempt is a reduce attempt's merge, in process or on a partition
+// owner: the reduce-merge fault, then mergeGroups with the reduce-mid
+// fault, if armed, firing after its group — the ordinal is fixed once per
+// attempt, so an unarmed attempt streams straight to fn.
+func mergeAttempt(ctx context.Context, runs []spillRun, faults AttemptFaults,
+	fn func(key string, group []Shuffled) error) (int64, error) {
+	if err := faults.Fire(ctx, PointReduceMerge, 0); err != nil {
+		return 0, err
+	}
+	for _, f := range faults {
+		if f.Point != PointReduceMid {
+			continue
+		}
+		reduce, n := fn, int64(0)
+		fn = func(key string, group []Shuffled) error {
+			err := reduce(key, group)
+			if n++; err == nil && n == f.At+1 {
+				err = f.fire(ctx)
+			}
+			return err
+		}
+	}
+	return mergeGroups(runs, fn)
 }
 
 // mergeGroups k-way merges the runs and streams each key group —

@@ -47,10 +47,13 @@ type MapOutput struct {
 
 // RemoteMapper executes map attempts out of process. RunMap must be
 // safe for concurrent calls (the engine runs attempts in parallel up to
-// Config.Parallelism) and must honor ctx cancellation. A non-nil error
-// fails the attempt, not the task: the task lifecycle retries.
+// Config.Parallelism) and must honor ctx cancellation. faults are what
+// the job's plan armed for the attempt: the mapper fires those on its
+// own side (PointRunRecv) and carries the rest to where the body runs.
+// A non-nil error fails the attempt, not the task: the task lifecycle
+// retries.
 type RemoteMapper interface {
-	RunMap(ctx context.Context, task, attempt int, seg *Segment) (*MapOutput, error)
+	RunMap(ctx context.Context, task, attempt int, seg *Segment, faults AttemptFaults) (*MapOutput, error)
 }
 
 // ReducedGroup is one key group as merged (and, when a combiner is
@@ -80,10 +83,10 @@ type ReduceOutput struct {
 // RemoteReducer executes reduce attempt bodies on the worker owning the
 // partition. commits lists the committed runs for the partition as
 // receipts (nil Seg); the worker holds the bytes, pushed to it by map
-// workers. Like RunMap, a non-nil error fails the attempt, not the
-// task.
+// workers. faults are the attempt's, for the owner to fire. Like RunMap,
+// a non-nil error fails the attempt, not the task.
 type RemoteReducer interface {
-	RunReduce(ctx context.Context, part, attempt int, commits []Run) (*ReduceOutput, error)
+	RunReduce(ctx context.Context, part, attempt int, commits []Run, faults AttemptFaults) (*ReduceOutput, error)
 }
 
 // ExecuteMap runs one map attempt locally and publishes each non-empty
@@ -93,12 +96,13 @@ type RemoteReducer interface {
 // produces over the same segment.
 //
 // task and attempt label the published runs and trace spans; trace may
-// be nil. The returned MapOutput carries metrics only (Runs stays nil —
+// be nil; faults are the attempt's, fired as an in-process attempt fires
+// them. The returned MapOutput carries metrics only (Runs stays nil —
 // the runs went through sink, which may have streamed them away).
 func ExecuteMap(mapFn MapFunc, seg *Segment, task, attempt, numParts int,
-	compress bool, trace *obs.Trace, sink RunSink) (*MapOutput, error) {
+	compress bool, trace *obs.Trace, sink RunSink, faults ...Fault) (*MapOutput, error) {
 	conf := Config{NumReducers: max(numParts, 1), CompressShuffle: compress, Trace: trace}
-	return executeMap(context.Background(), mapFn, seg, task, attempt, conf, sink)
+	return executeMap(context.Background(), mapFn, seg, task, attempt, conf, sink, faults)
 }
 
 // adopt checks an attempt body's output — run here or on a worker — and
@@ -157,8 +161,8 @@ func (env *runEnv) runRemoteReduceTask(p int, commits []Run) (groups int64, err 
 	// either way (distinct tasks mean distinct mapperIDs).
 	sort.Slice(commits, func(i, j int) bool { return commits[i].Task < commits[j].Task })
 	groupHist := env.reg.Histogram(MetricGroupValues)
-	return env.driveReduceTask(p, func(a int) (int64, error) {
-		out, err := env.conf.RemoteReduce.RunReduce(env.ctx, p, a, commits)
+	return env.driveReduceTask(p, func(a int, faults AttemptFaults) (int64, error) {
+		out, err := env.conf.RemoteReduce.RunReduce(env.ctx, p, a, commits, faults)
 		if err != nil {
 			return 0, err
 		}
@@ -186,11 +190,10 @@ func (env *runEnv) deliverRemoteGroups(p int, out *ReduceOutput, groupHist *obs.
 	return nil
 }
 
-// validateRemote rejects job shapes the remote paths cannot honor: the
-// fault hooks and the external-sort baseline live inside the in-process
-// attempt body, worker-resident reduce consumes runs pushed by
-// worker-resident maps, and a worker ships runs, never a map-only job's
-// pairs.
+// validateRemote rejects job shapes the remote paths cannot honor:
+// worker-resident reduce consumes runs pushed by worker-resident maps, a
+// worker ships runs, never a map-only job's pairs, and the external-sort
+// baseline lives inside the in-process attempt body.
 func validateRemote(conf Config, mapOnly bool) error {
 	switch {
 	case conf.RemoteMap == nil && conf.RemoteReduce != nil:
@@ -201,8 +204,6 @@ func validateRemote(conf Config, mapOnly bool) error {
 		return errors.New("RemoteMap is incompatible with a map-only job (workers ship runs for a Reduce to merge)")
 	case conf.ExternalSort:
 		return errors.New("RemoteMap is incompatible with ExternalSort (workers ship pre-sorted runs)")
-	case conf.Faults != nil:
-		return errors.New("RemoteMap is incompatible with Faults (inject worker faults at the cluster layer instead)")
 	}
 	return nil
 }

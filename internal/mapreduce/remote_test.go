@@ -8,11 +8,11 @@ import (
 
 type stubRemote struct{}
 
-func (stubRemote) RunMap(context.Context, int, int, *Segment) (*MapOutput, error) {
+func (stubRemote) RunMap(context.Context, int, int, *Segment, AttemptFaults) (*MapOutput, error) {
 	return &MapOutput{}, nil
 }
 
-func (stubRemote) RunReduce(context.Context, int, int, []Run) (*ReduceOutput, error) {
+func (stubRemote) RunReduce(context.Context, int, int, []Run, AttemptFaults) (*ReduceOutput, error) {
 	return &ReduceOutput{}, nil
 }
 
@@ -28,9 +28,11 @@ func TestValidateRemoteRejections(t *testing.T) {
 	}{
 		{"map only", Config{RemoteMap: stubRemote{}}, ""},
 		{"map and reduce", Config{RemoteMap: stubRemote{}, RemoteReduce: stubRemote{}}, ""},
+		{"map with faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1), MaxAttempts: 3}, ""},
+		{"map and reduce with faults", Config{RemoteMap: stubRemote{}, RemoteReduce: stubRemote{},
+			Faults: NewFaultPlan(1), MaxAttempts: 3}, ""},
 		{"reduce without map", Config{RemoteReduce: stubRemote{}}, "RemoteReduce requires RemoteMap"},
 		{"external sort", Config{RemoteMap: stubRemote{}, ExternalSort: true}, "RemoteMap is incompatible with ExternalSort"},
-		{"faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1)}, "RemoteMap is incompatible with Faults"},
 		{"no reduce", Config{RemoteMap: stubRemote{}}, "RemoteMap is incompatible with a map-only job"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -178,9 +178,23 @@ func (env *runEnv) finishTask(st *mapTask, err error) {
 	st.failErr = err
 }
 
-// runMapAttempt executes one attempt: acquire a task slot and run the
-// attempt body, here (executeMap, the job's fault hooks armed) or on a
-// worker. The returned result is uncommitted.
+// mapFaultPoints are the points a map attempt under conf can reach: a
+// remote attempt's runs are also received by the coordinator, and pushed
+// to peers when the reduce is worker-resident.
+func mapFaultPoints(conf Config) []FaultPoint {
+	pts := []FaultPoint{PointMapStart, PointMapEmit, PointMapMid, PointRunSend}
+	if conf.RemoteMap != nil {
+		pts = append(pts, PointRunRecv)
+	}
+	if conf.RemoteReduce != nil {
+		pts = append(pts, PointPeerPush)
+	}
+	return append(pts, PointSpillWrite)
+}
+
+// runMapAttempt executes one attempt: acquire a task slot, arm its
+// faults and run the attempt body, here (executeMap) or on a worker. The
+// returned result is uncommitted.
 func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapOutput, err error) {
 	env.mapAttempts.Add(1)
 	select {
@@ -213,14 +227,18 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapO
 	// the verifier's commit-matches-attempt and cpu-bound invariants see
 	// the same shape wherever the body ran; adopt checks either's output
 	// the same way, so commit and the reduce side cannot tell.
+	var faults AttemptFaults
+	if env.conf.Faults != nil {
+		faults = env.conf.Faults.Arm(st.id, attempt, env.conf.MaxAttempts, mapFaultPoints(env.conf)...)
+	}
 	switch {
 	case env.conf.RemoteMap != nil:
-		out, err = env.conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg)
+		out, err = env.conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg, faults)
 	case env.job.Reduce == nil:
-		out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, nil)
+		out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, nil, faults)
 	default:
 		var runs runList
-		if out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, &runs); err == nil {
+		if out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, &runs, faults); err == nil {
 			out.Runs = runs
 		}
 	}
@@ -244,13 +262,13 @@ func (l *runList) Publish(r Run) error {
 
 // executeMap is the one map attempt body — emit, partition, spill sort,
 // segcodec encode, publish into sink — run by the engine's in-process
-// attempts (conf is the job's, fault hooks included) and by cluster
-// workers through ExecuteMap, which is what makes a run byte-identical
-// wherever it was produced. A nil sink is the map-only job's: nothing
-// is partitioned, sorted or encoded, and the emitted records themselves
-// come back as the output.
+// attempts and by cluster workers through ExecuteMap, which is what
+// makes a run byte-identical wherever it was produced; it fires the
+// attempt's armed faults at their points either way. A nil sink is the
+// map-only job's: nothing is partitioned, sorted or encoded, and the
+// emitted records themselves come back as the output.
 func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt int,
-	conf Config, sink RunSink) (out *MapOutput, err error) {
+	conf Config, sink RunSink, faults AttemptFaults) (out *MapOutput, err error) {
 	t0 := time.Now()
 	n := conf.NumReducers
 	if sink == nil {
@@ -276,16 +294,25 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		}
 	}()
 
-	if ferr := conf.Faults.fire(ctx, PointMapStart, task, attempt, conf.MaxAttempts); ferr != nil {
+	if ferr := faults.Fire(ctx, PointMapStart, 0); ferr != nil {
 		return nil, ferr
 	}
-	trigs := conf.Faults.emitTriggers(task, attempt, conf.MaxAttempts)
+	// The emit-point faults, in emit order (map-emit at 0, map-mid after
+	// it), fire inside the user map: a kill or error panics out of it.
+	var trigs []Fault
+	for _, f := range faults {
+		if f.Point == PointMapEmit || f.Point == PointMapMid {
+			trigs = append(trigs, f)
+		}
+	}
 	var seq int64
 	emit := func(key string, recordID int64, value []byte) {
-		if len(trigs) > 0 && seq == trigs[0].at {
-			tr := trigs[0]
+		if len(trigs) > 0 && seq == trigs[0].At {
+			f := trigs[0]
 			trigs = trigs[1:]
-			conf.Faults.fireEmit(ctx, tr, task, attempt)
+			if ferr := f.fire(ctx); ferr != nil {
+				panic(attemptAbort{ferr})
+			}
 		}
 		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: seq, value: value}
 		seq++
@@ -306,11 +333,11 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		out.pairs = parts[0]
 	} else {
 		out.LogicalOutBytes = logical
-		if err := spillRuns(parts, task, attempt, conf, sink, out); err != nil {
+		if err := spillRuns(ctx, parts, task, attempt, conf, sink, out, faults); err != nil {
 			return nil, err
 		}
 	}
-	if ferr := conf.Faults.fire(ctx, PointSpillWrite, task, attempt, conf.MaxAttempts); ferr != nil {
+	if ferr := faults.Fire(ctx, PointSpillWrite, 0); ferr != nil {
 		return nil, ferr
 	}
 	out.Duration = time.Since(t0)
@@ -322,8 +349,10 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 // sorting in the reducer's Unix sort pipe — then encodes it into its wire
 // segment (segcodec.go) and publishes the run, so run sizes are always
 // real encoder output and compression acts on the actual shuffle path,
-// not a model of it.
-func spillRuns(parts [][]kvRec, task, attempt int, conf Config, sink RunSink, out *MapOutput) error {
+// not a model of it. The run-send fault fires before the run it counts
+// is published.
+func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Config, sink RunSink,
+	out *MapOutput, faults AttemptFaults) error {
 	for p := range parts {
 		out.Emitted += int64(len(parts[p]))
 		if !conf.ExternalSort {
@@ -332,7 +361,7 @@ func spillRuns(parts [][]kvRec, task, attempt int, conf Config, sink RunSink, ou
 	}
 	span := conf.Trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", task)).
 		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
-	var bytes int64
+	var bytes, sent int64
 	for p := range parts {
 		if len(parts[p]) == 0 {
 			continue
@@ -341,8 +370,12 @@ func spillRuns(parts [][]kvRec, task, attempt int, conf Config, sink RunSink, ou
 		kvBufs.put(parts[p])
 		parts[p] = nil
 		bytes += int64(len(sg))
-		if err := sink.Publish(Run{Task: task, Attempt: attempt, Part: p,
-			Bytes: int64(len(sg)), Seg: sg}); err != nil {
+		err := faults.Fire(ctx, PointRunSend, sent)
+		if err == nil {
+			err = sink.Publish(Run{Task: task, Attempt: attempt, Part: p, Bytes: int64(len(sg)), Seg: sg})
+		}
+		sent++
+		if err != nil {
 			span.Tag(obs.TagOutcome, "error").End()
 			return err
 		}
@@ -492,20 +525,18 @@ func (env *runEnv) runReduceTask(p int, runs []spillRun, receipts []Run) (groups
 		runs = externalSortRuns(runs)
 	}
 	defer releaseRuns(runs)
-	return env.driveReduceTask(p, func(a int) (int64, error) {
-		if ferr := conf.Faults.fire(env.ctx, PointReduceMerge, p, a, conf.MaxAttempts); ferr != nil {
-			return 0, ferr
-		}
-		return env.reduceMerge(p, runs)
+	return env.driveReduceTask(p, func(_ int, faults AttemptFaults) (int64, error) {
+		return env.reduceMerge(p, runs, faults)
 	})
 }
 
 // driveReduceTask is the reduce task lifecycle, wherever the attempt body
-// runs: the same per-attempt retry/backoff budget map tasks get, an
-// attempt span per try and a commit span for the one that succeeds. A
-// retried attempt re-invokes Reduce for every group, which the
-// ReduceFunc contract requires to be idempotent.
-func (env *runEnv) driveReduceTask(p int, body func(attempt int) (groups int64, err error)) (int64, error) {
+// runs: the same per-attempt retry/backoff budget map tasks get, the
+// attempt's faults armed at the reduce points, an attempt span per try
+// and a commit span for the one that succeeds. A retried attempt
+// re-invokes Reduce for every group, which the ReduceFunc contract
+// requires to be idempotent.
+func (env *runEnv) driveReduceTask(p int, body func(attempt int, faults AttemptFaults) (groups int64, err error)) (int64, error) {
 	var attemptErrs []error
 	for a := 0; a < env.conf.MaxAttempts; a++ {
 		if env.ctx.Err() != nil {
@@ -521,7 +552,7 @@ func (env *runEnv) driveReduceTask(p int, body func(attempt int) (groups int64, 
 		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
 			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
 		t0 := time.Now()
-		groups, err := body(a)
+		groups, err := body(a, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
 		if err == nil {
 			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
 			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrGroups, groups).End()

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -24,9 +25,10 @@ import (
 //
 // The group slice is reused between calls and its values alias pooled
 // decode buffers released when MergeEncodedRuns returns: fn must copy
-// or encode what it keeps.
+// or encode what it keeps. faults are the reduce attempt's, fired at the
+// reduce points as an in-process attempt fires them.
 func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
-	fn func(key string, group []Shuffled) error) error {
+	fn func(key string, group []Shuffled) error, faults ...Fault) error {
 	runs := make([]spillRun, 0, len(rs))
 	defer func() { releaseRuns(runs) }()
 	for _, r := range rs {
@@ -42,6 +44,6 @@ func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 		span.End()
 		runs = append(runs, spillRun{recs: recs, bytes: r.Bytes})
 	}
-	_, err := mergeGroups(runs, fn)
+	_, err := mergeAttempt(context.Background(), runs, faults, fn)
 	return err
 }

@@ -15,11 +15,12 @@ import (
 )
 
 // Differential chaos suite over the paper's queries: run SYMPLE under
-// deterministic seeded fault injection — kills, delays, and errors at
-// map start, mid-map emit, spill write, and reduce merge — and require
-// the output digest to match the fault-free sequential reference
-// exactly. The fault plans spare each task's final attempt, so every
-// chaos run must succeed; any divergence or failure is an engine bug.
+// deterministic seeded fault injection — the one fault plan's kills,
+// delays, and errors at every point an attempt reaches, in process and
+// on cluster workers — and require the output digest to match the
+// fault-free sequential reference exactly. The plan spares each task's
+// final attempt, so every chaos run must succeed; any divergence or
+// failure is an engine or protocol bug.
 //
 // CHAOS_SEEDS widens the seed sweep (CI runs 100); unset, the suite
 // stays laptop-sized.
@@ -175,13 +176,16 @@ func chaosWorkers(t *testing.T, n int) []cluster.Endpoint {
 }
 
 // TestClusterChaosDifferential is the distributed arm of the chaos
-// suite: the same queries run over TCP workers while a seeded
-// cluster.ChaosPlan kills workers before assignment, aborts them
-// mid-stream, and drops coordinator connections mid-stream. Plans are
-// pure in (seed, task, attempt) and spare each task's last survivable
-// attempt, so every run must commit — and its digest must equal the
-// fault-free sequential reference exactly. CHAOS_SEEDS widens the
-// sweep (CI runs it under -race).
+// suite: the same queries, under the same chaosConf(plan) as the
+// in-process sweep, run over TCP workers. The one plan's faults fire
+// inside the worker attempts (kills abort the worker's connection at
+// map start, mid-emit, after k runs streamed, at spill write), on the
+// coordinator (connection drops after k runs received) and, on even
+// seeds, in the worker-to-worker topology (peer links dropped after k
+// pushes, reduce owners killed before or mid-merge — their runs lost
+// and refilled). Every run must commit, and its digest must equal the
+// fault-free sequential reference exactly. CHAOS_SEEDS widens the sweep
+// (CI runs it under -race).
 func TestClusterChaosDifferential(t *testing.T) {
 	seeds := chaosSeedCount(t, 6)
 	datasets := chaosDatasets()
@@ -204,15 +208,14 @@ func TestClusterChaosDifferential(t *testing.T) {
 		}
 		t.Run(id, func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
-				conf := chaosConf(nil)
+				plan := mapreduce.NewFaultPlan(int64(seed*53 + qi))
+				conf := chaosConf(plan)
 				conf.CompressShuffle = seed%2 == 0
 				opt := core.SympleOptions{}
-				plan := cluster.NewChaosPlan(int64(seed*53+qi), conf.MaxAttempts)
-				popts := []cluster.PoolOption{cluster.WithChaos(plan)}
-				// Even seeds run the w2w topology, so peer-conn drops and
-				// reduce-owner kills (ChaosPeerDrop, the decideReduce
-				// state-drop) are swept alongside the map-side faults.
+				// Even seeds run the w2w topology, so peer-link and owner
+				// faults are swept alongside the map-side ones.
 				w2w := seed%2 == 0
+				var popts []cluster.PoolOption
 				if w2w {
 					popts = append(popts, cluster.WithW2W())
 				}

@@ -139,8 +139,8 @@ func (s *Server) dataset(name string) *dataset {
 	return s.datasets[name]
 }
 
-// FlushCache evicts the whole summary cache — the chaos
-// eviction-mid-fold hook (cluster.ChaosServeEvict) and an operational
+// FlushCache evicts the whole summary cache — the chaos harness's
+// eviction-mid-fold fault (mapreduce.PointServeJob) and an operational
 // escape hatch. In-flight folds are unaffected.
 func (s *Server) FlushCache() { s.cache.Flush() }
 

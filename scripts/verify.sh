@@ -34,25 +34,27 @@ go test ./...
 # an event bundle folds to its summary's state from the initial state
 # and a reached one, which stays byte-equal).
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
-# Short chaos sweep: seeded fault injection at every task boundary,
-# digests checked against the fault-free run — the shuffle shape, the
-# map-only one (TestChaosMapOnlyDelivery: every task's output delivered
-# once, whole, never a losing attempt's) and the exec sites under it
+# Short chaos sweep: the one seeded fault plan (Config.Faults) kills,
+# errors and delays attempts at every point it has — map start, first
+# and mid emit, the k-th run sent, spill write, reduce merge and
+# mid-partition — in process, inside cluster workers over both
+# topologies (plus connections dropped after k runs received, peer links
+# after k pushes, reduce owners losing their runs), and per serve job
+# (disconnect, cancel, cache flush mid-fold); every digest must equal
+# the fault-free one. It covers the map-only shape
+# (TestChaosMapOnlyDelivery: every task's output delivered once, whole,
+# never a losing attempt's), the exec sites under it
 # (TestChaosDroppedExecSite: an errored or killed attempt's site is
-# dropped, never repooled, and the bytes stay the fault-free ones). CI
-# runs the wide sweep (CHAOS_SEEDS=100) in its own job.
-CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries
+# dropped, never repooled) and TestChaosCoversEveryFault (every point ×
+# kind fires). CI runs the wide sweep (CHAOS_SEEDS=100) in its own job.
+CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries ./internal/cluster ./internal/serve
 # Cluster leg: the transport/coordinator/worker path — frame codec
 # seeds, pool lifecycle, and transport-equivalence golden digests: all
 # 12 queries byte-identical across in-memory, via-coordinator, and
 # worker-to-worker shuffle (in-process and multi-process workers), with
 # connection/job-state leak checks on success, worker death, and
-# cancellation. The short distributed chaos sweep covers both
-# topologies (even seeds run w2w: peer-connection drops and
-# reduce-owner state loss). CI's `cluster` job runs the wide sweep
-# (CHAOS_SEEDS=100).
+# cancellation.
 go test -race -count=1 ./internal/cluster
-CHAOS_SEEDS=4 go test -race -count=1 -run 'TestClusterChaosDifferential' ./internal/queries
 # Serve leg: the multi-tenant query service under -race — the 8-tenant
 # soak with goroutine-leak checks, the heap-ceiling soak (resubmit +
 # append variants for a fixed job count: live heap and cache bytes
