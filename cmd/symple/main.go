@@ -8,11 +8,10 @@
 //	symple -query G1 -engine symple -workers 4   # SYMPLE maps on worker subprocesses
 //
 // With -workers N the SYMPLE engine executes its map attempts on N
-// spawned sympled worker subprocesses over loopback TCP; the sequential
-// and baseline engines (and the digest cross-check) stay in-process.
-// Adding -w2w routes spill runs worker-to-worker by partition owner and
-// reduces on the owning workers, so the coordinator receives only run
-// receipts and one applied constant summary per group.
+// spawned sympled worker subprocesses over loopback TCP and reduces the
+// runs they stream back in process; a worker that dies costs only its
+// retried map attempts. The sequential and baseline engines (and the
+// digest cross-check) stay in-process.
 //
 // The submit and tail verbs are clients of a serve-mode daemon
 // (sympled -serve): submit runs one job against a hosted dataset and
@@ -60,7 +59,6 @@ func main() {
 		tracePath = flag.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
 		profile   = flag.String("profile", "", "write one CPU profile covering the whole invocation (every engine run, sequential included) to this file")
 		workers   = flag.Int("workers", 0, "run SYMPLE maps on this many spawned worker subprocesses (0 = in-process)")
-		w2w       = flag.Bool("w2w", false, "with -workers: shuffle runs worker-to-worker and reduce on the partition owners (coordinator receives only receipts and final summaries)")
 		workerBin = flag.String("worker-bin", "sympled", "worker binary: a path, or a name resolved next to this executable then on PATH")
 	)
 	flag.Parse()
@@ -136,11 +134,7 @@ func main() {
 			log.Fatal(err)
 		}
 		opt := core.SympleOptions{}
-		var popts []cluster.PoolOption
-		if *w2w {
-			popts = append(popts, cluster.WithW2W())
-		}
-		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps, popts...)
+		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -152,9 +146,6 @@ func main() {
 		}()
 		rconf := conf
 		rconf.RemoteMap = pool
-		if *w2w {
-			rconf.RemoteReduce = pool
-		}
 		// Remote attempts are coordinator-side waits; keep enough task
 		// parallelism in flight to cover every worker even when the
 		// GOMAXPROCS default is smaller.
@@ -163,11 +154,7 @@ func main() {
 		rconf.Speculation = true
 		rconf.RetryBackoff = 10 * time.Millisecond
 		sympleRun = func() (*queries.Run, error) { return spec.SympleOpts(segs, rconf, opt) }
-		mode := "SYMPLE maps run remotely"
-		if *w2w {
-			mode = "worker-to-worker shuffle, maps and reduces run remotely"
-		}
-		fmt.Printf("cluster: %d %s workers spawned, %s\n\n", *workers, bin, mode)
+		fmt.Printf("cluster: %d %s workers spawned, SYMPLE maps run remotely\n\n", *workers, bin)
 	}
 	type engineRun struct {
 		name string

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/dcsim"
 	"repro/internal/mapreduce"
 	"repro/internal/queries"
@@ -24,43 +23,6 @@ const clusterRounds = 3
 // 4 worker subprocesses.
 var clusterWorkerCounts = []int{1, 2, 4}
 
-// comparisonScale sizes the shuffle-topology comparison: many map
-// tasks, so the via-coordinator ingress (one run per map task per
-// partition) dwarfs the w2w ingress (receipts plus one reduced
-// summary per key), making the data-path difference the measured
-// quantity rather than noise.
-var comparisonScale = Scale{Records: 30000, Segments: 64}
-
-// comparisonDatasets generates the comparison corpus. Unlike
-// GenDatasets, group cardinalities are fixed instead of scaling with
-// the record count: the paper's workloads replay weeks of logs per
-// group (§6.3), so each key's records span many map tasks and the
-// via-coordinator path ships one summary bundle per (key, task) pair.
-// Scaling keys with n (GenDatasets' regime for per-record cost curves)
-// would leave most keys in a single task, where both topologies ship
-// one bundle per key and the data-path difference vanishes.
-func comparisonDatasets() *Datasets {
-	n, s := comparisonScale.Records, comparisonScale.Segments
-	return &Datasets{
-		Scale: comparisonScale,
-		Github: data.GenGithub(data.GithubConfig{
-			Records: n, Repos: 200, Segments: s, Filler: 820, Seed: 42}),
-		Bing: data.GenBing(data.BingConfig{
-			Records: n, Users: 400, Geos: 50, Segments: s,
-			Filler: 100, Seed: 43, Outages: 6}),
-		Twitter: data.GenTwitter(data.TwitterConfig{
-			Records: n, Hashtags: 200, Users: 500, Segments: s,
-			Filler: 300, Seed: 44}),
-		Redshift: data.GenRedshift(data.RedshiftConfig{
-			Records: n, Advertisers: 100, Segments: s,
-			Filler: 850, Seed: 45, DarkWindows: 3}),
-	}
-}
-
-// comparisonWorkers is the worker count the 12-query ingress
-// comparison runs at.
-const comparisonWorkers = 2
-
 // WorkerEnv is the environment variable that flips a spawned copy of
 // the symplebench binary into cluster-worker mode, so the cluster
 // experiment needs no separately installed sympled on PATH.
@@ -68,15 +30,11 @@ const WorkerEnv = "SYMPLEBENCH_WORKER"
 
 // ClusterRun measures real coordinator/worker execution: SYMPLE map
 // attempts shipped over loopback TCP to spawned worker subprocesses
-// (re-execs of this binary flipped into worker mode via WorkerEnv).
-// Each (query, workers) cell runs both shuffle topologies — runs
-// streamed back through the coordinator, and worker-to-worker pushes
-// with worker-resident reduces — next to the dcsim prediction for a
-// cluster of that many single-core nodes. A second section runs all 12
-// queries in both topologies and records the coordinator's
-// shuffle-plane ingress per topology: the byte collapse that taking
-// the coordinator off the data path buys. Every run is digest-checked
-// against the sequential reference. Results go to BENCH_CLUSTER.json.
+// (re-execs of this binary flipped into worker mode via WorkerEnv), the
+// runs they stream back reduced by the coordinator, next to the dcsim
+// prediction for a cluster of that many single-core nodes. Every run is
+// digest-checked against the sequential reference. Results go to
+// BENCH_CLUSTER.json.
 func ClusterRun(d *Datasets) (*Table, error) {
 	self, err := os.Executable()
 	if err != nil {
@@ -85,11 +43,11 @@ func ClusterRun(d *Datasets) (*Table, error) {
 	env := append(os.Environ(), WorkerEnv+"=1")
 
 	t := &Table{
-		Title:  "Cluster execution: loopback worker subprocesses, via-coordinator vs worker-to-worker shuffle",
-		Header: []string{"Query", "workers", "topology", "wall", "coord shuffle in", "dcsim total", "speedup vs 1"},
+		Title:  "Cluster execution: loopback worker subprocesses",
+		Header: []string{"Query", "workers", "wall", "coord shuffle in", "coord egress", "dcsim total", "speedup vs 1"},
 		Notes: []string{
 			fmt.Sprintf("wall: best of %d rounds after warmup; workers are spawned subprocesses on loopback TCP", clusterRounds),
-			"coord shuffle in: shuffle-plane bytes into the coordinator (runs via-coordinator; receipts + combined reduce replies w2w)",
+			"coord shuffle in: run payload bytes the workers streamed to the coordinator; coord egress: every byte it sent them",
 			"dcsim: same run's measured task costs replayed on N single-core nodes",
 			"every run digest-checked against the sequential reference",
 			"written to BENCH_CLUSTER.json",
@@ -115,40 +73,28 @@ func ClusterRun(d *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster %s sequential: %w", id, err)
 		}
-		oneWorkerWall := map[string]float64{}
+		var oneWorkerWall float64
 		for _, n := range clusterWorkerCounts {
-			for _, topo := range []string{topoVia, topoW2W} {
-				q, err := clusterCell(self, env, spec, segs, seq, n, topo, clusterRounds)
-				if err != nil {
-					return nil, fmt.Errorf("cluster %s x%d %s: %w", id, n, topo, err)
-				}
-				if n == clusterWorkerCounts[0] {
-					oneWorkerWall[topo] = q.WallSeconds
-				}
-				q.SpeedupVsOne = oneWorkerWall[topo] / q.WallSeconds
-				rep.Cells = append(rep.Cells, *q)
-				t.Rows = append(t.Rows, []string{
-					id,
-					fmt.Sprintf("%d", n),
-					topo,
-					fmt.Sprintf("%.0fms", q.WallSeconds*1000),
-					fmtBytes(q.ShuffleIngressBytes),
-					fmt.Sprintf("%.0fms", q.PredictedSeconds*1000),
-					fmtFactor(q.SpeedupVsOne),
-				})
+			q, err := clusterCell(self, env, spec, segs, seq, n)
+			if err != nil {
+				return nil, fmt.Errorf("cluster %s x%d: %w", id, n, err)
 			}
+			if n == clusterWorkerCounts[0] {
+				oneWorkerWall = q.WallSeconds
+			}
+			q.SpeedupVsOne = oneWorkerWall / q.WallSeconds
+			rep.Cells = append(rep.Cells, *q)
+			t.Rows = append(t.Rows, []string{
+				id,
+				fmt.Sprintf("%d", n),
+				fmt.Sprintf("%.0fms", q.WallSeconds*1000),
+				fmtBytes(q.ShuffleIngressBytes),
+				fmtBytes(q.ConnEgressBytes),
+				fmt.Sprintf("%.0fms", q.PredictedSeconds*1000),
+				fmtFactor(q.SpeedupVsOne),
+			})
 		}
 	}
-
-	cmp, err := clusterShuffleComparison(self, env)
-	if err != nil {
-		return nil, err
-	}
-	rep.ShuffleComparison = cmp
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"12-query suite at %d workers, %d segments: coordinator shuffle ingress %s via-coordinator vs %s w2w (%.1fx reduction)",
-		comparisonWorkers, comparisonScale.Segments,
-		fmtBytes(cmp.ViaIngressBytes), fmtBytes(cmp.W2WIngressBytes), cmp.Reduction))
 
 	f, err := os.Create("BENCH_CLUSTER.json")
 	if err != nil {
@@ -163,16 +109,10 @@ func ClusterRun(d *Datasets) (*Table, error) {
 	return t, nil
 }
 
-const (
-	topoVia = "via-coordinator"
-	topoW2W = "w2w"
-)
-
-// clusterCell runs one (query, worker-count, topology) cell: spawn,
-// time, check, predict, tear down. rounds=0 runs a single unkept-time
-// measurement pass (the ingress comparison's mode).
+// clusterCell runs one (query, worker-count) cell: spawn, time, check,
+// predict, tear down.
 func clusterCell(self string, env []string, spec *queries.Spec,
-	segs []*mapreduce.Segment, seq *queries.Run, n int, topo string, rounds int) (*clusterCellResult, error) {
+	segs []*mapreduce.Segment, seq *queries.Run, n int) (*clusterCellResult, error) {
 	eps, err := cluster.SpawnWorkers(self, n, cluster.SpawnOptions{Env: env})
 	if err != nil {
 		return nil, err
@@ -188,22 +128,15 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 	conf := mapreduce.Config{NumReducers: 4, MaxAttempts: 3, Parallelism: n,
 		Trace: Trace, Registry: Registry}
 	opt := core.SympleOptions{}
-	var popts []cluster.PoolOption
-	if topo == topoW2W {
-		popts = append(popts, cluster.WithW2W())
-	}
-	pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps, popts...)
+	pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Close()
 	conf.RemoteMap = pool
-	if topo == topoW2W {
-		conf.RemoteReduce = pool
-	}
 
 	var best *queries.Run
-	for round := 0; round <= rounds; round++ {
+	for round := 0; round <= clusterRounds; round++ {
 		r, err := spec.SympleOpts(segs, conf, opt)
 		if err != nil {
 			return nil, err
@@ -212,7 +145,7 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 			return nil, fmt.Errorf("digest %x (%d results) != sequential %x (%d)",
 				r.Digest, r.NumResults, seq.Digest, seq.NumResults)
 		}
-		if round == 0 && rounds > 0 {
+		if round == 0 {
 			continue // warmup
 		}
 		if best == nil || r.Metrics.TotalWall < best.Metrics.TotalWall {
@@ -232,7 +165,6 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 	return &clusterCellResult{
 		Query:               spec.ID,
 		Workers:             n,
-		Topology:            topo,
 		WallSeconds:         best.Metrics.TotalWall.Seconds(),
 		MapWallSeconds:      best.Metrics.MapWall.Seconds(),
 		PredictedSeconds:    pred.TotalS,
@@ -244,53 +176,6 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 		ConnEgressBytes:     stats.ConnEgressBytes,
 		WorkerProcs:         procs,
 	}, nil
-}
-
-// clusterShuffleComparison runs the full 12-query suite in both
-// topologies and records the coordinator's shuffle-plane ingress for
-// each — the tentpole's acceptance number. Segments are cut finer than
-// the scaling sweep so the run count per key reflects a real cluster's
-// many map tasks.
-func clusterShuffleComparison(self string, env []string) (*shuffleComparison, error) {
-	d := comparisonDatasets()
-	cmp := &shuffleComparison{
-		Workers:  comparisonWorkers,
-		Records:  comparisonScale.Records,
-		Segments: comparisonScale.Segments,
-	}
-	for _, spec := range queries.All() {
-		segs, err := d.For(spec.Dataset, false)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := spec.Sequential(segs)
-		if err != nil {
-			return nil, fmt.Errorf("comparison %s sequential: %w", spec.ID, err)
-		}
-		cell := shuffleComparisonCell{Query: spec.ID}
-		for _, topo := range []string{topoVia, topoW2W} {
-			q, err := clusterCell(self, env, spec, segs, seq, comparisonWorkers, topo, 0)
-			if err != nil {
-				return nil, fmt.Errorf("comparison %s %s: %w", spec.ID, topo, err)
-			}
-			switch topo {
-			case topoVia:
-				cell.ViaIngressBytes = q.ShuffleIngressBytes
-			case topoW2W:
-				cell.W2WIngressBytes = q.ShuffleIngressBytes
-			}
-		}
-		if cell.W2WIngressBytes > 0 {
-			cell.Reduction = float64(cell.ViaIngressBytes) / float64(cell.W2WIngressBytes)
-		}
-		cmp.Cells = append(cmp.Cells, cell)
-		cmp.ViaIngressBytes += cell.ViaIngressBytes
-		cmp.W2WIngressBytes += cell.W2WIngressBytes
-	}
-	if cmp.W2WIngressBytes > 0 {
-		cmp.Reduction = float64(cmp.ViaIngressBytes) / float64(cmp.W2WIngressBytes)
-	}
-	return cmp, nil
 }
 
 // clusterLoopback models the spawned-subprocess topology: each worker
@@ -324,9 +209,8 @@ func replayJob(m *mapreduce.Metrics) dcsim.Job {
 }
 
 type clusterCellResult struct {
-	Query    string `json:"query"`
-	Workers  int    `json:"workers"`
-	Topology string `json:"topology"`
+	Query   string `json:"query"`
+	Workers int    `json:"workers"`
 	// WallSeconds is the best measured end-to-end wall clock;
 	// MapWallSeconds its map phase (the part that runs on workers).
 	WallSeconds    float64 `json:"wall_seconds"`
@@ -338,37 +222,15 @@ type clusterCellResult struct {
 	SpeedupVsOne     float64 `json:"speedup_vs_one_worker"`
 	ShuffleBytes     int64   `json:"shuffle_bytes"`
 	MapTasks         int     `json:"map_tasks"`
-	// ShuffleIngressBytes is the shuffle-plane payload that reached the
-	// coordinator (run frames via-coordinator; receipts and reduce
-	// replies w2w). Conn counters are raw socket bytes for the best
-	// round's pool lifetime, framing included.
+	// ShuffleIngressBytes is the run payload that reached the
+	// coordinator. Conn counters are raw socket bytes over the pool's
+	// lifetime (warmup and every round), framing included.
 	ShuffleIngressBytes int64 `json:"coord_shuffle_ingress_bytes"`
 	ConnIngressBytes    int64 `json:"coord_conn_ingress_bytes"`
 	ConnEgressBytes     int64 `json:"coord_conn_egress_bytes"`
 	// WorkerProcs is each worker subprocess's GOMAXPROCS as reported in
 	// its map-done replies, sorted.
 	WorkerProcs []int `json:"worker_gomaxprocs"`
-}
-
-// shuffleComparisonCell is one query's coordinator shuffle ingress per
-// topology.
-type shuffleComparisonCell struct {
-	Query           string  `json:"query"`
-	ViaIngressBytes int64   `json:"via_coordinator_ingress_bytes"`
-	W2WIngressBytes int64   `json:"w2w_ingress_bytes"`
-	Reduction       float64 `json:"reduction_factor"`
-}
-
-// shuffleComparison aggregates the 12-query ingress comparison; the
-// top-level Reduction is the tentpole's acceptance number.
-type shuffleComparison struct {
-	Workers         int                     `json:"workers"`
-	Records         int                     `json:"records"`
-	Segments        int                     `json:"segments"`
-	Cells           []shuffleComparisonCell `json:"cells"`
-	ViaIngressBytes int64                   `json:"via_coordinator_ingress_bytes"`
-	W2WIngressBytes int64                   `json:"w2w_ingress_bytes"`
-	Reduction       float64                 `json:"reduction_factor"`
 }
 
 type clusterReport struct {
@@ -381,7 +243,4 @@ type clusterReport struct {
 	HostCores int                 `json:"host_cores"`
 	Warnings  []string            `json:"warnings,omitempty"`
 	Cells     []clusterCellResult `json:"cells"`
-	// ShuffleComparison is the 12-query coordinator-ingress comparison
-	// between the two shuffle topologies.
-	ShuffleComparison *shuffleComparison `json:"shuffle_comparison,omitempty"`
 }

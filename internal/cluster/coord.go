@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,25 +19,23 @@ import (
 // surfaces as an attempt error; a background redial restores the
 // worker, and the engine's retry/speculation machinery does the rest.
 // The pool never commits anything itself: first-finisher-wins stays
-// with the engine, exactly as in process.
+// with the engine, exactly as in process, and so does the reduce — the
+// runs a pool hands back are the ones an in-process attempt would have
+// produced, and the engine merges them on its own reduce tasks. A
+// worker that dies for good costs the job only the map attempts it was
+// running: the survivors take the retries.
 //
-// With WithW2W the pool also implements mapreduce.RemoteReducer and
-// takes itself off the data path: partitions get static owners
-// (p mod workers), assignments carry the ownership tables so map
-// workers push runs straight to their owners, and RunReduce asks the
-// owning worker to merge in place — only byte-counted receipts flow up
-// during maps and only combined group summaries flow back at reduce.
-// Segments are content-addressed: once a worker has acknowledged an
-// attempt over some segment, later attempts ship only the digest, and
-// a worker whose cache was lost answers need-segment to get one
-// payload re-ship.
+// Segments are content-addressed by both lanes of a 128-bit digest:
+// once a worker has acknowledged an attempt over some segment, later
+// attempts ship only the digest, and a worker whose cache was lost
+// answers need-segment to get one payload re-ship.
 
 // Endpoint is one worker the pool can (re)connect to.
 type Endpoint interface {
 	// Connect establishes a fresh transport connection to the worker.
 	Connect(ctx context.Context) (net.Conn, error)
-	// Addr is the worker's listen address — the identity peers dial in
-	// the w2w topology.
+	// Addr is the worker's listen address, the identity placements and
+	// per-worker reports name it by.
 	Addr() string
 	// Close releases the endpoint (kills a spawned worker process).
 	Close() error
@@ -68,14 +65,6 @@ type workerConn struct {
 	fw   *frameWriter
 }
 
-// ownerConn is the dedicated reduce connection to one partition owner,
-// dialed lazily; mu serializes reduce conversations when one worker
-// owns several partitions.
-type ownerConn struct {
-	mu sync.Mutex
-	w  *workerConn
-}
-
 // Placement records where one map attempt was dispatched — the
 // speculation anti-affinity and cache-affinity tests read these.
 type Placement struct {
@@ -84,30 +73,21 @@ type Placement struct {
 	Addr    string
 }
 
-// PoolStats are the coordinator-side byte counters the benchmark
-// methodology records per topology.
+// PoolStats are the coordinator-side byte counters the cluster
+// experiment records.
 type PoolStats struct {
 	// ConnIngressBytes / ConnEgressBytes count every byte the
 	// coordinator read from / wrote to worker connections.
 	ConnIngressBytes int64
 	ConnEgressBytes  int64
-	// ShuffleIngressBytes counts the shuffle-plane payload bytes that
-	// reached the coordinator: run frames (via-coordinator), receipts
-	// and reduce replies (w2w). This is the number the w2w topology
-	// collapses.
+	// ShuffleIngressBytes counts the run payload bytes that reached the
+	// coordinator — the shuffle's share of ConnIngressBytes.
 	ShuffleIngressBytes int64
 }
 
 // Pool leases worker connections to concurrent map attempts.
 type Pool struct {
 	spec JobSpec
-
-	w2w       bool
-	jobID     uint64
-	endpoints []Endpoint
-	epIndex   map[Endpoint]int
-	owners    []int
-	addrs     []string
 
 	free chan *workerConn
 	dead chan struct{} // closed when every worker is permanently lost
@@ -116,14 +96,10 @@ type Pool struct {
 	closed     bool
 	live       int
 	conns      map[*workerConn]struct{}
-	lastEp     map[int]Endpoint             // task → endpoint of the latest dispatched attempt
-	epSegs     map[Endpoint]map[uint64]bool // segments acknowledged cached per endpoint
-	segs       map[int]*mapreduce.Segment   // task → segment, retained for w2w refills
+	lastEp     map[int]Endpoint                       // task → endpoint of the latest dispatched attempt
+	epSegs     map[Endpoint]map[mapreduce.Digest]bool // segments acknowledged cached per endpoint
 	placements []Placement
 	procs      map[string]int // worker addr → GOMAXPROCS, from map-done
-
-	rmu    sync.Mutex
-	rconns map[int]*ownerConn
 
 	connIn    atomic.Int64
 	connOut   atomic.Int64
@@ -131,21 +107,6 @@ type Pool struct {
 
 	wg sync.WaitGroup // background redials
 }
-
-// PoolOption configures NewPool.
-type PoolOption func(*Pool)
-
-// WithW2W switches the pool to the worker-to-worker shuffle topology.
-// The pool then also implements mapreduce.RemoteReducer; wire it into
-// both Config.RemoteMap and Config.RemoteReduce.
-func WithW2W() PoolOption {
-	return func(p *Pool) { p.w2w = true }
-}
-
-// jobSeq disambiguates pools within one coordinator process; combined
-// with the pid it keys per-job worker state across coordinators
-// sharing workers.
-var jobSeq atomic.Uint64
 
 // reconnect backoff schedule for retired workers.
 const (
@@ -159,40 +120,19 @@ const (
 // pool borrows the endpoints — several pools (one per job spec) can
 // share one set of workers — so the caller closes the endpoints after
 // the last pool is done with them.
-func NewPool(spec JobSpec, endpoints []Endpoint, opts ...PoolOption) (*Pool, error) {
+func NewPool(spec JobSpec, endpoints []Endpoint) (*Pool, error) {
 	if len(endpoints) == 0 {
 		return nil, errors.New("cluster: pool needs at least one worker endpoint")
 	}
 	p := &Pool{
-		spec:      spec,
-		jobID:     uint64(os.Getpid())<<20 ^ jobSeq.Add(1),
-		endpoints: endpoints,
-		epIndex:   make(map[Endpoint]int, len(endpoints)),
-		free:      make(chan *workerConn, len(endpoints)),
-		dead:      make(chan struct{}),
-		conns:     map[*workerConn]struct{}{},
-		lastEp:    map[int]Endpoint{},
-		epSegs:    map[Endpoint]map[uint64]bool{},
-		segs:      map[int]*mapreduce.Segment{},
-		procs:     map[string]int{},
-		rconns:    map[int]*ownerConn{},
-		live:      len(endpoints),
-	}
-	for i, ep := range endpoints {
-		p.epIndex[ep] = i
-		p.addrs = append(p.addrs, ep.Addr())
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	if p.w2w {
-		// Static partition ownership: p mod workers. Deterministic, so
-		// every assignment of the job carries the same tables and a
-		// retried attempt pushes to the same owners.
-		p.owners = make([]int, spec.NumReducers)
-		for i := range p.owners {
-			p.owners[i] = i % len(endpoints)
-		}
+		spec:   spec,
+		free:   make(chan *workerConn, len(endpoints)),
+		dead:   make(chan struct{}),
+		conns:  map[*workerConn]struct{}{},
+		lastEp: map[int]Endpoint{},
+		epSegs: map[Endpoint]map[mapreduce.Digest]bool{},
+		procs:  map[string]int{},
+		live:   len(endpoints),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -273,7 +213,7 @@ func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 // that already caches the segment digest. It drains whatever is free
 // right now and scores it; when nothing is free it blocks on the next
 // lease regardless of preference (liveness beats placement).
-func (p *Pool) acquire(ctx context.Context, task, attempt int, digest uint64) (*workerConn, error) {
+func (p *Pool) acquire(ctx context.Context, task, attempt int, digest mapreduce.Digest) (*workerConn, error) {
 	var cands []*workerConn
 drain:
 	for {
@@ -302,7 +242,7 @@ drain:
 		if last != nil && w.ep != last {
 			score += 2 // anti-affinity to the previous attempt's worker
 		}
-		if digest != 0 && p.epSegs[w.ep][digest] {
+		if p.epSegs[w.ep][digest] {
 			score++ // cache affinity: the segment is already resident
 		}
 		if score > bestScore {
@@ -381,18 +321,11 @@ func (p *Pool) retire(w *workerConn) {
 	}()
 }
 
-// Close tears the pool down: broadcasts job-done so workers drop this
-// job's shuffle state, closes every connection (leased ones included —
-// in-flight RunMap calls fail fast), and waits for background redials
-// to stop. The endpoints stay open for other pools; the caller closes
-// them when done.
+// Close tears the pool down: closes every connection (leased ones
+// included — in-flight RunMap calls fail fast) and waits for background
+// redials to stop. The endpoints stay open for other pools; the caller
+// closes them when done.
 func (p *Pool) Close() error {
-	p.mu.Lock()
-	alreadyClosed := p.closed
-	p.mu.Unlock()
-	if !alreadyClosed && p.w2w {
-		p.broadcastJobDone()
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -415,37 +348,6 @@ func (p *Pool) Close() error {
 		break
 	}
 	return nil
-}
-
-// broadcastJobDone tells every reachable worker the job is over —
-// drop buffered runs, close peer connections — before the sockets go
-// away. Best effort: a worker we cannot reach has nothing durable to
-// leak anyway.
-func (p *Pool) broadcastJobDone() {
-	payload := encodeJobDone(p.jobID)
-	p.rmu.Lock()
-	for _, oc := range p.rconns {
-		oc.mu.Lock()
-		if oc.w != nil {
-			_ = oc.w.fw.write(FrameJobDone, payload)
-		}
-		oc.mu.Unlock()
-	}
-	p.rmu.Unlock()
-	var drained []*workerConn
-drain:
-	for {
-		select {
-		case w := <-p.free:
-			drained = append(drained, w)
-		default:
-			break drain
-		}
-	}
-	for _, w := range drained {
-		_ = w.fw.write(FrameJobDone, payload)
-		p.free <- w
-	}
 }
 
 // Stats returns the pool's byte counters.
@@ -477,28 +379,25 @@ func (p *Pool) WorkerProcs() map[string]int {
 	return out
 }
 
-// wireDigest is the segment's address on the wire: 64 bits drawn from
-// its ID and content digest (workers cache segments by it and answer
-// need_segment with it). Zero is reserved for "no digest".
-func wireDigest(seg *mapreduce.Segment) uint64 {
-	if d := (mapreduce.Digest{uint64(seg.ID)}).Chain(seg.Digest())[0]; d != 0 {
-		return d
-	}
-	return 1
+// wireDigest is the segment's address on the wire: its ID chained with
+// its content digest, both lanes (workers cache segments by it and
+// answer need-segment with it). A forged segment that collides in one
+// lane still differs in the other, so it is never served in another's
+// place.
+func wireDigest(seg *mapreduce.Segment) mapreduce.Digest {
+	return (mapreduce.Digest{uint64(seg.ID)}).Chain(seg.Digest())
 }
 
 // markCached records that ep acknowledged an attempt over digest, so
 // future assignments can go digest-only.
-func (p *Pool) markCached(ep Endpoint, digest uint64, procs int) {
+func (p *Pool) markCached(ep Endpoint, digest mapreduce.Digest, procs int) {
 	p.mu.Lock()
-	if digest != 0 {
-		m := p.epSegs[ep]
-		if m == nil {
-			m = map[uint64]bool{}
-			p.epSegs[ep] = m
-		}
-		m[digest] = true
+	m := p.epSegs[ep]
+	if m == nil {
+		m = map[mapreduce.Digest]bool{}
+		p.epSegs[ep] = m
 	}
+	m[digest] = true
 	if procs > 0 {
 		p.procs[ep.Addr()] = procs
 	}
@@ -512,13 +411,6 @@ func (p *Pool) markCached(ep Endpoint, digest uint64, procs int) {
 func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Segment,
 	faults mapreduce.AttemptFaults) (*mapreduce.MapOutput, error) {
 	digest := wireDigest(seg)
-	if p.w2w {
-		// Retain the segment: a dead reduce owner is refilled by
-		// re-running this task's committed attempt.
-		p.mu.Lock()
-		p.segs[task] = seg
-		p.mu.Unlock()
-	}
 	w, err := p.acquire(ctx, task, attempt, digest)
 	if err != nil {
 		return nil, err
@@ -534,22 +426,15 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		return nil, err
 	}
 	p.mu.Lock()
-	hasPayload := digest == 0 || !p.epSegs[w.ep][digest]
+	hasPayload := !p.epSegs[w.ep][digest]
 	p.mu.Unlock()
 	sendAssign := func(withPayload bool) error {
 		a := &assignment{
 			spec: p.spec, task: task, attempt: attempt, faults: faults,
-			segID: seg.ID, segDigest: digest, refillPart: -1,
+			segID: seg.ID, segDigest: digest,
 		}
 		if withPayload {
 			a.seg = seg
-		}
-		if p.w2w {
-			a.w2w = true
-			a.jobID = p.jobID
-			a.selfID = p.epIndex[w.ep]
-			a.owners = p.owners
-			a.addrs = p.addrs
 		}
 		return w.fw.write(FrameAssign, encodeAssign(a))
 	}
@@ -564,17 +449,9 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 			return fail(fmt.Errorf("cluster: worker stream (task %d attempt %d): %w", task, attempt, err))
 		}
 		switch f.Type {
-		case FrameRun, FrameRunReceipt:
-			// Run payloads come via the coordinator, receipts under w2w.
-			decode := decodeRun
-			if p.w2w {
-				decode = decodeRunReceipt
-			}
-			if (f.Type == FrameRunReceipt) != p.w2w {
-				return fail(fmt.Errorf("%w: frame type %d on a w2w=%v attempt stream", ErrFrame, f.Type, p.w2w))
-			}
+		case FrameRun:
 			p.shuffleIn.Add(int64(len(f.Payload)))
-			r, err := decode(f.Payload)
+			r, err := decodeRun(f.Payload)
 			if err != nil {
 				return fail(err)
 			}
@@ -631,218 +508,6 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 			return nil, fmt.Errorf("cluster: worker attempt failed (task %d attempt %d): %s", task, attempt, msg)
 		default:
 			return fail(fmt.Errorf("%w: unexpected frame type %d in attempt stream", ErrFrame, f.Type))
-		}
-	}
-}
-
-// RunReduce implements mapreduce.RemoteReducer: run one reduce attempt
-// for a partition on its owning worker, its faults in the request. If
-// the owner reports committed runs it never received (it restarted, or
-// an injected kill lost its state), the pool refills them — re-running
-// each missing committed attempt over its retained segment, pushing only
-// this partition — and asks again; the owner fires the faults only once
-// it has every run, so at most once per attempt. One refill round per
-// attempt; the engine's retry budget handles the rest.
-func (p *Pool) RunReduce(ctx context.Context, part, attempt int, commits []mapreduce.Run,
-	faults mapreduce.AttemptFaults) (*mapreduce.ReduceOutput, error) {
-	if !p.w2w {
-		return nil, errors.New("cluster: RunReduce requires the worker-to-worker topology (WithW2W)")
-	}
-	if part < 0 || part >= len(p.owners) {
-		return nil, fmt.Errorf("cluster: reduce for partition %d outside %d partitions", part, len(p.owners))
-	}
-	owner := p.owners[part]
-	reqCommits := make([]taskAttempt, len(commits))
-	for i, c := range commits {
-		reqCommits[i] = taskAttempt{task: c.Task, attempt: c.Attempt}
-	}
-	refilled := false
-	for {
-		out, missing, err := p.reduceOnce(ctx, owner, part, reqCommits, faults)
-		if err != nil {
-			return nil, err
-		}
-		if len(missing) == 0 {
-			out.Worker = owner
-			return out, nil
-		}
-		if refilled {
-			return nil, fmt.Errorf("cluster: partition %d owner still missing %d committed runs after refill", part, len(missing))
-		}
-		if err := p.refill(ctx, part, missing); err != nil {
-			return nil, fmt.Errorf("cluster: refilling partition %d: %w", part, err)
-		}
-		refilled = true
-	}
-}
-
-// reduceConn returns the lazily dialed, locked reduce connection to an
-// owner; the caller must unlock oc.mu.
-func (p *Pool) reduceConn(ctx context.Context, owner int) (*ownerConn, error) {
-	p.rmu.Lock()
-	oc, ok := p.rconns[owner]
-	if !ok {
-		oc = &ownerConn{}
-		p.rconns[owner] = oc
-	}
-	p.rmu.Unlock()
-	oc.mu.Lock()
-	if oc.w == nil {
-		w, err := p.connect(ctx, p.endpoints[owner])
-		if err != nil {
-			oc.mu.Unlock()
-			return nil, err
-		}
-		oc.w = w
-	}
-	return oc, nil
-}
-
-// dropOwnerConn kills a broken reduce connection; the next attempt
-// redials. Caller holds oc.mu.
-func (p *Pool) dropOwnerConn(oc *ownerConn) {
-	if oc.w == nil {
-		return
-	}
-	oc.w.conn.Close()
-	p.mu.Lock()
-	delete(p.conns, oc.w)
-	p.mu.Unlock()
-	oc.w = nil
-}
-
-// reduceOnce runs one reduce conversation with the owner.
-func (p *Pool) reduceOnce(ctx context.Context, owner, part int, commits []taskAttempt,
-	faults mapreduce.AttemptFaults) (*mapreduce.ReduceOutput, []taskAttempt, error) {
-	oc, err := p.reduceConn(ctx, owner)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer oc.mu.Unlock()
-	w := oc.w
-	stop := context.AfterFunc(ctx, func() { w.conn.Close() })
-	defer stop()
-	fail := func(err error) (*mapreduce.ReduceOutput, []taskAttempt, error) {
-		p.dropOwnerConn(oc)
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		return nil, nil, err
-	}
-	req := &reduceReq{jobID: p.jobID, spec: p.spec, part: part, faults: faults, commits: commits}
-	if err := w.fw.write(FrameReduce, encodeReduce(req)); err != nil {
-		return fail(fmt.Errorf("cluster: sending reduce request (part %d): %w", part, err))
-	}
-	out := &mapreduce.ReduceOutput{}
-	for {
-		f, err := w.fr.next()
-		if err != nil {
-			return fail(fmt.Errorf("cluster: reduce stream (part %d): %w", part, err))
-		}
-		switch f.Type {
-		case FrameSpans:
-			spans, err := decodeSpans(f.Payload)
-			if err != nil {
-				return fail(err)
-			}
-			out.Spans = spans
-		case FrameReduceDone:
-			p.shuffleIn.Add(int64(len(f.Payload)))
-			groups, missing, err := decodeReduceDone(f.Payload)
-			if err != nil {
-				return fail(err)
-			}
-			if ctx.Err() != nil {
-				p.dropOwnerConn(oc)
-				return nil, nil, ctx.Err()
-			}
-			if len(missing) > 0 {
-				return nil, missing, nil
-			}
-			out.Groups = groups
-			return out, nil, nil
-		case FrameError:
-			msg, derr := decodeError(f.Payload)
-			if derr != nil {
-				return fail(derr)
-			}
-			// Clean worker-side reduce failure; the conn stays usable.
-			return nil, nil, fmt.Errorf("cluster: worker reduce failed (part %d): %s", part, msg)
-		default:
-			return fail(fmt.Errorf("%w: unexpected frame type %d in reduce stream", ErrFrame, f.Type))
-		}
-	}
-}
-
-// refill re-derives missing committed runs: each missing (task,
-// attempt) is re-run over the task's retained segment on some free
-// worker, pushing only the affected partition to its owner, with no
-// receipts, no spans, and no faults — the original attempt already
-// committed; this is recovery, not a new attempt.
-func (p *Pool) refill(ctx context.Context, part int, missing []taskAttempt) error {
-	for _, ta := range missing {
-		p.mu.Lock()
-		seg := p.segs[ta.task]
-		p.mu.Unlock()
-		if seg == nil {
-			return fmt.Errorf("cluster: no retained segment for task %d", ta.task)
-		}
-		if err := p.refillOne(ctx, part, ta, seg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *mapreduce.Segment) error {
-	digest := wireDigest(seg)
-	w, err := p.acquire(ctx, ta.task, ta.attempt, digest)
-	if err != nil {
-		return err
-	}
-	stop := context.AfterFunc(ctx, func() { w.conn.Close() })
-	defer stop()
-	fail := func(err error) error {
-		p.retire(w)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	a := &assignment{
-		spec: p.spec, task: ta.task, attempt: ta.attempt,
-		w2w: true, jobID: p.jobID, selfID: p.epIndex[w.ep],
-		owners: p.owners, addrs: p.addrs, refillPart: part,
-		segID: seg.ID, segDigest: digest, seg: seg,
-	}
-	if err := w.fw.write(FrameAssign, encodeAssign(a)); err != nil {
-		return fail(fmt.Errorf("cluster: sending refill (task %d attempt %d part %d): %w", ta.task, ta.attempt, part, err))
-	}
-	for {
-		f, err := w.fr.next()
-		if err != nil {
-			return fail(fmt.Errorf("cluster: refill stream (task %d attempt %d): %w", ta.task, ta.attempt, err))
-		}
-		switch f.Type {
-		case FrameMapDone:
-			if _, err := decodeMapDone(f.Payload); err != nil {
-				return fail(err)
-			}
-			if ctx.Err() != nil {
-				p.retire(w)
-				return ctx.Err()
-			}
-			p.release(w)
-			return nil
-		case FrameError:
-			msg, derr := decodeError(f.Payload)
-			if derr != nil {
-				return fail(derr)
-			}
-			p.release(w)
-			return fmt.Errorf("cluster: refill failed (task %d attempt %d): %s", ta.task, ta.attempt, msg)
-		default:
-			return fail(fmt.Errorf("%w: unexpected frame type %d in refill stream", ErrFrame, f.Type))
 		}
 	}
 }

@@ -294,15 +294,142 @@ func TestPoolAllWorkersLost(t *testing.T) {
 	}
 }
 
+// TestSpeculativePlacementAntiAffinity pins the acquire scoring: with
+// both workers free, a task's next attempt lands on the worker the
+// previous attempt did NOT use — anti-affinity outweighs the segment
+// cache bonus — so speculation gets an independent machine.
+func TestSpeculativePlacementAntiAffinity(t *testing.T) {
+	checkGoroutineLeaks(t)
+	ep0, _ := startWorker(t)
+	ep1, _ := startWorker(t)
+	p, err := NewPool(testSpec(t), []Endpoint{ep0, ep1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	seg := testSegment()
+	for attempt := 0; attempt < 3; attempt++ {
+		if _, err := p.RunMap(context.Background(), 0, attempt, seg, nil); err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+	}
+	pl := p.Placements()
+	if len(pl) != 3 {
+		t.Fatalf("%d placements recorded, want 3", len(pl))
+	}
+	for i := 1; i < len(pl); i++ {
+		if pl[i].Addr == pl[i-1].Addr {
+			t.Errorf("attempt %d placed on %s, same worker as attempt %d — anti-affinity not applied",
+				pl[i].Attempt, pl[i].Addr, pl[i-1].Attempt)
+		}
+	}
+}
+
+// TestSegmentCacheDigestOnly: after a worker acknowledges an attempt
+// over a segment, later attempts ship only the digest (egress collapses
+// below the payload size); after the worker loses its cache, the
+// need-segment reply gets exactly one payload re-ship and the attempt
+// still succeeds.
+func TestSegmentCacheDigestOnly(t *testing.T) {
+	checkGoroutineLeaks(t)
+	ep, w := startWorker(t)
+	p, err := NewPool(testSpec(t), []Endpoint{ep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	big := make([]byte, 64<<10)
+	for i := range big {
+		big[i] = byte('a' + i%4)
+	}
+	seg := &mapreduce.Segment{ID: 7, Records: [][]byte{big}}
+	payload := int64(len(big))
+
+	egress := func() int64 { return p.Stats().ConnEgressBytes }
+	e0 := egress()
+	if _, err := p.RunMap(context.Background(), 0, 0, seg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := egress() - e0; d < payload {
+		t.Fatalf("first attempt shipped %d bytes, expected the %d-byte payload", d, payload)
+	}
+	if n := w.CachedSegments(); n != 1 {
+		t.Fatalf("worker caches %d segments, want 1", n)
+	}
+
+	e1 := egress()
+	if _, err := p.RunMap(context.Background(), 0, 1, seg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := egress() - e1; d >= payload {
+		t.Fatalf("cached attempt shipped %d bytes — digest-only path not taken", d)
+	}
+
+	w.DropSegmentCache()
+	e2 := egress()
+	if _, err := p.RunMap(context.Background(), 0, 2, seg, nil); err != nil {
+		t.Fatalf("attempt after cache loss: %v", err)
+	}
+	if d := egress() - e2; d < payload {
+		t.Fatalf("post-cache-loss attempt shipped %d bytes — need-segment re-ship did not happen", d)
+	}
+	if n := w.CachedSegments(); n != 1 {
+		t.Fatalf("worker caches %d segments after re-ship, want 1", n)
+	}
+}
+
+// TestSegmentCacheForgedLaneNeverShares: a segment cached under a digest
+// that shares lane 0 of another segment's wire digest is never served in
+// that segment's place. Whatever the pool believes a worker holds, the
+// worker resolves a digest-only assignment by both lanes and asks for
+// the payload when it lacks it; keyed by one lane, it would have run the
+// job over the wrong records.
+func TestSegmentCacheForgedLaneNeverShares(t *testing.T) {
+	checkGoroutineLeaks(t)
+	ep, w := startWorker(t)
+	p, err := NewPool(testSpec(t), []Endpoint{ep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	x := &mapreduce.Segment{ID: 1, Records: [][]byte{[]byte("alpha"), []byte("avocado")}}
+	y := &mapreduce.Segment{ID: 1, Records: [][]byte{[]byte("banana")}}
+	dy := wireDigest(y)
+	forged := mapreduce.Digest{dy[0], dy[1] ^ 1}
+	checkY := func(attempt int) {
+		t.Helper()
+		out, err := p.RunMap(context.Background(), 0, attempt, y, nil)
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		if out.Records != 1 || out.Emitted != 1 {
+			t.Fatalf("attempt %d mapped %d records / %d emits, want y's 1 / 1 — served x from a forged cache entry",
+				attempt, out.Records, out.Emitted)
+		}
+	}
+
+	// Both sides hold x under the forged key.
+	w.cacheSegment(forged, x)
+	p.markCached(ep, forged, 0)
+	checkY(0)
+
+	// The pool believes y is cached, but the worker holds only x under the
+	// forged key: the digest-only assignment must miss and re-ship.
+	w.DropSegmentCache()
+	w.cacheSegment(forged, x)
+	p.markCached(ep, dy, 0)
+	checkY(1)
+}
+
 // workerMapPoints are the map-attempt points a worker fires.
 var workerMapPoints = []mapreduce.FaultPoint{mapreduce.PointMapStart, mapreduce.PointMapEmit,
-	mapreduce.PointMapMid, mapreduce.PointRunSend, mapreduce.PointPeerPush, mapreduce.PointSpillWrite}
+	mapreduce.PointMapMid, mapreduce.PointRunSend, mapreduce.PointSpillWrite}
 
 // shipAssign arms a map attempt's faults and returns them as the worker
 // decodes them from the assign frame.
 func shipAssign(t *testing.T, plan *mapreduce.FaultPlan, task, attempt, maxAttempts int) mapreduce.AttemptFaults {
 	t.Helper()
-	a, err := decodeAssign(encodeAssign(&assignment{task: task, attempt: attempt, refillPart: -1,
+	a, err := decodeAssign(encodeAssign(&assignment{task: task, attempt: attempt,
 		seg: testSegment(), faults: plan.Arm(task, attempt, maxAttempts, workerMapPoints...)}))
 	if err != nil {
 		t.Fatalf("assign (%d, %d): %v", task, attempt, err)

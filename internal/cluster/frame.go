@@ -1,14 +1,16 @@
 // Package cluster turns the in-process mapreduce engine into a
 // coordinator/worker system over TCP. The coordinator keeps the whole
 // task lifecycle — retries with backoff, speculation, the
-// first-finisher-wins commit — and ships only the map attempt body to
-// worker processes: a worker receives an input segment's records (it
-// builds the typed-column index over its own cached copy), runs the
-// registered map side, and streams the segcodec-encoded runs and composed summaries
-// back. Worker death and connection drops surface as attempt errors
-// the existing lifecycle retries, so a worker whose output never
-// commits cannot perturb the merged stream — the paper's placement-
-// invariance argument (§5.4) carried across a process boundary.
+// first-finisher-wins commit — and the whole reduce, and ships only the
+// map attempt body to worker processes: a worker receives an input
+// segment's records (it builds the typed-column index over its own
+// cached copy), runs the registered map side, and streams the
+// segcodec-encoded runs of composed summaries back. Worker death and
+// connection drops surface as attempt errors the existing lifecycle
+// retries, so a worker whose output never commits cannot perturb the
+// merged stream — the paper's placement-invariance argument (§5.4)
+// carried across a process boundary — and a dead worker costs a job
+// only its retried map attempts.
 //
 // Everything crosses the socket inside length-prefixed, versioned
 // frames (this file); payload codecs live in proto.go, the worker loop
@@ -25,21 +27,20 @@ import (
 
 // ProtocolVersion is negotiated by the hello exchange; a peer speaking
 // a different version is rejected before any job traffic. Version 2
-// added the worker-to-worker shuffle frames (peer_hello, run_push,
-// partition_done, run_receipt, reduce, reduce_done, job_done) and the
-// extended assignment payload (topology, segment digest). Version 3
-// added the query-service job frames (job_submit, job_accept,
-// job_update, job_result, job_cancel). Version 4 shrank the job spec
-// (two engine knobs left the wire). Version 5 dropped the columnar
-// payload from the assignment: a segment ships as its records and
-// nothing else. Version 6 carries the event bundle — a one-event group's
-// event in place of its summary — in runs and reduce replies, which a
-// v5 peer would misread; the job spec lost the memo size; and span
+// added the worker-to-worker shuffle frames and the segment digest in
+// the assignment. Version 3 added the query-service job frames
+// (job_submit, job_accept, job_update, job_result, job_cancel). Version
+// 4 shrank the job spec (two engine knobs left the wire). Version 5
+// dropped the columnar payload from the assignment: a segment ships as
+// its records and nothing else. Version 6 carries the event bundle — a
+// one-event group's event in place of its summary — in runs, which a v5
+// peer would misread; the job spec lost the memo size; and span
 // attributes and tags travel as key bytes, not names. Version 7 carries
-// an attempt's armed faults as one field of assign and reduce, in place
-// of the three ad-hoc fault fields before it, which a v6 peer would
-// misread.
-const ProtocolVersion = 7
+// an attempt's armed faults as one field of the assignment. Version 8
+// deleted the worker-to-worker shuffle — its seven frames, the topology
+// tables in the assignment — renumbered the job frames after it, and
+// widened the assignment's segment digest from one 64-bit lane to both.
+const ProtocolVersion = 8
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".
@@ -75,50 +76,22 @@ const (
 	// FrameError reports a worker-side attempt failure; the connection
 	// stays usable for the next assignment.
 	FrameError FrameType = 6
-	// FramePeerHello opens a worker-to-worker peer connection: magic,
-	// protocol version, and the job ID the pushes belong to. The
-	// receiving worker echoes it back as the accept.
-	FramePeerHello FrameType = 7
-	// FrameRunPush streams one encoded run from a map worker directly to
-	// the worker owning the run's partition (w2w topology). No per-push
-	// ack; FramePartDone settles the stream.
-	FrameRunPush FrameType = 8
-	// FramePartDone closes a map attempt's pushes to one peer: the push
-	// count for (task, attempt), echoed back by the owner as the ack
-	// that every push is buffered — the durability point the
-	// coordinator's commit relies on.
-	FramePartDone FrameType = 9
-	// FrameRunReceipt replaces FrameRun on the worker→coordinator stream
-	// in w2w mode: the run's coordinates and byte count, without the
-	// bytes (those went to the owner).
-	FrameRunReceipt FrameType = 10
-	// FrameReduce asks the owning worker to run one reduce attempt over
-	// its buffered runs: job ID, spec, partition, and the committed
-	// (task, attempt) list.
-	FrameReduce FrameType = 11
-	// FrameReduceDone answers FrameReduce: either the merged (and
-	// combined) key groups, or the list of committed runs the owner is
-	// missing and needs refilled.
-	FrameReduceDone FrameType = 12
-	// FrameJobDone tells a worker the job is over: drop its buffered
-	// runs and close its peer connections. No reply.
-	FrameJobDone FrameType = 13
 	// FrameJobSubmit asks a serve-mode daemon to run one query job for a
 	// tenant: tenant, query ID, dataset name, and the tail-mode knobs.
-	FrameJobSubmit FrameType = 14
+	FrameJobSubmit FrameType = 7
 	// FrameJobAccept answers a submit immediately with the admission
 	// verdict: the assigned job ID and queue position, or a rejection
 	// reason (queue full, unknown query, over budget).
-	FrameJobAccept FrameType = 15
+	FrameJobAccept FrameType = 8
 	// FrameJobUpdate streams one refreshed result for a tail job: the
 	// update sequence number, result digest, and fold provenance.
-	FrameJobUpdate FrameType = 16
+	FrameJobUpdate FrameType = 9
 	// FrameJobResult closes a job: the final digest and result count, or
 	// the job error, plus cache-hit/mapped-segment provenance.
-	FrameJobResult FrameType = 17
+	FrameJobResult FrameType = 10
 	// FrameJobCancel asks the service to cancel a previously accepted
 	// job (client→server); the job still settles with a FrameJobResult.
-	FrameJobCancel FrameType = 18
+	FrameJobCancel FrameType = 11
 
 	frameTypeMax = FrameJobCancel
 )

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -24,12 +25,12 @@ func seedAssignment() *assignment {
 		spec: JobSpec{
 			Query: "G1", NumReducers: 3, Compress: true, Combine: true,
 		},
-		task: 4, attempt: 1, refillPart: -1,
+		task: 4, attempt: 1,
 		faults: mapreduce.AttemptFaults{
 			{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: 17},
 			{Point: mapreduce.PointRunSend, Kind: mapreduce.KindDelay, At: 1, Delay: 1500 * time.Microsecond},
 		},
-		segID: 4, segDigest: 0xFEEDFACE,
+		segID: 4, segDigest: mapreduce.Digest{0xFEEDFACE, 0xC0FFEE},
 		seg: &mapreduce.Segment{
 			ID: 4,
 			Records: [][]byte{
@@ -38,43 +39,6 @@ func seedAssignment() *assignment {
 				[]byte(""),
 			},
 		},
-	}
-}
-
-// seedAssignmentW2W is seedAssignment in the worker-to-worker
-// topology, ownership tables attached.
-func seedAssignmentW2W() *assignment {
-	a := seedAssignment()
-	a.w2w = true
-	a.jobID = 77
-	a.selfID = 1
-	a.owners = []int{0, 1, 0}
-	a.addrs = []string{"127.0.0.1:7001", "127.0.0.1:7002"}
-	return a
-}
-
-// seedReduce builds a realistic reduce request for the corpus.
-func seedReduce() *reduceReq {
-	return &reduceReq{
-		jobID: 77,
-		spec:  JobSpec{Query: "G1", NumReducers: 3, Compress: true, Combine: true},
-		part:  2,
-		faults: mapreduce.AttemptFaults{
-			{Point: mapreduce.PointReduceMid, Kind: mapreduce.KindError, At: 2}},
-		commits: []taskAttempt{
-			{task: 0, attempt: 0}, {task: 1, attempt: 2}, {task: 2, attempt: 0},
-		},
-	}
-}
-
-// seedReduceGroups builds a combined-groups reduce reply.
-func seedReduceGroups() []mapreduce.ReducedGroup {
-	return []mapreduce.ReducedGroup{
-		{Key: "repo/alpha", Rows: []mapreduce.Shuffled{
-			{MapperID: 0, RecordID: 3, Value: []byte{0x01, 0x44, 0x02}}}},
-		{Key: "repo/beta", Rows: []mapreduce.Shuffled{
-			{MapperID: 1, RecordID: 0, Value: []byte{0x01, 0x9C}},
-			{MapperID: 2, RecordID: 5, Value: []byte{0x01, 0x00}}}},
 	}
 }
 
@@ -118,29 +82,22 @@ func frameSeedCorpus() []fuzzseed.Seed {
 	// Oversized declared length: type byte plus uvarint(maxFrameLen+1).
 	oversized := append([]byte{byte(FrameRun)}, binary.AppendUvarint(nil, maxFrameLen+1)...)
 
-	digestOnly := seedAssignmentW2W()
+	digestOnly := seedAssignment()
 	digestOnly.seg = nil
+	emptySeg := seedAssignment()
+	emptySeg.seg = &mapreduce.Segment{ID: emptySeg.segID}
 
-	return []fuzzseed.Seed{
+	seeds := []fuzzseed.Seed{
 		{Name: "valid-hello.bin", Data: hello},
 		{Name: "valid-assign.bin", Data: assign},
-		{Name: "valid-assign-w2w.bin", Data: frame(FrameAssign, encodeAssign(seedAssignmentW2W()))},
 		{Name: "valid-assign-digest-only.bin", Data: frame(FrameAssign, encodeAssign(digestOnly))},
 		{Name: "valid-run.bin", Data: run},
 		{Name: "valid-mapdone.bin", Data: done},
 		{Name: "valid-spans.bin", Data: spans},
+		{Name: "valid-assign-empty-segment.bin", Data: frame(FrameAssign, encodeAssign(emptySeg))},
 		{Name: "valid-error.bin", Data: frame(FrameError, encodeError("mapper: boom"))},
-		{Name: "valid-peerhello.bin", Data: frame(FramePeerHello, encodePeerHello(77))},
-		{Name: "valid-runpush.bin", Data: frame(FrameRunPush, encodeRunPush(77, mapreduce.Run{
-			Task: 4, Attempt: 1, Part: 2, Seg: []byte{0x01, 0x02, 0x03, 0x9C}}))},
-		{Name: "valid-partdone.bin", Data: frame(FramePartDone, encodePartDone(77, 4, 1, 2))},
-		{Name: "valid-receipt.bin", Data: frame(FrameRunReceipt, encodeRunReceipt(mapreduce.Run{
-			Task: 4, Attempt: 1, Part: 2, Bytes: 128}))},
-		{Name: "valid-reduce.bin", Data: frame(FrameReduce, encodeReduce(seedReduce()))},
-		{Name: "valid-reducedone-groups.bin", Data: frame(FrameReduceDone, encodeReduceGroups(seedReduceGroups()))},
-		{Name: "valid-reducedone-missing.bin", Data: frame(FrameReduceDone,
-			encodeReduceMissing([]taskAttempt{{task: 1, attempt: 2}}))},
-		{Name: "valid-jobdone.bin", Data: frame(FrameJobDone, encodeJobDone(77))},
+		{Name: "valid-error-need-segment.bin", Data: frame(FrameError,
+			encodeError(needSegmentPrefix+"00000000feedface0000000000c0ffee"))},
 		{Name: "valid-jobsubmit.bin", Data: frame(FrameJobSubmit, encodeJobSubmit(JobSubmit{
 			Tenant: "acme", Query: "G1", Dataset: "github", Tail: true, TailEvery: 2}))},
 		{Name: "valid-jobaccept.bin", Data: frame(FrameJobAccept, encodeJobAccept(JobAccept{
@@ -167,6 +124,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-magic.bin", Data: frame(FrameHello, helloWith(0xBADC0DE, ProtocolVersion))},
 		{Name: "corrupt-hello-version.bin", Data: frame(FrameHello, helloWith(helloMagic, ProtocolVersion+9))},
 		{Name: "corrupt-hello-v6.bin", Data: frame(FrameHello, helloWith(helloMagic, 6))},
+		{Name: "corrupt-hello-v7.bin", Data: frame(FrameHello, helloWith(helloMagic, 7))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -175,32 +133,26 @@ func frameSeedCorpus() []fuzzseed.Seed {
 			Data: frame(FrameAssign, forgedAssignCount())},
 		{Name: "corrupt-run-payload-trailing.bin",
 			Data: frame(FrameRun, append(encodeRun(mapreduce.Run{Task: 1, Seg: []byte{1}}), 0x01))},
+		{Name: "corrupt-run-truncated-seg.bin",
+			Data: frame(FrameRun, encodeRun(mapreduce.Run{Task: 1, Seg: []byte{1, 2, 3}})[:5])},
 		{Name: "corrupt-mapdone-forged-parts.bin",
 			Data: frame(FrameMapDone, forgedMapDoneParts())},
+		{Name: "corrupt-mapdone-trailing.bin",
+			Data: frame(FrameMapDone, append(encodeMapDone(&mapDone{emitted: 1, logical: []int64{1}}), 0x00))},
+		{Name: "corrupt-error-truncated.bin",
+			Data: frame(FrameError, encodeError("mapper: boom")[:4])},
 		{Name: "corrupt-spans-forged-count.bin",
 			Data: frame(FrameSpans, binary.AppendUvarint(nil, maxSpans+1))},
 		{Name: "corrupt-spans-unknown-attr.bin",
-			Data: frame(FrameSpans, forgedSpanKey())},
-		{Name: "corrupt-peerhello-version.bin",
-			Data: frame(FramePeerHello, peerHelloWith(helloMagic, ProtocolVersion+9, 77))},
-		{Name: "corrupt-peerhello-magic.bin",
-			Data: frame(FramePeerHello, peerHelloWith(0xBADC0DE, ProtocolVersion, 77))},
-		{Name: "corrupt-runpush-trailing.bin",
-			Data: frame(FrameRunPush, append(encodeRunPush(77, mapreduce.Run{Task: 1, Seg: []byte{1}}), 0x01))},
-		{Name: "corrupt-receipt-zero-bytes.bin",
-			Data: frame(FrameRunReceipt, encodeRunReceipt(mapreduce.Run{Task: 4, Attempt: 1, Part: 2}))},
-		{Name: "corrupt-reduce-forged-commits.bin",
-			Data: frame(FrameReduce, forgedReduceCommits())},
-		{Name: "corrupt-reducedone-forged-groups.bin",
-			Data: frame(FrameReduceDone, forgedReduceGroups())},
-		{Name: "corrupt-assign-forged-owner.bin",
-			Data: frame(FrameAssign, encodeAssign(forgedOwnerAssignment()))},
+			Data: frame(FrameSpans, forgedSpanKey(true))},
+		{Name: "corrupt-spans-unknown-tag.bin",
+			Data: frame(FrameSpans, forgedSpanKey(false))},
 		{Name: "corrupt-assign-forged-fault.bin",
 			Data: frame(FrameAssign, encodeAssign(forgedFaultAssignment()))},
-		{Name: "corrupt-reduce-forged-fault-count.bin",
-			Data: frame(FrameReduce, forgedReduceFaultCount())},
-		{Name: "corrupt-jobdone-trailing.bin",
-			Data: frame(FrameJobDone, append(encodeJobDone(77), 0x00))},
+		{Name: "corrupt-assign-forged-fault-count.bin",
+			Data: frame(FrameAssign, forgedAssignFaultCount())},
+		{Name: "corrupt-assign-truncated-digest.bin",
+			Data: frame(FrameAssign, forgedAssignDigest())},
 		{Name: "corrupt-jobsubmit-trailing.bin",
 			Data: frame(FrameJobSubmit, append(encodeJobSubmit(JobSubmit{
 				Tenant: "acme", Query: "G1", Dataset: "github"}), 0x01))},
@@ -219,6 +171,28 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-jobcancel-trailing.bin",
 			Data: frame(FrameJobCancel, append(encodeJobCancel(JobCancel{ID: 9}), 0xFF))},
 	}
+	for i, f := range outOfRangeFaults {
+		a := seedAssignment()
+		a.faults = mapreduce.AttemptFaults{f}
+		seeds = append(seeds, fuzzseed.Seed{Name: fmt.Sprintf("corrupt-assign-fault-range-%d.bin", i),
+			Data: frame(FrameAssign, encodeAssign(a))})
+	}
+	// Protocol v8 retired the frame types past job_cancel: a v7 peer's
+	// worker-to-worker frames and its job frames, numbered 12 to 18, are
+	// unknown types now.
+	for t := frameTypeMax + 1; t <= 18; t++ {
+		seeds = append(seeds, fuzzseed.Seed{Name: fmt.Sprintf("corrupt-retired-type-%d.bin", t),
+			Data: []byte{byte(t), 0x00}})
+	}
+	return seeds
+}
+
+// outOfRangeFaults are faults no plan arms: an unknown kind, a negative
+// ordinal, a delay past maxFaultDelay.
+var outOfRangeFaults = []mapreduce.Fault{
+	{Point: mapreduce.PointMapStart, Kind: mapreduce.FaultKind(9)},
+	{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: -1},
+	{Point: mapreduce.PointMapEmit, Kind: mapreduce.KindDelay, Delay: time.Hour},
 }
 
 // forgedJobSubmitLength claims a huge tenant-string length with no
@@ -229,36 +203,6 @@ func forgedJobSubmitLength() []byte {
 	return e.Bytes()
 }
 
-// peerHelloWith builds a peer hello with arbitrary magic/version.
-func peerHelloWith(magic, version, jobID uint64) []byte {
-	e := wire.NewEncoder(16)
-	e.Uvarint(magic)
-	e.Uvarint(version)
-	e.Uvarint(jobID)
-	return e.Bytes()
-}
-
-// forgedReduceCommits claims a huge commit count with no data.
-func forgedReduceCommits() []byte {
-	e := wire.NewEncoder(32)
-	e.Uvarint(77)
-	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
-	e.Uvarint(2)                    // part
-	e.Uvarint(0)                    // no faults
-	e.Uvarint(maxReduceCommits + 1) // forged commit count
-	return e.Bytes()
-}
-
-// forgedReduceFaultCount claims more faults than the plan has points.
-func forgedReduceFaultCount() []byte {
-	e := wire.NewEncoder(32)
-	e.Uvarint(77)
-	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
-	e.Uvarint(2)                                           // part
-	e.Uvarint(uint64(len(mapreduce.AllFaultPoints()) + 1)) // forged fault count
-	return e.Bytes()
-}
-
 // forgedFaultAssignment carries a fault at a point no plan has.
 func forgedFaultAssignment() *assignment {
 	a := seedAssignment()
@@ -266,49 +210,65 @@ func forgedFaultAssignment() *assignment {
 	return a
 }
 
-// forgedReduceGroups claims a huge group count with no data.
-func forgedReduceGroups() []byte {
-	e := wire.NewEncoder(16)
-	e.Uvarint(0)                   // nothing missing
-	e.Uvarint(maxReduceGroups + 1) // forged group count
+// assignHead encodes an assignment's fields up to its fault count.
+func assignHead() *wire.Encoder {
+	e := wire.NewEncoder(32)
+	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
+	e.Uvarint(0) // task
+	e.Uvarint(0) // attempt
+	return e
+}
+
+// forgedAssignFaultCount claims more faults than the plan has points.
+func forgedAssignFaultCount() []byte {
+	e := assignHead()
+	e.Uvarint(uint64(len(mapreduce.AllFaultPoints()) + 1)) // forged fault count
 	return e.Bytes()
 }
 
-// forgedOwnerAssignment points a partition at a worker index outside
-// the address table.
-func forgedOwnerAssignment() *assignment {
-	a := seedAssignmentW2W()
-	a.owners = []int{0, 5, 0} // worker 5 of 2
-	return a
+// forgedAssignDigest ends inside the segment digest's second lane — the
+// length of a one-lane digest.
+func forgedAssignDigest() []byte {
+	e := assignHead()
+	e.Uvarint(0)         // no faults
+	e.Uvarint(0)         // segment ID
+	e.Uint64(0xFEEDFACE) // lane 0
+	e.Bool(false)        // digest-only, where lane 1 belongs
+	return e.Bytes()
 }
 
 // forgedAssignCount claims a huge record count with no record data.
 func forgedAssignCount() []byte {
-	e := wire.NewEncoder(32)
-	appendJobSpec(e, JobSpec{Query: "G1", NumReducers: 3})
-	e.Uvarint(0)                     // task
-	e.Uvarint(0)                     // attempt
+	e := assignHead()
 	e.Uvarint(0)                     // no faults
-	e.Bool(false)                    // not w2w
 	e.Uvarint(0)                     // segment ID
-	e.Uvarint(0)                     // segment digest
+	e.Uint64(0)                      // segment digest, lane 0
+	e.Uint64(0)                      // and lane 1
 	e.Bool(true)                     // payload attached
 	e.Uvarint(maxSegmentRecords + 1) // forged record count
 	return e.Bytes()
 }
 
-// forgedSpanKey is one span whose attribute key is no declared key.
-func forgedSpanKey() []byte {
+// forgedSpanKey is one span whose attribute key (attr) or tag key is no
+// declared key.
+func forgedSpanKey(attr bool) []byte {
 	e := wire.NewEncoder(16)
 	e.Uvarint(1)
 	e.String(obs.KindMapExec)
 	e.String("exec-0")
 	e.Varint(1)
 	e.Varint(2)
-	e.Uvarint(1) // one attribute
-	e.Byte(0xEE) // no such key
-	e.Varint(7)
-	e.Uvarint(0) // no tags
+	if attr {
+		e.Uvarint(1) // one attribute
+		e.Byte(0xEE) // no such key
+		e.Varint(7)
+		e.Uvarint(0) // no tags
+	} else {
+		e.Uvarint(0) // no attributes
+		e.Uvarint(1) // one tag
+		e.Byte(0xEE) // no such key
+		e.String("x")
+	}
 	return e.Bytes()
 }
 
@@ -348,20 +308,6 @@ func decodeSeedFrame(data []byte) error {
 		_, err = decodeMapDone(f.Payload)
 	case FrameError:
 		_, err = decodeError(f.Payload)
-	case FramePeerHello:
-		_, err = decodePeerHello(f.Payload)
-	case FrameRunPush:
-		_, _, err = decodeRunPush(f.Payload)
-	case FramePartDone:
-		_, _, _, err = decodePartDone(f.Payload)
-	case FrameRunReceipt:
-		_, err = decodeRunReceipt(f.Payload)
-	case FrameReduce:
-		_, err = decodeReduce(f.Payload)
-	case FrameReduceDone:
-		_, _, err = decodeReduceDone(f.Payload)
-	case FrameJobDone:
-		_, err = decodeJobDone(f.Payload)
 	case FrameJobSubmit:
 		_, err = DecodeJobSubmit(f.Payload)
 	case FrameJobAccept:
@@ -417,7 +363,7 @@ func TestFuzzSeedFrameCorpus(t *testing.T) {
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)
 		}
 	}
-	if valid < 20 || corrupt < 27 {
+	if valid < 16 || corrupt < 43 {
 		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
 	}
 }
@@ -467,13 +413,6 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _ = decodeSpans(fr.Payload)
 		_, _ = decodeMapDone(fr.Payload)
 		_, _ = decodeError(fr.Payload)
-		_, _ = decodePeerHello(fr.Payload)
-		_, _, _ = decodeRunPush(fr.Payload)
-		_, _, _, _ = decodePartDone(fr.Payload)
-		_, _ = decodeRunReceipt(fr.Payload)
-		_, _ = decodeReduce(fr.Payload)
-		_, _, _ = decodeReduceDone(fr.Payload)
-		_, _ = decodeJobDone(fr.Payload)
 		_, _ = DecodeJobSubmit(fr.Payload)
 		_, _ = DecodeJobAccept(fr.Payload)
 		_, _ = DecodeJobUpdate(fr.Payload)
@@ -509,15 +448,13 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// Version 4 is the last whose assignments carried a columnar
 	// payload, version 5 the last whose runs held summary bundles only —
 	// it would misread a one-event group's event as an empty summary
-	// list — and version 6 the last with three ad-hoc fault fields in
-	// assign and reduce; peers still speaking any must be turned away at
+	// list — version 6 the last with three ad-hoc fault fields, and
+	// version 7 the last with the worker-to-worker frames and a one-lane
+	// segment digest; peers still speaking any must be turned away at
 	// hello.
-	for _, v := range []uint64{4, 5, 6} {
+	for _, v := range []uint64{4, 5, 6, 7} {
 		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
-		}
-		if _, err := decodePeerHello(peerHelloWith(helloMagic, v, 7)); err == nil || !strings.Contains(err.Error(), "not supported") {
-			t.Errorf("peer hello from a v%d peer: %v, want the version error", v, err)
 		}
 	}
 	if _, err := DecodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
@@ -545,45 +482,21 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		t.Error("forged partition count accepted")
 	}
 
-	for _, v := range []uint64{ProtocolVersion + 1, ProtocolVersion - 1} {
-		if _, err := decodePeerHello(peerHelloWith(helloMagic, v, 7)); err == nil || !strings.Contains(err.Error(), "not supported") {
-			t.Errorf("peer hello from a v%d peer: %v, want the version error", v, err)
-		}
-	}
-	if _, err := decodePeerHello(peerHelloWith(0xDEAD, ProtocolVersion, 7)); err == nil {
-		t.Error("bad peer hello magic accepted")
-	}
-	if _, err := decodeRunReceipt(encodeRunReceipt(mapreduce.Run{Task: 1, Part: 0})); err == nil {
-		t.Error("zero-byte run receipt accepted")
-	}
-	if _, err := decodeReduce(forgedReduceCommits()); err == nil {
-		t.Error("forged reduce commit count accepted")
-	}
-	if _, _, err := decodeReduceDone(forgedReduceGroups()); err == nil {
-		t.Error("forged reduce group count accepted")
-	}
-	if _, err := decodeAssign(encodeAssign(forgedOwnerAssignment())); err == nil {
-		t.Error("out-of-range partition owner accepted")
-	}
 	if _, err := decodeAssign(encodeAssign(forgedFaultAssignment())); err == nil {
 		t.Error("fault at an unknown point accepted")
 	}
-	for _, f := range []mapreduce.Fault{
-		{Point: mapreduce.PointMapStart, Kind: mapreduce.FaultKind(9)},
-		{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: -1},
-		{Point: mapreduce.PointMapEmit, Kind: mapreduce.KindDelay, Delay: time.Hour},
-	} {
-		req := seedReduce()
-		req.faults = mapreduce.AttemptFaults{f}
-		if _, err := decodeReduce(encodeReduce(req)); err == nil {
+	for _, f := range outOfRangeFaults {
+		a := seedAssignment()
+		a.faults = mapreduce.AttemptFaults{f}
+		if _, err := decodeAssign(encodeAssign(a)); err == nil {
 			t.Errorf("out-of-range fault %+v accepted", f)
 		}
 	}
-	if _, err := decodeReduce(forgedReduceFaultCount()); err == nil {
+	if _, err := decodeAssign(forgedAssignFaultCount()); err == nil {
 		t.Error("forged fault count accepted")
 	}
-	if _, err := decodeJobDone(append(encodeJobDone(7), 0x00)); err == nil {
-		t.Error("trailing garbage after job done accepted")
+	if _, err := decodeAssign(forgedAssignDigest()); err == nil {
+		t.Error("one-lane segment digest accepted")
 	}
 	if _, err := DecodeJobSubmit(append(encodeJobSubmit(JobSubmit{Tenant: "t", Query: "q", Dataset: "d"}), 0x01)); err == nil {
 		t.Error("trailing garbage after job submit accepted")
@@ -608,20 +521,10 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeJobCancel(append(encodeJobCancel(JobCancel{ID: 1}), 0xFF)); err == nil {
 		t.Error("trailing garbage after job cancel accepted")
 	}
-	// A reply claiming both groups and missing runs is ambiguous.
-	both := wire.NewEncoder(16)
-	both.Uvarint(1)
-	both.Uvarint(1) // missing: task 1
-	both.Uvarint(1) // missing: attempt 1
-	both.Uvarint(1) // one group
-	both.String("k")
-	both.Uvarint(0) // zero rows
-	if _, _, err := decodeReduceDone(both.Bytes()); err == nil {
-		t.Error("reduce reply with both groups and missing accepted")
-	}
 }
 
-// TestAssignRoundTrip pins the assignment codec: metadata and records.
+// TestAssignRoundTrip pins the assignment codec: metadata, both lanes
+// of the segment digest, and records — or, digest-only, no records.
 func TestAssignRoundTrip(t *testing.T) {
 	a := seedAssignment()
 	got, err := decodeAssign(encodeAssign(a))
@@ -629,7 +532,7 @@ func TestAssignRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.spec != a.spec || got.task != a.task || got.attempt != a.attempt ||
-		!slices.Equal(got.faults, a.faults) || got.seg.ID != a.seg.ID {
+		!slices.Equal(got.faults, a.faults) || got.segDigest != a.segDigest || got.seg.ID != a.seg.ID {
 		t.Fatalf("assignment metadata diverged: %+v vs %+v", got, a)
 	}
 	if len(got.seg.Records) != len(a.seg.Records) {
@@ -640,126 +543,13 @@ func TestAssignRoundTrip(t *testing.T) {
 			t.Fatalf("record %d diverged", i)
 		}
 	}
-}
-
-// TestAssignW2WRoundTrip pins the extended assignment codec: topology
-// tables, digest-only form, refill markers.
-func TestAssignW2WRoundTrip(t *testing.T) {
-	a := seedAssignmentW2W()
-	a.refillPart = 1
-	got, err := decodeAssign(encodeAssign(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.w2w || got.jobID != a.jobID || got.selfID != a.selfID ||
-		!slices.Equal(got.faults, a.faults) || got.refillPart != 1 || got.segDigest != a.segDigest {
-		t.Fatalf("w2w assignment metadata diverged: %+v vs %+v", got, a)
-	}
-	if len(got.owners) != len(a.owners) || len(got.addrs) != len(a.addrs) {
-		t.Fatalf("topology tables diverged: %+v vs %+v", got, a)
-	}
-	for i := range a.owners {
-		if got.owners[i] != a.owners[i] {
-			t.Fatalf("owner %d: %d vs %d", i, got.owners[i], a.owners[i])
-		}
-	}
-	for i := range a.addrs {
-		if got.addrs[i] != a.addrs[i] {
-			t.Fatalf("addr %d: %q vs %q", i, got.addrs[i], a.addrs[i])
-		}
-	}
 
 	a.seg = nil // digest-only form
-	got, err = decodeAssign(encodeAssign(a))
-	if err != nil {
+	if got, err = decodeAssign(encodeAssign(a)); err != nil {
 		t.Fatal(err)
 	}
 	if got.seg != nil || got.segDigest != a.segDigest || got.segID != a.segID {
 		t.Fatalf("digest-only assignment diverged: %+v", got)
-	}
-}
-
-// TestW2WCodecRoundTrips pins the push/receipt/reduce codecs.
-func TestW2WCodecRoundTrips(t *testing.T) {
-	jid, run, err := decodeRunPush(encodeRunPush(77, mapreduce.Run{
-		Task: 4, Attempt: 1, Part: 2, Seg: []byte{9, 8, 7}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jid != 77 || run.Task != 4 || run.Attempt != 1 || run.Part != 2 ||
-		run.Bytes != 3 || !bytes.Equal(run.Seg, []byte{9, 8, 7}) {
-		t.Fatalf("run push diverged: job %d run %+v", jid, run)
-	}
-
-	jid, ta, n, err := decodePartDone(encodePartDone(77, 4, 1, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jid != 77 || ta.task != 4 || ta.attempt != 1 || n != 6 {
-		t.Fatalf("partition done diverged: job %d %+v count %d", jid, ta, n)
-	}
-
-	rec, err := decodeRunReceipt(encodeRunReceipt(mapreduce.Run{Task: 4, Attempt: 1, Part: 2, Bytes: 321}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Task != 4 || rec.Attempt != 1 || rec.Part != 2 || rec.Bytes != 321 || rec.Seg != nil {
-		t.Fatalf("receipt diverged: %+v", rec)
-	}
-
-	req := seedReduce()
-	gotReq, err := decodeReduce(encodeReduce(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotReq.jobID != req.jobID || gotReq.spec != req.spec || gotReq.part != req.part ||
-		!slices.Equal(gotReq.faults, req.faults) || len(gotReq.commits) != len(req.commits) {
-		t.Fatalf("reduce request diverged: %+v vs %+v", gotReq, req)
-	}
-	for i := range req.commits {
-		if gotReq.commits[i] != req.commits[i] {
-			t.Fatalf("commit %d: %+v vs %+v", i, gotReq.commits[i], req.commits[i])
-		}
-	}
-
-	groups := seedReduceGroups()
-	gotGroups, missing, err := decodeReduceDone(encodeReduceGroups(groups))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 || len(gotGroups) != len(groups) {
-		t.Fatalf("reduce groups diverged: %d groups, %d missing", len(gotGroups), len(missing))
-	}
-	for i, g := range groups {
-		got := gotGroups[i]
-		if got.Key != g.Key || len(got.Rows) != len(g.Rows) {
-			t.Fatalf("group %d diverged: %+v vs %+v", i, got, g)
-		}
-		for j, r := range g.Rows {
-			gr := got.Rows[j]
-			if gr.MapperID != r.MapperID || gr.RecordID != r.RecordID || !bytes.Equal(gr.Value, r.Value) {
-				t.Fatalf("group %d row %d diverged: %+v vs %+v", i, j, gr, r)
-			}
-		}
-	}
-
-	want := []taskAttempt{{task: 1, attempt: 2}, {task: 5, attempt: 0}}
-	gotGroups, missing, err = decodeReduceDone(encodeReduceMissing(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotGroups) != 0 || len(missing) != len(want) {
-		t.Fatalf("reduce missing diverged: %d groups, %d missing", len(gotGroups), len(missing))
-	}
-	for i := range want {
-		if missing[i] != want[i] {
-			t.Fatalf("missing %d: %+v vs %+v", i, missing[i], want[i])
-		}
-	}
-
-	jid2, err := decodeJobDone(encodeJobDone(12345))
-	if err != nil || jid2 != 12345 {
-		t.Fatalf("job done diverged: %d, %v", jid2, err)
 	}
 }
 

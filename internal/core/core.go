@@ -384,10 +384,9 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	return &Output[R]{Results: results, Metrics: metrics, Sym: stats}, nil
 }
 
-// groupFolder is the reduce of a SYMPLE job wherever it runs (in-process
-// reduce task, partition owner): one fold site and the one state every
-// group of the partition is folded on in turn. Not safe for concurrent
-// use.
+// groupFolder is the reduce of a SYMPLE job — whether its maps ran here
+// or on cluster workers: one fold site and the one state every group of
+// the partition is folded on in turn. Not safe for concurrent use.
 type groupFolder[S sym.State] struct {
 	site  *sym.Folder[S]
 	state *sym.FoldState[S]

@@ -147,8 +147,13 @@ func TestChaosDroppedExecSite(t *testing.T) {
 			plan := mapreduce.NewFaultPlan(int64(seed)).WithRate(0.3).WithMaxDelay(time.Millisecond).
 				WithPoints(mapreduce.PointMapStart, mapreduce.PointMapEmit, mapreduce.PointMapMid, mapreduce.PointSpillWrite)
 			fuse.Store(int64(500 + 700*(seed%8)))
+			// The fuse is a failure the plan does not know of, so it can
+			// take the final attempt the plan spares: the task then fails
+			// if the plan failed every attempt before it — seven in a row
+			// with eight attempts, where five in a row (a few percent of
+			// runs) sank it with six.
 			got := mapBundles(t, q, sc, pool, opt, segs, mapreduce.Config{
-				Parallelism: 4, MaxAttempts: 6, RetryBackoff: time.Microsecond, Speculation: true, Faults: plan})
+				Parallelism: 4, MaxAttempts: 8, RetryBackoff: time.Microsecond, Speculation: true, Faults: plan})
 			if fuse.Load() == 0 {
 				aborted++
 			}

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ---- shared harness ----
@@ -44,42 +46,37 @@ func fastRetries(conf Config) Config {
 	return conf
 }
 
-// recordingTransport is the in-memory transport plus a log of every
-// published run's producer — what the tests inspect to prove a losing or
-// killed attempt's runs never reached a reducer.
-type recordingTransport struct {
-	Transport
-	mu        sync.Mutex
-	published []Run
-}
-
-func newRecordingTransport() *recordingTransport {
-	return &recordingTransport{Transport: NewMemTransport()}
-}
-
-func (t *recordingTransport) Publish(r Run) error {
-	t.mu.Lock()
-	t.published = append(t.published, Run{Task: r.Task, Attempt: r.Attempt, Part: r.Part})
-	t.mu.Unlock()
-	return t.Transport.Publish(r)
+// withCommitLog traces conf into a memory sink. The engine emits a
+// run_commit span immediately before it sends a committed run to its
+// reducer, so those spans log every run a reducer received — what the
+// tests inspect to prove a losing or killed attempt's runs never reached
+// one.
+func withCommitLog(conf Config) (Config, *obs.MemSink) {
+	sink := obs.NewMemSink()
+	conf.Trace = obs.NewTrace(sink)
+	return conf, sink
 }
 
 // checkOneAttemptPerTask asserts the commit protocol's visible outcome:
-// each (task, partition) run was published at most once and every run of
-// a task came from the same (winning) attempt. It returns task → winner.
-func (t *recordingTransport) checkOneAttemptPerTask(tb testing.TB) map[int]int {
+// each (task, partition) run was sent at most once and every run of a
+// task came from the same (winning) attempt. It returns task → winner.
+func checkOneAttemptPerTask(tb testing.TB, log *obs.MemSink) map[int]int {
 	tb.Helper()
 	winner := map[int]int{}
-	seen := map[[2]int]bool{}
-	for _, r := range t.published {
-		if seen[[2]int{r.Task, r.Part}] {
-			tb.Errorf("task %d partition %d published twice", r.Task, r.Part)
+	seen := map[[2]int64]bool{}
+	for _, sp := range log.Spans() {
+		if sp.Kind != obs.KindRunCommit {
+			continue
 		}
-		seen[[2]int{r.Task, r.Part}] = true
-		if w, ok := winner[r.Task]; ok && w != r.Attempt {
-			tb.Errorf("task %d published runs from attempts %d and %d", r.Task, w, r.Attempt)
+		task, attempt, part := sp.Attr(obs.AttrTask), int(sp.Attr(obs.AttrAttempt)), sp.Attr(obs.AttrPart)
+		if seen[[2]int64{task, part}] {
+			tb.Errorf("task %d partition %d sent twice", task, part)
 		}
-		winner[r.Task] = r.Attempt
+		seen[[2]int64{task, part}] = true
+		if w, ok := winner[int(task)]; ok && w != attempt {
+			tb.Errorf("task %d sent runs from attempts %d and %d", task, w, attempt)
+		}
+		winner[int(task)] = attempt
 	}
 	return winner
 }
@@ -308,10 +305,9 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		Conf: Config{NumReducers: 2, Parallelism: 4, Speculation: true},
 	}
-	rec := newRecordingTransport()
-	job.Conf.Transport = rec
+	var log *obs.MemSink
+	job.Conf, log = withCommitLog(Config{NumReducers: 2, Parallelism: 4, Speculation: true})
 	m, err := job.Run(countingSegments(tasks, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +322,8 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 			t.Errorf("key %q delivered %d times: a losing attempt's run was merged", key, n)
 		}
 	}
-	if w := rec.checkOneAttemptPerTask(t)[straggler]; w != 1 {
-		t.Errorf("straggler's published runs came from attempt %d, want the backup (1)", w)
+	if w := checkOneAttemptPerTask(t, log)[straggler]; w != 1 {
+		t.Errorf("straggler's sent runs came from attempt %d, want the backup (1)", w)
 	}
 	if m.SpeculativeTasks < 1 {
 		t.Errorf("no speculative attempt launched (SpeculativeTasks=%d)", m.SpeculativeTasks)
@@ -352,9 +348,9 @@ func TestChaosKillAtSpillWriteNeverPublishes(t *testing.T) {
 	segs := countingSegments(tasks, 30)
 	want, wm := runIdempotentCapture(t, segs, Config{NumReducers: 3, CompressShuffle: true})
 	plan := NewFaultPlan(5).WithRate(1).WithKinds(KindKill).WithPoints(PointSpillWrite)
-	rec := newRecordingTransport()
-	got, gm := runIdempotentCapture(t, segs, fastRetries(Config{
-		NumReducers: 3, MaxAttempts: 2, CompressShuffle: true, Faults: plan, Transport: rec}))
+	conf, log := withCommitLog(fastRetries(Config{
+		NumReducers: 3, MaxAttempts: 2, CompressShuffle: true, Faults: plan}))
+	got, gm := runIdempotentCapture(t, segs, conf)
 	if got != want {
 		t.Errorf("output after spill-write kills differs from the fault-free run:\n%s\nwant:\n%s", got, want)
 	}
@@ -368,10 +364,10 @@ func TestChaosKillAtSpillWriteNeverPublishes(t *testing.T) {
 	if gm.MapAttempts != 2*tasks {
 		t.Errorf("MapAttempts = %d, want %d", gm.MapAttempts, 2*tasks)
 	}
-	winners := rec.checkOneAttemptPerTask(t)
+	winners := checkOneAttemptPerTask(t, log)
 	for task := 0; task < tasks; task++ {
 		if winners[task] != 1 {
-			t.Errorf("task %d published attempt %d's runs, want the retry (1)", task, winners[task])
+			t.Errorf("task %d sent attempt %d's runs, want the retry (1)", task, winners[task])
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 // The coordinator decides and whatever runs the attempt executes: the
 // engine arms an attempt's faults once, before it runs (Arm), at the
 // points that attempt can reach, and hands them to the attempt body —
-// here, or on the cluster worker they travel to in the assignment or
-// reduce request — which fires each at its point (Fire).
+// here, or on the cluster worker they travel to in the assignment —
+// which fires each at its point (Fire).
 //
 // The paper's premise makes this testable at all: mappers recompute
 // symbolic summaries deterministically anywhere, and reducers compose
@@ -95,20 +95,16 @@ const (
 	// (k seed-derived in [0, 3)): on a worker, k runs have streamed.
 	PointRunSend
 	// PointRunRecv fires on the coordinator when it has received a remote
-	// attempt's k-th run or receipt (k in [0, 3)): a kill or error drops
-	// the connection mid-stream.
+	// attempt's k-th run (k in [0, 3)): a kill or error drops the
+	// connection mid-stream.
 	PointRunRecv
-	// PointPeerPush fires on a worker-to-worker map attempt before its
-	// k-th push to a peer (k in [0, 3)): a kill takes the peer links down.
-	PointPeerPush
 	// PointSpillWrite fires after the attempt's spill runs are sorted,
 	// encoded and published to its sink but before they are committed —
 	// the window where a dying attempt holds complete output that must
 	// never be published.
 	PointSpillWrite
 	// PointReduceMerge fires at the start of a reduce attempt's merge,
-	// before any user Reduce call; on a partition owner a kill loses the
-	// partition's buffered runs.
+	// before any user Reduce call.
 	PointReduceMerge
 	// PointReduceMid fires after a seed-derived k-th group of a reduce
 	// attempt (k in [0, 4)), with part of the partition reduced.
@@ -123,7 +119,7 @@ const (
 )
 
 var pointNames = [numFaultPoints]string{"map-start", "map-emit", "map-mid", "run-send",
-	"run-recv", "peer-push", "spill-write", "reduce-merge", "reduce-mid", "serve-job"}
+	"run-recv", "spill-write", "reduce-merge", "reduce-mid", "serve-job"}
 
 func (p FaultPoint) String() string {
 	if p < numFaultPoints {
@@ -136,7 +132,7 @@ func (p FaultPoint) String() string {
 // for the points that recur within an attempt, 0 for the rest.
 var ordinals = [numFaultPoints]struct{ lo, n uint64 }{
 	PointMapMid: {1, 127}, PointRunSend: {0, 3}, PointRunRecv: {0, 3},
-	PointPeerPush: {0, 3}, PointReduceMid: {0, 4},
+	PointReduceMid: {0, 4},
 }
 
 // AllFaultPoints lists every injection point, in lifecycle order.

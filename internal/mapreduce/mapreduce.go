@@ -124,29 +124,17 @@ type Config struct {
 	Speculation bool
 	// Faults injects deterministic seeded faults for chaos testing — the
 	// one place a fault is armed (faultinject.go): at task boundaries in
-	// process and, under RemoteMap/RemoteReduce, on the coordinator's
-	// connections and inside the worker attempts it ships them to. nil
-	// (the default) injects nothing and costs one nil check per boundary.
+	// process and, under RemoteMap, on the coordinator's connections and
+	// inside the worker attempts it ships them to. nil (the default)
+	// injects nothing and costs one nil check per boundary.
 	Faults *FaultPlan
 
-	// Transport carries committed map-output runs to reduce partitions
-	// (transport.go). nil (the default) uses the in-process
-	// memTransport.
-	Transport Transport
 	// RemoteMap, when set, executes every map attempt's body out of
 	// process through the given RemoteMapper (remote.go) while the
 	// local task lifecycle — retries, speculation, first-finisher-wins
-	// commit — stays in charge. Incompatible with ExternalSort (see
-	// validateRemote).
+	// commit — and the whole reduce stay in charge here. Incompatible
+	// with ExternalSort and map-only jobs (see validateRemote).
 	RemoteMap RemoteMapper
-	// RemoteReduce, when set alongside RemoteMap, keeps shuffle data off
-	// the coordinator entirely: map workers stream runs directly to each
-	// partition's owning worker, the coordinator's transport carries only
-	// byte-counted run receipts (Run with nil Seg), and the k-way merge
-	// plus any registered group combiner run on the owner. The reduce
-	// task lifecycle — retries, backoff, the reduce commit span — stays
-	// coordinator-side; only the attempt body moves. Requires RemoteMap.
-	RemoteReduce RemoteReducer
 
 	// Trace, when set, emits structured spans for the job and every task
 	// attempt, commit, spill-run decode, and merge to the trace's sink

@@ -81,21 +81,14 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	var redOuts []redOut
 	var rwg sync.WaitGroup
 	if !mapOnly {
-		// The shuffle transport: per-partition run streams, buffered for
-		// one run per map task so committing attempts never block on
-		// reducers.
-		env.transport = conf.Transport
-		if env.transport == nil {
-			env.transport = NewMemTransport()
-		}
-		env.transport.Open(conf.NumReducers, len(segments))
+		env.transport = newMemTransport(conf.NumReducers, len(segments))
 		redOuts = make([]redOut, conf.NumReducers)
 	}
 	for p := range redOuts {
 		rwg.Add(1)
 		go func(p int) {
 			defer rwg.Done()
-			runs, receipts, inBytes, active, lerr := env.collectRuns(p)
+			runs, inBytes, active, lerr := env.collectRuns(p)
 			if env.aborted.Load() || lerr != nil {
 				releaseRuns(runs)
 				if lerr != nil {
@@ -109,7 +102,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 			env.sem <- struct{}{}
 			defer func() { <-env.sem }()
 			t0 := time.Now()
-			groups, err := env.runReduceTask(p, runs, receipts)
+			groups, err := env.runReduceTask(p, runs)
 			redOuts[p] = redOut{err: err,
 				task: TaskMetrics{Duration: active + time.Since(t0), InputBytes: inBytes, Records: groups}}
 		}(p)
@@ -191,7 +184,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 		env.aborted.Store(true)
 	}
 	if !mapOnly {
-		env.transport.CloseSend()
+		env.transport.closeSend()
 		rwg.Wait()
 	}
 	m.ReduceAttempts = env.reduceAttempts.Value()
@@ -230,45 +223,26 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 // semaphore slot is free right now (non-blocking try), never at the
 // expense of map progress. Returns the pending runs, total wire bytes
 // received, active (non-waiting) time, and the first run-load error.
-//
-// In the w2w topology the stream carries receipts, not bytes — commit
-// published one Seg-less Run per placed run, the bytes sit on the owning
-// worker — and they come back as they are: nothing to decode or
-// pre-merge, the slice names exactly the runs the owner must merge.
-//
-// Each successful decode emits a seg_decode span carrying the run's
-// producer identity — the consumption record the trace verifier joins
-// against run_commit events for the merged-exactly-once invariant.
-func (env *runEnv) collectRuns(p int) (runs []spillRun, receipts []Run, inBytes int64, active time.Duration, err error) {
-	ch, external := env.transport.Partition(p), env.conf.ExternalSort
+func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
+	ch, external := env.transport[p], env.conf.ExternalSort
 	add := func(r Run) {
-		if r.Seg == nil {
-			receipts = append(receipts, r)
-			inBytes += r.Bytes
-			return
-		}
-		span := env.trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", p)).
-			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
-			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
 		t0 := time.Now()
-		recs, derr := decodeSegment(r.Seg)
+		run, derr := decodeRun(env.trace, p, r)
 		active += time.Since(t0)
 		if derr != nil {
-			span.Tag(obs.TagOutcome, "error").End()
 			if err == nil {
 				err = derr
 			}
 			return
 		}
-		span.End()
-		runs = append(runs, spillRun{recs: recs, bytes: r.Bytes})
+		runs = append(runs, run)
 		inBytes += r.Bytes
 	}
 	for {
 		select {
 		case r, ok := <-ch:
 			if !ok {
-				return runs, receipts, inBytes, active, err
+				return runs, inBytes, active, err
 			}
 			add(r)
 		default:
@@ -288,11 +262,28 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, receipts []Run, inBytes 
 			}
 			r, ok := <-ch
 			if !ok {
-				return runs, receipts, inBytes, active, err
+				return runs, inBytes, active, err
 			}
 			add(r)
 		}
 	}
+}
+
+// decodeRun decodes one committed run for partition part's reducer under
+// a seg_decode span carrying the run's producer identity — the
+// consumption record the trace verifier joins against run_commit events
+// for the merged-exactly-once invariant.
+func decodeRun(trace *obs.Trace, part int, r Run) (spillRun, error) {
+	span := trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", part)).
+		Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
+		Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
+	recs, err := decodeSegment(r.Seg)
+	if err != nil {
+		span.Tag(obs.TagOutcome, "error").End()
+		return spillRun{}, fmt.Errorf("run (task %d attempt %d part %d): %w", r.Task, r.Attempt, r.Part, err)
+	}
+	span.End()
+	return spillRun{recs: recs, bytes: r.Bytes}, nil
 }
 
 // foldSmallest merges the two shortest runs (fewest total copies, the
@@ -332,10 +323,10 @@ func (env *runEnv) reduceMerge(p int, runs []spillRun, faults AttemptFaults) (gr
 	})
 }
 
-// mergeAttempt is a reduce attempt's merge, in process or on a partition
-// owner: the reduce-merge fault, then mergeGroups with the reduce-mid
-// fault, if armed, firing after its group — the ordinal is fixed once per
-// attempt, so an unarmed attempt streams straight to fn.
+// mergeAttempt is a reduce attempt's merge: the reduce-merge fault, then
+// mergeGroups with the reduce-mid fault, if armed, firing after its
+// group — the ordinal is fixed once per attempt, so an unarmed attempt
+// streams straight to fn.
 func mergeAttempt(ctx context.Context, runs []spillRun, faults AttemptFaults,
 	fn func(key string, group []Shuffled) error) (int64, error) {
 	if err := faults.Fire(ctx, PointReduceMerge, 0); err != nil {
@@ -355,6 +346,31 @@ func mergeAttempt(ctx context.Context, runs []spillRun, faults AttemptFaults,
 		}
 	}
 	return mergeGroups(runs, fn)
+}
+
+// MergeEncodedRuns is a reduce attempt's merge over wire-form runs held
+// outside a job: it decodes them, k-way merges them, and streams each
+// key group to fn in exactly the order a reduce task produces —
+// ascending key, rows ordered by (mapperID, recordID). Each run is
+// decoded as a reduce task decodes it (decodeRun).
+//
+// The group slice is reused between calls and its values alias pooled
+// decode buffers released when MergeEncodedRuns returns: fn must copy
+// or encode what it keeps. faults are fired at the reduce points as a
+// reduce attempt fires them.
+func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
+	fn func(key string, group []Shuffled) error, faults ...Fault) error {
+	runs := make([]spillRun, 0, len(rs))
+	defer func() { releaseRuns(runs) }()
+	for _, r := range rs {
+		run, err := decodeRun(trace, part, r)
+		if err != nil {
+			return fmt.Errorf("mapreduce: %w", err)
+		}
+		runs = append(runs, run)
+	}
+	_, err := mergeAttempt(context.Background(), runs, faults, fn)
+	return err
 }
 
 // mergeGroups k-way merges the runs and streams each key group —

@@ -12,12 +12,8 @@ func (stubRemote) RunMap(context.Context, int, int, *Segment, AttemptFaults) (*M
 	return &MapOutput{}, nil
 }
 
-func (stubRemote) RunReduce(context.Context, int, int, []Run, AttemptFaults) (*ReduceOutput, error) {
-	return &ReduceOutput{}, nil
-}
-
 // TestValidateRemoteRejections is the whole list of Config combinations
-// the remote paths refuse, one row each, checked through Job.Run so the
+// the remote path refuses, one row each, checked through Job.Run so the
 // rejection is known to reach the caller. An issue that makes a
 // combination work deletes its row.
 func TestValidateRemoteRejections(t *testing.T) {
@@ -27,11 +23,7 @@ func TestValidateRemoteRejections(t *testing.T) {
 		want string // substring of the error; "" = accepted
 	}{
 		{"map only", Config{RemoteMap: stubRemote{}}, ""},
-		{"map and reduce", Config{RemoteMap: stubRemote{}, RemoteReduce: stubRemote{}}, ""},
 		{"map with faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1), MaxAttempts: 3}, ""},
-		{"map and reduce with faults", Config{RemoteMap: stubRemote{}, RemoteReduce: stubRemote{},
-			Faults: NewFaultPlan(1), MaxAttempts: 3}, ""},
-		{"reduce without map", Config{RemoteReduce: stubRemote{}}, "RemoteReduce requires RemoteMap"},
 		{"external sort", Config{RemoteMap: stubRemote{}, ExternalSort: true}, "RemoteMap is incompatible with ExternalSort"},
 		{"no reduce", Config{RemoteMap: stubRemote{}}, "RemoteMap is incompatible with a map-only job"},
 	} {

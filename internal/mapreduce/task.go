@@ -69,7 +69,7 @@ type runEnv struct {
 	job       *Job
 	conf      Config
 	sem       chan struct{}
-	transport Transport
+	transport memTransport
 	aborted   *atomic.Bool
 
 	// trace is Config.Trace (possibly nil — span calls are nil-safe).
@@ -144,7 +144,7 @@ func (env *runEnv) driveMapTask(st *mapTask) {
 		if err == nil {
 			// Losing the commit race to a backup just drops res.
 			if won, cerr := env.commit(st, id, res); won && cerr != nil {
-				env.finishTask(st, cerr) // transport fault after commit: abort
+				env.finishTask(st, cerr) // output failure after commit: abort
 			}
 			return
 		}
@@ -179,15 +179,11 @@ func (env *runEnv) finishTask(st *mapTask, err error) {
 }
 
 // mapFaultPoints are the points a map attempt under conf can reach: a
-// remote attempt's runs are also received by the coordinator, and pushed
-// to peers when the reduce is worker-resident.
+// remote attempt's runs are also received by the coordinator.
 func mapFaultPoints(conf Config) []FaultPoint {
 	pts := []FaultPoint{PointMapStart, PointMapEmit, PointMapMid, PointRunSend}
 	if conf.RemoteMap != nil {
 		pts = append(pts, PointRunRecv)
-	}
-	if conf.RemoteReduce != nil {
-		pts = append(pts, PointPeerPush)
 	}
 	return append(pts, PointSpillWrite)
 }
@@ -386,12 +382,12 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 
 // commit makes one attempt's output the task's. The per-task CAS
 // arbitrates between racing attempts: exactly one can win, and the
-// winner publishes its runs to the transport — or, map-only, hands its
+// winner sends its runs to their reducers — or, map-only, hands its
 // pairs to the job's Output. won=false means another attempt committed
 // first (the caller drops out: its runs are plain heap bytes that were
-// never published). A Publish or Output failure after the CAS is not an
-// attempt fault: the task has committed and cannot retry, so the error
-// aborts the job (won=true, err!=nil).
+// never sent). An Output failure after the CAS is not an attempt fault:
+// the task has committed and cannot retry, so the error aborts the job
+// (won=true, err!=nil).
 func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, err error) {
 	if !st.committed.CompareAndSwap(false, true) {
 		return false, nil
@@ -437,10 +433,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		env.trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes).End()
-		if perr := env.transport.Publish(r); perr != nil {
-			return true, fmt.Errorf("mapreduce %q: map task %d: publishing committed run: %w",
-				env.job.Name, st.id, perr)
-		}
+		env.transport[r.Part] <- r
 	}
 	return true, nil
 }
@@ -506,37 +499,25 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 		return // the driver's own attempts decide the task's fate
 	}
 	if won, cerr := env.commit(st, id, out); cerr != nil {
-		env.finishTask(st, cerr) // transport fault after commit: abort
+		env.finishTask(st, cerr) // output failure after commit: abort
 	} else if won {
 		env.specWins.Add(1)
 	}
 }
 
 // runReduceTask merges one partition's committed runs and streams the
-// key groups to the user reduce function — here, or given receipts on the
-// worker that holds their bytes. The merge never mutates the runs, so a
-// retry re-merges the identical committed inputs.
-func (env *runEnv) runReduceTask(p int, runs []spillRun, receipts []Run) (groups int64, err error) {
-	conf := env.conf
-	if conf.RemoteReduce != nil {
-		return env.runRemoteReduceTask(p, receipts)
-	}
-	if conf.ExternalSort {
+// key groups to the user reduce function, under the reduce task
+// lifecycle: the same per-attempt retry/backoff budget map tasks get,
+// the attempt's faults armed at the reduce points, an attempt span per
+// try and a commit span for the one that succeeds. The merge never
+// mutates the runs, so a retry re-merges the identical committed inputs
+// and re-invokes Reduce for every group, which the ReduceFunc contract
+// requires to be idempotent.
+func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
+	if env.conf.ExternalSort {
 		runs = externalSortRuns(runs)
 	}
 	defer releaseRuns(runs)
-	return env.driveReduceTask(p, func(_ int, faults AttemptFaults) (int64, error) {
-		return env.reduceMerge(p, runs, faults)
-	})
-}
-
-// driveReduceTask is the reduce task lifecycle, wherever the attempt body
-// runs: the same per-attempt retry/backoff budget map tasks get, the
-// attempt's faults armed at the reduce points, an attempt span per try
-// and a commit span for the one that succeeds. A retried attempt
-// re-invokes Reduce for every group, which the ReduceFunc contract
-// requires to be idempotent.
-func (env *runEnv) driveReduceTask(p int, body func(attempt int, faults AttemptFaults) (groups int64, err error)) (int64, error) {
 	var attemptErrs []error
 	for a := 0; a < env.conf.MaxAttempts; a++ {
 		if env.ctx.Err() != nil {
@@ -552,7 +533,7 @@ func (env *runEnv) driveReduceTask(p int, body func(attempt int, faults AttemptF
 		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
 			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
 		t0 := time.Now()
-		groups, err := body(a, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
+		groups, err := env.reduceMerge(p, runs, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
 		if err == nil {
 			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
 			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrGroups, groups).End()

@@ -69,8 +69,7 @@ const (
 	// Attrs: task, groups, batch_records.
 	KindMapExec = "map_exec"
 	// KindCompose covers the reduce-side fold of one group's summaries.
-	// Name: group key ("owner/"+key when a w2w partition owner ran it).
-	// Attrs: summaries, composes, applies —
+	// Name: group key. Attrs: summaries, composes, applies —
 	// the compose-count invariant requires composes+applies = summaries.
 	KindCompose = "compose"
 	// KindCombine covers a mapper-side combiner pre-composing one
@@ -79,11 +78,6 @@ const (
 	// KindReduceGroup covers one concrete reduce group (baseline
 	// engine). Name: group key. Attrs: values.
 	KindReduceGroup = "reduce_group"
-	// KindPartOwner is an instant event recording which worker ran the
-	// worker-resident reduce for a partition (cluster w2w topology).
-	// Attrs: part, worker. The owner-decode invariant joins it against
-	// seg_decode spans carrying a worker attr.
-	KindPartOwner = "part_owner"
 	// KindQueue covers one serve job's admission wait, from accepted
 	// submit to dispatch. Parented to the serve job root; tags: tenant.
 	KindQueue = "queue_wait"
@@ -131,9 +125,6 @@ const (
 	AttrTask
 	AttrValues
 	AttrWireBytes
-	// AttrWorker identifies the cluster worker a span executed on
-	// (w2w reduce placement); in-process spans don't set it.
-	AttrWorker
 	numAttrKeys
 )
 
@@ -153,7 +144,7 @@ var (
 	attrNames = [numAttrKeys]string{"", "applies", "attempt", "batch_records", "bytes",
 		"cached_segments", "composes", "groups", "logical_bytes", "mapped_segments", "out_bytes",
 		"parallelism", "part", "prefix_segments", "records", "runs", "segments", "summaries",
-		"task", "values", "wire_bytes", "worker"}
+		"task", "values", "wire_bytes"}
 	tagNames = [numTagKeys]string{"", "outcome", "phase", "remote", "sim", "speculative"}
 )
 

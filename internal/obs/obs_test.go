@@ -123,10 +123,10 @@ func TestJSONLSinkOutput(t *testing.T) {
 // they were set in.
 func TestJSONLBytes(t *testing.T) {
 	sp := withSlots(&Span{ID: 7, Parent: 3, Kind: KindSegDecode, Name: "part-1", Start: 10, End: 25},
-		[]attr{{AttrWorker, 1}, {AttrTask, 4}, {AttrBytes, 512}, {AttrAttempt, 0}, {AttrPart, 1}},
+		[]attr{{AttrTask, 4}, {AttrRuns, 1}, {AttrBytes, 512}, {AttrAttempt, 0}, {AttrPart, 1}},
 		[]tag{{TagRemote, "1"}, {TagOutcome, "ok"}})
 	want := `{"id":7,"parent":3,"kind":"seg_decode","name":"part-1","start_ns":10,"end_ns":25,` +
-		`"attrs":{"attempt":0,"bytes":512,"part":1,"task":4,"worker":1},"tags":{"outcome":"ok","remote":"1"}}` + "\n"
+		`"attrs":{"attempt":0,"bytes":512,"part":1,"runs":1,"task":4},"tags":{"outcome":"ok","remote":"1"}}` + "\n"
 	if got := string(appendSpanJSON(nil, sp)); got != want {
 		t.Fatalf("rendered\n%s want\n%s", got, want)
 	}

@@ -23,7 +23,6 @@ const (
 	InvDuplicateSpan   = "duplicate-span"    // span IDs unique within a job
 	InvJobMissing      = "job-missing"       // non-empty trace must contain a job span
 	InvBatchRecords    = "batch-records"     // every parse/exec span: kept events <= chunk records; parse/exec agree per task
-	InvOwnerDecode     = "owner-decode"      // w2w: runs decoded only on their partition's owning worker
 	InvServeCache      = "serve-cache"       // warm serve jobs do no map work, prefix-answered ones no fold; provenance adds up
 )
 
@@ -224,58 +223,7 @@ func (v Verifier) verifyJob(job *Span, children []*Span) []Violation {
 	out = append(out, verifyRuns(job, children)...)
 	out = append(out, verifyCommits(job, children)...)
 	out = append(out, verifyComposes(job, children)...)
-	out = append(out, verifyBatches(job, children)...)
-	out = append(out, verifyOwners(job, children)...)
-	return out
-}
-
-// verifyOwners checks worker-to-worker reduce placement: part_owner
-// events record which cluster worker ran each partition's reduce, and
-// every seg_decode span that carries a worker attr (only worker-resident
-// decodes do) must have run on its partition's recorded owner — a run
-// decoded elsewhere would mean shuffle data leaked off the owning
-// worker. Traces without part_owner spans (in-process and
-// via-coordinator runs) are skipped.
-func verifyOwners(job *Span, children []*Span) []Violation {
-	var out []Violation
-	owner := make(map[int64]int64)
-	for _, sp := range children {
-		if sp.Kind != KindPartOwner {
-			continue
-		}
-		part, w := sp.Attr(AttrPart), sp.Attr(AttrWorker)
-		if prev, ok := owner[part]; ok && prev != w {
-			out = append(out, Violation{InvOwnerDecode,
-				fmt.Sprintf("job %q: partition %d owned by worker %d and worker %d",
-					job.Name, part, prev, w)})
-		}
-		owner[part] = w
-	}
-	if len(owner) == 0 {
-		return out
-	}
-	for _, sp := range children {
-		if sp.Kind != KindSegDecode {
-			continue
-		}
-		w, ok := sp.Lookup(AttrWorker)
-		if !ok {
-			continue
-		}
-		part := sp.Attr(AttrPart)
-		o, known := owner[part]
-		switch {
-		case !known:
-			out = append(out, Violation{InvOwnerDecode,
-				fmt.Sprintf("job %q: run (%s) decoded on worker %d but partition %d has no recorded owner",
-					job.Name, runKey{sp.Attr(AttrTask), sp.Attr(AttrAttempt), part}, w, part)})
-		case o != w:
-			out = append(out, Violation{InvOwnerDecode,
-				fmt.Sprintf("job %q: run (%s) decoded on worker %d but partition %d is owned by worker %d",
-					job.Name, runKey{sp.Attr(AttrTask), sp.Attr(AttrAttempt), part}, w, part, o)})
-		}
-	}
-	return out
+	return append(out, verifyBatches(job, children)...)
 }
 
 // verifyBatches checks the map chunks: every parse and exec span
@@ -436,9 +384,8 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 
 // verifyComposes checks the summary-composition algebra per group:
 // composing n summaries takes exactly n−1 pairwise composes however the
-// tree is shaped, so composes + applies must equal summaries (the apply
-// fold — the in-process reducer's, and the w2w partition owner's under
-// an "owner/" name — replays summaries individually: composes = 0,
+// tree is shaped, so composes + applies must equal summaries (the
+// reducer's apply fold replays summaries individually: composes = 0,
 // applies = n). Combine spans (the mapper-side combiner) fold in place:
 // s ≥ 2, composes == s − 1. Each group must be composed by exactly one
 // winning reducer.

@@ -64,10 +64,6 @@ func goodTrace() []*Span {
 			[]attr{{AttrTask, 0}, {AttrRecords, 10}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
 		sp(17, 1, KindMapExec, "exec-0", 10, 28,
 			[]attr{{AttrTask, 0}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
-		// A w2w partition owner folded group "alpha" in place: the
-		// reducer's apply shape under the owner's name.
-		sp(18, 1, KindCompose, "owner/alpha", 48, 49,
-			[]attr{{AttrSummaries, 3}, {AttrComposes, 0}, {AttrApplies, 3}}, nil),
 	}
 }
 
@@ -166,10 +162,6 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 		}},
 		{"combiner count short", InvComposeCount, func(s []*Span) []*Span {
 			s[14].SetAttr(AttrComposes, 2) // 4 summaries need 3
-			return s
-		}},
-		{"owner fold count short", InvComposeCount, func(s []*Span) []*Span {
-			s[17].SetAttr(AttrApplies, 2) // 3 summaries, 2 applies
 			return s
 		}},
 		{"single-summary combine", InvComposeCount, func(s []*Span) []*Span {

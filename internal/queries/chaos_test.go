@@ -180,12 +180,10 @@ func chaosWorkers(t *testing.T, n int) []cluster.Endpoint {
 // in-process sweep, run over TCP workers. The one plan's faults fire
 // inside the worker attempts (kills abort the worker's connection at
 // map start, mid-emit, after k runs streamed, at spill write), on the
-// coordinator (connection drops after k runs received) and, on even
-// seeds, in the worker-to-worker topology (peer links dropped after k
-// pushes, reduce owners killed before or mid-merge — their runs lost
-// and refilled). Every run must commit, and its digest must equal the
-// fault-free sequential reference exactly. CHAOS_SEEDS widens the sweep
-// (CI runs it under -race).
+// coordinator (connection drops after k runs received) and in the
+// coordinator's reduce. Every run must commit, and its digest must equal
+// the fault-free sequential reference exactly. CHAOS_SEEDS widens the
+// sweep (CI runs it under -race).
 func TestClusterChaosDifferential(t *testing.T) {
 	seeds := chaosSeedCount(t, 6)
 	datasets := chaosDatasets()
@@ -212,22 +210,11 @@ func TestClusterChaosDifferential(t *testing.T) {
 				conf := chaosConf(plan)
 				conf.CompressShuffle = seed%2 == 0
 				opt := core.SympleOptions{}
-				// Even seeds run the w2w topology, so peer-link and owner
-				// faults are swept alongside the map-side ones.
-				w2w := seed%2 == 0
-				var popts []cluster.PoolOption
-				if w2w {
-					popts = append(popts, cluster.WithW2W())
-				}
-				pool, err := cluster.NewPool(
-					ClusterSpec(id, conf, opt), eps, popts...)
+				pool, err := cluster.NewPool(ClusterSpec(id, conf, opt), eps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				conf.RemoteMap = pool
-				if w2w {
-					conf.RemoteReduce = pool
-				}
 				got, err := spec.SympleOpts(segs, conf, opt)
 				pool.Close()
 				injected += plan.Injected()

@@ -23,9 +23,6 @@ func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]
 	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
 		return core.SympleMapper(q, core.SympleOptions{Combine: spec.Combine}, trace)
 	})
-	cluster.RegisterJobCombiner(id, func(spec cluster.JobSpec, trace *obs.Trace) (cluster.GroupCombiner, error) {
-		return core.SympleCombiner(q, trace)
-	})
 }
 
 // RegisterClusterJobs makes every query's map side available to the

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
@@ -196,30 +195,23 @@ func resumedFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) se
 	return res[1]
 }
 
-// bundleSites folds the same per-segment bundles at the two sites that
-// need the query's types: a StreamComposer per key (a chunk per
+// composerSite folds the same per-segment bundles at the site that
+// needs the query's types: a StreamComposer per key (a chunk per
 // segment, delivered last-first and empty where the key is absent; a
 // one-event group's chunk is its event's summary, the composer being a
-// summary-only API) and the partition owner's combiner, whose constant
-// bundle a session then applies as the coordinator-side reducer would.
-// absent counts the (key, segment) pairs with no bundle, events those
-// whose bundle is an event.
-func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer, owner serve.Result, absent, events int) {
+// summary-only API). absent counts the (key, segment) pairs with no
+// bundle, events those whose bundle is an event.
+func composerSite[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer serve.Result, absent, events int) {
 	t.Helper()
 	r := run.(*serveRunner[S, E, R])
-	rows := map[string][]mapreduce.Shuffled{}
-	for i, b := range bundles {
-		for key, data := range b {
-			rows[key] = append(rows[key], mapreduce.Shuffled{MapperID: i, Value: data})
+	keys := map[string]bool{}
+	for _, b := range bundles {
+		for key := range b {
+			keys[key] = true
 		}
 	}
-	comb, err := core.SympleCombiner(r.q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(map[string]R, len(rows))
-	constant := make(map[string][]byte, len(rows))
-	for key, group := range rows {
+	results := make(map[string]R, len(keys))
+	for key := range keys {
 		c := sym.NewStreamComposer(r.q.NewState)
 		for i := len(bundles) - 1; i >= 0; i-- {
 			var sums []*sym.Summary[S]
@@ -249,15 +241,9 @@ func bundleSites[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles 
 			t.Fatalf("key %q: composer folded %d of %d chunks", key, n, len(bundles))
 		}
 		results[key] = r.q.Result(key, state)
-
-		out, err := comb(key, group)
-		if err != nil || len(out) != 1 {
-			t.Fatalf("key %q: combiner returned %d rows, err %v", key, len(out), err)
-		}
-		constant[key] = out[0].Value
 	}
 	composer.Digest, composer.NumResults = digestResults(results, r.format)
-	return composer, sessionFold(t, run, []map[string][]byte{constant}), absent, events
+	return composer, absent, events
 }
 
 // eventSummary decodes the event d holds and returns its summary.
@@ -278,35 +264,31 @@ func eventSummary[S sym.State, E, R any](t *testing.T, q *core.Query[S, E, R], d
 	return sums
 }
 
-// typedSites instantiates bundleSites for each query's types.
-var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) (composer, owner serve.Result, absent, events int){
-	"G1": bundleSites[*g1State, int64, bool],
-	"G2": bundleSites[*g2State, int64, []int64],
-	"G3": bundleSites[*g3State, int64, []int64],
-	"G4": bundleSites[*g4State, g4Event, []int64],
-	"B1": bundleSites[*b1State, int64, []int64],
-	"B2": bundleSites[*b2State, int64, int64],
-	"B3": bundleSites[*b3State, int64, []int64],
-	"T1": bundleSites[*t1State, int64, []int64],
-	"R1": bundleSites[*r1State, struct{}, int64],
-	"R2": bundleSites[*r2State, int64, string],
-	"R3": bundleSites[*r3State, int64, []int64],
-	"R4": bundleSites[*r4State, int64, []int64],
+// typedSites instantiates composerSite for each query's types.
+var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) (composer serve.Result, absent, events int){
+	"G1": composerSite[*g1State, int64, bool],
+	"G2": composerSite[*g2State, int64, []int64],
+	"G3": composerSite[*g3State, int64, []int64],
+	"G4": composerSite[*g4State, g4Event, []int64],
+	"B1": composerSite[*b1State, int64, []int64],
+	"B2": composerSite[*b2State, int64, int64],
+	"B3": composerSite[*b3State, int64, []int64],
+	"T1": composerSite[*t1State, int64, []int64],
+	"R1": composerSite[*r1State, struct{}, int64],
+	"R2": composerSite[*r2State, int64, string],
+	"R3": composerSite[*r3State, int64, []int64],
+	"R4": composerSite[*r4State, int64, []int64],
 }
 
 // TestFoldSitesAgree pins the one-fold claim on all 12 queries: every
 // place an ordered list of bundles — summary lists and one-event groups'
 // events — becomes a state goes through sym.Folder and produces the
-// sequential digest. Two sites run as whole jobs — the
-// in-process reducer and the w2w partition owner (SympleCombiner, whose
-// constant summary the coordinator-side reducer then applies) — and
-// four fold the very same per-segment bundles: the query service's
-// standing session, a session resumed from a frozen prefix, a
-// StreamComposer per key, and the owner's combiner called directly. Keys
-// absent from some segments are part of the input.
+// sequential digest. The reducer runs as a whole job, and three sites
+// fold the very same per-segment bundles: the query service's standing
+// session, a session resumed from a frozen prefix, and a StreamComposer
+// per key. Keys absent from some segments are part of the input.
 func TestFoldSitesAgree(t *testing.T) {
 	datasets := smallDatasets(goldenSegments)
-	eps := chaosWorkers(t, 2)
 	absent, events, bundleCount := 0, 0, 0
 	for _, spec := range All() {
 		spec := spec
@@ -316,25 +298,14 @@ func TestFoldSitesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conf := mapreduce.Config{NumReducers: 3}
-			reducer, err := spec.Symple(segs, conf)
+			reducer, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
 			if err != nil {
 				t.Fatalf("reducer fold: %v", err)
-			}
-			pool, err := cluster.NewPool(ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps, cluster.WithW2W())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pool.Close()
-			conf.RemoteMap, conf.RemoteReduce = pool, pool
-			owner, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
-			if err != nil {
-				t.Fatalf("owner fold: %v", err)
 			}
 			bundles := segmentBundles(t, spec.ID, segs)
 			session := sessionFold(t, serve.Lookup(spec.ID), bundles)
 			resumed := resumedFold(t, serve.Lookup(spec.ID), bundles)
-			composer, combiner, n, ev := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
+			composer, n, ev := typedSites[spec.ID](t, serve.Lookup(spec.ID), bundles)
 			absent += n
 			events += ev
 			for _, b := range bundles {
@@ -346,11 +317,9 @@ func TestFoldSitesAgree(t *testing.T) {
 				results int
 			}{
 				{"reducer", reducer.Digest, reducer.NumResults},
-				{"w2w owner", owner.Digest, owner.NumResults},
 				{"serve session", session.Digest, session.NumResults},
 				{"resumed session", resumed.Digest, resumed.NumResults},
 				{"stream composer", composer.Digest, composer.NumResults},
-				{"owner combiner", combiner.Digest, combiner.NumResults},
 			} {
 				if got.digest != seq.Digest || got.results != seq.NumResults {
 					t.Errorf("%s fold: digest %016x (%d results) != sequential %016x (%d)",

@@ -107,8 +107,8 @@ func serveChaos(t *testing.T, plan *mapreduce.FaultPlan, datasets map[string][]*
 }
 
 // TestChaosCoversEveryFault sweeps seeds over every setting the one plan
-// fires in — an in-process job, a via-coordinator job, a
-// worker-to-worker job and the serve harness — and asserts each (point,
+// fires in — an in-process job, a cluster job and the serve harness —
+// and asserts each (point,
 // kind) of DESIGN.md's fault-plan table was armed at least once, so a
 // change that drops a fault class from its setting fails here instead
 // of silently narrowing the sweeps. Every job still answers with its
@@ -123,25 +123,18 @@ func TestChaosCoversEveryFault(t *testing.T) {
 	for range mapreduce.AllFaultPoints() {
 		armed = append(armed, make([]int64, len(mapreduce.AllFaultKinds())))
 	}
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 16; seed++ {
 		plan := mapreduce.NewFaultPlan(seed)
-		for _, mode := range []string{"in-process", "via-coordinator", "w2w"} {
+		for _, mode := range []string{"in-process", "cluster"} {
 			conf := mapreduce.Config{NumReducers: 3, MaxAttempts: 4,
 				RetryBackoff: 100 * time.Microsecond, Faults: plan}
 			var pool *cluster.Pool
-			if mode != "in-process" {
-				var popts []cluster.PoolOption
-				if mode == "w2w" {
-					popts = append(popts, cluster.WithW2W())
-				}
+			if mode == "cluster" {
 				var err error
-				if pool, err = cluster.NewPool(queries.ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps, popts...); err != nil {
+				if pool, err = cluster.NewPool(queries.ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps); err != nil {
 					t.Fatal(err)
 				}
 				conf.RemoteMap = pool
-				if mode == "w2w" {
-					conf.RemoteReduce = pool
-				}
 			}
 			got, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
 			if pool != nil {

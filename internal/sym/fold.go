@@ -10,8 +10,8 @@ import (
 // state, the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. A site owns
 // the machinery of folding — the containers a bundle decodes into, two
 // spare states and the Env — and a key owns nothing but its FoldState,
-// so a reduce attempt, an owner combiner or a serve session holds one
-// Folder and folds every key through it. A bundle's life is wire bytes
+// so a reduce task or a serve session holds one Folder and folds every
+// key through it. A bundle's life is wire bytes
 // → site-owned containers → CopyFrom(admitting path) + Concretize
 // against the current state into a spare → swap, and an event bundle's
 // is wire bytes → the current state copied into a spare → Update → swap:

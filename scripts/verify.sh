@@ -37,23 +37,21 @@ go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/que
 # Short chaos sweep: the one seeded fault plan (Config.Faults) kills,
 # errors and delays attempts at every point it has — map start, first
 # and mid emit, the k-th run sent, spill write, reduce merge and
-# mid-partition — in process, inside cluster workers over both
-# topologies (plus connections dropped after k runs received, peer links
-# after k pushes, reduce owners losing their runs), and per serve job
-# (disconnect, cancel, cache flush mid-fold); every digest must equal
-# the fault-free one. It covers the map-only shape
+# mid-partition — in process, inside cluster workers (plus connections
+# dropped after k runs received), and per serve job (disconnect, cancel,
+# cache flush mid-fold); every digest must equal the fault-free one. It covers the map-only shape
 # (TestChaosMapOnlyDelivery: every task's output delivered once, whole,
 # never a losing attempt's), the exec sites under it
 # (TestChaosDroppedExecSite: an errored or killed attempt's site is
 # dropped, never repooled) and TestChaosCoversEveryFault (every point ×
 # kind fires). CI runs the wide sweep (CHAOS_SEEDS=100) in its own job.
 CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries ./internal/cluster ./internal/serve
-# Cluster leg: the transport/coordinator/worker path — frame codec
-# seeds, pool lifecycle, and transport-equivalence golden digests: all
-# 12 queries byte-identical across in-memory, via-coordinator, and
-# worker-to-worker shuffle (in-process and multi-process workers), with
-# connection/job-state leak checks on success, worker death, and
-# cancellation.
+# Cluster leg: the coordinator/worker path — frame codec seeds, pool
+# lifecycle, the two-lane segment cache, and transport-equivalence
+# golden digests: all 12 queries byte-identical in process and over
+# loopback workers (in-process and multi-process), with connection leak
+# checks on success, worker death (a job with one of two workers dead
+# for good still answers golden), and cancellation.
 go test -race -count=1 ./internal/cluster
 # Serve leg: the multi-tenant query service under -race — the 8-tenant
 # soak with goroutine-leak checks, the heap-ceiling soak (resubmit +
