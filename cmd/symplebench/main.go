@@ -6,18 +6,18 @@
 //	symplebench -experiment fig5 -records 500000
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, b1latency,
-// ablation, faults, cluster, all. See
-// EXPERIMENTS.md for the paper-vs-measured record; -experiment faults
-// writes BENCH_FAULTS.json
-// (380-node replay latency clean vs failures vs failures+speculation),
-// and -experiment cluster writes BENCH_CLUSTER.json (real
+// ablation, cluster, all. See
+// EXPERIMENTS.md for the paper-vs-measured record; -experiment cluster
+// writes BENCH_CLUSTER.json (real
 // coordinator/worker execution over loopback TCP on 1/2/4 spawned worker
 // subprocesses, measured wall clock vs dcsim prediction).
 // BENCH_SYMEXEC.json, BENCH_COLUMNAR.json, BENCH_SHUFFLE.json and
 // BENCH_SERVE.json are frozen records of experiments whose baselines (the seed executor, the scalar chunk loop,
 // the barrier shuffle, the service that digested and re-folded per
-// submission) no longer exist, and BENCH_OBS.json and BENCH_WIRE.json of
-// ones the benchmark's ledger replaced: the query service is measured by
+// submission) no longer exist, BENCH_FAULTS.json of a failure replay
+// over a cost model no engine path uses, and BENCH_OBS.json and
+// BENCH_WIRE.json of ones the benchmark's ledger replaced: the query
+// service is measured by
 // `go run ./benchmark` (serve-warm, serve-append), tracing overhead by
 // its obs.trace_overhead_pct and shuffle bytes by its
 // mapreduce.shuffle_bytes, on every workload. See EXPERIMENTS.md.
@@ -52,7 +52,7 @@ func main() {
 		return
 	}
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | faults | cluster | all")
+		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig7 | fig8 | b1latency | ablation | cluster | all")
 		records    = flag.Int("records", 200000, "records per generated corpus")
 		segments   = flag.Int("segments", 8, "input segments (measured mapper count)")
 		tracePath  = flag.String("trace", "", "stream every engine run's spans to this JSONL file")
@@ -112,7 +112,6 @@ func main() {
 		{"fig8", func() (*bench.Table, error) { return bench.Fig8(datasets()) }},
 		{"b1latency", func() (*bench.Table, error) { return bench.B1Latency(datasets()) }},
 		{"ablation", func() (*bench.Table, error) { return bench.AblationMerging(datasets()) }},
-		{"faults", func() (*bench.Table, error) { return bench.Faults(datasets()) }},
 		{"cluster", func() (*bench.Table, error) { return bench.ClusterRun(datasets()) }},
 	}
 	ran := 0

@@ -29,7 +29,7 @@ type measured struct {
 // dataset and verifies their outputs agree (every reported number comes
 // from runs that produced the correct answer).
 //
-// The cluster replays (Figs 5–8, B1 latency, faults) measure under the
+// The cluster replays (Figs 5–8, B1 latency) measure under the
 // default engine — the configuration `go run ./benchmark` and every
 // user-facing path drive. Their dcsim models charge each job for the
 // bytes it shuffles and the CPU its reducers spend composing, scaled to

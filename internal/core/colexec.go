@@ -152,8 +152,8 @@ type chunkResult struct {
 // symExecChunk is the one place events reach a symbolic executor: it
 // runs the per-key UDA loop over a map task's segment in two passes.
 // Pass one fills a Batch — through the query's GroupByBatch over the
-// segment's typed-column index, which the first such job to touch the
-// segment builds and every later one finds resident, else through the
+// segment's typed-column index, whose columns the first job to read each
+// builds and every later one finds resident, else through the
 // scalar GroupBy per record; that selection is made here, from the
 // input, and nowhere else — and counting-sorts the key-index vector into
 // per-key contiguous event vectors. Pass two runs each key through the
@@ -184,8 +184,8 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 	b := &be.batch
 	b.Keys = nil // the previous chunk's keys left with its result
 	var cols *mapreduce.Columnar
-	if q.GroupByBatch != nil && q.Columns != nil {
-		cols = seg.Index(q.Columns)
+	if q.GroupByBatch != nil && q.Columns.Plan != nil {
+		cols = seg.Index(q.Columns, parseSpan)
 	}
 	if cols == nil || !q.GroupByBatch(cols, b) {
 		// No index under this query's plan (none set, or the segment is

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 )
 
 // indexedMax is maxQuery with a vectorized GroupBy over the plan
@@ -26,48 +29,57 @@ func newIndexedMax() *indexedMax {
 		m.scalar.Add(1)
 		return groupBy(rec)
 	}
-	m.q.Columns = &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{
+	m.q.Columns = (&mapreduce.ColPlan{Fields: []mapreduce.ColSpec{
 		{Kind: mapreduce.ColDict},
 		{Kind: mapreduce.ColInt, Parse: func(b []byte) (int64, bool) {
 			m.parses.Add(1)
 			v, err := strconv.ParseInt(string(b), 10, 64)
 			return v, err == nil
 		}},
-	}}
+	}}).Read(0, 1)
 	m.q.GroupByBatch = func(cols *mapreduce.Columnar, b *Batch[int64]) bool {
 		if m.refuse {
 			return false
 		}
-		b.Reset()
-		idx := map[string]int32{}
 		keys, vals := &cols.Cols[0], &cols.Cols[1]
-		rag := 0
-		for row := 0; row < cols.Rows; row++ {
-			var key string
-			var ev int64
-			if rag < len(cols.Ragged) && int(cols.Ragged[rag]) == row {
-				var ok bool
-				key, ev, ok = m.q.GroupBy(cols.RaggedRecs[rag])
-				rag++
-				if !ok {
-					continue
-				}
-			} else {
-				key, ev = keys.Dict[keys.Codes[row-rag]], vals.Ints[row-rag]
-			}
-			ki, seen := idx[key]
-			if !seen {
-				ki = int32(len(b.Keys))
-				b.Keys = append(b.Keys, key)
-				idx[key] = ki
-			}
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, ev)
-		}
+		fillBatch(cols, b, m.q.GroupBy, func(row int) (string, int64, bool) {
+			return keys.Dict[keys.Codes[row]], vals.Ints[row], true
+		})
 		return true
 	}
 	return m
+}
+
+// fillBatch is a GroupByBatch body: a row the view left ragged goes
+// through groupBy, a dense one through dense, and keys intern in
+// first-use order.
+func fillBatch(cols *mapreduce.Columnar, b *Batch[int64], groupBy func([]byte) (string, int64, bool), dense func(row int) (string, int64, bool)) {
+	b.Reset()
+	idx := map[string]int32{}
+	rag := 0
+	for row := range cols.Records {
+		var key string
+		var ev int64
+		var ok bool
+		if rag < len(cols.Ragged) && int(cols.Ragged[rag]) == row {
+			key, ev, ok = groupBy(cols.Records[row])
+			rag++
+		} else {
+			key, ev, ok = dense(row)
+		}
+		if !ok {
+			continue
+		}
+		ki, seen := idx[key]
+		if !seen {
+			ki = int32(len(b.Keys))
+			b.Keys = append(b.Keys, key)
+			idx[key] = ki
+		}
+		b.KeyIdx = append(b.KeyIdx, ki)
+		b.Rows = append(b.Rows, int32(row))
+		b.Events = append(b.Events, ev)
+	}
 }
 
 // run executes the query over segs and returns the results with the
@@ -125,12 +137,126 @@ func TestSymExecChunkIndexesOncePerResidentSegment(t *testing.T) {
 
 	foreign := makeSegments(lines, 4)
 	for _, seg := range foreign {
-		seg.Index(&mapreduce.ColPlan{})
+		seg.Index(mapreduce.ColRead{Plan: &mapreduce.ColPlan{}}, nil)
 	}
 	got, scalar, parses = m.run(t, foreign)
 	check("foreign plan", got, scalar, parses, rows, 0)
 
-	m.q.Columns = nil
+	m.q.Columns = mapreduce.ColRead{}
 	got, scalar, parses = m.run(t, makeSegments(lines, 4))
 	check("no plan", got, scalar, parses, rows, 0)
+}
+
+// TestIndexBuildsWhatAJobReads counts an index build per column, with a
+// parse counter on each typed field of a bing-shaped plan — ts user geo
+// ok — and the index spans each job's trace holds. A B1-shaped job (one
+// group, the ts of rows whose ok is 1) types only ts and ok on its first
+// touch; a later B3-shaped job (max ts per user) on the same segments
+// builds only user; a third job builds nothing; geo is never built. A row
+// whose ok reads "x" — a column B3 does not read — is dense for B3 and
+// ragged for B1, and each job answers as the sequential run does.
+func TestIndexBuildsWhatAJobReads(t *testing.T) {
+	var parses [4]atomic.Int64 // by plan field
+	counted := func(f int) func([]byte) (int64, bool) {
+		return func(b []byte) (int64, bool) {
+			parses[f].Add(1)
+			v, err := strconv.ParseInt(string(b), 10, 64)
+			return v, err == nil
+		}
+	}
+	plan := &mapreduce.ColPlan{Fields: []mapreduce.ColSpec{
+		{Kind: mapreduce.ColInt, Parse: counted(0)}, {Kind: mapreduce.ColDict},
+		{Kind: mapreduce.ColDict}, {Kind: mapreduce.ColByte, Parse: counted(3)}}}
+	var scalar atomic.Int64
+	query := func(byUser bool) *Query[*maxState, int64, int64] {
+		q := maxQuery()
+		q.GroupBy = func(rec []byte) (string, int64, bool) {
+			scalar.Add(1)
+			f := strings.Split(string(rec), "\t")
+			if len(f) < 2 || (!byUser && (len(f) < 4 || f[3] != "1")) {
+				return "", 0, false
+			}
+			ts, err := strconv.ParseInt(f[0], 10, 64)
+			if byUser {
+				return f[1], ts, err == nil
+			}
+			return "all", ts, err == nil
+		}
+		if byUser {
+			q.Columns = plan.Read(0, 1)
+		} else {
+			q.Columns = plan.Read(0, 3)
+		}
+		q.GroupByBatch = func(cols *mapreduce.Columnar, b *Batch[int64]) bool {
+			ts, user, ok := &cols.Cols[0], &cols.Cols[1], &cols.Cols[3]
+			fillBatch(cols, b, q.GroupBy, func(row int) (string, int64, bool) {
+				if byUser {
+					return user.Dict[user.Codes[row]], ts.Ints[row], true
+				}
+				return "all", ts.Ints[row], ok.Bytes[row] == 1
+			})
+			return true
+		}
+		return q
+	}
+	b1, b3 := query(false), query(true)
+
+	r := rand.New(rand.NewSource(11))
+	lines := make([]string, 800)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("%d\tu%d\tg%d\t%d\tquery", 1000+i, r.Intn(60), r.Intn(5), r.Intn(2))
+	}
+	lines[123] = "1123\tu7\tg1\tx\tquery"
+	const segments = 4
+	segs := makeSegments(lines, segments)
+
+	job := func(name string, q *Query[*maxState, int64, int64], wantBuilt string, wantParses [4]int64, wantScalar int64) {
+		t.Helper()
+		want, err := RunSequential(q, makeSegments(lines, segments))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range parses {
+			parses[i].Store(0)
+		}
+		scalar.Store(0)
+		sink := obs.NewMemSink()
+		got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 2, Trace: obs.NewTrace(sink)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Errorf("%s: results differ from sequential", name)
+		}
+		var built []string
+		for _, sp := range sink.Spans() {
+			if sp.Kind == obs.KindIndex {
+				built = append(built, sp.Name)
+			}
+		}
+		if wantBuilt != "" && len(built) != segments || wantBuilt == "" && len(built) != 0 {
+			t.Errorf("%s: built %v, want %q on each of %d segments", name, built, wantBuilt, segments)
+		}
+		for _, b := range built {
+			if b != wantBuilt {
+				t.Errorf("%s: built fields %s, want %q", name, b, wantBuilt)
+			}
+		}
+		for f := range parses {
+			if n := parses[f].Load(); n != wantParses[f] {
+				t.Errorf("%s: field %d parsed %d times, want %d", name, f, n, wantParses[f])
+			}
+		}
+		if n := scalar.Load(); n != wantScalar {
+			t.Errorf("%s: %d scalar GroupBy calls, want %d", name, n, wantScalar)
+		}
+		if err := (obs.Verifier{}).Check(sink.Spans()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	rows := int64(len(lines))
+	job("B1 first touch", b1, "0,3", [4]int64{rows, 0, 0, rows}, 1)
+	job("B3 after B1", b3, "1", [4]int64{}, 0)
+	job("B1 resident", b1, "", [4]int64{}, 1)
+	job("B3 resident", b3, "", [4]int64{}, 0)
 }

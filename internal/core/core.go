@@ -70,10 +70,11 @@ type Query[S sym.State, E, R any] struct {
 	// rebuild the batch with the scalar GroupBy, so the pair is purely an
 	// optimization; nil is always valid.
 	GroupByBatch func(cols *mapreduce.Columnar, out *Batch[E]) bool
-	// Columns is the index plan GroupByBatch reads. A segment builds its
-	// index under the plan of the first query that touches it
-	// (mapreduce.Segment.Index) and keeps it while resident.
-	Columns *mapreduce.ColPlan
+	// Columns names what GroupByBatch reads: its dataset's index plan and
+	// the fields of it. A segment keeps one index, under the plan of the
+	// first query that touches it, and builds a column the first time a
+	// job reads it (mapreduce.Segment.Index).
+	Columns mapreduce.ColRead
 
 	// NewState returns the initial aggregation state.
 	NewState func() S

@@ -47,13 +47,14 @@ type Segment struct {
 	ID      int
 	Records [][]byte
 
-	// index is the typed-column index over Records (columnar.go), built
-	// at first touch by Index; addr is the content address (digest.go),
-	// computed at first touch by Digest; size is the payload total, left
-	// by either or by Bytes. All are derived from Records and resident
-	// with the segment; index and addr are built under mu.
+	// index is the typed-column index over Records (columnar.go), a
+	// column built the first time Index is asked for it; addr is the
+	// content address (digest.go), computed at first touch by Digest;
+	// size is the payload total, left by Digest or by Bytes. All are
+	// derived from Records and resident with the segment; index and addr
+	// are built under mu.
 	mu    sync.Mutex
-	index *Columnar
+	index *colIndex
 	addr  atomic.Pointer[address]
 	size  atomic.Pointer[extent]
 }

@@ -68,6 +68,11 @@ const (
 	// KindMapExec covers the symbolic-execution pass of one map chunk.
 	// Attrs: task, groups, batch_records.
 	KindMapExec = "map_exec"
+	// KindIndex covers building typed columns of a segment's index, in
+	// one pass over its records, at the columns' first read — a child of
+	// the map_parse span that asked. Name: the plan fields built (e.g.
+	// "0,3"). Attrs: records (the rows the pass typed).
+	KindIndex = "index"
 	// KindCompose covers the reduce-side fold of one group's summaries.
 	// Name: group key. Attrs: summaries, composes, applies —
 	// the compose-count invariant requires composes+applies = summaries.
@@ -348,6 +353,17 @@ func (t *Trace) Start(kind, name string) *ActiveSpan {
 		Name:   name,
 		Start:  now(),
 	}}
+}
+
+// Child opens a span parented to s instead of the job (nil on a nil
+// receiver: an untraced span has untraced children).
+func (s *ActiveSpan) Child(kind, name string) *ActiveSpan {
+	if s == nil {
+		return nil
+	}
+	c := s.t.Start(kind, name)
+	c.sp.Parent = s.sp.ID
+	return c
 }
 
 // Event emits an instant span (End == Start) parented to the current

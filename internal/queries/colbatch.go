@@ -20,12 +20,14 @@ import (
 // don't match the expected shape) fall back to the scalar GroupBy, so
 // the batch path never changes which rows are kept or what they yield —
 // pinned by the golden digests, which every SYMPLE job reaches through
-// this path, and the metamorphic tests.
+// this path, and the metamorphic tests. A query's Columns are the fields
+// its scalar GroupBy extracts, so a row is dense for it exactly when
+// those fields are there and parse.
 
-// The index plans (core.Query.Columns), one per dataset: the leading
-// fields some query below reads, parsed by the function the scalar
-// GroupBy applies to the same field. Fields no query reads are skipped,
-// and everything past the last read field is not in the plan at all.
+// The index plans, one per dataset: the leading fields some query below
+// reads, parsed by the function the scalar GroupBy applies to the same
+// field. Fields no query reads are skipped, and everything past the last
+// read field is not in the plan at all.
 var (
 	colDecimal = mapreduce.ColSpec{Kind: mapreduce.ColInt, Parse: data.ParseInt}
 	colFlag    = mapreduce.ColSpec{Kind: mapreduce.ColByte, Parse: data.ParseInt}
@@ -43,25 +45,9 @@ var (
 		{Kind: mapreduce.ColInt, Parse: parseRedshiftTime}, colDict, colDict, colDict}}
 )
 
-// dictCol returns column i if it is dictionary-coded, else nil.
-func dictCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
-	if i >= len(c.Cols) || c.Cols[i].Kind != mapreduce.ColDict {
-		return nil
-	}
-	return &c.Cols[i]
-}
-
-// intCol returns column i if it is an int64 vector, else nil.
-func intCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
-	if i >= len(c.Cols) || c.Cols[i].Kind != mapreduce.ColInt {
-		return nil
-	}
-	return &c.Cols[i]
-}
-
-// byteCol returns column i if it is a byte vector, else nil.
-func byteCol(c *mapreduce.Columnar, i int) *mapreduce.Col {
-	if i >= len(c.Cols) || c.Cols[i].Kind != mapreduce.ColByte {
+// col returns column i if the view holds it typed as kind, else nil.
+func col(c *mapreduce.Columnar, i int, kind mapreduce.ColKind) *mapreduce.Col {
+	if i >= len(c.Cols) || c.Cols[i].Kind != kind {
 		return nil
 	}
 	return &c.Cols[i]
@@ -124,19 +110,20 @@ func (in *keyInterner) str(keys *[]string, key string) int32 {
 
 // makeGroupByBatch adapts a per-segment compile step into the engine's
 // GroupByBatch contract. compile shape-checks the columns and returns
-// the emitter for a stretch of consecutive dense rows — row is the
-// segment row of dense index lo — (nil → the whole segment falls back to
-// scalar); ragged rows always go through the scalar groupBy, interned
-// into the same key space, in row order with the dense ones.
+// the emitter for a stretch [lo, hi) of consecutive dense rows (nil →
+// the whole segment falls back to scalar); ragged rows always go through
+// the scalar groupBy, interned into the same key space, in row order
+// with the dense ones.
 func makeGroupByBatch[E any](
 	groupBy func([]byte) (string, E, bool),
-	compile func(cols *mapreduce.Columnar, b *core.Batch[E], in *keyInterner) func(row, lo, hi int),
+	compile func(cols *mapreduce.Columnar, b *core.Batch[E], in *keyInterner) func(lo, hi int),
 ) func(*mapreduce.Columnar, *core.Batch[E]) bool {
 	return func(cols *mapreduce.Columnar, b *core.Batch[E]) bool {
 		b.Reset()
-		b.KeyIdx = slices.Grow(b.KeyIdx, cols.Rows)
-		b.Rows = slices.Grow(b.Rows, cols.Rows)
-		b.Events = slices.Grow(b.Events, cols.Rows)
+		rows := len(cols.Records)
+		b.KeyIdx = slices.Grow(b.KeyIdx, rows)
+		b.Rows = slices.Grow(b.Rows, rows)
+		b.Events = slices.Grow(b.Events, rows)
 		var in keyInterner
 		emit := compile(cols, b, &in)
 		if emit == nil {
@@ -145,10 +132,10 @@ func makeGroupByBatch[E any](
 		// Dense rows go to the emitter a stretch at a time: the whole
 		// segment in one call when nothing is ragged.
 		row := 0
-		for rag, ragRow := range cols.Ragged {
-			emit(row, row-rag, int(ragRow)-rag)
+		for _, ragRow := range cols.Ragged {
+			emit(row, int(ragRow))
 			row = int(ragRow) + 1
-			key, ev, kept := groupBy(cols.RaggedRecs[rag])
+			key, ev, kept := groupBy(cols.Records[ragRow])
 			if kept {
 				ki := in.str(&b.Keys, key)
 				b.KeyIdx = append(b.KeyIdx, ki)
@@ -156,7 +143,7 @@ func makeGroupByBatch[E any](
 				b.Events = append(b.Events, ev)
 			}
 		}
-		emit(row, row-len(cols.Ragged), cols.Dense())
+		emit(row, rows)
 		return true
 	}
 }
@@ -173,20 +160,20 @@ func githubOpTable(dict []string) []int64 {
 
 // compileGithubOp is the shared G1/G2/G3 shape: key = repo (field 1),
 // event = op code (field 2), unknown ops dropped.
-func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	repoCol, opCol := dictCol(cols, 1), dictCol(cols, 2)
+func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	repoCol, opCol := col(cols, 1, mapreduce.ColDict), col(cols, 2, mapreduce.ColDict)
 	if repoCol == nil || opCol == nil {
 		return nil
 	}
 	ops := githubOpTable(opCol.Dict)
 	*in = newKeyInterner(len(repoCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			op := ops[opCol.Codes[dense]]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			op := ops[opCol.Codes[row]]
 			if op < 0 {
 				continue
 			}
-			code := repoCol.Codes[dense]
+			code := repoCol.Codes[row]
 			ki := in.code(&b.Keys, code, repoCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
@@ -196,8 +183,8 @@ func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInte
 }
 
 // compileG4: key = repo, event = {op, ts}, only branch create/delete.
-func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner) func(row, lo, hi int) {
-	tsCol, repoCol, opCol := intCol(cols, 0), dictCol(cols, 1), dictCol(cols, 2)
+func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner) func(lo, hi int) {
+	tsCol, repoCol, opCol := col(cols, 0, mapreduce.ColInt), col(cols, 1, mapreduce.ColDict), col(cols, 2, mapreduce.ColDict)
 	if tsCol == nil || repoCol == nil || opCol == nil {
 		return nil
 	}
@@ -210,93 +197,93 @@ func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner
 		ops[i] = int64(op)
 	}
 	*in = newKeyInterner(len(repoCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			op := ops[opCol.Codes[dense]]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			op := ops[opCol.Codes[row]]
 			if op < 0 {
 				continue
 			}
-			code := repoCol.Codes[dense]
+			code := repoCol.Codes[row]
 			ki := in.code(&b.Keys, code, repoCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, g4Event{Op: op, Ts: tsCol.Ints[dense]})
+			b.Events = append(b.Events, g4Event{Op: op, Ts: tsCol.Ints[row]})
 		}
 	}
 }
 
 // compileB1: single constant group, event = ts, successful queries only.
-func compileB1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	tsCol, okCol := intCol(cols, 0), byteCol(cols, 3)
+func compileB1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	tsCol, okCol := col(cols, 0, mapreduce.ColInt), col(cols, 3, mapreduce.ColByte)
 	if tsCol == nil || okCol == nil {
 		return nil
 	}
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			if okCol.Bytes[dense] != 1 {
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			if okCol.Bytes[row] != 1 {
 				continue
 			}
 			ki := in.str(&b.Keys, "all")
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[dense])
+			b.Events = append(b.Events, tsCol.Ints[row])
 		}
 	}
 }
 
 // compileB2: key = geo, event = ts, successful queries only.
-func compileB2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	tsCol, geoCol, okCol := intCol(cols, 0), dictCol(cols, 2), byteCol(cols, 3)
+func compileB2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	tsCol, geoCol, okCol := col(cols, 0, mapreduce.ColInt), col(cols, 2, mapreduce.ColDict), col(cols, 3, mapreduce.ColByte)
 	if tsCol == nil || geoCol == nil || okCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(geoCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			if okCol.Bytes[dense] != 1 {
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			if okCol.Bytes[row] != 1 {
 				continue
 			}
-			code := geoCol.Codes[dense]
+			code := geoCol.Codes[row]
 			ki := in.code(&b.Keys, code, geoCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[dense])
+			b.Events = append(b.Events, tsCol.Ints[row])
 		}
 	}
 }
 
 // compileB3: key = user, event = ts, no filter.
-func compileB3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	tsCol, userCol := intCol(cols, 0), dictCol(cols, 1)
+func compileB3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	tsCol, userCol := col(cols, 0, mapreduce.ColInt), col(cols, 1, mapreduce.ColDict)
 	if tsCol == nil || userCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(userCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			code := userCol.Codes[dense]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			code := userCol.Codes[row]
 			ki := in.code(&b.Keys, code, userCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[dense])
+			b.Events = append(b.Events, tsCol.Ints[row])
 		}
 	}
 }
 
 // compileT1: key = hashtag, event = spam flag, flag must be 0 or 1.
-func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	tagCol, spamCol := dictCol(cols, 1), byteCol(cols, 3)
+func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	tagCol, spamCol := col(cols, 1, mapreduce.ColDict), col(cols, 3, mapreduce.ColByte)
 	if tagCol == nil || spamCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(tagCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			spam := int64(spamCol.Bytes[dense])
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			spam := int64(spamCol.Bytes[row])
 			if spam > 1 {
 				continue
 			}
-			code := tagCol.Codes[dense]
+			code := tagCol.Codes[row]
 			ki := in.code(&b.Keys, code, tagCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
@@ -307,15 +294,15 @@ func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 
 // compileR1: key = advertiser, unit event, no filter (a dense row always
 // has its advertiser field).
-func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterner) func(row, lo, hi int) {
-	advCol := dictCol(cols, 1)
+func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterner) func(lo, hi int) {
+	advCol := col(cols, 1, mapreduce.ColDict)
 	if advCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			code := advCol.Codes[dense]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			code := advCol.Codes[row]
 			ki := in.code(&b.Keys, code, advCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
@@ -325,8 +312,8 @@ func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterne
 }
 
 // compileR2: key = advertiser, event = country index, unknown dropped.
-func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	advCol, ccCol := dictCol(cols, 1), dictCol(cols, 3)
+func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	advCol, ccCol := col(cols, 1, mapreduce.ColDict), col(cols, 3, mapreduce.ColDict)
 	if advCol == nil || ccCol == nil {
 		return nil
 	}
@@ -335,13 +322,13 @@ func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 		ccs[i] = int64(data.CountryIndex([]byte(s)))
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			cc := ccs[ccCol.Codes[dense]]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			cc := ccs[ccCol.Codes[row]]
 			if cc < 0 {
 				continue
 			}
-			code := advCol.Codes[dense]
+			code := advCol.Codes[row]
 			ki := in.code(&b.Keys, code, advCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
@@ -352,26 +339,26 @@ func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 
 // compileR3: key = advertiser, event = the datetime column, which the
 // index holds as Unix seconds (rows it could not parse are ragged).
-func compileR3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	dtCol, advCol := intCol(cols, 0), dictCol(cols, 1)
+func compileR3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	dtCol, advCol := col(cols, 0, mapreduce.ColInt), col(cols, 1, mapreduce.ColDict)
 	if dtCol == nil || advCol == nil {
 		return nil
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			code := advCol.Codes[dense]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			code := advCol.Codes[row]
 			ki := in.code(&b.Keys, code, advCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, dtCol.Ints[dense])
+			b.Events = append(b.Events, dtCol.Ints[row])
 		}
 	}
 }
 
 // compileR4: key = advertiser, event = campaign index, unknown dropped.
-func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(row, lo, hi int) {
-	advCol, campCol := dictCol(cols, 1), dictCol(cols, 2)
+func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) func(lo, hi int) {
+	advCol, campCol := col(cols, 1, mapreduce.ColDict), col(cols, 2, mapreduce.ColDict)
 	if advCol == nil || campCol == nil {
 		return nil
 	}
@@ -380,13 +367,13 @@ func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 		camps[i] = int64(data.CampaignIndex([]byte(s)))
 	}
 	*in = newKeyInterner(len(advCol.Dict))
-	return func(row, lo, hi int) {
-		for dense := lo; dense < hi; dense, row = dense+1, row+1 {
-			c := camps[campCol.Codes[dense]]
+	return func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			c := camps[campCol.Codes[row]]
 			if c < 0 {
 				continue
 			}
-			code := advCol.Codes[dense]
+			code := advCol.Codes[row]
 			ki := in.code(&b.Keys, code, advCol.Dict[code])
 			b.KeyIdx = append(b.KeyIdx, ki)
 			b.Rows = append(b.Rows, int32(row))

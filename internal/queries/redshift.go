@@ -44,7 +44,7 @@ func R1() *Spec {
 		EncodeEvent: func(*wire.Encoder, struct{}) {},
 		DecodeEvent: func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR1)
+	q.Columns, q.GroupByBatch = redshiftPlan.Read(1), makeGroupByBatch(q.GroupBy, compileR1)
 	return makeSpec("R1", "Number of impressions per advertiser", "redshift",
 		false, true, false, q,
 		func(key string, count int64) string { return resultLine(key, count) })
@@ -106,7 +106,7 @@ func R2() *Spec {
 		EncodeEvent: func(e *wire.Encoder, cc int64) { e.Uvarint(uint64(cc)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR2)
+	q.Columns, q.GroupByBatch = redshiftPlan.Read(1, 3), makeGroupByBatch(q.GroupBy, compileR2)
 	return makeSpec("R2", "List of advertisers operating only in a single country", "redshift",
 		true, true, false, q,
 		func(key string, country string) string {
@@ -193,7 +193,7 @@ func R3() *Spec {
 		EncodeEvent: func(e *wire.Encoder, ts int64) { e.Varint(ts) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR3)
+	q.Columns, q.GroupByBatch = redshiftPlan.Read(0, 1), makeGroupByBatch(q.GroupBy, compileR3)
 	return makeSpec("R3", "Cases for advertiser when their ads were not showing for more than 1 hour", "redshift",
 		false, true, false, q,
 		func(key string, gaps []int64) string { return resultLine(key, gaps...) })
@@ -255,7 +255,7 @@ func R4() *Spec {
 		EncodeEvent: func(e *wire.Encoder, c int64) { e.Uvarint(uint64(c)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan, makeGroupByBatch(q.GroupBy, compileR4)
+	q.Columns, q.GroupByBatch = redshiftPlan.Read(1, 2), makeGroupByBatch(q.GroupBy, compileR4)
 	return makeSpec("R4", "Lengths of runs for which only a single campaign by an advertiser is shown", "redshift",
 		true, true, false, q,
 		func(key string, runs []int64) string { return resultLine(key, runs...) })

@@ -21,9 +21,15 @@ go build ./...
 # included (TestExecSiteAllocCeiling, TestFoldAllocCeiling), which stand
 # down under the race detector.
 go test ./...
+# Micro-benchmarks, run once each so that they keep compiling and
+# running: a registration's content digest over a fresh segment (MB/s)
+# and a first touch's column build per dataset (ns/row). EXPERIMENTS.md
+# records what they read.
+go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
 # The race leg covers the one SYMPLE engine end to end — the batched
-# chunk executor over a segment's index, built at first touch under
-# concurrent jobs (internal/mapreduce, internal/queries), and the scalar
+# chunk executor over a segment's index, whose columns are built at
+# their first read under concurrent jobs (internal/mapreduce,
+# internal/queries), and the scalar
 # fallback — and the sites' ownership rules: eight concurrent map tasks
 # over one exec-site pool, no container built after a site's first chunk
 # (internal/core, internal/sym), the storage contract between a fold
@@ -34,6 +40,9 @@ go test ./...
 # an event bundle folds to its summary's state from the initial state
 # and a reached one, which stays byte-equal).
 go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
+# Eight jobs first-touching different columns of one segment: each
+# column built once, under the segment's lock, ten times over.
+go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/mapreduce
 # Short chaos sweep: the one seeded fault plan (Config.Faults) kills,
 # errors and delays attempts at every point it has — map start, first
 # and mid emit, the k-th run sent, spill write, reduce merge and
