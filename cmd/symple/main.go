@@ -195,7 +195,7 @@ func main() {
 		// Symbolic counters accumulate where the mapper runs; under
 		// -workers they stay in the worker processes, so skip the line.
 		if e.name == "symple" && run.Sym.Records > 0 {
-			fmt.Printf("  symbolic: %d update runs over %d records (%.2fx), %d merges, %d restarts, %d summaries (%d of them one-event groups' events)\n",
+			fmt.Printf("  symbolic: %d update runs over %d records (%.2fx), %d merges, %d restarts, %d summaries (%d of them small groups' events)\n",
 				run.Sym.Runs, run.Sym.Records,
 				float64(run.Sym.Runs)/float64(max(1, run.Sym.Records)),
 				run.Sym.Merges, run.Sym.Restarts, run.Sym.Summaries, run.Sym.Events)

@@ -142,9 +142,11 @@ func TestFig7Shapes(t *testing.T) {
 	// per group, so lifting the UDA into mappers buys nothing. Its CPU
 	// ratio is a sub-millisecond wall clock at this scale and swings
 	// across 1.0 from run to run, so the shape is pinned on counts that
-	// repeat: most of B3's (mapper, user) groups hold one event and ship
-	// it as itself — the baseline's cost — and every group ships exactly
-	// one element.
+	// repeat: B3's (mapper, user) groups are small enough to ship their
+	// events — the baseline's cost, no symbolic execution — and every
+	// group ships exactly one element. Symbolic execution is measured on
+	// the rows whose groups are larger than that: all of B2's and most of
+	// G1's, below.
 	b3, err := runPair(testDatasets(), "B3", false, cluster380Reducers)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +155,8 @@ func TestFig7Shapes(t *testing.T) {
 	if int64(sym.Summaries) != groups {
 		t.Errorf("B3 shipped %d elements for %d (mapper, key) groups, want one each", sym.Summaries, groups)
 	}
-	if share := float64(sym.Events) / float64(groups); share < 0.5 {
-		t.Errorf("B3 shipped %d of %d groups (%.0f%%) as events, want most", sym.Events, groups, 100*share)
+	if share := float64(sym.Events) / float64(groups); share < 0.95 {
+		t.Errorf("B3 shipped %d of %d groups (%.0f%%) as events, want nearly all", sym.Events, groups, 100*share)
 	}
 	// B2 and G1 save CPU.
 	// B2's measured reduce CPU is sub-millisecond at test scale, so its
@@ -272,23 +274,25 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cap 1 must force restarts on every record for B3 (always ≥ 2
-	// paths); larger caps must not.
-	sawCap1Restarts := false
+	// The cap acts where a group is explored, so its subject is R4's
+	// groups — an advertiser's impressions, hundreds per mapper, far
+	// larger than any that ships its events: cap 1 must force restarts
+	// (R4 holds two paths after a record) and the paper's 8 must not.
+	// B3's groups here all ship their events, so no cap may move its row.
+	restarts := map[string]map[string]int{"B3": {}, "R4": {}}
 	for _, r := range tb.Rows {
-		if r[0] == "B3" && r[1] == "1" {
-			if v, _ := strconv.Atoi(r[2]); v > 0 {
-				sawCap1Restarts = true
-			}
-		}
-		if r[0] == "B3" && r[1] == "8" {
-			if v, _ := strconv.Atoi(r[2]); v != 0 {
-				t.Errorf("B3 cap=8 restarts = %s, want 0", r[2])
-			}
-		}
+		restarts[r[0]][r[1]], _ = strconv.Atoi(r[2])
 	}
-	if !sawCap1Restarts {
-		t.Error("B3 cap=1 produced no restarts")
+	if restarts["R4"]["1"] == 0 {
+		t.Error("R4 cap=1 produced no restarts")
+	}
+	if v := restarts["R4"]["8"]; v != 0 {
+		t.Errorf("R4 cap=8 restarts = %d, want 0", v)
+	}
+	for cap, v := range restarts["B3"] {
+		if v != 0 {
+			t.Errorf("B3 cap=%s restarts = %d: a group that ships its events was explored", cap, v)
+		}
 	}
 	if _, err := AblationCompose(16, 200); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,9 @@ import (
 // deleted the worker-to-worker shuffle — its seven frames, the topology
 // tables in the assignment — renumbered the job frames after it, and
 // widened the assignment's segment digest from one 64-bit lane to both.
-const ProtocolVersion = 8
+// Version 9 carries a group of up to eight events in an event bundle,
+// counted after its zero, which a v8 peer would reject as trailing bytes.
+const ProtocolVersion = 9
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -125,6 +125,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-version.bin", Data: frame(FrameHello, helloWith(helloMagic, ProtocolVersion+9))},
 		{Name: "corrupt-hello-v6.bin", Data: frame(FrameHello, helloWith(helloMagic, 6))},
 		{Name: "corrupt-hello-v7.bin", Data: frame(FrameHello, helloWith(helloMagic, 7))},
+		{Name: "corrupt-hello-v8.bin", Data: frame(FrameHello, helloWith(helloMagic, 8))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -363,7 +364,7 @@ func TestFuzzSeedFrameCorpus(t *testing.T) {
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)
 		}
 	}
-	if valid < 16 || corrupt < 43 {
+	if valid < 16 || corrupt < 44 {
 		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
 	}
 }
@@ -448,11 +449,11 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// Version 4 is the last whose assignments carried a columnar
 	// payload, version 5 the last whose runs held summary bundles only —
 	// it would misread a one-event group's event as an empty summary
-	// list — version 6 the last with three ad-hoc fault fields, and
-	// version 7 the last with the worker-to-worker frames and a one-lane
-	// segment digest; peers still speaking any must be turned away at
-	// hello.
-	for _, v := range []uint64{4, 5, 6, 7} {
+	// list — version 6 the last with three ad-hoc fault fields, version 7
+	// the last with the worker-to-worker frames and a one-lane segment
+	// digest, and version 8 the last whose event bundles held one event
+	// and no count; peers still speaking any must be turned away at hello.
+	for _, v := range []uint64{4, 5, 6, 7, 8} {
 		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}

@@ -88,8 +88,8 @@ type Query[S sym.State, E, R any] struct {
 	Result func(key string, s S) R
 
 	// EncodeEvent/DecodeEvent serialize events for the baseline's
-	// shuffle and SYMPLE's, where a (mapper, key) group of one event
-	// ships the event (sym.NewEventSchema); both rely on
+	// shuffle and SYMPLE's, where a small (mapper, key) group ships its
+	// events (sym.NewEventSchema); both rely on
 	// DecodeEvent(EncodeEvent(e)) looking the same to Update as e.
 	EncodeEvent func(*wire.Encoder, E)
 	DecodeEvent func(*wire.Decoder) (E, error)
@@ -128,8 +128,8 @@ type SymStats struct {
 	Runs     int // Update invocations (symbolic overhead factor)
 	Merges   int
 	Restarts int
-	// Summaries counts the elements shuffled: summaries, and the events
-	// one-event groups ship instead (Events of them).
+	// Summaries counts the elements shuffled: summaries, and the small
+	// groups that ship their events instead (Events of them).
 	Summaries int
 	Events    int
 	// MemoHits/MemoMisses count records folded through the

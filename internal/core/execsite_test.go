@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"iter"
 	"math/rand"
 	"os"
@@ -14,18 +13,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/sym"
 )
-
-// denseSessionInput is a B3-shaped corpus: about as many keys as a
-// segment has records, so most (mapper, key) groups hold one or two.
-func denseSessionInput(r *rand.Rand, n int) []string {
-	lines := make([]string, n)
-	ts := int64(0)
-	for i := range lines {
-		ts += int64(r.Intn(60))
-		lines[i] = fmt.Sprintf("u%d\t%d", r.Intn(n), ts)
-	}
-	return lines
-}
 
 // mapBundles runs a map-only job of the engine's mapper over segs on
 // pool and returns every task's emitted (key, bundle) pairs in emit
@@ -60,14 +47,16 @@ func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.
 // one pool build containers while the first chunks run and none after —
 // a site keeps what its chunks needed — and eight tasks running at once
 // over that pool (the -race leg's subject) emit, byte for byte, what one
-// task at a time does.
+// task at a time does. The subject is the exec site's symbolic path, so
+// most (mapper, key) groups are too large to ship their events: 12.5
+// records on average, a tenth of them eight or fewer.
 func TestExecSitePoolSteadyState(t *testing.T) {
 	q := sessionQuery()
 	sc, err := q.Schema()
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := makeSegments(denseSessionInput(rand.New(rand.NewSource(41)), 16000), 8)
+	segs := makeSegments(sessionInput(rand.New(rand.NewSource(41)), 16000, 160), 8)
 	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, SympleOptions{}, segs, mapreduce.Config{Parallelism: 1})
 
 	pool := &batchExecPool[*sessState, int64]{}
@@ -116,6 +105,8 @@ func chaosSeedCount(t *testing.T, def int) int {
 // puts the site back — the pool only ever holds sites whose last chunk
 // ran to the end — so whatever attempt finally commits emits the
 // fault-free bytes, on the pool the failures left behind, job after job.
+// The fuse needs Update to run in the map, so the subject is groups too
+// large to ship their events: about 17 records per (mapper, key).
 func TestChaosDroppedExecSite(t *testing.T) {
 	q := sessionQuery()
 	// fuse, when armed, makes the Update call it counts down to read a
@@ -132,7 +123,7 @@ func TestChaosDroppedExecSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := makeSegments(denseSessionInput(rand.New(rand.NewSource(42)), 6000), 6)
+	segs := makeSegments(sessionInput(rand.New(rand.NewSource(42)), 6000, 60), 6)
 	for _, opt := range []SympleOptions{{}, {Combine: true}} {
 		if opt.Combine {
 			// A live-path cap of 1 makes every forking key restart, so

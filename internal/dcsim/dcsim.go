@@ -79,27 +79,6 @@ type Cluster struct {
 	CompressMBps   float64
 	DecompressMBps float64
 
-	// FailEvery, when positive, makes every k-th map task fail once: it
-	// runs FailAtFraction of its work, is detected and re-executed from
-	// scratch. The failed fraction is wasted CPU; re-reading the input
-	// is charged too. Deterministic, like the straggler model.
-	FailEvery int
-	// FailAtFraction is the progress point where a failing task dies,
-	// in (0, 1]. Zero defaults to 0.5.
-	FailAtFraction float64
-	// RetryDelayS is the failure-detection latency before the retry
-	// starts (Hadoop's task-timeout path). With Speculate set it is not
-	// charged: a backup launched at the straggler threshold is already
-	// running when the original dies.
-	RetryDelayS float64
-	// Speculate models speculative re-execution. For failed tasks it
-	// hides RetryDelayS (a proactively launched backup replaces
-	// timeout-based detection). For stragglers it bounds the effective
-	// slowdown at specCap — the backup recomputes at normal speed and
-	// wins — at the price of the duplicated work, counted in
-	// Result.WastedCPUSeconds.
-	Speculate bool
-
 	// Trace, when non-nil, receives a synthetic replay of the simulated
 	// schedule: a job span covering [0, TotalS] plus one span per
 	// map/reduce task at its simulated start/end, all on a nanosecond
@@ -110,37 +89,13 @@ type Cluster struct {
 	Trace *obs.Trace
 }
 
-// specCap is a speculated straggler's effective slowdown: the backup
-// launches once the task has run about one typical duration and redoes
-// the work from scratch at normal speed, finishing near 2x nominal.
-const specCap = 2.0
-
 // taskCost applies the straggler model to task index i, returning the
-// task's effective latency cost, any duplicated (wasted) CPU from a
-// speculative backup, and whether a backup launched.
-func (c Cluster) taskCost(i int, cpu float64) (eff, dup float64, speculated bool) {
+// task's effective latency cost.
+func (c Cluster) taskCost(i int, cpu float64) float64 {
 	if c.StragglerEvery > 0 && c.StragglerSlowdown > 1 && i%c.StragglerEvery == c.StragglerEvery-1 {
-		if c.Speculate && c.StragglerSlowdown > specCap {
-			return cpu * specCap, cpu, true
-		}
-		return cpu * c.StragglerSlowdown, 0, false
+		return cpu * c.StragglerSlowdown
 	}
-	return cpu, 0, false
-}
-
-// mapFails reports whether map task i fails once under the failure
-// model.
-func (c Cluster) mapFails(i int) bool {
-	return c.FailEvery > 0 && i%c.FailEvery == c.FailEvery-1
-}
-
-// failFraction returns the clamped FailAtFraction.
-func (c Cluster) failFraction() float64 {
-	f := c.FailAtFraction
-	if f <= 0 || f > 1 {
-		return 0.5
-	}
-	return f
+	return cpu
 }
 
 // MapTask is one map task's replayed cost.
@@ -191,13 +146,6 @@ type Result struct {
 	TotalS       float64
 	CPUSeconds   float64 // total compute consumed (map + reduce)
 	ShuffleBytes int64
-
-	// Failure/re-execution accounting. CPUSeconds includes
-	// WastedCPUSeconds: work burned by failed attempt fractions and by
-	// losing speculative backups, on top of the useful compute.
-	Failures         int
-	Speculated       int // backup attempts launched (stragglers + failures under Speculate)
-	WastedCPUSeconds float64
 }
 
 // Simulate runs the job on the cluster.
@@ -210,18 +158,12 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	}
 	var res Result
 
-	// ---- Failure / straggler / speculation adjustment ----
-	// Each map task's effective latency cost is computed up front: the
-	// straggler multiplier (capped by a speculative backup when enabled),
-	// then the failure rework — a failing task burns FailAtFraction of
-	// its work, waits out detection (hidden under speculation), and
-	// re-runs from scratch, re-reading its input. The fluid simulation
-	// below then schedules the adjusted tasks unchanged. Simplification:
-	// the detection wait holds the task's slot, which slightly overstates
-	// slot pressure on small clusters.
-	// Compression is charged as a bandwidth-limited CPU pass over the
-	// logical bytes, folded into each task's CPU before the straggler and
-	// failure adjustments (a re-executed mapper re-compresses its spill).
+	// ---- Straggler adjustment ----
+	// Each map task's effective latency cost is computed up front — the
+	// straggler multiplier — and the fluid simulation below schedules the
+	// adjusted tasks unchanged. Compression is charged as a
+	// bandwidth-limited CPU pass over the logical bytes, folded into each
+	// task's CPU before the straggler adjustment.
 	mapCPU := make([]float64, len(j.Maps))
 	for i, m := range j.Maps {
 		mapCPU[i] = m.CPUSeconds
@@ -246,25 +188,7 @@ func Simulate(c Cluster, j Job) (Result, error) {
 
 	effMaps := make([]MapTask, len(j.Maps))
 	for i, m := range j.Maps {
-		eff, dup, spec := c.taskCost(i, mapCPU[i])
-		io := float64(m.InputBytes)
-		if spec {
-			res.Speculated++
-		}
-		res.WastedCPUSeconds += dup
-		if c.mapFails(i) {
-			frac := c.failFraction()
-			res.Failures++
-			res.WastedCPUSeconds += frac * eff
-			detect := c.RetryDelayS
-			if c.Speculate {
-				detect = 0
-				res.Speculated++
-			}
-			eff = frac*eff + detect + eff
-			io *= 1 + frac
-		}
-		effMaps[i] = MapTask{InputBytes: int64(io), CPUSeconds: eff, OutBytes: m.OutBytes}
+		effMaps[i] = MapTask{InputBytes: m.InputBytes, CPUSeconds: c.taskCost(i, mapCPU[i]), OutBytes: m.OutBytes}
 	}
 
 	// ---- Map phase: fluid simulation with shared IO ----
@@ -305,13 +229,10 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	res.ShuffleS = worst
 
 	// ---- Reduce phase: pure CPU on slots ----
-	reduceS, reduceWaste, reduceSpec, redIv := simulateCPUPhase(c, reduces)
+	reduceS, redIv := simulateCPUPhase(c, reduces)
 	res.ReducePhaseS = reduceS
-	res.WastedCPUSeconds += reduceWaste
-	res.Speculated += reduceSpec
 
-	// Total compute: the useful work (including the codec passes) plus
-	// everything burned on failed attempt fractions and losing backups.
+	// Total compute: the useful work, the codec passes included.
 	// Straggler slowdown is lost time, not extra instructions, so it does
 	// not inflate CPUSeconds.
 	for _, cpu := range mapCPU {
@@ -320,7 +241,6 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	for _, r := range reduces {
 		res.CPUSeconds += r.CPUSeconds
 	}
-	res.CPUSeconds += res.WastedCPUSeconds
 	res.TotalS = c.SchedulingOverheadS + res.MapPhaseS + res.ShuffleS + res.ReducePhaseS
 	c.emitSimTrace(j, res, mapIv, redIv)
 	return res, nil
@@ -501,13 +421,12 @@ func simulateMapPhase(c Cluster, maps []MapTask) (float64, []interval) {
 }
 
 // simulateCPUPhase packs pure-CPU tasks onto the cluster's slots (LPT
-// list scheduling) and returns the makespan, the duplicated CPU and
-// backup count from speculated stragglers, and each task's scheduled
+// list scheduling) and returns the makespan and each task's scheduled
 // interval (indexed like tasks).
-func simulateCPUPhase(c Cluster, tasks []ReduceTask) (makespan, waste float64, speculated int, iv []interval) {
+func simulateCPUPhase(c Cluster, tasks []ReduceTask) (makespan float64, iv []interval) {
 	iv = make([]interval, len(tasks))
 	if len(tasks) == 0 {
-		return 0, 0, 0, iv
+		return 0, iv
 	}
 	slots := c.Nodes * c.Node.Cores
 	type job struct {
@@ -516,19 +435,14 @@ func simulateCPUPhase(c Cluster, tasks []ReduceTask) (makespan, waste float64, s
 	}
 	durs := make([]job, len(tasks))
 	for i, t := range tasks {
-		eff, dup, spec := c.taskCost(i, t.CPUSeconds)
-		durs[i] = job{idx: i, dur: eff}
-		waste += dup
-		if spec {
-			speculated++
-		}
+		durs[i] = job{idx: i, dur: c.taskCost(i, t.CPUSeconds)}
 	}
 	sort.SliceStable(durs, func(a, b int) bool { return durs[a].dur > durs[b].dur })
 	if len(durs) < slots {
 		slots = len(durs)
 	}
 	if slots == 0 {
-		return 0, waste, speculated, iv
+		return 0, iv
 	}
 	// Greedy longest-processing-time onto least-loaded slot.
 	loads := make([]float64, slots)
@@ -547,5 +461,5 @@ func simulateCPUPhase(c Cluster, tasks []ReduceTask) (makespan, waste float64, s
 			makespan = l
 		}
 	}
-	return makespan, waste, speculated, iv
+	return makespan, iv
 }

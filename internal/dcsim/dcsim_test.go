@@ -265,3 +265,22 @@ func TestStragglerModel(t *testing.T) {
 	}
 	approx(t, r3.ReducePhaseS, 4, 0.01, "no stragglers")
 }
+
+func TestFaultKnobsOffMatchSeedModel(t *testing.T) {
+	// The simulator models no task failure (the engine's fault plan is
+	// measured, not simulated): a job's compute is its tasks' CPU exactly,
+	// with input, shuffle and reduce present, as in the seed model.
+	c := oneNode(4)
+	job := Job{
+		Maps: []MapTask{
+			{InputBytes: 5e8, CPUSeconds: 3, OutBytes: []int64{1e6, 2e6}},
+			{InputBytes: 5e8, CPUSeconds: 7, OutBytes: []int64{2e6, 1e6}},
+		},
+		Reduces: []ReduceTask{{CPUSeconds: 2}, {CPUSeconds: 3}},
+	}
+	r, err := Simulate(c, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, r.CPUSeconds, 15, 0.01, "clean cpu total")
+}

@@ -42,9 +42,7 @@ func TestSimulatedTraceVerifies(t *testing.T) {
 		{"overhead", Cluster{Nodes: 2, Node: NodeSpec{Cores: 4, DiskMBps: 100, NetMBps: 100},
 			SchedulingOverheadS: 12}},
 		{"stragglers", Cluster{Nodes: 3, Node: NodeSpec{Cores: 2, DiskMBps: 150, NetMBps: 80},
-			StragglerEvery: 4, StragglerSlowdown: 6, Speculate: true}},
-		{"failures", Cluster{Nodes: 3, Node: NodeSpec{Cores: 2, DiskMBps: 150, NetMBps: 80},
-			FailEvery: 5, RetryDelayS: 3}},
+			StragglerEvery: 4, StragglerSlowdown: 6}},
 		{"remote-read", Cluster{Nodes: 4, Node: NodeSpec{Cores: 2, DiskMBps: 400, NetMBps: 100},
 			RemoteReadMBps: 50, RemoteAggMBps: 120}},
 	}
@@ -95,7 +93,7 @@ func TestSimulatedTraceVerifies(t *testing.T) {
 // identical Result (zero simulated cost).
 func TestUntracedSimulateUnchanged(t *testing.T) {
 	c := Cluster{Nodes: 3, Node: NodeSpec{Cores: 2, DiskMBps: 150, NetMBps: 80},
-		StragglerEvery: 4, StragglerSlowdown: 6, Speculate: true, SchedulingOverheadS: 2}
+		StragglerEvery: 4, StragglerSlowdown: 6, SchedulingOverheadS: 2}
 	j := replayJob(9, 4)
 	plain, err := Simulate(c, j)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
@@ -198,9 +199,9 @@ func resumedFold(t *testing.T, run serve.Runner, bundles []map[string][]byte) se
 // composerSite folds the same per-segment bundles at the site that
 // needs the query's types: a StreamComposer per key (a chunk per
 // segment, delivered last-first and empty where the key is absent; a
-// one-event group's chunk is its event's summary, the composer being a
+// group's events become their summaries, the composer being a
 // summary-only API). absent counts the (key, segment) pairs with no
-// bundle, events those whose bundle is an event.
+// bundle, events those whose bundle is a group's events.
 func composerSite[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles []map[string][]byte) (composer serve.Result, absent, events int) {
 	t.Helper()
 	r := run.(*serveRunner[S, E, R])
@@ -220,7 +221,7 @@ func composerSite[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles
 				n := d.Uvarint()
 				if n == 0 {
 					events++
-					sums = eventSummary(t, r.q, d)
+					sums = eventSummaries(t, r.q, d)
 				}
 				for ; n > 0; n-- {
 					s, err := sym.DecodeSummary(r.q.NewState, d)
@@ -246,16 +247,22 @@ func composerSite[S sym.State, E, R any](t *testing.T, run serve.Runner, bundles
 	return composer, absent, events
 }
 
-// eventSummary decodes the event d holds and returns its summary.
-func eventSummary[S sym.State, E, R any](t *testing.T, q *core.Query[S, E, R], d *wire.Decoder) []*sym.Summary[S] {
+// eventSummaries decodes the group of events d holds, past its zero, and
+// returns their summaries.
+func eventSummaries[S sym.State, E, R any](t *testing.T, q *core.Query[S, E, R], d *wire.Decoder) []*sym.Summary[S] {
 	t.Helper()
-	ev, err := q.DecodeEvent(d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := sym.NewExecutor(q.NewState, q.Update, q.Options)
-	if err := x.Feed(ev); err != nil {
-		t.Fatal(err)
+	for n := d.Uvarint(); n > 0; n-- {
+		ev, err := q.DecodeEvent(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Feed(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("event bundle: %v, %d bytes left", err, d.Remaining())
 	}
 	sums, err := x.Finish()
 	if err != nil {
@@ -281,7 +288,7 @@ var typedSites = map[string]func(*testing.T, serve.Runner, []map[string][]byte) 
 }
 
 // TestFoldSitesAgree pins the one-fold claim on all 12 queries: every
-// place an ordered list of bundles — summary lists and one-event groups'
+// place an ordered list of bundles — summary lists and small groups'
 // events — becomes a state goes through sym.Folder and produces the
 // sequential digest. The reducer runs as a whole job, and three sites
 // fold the very same per-segment bundles: the query service's standing
@@ -333,5 +340,150 @@ func TestFoldSitesAgree(t *testing.T) {
 	}
 	if events == 0 || events == bundleCount {
 		t.Errorf("%d of %d bundles were events: both forms must be folded", events, bundleCount)
+	}
+}
+
+// keyOf is rec's group key under the query; ok is false for a record it
+// drops.
+func (r *serveRunner[S, E, R]) keyOf(rec []byte) (key string, ok bool) {
+	key, _, ok = r.q.GroupBy(rec)
+	return key, ok
+}
+
+// eventCap is the largest group the query's exec site ships as its
+// events, found by asking one: the cap is sym's alone, and no name
+// exports it.
+func (r *serveRunner[S, E, R]) eventCap(t *testing.T) int {
+	t.Helper()
+	sc, err := r.schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := sym.NewSchemaExecutor(sc, r.q.Update, r.q.Options)
+	var enc wire.Encoder
+	for n := 1; ; n++ {
+		x.Reset()
+		enc.Reset()
+		if err := x.FeedBatch(make([]E, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.AppendBundle(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if enc.Bytes()[0] != 0 {
+			return n - 1
+		}
+	}
+}
+
+// cutGroups re-segments a corpus so that its (mapper, key) groups take
+// every size from 1 to maxSize: maxSize segments, segment i holding the
+// next 1 + (i+k) mod maxSize records of the k-th key, each key's records
+// in corpus order. Records past those, and records the query drops, are
+// left out.
+func cutGroups(segs []*mapreduce.Segment, maxSize int, keyOf func([]byte) (string, bool)) []*mapreduce.Segment {
+	var keys []string
+	recs := map[string][][]byte{}
+	for _, seg := range segs {
+		for _, rec := range seg.Records {
+			key, ok := keyOf(rec)
+			if !ok {
+				continue
+			}
+			if recs[key] == nil {
+				keys = append(keys, key)
+			}
+			recs[key] = append(recs[key], rec)
+		}
+	}
+	out := make([]*mapreduce.Segment, maxSize)
+	for i := range out {
+		out[i] = &mapreduce.Segment{ID: i}
+		for k, key := range keys {
+			n := min(1+(i+k)%maxSize, len(recs[key]))
+			out[i].Records = append(out[i].Records, recs[key][:n]...)
+			recs[key] = recs[key][n:]
+		}
+	}
+	return out
+}
+
+// TestEventGroupBoundary pins the two bundle forms at their edge on all
+// 12 queries: every (mapper, key) group is cut to each size from one
+// event to one past the largest group that ships its events, so groups
+// of events, summaries and the boundary between them reach every fold
+// site — the reducer, a serve session, a session resumed from a frozen
+// prefix, a StreamComposer per key, and a job mapped on a loopback
+// worker — and each answers the sequential digest.
+func TestEventGroupBoundary(t *testing.T) {
+	datasets := smallDatasets(1)
+	eps := chaosWorkers(t, 1)
+	for _, spec := range All() {
+		t.Run(spec.ID, func(t *testing.T) {
+			run := serve.Lookup(spec.ID)
+			r := run.(interface {
+				keyOf([]byte) (string, bool)
+				eventCap(*testing.T) int
+			})
+			maxEvents := r.eventCap(t)
+			if maxEvents < 2 {
+				t.Fatalf("groups of up to %d events ship as events", maxEvents)
+			}
+			segs := cutGroups(datasets[spec.Dataset], maxEvents+1, r.keyOf)
+			seq, err := spec.Sequential(segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conf := mapreduce.Config{NumReducers: 3}
+			reducer, err := spec.Symple(segs, conf)
+			if err != nil {
+				t.Fatalf("reducer fold: %v", err)
+			}
+			pool, err := cluster.NewPool(ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conf.RemoteMap = pool
+			worker, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
+			pool.Close()
+			if err != nil {
+				t.Fatalf("worker map: %v", err)
+			}
+			bundles := segmentBundles(t, spec.ID, segs)
+			sizes := map[int]bool{} // groups shipped as events, by size; 0: summaries
+			for _, b := range bundles {
+				for _, v := range b {
+					if v[0] != 0 {
+						sizes[0] = true
+					} else {
+						sizes[int(v[1])] = true
+					}
+				}
+			}
+			for n := 0; n <= maxEvents; n++ {
+				if !sizes[n] {
+					t.Errorf("no group shipped as %d events (0: as summaries)", n)
+				}
+			}
+			session := sessionFold(t, run, bundles)
+			resumed := resumedFold(t, run, bundles)
+			composer, _, _ := typedSites[spec.ID](t, run, bundles)
+			for _, got := range []struct {
+				site    string
+				digest  uint64
+				results int
+			}{
+				{"reducer", reducer.Digest, reducer.NumResults},
+				{"loopback worker", worker.Digest, worker.NumResults},
+				{"serve session", session.Digest, session.NumResults},
+				{"resumed session", resumed.Digest, resumed.NumResults},
+				{"stream composer", composer.Digest, composer.NumResults},
+			} {
+				if got.digest != seq.Digest || got.results != seq.NumResults {
+					t.Errorf("%s fold: digest %016x (%d results) != sequential %016x (%d)",
+						got.site, got.digest, got.results, seq.Digest, seq.NumResults)
+				}
+			}
+		})
 	}
 }

@@ -29,8 +29,8 @@ func (p *servePrefix[S, E, R]) encodeStates() []byte {
 // and SymIntVector's shared backing arrays included) eight sessions at
 // once resume from one prefix and fold the remaining segments over it —
 // as a job's overlay, as a tail's refresh loop that freezes as it goes,
-// and as the remaining segments' one-event groups alone, each an Update
-// run on a copy of a shared state — and read its result; -race sees a
+// and as the remaining segments' event groups alone, each Update runs on
+// a copy of a shared state — and read its result; -race sees a
 // write the moment it happens, and the prefix's states encode to the
 // same bytes afterwards.
 func TestServePrefixIsFrozen(t *testing.T) {

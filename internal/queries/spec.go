@@ -62,8 +62,8 @@ type Spec struct {
 	// query's schema on real summaries: associativity of summary
 	// composition (§3.6), ComposeAll equivalence with the sequential
 	// apply fold, the map task's bundle — appended straight from the
-	// executor's paths — against the snapshot API's, and a one-event
-	// group's event bundle against its summary's. splits controls how
+	// executor's paths — against the snapshot API's, and a small group's
+	// events bundle against its summaries'. splits controls how
 	// many mapper slices each group's event stream is cut into (more
 	// slices → more summaries per group); opts replaces the query's
 	// symbolic options when non-zero (a low path cap makes keys restart).
@@ -79,7 +79,7 @@ type ComposeReport struct {
 	Skipped   int // groups skipped because composition hit a path cap
 	Bundles   int // (slice, key) bundles compared byte for byte
 	Combined  int // of those, restarted ones also compared combined
-	Events    int // one-event groups whose event bundle was folded beside its summary's
+	Events    int // groups shipped as their events whose bundle was folded beside their summaries'
 }
 
 // SymTypesString renders the Table 1 "Sym Types Used" cell.
@@ -177,14 +177,15 @@ func makeSpec[S sym.State, E, R any](
 //  2. ComposeAll(sums) then one apply ≡ the sequential left-to-right
 //     ApplyAll fold — the reducer agrees with and without the combiner —
 //     in exactly n−1 pairwise compositions;
-//  3. the bundle a map task appends straight from the executor's paths
-//     is, byte for byte, the encoded Finish snapshot — and for a key
-//     that restarted, with the combiner, the encoded ComposeAll of it;
-//  4. a group of one event — every one-event slice, and a seeded random
-//     event of every key — ships the event, and its bundle folds to the
-//     state its summary's bundle does, from the initial state and from
-//     the state the key's earlier events reach, neither written by a
-//     fold from it (a frozen serve prefix's shape).
+//  3. for a group a summary describes, the bundle a map task appends
+//     straight from the executor's paths is, byte for byte, the encoded
+//     Finish snapshot — and for a key that restarted, with the combiner,
+//     the encoded ComposeAll of it;
+//  4. a group that ships its events — every slice that does, and a
+//     seeded random one of every key — folds to the state its summaries'
+//     bundle does, from the initial state and from the state the key's
+//     earlier events reach, neither written by a fold from it (a frozen
+//     serve prefix's shape).
 //
 // Equivalence is judged on the formatted query result after applying to
 // the initial state — the observable output, which is what the paper's
@@ -226,9 +227,17 @@ func composeCheck[S sym.State, E, R any](
 	site := sym.NewFolder(sc)
 	for _, key := range order {
 		evs := events[key]
+		// A seeded random slice, halved until it is small enough to ship
+		// its events: one event always is.
 		at := r.Intn(len(evs))
-		if err := checkEvent(x, site, evs[:at], evs[at], rep); err != nil {
-			return nil, fmt.Errorf("key %q, event %d: %w", key, at, err)
+		for n := 1 + r.Intn(len(evs)-at); n > 0; n /= 2 {
+			shipped, err := checkEvents(x, site, evs[:at], evs[at:at+n], rep)
+			if err != nil {
+				return nil, fmt.Errorf("key %q, events %d..%d: %w", key, at, at+n, err)
+			}
+			if shipped {
+				break
+			}
 		}
 		// Cut the group's event stream into contiguous slices, one
 		// executor run per slice, and concatenate the summary lists —
@@ -245,11 +254,8 @@ func composeCheck[S sym.State, E, R any](
 				return nil, fmt.Errorf("key %q: %w", key, err)
 			}
 			ss, err := x.Finish()
-			switch {
-			case err == nil && hi-lo == 1:
-				err = checkEvent(x, site, evs[:lo], evs[lo], rep)
-			case err == nil:
-				err = checkBundle(x, evs[lo:hi], rep)
+			if err == nil {
+				err = checkBundle(x, site, evs[:lo], evs[lo:hi], rep)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("key %q: %w", key, err)
@@ -313,9 +319,10 @@ func composeCheck[S sym.State, E, R any](
 	return rep, nil
 }
 
-// checkBundle is composeCheck's property 3 for one executor run: x has
-// just been fed evs.
-func checkBundle[S sym.State, E any](x *sym.Executor[S, E], evs []E, rep *ComposeReport) error {
+// checkBundle is composeCheck's property 3 or 4, by the form of the
+// bundle x appends for evs, which it has just been fed after a Reset;
+// prefix is the key's events before them.
+func checkBundle[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], prefix, evs []E, rep *ComposeReport) error {
 	snap, err := x.Finish()
 	if err != nil {
 		return err
@@ -328,6 +335,10 @@ func checkBundle[S sym.State, E any](x *sym.Executor[S, E], evs []E, rep *Compos
 	}
 	var enc wire.Encoder
 	if _, err := x.AppendBundle(&enc); err != nil {
+		return err
+	}
+	if enc.Bytes()[0] == 0 {
+		_, err := checkEvents(x, site, prefix, evs, rep)
 		return err
 	}
 	if !bytes.Equal(enc.Bytes(), sym.EncodeSummaryBundle(snap)) {
@@ -358,9 +369,10 @@ func checkBundle[S sym.State, E any](x *sym.Executor[S, E], evs []E, rep *Compos
 	return nil
 }
 
-// checkEvent is composeCheck's property 4 for event e of a key whose
-// events before it are prefix.
-func checkEvent[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], prefix []E, e E, rep *ComposeReport) error {
+// checkEvents is composeCheck's property 4 for the events evs of a key
+// whose events before them are prefix. It reports whether they shipped
+// as events: a group too large to is property 3's.
+func checkEvents[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], prefix, evs []E, rep *ComposeReport) (bool, error) {
 	bundle := func(evs []E) ([]byte, error) {
 		var enc wire.Encoder
 		x.Reset()
@@ -370,16 +382,13 @@ func checkEvent[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], 
 		}
 		return enc.Bytes(), err
 	}
-	event, err := bundle([]E{e})
-	if err != nil {
-		return err
+	events, err := bundle(evs)
+	if err != nil || events[0] != 0 {
+		return false, err
 	}
-	sums, err := x.Finish() // e explored: its summary
+	sums, err := x.Finish() // evs explored: their summaries
 	if err != nil {
-		return err
-	}
-	if event[0] != 0 {
-		return fmt.Errorf("a group of one event shipped %d summaries", event[0])
+		return true, err
 	}
 	starts := []*sym.FoldState[S]{site.NewState(), site.NewState()}
 	if len(prefix) > 0 {
@@ -388,25 +397,25 @@ func checkEvent[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S], 
 			_, err = site.AddBundle(starts[1], b)
 		}
 		if err != nil {
-			return fmt.Errorf("folding the events before it: %w", err)
+			return true, fmt.Errorf("folding the events before them: %w", err)
 		}
 	}
 	summary, got, want := sym.EncodeSummaryBundle(sums), site.NewState(), site.NewState()
 	for i, src := range starts {
 		before := foldStateBytes(src)
-		_, errE := site.AddBundleFrom(got, src, event)
+		_, errE := site.AddBundleFrom(got, src, events)
 		_, errS := site.AddBundleFrom(want, src, summary)
 		switch {
 		case errE != nil || errS != nil:
-			return fmt.Errorf("start state %d: event bundle %v, summary bundle %v", i, errE, errS)
+			return true, fmt.Errorf("start state %d: events bundle %v, summary bundle %v", i, errE, errS)
 		case !bytes.Equal(foldStateBytes(got), foldStateBytes(want)):
-			return fmt.Errorf("start state %d: the event bundle folds to another state than its summary's", i)
+			return true, fmt.Errorf("start state %d: %d events fold to another state than their summaries", i, len(evs))
 		case !bytes.Equal(foldStateBytes(src), before):
-			return fmt.Errorf("start state %d was written by a fold from it", i)
+			return true, fmt.Errorf("start state %d was written by a fold from it", i)
 		}
 	}
 	rep.Events++
-	return nil
+	return true, nil
 }
 
 // foldStateBytes is st in canonical form.

@@ -45,20 +45,28 @@ const (
 )
 
 // FeedBatch processes a key's event vector. Equivalent to calling Feed
-// on each event in order; a returned error is sticky. One event right
-// after a Reset, given the event codec, is recorded, not explored: a
-// group of it ships the event (AppendBundle).
+// on each event in order; a returned error is sticky. Up to
+// maxEventGroup events right after a Reset, given the event codec, are
+// copied, not explored: a group of them ships its events (AppendBundle).
 func (x *Executor[S, E]) FeedBatch(evs []E) (err error) {
 	if err := x.flush(); err != nil || len(evs) == 0 {
 		return err
 	}
 	defer x.catch(&err)
-	if x.empty && len(evs) == 1 && x.encodeEvent != nil {
-		x.empty, x.lone, x.pending, x.one = false, true, true, evs[0]
-		x.stats.Records++
+	if x.empty && len(evs) <= maxEventGroup && x.encodeEvent != nil {
+		x.empty, x.pending = false, true
+		x.group = append(x.group[:0], evs...)
+		x.stats.Records += len(evs)
 		return nil
 	}
-	x.empty, x.lone = false, false
+	x.empty, x.group = false, x.group[:0]
+	x.feedBatch(evs)
+	return nil
+}
+
+// feedBatch is FeedBatch's exploration: each regime in turn, as the
+// vector's position calls for it.
+func (x *Executor[S, E]) feedBatch(evs []E) {
 	if !x.eqInit {
 		x.initEq()
 	}
@@ -98,7 +106,6 @@ func (x *Executor[S, E]) FeedBatch(evs []E) (err error) {
 		x.feed(evs[i])
 		i++
 	}
-	return nil
 }
 
 // IdentityBundle recognizes a key whose entire event vector consists of
@@ -115,7 +122,10 @@ func (x *Executor[S, E]) FeedBatch(evs []E) (err error) {
 //
 // It returns nil when the vector is not provably all-identity: an event
 // with no cached verdict, a cached non-identity verdict, or no cheap
-// event comparison at all. Callers then run the regular
+// event comparison at all — and, given the event codec, for every group
+// of at most maxEventGroup events, which ships its events whatever the
+// cache has learnt, so a group's form never depends on the keys an
+// executor ran before. Callers then run the regular
 // Reset/FeedBatch/AppendBundle path, which (via feedRun) is what seeds
 // the identity cache in the first place.
 func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
@@ -124,11 +134,9 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	// the hot identity are swallowed by the typed scan — an all-hot
 	// vector (the dominant case) costs one indirect call — and only
 	// other events pay the cache scan.
-	if x.err != nil || len(evs) == 0 || x.eq == nil || !x.identHotSet {
+	if x.err != nil || len(evs) == 0 || x.eq == nil || !x.identHotSet ||
+		(len(evs) <= maxEventGroup && x.encodeEvent != nil) {
 		return nil
-	}
-	if len(evs) == 1 && x.encodeEvent != nil {
-		return nil // a lone event ships itself, whatever keys ran before
 	}
 	hot, scan := x.identHotEv, x.identScan
 	for i := 0; i < len(evs); i++ {

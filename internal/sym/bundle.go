@@ -1,26 +1,31 @@
 package sym
 
-import (
-	"fmt"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // A bundle is what one (mapper, key) pair contributes to its key, in one
 // of two forms told apart by the count:
 //
 //	Uvarint(count) · summary₀ · summary₁ · …    count ≥ 1: the ordered summary list
-//	Uvarint(0) · event                         a group of exactly one event
+//	Uvarint(0) · Uvarint(n) · event₁ … eventₙ    a group of 1 ≤ n ≤ maxEventGroup events
 //
-// A one-event group's summary describes that one event, and never in
-// fewer bytes or less work, so such a group ships the event, written by
-// the query's event codec (NewEventSchema), and a fold site applies it
-// by running Update on its concrete state: the sequential semantics
-// (§5.4) by construction. The exec site writes the form
+// A summary pays only when a key repeats within a mapper: for a small
+// group, exploring its events, encoding the paths and composing them at
+// the reducer cost more than the events they describe. So a group of at
+// most maxEventGroup events ships its events, written by the query's
+// event codec (NewEventSchema), and a fold site applies them by running
+// Update on a copy of its concrete state, in order: the sequential
+// semantics (§5.4) by construction. The exec site writes the form
 // (Executor.FeedBatch, AppendBundle), the fold site reads it
 // (Folder.AddBundleFrom); it depends on the group's events alone. No
-// summary list is empty, so a count of 0 always announces an event —
-// also one its codec writes as zero bytes.
+// summary list is empty, so a count of 0 always announces events — also
+// ones their codec writes as zero bytes.
+
+// maxEventGroup is the largest group that ships its events. Past it a
+// summary is the cheaper form: an identity-heavy group (G1's pushes) of a
+// few dozen events ships the constant identity bundle (IdentityBundle),
+// which a longer event list would replace with a longer fold. It also
+// caps the Update runs a forged bundle can make a fold site do.
+const maxEventGroup = 8
 
 // EncodeSummaryBundle encodes a non-empty summary list as one bundle into
 // an exact-size buffer the caller owns. The summaries are borrowed, but
@@ -28,7 +33,7 @@ import (
 // from the executor's paths to a slab instead (core.bundleSlab).
 func EncodeSummaryBundle[S State](sums []*Summary[S]) []byte {
 	if len(sums) == 0 {
-		panic("sym: an empty summary list has no bundle: count 0 announces an event")
+		panic("sym: an empty summary list has no bundle: count 0 announces events")
 	}
 	e := wire.GetEncoder()
 	e.Uvarint(uint64(len(sums)))
@@ -42,8 +47,8 @@ func EncodeSummaryBundle[S State](sums []*Summary[S]) []byte {
 }
 
 // NewEventSchema is NewSchema for a query that serializes its events, so
-// that a one-event group ships its event; decode(encode(e)) must look
-// the same to update as e. With encode or decode nil it is NewSchema.
+// that a small group ships its events; decode(encode(e)) must look the
+// same to update as e. With encode or decode nil it is NewSchema.
 func NewEventSchema[S State, E any](newState func() S, update func(*Ctx, S, E),
 	encode func(*wire.Encoder, E), decode func(*wire.Decoder) (E, error)) (*Schema[S], error) {
 	sc, err := NewSchema(newState)
@@ -56,11 +61,8 @@ func NewEventSchema[S State, E any](newState func() S, update func(*Ctx, S, E),
 		if err == nil {
 			err = d.Err()
 		}
-		if err == nil && d.Remaining() != 0 {
-			err = fmt.Errorf("%w: %d trailing bytes after the event", wire.ErrCorrupt, d.Remaining())
-		}
 		if err != nil {
-			return fmt.Errorf("sym: event bundle: %w", err)
+			return err
 		}
 		ctx.reset()
 		ctx.begin()

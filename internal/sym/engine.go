@@ -56,8 +56,8 @@ type Stats struct {
 	// with a single transition probe (identity skip or transition
 	// powering) instead of per-record processing.
 	RunProbes int
-	// Events counts the one-event groups AppendBundle shipped as their
-	// event (bundle.go).
+	// Events counts the groups AppendBundle shipped as their events
+	// (bundle.go), each one element.
 	Events int
 }
 
@@ -168,13 +168,14 @@ type Executor[S State, E any] struct {
 	// (IdentityBundle).
 	identBundle []byte
 	// encodeEvent is the schema's event codec, nil when it has none for
-	// E. empty: nothing fed since the last Reset. lone: the group is the
-	// single event one, which AppendBundle ships; pending: FeedBatch
-	// recorded it without feeding it, which flush does for the APIs that
-	// read the paths (Finish) or feed more.
-	encodeEvent          func(*wire.Encoder, E)
-	one                  E
-	empty, lone, pending bool
+	// E. empty: nothing fed since the last Reset. group, when not empty:
+	// the group is these events, which AppendBundle ships (an
+	// executor-owned copy); pending: FeedBatch recorded them without
+	// feeding them, which flush does for the APIs that read the paths
+	// (Finish) or feed more.
+	encodeEvent    func(*wire.Encoder, E)
+	group          []E
+	empty, pending bool
 }
 
 // NewExecutor returns an executor starting from a fresh symbolic state:
@@ -241,7 +242,7 @@ func (x *Executor[S, E]) Feed(rec E) (err error) {
 		return err
 	}
 	defer x.catch(&err)
-	x.empty, x.lone = false, false
+	x.empty, x.group = false, x.group[:0]
 	x.feed(rec)
 	return nil
 }
@@ -258,13 +259,13 @@ func (x *Executor[S, E]) catch(err *error) {
 	}
 }
 
-// flush feeds a pending lone event and returns the sticky error.
+// flush feeds a pending group's events and returns the sticky error.
 func (x *Executor[S, E]) flush() (err error) {
 	if x.err == nil && x.pending {
 		defer x.catch(&err)
 		x.pending = false
-		x.stats.Records-- // counted when FeedBatch took it
-		x.feed(x.one)
+		x.stats.Records -= len(x.group) // counted when FeedBatch took them
+		x.feedBatch(x.group)
 	}
 	return x.err
 }
@@ -458,7 +459,7 @@ func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
 }
 
 // AppendBundle appends to e the bundle of everything fed since the last
-// Reset — a lone event FeedBatch took, or the summaries closed by
+// Reset — the group of events FeedBatch took, or the summaries closed by
 // restarts and then the live paths (bundle.go) — and returns how many
 // elements that is. The summary form's bytes are exactly
 // EncodeSummaryBundle(Finish()), without a Summary in between: each path
@@ -468,9 +469,12 @@ func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 	if x.err != nil {
 		return 0, x.err
 	}
-	if x.lone {
+	if len(x.group) > 0 {
 		e.Uvarint(0)
-		x.encodeEvent(e, x.one)
+		e.Uvarint(uint64(len(x.group)))
+		for _, ev := range x.group {
+			x.encodeEvent(e, ev)
+		}
 		x.stats.Events++
 		return 1, nil
 	}
@@ -539,7 +543,7 @@ func (x *Executor[S, E]) Reset() {
 	x.paths[0].resetSymbolic()
 	x.maxSeen = 1
 	x.fastConcrete = false
-	x.empty, x.lone, x.pending = true, false, false
+	x.empty, x.pending, x.group = true, false, x.group[:0]
 	// noForkRun deliberately survives Reset: forking behavior is a
 	// property of the query's Update function and event mix, not of the
 	// group, so a quiet streak learned on one group's stream carries to

@@ -15,10 +15,10 @@ import (
 // asked, AppendBundle — and holds every key's bytes to the snapshot API
 // on an executor of the key's own: EncodeSummaryBundle over Finish, and
 // over ComposeAll of it when the key restarted and the combiner is on —
-// or, with the event codec and a key of one event, to that event's
-// bundle. It returns how many keys took the identity shortcut,
-// restarted, were combined and shipped an event, so callers can reject
-// a vacuous pass.
+// or, with the event codec and a key of at most maxEventGroup events, to
+// its events' bundle. It returns how many keys took the identity
+// shortcut, restarted, were combined and shipped their events, so
+// callers can reject a vacuous pass.
 func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
 	opts Options, memo, events bool, keys [][]int64) (ident, restarted, combined, evented int) {
 	t.Helper()
@@ -43,16 +43,19 @@ func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx
 			if err != nil {
 				t.Fatal(err)
 			}
-			if combine && len(snap) > 1 {
+			var want []byte
+			switch {
+			case events && len(evs) <= maxEventGroup:
+				want, snap = eventBundle(evs...), snap[:1]
+				evented++
+			case combine && len(snap) > 1:
 				if one, err := ComposeAll(snap); err == nil {
 					snap = []*Summary[S]{one}
 					combined++
 				}
-			}
-			want := EncodeSummaryBundle(snap)
-			if events && len(evs) == 1 {
-				want, snap = eventBundle(evs[0]), snap[:1]
-				evented++
+				fallthrough
+			default:
+				want = EncodeSummaryBundle(snap)
 			}
 
 			got := site.IdentityBundle(evs)
@@ -119,8 +122,8 @@ func siteKeys(r *rand.Rand, n, span int) [][]int64 {
 // from a reused executor's paths is byte for byte what Finish +
 // EncodeSummaryBundle produce — for forking, vector-carrying and
 // predicate states, with and without a memo, for keys that restart
-// (path cap → several summaries), one-record keys and all-identity
-// keys, combiner on and off.
+// (path cap → several summaries), keys that ship their events and
+// all-identity keys, combiner on and off.
 func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 	caps := []Options{
 		DefaultOptions(),
@@ -160,10 +163,20 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 	if ident, _, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, false, keys); ident < 100 {
 		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
 	}
-	// With the event codec a lone zero ships as itself, whatever the
-	// identity cache has learnt: the form depends on the group alone.
-	if ident, _, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev == 0 {
-		t.Errorf("with events: %d keys took the identity bundle and %d their event", ident, ev)
+	// With the event codec a key of at most maxEventGroup zeros ships its
+	// events, whatever the identity cache has learnt — the form depends on
+	// the group alone (checkSiteBundles holds each to its events' bytes) —
+	// and a longer all-zero key still takes the constant bundle.
+	keys = [][]int64{make([]int64, maxEventGroup+1)}
+	for k := 0; k < 300; k++ {
+		evs := make([]int64, 1+r.Intn(2*maxEventGroup))
+		if r.Intn(3) == 0 {
+			evs[r.Intn(len(evs))] = int64(1 + r.Intn(3))
+		}
+		keys = append(keys, evs)
+	}
+	if ident, _, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev < 100 {
+		t.Errorf("with events: %d keys took the identity bundle and %d their events", ident, ev)
 	}
 }
 
@@ -218,12 +231,13 @@ func TestExecSiteResetAfterError(t *testing.T) {
 }
 
 // TestExecSiteAllocCeiling: on a warm site a B3-shaped chunk — 5 000
-// keys of one or two records — allocates what the Values allocate (the
+// keys of one or two records — explored, as a schema without an event
+// codec explores every group, allocates what the Values allocate (the
 // assumption a forked SymPred path records, the element a closing
 // session pushes) and nothing per key for the site itself: no summary,
-// no container, no path list; a key of one event, shipped as itself,
-// allocates nothing at all; and however many chunks follow the first,
-// the schema builds no container.
+// no container, no path list; given the codec, a key of any size up to
+// maxEventGroup, shipped as its events, allocates nothing at all; and
+// however many chunks follow the first, the schema builds no container.
 func TestExecSiteAllocCeiling(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	const nkeys = 5000
@@ -234,17 +248,8 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 			keys[k] = append(keys[k], keys[k][0]+int64(r.Intn(30)))
 		}
 	}
-	sc := eventSchema(t, newPredState, sessionUpdate)
-	site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions()).
-		WithMemo(NewMemo[*predState, int64](sc, DefaultMemoSize))
 	var enc wire.Encoder
-	var lone [][]int64
-	for _, evs := range keys {
-		if len(evs) == 1 {
-			lone = append(lone, evs)
-		}
-	}
-	run := func(keys [][]int64) {
+	run := func(site *Executor[*predState, int64], keys [][]int64) {
 		for _, evs := range keys {
 			site.Reset()
 			if err := site.FeedBatch(evs); err != nil {
@@ -256,18 +261,29 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 			}
 		}
 	}
-	chunk := func() { run(keys) }
-	chunk()
-	base := sc.Allocated()
-	// Allocation counts are not meaningful under the race detector; the
-	// container count is.
-	if perKey := testing.AllocsPerRun(5, chunk) / nkeys; perKey > 4 && !raceEnabled {
-		t.Errorf("%.2f allocations per key on a warm site, want at most 4", perKey)
-	}
-	if got := testing.AllocsPerRun(5, func() { run(lone) }); got != 0 && !raceEnabled {
-		t.Errorf("%v allocations for %d one-event keys, want none", got, len(lone))
-	}
-	if got := sc.Allocated(); got != base {
-		t.Errorf("the schema built %d containers after the first chunk", got-base)
+	for _, sc := range []*Schema[*predState]{newSchema(newPredState), eventSchema(t, newPredState, sessionUpdate)} {
+		site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions()).
+			WithMemo(NewMemo[*predState, int64](sc, DefaultMemoSize))
+		events := sc.applyEvent != nil
+		chunk := func() { run(site, keys) }
+		chunk()
+		base := sc.Allocated()
+		// Allocation counts are not meaningful under the race detector; the
+		// container count is.
+		if perKey := testing.AllocsPerRun(5, chunk) / nkeys; perKey > 4 && !raceEnabled {
+			t.Errorf("events %v: %.2f allocations per key on a warm site, want at most 4", events, perKey)
+		}
+		for n := 1; events && n <= maxEventGroup; n++ {
+			group := make([]int64, n)
+			for i := range group {
+				group[i] = int64(r.Intn(1000))
+			}
+			if got := testing.AllocsPerRun(20, func() { run(site, [][]int64{group}) }); got != 0 && !raceEnabled {
+				t.Errorf("%v allocations for a key of %d events, want none", got, n)
+			}
+		}
+		if got := sc.Allocated(); got != base {
+			t.Errorf("events %v: the schema built %d containers after the first chunk", events, got-base)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // key through it. A bundle's life is wire bytes
 // → site-owned containers → CopyFrom(admitting path) + Concretize
 // against the current state into a spare → swap, and an event bundle's
-// is wire bytes → the current state copied into a spare → Update → swap:
+// is wire bytes → the current state copied into a spare → Update per
+// event → swap:
 // steady state, the only allocations are the ones Value.Decode,
 // Value.Concretize and the query's event decoder and Update make.
 //
@@ -92,9 +93,10 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 }
 
 // AddBundle decodes one encoded bundle (bundle.go) and applies it onto
-// st, returning how many elements it folded: its summaries, or 1 for an
-// event. The whole bundle is decoded first, so a corrupt one is rejected
-// with nothing applied; an apply error leaves st as Add does.
+// st, returning how many elements it folded: its summaries, or 1 for a
+// group's events. A corrupt or failing bundle — a summary list is decoded
+// whole before any of it applies, events apply to a copy — leaves st as
+// it was.
 func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) {
 	return f.AddBundleFrom(st, st, data)
 }
@@ -102,21 +104,26 @@ func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) 
 // AddBundleFrom is AddBundle reading one state and writing another: dst
 // becomes src with the bundle applied, and src — when it is not dst — is
 // only read, so a frozen state shared between fold sites can be folded
-// from by all of them at once. An event runs Update on a copy of src in
-// a spare, committed by swap like a summary's result. On error dst is
-// what it was.
+// from by all of them at once. Events run Update, in order, on a copy of
+// src in a spare, committed by swap after the last like a summary's
+// result. On error dst is what it was.
 func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) (n int, err error) {
 	defer catchFailure(&err)
-	event, err := f.decode(data)
+	events, err := f.decode(data)
 	if err != nil {
 		return 0, err
 	}
 	cur := (*pathState[S])(src)
-	if event {
+	if events > 0 {
 		out := f.spareAt(0)
 		out.copyFrom(cur)
-		if err := f.sc.applyEvent(&f.ctx, out.s, &f.dec); err != nil {
-			return 0, err
+		for i := 0; i < events; i++ {
+			if err := f.sc.applyEvent(&f.ctx, out.s, &f.dec); err != nil {
+				return 0, fmt.Errorf("sym: bundle event %d/%d: %w", i+1, events, err)
+			}
+		}
+		if d := &f.dec; d.Remaining() != 0 {
+			return 0, fmt.Errorf("%w: %d trailing bytes after %d events", wire.ErrCorrupt, d.Remaining(), events)
 		}
 		commit(dst, out)
 		return 1, nil
@@ -166,21 +173,26 @@ func commit[S State](st *FoldState[S], cur *pathState[S]) {
 }
 
 // decode reads one bundle: a summary list into f.paths/f.ends, or, for
-// an event bundle, nothing — event reports it, and f.dec is left at the
-// event for the schema's codec. Trailing bytes are an error: a bundle is
-// a complete unit, not a stream prefix.
-func (f *Folder[S]) decode(data []byte) (event bool, err error) {
+// an event bundle, only its event count — events reports it, and f.dec
+// is left at the first event for the schema's codec. Trailing bytes are
+// an error: a bundle is a complete unit, not a stream prefix.
+func (f *Folder[S]) decode(data []byte) (events int, err error) {
 	d := &f.dec
 	d.Reset(data)
 	n := d.Length(d.Remaining() + 1)
 	if err := d.Err(); err != nil {
-		return false, err
+		return 0, err
 	}
 	if n == 0 {
 		if f.sc.applyEvent == nil {
-			return false, fmt.Errorf("%w: an event bundle, but the query has no event codec", wire.ErrCorrupt)
+			return 0, fmt.Errorf("%w: an event bundle, but the query has no event codec", wire.ErrCorrupt)
 		}
-		return true, nil
+		// Capped before any event is read: a forged count over a zero-byte
+		// codec could otherwise ask for any number of Update runs.
+		if events = d.Length(maxEventGroup); d.Err() == nil && events == 0 {
+			return 0, fmt.Errorf("%w: an event bundle of no events", wire.ErrCorrupt)
+		}
+		return events, d.Err()
 	}
 	f.ends = f.ends[:0]
 	used := 0
@@ -194,14 +206,14 @@ func (f *Folder[S]) decode(data []byte) (event bool, err error) {
 			used++
 		}
 		if err != nil {
-			return false, fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
+			return 0, fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
 		}
 		f.ends = append(f.ends, used)
 	}
 	if d.Remaining() != 0 {
-		return false, fmt.Errorf("%w: %d trailing bytes after summary bundle", wire.ErrCorrupt, d.Remaining())
+		return 0, fmt.Errorf("%w: %d trailing bytes after summary bundle", wire.ErrCorrupt, d.Remaining())
 	}
-	return false, nil
+	return 0, nil
 }
 
 // catchFailure turns an aborted symbolic operation (fail) into the

@@ -3,6 +3,7 @@ package sym
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -141,7 +142,7 @@ var int64Codec = struct {
 }
 
 // eventSchema compiles newState's plan with the int64 event codec, so a
-// one-event group ships its event.
+// small group ships its events.
 func eventSchema[S State](tb testing.TB, newState func() S, update func(*Ctx, S, int64)) *Schema[S] {
 	tb.Helper()
 	sc, err := NewEventSchema(newState, update, int64Codec.encode, int64Codec.decode)
@@ -151,11 +152,15 @@ func eventSchema[S State](tb testing.TB, newState func() S, update func(*Ctx, S,
 	return sc
 }
 
-// eventBundle is the bundle of a group holding the one int64 event ev.
-func eventBundle(ev int64) []byte {
+// eventBundle is the bundle of a group holding the int64 events evs,
+// however many: past maxEventGroup it is one no exec site writes.
+func eventBundle(evs ...int64) []byte {
 	e := wire.NewEncoder(8)
 	e.Uvarint(0)
-	e.Varint(ev)
+	e.Uvarint(uint64(len(evs)))
+	for _, ev := range evs {
+		e.Varint(ev)
+	}
 	return e.Bytes()
 }
 
@@ -191,11 +196,13 @@ func failingSession(ctx *Ctx, s *predState, e int64) {
 }
 
 // TestFoldBundleErrorContract: a bundle whose second summary admits no
-// path, and an event whose Update fails after writing, each leave the
-// state byte-equal to before the call, and the next good bundle folds as
-// if the bad one never arrived — on the reducer's shape (one state,
-// Reset per key) and the session's (a state per key); a corrupt bundle,
-// summaries or event, is rejected with nothing applied.
+// path, and a group of events whose Update fails after writing at event
+// i of n, each leave the state byte-equal to before the call, and the
+// next good bundle folds as if the bad one never arrived — on the
+// reducer's shape (one state, Reset per key) and the session's (a state
+// per key); a corrupt bundle — summaries; or events, counted 0 or past
+// maxEventGroup, cut anywhere, or trailed by a byte — is rejected with
+// nothing applied.
 func TestFoldBundleErrorContract(t *testing.T) {
 	for _, shape := range []string{"reset per key", "state per key"} {
 		t.Run(shape, func(t *testing.T) {
@@ -250,15 +257,27 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				if _, err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: trailing byte: err %v, want ErrCorrupt", trial, err)
 				}
-				if _, err := site.AddBundle(st, eventBundle(failEvent)); !errors.Is(err, ErrOverflow) {
-					t.Fatalf("trial %d: failing event: err %v, want ErrOverflow", trial, err)
+				// Update fails at event i of n, after the events before it
+				// have run on the copy.
+				evs := sessionChunk(r)
+				failing := slices.Clone(evs)
+				failing[r.Intn(len(failing))] = failEvent
+				if _, err := site.AddBundle(st, eventBundle(failing...)); !errors.Is(err, ErrOverflow) {
+					t.Fatalf("trial %d: events %v: err %v, want ErrOverflow", trial, failing, err)
 				}
-				ev := eventBundle(int64(r.Intn(40)))
-				if _, err := site.AddBundle(st, ev[:1]); !errors.Is(err, wire.ErrCorrupt) {
-					t.Fatalf("trial %d: truncated event: err %v, want ErrCorrupt", trial, err)
+				ev := eventBundle(evs...)
+				corrupt := [][]byte{
+					{0, 0}, // a group of no events
+					eventBundle(make([]int64, maxEventGroup+1)...),
+					append(bytes.Clone(ev), 0),
 				}
-				if _, err := site.AddBundle(st, append(bytes.Clone(ev), 0)); !errors.Is(err, wire.ErrCorrupt) {
-					t.Fatalf("trial %d: trailing byte after an event: err %v, want ErrCorrupt", trial, err)
+				for cut := range ev { // cut anywhere: the count, inside any event
+					corrupt = append(corrupt, ev[:cut])
+				}
+				for _, data := range corrupt {
+					if _, err := site.AddBundle(st, data); !errors.Is(err, wire.ErrCorrupt) {
+						t.Fatalf("trial %d: event bundle %x: err %v, want ErrCorrupt", trial, data, err)
+					}
 				}
 				if got := stateBytes(st); !bytes.Equal(got, before) {
 					t.Fatalf("trial %d: corrupt bundle or failed event moved the state", trial)
@@ -320,7 +339,7 @@ func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ct
 		}
 		data := EncodeSummaryBundle(sums)
 		if r.Intn(3) == 0 {
-			data = eventBundle(chunk(r)[0])
+			data = eventBundle(chunk(r)...)
 		}
 		if k == frozen && step >= 40 {
 			// A resumed session's shape: fold from the frozen prefix
@@ -505,22 +524,23 @@ func t1ShapeUpdate(ctx *Ctx, s *t1Shape, spam int64) {
 
 // TestFoldAllocCeiling: on a warm site a fold allocates the one thing
 // that outlives it — the vector Concretize (or an event's Update) builds
-// for the key's state — and nothing per bundle, per summary, per path or
-// per key: the stock Values decode into the storage the site's
-// containers kept; and however many folds, the site holds the
-// containers it started with.
+// for the key's state — and nothing per bundle, per summary, per path,
+// per event or per key: the stock Values decode into the storage the
+// site's containers kept, so a group of any size up to maxEventGroup
+// whose Updates push nothing allocates nothing; and however many folds,
+// the site holds the containers it started with.
 func TestFoldAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	check := func(name string, paths int, fold func() int, allocated func() int64) {
+	check := func(name string, ceiling float64, paths int, fold func() int, allocated func() int64) {
 		t.Helper()
 		if got := fold(); got != paths {
 			t.Fatalf("%s: bundle has %d paths, want %d", name, got, paths)
 		}
 		base := allocated()
-		if got := testing.AllocsPerRun(100, func() { fold() }); got > 1 {
-			t.Errorf("%s: %v allocations per fold on a warm site, want at most 1", name, got)
+		if got := testing.AllocsPerRun(100, func() { fold() }); got > ceiling {
+			t.Errorf("%s: %v allocations per fold on a warm site, want at most %v", name, got, ceiling)
 		}
 		for i := 0; i < 10000; i++ {
 			fold()
@@ -538,7 +558,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		// that closes it pushes the symbolic count.
 		sums := chunkSums(t, sc, sessionUpdate, []int64{50, 55})
 		data := EncodeSummaryBundle(sums)
-		check("B3 shape", 2, func() int {
+		check("B3 shape", 1, 2, func() int {
 			site.Reset(st)
 			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
 				t.Fatalf("AddBundle = %d, %v", n, err)
@@ -547,17 +567,30 @@ func TestFoldAllocCeiling(t *testing.T) {
 		}, sc.Allocated)
 	}
 	{
-		// Most of B3's groups: one event, shipped as itself, applied by
-		// Update on a copy — which closes the state's open session and so
-		// pushes one element, the one allocation.
+		// Most of B3's groups: one to three events, shipped as themselves,
+		// applied by Update on a copy — where the first closes the state's
+		// open session and so pushes one element, the one allocation.
 		sc := eventSchema(t, newPredState, sessionUpdate)
 		site := NewFolder(sc)
 		st := site.NewState()
-		data := eventBundle(50)
-		check("B3 event", 1, func() int {
+		data := eventBundle(50, 55, 58)
+		check("B3 events", 1, 1, func() int {
 			site.Reset(st)
 			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
 				t.Fatalf("AddBundle = %d, %v", n, err)
+			}
+			return 1
+		}, sc.Allocated)
+	}
+	for n := 1; n <= maxEventGroup; n++ {
+		sc := eventSchema(t, newIntState(math.MinInt64), maxUpdate)
+		site := NewFolder(sc)
+		st := site.NewState()
+		data := eventBundle(slices.Repeat([]int64{-3, 9}, n)[:n]...)
+		check(fmt.Sprintf("a group of %d events", n), 0, 1, func() int {
+			site.Reset(st)
+			if k, err := site.AddBundle(st, data); err != nil || k != 1 {
+				t.Fatalf("AddBundle = %d, %v", k, err)
 			}
 			return 1
 		}, sc.Allocated)
@@ -568,7 +601,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		st := site.NewState()
 		sums := chunkSums(t, sc, t1ShapeUpdate, []int64{0, 1, 1, 1, 1, 1, 0})
 		data := EncodeSummaryBundle(sums)
-		check("T1 shape", sums[0].NumPaths(), func() int {
+		check("T1 shape", 1, sums[0].NumPaths(), func() int {
 			site.Reset(st)
 			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
 				t.Fatalf("AddBundle = %d, %v", n, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,28 +136,47 @@ func siteFold[S State, E any](newState func() S, update func(*Ctx, S, E),
 
 // bundleSeedCorpus builds the committed bundle corpus. Names are
 // load-bearing: valid-<site>-* must fold at that site, corrupt-<site>-*
-// must be rejected there, and corrupt-any-* at every site; each count-0
-// form is here — an event, a zero-byte event, a truncated event, trailing
-// bytes after one.
+// must be rejected there, and corrupt-any-* at every site; each form a
+// count of 0 takes is here — one event and a full group, zero-byte events,
+// no events, one past the cap, a huge forged count over the zero-byte
+// codec, a cut inside each event of a group, trailing bytes after one.
 func bundleSeedCorpus(t *testing.T) []fuzzseed.Seed {
 	pred := EncodeSummaryBundle(append(chunkSums(t, newSchema(newPredState), sessionUpdate, []int64{50, 55}),
 		chunkSums(t, newSchema(newPredState), sessionUpdate, []int64{7})...))
 	count := EncodeSummaryBundle(chunkSums(t, newSchema(newR1Shape), r1ShapeUpdate, []struct{}{{}, {}, {}}))
 	forged := wire.NewEncoder(4)
 	forged.Uvarint(1 << 20)
-	return []fuzzseed.Seed{
+	full := make([]int64, maxEventGroup)
+	for i := range full {
+		full[i] = int64(300 * (i + 1)) // two-byte varints, so a cut can land inside one
+	}
+	group := eventBundle(full...)
+	seeds := []fuzzseed.Seed{
 		{Name: "valid-pred-summaries.bin", Data: pred},
 		{Name: "valid-pred-event.bin", Data: eventBundle(55)},
+		{Name: "valid-pred-events-full.bin", Data: group},
 		{Name: "valid-count-summary.bin", Data: count},
-		{Name: "valid-count-zero-byte-event.bin", Data: []byte{0}},
-		{Name: "corrupt-pred-zero-byte-event.bin", Data: []byte{0}}, // an int64 event cut to nothing
+		{Name: "valid-count-zero-byte-event.bin", Data: []byte{0, 1}},
+		{Name: "valid-count-zero-byte-events-full.bin", Data: []byte{0, maxEventGroup}},
+		{Name: "corrupt-pred-zero-byte-event.bin", Data: []byte{0, 1}}, // an int64 event cut to nothing
 		{Name: "corrupt-pred-summaries-truncated.bin", Data: pred[:len(pred)/2]},
 		{Name: "corrupt-pred-summaries-trailing.bin", Data: append(bytes.Clone(pred), 0)},
 		{Name: "corrupt-any-empty.bin", Data: []byte{}},
-		{Name: "corrupt-any-truncated-event.bin", Data: []byte{0, 0x80}},
+		{Name: "corrupt-any-no-count.bin", Data: []byte{0}},
+		{Name: "corrupt-any-no-events.bin", Data: []byte{0, 0}},
+		{Name: "corrupt-any-events-over-cap.bin", Data: eventBundle(make([]int64, maxEventGroup+1)...)},
+		{Name: "corrupt-any-events-forged-count.bin", Data: append([]byte{0}, forged.Bytes()...)},
+		{Name: "corrupt-any-truncated-event.bin", Data: []byte{0, 1, 0x80}},
 		{Name: "corrupt-any-event-trailing.bin", Data: append(eventBundle(55), 1)},
+		{Name: "corrupt-any-events-trailing.bin", Data: append(bytes.Clone(group), 1)},
 		{Name: "corrupt-any-forged-count.bin", Data: forged.Bytes()},
 	}
+	// A cut inside each event of the full group: after its first byte.
+	for i := range full {
+		seeds = append(seeds, fuzzseed.Seed{Name: fmt.Sprintf("corrupt-pred-events-cut-in-%d.bin", i+1),
+			Data: group[:2+2*i+1]})
+	}
+	return seeds
 }
 
 // TestUpdateBundleFuzzSeeds regenerates the committed corpus when run
@@ -200,7 +220,7 @@ func TestFuzzSeedBundleCorpus(t *testing.T) {
 			corrupt++
 		}
 	}
-	if valid < 4 || corrupt < 7 {
+	if valid < 6 || corrupt < 20 {
 		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
 	}
 }
@@ -225,9 +245,10 @@ func FuzzBundleFold(f *testing.F) {
 }
 
 // TestBundleCountZeroIsAnEvent pins the format rule: a count of 0 always
-// announces an event — even one its codec writes as zero bytes, whose
-// bundle is the single byte a zero count is — so no summary list may be
-// empty, and a query without an event codec rejects the bundle.
+// announces a group of events — even events their codec writes as zero
+// bytes, whose bundle is that 0 and the group's size — so no summary list
+// may be empty, a group past maxEventGroup ships summaries, and a query
+// without an event codec rejects the bundle.
 func TestBundleCountZeroIsAnEvent(t *testing.T) {
 	sc, err := NewEventSchema(newR1Shape, r1ShapeUpdate, func(*wire.Encoder, struct{}) {},
 		func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() })
@@ -235,25 +256,33 @@ func TestBundleCountZeroIsAnEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := NewSchemaExecutor(sc, r1ShapeUpdate, DefaultOptions())
-	if err := x.FeedBatch([]struct{}{{}}); err != nil {
-		t.Fatal(err)
-	}
-	var enc wire.Encoder
-	if n, err := x.AppendBundle(&enc); err != nil || n != 1 || !bytes.Equal(enc.Bytes(), []byte{0}) {
-		t.Fatalf("a one-impression group shipped %x (%d elements, %v), want the lone byte 00", enc.Bytes(), n, err)
-	}
 	site := NewFolder(sc)
 	st := site.NewState()
-	for i := 0; i < 3; i++ {
-		if n, err := site.AddBundle(st, enc.Bytes()); err != nil || n != 1 {
-			t.Fatalf("AddBundle = %d, %v", n, err)
+	var enc wire.Encoder
+	total := int64(0)
+	for n := 1; n <= maxEventGroup+1; n++ {
+		x.Reset()
+		if err := x.FeedBatch(make([]struct{}, n)); err != nil {
+			t.Fatal(err)
 		}
+		enc.Reset()
+		k, err := x.AppendBundle(&enc)
+		if err != nil || k != 1 {
+			t.Fatalf("a group of %d impressions: %d elements, %v", n, k, err)
+		}
+		if events := bytes.Equal(enc.Bytes(), []byte{0, byte(n)}); events != (n <= maxEventGroup) {
+			t.Fatalf("a group of %d impressions shipped %x", n, enc.Bytes())
+		}
+		if k, err := site.AddBundle(st, enc.Bytes()); err != nil || k != 1 {
+			t.Fatalf("AddBundle = %d, %v", k, err)
+		}
+		total += int64(n)
 	}
-	if got := st.State().Count.Get(); got != 3 {
-		t.Fatalf("three zero-byte events counted %d", got)
+	if got := st.State().Count.Get(); got != total {
+		t.Fatalf("groups of zero-byte events counted %d, want %d", got, total)
 	}
 	plain := NewFolder(newSchema(newR1Shape))
-	if _, err := plain.AddBundle(plain.NewState(), enc.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := plain.AddBundle(plain.NewState(), []byte{0, 1}); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("without an event codec: %v, want ErrCorrupt", err)
 	}
 	defer func() {

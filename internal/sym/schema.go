@@ -31,9 +31,9 @@ type Schema[S State] struct {
 	scalarIn []bool
 	scalarTr []bool
 	// The query's event codec (NewEventSchema), nil without one:
-	// applyEvent decodes the one event d holds — trailing bytes are an
-	// error — and only then runs Update with it on s; encodeEvent is the
-	// func(*wire.Encoder, E) an Executor of the event type ships it with.
+	// applyEvent decodes the next event d holds and only then runs Update
+	// with it on s; encodeEvent is the func(*wire.Encoder, E) an Executor
+	// of the event type ships events with.
 	applyEvent  func(ctx *Ctx, s S, d *wire.Decoder) error
 	encodeEvent any
 

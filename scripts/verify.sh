@@ -4,6 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every leg's full output goes to a log under $VERIFY_LOGS (default: a
+# fresh temporary directory). A passing leg's log is removed; a failing
+# one is kept and its path printed, so a failure that does not reproduce
+# still leaves a record.
+logs=${VERIFY_LOGS:-$(mktemp -d -t verify.XXXXXX)}
+mkdir -p "$logs"
+# leg NAME CMD...: run CMD, teeing its output to $logs/NAME.log.
+leg() {
+    local log="$logs/$1.log"
+    shift
+    if ! "$@" 2>&1 | tee "$log"; then
+        echo "verify: FAILED: $*" >&2
+        echo "verify: full output kept in $log" >&2
+        exit 1
+    fi
+    rm -f "$log"
+}
+
 fmt=$(gofmt -l . | grep -v '^\.git/' || true)
 if [ -n "$fmt" ]; then
     echo "gofmt: files need formatting:" >&2
@@ -11,21 +29,21 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
-go vet ./...
-go build ./...
+leg vet go vet ./...
+leg build go build ./...
 # The unit leg runs every fuzz target's seed corpus as plain tests
 # (FuzzKeyPrefixOrder: the spill sort's prefix-first order against
 # strings.Compare; FuzzBundleFold and TestFuzzSeedBundleCorpus: the
 # committed bundle seeds, each form a count of 0 takes, at two schemas)
-# and the allocation ceilings of the two kinds of site, one-event groups
-# included (TestExecSiteAllocCeiling, TestFoldAllocCeiling), which stand
-# down under the race detector.
-go test ./...
+# and the allocation ceilings of the two kinds of site, event groups of
+# every size included (TestExecSiteAllocCeiling, TestFoldAllocCeiling),
+# which stand down under the race detector.
+leg unit go test ./...
 # Micro-benchmarks, run once each so that they keep compiling and
 # running: a registration's content digest over a fresh segment (MB/s)
 # and a first touch's column build per dataset (ns/row). EXPERIMENTS.md
 # records what they read.
-go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
+leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
 # The race leg covers the one SYMPLE engine end to end — the batched
 # chunk executor over a segment's index, whose columns are built at
 # their first read under concurrent jobs (internal/mapreduce,
@@ -36,13 +54,15 @@ go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTouch' -benc
 # site's decode containers — or an event's Update on a copy — and the
 # states it hands out (TestFoldSiteReuseNeverAliases,
 # TestFoldResultOutlivesReset, TestServePrefixIsFrozen), and the
-# one-event differential on all 12 queries (TestMetamorphicComposition:
-# an event bundle folds to its summary's state from the initial state
-# and a reached one, which stays byte-equal).
-go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
+# events differential on all 12 queries (TestMetamorphicComposition: a
+# small group's events bundle folds to its summaries' state from the
+# initial state and a reached one, which stays byte-equal;
+# TestEventGroupBoundary: groups cut to every size across the edge
+# between the forms, through every fold site).
+leg race go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
 # Eight jobs first-touching different columns of one segment: each
 # column built once, under the segment's lock, ten times over.
-go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/mapreduce
+leg first-touch go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/mapreduce
 # Short chaos sweep: the one seeded fault plan (Config.Faults) kills,
 # errors and delays attempts at every point it has — map start, first
 # and mid emit, the k-th run sent, spill write, reduce merge and
@@ -54,14 +74,14 @@ go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/m
 # (TestChaosDroppedExecSite: an errored or killed attempt's site is
 # dropped, never repooled) and TestChaosCoversEveryFault (every point ×
 # kind fires). CI runs the wide sweep (CHAOS_SEEDS=100) in its own job.
-CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries ./internal/cluster ./internal/serve
+leg chaos env CHAOS_SEEDS=6 go test -race -count=1 -run 'Chaos' ./internal/mapreduce ./internal/core ./internal/queries ./internal/cluster ./internal/serve
 # Cluster leg: the coordinator/worker path — frame codec seeds, pool
 # lifecycle, the two-lane segment cache, and transport-equivalence
 # golden digests: all 12 queries byte-identical in process and over
 # loopback workers (in-process and multi-process), with connection leak
 # checks on success, worker death (a job with one of two workers dead
 # for good still answers golden), and cancellation.
-go test -race -count=1 ./internal/cluster
+leg cluster go test -race -count=1 ./internal/cluster
 # Serve leg: the multi-tenant query service under -race — the 8-tenant
 # soak with goroutine-leak checks, the heap-ceiling soak (resubmit +
 # append variants for a fixed job count: live heap and cache bytes
@@ -74,8 +94,8 @@ go test -race -count=1 ./internal/cluster
 # regression over the committed fuzz seeds. (The overlay suite — a
 # prefix's kept lines merged with an append's, against Spec.Sequential —
 # is internal/queries' and runs in the race leg above.)
-go test -race -count=1 ./internal/serve
-go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|TestJobFrameRoundTrips' ./internal/cluster
+leg serve go test -race -count=1 ./internal/serve
+leg frames go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|TestJobFrameRoundTrips' ./internal/cluster
 # Traced leg: every engine run auto-attaches a trace; the run fails if
 # the completed trace breaks an obs.Verifier invariant or the metrics
 # registry fails its self-check. ./internal/mapreduce includes map-only
@@ -84,11 +104,12 @@ go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|
 # the service's own traced jobs — cold (a map-only sub-job), warm,
 # answered from a prefix, appended — checked against the serve-cache
 # invariant. CI's `traced` job runs the wide form (-count=2 -shuffle=on).
-OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve
+leg traced env OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve
 # Benchmark smoke: all four workloads at 2000-record inputs, traced and
 # untraced, every job digest-checked against Spec.Sequential.
-go run ./benchmark -smoke
+leg benchsmoke go run ./benchmark -smoke
 # Size ratchet (ROADMAP item 3): lines per package and option-struct
 # field counts, failing when any has grown past scripts/loc_record.txt.
-./scripts/loc.sh --check
+leg loc ./scripts/loc.sh --check
+rmdir "$logs" 2>/dev/null || true
 echo "verify: OK"

@@ -90,9 +90,9 @@ type (
 type (
 	// Query is a groupby-aggregate query with a UDA. Its event codec
 	// (EncodeEvent/DecodeEvent) serves both engines that shuffle: the
-	// baseline ships every event, SYMPLE the event of a (mapper, key)
-	// group that holds exactly one; both rely on a decoded event looking
-	// the same to Update as the one encoded.
+	// baseline ships every event, SYMPLE the events of a (mapper, key)
+	// group that holds at most eight; both rely on a decoded event
+	// looking the same to Update as the one encoded.
 	Query[S sym.State, E, R any] = core.Query[S, E, R]
 	// Output is an engine run's results and metrics.
 	Output[R any] = core.Output[R]
