@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
@@ -133,8 +132,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := core.SympleOptions{}
-		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps)
+		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf), eps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,7 +151,7 @@ func main() {
 		rconf.MaxAttempts = 4
 		rconf.Speculation = true
 		rconf.RetryBackoff = 10 * time.Millisecond
-		sympleRun = func() (*queries.Run, error) { return spec.SympleOpts(segs, rconf, opt) }
+		sympleRun = func() (*queries.Run, error) { return spec.Symple(segs, rconf) }
 		fmt.Printf("cluster: %d %s workers spawned, SYMPLE maps run remotely\n\n", *workers, bin)
 	}
 	type engineRun struct {

@@ -86,10 +86,6 @@ func TestEndToEndDiskPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := symple.RunSympleOpts(q, segs, symple.Config{NumReducers: 3}, symple.SympleOptions{Combine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// 4. Everything agrees, and the run found real structure.
 	if len(seq.Results) == 0 {
@@ -103,7 +99,7 @@ func TestEndToEndDiskPipeline(t *testing.T) {
 		t.Fatal("no outage windows detected")
 	}
 	for name, out := range map[string]*symple.Output[[]int64]{
-		"baseline": base, "symple": symp, "symple-combined": comb,
+		"baseline": base, "symple": symp,
 	} {
 		if !reflect.DeepEqual(seq.Results, out.Results) {
 			t.Fatalf("%s differs from sequential", name)

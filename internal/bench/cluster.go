@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dcsim"
 	"repro/internal/mapreduce"
 	"repro/internal/queries"
@@ -127,8 +126,7 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 	// serialize dispatch on small machines and idle the other workers.
 	conf := mapreduce.Config{NumReducers: 4, MaxAttempts: 3, Parallelism: n,
 		Trace: Trace, Registry: Registry}
-	opt := core.SympleOptions{}
-	pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf, opt), eps)
+	pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf), eps)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +135,7 @@ func clusterCell(self string, env []string, spec *queries.Spec,
 
 	var best *queries.Run
 	for round := 0; round <= clusterRounds; round++ {
-		r, err := spec.SympleOpts(segs, conf, opt)
+		r, err := spec.Symple(segs, conf)
 		if err != nil {
 			return nil, err
 		}
@@ -195,10 +193,9 @@ func replayJob(m *mapreduce.Metrics) dcsim.Job {
 	maps := make([]dcsim.MapTask, len(m.MapTasks))
 	for i, task := range m.MapTasks {
 		maps[i] = dcsim.MapTask{
-			InputBytes:      task.InputBytes,
-			CPUSeconds:      task.Duration.Seconds(),
-			OutBytes:        task.OutBytes,
-			LogicalOutBytes: task.LogicalOutBytes,
+			InputBytes: task.InputBytes,
+			CPUSeconds: task.Duration.Seconds(),
+			OutBytes:   task.OutBytes,
 		}
 	}
 	reds := make([]dcsim.ReduceTask, len(m.ReduceTasks))

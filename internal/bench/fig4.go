@@ -1,7 +1,17 @@
 package bench
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
+	"iter"
+	"os/exec"
+	"strconv"
+	"sync"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/mapreduce"
@@ -56,15 +66,11 @@ func Fig4(sc Scale) (*Table, error) {
 		for _, mappers := range []int{1, 2, 4} {
 			segs := fig4Dataset(spec.Dataset, sc, mappers)
 			conf := mapreduce.Config{NumReducers: 1, Parallelism: mappers}
-			// The paper's local MapReduce baseline pipes mapper output
-			// through Unix sort (§6.2); reproduce that for its bars.
-			baseConf := conf
-			baseConf.ExternalSort = true
 			symp, err := spec.Symple(segs, conf)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s symple %dm: %w", id, mappers, err)
 			}
-			base, err := spec.Baseline(segs, baseConf)
+			base, err := sortBaseline(spec, segs, conf)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s baseline %dm: %w", id, mappers, err)
 			}
@@ -121,4 +127,149 @@ func fig4Dataset(dataset string, sc Scale, segments int) []*mapreduce.Segment {
 	default:
 		panic("fig4: unexpected dataset " + dataset)
 	}
+}
+
+// sortBaseline runs the query's baseline the way the paper's local
+// MapReduce does (§6.2: "we use Unix sort to sort mapper results by
+// groupby key and merge to per-key lists"): its map, then sortShuffle,
+// then its reduce per group. The wall time covers all three.
+func sortBaseline(spec *queries.Spec, segs []*mapreduce.Segment, conf mapreduce.Config) (*queries.Run, error) {
+	mapFn, reduce, err := spec.BaselinePair()
+	if err != nil {
+		return nil, err
+	}
+	var lines []string
+	m, err := sortShuffle(segs, conf, mapFn, func(key string, values []mapreduce.Shuffled) error {
+		line, err := reduce(key, values)
+		lines = append(lines, line)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	d, n := queries.Digest(lines)
+	return &queries.Run{Digest: d, NumResults: n, Metrics: m}, nil
+}
+
+// sortShuffle runs mapFn over segs as a map-only job and pipes every
+// pair it emits through LC_ALL=C sort, one line per pair:
+//
+//	hex(key) \t %020d(task) \t %020d(emit index) \t hex(value)
+//
+// Hex keeps tabs and newlines out of the fields and orders like the
+// bytes it encodes, and a tab sorts below every hex digit, so byte order
+// of the lines is (key, task, emit index) order. The baseline's map
+// emits in record order, so within a task emit index orders a group as
+// recordID does. reduce then receives each key's values in that order,
+// one call per key, MapperID the task and RecordID the emit index.
+// Without a sort binary it fails: the bars measure the pipe. The
+// returned metrics are the map job's, TotalWall covering the whole.
+func sortShuffle(segs []*mapreduce.Segment, conf mapreduce.Config, mapFn mapreduce.MapFunc,
+	reduce func(key string, values []mapreduce.Shuffled) error) (*mapreduce.Metrics, error) {
+	start := time.Now()
+	cmd := exec.Command("sort")
+	cmd.Env = append(cmd.Environ(), "LC_ALL=C")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("the MapReduce baseline shuffles through Unix sort: %w", err)
+	}
+	var mu sync.Mutex
+	w := bufio.NewWriter(stdin)
+	var lines int64
+	job := &mapreduce.Job{
+		Name: "fig4/sort-map",
+		Map:  mapFn,
+		Output: func(task int, pairs iter.Seq2[string, []byte]) error {
+			mu.Lock()
+			defer mu.Unlock()
+			i := 0
+			for key, value := range pairs {
+				fmt.Fprintf(w, "%x\t%020d\t%020d\t%x\n", key, task, i, value)
+				i++
+			}
+			lines += int64(i)
+			return nil
+		},
+		Conf: conf,
+	}
+	m, err := job.Run(segs)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := stdin.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = reduceSorted(stdout, lines, reduce)
+	}
+	if err != nil {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+		return nil, err
+	}
+	if err := cmd.Wait(); err != nil {
+		return nil, fmt.Errorf("sort: %w: %s", err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	m.TotalWall = time.Since(start)
+	return m, nil
+}
+
+// reduceSorted reads sort's output, want lines, and calls reduce once
+// per run of one key.
+func reduceSorted(r io.Reader, want int64, reduce func(key string, values []mapreduce.Shuffled) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	var key string
+	var group []mapreduce.Shuffled
+	var n int64
+	for sc.Scan() {
+		k, v, err := parseSortedLine(sc.Bytes())
+		if err != nil {
+			return err
+		}
+		if len(group) > 0 && k != key {
+			if err := reduce(key, group); err != nil {
+				return err
+			}
+			group = group[:0]
+		}
+		key = k
+		group = append(group, v)
+		n++
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if n != want {
+		return fmt.Errorf("sort returned %d of %d lines", n, want)
+	}
+	if len(group) > 0 {
+		return reduce(key, group)
+	}
+	return nil
+}
+
+// parseSortedLine reads back one of sortShuffle's lines.
+func parseSortedLine(line []byte) (string, mapreduce.Shuffled, error) {
+	f := bytes.Split(line, []byte{'\t'})
+	if len(f) != 4 {
+		return "", mapreduce.Shuffled{}, fmt.Errorf("malformed sort line %q", line)
+	}
+	key, err0 := hex.DecodeString(string(f[0]))
+	task, err1 := strconv.ParseInt(string(f[1]), 10, 64)
+	index, err2 := strconv.ParseInt(string(f[2]), 10, 64)
+	value, err3 := hex.DecodeString(string(f[3]))
+	if err := errors.Join(err0, err1, err2, err3); err != nil || task < 0 || index < 0 {
+		return "", mapreduce.Shuffled{}, fmt.Errorf("malformed sort line %q: %v", line, err)
+	}
+	return string(key), mapreduce.Shuffled{MapperID: int(task), RecordID: index, Value: value}, nil
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
@@ -179,12 +178,12 @@ func TestTransportEquivalenceGolden(t *testing.T) {
 				t.Fatalf("in-memory transport: %v", err)
 			}
 			pool, err := cluster.NewPool(
-				queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+				queries.ClusterSpec(spec.ID, mapreduce.Config{NumReducers: 3}), eps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pool.Close()
-			tcp, err := spec.SympleOpts(segs, remoteConf(pool), core.SympleOptions{})
+			tcp, err := spec.Symple(segs, remoteConf(pool))
 			if err != nil {
 				t.Fatalf("TCP transport: %v", err)
 			}
@@ -234,7 +233,7 @@ func TestWorkerDeathReturnsGolden(t *testing.T) {
 	eps := append([]cluster.Endpoint{cluster.Dial(ln.Addr().String())}, startWorkers(t, 1)...)
 
 	pool, err := cluster.NewPool(
-		queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+		queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}), eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestWorkerDeathReturnsGolden(t *testing.T) {
 	spec := queries.ByID("G1")
 	segs := queries.GoldenDatasets(queries.GoldenSegments)[spec.Dataset]
 	start := time.Now()
-	run, err := spec.SympleOpts(segs, remoteConf(pool), core.SympleOptions{})
+	run, err := spec.Symple(segs, remoteConf(pool))
 	if err != nil {
 		t.Fatalf("job with one of two workers dead failed: %v", err)
 	}
@@ -261,11 +260,10 @@ func TestWorkerDeathReturnsGolden(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceCompressedCombined covers the knobs that
-// change the bytes on the wire: flate-compressed runs and the
-// mapper-side combiner must survive the socket and still hit the golden
-// digests.
-func TestTransportEquivalenceCompressedCombined(t *testing.T) {
+// TestTransportEquivalenceCompressed covers the knob that changes the
+// bytes on the wire: flate-compressed runs must survive the socket and
+// still hit the golden digests.
+func TestTransportEquivalenceCompressed(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
 	datasets := queries.GoldenDatasets(queries.GoldenSegments)
@@ -273,33 +271,24 @@ func TestTransportEquivalenceCompressedCombined(t *testing.T) {
 	for _, id := range []string{"G1", "B1", "R1"} {
 		spec := queries.ByID(id)
 		segs := datasets[spec.Dataset]
-		for _, mode := range []struct {
-			name     string
-			compress bool
-			opt      core.SympleOptions
-		}{
-			{"compressed", true, core.SympleOptions{}},
-			{"combined", false, core.SympleOptions{Combine: true}},
-		} {
-			t.Run(id+"/"+mode.name, func(t *testing.T) {
-				base := mapreduce.Config{NumReducers: 3, CompressShuffle: mode.compress}
-				pool, err := cluster.NewPool(queries.ClusterSpec(id, base, mode.opt), eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pool.Close()
-				conf := remoteConf(pool)
-				conf.CompressShuffle = mode.compress
-				run, err := spec.SympleOpts(segs, conf, mode.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w := golden[id]; run.Digest != w.digest || run.NumResults != w.results {
-					t.Errorf("digest %016x (%d results) != golden %016x (%d)",
-						run.Digest, run.NumResults, w.digest, w.results)
-				}
-			})
-		}
+		t.Run(id, func(t *testing.T) {
+			base := mapreduce.Config{NumReducers: 3, CompressShuffle: true}
+			pool, err := cluster.NewPool(queries.ClusterSpec(id, base), eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			conf := remoteConf(pool)
+			conf.CompressShuffle = true
+			run, err := spec.Symple(segs, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := golden[id]; run.Digest != w.digest || run.NumResults != w.results {
+				t.Errorf("digest %016x (%d results) != golden %016x (%d)",
+					run.Digest, run.NumResults, w.digest, w.results)
+			}
+		})
 	}
 }
 
@@ -313,7 +302,7 @@ func TestRemoteTraceSpans(t *testing.T) {
 	eps := startWorkers(t, 2)
 	spec := queries.ByID("G1")
 	pool, err := cluster.NewPool(
-		queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+		queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}), eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +310,7 @@ func TestRemoteTraceSpans(t *testing.T) {
 	sink := obs.NewMemSink()
 	conf := remoteConf(pool)
 	conf.Trace = obs.NewTrace(sink)
-	if _, err := spec.SympleOpts(datasets[spec.Dataset], conf, core.SympleOptions{}); err != nil {
+	if _, err := spec.Symple(datasets[spec.Dataset], conf); err != nil {
 		t.Fatal(err)
 	}
 	spans := sink.Spans()
@@ -370,7 +359,7 @@ func TestTransportEquivalenceJobFailure(t *testing.T) {
 	defer pool.Close()
 	spec := queries.ByID("G1")
 	segs := queries.GoldenDatasets(queries.GoldenSegments)[spec.Dataset]
-	if _, err := spec.SympleOpts(segs, remoteConf(pool), core.SympleOptions{}); err == nil {
+	if _, err := spec.Symple(segs, remoteConf(pool)); err == nil {
 		t.Fatal("job with an unregistered remote map side succeeded")
 	} else if !strings.Contains(err.Error(), "no job registered") {
 		t.Fatalf("unexpected failure shape: %v", err)
@@ -418,7 +407,7 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 
 	runPool := func(t *testing.T, id string, pool *cluster.Pool) {
 		spec := queries.ByID(id)
-		run, err := spec.SympleOpts(datasets[spec.Dataset], remoteConf(pool), core.SympleOptions{})
+		run, err := spec.Symple(datasets[spec.Dataset], remoteConf(pool))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +420,7 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 	for _, id := range []string{"G1", "B1", "R1"} {
 		t.Run(id, func(t *testing.T) {
 			pool, err := cluster.NewPool(
-				queries.ClusterSpec(id, mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+				queries.ClusterSpec(id, mapreduce.Config{NumReducers: 3}), eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -446,7 +435,7 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 	// survivor — digests unchanged.
 	t.Run("G1-after-worker-death", func(t *testing.T) {
 		pool, err := cluster.NewPool(
-			queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}, core.SympleOptions{}), eps)
+			queries.ClusterSpec("G1", mapreduce.Config{NumReducers: 3}), eps)
 		if err != nil {
 			t.Fatal(err)
 		}

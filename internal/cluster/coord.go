@@ -208,9 +208,11 @@ func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 }
 
 // acquire leases a worker connection for an attempt of task, preferring
-// (a) a different worker than the task's previous attempt — so
-// speculation and retries land on another machine — and (b) a worker
-// that already caches the segment digest. It drains whatever is free
+// (a) for a retry or speculative attempt, a different worker than the
+// task's previous attempt — so it lands on another machine — and (b) a
+// worker that already caches the segment digest. A first attempt has no
+// previous one to avoid: the task's last worker may be a past job's,
+// which is the one caching the segment. It drains whatever is free
 // right now and scores it; when nothing is free it blocks on the next
 // lease regardless of preference (liveness beats placement).
 func (p *Pool) acquire(ctx context.Context, task, attempt int, digest mapreduce.Digest) (*workerConn, error) {
@@ -239,7 +241,7 @@ drain:
 	best, bestScore := 0, -1
 	for i, w := range cands {
 		score := 0
-		if last != nil && w.ep != last {
+		if attempt > 0 && last != nil && w.ep != last {
 			score += 2 // anti-affinity to the previous attempt's worker
 		}
 		if p.epSegs[w.ep][digest] {

@@ -325,6 +325,55 @@ func TestSpeculativePlacementAntiAffinity(t *testing.T) {
 	}
 }
 
+// TestWarmJobPlacementFollowsCache pins first-attempt placement across
+// jobs: a second round of attempt 0s over the same segments lands each
+// task on the worker that cached its segment in the first round, so the
+// round ships digests only. Anti-affinity is for a task's retries and
+// backups within a job, not for the next job's first attempt.
+func TestWarmJobPlacementFollowsCache(t *testing.T) {
+	checkGoroutineLeaks(t)
+	ep0, _ := startWorker(t)
+	ep1, _ := startWorker(t)
+	p, err := NewPool(testSpec(t), []Endpoint{ep0, ep1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const tasks, payload = 4, 32 << 10
+	segs := make([]*mapreduce.Segment, tasks)
+	for i := range segs {
+		rec := make([]byte, payload)
+		for j := range rec {
+			rec[j] = byte('a' + (i+j)%5)
+		}
+		segs[i] = &mapreduce.Segment{ID: i, Records: [][]byte{rec}}
+	}
+	round := func() []Placement {
+		for task, seg := range segs {
+			if _, err := p.RunMap(context.Background(), task, 0, seg, nil); err != nil {
+				t.Fatalf("task %d: %v", task, err)
+			}
+		}
+		pl := p.Placements()
+		return pl[len(pl)-tasks:]
+	}
+	first := round()
+	if first[0].Addr == first[1].Addr {
+		t.Fatalf("both first tasks placed on %s: the first round never used the second worker", first[0].Addr)
+	}
+	e0 := p.Stats().ConnEgressBytes
+	second := round()
+	for task := range segs {
+		if second[task].Addr != first[task].Addr {
+			t.Errorf("task %d: attempt 0 of the second round placed on %s, its segment is cached on %s",
+				task, second[task].Addr, first[task].Addr)
+		}
+	}
+	if d := p.Stats().ConnEgressBytes - e0; d >= payload {
+		t.Errorf("the second round shipped %d bytes, want digests only (under one %d-byte payload)", d, payload)
+	}
+}
+
 // TestSegmentCacheDigestOnly: after a worker acknowledges an attempt
 // over a segment, later attempts ship only the digest (egress collapses
 // below the payload size); after the worker loses its cache, the

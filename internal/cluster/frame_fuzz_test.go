@@ -23,7 +23,7 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
 func seedAssignment() *assignment {
 	return &assignment{
 		spec: JobSpec{
-			Query: "G1", NumReducers: 3, Compress: true, Combine: true,
+			Query: "G1", NumReducers: 3, Compress: true,
 		},
 		task: 4, attempt: 1,
 		faults: mapreduce.AttemptFaults{
@@ -126,6 +126,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-v6.bin", Data: frame(FrameHello, helloWith(helloMagic, 6))},
 		{Name: "corrupt-hello-v7.bin", Data: frame(FrameHello, helloWith(helloMagic, 7))},
 		{Name: "corrupt-hello-v8.bin", Data: frame(FrameHello, helloWith(helloMagic, 8))},
+		{Name: "corrupt-hello-v9.bin", Data: frame(FrameHello, helloWith(helloMagic, 9))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -451,9 +452,10 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// it would misread a one-event group's event as an empty summary
 	// list — version 6 the last with three ad-hoc fault fields, version 7
 	// the last with the worker-to-worker frames and a one-lane segment
-	// digest, and version 8 the last whose event bundles held one event
-	// and no count; peers still speaking any must be turned away at hello.
-	for _, v := range []uint64{4, 5, 6, 7, 8} {
+	// digest, version 8 the last whose event bundles held one event and
+	// no count, and version 9 the last whose job spec carried a combiner
+	// flag; peers still speaking any must be turned away at hello.
+	for _, v := range []uint64{4, 5, 6, 7, 8, 9} {
 		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}

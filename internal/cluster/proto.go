@@ -17,6 +17,8 @@ import (
 
 // JobSpec identifies, to a worker, how to build the map side of a job:
 // the registered query plus the engine knobs that change map output.
+// (Whether a worker groups vectorized is not a knob: it indexes its
+// cached copy of the segment at first touch, as an in-process job does.)
 // All fields are scalar so specs are comparable — workers cache one
 // built mapper per distinct spec.
 type JobSpec struct {
@@ -27,18 +29,12 @@ type JobSpec struct {
 	// every run the worker ships.
 	NumReducers int
 	Compress    bool
-	// Combine is the core.SympleOptions field: it shapes map output.
-	// (Whether a worker groups vectorized is not a knob: it indexes its
-	// cached copy of the segment at first touch, as an in-process job
-	// does.)
-	Combine bool
 }
 
 func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.String(s.Query)
 	e.Uvarint(uint64(s.NumReducers))
 	e.Bool(s.Compress)
-	e.Bool(s.Combine)
 }
 
 func decodeJobSpec(d *wire.Decoder) JobSpec {
@@ -46,7 +42,6 @@ func decodeJobSpec(d *wire.Decoder) JobSpec {
 		Query:       d.String(),
 		NumReducers: int(d.Uvarint()),
 		Compress:    d.Bool(),
-		Combine:     d.Bool(),
 	}
 }
 

@@ -159,14 +159,13 @@ type chunkResult struct {
 // per-key contiguous event vectors. Pass two runs each key through the
 // site: Reset, feed the key's vector to the executor's batch API
 // (FeedBatch, which folds runs of identical events through single
-// transition probes and executes quiet stretches in place), pre-compose
-// a restarted key's summaries when opt.Combine asks (falling back to the
-// uncombined list when composition fails), and append the key's bundle
-// — encoded straight from the executor's paths — to the chunk's slab.
+// transition probes and executes quiet stretches in place), and append
+// the key's bundle — encoded straight from the executor's paths — to the
+// chunk's slab.
 // Batching keeps per-record map lookups out of the symbolic hot loop and
 // lets pass two be timed on its own (stats.ExecWall), net of the parse
 // cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult, error) {
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult, error) {
 	out := chunkResult{}
 	be := pool.get()
 	if be == nil {
@@ -250,16 +249,6 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], o
 		}
 		needReset = true
 		err := fast.FeedBatch(evs)
-		if err == nil && opt.Combine && fast.Summaries() > 1 {
-			// The combine span is emitted only when composition
-			// succeeds: a fallback to the uncombined list did no
-			// combining, and a half-open span is never flushed.
-			span := trace.Start(obs.KindCombine, fmt.Sprintf("combine-%d/%s", mapperID, key)).
-				Attr(obs.AttrTask, int64(mapperID))
-			if n, composes, ok := fast.Combine(); ok {
-				span.Attr(obs.AttrSummaries, int64(n)).Attr(obs.AttrComposes, int64(composes)).End()
-			}
-		}
 		n := 0
 		if err == nil {
 			enc.Reset()

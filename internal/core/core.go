@@ -208,22 +208,28 @@ func RunSequential[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	return &Output[R]{Results: results, Metrics: m}, nil
 }
 
-// RunBaseline executes the query as the paper's hand-optimized Hadoop
-// baseline: mappers group and shuffle (only) the UDA's event fields;
-// reducers run the UDA concretely over each ordered group.
-func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
+// Baseline is the paper's hand-optimized Hadoop baseline as its two
+// halves: Map groups each record and emits the UDA's event fields under
+// the key, recordID its index in the segment; Reduce runs the UDA
+// concretely over one key's values in shuffle order and returns the
+// result. RunBaseline runs the pair as one job over the engine's shuffle;
+// a caller with a shuffle of its own (Fig 4 pipes the map output through
+// Unix sort) runs the same pair around it.
+type Baseline[R any] struct {
+	Map    mapreduce.MapFunc
+	Reduce func(key string, values []mapreduce.Shuffled) (R, error)
+}
+
+// NewBaseline builds the query's baseline pair; trace, which may be nil,
+// receives its map-parse and reduce-group spans.
+func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*Baseline[R], error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
 	if q.EncodeEvent == nil || q.DecodeEvent == nil {
 		return nil, fmt.Errorf("core %q: the baseline engine requires EncodeEvent/DecodeEvent", q.Name)
 	}
-	finish := obsAutoVerify(&conf)
-	trace := conf.Trace
-	var mu sync.Mutex
-	results := make(map[string]R)
-	job := &mapreduce.Job{
-		Name: q.Name + "/baseline",
+	return &Baseline[R]{
 		Map: func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 			span := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 				Attr(obs.AttrTask, int64(mapperID))
@@ -242,25 +248,50 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 				Attr(obs.AttrValues, emitted).Attr(obs.AttrBatchRecords, emitted).End()
 			return nil
 		},
-		Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
+		Reduce: func(key string, values []mapreduce.Shuffled) (R, error) {
+			var zero R
 			span := trace.Start(obs.KindReduceGroup, key).
 				Attr(obs.AttrValues, int64(len(values)))
 			x := sym.NewConcreteExecutor(q.NewState, q.Update, q.Options)
 			for _, v := range values {
 				ev, err := q.DecodeEvent(wire.NewDecoder(v.Value))
 				if err != nil {
-					return err
+					return zero, err
 				}
 				if err := x.Feed(ev); err != nil {
-					return err
+					return zero, err
 				}
 			}
 			s, err := x.ConcreteState()
 			if err != nil {
-				return err
+				return zero, err
 			}
 			r := q.Result(key, s)
 			span.End()
+			return r, nil
+		},
+	}, nil
+}
+
+// RunBaseline executes the query as the paper's hand-optimized Hadoop
+// baseline: mappers group and shuffle (only) the UDA's event fields;
+// reducers run the UDA concretely over each ordered group.
+func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
+	finish := obsAutoVerify(&conf)
+	b, err := NewBaseline(q, conf.Trace)
+	if err != nil {
+		return nil, finish(err)
+	}
+	var mu sync.Mutex
+	results := make(map[string]R)
+	job := &mapreduce.Job{
+		Name: q.Name + "/baseline",
+		Map:  b.Map,
+		Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
+			r, err := b.Reduce(key, values)
+			if err != nil {
+				return err
+			}
 			mu.Lock()
 			results[key] = r
 			mu.Unlock()
@@ -273,24 +304,6 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 		return nil, err
 	}
 	return &Output[R]{Results: results, Metrics: metrics}, nil
-}
-
-// SympleOptions tunes how the SYMPLE engine executes a query. The zero
-// value is RunSymple's behavior. It selects no engine: there is one
-// chunk executor (symExecChunk) and one fold (sym.Folder).
-type SympleOptions struct {
-	// Combine enables the mapper-side combiner: before shuffling, each
-	// group's ordered summary list is pre-composed into a single summary
-	// via the associative summary∘summary composition (paper §3.6) —
-	// the classic mapper-side combining lever (Lin's "monoidify"
-	// principle), which summary composition extends to non-monoid UDAs.
-	// It shrinks both reducer CPU and shuffle payload. Ordering
-	// semantics (§5.4) are preserved because only adjacent summaries of
-	// one (mapper, group) list are composed, in order; composition can
-	// fail (e.g. the path cross product exceeds limits), in which case
-	// the mapper falls back to shipping the uncombined list, so results
-	// are identical either way.
-	Combine bool
 }
 
 // memoSize is each new exec site's record-transition cache capacity
@@ -312,11 +325,6 @@ func SetMemoSizeForTest(n int) (restore func()) {
 // recordID) order onto the initial aggregation state — exactly the
 // sequential semantics (paper §5.4).
 func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
-	return RunSympleOpts(q, segments, conf, SympleOptions{})
-}
-
-// RunSympleOpts is RunSymple with explicit engine options.
-func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config, opt SympleOptions) (*Output[R], error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -371,7 +379,7 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	}
 	job := &mapreduce.Job{
 		Name:   q.Name + "/symple",
-		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, opt, trace, conf.Registry),
+		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, trace, conf.Registry),
 		Reduce: reduce,
 		Conf:   conf,
 	}

@@ -8,76 +8,6 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// TestBaselineExternalSortAgrees runs the baseline engine with the
-// Unix-sort shuffle (the paper's §6.2 local configuration) and checks
-// result equivalence with the in-process shuffle.
-func TestBaselineExternalSortAgrees(t *testing.T) {
-	r := rand.New(rand.NewSource(83))
-	q := maxQuery()
-	lines := randMaxInput(r, 600, 9)
-	segs := makeSegments(lines, 5)
-	inproc, err := RunBaseline(q, segs, mapreduce.Config{NumReducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := RunBaseline(q, segs, mapreduce.Config{NumReducers: 3, ExternalSort: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(inproc.Results, ext.Results) {
-		t.Fatal("external-sort baseline differs")
-	}
-}
-
-// TestExternalSortOrderSensitive runs the order-sensitive session UDA
-// through the Unix-sort shuffle: the (key, mapperID, recordID) order
-// must survive the text round trip exactly.
-func TestExternalSortOrderSensitive(t *testing.T) {
-	r := rand.New(rand.NewSource(89))
-	q := sessionQuery()
-	lines := make([]string, 400)
-	ts := map[string]int64{}
-	for i := range lines {
-		k := []string{"ua", "ub", "uc"}[r.Intn(3)]
-		ts[k] += int64(r.Intn(150))
-		lines[i] = k + "\t" + itoa(ts[k])
-	}
-	segs := makeSegments(lines, 7)
-	seq, err := RunSequential(q, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := RunBaseline(q, segs, mapreduce.Config{NumReducers: 2, ExternalSort: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Results, ext.Results) {
-		t.Fatalf("order lost through external sort:\nseq: %v\next: %v", seq.Results, ext.Results)
-	}
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
 // TestSympleDeterministicAcrossParallelism: results must not depend on
 // scheduling (parallelism level or reducer count).
 func TestSympleDeterministicAcrossParallelism(t *testing.T) {

@@ -18,13 +18,13 @@ import (
 // pool and returns every task's emitted (key, bundle) pairs in emit
 // order.
 func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.Schema[S],
-	pool *batchExecPool[S, E], opt SympleOptions, segs []*mapreduce.Segment, conf mapreduce.Config) [][]string {
+	pool *batchExecPool[S, E], segs []*mapreduce.Segment, conf mapreduce.Config) [][]string {
 	t.Helper()
 	out := make([][]string, len(segs))
 	var mu sync.Mutex
 	job := &mapreduce.Job{
 		Name: "bundles",
-		Map:  sympleMapFunc(q, sc, pool, &mu, &SymStats{}, opt, nil, nil),
+		Map:  sympleMapFunc(q, sc, pool, &mu, &SymStats{}, nil, nil),
 		Output: func(task int, pairs iter.Seq2[string, []byte]) error {
 			var got []string
 			for k, v := range pairs {
@@ -57,14 +57,14 @@ func TestExecSitePoolSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(41)), 16000, 160), 8)
-	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, SympleOptions{}, segs, mapreduce.Config{Parallelism: 1})
+	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, segs, mapreduce.Config{Parallelism: 1})
 
 	pool := &batchExecPool[*sessState, int64]{}
 	conf := mapreduce.Config{Parallelism: 8}
-	mapBundles(t, q, sc, pool, SympleOptions{}, segs, conf)
+	mapBundles(t, q, sc, pool, segs, conf)
 	base := sc.Allocated()
 	for round := 0; round < 5; round++ {
-		got := mapBundles(t, q, sc, pool, SympleOptions{}, segs, conf)
+		got := mapBundles(t, q, sc, pool, segs, conf)
 		for task := range want {
 			if len(got[task]) != len(want[task]) {
 				t.Fatalf("round %d task %d: %d bundles, want %d", round, task, len(got[task]), len(want[task]))
@@ -124,14 +124,12 @@ func TestChaosDroppedExecSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(42)), 6000, 60), 6)
-	for _, opt := range []SympleOptions{{}, {Combine: true}} {
-		if opt.Combine {
-			// A live-path cap of 1 makes every forking key restart, so
-			// the combiner composes inside the site.
-			q.Options = sym.Options{MaxLivePaths: 1}
-		}
+	// The second leg's live-path cap of 1 makes every forking key
+	// restart, so the site appends multi-summary bundles.
+	for _, opts := range []sym.Options{{}, {MaxLivePaths: 1}} {
+		q.Options = opts
 		fuse.Store(0)
-		want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, opt, segs, mapreduce.Config{Parallelism: 1})
+		want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, segs, mapreduce.Config{Parallelism: 1})
 		pool := &batchExecPool[*sessState, int64]{}
 		var injected, aborted int64
 		for seed := 0; seed < chaosSeedCount(t, 8); seed++ {
@@ -143,30 +141,30 @@ func TestChaosDroppedExecSite(t *testing.T) {
 			// if the plan failed every attempt before it — seven in a row
 			// with eight attempts, where five in a row (a few percent of
 			// runs) sank it with six.
-			got := mapBundles(t, q, sc, pool, opt, segs, mapreduce.Config{
+			got := mapBundles(t, q, sc, pool, segs, mapreduce.Config{
 				Parallelism: 4, MaxAttempts: 8, RetryBackoff: time.Microsecond, Speculation: true, Faults: plan})
 			if fuse.Load() == 0 {
 				aborted++
 			}
 			for task := range want {
 				if len(got[task]) != len(want[task]) {
-					t.Fatalf("combine %v seed %d task %d: %d bundles, want %d", opt.Combine, seed, task, len(got[task]), len(want[task]))
+					t.Fatalf("cap %d seed %d task %d: %d bundles, want %d", opts.MaxLivePaths, seed, task, len(got[task]), len(want[task]))
 				}
 				for i := range want[task] {
 					if got[task][i] != want[task][i] {
-						t.Fatalf("combine %v seed %d task %d bundle %d diverged from the fault-free run", opt.Combine, seed, task, i)
+						t.Fatalf("cap %d seed %d task %d bundle %d diverged from the fault-free run", opts.MaxLivePaths, seed, task, i)
 					}
 				}
 			}
 			for i, be := range pool.free {
 				if be.fast.Err() != nil {
-					t.Fatalf("combine %v seed %d: pooled site %d carries %v", opt.Combine, seed, i, be.fast.Err())
+					t.Fatalf("cap %d seed %d: pooled site %d carries %v", opts.MaxLivePaths, seed, i, be.fast.Err())
 				}
 			}
 			injected += plan.Injected()
 		}
 		if injected == 0 || aborted == 0 {
-			t.Errorf("combine %v: %d faults injected, %d executors aborted — the sweep is not arming", opt.Combine, injected, aborted)
+			t.Errorf("cap %d: %d faults injected, %d executors aborted — the sweep is not arming", opts.MaxLivePaths, injected, aborted)
 		}
 	}
 }

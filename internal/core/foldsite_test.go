@@ -29,7 +29,7 @@ func sessionInput(r *rand.Rand, n, keys int) []string {
 // each with its bundles in mapper order.
 func partitionGroups(t *testing.T, q *Query[*sessState, int64, []int64], segs []*mapreduce.Segment) (keys []string, groups map[string][]mapreduce.Shuffled) {
 	t.Helper()
-	mapFn, err := SympleMapper(q, SympleOptions{}, nil)
+	mapFn, err := SympleMapper(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,20 +9,20 @@ import (
 )
 
 // SympleMapper builds the standalone map side of a SYMPLE query — the
-// exact mapper RunSympleOpts wires into its in-process job — for use
+// exact mapper RunSymple wires into its in-process job — for use
 // by a cluster worker. The worker executes assignments through this
 // function and mapreduce.ExecuteMap, so the bytes it ships are the
 // bytes the in-process engine would have produced for the same
-// (task, segment) pair: groupby, symbolic execution, memoization and
-// combining all behave identically, which is what the transport
+// (task, segment) pair: groupby, symbolic execution and memoization all
+// behave identically, which is what the transport
 // differential tests pin down.
 //
 // trace receives the worker-side spans (map parse/exec, spill encode)
 // that ship back to the coordinator; it may be nil. The returned
 // mapper owns private stats/mutex state, so one built mapper is safe
 // for any number of sequential or concurrent attempts.
-func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, trace *obs.Trace) (mapreduce.MapFunc, error) {
-	mk, err := SympleMappers(q, opt)
+func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (mapreduce.MapFunc, error) {
+	mk, err := SympleMappers(q)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, t
 // job, bound to that job's trace: the next job finds the executors, memo
 // and path containers the last one left instead of building — and
 // dropping — its own.
-func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
+func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) 
 	}
 	pool := &batchExecPool[S, E]{}
 	return func(trace *obs.Trace) mapreduce.MapFunc {
-		return sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, opt, trace, nil)
+		return sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, trace, nil)
 	}, nil
 }
 
@@ -58,9 +58,9 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions) 
 // transitions depend only on the schema and update function, so the
 // memo built by early chunks answers probes for every later chunk, and
 // reused executors keep identity caches and containers warm.
-func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, opt SympleOptions, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
+func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
-		out, err := symExecChunk(q, sc, opt, pool, seg, trace, mapperID)
+		out, err := symExecChunk(q, sc, pool, seg, trace, mapperID)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // obsVerifyEnabled gates the self-verifying run mode: with OBS_VERIFY=1
-// in the environment, every RunBaseline/RunSympleOpts call that was not
+// in the environment, every RunBaseline/RunSymple call that was not
 // given a trace gets an in-memory one, and after a successful run the
 // trace must pass every obs.Verifier invariant and the registry its
 // self-checks, or the run reports an error. The CI `traced` leg runs the

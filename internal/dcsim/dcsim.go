@@ -69,16 +69,6 @@ type Cluster struct {
 	StragglerEvery    int
 	StragglerSlowdown float64
 
-	// CompressMBps and DecompressMBps, when positive, model the CPU cost
-	// of block-compressing the shuffle: each map task is charged its
-	// logical (pre-encoding) output bytes at CompressMBps, and each
-	// reduce task its logical ingress at DecompressMBps, as extra CPU
-	// seconds. Zero disables the charge. Set these when replaying a job
-	// that ran with Config.CompressShuffle, so the byte savings and the
-	// codec cost land in the same simulated latency.
-	CompressMBps   float64
-	DecompressMBps float64
-
 	// Trace, when non-nil, receives a synthetic replay of the simulated
 	// schedule: a job span covering [0, TotalS] plus one span per
 	// map/reduce task at its simulated start/end, all on a nanosecond
@@ -106,24 +96,6 @@ type MapTask struct {
 	// bytes that actually cross the network (compressed when the job
 	// compressed its shuffle).
 	OutBytes []int64
-	// LogicalOutBytes[r] is the pre-encoding payload for reducer r, the
-	// volume the (de)compression CPU model charges. Nil falls back to
-	// OutBytes.
-	LogicalOutBytes []int64
-}
-
-// logicalOut returns the logical payload for reducer r.
-func (m MapTask) logicalOut(r int) int64 {
-	if m.LogicalOutBytes != nil {
-		if r < len(m.LogicalOutBytes) {
-			return m.LogicalOutBytes[r]
-		}
-		return 0
-	}
-	if r < len(m.OutBytes) {
-		return m.OutBytes[r]
-	}
-	return 0
 }
 
 // ReduceTask is one reduce task's replayed cost. Its shuffle ingress is
@@ -161,34 +133,10 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	// ---- Straggler adjustment ----
 	// Each map task's effective latency cost is computed up front — the
 	// straggler multiplier — and the fluid simulation below schedules the
-	// adjusted tasks unchanged. Compression is charged as a
-	// bandwidth-limited CPU pass over the logical bytes, folded into each
-	// task's CPU before the straggler adjustment.
-	mapCPU := make([]float64, len(j.Maps))
-	for i, m := range j.Maps {
-		mapCPU[i] = m.CPUSeconds
-		if c.CompressMBps > 0 {
-			for r := range m.OutBytes {
-				mapCPU[i] += float64(m.logicalOut(r)) / (c.CompressMBps * 1e6)
-			}
-		}
-	}
-	reduces := j.Reduces
-	if c.DecompressMBps > 0 && len(j.Reduces) > 0 {
-		reduces = make([]ReduceTask, len(j.Reduces))
-		copy(reduces, j.Reduces)
-		for _, m := range j.Maps {
-			for r := range m.OutBytes {
-				if r < len(reduces) {
-					reduces[r].CPUSeconds += float64(m.logicalOut(r)) / (c.DecompressMBps * 1e6)
-				}
-			}
-		}
-	}
-
+	// adjusted tasks unchanged.
 	effMaps := make([]MapTask, len(j.Maps))
 	for i, m := range j.Maps {
-		effMaps[i] = MapTask{InputBytes: m.InputBytes, CPUSeconds: c.taskCost(i, mapCPU[i]), OutBytes: m.OutBytes}
+		effMaps[i] = MapTask{InputBytes: m.InputBytes, CPUSeconds: c.taskCost(i, m.CPUSeconds), OutBytes: m.OutBytes}
 	}
 
 	// ---- Map phase: fluid simulation with shared IO ----
@@ -229,16 +177,15 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	res.ShuffleS = worst
 
 	// ---- Reduce phase: pure CPU on slots ----
-	reduceS, redIv := simulateCPUPhase(c, reduces)
+	reduceS, redIv := simulateCPUPhase(c, j.Reduces)
 	res.ReducePhaseS = reduceS
 
-	// Total compute: the useful work, the codec passes included.
-	// Straggler slowdown is lost time, not extra instructions, so it does
-	// not inflate CPUSeconds.
-	for _, cpu := range mapCPU {
-		res.CPUSeconds += cpu
+	// Total compute: the useful work. Straggler slowdown is lost time,
+	// not extra instructions, so it does not inflate CPUSeconds.
+	for _, m := range j.Maps {
+		res.CPUSeconds += m.CPUSeconds
 	}
-	for _, r := range reduces {
+	for _, r := range j.Reduces {
 		res.CPUSeconds += r.CPUSeconds
 	}
 	res.TotalS = c.SchedulingOverheadS + res.MapPhaseS + res.ShuffleS + res.ReducePhaseS

@@ -183,37 +183,6 @@ func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 	}
 }
 
-// TestExternalSortMatchesModel pins the §6.2 Unix-sort path.
-func TestExternalSortMatchesModel(t *testing.T) {
-	if !externalSortAvailable() {
-		t.Skip("no sort binary")
-	}
-	segs := randomSegments(rand.New(rand.NewSource(7)), 5, 60)
-	emits := func(rec []byte) []string {
-		return []string{fmt.Sprintf("key-%d", len(rec)%13)}
-	}
-	checkAgainstModel(t, "external sort", segs, Config{NumReducers: 2, ExternalSort: true}, emits)
-}
-
-// TestExternalSortFallsBackWithoutSortBinary pins the Config contract
-// that ExternalSort falls back to the in-process sort when no sort
-// binary is on PATH. The map side skips its spill sort under
-// ExternalSort, so the engine must do the full partition sort
-// reduce-side here — without it, the loser tree merges unsorted runs and
-// fragments each key into many Reduce calls (the model's group count
-// catches that).
-func TestExternalSortFallsBackWithoutSortBinary(t *testing.T) {
-	t.Setenv("PATH", "")
-	if externalSortAvailable() {
-		t.Fatal("sort binary still resolvable with empty PATH")
-	}
-	segs := randomSegments(rand.New(rand.NewSource(11)), 6, 80)
-	emits := func(rec []byte) []string {
-		return []string{fmt.Sprintf("key-%d", len(rec)%5)}
-	}
-	checkAgainstModel(t, "fallback", segs, Config{NumReducers: 2, ExternalSort: true, Parallelism: 4}, emits)
-}
-
 // TestLoserTreeMerge checks the k-way merge against sort over the
 // concatenation, for assorted run shapes including empty runs and k not
 // a power of two.

@@ -92,11 +92,6 @@ type Config struct {
 	NumReducers int
 	// Parallelism caps concurrently running tasks. Default GOMAXPROCS.
 	Parallelism int
-	// ExternalSort pipes each reduce partition through the system sort
-	// binary, reproducing the paper's §6.2 single-machine baseline that
-	// shuffles mapper output through Unix sort. Falls back to the
-	// in-process sort when no sort binary is available.
-	ExternalSort bool
 	// CompressShuffle flate-compresses every shuffle segment at the map
 	// side; reducers inflate segments as they collect them.
 	// Metrics.ShuffleBytes then counts the compressed wire bytes while
@@ -133,8 +128,8 @@ type Config struct {
 	// RemoteMap, when set, executes every map attempt's body out of
 	// process through the given RemoteMapper (remote.go) while the
 	// local task lifecycle — retries, speculation, first-finisher-wins
-	// commit — and the whole reduce stay in charge here. Incompatible
-	// with ExternalSort and map-only jobs (see validateRemote).
+	// commit — and the whole reduce stay in charge here. Not for a
+	// map-only job (see validateRemote).
 	RemoteMap RemoteMapper
 
 	// Trace, when set, emits structured spans for the job and every task

@@ -41,7 +41,7 @@ func obsTestJob(reducers int) (*Job, []*Segment) {
 }
 
 // TestTracedJobVerifies runs the engine under every mode (raw,
-// compressed, external sort) with a trace attached, and requires the
+// compressed, map-only) with a trace attached, and requires the
 // resulting trace to pass every obs.Verifier invariant — the engine's
 // commit protocol, run accounting, and byte accounting proven on a live
 // run, not asserted by construction.
@@ -52,7 +52,6 @@ func TestTracedJobVerifies(t *testing.T) {
 	}{
 		{"raw", Config{NumReducers: 3}},
 		{"compressed", Config{NumReducers: 3, CompressShuffle: true}},
-		{"external-sort", Config{NumReducers: 2, ExternalSort: true}},
 		{"map-only", Config{NumReducers: 3}},
 	}
 	for _, tc := range cases {

@@ -224,7 +224,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 // expense of map progress. Returns the pending runs, total wire bytes
 // received, active (non-waiting) time, and the first run-load error.
 func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
-	ch, external := env.transport[p], env.conf.ExternalSort
+	ch := env.transport[p]
 	add := func(r Run) {
 		t0 := time.Now()
 		run, derr := decodeRun(env.trace, p, r)
@@ -246,7 +246,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			}
 			add(r)
 		default:
-			if !external && err == nil && len(runs) >= premergeMinRuns {
+			if err == nil && len(runs) >= premergeMinRuns {
 				select {
 				case env.sem <- struct{}{}:
 					span := env.trace.Start(obs.KindMerge, fmt.Sprintf("part-%d", p)).

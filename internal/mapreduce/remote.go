@@ -101,17 +101,11 @@ func (env *runEnv) adopt(st *mapTask, attempt int, out *MapOutput) error {
 	return nil
 }
 
-// validateRemote rejects job shapes the remote path cannot honor: a
-// worker ships runs, never a map-only job's pairs, and the external-sort
-// baseline lives inside the in-process attempt body.
+// validateRemote rejects the one job shape the remote path cannot
+// honor: a worker ships runs, never a map-only job's pairs.
 func validateRemote(conf Config, mapOnly bool) error {
-	switch {
-	case conf.RemoteMap == nil:
-		return nil
-	case mapOnly:
+	if conf.RemoteMap != nil && mapOnly {
 		return errors.New("RemoteMap is incompatible with a map-only job (workers ship runs for a Reduce to merge)")
-	case conf.ExternalSort:
-		return errors.New("RemoteMap is incompatible with ExternalSort (workers ship pre-sorted runs)")
 	}
 	return nil
 }

@@ -24,7 +24,6 @@ func TestValidateRemoteRejections(t *testing.T) {
 	}{
 		{"map only", Config{RemoteMap: stubRemote{}}, ""},
 		{"map with faults", Config{RemoteMap: stubRemote{}, Faults: NewFaultPlan(1), MaxAttempts: 3}, ""},
-		{"external sort", Config{RemoteMap: stubRemote{}, ExternalSort: true}, "RemoteMap is incompatible with ExternalSort"},
 		{"no reduce", Config{RemoteMap: stubRemote{}}, "RemoteMap is incompatible with a map-only job"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -187,9 +187,8 @@ func mergeTwo(a, b spillRun) spillRun {
 	return spillRun{recs: out, bytes: a.bytes + b.bytes}
 }
 
-// kvBufs pools record buffers across tasks: map-side spill runs,
-// reduce-side pre-merge outputs and external-sort concatenations all
-// draw from and return to it, so steady-state shuffles reuse buffers
+// kvBufs pools record buffers across tasks: map-side spill runs and
+// reduce-side pre-merge outputs draw from and return to it, so steady-state shuffles reuse buffers
 // instead of allocating per task.
 var kvBufs kvBufPool
 

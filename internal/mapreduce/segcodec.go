@@ -30,8 +30,7 @@ import (
 //
 // Sorted runs make the deltas tiny — the key index is non-decreasing and
 // recordID/seq climb within each group — but the codec does not require
-// sortedness (ExternalSort ships unsorted runs; zig-zag absorbs the
-// sign). Decoding allocates one string per distinct key instead of one
+// sortedness (zig-zag absorbs the sign). Decoding allocates one string per distinct key instead of one
 // per record, so the dictionary is a decode-side allocation win as well
 // as a byte win. Metrics.ShuffleBytes counts exactly these encoded
 // bytes; the legacy per-record framing survives as ShuffleLogicalBytes.
@@ -70,7 +69,7 @@ func encodeSegment(recs []kvRec, compress bool) []byte {
 
 	// Key dictionary in first-use order. Sorted runs hit the last-key
 	// fast path for every record after a group's first; the map only
-	// arbitrates across groups (and unsorted ExternalSort runs).
+	// arbitrates across groups.
 	idx := segKeyMaps.Get().(map[string]int)
 	var dict []string
 	lastKey, lastIdx := "", -1

@@ -341,8 +341,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 }
 
 // spillRuns sorts each non-empty partition — map-side work, as in
-// Hadoop, except under ExternalSort, where the §6.2 baseline pays for
-// sorting in the reducer's Unix sort pipe — then encodes it into its wire
+// Hadoop — then encodes it into its wire
 // segment (segcodec.go) and publishes the run, so run sizes are always
 // real encoder output and compression acts on the actual shuffle path,
 // not a model of it. The run-send fault fires before the run it counts
@@ -351,9 +350,7 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 	out *MapOutput, faults AttemptFaults) error {
 	for p := range parts {
 		out.Emitted += int64(len(parts[p]))
-		if !conf.ExternalSort {
-			sortRun(parts[p])
-		}
+		sortRun(parts[p])
 	}
 	span := conf.Trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", task)).
 		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
@@ -514,9 +511,6 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 // and re-invokes Reduce for every group, which the ReduceFunc contract
 // requires to be idempotent.
 func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
-	if env.conf.ExternalSort {
-		runs = externalSortRuns(runs)
-	}
 	defer releaseRuns(runs)
 	var attemptErrs []error
 	for a := 0; a < env.conf.MaxAttempts; a++ {
@@ -550,28 +544,4 @@ func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
 	}
 	return 0, fmt.Errorf("mapreduce %q: reduce task %d failed after %d attempts: %w",
 		env.job.Name, p, len(attemptErrs), errors.Join(attemptErrs...))
-}
-
-// externalSortRuns concatenates the partition's runs and sorts them via
-// the system sort binary (§6.2 baseline), falling back to the in-process
-// sort, returning a single sorted run. The map side skips its spill sort
-// under ExternalSort, so this must run unconditionally.
-func externalSortRuns(runs []spillRun) []spillRun {
-	var n int
-	var bytes int64
-	for i := range runs {
-		n += len(runs[i].recs)
-		bytes += runs[i].bytes
-	}
-	flat := kvBufs.get(n)
-	for i := range runs {
-		flat = append(flat, runs[i].recs...)
-	}
-	releaseRuns(runs)
-	sorted := externalSort(flat)
-	if len(flat) > 0 && len(sorted) > 0 && &sorted[0] != &flat[0] {
-		// externalSort returned a fresh slice; recycle the scratch.
-		kvBufs.put(flat)
-	}
-	return []spillRun{{recs: sorted, bytes: bytes}}
 }

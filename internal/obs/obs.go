@@ -77,9 +77,6 @@ const (
 	// Name: group key. Attrs: summaries, composes, applies —
 	// the compose-count invariant requires composes+applies = summaries.
 	KindCompose = "compose"
-	// KindCombine covers a mapper-side combiner pre-composing one
-	// group's summary list. Attrs: summaries, composes (= summaries−1).
-	KindCombine = "combine"
 	// KindReduceGroup covers one concrete reduce group (baseline
 	// engine). Name: group key. Attrs: values.
 	KindReduceGroup = "reduce_group"

@@ -386,9 +386,8 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 // composing n summaries takes exactly n−1 pairwise composes however the
 // tree is shaped, so composes + applies must equal summaries (the
 // reducer's apply fold replays summaries individually: composes = 0,
-// applies = n). Combine spans (the mapper-side combiner) fold in place:
-// s ≥ 2, composes == s − 1. Each group must be composed by exactly one
-// winning reducer.
+// applies = n). Each group must be composed by exactly one winning
+// reducer.
 func verifyComposes(job *Span, children []*Span) []Violation {
 	var out []Violation
 	// Group-once is only strict when every reduce task ran exactly one
@@ -412,26 +411,19 @@ func verifyComposes(job *Span, children []*Span) []Violation {
 	seen := make(map[string]int)
 	var names []string
 	for _, sp := range children {
-		switch sp.Kind {
-		case KindCompose:
-			s, c, a := sp.Attr(AttrSummaries), sp.Attr(AttrComposes), sp.Attr(AttrApplies)
-			if s < 1 || c+a != s {
-				out = append(out, Violation{InvComposeCount,
-					fmt.Sprintf("job %q: group %q composed %d + applied %d over %d summaries (want composes+applies == summaries ≥ 1)",
-						job.Name, sp.Name, c, a, s)})
-			}
-			if seen[sp.Name] == 0 {
-				names = append(names, sp.Name)
-			}
-			seen[sp.Name]++
-		case KindCombine:
-			s, c := sp.Attr(AttrSummaries), sp.Attr(AttrComposes)
-			if s < 2 || c != s-1 {
-				out = append(out, Violation{InvComposeCount,
-					fmt.Sprintf("job %q: combiner folded %d summaries with %d composes (want summaries−1 = %d)",
-						job.Name, s, c, s-1)})
-			}
+		if sp.Kind != KindCompose {
+			continue
 		}
+		s, c, a := sp.Attr(AttrSummaries), sp.Attr(AttrComposes), sp.Attr(AttrApplies)
+		if s < 1 || c+a != s {
+			out = append(out, Violation{InvComposeCount,
+				fmt.Sprintf("job %q: group %q composed %d + applied %d over %d summaries (want composes+applies == summaries ≥ 1)",
+					job.Name, sp.Name, c, a, s)})
+		}
+		if seen[sp.Name] == 0 {
+			names = append(names, sp.Name)
+		}
+		seen[sp.Name]++
 	}
 	if cleanReduce {
 		sort.Strings(names)

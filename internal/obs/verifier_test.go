@@ -55,18 +55,15 @@ func goodTrace() []*Span {
 		// Group "beta": apply path — 2 summaries replayed individually.
 		sp(14, 1, KindCompose, "beta", 60, 70,
 			[]attr{{AttrSummaries, 2}, {AttrComposes, 0}, {AttrApplies, 2}}, nil),
-		// Mapper-side combiner folded 4 summaries with 3 composes.
-		sp(15, 1, KindCombine, "map-1/alpha", 10, 12,
-			[]attr{{AttrSummaries, 4}, {AttrComposes, 3}}, nil),
 		// Map task 0's chunk: 10 records, 8 kept by grouping, all 8
 		// executed.
-		sp(16, 1, KindMapParse, "parse-0", 1, 10,
+		sp(15, 1, KindMapParse, "parse-0", 1, 10,
 			[]attr{{AttrTask, 0}, {AttrRecords, 10}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
-		sp(17, 1, KindMapExec, "exec-0", 10, 28,
+		sp(16, 1, KindMapExec, "exec-0", 10, 28,
 			[]attr{{AttrTask, 0}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
 		// The chunk's first touch built two columns of its segment's index,
 		// under the parse span.
-		sp(18, 16, KindIndex, "0,3", 1, 4, []attr{{AttrRecords, 10}}, nil),
+		sp(17, 15, KindIndex, "0,3", 1, 4, []attr{{AttrRecords, 10}}, nil),
 	}
 }
 
@@ -163,29 +160,21 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 			s[12].SetAttr(AttrComposes, 1) // 3 summaries, 1 compose + 1 apply
 			return s
 		}},
-		{"combiner count short", InvComposeCount, func(s []*Span) []*Span {
-			s[14].SetAttr(AttrComposes, 2) // 4 summaries need 3
-			return s
-		}},
-		{"single-summary combine", InvComposeCount, func(s []*Span) []*Span {
-			withSlots(s[14], []attr{{AttrSummaries, 1}, {AttrComposes, 0}}, nil)
-			return s
-		}},
 		{"chunk keeps more than it read", InvBatchRecords, func(s []*Span) []*Span {
+			s[14].SetAttr(AttrBatchRecords, 11)
 			s[15].SetAttr(AttrBatchRecords, 11)
-			s[16].SetAttr(AttrBatchRecords, 11)
 			return s
 		}},
 		{"exec disagrees with parse", InvBatchRecords, func(s []*Span) []*Span {
-			s[16].SetAttr(AttrBatchRecords, 7)
+			s[15].SetAttr(AttrBatchRecords, 7)
 			return s
 		}},
 		{"parse span without batch count", InvBatchRecords, func(s []*Span) []*Span {
-			withoutAttr(s[15], AttrBatchRecords)
+			withoutAttr(s[14], AttrBatchRecords)
 			return s
 		}},
 		{"exec span without batch count", InvBatchRecords, func(s []*Span) []*Span {
-			withoutAttr(s[16], AttrBatchRecords)
+			withoutAttr(s[15], AttrBatchRecords)
 			return s
 		}},
 		{"group composed twice", InvGroupOnce, func(s []*Span) []*Span {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
 )
@@ -209,13 +208,12 @@ func TestClusterChaosDifferential(t *testing.T) {
 				plan := mapreduce.NewFaultPlan(int64(seed*53 + qi))
 				conf := chaosConf(plan)
 				conf.CompressShuffle = seed%2 == 0
-				opt := core.SympleOptions{}
-				pool, err := cluster.NewPool(ClusterSpec(id, conf, opt), eps)
+				pool, err := cluster.NewPool(ClusterSpec(id, conf), eps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				conf.RemoteMap = pool
-				got, err := spec.SympleOpts(segs, conf, opt)
+				got, err := spec.Symple(segs, conf)
 				pool.Close()
 				injected += plan.Injected()
 				if err != nil {

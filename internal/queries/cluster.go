@@ -21,7 +21,7 @@ import (
 // any process that constructs the specs can serve worker assignments.
 func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
 	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		return core.SympleMapper(q, core.SympleOptions{Combine: spec.Combine}, trace)
+		return core.SympleMapper(q, trace)
 	})
 }
 
@@ -34,16 +34,15 @@ func RegisterClusterJobs() {
 }
 
 // ClusterSpec builds the cluster.JobSpec a coordinator ships to
-// workers for query id under the given engine config and options. The
-// spec must mirror exactly the knobs that shape map output — reducer
-// count, shuffle compression, and the map-side SympleOptions — or the
-// worker would produce different bytes than the in-process engine.
-func ClusterSpec(id string, conf mapreduce.Config, opt core.SympleOptions) cluster.JobSpec {
+// workers for query id under the given engine config. The spec must
+// mirror exactly the knobs that shape map output — reducer count and
+// shuffle compression — or the worker would produce different bytes
+// than the in-process engine.
+func ClusterSpec(id string, conf mapreduce.Config) cluster.JobSpec {
 	return cluster.JobSpec{
 		Query:       id,
 		NumReducers: conf.NumReducers,
 		Compress:    conf.CompressShuffle,
-		Combine:     opt.Combine,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/serve"
 	"repro/internal/sym"
@@ -42,9 +41,8 @@ func randomChunking(rng *rand.Rand, segs []*mapreduce.Segment, numSegments int) 
 
 // TestEquivalenceAllEnginesAllQueries is the determinism/equivalence
 // gate: for every one of the paper's 12 evaluation queries, on
-// randomized chunkings, every engine — Sequential, Baseline, Symple,
-// and Symple with the mapper-side combiner — produces identical
-// results.
+// randomized chunkings, every engine — Sequential, Baseline and
+// Symple — produces identical results.
 func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base := smallDatasets(4)
@@ -65,7 +63,6 @@ func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 				}{
 					{"baseline", func() (*Run, error) { return spec.Baseline(segs, conf) }},
 					{"symple", func() (*Run, error) { return spec.Symple(segs, conf) }},
-					{"symple-combined", func() (*Run, error) { return spec.SympleCombined(segs, conf) }},
 				}
 				for _, eng := range engines {
 					run, err := eng.run()
@@ -79,37 +76,6 @@ func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCombinerShrinksSummaryTraffic spot-checks the combiner's purpose
-// on a query whose groups span all mappers: it must never increase the
-// number of shuffled summaries, and on the single-group B1 it should cut
-// multi-summary bundles down.
-func TestCombinerShrinksSummaryTraffic(t *testing.T) {
-	segs := data.GenBing(data.BingConfig{
-		Records: 8000, Users: 400, Geos: 12, Segments: 8,
-		Filler: 8, Seed: 12, Outages: 6})
-	spec := ByID("B1")
-	conf := mapreduce.Config{NumReducers: 1}
-	plain, err := spec.Symple(segs, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := spec.SympleCombined(segs, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined.Digest != plain.Digest {
-		t.Fatal("combiner changed B1's result")
-	}
-	if combined.Sym.Summaries > plain.Sym.Summaries {
-		t.Errorf("combiner increased shuffled summaries: %d > %d",
-			combined.Sym.Summaries, plain.Sym.Summaries)
-	}
-	if combined.Metrics.ShuffleBytes > plain.Metrics.ShuffleBytes {
-		t.Errorf("combiner increased shuffle bytes: %d > %d",
-			combined.Metrics.ShuffleBytes, plain.Metrics.ShuffleBytes)
 	}
 }
 
@@ -439,12 +405,12 @@ func TestEventGroupBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reducer fold: %v", err)
 			}
-			pool, err := cluster.NewPool(ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps)
+			pool, err := cluster.NewPool(ClusterSpec(spec.ID, conf), eps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			conf.RemoteMap = pool
-			worker, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
+			worker, err := spec.Symple(segs, conf)
 			pool.Close()
 			if err != nil {
 				t.Fatalf("worker map: %v", err)

@@ -13,13 +13,12 @@ import (
 // query schema and several mapper-split widths — and, over the same
 // executor runs, that the bundle a map task appends straight from the
 // executor's paths is byte for byte the snapshot API's
-// (EncodeSummaryBundle over Finish), combined and not, for a group too
+// (EncodeSummaryBundle over Finish), for a group too
 // large to ship its events — and, for a group that does, that its events
 // bundle folds to the state its summaries' does, from the initial state
 // and from seeded random prefixes, without writing them. A second pass,
 // over whole keys under a live-path cap of 1, makes keys restart, so
-// multi-summary bundles and the combiner's in-site composition are
-// compared too. The
+// multi-summary bundles are compared too. The
 // subtests run in parallel so the race detector also exercises
 // concurrent exec and fold sites over shared schemas.
 func TestMetamorphicComposition(t *testing.T) {
@@ -52,15 +51,15 @@ func TestMetamorphicComposition(t *testing.T) {
 			if err != nil {
 				t.Fatalf("path cap 1: %v", err)
 			}
-			t.Logf("path cap 1: %d bundles, %d restarted and combined", rep.Bundles, rep.Combined)
+			t.Logf("path cap 1: %d bundles, %d of keys that restarted", rep.Bundles, rep.Restarted)
 			if rep.Bundles == 0 {
 				t.Error("no bundle compared")
 			}
 			// G1, G2 and R1 never hold two live paths (an enum or a flag
 			// that binds on every branch; a bare counter), so no cap makes
 			// them restart.
-			if rep.Combined == 0 && spec.ID != "G1" && spec.ID != "G2" && spec.ID != "R1" {
-				t.Error("no key restarted under a live-path cap of 1: the combined bundle went unchecked")
+			if rep.Restarted == 0 && spec.ID != "G1" && spec.ID != "G2" && spec.ID != "R1" {
+				t.Error("no key restarted under a live-path cap of 1: the multi-summary bundle went unchecked")
 			}
 		})
 	}

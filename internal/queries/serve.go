@@ -29,7 +29,7 @@ func registerServeQuery[S sym.State, E, R any](
 		empty:  &servePrefix[S, E, R]{res: digestMerged(nil, nil, nil)},
 		schema: sync.OnceValues(q.Schema),
 		mappers: sync.OnceValues(func() (func(*obs.Trace) mapreduce.MapFunc, error) {
-			return core.SympleMappers(q, core.SympleOptions{})
+			return core.SympleMappers(q)
 		})})
 }
 
@@ -46,9 +46,8 @@ type serveRunner[S sym.State, E, R any] struct {
 	mappers func() (func(*obs.Trace) mapreduce.MapFunc, error)
 }
 
-// SchemaKey names the map-output schema for cache keying. Serve runs
-// always map with default SympleOptions, so the query ID is the whole
-// key; grow it if serve ever maps under options that change bundles.
+// SchemaKey names the map-output schema for cache keying. The SYMPLE
+// engine has no options, so the query ID is the whole key.
 func (r *serveRunner[S, E, R]) SchemaKey() string { return "symple/" + r.id }
 
 func (r *serveRunner[S, E, R]) NewSession() (serve.Session, error) {

@@ -46,17 +46,15 @@ type Spec struct {
 	Baseline   func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 	Symple     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 
-	// SympleCombined enables the mapper-side combiner that pre-composes
-	// each group's summary list before the shuffle.
-	SympleCombined func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
+	// BaselinePair is the two halves Baseline runs as one job — its map,
+	// and a reduce returning one group's result line — for a caller that
+	// runs the shuffle between them itself: Fig 4 pipes the map output
+	// through Unix sort. Digest over the lines is the Run's.
+	BaselinePair func() (mapreduce.MapFunc, func(key string, values []mapreduce.Shuffled) (string, error), error)
 
 	// SympleWithOptions runs the SYMPLE engine with explicit symbolic
 	// engine options (for the merging / path-cap ablations).
 	SympleWithOptions func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error)
-
-	// SympleOpts runs the SYMPLE engine with explicit runtime options
-	// (combiner, memo size).
-	SympleOpts func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error)
 
 	// ComposeCheck runs the metamorphic composition properties over this
 	// query's schema on real summaries: associativity of summary
@@ -78,7 +76,7 @@ type ComposeReport struct {
 	Triples   int // associativity triples compared
 	Skipped   int // groups skipped because composition hit a path cap
 	Bundles   int // (slice, key) bundles compared byte for byte
-	Combined  int // of those, restarted ones also compared combined
+	Restarted int // of those, ones of a key that restarted (several summaries)
 	Events    int // groups shipped as their events whose bundle was folded beside their summaries'
 }
 
@@ -97,22 +95,31 @@ func (s *Spec) SymTypesString() string {
 	return strings.Join(parts, "+")
 }
 
-// digestResults hashes formatted per-key result lines, order-insensitive.
-// Keys with empty lines (filtered results) are skipped.
+// digestResults hashes formatted per-key result lines (Digest).
 func digestResults[R any](results map[string]R, format func(key string, r R) string) (uint64, int) {
 	lines := make([]string, 0, len(results))
 	for k, r := range results {
-		if l := format(k, r); l != "" {
-			lines = append(lines, l)
-		}
+		lines = append(lines, format(k, r))
 	}
+	return Digest(lines)
+}
+
+// Digest hashes result lines, order-insensitive, and counts them: a
+// Run's Digest and NumResults. Empty lines (filtered results) are
+// skipped. It sorts lines in place.
+func Digest(lines []string) (uint64, int) {
 	sort.Strings(lines)
 	h := fnv.New64a()
+	n := 0
 	for _, l := range lines {
+		if l == "" {
+			continue
+		}
 		_, _ = h.Write([]byte(l))
 		_, _ = h.Write([]byte{'\n'})
+		n++
 	}
-	return h.Sum64(), len(lines)
+	return h.Sum64(), n
 }
 
 // makeSpec wraps a typed query into a Spec.
@@ -145,8 +152,18 @@ func makeSpec[S sym.State, E, R any](
 		Symple: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 			return wrap(core.RunSymple(q, segs, conf))
 		},
-		SympleCombined: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Combine: true}))
+		BaselinePair: func() (mapreduce.MapFunc, func(string, []mapreduce.Shuffled) (string, error), error) {
+			b, err := core.NewBaseline(q, nil)
+			if err != nil {
+				return nil, nil, fmt.Errorf("query %s: %w", id, err)
+			}
+			return b.Map, func(key string, values []mapreduce.Shuffled) (string, error) {
+				r, err := b.Reduce(key, values)
+				if err != nil {
+					return "", err
+				}
+				return format(key, r), nil
+			}, nil
 		},
 		SympleWithOptions: func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error) {
 			// A shallow copy: q is shared with every other runner, the
@@ -155,9 +172,6 @@ func makeSpec[S sym.State, E, R any](
 			qq := *q
 			qq.Options = opts
 			return wrap(core.RunSymple(&qq, segs, conf))
-		},
-		SympleOpts: func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, opt))
 		},
 		ComposeCheck: func(segs []*mapreduce.Segment, splits int, opts sym.Options) (*ComposeReport, error) {
 			qq := *q
@@ -173,14 +187,13 @@ func makeSpec[S sym.State, E, R any](
 // summaries produced from real records (not synthetic states):
 //
 //  1. Compose(Compose(a,b),c) ≡ Compose(a,Compose(b,c)) — associativity,
-//     which licenses the combiner's balanced tree (§3.6);
+//     which licenses ComposeAll's balanced tree (§3.6);
 //  2. ComposeAll(sums) then one apply ≡ the sequential left-to-right
-//     ApplyAll fold — the reducer agrees with and without the combiner —
-//     in exactly n−1 pairwise compositions;
-//  3. for a group a summary describes, the bundle a map task appends
-//     straight from the executor's paths is, byte for byte, the encoded
-//     Finish snapshot — and for a key that restarted, with the combiner,
-//     the encoded ComposeAll of it;
+//     ApplyAll fold the reducer performs, in exactly n−1 pairwise
+//     compositions;
+//  3. for a group a summary describes — a key that restarted included —
+//     the bundle a map task appends straight from the executor's paths
+//     is, byte for byte, the encoded Finish snapshot;
 //  4. a group that ships its events — every slice that does, and a
 //     seeded random one of every key — folds to the state its summaries'
 //     bundle does, from the initial state and from the state the key's
@@ -190,8 +203,7 @@ func makeSpec[S sym.State, E, R any](
 // Equivalence is judged on the formatted query result after applying to
 // the initial state — the observable output, which is what the paper's
 // §5.4 determinism contract promises. Groups whose composition trips a
-// path cap are skipped (the engines fall back to uncombined lists there)
-// and counted in the report.
+// path cap are skipped and counted in the report.
 func composeCheck[S sym.State, E, R any](
 	q *core.Query[S, E, R],
 	format func(key string, r R) string,
@@ -278,7 +290,7 @@ func composeCheck[S sym.State, E, R any](
 		// the checks below.
 		folded, n, err := sym.ComposeAllCounted(sums)
 		if err != nil {
-			rep.Skipped++ // path cap: the engines fall back here too
+			rep.Skipped++ // path cap
 			continue
 		}
 		if n != len(sums)-1 {
@@ -327,12 +339,6 @@ func checkBundle[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S],
 	if err != nil {
 		return err
 	}
-	// Composed before anything encodes (and so compacts) snap: the
-	// mapper's combiner composes the paths as they ran.
-	var composed *sym.Summary[S]
-	if len(snap) > 1 {
-		composed, _ = sym.ComposeAll(snap)
-	}
 	var enc wire.Encoder
 	if _, err := x.AppendBundle(&enc); err != nil {
 		return err
@@ -345,27 +351,9 @@ func checkBundle[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S],
 		return fmt.Errorf("the appended bundle of %d summaries differs from the encoded snapshot", len(snap))
 	}
 	rep.Bundles++
-	if len(snap) == 1 {
-		return nil
+	if len(snap) > 1 {
+		rep.Restarted++
 	}
-	x.Reset()
-	if err := x.FeedBatch(evs); err != nil {
-		return err
-	}
-	if _, _, ok := x.Combine(); ok != (composed != nil) {
-		return fmt.Errorf("Combine ok=%v but ComposeAll of the snapshot composed=%v", ok, composed != nil)
-	}
-	enc.Reset()
-	if _, err := x.AppendBundle(&enc); err != nil {
-		return err
-	}
-	if composed != nil {
-		snap = []*sym.Summary[S]{composed}
-	}
-	if !bytes.Equal(enc.Bytes(), sym.EncodeSummaryBundle(snap)) {
-		return fmt.Errorf("the combined bundle differs from the encoded ComposeAll of the snapshot")
-	}
-	rep.Combined++
 	return nil
 }
 

@@ -7,21 +7,18 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// TestSympleOptsEquivalence pins the symbolic runtime to the sequential
+// TestSympleMemoEquivalence pins the symbolic runtime to the sequential
 // reference across memoization on, off and under constant eviction (the
-// memo test hook), and the mapper-side combiner. Every configuration
-// must produce the sequential digest on all 12 queries.
-func TestSympleOptsEquivalence(t *testing.T) {
+// memo test hook). Every configuration must produce the sequential
+// digest on all 12 queries.
+func TestSympleMemoEquivalence(t *testing.T) {
 	configs := []struct {
 		name string
 		memo int
-		opt  core.SympleOptions
 	}{
-		{"memo", 0, core.SympleOptions{}},
-		{"nomemo", -1, core.SympleOptions{}},
-		{"tinymemo", 2, core.SympleOptions{}}, // constant eviction
-		{"combine", 0, core.SympleOptions{Combine: true}},
-		{"combine-nomemo", -1, core.SympleOptions{Combine: true}},
+		{"memo", 0},
+		{"nomemo", -1},
+		{"tinymemo", 2}, // constant eviction
 	}
 	for _, segments := range []int{1, 4} {
 		datasets := smallDatasets(segments)
@@ -35,7 +32,7 @@ func TestSympleOptsEquivalence(t *testing.T) {
 			t.Run(spec.ID, func(t *testing.T) {
 				for _, cfg := range configs {
 					restore := core.SetMemoSizeForTest(cfg.memo)
-					got, err := spec.SympleOpts(segs, mapreduce.Config{NumReducers: 3}, cfg.opt)
+					got, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
 					restore()
 					if err != nil {
 						t.Fatalf("segments=%d %s: %v", segments, cfg.name, err)
@@ -50,15 +47,15 @@ func TestSympleOptsEquivalence(t *testing.T) {
 	}
 }
 
-// TestSympleOptsMemoStats sanity-checks the surfaced counters: a
+// TestSympleMemoStats sanity-checks the surfaced counters: a
 // skewed-key query (G1 groups by repo) must report memo traffic and run
 // probes, and a disabled memo must report no memo traffic. (How the
 // traffic splits between hits, misses and probe-free identity skips
 // depends on which pooled executor a map task drew, so only the totals
 // are pinned.)
-func TestSympleOptsMemoStats(t *testing.T) {
+func TestSympleMemoStats(t *testing.T) {
 	segs := smallDatasets(4)["github"]
-	on, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
+	on, err := G1().Symple(segs, mapreduce.Config{NumReducers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func TestSympleOptsMemoStats(t *testing.T) {
 		t.Fatalf("G1 with memo reported no memo traffic or no run probes: %+v", on.Sym)
 	}
 	restore := core.SetMemoSizeForTest(-1)
-	off, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
+	off, err := G1().Symple(segs, mapreduce.Config{NumReducers: 3})
 	restore()
 	if err != nil {
 		t.Fatal(err)

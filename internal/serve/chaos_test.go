@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/queries"
 	"repro/internal/serve"
@@ -131,12 +130,12 @@ func TestChaosCoversEveryFault(t *testing.T) {
 			var pool *cluster.Pool
 			if mode == "cluster" {
 				var err error
-				if pool, err = cluster.NewPool(queries.ClusterSpec(spec.ID, conf, core.SympleOptions{}), eps); err != nil {
+				if pool, err = cluster.NewPool(queries.ClusterSpec(spec.ID, conf), eps); err != nil {
 					t.Fatal(err)
 				}
 				conf.RemoteMap = pool
 			}
-			got, err := spec.SympleOpts(segs, conf, core.SympleOptions{})
+			got, err := spec.Symple(segs, conf)
 			if pool != nil {
 				pool.Close()
 			}

@@ -80,8 +80,7 @@ type Runner interface {
 	NewSession() (Session, error)
 	// SchemaKey names the query schema for cache keying: two jobs share
 	// cached bundles iff their SchemaKeys match. It must change when
-	// anything that affects map output changes (query ID, engine
-	// options like combine).
+	// anything that affects map output changes.
 	SchemaKey() string
 }
 

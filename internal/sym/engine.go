@@ -488,36 +488,6 @@ func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 	return len(x.done) + 1, nil
 }
 
-// Summaries returns how many summaries a bundle appended now would
-// carry: one more than the restarts since the last Reset.
-func (x *Executor[S, E]) Summaries() int { return len(x.done) + 1 }
-
-// Combine is the mapper-side combiner (paper §3.6, Lin's "monoidify"):
-// it pre-composes the summaries closed by restarts and the live paths
-// into one path set, in place, by ComposeAll's balanced tree, so the
-// next AppendBundle ships a single summary. It reports how many
-// summaries went in and how many compositions that took. ok=false — the
-// executor exactly as it was — when there was nothing to combine or a
-// composition failed (e.g. the path product overflowed), in which case
-// the uncombined list ships and results are identical either way.
-func (x *Executor[S, E]) Combine() (summaries, composes int, ok bool) {
-	if x.err != nil || len(x.done) == 0 {
-		return 0, 0, false
-	}
-	lists := append(x.done, x.paths)
-	ps, composes, err := x.composeTree(lists, &x.senv)
-	if err != nil {
-		return len(lists), composes, false
-	}
-	for _, l := range lists {
-		x.putAll(l)
-	}
-	x.done, x.paths = x.done[:0], ps
-	x.maxSeen = max(x.maxSeen, len(ps))
-	x.fastConcrete = len(ps) == 1 && allConcreteFields(ps[0].fs)
-	return len(lists), composes, true
-}
-
 // Reset returns the executor to a fresh symbolic start for a new input
 // stream, retaining its schema, memo, options, scratch buffers and
 // cumulative Stats. One resettable executor can serve every group of a

@@ -11,16 +11,14 @@ import (
 )
 
 // checkSiteBundles runs many keys through one reused executor the way a
-// map task does — IdentityBundle, else Reset, FeedBatch, Combine when
-// asked, AppendBundle — and holds every key's bytes to the snapshot API
-// on an executor of the key's own: EncodeSummaryBundle over Finish, and
-// over ComposeAll of it when the key restarted and the combiner is on —
-// or, with the event codec and a key of at most maxEventGroup events, to
-// its events' bundle. It returns how many keys took the identity
-// shortcut, restarted, were combined and shipped their events, so
-// callers can reject a vacuous pass.
+// map task does — IdentityBundle, else Reset, FeedBatch, AppendBundle —
+// and holds every key's bytes to the snapshot API on an executor of the
+// key's own: EncodeSummaryBundle over Finish — or, with the event codec
+// and a key of at most maxEventGroup events, to its events' bundle. It
+// returns how many keys took the identity shortcut, restarted and
+// shipped their events, so callers can reject a vacuous pass.
 func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
-	opts Options, memo, events bool, keys [][]int64) (ident, restarted, combined, evented int) {
+	opts Options, memo, events bool, keys [][]int64) (ident, restarted, evented int) {
 	t.Helper()
 	sc := newSchema(newState)
 	if events {
@@ -32,65 +30,51 @@ func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx
 	}
 	var enc wire.Encoder
 	used := false
-	for _, combine := range []bool{false, true} {
-		for ki, evs := range keys {
-			// Reference: a fresh executor, the snapshot API.
-			ref := NewSchemaExecutor(sc, update, opts)
-			if err := ref.FeedBatch(evs); err != nil {
+	for ki, evs := range keys {
+		// Reference: a fresh executor, the snapshot API.
+		ref := NewSchemaExecutor(sc, update, opts)
+		if err := ref.FeedBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ref.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := EncodeSummaryBundle(snap)
+		if events && len(evs) <= maxEventGroup {
+			want, snap = eventBundle(evs...), snap[:1]
+			evented++
+		}
+
+		got := site.IdentityBundle(evs)
+		if got != nil {
+			ident++
+		} else {
+			if used {
+				site.Reset()
+			}
+			used = true
+			if err := site.FeedBatch(evs); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := ref.Finish()
+			enc.Reset()
+			n, err := site.AppendBundle(&enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []byte
-			switch {
-			case events && len(evs) <= maxEventGroup:
-				want, snap = eventBundle(evs...), snap[:1]
-				evented++
-			case combine && len(snap) > 1:
-				if one, err := ComposeAll(snap); err == nil {
-					snap = []*Summary[S]{one}
-					combined++
-				}
-				fallthrough
-			default:
-				want = EncodeSummaryBundle(snap)
+			if n != len(snap) {
+				t.Fatalf("key %d: AppendBundle reports %d summaries, snapshot has %d", ki, n, len(snap))
 			}
-
-			got := site.IdentityBundle(evs)
-			if got != nil {
-				ident++
-			} else {
-				if used {
-					site.Reset()
-				}
-				used = true
-				if err := site.FeedBatch(evs); err != nil {
-					t.Fatal(err)
-				}
-				if site.Summaries() > 1 {
-					restarted++
-					if combine {
-						site.Combine()
-					}
-				}
-				enc.Reset()
-				n, err := site.AppendBundle(&enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != len(snap) {
-					t.Fatalf("key %d (combine %v): AppendBundle reports %d summaries, snapshot has %d", ki, combine, n, len(snap))
-				}
-				got = enc.Bytes()
+			if n > 1 {
+				restarted++
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("key %d %v (combine %v): site bundle %x, snapshot bundle %x", ki, evs, combine, got, want)
-			}
+			got = enc.Bytes()
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %d %v: site bundle %x, snapshot bundle %x", ki, evs, got, want)
 		}
 	}
-	return ident, restarted, combined, evented
+	return ident, restarted, evented
 }
 
 // siteKeys is a seeded key mix in the shapes a high-cardinality chunk
@@ -123,7 +107,7 @@ func siteKeys(r *rand.Rand, n, span int) [][]int64 {
 // EncodeSummaryBundle produce — for forking, vector-carrying and
 // predicate states, with and without a memo, for keys that restart
 // (path cap → several summaries), keys that ship their events and
-// all-identity keys, combiner on and off.
+// all-identity keys.
 func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 	caps := []Options{
 		DefaultOptions(),
@@ -135,14 +119,14 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 			// Both forms, each with and without a memo across the caps.
 			events := memo != (oi == 1)
 			r := rand.New(rand.NewSource(int64(100 + oi)))
-			var restarted, combined, evented int
-			tally := func(_, rs, cb, ev int) { restarted, combined, evented = restarted+rs, combined+cb, evented+ev }
+			var restarted, evented int
+			tally := func(_, rs, ev int) { restarted, evented = restarted+rs, evented+ev }
 			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, memo, events, siteKeys(r, 300, 30)))
 			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, memo, events, siteKeys(r, 300, 40)))
 			tally(checkSiteBundles(t, newLogState, logUpdate, opts, memo, events, siteKeys(r, 200, 25)))
 			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, memo, events, siteKeys(r, 300, 2)))
-			if opts.MaxLivePaths == 1 && (restarted == 0 || combined == 0) {
-				t.Errorf("cap 1, memo %v: %d keys restarted, %d combined — the multi-summary bundle went unchecked", memo, restarted, combined)
+			if opts.MaxLivePaths == 1 && restarted == 0 {
+				t.Errorf("cap 1, memo %v: no key restarted — the multi-summary bundle went unchecked", memo)
 			}
 			if events && evented == 0 {
 				t.Errorf("memo %v: no key shipped its event", memo)
@@ -160,7 +144,7 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		}
 		keys = append(keys, evs)
 	}
-	if ident, _, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, false, keys); ident < 100 {
+	if ident, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, false, keys); ident < 100 {
 		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
 	}
 	// With the event codec a key of at most maxEventGroup zeros ships its
@@ -175,7 +159,7 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		}
 		keys = append(keys, evs)
 	}
-	if ident, _, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev < 100 {
+	if ident, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev < 100 {
 		t.Errorf("with events: %d keys took the identity bundle and %d their events", ident, ev)
 	}
 }

@@ -176,15 +176,6 @@ func RunSymple[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf C
 	return core.RunSymple(q, segments, conf)
 }
 
-// SympleOptions tunes the SYMPLE engine: a mapper-side combiner
-// (pre-composing each group's summaries before the shuffle).
-type SympleOptions = core.SympleOptions
-
-// RunSympleOpts is RunSymple with explicit engine options.
-func RunSympleOpts[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf Config, opt SympleOptions) (*Output[R], error) {
-	return core.RunSympleOpts(q, segments, conf, opt)
-}
-
 // ReadSegments loads ordered input segments from a directory of
 // newline-delimited files written by cmd/datagen.
 func ReadSegments(dir string) ([]*Segment, error) {

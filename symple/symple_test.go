@@ -101,11 +101,7 @@ func TestFacadeQueryEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := symple.RunSympleOpts(q, segs, symple.Config{NumReducers: 2}, symple.SympleOptions{Combine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []*symple.Output[int64]{seq, base, symp, comb} {
+	for _, out := range []*symple.Output[int64]{seq, base, symp} {
 		if out.Results["a"] != 42 || out.Results["b"] != 100 {
 			t.Fatalf("results: %v", out.Results)
 		}
