@@ -61,14 +61,12 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 }
 
 // batchExec is the exec site one map attempt runs on: the executor —
-// which owns every path container the attempt touches, the memo's
-// transitions included — and the scratch a chunk is staged in. A key
-// that passes through owns nothing but its bundle's bytes. Pooled per
-// engine run (the sympleMapFunc closure) so the memo — whose cached
-// transitions depend only on the schema and update function, never on
-// the chunk — persists across chunks instead of being allocated,
-// rebuilt, and torn down once per chunk, and the executor's identity
-// caches, power ladder and container stack stay warm. A site is pooled
+// which owns every path container the attempt touches — and the scratch
+// a chunk is staged in. A key that passes through owns nothing but its
+// bundle's bytes. Pooled per engine run (the sympleMapFunc closure) so
+// the executor's identity caches, power ladder and container stack —
+// which depend only on the schema and update function, never on the
+// chunk — stay warm across chunks. A site is pooled
 // again only by the attempt that ran it to the end: one that errored
 // or was killed mid-chunk is simply dropped. used marks an executor
 // that has fed keys since its last Reset and so needs one before its
@@ -130,8 +128,6 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 	dst.Runs += cur.Runs - prev.Runs
 	dst.Merges += cur.Merges - prev.Merges
 	dst.Restarts += cur.Restarts - prev.Restarts
-	dst.MemoHits += cur.MemoHits - prev.MemoHits
-	dst.MemoMisses += cur.MemoMisses - prev.MemoMisses
 	dst.RunProbes += cur.RunProbes - prev.RunProbes
 	dst.Events += cur.Events - prev.Events
 }
@@ -169,13 +165,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 	out := chunkResult{}
 	be := pool.get()
 	if be == nil {
-		// One memo serves every key: transitions are built from the fully
-		// symbolic state, so they are key-independent.
-		var memo *sym.Memo[S, E]
-		if n := int(memoSize.Load()); n >= 0 {
-			memo = sym.NewMemo[S, E](sc, n)
-		}
-		be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo)}
+		be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options)}
 	}
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -40,10 +39,6 @@ const (
 	// MetricSummaryBytes is a histogram of encoded summary-bundle sizes
 	// as shipped to the shuffle, one observation per (mapper, group).
 	MetricSummaryBytes = "summary_bytes"
-	// MetricMemoHits / MetricMemoMisses count records folded through the
-	// record-transition cache vs records that required path exploration.
-	MetricMemoHits   = "memo_hits"
-	MetricMemoMisses = "memo_misses"
 	// MetricMemoRunProbes counts runs of identical events the batch path
 	// handled with a single transition probe.
 	MetricMemoRunProbes = "memo_run_probes"
@@ -132,11 +127,6 @@ type SymStats struct {
 	// groups that ship their events instead (Events of them).
 	Summaries int
 	Events    int
-	// MemoHits/MemoMisses count records folded through the
-	// record-transition cache vs records that required path exploration
-	// (both zero when memoization is off).
-	MemoHits   int
-	MemoMisses int
 	// RunProbes counts runs of identical events the executor folded
 	// through a single transition probe.
 	RunProbes int
@@ -304,18 +294,6 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 		return nil, err
 	}
 	return &Output[R]{Results: results, Metrics: metrics}, nil
-}
-
-// memoSize is each new exec site's record-transition cache capacity
-// (sym.NewMemo): 0 is sym.DefaultMemoSize, negative none.
-var memoSize atomic.Int64
-
-// SetMemoSizeForTest sets memoSize and returns a func restoring it: a
-// test hook, for the engine with the memo off or under constant
-// eviction, which must not change a byte.
-func SetMemoSizeForTest(n int) (restore func()) {
-	old := memoSize.Swap(int64(n))
-	return func() { memoSize.Store(old) }
 }
 
 // RunSymple executes the query with symbolic parallelism: each mapper

@@ -13,7 +13,7 @@ import (
 // by a cluster worker. The worker executes assignments through this
 // function and mapreduce.ExecuteMap, so the bytes it ships are the
 // bytes the in-process engine would have produced for the same
-// (task, segment) pair: groupby, symbolic execution and memoization all
+// (task, segment) pair: groupby, symbolic execution and run folding all
 // behave identically, which is what the transport
 // differential tests pin down.
 //
@@ -30,11 +30,11 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (m
 }
 
 // SympleMappers returns a maker of SympleMapper mappers that share one
-// compiled schema and one executor/memo pool. A caller that outlives
-// its jobs (the query service) makes it once per query and a mapper per
-// job, bound to that job's trace: the next job finds the executors, memo
-// and path containers the last one left instead of building — and
-// dropping — its own.
+// compiled schema and one executor pool. A caller that outlives its
+// jobs (the query service) makes it once per query and a mapper per
+// job, bound to that job's trace: the next job finds the executors and
+// path containers the last one left instead of building — and dropping
+// — its own.
 func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -54,10 +54,8 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Tr
 // Config.Parallelism across tasks is the map-side parallelism), then one
 // emitted summary bundle per group and the task's counts.
 //
-// pool is the exec-site pool every chunk draws from: memoized
-// transitions depend only on the schema and update function, so the
-// memo built by early chunks answers probes for every later chunk, and
-// reused executors keep identity caches and containers warm.
+// pool is the exec-site pool every chunk draws from: reused executors
+// keep their identity caches, power ladders and containers warm.
 func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		out, err := symExecChunk(q, sc, pool, seg, trace, mapperID)
@@ -80,8 +78,6 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			emit(key, out.lastRec[i], out.bundles[i])
 		}
 		if reg != nil {
-			lreg.Counter(MetricMemoHits).Add(int64(local.MemoHits))
-			lreg.Counter(MetricMemoMisses).Add(int64(local.MemoMisses))
 			if local.RunProbes > 0 {
 				lreg.Counter(MetricMemoRunProbes).Add(int64(local.RunProbes))
 			}
@@ -94,8 +90,6 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		stats.Restarts += local.Restarts
 		stats.Summaries += local.Summaries
 		stats.Events += local.Events
-		stats.MemoHits += local.MemoHits
-		stats.MemoMisses += local.MemoMisses
 		stats.RunProbes += local.RunProbes
 		stats.ExecWall += local.ExecWall
 		mu.Unlock()

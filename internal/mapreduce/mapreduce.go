@@ -168,18 +168,19 @@ type TaskMetrics struct {
 	Duration   time.Duration
 	InputBytes int64
 	// Records counts the task's input: segment records for map tasks,
-	// key groups for reduce tasks. Combined with Duration it yields the
-	// per-task records/sec the symexec experiment reports.
+	// key groups for reduce tasks. The reduce tasks' sum is
+	// Metrics.Groups.
 	Records int64
 	// OutBytes is, for map tasks, the wire bytes destined to each
 	// reducer — the encoded (and, under CompressShuffle, compressed)
-	// segment sizes actually shipped; for reduce tasks it is nil.
+	// segment sizes actually shipped; for reduce tasks it is nil. Its sum
+	// is Metrics.ShuffleBytes; the cluster simulator charges transfer
+	// time against it.
 	OutBytes []int64
 	// LogicalOutBytes is, for map tasks, the per-reducer logical volume:
 	// the records' legacy Hadoop-style framing before dictionary/delta
-	// encoding and compression. The cluster simulator charges
-	// (de)compression CPU against this and transfer time against
-	// OutBytes. Nil for reduce tasks.
+	// encoding and compression. Its sum is Metrics.ShuffleLogicalBytes.
+	// Nil for reduce tasks.
 	LogicalOutBytes []int64
 }
 

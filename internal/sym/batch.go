@@ -14,8 +14,8 @@ import "repro/internal/wire"
 //   - Run folding (feedRun): a run of identical events (≥ minRunLen, or
 //     any whole-vector run — high-cardinality groups are often two or
 //     three identical events) has one transition summary T; instead of
-//     probing the memo once per record, the run costs one probe
-//     (stats.RunProbes) and the fold is either skipped outright (T is
+//     exploring each record, the run costs one probe — one build of T
+//     (stats.RunProbes) — and the fold is either skipped outright (T is
 //     the identity — e.g. a push event on a push-only group) or applied
 //     as T^n by square-and-multiply (composition is associative and
 //     exact, §3.6, and powers of one transition commute). Two per-event
@@ -81,7 +81,7 @@ func (x *Executor[S, E]) feedBatch(evs []E) {
 				j := i + x.identScan(evs[i:], evs[i])
 				x.stats.RunProbes++
 				x.stats.Records += j - i
-				x.noForkRun = min(x.noForkRun+(j-i), memoQuietStreak)
+				x.noForkRun = min(x.noForkRun+(j-i), windowQuiet)
 				i = j
 				continue
 			}
@@ -160,7 +160,7 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	}
 	x.stats.RunProbes++
 	x.stats.Records += len(evs)
-	x.noForkRun = min(x.noForkRun+len(evs), memoQuietStreak)
+	x.noForkRun = min(x.noForkRun+len(evs), windowQuiet)
 	return x.identBundle
 }
 
@@ -276,7 +276,7 @@ func (x *Executor[S, E]) feedWindow(evs []E) int {
 			// Swallow the whole identity run with one stats update.
 			j := k + x.identScan(evs[k:], hot)
 			x.stats.Records += j - k
-			x.noForkRun = min(x.noForkRun+(j-k), memoQuietStreak)
+			x.noForkRun = min(x.noForkRun+(j-k), windowQuiet)
 			k = j - 1
 			continue
 		}
@@ -320,7 +320,7 @@ func (x *Executor[S, E]) feedWindow(evs []E) int {
 			return k + 1
 		}
 		x.stats.Records++
-		x.noForkRun = min(x.noForkRun+1, memoQuietStreak)
+		x.noForkRun = min(x.noForkRun+1, windowQuiet)
 		if len(x.paths) == 1 && allConcreteFields(x.paths[0].fs) {
 			// The single live path went fully concrete mid-window (a
 			// gate-style UDA collapsing on its first advancing event).
@@ -392,17 +392,7 @@ func (x *Executor[S, E]) saveCkpt() {
 // feed loop, so feedRun never gives up correctness, only speed.
 func (x *Executor[S, E]) feedRun(ev E, n int) {
 	x.stats.RunProbes++
-	var tr *transition[S]
-	owned := false
-	if x.memo != nil && x.memo.active() {
-		tr = x.lookupTransition(ev)
-	}
-	if tr == nil {
-		// No memo, memo declined admission, or a negative entry: a run
-		// amortizes one ephemeral build across n records, so try anyway.
-		tr = x.buildTransition(ev)
-		owned = tr != nil
-	}
+	tr := x.buildTransition(ev)
 	if tr == nil {
 		x.feedLoop(ev, n)
 		return
@@ -422,13 +412,11 @@ func (x *Executor[S, E]) feedRun(ev E, n int) {
 		// T is the identity on every state, so T^n is too: the run
 		// advances no path and only the record count moves.
 		x.stats.Records += n
-		x.noForkRun = min(x.noForkRun+n, memoQuietStreak)
-		if owned {
-			x.releaseTransition(tr)
-		}
+		x.noForkRun = min(x.noForkRun+n, windowQuiet)
+		x.releaseTransition(tr)
 		return
 	}
-	pow, powOwned := x.powerRun(ev, tr, owned, n)
+	pow, powOwned := x.powerRun(ev, tr, n)
 	if pow == nil {
 		x.feedLoop(ev, n)
 		return
@@ -490,27 +478,22 @@ func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 // commute, so the fold order cannot change results.
 //
 // The squaring ladder T^(2^k) is cached on the executor, keyed by the
-// event (not the transition pointer — memo eviction may rebuild the
-// transition, but rebuilding is deterministic, so the event alone
+// event (building a transition is deterministic, so the event alone
 // determines the ladder). One chunk's keys repeat the same run events,
 // so after the first key a powered run costs only the popcount(n)-1
 // multiply steps, with the ladder extended lazily when a longer run
-// needs higher rungs. Returns nil when any intermediate fails to compose
+// needs higher rungs. tr, the run event's freshly built transition, is
+// adopted as the ladder's base or, when the ladder already carries this
+// event, released. Returns nil when any intermediate fails to compose
 // or exceeds the live-path cap; the caller falls back to the scalar
 // loop. The returned transition is borrowed from the ladder (owned =
 // false) when n is a power of two.
-func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], owned bool, n int) (*transition[S], bool) {
+func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], n int) (*transition[S], bool) {
 	if len(x.ladder) == 0 || !x.eq(ev, x.ladderEv) {
 		x.resetLadder()
-		base := tr
-		if !owned {
-			// The memo keeps tr; the ladder owns its rungs.
-			base = x.cloneTransition(tr)
-		}
-		x.ladder = append(x.ladder, base)
+		x.ladder = append(x.ladder, tr)
 		x.ladderEv = ev
-	} else if owned {
-		// The ladder already carries this event's base transition.
+	} else {
 		x.releaseTransition(tr)
 	}
 	var result *transition[S]
@@ -543,16 +526,6 @@ func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], owned bool, n int) (*
 		n >>= 1
 	}
 	return result, resultOwned
-}
-
-// cloneTransition deep-copies a transition into containers owned by the
-// caller.
-func (x *Executor[S, E]) cloneTransition(tr *transition[S]) *transition[S] {
-	ps := make([]*pathState[S], len(tr.ps))
-	for i, p := range tr.ps {
-		ps[i] = x.cloneOf(p)
-	}
-	return &transition[S]{ps: ps}
 }
 
 // resetLadder releases every cached ladder rung (all rungs are owned by

@@ -19,43 +19,37 @@ import (
 
 // runFastBatch drives the schema engine through FeedBatch, cutting the
 // stream at the given boundaries (each entry is an absolute index; the
-// final slice runs to the end). memoSize < 0 disables memoization.
-func runFastBatch[S State, E any](tb testing.TB, newState func() S, update func(*Ctx, S, E), opts Options, memoSize int, stream []E, cuts []int) ([]byte, Stats) {
+// final slice runs to the end).
+func runFastBatch[S State, E any](tb testing.TB, newState func() S, update func(*Ctx, S, E), opts Options, stream []E, cuts []int) ([]byte, Stats) {
 	tb.Helper()
-	sc := newSchema(newState)
-	x := NewSchemaExecutor(sc, update, opts)
-	if memoSize >= 0 {
-		x = x.WithMemo(NewMemo[S, E](sc, memoSize))
-	}
+	x := NewSchemaExecutor(newSchema(newState), update, opts)
 	lo := 0
 	for _, hi := range append(append([]int{}, cuts...), len(stream)) {
 		if err := x.FeedBatch(stream[lo:hi]); err != nil {
-			tb.Fatalf("batch(memo=%d) feed [%d:%d): %v", memoSize, lo, hi, err)
+			tb.Fatalf("batch feed [%d:%d): %v", lo, hi, err)
 		}
 		lo = hi
 	}
 	sums, err := x.Finish()
 	if err != nil {
-		tb.Fatalf("batch(memo=%d) finish: %v", memoSize, err)
+		tb.Fatalf("batch finish: %v", err)
 	}
 	return encodeSummaries(tb, sums), x.Stats()
 }
 
-// checkBatchEquiv compares FeedBatch against the scalar Feed loop at
-// several memo sizes and batch cuts.
+// checkBatchEquiv compares FeedBatch, cut at the given boundaries,
+// against the scalar Feed loop.
 func checkBatchEquiv[S State, E any](tb testing.TB, label string, newState func() S, update func(*Ctx, S, E), opts Options, stream []E, cuts []int) {
 	tb.Helper()
-	for _, memoSize := range []int{-1, 0, 2} {
-		want, wstats := runFast(tb, newState, update, opts, memoSize, stream)
-		got, gstats := runFastBatch(tb, newState, update, opts, memoSize, stream, cuts)
-		if !bytes.Equal(got, want) {
-			tb.Fatalf("%s memo=%d cuts=%v: batch summaries diverge from scalar loop (%d vs %d bytes)",
-				label, memoSize, cuts, len(got), len(want))
-		}
-		if gstats.Records != wstats.Records || gstats.Restarts != wstats.Restarts {
-			tb.Fatalf("%s memo=%d cuts=%v: stats diverge: records %d/%d restarts %d/%d",
-				label, memoSize, cuts, gstats.Records, wstats.Records, gstats.Restarts, wstats.Restarts)
-		}
+	want, wstats := runFast(tb, newState, update, opts, stream)
+	got, gstats := runFastBatch(tb, newState, update, opts, stream, cuts)
+	if !bytes.Equal(got, want) {
+		tb.Fatalf("%s cuts=%v: batch summaries diverge from scalar loop (%d vs %d bytes)",
+			label, cuts, len(got), len(want))
+	}
+	if gstats.Records != wstats.Records || gstats.Restarts != wstats.Restarts {
+		tb.Fatalf("%s cuts=%v: stats diverge: records %d/%d restarts %d/%d",
+			label, cuts, gstats.Records, wstats.Records, gstats.Restarts, wstats.Restarts)
 	}
 }
 
@@ -167,6 +161,54 @@ func TestBatchEquivalencePathCapRestarts(t *testing.T) {
 	checkBatchEquiv(t, "restarts", newIntState(math.MinInt64), maxUpdate, opts, stream, []int{100, 200})
 }
 
+// negState keeps one field (B) symbolic forever, so the executor never
+// enters its concrete fast mode, while the UDA below reads the other
+// field (A) concretely: readable on the live path once event 0
+// concretizes it, unreadable while a run's transition is built from the
+// fully symbolic state.
+type negState struct {
+	A SymInt
+	B SymInt
+}
+
+func (s *negState) Fields() []Value { return []Value{&s.A, &s.B} }
+
+func newNegState() *negState { return &negState{A: NewSymInt(0), B: NewSymInt(5)} }
+
+// TestBatchRunUnbuildableTransition: a run whose transition cannot be
+// built from the fully symbolic state still costs one probe, then falls
+// back to the scalar feed, which explores the live path.
+func TestBatchRunUnbuildableTransition(t *testing.T) {
+	update := func(ctx *Ctx, s *negState, e int64) {
+		if e == 0 {
+			s.A.Set(0) // concretizes A; buildable symbolically
+		} else {
+			s.A.Set(s.A.Get() + e) // concrete read; not buildable symbolically
+		}
+	}
+	stream := []int64{0, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+	checkBatchEquiv(t, "unbuildable", newNegState, update, DefaultOptions(), stream, nil)
+
+	x := NewSchemaExecutor(newSchema(newNegState), update, DefaultOptions())
+	if err := x.FeedBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.Stats(); st.RunProbes != 1 {
+		t.Errorf("%d run probes, want 1 for the run of 7s", st.RunProbes)
+	}
+	sums, err := x.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sums[len(sums)-1].ApplyStrict(newNegState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.A.Get() != 63 {
+		t.Fatalf("A = %d, want 63", got.A.Get())
+	}
+}
+
 func TestFeedBatchEmptyAndErrorStickiness(t *testing.T) {
 	x := NewSchemaExecutor(newSchema(newIntState(0)), addUpdate, DefaultOptions())
 	if err := x.FeedBatch(nil); err != nil {
@@ -201,9 +243,7 @@ func BenchmarkRunProbe(b *testing.B) {
 	for i := range stream {
 		stream[i] = 3
 	}
-	sc := newSchema(newIntState(0))
-	x := NewSchemaExecutor(sc, addUpdate, DefaultOptions()).
-		WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
+	x := NewSchemaExecutor(newSchema(newIntState(0)), addUpdate, DefaultOptions())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -223,9 +263,7 @@ func BenchmarkRunProbe(b *testing.B) {
 // keyedGroupBlock groups, so per-group cost is ns/op divided by it.
 func BenchmarkBatchKeyedGroups(b *testing.B) {
 	const keyedGroupBlock = 512
-	sc := newSchema(newIntState(0))
-	x := NewSchemaExecutor(sc, gateUpdate, DefaultOptions()).
-		WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
+	x := NewSchemaExecutor(newSchema(newIntState(0)), gateUpdate, DefaultOptions())
 	evs := []int64{0, 0, 0}
 	var enc wire.Encoder
 	first := true

@@ -97,7 +97,7 @@ func BenchmarkEngineFeedSessionPred(b *testing.B) {
 
 // BenchmarkSymExec is the symexec hot-loop benchmark the CI smoke
 // tracks: the per-record cost of the seed engine vs the compiled-schema
-// engine, bare and memoized, on the max UDA over a skewed event stream.
+// engine on the max UDA over a skewed event stream.
 func BenchmarkSymExec(b *testing.B) {
 	feedLoop := func(b *testing.B, x interface {
 		Feed(int64) error
@@ -116,12 +116,6 @@ func BenchmarkSymExec(b *testing.B) {
 	})
 	b.Run("fast", func(b *testing.B) {
 		feedLoop(b, NewExecutor(newIntState(math.MinInt64), maxUpdate, DefaultOptions()))
-	})
-	b.Run("memo", func(b *testing.B) {
-		sc := newSchema(newIntState(math.MinInt64))
-		x := NewSchemaExecutor(sc, maxUpdate, DefaultOptions()).
-			WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
-		feedLoop(b, x)
 	})
 }
 

@@ -42,16 +42,10 @@ func (o Options) withDefaults() Options {
 // Stats counts the work an Executor performed.
 type Stats struct {
 	Records  int // records fed
-	Runs     int // Update invocations (≥ Records when unmemoized; the symbolic overhead)
+	Runs     int // Update invocations (the symbolic overhead; run folding can keep it below Records)
 	MaxLive  int // peak live paths after merging
 	Merges   int // path pairs merged
 	Restarts int // summaries emitted due to the live-path cap
-	// MemoHits counts records folded through a cached record-transition
-	// summary instead of path exploration; MemoMisses counts records
-	// that had to explore (first sighting, eviction, or a record whose
-	// transition cannot be cached). Both stay zero without a memo.
-	MemoHits   int
-	MemoMisses int
 	// RunProbes counts runs of identical events handled by FeedBatch
 	// with a single transition probe (identity skip or transition
 	// powering) instead of per-record processing.
@@ -68,16 +62,11 @@ type Stats struct {
 //
 // The executor is an exec site: it is driven by a compiled Schema and
 // owns the containers its path states live in — live paths, summaries
-// closed by a restart, checkpoints, the power ladder and (through the
-// memo attached to it) cached transitions all draw from and retire to
-// its private stack, so the per-record clone/merge/compose work runs with
-// zero State.Fields calls, no steady-state allocation and no
-// synchronization. A key that runs through it owns nothing but the bytes
-// AppendBundle leaves. With a Memo attached (WithMemo),
-// records whose transition summary is already cached skip exploration
-// entirely and fold into every live path via summary composition
-// (§3.6) — byte-identical to direct exploration, pinned by the
-// seed-equivalence tests against the frozen seed executor.
+// closed by a restart, checkpoints, run transitions and the power ladder
+// all draw from and retire to its private stack, so the per-record
+// clone/merge/compose work runs with zero State.Fields calls, no
+// steady-state allocation and no synchronization. A key that runs
+// through it owns nothing but the bytes AppendBundle leaves.
 //
 // The zero Executor is not usable; construct with NewExecutor (symbolic
 // start, for mappers), NewConcreteExecutor (concrete start, for the
@@ -90,16 +79,11 @@ type Executor[S State, E any] struct {
 	ctx     Ctx
 	paths   []*pathState[S]
 	scratch []*pathState[S] // recycled backing array for the next-paths slice
-	memo    *Memo[S, E]
-	senv    SymEnv // reused scratch for memo-fold composition
+	senv    SymEnv          // reused scratch for transition composition
 	// noForkRun counts consecutive records whose processing produced no
-	// fork (every live path advanced to exactly one successor, whether by
-	// exploration or by memo composition — the two are byte-identical, so
-	// either observation is valid). Once the streak reaches
-	// memoQuietStreak the memo is bypassed: on a non-forking stream a
-	// single direct Update run is strictly cheaper than cloning and
-	// composing a cached transition, and even the cache lookup is pure
-	// overhead. Any fork resets the streak and re-engages the memo.
+	// fork (every live path advanced to exactly one successor), capped at
+	// windowQuiet: once it reaches the cap, FeedBatch runs in-place
+	// windows (batch.go). Any fork resets it.
 	noForkRun int
 	// fastConcrete caches "exactly one live path and it is fully
 	// concrete". Concreteness is monotone within a path (no operation
@@ -142,7 +126,7 @@ type Executor[S State, E any] struct {
 	// verdict is a deterministic property of the event alone (transitions
 	// are built from the fresh symbolic state), so one check serves every
 	// later run of the same event — and a run of a known-identity event
-	// is skipped outright, with no memo probe and under any regime. A
+	// is skipped outright, with no transition build and under any regime. A
 	// multi-entry cache matters: corpora interleave identity and
 	// non-identity runs, and a single-entry cache thrashes between them.
 	// Survives Reset for the same reason noForkRun does.
@@ -157,10 +141,10 @@ type Executor[S State, E any] struct {
 	identHotSet bool
 	// ladder caches the square-and-multiply ladder of the last powered
 	// run event: ladder[k] = T^(2^k) for ladderEv's transition, rungs
-	// owned by the executor. The memo's transitions are key-independent
-	// and one chunk's keys repeat the same run events, so after the first
-	// key a powered run costs popcount(n)-1 compositions instead of a
-	// full ladder rebuild. Survives Reset like the memo does.
+	// owned by the executor. Transitions are key-independent and one
+	// chunk's keys repeat the same run events, so after the first key a
+	// powered run costs popcount(n)-1 compositions instead of a full
+	// ladder rebuild. Survives Reset.
 	ladderEv E
 	ladder   []*transition[S]
 	// identBundle is the encoded bundle of an all-identity key — one
@@ -221,20 +205,6 @@ func NewConcreteExecutor[S State, E any](newState func() S, update func(*Ctx, S,
 	return x
 }
 
-// WithMemo attaches a record-transition memo, which must have been built
-// over the same schema the executor runs on. It returns the executor for
-// chaining. Call before the first Feed.
-func (x *Executor[S, E]) WithMemo(m *Memo[S, E]) *Executor[S, E] {
-	if m == nil {
-		return x
-	}
-	if m.sc != x.sc {
-		panic("sym: memo schema does not match executor schema")
-	}
-	x.memo = m
-	return x
-}
-
 // Feed processes one input record, advancing every live path. A returned
 // error (path explosion, overflow) is sticky: the executor is dead.
 func (x *Executor[S, E]) Feed(rec E) (err error) {
@@ -279,10 +249,6 @@ func (x *Executor[S, E]) feed(rec E) {
 		x.update(&x.ctx, x.paths[0].s, rec)
 		return
 	}
-	var tr *transition[S]
-	if x.memo != nil && x.memo.active() && x.noForkRun < memoQuietStreak {
-		tr = x.lookupTransition(rec)
-	}
 	next := x.scratch[:0]
 	for _, p := range x.paths {
 		if allConcreteFields(p.fs) {
@@ -294,14 +260,6 @@ func (x *Executor[S, E]) feed(rec E) {
 			x.update(&x.ctx, p.s, rec)
 			next = append(next, p)
 			continue
-		}
-		if tr != nil {
-			var ok bool
-			next, ok = x.composeOnto(next, p, tr)
-			if ok {
-				x.put(p)
-				continue
-			}
 		}
 		next = x.explore(next, p, rec)
 		// p was replaced by its clones and is never referenced again:
@@ -320,7 +278,7 @@ func (x *Executor[S, E]) settle(next []*pathState[S], records int) {
 	if len(next) > len(x.paths) {
 		x.noForkRun = 0
 	} else {
-		x.noForkRun = min(x.noForkRun+records, memoQuietStreak)
+		x.noForkRun = min(x.noForkRun+records, windowQuiet)
 	}
 	x.scratch = x.paths
 	x.paths = next
@@ -367,29 +325,10 @@ func (x *Executor[S, E]) explore(next []*pathState[S], p *pathState[S], rec E) [
 	return next
 }
 
-// lookupTransition returns the record's cached transition summary,
-// building and caching it on first sight. nil means the record cannot be
-// folded through the memo (its transition failed to build) and must be
-// explored directly.
-func (x *Executor[S, E]) lookupTransition(rec E) *transition[S] {
-	tr, cached := x.memo.get(rec)
-	if !cached {
-		x.stats.MemoMisses++
-		if !x.memo.admit() {
-			return nil
-		}
-		tr = x.buildTransition(rec)
-		if old := x.memo.add(rec, tr); old != nil {
-			x.putAll(old.ps)
-		}
-		return tr
-	}
-	if tr != nil {
-		x.stats.MemoHits++
-	} else {
-		x.stats.MemoMisses++
-	}
-	return tr
+// transition is a record-transition summary T_rec: the set of path
+// states produced by exploring one record from the fully symbolic state.
+type transition[S State] struct {
+	ps []*pathState[S]
 }
 
 // buildTransition explores the record once from a fresh symbolic state,
@@ -405,7 +344,7 @@ func (x *Executor[S, E]) lookupTransition(rec E) *transition[S] {
 // exploration would not — more branches are feasible, so the
 // MaxRunsPerRecord cap bites earlier, and user code may read a value
 // that only the live path binds. Any such failure is swallowed here and
-// the record reported as non-memoizable (nil).
+// the transition reported as unbuildable (nil).
 func (x *Executor[S, E]) buildTransition(rec E) (tr *transition[S]) {
 	var built []*pathState[S]
 	defer func() {
@@ -423,13 +362,13 @@ func (x *Executor[S, E]) buildTransition(rec E) (tr *transition[S]) {
 	return &transition[S]{ps: built}
 }
 
-// composeOnto folds the cached transition onto live path p (paper
-// §3.6). When the composition aborts (e.g. transfer-coefficient overflow
-// that direct execution on p's concrete values would not hit) or no
-// transition path admits p — a valid transition partitions the state
-// space, so that means the combination could not be represented — it
-// reports ok=false with next as it was, and the caller falls back to
-// direct exploration; p is never mutated.
+// composeOnto folds a transition onto live path p (paper §3.6). When the
+// composition aborts (e.g. transfer-coefficient overflow that direct
+// execution on p's concrete values would not hit) or no transition path
+// admits p — a valid transition partitions the state space, so that
+// means the combination could not be represented — it reports ok=false
+// with next as it was, and the caller falls back to the scalar feed; p
+// is never mutated.
 func (x *Executor[S, E]) composeOnto(next []*pathState[S], p *pathState[S], tr *transition[S]) ([]*pathState[S], bool) {
 	out, err := x.composeAfter(next, p, tr.ps, &x.senv)
 	return out, err == nil && len(out) > len(next)
@@ -489,7 +428,7 @@ func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 }
 
 // Reset returns the executor to a fresh symbolic start for a new input
-// stream, retaining its schema, memo, options, scratch buffers and
+// stream, retaining its schema, options, caches, scratch buffers and
 // cumulative Stats. One resettable executor can serve every group of a
 // map chunk in turn — for high-cardinality queries the per-group
 // constructor cost, not the per-record cost, dominated the mapper's
@@ -517,7 +456,7 @@ func (x *Executor[S, E]) Reset() {
 	// noForkRun deliberately survives Reset: forking behavior is a
 	// property of the query's Update function and event mix, not of the
 	// group, so a quiet streak learned on one group's stream carries to
-	// the next. Any fork still re-engages the memo immediately.
+	// the next. Any fork still resets it.
 }
 
 // ConcreteState returns the single live state of a concrete execution.

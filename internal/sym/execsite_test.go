@@ -18,16 +18,13 @@ import (
 // returns how many keys took the identity shortcut, restarted and
 // shipped their events, so callers can reject a vacuous pass.
 func checkSiteBundles[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
-	opts Options, memo, events bool, keys [][]int64) (ident, restarted, evented int) {
+	opts Options, events bool, keys [][]int64) (ident, restarted, evented int) {
 	t.Helper()
 	sc := newSchema(newState)
 	if events {
 		sc = eventSchema(t, newState, update)
 	}
 	site := NewSchemaExecutor(sc, update, opts)
-	if memo {
-		site = site.WithMemo(NewMemo[S, int64](sc, 8))
-	}
 	var enc wire.Encoder
 	used := false
 	for ki, evs := range keys {
@@ -105,9 +102,8 @@ func siteKeys(r *rand.Rand, n, span int) [][]int64 {
 // TestExecSiteBundleMatchesSnapshot: what a map task appends straight
 // from a reused executor's paths is byte for byte what Finish +
 // EncodeSummaryBundle produce — for forking, vector-carrying and
-// predicate states, with and without a memo, for keys that restart
-// (path cap → several summaries), keys that ship their events and
-// all-identity keys.
+// predicate states, in both forms, for keys that restart (path cap →
+// several summaries), keys that ship their events and all-identity keys.
 func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 	caps := []Options{
 		DefaultOptions(),
@@ -115,21 +111,19 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		{MaxLivePaths: 1, DisableMerging: true},
 	}
 	for oi, opts := range caps {
-		for _, memo := range []bool{false, true} {
-			// Both forms, each with and without a memo across the caps.
-			events := memo != (oi == 1)
+		for _, events := range []bool{false, true} {
 			r := rand.New(rand.NewSource(int64(100 + oi)))
 			var restarted, evented int
 			tally := func(_, rs, ev int) { restarted, evented = restarted+rs, evented+ev }
-			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, memo, events, siteKeys(r, 300, 30)))
-			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, memo, events, siteKeys(r, 300, 40)))
-			tally(checkSiteBundles(t, newLogState, logUpdate, opts, memo, events, siteKeys(r, 200, 25)))
-			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, memo, events, siteKeys(r, 300, 2)))
+			tally(checkSiteBundles(t, newIntState(math.MinInt64), maxUpdate, opts, events, siteKeys(r, 300, 30)))
+			tally(checkSiteBundles(t, newPredState, sessionUpdate, opts, events, siteKeys(r, 300, 40)))
+			tally(checkSiteBundles(t, newLogState, logUpdate, opts, events, siteKeys(r, 200, 25)))
+			tally(checkSiteBundles(t, newT1Shape, t1ShapeUpdate, opts, events, siteKeys(r, 300, 2)))
 			if opts.MaxLivePaths == 1 && restarted == 0 {
-				t.Errorf("cap 1, memo %v: no key restarted — the multi-summary bundle went unchecked", memo)
+				t.Errorf("cap 1, events %v: no key restarted — the multi-summary bundle went unchecked", events)
 			}
 			if events && evented == 0 {
-				t.Errorf("memo %v: no key shipped its event", memo)
+				t.Errorf("cap %d: no key shipped its event", opts.MaxLivePaths)
 			}
 		}
 	}
@@ -144,7 +138,7 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		}
 		keys = append(keys, evs)
 	}
-	if ident, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, false, keys); ident < 100 {
+	if ident, _, _ := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), false, keys); ident < 100 {
 		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
 	}
 	// With the event codec a key of at most maxEventGroup zeros ships its
@@ -159,7 +153,7 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		}
 		keys = append(keys, evs)
 	}
-	if ident, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, true, keys); ident < 50 || ev < 100 {
+	if ident, _, ev := checkSiteBundles(t, newIntState(0), gateUpdate, DefaultOptions(), true, keys); ident < 50 || ev < 100 {
 		t.Errorf("with events: %d keys took the identity bundle and %d their events", ident, ev)
 	}
 }
@@ -246,8 +240,7 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 		}
 	}
 	for _, sc := range []*Schema[*predState]{newSchema(newPredState), eventSchema(t, newPredState, sessionUpdate)} {
-		site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions()).
-			WithMemo(NewMemo[*predState, int64](sc, DefaultMemoSize))
+		site := NewSchemaExecutor(sc, sessionUpdate, DefaultOptions())
 		events := sc.applyEvent != nil
 		chunk := func() { run(site, keys) }
 		chunk()

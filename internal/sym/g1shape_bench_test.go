@@ -26,9 +26,7 @@ func BenchmarkBatchMixedGate(b *testing.B) {
 		groups[k] = evs
 		total += perKey
 	}
-	sc := newSchema(newIntState(0))
-	x := NewSchemaExecutor(sc, gateUpdate, DefaultOptions()).
-		WithMemo(NewMemo[*intState, int64](sc, DefaultMemoSize))
+	x := NewSchemaExecutor(newSchema(newIntState(0)), gateUpdate, DefaultOptions())
 	var enc wire.Encoder
 	first := true
 	b.ReportAllocs()

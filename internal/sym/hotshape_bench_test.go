@@ -54,18 +54,6 @@ func BenchmarkHotShapeG1(b *testing.B) {
 			}
 		}
 	})
-	b.Run("memo", func(b *testing.B) {
-		sc := newSchema(newG1Shape)
-		x := NewSchemaExecutor(sc, g1ShapeUpdate, DefaultOptions()).
-			WithMemo(NewMemo[*g1Shape, int64](sc, DefaultMemoSize))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := x.Feed(0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkHotShapeR1(b *testing.B) {
@@ -81,18 +69,6 @@ func BenchmarkHotShapeR1(b *testing.B) {
 	})
 	b.Run("fast", func(b *testing.B) {
 		x := NewExecutor(newR1Shape, r1ShapeUpdate, DefaultOptions())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := x.Feed(struct{}{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		sc := newSchema(newR1Shape)
-		x := NewSchemaExecutor(sc, r1ShapeUpdate, DefaultOptions()).
-			WithMemo(NewMemo[*r1Shape, struct{}](sc, DefaultMemoSize))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

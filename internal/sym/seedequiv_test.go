@@ -10,11 +10,10 @@ import (
 )
 
 // The frozen SeedExecutor is the equivalence oracle for the compiled
-// schema + memoized engine: on any record stream the two must produce
+// schema engine: on any record stream the two must produce
 // byte-identical summaries and identical restart behaviour. These
 // property tests drive both engines over randomized streams — including
-// path-cap restarts and SymPred windowed dependence — at several memo
-// sizes (default, tiny to force eviction, disabled).
+// path-cap restarts and SymPred windowed dependence.
 
 // encodeSummaries serializes a Finish result for byte comparison.
 func encodeSummaries[S State](tb testing.TB, sums []*Summary[S]) []byte {
@@ -45,59 +44,60 @@ func runSeed[S State, E any](tb testing.TB, newState func() S, update func(*Ctx,
 	return encodeSummaries(tb, sums), x.Stats()
 }
 
-// runFast drives the schema-compiled engine, optionally memoized, over
-// the same stream. memoSize < 0 disables memoization.
-func runFast[S State, E any](tb testing.TB, newState func() S, update func(*Ctx, S, E), opts Options, memoSize int, stream []E) ([]byte, Stats) {
+// runFast drives the schema-compiled engine, record by record, over the
+// same stream.
+func runFast[S State, E any](tb testing.TB, newState func() S, update func(*Ctx, S, E), opts Options, stream []E) ([]byte, Stats) {
 	tb.Helper()
-	sc := newSchema(newState)
-	x := NewSchemaExecutor(sc, update, opts)
-	if memoSize >= 0 {
-		x = x.WithMemo(NewMemo[S, E](sc, memoSize))
-	}
+	x := NewSchemaExecutor(newSchema(newState), update, opts)
 	for i, e := range stream {
 		if err := x.Feed(e); err != nil {
-			tb.Fatalf("fast(memo=%d) feed %d: %v", memoSize, i, err)
+			tb.Fatalf("fast feed %d: %v", i, err)
 		}
 	}
 	sums, err := x.Finish()
 	if err != nil {
-		tb.Fatalf("fast(memo=%d) finish: %v", memoSize, err)
+		tb.Fatalf("fast finish: %v", err)
 	}
 	return encodeSummaries(tb, sums), x.Stats()
 }
 
-// checkEquiv runs the oracle and the fast engine at several memo sizes
-// and requires byte-identical summaries plus matching record/restart
+// checkEquiv runs the oracle and the fast engine — record by record and
+// through FeedBatch, whose run folding composes transitions — and
+// requires byte-identical summaries plus matching record/restart
 // accounting.
 func checkEquiv[S State, E any](tb testing.TB, label string, newState func() S, update func(*Ctx, S, E), opts Options, stream []E) {
 	tb.Helper()
 	want, wstats := runSeed(tb, newState, update, opts, stream)
-	for _, memoSize := range []int{-1, 0, 2} {
-		got, gstats := runFast(tb, newState, update, opts, memoSize, stream)
+	check := func(form string, got []byte, gstats Stats) {
+		tb.Helper()
 		if !bytes.Equal(got, want) {
-			tb.Fatalf("%s memo=%d: summaries diverge from seed engine (%d vs %d bytes)",
-				label, memoSize, len(got), len(want))
+			tb.Fatalf("%s %s: summaries diverge from seed engine (%d vs %d bytes)",
+				label, form, len(got), len(want))
 		}
 		if gstats.Records != wstats.Records || gstats.Restarts != wstats.Restarts {
-			tb.Fatalf("%s memo=%d: stats diverge: records %d/%d restarts %d/%d",
-				label, memoSize, gstats.Records, wstats.Records, gstats.Restarts, wstats.Restarts)
+			tb.Fatalf("%s %s: stats diverge: records %d/%d restarts %d/%d",
+				label, form, gstats.Records, wstats.Records, gstats.Restarts, wstats.Restarts)
 		}
 	}
+	got, gstats := runFast(tb, newState, update, opts, stream)
+	check("Feed", got, gstats)
+	got, gstats = runFastBatch(tb, newState, update, opts, stream, nil)
+	check("FeedBatch", got, gstats)
 }
 
 func TestSeedEquivalenceMaxStream(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	stream := make([]int64, 600)
 	for i := range stream {
-		stream[i] = int64(r.Intn(40)) // small alphabet: memo hits dominate
+		stream[i] = int64(r.Intn(40)) // small alphabet: events repeat
 	}
 	checkEquiv(t, "max", newIntState(math.MinInt64), maxUpdate, DefaultOptions(), stream)
 }
 
 // TestSeedEquivalenceRandomPrograms drives both engines with UDAs that
 // pick a random straight-line SymInt program per event, over streams
-// drawn from a small event alphabet (so the memo gets real hits) and
-// with a tiny path cap (so restarts interleave with memo composition).
+// drawn from a small event alphabet (so FeedBatch folds real runs) and
+// with a tiny path cap (so restarts interleave with run composition).
 func TestSeedEquivalenceRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -108,7 +108,7 @@ func TestSeedEquivalenceRandomPrograms(t *testing.T) {
 			// Drop multiplications: over hundreds of records they
 			// compound the transfer coefficient past the overflow guard
 			// (legitimately, in both engines); this test is about
-			// memo/compose equivalence, not overflow.
+			// compose equivalence, not overflow.
 			for j := range progs[i] {
 				if progs[i][j].kind == 1 {
 					progs[i][j].kind = 0
@@ -133,7 +133,7 @@ func TestSeedEquivalenceRandomPrograms(t *testing.T) {
 
 // TestSeedEquivalenceSessionPred covers SymPred windowed dependence
 // (§4.4): black-box predicates fork blindly from the symbolic state, so
-// memoized transitions carry both branches and composition must prune
+// run transitions carry both branches and composition must prune
 // exactly like direct exploration.
 func TestSeedEquivalenceSessionPred(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -169,7 +169,7 @@ func TestSeedEquivalenceFunnel(t *testing.T) {
 }
 
 // FuzzSeedEquivalence lets the fuzzer pick the event stream; every
-// corpus entry must keep the memoized engine byte-identical to the seed
+// corpus entry must keep the compiled engine byte-identical to the seed
 // engine for both the max UDA and the sessionization UDA.
 func FuzzSeedEquivalence(f *testing.F) {
 	f.Add([]byte{3, 8, 50, 55, 200})

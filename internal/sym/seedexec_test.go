@@ -4,9 +4,9 @@ import "fmt"
 
 // SeedExecutor is the pre-optimization symbolic executor, frozen
 // verbatim: per-record Fields() walks, reflection-free but
-// allocation-heavy cloning, no schema, no memoization. It is retained,
-// in this test file only, as the byte-level equivalence oracle for the schema-compiled, memoizing
-// Executor and as the benchmark baseline the symexec experiment
+// allocation-heavy cloning, no schema, no run folding. It is retained,
+// in this test file only, as the byte-level equivalence oracle for the
+// schema-compiled Executor and as the benchmark baseline the symexec experiment
 // measures against. Not intended for production runs.
 type SeedExecutor[S State, E any] struct {
 	newState     func() S
