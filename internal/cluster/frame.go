@@ -42,8 +42,9 @@ import (
 // widened the assignment's segment digest from one 64-bit lane to both.
 // Version 9 carries a group of up to eight events in an event bundle,
 // counted after its zero, which a v8 peer would reject as trailing bytes.
-// Version 10 dropped the combiner flag from the job spec.
-const ProtocolVersion = 10
+// Version 10 dropped the combiner flag from the job spec. Version 11
+// runs carry no emit sequence column: a v10 peer's runs decode wrong.
+const ProtocolVersion = 11
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

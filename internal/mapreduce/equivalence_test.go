@@ -2,14 +2,15 @@ package mapreduce
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -27,17 +28,17 @@ func wordMap(emitsPerRecord func(rec []byte) []string) MapFunc {
 	}
 }
 
-// captureJob runs a word-emitting job under the given config and records
-// the exact reduce-side delivery — per reducer, the ordered stream of
-// (key, mapperID, recordID, value) — in a printable form, comparable
-// byte for byte with modelShuffle's rendering.
-func captureJob(t *testing.T, segs []*Segment, conf Config, emitsPerRecord func(rec []byte) []string) (map[int]string, *Metrics) {
+// captureJob runs a job under the given config and records the exact
+// reduce-side delivery — per reducer, the ordered stream of (key,
+// mapperID, recordID, value) — in a printable form, comparable byte for
+// byte with modelShuffle's rendering.
+func captureJob(t *testing.T, segs []*Segment, conf Config, mapFn MapFunc) (map[int]string, *Metrics) {
 	t.Helper()
 	var mu sync.Mutex
 	streams := map[int]*strings.Builder{}
 	job := &Job{
 		Name: "capture",
-		Map:  wordMap(emitsPerRecord),
+		Map:  mapFn,
 		Reduce: func(r int, key string, values []Shuffled) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -66,36 +67,48 @@ func captureJob(t *testing.T, segs []*Segment, conf Config, emitsPerRecord func(
 }
 
 // modelShuffle is §5.4 as a specification, not a second engine: run Map
-// serially, partition by FNV-1a, order each partition by (key, mapperID,
-// recordID, emit seq), and print it the way captureJob does. It returns
-// the per-reducer streams plus the record, group and logical-byte counts.
+// serially in mapperID order, partition by FNV-1a, list each partition's
+// groups in order of first appearance over (mapperID, emit order), order
+// each group's values by (mapperID, recordID) with emit order breaking
+// ties, and print it the way captureJob does. It returns the per-reducer
+// streams plus the record, group and logical-byte counts.
 func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]string, recs, groups, logical int64) {
-	parts := make([][]kvRec, reducers)
-	for _, seg := range segs {
+	type group struct {
+		key  string
+		recs []kvRec
+	}
+	parts := make([][]*group, reducers)
+	byKey := map[string]*group{}
+	for _, seg := range slices.SortedStableFunc(slices.Values(segs), func(a, b *Segment) int { return cmp.Compare(a.ID, b.ID) }) {
 		_ = mapFn(seg.ID, seg, func(key string, recordID int64, value []byte) {
-			h := fnv.New32a()
-			h.Write([]byte(key))
-			r := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: recs, value: value}
-			p := h.Sum32() % uint32(reducers)
-			parts[p] = append(parts[p], r)
+			g := byKey[key]
+			if g == nil {
+				h := fnv.New32a()
+				h.Write([]byte(key))
+				g = &group{key: key}
+				byKey[key] = g
+				p := h.Sum32() % uint32(reducers)
+				parts[p] = append(parts[p], g)
+			}
+			r := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: value}
+			g.recs = append(g.recs, r)
 			recs, logical = recs+1, logical+r.wireSize()
 		})
 	}
 	out = map[int]string{}
-	for p, rs := range parts {
-		slices.SortFunc(rs, func(x, y kvRec) int {
-			return cmp.Or(strings.Compare(x.key, y.key), cmp.Compare(x.mapperID, y.mapperID),
-				cmp.Compare(x.recordID, y.recordID), cmp.Compare(x.seq, y.seq))
-		})
+	for p, gs := range parts {
 		var b strings.Builder
-		for i, r := range rs {
-			if i == 0 || rs[i-1].key != r.key {
-				groups++
-				fmt.Fprintf(&b, "group %q\n", r.key)
+		for _, g := range gs {
+			slices.SortStableFunc(g.recs, func(x, y kvRec) int {
+				return cmp.Or(cmp.Compare(x.mapperID, y.mapperID), cmp.Compare(x.recordID, y.recordID))
+			})
+			groups++
+			fmt.Fprintf(&b, "group %q\n", g.key)
+			for _, r := range g.recs {
+				fmt.Fprintf(&b, "  %d %d %q\n", r.mapperID, r.recordID, r.value)
 			}
-			fmt.Fprintf(&b, "  %d %d %q\n", r.mapperID, r.recordID, r.value)
 		}
-		if len(rs) > 0 {
+		if len(gs) > 0 {
 			out[p] = b.String()
 		}
 	}
@@ -105,10 +118,10 @@ func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]str
 // checkAgainstModel runs the job under conf and requires a delivery
 // byte-identical to the model's — same reducers, same group order, same
 // within-group record order, same payloads — and matching accounting.
-func checkAgainstModel(t *testing.T, label string, segs []*Segment, conf Config, emits func(rec []byte) []string) {
+func checkAgainstModel(t *testing.T, label string, segs []*Segment, conf Config, mapFn MapFunc) {
 	t.Helper()
-	got, gm := captureJob(t, segs, conf, emits)
-	want, recs, groups, logical := modelShuffle(segs, max(conf.NumReducers, 1), wordMap(emits))
+	got, gm := captureJob(t, segs, conf, mapFn)
+	want, recs, groups, logical := modelShuffle(segs, max(conf.NumReducers, 1), mapFn)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d reducers produced output, model %d", label, len(got), len(want))
 	}
@@ -163,14 +176,14 @@ func TestStreamingMatchesModel(t *testing.T) {
 			return []string{fmt.Sprintf("key-%d", len(rec)%17)}
 		}
 		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs,
-			Config{NumReducers: reducers, Parallelism: 4, CompressShuffle: seed%2 == 1}, emits)
+			Config{NumReducers: reducers, Parallelism: 4, CompressShuffle: seed%2 == 1}, wordMap(emits))
 	}
 }
 
 // TestStreamingMatchesModelMultiEmit covers records that emit several
 // keys — including repeated keys from the same record, the one case
-// where the shuffle's (key, mapperID, recordID) order has ties, which
-// the engine must resolve by emit order.
+// where a group's (mapperID, recordID) order has ties, which the engine
+// must resolve by emit order.
 func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -179,52 +192,85 @@ func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 			k := fmt.Sprintf("w%d", len(rec)%11)
 			return []string{k, fmt.Sprintf("w%d", int(rec[0])%7), k}
 		}
-		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs, Config{NumReducers: 3, Parallelism: 3}, emits)
+		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs, Config{NumReducers: 3, Parallelism: 3}, wordMap(emits))
 	}
 }
 
-// TestLoserTreeMerge checks the k-way merge against sort over the
-// concatenation, for assorted run shapes including empty runs and k not
-// a power of two.
-func TestLoserTreeMerge(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		k := rng.Intn(9) // 0..8 runs
-		runs := make([]spillRun, k)
-		var all []kvRec
-		for m := 0; m < k; m++ {
-			n := rng.Intn(30)
-			recs := make([]kvRec, 0, n)
-			for r := 0; r < n; r++ {
-				recs = append(recs, kvRec{
-					key:      fmt.Sprintf("k%d", rng.Intn(6)),
-					mapperID: m,
-					recordID: int64(r),
-				})
+// TestStreamingMatchesModelDescending runs a map that walks its segment
+// backwards, so every key's records are emitted in descending recordID
+// order (twice per record on some keys, so ties too): delivery must
+// still be in (mapperID, recordID) order, emit order among equal pairs.
+func TestStreamingMatchesModelDescending(t *testing.T) {
+	mapFn := func(id int, seg *Segment, emit Emit) error {
+		for i := len(seg.Records) - 1; i >= 0; i-- {
+			rec := seg.Records[i]
+			emit(fmt.Sprintf("d%d", len(rec)%5), int64(i), rec)
+			if i%4 == 0 {
+				emit(fmt.Sprintf("d%d", len(rec)%5), int64(i), []byte("again"))
 			}
-			sortRun(recs)
-			all = append(all, recs...)
-			runs[m] = spillRun{recs: recs}
 		}
-		sort.SliceStable(all, func(a, b int) bool { return recLess(&all[a], &all[b]) })
-		tree := newLoserTree(runs)
-		var got []kvRec
-		for {
-			h := tree.peek()
-			if h == nil {
-				break
+		return nil
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		segs := randomSegments(rng, 2+rng.Intn(4), 60)
+		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs, Config{NumReducers: 2, Parallelism: 3}, mapFn)
+		got, _ := captureJob(t, segs, Config{NumReducers: 1}, mapFn)
+		var prevMapper, prevRec int64 = -1, -1
+		for _, line := range strings.Split(got[0], "\n") {
+			var m, r int64
+			if _, err := fmt.Sscanf(line, "  %d %d", &m, &r); err != nil {
+				prevMapper, prevRec = -1, -1 // a group header
+				continue
 			}
-			got = append(got, *h)
-			tree.advance()
-		}
-		if len(got) != len(all) {
-			t.Fatalf("seed %d: merged %d records, want %d", seed, len(got), len(all))
-		}
-		for i := range got {
-			if got[i].key != all[i].key || got[i].mapperID != all[i].mapperID ||
-				got[i].recordID != all[i].recordID {
-				t.Fatalf("seed %d: position %d: got %+v want %+v", seed, i, got[i], all[i])
+			if m < prevMapper || m == prevMapper && r < prevRec {
+				t.Fatalf("seed %d: (%d, %d) delivered after (%d, %d)", seed, m, r, prevMapper, prevRec)
 			}
+			prevMapper, prevRec = m, r
+		}
+	}
+}
+
+// delayTask0 runs every map attempt body through ExecuteMap, arming a
+// delay fault at map start on task 0 so its runs reach the reducers last.
+type delayTask0 struct {
+	mapFn MapFunc
+	parts int
+}
+
+func (d delayTask0) RunMap(_ context.Context, task, attempt int, seg *Segment, faults AttemptFaults) (*MapOutput, error) {
+	if task == 0 {
+		faults = append(faults, Fault{Point: PointMapStart, Kind: KindDelay, Delay: 30 * time.Millisecond})
+	}
+	var runs runList
+	out, err := ExecuteMap(d.mapFn, seg, task, attempt, d.parts, false, nil, &runs, faults...)
+	if err != nil {
+		return nil, err
+	}
+	out.Runs = runs
+	return out, nil
+}
+
+// TestArrivalOrderInvisible delays task 0 so that its runs arrive after
+// every other mapper's: the delivered stream must equal the undelayed
+// one byte for byte, since the reducer reads runs by mapperID, not by
+// arrival.
+func TestArrivalOrderInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(400))
+	segs := randomSegments(rng, 5, 80)
+	mapFn := wordMap(func(rec []byte) []string {
+		return []string{fmt.Sprintf("a%d", len(rec)%9), fmt.Sprintf("b%d", rec[len(rec)-1]%4)}
+	})
+	conf := Config{NumReducers: 3, Parallelism: 4}
+	want, _ := captureJob(t, segs, conf, mapFn)
+	conf.RemoteMap = delayTask0{mapFn: mapFn, parts: conf.NumReducers}
+	got, _ := captureJob(t, segs, conf, mapFn)
+	if len(got) != len(want) {
+		t.Fatalf("%d reducers produced output, undelayed %d", len(got), len(want))
+	}
+	for r, s := range want {
+		if got[r] != s {
+			t.Errorf("reducer %d: delayed stream differs\ndelayed:\n%s\nundelayed:\n%s", r, got[r], s)
 		}
 	}
 }
@@ -283,7 +329,7 @@ func TestWireSizeMatchesEncoder(t *testing.T) {
 }
 
 // TestPipelinedStress drives many mappers and reducers concurrently —
-// enough spill runs per partition to exercise pre-merge folding — and
+// 24 runs per partition arriving while their reducers wait — and
 // verifies counts. Run with -race this covers the no-barrier pipeline's
 // synchronization.
 func TestPipelinedStress(t *testing.T) {

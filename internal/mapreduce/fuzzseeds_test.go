@@ -34,7 +34,6 @@ func segSeedCorpus() []fuzzseed.Seed {
 	e.StringDict(nil)
 	e.Varint(5)
 	e.Varint(0)
-	e.Varint(0)
 	e.BytesField([]byte{})
 	badDict := append([]byte{segRaw}, e.Bytes()...)
 
@@ -86,7 +85,7 @@ func TestFuzzSeedSegmentCorpus(t *testing.T) {
 	}
 	var valid, corrupt int
 	for _, s := range seeds {
-		got, err := decodeSegment(s.Data)
+		got, _, err := decodeSegment(s.Data)
 		switch {
 		case strings.HasPrefix(s.Name, "corrupt-"):
 			corrupt++

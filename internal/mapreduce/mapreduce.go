@@ -1,28 +1,27 @@
 // Package mapreduce is an in-process Hadoop-style execution engine:
 // parallel map tasks over ordered input segments, a hash-partitioned
-// streaming shuffle built from sorted spill runs, and parallel reduce
-// tasks over per-key groups.
+// streaming shuffle of per-mapper spill runs, and parallel reduce tasks
+// over per-key groups.
 //
 // It reproduces the substrate SYMPLE runs on (paper §5.4). Two details
 // matter for the reproduction and are modeled faithfully:
 //
 //   - Ordering. MapReduce treats a group's records as a set, but SYMPLE
 //     needs the original input order, so every shuffled record carries the
-//     (mapperID, recordID) pair and the shuffle sorts each group
-//     lexicographically by it — the paper's triple (mapper_id, record_id,
-//     R).
+//     (mapperID, recordID) pair and each group reaches the reducer in that
+//     order — the paper's triple (mapper_id, record_id, R). Nothing needs
+//     the keys themselves in order, so the engine never sorts by key.
 //   - Accounting. The shuffle counts the exact wire bytes crossing the
 //     map→reduce boundary, the quantity behind the paper's Figures 6
 //     and 8, and per-task wall/CPU costs that the cluster simulator
 //     replays at datacenter scale.
 //
-// The shuffle itself follows Hadoop's design rather than a barrier-style
-// concatenate-and-resort: each map task sorts its per-reducer output
-// locally and hands off an immutable sorted spill run; reduce tasks
-// receive runs over per-partition channels as mappers finish — folding
-// early arrivals together while later maps still run — and k-way merge
-// them with a loser tree, streaming each key group to the reduce
-// function through a reusable buffer. See runmerge.go and pipeline.go.
+// The shuffle streams rather than barriers: each map task hands off one
+// immutable spill run per reducer, its output for that partition in emit
+// order; reduce tasks receive runs over per-partition channels as
+// mappers finish and, once all have arrived, read them in mapper order
+// and group them by key through a hash index. See rungroup.go and
+// pipeline.go.
 package mapreduce
 
 import (
@@ -63,27 +62,30 @@ type Segment struct {
 // is the record's position within the mapper's segment; the shuffle
 // orders each group by (mapperID, recordID), so reducers see input
 // order within a group regardless of the order of Emit calls —
-// monotonicity across calls is not required.
+// monotonicity across calls is not required (records emitted in input
+// order just cost no sort).
 type Emit func(key string, recordID int64, value []byte)
 
 // MapFunc processes one input segment. mapperID is the segment's ID.
 type MapFunc func(mapperID int, seg *Segment, emit Emit) error
 
 // Shuffled is one record delivered to a reducer, already ordered within
-// its group by (MapperID, RecordID).
+// its group by (MapperID, RecordID), emit order among equal pairs.
 type Shuffled struct {
 	MapperID int
 	RecordID int64
 	Value    []byte
 }
 
-// ReduceFunc processes one key group. The values slice is a buffer the
-// engine reuses between groups: it is valid only for the duration of
-// the call and must not be retained (the Value payloads themselves are
-// stable). When Config.MaxAttempts allows retries, a failed reduce
-// attempt is re-executed over the same committed runs and Reduce is
-// re-invoked for every group, so its side effects must be idempotent
-// per key (e.g. overwriting a keyed result, as all in-tree engines do).
+// ReduceFunc processes one key group. A reduce task calls it once per
+// key, in order of the key's first appearance over its runs read by
+// mapperID — an order, not a key sort. The values slice is engine
+// scratch: it is valid only for the duration of the call and must not
+// be retained (the Value payloads themselves are stable). When
+// Config.MaxAttempts allows retries, a failed reduce attempt is
+// re-executed over the same committed runs and Reduce is re-invoked for
+// every group, so its side effects must be idempotent per key (e.g.
+// overwriting a keyed result, as all in-tree engines do).
 type ReduceFunc func(reducerID int, key string, values []Shuffled) error
 
 // Config configures a job.
@@ -133,7 +135,7 @@ type Config struct {
 	RemoteMap RemoteMapper
 
 	// Trace, when set, emits structured spans for the job and every task
-	// attempt, commit, spill-run decode, and merge to the trace's sink
+	// attempt, commit, spill-run decode, and grouping to the trace's sink
 	// (see internal/obs). nil (the default) costs one nil check per span
 	// site. Spans are per task / per segment / per group, never per
 	// record.
@@ -162,7 +164,7 @@ func (c Config) withDefaults() Config {
 }
 
 // TaskMetrics records one task's cost, replayed by the cluster simulator.
-// For reduce tasks, Duration counts active work (run folding, merging,
+// For reduce tasks, Duration counts active work (run decoding, grouping,
 // reducing), not time spent waiting for map output to arrive.
 type TaskMetrics struct {
 	Duration   time.Duration
@@ -242,19 +244,11 @@ type Metrics struct {
 	SpeculativeWins  int64 // backup attempts that committed first
 }
 
-// kvRec is a shuffled record inside the engine. seq is the record's
-// emit sequence number within its map task; it totalizes the spill-sort
-// order — (key, recordID) can tie when one input record emits the same
-// key twice — so the sort can be unstable yet reproduce emit order
-// exactly. prefix is sortRun's scratch: the key's first eight bytes as
-// an integer that orders like they do. Both are engine-internal and cost
-// nothing on the wire.
+// kvRec is a shuffled record inside the engine.
 type kvRec struct {
 	key      string
-	prefix   uint64
 	mapperID int
 	recordID int64
-	seq      int64
 	value    []byte
 }
 
@@ -275,8 +269,8 @@ func (r *kvRec) wireSize() int64 {
 }
 
 // Job is one configured MapReduce execution. Its shape is whether it has
-// a Reduce. With one, map output is partitioned, sorted, shuffled and
-// merged into key groups. Without one the job is map-only: a map task's
+// a Reduce. With one, map output is partitioned, shuffled and grouped
+// by key. Without one the job is map-only: a map task's
 // output is the (key, value) pairs it emitted, in emit order, and
 // committing the task hands them to Output — the same attempts, retries,
 // speculation and commit CAS, with nothing in between to cross.

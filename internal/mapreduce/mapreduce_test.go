@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func segmentsFromLines(lines []string, numSegments int) []*Segment {
@@ -126,6 +128,46 @@ func TestShuffleOrdering(t *testing.T) {
 		if v != i {
 			t.Fatalf("position %d has %d: global order not reconstituted", i, v)
 		}
+	}
+}
+
+// TestMergeEncodedRunsMatchesJob feeds MergeEncodedRuns a job's runs in
+// reverse arrival order plus a zero-record run whose mapperID lives only
+// in its header: the run is accepted, and the groups come out exactly as
+// the job's reducers deliver them.
+func TestMergeEncodedRunsMatchesJob(t *testing.T) {
+	segs := segmentsFromLines(strings.Fields("a b a c b a d a c e b a"), 4)
+	mapFn := wordMap(func(rec []byte) []string { return []string{string(rec)} })
+	want, _ := captureJob(t, segs, Config{NumReducers: 1}, mapFn)
+
+	var runs runList
+	for i, seg := range segs {
+		if _, err := ExecuteMap(mapFn, seg, i, 0, 1, i%2 == 0, nil, &runs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := wire.NewEncoder(0)
+	e.Uvarint(0) // no records
+	e.Uvarint(2) // mapperID
+	e.StringDict(nil)
+	empty := append([]byte{segRaw}, e.Bytes()...)
+	rs := []Run{{Task: 2, Seg: empty, Bytes: int64(len(empty))}}
+	for i := len(runs) - 1; i >= 0; i-- {
+		rs = append(rs, runs[i])
+	}
+	var b strings.Builder
+	err := MergeEncodedRuns(0, rs, nil, func(key string, group []Shuffled) error {
+		fmt.Fprintf(&b, "group %q\n", key)
+		for _, v := range group {
+			fmt.Fprintf(&b, "  %d %d %q\n", v.MapperID, v.RecordID, v.Value)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want[0] {
+		t.Fatalf("MergeEncodedRuns stream differs\ngot:\n%s\njob:\n%s", b.String(), want[0])
 	}
 }
 

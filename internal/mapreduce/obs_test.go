@@ -74,7 +74,7 @@ func TestTracedJobVerifies(t *testing.T) {
 				t.Fatalf("trace failed verification: %v", err)
 			}
 			var jobSpan *obs.Span
-			attempts, commits := 0, 0
+			attempts, commits, merges := 0, 0, 0
 			for _, sp := range spans {
 				switch sp.Kind {
 				case obs.KindJob:
@@ -83,7 +83,10 @@ func TestTracedJobVerifies(t *testing.T) {
 					attempts++
 				case obs.KindCommit:
 					commits++
-				case obs.KindSpillEncode, obs.KindRunCommit, obs.KindSegDecode, obs.KindMerge, obs.KindReduceAttempt:
+				case obs.KindMerge:
+					merges++
+					fallthrough
+				case obs.KindSpillEncode, obs.KindRunCommit, obs.KindSegDecode, obs.KindReduceAttempt:
 					// A map-only job commits its tasks and crosses nothing
 					// else: no run is committed that nothing would consume.
 					if job.Reduce == nil {
@@ -93,6 +96,9 @@ func TestTracedJobVerifies(t *testing.T) {
 			}
 			if job.Reduce == nil && commits != len(segs) {
 				t.Errorf("%d commit spans, want one per map task (%d)", commits, len(segs))
+			}
+			if job.Reduce != nil && merges != conf.NumReducers {
+				t.Errorf("%d merge spans, want one per reduce attempt (%d)", merges, conf.NumReducers)
 			}
 			if jobSpan == nil {
 				t.Fatal("no job span")
@@ -110,6 +116,26 @@ func TestTracedJobVerifies(t *testing.T) {
 				t.Errorf("merged registry self-check: %v", err)
 			}
 		})
+	}
+}
+
+// TestSpanCountExact pins the trace's size to the job, not the
+// schedule: one grouping span per reduce attempt whenever runs arrive,
+// so repeated runs of one job emit the same number of spans.
+func TestSpanCountExact(t *testing.T) {
+	counts := map[int]int{}
+	for i := 0; i < 5; i++ {
+		job, segs := obsTestJob(3)
+		sink := obs.NewMemSink()
+		job.Conf.Parallelism = 1 + i%3
+		job.Conf.Trace = obs.NewTrace(sink)
+		if _, err := job.Run(segs); err != nil {
+			t.Fatal(err)
+		}
+		counts[len(sink.Spans())]++
+	}
+	if len(counts) != 1 {
+		t.Fatalf("span counts vary between runs of one job: %v", counts)
 	}
 }
 

@@ -12,23 +12,16 @@ import (
 )
 
 // The engine. Map and reduce overlap: reduce tasks start before any map
-// task and consume sorted spill runs from per-partition channels as map
-// attempts commit, pre-merging early arrivals while later maps still run. User Reduce calls begin only once every run has
-// arrived — a k-way merge cannot know its smallest key earlier — but by
-// then most merge work is already done, off the critical path. The
-// (mapperID, recordID) composition order is unaffected: runs are sorted
-// at the mapper and merged under the same total order (§5.4).
+// task and decode runs from per-partition channels as map attempts
+// commit. Once every run of a partition has arrived, the reduce attempt
+// groups them (rungroup.go): runs read in (mapperID, task) order, each
+// in emit order, are §5.4's (mapperID, recordID) composition order, so
+// neither side sorts by key and arrival order cannot reach the stream.
 //
 // Fault tolerance layers on top (task.go): each task runs as retryable
 // attempts, and only a committed attempt's runs ever reach a reduce
 // channel, so retries and speculative re-execution cannot perturb the
-// merged stream.
-
-// premergeMinRuns is the pending-run count above which an idle reduce
-// task folds its two smallest runs into one while waiting for more map
-// output. Below it, the final loser tree is already shallow and folding
-// would only add copies.
-const premergeMinRuns = 4
+// grouped stream.
 
 func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment) (_ *Metrics, err error) {
 	m := &Metrics{}
@@ -96,7 +89,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 				}
 				return
 			}
-			// The merge and the user reduce calls are CPU work; cap them
+			// The grouping and the user reduce calls are CPU work; cap them
 			// like any other task. By now all maps are done, so their
 			// semaphore slots are free.
 			env.sem <- struct{}{}
@@ -215,17 +208,11 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 }
 
 // collectRuns drains one partition's channel until all map tasks are
-// resolved, decoding each run into a pooled buffer on arrival. While the
-// channel is open but momentarily empty — the reducer would otherwise
-// idle — it folds the two smallest pending runs into one,
-// overlapping merge work with still-running map tasks. Folding is CPU
-// work and stays under the Parallelism cap: it runs only when a
-// semaphore slot is free right now (non-blocking try), never at the
-// expense of map progress. Returns the pending runs, total wire bytes
-// received, active (non-waiting) time, and the first run-load error.
+// resolved, decoding each run into a pooled buffer on arrival. Returns
+// the runs, total wire bytes received, active (decoding) time, and the
+// first run-load error.
 func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
-	ch := env.transport[p]
-	add := func(r Run) {
+	for r := range env.transport[p] {
 		t0 := time.Now()
 		run, derr := decodeRun(env.trace, p, r)
 		active += time.Since(t0)
@@ -233,40 +220,12 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			if err == nil {
 				err = derr
 			}
-			return
+			continue
 		}
 		runs = append(runs, run)
 		inBytes += r.Bytes
 	}
-	for {
-		select {
-		case r, ok := <-ch:
-			if !ok {
-				return runs, inBytes, active, err
-			}
-			add(r)
-		default:
-			if err == nil && len(runs) >= premergeMinRuns {
-				select {
-				case env.sem <- struct{}{}:
-					span := env.trace.Start(obs.KindMerge, fmt.Sprintf("part-%d", p)).
-						Attr(obs.AttrPart, int64(p)).Attr(obs.AttrRuns, int64(len(runs)))
-					t0 := time.Now()
-					runs = foldSmallest(runs)
-					active += time.Since(t0)
-					span.End()
-					<-env.sem
-					continue
-				default:
-				}
-			}
-			r, ok := <-ch
-			if !ok {
-				return runs, inBytes, active, err
-			}
-			add(r)
-		}
-	}
+	return runs, inBytes, active, err
 }
 
 // decodeRun decodes one committed run for partition part's reducer under
@@ -277,44 +236,21 @@ func decodeRun(trace *obs.Trace, part int, r Run) (spillRun, error) {
 	span := trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", part)).
 		Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 		Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
-	recs, err := decodeSegment(r.Seg)
+	recs, mapperID, err := decodeSegment(r.Seg)
 	if err != nil {
 		span.Tag(obs.TagOutcome, "error").End()
 		return spillRun{}, fmt.Errorf("run (task %d attempt %d part %d): %w", r.Task, r.Attempt, r.Part, err)
 	}
 	span.End()
-	return spillRun{recs: recs, bytes: r.Bytes}, nil
+	return spillRun{recs: recs, mapperID: mapperID, task: r.Task, bytes: r.Bytes}, nil
 }
 
-// foldSmallest merges the two shortest runs (fewest total copies, the
-// same greedy choice as Huffman merging) and replaces them with the
-// result.
-func foldSmallest(runs []spillRun) []spillRun {
-	a, b := 0, 1
-	if len(runs[b].recs) < len(runs[a].recs) {
-		a, b = b, a
-	}
-	for i := 2; i < len(runs); i++ {
-		switch n := len(runs[i].recs); {
-		case n < len(runs[a].recs):
-			a, b = i, a
-		case n < len(runs[b].recs):
-			b = i
-		}
-	}
-	merged := mergeTwo(runs[a], runs[b])
-	lo, hi := min(a, b), max(a, b)
-	runs[lo] = merged
-	runs[hi] = runs[len(runs)-1]
-	return runs[:len(runs)-1]
-}
-
-// reduceMerge merges the partition's runs and streams each key group to
+// reduceGroups groups the partition's runs and streams each key group to
 // the reduce function.
-func (env *runEnv) reduceMerge(p int, runs []spillRun, faults AttemptFaults) (groups int64, err error) {
+func (env *runEnv) reduceGroups(p int, runs []spillRun, faults AttemptFaults) (groups int64, err error) {
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
-	return mergeAttempt(env.ctx, runs, faults, func(key string, group []Shuffled) error {
+	return groupAttempt(env.ctx, env.trace, p, runs, faults, func(key string, group []Shuffled) error {
 		groupHist.Observe(int64(len(group)))
 		if err := j.Reduce(p, key, group); err != nil {
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
@@ -323,11 +259,11 @@ func (env *runEnv) reduceMerge(p int, runs []spillRun, faults AttemptFaults) (gr
 	})
 }
 
-// mergeAttempt is a reduce attempt's merge: the reduce-merge fault, then
-// mergeGroups with the reduce-mid fault, if armed, firing after its
+// groupAttempt is a reduce attempt's body: the reduce-merge fault, then
+// groupRuns with the reduce-mid fault, if armed, firing after its
 // group — the ordinal is fixed once per attempt, so an unarmed attempt
 // streams straight to fn.
-func mergeAttempt(ctx context.Context, runs []spillRun, faults AttemptFaults,
+func groupAttempt(ctx context.Context, trace *obs.Trace, part int, runs []spillRun, faults AttemptFaults,
 	fn func(key string, group []Shuffled) error) (int64, error) {
 	if err := faults.Fire(ctx, PointReduceMerge, 0); err != nil {
 		return 0, err
@@ -345,19 +281,19 @@ func mergeAttempt(ctx context.Context, runs []spillRun, faults AttemptFaults,
 			return err
 		}
 	}
-	return mergeGroups(runs, fn)
+	return groupRuns(trace, part, runs, fn)
 }
 
-// MergeEncodedRuns is a reduce attempt's merge over wire-form runs held
-// outside a job: it decodes them, k-way merges them, and streams each
-// key group to fn in exactly the order a reduce task produces —
-// ascending key, rows ordered by (mapperID, recordID). Each run is
-// decoded as a reduce task decodes it (decodeRun).
+// MergeEncodedRuns is a reduce attempt's grouping over wire-form runs
+// held outside a job: it decodes them and streams each key group to fn
+// in exactly the order a reduce task produces — groups in order of first
+// appearance over the runs read by (mapperID, task), each run in emit
+// order; values ordered by (mapperID, recordID). Each run is decoded as
+// a reduce task decodes it (decodeRun).
 //
-// The group slice is reused between calls and its values alias pooled
-// decode buffers released when MergeEncodedRuns returns: fn must copy
-// or encode what it keeps. faults are fired at the reduce points as a
-// reduce attempt fires them.
+// The group slice and its values alias pooled buffers released when
+// MergeEncodedRuns returns: fn must copy or encode what it keeps. faults
+// are fired at the reduce points as a reduce attempt fires them.
 func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 	fn func(key string, group []Shuffled) error, faults ...Fault) error {
 	runs := make([]spillRun, 0, len(rs))
@@ -369,36 +305,6 @@ func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 		}
 		runs = append(runs, run)
 	}
-	_, err := mergeAttempt(context.Background(), runs, faults, fn)
+	_, err := groupAttempt(context.Background(), trace, part, runs, faults, fn)
 	return err
-}
-
-// mergeGroups k-way merges the runs and streams each key group —
-// ascending key, rows ordered by (mapperID, recordID) — to fn through a
-// reusable buffer: no per-group slice is materialized. It never mutates
-// the runs (the loser tree keeps its own cursors), so a retrying reduce
-// attempt re-merges identical inputs. It returns the groups streamed.
-func mergeGroups(runs []spillRun, fn func(key string, group []Shuffled) error) (groups int64, err error) {
-	tree := newLoserTree(runs)
-	group := make([]Shuffled, 0, 64)
-	for {
-		head := tree.peek()
-		if head == nil {
-			return groups, nil
-		}
-		key := head.key
-		group = group[:0]
-		for {
-			h := tree.peek()
-			if h == nil || h.key != key {
-				break
-			}
-			group = append(group, Shuffled{MapperID: h.mapperID, RecordID: h.recordID, Value: h.value})
-			tree.advance()
-		}
-		groups++
-		if err := fn(key, group); err != nil {
-			return groups, err
-		}
-	}
 }

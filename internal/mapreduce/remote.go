@@ -13,10 +13,10 @@ import (
 // process boundary, so cluster mode splits the map attempt in two: the
 // coordinator keeps the whole task lifecycle — retries with backoff,
 // speculation, the first-finisher-wins commit — and the whole reduce,
-// and delegates only the attempt body (run the map, sort, encode) to a
+// and delegates only the attempt body (run the map, partition, encode) to a
 // RemoteMapper. Worker death and connection drops surface as attempt
 // errors and are retried or speculated exactly like an injected fault; a
-// worker whose output never commits cannot perturb the merged stream.
+// worker whose output never commits cannot perturb the grouped stream.
 
 // MapOutput is one executed map attempt's result, wherever its body ran:
 // the encoded runs plus the task metrics. Runs hold the segcodec wire

@@ -1,0 +1,182 @@
+package mapreduce
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync"
+
+	"repro/internal/obs"
+)
+
+// A spillRun is one mapper's output for one reduce partition, in emit
+// order, as the reducer holds it: the in-process analogue of a Hadoop
+// spill file. A run crosses the map→reduce boundary in encoded segment
+// form (Run, segcodec.go); the reducer decodes it into a pooled record
+// buffer on receipt. Runs are immutable once decoded; their record
+// buffers come from and return to kvBufs.
+type spillRun struct {
+	recs []kvRec
+	// mapperID is the run header's, so a zero-record run still orders;
+	// task breaks a tie between two segments sharing an ID.
+	mapperID int
+	task     int
+	bytes    int64 // encoded segment size (wire bytes)
+}
+
+// groupRuns lays out one partition's runs as key groups and streams each
+// group to fn. Reading the runs in (mapperID, task) order, each in emit
+// order, already is §5.4's order, so no key needs sorting: groups come
+// in first-appearance order over that read, and a group's values in
+// (mapperID, recordID) order, emit order among equal pairs. The layout
+// pass is the attempt's merge span. It never mutates the runs' records,
+// so a retrying reduce attempt regroups identical inputs. It returns the
+// groups streamed.
+func groupRuns(trace *obs.Trace, part int, runs []spillRun,
+	fn func(key string, group []Shuffled) error) (groups int64, err error) {
+	span := trace.Start(obs.KindMerge, fmt.Sprintf("part-%d", part)).
+		Attr(obs.AttrPart, int64(part)).Attr(obs.AttrRuns, int64(len(runs)))
+	g := groupers.Get().(*grouper)
+	defer g.release()
+	g.layout(runs)
+	span.End()
+	start := int32(0)
+	for id, key := range g.keys {
+		end := g.ends[id]
+		group := g.vals[start:end:end]
+		start = end
+		sortGroup(group)
+		groups++
+		if err := fn(key, group); err != nil {
+			return groups, err
+		}
+	}
+	return groups, nil
+}
+
+// grouper is a reduce attempt's grouping scratch, pooled across attempts.
+type grouper struct {
+	idx  map[string]int32 // key → group id, in first-appearance order
+	keys []string         // group id → key
+	ends []int32          // group id → end of its values in vals
+	gids []int32          // record, in read order → its group id
+	vals []Shuffled       // the partition's values, laid out group by group
+}
+
+var groupers = sync.Pool{
+	New: func() any { return &grouper{idx: make(map[string]int32, 64)} },
+}
+
+// layout interns every record's key and places the records group by
+// group with a stable counting sort on group id.
+func (g *grouper) layout(runs []spillRun) {
+	slices.SortFunc(runs, func(a, b spillRun) int {
+		return cmp.Or(cmp.Compare(a.mapperID, b.mapperID), cmp.Compare(a.task, b.task))
+	})
+	n := 0
+	for _, r := range runs {
+		n += len(r.recs)
+	}
+	g.gids = slices.Grow(g.gids[:0], n)
+	for _, r := range runs {
+		for i := range r.recs {
+			id, ok := g.idx[r.recs[i].key]
+			if !ok {
+				id = int32(len(g.keys))
+				g.idx[r.recs[i].key] = id
+				g.keys = append(g.keys, r.recs[i].key)
+				g.ends = append(g.ends, 0)
+			}
+			g.ends[id]++
+			g.gids = append(g.gids, id)
+		}
+	}
+	// Counts become starts; placing a record advances its group's
+	// start, which leaves each at the group's end.
+	var at int32
+	for id, c := range g.ends {
+		g.ends[id] = at
+		at += c
+	}
+	g.vals = slices.Grow(g.vals[:0], n)[:n]
+	k := 0
+	for _, r := range runs {
+		for i := range r.recs {
+			id := g.gids[k]
+			k++
+			g.vals[g.ends[id]] = Shuffled{MapperID: r.mapperID, RecordID: r.recs[i].recordID, Value: r.recs[i].value}
+			g.ends[id]++
+		}
+	}
+}
+
+// release returns the scratch to the pool, cleared so it pins no keys or
+// values; one enormous partition's scratch is left to the collector.
+func (g *grouper) release() {
+	if len(g.keys) > maxPooledKeyMap {
+		return
+	}
+	clear(g.idx)
+	clear(g.keys)
+	clear(g.vals)
+	g.keys, g.ends, g.gids, g.vals = g.keys[:0], g.ends[:0], g.gids[:0], g.vals[:0]
+	groupers.Put(g)
+}
+
+// sortGroup puts one group in (mapperID, recordID) order. The layout
+// already has mapperIDs ascending and each mapper's values in emit
+// order, so a linear check settles it unless a map emitted a key's
+// records out of recordID order; the stable sort then keeps emit order
+// among equal pairs.
+func sortGroup(group []Shuffled) {
+	for i := 1; i < len(group); i++ {
+		if cmpShuffled(group[i-1], group[i]) > 0 {
+			slices.SortStableFunc(group, cmpShuffled)
+			return
+		}
+	}
+}
+
+func cmpShuffled(a, b Shuffled) int {
+	return cmp.Or(cmp.Compare(a.MapperID, b.MapperID), cmp.Compare(a.RecordID, b.RecordID))
+}
+
+// kvBufs pools record buffers across tasks: map-side partition buffers
+// and reduce-side decoded runs draw from and return to it, so
+// steady-state shuffles reuse buffers instead of allocating per task.
+var kvBufs kvBufPool
+
+type kvBufPool struct{ p sync.Pool }
+
+// get returns an empty buffer with capacity at least capHint when the
+// pool can satisfy it, falling back to a fresh allocation.
+func (kp *kvBufPool) get(capHint int) []kvRec {
+	if v := kp.p.Get(); v != nil {
+		s := (*v.(*[]kvRec))[:0]
+		if cap(s) >= capHint {
+			return s
+		}
+		kp.p.Put(v)
+	}
+	return make([]kvRec, 0, max(capHint, 64))
+}
+
+// put recycles a buffer, clearing it so pooled memory pins no user keys
+// or values.
+func (kp *kvBufPool) put(s []kvRec) {
+	if cap(s) == 0 {
+		return
+	}
+	s = s[:cap(s)]
+	clear(s)
+	s = s[:0]
+	kp.p.Put(&s)
+}
+
+// releaseRuns returns every run buffer to the pool.
+func releaseRuns(runs []spillRun) {
+	for i := range runs {
+		kvBufs.put(runs[i].recs)
+		runs[i].recs = nil
+	}
+}

@@ -9,11 +9,11 @@ import (
 )
 
 // Segment codec: the compact wire form of one spill run (one mapper's
-// sorted output for one partition). The legacy per-record framing —
-// key, mapperID, recordID, value, each fully spelled out — pays for the
-// group key once per record and for the mapper ID once per record even
-// though a run has exactly one mapper and few distinct keys. The segment
-// form factors the redundancy out:
+// output for one partition, in emit order). The legacy per-record
+// framing — key, mapperID, recordID, value, each fully spelled out —
+// pays for the group key once per record and for the mapper ID once per
+// record even though a run has exactly one mapper and few distinct keys.
+// The segment form factors the redundancy out:
 //
 //	flags byte             segRaw | segFlate
 //	[flate frame]          only under segFlate: uvarint rawLen,
@@ -23,30 +23,36 @@ import (
 //	  uvarint mapperID     constant per run, written once
 //	  string dictionary    distinct keys in first-use order (wire.StringDict)
 //	  per record:
-//	    varint Δ keyIndex  zig-zag delta vs previous record (0 within a group)
-//	    varint Δ recordID  zig-zag delta (small, ascending within a group)
-//	    varint Δ seq       zig-zag delta (ascending in spill-sort order)
+//	    varint Δ keyIndex  zig-zag delta vs previous record
+//	    varint Δ recordID  zig-zag delta (small: maps emit in input order)
 //	    bytes  value       length-prefixed payload
 //
-// Sorted runs make the deltas tiny — the key index is non-decreasing and
-// recordID/seq climb within each group — but the codec does not require
-// sortedness (zig-zag absorbs the sign). Decoding allocates one string per distinct key instead of one
-// per record, so the dictionary is a decode-side allocation win as well
-// as a byte win. Metrics.ShuffleBytes counts exactly these encoded
-// bytes; the legacy per-record framing survives as ShuffleLogicalBytes.
+// First-use order keeps the key deltas small — a key's first record
+// indexes one past the previous new key — and zig-zag absorbs the sign
+// of a repeated key or a recordID that steps back. Decoding allocates
+// one string per distinct key instead of one per record, so the
+// dictionary is a decode-side allocation win as well as a byte win.
+// Metrics.ShuffleBytes counts exactly these encoded bytes; the legacy
+// per-record framing survives as ShuffleLogicalBytes.
 const (
 	segRaw   = 0x01
 	segFlate = 0x02
 )
 
-// segMinRecordBytes is the smallest possible encoded record (three
+// segMinRecordBytes is the smallest possible encoded record (two
 // one-byte deltas plus an empty value's length byte); it bounds the
 // record-count claim of a corrupt header before any allocation.
-const segMinRecordBytes = 4
+const segMinRecordBytes = 3
 
-// segKeyMaps pools the key→index maps the encoder builds per segment.
-var segKeyMaps = sync.Pool{
-	New: func() any { return make(map[string]int, 64) },
+// segEncoder is the encoder's pooled scratch: the key→index map it
+// builds per segment and each record's dictionary index.
+type segEncoder struct {
+	idx  map[string]int32
+	keys []int32
+}
+
+var segEncoders = sync.Pool{
+	New: func() any { return &segEncoder{idx: make(map[string]int32, 64)} },
 }
 
 // maxPooledKeyMap bounds the distinct-key count of maps returned to the
@@ -67,53 +73,42 @@ func encodeSegment(recs []kvRec, compress bool) []byte {
 	}
 	pe.Uvarint(uint64(mapperID))
 
-	// Key dictionary in first-use order. Sorted runs hit the last-key
-	// fast path for every record after a group's first; the map only
-	// arbitrates across groups.
-	idx := segKeyMaps.Get().(map[string]int)
+	// Key dictionary in first-use order. A key repeated back to back
+	// skips the map.
+	se := segEncoders.Get().(*segEncoder)
 	var dict []string
-	lastKey, lastIdx := "", -1
-	keyAt := func(key string) int {
-		if i, ok := idx[key]; ok {
-			return i
-		}
-		i := len(dict)
-		dict = append(dict, key)
-		idx[key] = i
-		return i
-	}
-	// Pass 1: build the dictionary (record order fixes entry order).
 	for i := range recs {
-		if i > 0 && recs[i].key == lastKey {
+		if i > 0 && recs[i].key == recs[i-1].key {
+			se.keys = append(se.keys, se.keys[i-1])
 			continue
 		}
-		lastKey = recs[i].key
-		keyAt(lastKey)
+		ki, ok := se.idx[recs[i].key]
+		if !ok {
+			ki = int32(len(dict))
+			dict = append(dict, recs[i].key)
+			se.idx[recs[i].key] = ki
+		}
+		se.keys = append(se.keys, ki)
 	}
 	pe.StringDict(dict)
 
-	// Pass 2: delta columns and values, row-wise.
-	lastKey, lastIdx = "", 0
-	var prevKeyIdx, prevRecID, prevSeq int64
+	// Delta columns and values, row-wise.
+	var prevKeyIdx, prevRecID int64
 	for i := range recs {
 		r := &recs[i]
 		if r.mapperID != mapperID {
 			panic(fmt.Sprintf("mapreduce: run mixes mapper %d and %d", mapperID, r.mapperID))
 		}
-		ki := lastIdx
-		if i == 0 || r.key != lastKey {
-			ki = idx[r.key]
-			lastKey, lastIdx = r.key, ki
-		}
-		pe.Varint(int64(ki) - prevKeyIdx)
+		ki := int64(se.keys[i])
+		pe.Varint(ki - prevKeyIdx)
 		pe.Varint(int64(uint64(r.recordID) - uint64(prevRecID)))
-		pe.Varint(int64(uint64(r.seq) - uint64(prevSeq)))
 		pe.BytesField(r.value)
-		prevKeyIdx, prevRecID, prevSeq = int64(ki), r.recordID, r.seq
+		prevKeyIdx, prevRecID = ki, r.recordID
 	}
-	if len(idx) <= maxPooledKeyMap {
-		clear(idx)
-		segKeyMaps.Put(idx)
+	if len(se.idx) <= maxPooledKeyMap {
+		clear(se.idx)
+		se.keys = se.keys[:0]
+		segEncoders.Put(se)
 	}
 
 	if !compress {
@@ -131,12 +126,13 @@ func encodeSegment(recs []kvRec, compress bool) []byte {
 	return out
 }
 
-// decodeSegment decodes a segment into a pooled record buffer. Values
+// decodeSegment decodes a segment into a pooled record buffer and returns
+// it with the header's mapperID, which a zero-record run carries too. Values
 // (and, for raw segments, nothing else) alias buf; compressed payloads
 // are inflated into a fresh buffer the records keep alive. Malformed
 // input — bad flags, truncated frames, out-of-range dictionary indexes,
 // forged counts — returns an error; it never panics or over-allocates.
-func decodeSegment(buf []byte) ([]kvRec, error) {
+func decodeSegment(buf []byte) ([]kvRec, int, error) {
 	d := wire.NewDecoder(buf)
 	var payload []byte
 	switch flags := d.Byte(); flags {
@@ -145,18 +141,18 @@ func decodeSegment(buf []byte) ([]kvRec, error) {
 	case segFlate:
 		p, err := d.CompressedBlock()
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: segment: %w", err)
+			return nil, 0, fmt.Errorf("mapreduce: segment: %w", err)
 		}
 		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: %d bytes after compressed segment frame",
+			return nil, 0, fmt.Errorf("%w: %d bytes after compressed segment frame",
 				wire.ErrCorrupt, d.Remaining())
 		}
 		payload = p
 	default:
 		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("mapreduce: segment: %w", err)
+			return nil, 0, fmt.Errorf("mapreduce: segment: %w", err)
 		}
-		return nil, fmt.Errorf("%w: unknown segment flags %#x", wire.ErrCorrupt, flags)
+		return nil, 0, fmt.Errorf("%w: unknown segment flags %#x", wire.ErrCorrupt, flags)
 	}
 
 	d = wire.NewDecoder(payload)
@@ -164,21 +160,20 @@ func decodeSegment(buf []byte) ([]kvRec, error) {
 	mapperID := d.Length(math.MaxInt32)
 	dict := d.StringDict(n)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: segment header: %w", err)
+		return nil, 0, fmt.Errorf("mapreduce: segment header: %w", err)
 	}
 	recs := kvBufs.get(n)
-	var keyIdx, recID, seq int64
+	var keyIdx, recID int64
 	for i := 0; i < n; i++ {
 		keyIdx += d.Varint()
 		recID += d.Varint()
-		seq += d.Varint()
 		value := d.BytesField()
 		if d.Err() != nil {
 			break
 		}
 		if keyIdx < 0 || keyIdx >= int64(len(dict)) {
 			kvBufs.put(recs)
-			return nil, fmt.Errorf("%w: segment key index %d outside dictionary of %d",
+			return nil, 0, fmt.Errorf("%w: segment key index %d outside dictionary of %d",
 				wire.ErrCorrupt, keyIdx, len(dict))
 		}
 		if len(value) == 0 {
@@ -188,17 +183,16 @@ func decodeSegment(buf []byte) ([]kvRec, error) {
 			key:      dict[keyIdx],
 			mapperID: mapperID,
 			recordID: recID,
-			seq:      seq,
 			value:    value,
 		})
 	}
 	if err := d.Err(); err != nil {
 		kvBufs.put(recs)
-		return nil, fmt.Errorf("mapreduce: segment record: %w", err)
+		return nil, 0, fmt.Errorf("mapreduce: segment record: %w", err)
 	}
 	if d.Remaining() != 0 {
 		kvBufs.put(recs)
-		return nil, fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())
 	}
-	return recs, nil
+	return recs, mapperID, nil
 }

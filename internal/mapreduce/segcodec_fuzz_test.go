@@ -9,29 +9,27 @@ import (
 )
 
 // segSeedRecs builds a run shaped like real query traffic: a handful of
-// group keys, records sorted by key with ascending recordID/seq, and
-// small opaque summary payloads. This is what encodeSegment sees after
-// the spill sort.
+// group keys interleaved in emit order, ascending recordIDs, and small
+// opaque summary payloads — what encodeSegment sees from a map that
+// walks its segment in input order.
 func segSeedRecs() []kvRec {
 	keys := []string{"repo/alpha", "repo/beta", "repo/gamma", "user-17", ""}
 	var recs []kvRec
-	var rid, seq int64
-	for _, k := range keys {
-		for i := 0; i < 4; i++ {
-			rid += int64(i%3) + 1
-			seq++
+	var rid int64
+	for i := 0; i < 4; i++ {
+		for j, k := range keys {
+			rid += int64(j%3) + 1
 			recs = append(recs, kvRec{
 				key:      k,
 				mapperID: 3,
 				recordID: rid,
-				seq:      seq,
 				value:    bytes.Repeat([]byte{byte(rid), 0x80, byte(i)}, i+1),
 			})
 		}
 	}
 	// One empty value: decode canonicalizes it to nil and the round trip
 	// must still hold.
-	recs = append(recs, kvRec{key: "repo/alpha", mapperID: 3, recordID: rid + 9, seq: seq + 9})
+	recs = append(recs, kvRec{key: "repo/alpha", mapperID: 3, recordID: rid + 9})
 	return recs
 }
 
@@ -54,7 +52,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		got, err := decodeSegment(in)
+		got, mapperID, err := decodeSegment(in)
 		if err != nil {
 			return
 		}
@@ -62,17 +60,20 @@ func FuzzSegmentDecode(f *testing.F) {
 		// them exactly (encode→decode is lossless, so decode→encode→decode
 		// is a fixpoint).
 		re := encodeSegment(got, false)
-		got2, err := decodeSegment(re)
+		got2, mapperID2, err := decodeSegment(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded segment failed: %v", err)
 		}
 		if len(got) != len(got2) {
 			t.Fatalf("round trip changed record count: %d vs %d", len(got), len(got2))
 		}
+		if len(got) > 0 && mapperID != mapperID2 {
+			t.Fatalf("round trip changed the mapper: %d vs %d", mapperID, mapperID2)
+		}
 		for i := range got {
 			a, b := got[i], got2[i]
 			if a.key != b.key || a.mapperID != b.mapperID ||
-				a.recordID != b.recordID || a.seq != b.seq ||
+				a.recordID != b.recordID ||
 				!bytes.Equal(a.value, b.value) {
 				t.Fatalf("round trip changed record %d: %+v vs %+v", i, a, b)
 			}
@@ -96,7 +97,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 		// decodes fewer records than the original claimed — it must never
 		// silently produce the full record set.
 		for cut := 0; cut < len(seg); cut++ {
-			got, err := decodeSegment(seg[:cut])
+			got, _, err := decodeSegment(seg[:cut])
 			if err == nil {
 				t.Fatalf("compress=%v: truncation at %d/%d accepted (%d records)",
 					compress, cut, len(seg), len(got))
@@ -106,7 +107,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 		// Flipping the flags byte to an unknown value must be rejected.
 		bad := append([]byte(nil), seg...)
 		bad[0] = 0x7C
-		if _, err := decodeSegment(bad); err == nil {
+		if _, _, err := decodeSegment(bad); err == nil {
 			t.Fatalf("compress=%v: unknown flags byte accepted", compress)
 		}
 	}
@@ -119,16 +120,15 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	e.StringDict(nil)      // empty dictionary
 	e.Varint(5)            // key index 5 — out of range
 	e.Varint(0)            // recordID delta
-	e.Varint(0)            // seq delta
 	e.BytesField([]byte{}) // value
 	buf := append([]byte{segRaw}, e.Bytes()...)
-	if _, err := decodeSegment(buf); err == nil {
+	if _, _, err := decodeSegment(buf); err == nil {
 		t.Fatal("out-of-range dictionary index accepted")
 	}
 
 	// Trailing garbage after a well-formed segment.
 	seg := append(encodeSegment(recs, false), 0xAA, 0xBB)
-	if _, err := decodeSegment(seg); err == nil {
+	if _, _, err := decodeSegment(seg); err == nil {
 		t.Fatal("trailing bytes after segment accepted")
 	}
 
@@ -137,7 +137,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	ge := wire.NewEncoder(0)
 	ge.Byte(segFlate)
 	ge.CompressedBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	if _, err := decodeSegment(ge.Bytes()); err == nil {
+	if _, _, err := decodeSegment(ge.Bytes()); err == nil {
 		t.Fatal("garbage compressed payload accepted")
 	}
 }

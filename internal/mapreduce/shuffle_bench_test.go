@@ -7,8 +7,7 @@ import (
 )
 
 // The shuffle benchmarks time the full shuffle path and the
-// allocation-free emit hot path; scripts/benchsmoke.sh gates the latter
-// against scripts/bench_baseline.txt.
+// allocation-free emit hot path.
 
 func benchSegments(numSegs, perSeg, payload int) []*Segment {
 	rng := rand.New(rand.NewSource(1))
@@ -46,9 +45,9 @@ func benchJob(conf Config) *Job {
 	}
 }
 
-// BenchmarkShuffleMerge drives the full shuffle path — emit, spill sort,
-// run transfer, k-way merge, group streaming.
-func BenchmarkShuffleMerge(b *testing.B) {
+// BenchmarkShuffle drives the full shuffle path — emit, segment encode,
+// run transfer, decode, grouping, group streaming.
+func BenchmarkShuffle(b *testing.B) {
 	const numSegs, perSeg, payload = 8, 4000, 100
 	segs := benchSegments(numSegs, perSeg, payload)
 	var inputBytes int64

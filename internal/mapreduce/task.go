@@ -19,7 +19,7 @@ import (
 // original, first finisher wins. An attempt's output becomes visible to
 // reducers only when the attempt commits — a single CompareAndSwap per
 // task — so a losing or dying attempt's runs are never published, let
-// alone merged. This is safe for the same reason the paper's summaries
+// alone grouped. This is safe for the same reason the paper's summaries
 // parallelize at all: a map attempt is a deterministic recomputation
 // over its segment, and reducers compose whatever committed in
 // (mapperID, recordID) order (§5.4).
@@ -256,12 +256,12 @@ func (l *runList) Publish(r Run) error {
 	return nil
 }
 
-// executeMap is the one map attempt body — emit, partition, spill sort,
-// segcodec encode, publish into sink — run by the engine's in-process
+// executeMap is the one map attempt body — emit, partition, segcodec
+// encode, publish into sink — run by the engine's in-process
 // attempts and by cluster workers through ExecuteMap, which is what
 // makes a run byte-identical wherever it was produced; it fires the
 // attempt's armed faults at their points either way. A nil sink is the
-// map-only job's: nothing is partitioned, sorted or encoded, and the
+// map-only job's: nothing is partitioned or encoded, and the
 // emitted records themselves come back as the output.
 func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt int,
 	conf Config, sink RunSink, faults AttemptFaults) (out *MapOutput, err error) {
@@ -301,17 +301,17 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			trigs = append(trigs, f)
 		}
 	}
-	var seq int64
+	var emitted int64
 	emit := func(key string, recordID int64, value []byte) {
-		if len(trigs) > 0 && seq == trigs[0].At {
+		if len(trigs) > 0 && emitted == trigs[0].At {
 			f := trigs[0]
 			trigs = trigs[1:]
 			if ferr := f.fire(ctx); ferr != nil {
 				panic(attemptAbort{ferr})
 			}
 		}
-		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, seq: seq, value: value}
-		seq++
+		emitted++
+		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: value}
 		p := partition(key, n)
 		buf := parts[p]
 		if buf == nil {
@@ -340,17 +340,15 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 	return out, nil
 }
 
-// spillRuns sorts each non-empty partition — map-side work, as in
-// Hadoop — then encodes it into its wire
-// segment (segcodec.go) and publishes the run, so run sizes are always
-// real encoder output and compression acts on the actual shuffle path,
-// not a model of it. The run-send fault fires before the run it counts
-// is published.
+// spillRuns encodes each non-empty partition, in emit order, into its
+// wire segment (segcodec.go) and publishes the run, so run sizes are
+// always real encoder output and compression acts on the actual shuffle
+// path, not a model of it. The run-send fault fires before the run it
+// counts is published.
 func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Config, sink RunSink,
 	out *MapOutput, faults AttemptFaults) error {
 	for p := range parts {
 		out.Emitted += int64(len(parts[p]))
-		sortRun(parts[p])
 	}
 	span := conf.Trace.Start(obs.KindSpillEncode, fmt.Sprintf("map-%d", task)).
 		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
@@ -502,14 +500,14 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 	}
 }
 
-// runReduceTask merges one partition's committed runs and streams the
+// runReduceTask groups one partition's committed runs and streams the
 // key groups to the user reduce function, under the reduce task
 // lifecycle: the same per-attempt retry/backoff budget map tasks get,
 // the attempt's faults armed at the reduce points, an attempt span per
-// try and a commit span for the one that succeeds. The merge never
-// mutates the runs, so a retry re-merges the identical committed inputs
-// and re-invokes Reduce for every group, which the ReduceFunc contract
-// requires to be idempotent.
+// try and a commit span for the one that succeeds. Grouping never
+// mutates the runs' records, so a retry regroups the identical committed
+// inputs and re-invokes Reduce for every group, which the ReduceFunc
+// contract requires to be idempotent.
 func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
 	defer releaseRuns(runs)
 	var attemptErrs []error
@@ -527,7 +525,7 @@ func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
 		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
 			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
 		t0 := time.Now()
-		groups, err := env.reduceMerge(p, runs, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
+		groups, err := env.reduceGroups(p, runs, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
 		if err == nil {
 			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
 			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrGroups, groups).End()

@@ -4,8 +4,8 @@ package mapreduce
 // to their reduce partitions over memTransport, wherever the attempt
 // body ran: a cluster worker streams its runs back to the coordinator,
 // which commits them exactly as it commits an in-process attempt's.
-// Because a Run carries the segcodec wire form either way, the reducer
-// merge consumes byte-identical input regardless of placement — the
+// Because a Run carries the segcodec wire form either way, the reducer's
+// grouping consumes byte-identical input regardless of placement — the
 // property the transport-equivalence golden tests pin.
 
 // Run is one committed spill run in wire form. Seg holds the

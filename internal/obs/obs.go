@@ -38,11 +38,11 @@ const (
 	// KindJob is the per-job root span; every other span of the run is
 	// parented to it.
 	KindJob = "job"
-	// KindMapAttempt covers one map task attempt: user map, spill sort,
+	// KindMapAttempt covers one map task attempt: user map, partition,
 	// segment encode. Attrs: task, attempt, records, out_bytes,
 	// logical_bytes; tags: outcome (ok|error), speculative.
 	KindMapAttempt = "map_attempt"
-	// KindReduceAttempt covers one reduce task attempt: the k-way merge
+	// KindReduceAttempt covers one reduce task attempt: the grouping
 	// plus the user reduce calls. Attrs: part, attempt, groups.
 	KindReduceAttempt = "reduce_attempt"
 	// KindCommit is an instant event: one attempt won its task's commit.
@@ -59,8 +59,8 @@ const (
 	// KindSpillEncode covers encoding one attempt's partition segments.
 	// Attrs: task, attempt, bytes.
 	KindSpillEncode = "spill_encode"
-	// KindMerge covers one pre-merge fold of pending runs at an idle
-	// reducer. Attrs: part, runs.
+	// KindMerge covers one reduce attempt's grouping pass: its runs read
+	// in mapper order and laid out by key. Attrs: part, runs.
 	KindMerge = "merge"
 	// KindMapParse covers the groupby/parse pass of one map chunk.
 	// Attrs: task, records, groups, batch_records.

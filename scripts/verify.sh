@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, formatting, full tests, and a race
-# run of the pipelined shuffle + SYMPLE runtime.
+# run of the pipelined shuffle (TestPipelinedStress) + SYMPLE runtime.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,8 +32,7 @@ fi
 leg vet go vet ./...
 leg build go build ./...
 # The unit leg runs every fuzz target's seed corpus as plain tests
-# (FuzzKeyPrefixOrder: the spill sort's prefix-first order against
-# strings.Compare; FuzzBundleFold and TestFuzzSeedBundleCorpus: the
+# (FuzzBundleFold and TestFuzzSeedBundleCorpus: the
 # committed bundle seeds, each form a count of 0 takes, at two schemas)
 # and the allocation ceilings of the two kinds of site, event groups of
 # every size included (TestExecSiteAllocCeiling, TestFoldAllocCeiling),
