@@ -206,21 +206,27 @@ func TestB1LatencyShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sympSink := obs.NewMemSink()
-	if _, err := spec.Symple(segs, mapreduce.Config{
-		NumReducers: 4, Trace: obs.NewTrace(sympSink)}); err != nil {
+	symp, err := spec.Symple(segs, mapreduce.Config{
+		NumReducers: 4, Trace: obs.NewTrace(sympSink)})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Baseline: one reduce_group span consumes every parsed record.
-	var hotValues, groups int64
-	for _, sp := range baseSink.Spans() {
-		if sp.Kind == obs.KindReduceGroup {
-			groups++
-			if v := sp.Attr(obs.AttrValues); v > hotValues {
-				hotValues = v
+	// reduced sums the groups of a trace's compose spans — one per
+	// reduce attempt — and returns the most values one attempt reduced.
+	reduced := func(sink *obs.MemSink) (groups, values int64) {
+		for _, sp := range sink.Spans() {
+			if sp.Kind == obs.KindCompose {
+				groups += sp.Attr(obs.AttrGroups)
+				if v := sp.Attr(obs.AttrValues); v > values {
+					values = v
+				}
 			}
 		}
+		return groups, values
 	}
+
+	// Baseline: one reduce group consumes every parsed record.
+	groups, hotValues := reduced(baseSink)
 	if groups != 1 {
 		t.Fatalf("B1 baseline reduced %d groups, want exactly 1", groups)
 	}
@@ -231,17 +237,10 @@ func TestB1LatencyShape(t *testing.T) {
 
 	// SYMPLE: the same group composes a handful of summaries — bounded by
 	// a small constant per mapper, not by the record count.
-	var summaries int64
-	composeSpans := 0
-	for _, sp := range sympSink.Spans() {
-		if sp.Kind == obs.KindCompose {
-			composeSpans++
-			summaries += sp.Attr(obs.AttrSummaries)
-		}
+	if groups, _ := reduced(sympSink); groups != 1 {
+		t.Fatalf("B1 symple composed %d groups, want exactly 1", groups)
 	}
-	if composeSpans != 1 {
-		t.Fatalf("B1 symple composed %d groups, want exactly 1", composeSpans)
-	}
+	summaries := int64(symp.Sym.Summaries)
 	if summaries < int64(testScale.Segments) {
 		t.Errorf("compose saw %d summaries, want ≥ one per mapper (%d)",
 			summaries, testScale.Segments)

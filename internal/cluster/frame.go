@@ -44,7 +44,9 @@ import (
 // counted after its zero, which a v8 peer would reject as trailing bytes.
 // Version 10 dropped the combiner flag from the job spec. Version 11
 // runs carry no emit sequence column: a v10 peer's runs decode wrong.
-const ProtocolVersion = 11
+// Version 12 dropped four span attribute keys (applies, composes,
+// out_bytes, summaries), renumbering the keys a worker's spans carry.
+const ProtocolVersion = 12
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

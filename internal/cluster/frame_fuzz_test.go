@@ -128,6 +128,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-v8.bin", Data: frame(FrameHello, helloWith(helloMagic, 8))},
 		{Name: "corrupt-hello-v9.bin", Data: frame(FrameHello, helloWith(helloMagic, 9))},
 		{Name: "corrupt-hello-v10.bin", Data: frame(FrameHello, helloWith(helloMagic, 10))},
+		{Name: "corrupt-hello-v11.bin", Data: frame(FrameHello, helloWith(helloMagic, 11))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",

@@ -211,7 +211,7 @@ type Baseline[R any] struct {
 }
 
 // NewBaseline builds the query's baseline pair; trace, which may be nil,
-// receives its map-parse and reduce-group spans.
+// receives its map-parse spans.
 func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*Baseline[R], error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -240,8 +240,6 @@ func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*B
 		},
 		Reduce: func(key string, values []mapreduce.Shuffled) (R, error) {
 			var zero R
-			span := trace.Start(obs.KindReduceGroup, key).
-				Attr(obs.AttrValues, int64(len(values)))
 			x := sym.NewConcreteExecutor(q.NewState, q.Update, q.Options)
 			for _, v := range values {
 				ev, err := q.DecodeEvent(wire.NewDecoder(v.Value))
@@ -256,9 +254,7 @@ func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*B
 			if err != nil {
 				return zero, err
 			}
-			r := q.Result(key, s)
-			span.End()
-			return r, nil
+			return q.Result(key, s), nil
 		},
 	}, nil
 }
@@ -313,7 +309,6 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 		return nil, err
 	}
 	finish := obsAutoVerify(&conf)
-	trace := conf.Trace
 	var mu sync.Mutex
 	results := make(map[string]R)
 	stats := SymStats{}
@@ -321,35 +316,19 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 	// another and tasks never share a partition, so sites[p] has one
 	// user at a time and a retry folds on the site the failure left.
 	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
-	agg := &composeAgg{over: make([]overflowSums, len(sites))}
 	reduce := func(p int, key string, values []mapreduce.Shuffled) error {
-		var t0 time.Time
-		timed := false
-		if trace != nil {
-			if timed = agg.admit(); timed {
-				t0 = time.Now()
-			}
-		}
 		if sites[p] == nil {
 			sites[p] = newGroupFolder(sc)
 		}
 		// values arrive ordered by (mapperID, recordID): the order the
 		// chunks appear in the input.
-		final, n, err := sites[p].fold(values)
+		final, err := sites[p].fold(values)
 		if err != nil {
 			return err
 		}
 		// Result reads the site's one state, which the next group resets:
 		// whatever outlives this call must be taken from it here.
 		r := q.Result(key, final)
-		// The fold is n applies and zero summary∘summary compositions;
-		// the compose span records both so the verifier's compose-count
-		// invariant (composes + applies = summaries) checks it.
-		if timed {
-			emitComposeSpan(trace, key, t0, time.Now(), n, 0, n)
-		} else if trace != nil {
-			agg.addOverflow(p, n, 0, n)
-		}
 		mu.Lock()
 		results[key] = r
 		mu.Unlock()
@@ -357,14 +336,11 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 	}
 	job := &mapreduce.Job{
 		Name:   q.Name + "/symple",
-		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, trace, conf.Registry),
+		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, conf.Trace, conf.Registry),
 		Reduce: reduce,
 		Conf:   conf,
 	}
 	metrics, err := job.Run(segments)
-	if err == nil && trace != nil {
-		agg.flush(trace)
-	}
 	if err := finish(err); err != nil {
 		return nil, err
 	}
@@ -385,18 +361,14 @@ func newGroupFolder[S sym.State](sc *sym.Schema[S]) *groupFolder[S] {
 }
 
 // fold folds one group's ordered bundles onto the initial state,
-// returning the final state — valid until the next fold — and how many
-// elements (summaries and events) it applied.
-func (g *groupFolder[S]) fold(values []mapreduce.Shuffled) (S, int64, error) {
+// returning the final state — valid until the next fold.
+func (g *groupFolder[S]) fold(values []mapreduce.Shuffled) (S, error) {
 	g.site.Reset(g.state)
-	var n int64
 	for _, v := range values {
-		k, err := g.site.AddBundle(g.state, v.Value)
-		if err != nil {
+		if _, err := g.site.AddBundle(g.state, v.Value); err != nil {
 			var zero S
-			return zero, n, fmt.Errorf("folding summary bundle of mapper %d: %w", v.MapperID, err)
+			return zero, fmt.Errorf("folding summary bundle of mapper %d: %w", v.MapperID, err)
 		}
-		n += int64(k)
 	}
-	return g.state.State(), n, nil
+	return g.state.State(), nil
 }

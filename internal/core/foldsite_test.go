@@ -80,7 +80,7 @@ func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
 				last := &values[len(values)-1]
 				last.Value = last.Value[:len(last.Value)-1]
 			}
-			_, _, err := site.fold(values)
+			_, err := site.fold(values)
 			if (err != nil) != (i == failAt) {
 				t.Fatalf("failAt %d, group %d: err = %v", failAt, i, err)
 			}
@@ -90,7 +90,7 @@ func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
 		}
 		got := map[string][]int64{}
 		for _, key := range keys {
-			final, _, err := site.fold(groups[key])
+			final, err := site.fold(groups[key])
 			if err != nil {
 				t.Fatalf("retry after failing in group %d: key %q: %v", failAt, key, err)
 			}

@@ -135,10 +135,10 @@ type Config struct {
 	RemoteMap RemoteMapper
 
 	// Trace, when set, emits structured spans for the job and every task
-	// attempt, commit, spill-run decode, and grouping to the trace's sink
-	// (see internal/obs). nil (the default) costs one nil check per span
-	// site. Spans are per task / per segment / per group, never per
-	// record.
+	// attempt, commit, spill-run decode, grouping pass and reduce loop to
+	// the trace's sink (see internal/obs). nil (the default) costs one nil
+	// check per span site. Spans are per task / per segment / per
+	// partition, never per group or record.
 	Trace *obs.Trace
 	// Registry, when set, receives the job's typed metrics merged in
 	// after the run. The engine always instruments a fresh private

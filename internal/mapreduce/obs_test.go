@@ -86,7 +86,7 @@ func TestTracedJobVerifies(t *testing.T) {
 				case obs.KindMerge:
 					merges++
 					fallthrough
-				case obs.KindSpillEncode, obs.KindRunCommit, obs.KindSegDecode, obs.KindReduceAttempt:
+				case obs.KindSpillEncode, obs.KindRunCommit, obs.KindSegDecode, obs.KindReduceAttempt, obs.KindCompose:
 					// A map-only job commits its tasks and crosses nothing
 					// else: no run is committed that nothing would consume.
 					if job.Reduce == nil {
@@ -120,22 +120,108 @@ func TestTracedJobVerifies(t *testing.T) {
 }
 
 // TestSpanCountExact pins the trace's size to the job, not the
-// schedule: one grouping span per reduce attempt whenever runs arrive,
-// so repeated runs of one job emit the same number of spans.
+// schedule: every reduce attempt opens one grouping span and one compose
+// span, whether or not runs reached its partition, so repeated runs of
+// one job emit the same number of spans.
 func TestSpanCountExact(t *testing.T) {
-	counts := map[int]int{}
-	for i := 0; i < 5; i++ {
-		job, segs := obsTestJob(3)
-		sink := obs.NewMemSink()
-		job.Conf.Parallelism = 1 + i%3
-		job.Conf.Trace = obs.NewTrace(sink)
-		if _, err := job.Run(segs); err != nil {
-			t.Fatal(err)
+	for reducers := 1; reducers <= 4; reducers++ {
+		for _, oneKey := range []bool{false, true} {
+			counts := map[int]int{}
+			for i := 0; i < 3; i++ {
+				job, segs := obsTestJob(reducers)
+				if oneKey {
+					// Every record under one key: one partition gets runs,
+					// the others none.
+					job.Map = func(_ int, seg *Segment, emit Emit) error {
+						for i, rec := range seg.Records {
+							emit("key00", int64(i), rec)
+						}
+						return nil
+					}
+				}
+				sink := obs.NewMemSink()
+				job.Conf.Parallelism = 1 + i%3
+				job.Conf.Trace = obs.NewTrace(sink)
+				if _, err := job.Run(segs); err != nil {
+					t.Fatal(err)
+				}
+				spans := sink.Spans()
+				counts[len(spans)]++
+				kinds := map[string]int{}
+				decoded := map[int64]bool{}
+				var groups, values int64
+				for _, sp := range spans {
+					kinds[sp.Kind]++
+					switch sp.Kind {
+					case obs.KindSegDecode:
+						decoded[sp.Attr(obs.AttrPart)] = true
+					case obs.KindCompose:
+						groups += sp.Attr(obs.AttrGroups)
+						values += sp.Attr(obs.AttrValues)
+					}
+				}
+				if kinds[obs.KindReduceAttempt] != reducers || kinds[obs.KindMerge] != reducers ||
+					kinds[obs.KindCompose] != reducers {
+					t.Fatalf("%d reducers, one key %v: %d reduce attempts, %d merge and %d compose spans, want %d each",
+						reducers, oneKey, kinds[obs.KindReduceAttempt], kinds[obs.KindMerge], kinds[obs.KindCompose], reducers)
+				}
+				if wantGroups := map[bool]int64{false: 17, true: 1}[oneKey]; groups != wantGroups || values != 120 {
+					t.Fatalf("%d reducers, one key %v: compose spans reduced %d groups of %d values, want %d of 120",
+						reducers, oneKey, groups, values, wantGroups)
+				}
+				if oneKey && reducers > 1 && len(decoded) != 1 {
+					t.Fatalf("%d reducers: runs reached %d partitions, want 1", reducers, len(decoded))
+				}
+			}
+			if len(counts) != 1 {
+				t.Fatalf("%d reducers, one key %v: span counts vary between runs of one job: %v",
+					reducers, oneKey, counts)
+			}
 		}
-		counts[len(sink.Spans())]++
 	}
-	if len(counts) != 1 {
-		t.Fatalf("span counts vary between runs of one job: %v", counts)
+}
+
+// TestReduceMidFaultTagsCompose: a reduce attempt failed after some of
+// its groups leaves a compose span tagged outcome=error over the groups
+// it reduced, and the retry's span follows it untagged; the trace still
+// verifies.
+func TestReduceMidFaultTagsCompose(t *testing.T) {
+	job, segs := obsTestJob(2)
+	sink := obs.NewMemSink()
+	plan := NewFaultPlan(3).WithPoints(PointReduceMid).WithKinds(KindError, KindKill).WithRate(1)
+	job.Conf = Config{NumReducers: 2, MaxAttempts: 2, Faults: plan, Trace: obs.NewTrace(sink)}
+	if _, err := job.Run(segs); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Injected() != 2 {
+		t.Fatalf("%d faults armed, want one per reduce task", plan.Injected())
+	}
+	spans := sink.Spans()
+	if err := (obs.Verifier{}).Check(spans); err != nil {
+		t.Fatalf("trace failed verification: %v", err)
+	}
+	composes := map[int64][]*obs.Span{}
+	for _, sp := range spans {
+		if sp.Kind == obs.KindCompose {
+			p := sp.Attr(obs.AttrPart)
+			composes[p] = append(composes[p], sp)
+		}
+	}
+	for p := int64(0); p < 2; p++ {
+		c := composes[p]
+		if len(c) != 2 {
+			t.Fatalf("part %d: %d compose spans, want one per attempt (2)", p, len(c))
+		}
+		failed, retry := c[0], c[1]
+		if failed.Tag(obs.TagOutcome) != "error" || retry.Tag(obs.TagOutcome) != "" {
+			t.Errorf("part %d: compose outcomes %q then %q, want \"error\" then none",
+				p, failed.Tag(obs.TagOutcome), retry.Tag(obs.TagOutcome))
+		}
+		if g := failed.Attr(obs.AttrGroups); g < 1 || g > retry.Attr(obs.AttrGroups) ||
+			failed.Attr(obs.AttrValues) > retry.Attr(obs.AttrValues) {
+			t.Errorf("part %d: failed attempt reduced %d groups of %d values, the retry %d of %d",
+				p, g, failed.Attr(obs.AttrValues), retry.Attr(obs.AttrGroups), retry.Attr(obs.AttrValues))
+		}
 	}
 }
 

@@ -29,17 +29,19 @@ type spillRun struct {
 // order, already is §5.4's order, so no key needs sorting: groups come
 // in first-appearance order over that read, and a group's values in
 // (mapperID, recordID) order, emit order among equal pairs. The layout
-// pass is the attempt's merge span. It never mutates the runs' records,
-// so a retrying reduce attempt regroups identical inputs. It returns the
-// groups streamed.
+// pass is the attempt's merge span, the fn calls that follow its compose
+// span. It never mutates the runs' records, so a retrying reduce attempt
+// regroups identical inputs. It returns the groups streamed.
 func groupRuns(trace *obs.Trace, part int, runs []spillRun,
 	fn func(key string, group []Shuffled) error) (groups int64, err error) {
-	span := trace.Start(obs.KindMerge, fmt.Sprintf("part-%d", part)).
+	name := fmt.Sprintf("part-%d", part)
+	span := trace.Start(obs.KindMerge, name).
 		Attr(obs.AttrPart, int64(part)).Attr(obs.AttrRuns, int64(len(runs)))
 	g := groupers.Get().(*grouper)
 	defer g.release()
 	g.layout(runs)
 	span.End()
+	span = trace.Start(obs.KindCompose, name).Attr(obs.AttrPart, int64(part))
 	start := int32(0)
 	for id, key := range g.keys {
 		end := g.ends[id]
@@ -47,11 +49,13 @@ func groupRuns(trace *obs.Trace, part int, runs []spillRun,
 		start = end
 		sortGroup(group)
 		groups++
-		if err := fn(key, group); err != nil {
-			return groups, err
+		if err = fn(key, group); err != nil {
+			span.Tag(obs.TagOutcome, "error")
+			break
 		}
 	}
-	return groups, nil
+	span.Attr(obs.AttrGroups, groups).Attr(obs.AttrValues, int64(start)).End()
+	return groups, err
 }
 
 // grouper is a reduce attempt's grouping scratch, pooled across attempts.

@@ -5,22 +5,22 @@
 // The paper's claims are all measured quantities — CPU seconds, shuffle
 // bytes, end-to-end latency — so the engine that reproduces them must be
 // able to show its work. Every job run can emit a trace: a flat list of
-// spans (one per task attempt, spill encode, segment decode, merge,
-// summary composition, …) all parented to a per-job root span, written
+// spans (one per task attempt, spill encode, segment decode, grouping
+// pass, reduce loop, …) all parented to a per-job root span, written
 // as JSONL through a pluggable Sink. A completed trace is a checkable
 // artifact: Verifier replays it against the engine's algebraic
 // invariants (wire bytes bounded by logical bytes, every committed run
-// merged exactly once, compose count = summaries−1 per group,
-// speculation losers never commit), turning "the run looked right" into
-// "the run provably composed right" — the Monoidify/Homomorphism-
-// Calculus discipline applied to the runtime rather than the UDA.
+// merged exactly once, speculation losers never commit), turning "the
+// run looked right" into "the run provably shuffled right" — the
+// Monoidify/Homomorphism-Calculus discipline applied to the runtime
+// rather than the UDA.
 //
 // Tracing is strictly optional and nil-safe: a nil *Trace (the default)
 // makes every span call a no-op nil-pointer check, so the hot paths pay
 // nothing when observability is off. Span granularity is per task /
-// per segment / per group — never per record — keeping the traced
-// overhead within a few percent (`obs.trace_overhead_pct` in `go run
-// ./benchmark -trace 1`, on every workload).
+// segment / chunk / partition — never per group or record — keeping the
+// traced overhead within a few percent (`obs.trace_overhead_pct` in `go
+// run ./benchmark -trace 1`, on every workload).
 package obs
 
 import (
@@ -39,11 +39,11 @@ const (
 	// parented to it.
 	KindJob = "job"
 	// KindMapAttempt covers one map task attempt: user map, partition,
-	// segment encode. Attrs: task, attempt, records, out_bytes,
-	// logical_bytes; tags: outcome (ok|error), speculative.
+	// segment encode. Attrs: task, attempt, records; tags: outcome
+	// (ok|error), speculative.
 	KindMapAttempt = "map_attempt"
 	// KindReduceAttempt covers one reduce task attempt: the grouping
-	// plus the user reduce calls. Attrs: part, attempt, groups.
+	// plus the user reduce calls. Attrs: task, attempt, groups.
 	KindReduceAttempt = "reduce_attempt"
 	// KindCommit is an instant event: one attempt won its task's commit.
 	// Attrs: task, attempt. At most one per task — the single-commit
@@ -73,13 +73,11 @@ const (
 	// the map_parse span that asked. Name: the plan fields built (e.g.
 	// "0,3"). Attrs: records (the rows the pass typed).
 	KindIndex = "index"
-	// KindCompose covers the reduce-side fold of one group's summaries.
-	// Name: group key. Attrs: summaries, composes, applies —
-	// the compose-count invariant requires composes+applies = summaries.
+	// KindCompose covers one reduce attempt's reduce calls after its
+	// grouping pass: in a SYMPLE job, each group's summaries folded in
+	// order onto the initial state. Attrs: part, groups and values
+	// reduced; tags: outcome (error only).
 	KindCompose = "compose"
-	// KindReduceGroup covers one concrete reduce group (baseline
-	// engine). Name: group key. Attrs: values.
-	KindReduceGroup = "reduce_group"
 	// KindQueue covers one serve job's admission wait, from accepted
 	// submit to dispatch. Parented to the serve job root; tags: tenant.
 	KindQueue = "queue_wait"
@@ -99,8 +97,7 @@ type (
 
 // Attribute keys shared by emitters and the Verifier.
 const (
-	AttrApplies AttrKey = iota + 1
-	AttrAttempt
+	AttrAttempt AttrKey = iota + 1
 	// AttrBatchRecords is the number of events a map chunk kept after
 	// grouping; its parse and exec spans carry the same value.
 	AttrBatchRecords
@@ -112,18 +109,15 @@ const (
 	// prefix: resumed from, never folded), and how many were mapped fresh.
 	// The serve-cache invariant joins them against the job's subtree.
 	AttrCachedSegments
-	AttrComposes
 	AttrGroups
 	AttrLogicalBytes
 	AttrMappedSegments
-	AttrOutBytes
 	AttrParallelism
 	AttrPart
 	AttrPrefixSegments
 	AttrRecords
 	AttrRuns
 	AttrSegments
-	AttrSummaries
 	AttrTask
 	AttrValues
 	AttrWireBytes
@@ -143,10 +137,9 @@ const (
 )
 
 var (
-	attrNames = [numAttrKeys]string{"", "applies", "attempt", "batch_records", "bytes",
-		"cached_segments", "composes", "groups", "logical_bytes", "mapped_segments", "out_bytes",
-		"parallelism", "part", "prefix_segments", "records", "runs", "segments", "summaries",
-		"task", "values", "wire_bytes"}
+	attrNames = [numAttrKeys]string{"", "attempt", "batch_records", "bytes", "cached_segments",
+		"groups", "logical_bytes", "mapped_segments", "parallelism", "part", "prefix_segments",
+		"records", "runs", "segments", "task", "values", "wire_bytes"}
 	tagNames = [numTagKeys]string{"", "outcome", "phase", "remote", "sim", "speculative"}
 )
 
@@ -285,9 +278,8 @@ func (t *Trace) NewID() int64 {
 }
 
 // CurrentJob returns the implicit parent ID Start would attach to — the
-// most recent StartJob's span ID. It outlives that span's End, so
-// post-run emitters (the compose overflow aggregate) can still parent to
-// the job they observed.
+// most recent StartJob's span ID — for emitters that build spans
+// manually (a cluster worker's shipped spans).
 func (t *Trace) CurrentJob() int64 {
 	if t == nil {
 		return 0
@@ -512,9 +504,10 @@ func appendSpanJSON(b []byte, sp *Span) []byte {
 const jsonHex = "0123456789abcdef"
 
 // appendJSONString renders s as a quoted JSON string. Kinds and attr
-// keys are engine identifiers, but span names carry group keys which can
-// hold arbitrary bytes, so quotes, backslashes, and control characters
-// are escaped; everything else passes through raw.
+// keys are engine identifiers, but span names and tags carry job names
+// and error messages which can hold arbitrary bytes, so quotes,
+// backslashes, and control characters are escaped; everything else
+// passes through raw.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {

@@ -78,14 +78,14 @@ type jsonSpan struct {
 
 // TestJSONLSinkOutput checks the hand-rolled encoder against the real
 // JSON parser: every line must parse back into the span, with
-// deterministic key order and proper escaping of hostile group keys.
+// deterministic key order and proper escaping of hostile names.
 func TestJSONLSinkOutput(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	tr := NewTrace(sink)
 	job := tr.StartJob("job with \"quotes\" and\nnewline")
 	tr.Start(KindCompose, `group"key`+"\x01\\end").
-		Attr(AttrSummaries, 3).Attr(AttrComposes, 2).Attr(AttrApplies, 1).
+		Attr(AttrValues, 3).Attr(AttrGroups, 2).Attr(AttrPart, 1).
 		Tag(TagRemote, "1").End()
 	job.End()
 	if err := sink.Close(); err != nil {
@@ -109,11 +109,11 @@ func TestJSONLSinkOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindCompose || got.Attrs["summaries"] != 3 || got.Tags["remote"] != "1" {
+	if got.Kind != KindCompose || got.Attrs["values"] != 3 || got.Tags["remote"] != "1" {
 		t.Fatalf("compose span did not round-trip: %+v", got)
 	}
 	if got.Name != `group"key`+"\x01\\end" {
-		t.Fatalf("hostile group key mangled: %q", got.Name)
+		t.Fatalf("hostile name mangled: %q", got.Name)
 	}
 }
 

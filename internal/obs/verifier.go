@@ -18,8 +18,6 @@ const (
 	InvRunUnknown      = "run-unknown"       // no decode of a never-committed run
 	InvSingleCommit    = "single-commit"     // at most one commit per task (spec losers never commit)
 	InvCommitNoAttempt = "commit-no-attempt" // every commit has a matching attempt span
-	InvComposeCount    = "compose-count"     // composes + applies == summaries per group
-	InvGroupOnce       = "group-once"        // each group composed by exactly one winning reducer
 	InvDuplicateSpan   = "duplicate-span"    // span IDs unique within a job
 	InvJobMissing      = "job-missing"       // non-empty trace must contain a job span
 	InvBatchRecords    = "batch-records"     // every parse/exec span: kept events <= chunk records; parse/exec agree per task
@@ -222,7 +220,6 @@ func (v Verifier) verifyJob(job *Span, children []*Span) []Violation {
 
 	out = append(out, verifyRuns(job, children)...)
 	out = append(out, verifyCommits(job, children)...)
-	out = append(out, verifyComposes(job, children)...)
 	return append(out, verifyBatches(job, children)...)
 }
 
@@ -376,61 +373,6 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 				out = append(out, Violation{InvCommitNoAttempt,
 					fmt.Sprintf("job %q: %s task %d committed attempt %d whose outcome is %q",
 						job.Name, k.kind, k.task, att, outcome)})
-			}
-		}
-	}
-	return out
-}
-
-// verifyComposes checks the summary-composition algebra per group:
-// composing n summaries takes exactly n−1 pairwise composes however the
-// tree is shaped, so composes + applies must equal summaries (the
-// reducer's apply fold replays summaries individually: composes = 0,
-// applies = n). Each group must be composed by exactly one winning
-// reducer.
-func verifyComposes(job *Span, children []*Span) []Violation {
-	var out []Violation
-	// Group-once is only strict when every reduce task ran exactly one
-	// clean attempt: a retried or speculative attempt legitimately
-	// re-composes its partition's groups before losing the commit race.
-	reduceAttempts := make(map[int64]int)
-	cleanReduce := true
-	for _, sp := range children {
-		if sp.Kind == KindReduceAttempt {
-			reduceAttempts[sp.Attr(AttrTask)]++
-			if o := sp.Tag(TagOutcome); o != "" && o != "ok" {
-				cleanReduce = false
-			}
-		}
-	}
-	for _, n := range reduceAttempts {
-		if n > 1 {
-			cleanReduce = false
-		}
-	}
-	seen := make(map[string]int)
-	var names []string
-	for _, sp := range children {
-		if sp.Kind != KindCompose {
-			continue
-		}
-		s, c, a := sp.Attr(AttrSummaries), sp.Attr(AttrComposes), sp.Attr(AttrApplies)
-		if s < 1 || c+a != s {
-			out = append(out, Violation{InvComposeCount,
-				fmt.Sprintf("job %q: group %q composed %d + applied %d over %d summaries (want composes+applies == summaries ≥ 1)",
-					job.Name, sp.Name, c, a, s)})
-		}
-		if seen[sp.Name] == 0 {
-			names = append(names, sp.Name)
-		}
-		seen[sp.Name]++
-	}
-	if cleanReduce {
-		sort.Strings(names)
-		for _, name := range names {
-			if n := seen[name]; n > 1 {
-				out = append(out, Violation{InvGroupOnce,
-					fmt.Sprintf("job %q: group %q composed by %d reducers", job.Name, name, n)})
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // goodTrace builds a minimal but complete healthy trace: one job with
 // two map tasks (task 1 speculated — attempt 1 won, the backup attempt 2
 // ran but never committed), one reduce task, two committed runs each
-// decoded once, and two composed groups. Every breaker in the table
+// decoded once, then grouped and reduced as two groups. Every breaker in the table
 // below starts from a copy of this and breaks exactly one invariant.
 func goodTrace() []*Span {
 	base := int64(1_000_000_000)
@@ -39,8 +39,8 @@ func goodTrace() []*Span {
 			[]attr{{AttrTask, 1}, {AttrAttempt, 1}}, []tag{{TagPhase, "map"}}),
 		sp(8, 1, KindRunCommit, "map-1", 40, 40,
 			[]attr{{AttrTask, 1}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
-		// Reduce task 0: decodes both committed runs exactly once and
-		// composes two groups.
+		// Reduce task 0: decodes both committed runs exactly once, groups
+		// them and reduces the two groups.
 		sp(9, 1, KindSegDecode, "part-0", 45, 46,
 			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrPart, 0}, {AttrBytes, 450}}, nil),
 		sp(10, 1, KindSegDecode, "part-0", 46, 47,
@@ -49,12 +49,10 @@ func goodTrace() []*Span {
 			[]attr{{AttrTask, 0}, {AttrAttempt, 1}, {AttrGroups, 2}}, []tag{{TagOutcome, "ok"}}),
 		sp(12, 1, KindCommit, "reduce-0", 90, 90,
 			[]attr{{AttrTask, 0}, {AttrAttempt, 1}}, []tag{{TagPhase, "reduce"}}),
-		// Group "alpha": tree path — 3 summaries, 2 composes, 1 apply.
-		sp(13, 1, KindCompose, "alpha", 50, 60,
-			[]attr{{AttrSummaries, 3}, {AttrComposes, 2}, {AttrApplies, 1}}, nil),
-		// Group "beta": apply path — 2 summaries replayed individually.
-		sp(14, 1, KindCompose, "beta", 60, 70,
-			[]attr{{AttrSummaries, 2}, {AttrComposes, 0}, {AttrApplies, 2}}, nil),
+		sp(13, 1, KindMerge, "part-0", 47, 50,
+			[]attr{{AttrPart, 0}, {AttrRuns, 2}}, nil),
+		sp(14, 1, KindCompose, "part-0", 50, 88,
+			[]attr{{AttrPart, 0}, {AttrGroups, 2}, {AttrValues, 5}}, nil),
 		// Map task 0's chunk: 10 records, 8 kept by grouping, all 8
 		// executed.
 		sp(15, 1, KindMapParse, "parse-0", 1, 10,
@@ -156,10 +154,6 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 			s[1].SetTag(TagOutcome, "error")
 			return s
 		}},
-		{"compose count short", InvComposeCount, func(s []*Span) []*Span {
-			s[12].SetAttr(AttrComposes, 1) // 3 summaries, 1 compose + 1 apply
-			return s
-		}},
 		{"chunk keeps more than it read", InvBatchRecords, func(s []*Span) []*Span {
 			s[14].SetAttr(AttrBatchRecords, 11)
 			s[15].SetAttr(AttrBatchRecords, 11)
@@ -176,11 +170,6 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 		{"exec span without batch count", InvBatchRecords, func(s []*Span) []*Span {
 			withoutAttr(s[15], AttrBatchRecords)
 			return s
-		}},
-		{"group composed twice", InvGroupOnce, func(s []*Span) []*Span {
-			dup := *s[12]
-			dup.ID = 99
-			return append(s, &dup)
 		}},
 		{"clock runs backwards", InvSpanClock, func(s []*Span) []*Span {
 			s[1].Start, s[1].End = s[1].End, s[1].Start
@@ -220,26 +209,6 @@ func TestVerifierCatchesBrokenTraces(t *testing.T) {
 			}
 			t.Fatalf("expected %s violation, got: %v", tc.invariant, viols)
 		})
-	}
-}
-
-// TestVerifierToleratesRetriedReduce pins the group-once gate: when a
-// reduce task ran two attempts (retry or speculation), the same group
-// legitimately appears in two compose spans and must not be flagged.
-func TestVerifierToleratesRetriedReduce(t *testing.T) {
-	spans := goodTrace()
-	// Second reduce attempt for task 0 (failed first, clean second), plus
-	// the duplicate compose it performed.
-	retry := *spans[10]
-	retry.ID = 90
-	withSlots(&retry, []attr{{AttrTask, 0}, {AttrAttempt, 2}, {AttrGroups, 2}}, []tag{{TagOutcome, "ok"}})
-	spans[10].SetTag(TagOutcome, "error")
-	spans[11].SetAttr(AttrAttempt, 2) // commit belongs to the clean attempt
-	dup := *spans[12]
-	dup.ID = 91
-	spans = append(spans, &retry, &dup)
-	if err := (Verifier{}).Check(spans); err != nil {
-		t.Fatalf("retried reduce flagged: %v", err)
 	}
 }
 

@@ -102,8 +102,10 @@ leg frames go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejects
 # commit-matches-attempt and cpu-bound still hold); ./internal/serve adds
 # the service's own traced jobs — cold (a map-only sub-job), warm,
 # answered from a prefix, appended — checked against the serve-cache
-# invariant. CI's `traced` job runs the wide form (-count=2 -shuffle=on).
-leg traced env OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve
+# invariant; ./internal/cluster runs SYMPLE jobs over loopback workers,
+# so the spans a worker ships back are verified too. CI's `traced` job
+# runs the wide form (-count=2 -shuffle=on).
+leg traced env OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries ./internal/serve ./internal/cluster
 # Benchmark smoke: all four workloads at 2000-record inputs, traced and
 # untraced, every job digest-checked against Spec.Sequential.
 leg benchsmoke go run ./benchmark -smoke
