@@ -45,7 +45,7 @@ func TestUserValueFoldsThroughSharedSite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := site.AddBundle(states[k], sym.EncodeSummaryBundle(sums)); err != nil {
+		if err := site.AddBundle(states[k], sym.EncodeSummaryBundle(sums)); err != nil {
 			t.Fatal(err)
 		}
 		for j, st := range states {
@@ -83,7 +83,7 @@ func TestUserValueFoldsFromFrozenState(t *testing.T) {
 	}
 	site := sym.NewFolder(sc)
 	frozen := site.NewState()
-	if _, err := site.AddBundle(frozen, bundle(40, 10)); err != nil {
+	if err := site.AddBundle(frozen, bundle(40, 10)); err != nil {
 		t.Fatal(err)
 	}
 	var before wire.Encoder
@@ -98,7 +98,7 @@ func TestUserValueFoldsFromFrozenState(t *testing.T) {
 			site := sym.NewFolder(sc)
 			for i := 0; i < 200; i++ {
 				own := site.NewState()
-				if _, err := site.AddBundleFrom(own, frozen, data); err != nil {
+				if err := site.AddBundleFrom(own, frozen, data); err != nil {
 					t.Error(err)
 					return
 				}

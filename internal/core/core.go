@@ -14,7 +14,8 @@
 //     running concretely in reducers.
 //   - RunSymple: the paper's contribution — mappers also run the UDA
 //     symbolically per group and shuffle compact symbolic summaries; the
-//     reducer composes summaries in input order and applies Result.
+//     reducer folds each key's summaries, in input order, onto the
+//     initial state in one pass and applies Result.
 //
 // SYMPLE "lifts" the aggregation into mappers exactly like built-in
 // associative aggregations, parallelizing per-group work and shrinking
@@ -39,9 +40,9 @@ const (
 	// MetricSummaryBytes is a histogram of encoded summary-bundle sizes
 	// as shipped to the shuffle, one observation per (mapper, group).
 	MetricSummaryBytes = "summary_bytes"
-	// MetricMemoRunProbes counts runs of identical events the batch path
+	// MetricRunProbes counts runs of identical events the batch path
 	// handled with a single transition probe.
-	MetricMemoRunProbes = "memo_run_probes"
+	MetricRunProbes = "run_probes"
 )
 
 // Query is a groupby-aggregate query over raw input records.
@@ -273,7 +274,7 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 	job := &mapreduce.Job{
 		Name: q.Name + "/baseline",
 		Map:  b.Map,
-		Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
+		Reduce: func(_, _ int, key string, values []mapreduce.Shuffled) error {
 			r, err := b.Reduce(key, values)
 			if err != nil {
 				return err
@@ -299,6 +300,28 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 // recordID) order onto the initial aggregation state — exactly the
 // sequential semantics (paper §5.4).
 func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
+	var mu sync.Mutex
+	results := make(map[string]R)
+	out, err := RunSympleTo(q, segments, conf, func(_, _ int, key string, r R) {
+		mu.Lock()
+		results[key] = r
+		mu.Unlock()
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Results = results
+	return out, nil
+}
+
+// RunSympleTo is RunSymple handing each result to sink where its group
+// folds, instead of keeping it: its Output has no Results. Group ordinal
+// group of partition part (mapreduce.ReduceFunc) is key, with result r.
+// sink is called concurrently for distinct partitions, in ordinal order
+// within one; a retried reduce attempt calls it again for ordinals
+// 0…n−1, so what it keeps must be written by key or ordinal.
+func RunSympleTo[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config,
+	sink func(part, group int, key string, r R)) (*Output[R], error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -310,13 +333,12 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 	}
 	finish := obsAutoVerify(&conf)
 	var mu sync.Mutex
-	results := make(map[string]R)
 	stats := SymStats{}
 	// One fold site per reduce task: attempts of a task run one after
 	// another and tasks never share a partition, so sites[p] has one
 	// user at a time and a retry folds on the site the failure left.
 	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
-	reduce := func(p int, key string, values []mapreduce.Shuffled) error {
+	reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
 		if sites[p] == nil {
 			sites[p] = newGroupFolder(sc)
 		}
@@ -328,10 +350,7 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 		}
 		// Result reads the site's one state, which the next group resets:
 		// whatever outlives this call must be taken from it here.
-		r := q.Result(key, final)
-		mu.Lock()
-		results[key] = r
-		mu.Unlock()
+		sink(p, group, key, q.Result(key, final))
 		return nil
 	}
 	job := &mapreduce.Job{
@@ -344,15 +363,16 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 	if err := finish(err); err != nil {
 		return nil, err
 	}
-	return &Output[R]{Results: results, Metrics: metrics, Sym: stats}, nil
+	return &Output[R]{Metrics: metrics, Sym: stats}, nil
 }
 
 // groupFolder is the reduce of a SYMPLE job — whether its maps ran here
 // or on cluster workers: one fold site and the one state every group of
 // the partition is folded on in turn. Not safe for concurrent use.
 type groupFolder[S sym.State] struct {
-	site  *sym.Folder[S]
-	state *sym.FoldState[S]
+	site    *sym.Folder[S]
+	state   *sym.FoldState[S]
+	bundles [][]byte // the group's bundles, scratch
 }
 
 func newGroupFolder[S sym.State](sc *sym.Schema[S]) *groupFolder[S] {
@@ -360,15 +380,17 @@ func newGroupFolder[S sym.State](sc *sym.Schema[S]) *groupFolder[S] {
 	return &groupFolder[S]{site: site, state: site.NewState()}
 }
 
-// fold folds one group's ordered bundles onto the initial state,
-// returning the final state — valid until the next fold.
+// fold folds one group's ordered bundles onto the initial state in one
+// call, returning the final state — valid until the next fold.
 func (g *groupFolder[S]) fold(values []mapreduce.Shuffled) (S, error) {
 	g.site.Reset(g.state)
+	g.bundles = g.bundles[:0]
 	for _, v := range values {
-		if _, err := g.site.AddBundle(g.state, v.Value); err != nil {
-			var zero S
-			return zero, fmt.Errorf("folding summary bundle of mapper %d: %w", v.MapperID, err)
-		}
+		g.bundles = append(g.bundles, v.Value)
+	}
+	if err := g.site.Fold(g.state, g.state, g.bundles...); err != nil {
+		var zero S
+		return zero, fmt.Errorf("folding a group of %d bundles: %w", len(values), err)
 	}
 	return g.state.State(), nil
 }

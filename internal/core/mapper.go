@@ -79,7 +79,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		}
 		if reg != nil {
 			if local.RunProbes > 0 {
-				lreg.Counter(MetricMemoRunProbes).Add(int64(local.RunProbes))
+				lreg.Counter(MetricRunProbes).Add(int64(local.RunProbes))
 			}
 			lreg.MergeInto(reg)
 		}

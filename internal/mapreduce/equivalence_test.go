@@ -39,7 +39,7 @@ func captureJob(t *testing.T, segs []*Segment, conf Config, mapFn MapFunc) (map[
 	job := &Job{
 		Name: "capture",
 		Map:  mapFn,
-		Reduce: func(r int, key string, values []Shuffled) error {
+		Reduce: func(r, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			defer mu.Unlock()
 			b := streams[r]
@@ -351,7 +351,7 @@ func TestPipelinedStress(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			groups++
 			records += int64(len(values))

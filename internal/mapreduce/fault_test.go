@@ -139,7 +139,7 @@ func runIdempotentCapture(t *testing.T, segs []*Segment, conf Config) (string, *
 			}
 			return nil
 		},
-		Reduce: func(r int, key string, values []Shuffled) error {
+		Reduce: func(r, _ int, key string, values []Shuffled) error {
 			var b strings.Builder
 			for _, v := range values {
 				fmt.Fprintf(&b, "%d:%d:%s ", v.MapperID, v.RecordID, v.Value)
@@ -186,7 +186,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			counts[key] = len(values)
 			mu.Unlock()
@@ -224,7 +224,7 @@ func TestRetriesExhaustedAggregateErrors(t *testing.T) {
 			}
 			return sentinelB
 		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 		Conf:   fastRetries(Config{MaxAttempts: 3}),
 	}
 	_, err := job.Run(countingSegments(2, 3))
@@ -252,7 +252,7 @@ func TestReduceRetryRecovers(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			if reduceFails.Add(1) == 1 {
 				return errors.New("first reduce attempt dies")
 			}
@@ -299,7 +299,7 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			counts[key] = len(values)
 			mu.Unlock()
@@ -441,7 +441,7 @@ func TestChaosKillsEveryAttemptFailsCleanly(t *testing.T) {
 			emit("k", 0, nil)
 			return nil
 		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 		Conf:   fastRetries(Config{NumReducers: 2, MaxAttempts: 3, Faults: plan}),
 	}
 	_, err := job.Run(countingSegments(3, 2))
@@ -578,7 +578,7 @@ func TestNoGoroutineLeakOnSuccess(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 		Conf:   Config{NumReducers: 3, Speculation: true},
 	}).Run(segs); err != nil {
 		t.Fatal(err)
@@ -590,7 +590,7 @@ func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	if _, err := (&Job{
 		Name:   "fail",
 		Map:    func(int, *Segment, Emit) error { return errors.New("boom") },
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 		Conf:   fastRetries(Config{NumReducers: 2, MaxAttempts: 3, Speculation: true}),
 	}).Run(countingSegments(4, 10)); err == nil {
 		t.Fatal("expected failure")
@@ -600,7 +600,7 @@ func TestNoGoroutineLeakOnFailure(t *testing.T) {
 // TestNoGoroutineLeakOnCancel cancels mid-map: the run drains and returns
 // the context's error, as a shuffle job and as a map-only one.
 func TestNoGoroutineLeakOnCancel(t *testing.T) {
-	for _, reduce := range []ReduceFunc{func(int, string, []Shuffled) error { return nil }, nil} {
+	for _, reduce := range []ReduceFunc{func(int, int, string, []Shuffled) error { return nil }, nil} {
 		cancelMidMap(t, reduce)
 	}
 }
@@ -646,7 +646,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	job := &Job{
 		Name:   "precancel",
 		Map:    func(int, *Segment, Emit) error { t.Error("map ran"); return nil },
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 	}
 	if _, err := job.RunContext(ctx, countingSegments(2, 2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

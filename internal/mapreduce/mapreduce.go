@@ -79,14 +79,16 @@ type Shuffled struct {
 
 // ReduceFunc processes one key group. A reduce task calls it once per
 // key, in order of the key's first appearance over its runs read by
-// mapperID — an order, not a key sort. The values slice is engine
-// scratch: it is valid only for the duration of the call and must not
-// be retained (the Value payloads themselves are stable). When
+// mapperID — an order, not a key sort; group is the key's ordinal in
+// that order, 0…n−1 within the reducer's partition. The values slice is
+// engine scratch: it is valid only for the duration of the call and must
+// not be retained (the Value payloads themselves are stable). When
 // Config.MaxAttempts allows retries, a failed reduce attempt is
 // re-executed over the same committed runs and Reduce is re-invoked for
-// every group, so its side effects must be idempotent per key (e.g.
-// overwriting a keyed result, as all in-tree engines do).
-type ReduceFunc func(reducerID int, key string, values []Shuffled) error
+// every group, with the same ordinals in the same order, so its side
+// effects must be idempotent per key or per ordinal (e.g. overwriting a
+// keyed result, or the ordinal's slot of the partition's results).
+type ReduceFunc func(reducerID, group int, key string, values []Shuffled) error
 
 // Config configures a job.
 type Config struct {

@@ -44,7 +44,7 @@ func TestWordCount(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			counts[key] = len(values)
 			mu.Unlock()
@@ -100,7 +100,7 @@ func TestShuffleOrdering(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, _ string, values []Shuffled) error {
+		Reduce: func(_, _ int, _ string, values []Shuffled) error {
 			mu.Lock()
 			defer mu.Unlock()
 			prevMapper, prevRec := -1, int64(-1)
@@ -191,7 +191,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	job := &Job{
 		Name:   "failing",
 		Map:    func(int, *Segment, Emit) error { return sentinel },
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 	}
 	_, err := job.Run([]*Segment{{ID: 0, Records: [][]byte{[]byte("x")}}})
 	if !errors.Is(err, sentinel) {
@@ -207,7 +207,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 			emit("k", 0, []byte("v"))
 			return nil
 		},
-		Reduce: func(int, string, []Shuffled) error { return sentinel },
+		Reduce: func(int, int, string, []Shuffled) error { return sentinel },
 	}
 	_, err := job.Run([]*Segment{{ID: 0, Records: [][]byte{[]byte("x")}}})
 	if !errors.Is(err, sentinel) {
@@ -219,7 +219,7 @@ func TestEmptyInput(t *testing.T) {
 	job := &Job{
 		Name:   "empty",
 		Map:    func(int, *Segment, Emit) error { return nil },
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 	}
 	m, err := job.Run(nil)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestShuffleByteAccounting(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(int, string, []Shuffled) error { return nil },
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
 		Conf:   Config{NumReducers: 2},
 	}
 	segs := segmentsFromLines([]string{"a", "b", "c", "d"}, 2)
@@ -276,7 +276,7 @@ func TestManyGroupsAcrossReducers(t *testing.T) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			seen[key]++
 			mu.Unlock()

@@ -29,7 +29,7 @@ func obsTestJob(reducers int) (*Job, []*Segment) {
 			}
 			return nil
 		},
-		Reduce: func(_ int, key string, values []Shuffled) error {
+		Reduce: func(_, _ int, key string, values []Shuffled) error {
 			mu.Lock()
 			seen[key] = len(values)
 			mu.Unlock()

@@ -250,11 +250,13 @@ func decodeRun(trace *obs.Trace, part int, r Run) (spillRun, error) {
 func (env *runEnv) reduceGroups(p int, runs []spillRun, faults AttemptFaults) (groups int64, err error) {
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
+	ord := 0
 	return groupAttempt(env.ctx, env.trace, p, runs, faults, func(key string, group []Shuffled) error {
 		groupHist.Observe(int64(len(group)))
-		if err := j.Reduce(p, key, group); err != nil {
+		if err := j.Reduce(p, ord, key, group); err != nil {
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
 		}
+		ord++
 		return nil
 	})
 }

@@ -30,7 +30,7 @@ func TestValidateRemoteRejections(t *testing.T) {
 			job := &Job{
 				Name:   "remote-validate",
 				Map:    func(int, *Segment, Emit) error { t.Error("local map ran"); return nil },
-				Reduce: func(int, string, []Shuffled) error { return nil },
+				Reduce: func(int, int, string, []Shuffled) error { return nil },
 				Conf:   tc.conf,
 			}
 			if tc.name == "no reduce" {

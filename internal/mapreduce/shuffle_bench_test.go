@@ -35,7 +35,7 @@ func benchJob(conf Config) *Job {
 			}
 			return nil
 		},
-		Reduce: func(_ int, _ string, values []Shuffled) error {
+		Reduce: func(_, _ int, _ string, values []Shuffled) error {
 			for i := range values {
 				_ = values[i].Value
 			}

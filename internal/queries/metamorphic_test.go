@@ -30,7 +30,7 @@ func TestMetamorphicComposition(t *testing.T) {
 			segs := datasets[spec.Dataset]
 			checkedTriples := 0
 			for _, splits := range []int{2, 3, 4, 7} {
-				rep, err := spec.ComposeCheck(segs, splits, sym.Options{})
+				rep, err := composeCheck(spec, segs, splits, sym.Options{})
 				if err != nil {
 					t.Fatalf("splits=%d: %v", splits, err)
 				}
@@ -47,7 +47,7 @@ func TestMetamorphicComposition(t *testing.T) {
 			if checkedTriples == 0 {
 				t.Error("no associativity triples checked at any split width — groups never yielded 3 composable summaries")
 			}
-			rep, err := spec.ComposeCheck(segs, 1, sym.Options{MaxLivePaths: 1, DisableMerging: true})
+			rep, err := composeCheck(spec, segs, 1, sym.Options{MaxLivePaths: 1, DisableMerging: true})
 			if err != nil {
 				t.Fatalf("path cap 1: %v", err)
 			}

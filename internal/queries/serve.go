@@ -170,8 +170,7 @@ func (s *serveSession[S, E, R]) fold(key, data []byte) error {
 	if src == nil {
 		src = st
 	}
-	_, err := s.site.AddBundleFrom(st, src, data)
-	return err
+	return s.site.AddBundleFrom(st, src, data)
 }
 
 // Freeze builds the prefix whole — the base's keys keep their ids, the

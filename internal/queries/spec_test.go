@@ -123,3 +123,40 @@ func TestSpecMetadataComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestSympleLineSinkRetries: with every reduce task's early attempts
+// failed by the fault plan — before the first group, or mid-partition
+// after some groups have written their result lines — each query's
+// digest and result count are the sequential ones, so a retried
+// attempt's lines replace the failed attempt's instead of adding to
+// them.
+func TestSympleLineSinkRetries(t *testing.T) {
+	const reducers = 3
+	datasets := smallDatasets(goldenSegments)
+	for _, spec := range All() {
+		segs := datasets[spec.Dataset]
+		seq, err := spec.Sequential(segs)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", spec.ID, err)
+		}
+		for _, pt := range []mapreduce.FaultPoint{mapreduce.PointReduceMid, mapreduce.PointReduceMerge} {
+			plan := mapreduce.NewFaultPlan(7).WithPoints(pt).
+				WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
+			got, err := spec.Symple(segs, mapreduce.Config{NumReducers: reducers, MaxAttempts: 3, Faults: plan})
+			if err != nil {
+				t.Fatalf("%s, %v: %v", spec.ID, pt, err)
+			}
+			// Every non-final attempt fails — but B1 has one group, which
+			// a mid-partition fault drawn past the first never follows.
+			one := spec.ID == "B1" && pt == mapreduce.PointReduceMid
+			if got.Metrics.ReduceAttempts != 3*reducers && !one {
+				t.Fatalf("%s, %v: %d reduce attempts for %d tasks: want every non-final attempt failed",
+					spec.ID, pt, got.Metrics.ReduceAttempts, reducers)
+			}
+			if got.Digest != seq.Digest || got.NumResults != seq.NumResults {
+				t.Errorf("%s, %v: digest %x (%d results) != sequential %x (%d)",
+					spec.ID, pt, got.Digest, got.NumResults, seq.Digest, seq.NumResults)
+			}
+		}
+	}
+}

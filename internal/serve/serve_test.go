@@ -614,7 +614,7 @@ func TestServeColdPartsMatchShuffle(t *testing.T) {
 			shuffled[i] = map[string]string{}
 		}
 		ref := &mapreduce.Job{Name: "reference/" + spec.ID, Map: mapFn, Conf: engine,
-			Reduce: func(_ int, key string, values []mapreduce.Shuffled) error {
+			Reduce: func(_, _ int, key string, values []mapreduce.Shuffled) error {
 				mu.Lock()
 				defer mu.Unlock()
 				for _, v := range values {

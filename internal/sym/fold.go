@@ -11,12 +11,12 @@ import (
 // the machinery of folding — the containers a bundle decodes into, two
 // spare states and the Env — and a key owns nothing but its FoldState,
 // so a reduce task or a serve session holds one Folder and folds every
-// key through it. A bundle's life is wire bytes
-// → site-owned containers → CopyFrom(admitting path) + Concretize
-// against the current state into a spare → swap, and an event bundle's
-// is wire bytes → the current state copied into a spare → Update per
-// event → swap:
-// steady state, the only allocations are the ones Value.Decode,
+// key through it. A key's group of bundles folds in one call (Fold) onto
+// one working spare, committed by swap after the last: a summary bundle
+// is wire bytes → site-owned containers → CopyFrom(admitting path) +
+// Concretize against the working state into the other spare, and an
+// event bundle is wire bytes → Update per event on the working spare.
+// Steady state, the only allocations are the ones Value.Decode,
 // Value.Concretize and the query's event decoder and Update make.
 //
 // Applying onto a concrete state costs O(paths) per summary and cannot
@@ -30,8 +30,9 @@ type Folder[S State] struct {
 	// writes it.
 	initial *pathState[S]
 	// spare are the two working states a call ping-pongs between. With
-	// the committed state that is three, which is enough: step i reads
-	// one and writes another, and the committed one is never written.
+	// the committed state that is three, which is enough: a summary step
+	// reads one and writes another, events write the spare they are on,
+	// and the committed one is never written.
 	spare [2]*pathState[S]
 	env   Env
 	ctx   Ctx // runs Update for an event bundle
@@ -85,58 +86,80 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 	cur := (*pathState[S])(st)
 	for i, s := range sums {
 		if cur, err = f.step(cur, s.ps, i, len(sums)); err != nil {
-			return err
+			return fmt.Errorf("sym: %w", err)
 		}
 	}
 	commit(st, cur)
 	return nil
 }
 
-// AddBundle decodes one encoded bundle (bundle.go) and applies it onto
-// st, returning how many elements it folded: its summaries, or 1 for a
-// group's events. A corrupt or failing bundle — a summary list is decoded
-// whole before any of it applies, events apply to a copy — leaves st as
-// it was.
-func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) (n int, err error) {
-	return f.AddBundleFrom(st, st, data)
+// AddBundle is Fold of one bundle onto st.
+func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) error {
+	return f.Fold(st, st, data)
 }
 
-// AddBundleFrom is AddBundle reading one state and writing another: dst
-// becomes src with the bundle applied, and src — when it is not dst — is
-// only read, so a frozen state shared between fold sites can be folded
-// from by all of them at once. Events run Update, in order, on a copy of
-// src in a spare, committed by swap after the last like a summary's
-// result. On error dst is what it was.
-func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) (n int, err error) {
+// AddBundleFrom is Fold of one bundle from src onto dst.
+func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) error {
+	return f.Fold(dst, src, data)
+}
+
+// Fold folds the ordered encoded bundles (bundle.go) — a key's whole
+// reduce group, or one bundle — from src onto dst: dst becomes src with
+// every bundle applied, and src, when it is not dst, is only read, so a
+// frozen state shared between fold sites can be folded from by all of
+// them at once. The group folds onto one working spare and commits once,
+// by swap, after the last bundle: a summary steps from the working spare
+// into the other, and events run Update on the working spare in place —
+// on a copy of src first, when they come before any summary. A corrupt
+// or failing bundle anywhere (a summary list is decoded whole before any
+// of it applies) leaves dst as it was.
+func (f *Folder[S]) Fold(dst, src *FoldState[S], bundles ...[]byte) (err error) {
 	defer catchFailure(&err)
-	events, err := f.decode(data)
-	if err != nil {
-		return 0, err
-	}
 	cur := (*pathState[S])(src)
-	if events > 0 {
-		out := f.spareAt(0)
-		out.copyFrom(cur)
-		for i := 0; i < events; i++ {
-			if err := f.sc.applyEvent(&f.ctx, out.s, &f.dec); err != nil {
-				return 0, fmt.Errorf("sym: bundle event %d/%d: %w", i+1, events, err)
-			}
+	for i, data := range bundles {
+		if cur, err = f.add(cur, data); err != nil {
+			return fmt.Errorf("sym: bundle %d/%d: %w", i+1, len(bundles), err)
 		}
-		if d := &f.dec; d.Remaining() != 0 {
-			return 0, fmt.Errorf("%w: %d trailing bytes after %d events", wire.ErrCorrupt, d.Remaining(), events)
-		}
-		commit(dst, out)
-		return 1, nil
 	}
-	lo := 0
-	for i, hi := range f.ends {
-		if cur, err = f.step(cur, f.paths[lo:hi], i, len(f.ends)); err != nil {
-			return 0, err
-		}
-		lo = hi
+	if len(bundles) == 0 {
+		cur = f.spareOff(cur)
+		cur.copyFrom((*pathState[S])(src))
 	}
 	commit(dst, cur)
-	return len(f.ends), nil
+	return nil
+}
+
+// add applies one bundle to cur and returns the state holding the
+// result, a spare. cur is written only when it is a spare itself.
+func (f *Folder[S]) add(cur *pathState[S], data []byte) (*pathState[S], error) {
+	events, err := f.decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if events == 0 {
+		lo := 0
+		for i, hi := range f.ends {
+			if cur, err = f.step(cur, f.paths[lo:hi], i, len(f.ends)); err != nil {
+				return nil, err
+			}
+			lo = hi
+		}
+		return cur, nil
+	}
+	if cur != f.spare[0] && cur != f.spare[1] {
+		out := f.spareOff(cur)
+		out.copyFrom(cur)
+		cur = out
+	}
+	for i := 0; i < events; i++ {
+		if err := f.sc.applyEvent(&f.ctx, cur.s, &f.dec); err != nil {
+			return nil, fmt.Errorf("event %d/%d: %w", i+1, events, err)
+		}
+	}
+	if d := &f.dec; d.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d events", wire.ErrCorrupt, d.Remaining(), events)
+	}
+	return cur, nil
 }
 
 // step applies summary i of n, given as its paths, to cur and returns
@@ -146,7 +169,7 @@ func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*p
 		if !admitsFields(p.fs, cur.fs) {
 			continue
 		}
-		out := f.spareAt(i & 1)
+		out := f.spareOff(cur)
 		f.sc.captureEnv(&f.env, cur.fs)
 		for fi, v := range out.fs {
 			v.CopyFrom(p.fs[fi])
@@ -154,11 +177,15 @@ func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*p
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("sym: applying summary %d/%d: %w", i+1, n, ErrNoPath)
+	return nil, fmt.Errorf("applying summary %d/%d: %w", i+1, n, ErrNoPath)
 }
 
-// spareAt returns spare i, built at first need.
-func (f *Folder[S]) spareAt(i int) *pathState[S] {
+// spareOff returns the spare cur is not, built at first need.
+func (f *Folder[S]) spareOff(cur *pathState[S]) *pathState[S] {
+	i := 0
+	if cur == f.spare[0] {
+		i = 1
+	}
 	if f.spare[i] == nil {
 		f.spare[i] = f.sc.newContainer()
 	}
@@ -206,7 +233,7 @@ func (f *Folder[S]) decode(data []byte) (events int, err error) {
 			used++
 		}
 		if err != nil {
-			return 0, fmt.Errorf("sym: bundle summary %d/%d: %w", i+1, n, err)
+			return 0, fmt.Errorf("summary %d/%d: %w", i+1, n, err)
 		}
 		f.ends = append(f.ends, used)
 	}

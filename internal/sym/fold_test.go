@@ -68,22 +68,20 @@ func TestFoldAddFailureLeavesPrefix(t *testing.T) {
 }
 
 // TestFoldAddBundle: the bundle form decodes and folds in one call,
-// counts what it folded, and rejects a corrupt bundle before applying
-// anything.
+// and rejects a corrupt bundle before applying anything.
 func TestFoldAddBundle(t *testing.T) {
 	sc := newSchema(newIntState(math.MinInt64))
 	f := NewFolder(sc)
 	st := f.NewState()
 	sums := append(maxChunkSummaries(t, []int64{4, 8}), maxChunkSummaries(t, []int64{6})...)
 	data := EncodeSummaryBundle(sums)
-	n, err := f.AddBundle(st, data)
-	if err != nil || n != 2 {
-		t.Fatalf("AddBundle = %d, %v; want 2 summaries", n, err)
+	if err := f.AddBundle(st, data); err != nil {
+		t.Fatal(err)
 	}
 	if got := st.State().V.Get(); got != 8 {
 		t.Fatalf("state = %d, want 8", got)
 	}
-	if _, err := f.AddBundle(st, data[:len(data)-1]); err == nil {
+	if err := f.AddBundle(st, data[:len(data)-1]); err == nil {
 		t.Fatal("truncated bundle accepted")
 	}
 	if got := st.State().V.Get(); got != 8 {
@@ -195,6 +193,83 @@ func failingSession(ctx *Ctx, s *predState, e int64) {
 	}
 }
 
+// restartedBundle is the summary bundle of a key that restarted: under a
+// live-path cap of 1 the session pattern's forks close a summary each.
+func restartedBundle(t testing.TB, sc *Schema[*predState], evs []int64) []byte {
+	t.Helper()
+	x := NewSchemaExecutor(sc, sessionUpdate, Options{MaxLivePaths: 1, DisableMerging: true})
+	if err := x.FeedBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := x.Finish()
+	if err != nil || len(sums) < 2 {
+		t.Fatalf("restart over %v: %d summaries, %v", evs, len(sums), err)
+	}
+	return EncodeSummaryBundle(sums)
+}
+
+// foldGroup is one key's reduce group: its bundles, in fold order.
+type foldGroup struct {
+	name    string
+	bundles [][]byte
+}
+
+// mixedGroups are the group shapes a reduce folds in one call, over fresh
+// random chunks of the session pattern.
+func mixedGroups(t testing.TB, r *rand.Rand, sc *Schema[*predState]) []foldGroup {
+	ev := func() []byte { return eventBundle(sessionChunk(r)...) }
+	sum := func() []byte { return EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r))) }
+	return []foldGroup{
+		{"events only", [][]byte{ev(), ev(), ev()}},
+		{"summaries only", [][]byte{sum(), sum(), sum()}},
+		{"a summary after events", [][]byte{ev(), ev(), sum()}},
+		{"events after a summary", [][]byte{sum(), ev(), ev()}},
+		{"a restarted key", [][]byte{ev(), restartedBundle(t, sc, append(sessionChunk(r), 99)), ev()}},
+	}
+}
+
+// TestFoldGroup: a group folded in one call is, byte for byte, its
+// bundles folded one by one — in place and into another state, from the
+// initial state and from a reached one — and a fold from a state never
+// writes it.
+func TestFoldGroup(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	sc := eventSchema(t, newPredState, sessionUpdate)
+	site, ref := NewFolder(sc), NewFolder(sc)
+	for trial := 0; trial < 100; trial++ {
+		src := site.NewState()
+		if trial%2 == 1 {
+			if err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frozen := bytes.Clone(stateBytes(src))
+		for _, g := range mixedGroups(t, r, sc) {
+			want := copyOfState(ref, src)
+			for _, b := range g.bundles {
+				if err := ref.AddBundle(want, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			into, inPlace := site.NewState(), copyOfState(ref, src)
+			if err := site.Fold(into, src, g.bundles...); err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, g.name, err)
+			}
+			if err := site.Fold(inPlace, inPlace, g.bundles...); err != nil {
+				t.Fatalf("trial %d, %s in place: %v", trial, g.name, err)
+			}
+			for _, got := range []*FoldState[*predState]{into, inPlace} {
+				if !bytes.Equal(stateBytes(got), stateBytes(want)) {
+					t.Fatalf("trial %d, %s: one call folds to another state than one bundle at a time", trial, g.name)
+				}
+			}
+			if !bytes.Equal(stateBytes(src), frozen) {
+				t.Fatalf("trial %d, %s: the fold wrote the state it folded from", trial, g.name)
+			}
+		}
+	}
+}
+
 // TestFoldBundleErrorContract: a bundle whose second summary admits no
 // path, and a group of events whose Update fails after writing at event
 // i of n, each leave the state byte-equal to before the call, and the
@@ -202,7 +277,8 @@ func failingSession(ctx *Ctx, s *predState, e int64) {
 // reducer's shape (one state, Reset per key) and the session's (a state
 // per key); a corrupt bundle — summaries; or events, counted 0 or past
 // maxEventGroup, cut anywhere, or trailed by a byte — is rejected with
-// nothing applied.
+// nothing applied; and a group of every mixed shape with such a bundle at
+// any position, failing or corrupt, is rejected whole.
 func TestFoldBundleErrorContract(t *testing.T) {
 	for _, shape := range []string{"reset per key", "state per key"} {
 		t.Run(shape, func(t *testing.T) {
@@ -224,7 +300,7 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					st = keys[key]
 				}
 				good := EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))
-				if _, err := site.AddBundle(st, good); err != nil {
+				if err := site.AddBundle(st, good); err != nil {
 					t.Fatal(err)
 				}
 				before := bytes.Clone(stateBytes(st))
@@ -244,17 +320,16 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					continue // a one-path summary admits everything: nothing to drop
 				}
 				bad := EncodeSummaryBundle(append(head, tail...))
-				n, err := site.AddBundle(st, bad)
-				if !errors.Is(err, ErrNoPath) || n != 0 {
-					t.Fatalf("trial %d: bad bundle folded %d, err %v; want ErrNoPath", trial, n, err)
+				if err := site.AddBundle(st, bad); !errors.Is(err, ErrNoPath) {
+					t.Fatalf("trial %d: bad bundle: err %v; want ErrNoPath", trial, err)
 				}
 				if got := stateBytes(st); !bytes.Equal(got, before) {
 					t.Fatalf("trial %d: failed bundle moved the state:\n got %x\nwant %x", trial, got, before)
 				}
-				if _, err := site.AddBundle(st, bad[:len(bad)-1]); !errors.Is(err, wire.ErrCorrupt) {
+				if err := site.AddBundle(st, bad[:len(bad)-1]); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: truncated bundle: err %v, want ErrCorrupt", trial, err)
 				}
-				if _, err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
+				if err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: trailing byte: err %v, want ErrCorrupt", trial, err)
 				}
 				// Update fails at event i of n, after the events before it
@@ -262,7 +337,7 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				evs := sessionChunk(r)
 				failing := slices.Clone(evs)
 				failing[r.Intn(len(failing))] = failEvent
-				if _, err := site.AddBundle(st, eventBundle(failing...)); !errors.Is(err, ErrOverflow) {
+				if err := site.AddBundle(st, eventBundle(failing...)); !errors.Is(err, ErrOverflow) {
 					t.Fatalf("trial %d: events %v: err %v, want ErrOverflow", trial, failing, err)
 				}
 				ev := eventBundle(evs...)
@@ -275,12 +350,42 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					corrupt = append(corrupt, ev[:cut])
 				}
 				for _, data := range corrupt {
-					if _, err := site.AddBundle(st, data); !errors.Is(err, wire.ErrCorrupt) {
+					if err := site.AddBundle(st, data); !errors.Is(err, wire.ErrCorrupt) {
 						t.Fatalf("trial %d: event bundle %x: err %v, want ErrCorrupt", trial, data, err)
 					}
 				}
 				if got := stateBytes(st); !bytes.Equal(got, before) {
 					t.Fatalf("trial %d: corrupt bundle or failed event moved the state", trial)
+				}
+
+				// Each group shape with a bad bundle at each position: cut,
+				// trailed by a byte, failing events, or a summary that has
+				// lost the path admitting the state the group reached there.
+				for _, g := range mixedGroups(t, r, sc) {
+					for i := range g.bundles {
+						mid := copyOfState(ref, st)
+						if err := ref.Fold(mid, mid, g.bundles[:i]...); err != nil {
+							t.Fatal(err)
+						}
+						lost := chunkSums(t, sc, sessionUpdate, sessionChunk(r))
+						lost[0].ps = slices.DeleteFunc(lost[0].ps, func(p *pathState[*predState]) bool {
+							return admitsFields(p.fs, mid.fs)
+						})
+						bads := [][]byte{g.bundles[i][:len(g.bundles[i])-1], append(bytes.Clone(g.bundles[i]), 0), eventBundle(3, failEvent)}
+						if len(lost[0].ps) > 0 {
+							bads = append(bads, EncodeSummaryBundle(lost))
+						}
+						for _, bad := range bads {
+							group := slices.Clone(g.bundles)
+							group[i] = bad
+							if err := site.Fold(st, st, group...); err == nil {
+								t.Fatalf("trial %d, %s: bad bundle %d/%d %x accepted", trial, g.name, i+1, len(group), bad)
+							}
+							if got := stateBytes(st); !bytes.Equal(got, before) {
+								t.Fatalf("trial %d, %s: bad bundle %d/%d moved the state", trial, g.name, i+1, len(group))
+							}
+						}
+					}
 				}
 
 				// The next good bundle lands where it would have without
@@ -290,10 +395,10 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				if trial%2 == 0 {
 					next = ev
 				}
-				if _, err := ref.AddBundle(want, next); err != nil {
+				if err := ref.AddBundle(want, next); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := site.AddBundle(st, next); err != nil {
+				if err := site.AddBundle(st, next); err != nil {
 					t.Fatal(err)
 				}
 				if got := stateBytes(st); !bytes.Equal(got, stateBytes(want)) {
@@ -309,9 +414,10 @@ func TestFoldBundleErrorContract(t *testing.T) {
 // out changed except the one folded onto: every bundle is decoded over
 // the storage of the last one in the site's containers, and CopyFrom
 // shares slices with them; a third of the bundles are events, which run
-// Update on a copy of the state sharing its slices. One key's state is
-// frozen early and from then on only folded *from* (AddBundleFrom): it
-// must not change either. elems reads a state's vector contents (what a
+// Update on a copy of the state sharing its slices, and a quarter of the
+// folds are a group — a summary bundle then events, whose Update runs on
+// the spare the summary step just wrote. One key's state is frozen early
+// and from then on only folded *from*: it must not change either. elems reads a state's vector contents (what a
 // Result would retain).
 func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ctx, S, int64),
 	chunk func(*rand.Rand) []int64, elems func(S) []int64) {
@@ -337,27 +443,29 @@ func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ct
 		for c := 1 + r.Intn(2); c > 0; c-- {
 			sums = append(sums, chunkSums(t, sc, update, chunk(r))...)
 		}
-		data := EncodeSummaryBundle(sums)
+		group := [][]byte{EncodeSummaryBundle(sums)}
 		if r.Intn(3) == 0 {
-			data = eventBundle(chunk(r)...)
+			group[0] = eventBundle(chunk(r)...)
+		} else if r.Intn(3) == 0 {
+			group = append(group, eventBundle(chunk(r)...))
 		}
 		if k == frozen && step >= 40 {
 			// A resumed session's shape: fold from the frozen prefix
 			// into a state of the job's own.
-			if _, err := site.AddBundleFrom(scratch, states[frozen], data); err != nil {
+			if err := site.Fold(scratch, states[frozen], group...); err != nil {
 				t.Fatal(err)
 			}
 		} else if r.Intn(4) == 0 {
 			// Other keys' traffic through the reducer's shape.
 			site.Reset(scratch)
-			if _, err := site.AddBundle(scratch, data); err != nil {
+			if err := site.Fold(scratch, scratch, group...); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := site.AddBundle(states[k], data); err != nil {
+			if err := site.Fold(states[k], states[k], group...); err != nil {
 				t.Fatal(err)
 			}
-			bundles[k] = append(bundles[k], data)
+			bundles[k] = append(bundles[k], group...)
 			want[k] = bytes.Clone(stateBytes(states[k]))
 			held[k] = elems(states[k].State())
 			copyOf[k] = slices.Clone(held[k])
@@ -376,7 +484,7 @@ func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ct
 		solo := NewFolder(sc)
 		ref := solo.NewState()
 		for _, data := range bundles[k] {
-			if _, err := solo.AddBundle(ref, data); err != nil {
+			if err := solo.AddBundle(ref, data); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -452,15 +560,16 @@ func TestFoldSiteReuseNeverAliases(t *testing.T) {
 
 // TestFoldResultOutlivesReset: SymVector.Elems hands out the backing
 // slice and queries' Result funcs keep it; folding the next key on the
-// same state — longer vectors, several bundles — must not write it.
+// same state — longer vectors, several bundles, events appending to what
+// a summary step just built — must not write it.
 func TestFoldResultOutlivesReset(t *testing.T) {
-	sc := newSchema(newLogState)
+	sc := eventSchema(t, newLogState, logUpdate)
 	site := NewFolder(sc)
 	st := site.NewState()
 	fold := func(chunks ...[]int64) {
 		site.Reset(st)
 		for _, c := range chunks {
-			if _, err := site.AddBundle(st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, c))); err != nil {
+			if err := site.AddBundle(st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, c))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,6 +597,29 @@ func TestFoldResultOutlivesReset(t *testing.T) {
 	fold([]int64{1, 1, 1})
 	if want := []int64{7, 7, 2}; !slices.Equal(c, want) || !slices.Equal(keep, want) {
 		t.Fatalf("a single-bundle key's result changed under the next key's decode: %v, was %v", c, keep)
+	}
+
+	// A group whose events run Update on the spare a summary step just
+	// wrote: they append to the array Concretize built, the state's own.
+	group := func(sum []int64, evs ...int64) {
+		site.Reset(st)
+		if err := site.Fold(st, st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, sum)), eventBundle(evs...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group([]int64{6, 6}, 4, 2)
+	d := st.State().Seen.Elems()
+	if want := []int64{6, 6, 4, 2}; !slices.Equal(d, want) {
+		t.Fatalf("key D = %v, want %v", d, want)
+	}
+	if !slices.Equal(c, keep) {
+		t.Fatalf("key C's result changed under key D's group: %v, was %v", c, keep)
+	}
+	keep = slices.Clone(d)
+	group([]int64{1, 2, 3}, 8, 8, 8, 8)
+	fold([]int64{5})
+	if !slices.Equal(d, keep) {
+		t.Fatalf("key D's result changed under the next keys' folds: %v, was %v", d, keep)
 	}
 }
 
@@ -560,8 +692,8 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := EncodeSummaryBundle(sums)
 		check("B3 shape", 1, 2, func() int {
 			site.Reset(st)
-			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
-				t.Fatalf("AddBundle = %d, %v", n, err)
+			if err := site.AddBundle(st, data); err != nil {
+				t.Fatal(err)
 			}
 			return sums[0].NumPaths()
 		}, sc.Allocated)
@@ -576,8 +708,28 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := eventBundle(50, 55, 58)
 		check("B3 events", 1, 1, func() int {
 			site.Reset(st)
-			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
-				t.Fatalf("AddBundle = %d, %v", n, err)
+			if err := site.AddBundle(st, data); err != nil {
+				t.Fatal(err)
+			}
+			return 1
+		}, sc.Allocated)
+	}
+	{
+		// B3's usual reduce group: five mappers' one-event bundles, each
+		// opening a session and so pushing. One call copies the state into
+		// a spare once and its pushes grow one vector (1, 2, 4, 8 elements),
+		// where a fold per bundle copied and regrew it five times.
+		sc := eventSchema(t, newPredState, sessionUpdate)
+		site := NewFolder(sc)
+		st := site.NewState()
+		group := [][]byte{eventBundle(50), eventBundle(75), eventBundle(100), eventBundle(125), eventBundle(150)}
+		check("B3 group of five events", 4, 1, func() int {
+			site.Reset(st)
+			if err := site.Fold(st, st, group...); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.State().Out.Len(); n != 5 {
+				t.Fatalf("group pushed %d sessions, want 5", n)
 			}
 			return 1
 		}, sc.Allocated)
@@ -589,8 +741,8 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := eventBundle(slices.Repeat([]int64{-3, 9}, n)[:n]...)
 		check(fmt.Sprintf("a group of %d events", n), 0, 1, func() int {
 			site.Reset(st)
-			if k, err := site.AddBundle(st, data); err != nil || k != 1 {
-				t.Fatalf("AddBundle = %d, %v", k, err)
+			if err := site.AddBundle(st, data); err != nil {
+				t.Fatal(err)
 			}
 			return 1
 		}, sc.Allocated)
@@ -603,8 +755,8 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := EncodeSummaryBundle(sums)
 		check("T1 shape", 1, sums[0].NumPaths(), func() int {
 			site.Reset(st)
-			if n, err := site.AddBundle(st, data); err != nil || n != 1 {
-				t.Fatalf("AddBundle = %d, %v", n, err)
+			if err := site.AddBundle(st, data); err != nil {
+				t.Fatal(err)
 			}
 			return sums[0].NumPaths()
 		}, sc.Allocated)
@@ -637,26 +789,42 @@ func TestFoldAddBundleFrom(t *testing.T) {
 
 	two := append(maxChunkSummaries(t, []int64{3}), maxChunkSummaries(t, []int64{8})...)
 	dst := f.NewState()
-	if n, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(two)); err != nil || n != 2 {
-		t.Fatalf("AddBundleFrom = %d, %v", n, err)
+	if err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(two)); err != nil {
+		t.Fatal(err)
 	}
 	check("two summaries", dst, 8)
 
 	dst = f.NewState()
-	if n, err := f.AddBundleFrom(dst, src, eventBundle(2)); err != nil || n != 1 {
-		t.Fatalf("event bundle = %d, %v", n, err)
+	if err := f.AddBundleFrom(dst, src, eventBundle(2)); err != nil {
+		t.Fatal(err)
 	}
 	check("an event", dst, 5)
 	// The copy is dst's own: folding onto it leaves the source alone too.
-	if _, err := f.AddBundle(dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
+	if err := f.AddBundle(dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
 		t.Fatal(err)
 	}
 	check("fold onto the copy", dst, 6)
 
 	dst = f.NewState()
 	bad := append(maxChunkSummaries(t, []int64{7}), partialSummary(t, []int64{4}, 7))
-	if _, err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(bad)); !errors.Is(err, ErrNoPath) {
+	if err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(bad)); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("error = %v, want ErrNoPath", err)
 	}
 	check("failed fold", dst, math.MinInt64)
+}
+
+// TestFoldNoBundles: a group of no bundles folds to the state it starts
+// from, and folding it from a state into another leaves the source be.
+func TestFoldNoBundles(t *testing.T) {
+	f := NewFolder(eventSchema(t, newIntState(math.MinInt64), maxUpdate))
+	src, dst := f.NewState(), f.NewState()
+	if err := f.AddBundle(src, eventBundle(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fold(dst, src); err != nil || dst.State().V.Get() != 4 || src.State().V.Get() != 4 {
+		t.Fatalf("Fold of nothing: %v, dst %d, src %d; want both 4", err, dst.State().V.Get(), src.State().V.Get())
+	}
+	if err := f.Fold(src, src); err != nil || src.State().V.Get() != 4 {
+		t.Fatalf("Fold of nothing in place: %v, state %d", err, src.State().V.Get())
+	}
 }

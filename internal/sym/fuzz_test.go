@@ -101,7 +101,9 @@ func bundleSites() []bundleSite {
 // siteFold returns a fold of data through a fresh site of the schema,
 // from a state prefix reached and into a state of its own (the resumed
 // serve session's shape) and in place: on error neither state may
-// change, and the prefix never does.
+// change, and the prefix never does. It then folds data as the middle of
+// a reduce group — the prefix's events before it, their summary after —
+// and a rejected group must move no byte of the state.
 func siteFold[S State, E any](newState func() S, update func(*Ctx, S, E),
 	encode func(*wire.Encoder, E), decode func(*wire.Decoder) (E, error), prefix []E) func(*testing.T, []byte) error {
 	return func(t *testing.T, data []byte) error {
@@ -111,24 +113,35 @@ func siteFold[S State, E any](newState func() S, update func(*Ctx, S, E),
 		}
 		site := NewFolder(sc)
 		src := site.NewState()
-		if _, err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, update, prefix))); err != nil {
+		if err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, update, prefix))); err != nil {
 			t.Fatal(err)
 		}
 		dst := site.NewState()
 		frozen, before := stateBytes(src), stateBytes(dst)
-		_, errFrom := site.AddBundleFrom(dst, src, data)
+		errFrom := site.AddBundleFrom(dst, src, data)
 		if !bytes.Equal(stateBytes(src), frozen) {
 			t.Fatalf("folding from the prefix wrote it (err %v)", errFrom)
 		}
 		if errFrom != nil && !bytes.Equal(stateBytes(dst), before) {
 			t.Fatalf("a rejected bundle moved the destination: %v", errFrom)
 		}
-		_, err = site.AddBundle(src, data)
+		err = site.AddBundle(src, data)
 		if err != nil && !bytes.Equal(stateBytes(src), frozen) {
 			t.Fatalf("a rejected bundle moved the state: %v", err)
 		}
 		if (err == nil) != (errFrom == nil) {
 			t.Fatalf("in place: %v; into another state: %v", err, errFrom)
+		}
+		events := wire.NewEncoder(8)
+		events.Uvarint(0)
+		events.Uvarint(uint64(len(prefix)))
+		for _, e := range prefix {
+			encode(events, e)
+		}
+		was := stateBytes(src)
+		summary := EncodeSummaryBundle(chunkSums(t, sc, update, prefix))
+		if errGroup := site.Fold(src, src, events.Bytes(), data, summary); errGroup != nil && !bytes.Equal(stateBytes(src), was) {
+			t.Fatalf("a rejected group moved the state: %v", errGroup)
 		}
 		return err
 	}
@@ -226,9 +239,10 @@ func TestFuzzSeedBundleCorpus(t *testing.T) {
 }
 
 // FuzzBundleFold feeds arbitrary bytes to a fold site as a bundle, at
-// both schemas: it must never panic, a rejected bundle must leave the
-// state it was folded onto as it was, and no fold may write the state it
-// was folded from.
+// both schemas, alone and as the middle of a three-bundle group: it must
+// never panic, a rejected bundle or group must leave the state it was
+// folded onto as it was, and no fold may write the state it was folded
+// from.
 func FuzzBundleFold(f *testing.F) {
 	seeds, err := fuzzseed.Load("bundles")
 	if err != nil {
@@ -273,8 +287,8 @@ func TestBundleCountZeroIsAnEvent(t *testing.T) {
 		if events := bytes.Equal(enc.Bytes(), []byte{0, byte(n)}); events != (n <= maxEventGroup) {
 			t.Fatalf("a group of %d impressions shipped %x", n, enc.Bytes())
 		}
-		if k, err := site.AddBundle(st, enc.Bytes()); err != nil || k != 1 {
-			t.Fatalf("AddBundle = %d, %v", k, err)
+		if err := site.AddBundle(st, enc.Bytes()); err != nil {
+			t.Fatal(err)
 		}
 		total += int64(n)
 	}
@@ -282,7 +296,7 @@ func TestBundleCountZeroIsAnEvent(t *testing.T) {
 		t.Fatalf("groups of zero-byte events counted %d, want %d", got, total)
 	}
 	plain := NewFolder(newSchema(newR1Shape))
-	if _, err := plain.AddBundle(plain.NewState(), []byte{0, 1}); !errors.Is(err, wire.ErrCorrupt) {
+	if err := plain.AddBundle(plain.NewState(), []byte{0, 1}); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("without an event codec: %v, want ErrCorrupt", err)
 	}
 	defer func() {

@@ -50,8 +50,8 @@ leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTo
 # fallback — and the sites' ownership rules: eight concurrent map tasks
 # over one exec-site pool, no container built after a site's first chunk
 # (internal/core, internal/sym), the storage contract between a fold
-# site's decode containers — or an event's Update on a copy — and the
-# states it hands out (TestFoldSiteReuseNeverAliases,
+# site's decode containers — or a group's events' Update on its working
+# spare — and the states it hands out (TestFoldSiteReuseNeverAliases,
 # TestFoldResultOutlivesReset, TestServePrefixIsFrozen), and the
 # events differential on all 12 queries (TestMetamorphicComposition: a
 # small group's events bundle folds to its summaries' state from the
