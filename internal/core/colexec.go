@@ -64,7 +64,7 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 // which owns every path container the attempt touches — and the scratch
 // a chunk is staged in. A key that passes through owns nothing but its
 // bundle's bytes. Pooled per engine run (the sympleMapFunc closure) so
-// the executor's identity caches, power ladder and container stack —
+// the executor's run cache and container stack —
 // which depend only on the schema and update function, never on the
 // chunk — stay warm across chunks. A site is pooled
 // again only by the attempt that ran it to the end: one that errored
@@ -154,8 +154,8 @@ type chunkResult struct {
 // input, and nowhere else — and counting-sorts the key-index vector into
 // per-key contiguous event vectors. Pass two runs each key through the
 // site: Reset, feed the key's vector to the executor's batch API
-// (FeedBatch, which folds runs of identical events through single
-// transition probes and executes quiet stretches in place), and append
+// (FeedBatch, which folds runs of identical events as units and
+// executes quiet stretches in place), and append
 // the key's bundle — encoded straight from the executor's paths — to the
 // chunk's slab.
 // Batching keeps per-record map lookups out of the symbolic hot loop and

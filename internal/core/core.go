@@ -41,7 +41,7 @@ const (
 	// as shipped to the shuffle, one observation per (mapper, group).
 	MetricSummaryBytes = "summary_bytes"
 	// MetricRunProbes counts runs of identical events the batch path
-	// handled with a single transition probe.
+	// folded as a unit.
 	MetricRunProbes = "run_probes"
 )
 
@@ -128,8 +128,8 @@ type SymStats struct {
 	// groups that ship their events instead (Events of them).
 	Summaries int
 	Events    int
-	// RunProbes counts runs of identical events the executor folded
-	// through a single transition probe.
+	// RunProbes counts runs of identical events the executor folded as
+	// a unit.
 	RunProbes int
 	// ExecWall is the wall time spent inside the symbolic-execution pass
 	// of the map chunks (feeding grouped events and finishing executors),

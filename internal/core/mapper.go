@@ -55,7 +55,7 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Tr
 // emitted summary bundle per group and the task's counts.
 //
 // pool is the exec-site pool every chunk draws from: reused executors
-// keep their identity caches, power ladders and containers warm.
+// keep their run caches and containers warm.
 func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		out, err := symExecChunk(q, sc, pool, seg, trace, mapperID)

@@ -166,7 +166,7 @@ func B3() *Spec {
 		Result: func(_ string, s *b3State) []int64 {
 			// Sessions completed plus the open one; the initial 0 pushed
 			// by the first-ever query is dropped.
-			var out []int64
+			out := make([]int64, 0, s.Out.Len()+1)
 			for _, v := range s.Out.Elems() {
 				if v > 0 {
 					out = append(out, v)

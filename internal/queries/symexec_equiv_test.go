@@ -33,12 +33,13 @@ func TestSympleMemoEquivalence(t *testing.T) {
 }
 
 // TestSympleRunProbeStats pins run folding end to end: G1 (runs of one
-// op within a repo) and R1 (every group one run of its only event) must
-// report run probes, and R1 — whose groups are each a single run, so
-// each costs one probe and the probe one Update run to build its
-// transition — must not fall back to exploring record by record.
+// op within a repo), T1 (alternating runs of its two events) and R1
+// (every group one run of its only event) must report runs folded as a
+// unit, and R1 — whose groups are each a single run, so each costs one
+// fold and at most one Update run to build its transition — must not
+// fall back to exploring record by record.
 func TestSympleRunProbeStats(t *testing.T) {
-	for _, spec := range []*Spec{G1(), R1()} {
+	for _, spec := range []*Spec{G1(), T1(), R1()} {
 		segs := smallDatasets(4)[spec.Dataset]
 		out, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
 		if err != nil {

@@ -14,15 +14,15 @@ import "repro/internal/wire"
 //   - Run folding (feedRun): a run of identical events (≥ minRunLen, or
 //     any whole-vector run — high-cardinality groups are often two or
 //     three identical events) has one transition summary T; instead of
-//     exploring each record, the run costs one probe — one build of T
-//     (stats.RunProbes) — and the fold is either skipped outright (T is
-//     the identity — e.g. a push event on a push-only group) or applied
-//     as T^n by square-and-multiply (composition is associative and
-//     exact, §3.6, and powers of one transition commute). Two per-event
-//     caches survive across keys: the identity verdict (a run of a
-//     known-identity event skips with no probe at all, under any
-//     regime) and the squaring ladder T^(2^k) (a repeated run event
-//     pays only its multiply steps).
+//     exploring each record, the run is folded as a unit (stats.RunProbes)
+//     and the fold is either skipped outright (T is the identity — e.g. a
+//     push event on a push-only group) or applied as Tⁿ by
+//     square-and-multiply (composition is associative and exact, §3.6,
+//     and powers of one transition commute). One per-event run cache
+//     survives across keys (runEntry): an event's identity verdict (a run
+//     of a known-identity event skips under any regime), its squaring
+//     ladder T^(2^k) and its powers Tⁿ below runPowBound, so a run of a
+//     cached event builds nothing and, when short, composes nothing.
 //   - In-place windows (feedWindow): once the stream has been fork-free
 //     for windowQuiet records, live paths are checkpointed once per
 //     window and updated in place — no per-record clone/recycle. A fork
@@ -42,6 +42,14 @@ const (
 	// windowQuiet is the fork-free streak required before the batch
 	// path speculates on in-place windows.
 	windowQuiet = 3
+	// runCacheCap bounds the run cache. Query event alphabets are tiny
+	// (an op code, a small enum); eight entries hold a whole alphabet
+	// while keeping the linear eq scan trivially cheap.
+	runCacheCap = 8
+	// runPowBound bounds the run lengths whose powers a cache entry
+	// keeps: a shorter run (T1's are 4–26 long) is served its Tⁿ whole,
+	// a longer one (R1's 100–140) multiplies it out of the ladder.
+	runPowBound = 64
 )
 
 // FeedBatch processes a key's event vector. Equivalent to calling Feed
@@ -73,7 +81,7 @@ func (x *Executor[S, E]) feedBatch(evs []E) {
 	i := 0
 	for i < len(evs) {
 		if x.eq != nil {
-			if ci := x.identLookup(evs[i]); ci >= 0 && x.identIsID[ci] {
+			if ce := x.runLookup(evs[i]); ce != nil && ce.ident {
 				// A run of a known-identity event advances no path no
 				// matter the regime — concrete included, since the
 				// identity maps every state to itself. Skip it outright;
@@ -90,7 +98,7 @@ func (x *Executor[S, E]) feedBatch(evs []E) {
 				// A run shorter than minRunLen still folds when it spans
 				// the whole vector: high-cardinality groups are often two
 				// or three identical events, and folding them once is how
-				// the identity cache gets seeded for the O(1) skip above.
+				// the run cache gets seeded for the O(1) skip above.
 				if j-i >= minRunLen || (i == 0 && j == len(evs) && j >= 2) {
 					x.feedRun(evs[i], j-i)
 					i = j
@@ -127,7 +135,7 @@ func (x *Executor[S, E]) feedBatch(evs []E) {
 // cache has learnt, so a group's form never depends on the keys an
 // executor ran before. Callers then run the regular
 // Reset/FeedBatch/AppendBundle path, which (via feedRun) is what seeds
-// the identity cache in the first place.
+// the run cache in the first place.
 func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	// identHotSet is true iff at least one identity verdict is cached, so
 	// without it the all-identity check cannot succeed. With it, runs of
@@ -144,8 +152,7 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 		if i >= len(evs) {
 			break
 		}
-		ci := x.identLookup(evs[i])
-		if ci < 0 || !x.identIsID[ci] {
+		if ce := x.runLookup(evs[i]); ce == nil || !ce.ident {
 			return nil
 		}
 	}
@@ -164,37 +171,57 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 	return x.identBundle
 }
 
-// identCacheCap bounds the identity-verdict cache. Query event alphabets
-// are tiny (an op code, a small enum); eight entries hold a whole
-// alphabet while keeping the linear eq scan trivially cheap.
-const identCacheCap = 8
-
-// identLookup returns the cache index of ev's identity verdict, or -1.
-// Callers must hold a non-nil eq.
-func (x *Executor[S, E]) identLookup(ev E) int {
-	for i := range x.identEvs {
-		if x.eq(ev, x.identEvs[i]) {
-			return i
-		}
-	}
-	return -1
+// runEntry is what the run cache knows of one event. Its transition T is
+// built deterministically from the fresh symbolic state, so the event
+// alone determines the identity verdict, the squaring ladder
+// ladder[k] = T^(2^k) and the powers pow[n] = Tⁿ (n < runPowBound and
+// not a power of two, which is a rung), all owned by the executor.
+type runEntry[S State, E any] struct {
+	ev     E
+	ident  bool
+	ladder []*transition[S]
+	pow    [runPowBound]*transition[S]
 }
 
-// identInsert caches ev's verdict, evicting round-robin once full. The
-// first identity event found is pinned as the hot event for the
-// per-record skip in feedWindow.
-func (x *Executor[S, E]) identInsert(ev E, isID bool) {
-	if isID && !x.identHotSet {
+// runLookup returns ev's cache entry, or nil. Callers must hold a
+// non-nil eq.
+func (x *Executor[S, E]) runLookup(ev E) *runEntry[S, E] {
+	for i := range x.runs {
+		if x.eq(ev, x.runs[i].ev) {
+			return &x.runs[i]
+		}
+	}
+	return nil
+}
+
+// runInsert caches ev with tr, its freshly built transition, as the
+// ladder's base, evicting round-robin once full: the evicted entry's
+// transitions retire to the stack and its slices are reused. The first
+// identity event found is pinned as the hot event for the per-record
+// skip in feedWindow.
+func (x *Executor[S, E]) runInsert(ev E, tr *transition[S]) *runEntry[S, E] {
+	var ce *runEntry[S, E]
+	if len(x.runs) < runCacheCap {
+		x.runs = append(x.runs, runEntry[S, E]{})
+		ce = &x.runs[len(x.runs)-1]
+	} else {
+		ce = &x.runs[x.runPos]
+		x.runPos = (x.runPos + 1) % runCacheCap
+		for _, t := range ce.ladder {
+			x.releaseTransition(t)
+		}
+		for i, t := range &ce.pow {
+			if t != nil {
+				x.releaseTransition(t)
+				ce.pow[i] = nil
+			}
+		}
+	}
+	ce.ev, ce.ident, ce.ladder = ev, x.isIdentity(tr), append(ce.ladder[:0], tr)
+	if ce.ident && !x.identHotSet {
 		x.identHotEv, x.identHotSet = ev, true
 	}
-	if len(x.identEvs) < identCacheCap {
-		x.identEvs = append(x.identEvs, ev)
-		x.identIsID = append(x.identIsID, isID)
-		return
-	}
-	x.identEvs[x.identPos] = ev
-	x.identIsID[x.identPos] = isID
-	x.identPos = (x.identPos + 1) % identCacheCap
+	return ce
 }
 
 // initEq specializes the run-detection comparison for the event types
@@ -386,61 +413,54 @@ func (x *Executor[S, E]) saveCkpt() {
 	}
 }
 
-// feedRun folds a run of n identical events through one transition
-// probe. Any failure along the way — unbuildable transition, compose
-// overflow, path blow-up during powering — falls back to the scalar
-// feed loop, so feedRun never gives up correctness, only speed.
+// feedRun folds a run of n identical events as a unit. A cached event
+// builds nothing; a miss builds T once and caches it. Any failure along
+// the way — unbuildable transition, compose overflow, path blow-up
+// during powering — falls back to the scalar feed loop, so feedRun never
+// gives up correctness, only speed.
 func (x *Executor[S, E]) feedRun(ev E, n int) {
 	x.stats.RunProbes++
-	tr := x.buildTransition(ev)
-	if tr == nil {
-		x.feedLoop(ev, n)
-		return
+	ce := x.runLookup(ev)
+	if ce == nil {
+		tr := x.buildTransition(ev)
+		if tr == nil {
+			x.feedLoop(ev, n)
+			return
+		}
+		ce = x.runInsert(ev, tr)
 	}
-	var ident bool
-	if ci := x.identLookup(ev); ci >= 0 {
-		ident = x.identIsID[ci]
-	} else {
-		// The verdict depends only on the event (transitions are built
-		// deterministically from the fresh state), so cache it for the
-		// next run of this event — and, when it is the identity, for the
-		// probe-free skip in FeedBatch and IdentityBundle.
-		ident = x.isIdentity(tr)
-		x.identInsert(ev, ident)
-	}
-	if ident {
+	if ce.ident {
 		// T is the identity on every state, so T^n is too: the run
 		// advances no path and only the record count moves.
 		x.stats.Records += n
 		x.noForkRun = min(x.noForkRun+n, windowQuiet)
-		x.releaseTransition(tr)
 		return
 	}
-	pow, powOwned := x.powerRun(ev, tr, n)
+	pow, powOwned := x.power(ce, n)
 	if pow == nil {
 		x.feedLoop(ev, n)
 		return
 	}
+	// A fold past the live-path cap falls back too: record by record,
+	// the restart lands on the record that first exceeds the cap, which
+	// may be inside the run.
 	next := x.scratch[:0]
 	ok := true
 	for _, p := range x.paths {
-		next, ok = x.composeOnto(next, p, pow)
-		if !ok {
+		if next, ok = x.composeOnto(next, p, pow); !ok || len(next) > x.opts.MaxLivePaths {
+			ok = false
 			break
 		}
 	}
+	if powOwned {
+		x.releaseTransition(pow)
+	}
 	if !ok {
 		x.putAll(next)
-		if powOwned {
-			x.releaseTransition(pow)
-		}
 		x.feedLoop(ev, n)
 		return
 	}
 	x.putAll(x.paths)
-	if powOwned {
-		x.releaseTransition(pow)
-	}
 	x.stats.Records += n
 	x.settle(next, n)
 }
@@ -472,48 +492,38 @@ func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 	return same
 }
 
-// powerRun computes T^n for the run event ev by square-and-multiply —
-// O(log n) compositions instead of n per-record folds. Composition of
+// power returns Tⁿ for ce's event by square-and-multiply over its
+// ladder — O(log n) compositions instead of n per-record folds, with
+// rungs added lazily when a longer run needs them. Composition of
 // summaries is associative and exact (§3.6) and powers of one transition
-// commute, so the fold order cannot change results.
-//
-// The squaring ladder T^(2^k) is cached on the executor, keyed by the
-// event (building a transition is deterministic, so the event alone
-// determines the ladder). One chunk's keys repeat the same run events,
-// so after the first key a powered run costs only the popcount(n)-1
-// multiply steps, with the ladder extended lazily when a longer run
-// needs higher rungs. tr, the run event's freshly built transition, is
-// adopted as the ladder's base or, when the ladder already carries this
-// event, released. Returns nil when any intermediate fails to compose
-// or exceeds the live-path cap; the caller falls back to the scalar
-// loop. The returned transition is borrowed from the ladder (owned =
-// false) when n is a power of two.
-func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], n int) (*transition[S], bool) {
-	if len(x.ladder) == 0 || !x.eq(ev, x.ladderEv) {
-		x.resetLadder()
-		x.ladder = append(x.ladder, tr)
-		x.ladderEv = ev
-	} else {
-		x.releaseTransition(tr)
+// commute, so the fold order cannot change results; and it is
+// deterministic, so a power kept in ce.pow is the one recomputing it
+// would build. Returns nil when any intermediate fails to compose or
+// exceeds the live-path cap; the caller falls back to the scalar loop.
+// The result is the caller's to release (owned) only for n ≥
+// runPowBound not a power of two; otherwise ce keeps it.
+func (x *Executor[S, E]) power(ce *runEntry[S, E], n int) (*transition[S], bool) {
+	if n < runPowBound && ce.pow[n] != nil {
+		return ce.pow[n], false
 	}
 	var result *transition[S]
 	resultOwned := false
-	for k := 0; n > 0; k++ {
-		if k == len(x.ladder) {
-			next := x.composeTransitions(x.ladder[k-1], x.ladder[k-1])
+	for k, m := 0, n; m > 0; k++ {
+		if k == len(ce.ladder) {
+			next := x.composeTransitions(ce.ladder[k-1], ce.ladder[k-1])
 			if next == nil {
 				if resultOwned {
 					x.releaseTransition(result)
 				}
 				return nil, false
 			}
-			x.ladder = append(x.ladder, next)
+			ce.ladder = append(ce.ladder, next)
 		}
-		if n&1 == 1 {
+		if m&1 == 1 {
 			if result == nil {
-				result, resultOwned = x.ladder[k], false // borrowed rung
+				result = ce.ladder[k] // borrowed rung
 			} else {
-				nr := x.composeTransitions(result, x.ladder[k])
+				nr := x.composeTransitions(result, ce.ladder[k])
 				if resultOwned {
 					x.releaseTransition(result)
 				}
@@ -523,18 +533,13 @@ func (x *Executor[S, E]) powerRun(ev E, tr *transition[S], n int) (*transition[S
 				result, resultOwned = nr, true
 			}
 		}
-		n >>= 1
+		m >>= 1
+	}
+	if resultOwned && n < runPowBound {
+		ce.pow[n] = result
+		return result, false
 	}
 	return result, resultOwned
-}
-
-// resetLadder releases every cached ladder rung (all rungs are owned by
-// the executor).
-func (x *Executor[S, E]) resetLadder() {
-	for _, t := range x.ladder {
-		x.releaseTransition(t)
-	}
-	x.ladder = x.ladder[:0]
 }
 
 // composeTransitions builds "a then b" over the executor's schema:

@@ -13,7 +13,7 @@ import (
 // summaries byte for byte, same record accounting, on every stream and
 // for every placement of the batch boundaries. These tests drive the
 // batch API across the three execution regimes it specializes — runs of
-// identical events (one transition probe per run), fork-free windows
+// identical events (each run folded as a unit), fork-free windows
 // (checkpoint + in-place update), and the scalar fallback when a record
 // forks mid-window — against the scalar loop as the oracle.
 
@@ -236,8 +236,8 @@ func BenchmarkBatchExec(b *testing.B) {
 	}
 }
 
-// BenchmarkRunProbe measures folding one long run through a single
-// transition probe plus powering, amortized per record.
+// BenchmarkRunProbe measures folding one long run as a unit by
+// powering its transition, amortized per record.
 func BenchmarkRunProbe(b *testing.B) {
 	stream := make([]int64, 4096)
 	for i := range stream {

@@ -40,8 +40,8 @@
 //
 // Who owns what. A Schema is the compiled field plan of a State type and
 // owns nothing else. Machinery belongs to sites, data to keys: an
-// Executor is an exec site — it keeps the containers its paths, run
-// transitions and ladders live in on a private stack, and a key that runs through it
+// Executor is an exec site — it keeps the containers its paths and its
+// run cache's transitions live in on a private stack, and a key that runs through it
 // leaves only the bytes of its bundle (Reset, FeedBatch, AppendBundle);
 // a Folder is a fold site — it keeps the containers bundles decode into
 // and the spares it applies through, and a key owns one FoldState. A

@@ -39,16 +39,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts the work an Executor performed.
+// Stats counts the work an Executor performed. Merges counts merges
+// performed, in the live path set and while powering a run transition:
+// a power the run cache serves adds none, so a query whose short runs
+// repeat (T1's rows in cmd/symple and in internal/bench's merging
+// ablation) counts merges only for the powers it built.
 type Stats struct {
 	Records  int // records fed
 	Runs     int // Update invocations (the symbolic overhead; run folding can keep it below Records)
 	MaxLive  int // peak live paths after merging
-	Merges   int // path pairs merged
+	Merges   int // path pairs merged (see above)
 	Restarts int // summaries emitted due to the live-path cap
-	// RunProbes counts runs of identical events handled by FeedBatch
-	// with a single transition probe (identity skip or transition
-	// powering) instead of per-record processing.
+	// RunProbes counts runs of identical events FeedBatch folded as a
+	// unit (identity skip or transition powering) instead of processing
+	// them record by record; a run of a cached event builds nothing.
 	RunProbes int
 	// Events counts the groups AppendBundle shipped as their events
 	// (bundle.go), each one element.
@@ -62,8 +66,8 @@ type Stats struct {
 //
 // The executor is an exec site: it is driven by a compiled Schema and
 // owns the containers its path states live in — live paths, summaries
-// closed by a restart, checkpoints, run transitions and the power ladder
-// all draw from and retire to its private stack, so the per-record
+// closed by a restart, checkpoints and the run cache's transitions all
+// draw from and retire to its private stack, so the per-record
 // clone/merge/compose work runs with zero State.Fields calls, no
 // steady-state allocation and no synchronization. A key that runs
 // through it owns nothing but the bytes AppendBundle leaves.
@@ -120,33 +124,23 @@ type Executor[S State, E any] struct {
 	// ckpt holds per-path checkpoints for FeedBatch's speculative
 	// in-place windows (batch.go); reused across windows.
 	ckpt []*pathState[S]
-	// identEvs/identIsID cache identity verdicts per run event, scanned
-	// linearly with eq (identCacheCap entries; identPos is the clock
-	// hand). isIdentity walks every field against a fresh state, but the
-	// verdict is a deterministic property of the event alone (transitions
-	// are built from the fresh symbolic state), so one check serves every
-	// later run of the same event — and a run of a known-identity event
-	// is skipped outright, with no transition build and under any regime. A
-	// multi-entry cache matters: corpora interleave identity and
-	// non-identity runs, and a single-entry cache thrashes between them.
-	// Survives Reset for the same reason noForkRun does.
-	identEvs  []E
-	identIsID []bool
-	identPos  int
+	// runs is the per-event run cache (batch.go, runEntry; runCacheCap
+	// entries scanned linearly with eq, runPos the clock hand): each run
+	// event's identity verdict, squaring ladder and short powers. A
+	// transition is a property of the event alone, so one build serves
+	// every later run of the event — a run of a known-identity event is
+	// skipped outright under any regime, a short run of a cached event is
+	// served its power whole. A multi-entry cache matters: corpora
+	// interleave their run events, and a single entry thrashes between
+	// them. Survives Reset for the same reason noForkRun does.
+	runs   []runEntry[S, E]
+	runPos int
 	// identHotEv is the first identity event discovered — the one no-op
 	// event that dominates a corpus (G1's push) — pinned in a dedicated
 	// field so the per-record skip in feedWindow is a single eq call
 	// instead of a cache scan.
 	identHotEv  E
 	identHotSet bool
-	// ladder caches the square-and-multiply ladder of the last powered
-	// run event: ladder[k] = T^(2^k) for ladderEv's transition, rungs
-	// owned by the executor. Transitions are key-independent and one
-	// chunk's keys repeat the same run events, so after the first key a
-	// powered run costs popcount(n)-1 compositions instead of a full
-	// ladder rebuild. Survives Reset.
-	ladderEv E
-	ladder   []*transition[S]
 	// identBundle is the encoded bundle of an all-identity key — one
 	// summary of one fresh symbolic path — built at first need
 	// (IdentityBundle).

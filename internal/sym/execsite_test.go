@@ -142,7 +142,7 @@ func TestExecSiteBundleMatchesSnapshot(t *testing.T) {
 		t.Errorf("%d keys took the identity bundle, want most of the %d all-zero ones", ident, len(keys))
 	}
 	// With the event codec a key of at most maxEventGroup zeros ships its
-	// events, whatever the identity cache has learnt — the form depends on
+	// events, whatever the run cache has learnt — the form depends on
 	// the group alone (checkSiteBundles holds each to its events' bytes) —
 	// and a longer all-zero key still takes the constant bundle.
 	keys = [][]int64{make([]int64, maxEventGroup+1)}
@@ -214,8 +214,11 @@ func TestExecSiteResetAfterError(t *testing.T) {
 // assumption a forked SymPred path records, the element a closing
 // session pushes) and nothing per key for the site itself: no summary,
 // no container, no path list; given the codec, a key of any size up to
-// maxEventGroup, shipped as its events, allocates nothing at all; and
-// however many chunks follow the first, the schema builds no container.
+// maxEventGroup, shipped as its events, allocates nothing at all; a key
+// made only of runs of cached events allocates nothing, runs no Update
+// and merges nothing; and however many chunks follow the first — one
+// cycling through more run events than the run cache holds included —
+// the schema builds no container.
 func TestExecSiteAllocCeiling(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	const nkeys = 5000
@@ -229,14 +232,7 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 	var enc wire.Encoder
 	run := func(site *Executor[*predState, int64], keys [][]int64) {
 		for _, evs := range keys {
-			site.Reset()
-			if err := site.FeedBatch(evs); err != nil {
-				t.Fatal(err)
-			}
-			enc.Reset()
-			if _, err := site.AppendBundle(&enc); err != nil {
-				t.Fatal(err)
-			}
+			siteBundle(t, site, &enc, evs)
 		}
 	}
 	for _, sc := range []*Schema[*predState]{newSchema(newPredState), eventSchema(t, newPredState, sessionUpdate)} {
@@ -262,5 +258,43 @@ func TestExecSiteAllocCeiling(t *testing.T) {
 		if got := sc.Allocated(); got != base {
 			t.Errorf("events %v: the schema built %d containers after the first chunk", events, got-base)
 		}
+	}
+	// A warm key made only of runs of cached events builds nothing:
+	// each run is served its power whole (or a rung of its ladder), so
+	// the key allocates nothing, runs no Update and merges nothing.
+	sc := newSchema(newIntState(0))
+	site := NewSchemaExecutor(sc, addUpdate, DefaultOptions())
+	runInt := func(keys [][]int64) {
+		for _, evs := range keys {
+			siteBundle(t, site, &enc, evs)
+		}
+	}
+	var warm []int64
+	for i, n := range []int{minRunLen, 12, runPowBound - 1, 16, 7} {
+		warm = append(warm, slices.Repeat([]int64{int64(1 + i%3)}, n)...)
+	}
+	runInt([][]int64{warm})
+	before := site.Stats()
+	if got := testing.AllocsPerRun(20, func() { runInt([][]int64{warm}) }); got != 0 && !raceEnabled {
+		t.Errorf("%v allocations for a warm key of cached runs, want none", got)
+	}
+	if after := site.Stats(); after.Runs != before.Runs || after.Merges != before.Merges || after.RunProbes == before.RunProbes {
+		t.Errorf("a warm key of cached runs: Update runs %d → %d, merges %d → %d, runs folded %d → %d",
+			before.Runs, after.Runs, before.Merges, after.Merges, before.RunProbes, after.RunProbes)
+	}
+	// A chunk cycling through 16 run events, twice the cache's entries,
+	// evicts on every miss: the evicted transitions go back to the stack,
+	// so after the first chunk the schema builds no container.
+	cycle := make([][]int64, 64)
+	for k := range cycle {
+		cycle[k] = slices.Repeat([]int64{int64(10 + k%16)}, minRunLen+k%(2*runPowBound))
+	}
+	runInt(cycle)
+	base := sc.Allocated()
+	for range 3 {
+		runInt(cycle)
+	}
+	if got := sc.Allocated(); got != base {
+		t.Errorf("cycling 16 run events: the schema built %d containers after the first chunk", got-base)
 	}
 }

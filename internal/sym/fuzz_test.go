@@ -78,7 +78,7 @@ func FuzzSymIntDecode(f *testing.F) {
 }
 
 var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
-	"regenerate testdata/fuzz-seeds/bundles from the current encoder")
+	"regenerate testdata/fuzz-seeds/bundles and runs from their generators")
 
 // bundleSite folds fuzzed bundles for one schema. Its fold site's start
 // state is a genuine prefix, so a fold that wrongly wrote it shows.

@@ -33,8 +33,9 @@ leg vet go vet ./...
 leg build go build ./...
 # The unit leg runs every fuzz target's seed corpus as plain tests
 # (FuzzBundleFold and TestFuzzSeedBundleCorpus: the
-# committed bundle seeds, each form a count of 0 takes, at two schemas)
-# and the allocation ceilings of the two kinds of site, event groups of
+# committed bundle seeds, each form a count of 0 takes, at two schemas;
+# FuzzRunFold: the committed run seeds, one warm exec site against a
+# fresh executor and the record-by-record feed) and the allocation ceilings of the two kinds of site, event groups of
 # every size included (TestExecSiteAllocCeiling, TestFoldAllocCeiling),
 # which stand down under the race detector.
 leg unit go test ./...
