@@ -61,8 +61,7 @@ func (e *dialEndpoint) Close() error { return nil }
 type workerConn struct {
 	ep   Endpoint
 	conn net.Conn
-	fr   *frameReader
-	fw   *frameWriter
+	fc   *FrameConn
 }
 
 // Placement records where one map attempt was dispatched — the
@@ -173,26 +172,8 @@ func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 		return nil, fmt.Errorf("cluster: connecting worker: %w", err)
 	}
 	conn := net.Conn(&countingConn{Conn: raw, p: p})
-	w := &workerConn{ep: ep, conn: conn, fr: newFrameReader(conn), fw: newFrameWriter(conn)}
-	if err := w.fw.write(FrameHello, encodeHello()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello send: %w", err)
-	}
-	f, err := w.fr.next()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello reply: %w", err)
-	}
-	if f.Type == FrameError {
-		msg, _ := decodeError(f.Payload)
-		conn.Close()
-		return nil, fmt.Errorf("cluster: worker rejected hello: %s", msg)
-	}
-	if f.Type != FrameHello {
-		conn.Close()
-		return nil, fmt.Errorf("%w: expected hello reply, got frame type %d", ErrFrame, f.Type)
-	}
-	if _, err := DecodeHello(f.Payload); err != nil {
+	w := &workerConn{ep: ep, conn: conn, fc: NewFrameConn(conn)}
+	if err := w.fc.DialHello(); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -438,7 +419,7 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		if withPayload {
 			a.seg = seg
 		}
-		return w.fw.write(FrameAssign, encodeAssign(a))
+		return w.fc.Write(FrameAssign, encodeAssign(a))
 	}
 	if err := sendAssign(hasPayload); err != nil {
 		return fail(fmt.Errorf("cluster: sending assignment (task %d attempt %d): %w", task, attempt, err))
@@ -446,7 +427,7 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 	out := &mapreduce.MapOutput{}
 	resent := false
 	for {
-		f, err := w.fr.next()
+		f, err := w.fc.Next()
 		if err != nil {
 			return fail(fmt.Errorf("cluster: worker stream (task %d attempt %d): %w", task, attempt, err))
 		}

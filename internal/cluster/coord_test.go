@@ -86,11 +86,7 @@ func silentWorker(t *testing.T) Endpoint {
 				defer conn.Close()
 				stop := context.AfterFunc(ctx, func() { conn.Close() })
 				defer stop()
-				fr, fw := newFrameReader(conn), newFrameWriter(conn)
-				if f, err := fr.next(); err != nil || f.Type != FrameHello {
-					return
-				}
-				if err := fw.write(FrameHello, encodeHello()); err != nil {
+				if NewFrameConn(conn).AcceptHello() != nil {
 					return
 				}
 				_, _ = io.Copy(io.Discard, conn) // swallow assignments forever

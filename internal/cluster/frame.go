@@ -12,9 +12,12 @@
 // carried across a process boundary — and a dead worker costs a job
 // only its retried map attempts.
 //
-// Everything crosses the socket inside length-prefixed, versioned
-// frames (this file); payload codecs live in proto.go, the worker loop
-// in worker.go, and the coordinator pool in coord.go.
+// Everything crosses the socket as length-prefixed, versioned frames
+// over one FrameConn per connection (this file), opened by one hello
+// exchange; the serve package speaks the same frames for its job
+// protocol. Payload codecs live in proto.go and serveproto.go, each
+// decoder ending in the one shared tail; the worker loop is in
+// worker.go and the coordinator pool in coord.go.
 package cluster
 
 import (
@@ -23,29 +26,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ProtocolVersion is negotiated by the hello exchange; a peer speaking
-// a different version is rejected before any job traffic. Version 2
-// added the worker-to-worker shuffle frames and the segment digest in
-// the assignment. Version 3 added the query-service job frames
-// (job_submit, job_accept, job_update, job_result, job_cancel). Version
-// 4 shrank the job spec (two engine knobs left the wire). Version 5
-// dropped the columnar payload from the assignment: a segment ships as
-// its records and nothing else. Version 6 carries the event bundle — a
-// one-event group's event in place of its summary — in runs, which a v5
-// peer would misread; the job spec lost the memo size; and span
-// attributes and tags travel as key bytes, not names. Version 7 carries
-// an attempt's armed faults as one field of the assignment. Version 8
-// deleted the worker-to-worker shuffle — its seven frames, the topology
-// tables in the assignment — renumbered the job frames after it, and
-// widened the assignment's segment digest from one 64-bit lane to both.
-// Version 9 carries a group of up to eight events in an event bundle,
-// counted after its zero, which a v8 peer would reject as trailing bytes.
-// Version 10 dropped the combiner flag from the job spec. Version 11
-// runs carry no emit sequence column: a v10 peer's runs decode wrong.
-// Version 12 dropped four span attribute keys (applies, composes,
-// out_bytes, summaries), renumbering the keys a worker's spans carry.
+// a different version is rejected before any job traffic. It moves only
+// when a frame's layout does: frame types and the enums that travel in
+// frames (span keys, fault points and kinds) have fixed numbers, and a
+// deleted one's number stays reserved. DESIGN.md's "Frame protocol"
+// section keeps the version history.
 const ProtocolVersion = 12
 
 // helloMagic opens every hello payload, guarding against a stray TCP
@@ -144,20 +133,43 @@ func DecodeFrame(buf []byte) (Frame, []byte, error) {
 	return Frame{Type: t, Payload: rest[:n]}, rest[n:], nil
 }
 
-// frameReader reads frames off a stream, enforcing the same limits as
-// DecodeFrame.
-type frameReader struct {
-	r *bufio.Reader
+// FrameConn is the one framed connection every endpoint holds — the
+// coordinator's lease, the worker's, and the serve server's and
+// client's: a buffered reader, a buffered writer flushed after every
+// frame so the peer never waits on a partial message, and a write
+// mutex. Reads are single-consumer (one goroutine owns Next); writes
+// may come from many goroutines, each frame whole. The hello exchange
+// opens every connection: DialHello on the side that dialed,
+// AcceptHello on the side that accepted.
+type FrameConn struct {
+	r   *bufio.Reader
+	wmu sync.Mutex
+	w   *bufio.Writer
+	buf []byte
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 64<<10)}
+// NewFrameConn wraps rw (usually a net.Conn) in frame framing. The
+// caller keeps ownership of rw and closes it to unblock Next.
+func NewFrameConn(rw io.ReadWriter) *FrameConn {
+	return &FrameConn{r: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriterSize(rw, 64<<10)}
 }
 
-// next reads one frame. io.EOF surfaces unchanged at a clean frame
-// boundary; truncation mid-frame becomes io.ErrUnexpectedEOF.
-func (fr *frameReader) next() (Frame, error) {
-	tb, err := fr.r.ReadByte()
+// Write sends one frame and flushes. Safe for concurrent use.
+func (c *FrameConn) Write(t FrameType, payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.buf = AppendFrame(c.buf[:0], t, payload)
+	if _, err := c.w.Write(c.buf); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// Next reads one frame, enforcing the same limits as DecodeFrame.
+// io.EOF surfaces unchanged at a clean frame boundary; truncation
+// mid-frame becomes io.ErrUnexpectedEOF.
+func (c *FrameConn) Next() (Frame, error) {
+	tb, err := c.r.ReadByte()
 	if err != nil {
 		return Frame{}, err
 	}
@@ -165,7 +177,7 @@ func (fr *frameReader) next() (Frame, error) {
 	if t == 0 || t > frameTypeMax {
 		return Frame{}, fmt.Errorf("%w: unknown frame type 0x%02x", ErrFrame, tb)
 	}
-	n, err := binary.ReadUvarint(fr.r)
+	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -176,7 +188,7 @@ func (fr *frameReader) next() (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxFrameLen)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	if _, err := io.ReadFull(c.r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -185,21 +197,47 @@ func (fr *frameReader) next() (Frame, error) {
 	return Frame{Type: t, Payload: payload}, nil
 }
 
-// frameWriter writes frames to a stream, flushing after every frame so
-// the peer never waits on a partially buffered message.
-type frameWriter struct {
-	w   *bufio.Writer
-	buf []byte
+// DialHello is the dialing side's half of the hello exchange: send our
+// hello, then take the peer's in reply — or the reason its FrameError
+// gives for turning ours away.
+func (c *FrameConn) DialHello() error {
+	if err := c.Write(FrameHello, encodeHello()); err != nil {
+		return fmt.Errorf("cluster: hello send: %w", err)
+	}
+	f, err := c.Next()
+	if err != nil {
+		return fmt.Errorf("cluster: hello reply: %w", err)
+	}
+	switch f.Type {
+	case FrameHello:
+		return decodeHello(f.Payload)
+	case FrameError:
+		msg, err := decodeError(f.Payload)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("cluster: peer rejected hello: %s", msg)
+	}
+	return fmt.Errorf("%w: expected hello reply, got frame type %d", ErrFrame, f.Type)
 }
 
-func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{w: bufio.NewWriterSize(w, 64<<10)}
-}
-
-func (fw *frameWriter) write(t FrameType, payload []byte) error {
-	fw.buf = AppendFrame(fw.buf[:0], t, payload)
-	if _, err := fw.w.Write(fw.buf); err != nil {
+// AcceptHello is the accepting side's half: read the peer's hello and
+// answer with ours, or with a FrameError that says why it was refused.
+func (c *FrameConn) AcceptHello() error {
+	f, err := c.Next()
+	if err != nil {
 		return err
 	}
-	return fw.w.Flush()
+	if f.Type != FrameHello {
+		err = fmt.Errorf("%w: expected hello, got frame type %d", ErrFrame, f.Type)
+	} else {
+		err = decodeHello(f.Payload)
+	}
+	if err != nil {
+		// Tell the peer why before the caller hangs up; a failed write
+		// changes nothing, the connection is dropped either way.
+		_ = c.Write(FrameError, encodeError(err.Error()))
+		return err
+	}
+	return c.Write(FrameHello, encodeHello())
 }

@@ -98,21 +98,21 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "valid-error.bin", Data: frame(FrameError, encodeError("mapper: boom"))},
 		{Name: "valid-error-need-segment.bin", Data: frame(FrameError,
 			encodeError(needSegmentPrefix+"00000000feedface0000000000c0ffee"))},
-		{Name: "valid-jobsubmit.bin", Data: frame(FrameJobSubmit, encodeJobSubmit(JobSubmit{
+		{Name: "valid-jobsubmit.bin", Data: frame(FrameJobSubmit, EncodeJobSubmit(JobSubmit{
 			Tenant: "acme", Query: "G1", Dataset: "github", Tail: true, TailEvery: 2}))},
-		{Name: "valid-jobaccept.bin", Data: frame(FrameJobAccept, encodeJobAccept(JobAccept{
+		{Name: "valid-jobaccept.bin", Data: frame(FrameJobAccept, EncodeJobAccept(JobAccept{
 			ID: 9, OK: true, QueuePos: 3}))},
-		{Name: "valid-jobaccept-rejected.bin", Data: frame(FrameJobAccept, encodeJobAccept(JobAccept{
+		{Name: "valid-jobaccept-rejected.bin", Data: frame(FrameJobAccept, EncodeJobAccept(JobAccept{
 			OK: false, Reason: "queue full: 64 jobs pending"}))},
-		{Name: "valid-jobupdate.bin", Data: frame(FrameJobUpdate, encodeJobUpdate(JobUpdate{
+		{Name: "valid-jobupdate.bin", Data: frame(FrameJobUpdate, EncodeJobUpdate(JobUpdate{
 			ID: 9, Seq: 2, Digest: 0x5B4CE1A74A6DB4E3, NumResults: 74,
 			Segments: 6, CacheHits: 5, MappedSegments: 1}))},
-		{Name: "valid-jobresult.bin", Data: frame(FrameJobResult, encodeJobResult(JobResult{
+		{Name: "valid-jobresult.bin", Data: frame(FrameJobResult, EncodeJobResult(JobResult{
 			ID: 9, Digest: 0x5B4CE1A74A6DB4E3, NumResults: 74,
 			Segments: 6, CacheHits: 6, Updates: 4}))},
-		{Name: "valid-jobresult-cancelled.bin", Data: frame(FrameJobResult, encodeJobResult(JobResult{
+		{Name: "valid-jobresult-cancelled.bin", Data: frame(FrameJobResult, EncodeJobResult(JobResult{
 			ID: 9, Err: "cancelled"}))},
-		{Name: "valid-jobcancel.bin", Data: frame(FrameJobCancel, encodeJobCancel(JobCancel{ID: 9}))},
+		{Name: "valid-jobcancel.bin", Data: frame(FrameJobCancel, EncodeJobCancel(JobCancel{ID: 9}))},
 		{Name: "corrupt-empty.bin", Data: []byte{}},
 		{Name: "corrupt-zero-type.bin", Data: []byte{0x00, 0x00}},
 		{Name: "corrupt-unknown-type.bin", Data: []byte{0xEE, 0x00}},
@@ -145,6 +145,8 @@ func frameSeedCorpus() []fuzzseed.Seed {
 			Data: frame(FrameMapDone, append(encodeMapDone(&mapDone{emitted: 1, logical: []int64{1}}), 0x00))},
 		{Name: "corrupt-error-truncated.bin",
 			Data: frame(FrameError, encodeError("mapper: boom")[:4])},
+		{Name: "corrupt-error-trailing.bin",
+			Data: frame(FrameError, append(encodeError("mapper: boom"), 0x00))},
 		{Name: "corrupt-spans-forged-count.bin",
 			Data: frame(FrameSpans, binary.AppendUvarint(nil, maxSpans+1))},
 		{Name: "corrupt-spans-unknown-attr.bin",
@@ -158,22 +160,22 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-assign-truncated-digest.bin",
 			Data: frame(FrameAssign, forgedAssignDigest())},
 		{Name: "corrupt-jobsubmit-trailing.bin",
-			Data: frame(FrameJobSubmit, append(encodeJobSubmit(JobSubmit{
+			Data: frame(FrameJobSubmit, append(EncodeJobSubmit(JobSubmit{
 				Tenant: "acme", Query: "G1", Dataset: "github"}), 0x01))},
 		{Name: "corrupt-jobsubmit-oversized-tenant.bin",
-			Data: frame(FrameJobSubmit, encodeJobSubmit(JobSubmit{
+			Data: frame(FrameJobSubmit, EncodeJobSubmit(JobSubmit{
 				Tenant: strings.Repeat("t", maxServeString+1), Query: "G1", Dataset: "github"}))},
 		{Name: "corrupt-jobsubmit-forged-length.bin",
 			Data: frame(FrameJobSubmit, forgedJobSubmitLength())},
 		{Name: "corrupt-jobaccept-trailing.bin",
-			Data: frame(FrameJobAccept, append(encodeJobAccept(JobAccept{ID: 9, OK: true}), 0x00))},
+			Data: frame(FrameJobAccept, append(EncodeJobAccept(JobAccept{ID: 9, OK: true}), 0x00))},
 		{Name: "corrupt-jobupdate-truncated.bin",
-			Data: frame(FrameJobUpdate, encodeJobUpdate(JobUpdate{ID: 9, Seq: 1})[:4])},
+			Data: frame(FrameJobUpdate, EncodeJobUpdate(JobUpdate{ID: 9, Seq: 1})[:4])},
 		{Name: "corrupt-jobresult-oversized-err.bin",
-			Data: frame(FrameJobResult, encodeJobResult(JobResult{
+			Data: frame(FrameJobResult, EncodeJobResult(JobResult{
 				ID: 9, Err: strings.Repeat("e", maxServeString+1)}))},
 		{Name: "corrupt-jobcancel-trailing.bin",
-			Data: frame(FrameJobCancel, append(encodeJobCancel(JobCancel{ID: 9}), 0xFF))},
+			Data: frame(FrameJobCancel, append(EncodeJobCancel(JobCancel{ID: 9}), 0xFF))},
 	}
 	for i, f := range outOfRangeFaults {
 		a := seedAssignment()
@@ -301,7 +303,7 @@ func decodeSeedFrame(data []byte) error {
 	}
 	switch f.Type {
 	case FrameHello:
-		_, err = DecodeHello(f.Payload)
+		err = decodeHello(f.Payload)
 	case FrameAssign:
 		_, err = decodeAssign(f.Payload)
 	case FrameRun:
@@ -367,7 +369,7 @@ func TestFuzzSeedFrameCorpus(t *testing.T) {
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)
 		}
 	}
-	if valid < 16 || corrupt < 44 {
+	if valid < 16 || corrupt < 48 {
 		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
 	}
 }
@@ -411,7 +413,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// Payload codecs must be total: errors fine, panics never. Run
 		// the payload through every decoder, not just its own type's —
 		// a desynchronized stream can hand any bytes to any of them.
-		_, _ = DecodeHello(fr.Payload)
+		_ = decodeHello(fr.Payload)
 		_, _ = decodeAssign(fr.Payload)
 		_, _ = decodeRun(fr.Payload)
 		_, _ = decodeSpans(fr.Payload)
@@ -445,7 +447,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	for _, v := range []uint64{ProtocolVersion + 1, ProtocolVersion - 1} {
-		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
+		if err := decodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}
 	}
@@ -458,14 +460,14 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// no count, and version 9 the last whose job spec carried a combiner
 	// flag; peers still speaking any must be turned away at hello.
 	for _, v := range []uint64{4, 5, 6, 7, 8, 9} {
-		if _, err := DecodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
+		if err := decodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}
 	}
-	if _, err := DecodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
+	if err := decodeHello(helloWith(0xDEAD, ProtocolVersion)); err == nil {
 		t.Error("bad hello magic accepted")
 	}
-	if _, err := DecodeHello(append(encodeHello(), 0x00)); err == nil {
+	if err := decodeHello(append(encodeHello(), 0x00)); err == nil {
 		t.Error("trailing garbage after hello accepted")
 	}
 
@@ -503,27 +505,27 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeAssign(forgedAssignDigest()); err == nil {
 		t.Error("one-lane segment digest accepted")
 	}
-	if _, err := DecodeJobSubmit(append(encodeJobSubmit(JobSubmit{Tenant: "t", Query: "q", Dataset: "d"}), 0x01)); err == nil {
+	if _, err := DecodeJobSubmit(append(EncodeJobSubmit(JobSubmit{Tenant: "t", Query: "q", Dataset: "d"}), 0x01)); err == nil {
 		t.Error("trailing garbage after job submit accepted")
 	}
-	if _, err := DecodeJobSubmit(encodeJobSubmit(JobSubmit{
+	if _, err := DecodeJobSubmit(EncodeJobSubmit(JobSubmit{
 		Tenant: strings.Repeat("t", maxServeString+1), Query: "q", Dataset: "d"})); err == nil {
 		t.Error("oversized job submit tenant accepted")
 	}
 	if _, err := DecodeJobSubmit(forgedJobSubmitLength()); err == nil {
 		t.Error("forged job submit string length accepted")
 	}
-	if _, err := DecodeJobAccept(append(encodeJobAccept(JobAccept{ID: 1, OK: true}), 0x00)); err == nil {
+	if _, err := DecodeJobAccept(append(EncodeJobAccept(JobAccept{ID: 1, OK: true}), 0x00)); err == nil {
 		t.Error("trailing garbage after job accept accepted")
 	}
-	if _, err := DecodeJobUpdate(encodeJobUpdate(JobUpdate{ID: 1, Seq: 1, Digest: 1})[:4]); err == nil {
+	if _, err := DecodeJobUpdate(EncodeJobUpdate(JobUpdate{ID: 1, Seq: 1, Digest: 1})[:4]); err == nil {
 		t.Error("truncated job update accepted")
 	}
-	if _, err := DecodeJobResult(encodeJobResult(JobResult{
+	if _, err := DecodeJobResult(EncodeJobResult(JobResult{
 		ID: 1, Err: strings.Repeat("e", maxServeString+1)})); err == nil {
 		t.Error("oversized job result error accepted")
 	}
-	if _, err := DecodeJobCancel(append(encodeJobCancel(JobCancel{ID: 1}), 0xFF)); err == nil {
+	if _, err := DecodeJobCancel(append(EncodeJobCancel(JobCancel{ID: 1}), 0xFF)); err == nil {
 		t.Error("trailing garbage after job cancel accepted")
 	}
 }
@@ -563,38 +565,53 @@ func TestAssignRoundTrip(t *testing.T) {
 // and cancelled forms.
 func TestJobFrameRoundTrips(t *testing.T) {
 	sub := JobSubmit{Tenant: "acme", Query: "R4", Dataset: "redshift", Tail: true, TailEvery: 3}
-	if got, err := DecodeJobSubmit(encodeJobSubmit(sub)); err != nil || got != sub {
+	if got, err := DecodeJobSubmit(EncodeJobSubmit(sub)); err != nil || got != sub {
 		t.Fatalf("job submit diverged: %+v vs %+v (%v)", got, sub, err)
 	}
 	for _, acc := range []JobAccept{
 		{ID: 42, OK: true, QueuePos: 7},
 		{OK: false, Reason: "unknown query Z9"},
 	} {
-		if got, err := DecodeJobAccept(encodeJobAccept(acc)); err != nil || got != acc {
+		if got, err := DecodeJobAccept(EncodeJobAccept(acc)); err != nil || got != acc {
 			t.Fatalf("job accept diverged: %+v vs %+v (%v)", got, acc, err)
 		}
 	}
 	u := JobUpdate{ID: 42, Seq: 9, Digest: 0xCE4386EA43DC8579, NumResults: 40,
 		Segments: 6, CacheHits: 4, MappedSegments: 2}
-	if got, err := DecodeJobUpdate(encodeJobUpdate(u)); err != nil || got != u {
+	if got, err := DecodeJobUpdate(EncodeJobUpdate(u)); err != nil || got != u {
 		t.Fatalf("job update diverged: %+v vs %+v (%v)", got, u, err)
 	}
 	for _, r := range []JobResult{
 		{ID: 42, Digest: 0xA0A6156645A7A793, NumResults: 53, Segments: 6, CacheHits: 6, Updates: 2},
 		{ID: 43, Err: "cancelled", Updates: 5},
 	} {
-		if got, err := DecodeJobResult(encodeJobResult(r)); err != nil || got != r {
+		if got, err := DecodeJobResult(EncodeJobResult(r)); err != nil || got != r {
 			t.Fatalf("job result diverged: %+v vs %+v (%v)", got, r, err)
 		}
 	}
-	if got, err := DecodeJobCancel(encodeJobCancel(JobCancel{ID: 42})); err != nil || got.ID != 42 {
+	if got, err := DecodeJobCancel(EncodeJobCancel(JobCancel{ID: 42})); err != nil || got.ID != 42 {
 		t.Fatalf("job cancel diverged: %+v (%v)", got, err)
 	}
 }
 
-// TestSpansRoundTrip pins the spans codec, attrs and tags included.
+// TestSpansRoundTrip pins the spans codec, attrs and tags included: the
+// seed spans, and one span that carries every declared attribute and
+// tag key — found by asking each number whether it is declared — whose
+// JSONL line lists them in name order.
 func TestSpansRoundTrip(t *testing.T) {
-	in := seedSpans()
+	every := &obs.Span{Kind: obs.KindMapExec, Name: "every-key", Start: 1, End: 2}
+	var attrs, tags []string
+	for k := range 256 {
+		if a := obs.AttrKey(k); a.Valid() {
+			every.SetAttr(a, int64(k))
+			attrs = append(attrs, a.String())
+		}
+		if g := obs.TagKey(k); g.Valid() {
+			every.SetTag(g, "1")
+			tags = append(tags, g.String())
+		}
+	}
+	in := append(seedSpans(), every)
 	got, err := decodeSpans(encodeSpans(in))
 	if err != nil {
 		t.Fatal(err)
@@ -607,5 +624,22 @@ func TestSpansRoundTrip(t *testing.T) {
 		if *a != *b {
 			t.Fatalf("span %d diverged: %+v vs %+v", i, a, b)
 		}
+	}
+
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	sink.Emit(got[len(got)-1])
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(attrs)
+	slices.Sort(tags)
+	line, at := buf.String(), -1
+	for _, name := range append(attrs, tags...) {
+		i := strings.Index(line, `"`+name+`":`)
+		if i <= at {
+			t.Fatalf("key %q missing or out of name order in %s", name, line)
+		}
+		at = i
 	}
 }

@@ -10,10 +10,24 @@ import (
 )
 
 // Payload codecs for the frame protocol, built on the wire primitives
-// the segment codec already uses. Every decoder is total: corrupt
-// input returns an error naming wire.ErrCorrupt or ErrFrame, never a
-// panic — the same contract decodeSegment holds, extended across the
-// socket.
+// the segment codec already uses. Every decoder is total: corrupt input
+// returns an error wrapping ErrFrame, never a panic — the same contract
+// decodeSegment holds, extended across the socket. Each decoder ends in
+// decoded, the one tail that turns a short or a long payload into that
+// error.
+
+// decoded is every payload decoder's tail: v, or — when d failed, or
+// bytes are left after the payload — an ErrFrame error naming what.
+func decoded[T any](v T, d *wire.Decoder, what string) (T, error) {
+	var zero T
+	if err := d.Err(); err != nil {
+		return zero, fmt.Errorf("%w: truncated %s: %w", ErrFrame, what, err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return zero, fmt.Errorf("%w: %d trailing bytes after %s", ErrFrame, n, what)
+	}
+	return v, nil
+}
 
 // JobSpec identifies, to a worker, how to build the map side of a job:
 // the registered query plus the engine knobs that change map output.
@@ -53,26 +67,23 @@ func encodeHello() []byte {
 	return e.Bytes()
 }
 
-// DecodeHello validates a hello payload, returning the peer's version.
-// Bad magic and unsupported versions are errors (never panics); the
-// fuzz corpus pins both classes.
-func DecodeHello(payload []byte) (version uint64, err error) {
+// decodeHello validates a hello payload. Bad magic and other versions
+// are errors (never panics); the fuzz corpus pins both classes. The
+// version is checked before the tail, so a later version that extends
+// the hello is still told it speaks the wrong version.
+func decodeHello(payload []byte) error {
 	d := wire.NewDecoder(payload)
-	magic := d.Uvarint()
-	version = d.Uvarint()
-	if d.Err() != nil {
-		return 0, fmt.Errorf("%w: truncated hello", ErrFrame)
+	magic, version := d.Uvarint(), d.Uvarint()
+	if d.Err() == nil && magic == helloMagic && version != ProtocolVersion {
+		return fmt.Errorf("cluster: protocol version %d not supported (want %d)", version, ProtocolVersion)
+	}
+	if _, err := decoded(magic, d, "hello"); err != nil {
+		return err
 	}
 	if magic != helloMagic {
-		return 0, fmt.Errorf("%w: bad hello magic 0x%x", ErrFrame, magic)
+		return fmt.Errorf("%w: bad hello magic 0x%x", ErrFrame, magic)
 	}
-	if version != ProtocolVersion {
-		return version, fmt.Errorf("cluster: protocol version %d not supported (want %d)", version, ProtocolVersion)
-	}
-	if d.Remaining() != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes after hello", ErrFrame, d.Remaining())
-	}
-	return version, nil
+	return nil
 }
 
 // assignment is one map attempt shipped to a worker.
@@ -112,22 +123,18 @@ func appendFaults(e *wire.Encoder, fs mapreduce.AttemptFaults) {
 	}
 }
 
-// decodeFaults rejects a fault outside the plan's points and kinds, a
-// negative ordinal, or a delay no plan arms.
+// decodeFaults rejects a fault at an undeclared point or of an
+// undeclared kind, a negative ordinal, or a delay no plan arms; a short
+// payload is left to the caller's tail.
 func decodeFaults(d *wire.Decoder) (mapreduce.AttemptFaults, error) {
-	points, kinds := len(mapreduce.AllFaultPoints()), len(mapreduce.AllFaultKinds())
-	n := d.Length(points)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
 	var fs mapreduce.AttemptFaults
-	for i := 0; i < n; i++ {
+	for n := d.Length(len(mapreduce.AllFaultPoints())); n > 0 && d.Err() == nil; n-- {
 		f := mapreduce.Fault{Point: mapreduce.FaultPoint(d.Byte()), Kind: mapreduce.FaultKind(d.Byte()),
 			At: d.Varint(), Delay: time.Duration(d.Varint())}
 		if d.Err() != nil {
-			return nil, d.Err()
+			break
 		}
-		if int(f.Point) >= points || int(f.Kind) >= kinds || f.At < 0 || f.Delay < 0 || f.Delay > maxFaultDelay {
+		if !f.Point.Valid() || !f.Kind.Valid() || f.At < 0 || f.Delay < 0 || f.Delay > maxFaultDelay {
 			return nil, fmt.Errorf("%w: fault %+v outside the plan's range", ErrFrame, f)
 		}
 		fs = append(fs, f)
@@ -170,36 +177,19 @@ func decodeAssign(payload []byte) (*assignment, error) {
 	a.segID = int(d.Uvarint())
 	a.segDigest = mapreduce.Digest{d.Uint64(), d.Uint64()}
 	if !d.Bool() {
-		// Digest-only assignment: no payload follows.
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after assignment", ErrFrame, d.Remaining())
-		}
-		return a, nil
+		return decoded(a, d, "assignment") // digest-only: no payload follows
 	}
 	n := d.Length(maxSegmentRecords)
 	if d.Err() != nil {
-		return nil, d.Err()
+		return decoded(a, d, "assignment")
 	}
 	recs := make([][]byte, n)
-	for i := range recs {
-		b := d.BytesField()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
+	for i := 0; i < n && d.Err() == nil; i++ {
 		// Copy out of the frame buffer: segments outlive the frame.
-		recs[i] = append([]byte(nil), b...)
+		recs[i] = append([]byte(nil), d.BytesField()...)
 	}
 	a.seg = &mapreduce.Segment{ID: a.segID, Records: recs}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after assignment", ErrFrame, d.Remaining())
-	}
-	return a, nil
+	return decoded(a, d, "assignment")
 }
 
 func encodeRun(r mapreduce.Run) []byte {
@@ -218,16 +208,9 @@ func decodeRun(payload []byte) (mapreduce.Run, error) {
 		Attempt: int(d.Uvarint()),
 		Part:    int(d.Uvarint()),
 	}
-	seg := d.BytesField()
-	if d.Err() != nil {
-		return mapreduce.Run{}, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return mapreduce.Run{}, fmt.Errorf("%w: %d trailing bytes after run", ErrFrame, d.Remaining())
-	}
-	r.Seg = append([]byte(nil), seg...) // outlives the frame buffer
+	r.Seg = append([]byte(nil), d.BytesField()...) // outlives the frame buffer
 	r.Bytes = int64(len(r.Seg))
-	return r, nil
+	return decoded(r, d, "run")
 }
 
 // mapDone is the attempt-closing metrics message, the wire form of the
@@ -271,19 +254,13 @@ func decodeMapDone(payload []byte) (*mapDone, error) {
 	}
 	n := d.Length(maxParts)
 	if d.Err() != nil {
-		return nil, d.Err()
+		return decoded(m, d, "map-done")
 	}
 	m.logical = make([]int64, n)
 	for i := range m.logical {
 		m.logical[i] = d.Varint()
 	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after map-done", ErrFrame, d.Remaining())
-	}
-	return m, nil
+	return decoded(m, d, "map-done")
 }
 
 // maxSpans and maxSpanKVs cap a decoded spans frame.
@@ -326,10 +303,10 @@ func decodeSpans(payload []byte) ([]*obs.Span, error) {
 	d := wire.NewDecoder(payload)
 	n := d.Length(maxSpans)
 	if d.Err() != nil {
-		return nil, d.Err()
+		return decoded[[]*obs.Span](nil, d, "spans")
 	}
 	spans := make([]*obs.Span, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		sp := &obs.Span{
 			Kind:  d.String(),
 			Name:  d.String(),
@@ -350,15 +327,9 @@ func decodeSpans(payload []byte) ([]*obs.Span, error) {
 			}
 			sp.SetTag(k, v)
 		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
 		spans = append(spans, sp)
 	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after spans", ErrFrame, d.Remaining())
-	}
-	return spans, nil
+	return decoded(spans, d, "spans")
 }
 
 func encodeError(msg string) []byte {
@@ -369,9 +340,5 @@ func encodeError(msg string) []byte {
 
 func decodeError(payload []byte) (string, error) {
 	d := wire.NewDecoder(payload)
-	msg := d.String()
-	if d.Err() != nil {
-		return "", d.Err()
-	}
-	return msg, nil
+	return decoded(d.String(), d, "error")
 }

@@ -6,10 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Payload codecs for the query-service job frames (protocol version 3).
-// Same contract as proto.go: every decoder is total — corrupt input
-// returns an error naming wire.ErrCorrupt or ErrFrame, never a panic —
-// and the frame fuzz corpus pins both the valid and corrupt classes.
+// Payload codecs for the query-service job frames. Same contract as
+// proto.go: every decoder is total — corrupt input returns an error
+// wrapping ErrFrame, never a panic — and ends in the shared tail; the
+// frame fuzz corpus pins both the valid and corrupt classes.
 
 // maxServeString caps the tenant/query/dataset/reason strings in job
 // frames; they are identifiers and short sentences, not payloads.
@@ -88,12 +88,8 @@ type JobCancel struct {
 	ID uint64
 }
 
-// EncodeHello builds the hello payload (magic, protocol version) for a
-// FrameHello. Exported for the serve client/server handshake; the
-// worker path uses it via encodeHello.
-func EncodeHello() []byte { return encodeHello() }
-
-func encodeJobSubmit(s JobSubmit) []byte {
+// EncodeJobSubmit encodes a FrameJobSubmit payload.
+func EncodeJobSubmit(s JobSubmit) []byte {
 	e := wire.NewEncoder(len(s.Tenant) + len(s.Query) + len(s.Dataset) + 16)
 	e.String(s.Tenant)
 	e.String(s.Query)
@@ -106,25 +102,16 @@ func encodeJobSubmit(s JobSubmit) []byte {
 // DecodeJobSubmit decodes a FrameJobSubmit payload.
 func DecodeJobSubmit(payload []byte) (JobSubmit, error) {
 	d := wire.NewDecoder(payload)
-	var s JobSubmit
-	s.Tenant = d.String()
-	s.Query = d.String()
-	s.Dataset = d.String()
-	s.Tail = d.Bool()
-	s.TailEvery = int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return JobSubmit{}, fmt.Errorf("%w: truncated job submit: %v", ErrFrame, err)
-	}
+	s := JobSubmit{Tenant: d.String(), Query: d.String(), Dataset: d.String(),
+		Tail: d.Bool(), TailEvery: int(d.Uvarint())}
 	if len(s.Tenant) > maxServeString || len(s.Query) > maxServeString || len(s.Dataset) > maxServeString {
 		return JobSubmit{}, fmt.Errorf("%w: oversized job submit field", ErrFrame)
 	}
-	if d.Remaining() != 0 {
-		return JobSubmit{}, fmt.Errorf("%w: %d trailing bytes after job submit", ErrFrame, d.Remaining())
-	}
-	return s, nil
+	return decoded(s, d, "job submit")
 }
 
-func encodeJobAccept(a JobAccept) []byte {
+// EncodeJobAccept encodes a FrameJobAccept payload.
+func EncodeJobAccept(a JobAccept) []byte {
 	e := wire.NewEncoder(len(a.Reason) + 16)
 	e.Uvarint(a.ID)
 	e.Bool(a.OK)
@@ -136,24 +123,15 @@ func encodeJobAccept(a JobAccept) []byte {
 // DecodeJobAccept decodes a FrameJobAccept payload.
 func DecodeJobAccept(payload []byte) (JobAccept, error) {
 	d := wire.NewDecoder(payload)
-	var a JobAccept
-	a.ID = d.Uvarint()
-	a.OK = d.Bool()
-	a.Reason = d.String()
-	a.QueuePos = int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return JobAccept{}, fmt.Errorf("%w: truncated job accept: %v", ErrFrame, err)
-	}
+	a := JobAccept{ID: d.Uvarint(), OK: d.Bool(), Reason: d.String(), QueuePos: int(d.Uvarint())}
 	if len(a.Reason) > maxServeString {
 		return JobAccept{}, fmt.Errorf("%w: oversized job accept reason", ErrFrame)
 	}
-	if d.Remaining() != 0 {
-		return JobAccept{}, fmt.Errorf("%w: %d trailing bytes after job accept", ErrFrame, d.Remaining())
-	}
-	return a, nil
+	return decoded(a, d, "job accept")
 }
 
-func encodeJobUpdate(u JobUpdate) []byte {
+// EncodeJobUpdate encodes a FrameJobUpdate payload.
+func EncodeJobUpdate(u JobUpdate) []byte {
 	e := wire.NewEncoder(40)
 	e.Uvarint(u.ID)
 	e.Uvarint(u.Seq)
@@ -168,24 +146,13 @@ func encodeJobUpdate(u JobUpdate) []byte {
 // DecodeJobUpdate decodes a FrameJobUpdate payload.
 func DecodeJobUpdate(payload []byte) (JobUpdate, error) {
 	d := wire.NewDecoder(payload)
-	var u JobUpdate
-	u.ID = d.Uvarint()
-	u.Seq = d.Uvarint()
-	u.Digest = d.Uint64()
-	u.NumResults = int(d.Uvarint())
-	u.Segments = int(d.Uvarint())
-	u.CacheHits = int(d.Uvarint())
-	u.MappedSegments = int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return JobUpdate{}, fmt.Errorf("%w: truncated job update: %v", ErrFrame, err)
-	}
-	if d.Remaining() != 0 {
-		return JobUpdate{}, fmt.Errorf("%w: %d trailing bytes after job update", ErrFrame, d.Remaining())
-	}
-	return u, nil
+	return decoded(JobUpdate{ID: d.Uvarint(), Seq: d.Uvarint(), Digest: d.Uint64(),
+		NumResults: int(d.Uvarint()), Segments: int(d.Uvarint()), CacheHits: int(d.Uvarint()),
+		MappedSegments: int(d.Uvarint())}, d, "job update")
 }
 
-func encodeJobResult(r JobResult) []byte {
+// EncodeJobResult encodes a FrameJobResult payload.
+func EncodeJobResult(r JobResult) []byte {
 	e := wire.NewEncoder(len(r.Err) + 48)
 	e.Uvarint(r.ID)
 	e.String(r.Err)
@@ -201,28 +168,17 @@ func encodeJobResult(r JobResult) []byte {
 // DecodeJobResult decodes a FrameJobResult payload.
 func DecodeJobResult(payload []byte) (JobResult, error) {
 	d := wire.NewDecoder(payload)
-	var r JobResult
-	r.ID = d.Uvarint()
-	r.Err = d.String()
-	r.Digest = d.Uint64()
-	r.NumResults = int(d.Uvarint())
-	r.Segments = int(d.Uvarint())
-	r.CacheHits = int(d.Uvarint())
-	r.MappedSegments = int(d.Uvarint())
-	r.Updates = int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return JobResult{}, fmt.Errorf("%w: truncated job result: %v", ErrFrame, err)
-	}
+	r := JobResult{ID: d.Uvarint(), Err: d.String(), Digest: d.Uint64(), NumResults: int(d.Uvarint()),
+		Segments: int(d.Uvarint()), CacheHits: int(d.Uvarint()), MappedSegments: int(d.Uvarint()),
+		Updates: int(d.Uvarint())}
 	if len(r.Err) > maxServeString {
 		return JobResult{}, fmt.Errorf("%w: oversized job result error", ErrFrame)
 	}
-	if d.Remaining() != 0 {
-		return JobResult{}, fmt.Errorf("%w: %d trailing bytes after job result", ErrFrame, d.Remaining())
-	}
-	return r, nil
+	return decoded(r, d, "job result")
 }
 
-func encodeJobCancel(c JobCancel) []byte {
+// EncodeJobCancel encodes a FrameJobCancel payload.
+func EncodeJobCancel(c JobCancel) []byte {
 	e := wire.NewEncoder(8)
 	e.Uvarint(c.ID)
 	return e.Bytes()
@@ -231,28 +187,5 @@ func encodeJobCancel(c JobCancel) []byte {
 // DecodeJobCancel decodes a FrameJobCancel payload.
 func DecodeJobCancel(payload []byte) (JobCancel, error) {
 	d := wire.NewDecoder(payload)
-	c := JobCancel{ID: d.Uvarint()}
-	if err := d.Err(); err != nil {
-		return JobCancel{}, fmt.Errorf("%w: truncated job cancel: %v", ErrFrame, err)
-	}
-	if d.Remaining() != 0 {
-		return JobCancel{}, fmt.Errorf("%w: %d trailing bytes after job cancel", ErrFrame, d.Remaining())
-	}
-	return c, nil
+	return decoded(JobCancel{ID: d.Uvarint()}, d, "job cancel")
 }
-
-// EncodeJobSubmit and friends expose the job-frame encoders to the
-// serve package without exporting the wire-level encoder plumbing.
-func EncodeJobSubmit(s JobSubmit) []byte { return encodeJobSubmit(s) }
-
-// EncodeJobAccept encodes a FrameJobAccept payload.
-func EncodeJobAccept(a JobAccept) []byte { return encodeJobAccept(a) }
-
-// EncodeJobUpdate encodes a FrameJobUpdate payload.
-func EncodeJobUpdate(u JobUpdate) []byte { return encodeJobUpdate(u) }
-
-// EncodeJobResult encodes a FrameJobResult payload.
-func EncodeJobResult(r JobResult) []byte { return encodeJobResult(r) }
-
-// EncodeJobCancel encodes a FrameJobCancel payload.
-func EncodeJobCancel(c JobCancel) []byte { return encodeJobCancel(c) }

@@ -118,24 +118,12 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	fr, fw := newFrameReader(conn), newFrameWriter(conn)
-	f, err := fr.next()
-	if err != nil {
-		return err
-	}
-	if f.Type != FrameHello {
-		return fmt.Errorf("%w: expected hello, got frame type %d", ErrFrame, f.Type)
-	}
-	if _, err := DecodeHello(f.Payload); err != nil {
-		// Tell a mismatched peer why before hanging up.
-		_ = fw.write(FrameError, encodeError(err.Error()))
-		return err
-	}
-	if err := fw.write(FrameHello, encodeHello()); err != nil {
+	fc := NewFrameConn(conn)
+	if err := fc.AcceptHello(); err != nil {
 		return err
 	}
 	for {
-		f, err := fr.next()
+		f, err := fc.Next()
 		if err != nil {
 			if err == io.EOF {
 				return nil // coordinator hung up cleanly between requests
@@ -148,15 +136,15 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) error {
 		a, err := decodeAssign(f.Payload)
 		if err != nil {
 			// Undecodable assignment: the stream is unsynchronized, kill it.
-			_ = fw.write(FrameError, encodeError(err.Error()))
+			_ = fc.Write(FrameError, encodeError(err.Error()))
 			return err
 		}
-		if err := w.runAssignment(a, fw); err != nil {
+		if err := w.runAssignment(a, fc); err != nil {
 			if errors.Is(err, mapreduce.ErrAttemptKilled) {
 				return err // injected death: abandon the conn abruptly
 			}
 			// Attempt-level failure: report and stay available.
-			if werr := fw.write(FrameError, encodeError(err.Error())); werr != nil {
+			if werr := fc.Write(FrameError, encodeError(err.Error())); werr != nil {
 				return werr
 			}
 		}
@@ -230,14 +218,14 @@ func (w *Worker) mapper(spec JobSpec) (*cachedMapper, error) {
 }
 
 // runSink streams runs to the coordinator as FrameRun messages.
-type runSink struct{ fw *frameWriter }
+type runSink struct{ fc *FrameConn }
 
 func (s runSink) Publish(r mapreduce.Run) error {
-	return s.fw.write(FrameRun, encodeRun(r))
+	return s.fc.Write(FrameRun, encodeRun(r))
 }
 
 // runAssignment executes one map attempt and streams its output.
-func (w *Worker) runAssignment(a *assignment, fw *frameWriter) error {
+func (w *Worker) runAssignment(a *assignment, fc *FrameConn) error {
 	seg, err := w.resolveSegment(a)
 	if err != nil {
 		return err
@@ -248,16 +236,16 @@ func (w *Worker) runAssignment(a *assignment, fw *frameWriter) error {
 	}
 	defer cm.mu.Unlock()
 	out, err := mapreduce.ExecuteMap(cm.fn, seg, a.task, a.attempt,
-		a.spec.NumReducers, a.spec.Compress, cm.trace, runSink{fw: fw}, a.faults...)
+		a.spec.NumReducers, a.spec.Compress, cm.trace, runSink{fc: fc}, a.faults...)
 	if err != nil {
 		return err
 	}
 	if spans := cm.sink.Spans(); len(spans) > 0 {
-		if err := fw.write(FrameSpans, encodeSpans(spans)); err != nil {
+		if err := fc.Write(FrameSpans, encodeSpans(spans)); err != nil {
 			return err
 		}
 	}
-	return fw.write(FrameMapDone, encodeMapDone(&mapDone{
+	return fc.Write(FrameMapDone, encodeMapDone(&mapDone{
 		emitted:    out.Emitted,
 		records:    out.Records,
 		inputBytes: out.InputBytes,

@@ -46,32 +46,34 @@ var ErrFaultInjected = errors.New("mapreduce: injected fault")
 // the worker aborts the attempt's connection.
 var ErrAttemptKilled = errors.New("mapreduce: task attempt killed")
 
-// FaultKind is what an injected fault does to the attempt.
+// FaultKind is what an injected fault does to the attempt. Kinds and
+// points travel in a cluster assignment, so each has a fixed number: a
+// deleted one's number stays reserved (no name) and is never reused.
 type FaultKind uint8
 
 const (
 	// KindError makes the attempt fail with ErrFaultInjected; on a worker
 	// it is a clean error frame on a connection that stays usable.
-	KindError FaultKind = iota
+	KindError FaultKind = 0
 	// KindKill makes the attempt die in place with ErrAttemptKilled: in
 	// process its partial output is discarded, on a worker the connection
 	// is aborted.
-	KindKill
+	KindKill FaultKind = 1
 	// KindDelay stalls the attempt, long enough relative to its peers to
 	// look like a straggler and provoke speculative re-execution.
-	KindDelay
-
-	numFaultKinds
+	KindDelay FaultKind = 2
 )
 
+var kindNames = [...]string{KindError: "error", KindKill: "kill", KindDelay: "delay"}
+
+const numFaultKinds = len(kindNames)
+
+// Valid reports whether k is a declared kind.
+func (k FaultKind) Valid() bool { return int(k) < numFaultKinds && kindNames[k] != "" }
+
 func (k FaultKind) String() string {
-	switch k {
-	case KindError:
-		return "error"
-	case KindKill:
-		return "kill"
-	case KindDelay:
-		return "delay"
+	if k.Valid() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
@@ -84,45 +86,50 @@ type FaultPoint uint8
 
 const (
 	// PointMapStart fires before the user map runs.
-	PointMapStart FaultPoint = iota
+	PointMapStart FaultPoint = 0
 	// PointMapEmit fires at the attempt's first emit — user code has
 	// begun producing output.
-	PointMapEmit
+	PointMapEmit FaultPoint = 1
 	// PointMapMid fires at a seed-derived emit ordinal in [1, 128), so
 	// partial map output exists when the fault hits.
-	PointMapMid
+	PointMapMid FaultPoint = 2
 	// PointRunSend fires before the attempt publishes its k-th spill run
 	// (k seed-derived in [0, 3)): on a worker, k runs have streamed.
-	PointRunSend
+	PointRunSend FaultPoint = 3
 	// PointRunRecv fires on the coordinator when it has received a remote
 	// attempt's k-th run (k in [0, 3)): a kill or error drops the
 	// connection mid-stream.
-	PointRunRecv
+	PointRunRecv FaultPoint = 4
 	// PointSpillWrite fires after the attempt's spill runs are sorted,
 	// encoded and published to its sink but before they are committed —
 	// the window where a dying attempt holds complete output that must
 	// never be published.
-	PointSpillWrite
+	PointSpillWrite FaultPoint = 5
 	// PointReduceMerge fires at the start of a reduce attempt's merge,
 	// before any user Reduce call.
-	PointReduceMerge
+	PointReduceMerge FaultPoint = 6
 	// PointReduceMid fires after a seed-derived k-th group of a reduce
 	// attempt (k in [0, 4)), with part of the partition reduced.
-	PointReduceMid
+	PointReduceMid FaultPoint = 7
 	// PointServeJob fires once per serve job, drawn by the serve chaos
 	// harness: a kill disconnects the tenant mid-job, an error cancels
 	// the job, a delay flushes the summary cache mid-fold (a slowdown,
 	// never a different answer).
-	PointServeJob
-
-	numFaultPoints
+	PointServeJob FaultPoint = 8
 )
 
-var pointNames = [numFaultPoints]string{"map-start", "map-emit", "map-mid", "run-send",
-	"run-recv", "spill-write", "reduce-merge", "reduce-mid", "serve-job"}
+var pointNames = [...]string{PointMapStart: "map-start", PointMapEmit: "map-emit",
+	PointMapMid: "map-mid", PointRunSend: "run-send", PointRunRecv: "run-recv",
+	PointSpillWrite: "spill-write", PointReduceMerge: "reduce-merge",
+	PointReduceMid: "reduce-mid", PointServeJob: "serve-job"}
+
+const numFaultPoints = len(pointNames)
+
+// Valid reports whether p is a declared point.
+func (p FaultPoint) Valid() bool { return int(p) < numFaultPoints && pointNames[p] != "" }
 
 func (p FaultPoint) String() string {
-	if p < numFaultPoints {
+	if p.Valid() {
 		return pointNames[p]
 	}
 	return fmt.Sprintf("FaultPoint(%d)", uint8(p))
@@ -135,18 +142,21 @@ var ordinals = [numFaultPoints]struct{ lo, n uint64 }{
 	PointReduceMid: {0, 4},
 }
 
-// AllFaultPoints lists every injection point, in lifecycle order.
-func AllFaultPoints() []FaultPoint {
-	pts := make([]FaultPoint, numFaultPoints)
-	for i := range pts {
-		pts[i] = FaultPoint(i)
-	}
-	return pts
-}
+// AllFaultPoints lists every declared injection point, in number order.
+func AllFaultPoints() []FaultPoint { return declared[FaultPoint](pointNames[:]) }
 
-// AllFaultKinds lists every fault kind.
-func AllFaultKinds() []FaultKind {
-	return []FaultKind{KindError, KindKill, KindDelay}
+// AllFaultKinds lists every declared fault kind.
+func AllFaultKinds() []FaultKind { return declared[FaultKind](kindNames[:]) }
+
+// declared lists the numbers of names that have one, in number order.
+func declared[T ~uint8](names []string) []T {
+	var ts []T
+	for i, n := range names {
+		if n != "" {
+			ts = append(ts, T(i))
+		}
+	}
+	return ts
 }
 
 // FaultPlan injects deterministic faults into a job via Config.Faults.
@@ -208,7 +218,7 @@ func (p *FaultPlan) WithPoints(pts ...FaultPoint) *FaultPlan {
 		p.points[i] = false
 	}
 	for _, pt := range pts {
-		if pt < numFaultPoints {
+		if pt.Valid() {
 			p.points[pt] = true
 		}
 	}
@@ -243,7 +253,7 @@ func (p *FaultPlan) Injected() int64 {
 
 // InjectedAt returns the number of faults of one kind armed at one point.
 func (p *FaultPlan) InjectedAt(pt FaultPoint, k FaultKind) int64 {
-	if pt >= numFaultPoints || k >= numFaultKinds {
+	if !pt.Valid() || !k.Valid() {
 		return 0
 	}
 	return p.stats[pt][k].Load()
@@ -285,7 +295,7 @@ func (p *FaultPlan) roll(point FaultPoint, id, attempt int, salt uint64) uint64 
 // maxAttempts-1 — the job's last budgeted attempt and any speculative
 // attempt beyond it — so every task keeps a survivable path.
 func (p *FaultPlan) decide(pt FaultPoint, id, attempt, maxAttempts int) (Fault, bool) {
-	if p == nil || pt >= numFaultPoints || !p.points[pt] || len(p.kinds) == 0 ||
+	if p == nil || !pt.Valid() || !p.points[pt] || len(p.kinds) == 0 ||
 		p.spareFinal && attempt >= maxAttempts-1 {
 		return Fault{}, false
 	}

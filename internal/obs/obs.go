@@ -27,7 +27,9 @@ import (
 	"bufio"
 	"io"
 	"iter"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +90,10 @@ const (
 )
 
 // AttrKey names an integer attribute of a span, TagKey a string tag:
-// the fixed vocabulary the kinds above document, declared in the order
-// of the names, so that key order is name order.
+// the fixed vocabulary the kinds above document. Keys travel in a
+// cluster worker's spans frame, so each has a fixed number: a deleted
+// key's number stays reserved (no name) and is never reused. Name order
+// is the order spans list them in, whatever the numbers.
 type (
 	AttrKey uint8
 	TagKey  uint8
@@ -97,59 +101,83 @@ type (
 
 // Attribute keys shared by emitters and the Verifier.
 const (
-	AttrAttempt AttrKey = iota + 1
+	AttrAttempt AttrKey = 1
 	// AttrBatchRecords is the number of events a map chunk kept after
 	// grouping; its parse and exec spans carry the same value.
-	AttrBatchRecords
-	AttrBytes
+	AttrBatchRecords AttrKey = 2
+	AttrBytes        AttrKey = 3
 	// AttrSegments, AttrCachedSegments, AttrPrefixSegments and
 	// AttrMappedSegments carry a serve job's fold provenance on its root
 	// span: how many input segments the result folded, how many of those
 	// came from the summary cache (of which how many as part of a cached
 	// prefix: resumed from, never folded), and how many were mapped fresh.
 	// The serve-cache invariant joins them against the job's subtree.
-	AttrCachedSegments
-	AttrGroups
-	AttrLogicalBytes
-	AttrMappedSegments
-	AttrParallelism
-	AttrPart
-	AttrPrefixSegments
-	AttrRecords
-	AttrRuns
-	AttrSegments
-	AttrTask
-	AttrValues
-	AttrWireBytes
-	numAttrKeys
+	AttrCachedSegments AttrKey = 4
+	AttrGroups         AttrKey = 5
+	AttrLogicalBytes   AttrKey = 6
+	AttrMappedSegments AttrKey = 7
+	AttrParallelism    AttrKey = 8
+	AttrPart           AttrKey = 9
+	AttrPrefixSegments AttrKey = 10
+	AttrRecords        AttrKey = 11
+	AttrRuns           AttrKey = 12
+	AttrSegments       AttrKey = 13
+	AttrTask           AttrKey = 14
+	AttrValues         AttrKey = 15
+	AttrWireBytes      AttrKey = 16
 )
 
 // Tag keys: how an attempt, job or wait ended (ok, error, cancelled, a
 // job's error message); a commit's phase (map, reduce); and 1 on a span
 // a cluster worker shipped, a simulated one, a backup map attempt.
 const (
-	TagOutcome TagKey = iota + 1
-	TagPhase
-	TagRemote
-	TagSim
-	TagSpeculative
-	numTagKeys
+	TagOutcome     TagKey = 1
+	TagPhase       TagKey = 2
+	TagRemote      TagKey = 3
+	TagSim         TagKey = 4
+	TagSpeculative TagKey = 5
 )
 
 var (
-	attrNames = [numAttrKeys]string{"", "attempt", "batch_records", "bytes", "cached_segments",
-		"groups", "logical_bytes", "mapped_segments", "parallelism", "part", "prefix_segments",
-		"records", "runs", "segments", "task", "values", "wire_bytes"}
-	tagNames = [numTagKeys]string{"", "outcome", "phase", "remote", "sim", "speculative"}
+	attrNames = [...]string{AttrAttempt: "attempt", AttrBatchRecords: "batch_records",
+		AttrBytes: "bytes", AttrCachedSegments: "cached_segments", AttrGroups: "groups",
+		AttrLogicalBytes: "logical_bytes", AttrMappedSegments: "mapped_segments",
+		AttrParallelism: "parallelism", AttrPart: "part", AttrPrefixSegments: "prefix_segments",
+		AttrRecords: "records", AttrRuns: "runs", AttrSegments: "segments", AttrTask: "task",
+		AttrValues: "values", AttrWireBytes: "wire_bytes"}
+	tagNames = [...]string{TagOutcome: "outcome", TagPhase: "phase", TagRemote: "remote",
+		TagSim: "sim", TagSpeculative: "speculative"}
+
+	// attrOrder and tagOrder list the declared keys in name order, built
+	// once: the order Attrs and Tags yield.
+	attrOrder = byName[AttrKey](attrNames[:])
+	tagOrder  = byName[TagKey](tagNames[:])
 )
+
+const (
+	numAttrKeys = len(attrNames)
+	numTagKeys  = len(tagNames)
+)
+
+// byName lists the numbers of names that have one, in name order.
+func byName[K ~uint8](names []string) []K {
+	var ks []K
+	for k, n := range names {
+		if n != "" {
+			ks = append(ks, K(k))
+		}
+	}
+	slices.SortFunc(ks, func(a, b K) int { return strings.Compare(names[a], names[b]) })
+	return ks
+}
 
 func (k AttrKey) String() string { return attrNames[k] }
 func (k TagKey) String() string  { return tagNames[k] }
 
 // Valid reports whether k is a declared key, for decoders of spans from
 // outside the process.
-func (k AttrKey) Valid() bool { return k > 0 && k < numAttrKeys }
-func (k TagKey) Valid() bool  { return k > 0 && k < numTagKeys }
+func (k AttrKey) Valid() bool { return int(k) < numAttrKeys && attrNames[k] != "" }
+func (k TagKey) Valid() bool  { return int(k) < numTagKeys && tagNames[k] != "" }
 
 // Span is one traced interval (or instant event, when End == Start).
 // Times are Unix nanoseconds; simulated traces (dcsim) use an epoch of 0
@@ -189,10 +217,10 @@ func (s *Span) Tag(k TagKey) string { return s.tags[k] }
 // SetTag sets the tag k to a non-empty value.
 func (s *Span) SetTag(k TagKey, v string) { s.tags[k] = v }
 
-// Attrs yields the span's attributes in key order, which is name order.
+// Attrs yields the span's attributes in name order.
 func (s *Span) Attrs() iter.Seq2[AttrKey, int64] {
 	return func(yield func(AttrKey, int64) bool) {
-		for k := AttrKey(1); k < numAttrKeys; k++ {
+		for _, k := range attrOrder {
 			if s.has&(1<<k) != 0 && !yield(k, s.attrs[k]) {
 				return
 			}
@@ -200,10 +228,10 @@ func (s *Span) Attrs() iter.Seq2[AttrKey, int64] {
 	}
 }
 
-// Tags yields the span's tags in key order.
+// Tags yields the span's tags in name order.
 func (s *Span) Tags() iter.Seq2[TagKey, string] {
 	return func(yield func(TagKey, string) bool) {
-		for k := TagKey(1); k < numTagKeys; k++ {
+		for _, k := range tagOrder {
 			if s.tags[k] != "" && !yield(k, s.tags[k]) {
 				return
 			}

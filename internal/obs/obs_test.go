@@ -133,16 +133,6 @@ func TestJSONLBytes(t *testing.T) {
 	if got := string(appendSpanJSON(nil, &Span{ID: 1, Kind: KindJob})); got != `{"id":1,"kind":"job","start_ns":0,"end_ns":0}`+"\n" {
 		t.Fatalf("bare span rendered %s", got)
 	}
-	for k := AttrKey(2); k < numAttrKeys; k++ {
-		if attrNames[k-1] >= attrNames[k] {
-			t.Errorf("attr %q is declared after %q: keys must be in name order", attrNames[k], attrNames[k-1])
-		}
-	}
-	for k := TagKey(2); k < numTagKeys; k++ {
-		if tagNames[k-1] >= tagNames[k] {
-			t.Errorf("tag %q is declared after %q: keys must be in name order", tagNames[k], tagNames[k-1])
-		}
-	}
 }
 
 // TestSpanAllocs: recording a span — open, three attributes, a tag, end

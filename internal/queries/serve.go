@@ -251,9 +251,10 @@ func (s *serveSession[S, E, R]) Result() (serve.Result, error) {
 	return digestMerged(b.lines, drop, own), nil
 }
 
-// digestMerged is digestResults over the sorted lines base, less the
-// ones at the ascending positions drop, merged with the sorted lines
-// own: one pass, streamed through FNV-1a as digestResults writes them.
+// digestMerged is the one result digest (Digest is its plain case):
+// FNV-1a over the sorted lines base, less the ones at the ascending
+// positions drop, merged with the sorted lines own — one pass, each line
+// followed by a newline — and their count.
 func digestMerged(base []string, drop []int32, own []string) serve.Result {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h, n, i := uint64(offset64), 0, 0

@@ -9,7 +9,6 @@ package queries
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
@@ -80,21 +79,15 @@ func digestResults[R any](results map[string]R, format func(key string, r R) str
 }
 
 // Digest hashes result lines, order-insensitive, and counts them: a
-// Run's Digest and NumResults. Empty lines (filtered results) are
-// skipped. It sorts lines in place.
+// Run's Digest and NumResults, as digestMerged computes them. Empty
+// lines (filtered results) are skipped. It sorts lines in place.
 func Digest(lines []string) (uint64, int) {
 	sort.Strings(lines)
-	h := fnv.New64a()
-	n := 0
-	for _, l := range lines {
-		if l == "" {
-			continue
-		}
-		_, _ = h.Write([]byte(l))
-		_, _ = h.Write([]byte{'\n'})
-		n++
+	for len(lines) > 0 && lines[0] == "" {
+		lines = lines[1:]
 	}
-	return h.Sum64(), n
+	r := digestMerged(lines, nil, nil)
+	return r.Digest, r.NumResults
 }
 
 // makeSpec wraps a typed query into a Spec.

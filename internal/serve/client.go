@@ -72,20 +72,7 @@ func Dial(addr string) (*Client, error) {
 // accept/update/result frames to job handles.
 func NewClient(conn net.Conn) (*Client, error) {
 	fc := cluster.NewFrameConn(conn)
-	if err := fc.Write(cluster.FrameHello, cluster.EncodeHello()); err != nil {
-		return nil, err
-	}
-	f, err := fc.Next()
-	if err != nil {
-		return nil, err
-	}
-	if f.Type == cluster.FrameError {
-		return nil, fmt.Errorf("serve: server rejected hello: %s", string(f.Payload))
-	}
-	if f.Type != cluster.FrameHello {
-		return nil, fmt.Errorf("serve: unexpected frame %d in hello exchange", f.Type)
-	}
-	if _, err := cluster.DecodeHello(f.Payload); err != nil {
+	if err := fc.DialHello(); err != nil {
 		return nil, err
 	}
 	c := &Client{conn: conn, fc: fc, jobs: map[uint64]*Job{}}

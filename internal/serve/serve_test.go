@@ -7,6 +7,7 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"net"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/queries"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // TestMain forces the query specs into existence once, which registers
@@ -666,5 +668,76 @@ func TestClientJobAllocCeiling(t *testing.T) {
 		t.Errorf("a warm non-tail job allocates %d bytes end to end, want under 8 KB", per)
 	} else {
 		t.Logf("%d bytes per warm job", per)
+	}
+}
+
+// TestRejectedHelloSaysWhy: a peer whose hello carries another protocol
+// version is told why before the hang-up, by a cluster worker and by the
+// query service alike; and NewClient, turned away, returns the reason as
+// the peer sent it.
+func TestRejectedHelloSaysWhy(t *testing.T) {
+	wln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- cluster.NewWorker().Serve(ctx, wln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-workerDone; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	})
+	_, srvAddr := startServer(t, serve.Config{})
+
+	// A hello as a version-11 peer sends it: the magic "SYMP", then 11.
+	v11 := wire.NewEncoder(8)
+	v11.Uvarint(0x53594D50)
+	v11.Uvarint(11)
+	for _, addr := range []string{wln.Addr().String(), srvAddr} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := cluster.NewFrameConn(conn)
+		if err := fc.Write(cluster.FrameHello, v11.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fc.Next()
+		conn.Close()
+		if err != nil || f.Type != cluster.FrameError {
+			t.Fatalf("%s answered a v11 hello with frame %d (%v), want an error frame", addr, f.Type, err)
+		}
+		d := wire.NewDecoder(f.Payload)
+		if msg := d.String(); d.Err() != nil || d.Remaining() != 0 || !strings.Contains(msg, "version 11") {
+			t.Errorf("%s: rejection %q (%v), want it to name version 11", addr, msg, d.Err())
+		}
+	}
+
+	// A peer that turns every hello away, with a reason.
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rln.Close()
+	go func() {
+		conn, err := rln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fc := cluster.NewFrameConn(conn)
+		if _, err := fc.Next(); err != nil {
+			return
+		}
+		reason := wire.NewEncoder(16)
+		reason.String("no room at the inn")
+		_ = fc.Write(cluster.FrameError, reason.Bytes())
+		_, _ = fc.Next() // until the client hangs up
+	}()
+	_, err = serve.Dial(rln.Addr().String())
+	if err == nil || !strings.HasSuffix(err.Error(), ": no room at the inn") {
+		t.Fatalf("client turned away: %v, want the peer's reason as sent", err)
 	}
 }

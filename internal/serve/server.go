@@ -183,14 +183,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	stop := context.AfterFunc(s.ctx, func() { conn.Close() })
 	defer stop()
 	fc := cluster.NewFrameConn(conn)
-	f, err := fc.Next()
-	if err != nil || f.Type != cluster.FrameHello {
-		return
-	}
-	if _, err := cluster.DecodeHello(f.Payload); err != nil {
-		return
-	}
-	if err := fc.Write(cluster.FrameHello, cluster.EncodeHello()); err != nil {
+	if fc.AcceptHello() != nil {
 		return
 	}
 
