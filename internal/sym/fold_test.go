@@ -748,6 +748,66 @@ func TestFoldAllocCeiling(t *testing.T) {
 		}, sc.Allocated)
 	}
 	{
+		// R3's reduce group: eight mappers' summaries of a gap log, each
+		// path about 64 concrete elements behind one symbolic head (the
+		// gap that opens the chunk). Each summary step concretizes into
+		// one fresh value slice; the side list of symbolic slots
+		// allocates nothing, and the bundles decode into the site's
+		// containers in place.
+		sc := newSchema(func() *gapLog { return &gapLog{Last: NewSymInt(math.MaxInt64 / 2)} })
+		site := NewFolder(sc)
+		st := site.NewState()
+		var group [][]byte
+		paths := 0
+		for c := int64(0); c < 8; c++ {
+			stream := make([]int64, 32)
+			for i := range stream {
+				stream[i] = (c*32 + int64(i)) * 100
+			}
+			sums := chunkSums(t, sc, gapUpdate, stream)
+			if len(sums) != 1 || !slices.ContainsFunc(sums[0].Paths(), func(p *gapLog) bool {
+				return p.Out.Len() == 64 && p.Out.nsym == 1 && p.Out.head.at == 0
+			}) {
+				t.Fatalf("gap log chunk %d: no path of 64 elements behind one symbolic head", c)
+			}
+			paths += sums[0].NumPaths()
+			group = append(group, EncodeSummaryBundle(sums))
+		}
+		check("R3 group of eight summaries", 8, 2*8, func() int {
+			site.Reset(st)
+			if err := site.Fold(st, st, group...); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.State().Out.Len(); n != 2*(8*32-1) {
+				t.Fatalf("group folded to %d elements, want %d", n, 2*(8*32-1))
+			}
+			return paths
+		}, sc.Allocated)
+
+		// One path's vector alone, with symbolic slots past the head:
+		// Decode refills a warm receiver's values and side list in place.
+		var v SymIntVector
+		for i := int64(0); i < 64; i++ {
+			if i%20 == 0 {
+				v.pushSym(int(i%3), 2, i)
+			}
+			v.Push(i)
+		}
+		var e wire.Encoder
+		v.Encode(&e)
+		var recv SymIntVector
+		decode := func() {
+			if err := recv.Decode(wire.NewDecoder(e.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode()
+		if got := testing.AllocsPerRun(100, decode); got != 0 || !recv.SameTransfer(&v) {
+			t.Errorf("%v allocations decoding a vector of %d elements, %d symbolic, into a warm receiver; want none",
+				got, v.Len(), v.nsym)
+		}
+	}
+	{
 		sc := newSchema(newT1Shape)
 		site := NewFolder(sc)
 		st := site.NewState()

@@ -3,6 +3,7 @@ package sym
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/wire"
@@ -95,16 +96,10 @@ func (v *SymVector[T]) Concretize(prev Value, _ *Env) {
 
 // ComposeAfter implements Value.
 func (v *SymVector[T]) ComposeAfter(prev Value, _ *SymEnv) bool {
-	p := prev.(*SymVector[T])
-	v.elems = concatElems(p.elems, v.elems)
-	return true
-}
-
-func concatElems[T any](a, b []T) []T {
-	if len(a) == 0 {
-		return b
+	if p := prev.(*SymVector[T]); len(p.elems) > 0 {
+		v.elems = slices.Concat(p.elems, v.elems)
 	}
-	return slices.Concat(a, b)
+	return true
 }
 
 // Encode implements Value.
@@ -149,105 +144,107 @@ func (v *SymVector[T]) String() string {
 	return fmt.Sprintf("vector(len=%d)", len(v.elems))
 }
 
-// intElem is one element of a SymIntVector: either a concrete int64, or
-// the affine expression a·x(field)+b over another field's symbolic input.
-type intElem struct {
-	sym   bool
-	field int
-	a, b  int64 // concrete value in b when !sym
-}
-
-func (e intElem) String() string {
-	if !e.sym {
-		return fmt.Sprintf("%d", e.b)
-	}
-	return fmt.Sprintf("%d·x%d%+d", e.a, e.field, e.b)
-}
-
 // SymIntVector is an append-only vector of possibly symbolic int64
 // values. Pushing a still-symbolic SymInt (or SymEnum) records the affine
 // expression over that field's input; composition concretizes it once the
 // referenced input resolves — the paper's example of appending a symbolic
 // count x+5 that a later composition turns concrete (§4.5).
+//
+// Almost every element is concrete, so the vector is one []int64 of
+// element values — a symbolic element's b — and a side list of its nsym
+// symbolic slots in ascending position: the first inline in head (B3's
+// paths push one), the rest in tail. CopyFrom clips both slices (see
+// SymVector) and copies head by value.
 type SymIntVector struct {
-	elems []intElem
+	vals []int64
+	nsym int
+	head symSlot
+	tail []symSlot
+}
+
+// symSlot marks vals[at] as the b of the symbolic element a·x(field)+b.
+type symSlot struct {
+	at, field int
+	a         int64
 }
 
 // NewSymIntVector returns an empty SymIntVector.
 func NewSymIntVector() SymIntVector { return SymIntVector{} }
 
 // Push appends a concrete element.
-func (v *SymIntVector) Push(val int64) {
-	v.push(intElem{b: val})
-}
+func (v *SymIntVector) Push(val int64) { v.vals = append(v.vals, val) }
 
 // PushInt appends the current value of s, symbolic or not.
 func (v *SymIntVector) PushInt(s *SymInt) {
 	if s.bound {
-		v.push(intElem{b: s.b})
+		v.Push(s.b)
 		return
 	}
-	v.push(intElem{sym: true, field: s.id, a: s.a, b: s.b})
+	v.pushSym(s.id, s.a, s.b)
 }
 
 // PushEnum appends the current (integer) value of s, symbolic or not.
 func (v *SymIntVector) PushEnum(s *SymEnum) {
 	if s.bound {
-		v.push(intElem{b: s.c})
+		v.Push(s.c)
 		return
 	}
-	v.push(intElem{sym: true, field: s.id, a: 1, b: 0})
+	v.pushSym(s.id, 1, 0)
 }
 
-func (v *SymIntVector) push(e intElem) { v.elems = append(v.elems, e) }
+// pushSym appends the symbolic element a·x(field)+b.
+func (v *SymIntVector) pushSym(field int, a, b int64) {
+	v.addSlot(symSlot{at: len(v.vals), field: field, a: a})
+	v.vals = append(v.vals, b)
+}
+
+// addSlot appends s, which lies past every slot held, to the side list.
+func (v *SymIntVector) addSlot(s symSlot) {
+	if v.nsym == 0 {
+		v.head = s
+	} else {
+		v.tail = append(v.tail, s)
+	}
+	v.nsym++
+}
+
+// slot returns symbolic slot k, in ascending position.
+func (v *SymIntVector) slot(k int) symSlot {
+	if k == 0 {
+		return v.head
+	}
+	return v.tail[k-1]
+}
 
 // Len returns the number of elements.
-func (v *SymIntVector) Len() int { return len(v.elems) }
+func (v *SymIntVector) Len() int { return len(v.vals) }
 
 // Elems returns the concrete contents; it aborts if any element is still
 // symbolic (call only after full composition).
 func (v *SymIntVector) Elems() []int64 {
-	out := make([]int64, len(v.elems))
-	for i, e := range v.elems {
-		if e.sym {
-			fail(ErrSymbolicRead)
-		}
-		out[i] = e.b
+	if v.nsym > 0 {
+		fail(ErrSymbolicRead)
 	}
-	return out
+	return append(make([]int64, 0, len(v.vals)), v.vals...)
 }
 
 // ResetSymbolic implements Value.
-func (v *SymIntVector) ResetSymbolic(int) { v.elems = nil }
+func (v *SymIntVector) ResetSymbolic(int) { *v = SymIntVector{} }
 
 // CopyFrom implements Value.
 func (v *SymIntVector) CopyFrom(src Value) {
-	e := src.(*SymIntVector).elems
-	v.elems = e[:len(e):len(e)] // clipped: see SymVector
+	*v = *src.(*SymIntVector)
+	v.vals, v.tail = slices.Clip(v.vals), slices.Clip(v.tail) // see SymVector
 }
 
 // IsConcrete implements Value.
-func (v *SymIntVector) IsConcrete() bool {
-	for _, e := range v.elems {
-		if e.sym {
-			return false
-		}
-	}
-	return true
-}
+func (v *SymIntVector) IsConcrete() bool { return v.nsym == 0 }
 
 // SameTransfer implements Value.
 func (v *SymIntVector) SameTransfer(other Value) bool {
 	o := other.(*SymIntVector)
-	if len(v.elems) != len(o.elems) {
-		return false
-	}
-	for i := range v.elems {
-		if v.elems[i] != o.elems[i] {
-			return false
-		}
-	}
-	return true
+	return v.nsym == o.nsym && (v.nsym == 0 || v.head == o.head) &&
+		slices.Equal(v.vals, o.vals) && slices.Equal(v.tail, o.tail)
 }
 
 // ConstraintEq implements Value.
@@ -262,55 +259,56 @@ func (v *SymIntVector) Admits(Value) bool { return true }
 // Concretize implements Value: prepend the previous contents and resolve
 // symbolic elements against the concrete inputs in env.
 func (v *SymIntVector) Concretize(prev Value, env *Env) {
-	p := prev.(*SymIntVector)
-	out := make([]intElem, 0, len(p.elems)+len(v.elems))
-	out = append(out, p.elems...)
-	for _, e := range v.elems {
-		if e.sym {
-			x := env.Int(e.field)
-			e = intElem{b: addChecked(mulChecked(e.a, x), e.b)}
-		}
-		out = append(out, e)
-	}
-	v.elems = out
+	v.prepend(prev.(*SymIntVector), func(field int) symEnvEntry { return symEnvEntry{bound: true, b: env.Int(field)} })
 }
 
 // ComposeAfter implements Value: prepend prev's elements and rewrite
 // symbolic elements through prev's per-field transfer functions.
 func (v *SymIntVector) ComposeAfter(prev Value, senv *SymEnv) bool {
-	p := prev.(*SymIntVector)
-	out := make([]intElem, 0, len(p.elems)+len(v.elems))
-	out = append(out, p.elems...)
-	for _, e := range v.elems {
-		if e.sym {
-			t := senv.lookup(e.field)
-			if t.bound {
-				e = intElem{b: addChecked(mulChecked(e.a, t.b), e.b)}
-			} else {
-				// a·(ta·x+tb)+b = (a·ta)·x + (a·tb+b)
-				e = intElem{
-					sym:   true,
-					field: e.field,
-					a:     mulChecked(e.a, t.a),
-					b:     addChecked(mulChecked(e.a, t.b), e.b),
-				}
-			}
-		}
-		out = append(out, e)
-	}
-	v.elems = out
+	v.prepend(prev.(*SymIntVector), senv.lookup)
 	return true
 }
 
-// Encode implements Value.
+// prepend rewrites v as p's elements then its own, in storage of its own,
+// substituting into each symbolic a·x+b the transfer t of x that resolve
+// gives: t.b when bound, else t.a·x+t.b, leaving (a·t.a)·x + (a·t.b+b).
+func (v *SymIntVector) prepend(p *SymIntVector, resolve func(field int) symEnvEntry) {
+	n := len(p.vals)
+	if n+len(v.vals) == 0 { // most states' vectors stay empty: nothing to join
+		*v = SymIntVector{}
+		return
+	}
+	out := SymIntVector{vals: make([]int64, n+len(v.vals))}
+	copy(out.vals, p.vals)
+	copy(out.vals[n:], v.vals)
+	for k := range p.nsym {
+		out.addSlot(p.slot(k))
+	}
+	for k := range v.nsym {
+		s := v.slot(k)
+		t, at := resolve(s.field), n+s.at
+		out.vals[at] = addChecked(mulChecked(s.a, t.b), out.vals[at])
+		if !t.bound {
+			out.addSlot(symSlot{at: at, field: s.field, a: mulChecked(s.a, t.a)})
+		}
+	}
+	*v = out
+}
+
+// Encode implements Value: per element Bool(sym) Varint(b), then for a
+// symbolic one Uvarint(field) Varint(a), k the cursor into the slots.
 func (v *SymIntVector) Encode(e *wire.Encoder) {
-	e.Uvarint(uint64(len(v.elems)))
-	for _, el := range v.elems {
-		e.Bool(el.sym)
-		e.Varint(el.b)
-		if el.sym {
-			e.Uvarint(uint64(el.field))
-			e.Varint(el.a)
+	e.Uvarint(uint64(len(v.vals)))
+	k := 0
+	for i, b := range v.vals {
+		sym := k < v.nsym && v.slot(k).at == i
+		e.Bool(sym)
+		e.Varint(b)
+		if sym {
+			s := v.slot(k)
+			e.Uvarint(uint64(s.field))
+			e.Varint(s.a)
+			k++
 		}
 	}
 }
@@ -326,27 +324,27 @@ func (v *SymIntVector) decodeTagless(d *wire.Decoder, _ int) error { return v.De
 
 // Decode implements Value.
 func (v *SymIntVector) Decode(d *wire.Decoder) error {
-	n := d.Length(d.Remaining())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	v.elems = slices.Grow(v.elems[:0], n)[:n]
-	for i := range v.elems {
-		e := intElem{sym: d.Bool(), b: d.Varint()}
-		if e.sym {
-			e.field = d.Length(maxFieldID)
-			e.a = d.Varint()
+	n := d.Length(d.Remaining()) // 0 on error: what is left is Err
+	v.vals, v.nsym, v.tail = slices.Grow(v.vals[:0], n)[:n], 0, v.tail[:0]
+	for i := range v.vals {
+		sym := d.Bool()
+		v.vals[i] = d.Varint()
+		if sym {
+			v.addSlot(symSlot{at: i, field: d.Length(maxFieldID), a: d.Varint()})
 		}
-		v.elems[i] = e
 	}
 	return d.Err()
 }
 
 // String implements Value.
 func (v *SymIntVector) String() string {
-	parts := make([]string, 0, len(v.elems))
-	for _, e := range v.elems {
-		parts = append(parts, e.String())
+	parts := make([]string, len(v.vals))
+	for i, b := range v.vals {
+		parts[i] = strconv.FormatInt(b, 10)
+	}
+	for k := range v.nsym {
+		s := v.slot(k)
+		parts[s.at] = fmt.Sprintf("%d·x%d%+d", s.a, s.field, v.vals[s.at])
 	}
 	return "[" + strings.Join(parts, " ") + "]"
 }

@@ -16,14 +16,16 @@ import "repro/internal/wire"
 // Storage. A Value whose representation has slices may share them between
 // copies (CopyFrom copies headers, not elements), under three rules the
 // runtime relies on. A value that shares storage never writes it in
-// place: appends go past every sharer's view or to a fresh array. And the
-// one pair of calls that makes a value outlive its source — CopyFrom(path)
-// then Concretize(prev), how a fold site turns a decoded path into a
-// key's state — leaves the receiver sharing no storage with path, so the
-// site may decode the next bundle over path's storage (see Decode). And
-// what Concretize leaves may be written by Update: it shares no capacity
-// with prev, so a fold site runs a group's events in place on the state
-// a summary step just wrote.
+// place: appends go past every sharer's view or to a fresh array, and a
+// value of several slices — SymIntVector's values and side list, beside
+// its inline first slot — clips them all together. And the one pair of
+// calls that makes a value outlive its source — CopyFrom(path) then
+// Concretize(prev), how a fold site turns a decoded path into a key's
+// state — leaves the receiver sharing no storage with path, so the site
+// may decode the next bundle over path's storage (see Decode). And what
+// Concretize leaves may be written by Update: it shares no capacity with
+// prev, so a fold site runs a group's events in place on the state a
+// summary step just wrote.
 type Value interface {
 	// ResetSymbolic reinitializes the value to a fresh, unconstrained
 	// symbolic input identified by field index id. Field indices are the

@@ -14,35 +14,71 @@ import (
 // in-place windows, and pin the allocation count that makes it worth
 // having.
 
-// vectorModel drives one vector type beside a plain-slice model.
+// vectorModel drives one vector type beside a plain-slice model: push
+// appends an element made from x and returns it as the model reads it.
 type vectorModel[V any] struct {
-	push  func(v *V, x int64)
+	push  func(v *V, x int64) intElem
 	copy  func(dst, src *V)
-	elems func(v *V) []int64
+	elems func(v *V) []intElem
 }
 
 var symVectorModel = vectorModel[SymVector[int64]]{
-	push:  func(v *SymVector[int64], x int64) { v.Push(x) },
-	copy:  func(dst, src *SymVector[int64]) { dst.CopyFrom(src) },
-	elems: func(v *SymVector[int64]) []int64 { return v.Elems() },
+	push: func(v *SymVector[int64], x int64) intElem {
+		v.Push(x)
+		return intElem{b: x}
+	},
+	copy: func(dst, src *SymVector[int64]) { dst.CopyFrom(src) },
+	elems: func(v *SymVector[int64]) []intElem {
+		out := make([]intElem, v.Len())
+		for i, x := range v.Elems() {
+			out[i] = intElem{b: x}
+		}
+		return out
+	},
 }
 
+// symIntVectorModel pushes concrete and symbolic elements alike —
+// bound and symbolic PushInt and PushEnum beside Push — so the side
+// list of symbolic slots is forked, clipped and appended to as the
+// values are.
 var symIntVectorModel = vectorModel[SymIntVector]{
-	push:  func(v *SymIntVector, x int64) { v.Push(x) },
+	push: func(v *SymIntVector, x int64) intElem {
+		field := int(x % 3)
+		switch x % 5 {
+		case 1:
+			s := NewSymInt(0)
+			s.ResetSymbolic(field)
+			s.a, s.b = x, -x
+			v.PushInt(&s)
+			return intElem{sym: true, field: field, a: x, b: -x}
+		case 2:
+			s := NewSymEnum(4, 0)
+			s.ResetSymbolic(field)
+			v.PushEnum(&s)
+			return intElem{sym: true, field: field, a: 1}
+		case 3:
+			s := NewSymInt(x)
+			v.PushInt(&s)
+		default:
+			v.Push(x)
+		}
+		return intElem{b: x}
+	},
 	copy:  func(dst, src *SymIntVector) { dst.CopyFrom(src) },
-	elems: func(v *SymIntVector) []int64 { return v.Elems() },
+	elems: intElems,
 }
 
 // checkForkIsolation runs a random schedule of pushes and CopyFroms over
 // a handful of holders — forks, snapshots and restores are all CopyFrom
 // in one direction or the other — and checks after every step that each
-// holder reads exactly what was pushed on its own lineage.
+// holder reads exactly what was pushed on its own lineage, element by
+// element as (sym, field, a, b).
 func checkForkIsolation[V any](t *testing.T, m vectorModel[V], seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	const holders = 5
 	vecs := make([]V, holders)
-	want := make([][]int64, holders)
+	want := make([][]intElem, holders)
 	next := int64(1)
 	for step := 0; step < 400; step++ {
 		i := r.Intn(holders)
@@ -57,8 +93,7 @@ func checkForkIsolation[V any](t *testing.T, m vectorModel[V], seed int64) {
 			// Bursts, so a holder that owns spare capacity appends into it
 			// while clipped views of the same array are live.
 			for k := 1 + r.Intn(6); k > 0; k-- {
-				m.push(&vecs[i], next)
-				want[i] = append(want[i], next)
+				want[i] = append(want[i], m.push(&vecs[i], next))
 				next++
 			}
 		}
