@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -46,26 +48,42 @@ func main() {
 		clientMain(os.Args[1], os.Args[2:])
 		return
 	}
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
+
+// run is the engine mode: it parses args, runs the chosen engines and
+// writes the report to stdout. Every failure returns, so the deferred
+// profile stop, trace flush and worker shutdown run on the failing
+// paths too — the runs whose profile and trace are most wanted.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("symple", flag.ContinueOnError)
 	var (
-		queryID   = flag.String("query", "B1", "query ID (G1-G4, B1-B3, T1, R1-R4)")
-		engine    = flag.String("engine", "all", "engine: sequential | baseline | symple | all")
-		records   = flag.Int("records", 200000, "records in the generated corpus")
-		segments  = flag.Int("segments", 8, "input segments (mapper count)")
-		reducers  = flag.Int("reducers", 4, "reduce tasks")
-		condensed = flag.Bool("condensed", false, "use the condensed RedShift variant (R1c-R4c)")
-		compress  = flag.Bool("compress", false, "flate-compress shuffle segments (Config.CompressShuffle)")
-		input     = flag.String("input", "", "read segments from this directory (written by datagen) instead of generating")
-		tracePath = flag.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
-		profile   = flag.String("profile", "", "write one CPU profile covering the whole invocation (every engine run, sequential included) to this file")
-		workers   = flag.Int("workers", 0, "run SYMPLE maps on this many spawned worker subprocesses (0 = in-process)")
-		workerBin = flag.String("worker-bin", "sympled", "worker binary: a path, or a name resolved next to this executable then on PATH")
+		queryID   = fs.String("query", "B1", "query ID (G1-G4, B1-B3, T1, R1-R4)")
+		engine    = fs.String("engine", "all", "engine: sequential | baseline | symple | all")
+		records   = fs.Int("records", 200000, "records in the generated corpus")
+		segments  = fs.Int("segments", 8, "input segments (mapper count)")
+		reducers  = fs.Int("reducers", 4, "reduce tasks")
+		condensed = fs.Bool("condensed", false, "use the condensed RedShift variant (R1c-R4c)")
+		input     = fs.String("input", "", "read segments from this directory (written by datagen) instead of generating")
+		tracePath = fs.String("trace", "", "write structured JSONL task spans to this file and verify trace invariants")
+		profile   = fs.String("profile", "", "write one CPU profile covering the whole invocation (every engine run, sequential included) to this file")
+		workers   = fs.Int("workers", 0, "run SYMPLE maps on this many spawned worker subprocesses (0 = in-process)")
+		workerBin = fs.String("worker-bin", "sympled", "worker binary: a path, or a name resolved next to this executable then on PATH")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *profile != "" {
 		stop, err := obs.CPUProfile(*profile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer stop()
 	}
@@ -76,40 +94,36 @@ func main() {
 		for _, s := range queries.All() {
 			ids = append(ids, s.ID)
 		}
-		log.Fatalf("unknown query %q; available: %s", *queryID, strings.Join(ids, " "))
+		return fmt.Errorf("unknown query %q; available: %s", *queryID, strings.Join(ids, " "))
 	}
-	fmt.Printf("%s — %s [%s, sym types: %s]\n",
+	fmt.Fprintf(stdout, "%s — %s [%s, sym types: %s]\n",
 		spec.ID, spec.Description, spec.Dataset, spec.SymTypesString())
 
 	var segs []*mapreduce.Segment
+	var err error
 	if *input != "" {
-		var err error
 		segs, err = mapreduce.ReadSegments(*input)
-		if err != nil {
-			log.Fatal(err)
-		}
 	} else {
 		d := bench.GenDatasets(bench.Scale{Records: *records, Segments: *segments})
-		var err error
 		segs, err = d.For(spec.Dataset, *condensed)
-		if err != nil {
-			log.Fatal(err)
-		}
+	}
+	if err != nil {
+		return err
 	}
 	var inputBytes, inputRecords int64
 	for _, s := range segs {
 		inputBytes += s.Bytes()
 		inputRecords += int64(len(s.Records))
 	}
-	fmt.Printf("corpus: %d records, %.1f MB, %d segments\n\n",
+	fmt.Fprintf(stdout, "corpus: %d records, %.1f MB, %d segments\n\n",
 		inputRecords, float64(inputBytes)/1e6, len(segs))
 
-	conf := mapreduce.Config{NumReducers: *reducers, CompressShuffle: *compress}
+	conf := mapreduce.Config{NumReducers: *reducers}
 	var mem *obs.MemSink
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		jsink := obs.NewJSONLSink(f) // Close flushes and closes f
 		defer jsink.Close()
@@ -126,22 +140,22 @@ func main() {
 	if *workers > 0 {
 		bin, err := cluster.ResolveWorkerBinary(*workerBin)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		eps, err := cluster.SpawnWorkers(bin, *workers, cluster.SpawnOptions{})
 		if err != nil {
-			log.Fatal(err)
-		}
-		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf), eps)
-		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
-			pool.Close()
 			for _, ep := range eps {
 				ep.Close()
 			}
 		}()
+		pool, err := cluster.NewPool(queries.ClusterSpec(spec.ID, conf), eps)
+		if err != nil {
+			return err
+		}
+		defer pool.Close()
 		rconf := conf
 		rconf.RemoteMap = pool
 		// Remote attempts are coordinator-side waits; keep enough task
@@ -152,7 +166,7 @@ func main() {
 		rconf.Speculation = true
 		rconf.RetryBackoff = 10 * time.Millisecond
 		sympleRun = func() (*queries.Run, error) { return spec.Symple(segs, rconf) }
-		fmt.Printf("cluster: %d %s workers spawned, SYMPLE maps run remotely\n\n", *workers, bin)
+		fmt.Fprintf(stdout, "cluster: %d %s workers spawned, SYMPLE maps run remotely\n\n", *workers, bin)
 	}
 	type engineRun struct {
 		name string
@@ -172,54 +186,55 @@ func main() {
 			engineRun{"baseline", func() (*queries.Run, error) { return spec.Baseline(segs, conf) }},
 			engineRun{"symple", sympleRun})
 	default:
-		log.Fatalf("unknown engine %q", *engine)
+		return fmt.Errorf("unknown engine %q", *engine)
 	}
 
 	var digests []uint64
 	for _, e := range engines {
 		run, err := e.run()
 		if err != nil {
-			log.Fatalf("%s: %v", e.name, err)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		m := run.Metrics
-		fmt.Printf("[%s]\n", e.name)
-		fmt.Printf("  results: %d groups reported (digest %016x)\n", run.NumResults, run.Digest)
-		fmt.Printf("  wall: %v  (map %v, reduce %v)\n", m.TotalWall.Round(1e6), m.MapWall.Round(1e6), m.ReduceWall.Round(1e6))
-		fmt.Printf("  throughput: %.0f MB/s\n", float64(m.InputBytes)/1e6/m.TotalWall.Seconds())
+		fmt.Fprintf(stdout, "[%s]\n", e.name)
+		fmt.Fprintf(stdout, "  results: %d groups reported (digest %016x)\n", run.NumResults, run.Digest)
+		fmt.Fprintf(stdout, "  wall: %v  (map %v, reduce %v)\n", m.TotalWall.Round(1e6), m.MapWall.Round(1e6), m.ReduceWall.Round(1e6))
+		fmt.Fprintf(stdout, "  throughput: %.0f MB/s\n", float64(m.InputBytes)/1e6/m.TotalWall.Seconds())
 		if e.name != "sequential" {
-			fmt.Printf("  shuffle: %d records, %.2f KB wire (%.2f KB logical)\n",
+			fmt.Fprintf(stdout, "  shuffle: %d records, %.2f KB wire (%.2f KB logical)\n",
 				m.ShuffleRecords, float64(m.ShuffleBytes)/1024, float64(m.ShuffleLogicalBytes)/1024)
 		}
 		// Symbolic counters accumulate where the mapper runs; under
 		// -workers they stay in the worker processes, so skip the line.
 		if e.name == "symple" && run.Sym.Records > 0 {
-			fmt.Printf("  symbolic: %d update runs over %d records (%.2fx), %d merges, %d restarts, %d summaries (%d of them small groups' events)\n",
+			fmt.Fprintf(stdout, "  symbolic: %d update runs over %d records (%.2fx), %d merges, %d restarts, %d summaries (%d of them small groups' events)\n",
 				run.Sym.Runs, run.Sym.Records,
 				float64(run.Sym.Runs)/float64(max(1, run.Sym.Records)),
 				run.Sym.Merges, run.Sym.Restarts, run.Sym.Summaries, run.Sym.Events)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		digests = append(digests, run.Digest)
 	}
 	for _, d := range digests[1:] {
 		if d != digests[0] {
-			fmt.Println("ENGINES DISAGREE — this is a bug")
-			os.Exit(1)
+			fmt.Fprintln(stdout, "ENGINES DISAGREE — this is a bug")
+			return errors.New("engines disagree")
 		}
 	}
 	if len(digests) > 1 {
-		fmt.Println("all engines agree ✓")
+		fmt.Fprintln(stdout, "all engines agree ✓")
 	}
 	if mem != nil {
 		spans := mem.Spans()
 		if err := (obs.Verifier{}).Check(spans); err != nil {
-			log.Fatalf("trace verification: %v", err)
+			return fmt.Errorf("trace verification: %w", err)
 		}
 		if err := conf.Registry.SelfCheck(); err != nil {
-			log.Fatalf("metrics self-check: %v", err)
+			return fmt.Errorf("metrics self-check: %w", err)
 		}
-		fmt.Printf("trace: %d spans → %s, invariants hold ✓\n", len(spans), *tracePath)
+		fmt.Fprintf(stdout, "trace: %d spans → %s, invariants hold ✓\n", len(spans), *tracePath)
 	}
+	return nil
 }
 
 // clientMain implements the submit/tail verbs against a serve-mode

@@ -15,9 +15,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"repro/internal/wire"
 	"repro/symple"
@@ -106,6 +108,13 @@ func walk(r *rand.Rand, n int) []GPSCoord {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example: it writes its report to w.
+func run(w io.Writer) error {
 	r := rand.New(rand.NewSource(4))
 	trace := walk(r, 5000)
 
@@ -113,12 +122,12 @@ func main() {
 	seq := symple.NewConcreteExecutor(newSessionState, update, symple.DefaultOptions())
 	for _, c := range trace {
 		if err := seq.Feed(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	ref, err := seq.ConcreteState()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Symbolic: split the trace into 8 chunks, summarize each
@@ -130,21 +139,21 @@ func main() {
 		lo, hi := c*len(trace)/chunks, (c+1)*len(trace)/chunks
 		for _, coord := range trace[lo:hi] {
 			if err := x.Feed(coord); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		sums, err := x.Finish()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if n := sums[0].NumPaths(); n > 2 {
-			log.Fatalf("windowed dependence should bound paths at 2, got %d", n)
+			return fmt.Errorf("windowed dependence should bound paths at 2, got %d", n)
 		}
 		summaries = append(summaries, sums...)
 	}
 	final, err := symple.ApplyAll(newSessionState(), summaries)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	sessions := final.Counts.Elems()
@@ -155,10 +164,11 @@ func main() {
 			match = false
 		}
 	}
-	fmt.Printf("trace of %d GPS events → %d closed sessions (+1 open, %d events)\n",
+	fmt.Fprintf(w, "trace of %d GPS events → %d closed sessions (+1 open, %d events)\n",
 		len(trace), len(sessions), final.Count.Get())
 	if len(sessions) > 10 {
-		fmt.Printf("first sessions: %v ...\n", sessions[:10])
+		fmt.Fprintf(w, "first sessions: %v ...\n", sessions[:10])
 	}
-	fmt.Printf("matches sequential execution: %t\n", match && final.Count.Get() == ref.Count.Get())
+	fmt.Fprintf(w, "matches sequential execution: %t\n", match && final.Count.Get() == ref.Count.Get())
+	return nil
 }

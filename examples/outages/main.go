@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/internal/data"
 	"repro/symple"
@@ -48,6 +50,13 @@ func update(ctx *symple.Ctx, s *OutageState, ts int64) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example: it writes its report to w.
+func run(w io.Writer) error {
 	// Reuse the Bing-style generator: timestamp-ordered log with global
 	// outage gaps injected.
 	segs := data.GenBing(data.BingConfig{
@@ -82,17 +91,17 @@ func main() {
 
 	symp, err := symple.RunSymple(q, segs, symple.Config{NumReducers: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	seq, err := symple.RunSequential(q, segs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	gaps := symp.Results["all"]
-	fmt.Printf("detected %d outages:\n", len(gaps))
+	fmt.Fprintf(w, "detected %d outages:\n", len(gaps))
 	for _, g := range gaps {
-		fmt.Printf("  %d → %d (%ds with no successful request)\n", g[0], g[1], g[1]-g[0])
+		fmt.Fprintf(w, "  %d → %d (%ds with no successful request)\n", g[0], g[1], g[1]-g[0])
 	}
 
 	want := seq.Results["all"]
@@ -102,7 +111,8 @@ func main() {
 			match = false
 		}
 	}
-	fmt.Printf("matches sequential execution: %t\n", match)
-	fmt.Printf("shuffle: SYMPLE shipped %d bytes in %d summary bundles; the baseline would ship every successful request to one reducer\n",
+	fmt.Fprintf(w, "matches sequential execution: %t\n", match)
+	fmt.Fprintf(w, "shuffle: SYMPLE shipped %d bytes in %d summary bundles; the baseline would ship every successful request to one reducer\n",
 		symp.Metrics.ShuffleBytes, symp.Metrics.ShuffleRecords)
+	return nil
 }

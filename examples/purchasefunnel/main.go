@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"strings"
 
 	"repro/symple"
@@ -107,6 +109,13 @@ func genLog(users, records, segments int) []*symple.Segment {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example: it writes its report to w.
+func run(w io.Writer) error {
 	q := &symple.Query[*FunnelState, FunnelEvent, []string]{
 		Name: "purchase-funnel",
 		GroupBy: func(rec []byte) (string, FunnelEvent, bool) {
@@ -132,11 +141,11 @@ func main() {
 
 	symp, err := symple.RunSymple(q, segs, symple.Config{NumReducers: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	seq, err := symple.RunSequential(q, segs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	reported := 0
@@ -146,11 +155,11 @@ func main() {
 			continue
 		}
 		if reported < 8 {
-			fmt.Printf("%s purchased after >10 reviews: %s\n", user, strings.Join(items, ", "))
+			fmt.Fprintf(w, "%s purchased after >10 reviews: %s\n", user, strings.Join(items, ", "))
 		}
 		reported++
 	}
-	fmt.Printf("... %d users reported in total\n", reported)
+	fmt.Fprintf(w, "... %d users reported in total\n", reported)
 
 	// The whole point: identical to the sequential execution.
 	agree := len(seq.Results) == len(symp.Results)
@@ -166,7 +175,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("matches sequential execution: %t\n", agree)
-	fmt.Printf("shuffle: %d bytes symbolic vs %d bytes of raw events it replaced\n",
+	fmt.Fprintf(w, "matches sequential execution: %t\n", agree)
+	fmt.Fprintf(w, "shuffle: %d bytes symbolic vs %d bytes of raw events it replaced\n",
 		symp.Metrics.ShuffleBytes, seq.Metrics.InputBytes)
+	return nil
 }

@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/symple"
 )
@@ -38,6 +40,13 @@ func update(ctx *symple.Ctx, s *MaxState, e int64) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example: it writes its report to w.
+func run(w io.Writer) error {
 	// The paper's input, split into the paper's three chunks.
 	chunks := [][]int64{
 		{2, 9, 1},
@@ -52,14 +61,14 @@ func main() {
 		x := symple.NewExecutor(newMaxState, update, symple.DefaultOptions())
 		for _, e := range chunk {
 			if err := x.Feed(e); err != nil {
-				log.Fatalf("chunk %d: %v", i, err)
+				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
 		sums, err := x.Finish()
 		if err != nil {
-			log.Fatalf("chunk %d: %v", i, err)
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
-		fmt.Printf("chunk %d %v summarizes to:\n%s", i+1, chunk, sums[0])
+		fmt.Fprintf(w, "chunk %d %v summarizes to:\n%s", i+1, chunk, sums[0])
 		summaries = append(summaries, sums...)
 	}
 
@@ -67,21 +76,22 @@ func main() {
 	// aggregation state.
 	final, err := symple.ApplyAll(newMaxState(), summaries)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncomposed maximum: %d\n", final.Max.Get())
+	fmt.Fprintf(w, "\ncomposed maximum: %d\n", final.Max.Get())
 
 	// Composition is associative (§3.6): pre-composing all summaries
 	// into one — as a parallel tree reduction would — gives the same
 	// answer.
 	one, err := symple.ComposeAll(summaries)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	treeFinal, err := one.Apply(newMaxState())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tree-composed maximum: %d (summary has %d paths)\n",
+	fmt.Fprintf(w, "tree-composed maximum: %d (summary has %d paths)\n",
 		treeFinal.Max.Get(), one.NumPaths())
+	return nil
 }

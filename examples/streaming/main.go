@@ -15,9 +15,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"repro/symple"
 )
@@ -49,6 +51,13 @@ func update(ctx *symple.Ctx, s *OutageState, ts int64) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example: it writes its report to w.
+func run(w io.Writer) error {
 	r := rand.New(rand.NewSource(17))
 
 	// A day of request timestamps with occasional outage gaps, split
@@ -72,12 +81,12 @@ func main() {
 		lo, hi := c*len(all)/chunks, (c+1)*len(all)/chunks
 		for _, e := range all[lo:hi] {
 			if err := x.Feed(e); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		sums, err := x.Finish()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		summaries[c] = sums
 	}
@@ -85,40 +94,41 @@ func main() {
 	// Chunks "arrive" in a shuffled order; the composer folds greedily.
 	composer := symple.NewStreamComposer(newOutageState)
 	arrival := r.Perm(chunks)
-	fmt.Println("chunk arrivals (exact prefix / speculative view):")
+	fmt.Fprintln(w, "chunk arrivals (exact prefix / speculative view):")
 	for _, seq := range arrival {
 		if _, err := composer.Add(seq, summaries[seq]); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prefix, n := composer.Prefix()
 		spec, err := composer.Speculate()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		exact := "?"
 		if n > 0 {
 			exact = fmt.Sprintf("%d", prefix.Count.Get())
 		}
-		fmt.Printf("  chunk %2d arrives → prefix covers %2d/%d chunks, exact=%s, speculative=%d (pending %v)\n",
+		fmt.Fprintf(w, "  chunk %2d arrives → prefix covers %2d/%d chunks, exact=%s, speculative=%d (pending %v)\n",
 			seq, n, chunks, exact, spec.Count.Get(), composer.Pending())
 	}
 
 	final, n := composer.Prefix()
 	if !composer.Done(chunks) {
-		log.Fatalf("composer not done: %d folded", n)
+		return fmt.Errorf("composer not done: %d folded", n)
 	}
 
 	// Reference: sequential execution over the whole log.
 	seq := symple.NewConcreteExecutor(newOutageState, update, symple.DefaultOptions())
 	for _, e := range all {
 		if err := seq.Feed(e); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	ref, err := seq.ConcreteState()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nfinal outage count: %d (sequential reference: %d, match: %t)\n",
+	fmt.Fprintf(w, "\nfinal outage count: %d (sequential reference: %d, match: %t)\n",
 		final.Count.Get(), ref.Count.Get(), final.Count.Get() == ref.Count.Get())
+	return nil
 }

@@ -260,38 +260,6 @@ func TestWorkerDeathReturnsGolden(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceCompressed covers the knob that changes the
-// bytes on the wire: flate-compressed runs must survive the socket and
-// still hit the golden digests.
-func TestTransportEquivalenceCompressed(t *testing.T) {
-	checkGoroutineLeaks(t)
-	golden := readGolden(t)
-	datasets := queries.GoldenDatasets(queries.GoldenSegments)
-	eps := startWorkers(t, 2)
-	for _, id := range []string{"G1", "B1", "R1"} {
-		spec := queries.ByID(id)
-		segs := datasets[spec.Dataset]
-		t.Run(id, func(t *testing.T) {
-			base := mapreduce.Config{NumReducers: 3, CompressShuffle: true}
-			pool, err := cluster.NewPool(queries.ClusterSpec(id, base), eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pool.Close()
-			conf := remoteConf(pool)
-			conf.CompressShuffle = true
-			run, err := spec.Symple(segs, conf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w := golden[id]; run.Digest != w.digest || run.NumResults != w.results {
-				t.Errorf("digest %016x (%d results) != golden %016x (%d)",
-					run.Digest, run.NumResults, w.digest, w.results)
-			}
-		})
-	}
-}
-
 // TestRemoteTraceSpans checks the observability thread across the
 // process boundary: worker-side spans come back re-parented under the
 // coordinator's job root, tagged remote, and the merged trace still

@@ -150,8 +150,8 @@ func TestPoolRunMapRoundTrip(t *testing.T) {
 		if r.Part < 0 || r.Part >= 2 {
 			t.Errorf("run partition %d out of range", r.Part)
 		}
-		if len(r.Seg) == 0 || r.Bytes != int64(len(r.Seg)) {
-			t.Errorf("run bytes %d inconsistent with %d-byte segment", r.Bytes, len(r.Seg))
+		if len(r.Seg) == 0 {
+			t.Errorf("run for partition %d has an empty segment", r.Part)
 		}
 	}
 	if out.Records != 4 || out.Emitted != 4 {

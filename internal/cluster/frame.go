@@ -5,12 +5,13 @@
 // map attempt body to worker processes: a worker receives an input
 // segment's records (it builds the typed-column index over its own
 // cached copy), runs the registered map side, and streams the
-// segcodec-encoded runs of composed summaries back. Worker death and
-// connection drops surface as attempt errors the existing lifecycle
-// retries, so a worker whose output never commits cannot perturb the
-// merged stream — the paper's placement-invariance argument (§5.4)
-// carried across a process boundary — and a dead worker costs a job
-// only its retried map attempts.
+// segcodec-encoded runs of composed summaries back, in the segment's
+// one (raw) wire form. Worker death and connection drops surface as
+// attempt errors the existing lifecycle retries, so a worker whose
+// output never commits cannot perturb the merged stream — the paper's
+// placement-invariance argument (§5.4) carried across a process
+// boundary — and a dead worker costs a job only its retried map
+// attempts.
 //
 // Everything crosses the socket as length-prefixed, versioned frames
 // over one FrameConn per connection (this file), opened by one hello
@@ -35,7 +36,7 @@ import (
 // frames (span keys, fault points and kinds) have fixed numbers, and a
 // deleted one's number stays reserved. DESIGN.md's "Frame protocol"
 // section keeps the version history.
-const ProtocolVersion = 12
+const ProtocolVersion = 13
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -22,9 +22,7 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
 // seedAssignment builds a realistic small assignment for the corpus.
 func seedAssignment() *assignment {
 	return &assignment{
-		spec: JobSpec{
-			Query: "G1", NumReducers: 3, Compress: true,
-		},
+		spec: JobSpec{Query: "G1", NumReducers: 3},
 		task: 4, attempt: 1,
 		faults: mapreduce.AttemptFaults{
 			{Point: mapreduce.PointMapMid, Kind: mapreduce.KindKill, At: 17},
@@ -129,6 +127,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-v9.bin", Data: frame(FrameHello, helloWith(helloMagic, 9))},
 		{Name: "corrupt-hello-v10.bin", Data: frame(FrameHello, helloWith(helloMagic, 10))},
 		{Name: "corrupt-hello-v11.bin", Data: frame(FrameHello, helloWith(helloMagic, 11))},
+		{Name: "corrupt-hello-v12.bin", Data: frame(FrameHello, helloWith(helloMagic, 12))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -369,7 +368,7 @@ func TestFuzzSeedFrameCorpus(t *testing.T) {
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)
 		}
 	}
-	if valid < 16 || corrupt < 48 {
+	if valid < 16 || corrupt < 49 {
 		t.Fatalf("corpus too small: %d valid / %d corrupt seeds", valid, corrupt)
 	}
 }
@@ -457,9 +456,10 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// list — version 6 the last with three ad-hoc fault fields, version 7
 	// the last with the worker-to-worker frames and a one-lane segment
 	// digest, version 8 the last whose event bundles held one event and
-	// no count, and version 9 the last whose job spec carried a combiner
+	// no count, version 9 the last whose job spec carried a combiner
+	// flag, and version 12 the last whose job spec carried a compress
 	// flag; peers still speaking any must be turned away at hello.
-	for _, v := range []uint64{4, 5, 6, 7, 8, 9} {
+	for _, v := range []uint64{4, 5, 6, 7, 8, 9, 12} {
 		if err := decodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}

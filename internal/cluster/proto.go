@@ -30,7 +30,8 @@ func decoded[T any](v T, d *wire.Decoder, what string) (T, error) {
 }
 
 // JobSpec identifies, to a worker, how to build the map side of a job:
-// the registered query plus the engine knobs that change map output.
+// the registered query plus the one engine knob that changes map
+// output, the reducer count.
 // (Whether a worker groups vectorized is not a knob: it indexes its
 // cached copy of the segment at first touch, as an in-process job does.)
 // All fields are scalar so specs are comparable — workers cache one
@@ -38,24 +39,20 @@ func decoded[T any](v T, d *wire.Decoder, what string) (T, error) {
 type JobSpec struct {
 	// Query is the job registry key (RegisterJob), e.g. "G1".
 	Query string
-	// NumReducers and Compress must match the coordinator's
-	// mapreduce.Config: they shape the partitioning and encoding of
-	// every run the worker ships.
+	// NumReducers must match the coordinator's mapreduce.Config: it
+	// shapes the partitioning of every run the worker ships.
 	NumReducers int
-	Compress    bool
 }
 
 func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.String(s.Query)
 	e.Uvarint(uint64(s.NumReducers))
-	e.Bool(s.Compress)
 }
 
 func decodeJobSpec(d *wire.Decoder) JobSpec {
 	return JobSpec{
 		Query:       d.String(),
 		NumReducers: int(d.Uvarint()),
-		Compress:    d.Bool(),
 	}
 }
 
@@ -209,7 +206,6 @@ func decodeRun(payload []byte) (mapreduce.Run, error) {
 		Part:    int(d.Uvarint()),
 	}
 	r.Seg = append([]byte(nil), d.BytesField()...) // outlives the frame buffer
-	r.Bytes = int64(len(r.Seg))
 	return decoded(r, d, "run")
 }
 

@@ -236,7 +236,7 @@ func (w *Worker) runAssignment(a *assignment, fc *FrameConn) error {
 	}
 	defer cm.mu.Unlock()
 	out, err := mapreduce.ExecuteMap(cm.fn, seg, a.task, a.attempt,
-		a.spec.NumReducers, a.spec.Compress, cm.trace, runSink{fc: fc}, a.faults...)
+		a.spec.NumReducers, false, cm.trace, runSink{fc: fc}, a.faults...)
 	if err != nil {
 		return err
 	}

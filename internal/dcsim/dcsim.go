@@ -93,8 +93,7 @@ type MapTask struct {
 	InputBytes int64
 	CPUSeconds float64
 	// OutBytes[r] is the shuffle payload destined to reducer r — the
-	// bytes that actually cross the network (compressed when the job
-	// compressed its shuffle).
+	// encoded segment bytes that actually cross the network.
 	OutBytes []int64
 }
 

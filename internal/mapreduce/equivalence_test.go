@@ -162,8 +162,7 @@ func randomSegments(rng *rand.Rand, numSegments, maxPerSeg int) []*Segment {
 }
 
 // TestStreamingMatchesModel asserts the shuffle's determinism contract
-// across randomized inputs, segmentations and reducer counts, raw and
-// compressed.
+// across randomized inputs, segmentations and reducer counts.
 func TestStreamingMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -176,7 +175,7 @@ func TestStreamingMatchesModel(t *testing.T) {
 			return []string{fmt.Sprintf("key-%d", len(rec)%17)}
 		}
 		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs,
-			Config{NumReducers: reducers, Parallelism: 4, CompressShuffle: seed%2 == 1}, wordMap(emits))
+			Config{NumReducers: reducers, Parallelism: 4}, wordMap(emits))
 	}
 }
 

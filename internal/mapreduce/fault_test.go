@@ -346,10 +346,10 @@ func TestChaosKillAtSpillWriteNeverPublishes(t *testing.T) {
 	checkGoroutineLeaks(t)
 	const tasks = 5
 	segs := countingSegments(tasks, 30)
-	want, wm := runIdempotentCapture(t, segs, Config{NumReducers: 3, CompressShuffle: true})
+	want, wm := runIdempotentCapture(t, segs, Config{NumReducers: 3})
 	plan := NewFaultPlan(5).WithRate(1).WithKinds(KindKill).WithPoints(PointSpillWrite)
 	conf, log := withCommitLog(fastRetries(Config{
-		NumReducers: 3, MaxAttempts: 2, CompressShuffle: true, Faults: plan}))
+		NumReducers: 3, MaxAttempts: 2, Faults: plan}))
 	got, gm := runIdempotentCapture(t, segs, conf)
 	if got != want {
 		t.Errorf("output after spill-write kills differs from the fault-free run:\n%s\nwant:\n%s", got, want)
@@ -384,14 +384,6 @@ func TestChaosDifferentialEngine(t *testing.T) {
 	segs := countingSegments(6, 60)
 	clean := Config{NumReducers: 3, Parallelism: 4}
 	want, wm := runIdempotentCapture(t, segs, clean)
-	// A second fault-free baseline with the compressed wire path: the
-	// output must be identical, only the accounting (wire bytes) differs.
-	cleanC := clean
-	cleanC.CompressShuffle = true
-	wantC, wmC := runIdempotentCapture(t, segs, cleanC)
-	if wantC != want {
-		t.Fatalf("CompressShuffle changed the fault-free output:\ncompressed:\n%s\nraw:\n%s", wantC, want)
-	}
 
 	var injected int64
 	for seed := 0; seed < seeds; seed++ {
@@ -403,20 +395,13 @@ func TestChaosDifferentialEngine(t *testing.T) {
 			Speculation: true,
 			Faults:      plan,
 		})
-		// Half the sweep exercises the flate wire path, so retried and
-		// speculative attempts re-encode compressed frames too.
-		refOut, refM := want, wm
-		if seed%2 == 0 {
-			conf.CompressShuffle = true
-			refOut, refM = wantC, wmC
-		}
 		got, gm := runIdempotentCapture(t, segs, conf)
-		if got != refOut {
-			t.Fatalf("seed %d: chaos run diverged from fault-free run\nchaos:\n%s\nclean:\n%s", seed, got, refOut)
+		if got != want {
+			t.Fatalf("seed %d: chaos run diverged from fault-free run\nchaos:\n%s\nclean:\n%s", seed, got, want)
 		}
-		if gm.Groups != refM.Groups || gm.ShuffleRecords != refM.ShuffleRecords || gm.ShuffleBytes != refM.ShuffleBytes {
+		if gm.Groups != wm.Groups || gm.ShuffleRecords != wm.ShuffleRecords || gm.ShuffleBytes != wm.ShuffleBytes {
 			t.Fatalf("seed %d: accounting diverged: chaos %d/%d/%d, clean %d/%d/%d", seed,
-				gm.Groups, gm.ShuffleRecords, gm.ShuffleBytes, refM.Groups, refM.ShuffleRecords, refM.ShuffleBytes)
+				gm.Groups, gm.ShuffleRecords, gm.ShuffleBytes, wm.Groups, wm.ShuffleRecords, wm.ShuffleBytes)
 		}
 		injected += plan.Injected()
 	}

@@ -13,19 +13,24 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false,
 	"regenerate testdata/fuzz-seeds/segments from the current encoder")
 
 // segSeedCorpus builds the committed segment corpus: genuine encoder
-// output in both framings plus one seed per corruption class the decoder
-// must reject (the classes TestDecodeSegmentRejectsCorruption pins).
-// Names are load-bearing: corrupt-* seeds are asserted rejected by
+// output plus one seed per corruption class the decoder must reject (the
+// classes TestDecodeSegmentRejectsCorruption pins). Names are
+// load-bearing: corrupt-* seeds are asserted rejected by
 // TestFuzzSeedSegmentCorpus, valid-* asserted accepted.
-func segSeedCorpus() []fuzzseed.Seed {
-	recs := segSeedRecs()
-	raw := encodeSegment(recs, false)
-	comp := encodeSegment(recs, true)
+//
+// The seeds whose names contain "flate" were written by the retired
+// DEFLATE segment form (flags 0x02), which no encoder here can write
+// any more; they are carried over from the committed corpus byte for
+// byte and stay as corrupt inputs.
+func segSeedCorpus() ([]fuzzseed.Seed, error) {
+	committed, err := fuzzseed.Load("segments")
+	if err != nil {
+		return nil, err
+	}
+	raw := encodeSegment(segSeedRecs())
 
 	badFlags := append([]byte(nil), raw...)
 	badFlags[0] = 0x7C
-	badFlagsComp := append([]byte(nil), comp...)
-	badFlagsComp[0] = 0x7C
 
 	// Out-of-range dictionary index: one record, empty dictionary.
 	e := wire.NewEncoder(0)
@@ -37,34 +42,31 @@ func segSeedCorpus() []fuzzseed.Seed {
 	e.BytesField([]byte{})
 	badDict := append([]byte{segRaw}, e.Bytes()...)
 
-	// Valid flate frame whose decompressed payload is garbage.
-	ge := wire.NewEncoder(0)
-	ge.Byte(segFlate)
-	ge.CompressedBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
-	return []fuzzseed.Seed{
+	seeds := []fuzzseed.Seed{
 		{Name: "valid-raw.bin", Data: raw},
-		{Name: "valid-flate.bin", Data: comp},
-		{Name: "valid-empty-raw.bin", Data: encodeSegment(nil, false)},
-		{Name: "valid-empty-flate.bin", Data: encodeSegment(nil, true)},
+		{Name: "valid-empty-raw.bin", Data: encodeSegment(nil)},
 		{Name: "corrupt-truncated-raw.bin", Data: raw[:len(raw)/2]},
 		{Name: "corrupt-truncated-raw-tail.bin", Data: raw[:len(raw)-1]},
-		{Name: "corrupt-truncated-flate.bin", Data: comp[:len(comp)/2]},
-		{Name: "corrupt-truncated-flate-tail.bin", Data: comp[:len(comp)-1]},
 		{Name: "corrupt-flags.bin", Data: badFlags},
-		{Name: "corrupt-flags-flate.bin", Data: badFlagsComp},
 		{Name: "corrupt-dict-index.bin", Data: badDict},
 		{Name: "corrupt-trailing.bin", Data: append(append([]byte(nil), raw...), 0xAA, 0xBB)},
-		{Name: "corrupt-flate-garbage-payload.bin", Data: ge.Bytes()},
-		{Name: "corrupt-flate-hugelen.bin", Data: []byte{segFlate, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}},
 	}
+	for _, s := range committed {
+		if strings.Contains(s.Name, "flate") {
+			seeds = append(seeds, s)
+		}
+	}
+	return seeds, nil
 }
 
 // TestUpdateFuzzSeeds regenerates the committed corpus when run with
 // -update-fuzz-seeds; otherwise it only checks the generator still
 // produces every corruption class.
 func TestUpdateFuzzSeeds(t *testing.T) {
-	corpus := segSeedCorpus()
+	corpus, err := segSeedCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !*updateFuzzSeeds {
 		t.Skipf("generator healthy (%d seeds); pass -update-fuzz-seeds to rewrite testdata/fuzz-seeds/segments", len(corpus))
 	}

@@ -96,11 +96,6 @@ type Config struct {
 	NumReducers int
 	// Parallelism caps concurrently running tasks. Default GOMAXPROCS.
 	Parallelism int
-	// CompressShuffle flate-compresses every shuffle segment at the map
-	// side; reducers inflate segments as they collect them.
-	// Metrics.ShuffleBytes then counts the compressed wire bytes while
-	// ShuffleLogicalBytes keeps the uncompressed logical volume.
-	CompressShuffle bool
 
 	// MaxAttempts is the per-task attempt budget: a failed map or reduce
 	// attempt is retried with capped exponential backoff until it
@@ -176,14 +171,14 @@ type TaskMetrics struct {
 	// Metrics.Groups.
 	Records int64
 	// OutBytes is, for map tasks, the wire bytes destined to each
-	// reducer — the encoded (and, under CompressShuffle, compressed)
-	// segment sizes actually shipped; for reduce tasks it is nil. Its sum
+	// reducer — the encoded segment sizes actually shipped; for reduce
+	// tasks it is nil. Its sum
 	// is Metrics.ShuffleBytes; the cluster simulator charges transfer
 	// time against it.
 	OutBytes []int64
 	// LogicalOutBytes is, for map tasks, the per-reducer logical volume:
 	// the records' legacy Hadoop-style framing before dictionary/delta
-	// encoding and compression. Its sum is Metrics.ShuffleLogicalBytes.
+	// encoding. Its sum is Metrics.ShuffleLogicalBytes.
 	// Nil for reduce tasks.
 	LogicalOutBytes []int64
 }
@@ -217,9 +212,8 @@ type Metrics struct {
 	InputBytes   int64
 	InputRecords int64
 	// ShuffleBytes counts the bytes actually crossing the map→reduce
-	// boundary: the sum of encoded segment sizes, compressed when
-	// Config.CompressShuffle is set. Derived from encoder output, never
-	// estimated.
+	// boundary: the sum of encoded segment sizes. Derived from encoder
+	// output, never estimated.
 	ShuffleBytes int64
 	// ShuffleLogicalBytes is the same traffic in the legacy per-record
 	// framing (length-prefixed key and value plus the ordering pair) — the
@@ -258,7 +252,7 @@ type kvRec struct {
 // intermediate file would use (length-prefixed key and value plus the
 // ordering pair as varints). Since the segment codec (segcodec.go) this
 // is no longer what ships — it defines Metrics.ShuffleLogicalBytes, the
-// uncompressed baseline the wire experiment compares against. Computed
+// baseline the wire experiment compares against. Computed
 // arithmetically (pinned against wire.Encoder output by
 // TestWireSizeMatchesEncoder) — this runs once per emitted record, so it
 // must not touch an encoder.

@@ -142,7 +142,7 @@ func TestMergeEncodedRunsMatchesJob(t *testing.T) {
 
 	var runs runList
 	for i, seg := range segs {
-		if _, err := ExecuteMap(mapFn, seg, i, 0, 1, i%2 == 0, nil, &runs); err != nil {
+		if _, err := ExecuteMap(mapFn, seg, i, 0, 1, false, nil, &runs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestMergeEncodedRunsMatchesJob(t *testing.T) {
 	e.Uvarint(2) // mapperID
 	e.StringDict(nil)
 	empty := append([]byte{segRaw}, e.Bytes()...)
-	rs := []Run{{Task: 2, Seg: empty, Bytes: int64(len(empty))}}
+	rs := []Run{{Task: 2, Seg: empty}}
 	for i := len(runs) - 1; i >= 0; i-- {
 		rs = append(rs, runs[i])
 	}

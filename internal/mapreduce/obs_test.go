@@ -41,7 +41,7 @@ func obsTestJob(reducers int) (*Job, []*Segment) {
 }
 
 // TestTracedJobVerifies runs the engine under every mode (raw,
-// compressed, map-only) with a trace attached, and requires the
+// map-only) with a trace attached, and requires the
 // resulting trace to pass every obs.Verifier invariant — the engine's
 // commit protocol, run accounting, and byte accounting proven on a live
 // run, not asserted by construction.
@@ -51,7 +51,6 @@ func TestTracedJobVerifies(t *testing.T) {
 		conf Config
 	}{
 		{"raw", Config{NumReducers: 3}},
-		{"compressed", Config{NumReducers: 3, CompressShuffle: true}},
 		{"map-only", Config{NumReducers: 3}},
 	}
 	for _, tc := range cases {
@@ -228,8 +227,7 @@ func TestReduceMidFaultTagsCompose(t *testing.T) {
 // TestTracedChaosJobVerifies injects kill/error faults with retries
 // enabled and requires the trace to still verify: failed attempts carry
 // error outcomes, only winners commit, and every committed run is merged
-// exactly once despite the retries — on even seeds through the
-// compressed wire path, and from seed 5 as a map-only job (commit matches
+// exactly once despite the retries — and from seed 5 as a map-only job (commit matches
 // attempt and the cpu bound are all that is left to check, and are).
 func TestTracedChaosJobVerifies(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -243,10 +241,8 @@ func TestTracedChaosJobVerifies(t *testing.T) {
 				NumReducers: 2,
 				MaxAttempts: 4,
 				Speculation: true,
-
-				CompressShuffle: seed%2 == 0,
-				Faults:          NewFaultPlan(seed).WithRate(0.4).WithMaxDelay(2 * time.Millisecond),
-				Trace:           obs.NewTrace(sink),
+				Faults:      NewFaultPlan(seed).WithRate(0.4).WithMaxDelay(2 * time.Millisecond),
+				Trace:       obs.NewTrace(sink),
 			}
 			if _, err := job.Run(segs); err != nil {
 				t.Fatalf("chaos job failed (final attempts are spared): %v", err)

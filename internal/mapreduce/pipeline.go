@@ -223,7 +223,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			continue
 		}
 		runs = append(runs, run)
-		inBytes += r.Bytes
+		inBytes += int64(len(r.Seg))
 	}
 	return runs, inBytes, active, err
 }
@@ -235,14 +235,14 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 func decodeRun(trace *obs.Trace, part int, r Run) (spillRun, error) {
 	span := trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", part)).
 		Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
-		Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes)
+		Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, int64(len(r.Seg)))
 	recs, mapperID, err := decodeSegment(r.Seg)
 	if err != nil {
 		span.Tag(obs.TagOutcome, "error").End()
 		return spillRun{}, fmt.Errorf("run (task %d attempt %d part %d): %w", r.Task, r.Attempt, r.Part, err)
 	}
 	span.End()
-	return spillRun{recs: recs, mapperID: mapperID, task: r.Task, bytes: r.Bytes}, nil
+	return spillRun{recs: recs, mapperID: mapperID, task: r.Task}, nil
 }
 
 // reduceGroups groups the partition's runs and streams each key group to

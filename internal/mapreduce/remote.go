@@ -65,9 +65,17 @@ type RemoteMapper interface {
 // be nil; faults are the attempt's, fired as an in-process attempt fires
 // them. The returned MapOutput carries metrics only (Runs stays nil —
 // the runs went through sink, which may have streamed them away).
+//
+// compress must be false: a segment has one wire form, and true is an
+// error before anything runs or publishes. The parameter stays only
+// because the benchmark harness (benchmark/ledger.go) passes false; it
+// goes with ROADMAP item 1a.
 func ExecuteMap(mapFn MapFunc, seg *Segment, task, attempt, numParts int,
 	compress bool, trace *obs.Trace, sink RunSink, faults ...Fault) (*MapOutput, error) {
-	conf := Config{NumReducers: max(numParts, 1), CompressShuffle: compress, Trace: trace}
+	if compress {
+		return nil, errors.New("mapreduce: ExecuteMap: compressed segments are retired; pass compress=false")
+	}
+	conf := Config{NumReducers: max(numParts, 1), Trace: trace}
 	return executeMap(context.Background(), mapFn, seg, task, attempt, conf, sink, faults)
 }
 
@@ -79,7 +87,7 @@ func (env *runEnv) adopt(st *mapTask, attempt int, out *MapOutput) error {
 	seen := make([]bool, n)
 	for i := range out.Runs {
 		r := &out.Runs[i]
-		if r.Part < 0 || r.Part >= n || seen[r.Part] || r.Bytes <= 0 || r.Seg == nil {
+		if r.Part < 0 || r.Part >= n || seen[r.Part] || len(r.Seg) == 0 {
 			return fmt.Errorf("mapreduce %q: map task %d attempt %d returned invalid run (part %d of %d)",
 				env.job.Name, st.id, attempt, r.Part, n)
 		}

@@ -46,3 +46,18 @@ func TestValidateRemoteRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestExecuteMapRejectsCompress: a segment has one wire form, so asking
+// ExecuteMap for the retired compressed one is an error before the map
+// runs, and nothing reaches the sink.
+func TestExecuteMapRejectsCompress(t *testing.T) {
+	mapFn := func(int, *Segment, Emit) error { t.Error("map ran"); return nil }
+	var runs runList
+	out, err := ExecuteMap(mapFn, countingSegments(1, 3)[0], 0, 0, 2, true, nil, &runs)
+	if err == nil || out != nil {
+		t.Fatalf("ExecuteMap(compress=true) = %v, %v; want an error and no output", out, err)
+	}
+	if len(runs) != 0 {
+		t.Fatalf("%d runs published", len(runs))
+	}
+}

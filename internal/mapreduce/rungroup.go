@@ -21,7 +21,6 @@ type spillRun struct {
 	// task breaks a tie between two segments sharing an ID.
 	mapperID int
 	task     int
-	bytes    int64 // encoded segment size (wire bytes)
 }
 
 // groupRuns lays out one partition's runs as key groups and streams each

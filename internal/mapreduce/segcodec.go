@@ -15,9 +15,7 @@ import (
 // record even though a run has exactly one mapper and few distinct keys.
 // The segment form factors the redundancy out:
 //
-//	flags byte             segRaw | segFlate
-//	[flate frame]          only under segFlate: uvarint rawLen,
-//	                       uvarint compLen, DEFLATE bytes (wire.CompressedBlock)
+//	flags byte             segRaw (any other value is corrupt)
 //	payload:
 //	  uvarint recordCount
 //	  uvarint mapperID     constant per run, written once
@@ -34,10 +32,10 @@ import (
 // dictionary is a decode-side allocation win as well as a byte win.
 // Metrics.ShuffleBytes counts exactly these encoded bytes; the legacy
 // per-record framing survives as ShuffleLogicalBytes.
-const (
-	segRaw   = 0x01
-	segFlate = 0x02
-)
+//
+// Flags 0x02 was a DEFLATE-compressed form; it is retired and decodes
+// as corrupt, like any flags byte but segRaw.
+const segRaw = 0x01
 
 // segMinRecordBytes is the smallest possible encoded record (two
 // one-byte deltas plus an empty value's length byte); it bounds the
@@ -63,7 +61,7 @@ const maxPooledKeyMap = 1 << 16
 // carry the same mapperID (one run is one mapper's output, asserted
 // cheaply here). The returned slice is exactly sized: decoded values
 // alias it, so it lives as long as the run's records do.
-func encodeSegment(recs []kvRec, compress bool) []byte {
+func encodeSegment(recs []kvRec) []byte {
 	pe := wire.GetEncoder()
 	defer wire.PutEncoder(pe)
 	pe.Uvarint(uint64(len(recs)))
@@ -111,51 +109,25 @@ func encodeSegment(recs []kvRec, compress bool) []byte {
 		segEncoders.Put(se)
 	}
 
-	if !compress {
-		out := make([]byte, 1+pe.Len())
-		out[0] = segRaw
-		copy(out[1:], pe.Bytes())
-		return out
-	}
-	oe := wire.GetEncoder()
-	oe.Byte(segFlate)
-	oe.CompressedBlock(pe.Bytes())
-	out := make([]byte, oe.Len())
-	copy(out, oe.Bytes())
-	wire.PutEncoder(oe)
+	out := make([]byte, 1+pe.Len())
+	out[0] = segRaw
+	copy(out[1:], pe.Bytes())
 	return out
 }
 
 // decodeSegment decodes a segment into a pooled record buffer and returns
 // it with the header's mapperID, which a zero-record run carries too. Values
-// (and, for raw segments, nothing else) alias buf; compressed payloads
-// are inflated into a fresh buffer the records keep alive. Malformed
-// input — bad flags, truncated frames, out-of-range dictionary indexes,
-// forged counts — returns an error; it never panics or over-allocates.
+// alias buf, and nothing else does. Malformed input — bad flags, truncated
+// frames, out-of-range dictionary indexes, forged counts — returns an
+// error; it never panics or over-allocates.
 func decodeSegment(buf []byte) ([]kvRec, int, error) {
 	d := wire.NewDecoder(buf)
-	var payload []byte
-	switch flags := d.Byte(); flags {
-	case segRaw:
-		payload = buf[1:]
-	case segFlate:
-		p, err := d.CompressedBlock()
-		if err != nil {
-			return nil, 0, fmt.Errorf("mapreduce: segment: %w", err)
-		}
-		if d.Remaining() != 0 {
-			return nil, 0, fmt.Errorf("%w: %d bytes after compressed segment frame",
-				wire.ErrCorrupt, d.Remaining())
-		}
-		payload = p
-	default:
+	if flags := d.Byte(); flags != segRaw {
 		if err := d.Err(); err != nil {
 			return nil, 0, fmt.Errorf("mapreduce: segment: %w", err)
 		}
 		return nil, 0, fmt.Errorf("%w: unknown segment flags %#x", wire.ErrCorrupt, flags)
 	}
-
-	d = wire.NewDecoder(payload)
 	n := d.Length(d.Remaining()/segMinRecordBytes + 1)
 	mapperID := d.Length(math.MaxInt32)
 	dict := d.StringDict(n)

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fuzzseed"
@@ -34,13 +35,14 @@ func segSeedRecs() []kvRec {
 }
 
 // FuzzSegmentDecode feeds decodeSegment arbitrary bytes. The contract
-// under test: malformed input — truncated flate frames, forged record
-// counts, out-of-range dictionary indexes, trailing garbage — returns an
-// error, never panics and never over-allocates; input it accepts must
-// survive a re-encode/decode round trip unchanged. Seeds come from the
-// committed corpus in testdata/fuzz-seeds/segments — genuine encoder
-// output plus one entry per corruption class — so mutations start one
-// bit-flip away from the interesting paths.
+// under test: malformed input — an unknown or retired flags byte,
+// forged record counts, out-of-range dictionary indexes, trailing
+// garbage — returns an error, never panics and never over-allocates;
+// input it accepts must survive a re-encode/decode round trip
+// unchanged. Seeds come from the committed corpus in
+// testdata/fuzz-seeds/segments — genuine encoder output plus one entry
+// per corruption class — so mutations start one bit-flip away from the
+// interesting paths.
 func FuzzSegmentDecode(f *testing.F) {
 	seeds, err := fuzzseed.Load("segments")
 	if err != nil {
@@ -59,7 +61,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		// Accepted input: re-encoding the decoded records must reproduce
 		// them exactly (encode→decode is lossless, so decode→encode→decode
 		// is a fixpoint).
-		re := encodeSegment(got, false)
+		re := encodeSegment(got)
 		got2, mapperID2, err := decodeSegment(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded segment failed: %v", err)
@@ -90,25 +92,24 @@ func FuzzSegmentDecode(f *testing.F) {
 // accepted as a full segment.
 func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	recs := segSeedRecs()
-	for _, compress := range []bool{false, true} {
-		seg := encodeSegment(recs, compress)
+	seg := encodeSegment(recs)
 
-		// Every strict prefix is either rejected or (for the raw form)
-		// decodes fewer records than the original claimed — it must never
-		// silently produce the full record set.
-		for cut := 0; cut < len(seg); cut++ {
-			got, _, err := decodeSegment(seg[:cut])
-			if err == nil {
-				t.Fatalf("compress=%v: truncation at %d/%d accepted (%d records)",
-					compress, cut, len(seg), len(got))
-			}
+	// Every strict prefix must be rejected: it must never silently
+	// produce the full record set.
+	for cut := 0; cut < len(seg); cut++ {
+		got, _, err := decodeSegment(seg[:cut])
+		if err == nil {
+			t.Fatalf("truncation at %d/%d accepted (%d records)", cut, len(seg), len(got))
 		}
+	}
 
-		// Flipping the flags byte to an unknown value must be rejected.
+	// Flipping the flags byte to an unknown value, or to the retired
+	// flate flag (0x02) in front of a sound raw payload, is corrupt.
+	for _, flags := range []byte{0x7C, 0x02} {
 		bad := append([]byte(nil), seg...)
-		bad[0] = 0x7C
-		if _, _, err := decodeSegment(bad); err == nil {
-			t.Fatalf("compress=%v: unknown flags byte accepted", compress)
+		bad[0] = flags
+		if _, _, err := decodeSegment(bad); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("flags byte %#x: %v, want ErrCorrupt", flags, err)
 		}
 	}
 
@@ -127,17 +128,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	}
 
 	// Trailing garbage after a well-formed segment.
-	seg := append(encodeSegment(recs, false), 0xAA, 0xBB)
-	if _, _, err := decodeSegment(seg); err == nil {
+	if _, _, err := decodeSegment(append(seg, 0xAA, 0xBB)); err == nil {
 		t.Fatal("trailing bytes after segment accepted")
-	}
-
-	// Compressed frame whose inner payload is garbage: recompress junk so
-	// the flate frame itself is valid but the segment payload is not.
-	ge := wire.NewEncoder(0)
-	ge.Byte(segFlate)
-	ge.CompressedBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	if _, _, err := decodeSegment(ge.Bytes()); err == nil {
-		t.Fatal("garbage compressed payload accepted")
 	}
 }

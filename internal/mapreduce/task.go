@@ -342,8 +342,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 
 // spillRuns encodes each non-empty partition, in emit order, into its
 // wire segment (segcodec.go) and publishes the run, so run sizes are
-// always real encoder output and compression acts on the actual shuffle
-// path, not a model of it. The run-send fault fires before the run it
+// always real encoder output, not a model of it. The run-send fault fires before the run it
 // counts is published.
 func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Config, sink RunSink,
 	out *MapOutput, faults AttemptFaults) error {
@@ -357,13 +356,13 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 		if len(parts[p]) == 0 {
 			continue
 		}
-		sg := encodeSegment(parts[p], conf.CompressShuffle)
+		sg := encodeSegment(parts[p])
 		kvBufs.put(parts[p])
 		parts[p] = nil
 		bytes += int64(len(sg))
 		err := faults.Fire(ctx, PointRunSend, sent)
 		if err == nil {
-			err = sink.Publish(Run{Task: task, Attempt: attempt, Part: p, Bytes: int64(len(sg)), Seg: sg})
+			err = sink.Publish(Run{Task: task, Attempt: attempt, Part: p, Seg: sg})
 		}
 		sent++
 		if err != nil {
@@ -399,7 +398,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		st.task.LogicalOutBytes = make([]int64, n)
 	}
 	for _, r := range out.Runs {
-		st.task.OutBytes[r.Part] = r.Bytes
+		st.task.OutBytes[r.Part] = int64(len(r.Seg))
 	}
 	st.emitted = out.Emitted
 	st.commitDur.Store(int64(st.task.Duration))
@@ -424,10 +423,10 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		return true, err
 	}
 	for _, r := range out.Runs {
-		env.reg.Histogram(MetricRunBytes).Observe(r.Bytes)
+		env.reg.Histogram(MetricRunBytes).Observe(int64(len(r.Seg)))
 		env.trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
-			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, r.Bytes).End()
+			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, int64(len(r.Seg))).End()
 		env.transport[r.Part] <- r
 	}
 	return true, nil

@@ -17,9 +17,9 @@ type Run struct {
 	Task    int
 	Attempt int
 	Part    int
-	// Bytes is the encoded (wire) size of the run.
-	Bytes int64
-	Seg   []byte
+	// Seg is the run's encoded segment (segcodec.go); its length is the
+	// run's wire size.
+	Seg []byte
 }
 
 // RunSink receives the runs a map attempt body publishes: the

@@ -204,8 +204,9 @@ func (v Verifier) verifyJob(job *Span, children []*Span) []Violation {
 	}
 
 	// wire-bytes: actual shuffle bytes bounded by the legacy logical
-	// framing. Flate can inflate tiny segments, so allow additive slack
-	// plus 25% — the golden tests separately pin a 2× ceiling.
+	// framing. A tiny segment's header and key dictionary can outweigh
+	// the per-record framing, so allow additive slack plus 25% — the
+	// golden tests separately pin a 2× ceiling.
 	if wire, logical := job.Attr(AttrWireBytes), job.Attr(AttrLogicalBytes); wire > 0 || logical > 0 {
 		slack := logical / 4
 		if slack < 1024 {

@@ -94,11 +94,7 @@ func TestChaosQueriesDifferential(t *testing.T) {
 				// Distinct plan seeds per (query, sweep seed) so the two
 				// loops do not replay identical fault schedules.
 				plan := mapreduce.NewFaultPlan(int64(seed*31 + qi))
-				conf := chaosConf(plan)
-				// Half the sweep ships flate-compressed segments, so fault
-				// recovery and the compressed wire path are tested together.
-				conf.CompressShuffle = seed%2 == 0
-				got, err := spec.Symple(segs, conf)
+				got, err := spec.Symple(segs, chaosConf(plan))
 				if err != nil {
 					t.Fatalf("seed %d: chaos run failed (final attempts are spared; this must succeed): %v", seed, err)
 				}
@@ -207,7 +203,6 @@ func TestClusterChaosDifferential(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				plan := mapreduce.NewFaultPlan(int64(seed*53 + qi))
 				conf := chaosConf(plan)
-				conf.CompressShuffle = seed%2 == 0
 				pool, err := cluster.NewPool(ClusterSpec(id, conf), eps)
 				if err != nil {
 					t.Fatal(err)

@@ -35,15 +35,11 @@ func RegisterClusterJobs() {
 
 // ClusterSpec builds the cluster.JobSpec a coordinator ships to
 // workers for query id under the given engine config. The spec must
-// mirror exactly the knobs that shape map output — reducer count and
-// shuffle compression — or the worker would produce different bytes
-// than the in-process engine.
+// mirror exactly the knob that shapes map output — the reducer count —
+// or the worker would produce different bytes than the in-process
+// engine.
 func ClusterSpec(id string, conf mapreduce.Config) cluster.JobSpec {
-	return cluster.JobSpec{
-		Query:       id,
-		NumReducers: conf.NumReducers,
-		Compress:    conf.CompressShuffle,
-	}
+	return cluster.JobSpec{Query: id, NumReducers: conf.NumReducers}
 }
 
 // GoldenSegments is the segment count the committed golden corpora are

@@ -125,14 +125,13 @@ func TestGoldenDigests(t *testing.T) {
 // checks each against the committed reference digests:
 //
 //   - first touch: nothing resident, the job builds each segment's index;
-//   - resident: the same segments again, with CompressShuffle off and on;
+//   - resident: the same segments again;
 //   - a segment resident under a foreign plan (the chunk executor groups
 //     with the scalar GroupBy per record).
 //
-// The wire encoding and where the GroupBy read its fields from must
-// both be invisible to query semantics; any divergence here is a codec
-// or batch-execution bug, not a query change, so there is no -update
-// escape hatch. Each run is traced and the trace must pass every
+// Where the GroupBy read its fields from must be invisible to query
+// semantics; any divergence here is a codec or batch-execution bug, not
+// a query change, so there is no -update escape hatch. Each run is traced and the trace must pass every
 // obs.Verifier invariant, so the golden runs double as end-to-end
 // observability checks on all 12 queries in every mode.
 func TestGoldenDigestsSymple(t *testing.T) {
@@ -149,20 +148,17 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			// fresh ones to make its first run a first touch.
 			segs := unindexed(datasets[spec.Dataset])
 			for _, v := range []struct {
-				name     string
-				segs     []*mapreduce.Segment
-				compress bool
+				name string
+				segs []*mapreduce.Segment
 			}{
-				{"first-touch", segs, false},
-				{"resident", segs, false},
-				{"resident-compressed", segs, true},
-				{"foreign-plan", scalarOnly(segs), false},
+				{"first-touch", segs},
+				{"resident", segs},
+				{"foreign-plan", scalarOnly(segs)},
 			} {
 				sink := obs.NewMemSink()
 				reg := obs.NewRegistry()
 				run, err := spec.Symple(v.segs, mapreduce.Config{
-					NumReducers: 3, CompressShuffle: v.compress,
-					Trace: obs.NewTrace(sink), Registry: reg})
+					NumReducers: 3, Trace: obs.NewTrace(sink), Registry: reg})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -170,7 +166,7 @@ func TestGoldenDigestsSymple(t *testing.T) {
 					t.Errorf("%s: digest %016x (%d results), golden %016x (%d)",
 						v.name, run.Digest, run.NumResults, w.digest, w.results)
 				}
-				if v.compress && run.Metrics.ShuffleBytes > run.Metrics.ShuffleLogicalBytes*2 {
+				if run.Metrics.ShuffleBytes > run.Metrics.ShuffleLogicalBytes*2 {
 					t.Errorf("%s: shuffle %d bytes vs %d logical — codec is inflating badly",
 						v.name, run.Metrics.ShuffleBytes, run.Metrics.ShuffleLogicalBytes)
 				}

@@ -691,27 +691,31 @@ func TestRejectedHelloSaysWhy(t *testing.T) {
 	})
 	_, srvAddr := startServer(t, serve.Config{})
 
-	// A hello as a version-11 peer sends it: the magic "SYMP", then 11.
-	v11 := wire.NewEncoder(8)
-	v11.Uvarint(0x53594D50)
-	v11.Uvarint(11)
-	for _, addr := range []string{wln.Addr().String(), srvAddr} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc := cluster.NewFrameConn(conn)
-		if err := fc.Write(cluster.FrameHello, v11.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		f, err := fc.Next()
-		conn.Close()
-		if err != nil || f.Type != cluster.FrameError {
-			t.Fatalf("%s answered a v11 hello with frame %d (%v), want an error frame", addr, f.Type, err)
-		}
-		d := wire.NewDecoder(f.Payload)
-		if msg := d.String(); d.Err() != nil || d.Remaining() != 0 || !strings.Contains(msg, "version 11") {
-			t.Errorf("%s: rejection %q (%v), want it to name version 11", addr, msg, d.Err())
+	// A hello as a version-11 or version-12 peer sends it: the magic
+	// "SYMP", then the version.
+	for _, v := range []uint64{11, 12} {
+		hello := wire.NewEncoder(8)
+		hello.Uvarint(0x53594D50)
+		hello.Uvarint(v)
+		for _, addr := range []string{wln.Addr().String(), srvAddr} {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc := cluster.NewFrameConn(conn)
+			if err := fc.Write(cluster.FrameHello, hello.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fc.Next()
+			conn.Close()
+			if err != nil || f.Type != cluster.FrameError {
+				t.Fatalf("%s answered a v%d hello with frame %d (%v), want an error frame", addr, v, f.Type, err)
+			}
+			d := wire.NewDecoder(f.Payload)
+			want := fmt.Sprintf("version %d", v)
+			if msg := d.String(); d.Err() != nil || d.Remaining() != 0 || !strings.Contains(msg, want) {
+				t.Errorf("%s: rejection %q (%v), want it to name %s", addr, msg, d.Err(), want)
+			}
 		}
 	}
 

@@ -31,8 +31,6 @@ func recordSeedCorpus() []fuzzseed.Seed {
 		6, 0x00, // empty string
 		6, 0x04, 'k', 'e', 'y', '!', // string
 		7, 0x03, 0x00, 0x01, 0x02, // bytes field
-		8, 0x05, 'a', 'a', 'a', 'a', 'a', // compressed block
-		8, 0x00, // empty compressed block
 		9, 0x02, 0x03, 'k', 'e', 'y', 0x00, // string dict {"key", ""}
 	}
 	seeds := []fuzzseed.Seed{{Name: "opstream.bin", Data: opstream}}
@@ -109,6 +107,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			return v
 		}
 
+		// Op 8 is reserved (it was a compressed block, retired with the
+		// flate segment form): it reads and writes nothing, so every
+		// other op keeps its number and the committed seeds their meaning.
 		var items []item
 		e := wire.NewEncoder(0)
 		for pos < len(in) && len(items) < 512 {
@@ -151,13 +152,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 				}
 				it.bs = append([]byte(nil), take(n)...)
 				e.BytesField(it.bs)
-			case 8:
-				var n int
-				if b := take(1); len(b) > 0 {
-					n = int(b[0]) % 65
-				}
-				it.bs = append([]byte(nil), take(n)...)
-				e.CompressedBlock(it.bs)
 			case 9:
 				var n int
 				if b := take(1); len(b) > 0 {
@@ -213,14 +207,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			case 7:
 				if got := d.BytesField(); string(got) != string(it.bs) {
 					t.Fatalf("op %d: BytesField %q, want %q", idx, got, it.bs)
-				}
-			case 8:
-				got, err := d.CompressedBlock()
-				if err != nil {
-					t.Fatalf("op %d: CompressedBlock: %v", idx, err)
-				}
-				if string(got) != string(it.bs) {
-					t.Fatalf("op %d: CompressedBlock %q, want %q", idx, got, it.bs)
 				}
 			case 9:
 				got := d.StringDict(len(it.dict))

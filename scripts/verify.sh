@@ -58,8 +58,9 @@ leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTo
 # small group's events bundle folds to its summaries' state from the
 # initial state and a reached one, which stays byte-equal;
 # TestEventGroupBoundary: groups cut to every size across the edge
-# between the forms, through every fold site).
-leg race go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data
+# between the forms, through every fold site); plus the wire primitives
+# the segment and frame codecs share (internal/wire).
+leg race go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data ./internal/wire
 # Eight jobs first-touching different columns of one segment: each
 # column built once, under the segment's lock, ten times over.
 leg first-touch go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/mapreduce
