@@ -284,10 +284,3 @@ func clientMain(verb string, args []string) {
 	fmt.Printf("result: digest %016x, %d groups over %d segments (%d cached, %d mapped)\n",
 		res.Digest, res.NumResults, res.Segments, res.CacheHits, res.MappedSegments)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

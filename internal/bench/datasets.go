@@ -15,13 +15,6 @@ type Scale struct {
 	Segments int // input segments = measured map tasks
 }
 
-// Small is the test/bench scale; Medium the CLI default.
-var (
-	Small  = Scale{Records: 20000, Segments: 8}
-	Medium = Scale{Records: 200000, Segments: 8}
-	Large  = Scale{Records: 1000000, Segments: 16}
-)
-
 // Datasets holds one generated instance of every corpus.
 type Datasets struct {
 	Scale             Scale
@@ -75,11 +68,4 @@ func (d *Datasets) For(dataset string, condensed bool) ([]*mapreduce.Segment, er
 		return d.Redshift, nil
 	}
 	return nil, fmt.Errorf("bench: unknown dataset %q", dataset)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -342,14 +342,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Placements returns where every map attempt was dispatched, in
-// dispatch order.
-func (p *Pool) Placements() []Placement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Placement(nil), p.placements...)
-}
-
 // WorkerProcs reports each worker's GOMAXPROCS as observed from its
 // map-done replies, keyed by address.
 func (p *Pool) WorkerProcs() map[string]int {

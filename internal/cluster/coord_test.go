@@ -521,3 +521,27 @@ func TestChaosPlanDeterminism(t *testing.T) {
 		t.Errorf("rate-0 plan shipped %+v", f)
 	}
 }
+
+// CachedSegments reports the content-addressed segment cache size.
+func (w *Worker) CachedSegments() int {
+	w.smu.Lock()
+	defer w.smu.Unlock()
+	return len(w.segs)
+}
+
+// DropSegmentCache empties the segment cache — the test hook that
+// forces the need-segment re-ship path.
+func (w *Worker) DropSegmentCache() {
+	w.smu.Lock()
+	w.segs = map[mapreduce.Digest]*mapreduce.Segment{}
+	w.segOrder = w.segOrder[:0]
+	w.smu.Unlock()
+}
+
+// Placements returns where every map attempt was dispatched, in
+// dispatch order.
+func (p *Pool) Placements() []Placement {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]Placement(nil), p.placements...)
+}

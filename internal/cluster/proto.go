@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -157,6 +158,7 @@ func encodeAssign(a *assignment) []byte {
 	for _, r := range a.seg.Records {
 		e.BytesField(r)
 	}
+	runtime.KeepAlive(a.seg)
 	return e.Bytes()
 }
 

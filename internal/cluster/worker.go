@@ -69,22 +69,6 @@ func NewWorker() *Worker {
 // connection-leak probe the differential tests poll to zero.
 func (w *Worker) Active() int { return int(w.active.Load()) }
 
-// CachedSegments reports the content-addressed segment cache size.
-func (w *Worker) CachedSegments() int {
-	w.smu.Lock()
-	defer w.smu.Unlock()
-	return len(w.segs)
-}
-
-// DropSegmentCache empties the segment cache — the test hook that
-// forces the need-segment re-ship path.
-func (w *Worker) DropSegmentCache() {
-	w.smu.Lock()
-	w.segs = map[mapreduce.Digest]*mapreduce.Segment{}
-	w.segOrder = w.segOrder[:0]
-	w.smu.Unlock()
-}
-
 // Serve accepts and serves connections until ln is closed or ctx is
 // cancelled; a closed listener returns nil.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {

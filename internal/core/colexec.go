@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -36,13 +37,13 @@ func (b *Batch[E]) Reset() {
 	b.Events = b.Events[:0]
 }
 
-// scalarBatch is the fallback vectorizer: the scalar GroupBy applied
-// per record with map-based key interning. It is what makes GroupByBatch
-// optional — a query without one, or a segment indexed under another
-// query's plan, still runs on the one batched executor.
-func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *Batch[E]) {
+// scalarBatch is the fallback vectorizer: the scalar GroupBy per record,
+// keys interned in idx (emptied first). It makes GroupByBatch optional —
+// a query without one, or a segment indexed under another query's plan,
+// still runs on the one batched executor.
+func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *Batch[E], idx map[string]int32) {
 	b.Reset()
-	idx := make(map[string]int32, 64)
+	clear(idx)
 	for i, rec := range records {
 		key, ev, ok := q.GroupBy(rec)
 		if !ok {
@@ -62,30 +63,30 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 
 // batchExec is the exec site one map attempt runs on: the executor —
 // which owns every path container the attempt touches — and the scratch
-// a chunk is staged in. A key that passes through owns nothing but its
-// bundle's bytes. Pooled per engine run (the sympleMapFunc closure) so
-// the executor's run cache and container stack —
-// which depend only on the schema and update function, never on the
-// chunk — stay warm across chunks. A site is pooled
-// again only by the attempt that ran it to the end: one that errored
-// or was killed mid-chunk is simply dropped. used marks an executor
-// that has fed keys since its last Reset and so needs one before its
-// next FeedBatch.
+// a chunk is staged in. Pooled per engine run (the sympleMapFunc
+// closure) so the executor's run cache and container stack — which
+// depend only on the schema and update function, never on the chunk —
+// stay warm across chunks. A site is pooled again only by the attempt
+// that ran it to the end and emitted its result: one that errored or was
+// killed mid-chunk is simply dropped. used marks an executor that has
+// fed keys since its last Reset and so needs one before its next
+// FeedBatch.
 type batchExec[S sym.State, E any] struct {
 	fast *sym.Executor[S, E]
 	used bool
-	// enc stages one key's bundle, whose size is unknown until encoded,
-	// on its way into the chunk's slab.
-	enc wire.Encoder
 
-	// Chunk scratch, dead once a chunk's exec pass ends and so reused by
-	// the next chunk this executor runs: the GroupBy batch (but for its
-	// Keys, which leave with the chunk's result), the counting-sorted
-	// events and the sort's offsets and cursors. A job's map tasks
-	// otherwise allocate these per chunk, a few hundred KB each.
+	// Chunk scratch, reused by the site's next chunk once Emit has copied
+	// this one's result: the GroupBy batch and the scalar GroupBy's key
+	// index, the counting-sorted events and the sort's offsets and
+	// cursors, and per key of batch.Keys its bundle (a slice of enc) and
+	// last row, the bundle's recordID in §5.4's shuffle order.
 	batch     Batch[E]
+	idx       map[string]int32
 	events    []E
 	offs, cur []int32
+	enc       wire.Encoder
+	bundles   [][]byte
+	last      []int64
 }
 
 // sized returns s resliced to n elements, reallocated only when its
@@ -132,19 +133,6 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 	dst.Events += cur.Events - prev.Events
 }
 
-// chunkResult is one map chunk's symbolic output: per key, in the
-// order the executor ran them, the encoded summary bundle and the
-// segment index of the key's last record — the recordID of the bundle
-// in the §5.4 (key, mapperID, recordID) shuffle order — plus the work
-// counters. Order-aligned slices, not maps: the timed execution pass
-// appends instead of hashing.
-type chunkResult struct {
-	order   []string
-	bundles [][]byte
-	lastRec []int64
-	stats   SymStats
-}
-
 // symExecChunk is the one place events reach a symbolic executor: it
 // runs the per-key UDA loop over a map task's segment in two passes.
 // Pass one fills a Batch — through the query's GroupByBatch over the
@@ -157,21 +145,15 @@ type chunkResult struct {
 // (FeedBatch, which folds runs of identical events as units and
 // executes quiet stretches in place), and append
 // the key's bundle — encoded straight from the executor's paths — to the
-// chunk's slab.
+// site's encoder, behind the chunk's earlier bundles.
 // Batching keeps per-record map lookups out of the symbolic hot loop and
 // lets pass two be timed on its own (stats.ExecWall), net of the parse
 // cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (chunkResult, error) {
-	out := chunkResult{}
-	be := pool.get()
-	if be == nil {
-		be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options)}
-	}
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (stats SymStats, err error) {
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrRecords, int64(len(seg.Records)))
 	b := &be.batch
-	b.Keys = nil // the previous chunk's keys left with its result
 	var cols *mapreduce.Columnar
 	if q.GroupByBatch != nil && q.Columns.Plan != nil {
 		cols = seg.Index(q.Columns, parseSpan)
@@ -181,9 +163,11 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 		// resident under another's), or columns that don't match the
 		// shape the query compiled against; the batch content is then
 		// unspecified and rebuilt scalar.
-		scalarBatch(q, seg.Records, b)
+		scalarBatch(q, seg.Records, b, be.idx)
 	}
-	out.order = b.Keys
+	// The records are read up to here; keys that view them leave with
+	// the result, and the map task body keeps seg reachable past them.
+	runtime.KeepAlive(seg)
 	parseSpan.Attr(obs.AttrGroups, int64(len(b.Keys))).
 		Attr(obs.AttrBatchRecords, int64(len(b.Events))).End()
 
@@ -200,8 +184,8 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 		offs[i] += offs[i-1]
 	}
 	be.events, be.cur = sized(be.events, len(b.Events)), sized(be.cur, nk)
-	events, cur := be.events, be.cur
-	last := make([]int64, nk)
+	be.last = sized(be.last, nk)
+	events, cur, last := be.events, be.cur, be.last
 	copy(cur, offs[:nk])
 	for r, ki := range b.KeyIdx {
 		events[cur[ki]] = b.Events[r]
@@ -209,10 +193,9 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 		last[ki] = int64(b.Rows[r]) // rows ascend, so the final write is the max
 	}
 
-	// lastRec falls straight out of the counting sort; the bundle list is
-	// sized here so the timed pass below only appends.
-	out.lastRec = last
-	out.bundles = make([][]byte, 0, nk)
+	// The last rows fall straight out of the counting sort; the bundle
+	// list is sized here so the timed pass below only appends.
+	be.bundles = slices.Grow(be.bundles[:0], nk)
 
 	start := time.Now()
 	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d", mapperID)).
@@ -220,8 +203,8 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 		Attr(obs.AttrGroups, int64(len(b.Keys))).
 		Attr(obs.AttrBatchRecords, int64(len(b.Events)))
 	fast, enc := be.fast, &be.enc
+	enc.Reset()
 	prev := fast.Stats()
-	var slab bundleSlab
 	// needReset tracks whether the executor has run a key since its last
 	// reset; the all-identity shortcut below bypasses the executor's
 	// paths entirely and so neither needs nor forces one. A pooled
@@ -230,57 +213,33 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], p
 	for ki, key := range b.Keys {
 		evs := events[offs[ki]:offs[ki+1]]
 		if bundle := fast.IdentityBundle(evs); bundle != nil {
-			out.bundles = append(out.bundles, bundle)
-			out.stats.Summaries++
+			be.bundles = append(be.bundles, bundle)
+			stats.Summaries++
 			continue
 		}
 		if needReset {
 			fast.Reset()
 		}
 		needReset = true
-		err := fast.FeedBatch(evs)
-		n := 0
+		err = fast.FeedBatch(evs)
+		n, at := 0, enc.Len()
 		if err == nil {
-			enc.Reset()
 			n, err = fast.AppendBundle(enc)
 		}
 		if err != nil {
 			// The site is dropped, not repooled: an errored executor's
 			// path state is unspecified, and the attempt is over.
 			execSpan.Tag(obs.TagOutcome, "error").End()
-			return out, fmt.Errorf("key %q: %w", key, err)
+			return stats, fmt.Errorf("key %q: %w", key, err)
 		}
-		out.bundles = append(out.bundles, slab.put(enc.Bytes()))
-		out.stats.Summaries += n
+		// Clipped, so nothing appends over the next key's; an array enc
+		// outgrows keeps its bundles until they are emitted.
+		be.bundles = append(be.bundles, enc.Bytes()[at:enc.Len():enc.Len()])
+		stats.Summaries += n
 	}
-	addStatsDelta(&out.stats, fast.Stats(), prev)
-	out.stats.ExecWall = time.Since(start)
+	addStatsDelta(&stats, fast.Stats(), prev)
+	stats.ExecWall = time.Since(start)
 	execSpan.End()
 	be.used = needReset
-	pool.put(be)
-	return out, nil
-}
-
-// slabChunk is the allocation unit of a bundleSlab: a heap object per
-// thousand or so bundles (tens of bytes each on high-cardinality
-// queries), and a last chunk whose unfilled tail is noise beside them.
-const slabChunk = 64 << 10
-
-// bundleSlab lays one map task's encoded bundles back to back in
-// slabChunk-sized arrays instead of one heap object per (mapper, group).
-// The shuffle — and after it the serve cache — retains emitted values,
-// so each is a cap-clipped sub-slice: nothing can append over a
-// neighbour. A slab belongs to one task, so a retained value pins chunks
-// of its own segment's output only.
-type bundleSlab struct{ chunk []byte }
-
-// put copies one encoded bundle into the slab and returns the copy. A
-// bundle larger than a chunk gets an array of its own.
-func (b *bundleSlab) put(bundle []byte) []byte {
-	if cap(b.chunk)-len(b.chunk) < len(bundle) {
-		b.chunk = make([]byte, 0, max(len(bundle), slabChunk))
-	}
-	off := len(b.chunk)
-	b.chunk = append(b.chunk, bundle...)
-	return b.chunk[off:len(b.chunk):len(b.chunk)]
+	return stats, nil
 }

@@ -322,48 +322,64 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 // 0…n−1, so what it keeps must be written by key or ordinal.
 func RunSympleTo[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config,
 	sink func(part, group int, key string, r R)) (*Output[R], error) {
-	if err := validateQuery(q); err != nil {
-		return nil, err
+	return SympleRunner(q)(segments, conf, sink)
+}
+
+// SympleRun is RunSympleTo bound to one query.
+type SympleRun[R any] func(segments []*mapreduce.Segment, conf mapreduce.Config,
+	sink func(part, group int, key string, r R)) (*Output[R], error)
+
+// SympleRunner returns RunSympleTo for a caller that runs q many times:
+// one compiled schema serves every run — each map task's exec site and
+// each reduce task's fold site is built on it — and the runs' map tasks
+// draw their exec sites from one pool, so a job finds the executors and
+// chunk scratch the last one left instead of building its own. A query
+// that fails validation or compilation returns a run that reports it.
+func SympleRunner[S sym.State, E, R any](q *Query[S, E, R]) SympleRun[R] {
+	err := validateQuery(q)
+	var sc *sym.Schema[S]
+	if err == nil {
+		sc, err = q.Schema()
 	}
-	// One compiled schema serves the whole run: every map task's exec
-	// site and each reduce task's fold site is built on it.
-	sc, err := q.Schema()
-	if err != nil {
-		return nil, err
-	}
-	finish := obsAutoVerify(&conf)
-	var mu sync.Mutex
-	stats := SymStats{}
-	// One fold site per reduce task: attempts of a task run one after
-	// another and tasks never share a partition, so sites[p] has one
-	// user at a time and a retry folds on the site the failure left.
-	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
-	reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
-		if sites[p] == nil {
-			sites[p] = newGroupFolder(sc)
-		}
-		// values arrive ordered by (mapperID, recordID): the order the
-		// chunks appear in the input.
-		final, err := sites[p].fold(values)
+	pool := &batchExecPool[S, E]{}
+	return func(segments []*mapreduce.Segment, conf mapreduce.Config, sink func(part, group int, key string, r R)) (*Output[R], error) {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		// Result reads the site's one state, which the next group resets:
-		// whatever outlives this call must be taken from it here.
-		sink(p, group, key, q.Result(key, final))
-		return nil
+		finish := obsAutoVerify(&conf)
+		var mu sync.Mutex
+		stats := SymStats{}
+		// One fold site per reduce task: attempts of a task run one after
+		// another and tasks never share a partition, so sites[p] has one
+		// user at a time and a retry folds on the site the failure left.
+		sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
+		reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
+			if sites[p] == nil {
+				sites[p] = newGroupFolder(sc)
+			}
+			// values arrive ordered by (mapperID, recordID): the order the
+			// chunks appear in the input.
+			final, err := sites[p].fold(values)
+			if err != nil {
+				return err
+			}
+			// Result reads the site's one state, which the next group resets:
+			// whatever outlives this call must be taken from it here.
+			sink(p, group, key, q.Result(key, final))
+			return nil
+		}
+		job := &mapreduce.Job{
+			Name:   q.Name + "/symple",
+			Map:    sympleMapFunc(q, sc, pool, &mu, &stats, conf.Trace, conf.Registry),
+			Reduce: reduce,
+			Conf:   conf,
+		}
+		metrics, err := job.Run(segments)
+		if err := finish(err); err != nil {
+			return nil, err
+		}
+		return &Output[R]{Metrics: metrics, Sym: stats}, nil
 	}
-	job := &mapreduce.Job{
-		Name:   q.Name + "/symple",
-		Map:    sympleMapFunc(q, sc, &batchExecPool[S, E]{}, &mu, &stats, conf.Trace, conf.Registry),
-		Reduce: reduce,
-		Conf:   conf,
-	}
-	metrics, err := job.Run(segments)
-	if err := finish(err); err != nil {
-		return nil, err
-	}
-	return &Output[R]{Metrics: metrics, Sym: stats}, nil
 }
 
 // groupFolder is the reduce of a SYMPLE job — whether its maps ran here

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/mapreduce"
 	"repro/internal/sym"
@@ -172,6 +173,56 @@ func TestChaosDroppedExecSite(t *testing.T) {
 		}
 		if injected == 0 || aborted == 0 {
 			t.Errorf("cap %d: %d faults injected, %d executors aborted — the sweep is not arming", opts.MaxLivePaths, injected, aborted)
+		}
+	}
+}
+
+// TestMapChunkAllocCeiling: a map chunk on a warm exec site takes its
+// per-key bundle and last-row arrays, its bundles' bytes and the scalar
+// GroupBy's key index from the site, which the previous chunk left them
+// in — Emit copies what it keeps — so a warm chunk allocates none of
+// them, whatever its key count. The GroupBy here allocates nothing, so
+// what is left is the two span names.
+func TestMapChunkAllocCeiling(t *testing.T) {
+	q := maxQuery()
+	keys := make([]string, 4000)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	q.GroupBy = func(rec []byte) (string, int64, bool) {
+		return keys[int(rec[0])|int(rec[1])<<8], int64(rec[2]), true
+	}
+	sc, err := q.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nkeys := range []int{10, len(keys)} {
+		seg := &mapreduce.Segment{}
+		for i := range 4 * len(keys) {
+			k := i % nkeys
+			seg.Records = append(seg.Records, []byte{byte(k), byte(k >> 8), byte(i * 7)})
+		}
+		pool := &batchExecPool[*maxState, int64]{}
+		mapFn := sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, nil, nil)
+		var bundleBytes int
+		chunk := func() {
+			bundleBytes = 0
+			if err := mapFn(0, seg, func(_ string, _ int64, v []byte) { bundleBytes += len(v) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chunk()
+		be := pool.free[0]
+		bundles, last, enc := unsafe.SliceData(be.bundles), unsafe.SliceData(be.last), unsafe.SliceData(be.enc.Bytes())
+		allocs := testing.AllocsPerRun(5, chunk)
+		if len(pool.free) != 1 || pool.free[0] != be {
+			t.Fatalf("%d keys: the pool holds %d sites, want the one warm site", nkeys, len(pool.free))
+		}
+		if unsafe.SliceData(be.bundles) != bundles || unsafe.SliceData(be.last) != last || unsafe.SliceData(be.enc.Bytes()) != enc {
+			t.Errorf("%d keys: a warm chunk replaced the site's bundle, last-row or bundle-byte array", nkeys)
+		}
+		if ceiling := 2.0; allocs > ceiling && !raceEnabled {
+			t.Errorf("%d keys, %d bundle bytes: %v allocations a warm chunk, want at most %v", nkeys, bundleBytes, allocs, ceiling)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/mapreduce"
-	"repro/internal/sym"
 )
 
 // sessionInput is n key\ttimestamp lines over the given number of keys,
@@ -29,17 +28,19 @@ func sessionInput(r *rand.Rand, n, keys int) []string {
 // each with its bundles in mapper order.
 func partitionGroups(t *testing.T, q *Query[*sessState, int64, []int64], segs []*mapreduce.Segment) (keys []string, groups map[string][]mapreduce.Shuffled) {
 	t.Helper()
-	mapFn, err := SympleMapper(q, nil)
+	mk, err := SympleMappers(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapFn := mk(nil)
 	groups = map[string][]mapreduce.Shuffled{}
 	for i, seg := range segs {
 		emit := func(key string, rec int64, value []byte) {
 			if cap(value) != len(value) {
 				t.Errorf("mapper %d key %q: emitted value has %d spare bytes a holder could append into", i, key, cap(value)-len(value))
 			}
-			groups[key] = append(groups[key], mapreduce.Shuffled{MapperID: i, RecordID: rec, Value: value})
+			// Emit's caller owns value only until it returns.
+			groups[key] = append(groups[key], mapreduce.Shuffled{MapperID: i, RecordID: rec, Value: slices.Clone(value)})
 		}
 		if err := mapFn(i, seg, emit); err != nil {
 			t.Fatal(err)
@@ -128,62 +129,5 @@ func TestReduceAttemptsShareASite(t *testing.T) {
 		if !reflect.DeepEqual(got.Results, want.Results) {
 			t.Fatalf("%v: results under reduce retries diverge from the fault-free run", pt)
 		}
-	}
-}
-
-// TestBundleSlab: a slab value is the bundle's exact bytes, clipped so
-// that appending to it cannot reach its neighbour; chunks roll over, and
-// a bundle larger than a chunk gets an array of its own.
-func TestBundleSlab(t *testing.T) {
-	q := sessionQuery()
-	sc, err := q.Schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := sym.NewSchemaExecutor(sc, q.Update, q.Options)
-	var slab bundleSlab
-	var values, want [][]byte
-	total := 0
-	add := func(sums []*sym.Summary[*sessState]) {
-		want = append(want, sym.EncodeSummaryBundle(sums))
-		values = append(values, slab.put(want[len(want)-1]))
-		total += len(want[len(want)-1])
-	}
-	small := func(events int) []*sym.Summary[*sessState] {
-		x.Reset()
-		for i := 0; i < events; i++ {
-			if err := x.Feed(int64(i) * 150); err != nil { // every event opens a session
-				t.Fatal(err)
-			}
-		}
-		sums, err := x.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sums
-	}
-	for total < 2*slabChunk {
-		add(small(1 + len(values)%7))
-	}
-	long := q.NewState()
-	for i := 0; i < slabChunk; i++ {
-		long.Counts.Push(int64(i))
-	}
-	add([]*sym.Summary[*sessState]{sym.NewSummary(q.NewState, []*sessState{long})})
-	if big := len(values[len(values)-1]); big <= slabChunk {
-		t.Fatalf("the large bundle is %d bytes, want more than a chunk", big)
-	}
-	add(small(3))
-	for i, v := range values {
-		if !bytes.Equal(v, want[i]) {
-			t.Fatalf("bundle %d of %d: the slab's copy differs", i, len(values))
-		}
-		if cap(v) != len(v) {
-			t.Fatalf("bundle %d: %d spare bytes", i, cap(v)-len(v))
-		}
-	}
-	_ = append(values[0], 0xff) // reallocates: values[1] is untouched
-	if !bytes.Equal(values[1], want[1]) {
-		t.Fatal("appending to one value wrote into the next")
 	}
 }

@@ -8,33 +8,14 @@ import (
 	"repro/internal/sym"
 )
 
-// SympleMapper builds the standalone map side of a SYMPLE query — the
-// exact mapper RunSymple wires into its in-process job — for use
-// by a cluster worker. The worker executes assignments through this
-// function and mapreduce.ExecuteMap, so the bytes it ships are the
-// bytes the in-process engine would have produced for the same
-// (task, segment) pair: groupby, symbolic execution and run folding all
-// behave identically, which is what the transport
-// differential tests pin down.
-//
-// trace receives the worker-side spans (map parse/exec, spill encode)
-// that ship back to the coordinator; it may be nil. The returned
-// mapper owns private stats/mutex state, so one built mapper is safe
-// for any number of sequential or concurrent attempts.
-func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (mapreduce.MapFunc, error) {
-	mk, err := SympleMappers(q)
-	if err != nil {
-		return nil, err
-	}
-	return mk(trace), nil
-}
-
-// SympleMappers returns a maker of SympleMapper mappers that share one
-// compiled schema and one executor pool. A caller that outlives its
-// jobs (the query service) makes it once per query and a mapper per
-// job, bound to that job's trace: the next job finds the executors and
-// path containers the last one left instead of building — and dropping
-// — its own.
+// SympleMappers returns a maker of the map side RunSymple wires into its
+// jobs, for the query service and cluster workers: a worker's runs are
+// the bytes the in-process engine ships for the same (task, segment),
+// which the transport differential tests pin down. Its mappers share one
+// compiled schema and exec-site pool, so a caller makes the maker once
+// per query and a mapper per job, bound to the job's trace (nil, or the
+// spans a worker ships back), and each job finds the sites the last one
+// left. A mapper is safe for concurrent attempts.
 func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -58,11 +39,14 @@ func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Tr
 // keep their run caches and containers warm.
 func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
-		out, err := symExecChunk(q, sc, pool, seg, trace, mapperID)
+		be := pool.get()
+		if be == nil {
+			be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options), idx: map[string]int32{}}
+		}
+		local, err := symExecChunk(q, be, seg, trace, mapperID)
 		if err != nil {
 			return err
 		}
-		local := &out.stats
 
 		// Observe into a task-local registry and merge once at task end:
 		// the job registry's histogram mutex would otherwise be hammered
@@ -73,10 +57,12 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			lreg = obs.NewRegistry()
 			sumBytes = lreg.Histogram(MetricSummaryBytes)
 		}
-		for i, key := range out.order {
-			sumBytes.Observe(int64(len(out.bundles[i])))
-			emit(key, out.lastRec[i], out.bundles[i])
+		for i, key := range be.batch.Keys {
+			sumBytes.Observe(int64(len(be.bundles[i])))
+			emit(key, be.last[i], be.bundles[i])
 		}
+		// Emit copied the bundles: the site is free for its next chunk.
+		pool.put(be)
 		if reg != nil {
 			if local.RunProbes > 0 {
 				lreg.Counter(MetricRunProbes).Add(int64(local.RunProbes))

@@ -205,13 +205,6 @@ func newActiveSet(r *rand.Rand, total, k, rotate int) *activeSet {
 	return s
 }
 
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // pick returns the group ID for the next record.
 func (s *activeSet) pick() int {
 	s.tick++

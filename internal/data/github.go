@@ -70,7 +70,7 @@ func GenGithub(cfg GithubConfig) []*mapreduce.Segment {
 	pad := filler(r, cfg.Filler)
 	// Repositories are temporally local: active for a bounded stretch of
 	// the multi-year log (see data.activeSet).
-	repos := newActiveSet(r, cfg.Repos, 64, max2(cfg.Records/cfg.Repos, 1))
+	repos := newActiveSet(r, cfg.Repos, 64, max(cfg.Records/cfg.Repos, 1))
 	for i := 0; i < cfg.Records; i++ {
 		ts += int64(r.Intn(30))
 		repo := repos.pick()

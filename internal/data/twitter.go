@@ -45,7 +45,7 @@ func GenTwitter(cfg TwitterConfig) []*mapreduce.Segment {
 	ts := int64(1_430_000_000)
 	pad := filler(r, cfg.Filler)
 	// Hashtags trend: they are active for a bounded stretch of the day.
-	tags := newActiveSet(r, cfg.Hashtags, 64, max2(cfg.Records/cfg.Hashtags, 1))
+	tags := newActiveSet(r, cfg.Hashtags, 64, max(cfg.Records/cfg.Hashtags, 1))
 	for i := 0; i < cfg.Records; i++ {
 		ts += int64(r.Intn(2))
 		h := tags.pick()

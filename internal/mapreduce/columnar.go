@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"hash/maphash"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -111,7 +112,8 @@ type Col struct {
 	Codes []uint32 // ColDict: dictionary index per row
 	// Dict holds the ColDict entries in first-use order. The strings
 	// alias the bytes of the records they were first seen in, so they
-	// are valid exactly as long as those records are unmodified.
+	// are valid exactly as long as the segment is reachable and its
+	// records unmodified.
 	Dict []string
 	// Ragged lists, ascending, the rows this column could not type; their
 	// entries above are zero.
@@ -154,6 +156,7 @@ func (s *Segment) Index(read ColRead, parent *obs.ActiveSpan) *Columnar {
 	if missing := read.Fields &^ ix.built; missing != 0 {
 		span := parent.Child(obs.KindIndex, missing.String()).Attr(obs.AttrRecords, int64(ix.rows))
 		ix.build(s.Records, missing)
+		runtime.KeepAlive(s)
 		ix.built |= missing
 		span.End()
 	}
@@ -275,7 +278,9 @@ func (d *dictionary) size(dict []string, n int) {
 }
 
 // code returns fb's code in *dict, appending fb — as a view of its
-// record's bytes — when it is new.
+// record's bytes — when it is new. No view leaves the map task that
+// reads the index: keys reach runs, the serve Part and result lines only
+// as copies, so a view is never read after its segment is released.
 func (d *dictionary) code(dict *[]string, fb []byte) uint32 {
 	mask := uint64(len(d.slots) - 1)
 	for i := maphash.Bytes(d.seed, fb) & mask; ; i = (i + 1) & mask {

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"encoding/binary"
 	"math/bits"
+	"runtime"
 )
 
 // Digest is a 128-bit content address: two 64-bit lanes mixed by
@@ -133,6 +134,7 @@ func (s *Segment) Digest() Digest {
 		a = &address{rows: len(s.Records)}
 		h := newDigester()
 		n := h.records(s.Records)
+		runtime.KeepAlive(s)
 		a.digest = h.sum()
 		s.addr.Store(a)
 		s.size.Store(&extent{rows: a.rows, bytes: n})

@@ -43,7 +43,11 @@ import (
 // A Segment is shared by pointer and must not be copied: it carries the
 // lock behind its derived state.
 type Segment struct {
-	ID      int
+	ID int
+	// Records are the segment's rows, in order: on the heap, or in
+	// mappings the segment owns if ReadSegments loaded it. A reader keeps
+	// the segment reachable past its last read of a record or a view of
+	// one (runtime.KeepAlive), and copies what outlives it.
 	Records [][]byte
 
 	// index is the typed-column index over Records (columnar.go), a
@@ -63,7 +67,8 @@ type Segment struct {
 // orders each group by (mapperID, recordID), so reducers see input
 // order within a group regardless of the order of Emit calls —
 // monotonicity across calls is not required (records emitted in input
-// order just cost no sort).
+// order just cost no sort). The engine copies value: the mapper may
+// reuse its bytes once Emit returns.
 type Emit func(key string, recordID int64, value []byte)
 
 // MapFunc processes one input segment. mapperID is the segment's ID.
@@ -82,7 +87,8 @@ type Shuffled struct {
 // mapperID — an order, not a key sort; group is the key's ordinal in
 // that order, 0…n−1 within the reducer's partition. The values slice is
 // engine scratch: it is valid only for the duration of the call and must
-// not be retained (the Value payloads themselves are stable). When
+// not be retained; the Value payloads are stable until the reduce task
+// ends, when their runs' buffers are recycled. When
 // Config.MaxAttempts allows retries, a failed reduce attempt is
 // re-executed over the same committed runs and Reduce is re-invoked for
 // every group, with the same ordinals in the same order, so its side
@@ -276,9 +282,9 @@ type Job struct {
 	Reduce ReduceFunc
 	// Output receives each map task's committed pairs when Reduce is nil:
 	// once per task, only ever the winning attempt's, on that attempt's
-	// goroutine (tasks commit concurrently). The sequence is valid for
-	// the duration of the call; the values are stable. An error aborts
-	// the job. nil drops the output.
+	// goroutine (tasks commit concurrently). The sequence, keys and values
+	// included, is valid for the duration of the call: what outlives it is
+	// copied. An error aborts the job. nil drops the output.
 	Output func(task int, pairs iter.Seq2[string, []byte]) error
 	Conf   Config
 }

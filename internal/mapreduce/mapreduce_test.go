@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -298,5 +300,93 @@ func TestManyGroupsAcrossReducers(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("key %q reduced %d times", k, n)
 		}
+	}
+}
+
+// TestWarmJobRecyclesShuffleBuffers: a warm job's shuffle reuses the
+// buffers the job before it released — the value arena each map attempt
+// copies its emits into, and each run's encoded segment, which its
+// reduce task returns once it ends — so the job allocates a small part
+// of the bytes it shuffles, where each of the two would otherwise
+// allocate them all.
+func TestWarmJobRecyclesShuffleBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	value := bytes.Repeat([]byte("v"), 4<<10)
+	segs := segmentsFromLines(strings.Split(strings.Repeat("r\n", 127)+"r", "\n"), 8)
+	job := &Job{
+		Name: "recycle",
+		Map: func(_ int, seg *Segment, emit Emit) error {
+			for i := range seg.Records {
+				emit(strconv.Itoa(i%8), int64(i), value)
+			}
+			return nil
+		},
+		Reduce: func(_, _ int, _ string, values []Shuffled) error {
+			for _, v := range values {
+				if len(v.Value) != len(value) {
+					return fmt.Errorf("a %d-byte value", len(v.Value))
+				}
+			}
+			return nil
+		},
+		Conf: Config{NumReducers: 4, Parallelism: 1},
+	}
+	// Collections would empty the pools between jobs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m *Metrics
+	for range 3 {
+		var err error
+		if m, err = job.Run(segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := job.Run(segs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(m.ShuffleBytes)/4 {
+		t.Errorf("a warm job allocated %d bytes shuffling %d", alloc, m.ShuffleBytes)
+	}
+}
+
+// TestValueArena: an arena copy is the value's exact bytes, clipped so
+// that appending to it cannot reach its neighbour; chunks roll over, a
+// value larger than a chunk gets a chunk of its own, and a released
+// arena refills the chunks it has instead of allocating.
+func TestValueArena(t *testing.T) {
+	a := new(valueArena)
+	var values, want [][]byte
+	add := func(v []byte) {
+		want = append(want, v)
+		values = append(values, a.copy(v))
+	}
+	for total := 0; total < 2*(64<<10); total += len(want[len(want)-1]) {
+		add(bytes.Repeat([]byte{byte(len(want))}, 1+len(want)%97))
+	}
+	add(bytes.Repeat([]byte("big"), 64<<10))
+	add([]byte("after"))
+	for i, v := range values {
+		if !bytes.Equal(v, want[i]) {
+			t.Fatalf("value %d of %d: the arena's copy differs", i, len(values))
+		}
+		if cap(v) != len(v) {
+			t.Fatalf("value %d: %d spare bytes", i, cap(v)-len(v))
+		}
+	}
+	_ = append(values[0], 0xff) // reallocates: values[1] is untouched
+	if !bytes.Equal(values[1], want[1]) {
+		t.Fatal("appending to one value wrote into the next")
+	}
+	chunks := len(a.chunks)
+	a.release()
+	for _, v := range want {
+		a.copy(v)
+	}
+	if len(a.chunks) != chunks {
+		t.Errorf("refilling a released arena grew it from %d chunks to %d", chunks, len(a.chunks))
 	}
 }

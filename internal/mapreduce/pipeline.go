@@ -222,6 +222,7 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			}
 			continue
 		}
+		run.seg = r.Seg // the engine's own: recycled when the reduce task ends
 		runs = append(runs, run)
 		inBytes += int64(len(r.Seg))
 	}

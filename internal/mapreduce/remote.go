@@ -25,8 +25,9 @@ import (
 type MapOutput struct {
 	Runs []Run
 	// pairs is a map-only attempt's output instead of runs: the records
-	// it emitted, in emit order.
+	// it emitted, in emit order, their values in arena.
 	pairs   []kvRec
+	arena   *valueArena
 	Emitted int64 // shuffle records across all partitions
 	Records int64 // input records consumed
 	// InputBytes is the segment payload the worker read.

@@ -17,6 +17,8 @@ import (
 // buffers come from and return to kvBufs.
 type spillRun struct {
 	recs []kvRec
+	// seg, the engine's own encoded run, is recycled when the run is.
+	seg []byte
 	// mapperID is the run header's, so a zero-record run still orders;
 	// task breaks a tie between two segments sharing an ID.
 	mapperID int
@@ -176,10 +178,50 @@ func (kp *kvBufPool) put(s []kvRec) {
 	kp.p.Put(&s)
 }
 
-// releaseRuns returns every run buffer to the pool.
+// releaseRuns returns every run's record buffer and encoded segment to
+// their pools.
 func releaseRuns(runs []spillRun) {
 	for i := range runs {
 		kvBufs.put(runs[i].recs)
-		runs[i].recs = nil
+		putRunBuf(runs[i].seg)
+		runs[i].recs, runs[i].seg = nil, nil
 	}
+}
+
+// valueArena holds one map attempt's emitted values back to back in
+// 64 KB chunks (a larger value gets one of its own), each cap-clipped:
+// Emit copies into it, so a mapper reuses its own buffers. An attempt
+// returns its arena to arenas once its values are dead — its runs
+// encoded, its pairs handed to Output, or the attempt failed — and the
+// next attempt refills the chunks.
+type valueArena struct {
+	chunks [][]byte
+	cur    int // the chunk being filled
+}
+
+var arenas = sync.Pool{New: func() any { return new(valueArena) }}
+
+// copy returns a copy of v in the arena.
+func (a *valueArena) copy(v []byte) []byte {
+	for a.cur < len(a.chunks) && cap(a.chunks[a.cur])-len(a.chunks[a.cur]) < len(v) {
+		a.cur++
+	}
+	if a.cur == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(len(v), 64<<10)))
+	}
+	c := a.chunks[a.cur]
+	a.chunks[a.cur] = append(c, v...)
+	return a.chunks[a.cur][len(c) : len(c)+len(v) : len(c)+len(v)]
+}
+
+// release empties the arena into the pool. nil is a no-op.
+func (a *valueArena) release() {
+	if a == nil {
+		return
+	}
+	for i := range a.chunks {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.cur = 0
+	arenas.Put(a)
 }

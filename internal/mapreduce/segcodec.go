@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/wire"
@@ -43,9 +44,11 @@ const segRaw = 0x01
 const segMinRecordBytes = 3
 
 // segEncoder is the encoder's pooled scratch: the key→index map it
-// builds per segment and each record's dictionary index.
+// builds per segment, the dictionary in first-use order and each
+// record's dictionary index.
 type segEncoder struct {
 	idx  map[string]int32
+	dict []string
 	keys []int32
 }
 
@@ -57,10 +60,10 @@ var segEncoders = sync.Pool{
 // pool, so one enormous segment does not pin its buckets forever.
 const maxPooledKeyMap = 1 << 16
 
-// encodeSegment encodes one run into a fresh buffer. All records must
-// carry the same mapperID (one run is one mapper's output, asserted
-// cheaply here). The returned slice is exactly sized: decoded values
-// alias it, so it lives as long as the run's records do.
+// encodeSegment encodes one run into a buffer from runBufs. All records
+// must carry the same mapperID (one run is one mapper's output, asserted
+// cheaply here). The returned slice is exactly the encoding: decoded
+// values alias it, so it lives as long as the run's records do.
 func encodeSegment(recs []kvRec) []byte {
 	pe := wire.GetEncoder()
 	defer wire.PutEncoder(pe)
@@ -74,7 +77,7 @@ func encodeSegment(recs []kvRec) []byte {
 	// Key dictionary in first-use order. A key repeated back to back
 	// skips the map.
 	se := segEncoders.Get().(*segEncoder)
-	var dict []string
+	dict := se.dict[:0]
 	for i := range recs {
 		if i > 0 && recs[i].key == recs[i-1].key {
 			se.keys = append(se.keys, se.keys[i-1])
@@ -105,14 +108,37 @@ func encodeSegment(recs []kvRec) []byte {
 	}
 	if len(se.idx) <= maxPooledKeyMap {
 		clear(se.idx)
-		se.keys = se.keys[:0]
+		clear(dict)
+		se.dict, se.keys = dict[:0], se.keys[:0]
 		segEncoders.Put(se)
 	}
 
-	out := make([]byte, 1+pe.Len())
+	out := getRunBuf(1 + pe.Len())
 	out[0] = segRaw
 	copy(out[1:], pe.Bytes())
 	return out
+}
+
+// runBufs recycles encoded runs, class k holding capacities of at least
+// 1<<k; a run returns once the reduce task its values alias ends.
+var runBufs [64]sync.Pool
+
+// getRunBuf returns a buffer of length n from the smallest class it fits.
+func getRunBuf(n int) []byte {
+	k := bits.Len(uint(n - 1))
+	if v := runBufs[k].Get(); v != nil {
+		return (*v.(*[]byte))[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// putRunBuf recycles b into the class its capacity fills. nil is a no-op.
+func putRunBuf(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:0]
+	runBufs[bits.Len(uint(cap(b)))-1].Put(&b)
 }
 
 // decodeSegment decodes a segment into a pooled record buffer and returns

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 )
 
 func TestSegmentsRoundTrip(t *testing.T) {
@@ -101,4 +104,98 @@ func TestReadSegmentsErrors(t *testing.T) {
 	if _, err := ReadSegments(empty); err == nil {
 		t.Fatal("expected error for empty dir")
 	}
+}
+
+func TestReadSegmentsEmptyFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.tsv"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || len(segs[0].Records) != 0 {
+		t.Fatalf("%d segments, want one of no records", len(segs))
+	}
+}
+
+// faults reports whether f faults; f runs with faults turned into
+// panics, so a fault fails f rather than the process.
+func faults(f func()) (faulted bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(runtime.Error); !ok {
+				panic(r)
+			}
+			faulted = true
+		}
+	}()
+	f()
+	return false
+}
+
+// TestReadSegmentsAreReadOnly: a loaded record and its entry in the
+// record table are mapped read-only, so a write to either faults instead
+// of changing the corpus under its digest and index.
+func TestReadSegmentsAreReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.tsv"), []byte("a\tb\nc\td\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := segs[0].Records
+	if !faults(func() { recs[0][0] = 'x' }) {
+		t.Error("a write to a loaded record did not fault")
+	}
+	if !faults(func() { recs[1] = nil }) {
+		t.Error("a write to the record table did not fault")
+	}
+	if string(recs[0]) != "a\tb" || string(recs[1]) != "c\td" {
+		t.Fatalf("records %q", recs)
+	}
+	runtime.KeepAlive(segs)
+}
+
+// TestReadSegmentsReleaseFaultsStaleRecords: once its segment is
+// unreachable and its cleanup has run, a record kept past it faults on
+// read — it never reads back other bytes.
+func TestReadSegmentsReleaseFaultsStaleRecords(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.tsv"), []byte("stale\tbytes\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := segs[0].Records[0]
+	segs = nil
+	if !awaitRelease(t, rec) {
+		t.Fatal("the record still reads after its segment was collected")
+	}
+}
+
+// awaitRelease collects until reading rec faults, checking that every
+// read that does not fault still returns rec's bytes. It reports
+// whether the fault came.
+func awaitRelease(t *testing.T, rec []byte) bool {
+	t.Helper()
+	want := string(append([]byte(nil), rec...))
+	for range 200 {
+		runtime.GC()
+		var got string
+		if faults(func() { got = string(rec) }) {
+			return true
+		}
+		if got != want {
+			t.Fatalf("a stale record read %q, want %q or a fault", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -272,9 +273,10 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 	}
 	parts := make([][]kvRec, n)
 	logical := make([]int64, n)
+	arena := arenas.Get().(*valueArena)
 	// A kill or error fault inside the user map surfaces as a panic;
 	// recover it into the attempt's error, as if the worker died. A failed
-	// attempt's record buffers go back to the pool.
+	// attempt's record buffers and arena go back to their pools.
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(attemptAbort)
@@ -287,6 +289,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			for p := range parts {
 				kvBufs.put(parts[p])
 			}
+			arena.release()
 		}
 	}()
 
@@ -311,7 +314,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			}
 		}
 		emitted++
-		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: value}
+		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: arena.copy(value)}
 		p := partition(key, n)
 		buf := parts[p]
 		if buf == nil {
@@ -326,13 +329,18 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 
 	out = &MapOutput{Records: int64(len(seg.Records)), InputBytes: seg.Bytes()}
 	if sink == nil {
-		out.pairs = parts[0]
+		out.pairs, out.arena = parts[0], arena
 	} else {
 		out.LogicalOutBytes = logical
 		if err := spillRuns(ctx, parts, task, attempt, conf, sink, out, faults); err != nil {
 			return nil, err
 		}
+		arena.release()
+		arena = nil
 	}
+	// Emitted keys may view seg's records until encoded; a map-only
+	// attempt's pairs are read at its commit, whose task holds seg.
+	runtime.KeepAlive(seg)
 	if ferr := faults.Fire(ctx, PointSpillWrite, 0); ferr != nil {
 		return nil, ferr
 	}
@@ -407,6 +415,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt)).
 		Tag(obs.TagPhase, "map").End()
 	if env.job.Reduce == nil {
+		defer out.arena.release()
 		defer kvBufs.put(out.pairs)
 		if env.job.Output == nil {
 			return true, nil

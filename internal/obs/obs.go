@@ -383,15 +383,6 @@ func (s *ActiveSpan) Child(kind, name string) *ActiveSpan {
 	return c
 }
 
-// Event emits an instant span (End == Start) parented to the current
-// job. The returned span has already been emitted once End-ed; Event
-// ends it itself after applying attrs via the callback-free fluent
-// chain, so callers use Start(...).Attr(...).End() when they need attrs:
-// Event is the zero-attr shorthand.
-func (t *Trace) Event(kind, name string) {
-	t.Start(kind, name).End()
-}
-
 // ID returns the span's ID (0 on nil).
 func (s *ActiveSpan) ID() int64 {
 	if s == nil {

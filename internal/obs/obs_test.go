@@ -18,7 +18,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	sp := tr.Start(KindMapAttempt, "t0")
 	sp.Attr(AttrTask, 1).Tag(TagOutcome, "ok").End()
 	job.End()
-	tr.Event(KindCommit, "t0")
+	tr.Start(KindCommit, "t0").End()
 	tr.EmitRaw(&Span{Kind: KindJob})
 	if id := tr.NewID(); id != 0 {
 		t.Fatalf("nil trace issued id %d", id)

@@ -156,14 +156,6 @@ type HistSnapshot struct {
 	Max   int64 `json:"max"`
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Snapshot returns the histogram's current aggregates.
 func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {

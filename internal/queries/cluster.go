@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"sync"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -20,8 +22,13 @@ import (
 // the cluster job registry under the query's ID. makeSpec calls it, so
 // any process that constructs the specs can serve worker assignments.
 func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
-	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		return core.SympleMapper(q, trace)
+	mappers := sync.OnceValues(func() (func(*obs.Trace) mapreduce.MapFunc, error) { return core.SympleMappers(q) })
+	cluster.RegisterJob(id, func(_ cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
+		mk, err := mappers()
+		if err != nil {
+			return nil, err
+		}
+		return mk(trace), nil
 	})
 }
 

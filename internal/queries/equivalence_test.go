@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -95,7 +96,7 @@ func segmentBundles(t *testing.T, id string, segs []*mapreduce.Segment) []map[st
 	out := make([]map[string][]byte, len(segs))
 	for i, seg := range segs {
 		out[i] = map[string][]byte{}
-		emit := func(key string, _ int64, value []byte) { out[i][key] = value }
+		emit := func(key string, _ int64, value []byte) { out[i][key] = slices.Clone(value) }
 		if err := mapFn(i, seg, emit); err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
@@ -127,7 +130,10 @@ func TestGoldenDigests(t *testing.T) {
 //   - first touch: nothing resident, the job builds each segment's index;
 //   - resident: the same segments again;
 //   - a segment resident under a foreign plan (the chunk executor groups
-//     with the scalar GroupBy per record).
+//     with the scalar GroupBy per record);
+//   - from disk: written with WriteSegments and loaded with ReadSegments
+//     (mapped), run first-touch and then resident, with an earlier load
+//     of the same files dropped and released between the two runs.
 //
 // Where the GroupBy read its fields from must be invisible to query
 // semantics; any divergence here is a codec or batch-execution bug, not
@@ -147,14 +153,32 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			// Queries of one dataset share its segments, so each takes
 			// fresh ones to make its first run a first touch.
 			segs := unindexed(datasets[spec.Dataset])
+			dir := t.TempDir()
+			if err := mapreduce.WriteSegments(dir, segs); err != nil {
+				t.Fatal(err)
+			}
+			earlier, disk := readSegments(t, dir), readSegments(t, dir)
+			probe, was := earlier[0].Records[0], string(earlier[0].Records[0])
 			for _, v := range []struct {
 				name string
 				segs []*mapreduce.Segment
+				// before runs ahead of the job.
+				before func()
 			}{
-				{"first-touch", segs},
-				{"resident", segs},
-				{"foreign-plan", scalarOnly(segs)},
+				{"first-touch", segs, nil},
+				{"resident", segs, nil},
+				{"foreign-plan", scalarOnly(segs), nil},
+				{"disk-first-touch", disk, nil},
+				{"disk-resident", disk, func() {
+					earlier = nil
+					if !awaitRelease(t, probe, was) {
+						t.Fatal("the earlier load was never released")
+					}
+				}},
 			} {
+				if v.before != nil {
+					v.before()
+				}
 				sink := obs.NewMemSink()
 				reg := obs.NewRegistry()
 				run, err := spec.Symple(v.segs, mapreduce.Config{
@@ -179,4 +203,37 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			}
 		})
 	}
+}
+
+func readSegments(t *testing.T, dir string) []*mapreduce.Segment {
+	t.Helper()
+	segs, err := mapreduce.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// awaitRelease collects until reading rec, a record of a dropped load,
+// faults — its segment's mappings were released — and reports whether
+// that happened. A read that does not fault must return want, rec's
+// bytes.
+func awaitRelease(t *testing.T, rec []byte, want string) bool {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for range 200 {
+		runtime.GC()
+		got, faulted := func() (got string, faulted bool) {
+			defer func() { faulted = recover() != nil }()
+			return string(rec), false
+		}()
+		if faulted {
+			return true
+		}
+		if got != want {
+			t.Fatalf("a released record read %q, want %q or a fault", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }

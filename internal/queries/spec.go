@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapreduce"
@@ -104,13 +105,16 @@ func makeSpec[S sym.State, E, R any](
 		d, n := digestResults(out.Results, format)
 		return &Run{Digest: d, NumResults: n, Metrics: out.Metrics, Sym: out.Sym}, nil
 	}
+	// Symple's jobs share one runner, so each finds the exec sites the
+	// last one left.
+	runner := sync.OnceValue(func() core.SympleRun[R] { return core.SympleRunner(q) })
 	// SYMPLE formats each result line where its group folds, into the
 	// slot of its ordinal in its partition: a retried reduce attempt,
 	// replaying ordinals 0…n−1, overwrites the failed one's lines instead
 	// of adding to them.
-	symple := func(q *core.Query[S, E, R], segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
+	symple := func(run core.SympleRun[R], segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 		lines := make([][]string, max(conf.NumReducers, 1))
-		out, err := core.RunSympleTo(q, segs, conf, func(p, g int, key string, r R) {
+		out, err := run(segs, conf, func(p, g int, key string, r R) {
 			lines[p] = append(lines[p][:g], format(key, r))
 		})
 		if err != nil {
@@ -133,7 +137,7 @@ func makeSpec[S sym.State, E, R any](
 			return wrap(core.RunBaseline(q, segs, conf))
 		},
 		Symple: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return symple(q, segs, conf)
+			return symple(runner(), segs, conf)
 		},
 		BaselinePair: func() (mapreduce.MapFunc, func(string, []mapreduce.Shuffled) (string, error), error) {
 			b, err := core.NewBaseline(q, nil)
@@ -154,7 +158,7 @@ func makeSpec[S sym.State, E, R any](
 			// running concurrently.
 			qq := *q
 			qq.Options = opts
-			return symple(&qq, segs, conf)
+			return symple(core.SympleRunner(&qq), segs, conf)
 		},
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -744,4 +745,82 @@ func TestRejectedHelloSaysWhy(t *testing.T) {
 	if err == nil || !strings.HasSuffix(err.Error(), ": no room at the inn") {
 		t.Fatalf("client turned away: %v, want the peer's reason as sent", err)
 	}
+}
+
+// TestServeOutlivesReleasedLoad: nothing the service keeps after a job
+// — cached parts, prefixes, result lines — views the records of the
+// segments it mapped. A dataset loaded from disk runs once per query;
+// the dataset is then replaced by a second load of the same files and
+// the first load released (a read of one of its records faults); every
+// resubmission is answered from the cache with the golden digest, and
+// reads no released byte.
+func TestServeOutlivesReleasedLoad(t *testing.T) {
+	checkGoroutineLeaks(t)
+	golden := readGolden(t)
+	srv, addr := startServer(t, serve.Config{})
+	c := dialClient(t, addr)
+	const n = 8
+	dirs := map[string]string{}
+	var probes [][]byte // a record of each first load, and its bytes
+	var wants []string
+	for name, segs := range queries.GoldenDatasets(n) {
+		dirs[name] = t.TempDir()
+		if err := mapreduce.WriteSegments(dirs[name], segs); err != nil {
+			t.Fatal(err)
+		}
+		loaded := readSegments(t, dirs[name])
+		probes, wants = append(probes, loaded[0].Records[0]), append(wants, string(loaded[0].Records[0]))
+		srv.AddDataset(name, loaded)
+	}
+	for _, spec := range queries.All() {
+		res := submitWait(t, c, "t", spec.ID, spec.Dataset)
+		checkResult(t, "first load", spec.ID, res, golden)
+		wantProvenance(t, "first load "+spec.ID, res, 0, n)
+	}
+	for name, dir := range dirs {
+		srv.AddDataset(name, readSegments(t, dir))
+	}
+	for i, rec := range probes {
+		if !released(t, rec, wants[i]) {
+			t.Fatal("the first load was never released")
+		}
+	}
+	for _, spec := range queries.All() {
+		res := submitWait(t, c, "t", spec.ID, spec.Dataset)
+		checkResult(t, "second load", spec.ID, res, golden)
+		wantProvenance(t, "second load "+spec.ID, res, n, 0)
+	}
+}
+
+func readSegments(t *testing.T, dir string) []*mapreduce.Segment {
+	t.Helper()
+	segs, err := mapreduce.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// released collects until reading rec, a record of a dropped load,
+// faults — its segment's mappings were released — and reports whether
+// that happened. A read that does not fault must return want, rec's
+// bytes.
+func released(t *testing.T, rec []byte, want string) bool {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for range 200 {
+		runtime.GC()
+		got, faulted := func() (got string, faulted bool) {
+			defer func() { faulted = recover() != nil }()
+			return string(rec), false
+		}()
+		if faulted {
+			return true
+		}
+		if got != want {
+			t.Fatalf("a released record read %q, want %q or a fault", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }

@@ -21,8 +21,8 @@ import (
 // bundle straight from the executor's paths (Executor.AppendBundle) and
 // a fold site decodes bundles into containers it keeps (Folder). A
 // summary produced by an Executor carries its schema; one built by
-// NewSummary or DecodeSummary has none and compiles the plan when an
-// operation needs it.
+// DecodeSummary has none and compiles the plan when an operation needs
+// it.
 type Summary[S State] struct {
 	ps       []*pathState[S]
 	newState func() S
@@ -37,16 +37,6 @@ func (s *Summary[S]) schema() *Schema[S] {
 		return newSchema(s.newState)
 	}
 	return s.sc
-}
-
-// NewSummary builds a summary from explored paths. Intended for tests and
-// extensions; executors produce summaries via Finish.
-func NewSummary[S State](newState func() S, paths []S) *Summary[S] {
-	ps := make([]*pathState[S], len(paths))
-	for i, p := range paths {
-		ps[i] = wrapState(p)
-	}
-	return &Summary[S]{ps: ps, newState: newState}
 }
 
 // NumPaths returns the number of paths.
@@ -68,24 +58,6 @@ func (s *Summary[S]) Paths() []S {
 // vector elements (paper §3.6). c is not mutated.
 func (s *Summary[S]) Apply(c S) (S, error) {
 	return ApplyAll(c, []*Summary[S]{s})
-}
-
-// ApplyStrict is Apply plus a validity check: it errors if the number of
-// admitting paths differs from one (the partition property is violated).
-// Use in tests; Apply takes the first admitting path.
-func (s *Summary[S]) ApplyStrict(c S) (out S, err error) {
-	defer catchFailure(&err)
-	cf := c.Fields()
-	n := 0
-	for _, p := range s.ps {
-		if admitsFields(p.fs, cf) {
-			n++
-		}
-	}
-	if n != 1 {
-		return out, fmt.Errorf("%w: %d of %d paths admit the state", ErrNoPath, n, len(s.ps))
-	}
-	return s.Apply(c)
 }
 
 // ApplyAll composes an ordered sequence of summaries onto the concrete
@@ -301,15 +273,6 @@ func encodePaths[S State](e *wire.Encoder, ps []*pathState[S]) {
 			}
 		}
 	}
-}
-
-// EncodedSize returns the wire size of the summary in bytes.
-func (s *Summary[S]) EncodedSize() int {
-	e := wire.GetEncoder()
-	s.Encode(e)
-	n := e.Len()
-	wire.PutEncoder(e)
-	return n
 }
 
 // DecodeSummary reads a summary written by Encode. newState must build

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -341,4 +342,41 @@ func TestDecodeSummaryCorrupt(t *testing.T) {
 	if _, err := DecodeSummary(newIntState(0), wire.NewDecoder(e.Bytes())); err == nil {
 		t.Fatal("expected decode error")
 	}
+}
+
+// NewSummary builds a summary from explored paths; executors produce
+// summaries via Finish.
+func NewSummary[S State](newState func() S, paths []S) *Summary[S] {
+	ps := make([]*pathState[S], len(paths))
+	for i, p := range paths {
+		ps[i] = wrapState(p)
+	}
+	return &Summary[S]{ps: ps, newState: newState}
+}
+
+// ApplyStrict is Apply plus a validity check: it errors if the number of
+// admitting paths differs from one (the partition property is violated).
+// Apply takes the first admitting path.
+func (s *Summary[S]) ApplyStrict(c S) (out S, err error) {
+	defer catchFailure(&err)
+	cf := c.Fields()
+	n := 0
+	for _, p := range s.ps {
+		if admitsFields(p.fs, cf) {
+			n++
+		}
+	}
+	if n != 1 {
+		return out, fmt.Errorf("%w: %d of %d paths admit the state", ErrNoPath, n, len(s.ps))
+	}
+	return s.Apply(c)
+}
+
+// EncodedSize returns the wire size of the summary in bytes.
+func (s *Summary[S]) EncodedSize() int {
+	e := wire.GetEncoder()
+	s.Encode(e)
+	n := e.Len()
+	wire.PutEncoder(e)
+	return n
 }

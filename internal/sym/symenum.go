@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/wire"
@@ -123,12 +124,7 @@ func (v *SymEnum) Ne(ctx *Ctx, c int64) bool { return !v.Eq(ctx, c) }
 // In reports value ∈ cs, forking when both outcomes are feasible.
 func (v *SymEnum) In(ctx *Ctx, cs ...int64) bool {
 	if v.bound {
-		for _, c := range cs {
-			if v.c == c {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(cs, v.c)
 	}
 	var tset bitset
 	for _, c := range cs {

@@ -97,6 +97,14 @@ leg cluster go test -race -count=1 ./internal/cluster
 # is internal/queries' and runs in the race leg above.)
 leg serve go test -race -count=1 ./internal/serve
 leg frames go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|TestJobFrameRoundTrips' ./internal/cluster
+# GC-stress leg: at GOGC=1 the collector runs every few KB of garbage,
+# so a reader that lets a loaded segment become unreachable before its
+# last read of a record — or a view of one kept past its segment — finds
+# the segment's mappings released and faults here, not in a user's job:
+# the query service end to end, then the golden digests in every form
+# (from disk included) and the segment loads' mapping contract.
+leg gc-stress-serve env GOGC=1 go test -count=1 ./internal/serve
+leg gc-stress env GOGC=1 go test -count=1 -run 'Golden|ReadSegments|Segments' ./internal/queries ./internal/mapreduce
 # Traced leg: every engine run auto-attaches a trace; the run fails if
 # the completed trace breaks an obs.Verifier invariant or the metrics
 # registry fails its self-check. ./internal/mapreduce includes map-only

@@ -177,7 +177,9 @@ func RunSymple[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf C
 }
 
 // ReadSegments loads ordered input segments from a directory of
-// newline-delimited files written by cmd/datagen.
+// newline-delimited files written by cmd/datagen. The files are mapped,
+// not copied: keep a segment reachable while its Records are read
+// (runtime.KeepAlive), and copy a record that must outlive it.
 func ReadSegments(dir string) ([]*Segment, error) {
 	return mapreduce.ReadSegments(dir)
 }
