@@ -105,7 +105,7 @@ func silentWorker(t *testing.T) Endpoint {
 // grouping on the record's first byte.
 func testSpec(t *testing.T) JobSpec {
 	t.Helper()
-	RegisterJob("cluster-unit-test", func(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
+	RegisterJob("cluster-unit-test", func(*obs.Trace) mapreduce.MapFunc {
 		return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 			for i, rec := range seg.Records {
 				if len(rec) == 0 {
@@ -114,7 +114,7 @@ func testSpec(t *testing.T) JobSpec {
 				emit(string(rec[:1]), int64(i), rec)
 			}
 			return nil
-		}, nil
+		}
 	})
 	return JobSpec{Query: "cluster-unit-test", NumReducers: 2}
 }
@@ -524,18 +524,18 @@ func TestChaosPlanDeterminism(t *testing.T) {
 
 // CachedSegments reports the content-addressed segment cache size.
 func (w *Worker) CachedSegments() int {
-	w.smu.Lock()
-	defer w.smu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return len(w.segs)
 }
 
 // DropSegmentCache empties the segment cache — the test hook that
 // forces the need-segment re-ship path.
 func (w *Worker) DropSegmentCache() {
-	w.smu.Lock()
+	w.mu.Lock()
 	w.segs = map[mapreduce.Digest]*mapreduce.Segment{}
 	w.segOrder = w.segOrder[:0]
-	w.smu.Unlock()
+	w.mu.Unlock()
 }
 
 // Placements returns where every map attempt was dispatched, in

@@ -17,10 +17,13 @@ import (
 // queries imports cluster — which is why registration is inverted
 // through this table.
 
-// MapBuilder constructs the map side of a job for the given spec.
-// trace receives the worker-side spans (map parse/exec chunks) that
-// ship back to the coordinator; it may be nil.
-type MapBuilder func(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error)
+// MapBuilder returns the map side of a job, bound to trace: the
+// worker-side spans (map parse/exec chunks) of one assignment, which ship
+// back to the coordinator; it may be nil. A worker calls it once per
+// assignment, so concurrent assignments never share a trace; what is
+// worth keeping across them (internal/queries: the query's one compiled
+// schema and exec-site pool) is the builder's to keep.
+type MapBuilder func(trace *obs.Trace) mapreduce.MapFunc
 
 var (
 	regMu   sync.RWMutex
@@ -28,9 +31,8 @@ var (
 )
 
 // RegisterJob registers the map-side builder for a query key.
-// Re-registering a key overwrites it (registration happens wherever
-// the typed query is constructed, which may run more than once); all
-// registrations for a key must be behaviorally identical.
+// Re-registering a key overwrites it; internal/queries registers each
+// query once per process, when it builds its Specs.
 func RegisterJob(query string, b MapBuilder) {
 	regMu.Lock()
 	regJobs[query] = b

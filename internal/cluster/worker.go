@@ -36,33 +36,16 @@ const needSegmentPrefix = "need-segment: "
 
 // Worker serves map assignments to coordinators.
 type Worker struct {
-	mu     sync.Mutex
-	maps   map[JobSpec]*cachedMapper
 	active atomic.Int64
 
-	smu      sync.Mutex
+	mu       sync.Mutex
 	segs     map[mapreduce.Digest]*mapreduce.Segment
 	segOrder []mapreduce.Digest
 }
 
-// cachedMapper is one built map side plus the trace plumbing that
-// collects its spans per assignment. sympleMapFunc closes over its
-// trace, so the trace and sink live as long as the mapper; runs of the
-// same spec on one worker serialize on mu (one connection per worker
-// in practice, so this never contends).
-type cachedMapper struct {
-	mu    sync.Mutex
-	fn    mapreduce.MapFunc
-	trace *obs.Trace
-	sink  *obs.MemSink
-}
-
 // NewWorker returns an empty worker.
 func NewWorker() *Worker {
-	return &Worker{
-		maps: map[JobSpec]*cachedMapper{},
-		segs: map[mapreduce.Digest]*mapreduce.Segment{},
-	}
+	return &Worker{segs: map[mapreduce.Digest]*mapreduce.Segment{}}
 }
 
 // Active reports connections currently being served — the
@@ -137,8 +120,8 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) error {
 
 // cacheSegment stores a segment under its content digest.
 func (w *Worker) cacheSegment(digest mapreduce.Digest, seg *mapreduce.Segment) {
-	w.smu.Lock()
-	defer w.smu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if _, ok := w.segs[digest]; ok {
 		return
 	}
@@ -160,9 +143,9 @@ func (w *Worker) resolveSegment(a *assignment) (*mapreduce.Segment, error) {
 		w.cacheSegment(a.segDigest, a.seg)
 		return a.seg, nil
 	}
-	w.smu.Lock()
+	w.mu.Lock()
 	seg := w.segs[a.segDigest]
-	w.smu.Unlock()
+	w.mu.Unlock()
 	if seg == nil {
 		return nil, fmt.Errorf("%s%016x%016x", needSegmentPrefix, a.segDigest[0], a.segDigest[1])
 	}
@@ -172,34 +155,6 @@ func (w *Worker) resolveSegment(a *assignment) (*mapreduce.Segment, error) {
 // isNeedSegment reports whether a worker error message is the cache
 // miss that asks for a payload re-ship.
 func isNeedSegment(msg string) bool { return strings.HasPrefix(msg, needSegmentPrefix) }
-
-// mapper returns the cached map side for a spec, building and caching
-// it on first use. The returned cachedMapper is locked; the caller
-// unlocks when the assignment finishes.
-func (w *Worker) mapper(spec JobSpec) (*cachedMapper, error) {
-	w.mu.Lock()
-	cm, ok := w.maps[spec]
-	if !ok {
-		sink := obs.NewMemSink()
-		trace := obs.NewTrace(sink)
-		builder, err := lookupJob(spec.Query)
-		if err != nil {
-			w.mu.Unlock()
-			return nil, err
-		}
-		fn, err := builder(spec, trace)
-		if err != nil {
-			w.mu.Unlock()
-			return nil, err
-		}
-		cm = &cachedMapper{fn: fn, trace: trace, sink: sink}
-		w.maps[spec] = cm
-	}
-	w.mu.Unlock()
-	cm.mu.Lock()
-	cm.sink.Reset() // spans emitted from here on belong to this assignment
-	return cm, nil
-}
 
 // runSink streams runs to the coordinator as FrameRun messages.
 type runSink struct{ fc *FrameConn }
@@ -214,17 +169,20 @@ func (w *Worker) runAssignment(a *assignment, fc *FrameConn) error {
 	if err != nil {
 		return err
 	}
-	cm, err := w.mapper(a.spec)
+	builder, err := lookupJob(a.spec.Query)
 	if err != nil {
 		return err
 	}
-	defer cm.mu.Unlock()
-	out, err := mapreduce.ExecuteMap(cm.fn, seg, a.task, a.attempt,
-		a.spec.NumReducers, false, cm.trace, runSink{fc: fc}, a.faults...)
+	// The assignment's own spans: a concurrent one of the same job
+	// collects its own.
+	sink := obs.NewMemSink()
+	trace := obs.NewTrace(sink)
+	out, err := mapreduce.ExecuteMap(builder(trace), seg, a.task, a.attempt,
+		a.spec.NumReducers, false, trace, runSink{fc: fc}, a.faults...)
 	if err != nil {
 		return err
 	}
-	if spans := cm.sink.Spans(); len(spans) > 0 {
+	if spans := sink.Spans(); len(spans) > 0 {
 		if err := fc.Write(FrameSpans, encodeSpans(spans)); err != nil {
 			return err
 		}

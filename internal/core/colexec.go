@@ -63,10 +63,10 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 
 // batchExec is the exec site one map attempt runs on: the executor —
 // which owns every path container the attempt touches — and the scratch
-// a chunk is staged in. Pooled per engine run (the sympleMapFunc
-// closure) so the executor's run cache and container stack — which
-// depend only on the schema and update function, never on the chunk —
-// stay warm across chunks. A site is pooled again only by the attempt
+// a chunk is staged in. Pooled per compiled query (Compiled) so the
+// executor's run cache and container stack — which depend only on the
+// schema and update function, never on the chunk — stay warm across
+// chunks and jobs. A site is pooled again only by the attempt
 // that ran it to the end and emitted its result: one that errored or was
 // killed mid-chunk is simply dropped. used marks an executor that has
 // fed keys since its last Reset and so needs one before its next
@@ -96,7 +96,7 @@ func sized[T any](s []T, n int) []T {
 }
 
 // batchExecPool hands batch executors to the concurrently running map
-// tasks of one engine run. Zero value is ready; an empty pool means the
+// tasks of a compiled query's jobs. Zero value is ready; an empty pool means the
 // chunk builds a fresh batchExec and parks it here when done.
 type batchExecPool[S sym.State, E any] struct {
 	mu   sync.Mutex

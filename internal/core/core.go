@@ -94,7 +94,7 @@ type Query[S sym.State, E, R any] struct {
 	Options sym.Options
 }
 
-// validateQuery checks the query's programmer contract once per run: the
+// validateQuery checks the query's programmer contract before it runs: the
 // analogue of the paper's §5.3 static verification of user code, with
 // reflection standing in for what C++'s type system could not express.
 func validateQuery[S sym.State, E, R any](q *Query[S, E, R]) error {
@@ -105,16 +105,6 @@ func validateQuery[S sym.State, E, R any](q *Query[S, E, R]) error {
 		return fmt.Errorf("core %q: %w", q.Name, err)
 	}
 	return nil
-}
-
-// Schema compiles the query's state plan with its event codec: the one
-// every exec and fold site of the query is built on.
-func (q *Query[S, E, R]) Schema() (*sym.Schema[S], error) {
-	sc, err := sym.NewEventSchema(q.NewState, q.Update, q.EncodeEvent, q.DecodeEvent)
-	if err != nil {
-		return nil, fmt.Errorf("core %q: %w", q.Name, err)
-	}
-	return sc, nil
 }
 
 // SymStats aggregates symbolic-execution work across all mapper-side
@@ -298,11 +288,16 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 // one compact record per (mapper, group) that carries the group's ordered
 // symbolic summaries. Reducers fold the summaries in (mapperID,
 // recordID) order onto the initial aggregation state — exactly the
-// sequential semantics (paper §5.4).
+// sequential semantics (paper §5.4). It compiles q for this one run; a
+// caller that runs q many times compiles it once (Compile) and calls Run.
 func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
+	c, err := Compile(q)
+	if err != nil {
+		return nil, err
+	}
 	var mu sync.Mutex
 	results := make(map[string]R)
-	out, err := RunSympleTo(q, segments, conf, func(_, _ int, key string, r R) {
+	out, err := c.Run(segments, conf, func(_, _ int, key string, r R) {
 		mu.Lock()
 		results[key] = r
 		mu.Unlock()
@@ -314,72 +309,85 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 	return out, nil
 }
 
-// RunSympleTo is RunSymple handing each result to sink where its group
+// Compiled is a query compiled once (paper §5.3: the state is checked
+// and the plan fixed before any mapper runs) for every job a process
+// runs of it: the validated query, its one state schema — every map
+// task's exec site and every reduce task's fold site is built on it — and
+// its one exec-site pool, from which the map tasks of every job, in
+// process, in the query service or on a cluster worker, draw the
+// executors and chunk scratch the last one left. Safe for concurrent use.
+type Compiled[S sym.State, E, R any] struct {
+	q    *Query[S, E, R]
+	sc   *sym.Schema[S]
+	pool batchExecPool[S, E]
+}
+
+// Compile validates q and compiles its state schema with its event codec.
+func Compile[S sym.State, E, R any](q *Query[S, E, R]) (*Compiled[S, E, R], error) {
+	if err := validateQuery(q); err != nil {
+		return nil, err
+	}
+	sc, err := sym.NewEventSchema(q.NewState, q.Update, q.EncodeEvent, q.DecodeEvent)
+	if err != nil {
+		return nil, fmt.Errorf("core %q: %w", q.Name, err)
+	}
+	return &Compiled[S, E, R]{q: q, sc: sc}, nil
+}
+
+// Schema is the query's one compiled state schema, for a fold site
+// outside a job (sym.NewFolder).
+func (c *Compiled[S, E, R]) Schema() *sym.Schema[S] { return c.sc }
+
+// Mapper is the map side Run wires into its jobs, for the query service
+// and cluster workers: a worker's runs are the bytes the in-process
+// engine ships for the same (task, segment), which the transport
+// differential tests pin down. trace (nil, or the spans a worker ships
+// back) receives its spans. Safe for concurrent attempts.
+func (c *Compiled[S, E, R]) Mapper(trace *obs.Trace) mapreduce.MapFunc {
+	return sympleMapFunc(c.q, c.sc, &c.pool, &sync.Mutex{}, &SymStats{}, trace, nil)
+}
+
+// Run is one RunSymple job handing each result to sink where its group
 // folds, instead of keeping it: its Output has no Results. Group ordinal
 // group of partition part (mapreduce.ReduceFunc) is key, with result r.
 // sink is called concurrently for distinct partitions, in ordinal order
 // within one; a retried reduce attempt calls it again for ordinals
 // 0…n−1, so what it keeps must be written by key or ordinal.
-func RunSympleTo[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config,
+func (c *Compiled[S, E, R]) Run(segments []*mapreduce.Segment, conf mapreduce.Config,
 	sink func(part, group int, key string, r R)) (*Output[R], error) {
-	return SympleRunner(q)(segments, conf, sink)
-}
-
-// SympleRun is RunSympleTo bound to one query.
-type SympleRun[R any] func(segments []*mapreduce.Segment, conf mapreduce.Config,
-	sink func(part, group int, key string, r R)) (*Output[R], error)
-
-// SympleRunner returns RunSympleTo for a caller that runs q many times:
-// one compiled schema serves every run — each map task's exec site and
-// each reduce task's fold site is built on it — and the runs' map tasks
-// draw their exec sites from one pool, so a job finds the executors and
-// chunk scratch the last one left instead of building its own. A query
-// that fails validation or compilation returns a run that reports it.
-func SympleRunner[S sym.State, E, R any](q *Query[S, E, R]) SympleRun[R] {
-	err := validateQuery(q)
-	var sc *sym.Schema[S]
-	if err == nil {
-		sc, err = q.Schema()
-	}
-	pool := &batchExecPool[S, E]{}
-	return func(segments []*mapreduce.Segment, conf mapreduce.Config, sink func(part, group int, key string, r R)) (*Output[R], error) {
+	finish := obsAutoVerify(&conf)
+	var mu sync.Mutex
+	stats := SymStats{}
+	// One fold site per reduce task: attempts of a task run one after
+	// another and tasks never share a partition, so sites[p] has one
+	// user at a time and a retry folds on the site the failure left.
+	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
+	reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
+		if sites[p] == nil {
+			sites[p] = newGroupFolder(c.sc)
+		}
+		// values arrive ordered by (mapperID, recordID): the order the
+		// chunks appear in the input.
+		final, err := sites[p].fold(values)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		finish := obsAutoVerify(&conf)
-		var mu sync.Mutex
-		stats := SymStats{}
-		// One fold site per reduce task: attempts of a task run one after
-		// another and tasks never share a partition, so sites[p] has one
-		// user at a time and a retry folds on the site the failure left.
-		sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
-		reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
-			if sites[p] == nil {
-				sites[p] = newGroupFolder(sc)
-			}
-			// values arrive ordered by (mapperID, recordID): the order the
-			// chunks appear in the input.
-			final, err := sites[p].fold(values)
-			if err != nil {
-				return err
-			}
-			// Result reads the site's one state, which the next group resets:
-			// whatever outlives this call must be taken from it here.
-			sink(p, group, key, q.Result(key, final))
-			return nil
-		}
-		job := &mapreduce.Job{
-			Name:   q.Name + "/symple",
-			Map:    sympleMapFunc(q, sc, pool, &mu, &stats, conf.Trace, conf.Registry),
-			Reduce: reduce,
-			Conf:   conf,
-		}
-		metrics, err := job.Run(segments)
-		if err := finish(err); err != nil {
-			return nil, err
-		}
-		return &Output[R]{Metrics: metrics, Sym: stats}, nil
+		// Result reads the site's one state, which the next group resets:
+		// whatever outlives this call must be taken from it here.
+		sink(p, group, key, c.q.Result(key, final))
+		return nil
 	}
+	job := &mapreduce.Job{
+		Name:   c.q.Name + "/symple",
+		Map:    sympleMapFunc(c.q, c.sc, &c.pool, &mu, &stats, conf.Trace, conf.Registry),
+		Reduce: reduce,
+		Conf:   conf,
+	}
+	metrics, err := job.Run(segments)
+	if err := finish(err); err != nil {
+		return nil, err
+	}
+	return &Output[R]{Metrics: metrics, Sym: stats}, nil
 }
 
 // groupFolder is the reduce of a SYMPLE job — whether its maps ran here

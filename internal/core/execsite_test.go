@@ -53,10 +53,11 @@ func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.
 // records on average, a tenth of them eight or fewer.
 func TestExecSitePoolSteadyState(t *testing.T) {
 	q := sessionQuery()
-	sc, err := q.Schema()
+	c, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := c.Schema()
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(41)), 16000, 160), 8)
 	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, segs, mapreduce.Config{Parallelism: 1})
 
@@ -127,10 +128,11 @@ func TestChaosDroppedExecSite(t *testing.T) {
 		}
 		update(ctx, s, ts)
 	}
-	sc, err := q.Schema()
+	c, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := c.Schema()
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(42)), 6000, 60), 6)
 	// The second leg's live-path cap of 1 makes every forking key
 	// restart, so the site appends multi-summary bundles.
@@ -192,10 +194,11 @@ func TestMapChunkAllocCeiling(t *testing.T) {
 	q.GroupBy = func(rec []byte) (string, int64, bool) {
 		return keys[int(rec[0])|int(rec[1])<<8], int64(rec[2]), true
 	}
-	sc, err := q.Schema()
+	c, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := c.Schema()
 	for _, nkeys := range []int{10, len(keys)} {
 		seg := &mapreduce.Segment{}
 		for i := range 4 * len(keys) {

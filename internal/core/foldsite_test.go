@@ -26,13 +26,9 @@ func sessionInput(r *rand.Rand, n, keys int) []string {
 // partitionGroups maps every segment with the engine's own mapper and
 // returns one reduce partition's worth of groups: keys in sorted order,
 // each with its bundles in mapper order.
-func partitionGroups(t *testing.T, q *Query[*sessState, int64, []int64], segs []*mapreduce.Segment) (keys []string, groups map[string][]mapreduce.Shuffled) {
+func partitionGroups(t *testing.T, c *Compiled[*sessState, int64, []int64], segs []*mapreduce.Segment) (keys []string, groups map[string][]mapreduce.Shuffled) {
 	t.Helper()
-	mk, err := SympleMappers(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapFn := mk(nil)
+	mapFn := c.Mapper(nil)
 	groups = map[string][]mapreduce.Shuffled{}
 	for i, seg := range segs {
 		emit := func(key string, rec int64, value []byte) {
@@ -64,12 +60,12 @@ func TestGroupFolderRetryAfterMidPartitionFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, groups := partitionGroups(t, q, segs)
-	sc, err := q.Schema()
+	c, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := newGroupFolder(sc)
+	keys, groups := partitionGroups(t, c, segs)
+	site := newGroupFolder(c.Schema())
 	for failAt := range keys {
 		for i, key := range keys {
 			values := groups[key]

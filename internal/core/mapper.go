@@ -8,28 +8,6 @@ import (
 	"repro/internal/sym"
 )
 
-// SympleMappers returns a maker of the map side RunSymple wires into its
-// jobs, for the query service and cluster workers: a worker's runs are
-// the bytes the in-process engine ships for the same (task, segment),
-// which the transport differential tests pin down. Its mappers share one
-// compiled schema and exec-site pool, so a caller makes the maker once
-// per query and a mapper per job, bound to the job's trace (nil, or the
-// spans a worker ships back), and each job finds the sites the last one
-// left. A mapper is safe for concurrent attempts.
-func SympleMappers[S sym.State, E, R any](q *Query[S, E, R]) (func(trace *obs.Trace) mapreduce.MapFunc, error) {
-	if err := validateQuery(q); err != nil {
-		return nil, err
-	}
-	sc, err := q.Schema()
-	if err != nil {
-		return nil, err
-	}
-	pool := &batchExecPool[S, E]{}
-	return func(trace *obs.Trace) mapreduce.MapFunc {
-		return sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, trace, nil)
-	}, nil
-}
-
 // sympleMapFunc is the shared SYMPLE mapper: groupby plus symbolic UDA
 // execution per group (symExecChunk, one chunk per map task —
 // Config.Parallelism across tasks is the map-side parallelism), then one

@@ -99,7 +99,7 @@ func TestFuzzSeedSegmentCorpus(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s: valid seed rejected: %v", s.Name, err)
 			} else {
-				kvBufs.put(got)
+				putKVBuf(got)
 			}
 		default:
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)

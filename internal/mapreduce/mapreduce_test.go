@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -350,6 +351,64 @@ func TestWarmJobRecyclesShuffleBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(m.ShuffleBytes)/4 {
 		t.Errorf("a warm job allocated %d bytes shuffling %d", alloc, m.ShuffleBytes)
+	}
+}
+
+// TestWarmJobKeepsRecordBuffers: a map attempt's partition buffers are
+// pooled apart from the reduce side's decoded runs, which are pooled by
+// capacity class. So a warm job that partitions 128 records a task into
+// each partition, run after a job that left the pools full of one-record
+// runs, fills buffers that hold its records instead of growing small
+// ones, and allocates a small part of the record bytes it partitions.
+func TestWarmJobKeepsRecordBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	const parts = 4
+	var keys []string // two a partition
+	for i, per := 0, make([]int, parts); len(keys) < 2*parts; i++ {
+		if k := strconv.Itoa(i); per[partition(k, parts)] < 2 {
+			per[partition(k, parts)]++
+			keys = append(keys, k)
+		}
+	}
+	value := []byte("v")
+	job := &Job{
+		Name: "records",
+		Map: func(_ int, seg *Segment, emit Emit) error {
+			for i := range seg.Records {
+				emit(keys[(seg.ID+i)%len(keys)], int64(i), value)
+			}
+			return nil
+		},
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
+		Conf:   Config{NumReducers: parts, Parallelism: 1},
+	}
+	wide := segmentsFromLines(strings.Split(strings.Repeat("r\n", 4095)+"r", "\n"), 8)
+	narrow := segmentsFromLines(strings.Split(strings.Repeat("r\n", 63)+"r", "\n"), 64)
+	// Collections would empty the pools between jobs, and a second P
+	// would keep pooled buffers of its own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Start from empty pools: two collections drop what they hold.
+	runtime.GC()
+	runtime.GC()
+	for range 3 {
+		for _, segs := range [][]*Segment{wide, narrow} {
+			if _, err := job.Run(segs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := job.Run(wide); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	recBytes := uint64(4096) * uint64(unsafe.Sizeof(kvRec{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > recBytes/4 {
+		t.Errorf("a warm job allocated %d bytes partitioning %d bytes of records", alloc, recBytes)
 	}
 }
 

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -146,43 +147,64 @@ func cmpShuffled(a, b Shuffled) int {
 	return cmp.Or(cmp.Compare(a.MapperID, b.MapperID), cmp.Compare(a.RecordID, b.RecordID))
 }
 
-// kvBufs pools record buffers across tasks: map-side partition buffers
-// and reduce-side decoded runs draw from and return to it, so
-// steady-state shuffles reuse buffers instead of allocating per task.
-var kvBufs kvBufPool
+// kvBufs pools the reduce side's decoded runs across tasks by capacity
+// class — class k holds capacities of at least 1<<k — so a run decodes
+// into a buffer that holds it. partBufs pools the map side's partition
+// buffers apart: each keeps the capacity its emits grew it to, so the
+// next attempt's emits fill it instead of regrowing a buffer sized for
+// one decoded run.
+var (
+	kvBufs   [64]sync.Pool
+	partBufs sync.Pool
+)
 
-type kvBufPool struct{ p sync.Pool }
-
-// get returns an empty buffer with capacity at least capHint when the
-// pool can satisfy it, falling back to a fresh allocation.
-func (kp *kvBufPool) get(capHint int) []kvRec {
-	if v := kp.p.Get(); v != nil {
-		s := (*v.(*[]kvRec))[:0]
-		if cap(s) >= capHint {
-			return s
-		}
-		kp.p.Put(v)
+// getKVBuf returns an empty buffer of capacity at least n.
+func getKVBuf(n int) []kvRec {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if v := kvBufs[k].Get(); v != nil {
+		return *v.(*[]kvRec)
 	}
-	return make([]kvRec, 0, max(capHint, 64))
+	return make([]kvRec, 0, 1<<k)
 }
 
-// put recycles a buffer, clearing it so pooled memory pins no user keys
-// or values.
-func (kp *kvBufPool) put(s []kvRec) {
-	if cap(s) == 0 {
-		return
+// putKVBuf recycles a decoded run's buffer into the class its capacity
+// fills.
+func putKVBuf(s []kvRec) {
+	if cap(s) > 0 {
+		kvBufs[bits.Len(uint(cap(s)))-1].Put(cleared(s))
 	}
-	s = s[:cap(s)]
+}
+
+// getPartBuf returns an empty partition buffer a past attempt grew, or
+// nil.
+func getPartBuf() []kvRec {
+	if v := partBufs.Get(); v != nil {
+		return *v.(*[]kvRec)
+	}
+	return nil
+}
+
+// putPartBuf recycles a partition buffer.
+func putPartBuf(s []kvRec) {
+	if cap(s) > 0 {
+		partBufs.Put(cleared(s))
+	}
+}
+
+// cleared empties s for its pool, clearing what it held so pooled memory
+// pins no user keys or values. Its users only append, so nothing past
+// its length was ever written.
+func cleared(s []kvRec) *[]kvRec {
 	clear(s)
 	s = s[:0]
-	kp.p.Put(&s)
+	return &s
 }
 
 // releaseRuns returns every run's record buffer and encoded segment to
 // their pools.
 func releaseRuns(runs []spillRun) {
 	for i := range runs {
-		kvBufs.put(runs[i].recs)
+		putKVBuf(runs[i].recs)
 		putRunBuf(runs[i].seg)
 		runs[i].recs, runs[i].seg = nil, nil
 	}

@@ -160,7 +160,7 @@ func decodeSegment(buf []byte) ([]kvRec, int, error) {
 	if err := d.Err(); err != nil {
 		return nil, 0, fmt.Errorf("mapreduce: segment header: %w", err)
 	}
-	recs := kvBufs.get(n)
+	recs := getKVBuf(n)
 	var keyIdx, recID int64
 	for i := 0; i < n; i++ {
 		keyIdx += d.Varint()
@@ -170,7 +170,7 @@ func decodeSegment(buf []byte) ([]kvRec, int, error) {
 			break
 		}
 		if keyIdx < 0 || keyIdx >= int64(len(dict)) {
-			kvBufs.put(recs)
+			putKVBuf(recs)
 			return nil, 0, fmt.Errorf("%w: segment key index %d outside dictionary of %d",
 				wire.ErrCorrupt, keyIdx, len(dict))
 		}
@@ -185,11 +185,11 @@ func decodeSegment(buf []byte) ([]kvRec, int, error) {
 		})
 	}
 	if err := d.Err(); err != nil {
-		kvBufs.put(recs)
+		putKVBuf(recs)
 		return nil, 0, fmt.Errorf("mapreduce: segment record: %w", err)
 	}
 	if d.Remaining() != 0 {
-		kvBufs.put(recs)
+		putKVBuf(recs)
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())
 	}
 	return recs, mapperID, nil

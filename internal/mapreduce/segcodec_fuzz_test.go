@@ -80,8 +80,8 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("round trip changed record %d: %+v vs %+v", i, a, b)
 			}
 		}
-		kvBufs.put(got2)
-		kvBufs.put(got)
+		putKVBuf(got2)
+		putKVBuf(got)
 	})
 }
 

@@ -287,7 +287,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		}
 		if err != nil {
 			for p := range parts {
-				kvBufs.put(parts[p])
+				putPartBuf(parts[p])
 			}
 			arena.release()
 		}
@@ -318,7 +318,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		p := partition(key, n)
 		buf := parts[p]
 		if buf == nil {
-			buf = kvBufs.get(0)
+			buf = getPartBuf()
 		}
 		parts[p] = append(buf, rec)
 		logical[p] += rec.wireSize()
@@ -365,7 +365,7 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 			continue
 		}
 		sg := encodeSegment(parts[p])
-		kvBufs.put(parts[p])
+		putPartBuf(parts[p])
 		parts[p] = nil
 		bytes += int64(len(sg))
 		err := faults.Fire(ctx, PointRunSend, sent)
@@ -416,7 +416,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		Tag(obs.TagPhase, "map").End()
 	if env.job.Reduce == nil {
 		defer out.arena.release()
-		defer kvBufs.put(out.pairs)
+		defer putPartBuf(out.pairs)
 		if env.job.Output == nil {
 			return true, nil
 		}

@@ -446,13 +446,6 @@ func (m *MemSink) Spans() []*Span {
 	return append([]*Span(nil), m.spans...)
 }
 
-// Reset drops all collected spans.
-func (m *MemSink) Reset() {
-	m.mu.Lock()
-	m.spans = m.spans[:0]
-	m.mu.Unlock()
-}
-
 // JSONLSink writes one JSON object per span to a buffered writer. The
 // encoder is hand-rolled (fixed field order, integer attrs only) so a
 // traced hot loop pays string formatting, not reflection.

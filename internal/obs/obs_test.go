@@ -135,6 +135,13 @@ func TestJSONLBytes(t *testing.T) {
 	}
 }
 
+// Reset drops all collected spans.
+func (m *MemSink) Reset() {
+	m.mu.Lock()
+	m.spans = m.spans[:0]
+	m.mu.Unlock()
+}
+
 // TestSpanAllocs: recording a span — open, three attributes, a tag, end
 // into an in-memory sink — allocates one object, the span record: an
 // attribute or a tag is a store into it.

@@ -27,7 +27,7 @@ func (s *b1State) Fields() []sym.Value { return []sym.Value{&s.LastOk, &s.Out} }
 // B1 reports every window of more than 2 minutes with no successful
 // query by any user. Grouping key is the constant "all": the query has
 // exactly one group, so symbolic parallelism is the only parallelism.
-func B1() *Spec {
+func b1() *Spec {
 	q := &core.Query[*b1State, int64, []int64]{
 		Name: "B1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -76,7 +76,7 @@ func (s *b2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Count} }
 
 // B2 counts, per geographic area, windows of more than 2 minutes with no
 // successful query from that area (local outages).
-func B2() *Spec {
+func b2() *Spec {
 	q := &core.Query[*b2State, int64, int64]{
 		Name: "B2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -137,7 +137,7 @@ func (s *b3State) Fields() []sym.Value {
 // B3 reports, per user, the number of queries in each session (< 2
 // minutes between consecutive queries). The group count is huge — the
 // regime where the paper observes SYMPLE stops helping (§6.5).
-func B3() *Spec {
+func b3() *Spec {
 	q := &core.Query[*b3State, int64, []int64]{
 		Name: "B3",
 		GroupBy: func(rec []byte) (string, int64, bool) {

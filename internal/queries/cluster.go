@@ -1,44 +1,22 @@
 package queries
 
 import (
-	"sync"
-
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
-	"repro/internal/sym"
 )
 
 // Cluster wiring: user map functions are closures over typed queries
 // and cannot cross a socket, so coordinator and worker instead agree on
 // a registry key — the query ID — and both sides link the same
-// registrations. Constructing any Spec (makeSpec) registers its SYMPLE
-// map side under its ID; a worker process just has to force the specs
-// into existence once at startup.
-
-// registerClusterJob publishes the SYMPLE map side of a typed query in
-// the cluster job registry under the query's ID. makeSpec calls it, so
-// any process that constructs the specs can serve worker assignments.
-func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
-	mappers := sync.OnceValues(func() (func(*obs.Trace) mapreduce.MapFunc, error) { return core.SympleMappers(q) })
-	cluster.RegisterJob(id, func(_ cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		mk, err := mappers()
-		if err != nil {
-			return nil, err
-		}
-		return mk(trace), nil
-	})
-}
+// registrations. Building the Specs (makeSpec) registers each query's
+// compiled map side under its ID; a worker process just has to force the
+// specs into existence once at startup.
 
 // RegisterClusterJobs makes every query's map side available to the
 // cluster job registry. Worker processes (cmd/sympled, the spawned
 // worker modes) call this once at startup; it is idempotent.
-func RegisterClusterJobs() {
-	// Constructing each Spec runs makeSpec, which registers its job.
-	_ = All()
-}
+func RegisterClusterJobs() { all() }
 
 // ClusterSpec builds the cluster.JobSpec a coordinator ships to
 // workers for query id under the given engine config. The spec must

@@ -76,10 +76,11 @@ func composeCheckQuery[S sym.State, E, R any](
 	segs []*mapreduce.Segment,
 	splits int,
 ) (*composeReport, error) {
-	sc, err := q.Schema()
+	c, err := core.Compile(q)
 	if err != nil {
 		return nil, err
 	}
+	sc := c.Schema()
 	if splits < 1 {
 		splits = 1
 	}

@@ -322,11 +322,7 @@ func (r *serveRunner[S, E, R]) keyOf(rec []byte) (key string, ok bool) {
 // exports it.
 func (r *serveRunner[S, E, R]) eventCap(t *testing.T) int {
 	t.Helper()
-	sc, err := r.schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := sym.NewSchemaExecutor(sc, r.q.Update, r.q.Options)
+	x := sym.NewSchemaExecutor(r.c.Schema(), r.q.Update, r.q.Options)
 	var enc wire.Encoder
 	for n := 1; ; n++ {
 		x.Reset()

@@ -20,7 +20,7 @@ type g1State struct {
 func (s *g1State) Fields() []sym.Value { return []sym.Value{&s.OnlyPush} }
 
 // G1 returns all repositories whose every operation is a push.
-func G1() *Spec {
+func g1() *Spec {
 	q := &core.Query[*g1State, int64, bool]{
 		Name: "G1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -67,7 +67,7 @@ func (s *g2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Out} }
 
 // G2 reports, per repository, each operation that directly preceded a
 // repository deletion.
-func G2() *Spec {
+func g2() *Spec {
 	q := &core.Query[*g2State, int64, []int64]{
 		Name: "G2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -120,7 +120,7 @@ func (s *g3State) Fields() []sym.Value {
 
 // G3 reports, per repository, the number of operations executed between
 // each pull-request open and its close.
-func G3() *Spec {
+func g3() *Spec {
 	q := &core.Query[*g3State, int64, []int64]{
 		Name: "G3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -179,7 +179,7 @@ func (s *g4State) Fields() []sym.Value {
 
 // G4 reports, per repository, the elapsed time between each branch
 // deletion and the next branch creation.
-func G4() *Spec {
+func g4() *Spec {
 	q := &core.Query[*g4State, g4Event, []int64]{
 		Name: "G4",
 		GroupBy: func(rec []byte) (string, g4Event, bool) {

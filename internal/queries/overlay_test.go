@@ -148,7 +148,11 @@ func tallyQuery(id string) (*core.Query[*tallyState, int64, int64], func(string,
 func TestOverlayLineCases(t *testing.T) {
 	const id = "overlay-line-cases"
 	q, format := tallyQuery(id)
-	registerServeQuery(id, q, format)
+	c, err := core.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerServeQuery(id, q, c, format)
 	seg := func(lines ...string) *mapreduce.Segment {
 		s := &mapreduce.Segment{}
 		for _, l := range lines {

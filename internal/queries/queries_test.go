@@ -176,7 +176,7 @@ func TestG3IndependentOracle(t *testing.T) {
 		}
 	}
 
-	seq, err := G3().Sequential(segs)
+	seq, err := ByID("G3").Sequential(segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestB1IndependentOracle(t *testing.T) {
 	if len(gaps) == 0 {
 		t.Fatal("oracle found no outages")
 	}
-	seq, err := B1().Sequential(segs)
+	seq, err := ByID("B1").Sequential(segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestB1IndependentOracle(t *testing.T) {
 		t.Fatalf("B1 oracle digest mismatch")
 	}
 	// And SYMPLE must agree with the oracle across the chunk cuts.
-	symp, err := B1().Symple(segs, mapreduce.Config{NumReducers: 1})
+	symp, err := ByID("B1").Symple(segs, mapreduce.Config{NumReducers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

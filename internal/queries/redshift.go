@@ -26,7 +26,7 @@ func (s *r1State) Fields() []sym.Value { return []sym.Value{&s.Count} }
 // R1 counts impressions per advertiser — counting written as a UDA, the
 // paper's canonical example of an aggregation systems normally special-
 // case but SYMPLE parallelizes automatically.
-func R1() *Spec {
+func r1() *Spec {
 	q := &core.Query[*r1State, struct{}, int64]{
 		Name: "R1",
 		GroupBy: func(rec []byte) (string, struct{}, bool) {
@@ -67,7 +67,7 @@ func (s *r2State) Fields() []sym.Value {
 }
 
 // R2 lists advertisers whose every impression is in one country.
-func R2() *Spec {
+func r2() *Spec {
 	q := &core.Query[*r2State, int64, string]{
 		Name: "R2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -170,7 +170,7 @@ func (s *r3State) Fields() []sym.Value { return []sym.Value{&s.LastTs, &s.Out} }
 
 // R3 reports, per advertiser, the cases when its ads were not showing
 // for more than 1 hour.
-func R3() *Spec {
+func r3() *Spec {
 	q := &core.Query[*r3State, int64, []int64]{
 		Name: "R3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -215,7 +215,7 @@ func (s *r4State) Fields() []sym.Value {
 
 // R4 reports, per advertiser, the length of each maximal run of
 // impressions showing a single campaign.
-func R4() *Spec {
+func r4() *Spec {
 	q := &core.Query[*r4State, int64, []int64]{
 		Name: "R4",
 		GroupBy: func(rec []byte) (string, int64, bool) {

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapreduce"
@@ -15,35 +14,29 @@ import (
 )
 
 // registerServeQuery publishes the query to the serve registry so the
-// long-running query service can fold it incrementally. The serve
-// session uses exactly the in-process SYMPLE mapper (default options), so
+// long-running query service can fold it incrementally. A session maps
+// and folds on c, the compiled query batch runs use (default options), so
 // cached bundles are the bytes a batch run shuffles, and reuses the
 // spec's format func through digestResults — the service's digest is
 // Run.Digest for the same data.
 func registerServeQuery[S sym.State, E, R any](
 	id string,
 	q *core.Query[S, E, R],
+	c *core.Compiled[S, E, R],
 	format func(key string, r R) string,
 ) {
-	serve.Register(id, &serveRunner[S, E, R]{id: id, q: q, format: format,
-		empty:  &servePrefix[S, E, R]{res: digestMerged(nil, nil, nil)},
-		schema: sync.OnceValues(q.Schema),
-		mappers: sync.OnceValues(func() (func(*obs.Trace) mapreduce.MapFunc, error) {
-			return core.SympleMappers(q)
-		})})
+	serve.Register(id, &serveRunner[S, E, R]{id: id, q: q, c: c, format: format,
+		empty: &servePrefix[S, E, R]{res: digestMerged(nil, nil, nil)}})
 }
 
-// serveRunner builds fold sessions for one query. What a session needs
-// that depends on the query alone — the compiled schema of its fold site
-// and the map side of its cold runs — is built at first use and shared
-// by every session after: a job allocates what it folds and maps.
+// serveRunner builds fold sessions for one query, all on its one
+// compiled schema and exec-site pool.
 type serveRunner[S sym.State, E, R any] struct {
-	id      string
-	q       *core.Query[S, E, R]
-	format  func(key string, r R) string
-	empty   *servePrefix[S, E, R] // what a session with no prefix resumes from
-	schema  func() (*sym.Schema[S], error)
-	mappers func() (func(*obs.Trace) mapreduce.MapFunc, error)
+	id     string
+	q      *core.Query[S, E, R]
+	c      *core.Compiled[S, E, R]
+	format func(key string, r R) string
+	empty  *servePrefix[S, E, R] // what a session with no prefix resumes from
 }
 
 // SchemaKey names the map-output schema for cache keying. The SYMPLE
@@ -51,11 +44,7 @@ type serveRunner[S sym.State, E, R any] struct {
 func (r *serveRunner[S, E, R]) SchemaKey() string { return "symple/" + r.id }
 
 func (r *serveRunner[S, E, R]) NewSession() (serve.Session, error) {
-	sc, err := r.schema()
-	if err != nil {
-		return nil, err
-	}
-	return &serveSession[S, E, R]{r: r, site: sym.NewFolder(sc), base: r.empty}, nil
+	return &serveSession[S, E, R]{r: r, site: sym.NewFolder(r.c.Schema()), base: r.empty}, nil
 }
 
 // line is key's result line over st. The queries' Result funcs only read
@@ -112,11 +101,7 @@ type serveSession[S sym.State, E, R any] struct {
 }
 
 func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, error) {
-	mk, err := s.r.mappers()
-	if err != nil {
-		return nil, err
-	}
-	return mk(trace), nil
+	return s.r.c.Mapper(trace), nil
 }
 
 func (s *serveSession[S, E, R]) FoldPart(part *serve.Part) error {

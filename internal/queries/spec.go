@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/sym"
@@ -105,16 +106,18 @@ func makeSpec[S sym.State, E, R any](
 		d, n := digestResults(out.Results, format)
 		return &Run{Digest: d, NumResults: n, Metrics: out.Metrics, Sym: out.Sym}, nil
 	}
-	// Symple's jobs share one runner, so each finds the exec sites the
-	// last one left.
-	runner := sync.OnceValue(func() core.SympleRun[R] { return core.SympleRunner(q) })
+	c, err := core.Compile(q)
+	if err != nil {
+		// The twelve queries are fixed code: only a bug fails to compile.
+		panic(fmt.Sprintf("query %s: %v", id, err))
+	}
 	// SYMPLE formats each result line where its group folds, into the
 	// slot of its ordinal in its partition: a retried reduce attempt,
 	// replaying ordinals 0…n−1, overwrites the failed one's lines instead
 	// of adding to them.
-	symple := func(run core.SympleRun[R], segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
+	symple := func(c *core.Compiled[S, E, R], segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 		lines := make([][]string, max(conf.NumReducers, 1))
-		out, err := run(segs, conf, func(p, g int, key string, r R) {
+		out, err := c.Run(segs, conf, func(p, g int, key string, r R) {
 			lines[p] = append(lines[p][:g], format(key, r))
 		})
 		if err != nil {
@@ -123,10 +126,11 @@ func makeSpec[S sym.State, E, R any](
 		d, n := Digest(slices.Concat(lines...))
 		return &Run{Digest: d, NumResults: n, Metrics: out.Metrics, Sym: out.Sym}, nil
 	}
-	// Publish the map side for cluster workers (see cluster.go) and the
-	// fold side for the query service (see serve.go).
-	registerClusterJob(id, q)
-	registerServeQuery(id, q, format)
+	// The one compiled query serves the batch jobs below, cluster workers'
+	// map side (see cluster.go) and the query service's sessions (see
+	// serve.go): each job finds the exec sites the last one left.
+	cluster.RegisterJob(id, c.Mapper)
+	registerServeQuery(id, q, c, format)
 	return &Spec{
 		ID: id, Description: desc, Dataset: dataset,
 		UsesEnum: usesEnum, UsesInt: usesInt, UsesPred: usesPred,
@@ -137,7 +141,7 @@ func makeSpec[S sym.State, E, R any](
 			return wrap(core.RunBaseline(q, segs, conf))
 		},
 		Symple: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return symple(runner(), segs, conf)
+			return symple(c, segs, conf)
 		},
 		BaselinePair: func() (mapreduce.MapFunc, func(string, []mapreduce.Shuffled) (string, error), error) {
 			b, err := core.NewBaseline(q, nil)
@@ -153,12 +157,16 @@ func makeSpec[S sym.State, E, R any](
 			}, nil
 		},
 		SympleWithOptions: func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error) {
-			// A shallow copy: q is shared with every other runner, the
-			// cluster job and the serve runner, any of which may be
-			// running concurrently.
+			// A shallow copy, compiled on its own: q is shared with the
+			// jobs, cluster assignments and serve sessions of c, any of
+			// which may be running concurrently.
 			qq := *q
 			qq.Options = opts
-			return symple(core.SympleRunner(&qq), segs, conf)
+			cc, err := core.Compile(&qq)
+			if err != nil {
+				return nil, fmt.Errorf("query %s: %w", id, err)
+			}
+			return symple(cc, segs, conf)
 		},
 	}
 }
@@ -182,19 +190,25 @@ func resultLine(key string, vs ...int64) string {
 	return string(buf)
 }
 
-// All returns every query spec, in Table 1 order.
-func All() []*Spec {
+// all builds the twelve specs once per process, in Table 1 order: each
+// query is compiled once (makeSpec), and registered with the cluster and
+// the query service once.
+var all = sync.OnceValue(func() []*Spec {
 	return []*Spec{
-		G1(), G2(), G3(), G4(),
-		B1(), B2(), B3(),
-		T1(),
-		R1(), R2(), R3(), R4(),
+		g1(), g2(), g3(), g4(),
+		b1(), b2(), b3(),
+		t1(),
+		r1(), r2(), r3(), r4(),
 	}
-}
+})
+
+// All returns every query spec, in Table 1 order: the same Specs on
+// every call.
+func All() []*Spec { return slices.Clone(all()) }
 
 // ByID returns the query with the given ID, or nil.
 func ByID(id string) *Spec {
-	for _, s := range All() {
+	for _, s := range all() {
 		if s.ID == id {
 			return s
 		}

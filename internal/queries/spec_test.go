@@ -64,7 +64,7 @@ func TestResultLine(t *testing.T) {
 }
 
 func TestSympleWithOptionsRestoresDefaults(t *testing.T) {
-	spec := G1()
+	spec := ByID("G1")
 	segs := data.GenGithub(data.GithubConfig{Records: 500, Repos: 20, Segments: 2, Seed: 33})
 	conf := mapreduce.Config{NumReducers: 1}
 	base, err := spec.Symple(segs, conf)

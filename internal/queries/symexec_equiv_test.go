@@ -39,7 +39,7 @@ func TestSympleMemoEquivalence(t *testing.T) {
 // fold and at most one Update run to build its transition — must not
 // fall back to exploring record by record.
 func TestSympleRunProbeStats(t *testing.T) {
-	for _, spec := range []*Spec{G1(), T1(), R1()} {
+	for _, spec := range []*Spec{ByID("G1"), ByID("T1"), ByID("R1")} {
 		segs := smallDatasets(4)[spec.Dataset]
 		out, err := spec.Symple(segs, mapreduce.Config{NumReducers: 3})
 		if err != nil {

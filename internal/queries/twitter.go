@@ -26,7 +26,7 @@ func (s *t1State) Fields() []sym.Value {
 // T1 measures spam learning speed: per hashtag, the number of tweets not
 // marked as spam before the filter produced at least 5 consecutive
 // spam-marked tweets.
-func T1() *Spec {
+func t1() *Spec {
 	q := &core.Query[*t1State, int64, []int64]{
 		Name: "T1",
 		GroupBy: func(rec []byte) (string, int64, bool) {

@@ -90,7 +90,8 @@ var (
 )
 
 // Register publishes the runner for a query ID, replacing any previous
-// registration (queries re-register on every Spec construction).
+// registration (internal/queries registers each query once per process,
+// when it builds its Specs).
 func Register(id string, r Runner) {
 	regMu.Lock()
 	runners[id] = r
