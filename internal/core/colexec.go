@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
@@ -27,6 +29,13 @@ type Batch[E any] struct {
 	Rows []int32
 	// Events holds the kept rows' events, in row order.
 	Events []E
+}
+
+// Add appends a kept row: its key's index in Keys, its row and its event.
+func (b *Batch[E]) Add(ki, row int32, ev E) {
+	b.KeyIdx = append(b.KeyIdx, ki)
+	b.Rows = append(b.Rows, row)
+	b.Events = append(b.Events, ev)
 }
 
 // Reset empties the batch, retaining capacity.
@@ -55,9 +64,7 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 			b.Keys = append(b.Keys, key)
 			idx[key] = ki
 		}
-		b.KeyIdx = append(b.KeyIdx, ki)
-		b.Rows = append(b.Rows, int32(i))
-		b.Events = append(b.Events, ev)
+		b.Add(ki, int32(i), ev)
 	}
 }
 
@@ -66,27 +73,49 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, b *
 // a chunk is staged in. Pooled per compiled query (Compiled) so the
 // executor's run cache and container stack — which depend only on the
 // schema and update function, never on the chunk — stay warm across
-// chunks and jobs. A site is pooled again only by the attempt
-// that ran it to the end and emitted its result: one that errored or was
-// killed mid-chunk is simply dropped. used marks an executor that has
-// fed keys since its last Reset and so needs one before its next
-// FeedBatch.
+// chunks and jobs. used marks an executor that has fed keys since its
+// last Reset and so needs one before its next FeedBatch.
 type batchExec[S sym.State, E any] struct {
 	fast *sym.Executor[S, E]
 	used bool
 
 	// Chunk scratch, reused by the site's next chunk once Emit has copied
 	// this one's result: the GroupBy batch and the scalar GroupBy's key
-	// index, the counting-sorted events and the sort's offsets and
-	// cursors, and per key of batch.Keys its bundle (a slice of enc) and
-	// last row, the bundle's recordID in §5.4's shuffle order.
-	batch     Batch[E]
-	idx       map[string]int32
-	events    []E
-	offs, cur []int32
-	enc       wire.Encoder
-	bundles   [][]byte
-	last      []int64
+	// index, the chunk's grouped form when no memo answers it, and per
+	// key its bundle (a slice of enc).
+	batch   Batch[E]
+	idx     map[string]int32
+	g       grouped[E]
+	enc     wire.Encoder
+	bundles [][]byte
+}
+
+// grouped is pass one's output, all pass two reads: keys in first-use
+// order, key k's events at events[offs[k]:offs[k+1]] in row order, and
+// its last row, the recordID its bundle ships under (§5.4).
+type grouped[E any] struct {
+	keys   []string
+	offs   []int32
+	events []E
+	last   []int64
+}
+
+// memo is what a segment keeps of a query (Segment.Derived, under
+// groupKey): how many chunks grouped it afresh, and from the second on
+// an exact-size copy of their grouped form, which every later chunk
+// reads instead — immutable, shared by concurrent ones.
+type memo[E any] struct {
+	touches atomic.Int32
+	g       atomic.Pointer[grouped[E]]
+}
+
+func newMemo[E any]() any { return new(memo[E]) }
+
+// groupKey keys q's memo: the GroupBy closure's address (a func value
+// is a pointer to its closure), shared by every compilation and copy of
+// q whatever its Options. The segment holds it, so it is not reused.
+func groupKey[S sym.State, E, R any](q *Query[S, E, R]) any {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&q.GroupBy))
 }
 
 // sized returns s resliced to n elements, reallocated only when its
@@ -95,30 +124,27 @@ func sized[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// batchExecPool hands batch executors to the concurrently running map
-// tasks of a compiled query's jobs. Zero value is ready; an empty pool means the
-// chunk builds a fresh batchExec and parks it here when done.
-type batchExecPool[S sym.State, E any] struct {
+// sitePool hands a compiled query's sites, exec or fold, to the tasks of
+// its jobs. A site comes back only from a user that ran it to the end:
+// one a failure left is dropped. get returns nil from an empty pool.
+type sitePool[T any] struct {
 	mu   sync.Mutex
-	free []*batchExec[S, E]
+	free []T
 }
 
-func (bp *batchExecPool[S, E]) get() *batchExec[S, E] {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if n := len(bp.free); n > 0 {
-		be := bp.free[n-1]
-		bp.free[n-1] = nil
-		bp.free = bp.free[:n-1]
-		return be
+func (p *sitePool[T]) get() (site T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		site, p.free[n-1], p.free = p.free[n-1], site, p.free[:n-1]
 	}
-	return nil
+	return site
 }
 
-func (bp *batchExecPool[S, E]) put(be *batchExec[S, E]) {
-	bp.mu.Lock()
-	bp.free = append(bp.free, be)
-	bp.mu.Unlock()
+func (p *sitePool[T]) put(site T) {
+	p.mu.Lock()
+	p.free = append(p.free, site)
+	p.mu.Unlock()
 }
 
 // addStatsDelta folds the growth of one executor's counters between two
@@ -134,74 +160,42 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 }
 
 // symExecChunk is the one place events reach a symbolic executor: it
-// runs the per-key UDA loop over a map task's segment in two passes.
-// Pass one fills a Batch — through the query's GroupByBatch over the
-// segment's typed-column index, whose columns the first job to read each
-// builds and every later one finds resident, else through the
-// scalar GroupBy per record; that selection is made here, from the
-// input, and nowhere else — and counting-sorts the key-index vector into
-// per-key contiguous event vectors. Pass two runs each key through the
-// site: Reset, feed the key's vector to the executor's batch API
-// (FeedBatch, which folds runs of identical events as units and
-// executes quiet stretches in place), and append
-// the key's bundle — encoded straight from the executor's paths — to the
-// site's encoder, behind the chunk's earlier bundles.
-// Batching keeps per-record map lookups out of the symbolic hot loop and
-// lets pass two be timed on its own (stats.ExecWall), net of the parse
-// cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (stats SymStats, err error) {
+// runs the per-key UDA loop over a map task's segment in two passes and
+// returns the grouped form it ran, each key's bundle in be.bundles. Pass
+// one is the segment's memo of the query's grouped form, kept by the
+// second chunk to group the segment afresh (groupChunk). Pass two runs
+// each key through the site: Reset, feed the key's vector to FeedBatch
+// (which folds runs of identical events as units and executes quiet
+// stretches in place), and append the key's bundle — encoded straight
+// from the executor's paths — to the site's encoder. Pass two is timed
+// on its own (stats.ExecWall), net of the parse cost every engine shares.
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *batchExec[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (g *grouped[E], stats SymStats, err error) {
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrRecords, int64(len(seg.Records)))
-	b := &be.batch
-	var cols *mapreduce.Columnar
-	if q.GroupByBatch != nil && q.Columns.Plan != nil {
-		cols = seg.Index(q.Columns, parseSpan)
+	m, _ := seg.Derived(memoKey, newMemo[E]).(*memo[E])
+	if m != nil {
+		g = m.g.Load()
 	}
-	if cols == nil || !q.GroupByBatch(cols, b) {
-		// No index under this query's plan (none set, or the segment is
-		// resident under another's), or columns that don't match the
-		// shape the query compiled against; the batch content is then
-		// unspecified and rebuilt scalar.
-		scalarBatch(q, seg.Records, b, be.idx)
+	if g == nil {
+		g = groupChunk(q, be, seg, parseSpan)
+		if m != nil && m.touches.Add(1) == 2 {
+			m.g.Store(&grouped[E]{slices.Clone(g.keys), slices.Clone(g.offs), slices.Clone(g.events), slices.Clone(g.last)})
+		}
 	}
 	// The records are read up to here; keys that view them leave with
 	// the result, and the map task body keeps seg reachable past them.
 	runtime.KeepAlive(seg)
-	parseSpan.Attr(obs.AttrGroups, int64(len(b.Keys))).
-		Attr(obs.AttrBatchRecords, int64(len(b.Events))).End()
-
-	// Counting sort over the key-index vector: per-key contiguous event
-	// runs without per-record map lookups or per-key slice growth.
-	nk := len(b.Keys)
-	be.offs = sized(be.offs, nk+1)
-	offs := be.offs
-	clear(offs)
-	for _, ki := range b.KeyIdx {
-		offs[ki+1]++
-	}
-	for i := 1; i <= nk; i++ {
-		offs[i] += offs[i-1]
-	}
-	be.events, be.cur = sized(be.events, len(b.Events)), sized(be.cur, nk)
-	be.last = sized(be.last, nk)
-	events, cur, last := be.events, be.cur, be.last
-	copy(cur, offs[:nk])
-	for r, ki := range b.KeyIdx {
-		events[cur[ki]] = b.Events[r]
-		cur[ki]++
-		last[ki] = int64(b.Rows[r]) // rows ascend, so the final write is the max
-	}
-
-	// The last rows fall straight out of the counting sort; the bundle
-	// list is sized here so the timed pass below only appends.
-	be.bundles = slices.Grow(be.bundles[:0], nk)
+	parseSpan.Attr(obs.AttrGroups, int64(len(g.keys))).
+		Attr(obs.AttrBatchRecords, int64(len(g.events))).End()
+	// The bundle list is sized here so the timed pass below only appends.
+	be.bundles = slices.Grow(be.bundles[:0], len(g.keys))
 
 	start := time.Now()
 	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
-		Attr(obs.AttrGroups, int64(len(b.Keys))).
-		Attr(obs.AttrBatchRecords, int64(len(b.Events)))
+		Attr(obs.AttrGroups, int64(len(g.keys))).
+		Attr(obs.AttrBatchRecords, int64(len(g.events)))
 	fast, enc := be.fast, &be.enc
 	enc.Reset()
 	prev := fast.Stats()
@@ -210,8 +204,8 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E],
 	// paths entirely and so neither needs nor forces one. A pooled
 	// executor arrives with the previous chunk's last key still live.
 	needReset := be.used
-	for ki, key := range b.Keys {
-		evs := events[offs[ki]:offs[ki+1]]
+	for ki, key := range g.keys {
+		evs := g.events[g.offs[ki]:g.offs[ki+1]]
 		if bundle := fast.IdentityBundle(evs); bundle != nil {
 			be.bundles = append(be.bundles, bundle)
 			stats.Summaries++
@@ -230,7 +224,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E],
 			// The site is dropped, not repooled: an errored executor's
 			// path state is unspecified, and the attempt is over.
 			execSpan.Tag(obs.TagOutcome, "error").End()
-			return stats, fmt.Errorf("key %q: %w", key, err)
+			return nil, stats, fmt.Errorf("key %q: %w", key, err)
 		}
 		// Clipped, so nothing appends over the next key's; an array enc
 		// outgrows keeps its bundles until they are emitted.
@@ -241,5 +235,45 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E],
 	stats.ExecWall = time.Since(start)
 	execSpan.End()
 	be.used = needReset
-	return stats, nil
+	return g, stats, nil
+}
+
+// groupChunk is pass one in the site's scratch: the query's GroupByBatch
+// over the segment's typed-column index, whose columns the first job to
+// read each builds, else the scalar GroupBy per record — chosen here,
+// from the input, and nowhere else — then a counting sort over the
+// key-index vector lays the events out key by key.
+func groupChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], seg *mapreduce.Segment, parseSpan *obs.ActiveSpan) *grouped[E] {
+	b, g := &be.batch, &be.g
+	var cols *mapreduce.Columnar
+	if q.GroupByBatch != nil && q.Columns.Plan != nil {
+		cols = seg.Index(q.Columns, parseSpan)
+	}
+	if cols == nil || !q.GroupByBatch(cols, b) {
+		// No index under this query's plan (none set, or the segment is
+		// resident under another's), or columns that don't match the
+		// shape the query compiled against; the batch content is then
+		// unspecified and rebuilt scalar.
+		scalarBatch(q, seg.Records, b, be.idx)
+	}
+	// offs[k+2] counts key k's events, the running sum turns offs[k+1]
+	// into k's start, and laying an event out advances it, so it ends at
+	// k's end: offs[k+1], the next key's start.
+	nk := len(b.Keys)
+	g.keys, g.offs = b.Keys, sized(g.offs, nk+2)
+	clear(g.offs)
+	for _, ki := range b.KeyIdx {
+		g.offs[ki+2]++
+	}
+	for i := 2; i < len(g.offs); i++ {
+		g.offs[i] += g.offs[i-1]
+	}
+	g.events, g.last = sized(g.events, len(b.Events)), sized(g.last, nk)
+	for r, ki := range b.KeyIdx {
+		g.events[g.offs[ki+1]] = b.Events[r]
+		g.offs[ki+1]++
+		g.last[ki] = int64(b.Rows[r]) // rows ascend, so the final write is the max
+	}
+	g.offs = g.offs[:nk+1]
+	return g
 }

@@ -6,20 +6,23 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	"repro/internal/sym"
 )
 
 // indexedMax is maxQuery with a vectorized GroupBy over the plan
 // {key: dictionary, value: int}, instrumented to count what each job
-// pays: calls of the scalar GroupBy and parses done by an index build.
+// pays: calls of the scalar GroupBy and of GroupByBatch, and parses done
+// by an index build.
 type indexedMax struct {
-	q              *Query[*maxState, int64, int64]
-	scalar, parses atomic.Int64
-	refuse         bool // GroupByBatch reports a shape mismatch
+	q                       *Query[*maxState, int64, int64]
+	scalar, batches, parses atomic.Int64
+	refuse                  bool // GroupByBatch reports a shape mismatch
 }
 
 func newIndexedMax() *indexedMax {
@@ -38,6 +41,7 @@ func newIndexedMax() *indexedMax {
 		}},
 	}}).Read(0, 1)
 	m.q.GroupByBatch = func(cols *mapreduce.Columnar, b *Batch[int64]) bool {
+		m.batches.Add(1)
 		if m.refuse {
 			return false
 		}
@@ -83,68 +87,148 @@ func fillBatch(cols *mapreduce.Columnar, b *Batch[int64], groupBy func([]byte) (
 }
 
 // run executes the query over segs and returns the results with the
-// scalar GroupBy calls and index parses that job cost.
-func (m *indexedMax) run(t *testing.T, segs []*mapreduce.Segment) (map[string]int64, int64, int64) {
+// scalar GroupBy calls, GroupByBatch calls and index parses that job
+// cost.
+func (m *indexedMax) run(t *testing.T, segs []*mapreduce.Segment) (map[string]int64, [3]int64) {
 	t.Helper()
 	m.scalar.Store(0)
+	m.batches.Store(0)
 	m.parses.Store(0)
 	out, err := RunSymple(m.q, segs, mapreduce.Config{NumReducers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Results, m.scalar.Load(), m.parses.Load()
+	return out.Results, [3]int64{m.scalar.Load(), m.batches.Load(), m.parses.Load()}
 }
 
 // TestSymExecChunkIndexesOncePerResidentSegment pins the one selection
-// symExecChunk makes: the first job to touch a segment builds its index,
-// every later job scans the resident vectors (no parse, no scalar
-// GroupBy but for ragged rows), and a segment resident under another
-// plan, a refused shape, or a query with no plan group scalar — all with
-// the sequential answer.
+// symExecChunk makes and the memo above it: the first job to touch a
+// segment builds its index, the second scans the resident vectors (no
+// parse, no scalar GroupBy but for ragged rows) and keeps the grouped
+// form, and every later job reads that — no GroupBy, no GroupByBatch, no
+// parse. Fresh segments resident under another plan, a refused shape,
+// or a query with no plan group scalar. Every job answers as the
+// sequential run does.
 func TestSymExecChunkIndexesOncePerResidentSegment(t *testing.T) {
 	lines := randMaxInput(rand.New(rand.NewSource(7)), 600, 9)
-	const ragged = 3
+	const ragged, segments = 3, 4
 	lines[10], lines[300], lines[599] = "no-value", "k1\tnot-a-number", ""
 	rows := int64(len(lines))
 	typed := rows - 2 // rows with a second field for the index to parse
 
 	m := newIndexedMax()
-	want, err := RunSequential(maxQuery(), makeSegments(lines, 4))
+	want, err := RunSequential(maxQuery(), makeSegments(lines, segments))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, got map[string]int64, scalar, parses, wantScalar, wantParses int64) {
+	check := func(name string, got map[string]int64, calls, wantCalls [3]int64) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want.Results) {
 			t.Errorf("%s: results differ from sequential", name)
 		}
-		if scalar != wantScalar || parses != wantParses {
-			t.Errorf("%s: %d scalar GroupBy calls and %d index parses, want %d and %d",
-				name, scalar, parses, wantScalar, wantParses)
+		if calls != wantCalls {
+			t.Errorf("%s: %d scalar GroupBy calls, %d GroupByBatch calls and %d index parses, want %d, %d and %d",
+				name, calls[0], calls[1], calls[2], wantCalls[0], wantCalls[1], wantCalls[2])
 		}
 	}
 
-	segs := makeSegments(lines, 4)
-	got, scalar, parses := m.run(t, segs)
-	check("first touch", got, scalar, parses, ragged, typed)
-	got, scalar, parses = m.run(t, segs)
-	check("resident", got, scalar, parses, ragged, 0)
+	segs := makeSegments(lines, segments)
+	got, calls := m.run(t, segs)
+	check("first touch", got, calls, [3]int64{ragged, segments, typed})
+	got, calls = m.run(t, segs)
+	check("resident", got, calls, [3]int64{ragged, segments, 0})
+	for _, name := range []string{"memo", "memo again"} {
+		got, calls = m.run(t, segs)
+		check(name, got, calls, [3]int64{})
+	}
 
 	m.refuse = true
-	got, scalar, parses = m.run(t, segs)
-	check("refused shape", got, scalar, parses, rows, 0)
+	got, calls = m.run(t, makeSegments(lines, segments))
+	check("refused shape", got, calls, [3]int64{rows, segments, typed})
 	m.refuse = false
 
-	foreign := makeSegments(lines, 4)
+	foreign := makeSegments(lines, segments)
 	for _, seg := range foreign {
 		seg.Index(mapreduce.ColRead{Plan: &mapreduce.ColPlan{}}, nil)
 	}
-	got, scalar, parses = m.run(t, foreign)
-	check("foreign plan", got, scalar, parses, rows, 0)
+	got, calls = m.run(t, foreign)
+	check("foreign plan", got, calls, [3]int64{rows, 0, 0})
 
 	m.q.Columns = mapreduce.ColRead{}
-	got, scalar, parses = m.run(t, makeSegments(lines, 4))
-	check("no plan", got, scalar, parses, rows, 0)
+	got, calls = m.run(t, makeSegments(lines, segments))
+	check("no plan", got, calls, [3]int64{rows, 0, 0})
+}
+
+// keptForm is the grouped form seg keeps of q, or nil.
+func keptForm[S sym.State, E, R any](seg *mapreduce.Segment, q *Query[S, E, R]) *grouped[E] {
+	return seg.Derived(groupKey(q), newMemo[E]).(*memo[E]).g.Load()
+}
+
+// TestGroupedMemoConcurrentSecondTouch: the map tasks of concurrent
+// jobs that all make a segment's second touch keep one grouped form
+// between them — every later job reads it, calling neither GroupBy nor
+// GroupByBatch — and every job, racing or not, answers as the
+// sequential run does. Many keys, so the form is large (the -race leg's
+// subject).
+func TestGroupedMemoConcurrentSecondTouch(t *testing.T) {
+	lines := randMaxInput(rand.New(rand.NewSource(8)), 4000, 300)
+	const segments = 4
+	want, err := RunSequential(maxQuery(), makeSegments(lines, segments))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newIndexedMax()
+	c, err := Compile(m.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := makeSegments(lines, segments)
+	job := func() error {
+		results := map[string]int64{}
+		var mu sync.Mutex
+		_, err := c.Run(segs, mapreduce.Config{NumReducers: 2, Parallelism: segments}, func(_, _ int, key string, r int64) {
+			mu.Lock()
+			results[key] = r
+			mu.Unlock()
+		})
+		if err == nil && !reflect.DeepEqual(results, want.Results) {
+			err = fmt.Errorf("results differ from sequential")
+		}
+		return err
+	}
+	if err := job(); err != nil {
+		t.Fatalf("first touch: %v", err)
+	}
+	var wg sync.WaitGroup
+	for i := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := job(); err != nil {
+				t.Errorf("concurrent second touch %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	kept := make([]*grouped[int64], segments)
+	for i, seg := range segs {
+		if kept[i] = keptForm(seg, m.q); kept[i] == nil {
+			t.Fatalf("segment %d keeps no grouped form after its second touch", i)
+		}
+	}
+	m.scalar.Store(0)
+	m.batches.Store(0)
+	if err := job(); err != nil {
+		t.Fatalf("memo: %v", err)
+	}
+	if n, b := m.scalar.Load(), m.batches.Load(); n != 0 || b != 0 {
+		t.Errorf("a job over kept forms made %d GroupBy and %d GroupByBatch calls", n, b)
+	}
+	for i, seg := range segs {
+		if keptForm(seg, m.q) != kept[i] {
+			t.Errorf("segment %d: a later job replaced the kept grouped form", i)
+		}
+	}
 }
 
 // TestIndexBuildsWhatAJobReads counts an index build per column, with a

@@ -53,7 +53,9 @@ type Query[S sym.State, E, R any] struct {
 	// GroupBy parses one raw input record, returning the group key and
 	// the event the UDA consumes. ok=false drops the record (filter).
 	// Only fields the UDA needs should be propagated into E — the same
-	// hand-optimization the paper applies to its baseline.
+	// hand-optimization the paper applies to its baseline. It must be a
+	// pure function of the record, as must GroupByBatch of the columns:
+	// a segment keeps their output for every later job of the query.
 	GroupBy func(record []byte) (key string, event E, ok bool)
 
 	// GroupByBatch, when set together with Columns, vectorizes GroupBy
@@ -312,14 +314,15 @@ func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.S
 // Compiled is a query compiled once (paper §5.3: the state is checked
 // and the plan fixed before any mapper runs) for every job a process
 // runs of it: the validated query, its one state schema — every map
-// task's exec site and every reduce task's fold site is built on it — and
-// its one exec-site pool, from which the map tasks of every job, in
-// process, in the query service or on a cluster worker, draw the
-// executors and chunk scratch the last one left. Safe for concurrent use.
+// task's exec site and every reduce task's fold site is built on it —
+// and its one pool of each kind of site, from which the tasks of every
+// job, in process, in the query service or on a cluster worker, draw
+// what the last one left. Safe for concurrent use.
 type Compiled[S sym.State, E, R any] struct {
-	q    *Query[S, E, R]
-	sc   *sym.Schema[S]
-	pool batchExecPool[S, E]
+	q     *Query[S, E, R]
+	sc    *sym.Schema[S]
+	execs sitePool[*batchExec[S, E]]
+	folds sitePool[*groupFolder[S]]
 }
 
 // Compile validates q and compiles its state schema with its event codec.
@@ -344,7 +347,7 @@ func (c *Compiled[S, E, R]) Schema() *sym.Schema[S] { return c.sc }
 // differential tests pin down. trace (nil, or the spans a worker ships
 // back) receives its spans. Safe for concurrent attempts.
 func (c *Compiled[S, E, R]) Mapper(trace *obs.Trace) mapreduce.MapFunc {
-	return sympleMapFunc(c.q, c.sc, &c.pool, &sync.Mutex{}, &SymStats{}, trace, nil)
+	return sympleMapFunc(c.q, c.sc, &c.execs, &sync.Mutex{}, &SymStats{}, trace, nil)
 }
 
 // Run is one RunSymple job handing each result to sink where its group
@@ -358,18 +361,22 @@ func (c *Compiled[S, E, R]) Run(segments []*mapreduce.Segment, conf mapreduce.Co
 	finish := obsAutoVerify(&conf)
 	var mu sync.Mutex
 	stats := SymStats{}
-	// One fold site per reduce task: attempts of a task run one after
-	// another and tasks never share a partition, so sites[p] has one
-	// user at a time and a retry folds on the site the failure left.
+	// One fold site per reduce task, drawn from the pool at its first
+	// group: attempts of a task run one after another and tasks never
+	// share a partition, so sites[p] has one user at a time. A fold that
+	// fails drops its site, and a retry draws another.
 	sites := make([]*groupFolder[S], max(conf.NumReducers, 1))
 	reduce := func(p, group int, key string, values []mapreduce.Shuffled) error {
 		if sites[p] == nil {
-			sites[p] = newGroupFolder(c.sc)
+			if sites[p] = c.folds.get(); sites[p] == nil {
+				sites[p] = newGroupFolder(c.sc)
+			}
 		}
 		// values arrive ordered by (mapperID, recordID): the order the
 		// chunks appear in the input.
 		final, err := sites[p].fold(values)
 		if err != nil {
+			sites[p] = nil
 			return err
 		}
 		// Result reads the site's one state, which the next group resets:
@@ -379,11 +386,17 @@ func (c *Compiled[S, E, R]) Run(segments []*mapreduce.Segment, conf mapreduce.Co
 	}
 	job := &mapreduce.Job{
 		Name:   c.q.Name + "/symple",
-		Map:    sympleMapFunc(c.q, c.sc, &c.pool, &mu, &stats, conf.Trace, conf.Registry),
+		Map:    sympleMapFunc(c.q, c.sc, &c.execs, &mu, &stats, conf.Trace, conf.Registry),
 		Reduce: reduce,
 		Conf:   conf,
 	}
 	metrics, err := job.Run(segments)
+	// Every reduce task has ended: the sites no fold failed go back.
+	for _, site := range sites {
+		if site != nil {
+			c.folds.put(site)
+		}
+	}
 	if err := finish(err); err != nil {
 		return nil, err
 	}

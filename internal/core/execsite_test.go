@@ -19,7 +19,7 @@ import (
 // pool and returns every task's emitted (key, bundle) pairs in emit
 // order.
 func mapBundles[S sym.State, E, R any](t *testing.T, q *Query[S, E, R], sc *sym.Schema[S],
-	pool *batchExecPool[S, E], segs []*mapreduce.Segment, conf mapreduce.Config) [][]string {
+	pool *sitePool[*batchExec[S, E]], segs []*mapreduce.Segment, conf mapreduce.Config) [][]string {
 	t.Helper()
 	out := make([][]string, len(segs))
 	var mu sync.Mutex
@@ -59,13 +59,13 @@ func TestExecSitePoolSteadyState(t *testing.T) {
 	}
 	sc := c.Schema()
 	segs := makeSegments(sessionInput(rand.New(rand.NewSource(41)), 16000, 160), 8)
-	want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, segs, mapreduce.Config{Parallelism: 1})
+	want := mapBundles(t, q, sc, &sitePool[*batchExec[*sessState, int64]]{}, segs, mapreduce.Config{Parallelism: 1})
 
 	// The pool starts with eight sites, each warmed by a job of its own,
 	// so no job of eight concurrent tasks starts a site after them.
-	pool := &batchExecPool[*sessState, int64]{}
+	pool := &sitePool[*batchExec[*sessState, int64]]{}
 	for range 8 {
-		one := &batchExecPool[*sessState, int64]{}
+		one := &sitePool[*batchExec[*sessState, int64]]{}
 		mapBundles(t, q, sc, one, segs, mapreduce.Config{Parallelism: 1})
 		pool.free = append(pool.free, one.free...)
 	}
@@ -139,8 +139,8 @@ func TestChaosDroppedExecSite(t *testing.T) {
 	for _, opts := range []sym.Options{{}, {MaxLivePaths: 1}} {
 		q.Options = opts
 		fuse.Store(0)
-		want := mapBundles(t, q, sc, &batchExecPool[*sessState, int64]{}, segs, mapreduce.Config{Parallelism: 1})
-		pool := &batchExecPool[*sessState, int64]{}
+		want := mapBundles(t, q, sc, &sitePool[*batchExec[*sessState, int64]]{}, segs, mapreduce.Config{Parallelism: 1})
+		pool := &sitePool[*batchExec[*sessState, int64]]{}
 		var injected, aborted int64
 		for seed := 0; seed < chaosSeedCount(t, 8); seed++ {
 			plan := mapreduce.NewFaultPlan(int64(seed)).WithRate(0.3).WithMaxDelay(time.Millisecond).
@@ -180,11 +180,13 @@ func TestChaosDroppedExecSite(t *testing.T) {
 }
 
 // TestMapChunkAllocCeiling: a map chunk on a warm exec site takes its
-// per-key bundle and last-row arrays, its bundles' bytes and the scalar
-// GroupBy's key index from the site, which the previous chunk left them
-// in — Emit copies what it keeps — so a warm chunk allocates none of
-// them, whatever its key count. The GroupBy here allocates nothing, so
-// what is left is the two span names.
+// per-key bundle array, its grouped form's arrays, its bundles' bytes
+// and the scalar GroupBy's key index from the site, which the previous
+// chunk left them in — Emit copies what it keeps — so a warm chunk
+// allocates none of them, whatever its key count; nor does a chunk the
+// segment's memo answers, from its third touch on. The GroupBy here
+// allocates nothing, so what is left is the two span names, and on a
+// segment's first touch its memo entry.
 func TestMapChunkAllocCeiling(t *testing.T) {
 	q := maxQuery()
 	keys := make([]string, 4000)
@@ -199,33 +201,54 @@ func TestMapChunkAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := c.Schema()
+	const ceiling = 2.0
 	for _, nkeys := range []int{10, len(keys)} {
-		seg := &mapreduce.Segment{}
+		var records [][]byte
 		for i := range 4 * len(keys) {
 			k := i % nkeys
-			seg.Records = append(seg.Records, []byte{byte(k), byte(k >> 8), byte(i * 7)})
+			records = append(records, []byte{byte(k), byte(k >> 8), byte(i * 7)})
 		}
-		pool := &batchExecPool[*maxState, int64]{}
+		// Seven segments over the records, each touched once by the
+		// scratch leg (a warm-up chunk and AllocsPerRun's six), so no
+		// memo answers it; the first is the memo leg's.
+		segs := make([]*mapreduce.Segment, 7)
+		for i := range segs {
+			segs[i] = &mapreduce.Segment{Records: records}
+		}
+		pool := &sitePool[*batchExec[*maxState, int64]]{}
 		mapFn := sympleMapFunc(q, sc, pool, &sync.Mutex{}, &SymStats{}, nil, nil)
-		var bundleBytes int
+		var bundleBytes, next int
 		chunk := func() {
 			bundleBytes = 0
-			if err := mapFn(0, seg, func(_ string, _ int64, v []byte) { bundleBytes += len(v) }); err != nil {
+			if err := mapFn(0, segs[next%len(segs)], func(_ string, _ int64, v []byte) { bundleBytes += len(v) }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		chunk()
+		scratch := func() { chunk(); next++ }
+		scratch()
 		be := pool.free[0]
-		bundles, last, enc := unsafe.SliceData(be.bundles), unsafe.SliceData(be.last), unsafe.SliceData(be.enc.Bytes())
-		allocs := testing.AllocsPerRun(5, chunk)
+		bundles, last, events, enc := unsafe.SliceData(be.bundles), unsafe.SliceData(be.g.last),
+			unsafe.SliceData(be.g.events), unsafe.SliceData(be.enc.Bytes())
+		allocs := testing.AllocsPerRun(5, scratch)
 		if len(pool.free) != 1 || pool.free[0] != be {
 			t.Fatalf("%d keys: the pool holds %d sites, want the one warm site", nkeys, len(pool.free))
 		}
-		if unsafe.SliceData(be.bundles) != bundles || unsafe.SliceData(be.last) != last || unsafe.SliceData(be.enc.Bytes()) != enc {
-			t.Errorf("%d keys: a warm chunk replaced the site's bundle, last-row or bundle-byte array", nkeys)
+		if unsafe.SliceData(be.bundles) != bundles || unsafe.SliceData(be.g.last) != last ||
+			unsafe.SliceData(be.g.events) != events || unsafe.SliceData(be.enc.Bytes()) != enc {
+			t.Errorf("%d keys: a warm chunk replaced the site's bundle, last-row, event or bundle-byte array", nkeys)
 		}
-		if ceiling := 2.0; allocs > ceiling && !raceEnabled {
-			t.Errorf("%d keys, %d bundle bytes: %v allocations a warm chunk, want at most %v", nkeys, bundleBytes, allocs, ceiling)
+		if allocs > ceiling+1 && !raceEnabled {
+			t.Errorf("%d keys, %d bundle bytes: %v allocations a warm chunk's first touch, want at most %v", nkeys, bundleBytes, allocs, ceiling+1)
+		}
+		// segs[0] again: AllocsPerRun's warm-up is its second touch,
+		// which keeps the memo every measured chunk reads.
+		next = 0
+		allocs = testing.AllocsPerRun(5, chunk)
+		if keptForm(segs[0], q) == nil {
+			t.Fatalf("%d keys: a segment touched seven times keeps no grouped form", nkeys)
+		}
+		if allocs > ceiling && !raceEnabled {
+			t.Errorf("%d keys, %d bundle bytes: %v allocations a memo-hit chunk, want at most %v", nkeys, bundleBytes, allocs, ceiling)
 		}
 	}
 }

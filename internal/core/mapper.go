@@ -15,13 +15,14 @@ import (
 //
 // pool is the exec-site pool every chunk draws from: reused executors
 // keep their run caches and containers warm.
-func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *batchExecPool[S, E], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
+func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *sitePool[*batchExec[S, E]], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
+	memoKey := groupKey(q)
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		be := pool.get()
 		if be == nil {
 			be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options), idx: map[string]int32{}}
 		}
-		local, err := symExecChunk(q, be, seg, trace, mapperID)
+		g, local, err := symExecChunk(q, memoKey, be, seg, trace, mapperID)
 		if err != nil {
 			return err
 		}
@@ -35,9 +36,9 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			lreg = obs.NewRegistry()
 			sumBytes = lreg.Histogram(MetricSummaryBytes)
 		}
-		for i, key := range be.batch.Keys {
+		for i, key := range g.keys {
 			sumBytes.Observe(int64(len(be.bundles[i])))
-			emit(key, be.last[i], be.bundles[i])
+			emit(key, g.last[i], be.bundles[i])
 		}
 		// Emit copied the bundles: the site is free for its next chunk.
 		pool.put(be)

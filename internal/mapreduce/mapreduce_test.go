@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -447,5 +448,68 @@ func TestValueArena(t *testing.T) {
 	}
 	if len(a.chunks) != chunks {
 		t.Errorf("refilling a released arena grew it from %d chunks to %d", chunks, len(a.chunks))
+	}
+}
+
+// TestDecodeRunAllocatesOneDictionary: a decoded run's keys are
+// substrings of one string, so a 1 000-key run costs the decoder a
+// handful of objects — its dictionary's slice and string — beside the
+// pooled record buffer, not one string per key.
+func TestDecodeRunAllocatesOneDictionary(t *testing.T) {
+	recs := make([]kvRec, 1000)
+	for i := range recs {
+		recs[i] = kvRec{key: "key-" + strconv.Itoa(i), mapperID: 3, recordID: int64(i), value: []byte{byte(i)}}
+	}
+	buf := encodeSegment(recs)
+	decode := func() {
+		got, mapperID, err := decodeSegment(buf)
+		if err != nil || mapperID != 3 || len(got) != len(recs) || got[999].key != "key-999" {
+			t.Fatalf("decoded %d records of mapper %d (%v), want %d of mapper 3", len(got), mapperID, err, len(recs))
+		}
+		putKVBuf(got)
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(10, decode); allocs > 4 && !raceEnabled {
+		t.Errorf("decoding a run of %d keys allocates %v objects, want at most 4", len(recs), allocs)
+	}
+}
+
+// TestDerivedMemoOnePerKey: a key's state is made once, by the first of
+// however many concurrent touches, every later touch reads it, replacing
+// Records drops it, and a segment keeps at most eight keys.
+func TestDerivedMemoOnePerKey(t *testing.T) {
+	seg := &Segment{Records: [][]byte{[]byte("a"), []byte("b")}}
+	var made atomic.Int64
+	fresh := func() any { made.Add(1); return new(int) }
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = seg.Derived("q", fresh)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("concurrent touches read %v and %v, want one state", got[0], got[i])
+		}
+	}
+	if made.Load() != 1 {
+		t.Fatalf("concurrent touches made %d states, want 1", made.Load())
+	}
+	slots := len(seg.derived)
+	for i := range slots - 1 {
+		if seg.Derived(i, fresh) == nil {
+			t.Fatalf("key %d of %d found no slot", i+2, slots)
+		}
+	}
+	if v := seg.Derived(slots, fresh); v != nil {
+		t.Errorf("a key past the %d slots was kept: %v", slots, v)
+	}
+	seg.Records = seg.Records[1:]
+	if v := seg.Derived("q", fresh); v == got[0] {
+		t.Error("after Records were replaced the old state is still read")
 	}
 }

@@ -15,6 +15,15 @@ import (
 // registers an outage: ts − farFuture is hugely negative.
 const farFuture = math.MaxInt64 / 2
 
+// bingOkTs parses the ts of a successful query; ok is false for a failed
+// query or an unparsable field — only successful queries matter.
+func bingOkTs(tsRaw, okRaw []byte) (ts int64, ok bool) {
+	if v, valid := data.ParseInt(okRaw); !valid || v != 1 {
+		return 0, false
+	}
+	return data.ParseInt(tsRaw)
+}
+
 // ---- B1: global outages (a single group) ----
 
 type b1State struct {
@@ -31,16 +40,8 @@ func b1() *Spec {
 	q := &core.Query[*b1State, int64, []int64]{
 		Name: "B1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
-			tsRaw, okRaw := data.Field2(rec, 0, 3)
-			ok, valid := data.ParseInt(okRaw)
-			if !valid || ok != 1 {
-				return "", 0, false // only successful queries matter
-			}
-			ts, valid := data.ParseInt(tsRaw)
-			if !valid {
-				return "", 0, false
-			}
-			return "all", ts, true
+			ts, ok := bingOkTs(data.Field2(rec, 0, 3))
+			return "all", ts, ok
 		},
 		NewState: func() *b1State { return &b1State{LastOk: sym.NewSymInt(farFuture)} },
 		Update: func(ctx *sym.Ctx, s *b1State, ts int64) {
@@ -81,15 +82,10 @@ func b2() *Spec {
 		Name: "B2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			tsRaw, geo, okRaw := data.Field3(rec, 0, 2, 3)
-			ok, valid := data.ParseInt(okRaw)
-			if !valid || ok != 1 {
-				return "", 0, false
+			if ts, ok := bingOkTs(tsRaw, okRaw); ok {
+				return string(geo), ts, true
 			}
-			ts, valid := data.ParseInt(tsRaw)
-			if !valid {
-				return "", 0, false
-			}
-			return string(geo), ts, true
+			return "", 0, false
 		},
 		NewState: func() *b2State {
 			return &b2State{
@@ -142,11 +138,8 @@ func b3() *Spec {
 		Name: "B3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			tsRaw, user := data.Field2(rec, 0, 1)
-			ts, valid := data.ParseInt(tsRaw)
-			if !valid {
-				return "", 0, false
-			}
-			return string(user), ts, true
+			ts, ok := data.ParseInt(tsRaw)
+			return string(user), ts, ok
 		},
 		NewState: func() *b3State {
 			return &b3State{

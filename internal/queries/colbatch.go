@@ -108,6 +108,12 @@ func (in *keyInterner) str(keys *[]string, key string) int32 {
 	return ki
 }
 
+// coded interns the key dictionary column c codes for row.
+func (in *keyInterner) coded(keys *[]string, c *mapreduce.Col, row int) int32 {
+	code := c.Codes[row]
+	return in.code(keys, code, c.Dict[code])
+}
+
 // makeGroupByBatch adapts a per-segment compile step into the engine's
 // GroupByBatch contract. compile shape-checks the columns and returns
 // the emitter for a stretch [lo, hi) of consecutive dense rows (nil →
@@ -137,10 +143,7 @@ func makeGroupByBatch[E any](
 			row = int(ragRow) + 1
 			key, ev, kept := groupBy(cols.Records[ragRow])
 			if kept {
-				ki := in.str(&b.Keys, key)
-				b.KeyIdx = append(b.KeyIdx, ki)
-				b.Rows = append(b.Rows, ragRow)
-				b.Events = append(b.Events, ev)
+				b.Add(in.str(&b.Keys, key), ragRow, ev)
 			}
 		}
 		emit(row, rows)
@@ -148,14 +151,14 @@ func makeGroupByBatch[E any](
 	}
 }
 
-// githubOpTable translates an op-name dictionary once per chunk:
-// entry i is the op code of dictionary entry i, −1 for unknown names.
-func githubOpTable(dict []string) []int64 {
-	ops := make([]int64, len(dict))
+// dictTable translates a dictionary once per chunk: entry i is index of
+// dictionary entry i, −1 for a name index does not know.
+func dictTable(dict []string, index func([]byte) int) []int64 {
+	t := make([]int64, len(dict))
 	for i, s := range dict {
-		ops[i] = int64(data.GithubOpFromName([]byte(s)))
+		t[i] = int64(index([]byte(s)))
 	}
-	return ops
+	return t
 }
 
 // compileGithubOp is the shared G1/G2/G3 shape: key = repo (field 1),
@@ -165,7 +168,7 @@ func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInte
 	if repoCol == nil || opCol == nil {
 		return nil
 	}
-	ops := githubOpTable(opCol.Dict)
+	ops := dictTable(opCol.Dict, data.GithubOpFromName)
 	*in = newKeyInterner(len(repoCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
@@ -173,11 +176,7 @@ func compileGithubOp(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInte
 			if op < 0 {
 				continue
 			}
-			code := repoCol.Codes[row]
-			ki := in.code(&b.Keys, code, repoCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, op)
+			b.Add(in.coded(&b.Keys, repoCol, row), int32(row), op)
 		}
 	}
 }
@@ -188,14 +187,12 @@ func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner
 	if tsCol == nil || repoCol == nil || opCol == nil {
 		return nil
 	}
-	ops := make([]int64, len(opCol.Dict))
-	for i, s := range opCol.Dict {
-		op := data.GithubOpFromName([]byte(s))
-		if op != data.OpBranchCreate && op != data.OpBranchDelete {
-			op = -1
+	ops := dictTable(opCol.Dict, func(name []byte) int {
+		if op := data.GithubOpFromName(name); op == data.OpBranchCreate || op == data.OpBranchDelete {
+			return op
 		}
-		ops[i] = int64(op)
-	}
+		return -1
+	})
 	*in = newKeyInterner(len(repoCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
@@ -203,11 +200,7 @@ func compileG4(cols *mapreduce.Columnar, b *core.Batch[g4Event], in *keyInterner
 			if op < 0 {
 				continue
 			}
-			code := repoCol.Codes[row]
-			ki := in.code(&b.Keys, code, repoCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, g4Event{Op: op, Ts: tsCol.Ints[row]})
+			b.Add(in.coded(&b.Keys, repoCol, row), int32(row), g4Event{Op: op, Ts: tsCol.Ints[row]})
 		}
 	}
 }
@@ -223,10 +216,7 @@ func compileB1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 			if okCol.Bytes[row] != 1 {
 				continue
 			}
-			ki := in.str(&b.Keys, "all")
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[row])
+			b.Add(in.str(&b.Keys, "all"), int32(row), tsCol.Ints[row])
 		}
 	}
 }
@@ -243,11 +233,7 @@ func compileB2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 			if okCol.Bytes[row] != 1 {
 				continue
 			}
-			code := geoCol.Codes[row]
-			ki := in.code(&b.Keys, code, geoCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[row])
+			b.Add(in.coded(&b.Keys, geoCol, row), int32(row), tsCol.Ints[row])
 		}
 	}
 }
@@ -261,11 +247,7 @@ func compileB3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 	*in = newKeyInterner(len(userCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
-			code := userCol.Codes[row]
-			ki := in.code(&b.Keys, code, userCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, tsCol.Ints[row])
+			b.Add(in.coded(&b.Keys, userCol, row), int32(row), tsCol.Ints[row])
 		}
 	}
 }
@@ -283,11 +265,7 @@ func compileT1(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 			if spam > 1 {
 				continue
 			}
-			code := tagCol.Codes[row]
-			ki := in.code(&b.Keys, code, tagCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, spam)
+			b.Add(in.coded(&b.Keys, tagCol, row), int32(row), spam)
 		}
 	}
 }
@@ -302,11 +280,7 @@ func compileR1(cols *mapreduce.Columnar, b *core.Batch[struct{}], in *keyInterne
 	*in = newKeyInterner(len(advCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
-			code := advCol.Codes[row]
-			ki := in.code(&b.Keys, code, advCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, struct{}{})
+			b.Add(in.coded(&b.Keys, advCol, row), int32(row), struct{}{})
 		}
 	}
 }
@@ -317,10 +291,7 @@ func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 	if advCol == nil || ccCol == nil {
 		return nil
 	}
-	ccs := make([]int64, len(ccCol.Dict))
-	for i, s := range ccCol.Dict {
-		ccs[i] = int64(data.CountryIndex([]byte(s)))
-	}
+	ccs := dictTable(ccCol.Dict, data.CountryIndex)
 	*in = newKeyInterner(len(advCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
@@ -328,11 +299,7 @@ func compileR2(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 			if cc < 0 {
 				continue
 			}
-			code := advCol.Codes[row]
-			ki := in.code(&b.Keys, code, advCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, cc)
+			b.Add(in.coded(&b.Keys, advCol, row), int32(row), cc)
 		}
 	}
 }
@@ -347,11 +314,7 @@ func compileR3(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 	*in = newKeyInterner(len(advCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
-			code := advCol.Codes[row]
-			ki := in.code(&b.Keys, code, advCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, dtCol.Ints[row])
+			b.Add(in.coded(&b.Keys, advCol, row), int32(row), dtCol.Ints[row])
 		}
 	}
 }
@@ -362,10 +325,7 @@ func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 	if advCol == nil || campCol == nil {
 		return nil
 	}
-	camps := make([]int64, len(campCol.Dict))
-	for i, s := range campCol.Dict {
-		camps[i] = int64(data.CampaignIndex([]byte(s)))
-	}
+	camps := dictTable(campCol.Dict, data.CampaignIndex)
 	*in = newKeyInterner(len(advCol.Dict))
 	return func(lo, hi int) {
 		for row := lo; row < hi; row++ {
@@ -373,11 +333,7 @@ func compileR4(cols *mapreduce.Columnar, b *core.Batch[int64], in *keyInterner) 
 			if c < 0 {
 				continue
 			}
-			code := advCol.Codes[row]
-			ki := in.code(&b.Keys, code, advCol.Dict[code])
-			b.KeyIdx = append(b.KeyIdx, ki)
-			b.Rows = append(b.Rows, int32(row))
-			b.Events = append(b.Events, c)
+			b.Add(in.coded(&b.Keys, advCol, row), int32(row), c)
 		}
 	}
 }

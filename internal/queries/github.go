@@ -11,6 +11,14 @@ import (
 // The GroupBy functions below extract only the fields each UDA touches,
 // exactly as the paper hand-optimizes its baseline.
 
+// githubOp is G1–G3's GroupBy: key = repo, event = op code, unknown ops
+// dropped. One function, so the three share a segment's grouped form.
+func githubOp(rec []byte) (string, int64, bool) {
+	repo, opName := data.Field2(rec, 1, 2)
+	op := data.GithubOpFromName(opName)
+	return string(repo), int64(op), op >= 0
+}
+
 // ---- G1: repositories with only push commands ----
 
 type g1State struct {
@@ -22,15 +30,8 @@ func (s *g1State) Fields() []sym.Value { return []sym.Value{&s.OnlyPush} }
 // G1 returns all repositories whose every operation is a push.
 func g1() *Spec {
 	q := &core.Query[*g1State, int64, bool]{
-		Name: "G1",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			repo, opName := data.Field2(rec, 1, 2)
-			op := data.GithubOpFromName(opName)
-			if op < 0 {
-				return "", 0, false
-			}
-			return string(repo), int64(op), true
-		},
+		Name:     "G1",
+		GroupBy:  githubOp,
 		NewState: func() *g1State { return &g1State{OnlyPush: sym.NewSymBool(true)} },
 		Update: func(_ *sym.Ctx, s *g1State, op int64) {
 			if op != data.OpPush {
@@ -69,15 +70,8 @@ func (s *g2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Out} }
 // repository deletion.
 func g2() *Spec {
 	q := &core.Query[*g2State, int64, []int64]{
-		Name: "G2",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			repo, opName := data.Field2(rec, 1, 2)
-			op := data.GithubOpFromName(opName)
-			if op < 0 {
-				return "", 0, false
-			}
-			return string(repo), int64(op), true
-		},
+		Name:    "G2",
+		GroupBy: githubOp,
 		NewState: func() *g2State {
 			return &g2State{Prev: sym.NewSymEnum(data.NumGithubOps+1, g2Sentinel)}
 		},
@@ -122,15 +116,8 @@ func (s *g3State) Fields() []sym.Value {
 // each pull-request open and its close.
 func g3() *Spec {
 	q := &core.Query[*g3State, int64, []int64]{
-		Name: "G3",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			repo, opName := data.Field2(rec, 1, 2)
-			op := data.GithubOpFromName(opName)
-			if op < 0 {
-				return "", 0, false
-			}
-			return string(repo), int64(op), true
-		},
+		Name:    "G3",
+		GroupBy: githubOp,
 		NewState: func() *g3State {
 			return &g3State{InPull: sym.NewSymBool(false), Count: sym.NewSymInt(0)}
 		},
@@ -189,10 +176,7 @@ func g4() *Spec {
 				return "", g4Event{}, false
 			}
 			ts, ok := data.ParseInt(tsRaw)
-			if !ok {
-				return "", g4Event{}, false
-			}
-			return string(repo), g4Event{Op: int64(op), Ts: ts}, true
+			return string(repo), g4Event{Op: int64(op), Ts: ts}, ok
 		},
 		NewState: func() *g4State {
 			return &g4State{Deleted: sym.NewSymBool(false), DelTs: sym.NewSymInt(0)}

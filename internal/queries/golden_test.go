@@ -128,12 +128,14 @@ func TestGoldenDigests(t *testing.T) {
 // checks each against the committed reference digests:
 //
 //   - first touch: nothing resident, the job builds each segment's index;
-//   - resident: the same segments again;
+//   - resident: the same segments again, which keeps their grouped form;
+//   - memo: a third time, answered by the kept form;
 //   - a segment resident under a foreign plan (the chunk executor groups
 //     with the scalar GroupBy per record);
 //   - from disk: written with WriteSegments and loaded with ReadSegments
-//     (mapped), run first-touch and then resident, with an earlier load
-//     of the same files dropped and released between the two runs.
+//     (mapped), run first-touch, resident and memo, with an earlier load
+//     of the same files, its forms kept, dropped and released between
+//     the first two runs.
 //
 // Where the GroupBy read its fields from must be invisible to query
 // semantics; any divergence here is a codec or batch-execution bug, not
@@ -167,14 +169,22 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			}{
 				{"first-touch", segs, nil},
 				{"resident", segs, nil},
+				{"memo", segs, nil},
 				{"foreign-plan", scalarOnly(segs), nil},
-				{"disk-first-touch", disk, nil},
+				{"disk-first-touch", disk, func() {
+					for range 2 {
+						if _, err := spec.Symple(earlier, mapreduce.Config{NumReducers: 2}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}},
 				{"disk-resident", disk, func() {
 					earlier = nil
 					if !awaitRelease(t, probe, was) {
 						t.Fatal("the earlier load was never released")
 					}
 				}},
+				{"disk-memo", disk, nil},
 			} {
 				if v.before != nil {
 					v.before()

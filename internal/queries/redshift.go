@@ -31,10 +31,7 @@ func r1() *Spec {
 		Name: "R1",
 		GroupBy: func(rec []byte) (string, struct{}, bool) {
 			adv := data.Field(rec, 1)
-			if adv == nil {
-				return "", struct{}{}, false
-			}
-			return string(adv), struct{}{}, true
+			return string(adv), struct{}{}, adv != nil
 		},
 		NewState: func() *r1State { return &r1State{Count: sym.NewSymInt(0)} },
 		Update: func(_ *sym.Ctx, s *r1State, _ struct{}) {
@@ -73,10 +70,7 @@ func r2() *Spec {
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			adv, country := data.Field2(rec, 1, 3)
 			cc := data.CountryIndex(country)
-			if cc < 0 {
-				return "", 0, false
-			}
-			return string(adv), int64(cc), true
+			return string(adv), int64(cc), cc >= 0
 		},
 		NewState: func() *r2State {
 			return &r2State{
@@ -176,10 +170,7 @@ func r3() *Spec {
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			dt, adv := data.Field2(rec, 0, 1)
 			ts, ok := parseRedshiftTime(dt)
-			if !ok {
-				return "", 0, false
-			}
-			return string(adv), ts, true
+			return string(adv), ts, ok
 		},
 		NewState: func() *r3State { return &r3State{LastTs: sym.NewSymInt(farFuture)} },
 		Update: func(ctx *sym.Ctx, s *r3State, ts int64) {
@@ -221,10 +212,7 @@ func r4() *Spec {
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			adv, camp := data.Field2(rec, 1, 2)
 			c := data.CampaignIndex(camp)
-			if c < 0 {
-				return "", 0, false
-			}
-			return string(adv), int64(c), true
+			return string(adv), int64(c), c >= 0
 		},
 		NewState: func() *r4State {
 			return &r4State{

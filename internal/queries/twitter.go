@@ -32,10 +32,7 @@ func t1() *Spec {
 		GroupBy: func(rec []byte) (string, int64, bool) {
 			tag, spamRaw := data.Field2(rec, 1, 3)
 			spam, valid := data.ParseInt(spamRaw)
-			if !valid || (spam != 0 && spam != 1) {
-				return "", 0, false
-			}
-			return string(tag), spam, true
+			return string(tag), spam, valid && (spam == 0 || spam == 1)
 		},
 		NewState: func() *t1State {
 			return &t1State{

@@ -12,20 +12,26 @@ func (e *Encoder) StringDict(dict []string) {
 
 // StringDict reads a dictionary written by Encoder.StringDict. The entry
 // count is validated against maxEntries and the remaining input before
-// allocation; each entry's length is validated by String. One string is
-// allocated per distinct entry — the decode-side win of dictionary
-// encoding over per-record keys.
+// allocation, each entry's length against the input. The entries are
+// substrings of one string, the dictionary's one allocation beside its
+// slice, so a caller that keeps one entry keeps the whole dictionary
+// reachable.
 func (d *Decoder) StringDict(maxEntries int) []string {
 	n := d.Length(min(maxEntries, d.Remaining()))
+	start := d.off
+	for range n {
+		d.bytesField("string")
+	}
 	if d.err != nil {
 		return nil
 	}
+	// One pass validated the entries; the second reads them again from
+	// a copy of their bytes, whose offsets are the input's.
+	all, sub := string(d.buf[start:d.off]), Decoder{buf: d.buf[start:d.off]}
 	dict := make([]string, n)
 	for i := range dict {
-		dict[i] = d.String()
-		if d.err != nil {
-			return nil
-		}
+		b := sub.bytesField("string")
+		dict[i] = all[sub.off-len(b) : sub.off]
 	}
 	return dict
 }

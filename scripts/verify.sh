@@ -102,9 +102,11 @@ leg frames go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejects
 # last read of a record — or a view of one kept past its segment — finds
 # the segment's mappings released and faults here, not in a user's job:
 # the query service end to end, then the golden digests in every form
-# (from disk included) and the segment loads' mapping contract.
+# (from disk and from a segment's kept grouped form included), the
+# grouped-form memo's tests (its keys can view mapped records) and the
+# segment loads' mapping contract.
 leg gc-stress-serve env GOGC=1 go test -count=1 ./internal/serve
-leg gc-stress env GOGC=1 go test -count=1 -run 'Golden|ReadSegments|Segments' ./internal/queries ./internal/mapreduce
+leg gc-stress env GOGC=1 go test -count=1 -run 'Golden|ReadSegments|Segments|Memo' ./internal/queries ./internal/mapreduce ./internal/core
 # Traced leg: every engine run auto-attaches a trace; the run fails if
 # the completed trace breaks an obs.Verifier invariant or the metrics
 # registry fails its self-check. ./internal/mapreduce includes map-only
