@@ -12,14 +12,16 @@
 // coordinator/worker execution over loopback TCP on 1/2/4 spawned worker
 // subprocesses, measured wall clock vs dcsim prediction).
 // BENCH_SYMEXEC.json, BENCH_COLUMNAR.json, BENCH_SHUFFLE.json and
-// BENCH_SERVE.json are frozen records of experiments whose baselines (the seed executor, the scalar chunk loop,
-// the barrier shuffle, the service that digested and re-folded per
-// submission) no longer exist, BENCH_FAULTS.json of a failure replay
-// over a cost model no engine path uses, and BENCH_OBS.json and
-// BENCH_WIRE.json of ones the benchmark's ledger replaced: the query
-// service is measured by
-// `go run ./benchmark` (serve-warm, serve-append), tracing overhead by
-// its obs.trace_overhead_pct and shuffle bytes by its
+// BENCH_SERVE.json are frozen records of experiments whose baselines
+// (the seed executor, the scalar chunk loop, the barrier shuffle, the
+// service that digested and re-folded per submission) no longer exist.
+// BENCH_COLUMNAR.json's columnar form, later the typed-column index, is
+// gone too; commit 15ee2c5 reproduces it. BENCH_FAULTS.json records a
+// failure replay over a cost model no engine path uses, and
+// BENCH_OBS.json and BENCH_WIRE.json ones the benchmark's ledger
+// replaced: the query service is measured by `go run ./benchmark`
+// (serve-warm, serve-append), tracing overhead by its
+// obs.trace_overhead_pct and shuffle bytes by its
 // mapreduce.shuffle_bytes, on every workload. See EXPERIMENTS.md.
 //
 // -trace streams every engine run's spans to a JSONL file and -profile

@@ -40,8 +40,8 @@ type measured struct {
 //
 // A replayed job is one cold scan of its input, as every Hadoop job in
 // the paper is, so SYMPLE runs over segments nothing has touched: its
-// map tasks pay for building the typed-column index, where a second job
-// in this process would find it resident.
+// map tasks pay for grouping them, where a third job in this process
+// would read the grouped form the second kept.
 func runPair(d *Datasets, id string, condensed bool, reducers int) (*measured, error) {
 	spec := queries.ByID(id)
 	if spec == nil {

@@ -3,8 +3,8 @@
 // task lifecycle — retries with backoff, speculation, the
 // first-finisher-wins commit — and the whole reduce, and ships only the
 // map attempt body to worker processes: a worker receives an input
-// segment's records (it builds the typed-column index over its own
-// cached copy), runs the registered map side, and streams the
+// segment's records (it keeps the grouped forms of its own cached copy),
+// runs the registered map side, and streams the
 // segcodec-encoded runs of composed summaries back, in the segment's
 // one (raw) wire form. Worker death and connection drops surface as
 // attempt errors the existing lifecycle retries, so a worker whose

@@ -33,8 +33,8 @@ func decoded[T any](v T, d *wire.Decoder, what string) (T, error) {
 // JobSpec identifies, to a worker, how to build the map side of a job:
 // the registered query plus the one engine knob that changes map
 // output, the reducer count.
-// (Whether a worker groups vectorized is not a knob: it indexes its
-// cached copy of the segment at first touch, as an in-process job does.)
+// (Whether a worker regroups a segment is not a knob: its cached copy
+// keeps the grouped form, as an in-process job's segment does.)
 // All fields are scalar so specs are comparable — workers cache one
 // built mapper per distinct spec.
 type JobSpec struct {

@@ -54,25 +54,9 @@ type Query[S sym.State, E, R any] struct {
 	// the event the UDA consumes. ok=false drops the record (filter).
 	// Only fields the UDA needs should be propagated into E — the same
 	// hand-optimization the paper applies to its baseline. It must be a
-	// pure function of the record, as must GroupByBatch of the columns:
-	// a segment keeps their output for every later job of the query.
+	// pure function of the record: a segment keeps its output for every
+	// later job of the query.
 	GroupBy func(record []byte) (key string, event E, ok bool)
-
-	// GroupByBatch, when set together with Columns, vectorizes GroupBy
-	// over a segment's typed-column index: it fills out with the kept
-	// rows — key indexes, row numbers and events — reading the columns
-	// directly and routing ragged rows through the scalar GroupBy. It
-	// must keep exactly the rows GroupBy keeps, produce identical keys
-	// and events, and intern keys in first-use order. Returning false
-	// (columns don't match the shape the query expects) makes the engine
-	// rebuild the batch with the scalar GroupBy, so the pair is purely an
-	// optimization; nil is always valid.
-	GroupByBatch func(cols *mapreduce.Columnar, out *Batch[E]) bool
-	// Columns names what GroupByBatch reads: its dataset's index plan and
-	// the fields of it. A segment keeps one index, under the plan of the
-	// first query that touches it, and builds a column the first time a
-	// job reads it (mapreduce.Segment.Index).
-	Columns mapreduce.ColRead
 
 	// NewState returns the initial aggregation state.
 	NewState func() S

@@ -181,7 +181,7 @@ func TestChaosDroppedExecSite(t *testing.T) {
 
 // TestMapChunkAllocCeiling: a map chunk on a warm exec site takes its
 // per-key bundle array, its grouped form's arrays, its bundles' bytes
-// and the scalar GroupBy's key index from the site, which the previous
+// and the GroupBy's key index from the site, which the previous
 // chunk left them in — Emit copies what it keeps — so a warm chunk
 // allocates none of them, whatever its key count; nor does a chunk the
 // segment's memo answers, from its third touch on. The GroupBy here

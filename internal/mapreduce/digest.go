@@ -106,7 +106,7 @@ func (d Digest) Chain(next Digest) Digest {
 
 // address is the digest one pass over a segment's records leaves, and
 // extent the payload total (the digest's pass or Bytes' own leaves it):
-// each valid while rows matches len(Records), the index's invalidation
+// each valid while rows matches len(Records), Derived's invalidation
 // rule.
 type address struct {
 	rows   int
@@ -120,9 +120,9 @@ type extent struct {
 
 // Digest content-addresses the segment: the record count and every
 // record's length and bytes, and not ID — two segments with the same
-// records share an address. It is resident derived state like the index:
-// computed once under the segment's lock, recomputed only when Records
-// was replaced by a slice of another length. Safe for concurrent use.
+// records share an address. Like Derived's state, it is resident and
+// derived: computed once under the segment's lock, recomputed only when
+// Records was replaced by a slice of another length. Safe for concurrent use.
 func (s *Segment) Digest() Digest {
 	if a := s.addr.Load(); a != nil && a.rows == len(s.Records) {
 		return a.digest
@@ -143,7 +143,7 @@ func (s *Segment) Digest() Digest {
 }
 
 // Bytes returns the total payload size of the segment. It is resident
-// derived state like the index and the digest: summed once — by the
+// derived state like the digest: summed once — by the
 // digest pass or the first call here, whichever comes first — and again
 // only when Records was replaced by a slice of another length. Safe for concurrent use (racing first calls store the
 // same total).

@@ -157,7 +157,7 @@ func TestDigestForgedLaneCollision(t *testing.T) {
 
 // TestDigestIsResidentDerivedState: computed once, kept across an ID
 // rewrite (AddDataset renumbers segments) and recomputed when Records is
-// replaced — the index's rule. Bytes follows the same memo.
+// replaced — Derived's rule. Bytes follows the same memo.
 func TestDigestIsResidentDerivedState(t *testing.T) {
 	seg := &Segment{Records: [][]byte{[]byte("alpha"), []byte("beta")}}
 	if seg.Bytes() != 9 {
@@ -223,7 +223,7 @@ func BenchmarkSegmentDigest(b *testing.B) {
 // attempts ask for the segment's size twice each — the total is summed
 // once by whichever comes first of Bytes itself and the digest's pass,
 // after which asking allocates nothing and reads no record; replacing
-// Records with a slice of another length recomputes, the index's rule.
+// Records with a slice of another length recomputes, Derived's rule.
 func TestBytesIsResidentDerivedState(t *testing.T) {
 	recs := func() [][]byte { return [][]byte{[]byte("1\talpha"), []byte("2\tbeta")} }
 	for name, first := range map[string]func(*Segment){

@@ -50,15 +50,12 @@ type Segment struct {
 	// one (runtime.KeepAlive), and copies what outlives it.
 	Records [][]byte
 
-	// index is the typed-column index over Records (columnar.go), a
-	// column built the first time Index is asked for it; derived is what
-	// callers keep per key (Derived) while len(Records) is rows; addr is
-	// the content address (digest.go), computed at first touch by Digest;
-	// size is the payload total, left by Digest or by Bytes. All are
-	// derived from Records and resident with the segment; index, derived
-	// and addr are kept under mu.
+	// derived is what callers keep per key (Derived) while len(Records)
+	// is rows; addr is the content address (digest.go), computed at first
+	// touch by Digest; size is the payload total, left by Digest or by
+	// Bytes. All are derived from Records and resident with the segment;
+	// derived and addr are kept under mu.
 	mu      sync.Mutex
-	index   *colIndex
 	derived [8]struct{ key, v any }
 	rows    int
 	addr    atomic.Pointer[address]
@@ -69,7 +66,7 @@ type Segment struct {
 // made by fresh the first time key is asked for. key is a comparable
 // identity of a pure function of Records (core's is a query's GroupBy);
 // the state is shared by every reader, lives as long as the segment and
-// goes, like the index, when Records are replaced. A segment keeps eight
+// goes when Records are replaced. A segment keeps eight
 // keys; past them Derived returns nil. Safe for concurrent use.
 func (s *Segment) Derived(key any, fresh func() any) any {
 	s.mu.Lock()

@@ -70,11 +70,6 @@ const (
 	// KindMapExec covers the symbolic-execution pass of one map chunk.
 	// Attrs: task, groups, batch_records.
 	KindMapExec = "map_exec"
-	// KindIndex covers building typed columns of a segment's index, in
-	// one pass over its records, at the columns' first read — a child of
-	// the map_parse span that asked. Name: the plan fields built (e.g.
-	// "0,3"). Attrs: records (the rows the pass typed).
-	KindIndex = "index"
 	// KindCompose covers one reduce attempt's reduce calls after its
 	// grouping pass: in a SYMPLE job, each group's summaries folded in
 	// order onto the initial state. Attrs: part, groups and values

@@ -146,7 +146,7 @@ func verifyServeCache(spans, jobs []*Span, byID map[int64]*Span) []Violation {
 	}
 	for _, sp := range spans {
 		switch sp.Kind {
-		case KindMapAttempt, KindMapParse, KindIndex, KindMapExec, KindFold:
+		case KindMapAttempt, KindMapParse, KindMapExec, KindFold:
 		default:
 			continue
 		}

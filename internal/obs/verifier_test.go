@@ -59,9 +59,6 @@ func goodTrace() []*Span {
 			[]attr{{AttrTask, 0}, {AttrRecords, 10}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
 		sp(16, 1, KindMapExec, "exec-0", 10, 28,
 			[]attr{{AttrTask, 0}, {AttrGroups, 2}, {AttrBatchRecords, 8}}, nil),
-		// The chunk's first touch built two columns of its segment's index,
-		// under the parse span.
-		sp(17, 15, KindIndex, "0,3", 1, 4, []attr{{AttrRecords, 10}}, nil),
 	}
 }
 
@@ -248,7 +245,6 @@ func TestVerifierServeCache(t *testing.T) {
 		{"resumed from a prefix, folded the rest", job(9, 9, 8, 0, KindQueue, KindFold), true},
 		{"warm from parts", job(8, 8, 0, 0, KindQueue, KindFold), true},
 		{"warm, yet mapped", job(8, 8, 0, 0, KindQueue, KindMapAttempt, KindFold), false},
-		{"warm, yet indexed", job(8, 8, 0, 0, KindQueue, KindIndex, KindFold), false},
 		{"more by prefix than cached", job(8, 6, 7, 2, KindQueue, KindFold), false},
 		{"cached and mapped do not add up", job(8, 5, 5, 2, KindQueue, KindFold), false},
 	} {

@@ -56,7 +56,6 @@ func b1() *Spec {
 		EncodeEvent: func(e *wire.Encoder, ts int64) { e.Varint(ts) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = bingPlan.Read(0, 3), makeGroupByBatch(q.GroupBy, compileB1)
 	return makeSpec("B1", "Outages: more than 2 minutes with no successful query by any user", "bing",
 		false, true, false, q,
 		func(key string, gaps []int64) string { return resultLine(key, gaps...) })
@@ -103,7 +102,6 @@ func b2() *Spec {
 		EncodeEvent: func(e *wire.Encoder, ts int64) { e.Varint(ts) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = bingPlan.Read(0, 2, 3), makeGroupByBatch(q.GroupBy, compileB2)
 	return makeSpec("B2", "Outages per geographic area of the query (local outages)", "bing",
 		false, false, true, q,
 		func(key string, count int64) string {
@@ -170,7 +168,6 @@ func b3() *Spec {
 		EncodeEvent: func(e *wire.Encoder, ts int64) { e.Varint(ts) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = bingPlan.Read(0, 1), makeGroupByBatch(q.GroupBy, compileB3)
 	return makeSpec("B3", "Number of queries in a session per user (< 2 minutes between queries)", "bing",
 		false, true, true, q,
 		func(key string, sessions []int64) string { return resultLine(key, sessions...) })

@@ -42,7 +42,6 @@ func g1() *Spec {
 		EncodeEvent: func(e *wire.Encoder, op int64) { e.Uvarint(uint64(op)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = githubPlan.Read(1, 2), makeGroupByBatch(q.GroupBy, compileGithubOp)
 	return makeSpec("G1", "Return all repositories with only push commands", "github",
 		true, false, false, q,
 		func(key string, onlyPush bool) string {
@@ -94,7 +93,6 @@ func g2() *Spec {
 		EncodeEvent: func(e *wire.Encoder, op int64) { e.Uvarint(uint64(op)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = githubPlan.Read(1, 2), makeGroupByBatch(q.GroupBy, compileGithubOp)
 	return makeSpec("G2", "All operations on a repository directly preceding a delete operation", "github",
 		true, false, false, q,
 		func(key string, ops []int64) string { return resultLine(key, ops...) })
@@ -141,7 +139,6 @@ func g3() *Spec {
 		EncodeEvent: func(e *wire.Encoder, op int64) { e.Uvarint(uint64(op)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = githubPlan.Read(1, 2), makeGroupByBatch(q.GroupBy, compileGithubOp)
 	return makeSpec("G3", "Number of operations executed on a repository between pull open and close", "github",
 		true, true, false, q,
 		func(key string, counts []int64) string { return resultLine(key, counts...) })
@@ -204,7 +201,6 @@ func g4() *Spec {
 			return g4Event{Op: int64(d.Uvarint()), Ts: d.Varint()}, d.Err()
 		},
 	}
-	q.Columns, q.GroupByBatch = githubPlan.Read(0, 1, 2), makeGroupByBatch(q.GroupBy, compileG4)
 	return makeSpec("G4", "The time between branch deletion and branch creation in a repository", "github",
 		true, true, false, q,
 		func(key string, deltas []int64) string { return resultLine(key, deltas...) })

@@ -127,19 +127,18 @@ func TestGoldenDigests(t *testing.T) {
 // SYMPLE engine in every state a job can find its segments in, and
 // checks each against the committed reference digests:
 //
-//   - first touch: nothing resident, the job builds each segment's index;
+//   - first touch: nothing resident, the job groups each segment;
 //   - resident: the same segments again, which keeps their grouped form;
 //   - memo: a third time, answered by the kept form;
-//   - a segment resident under a foreign plan (the chunk executor groups
-//     with the scalar GroupBy per record);
 //   - from disk: written with WriteSegments and loaded with ReadSegments
 //     (mapped), run first-touch, resident and memo, with an earlier load
 //     of the same files, its forms kept, dropped and released between
 //     the first two runs.
 //
-// Where the GroupBy read its fields from must be invisible to query
-// semantics; any divergence here is a codec or batch-execution bug, not
-// a query change, so there is no -update escape hatch. Each run is traced and the trace must pass every
+// Whether a job grouped its segments or read the kept form must be
+// invisible to query semantics; any divergence here is a codec or
+// execution bug, not a query change, so there is no -update escape
+// hatch. Each run is traced and the trace must pass every
 // obs.Verifier invariant, so the golden runs double as end-to-end
 // observability checks on all 12 queries in every mode.
 func TestGoldenDigestsSymple(t *testing.T) {
@@ -154,7 +153,7 @@ func TestGoldenDigestsSymple(t *testing.T) {
 			}
 			// Queries of one dataset share its segments, so each takes
 			// fresh ones to make its first run a first touch.
-			segs := unindexed(datasets[spec.Dataset])
+			segs := fresh(datasets[spec.Dataset])
 			dir := t.TempDir()
 			if err := mapreduce.WriteSegments(dir, segs); err != nil {
 				t.Fatal(err)
@@ -170,7 +169,6 @@ func TestGoldenDigestsSymple(t *testing.T) {
 				{"first-touch", segs, nil},
 				{"resident", segs, nil},
 				{"memo", segs, nil},
-				{"foreign-plan", scalarOnly(segs), nil},
 				{"disk-first-touch", disk, func() {
 					for range 2 {
 						if _, err := spec.Symple(earlier, mapreduce.Config{NumReducers: 2}); err != nil {

@@ -41,7 +41,6 @@ func r1() *Spec {
 		EncodeEvent: func(*wire.Encoder, struct{}) {},
 		DecodeEvent: func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan.Read(1), makeGroupByBatch(q.GroupBy, compileR1)
 	return makeSpec("R1", "Number of impressions per advertiser", "redshift",
 		false, true, false, q,
 		func(key string, count int64) string { return resultLine(key, count) })
@@ -100,7 +99,6 @@ func r2() *Spec {
 		EncodeEvent: func(e *wire.Encoder, cc int64) { e.Uvarint(uint64(cc)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan.Read(1, 3), makeGroupByBatch(q.GroupBy, compileR2)
 	return makeSpec("R2", "List of advertisers operating only in a single country", "redshift",
 		true, true, false, q,
 		func(key string, country string) string {
@@ -114,16 +112,17 @@ func r2() *Spec {
 // ---- R3: periods over an hour with no impressions ----
 
 // redshiftLayout is the wall-clock format stored in the log. The paper
-// found R3c dominated by parsing it, not by symbolic execution; here it
-// is parsed once per resident row, when the segment's index is built.
+// found R3c dominated by parsing it, not by symbolic execution; here a
+// resident segment parses it on R3's first two jobs over it, and every
+// later job reads the grouped events the segment keeps.
 const redshiftLayout = "2006-01-02 15:04:05"
 
 // parseRedshiftTime converts a redshiftLayout datetime to Unix seconds.
-// It is the one parser behind R3 — the index plan's and the scalar
-// GroupBy's — and agrees with time.Parse(redshiftLayout, ·) on every
-// input: the exact 19-byte all-digit form in calendar range is decoded
-// in place, and anything else (which time.Parse mostly rejects, but not
-// always: a one-digit hour, fractional seconds) is handed to time.Parse.
+// It is the parser behind R3's GroupBy and agrees with
+// time.Parse(redshiftLayout, ·) on every input: the exact 19-byte
+// all-digit form in calendar range is decoded in place, and anything
+// else (which time.Parse mostly rejects, but not always: a one-digit
+// hour, fractional seconds) is handed to time.Parse.
 func parseRedshiftTime(b []byte) (int64, bool) {
 	if len(b) == len(redshiftLayout) && b[4] == '-' && b[7] == '-' && b[10] == ' ' && b[13] == ':' && b[16] == ':' {
 		y, mo, d := decimalField(b[0:4]), decimalField(b[5:7]), decimalField(b[8:10])
@@ -184,7 +183,6 @@ func r3() *Spec {
 		EncodeEvent: func(e *wire.Encoder, ts int64) { e.Varint(ts) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan.Read(0, 1), makeGroupByBatch(q.GroupBy, compileR3)
 	return makeSpec("R3", "Cases for advertiser when their ads were not showing for more than 1 hour", "redshift",
 		false, true, false, q,
 		func(key string, gaps []int64) string { return resultLine(key, gaps...) })
@@ -243,7 +241,6 @@ func r4() *Spec {
 		EncodeEvent: func(e *wire.Encoder, c int64) { e.Uvarint(uint64(c)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = redshiftPlan.Read(1, 2), makeGroupByBatch(q.GroupBy, compileR4)
 	return makeSpec("R4", "Lengths of runs for which only a single campaign by an advertiser is shown", "redshift",
 		true, true, false, q,
 		func(key string, runs []int64) string { return resultLine(key, runs...) })

@@ -145,7 +145,7 @@ func freeMemoSlots(seg *mapreduce.Segment) int {
 // it one entry per GroupBy — G1–G3 share one — and every
 // SympleWithOptions call answers as the sequential run does.
 func TestGroupedMemoTableBounded(t *testing.T) {
-	seg := unindexed(smallDatasets(1)["github"])[0]
+	seg := fresh(smallDatasets(1)["github"])[0]
 	segs := []*mapreduce.Segment{seg}
 	var github []*Spec
 	want := map[string]uint64{}

@@ -60,7 +60,6 @@ func t1() *Spec {
 		EncodeEvent: func(e *wire.Encoder, spam int64) { e.Uvarint(uint64(spam)) },
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
-	q.Columns, q.GroupByBatch = twitterPlan.Read(1, 3), makeGroupByBatch(q.GroupBy, compileT1)
 	return makeSpec("T1", "Spam learning speed — no. queries not marked as spam, followed by at least 5 queries marked as spam per hashtag", "twitter",
 		true, true, false, q,
 		func(key string, counts []int64) string { return resultLine(key, counts...) })

@@ -41,14 +41,13 @@ leg build go build ./...
 leg unit go test ./...
 # Micro-benchmarks, run once each so that they keep compiling and
 # running: a registration's content digest over a fresh segment (MB/s)
-# and a first touch's column build per dataset (ns/row). EXPERIMENTS.md
-# records what they read.
-leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
-# The race leg covers the one SYMPLE engine end to end — the batched
-# chunk executor over a segment's index, whose columns are built at
-# their first read under concurrent jobs (internal/mapreduce,
-# internal/queries), and the scalar
-# fallback — and the sites' ownership rules: eight concurrent map tasks
+# and a first touch's pass one — GroupBy and counting sort — per query
+# (ns/row). EXPERIMENTS.md records what they read.
+leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkGroupFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
+# The race leg covers the one SYMPLE engine end to end — the chunk
+# executor, whose grouped form concurrent jobs keep on a segment at its
+# second touch and share after (internal/mapreduce, internal/core,
+# internal/queries) — and the sites' ownership rules: eight concurrent map tasks
 # over one exec-site pool, no container built after a site's first chunk
 # (internal/core, internal/sym), the storage contract between a fold
 # site's decode containers — or a group's events' Update on its working
@@ -61,9 +60,9 @@ leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkIndexFirstTo
 # between the forms, through every fold site); plus the wire primitives
 # the segment and frame codecs share (internal/wire).
 leg race go test -race ./internal/sym ./internal/mapreduce ./internal/core ./internal/queries ./internal/data ./internal/wire
-# Eight jobs first-touching different columns of one segment: each
-# column built once, under the segment's lock, ten times over.
-leg first-touch go test -race -count=10 -run 'TestSegmentIndexConcurrentFirstTouch' ./internal/mapreduce
+# Concurrent jobs making the second touch of the same segments keep one
+# grouped form between them, under the segment's lock, ten times over.
+leg second-touch go test -race -count=10 -run 'TestGroupedMemoConcurrentSecondTouch|TestDerivedMemoOnePerKey' ./internal/core ./internal/mapreduce
 # Short chaos sweep: the one seeded fault plan (Config.Faults) kills,
 # errors and delays attempts at every point it has — map start, first
 # and mid emit, the k-th run sent, spill write, reduce merge and
