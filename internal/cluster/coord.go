@@ -451,8 +451,6 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 				return fail(err)
 			}
 			out.Emitted = m.emitted
-			out.Records = m.records
-			out.InputBytes = m.inputBytes
 			out.Duration = m.duration
 			out.LogicalOutBytes = m.logical
 			if ctx.Err() != nil {

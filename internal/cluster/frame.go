@@ -36,7 +36,7 @@ import (
 // frames (span keys, fault points and kinds) have fixed numbers, and a
 // deleted one's number stays reserved. DESIGN.md's "Frame protocol"
 // section keeps the version history.
-const ProtocolVersion = 13
+const ProtocolVersion = 14
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -73,8 +73,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 	run := frame(FrameRun, encodeRun(mapreduce.Run{
 		Task: 4, Attempt: 1, Part: 2, Seg: []byte{0x01, 0x02, 0x03, 0x9C}}))
 	done := frame(FrameMapDone, encodeMapDone(&mapDone{
-		emitted: 7, records: 3, inputBytes: 88,
-		duration: 1500 * time.Microsecond, logical: []int64{12, 0, 34}}))
+		emitted: 7, duration: 1500 * time.Microsecond, logical: 46}))
 	spans := frame(FrameSpans, encodeSpans(seedSpans()))
 
 	// Oversized declared length: type byte plus uvarint(maxFrameLen+1).
@@ -128,6 +127,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-v10.bin", Data: frame(FrameHello, helloWith(helloMagic, 10))},
 		{Name: "corrupt-hello-v11.bin", Data: frame(FrameHello, helloWith(helloMagic, 11))},
 		{Name: "corrupt-hello-v12.bin", Data: frame(FrameHello, helloWith(helloMagic, 12))},
+		{Name: "corrupt-hello-v13.bin", Data: frame(FrameHello, helloWith(helloMagic, 13))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",
@@ -141,7 +141,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-mapdone-forged-parts.bin",
 			Data: frame(FrameMapDone, forgedMapDoneParts())},
 		{Name: "corrupt-mapdone-trailing.bin",
-			Data: frame(FrameMapDone, append(encodeMapDone(&mapDone{emitted: 1, logical: []int64{1}}), 0x00))},
+			Data: frame(FrameMapDone, append(encodeMapDone(&mapDone{emitted: 1, logical: 1}), 0x00))},
 		{Name: "corrupt-error-truncated.bin",
 			Data: frame(FrameError, encodeError("mapper: boom")[:4])},
 		{Name: "corrupt-error-trailing.bin",
@@ -277,14 +277,16 @@ func forgedSpanKey(attr bool) []byte {
 	return e.Bytes()
 }
 
-// forgedMapDoneParts claims more per-partition entries than maxParts.
+// forgedMapDoneParts is a map_done whose fields are followed by a
+// forged per-partition count, past the cap v13 decoded it under: v14
+// ships one logical total, so the count is trailing bytes.
 func forgedMapDoneParts() []byte {
 	e := wire.NewEncoder(16)
 	e.Varint(0)
 	e.Varint(0)
 	e.Varint(0)
 	e.Varint(0)
-	e.Uvarint(maxParts + 1)
+	e.Uvarint(1<<16 + 1)
 	return e.Bytes()
 }
 
@@ -457,9 +459,11 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// the last with the worker-to-worker frames and a one-lane segment
 	// digest, version 8 the last whose event bundles held one event and
 	// no count, version 9 the last whose job spec carried a combiner
-	// flag, and version 12 the last whose job spec carried a compress
-	// flag; peers still speaking any must be turned away at hello.
-	for _, v := range []uint64{4, 5, 6, 7, 8, 9, 12} {
+	// flag, version 12 the last whose job spec carried a compress flag,
+	// and version 13 the last whose map_done carried record and input
+	// counts and a per-partition logical size; peers still speaking any
+	// must be turned away at hello.
+	for _, v := range []uint64{4, 5, 6, 7, 8, 9, 12, 13} {
 		if err := decodeHello(helloWith(helloMagic, v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("hello from a v%d peer: %v, want the version error", v, err)
 		}
@@ -486,7 +490,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 		t.Error("forged record count accepted")
 	}
 	if _, err := decodeMapDone(forgedMapDoneParts()); err == nil {
-		t.Error("forged partition count accepted")
+		t.Error("a per-partition count after map_done's fields accepted")
 	}
 
 	if _, err := decodeAssign(encodeAssign(forgedFaultAssignment())); err == nil {

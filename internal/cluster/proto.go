@@ -214,49 +214,30 @@ func decodeRun(payload []byte) (mapreduce.Run, error) {
 // mapDone is the attempt-closing metrics message, the wire form of the
 // non-run fields of mapreduce.MapOutput.
 type mapDone struct {
-	emitted    int64
-	records    int64
-	inputBytes int64
-	duration   time.Duration
+	emitted  int64
+	duration time.Duration
 	// procs is the worker's GOMAXPROCS — the benchmark methodology
 	// records it per worker so oversubscribed hosts are visible.
 	procs   int
-	logical []int64
+	logical int64
 }
 
-// maxParts caps the per-partition slice in a decoded mapDone.
-const maxParts = 1 << 16
-
 func encodeMapDone(m *mapDone) []byte {
-	e := wire.NewEncoder(64)
+	e := wire.NewEncoder(32)
 	e.Varint(m.emitted)
-	e.Varint(m.records)
-	e.Varint(m.inputBytes)
 	e.Varint(int64(m.duration))
 	e.Varint(int64(m.procs))
-	e.Uvarint(uint64(len(m.logical)))
-	for _, v := range m.logical {
-		e.Varint(v)
-	}
+	e.Varint(m.logical)
 	return e.Bytes()
 }
 
 func decodeMapDone(payload []byte) (*mapDone, error) {
 	d := wire.NewDecoder(payload)
 	m := &mapDone{
-		emitted:    d.Varint(),
-		records:    d.Varint(),
-		inputBytes: d.Varint(),
-		duration:   time.Duration(d.Varint()),
-		procs:      int(d.Varint()),
-	}
-	n := d.Length(maxParts)
-	if d.Err() != nil {
-		return decoded(m, d, "map-done")
-	}
-	m.logical = make([]int64, n)
-	for i := range m.logical {
-		m.logical[i] = d.Varint()
+		emitted:  d.Varint(),
+		duration: time.Duration(d.Varint()),
+		procs:    int(d.Varint()),
+		logical:  d.Varint(),
 	}
 	return decoded(m, d, "map-done")
 }

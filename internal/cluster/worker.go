@@ -188,12 +188,10 @@ func (w *Worker) runAssignment(a *assignment, fc *FrameConn) error {
 		}
 	}
 	return fc.Write(FrameMapDone, encodeMapDone(&mapDone{
-		emitted:    out.Emitted,
-		records:    out.Records,
-		inputBytes: out.InputBytes,
-		duration:   out.Duration,
-		procs:      runtime.GOMAXPROCS(0),
-		logical:    out.LogicalOutBytes,
+		emitted:  out.Emitted,
+		duration: out.Duration,
+		procs:    runtime.GOMAXPROCS(0),
+		logical:  out.LogicalOutBytes,
 	}))
 }
 

@@ -40,9 +40,6 @@ const (
 	// MetricSummaryBytes is a histogram of encoded summary-bundle sizes
 	// as shipped to the shuffle, one observation per (mapper, group).
 	MetricSummaryBytes = "summary_bytes"
-	// MetricRunProbes counts runs of identical events the batch path
-	// folded as a unit.
-	MetricRunProbes = "run_probes"
 )
 
 // Query is a groupby-aggregate query over raw input records.

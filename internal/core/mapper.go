@@ -42,12 +42,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		}
 		// Emit copied the bundles: the site is free for its next chunk.
 		pool.put(be)
-		if reg != nil {
-			if local.RunProbes > 0 {
-				lreg.Counter(MetricRunProbes).Add(int64(local.RunProbes))
-			}
-			lreg.MergeInto(reg)
-		}
+		lreg.MergeInto(reg)
 		mu.Lock()
 		stats.Records += local.Records
 		stats.Runs += local.Runs

@@ -104,57 +104,38 @@ func (d Digest) Chain(next Digest) Digest {
 	return h.sum()
 }
 
-// address is the digest one pass over a segment's records leaves, and
-// extent the payload total (the digest's pass or Bytes' own leaves it):
-// each valid while rows matches len(Records), Derived's invalidation
-// rule.
-type address struct {
-	rows   int
-	digest Digest
-}
-
-type extent struct {
-	rows  int
-	bytes int64
-}
-
 // Digest content-addresses the segment: the record count and every
 // record's length and bytes, and not ID — two segments with the same
-// records share an address. Like Derived's state, it is resident and
-// derived: computed once under the segment's lock, recomputed only when
-// Records was replaced by a slice of another length. Safe for concurrent use.
+// records share an address. It is resident derived state, kept under
+// Derived's rule: computed once under the segment's lock, again only
+// when Records was replaced by a slice of another length. The pass
+// leaves the payload total for Bytes. Safe for concurrent use.
 func (s *Segment) Digest() Digest {
-	if a := s.addr.Load(); a != nil && a.rows == len(s.Records) {
-		return a.digest
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a := s.addr.Load()
-	if a == nil || a.rows != len(s.Records) {
-		a = &address{rows: len(s.Records)}
+	m := s.resident()
+	if !m.digested {
 		h := newDigester()
-		n := h.records(s.Records)
+		m.size = h.records(s.Records)
 		runtime.KeepAlive(s)
-		a.digest = h.sum()
-		s.addr.Store(a)
-		s.size.Store(&extent{rows: a.rows, bytes: n})
+		m.digest, m.digested, m.sized = h.sum(), true, true
 	}
-	return a.digest
+	return m.digest
 }
 
-// Bytes returns the total payload size of the segment. It is resident
-// derived state like the digest: summed once — by the
-// digest pass or the first call here, whichever comes first — and again
-// only when Records was replaced by a slice of another length. Safe for concurrent use (racing first calls store the
-// same total).
+// Bytes returns the total payload size of the segment: a length sum,
+// resident under Derived's rule like the digest — summed once, by the
+// digest's pass or the first call here, and again only when Records was
+// replaced by a slice of another length. Safe for concurrent use.
 func (s *Segment) Bytes() int64 {
-	if e := s.size.Load(); e != nil && e.rows == len(s.Records) {
-		return e.bytes
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.resident()
+	if !m.sized {
+		for _, r := range s.Records {
+			m.size += int64(len(r))
+		}
+		m.sized = true
 	}
-	var n int64
-	for _, r := range s.Records {
-		n += int64(len(r))
-	}
-	s.size.Store(&extent{rows: len(s.Records), bytes: n})
-	return n
+	return m.size
 }

@@ -169,109 +169,136 @@ func runIdempotentCapture(t *testing.T, segs []*Segment, conf Config) (string, *
 
 // ---- retry lifecycle ----
 
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	checkGoroutineLeaks(t)
-	const tasks = 4
-	var fails [tasks]atomic.Int32
-	var mu sync.Mutex
-	counts := map[string]int{}
-	job := &Job{
-		Name: "transient",
-		Map: func(id int, seg *Segment, emit Emit) error {
-			if fails[id].Add(1) <= 2 {
-				return fmt.Errorf("transient failure on task %d", id)
-			}
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), nil)
-			}
-			return nil
-		},
-		Reduce: func(_, _ int, key string, values []Shuffled) error {
-			mu.Lock()
-			counts[key] = len(values)
-			mu.Unlock()
-			return nil
-		},
-		Conf: fastRetries(Config{NumReducers: 2, MaxAttempts: 3}),
-	}
-	m, err := job.Run(countingSegments(tasks, 5))
-	if err != nil {
-		t.Fatalf("job should have recovered: %v", err)
-	}
-	if len(counts) != tasks*5 {
-		t.Errorf("got %d keys, want %d", len(counts), tasks*5)
-	}
-	if m.MapAttempts != tasks*3 {
-		t.Errorf("MapAttempts = %d, want %d", m.MapAttempts, tasks*3)
-	}
-	if m.TaskRetries != tasks*2 {
-		t.Errorf("TaskRetries = %d, want %d", m.TaskRetries, tasks*2)
-	}
-	if len(m.MapTasks) != tasks {
-		t.Errorf("MapTasks = %d, want %d", len(m.MapTasks), tasks)
-	}
-}
-
-func TestRetriesExhaustedAggregateErrors(t *testing.T) {
-	checkGoroutineLeaks(t)
-	sentinelA := errors.New("task A keeps dying")
-	sentinelB := errors.New("task B keeps dying")
-	job := &Job{
-		Name: "doomed",
-		Map: func(id int, seg *Segment, emit Emit) error {
-			if id == 0 {
-				return sentinelA
-			}
-			return sentinelB
-		},
-		Reduce: func(int, int, string, []Shuffled) error { return nil },
-		Conf:   fastRetries(Config{MaxAttempts: 3}),
-	}
-	_, err := job.Run(countingSegments(2, 3))
-	if err == nil {
-		t.Fatal("job should have failed")
-	}
-	if !errors.Is(err, sentinelA) || !errors.Is(err, sentinelB) {
-		t.Errorf("aggregated error should carry both tasks' failures, got: %v", err)
-	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Errorf("error should report the exhausted budget, got: %v", err)
-	}
-}
-
-func TestReduceRetryRecovers(t *testing.T) {
-	checkGoroutineLeaks(t)
-	var reduceFails atomic.Int32
-	var mu sync.Mutex
-	counts := map[string]int{}
-	job := &Job{
-		Name: "reduce-retry",
-		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), rec)
+// TestTaskRetries runs each row of the one attempt loop for each task
+// kind: a spent budget fails the job naming the task and every attempt,
+// a task recovers after transient failures, and a job cancelled while
+// its tasks sleep in a backoff returns ctx's error at once and leaves no
+// goroutine. Each job has two tasks of the kind under test, whose
+// attempts call fail first; the other kind's tasks never fail.
+func TestTaskRetries(t *testing.T) {
+	const tasks, attempts = 2, 3
+	dies := errors.New("attempt dies")
+	rows := []struct {
+		name    string
+		backoff time.Duration
+		fail    func(attempt int, cancel func()) error
+		check   func(t *testing.T, kind string, err error, reg map[string]int64, keys int)
+	}{
+		{"exhausted", 0, func(int, func()) error { return dies },
+			func(t *testing.T, kind string, err error, reg map[string]int64, _ int) {
+				if !errors.Is(err, dies) {
+					t.Fatalf("err = %v, want the attempts' errors", err)
+				}
+				for task := range tasks {
+					if want := fmt.Sprintf("%s task %d failed after %d attempts", kind, task, attempts); !strings.Contains(err.Error(), want) {
+						t.Errorf("error does not say %q: %v", want, err)
+					}
+				}
+				for a := range attempts {
+					if want := fmt.Sprintf("attempt %d: ", a); strings.Count(err.Error(), want) != tasks {
+						t.Errorf("error does not name %q once per task: %v", want, err)
+					}
+				}
+				if reg[MetricTaskRetries] != tasks*(attempts-1) {
+					t.Errorf("task_retries = %d, want %d", reg[MetricTaskRetries], tasks*(attempts-1))
+				}
+			}},
+		{"recovers", 0, func(a int, _ func()) error {
+			if a < attempts-1 {
+				return dies
 			}
 			return nil
-		},
-		Reduce: func(_, _ int, key string, values []Shuffled) error {
-			if reduceFails.Add(1) == 1 {
-				return errors.New("first reduce attempt dies")
+		}, func(t *testing.T, kind string, err error, reg map[string]int64, keys int) {
+			if err != nil {
+				t.Fatalf("the job should have recovered: %v", err)
 			}
-			mu.Lock()
-			counts[key] = len(values)
-			mu.Unlock()
-			return nil
-		},
-		Conf: fastRetries(Config{NumReducers: 1, MaxAttempts: 2}),
+			if keys != tasks*5 {
+				t.Errorf("reduced %d keys, want %d", keys, tasks*5)
+			}
+			if reg[MetricTaskRetries] != tasks*(attempts-1) {
+				t.Errorf("task_retries = %d, want %d", reg[MetricTaskRetries], tasks*(attempts-1))
+			}
+		}},
+		{"cancelled", time.Minute, func(a int, cancel func()) error {
+			cancel()
+			return dies
+		}, func(t *testing.T, kind string, err error, reg map[string]int64, _ int) {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if reg[MetricTaskRetries] != tasks {
+				t.Errorf("task_retries = %d, want one backoff per task", reg[MetricTaskRetries])
+			}
+		}},
 	}
-	m, err := job.Run(countingSegments(3, 4))
-	if err != nil {
-		t.Fatalf("reduce retry should have recovered: %v", err)
-	}
-	if len(counts) != 12 {
-		t.Errorf("got %d keys, want 12", len(counts))
-	}
-	if m.ReduceAttempts != 2 {
-		t.Errorf("ReduceAttempts = %d, want 2", m.ReduceAttempts)
+	for _, row := range rows {
+		for _, kind := range []string{"map", "reduce"} {
+			t.Run(row.name+"/"+kind, func(t *testing.T) {
+				checkGoroutineLeaks(t)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				// tried counts each task's attempts: a map attempt calls Map
+				// once, a reduce attempt starts at its partition's group 0.
+				var tried [tasks]atomic.Int32
+				// cancel, asked by every task, cancels the job once all
+				// have failed and gone to sleep in their backoff.
+				var asked atomic.Int32
+				cancelAll := func() {
+					if asked.Add(1) == tasks {
+						time.AfterFunc(5*time.Millisecond, cancel)
+					}
+				}
+				fail := func(task int) error { return row.fail(int(tried[task].Add(1))-1, cancelAll) }
+				var mu sync.Mutex
+				counts := map[string]int{}
+				reg := obs.NewRegistry()
+				job := &Job{
+					Name: "retry-" + kind,
+					Map: func(id int, seg *Segment, emit Emit) error {
+						if kind == "map" {
+							if err := fail(id); err != nil {
+								return err
+							}
+						}
+						for i, rec := range seg.Records {
+							emit(string(rec), int64(i), rec)
+						}
+						return nil
+					},
+					Reduce: func(r, group int, key string, values []Shuffled) error {
+						if kind == "reduce" && group == 0 {
+							if err := fail(r); err != nil {
+								return err
+							}
+						}
+						mu.Lock()
+						counts[key] = len(values)
+						mu.Unlock()
+						return nil
+					},
+					Conf: Config{NumReducers: tasks, MaxAttempts: attempts, RetryBackoff: 100 * time.Microsecond,
+						Registry: reg},
+				}
+				if row.backoff > 0 {
+					job.Conf.RetryBackoff = row.backoff
+				}
+				t0 := time.Now()
+				_, err := job.RunContext(ctx, countingSegments(tasks, 5))
+				if d := time.Since(t0); d > 10*time.Second {
+					t.Errorf("the job took %v", d)
+				}
+				snap := reg.Snapshot()
+				attemptsMetric := map[string]string{"map": MetricMapAttempts, "reduce": MetricReduceAttempts}[kind]
+				var want int64
+				for task := range tried {
+					want += int64(tried[task].Load())
+				}
+				if snap[attemptsMetric] != want || want < tasks {
+					t.Errorf("%s = %d, want %d attempts over %d tasks", attemptsMetric, snap[attemptsMetric], want, tasks)
+				}
+				row.check(t, kind, err, snap, len(counts))
+			})
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"iter"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -50,16 +49,34 @@ type Segment struct {
 	// one (runtime.KeepAlive), and copies what outlives it.
 	Records [][]byte
 
-	// derived is what callers keep per key (Derived) while len(Records)
-	// is rows; addr is the content address (digest.go), computed at first
-	// touch by Digest; size is the payload total, left by Digest or by
-	// Bytes. All are derived from Records and resident with the segment;
-	// derived and addr are kept under mu.
-	mu      sync.Mutex
-	derived [8]struct{ key, v any }
+	// mu guards memo, the state derived from Records and resident with
+	// the segment.
+	mu   sync.Mutex
+	memo segmentMemo
+}
+
+// segmentMemo is a segment's derived state, under one rule: it holds
+// while len(Records) is rows, and is dropped whole when Records was
+// replaced by a slice of another length (Segment.resident).
+type segmentMemo struct {
 	rows    int
-	addr    atomic.Pointer[address]
-	size    atomic.Pointer[extent]
+	derived [8]struct{ key, v any } // what callers keep per key (Derived)
+	// digest is the content address (digest.go) once digested; size the
+	// payload total once sized, by Bytes or the digest's pass. They are
+	// typed fields, not Derived entries: no caller's key can crowd them
+	// out of the eight slots, and reading them boxes nothing.
+	digest          Digest
+	size            int64
+	digested, sized bool
+}
+
+// resident returns the segment's memo, dropped first if Records was
+// replaced. The caller holds mu.
+func (s *Segment) resident() *segmentMemo {
+	if s.memo.rows != len(s.Records) {
+		s.memo = segmentMemo{rows: len(s.Records)}
+	}
+	return &s.memo
 }
 
 // Derived returns the state a caller keeps on the segment under key,
@@ -71,12 +88,9 @@ type Segment struct {
 func (s *Segment) Derived(key any, fresh func() any) any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rows != len(s.Records) {
-		clear(s.derived[:])
-		s.rows = len(s.Records)
-	}
-	for i := range s.derived {
-		d := &s.derived[i]
+	m := s.resident()
+	for i := range m.derived {
+		d := &m.derived[i]
 		if d.key == nil {
 			d.key, d.v = key, fresh()
 		}
@@ -207,11 +221,6 @@ type TaskMetrics struct {
 	// is Metrics.ShuffleBytes; the cluster simulator charges transfer
 	// time against it.
 	OutBytes []int64
-	// LogicalOutBytes is, for map tasks, the per-reducer logical volume:
-	// the records' legacy Hadoop-style framing before dictionary/delta
-	// encoding. Its sum is Metrics.ShuffleLogicalBytes.
-	// Nil for reduce tasks.
-	LogicalOutBytes []int64
 }
 
 // Registry instrument names the engine populates. The engine

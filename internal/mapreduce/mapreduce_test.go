@@ -499,7 +499,7 @@ func TestDerivedMemoOnePerKey(t *testing.T) {
 	if made.Load() != 1 {
 		t.Fatalf("concurrent touches made %d states, want 1", made.Load())
 	}
-	slots := len(seg.derived)
+	slots := len(seg.memo.derived)
 	for i := range slots - 1 {
 		if seg.Derived(i, fresh) == nil {
 			t.Fatalf("key %d of %d found no slot", i+2, slots)

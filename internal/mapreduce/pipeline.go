@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -24,38 +23,22 @@ import (
 // grouped stream.
 
 func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment) (_ *Metrics, err error) {
-	m := &Metrics{}
 	start := time.Now()
-	reg := obs.NewRegistry()
-	env := &runEnv{
-		ctx:     ctx,
-		job:     j,
-		conf:    conf,
-		sem:     make(chan struct{}, conf.Parallelism),
-		aborted: &atomic.Bool{},
-		trace:   conf.Trace,
-		reg:     reg,
-
-		mapAttempts:    reg.Counter(MetricMapAttempts),
-		reduceAttempts: reg.Counter(MetricReduceAttempts),
-		retries:        reg.Counter(MetricTaskRetries),
-		specLaunched:   reg.Counter(MetricSpecTasks),
-		specWins:       reg.Counter(MetricSpecWins),
-	}
+	env := newRunEnv(ctx, j, conf)
 	// The job root span: every task span parents to it, and its closing
 	// attrs carry the whole-job quantities the trace verifier checks
 	// (wire vs logical bytes, the cpu-bound parallelism cap).
-	jobSpan := env.trace.StartJob(j.Name)
+	jobSpan := env.conf.Trace.StartJob(j.Name)
 	defer func() {
+		outcome := "ok"
 		if err != nil {
-			jobSpan.Tag(obs.TagOutcome, "error")
-		} else {
-			jobSpan.Tag(obs.TagOutcome, "ok")
+			outcome = "error"
 		}
-		jobSpan.Attr(obs.AttrParallelism, int64(conf.Parallelism)).
-			Attr(obs.AttrWireBytes, m.ShuffleBytes).
-			Attr(obs.AttrLogicalBytes, m.ShuffleLogicalBytes).
-			Attr(obs.AttrGroups, m.Groups).
+		jobSpan.Tag(obs.TagOutcome, outcome).
+			Attr(obs.AttrParallelism, int64(conf.Parallelism)).
+			Attr(obs.AttrWireBytes, env.reg.Counter(MetricShuffleBytes).Value()).
+			Attr(obs.AttrLogicalBytes, env.reg.Counter(MetricShuffleLogical).Value()).
+			Attr(obs.AttrGroups, env.reg.Counter(MetricGroups).Value()).
 			End()
 		env.reg.MergeInto(conf.Registry)
 	}()
@@ -67,37 +50,19 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	// ---- Reduce tasks (launched first: there is no map barrier) ----
 	// A map-only job has no reduce side: no transport opens, no reducer
 	// waits, and a task's commit is where its output leaves the engine.
-	type redOut struct {
-		task TaskMetrics // Records: the partition's groups
-		err  error
-	}
-	var redOuts []redOut
+	var reduces []TaskMetrics
+	var reduceErrs []error
 	var rwg sync.WaitGroup
 	if !mapOnly {
 		env.transport = newMemTransport(conf.NumReducers, len(segments))
-		redOuts = make([]redOut, conf.NumReducers)
+		reduces = make([]TaskMetrics, conf.NumReducers)
+		reduceErrs = make([]error, conf.NumReducers)
 	}
-	for p := range redOuts {
+	for p := range reduces {
 		rwg.Add(1)
 		go func(p int) {
 			defer rwg.Done()
-			runs, inBytes, active, lerr := env.collectRuns(p)
-			if env.aborted.Load() || lerr != nil {
-				releaseRuns(runs)
-				if lerr != nil {
-					redOuts[p] = redOut{err: fmt.Errorf("mapreduce %q: reduce task %d: %w", j.Name, p, lerr)}
-				}
-				return
-			}
-			// The grouping and the user reduce calls are CPU work; cap them
-			// like any other task. By now all maps are done, so their
-			// semaphore slots are free.
-			env.sem <- struct{}{}
-			defer func() { <-env.sem }()
-			t0 := time.Now()
-			groups, err := env.runReduceTask(p, runs)
-			redOuts[p] = redOut{err: err,
-				task: TaskMetrics{Duration: active + time.Since(t0), InputBytes: inBytes, Records: groups}}
+			reduces[p], reduceErrs[p] = env.runReduceTask(p)
 		}(p)
 	}
 
@@ -106,72 +71,52 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 	states := make([]*mapTask, len(segments))
 	var wg sync.WaitGroup
 	for i, seg := range segments {
-		states[i] = newMapTask(i, seg)
+		states[i] = &mapTask{id: i, seg: seg}
 		wg.Add(1)
 		go func(st *mapTask) {
 			defer wg.Done()
 			env.driveMapTask(st)
 		}(states[i])
 	}
-	var watchdogDone chan struct{}
-	var watchdogStop chan struct{}
+	stop := make(chan struct{})
+	var watchdog sync.WaitGroup
 	if conf.Speculation && len(segments) > 1 {
-		watchdogStop = make(chan struct{})
-		watchdogDone = make(chan struct{})
-		go env.speculationWatchdog(states, watchdogStop, watchdogDone)
+		watchdog.Add(1)
+		go func() {
+			defer watchdog.Done()
+			env.speculationWatchdog(states, stop)
+		}()
 	}
 	wg.Wait()
-	if watchdogStop != nil {
-		close(watchdogStop)
-		<-watchdogDone
-	}
+	close(stop)
+	watchdog.Wait()
 	// Late speculative attempts may still be running (their task already
 	// resolved); wait so every commit or discard lands before the
 	// channels close.
 	env.specWG.Wait()
 	mapDone := time.Now()
-	m.MapWall = mapDone.Sub(mapStart)
 
-	// Collect map outcomes into the job registry, then release the
-	// reducers by closing their channels. Permanent task failures
-	// aggregate into one multi-error. The scalar Metrics fields are read
-	// back from the registry below — the registry is the system of
-	// record, Metrics the derived view.
-	var taskFailures []error
-	for i, st := range states {
-		if st.failErr != nil {
-			taskFailures = append(taskFailures, st.failErr)
-			continue
-		}
-		if !st.committed.Load() {
-			continue // stopped early: job aborting or cancelled
-		}
-		m.MapTasks = append(m.MapTasks, st.task)
-		m.MapCPU += st.task.Duration
-		env.reg.Counter(MetricInputBytes).Add(st.task.InputBytes)
-		env.reg.Counter(MetricInputRecords).Add(int64(len(segments[i].Records)))
-		env.reg.Counter(MetricShuffleRecords).Add(st.emitted)
-		for _, b := range st.task.OutBytes {
-			env.reg.Counter(MetricShuffleBytes).Add(b)
-		}
-		for _, b := range st.task.LogicalOutBytes {
-			env.reg.Counter(MetricShuffleLogical).Add(b)
+	// Settle the map side, then release the reducers by closing their
+	// channels: one pass records each committed task's counts in the job
+	// registry. Permanent task failures join into one multi-error.
+	var maps []TaskMetrics
+	var mapErrs []error
+	for _, st := range states {
+		mapErrs = append(mapErrs, st.err)
+		if st.err == nil && st.committed.Load() {
+			maps = append(maps, st.task)
+			env.record(MetricInputBytes, st.task.InputBytes)
+			env.record(MetricInputRecords, st.task.Records)
+			env.record(MetricShuffleRecords, st.emitted)
+			env.record(MetricShuffleLogical, st.logical)
+			for _, b := range st.task.OutBytes {
+				env.record(MetricShuffleBytes, b)
+			}
 		}
 	}
-	m.InputBytes = env.reg.Counter(MetricInputBytes).Value()
-	m.InputRecords = env.reg.Counter(MetricInputRecords).Value()
-	m.ShuffleRecords = env.reg.Counter(MetricShuffleRecords).Value()
-	m.ShuffleBytes = env.reg.Counter(MetricShuffleBytes).Value()
-	m.ShuffleLogicalBytes = env.reg.Counter(MetricShuffleLogical).Value()
-	m.MapAttempts = env.mapAttempts.Value()
-	m.SpeculativeTasks = env.specLaunched.Value()
-	m.SpeculativeWins = env.specWins.Value()
-
-	var mapErr error
-	if err := ctx.Err(); err != nil {
-		mapErr = fmt.Errorf("mapreduce %q: %w", j.Name, err)
-	} else if len(taskFailures) > 0 {
-		mapErr = errors.Join(taskFailures...)
+	mapErr := errors.Join(mapErrs...)
+	if cerr := ctx.Err(); cerr != nil {
+		mapErr = fmt.Errorf("mapreduce %q: %w", j.Name, cerr)
 	}
 	if mapErr != nil {
 		env.aborted.Store(true)
@@ -180,31 +125,58 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 		env.transport.closeSend()
 		rwg.Wait()
 	}
-	m.ReduceAttempts = env.reduceAttempts.Value()
-	m.TaskRetries = env.retries.Value() // map and reduce retries
 	if mapErr != nil {
 		return nil, mapErr
 	}
 
-	var reduceFailures []error
-	for p := range redOuts {
-		if redOuts[p].err != nil {
-			reduceFailures = append(reduceFailures, redOuts[p].err)
-			continue
+	// Settle the reduce side the same way.
+	for p := range reduces {
+		if reduceErrs[p] == nil {
+			env.record(MetricGroups, reduces[p].Records)
 		}
-		m.ReduceTasks = append(m.ReduceTasks, redOuts[p].task)
-		m.ReduceCPU += redOuts[p].task.Duration
-		env.reg.Counter(MetricGroups).Add(redOuts[p].task.Records)
 	}
-	m.Groups = env.reg.Counter(MetricGroups).Value()
-	if len(reduceFailures) > 0 {
-		return nil, errors.Join(reduceFailures...)
+	if err := errors.Join(reduceErrs...); err != nil {
+		return nil, err
 	}
+	m := env.metrics(maps, reduces)
+	m.MapWall = mapDone.Sub(mapStart)
 	// ReduceWall is the post-map tail: the part of reduce work left on
 	// the critical path after pipelining has overlapped the rest.
 	m.ReduceWall = time.Since(mapDone)
 	m.TotalWall = time.Since(start)
 	return m, nil
+}
+
+// record adds n to the job registry's count name.
+func (env *runEnv) record(name string, n int64) { env.reg.Counter(name).Add(n) }
+
+// metrics builds the job's Metrics: every count from the job registry,
+// where the settle and the tasks recorded it, beside the tasks' own
+// records and their summed durations.
+func (env *runEnv) metrics(maps, reduces []TaskMetrics) *Metrics {
+	c := func(name string) int64 { return env.reg.Counter(name).Value() }
+	m := &Metrics{
+		InputBytes:          c(MetricInputBytes),
+		InputRecords:        c(MetricInputRecords),
+		ShuffleBytes:        c(MetricShuffleBytes),
+		ShuffleLogicalBytes: c(MetricShuffleLogical),
+		ShuffleRecords:      c(MetricShuffleRecords),
+		MapTasks:            maps,
+		ReduceTasks:         reduces,
+		Groups:              c(MetricGroups),
+		MapAttempts:         c(MetricMapAttempts),
+		ReduceAttempts:      c(MetricReduceAttempts),
+		TaskRetries:         c(MetricTaskRetries),
+		SpeculativeTasks:    c(MetricSpecTasks),
+		SpeculativeWins:     c(MetricSpecWins),
+	}
+	for _, t := range maps {
+		m.MapCPU += t.Duration
+	}
+	for _, t := range reduces {
+		m.ReduceCPU += t.Duration
+	}
+	return m
 }
 
 // collectRuns drains one partition's channel until all map tasks are
@@ -214,7 +186,7 @@ func (j *Job) runStreaming(ctx context.Context, conf Config, segments []*Segment
 func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
 	for r := range env.transport[p] {
 		t0 := time.Now()
-		run, derr := decodeRun(env.trace, p, r)
+		run, derr := decodeRun(env.conf.Trace, p, r)
 		active += time.Since(t0)
 		if derr != nil {
 			if err == nil {
@@ -252,7 +224,7 @@ func (env *runEnv) reduceGroups(p int, runs []spillRun, faults AttemptFaults) (g
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
 	ord := 0
-	return groupAttempt(env.ctx, env.trace, p, runs, faults, func(key string, group []Shuffled) error {
+	return groupAttempt(env.ctx, env.conf.Trace, p, runs, faults, func(key string, group []Shuffled) error {
 		groupHist.Observe(int64(len(group)))
 		if err := j.Reduce(p, ord, key, group); err != nil {
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)

@@ -29,16 +29,12 @@ type MapOutput struct {
 	pairs   []kvRec
 	arena   *valueArena
 	Emitted int64 // shuffle records across all partitions
-	Records int64 // input records consumed
-	// InputBytes is the segment payload the worker read.
-	InputBytes int64
 	// Duration is the worker-measured attempt time; it feeds the
 	// speculation watchdog's straggler medians and MetricMapTaskNS.
 	Duration time.Duration
-	// LogicalOutBytes is the per-partition legacy-framing volume
-	// (Metrics.ShuffleLogicalBytes), computed at the worker where the
-	// records exist.
-	LogicalOutBytes []int64
+	// LogicalOutBytes is the attempt's output in the legacy framing
+	// (Metrics.ShuffleLogicalBytes), computed where the records exist.
+	LogicalOutBytes int64
 	// Spans are the worker-side trace spans covering this attempt
 	// (map parse/exec chunks, spill encode), shipped back for
 	// re-parenting under the coordinator's job root. May be nil.
@@ -103,9 +99,9 @@ func (env *runEnv) adopt(st *mapTask, attempt int, out *MapOutput) error {
 			continue
 		}
 		sp.ID = 0 // EmitRaw reassigns from the coordinator's sequence
-		sp.Parent = env.trace.CurrentJob()
+		sp.Parent = env.conf.Trace.CurrentJob()
 		sp.SetTag(obs.TagRemote, "1")
-		env.trace.EmitRaw(sp)
+		env.conf.Trace.EmitRaw(sp)
 	}
 	return nil
 }

@@ -71,21 +71,109 @@ type runEnv struct {
 	conf      Config
 	sem       chan struct{}
 	transport memTransport
-	aborted   *atomic.Bool
+	aborted   atomic.Bool
 
-	// trace is Config.Trace (possibly nil — span calls are nil-safe).
-	// reg is the job's private metrics registry; lifecycle counters and
-	// task histograms are observed here and Metrics is derived from it.
-	trace *obs.Trace
-	reg   *obs.Registry
+	// reg is the job's private metrics registry: every count is recorded
+	// there once, and Metrics is built from it (metrics).
+	reg *obs.Registry
 
-	specWG sync.WaitGroup // in-flight speculative attempts
+	specWG        sync.WaitGroup // in-flight speculative attempts
+	maps, reduces taskKind
+}
 
-	mapAttempts    *obs.Counter
-	reduceAttempts *obs.Counter
-	retries        *obs.Counter
-	specLaunched   *obs.Counter
-	specWins       *obs.Counter
+// newRunEnv is job j's scheduler state under conf, its registry fresh.
+func newRunEnv(ctx context.Context, j *Job, conf Config) *runEnv {
+	reg := obs.NewRegistry()
+	return &runEnv{
+		ctx:  ctx,
+		job:  j,
+		conf: conf,
+		sem:  make(chan struct{}, conf.Parallelism),
+		reg:  reg,
+		maps: taskKind{"map", obs.KindMapAttempt, obs.AttrRecords,
+			mapFaultPoints(conf), reg.Counter(MetricMapAttempts)},
+		reduces: taskKind{"reduce", obs.KindReduceAttempt, obs.AttrGroups,
+			[]FaultPoint{PointReduceMerge, PointReduceMid}, reg.Counter(MetricReduceAttempts)},
+	}
+}
+
+// taskKind is what the attempt loop knows of a map or a reduce task.
+type taskKind struct {
+	phase    string       // "map" or "reduce": span names, the commit span's phase, errors
+	span     string       // the attempt span's kind
+	count    obs.AttrKey  // an ok attempt span's count: records mapped, groups reduced
+	points   []FaultPoint // the fault points an attempt can reach
+	attempts *obs.Counter
+}
+
+// runTask is the one attempt loop, map and reduce tasks alike: attempt
+// runs the loop's try a and returns the attempt's ID, up to
+// Config.MaxAttempts times with capped exponential backoff before each
+// retry, until one succeeds (nil), the job is cancelled (ctx's error) or
+// the budget is spent (an error naming the task and joining every
+// attempt's). Before an attempt the loop also ends, with nil, once
+// committed is set — a map task's backup won; nil for a reduce task — or
+// the job is aborting.
+func (env *runEnv) runTask(k *taskKind, task int, committed *atomic.Bool, attempt func(a int) (int, error)) error {
+	var errs []error
+	for a := 0; a < env.conf.MaxAttempts; a++ {
+		if (committed != nil && committed.Load()) || env.aborted.Load() {
+			return nil
+		}
+		if err := env.ctx.Err(); err != nil {
+			return err
+		}
+		if a > 0 {
+			env.record(MetricTaskRetries, 1)
+			if err := sleepCtx(env.ctx, backoffDelay(env.conf, a)); err != nil {
+				return err
+			}
+		}
+		id, err := attempt(a)
+		if err == nil {
+			return nil
+		}
+		if cerr := env.ctx.Err(); cerr != nil {
+			return cerr
+		}
+		errs = append(errs, fmt.Errorf("attempt %d: %w", id, err))
+	}
+	return fmt.Errorf("mapreduce %q: %s task %d failed after %d attempts: %w",
+		env.job.Name, k.phase, task, len(errs), errors.Join(errs...))
+}
+
+// runAttempt is one attempt of a task of kind k: it takes a task slot,
+// arms the attempt's faults and runs body under the attempt span, which
+// closes with the attempt's outcome and, ok, body's count. The span
+// opens after the slot, so summed attempt spans stay bounded by wall ×
+// Parallelism (the verifier's cpu-bound invariant).
+func (env *runEnv) runAttempt(k *taskKind, task, attempt int, spec bool, body func(AttemptFaults) (int64, error)) error {
+	k.attempts.Add(1)
+	select {
+	case env.sem <- struct{}{}:
+	case <-env.ctx.Done():
+		return env.ctx.Err()
+	}
+	defer func() { <-env.sem }()
+	span := env.conf.Trace.Start(k.span, fmt.Sprintf("%s-%d", k.phase, task)).
+		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt))
+	if spec {
+		span.Tag(obs.TagSpeculative, "1")
+	}
+	n, err := body(env.conf.Faults.Arm(task, attempt, env.conf.MaxAttempts, k.points...))
+	if err != nil {
+		span.Tag(obs.TagOutcome, "error").End()
+		return err
+	}
+	span.Tag(obs.TagOutcome, "ok").Attr(k.count, n).End()
+	return nil
+}
+
+// commitSpan marks attempt as the one task committed.
+func (env *runEnv) commitSpan(k *taskKind, task, attempt int) {
+	env.conf.Trace.Start(obs.KindCommit, fmt.Sprintf("%s-%d", k.phase, task)).
+		Attr(obs.AttrTask, int64(task)).Attr(obs.AttrAttempt, int64(attempt)).
+		Tag(obs.TagPhase, k.phase).End()
 }
 
 // mapTask is one map task's lifecycle state, shared by its driver, any
@@ -101,82 +189,49 @@ type mapTask struct {
 
 	// Written once by the committing attempt (guarded by the commit CAS),
 	// read after all drivers and backups have finished.
-	task    TaskMetrics
-	emitted int64
+	task             TaskMetrics
+	emitted, logical int64
 
 	mu       sync.Mutex
-	finished bool          // driver exhausted its budget (under mu)
+	finished bool          // driver out of attempts (under mu)
 	backup   chan struct{} // closed when the speculative attempt ends; nil if none
 
-	failErr error // driver-final error, set before done closes
-	done    chan struct{}
+	// err is the task's failure: its budget spent, or its output refused
+	// after the commit. nil when it committed or stopped early (the job
+	// aborting or cancelled).
+	err error
 }
 
-func newMapTask(id int, seg *Segment) *mapTask {
-	return &mapTask{id: id, seg: seg, done: make(chan struct{})}
-}
-
-// driveMapTask runs the task's retry loop: attempts with capped
-// exponential backoff until one commits, the budget is exhausted, the
-// job aborts, or ctx is cancelled. If a speculative attempt is in
-// flight when the budget runs out, the driver waits for it before
-// declaring the task failed.
+// driveMapTask runs a map task through the attempt loop. Its attempt IDs
+// come from the sequence it shares with a speculative backup, and an
+// attempt that loses the commit race to the backup ends the task as a
+// win would. A task whose budget is spent while a backup is in flight
+// waits for the backup before it fails.
 func (env *runEnv) driveMapTask(st *mapTask) {
-	defer close(st.done)
 	st.firstStart.Store(time.Now().UnixNano())
-	var attemptErrs []error
-	for a := 0; a < env.conf.MaxAttempts; a++ {
-		if st.committed.Load() {
-			return // a speculative attempt won
-		}
-		if env.aborted.Load() || env.ctx.Err() != nil {
-			env.finishTask(st, nil)
-			return
-		}
-		if a > 0 {
-			env.retries.Add(1)
-			if err := sleepCtx(env.ctx, backoffDelay(env.conf, a)); err != nil {
-				env.finishTask(st, nil)
-				return
-			}
-		}
+	err := env.runTask(&env.maps, st.id, &st.committed, func(int) (int, error) {
 		id := int(st.attemptSeq.Add(1) - 1)
-		res, err := env.runMapAttempt(st, id, false)
+		out, err := env.runMapAttempt(st, id, false)
 		if err == nil {
-			// Losing the commit race to a backup just drops res.
-			if won, cerr := env.commit(st, id, res); won && cerr != nil {
-				env.finishTask(st, cerr) // output failure after commit: abort
+			if won, cerr := env.commit(st, id, out); won && cerr != nil {
+				st.err = cerr // output failure after commit: abort, no retry
 			}
-			return
 		}
-		if env.ctx.Err() != nil {
-			env.finishTask(st, nil)
-			return
-		}
-		attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", id, err))
-	}
-	// Budget exhausted; a backup may still save the task.
+		return id, err
+	})
 	st.mu.Lock()
 	st.finished = true
 	b := st.backup
 	st.mu.Unlock()
+	if err == nil || env.ctx.Err() != nil {
+		return
+	}
 	if b != nil {
 		<-b
 	}
-	if st.committed.Load() {
-		return
+	if !st.committed.Load() {
+		st.err = err
 	}
-	env.finishTask(st, fmt.Errorf("mapreduce %q: map task %d failed after %d attempts: %w",
-		env.job.Name, st.id, len(attemptErrs), errors.Join(attemptErrs...)))
-}
-
-// finishTask marks the driver done without a commit. err may be nil when
-// the task stopped because the job is already aborting or cancelled.
-func (env *runEnv) finishTask(st *mapTask, err error) {
-	st.mu.Lock()
-	st.finished = true
-	st.mu.Unlock()
-	st.failErr = err
 }
 
 // mapFaultPoints are the points a map attempt under conf can reach: a
@@ -189,59 +244,33 @@ func mapFaultPoints(conf Config) []FaultPoint {
 	return append(pts, PointSpillWrite)
 }
 
-// runMapAttempt executes one attempt: acquire a task slot, arm its
-// faults and run the attempt body, here (executeMap) or on a worker. The
-// returned result is uncommitted.
+// runMapAttempt executes one map attempt: its body runs here
+// (executeMap) or on a worker. The returned result is uncommitted.
 func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapOutput, err error) {
-	env.mapAttempts.Add(1)
-	select {
-	case env.sem <- struct{}{}:
-	case <-env.ctx.Done():
-		return nil, env.ctx.Err()
-	}
-	defer func() { <-env.sem }()
-
-	// The attempt span opens after the semaphore, so summed attempt spans
-	// stay bounded by wall × Parallelism (the verifier's cpu-bound
-	// invariant); it closes on every exit with the attempt's outcome.
-	span := env.trace.Start(obs.KindMapAttempt, fmt.Sprintf("map-%d", st.id)).
-		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt))
-	if spec {
-		span.Tag(obs.TagSpeculative, "1")
-	}
-	defer func() {
+	// Cluster mode delegates the body to the remote mapper. The task slot
+	// stays held — it bounds in-flight remote attempts the way it bounds
+	// local CPU — and the attempt span still wraps it, so the verifier's
+	// commit-matches-attempt and cpu-bound invariants see the same shape
+	// wherever the body ran; adopt checks either's output the same way,
+	// so commit and the reduce side cannot tell.
+	err = env.runAttempt(&env.maps, st.id, attempt, spec, func(faults AttemptFaults) (int64, error) {
+		var err error
+		switch {
+		case env.conf.RemoteMap != nil:
+			out, err = env.conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg, faults)
+		case env.job.Reduce == nil:
+			out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, nil, faults)
+		default:
+			var runs runList
+			if out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, &runs, faults); err == nil {
+				out.Runs = runs
+			}
+		}
 		if err == nil {
-			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrRecords, int64(len(st.seg.Records)))
-		} else {
-			span.Tag(obs.TagOutcome, "error")
+			err = env.adopt(st, attempt, out)
 		}
-		span.End()
-	}()
-
-	// Cluster mode delegates the body to the remote mapper. The semaphore
-	// slot stays held — it bounds in-flight remote attempts the way it
-	// bounds local CPU — and the span above still wraps the attempt, so
-	// the verifier's commit-matches-attempt and cpu-bound invariants see
-	// the same shape wherever the body ran; adopt checks either's output
-	// the same way, so commit and the reduce side cannot tell.
-	var faults AttemptFaults
-	if env.conf.Faults != nil {
-		faults = env.conf.Faults.Arm(st.id, attempt, env.conf.MaxAttempts, mapFaultPoints(env.conf)...)
-	}
-	switch {
-	case env.conf.RemoteMap != nil:
-		out, err = env.conf.RemoteMap.RunMap(env.ctx, st.id, attempt, st.seg, faults)
-	case env.job.Reduce == nil:
-		out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, nil, faults)
-	default:
-		var runs runList
-		if out, err = executeMap(env.ctx, env.job.Map, st.seg, st.id, attempt, env.conf, &runs, faults); err == nil {
-			out.Runs = runs
-		}
-	}
-	if err == nil {
-		err = env.adopt(st, attempt, out)
-	}
+		return int64(len(st.seg.Records)), err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +301,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		n = 1
 	}
 	parts := make([][]kvRec, n)
-	logical := make([]int64, n)
+	var logical int64
 	arena := arenas.Get().(*valueArena)
 	// A kill or error fault inside the user map surfaces as a panic;
 	// recover it into the attempt's error, as if the worker died. A failed
@@ -321,13 +350,13 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			buf = getPartBuf()
 		}
 		parts[p] = append(buf, rec)
-		logical[p] += rec.wireSize()
+		logical += rec.wireSize()
 	}
 	if err := mapFn(seg.ID, seg, emit); err != nil {
 		return nil, err
 	}
 
-	out = &MapOutput{Records: int64(len(seg.Records)), InputBytes: seg.Bytes()}
+	out = &MapOutput{}
 	if sink == nil {
 		out.pairs, out.arena = parts[0], arena
 	} else {
@@ -394,26 +423,19 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 	if !st.committed.CompareAndSwap(false, true) {
 		return false, nil
 	}
-	n := env.conf.NumReducers
 	st.task = TaskMetrics{
-		Duration:        max(out.Duration, time.Nanosecond), // keep the speculation median well-defined
-		InputBytes:      st.seg.Bytes(),
-		Records:         int64(len(st.seg.Records)),
-		OutBytes:        make([]int64, n),
-		LogicalOutBytes: out.LogicalOutBytes,
-	}
-	if len(out.LogicalOutBytes) != n {
-		st.task.LogicalOutBytes = make([]int64, n)
+		Duration:   max(out.Duration, time.Nanosecond), // keep the speculation median well-defined
+		InputBytes: st.seg.Bytes(),
+		Records:    int64(len(st.seg.Records)),
+		OutBytes:   make([]int64, env.conf.NumReducers),
 	}
 	for _, r := range out.Runs {
 		st.task.OutBytes[r.Part] = int64(len(r.Seg))
 	}
-	st.emitted = out.Emitted
+	st.emitted, st.logical = out.Emitted, out.LogicalOutBytes
 	st.commitDur.Store(int64(st.task.Duration))
 	env.reg.Histogram(MetricMapTaskNS).Observe(int64(st.task.Duration))
-	env.trace.Start(obs.KindCommit, fmt.Sprintf("map-%d", st.id)).
-		Attr(obs.AttrTask, int64(st.id)).Attr(obs.AttrAttempt, int64(attempt)).
-		Tag(obs.TagPhase, "map").End()
+	env.commitSpan(&env.maps, st.id, attempt)
 	if env.job.Reduce == nil {
 		defer out.arena.release()
 		defer putPartBuf(out.pairs)
@@ -433,7 +455,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 	}
 	for _, r := range out.Runs {
 		env.reg.Histogram(MetricRunBytes).Observe(int64(len(r.Seg)))
-		env.trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
+		env.conf.Trace.Start(obs.KindRunCommit, fmt.Sprintf("map-%d", st.id)).
 			Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
 			Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, int64(len(r.Seg))).End()
 		env.transport[r.Part] <- r
@@ -445,8 +467,7 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 // running after speculationMultiple times the median committed-task
 // duration, once at least half the tasks have committed. First finisher
 // wins at commit; the loser's output is dropped.
-func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}) {
 	tick := time.NewTicker(speculationTick)
 	defer tick.Stop()
 	durs := make([]int64, 0, len(states))
@@ -484,7 +505,7 @@ func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}, 
 				b := make(chan struct{})
 				st.backup = b
 				env.specWG.Add(1)
-				env.specLaunched.Add(1)
+				env.record(MetricSpecTasks, 1)
 				go env.runBackup(st, b)
 			}
 			st.mu.Unlock()
@@ -502,52 +523,44 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 		return // the driver's own attempts decide the task's fate
 	}
 	if won, cerr := env.commit(st, id, out); cerr != nil {
-		env.finishTask(st, cerr) // output failure after commit: abort
+		st.err = cerr // output failure after commit: abort
 	} else if won {
-		env.specWins.Add(1)
+		env.record(MetricSpecWins, 1)
 	}
 }
 
-// runReduceTask groups one partition's committed runs and streams the
-// key groups to the user reduce function, under the reduce task
-// lifecycle: the same per-attempt retry/backoff budget map tasks get,
-// the attempt's faults armed at the reduce points, an attempt span per
-// try and a commit span for the one that succeeds. Grouping never
+// runReduceTask is partition p's reduce task: it collects the
+// partition's committed runs, then each attempt of the loop groups them
+// and streams the key groups to the user reduce function. Grouping never
 // mutates the runs' records, so a retry regroups the identical committed
 // inputs and re-invokes Reduce for every group, which the ReduceFunc
-// contract requires to be idempotent.
-func (env *runEnv) runReduceTask(p int, runs []spillRun) (int64, error) {
+// contract requires to be idempotent. The task's Duration is its active
+// work: decoding its runs and its attempts, not waiting for map output
+// or a backoff.
+func (env *runEnv) runReduceTask(p int) (TaskMetrics, error) {
+	runs, inBytes, active, err := env.collectRuns(p)
 	defer releaseRuns(runs)
-	var attemptErrs []error
-	for a := 0; a < env.conf.MaxAttempts; a++ {
-		if env.ctx.Err() != nil {
-			return 0, env.ctx.Err()
-		}
-		if a > 0 {
-			env.retries.Add(1)
-			if serr := sleepCtx(env.ctx, backoffDelay(env.conf, a)); serr != nil {
-				return 0, serr
-			}
-		}
-		env.reduceAttempts.Add(1)
-		span := env.trace.Start(obs.KindReduceAttempt, fmt.Sprintf("reduce-%d", p)).
-			Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a))
-		t0 := time.Now()
-		groups, err := env.reduceGroups(p, runs, env.conf.Faults.Arm(p, a, env.conf.MaxAttempts, PointReduceMerge, PointReduceMid))
-		if err == nil {
-			env.reg.Histogram(MetricReduceTaskNS).Observe(int64(time.Since(t0)))
-			span.Tag(obs.TagOutcome, "ok").Attr(obs.AttrGroups, groups).End()
-			env.trace.Start(obs.KindCommit, fmt.Sprintf("reduce-%d", p)).
-				Attr(obs.AttrTask, int64(p)).Attr(obs.AttrAttempt, int64(a)).
-				Tag(obs.TagPhase, "reduce").End()
-			return groups, nil
-		}
-		span.Tag(obs.TagOutcome, "error").End()
-		if env.ctx.Err() != nil {
-			return 0, env.ctx.Err()
-		}
-		attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, err))
+	if err != nil {
+		return TaskMetrics{}, fmt.Errorf("mapreduce %q: reduce task %d: %w", env.job.Name, p, err)
 	}
-	return 0, fmt.Errorf("mapreduce %q: reduce task %d failed after %d attempts: %w",
-		env.job.Name, p, len(attemptErrs), errors.Join(attemptErrs...))
+	task := TaskMetrics{InputBytes: inBytes}
+	err = env.runTask(&env.reduces, p, nil, func(id int) (int, error) {
+		err := env.runAttempt(&env.reduces, p, id, false, func(faults AttemptFaults) (int64, error) {
+			t0 := time.Now()
+			groups, err := env.reduceGroups(p, runs, faults)
+			d := time.Since(t0)
+			active += d
+			if err == nil {
+				env.reg.Histogram(MetricReduceTaskNS).Observe(int64(d))
+				task.Records = groups
+			}
+			return groups, err
+		})
+		if err == nil {
+			env.commitSpan(&env.reduces, p, id)
+		}
+		return id, err
+	})
+	task.Duration = active
+	return task, err
 }

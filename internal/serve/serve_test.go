@@ -692,9 +692,9 @@ func TestRejectedHelloSaysWhy(t *testing.T) {
 	})
 	_, srvAddr := startServer(t, serve.Config{})
 
-	// A hello as a version-11 or version-12 peer sends it: the magic
+	// A hello as a version-11, -12 or -13 peer sends it: the magic
 	// "SYMP", then the version.
-	for _, v := range []uint64{11, 12} {
+	for _, v := range []uint64{11, 12, 13} {
 		hello := wire.NewEncoder(8)
 		hello.Uvarint(0x53594D50)
 		hello.Uvarint(v)
