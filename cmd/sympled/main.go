@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
 	"repro/internal/serve"
@@ -48,7 +47,6 @@ func main() {
 			"run as a multi-tenant query service instead of a cluster worker")
 		records    = flag.Int("records", 200000, "serve: records per hosted corpus")
 		segments   = flag.Int("segments", 8, "serve: segments per hosted corpus")
-		reducers   = flag.Int("reducers", 4, "serve: reduce tasks per cold engine run")
 		tenantJobs = flag.Int("tenant-jobs", 2,
 			"serve: max concurrently running jobs per tenant")
 		tenantMB = flag.Int("tenant-mb", 256,
@@ -81,7 +79,6 @@ func main() {
 			MaxQueued:   *queueDepth,
 		},
 		CacheBytes: int64(*cacheMB) << 20,
-		Engine:     mapreduce.Config{NumReducers: *reducers},
 		Registry:   obs.NewRegistry(),
 	}
 	if *tracePath != "" {

@@ -45,7 +45,7 @@ func TestUserValueFoldsThroughSharedSite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := site.AddBundle(states[k], sym.EncodeSummaryBundle(sums)); err != nil {
+		if err := site.Fold(states[k], states[k], sym.EncodeSummaryBundle(sums)); err != nil {
 			t.Fatal(err)
 		}
 		for j, st := range states {
@@ -58,7 +58,7 @@ func TestUserValueFoldsThroughSharedSite(t *testing.T) {
 
 // TestUserValueFoldsFromFrozenState: the query service shares a frozen
 // state between jobs and folds from it into states of their own
-// (AddBundleFrom), so a user Value's Admits, Concretize and CopyFrom
+// (Folder.Fold from it), so a user Value's Admits, Concretize and CopyFrom
 // must only read the value they are handed. Eight sites fold different
 // bundles from one state at once; under -race any write to it shows, and
 // its encoding is byte-identical afterwards.
@@ -83,7 +83,7 @@ func TestUserValueFoldsFromFrozenState(t *testing.T) {
 	}
 	site := sym.NewFolder(sc)
 	frozen := site.NewState()
-	if err := site.AddBundle(frozen, bundle(40, 10)); err != nil {
+	if err := site.Fold(frozen, frozen, bundle(40, 10)); err != nil {
 		t.Fatal(err)
 	}
 	var before wire.Encoder
@@ -98,7 +98,7 @@ func TestUserValueFoldsFromFrozenState(t *testing.T) {
 			site := sym.NewFolder(sc)
 			for i := 0; i < 200; i++ {
 				own := site.NewState()
-				if err := site.AddBundleFrom(own, frozen, data); err != nil {
+				if err := site.Fold(own, frozen, data); err != nil {
 					t.Error(err)
 					return
 				}

@@ -31,8 +31,6 @@ const DefaultSpawnTimeout = 10 * time.Second
 
 // SpawnOptions configures SpawnWorker.
 type SpawnOptions struct {
-	// Args are extra arguments passed to the worker binary.
-	Args []string
 	// Env, when non-nil, replaces the subprocess environment entirely
 	// (like exec.Cmd.Env). The test harness uses this to flip the
 	// spawned copy of the test binary into worker mode.
@@ -117,7 +115,7 @@ func SpawnWorker(bin string, opts SpawnOptions) (*SpawnedWorker, error) {
 	if timeout <= 0 {
 		timeout = DefaultSpawnTimeout
 	}
-	cmd := exec.Command(bin, opts.Args...)
+	cmd := exec.Command(bin)
 	if opts.Env != nil {
 		cmd.Env = opts.Env
 	}

@@ -328,7 +328,7 @@ func (c *Compiled[S, E, R]) Schema() *sym.Schema[S] { return c.sc }
 // differential tests pin down. trace (nil, or the spans a worker ships
 // back) receives its spans. Safe for concurrent attempts.
 func (c *Compiled[S, E, R]) Mapper(trace *obs.Trace) mapreduce.MapFunc {
-	return sympleMapFunc(c.q, c.sc, &c.execs, &sync.Mutex{}, &SymStats{}, trace, nil)
+	return sympleMapFunc(c.q, c.sc, &c.execs, nil, nil, trace, nil)
 }
 
 // Run is one RunSymple job handing each result to sink where its group

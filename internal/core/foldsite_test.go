@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 )
 
 // sessionInput is n key\ttimestamp lines over the given number of keys,
@@ -114,13 +115,14 @@ func TestReduceAttemptsShareASite(t *testing.T) {
 	for _, pt := range []mapreduce.FaultPoint{mapreduce.PointReduceMerge, mapreduce.PointReduceMid} {
 		plan := mapreduce.NewFaultPlan(7).WithPoints(pt).
 			WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
-		got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3, MaxAttempts: 3, Faults: plan})
+		reg := obs.NewRegistry()
+		got, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 3, MaxAttempts: 3, Faults: plan, Registry: reg})
 		if err != nil {
 			t.Fatalf("%v: %v", pt, err)
 		}
-		if got.Metrics.ReduceAttempts != 9 || plan.Injected() != 6 {
+		if n := reg.Counter(mapreduce.MetricReduceAttempts).Value(); n != 9 || plan.Injected() != 6 {
 			t.Fatalf("%v: %d reduce attempts, %d faults for 3 tasks: want every non-final attempt failed",
-				pt, got.Metrics.ReduceAttempts, plan.Injected())
+				pt, n, plan.Injected())
 		}
 		if !reflect.DeepEqual(got.Results, want.Results) {
 			t.Fatalf("%v: results under reduce retries diverge from the fault-free run", pt)

@@ -14,7 +14,8 @@ import (
 // emitted summary bundle per group and the task's counts.
 //
 // pool is the exec-site pool every chunk draws from: reused executors
-// keep their run caches and containers warm.
+// keep their run caches and containers warm. A task adds its counts to
+// stats under mu; with stats nil it keeps none.
 func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], pool *sitePool[*batchExec[S, E]], mu *sync.Mutex, stats *SymStats, trace *obs.Trace, reg *obs.Registry) mapreduce.MapFunc {
 	memoKey := groupKey(q)
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
@@ -43,6 +44,9 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		// Emit copied the bundles: the site is free for its next chunk.
 		pool.put(be)
 		lreg.MergeInto(reg)
+		if stats == nil {
+			return nil
+		}
 		mu.Lock()
 		stats.Records += local.Records
 		stats.Runs += local.Runs

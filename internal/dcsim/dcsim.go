@@ -6,19 +6,19 @@
 // cluster (§6.4). The in-process engine measures per-task CPU seconds and
 // exact shuffle bytes; this package maps those costs onto a modeled
 // cluster — nodes with core slots, disk bandwidth, NIC bandwidth, and an
-// optional remote-store (S3) bandwidth cap — to produce end-to-end job
-// latency. Because both the baseline and SYMPLE jobs are replayed through
-// the same model, the comparison (who wins, by how much, and where reads
-// dominate compute) is preserved even though absolute numbers are
-// synthetic.
+// optional per-node remote-store (S3) bandwidth cap — to produce
+// end-to-end job latency. Because both the baseline and SYMPLE jobs are
+// replayed through the same model, the comparison (who wins, by how
+// much, and where reads dominate compute) is preserved even though
+// absolute numbers are synthetic.
 //
 // Execution model, deliberately close to stock Hadoop:
 //
 //  1. Map phase: map tasks are scheduled FIFO onto free core slots. A
 //     running task pipelines input reading with computation; it finishes
 //     when both its bytes and its CPU seconds are done. IO bandwidth is
-//     shared equally among a node's running readers and capped by the
-//     remote store when reads are remote.
+//     shared equally among a node's running readers and capped per node
+//     by the remote store when reads are remote.
 //  2. Shuffle: starts when the map phase ends (no slow-start overlap);
 //     its duration is bounded by the most loaded NIC, egress or ingress.
 //  3. Reduce phase: reduce tasks scheduled FIFO onto slots, pure CPU
@@ -53,21 +53,9 @@ type Cluster struct {
 	// local disk.
 	RemoteReadMBps float64
 
-	// RemoteAggMBps, when positive, caps the cluster's aggregate remote
-	// read bandwidth.
-	RemoteAggMBps float64
-
 	// SchedulingOverheadS is added once per job (shared-cluster queueing,
 	// JVM spin-up, etc.).
 	SchedulingOverheadS float64
-
-	// StragglerEvery, when positive, marks every k-th task a straggler
-	// whose CPU work is multiplied by StragglerSlowdown — the shared-
-	// cluster effect that makes reducer fan-out matter (the paper runs
-	// 50 reducers "to ensure jobs are not limited by the latency of any
-	// one reducer"). Deterministic so simulations are repeatable.
-	StragglerEvery    int
-	StragglerSlowdown float64
 
 	// Trace, when non-nil, receives a synthetic replay of the simulated
 	// schedule: a job span covering [0, TotalS] plus one span per
@@ -77,15 +65,6 @@ type Cluster struct {
 	// charges zero simulated cost; replayed traces satisfy the same
 	// obs.Verifier invariants as live engine traces.
 	Trace *obs.Trace
-}
-
-// taskCost applies the straggler model to task index i, returning the
-// task's effective latency cost.
-func (c Cluster) taskCost(i int, cpu float64) float64 {
-	if c.StragglerEvery > 0 && c.StragglerSlowdown > 1 && i%c.StragglerEvery == c.StragglerEvery-1 {
-		return cpu * c.StragglerSlowdown
-	}
-	return cpu
 }
 
 // MapTask is one map task's replayed cost.
@@ -129,17 +108,8 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	}
 	var res Result
 
-	// ---- Straggler adjustment ----
-	// Each map task's effective latency cost is computed up front — the
-	// straggler multiplier — and the fluid simulation below schedules the
-	// adjusted tasks unchanged.
-	effMaps := make([]MapTask, len(j.Maps))
-	for i, m := range j.Maps {
-		effMaps[i] = MapTask{InputBytes: m.InputBytes, CPUSeconds: c.taskCost(i, m.CPUSeconds), OutBytes: m.OutBytes}
-	}
-
 	// ---- Map phase: fluid simulation with shared IO ----
-	mapS, mapIv := simulateMapPhase(c, effMaps)
+	mapS, mapIv := simulateMapPhase(c, j.Maps)
 	res.MapPhaseS = mapS
 
 	// ---- Shuffle ----
@@ -179,8 +149,7 @@ func Simulate(c Cluster, j Job) (Result, error) {
 	reduceS, redIv := simulateCPUPhase(c, j.Reduces)
 	res.ReducePhaseS = reduceS
 
-	// Total compute: the useful work. Straggler slowdown is lost time,
-	// not extra instructions, so it does not inflate CPUSeconds.
+	// Total compute: the useful work.
 	for _, m := range j.Maps {
 		res.CPUSeconds += m.CPUSeconds
 	}
@@ -248,7 +217,7 @@ type runningTask struct {
 
 // simulateMapPhase schedules map tasks FIFO onto core slots and advances
 // a fluid model where each running task's IO rate is its equal share of
-// its node's read bandwidth (and of the aggregate remote cap), and its
+// its node's read bandwidth (the remote cap, when set), and its
 // CPU rate is one dedicated core. A task completes when both resources
 // are drained (read and compute are pipelined). The returned intervals
 // give each task's scheduled lifetime, indexed like maps.
@@ -286,7 +255,7 @@ func simulateMapPhase(c Cluster, maps []MapTask) (float64, []interval) {
 				node:   node,
 				start:  now,
 				ioRem:  float64(maps[next].InputBytes),
-				cpuRem: maps[next].CPUSeconds, // pre-adjusted by Simulate
+				cpuRem: maps[next].CPUSeconds,
 			}
 			if t.ioRem > 0 {
 				readersOnNode[node]++
@@ -299,14 +268,6 @@ func simulateMapPhase(c Cluster, maps []MapTask) (float64, []interval) {
 
 	for len(running) > 0 {
 		// Per-task rates under the current task set.
-		totalReaders := 0
-		for n := range readersOnNode {
-			totalReaders += readersOnNode[n]
-		}
-		aggShare := math.Inf(1)
-		if c.RemoteAggMBps > 0 && totalReaders > 0 {
-			aggShare = c.RemoteAggMBps * 1e6 / float64(totalReaders)
-		}
 		rates := make([]float64, len(running))
 		dt := math.Inf(1)
 		for i := range running {
@@ -314,9 +275,6 @@ func simulateMapPhase(c Cluster, maps []MapTask) (float64, []interval) {
 			rate := 0.0
 			if t.ioRem > 0 {
 				rate = perNodeRead / float64(readersOnNode[t.node])
-				if rate > aggShare {
-					rate = aggShare
-				}
 			}
 			rates[i] = rate
 			// Completion time under constant rates: both pipes must
@@ -381,7 +339,7 @@ func simulateCPUPhase(c Cluster, tasks []ReduceTask) (makespan float64, iv []int
 	}
 	durs := make([]job, len(tasks))
 	for i, t := range tasks {
-		durs[i] = job{idx: i, dur: c.taskCost(i, t.CPUSeconds)}
+		durs[i] = job{idx: i, dur: t.CPUSeconds}
 	}
 	sort.SliceStable(durs, func(a, b int) bool { return durs[a].dur > durs[b].dur })
 	if len(durs) < slots {

@@ -99,26 +99,6 @@ func TestRemoteReadCap(t *testing.T) {
 	approx(t, r.MapPhaseS, 40, 0.1, "remote read cap")
 }
 
-func TestAggregateRemoteCap(t *testing.T) {
-	// Ten nodes each allowed 25MB/s but the store serves 100MB/s total:
-	// ten 1GB tasks → aggregate 10GB / 100MBps = 100s.
-	c := Cluster{
-		Nodes:          10,
-		Node:           NodeSpec{Cores: 2, DiskMBps: 100, NetMBps: 100},
-		RemoteReadMBps: 25,
-		RemoteAggMBps:  100,
-	}
-	maps := make([]MapTask, 10)
-	for i := range maps {
-		maps[i] = MapTask{InputBytes: 1e9, CPUSeconds: 1}
-	}
-	r, err := Simulate(c, Job{Maps: maps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, r.MapPhaseS, 100, 1, "aggregate S3 cap")
-}
-
 func TestShuffleBoundByBusiestNIC(t *testing.T) {
 	// Two nodes; map on node 0 sends 1GB to a reducer on node 1 at
 	// 100MB/s → 10s shuffle.
@@ -232,38 +212,6 @@ func TestSymplevsBaselineShapeOnModel(t *testing.T) {
 		t.Fatalf("symple-shaped job (%.1fs) not faster than baseline-shaped (%.1fs)",
 			symp.TotalS, base.TotalS)
 	}
-}
-
-func TestStragglerModel(t *testing.T) {
-	c := oneNode(4)
-	c.StragglerEvery = 2
-	c.StragglerSlowdown = 3
-	// Tasks 1 and 3 (0-indexed, every 2nd) run 3x slower.
-	r, err := Simulate(c, Job{
-		Maps: []MapTask{{CPUSeconds: 2}, {CPUSeconds: 2}, {CPUSeconds: 2}, {CPUSeconds: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All four run in parallel; makespan = the 6s stragglers.
-	approx(t, r.MapPhaseS, 6, 0.01, "straggling maps")
-	// Reduce phase: 2 tasks of 4s, second straggles to 12s on 4 slots.
-	r2, err := Simulate(c, Job{
-		Reduces: []ReduceTask{{CPUSeconds: 4}, {CPUSeconds: 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, r2.ReducePhaseS, 12, 0.01, "straggling reduce")
-	// Without the straggler config, back to 4s.
-	c.StragglerEvery = 0
-	r3, err := Simulate(c, Job{
-		Reduces: []ReduceTask{{CPUSeconds: 4}, {CPUSeconds: 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, r3.ReducePhaseS, 4, 0.01, "no stragglers")
 }
 
 func TestFaultKnobsOffMatchSeedModel(t *testing.T) {

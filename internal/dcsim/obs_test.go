@@ -41,10 +41,8 @@ func TestSimulatedTraceVerifies(t *testing.T) {
 		{"basic", Cluster{Nodes: 4, Node: NodeSpec{Cores: 2, DiskMBps: 200, NetMBps: 100}}},
 		{"overhead", Cluster{Nodes: 2, Node: NodeSpec{Cores: 4, DiskMBps: 100, NetMBps: 100},
 			SchedulingOverheadS: 12}},
-		{"stragglers", Cluster{Nodes: 3, Node: NodeSpec{Cores: 2, DiskMBps: 150, NetMBps: 80},
-			StragglerEvery: 4, StragglerSlowdown: 6}},
 		{"remote-read", Cluster{Nodes: 4, Node: NodeSpec{Cores: 2, DiskMBps: 400, NetMBps: 100},
-			RemoteReadMBps: 50, RemoteAggMBps: 120}},
+			RemoteReadMBps: 50}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,7 +91,7 @@ func TestSimulatedTraceVerifies(t *testing.T) {
 // identical Result (zero simulated cost).
 func TestUntracedSimulateUnchanged(t *testing.T) {
 	c := Cluster{Nodes: 3, Node: NodeSpec{Cores: 2, DiskMBps: 150, NetMBps: 80},
-		StragglerEvery: 4, StragglerSlowdown: 6, SchedulingOverheadS: 2}
+		SchedulingOverheadS: 2}
 	j := replayJob(9, 4)
 	plain, err := Simulate(c, j)
 	if err != nil {

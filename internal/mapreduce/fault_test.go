@@ -334,7 +334,8 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 		},
 	}
 	var log *obs.MemSink
-	job.Conf, log = withCommitLog(Config{NumReducers: 2, Parallelism: 4, Speculation: true})
+	reg := obs.NewRegistry()
+	job.Conf, log = withCommitLog(Config{NumReducers: 2, Parallelism: 4, Speculation: true, Registry: reg})
 	m, err := job.Run(countingSegments(tasks, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -352,11 +353,11 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 	if w := checkOneAttemptPerTask(t, log)[straggler]; w != 1 {
 		t.Errorf("straggler's sent runs came from attempt %d, want the backup (1)", w)
 	}
-	if m.SpeculativeTasks < 1 {
-		t.Errorf("no speculative attempt launched (SpeculativeTasks=%d)", m.SpeculativeTasks)
+	if n := reg.Counter(MetricSpecTasks).Value(); n < 1 {
+		t.Errorf("no speculative attempt launched (%s=%d)", MetricSpecTasks, n)
 	}
-	if m.SpeculativeWins < 1 {
-		t.Errorf("backup should have won the commit race (SpeculativeWins=%d)", m.SpeculativeWins)
+	if n := reg.Counter(MetricSpecWins).Value(); n < 1 {
+		t.Errorf("backup should have won the commit race (%s=%d)", MetricSpecWins, n)
 	}
 	if len(m.MapTasks) != tasks {
 		t.Errorf("MapTasks = %d, want %d (losing attempt's metrics must not double-count)",

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // mapOnlyCapture runs a deterministic multi-emit map-only job and returns,
@@ -79,7 +81,8 @@ func mapOnlyCapture(t *testing.T, segs []*Segment, conf Config, pre func(task in
 func TestChaosMapOnlyDelivery(t *testing.T) {
 	checkGoroutineLeaks(t)
 	segs := countingSegments(6, 60)
-	want, _, wm := mapOnlyCapture(t, segs, Config{NumReducers: 3, Parallelism: 4}, nil)
+	reg := obs.NewRegistry()
+	want, _, wm := mapOnlyCapture(t, segs, Config{NumReducers: 3, Parallelism: 4, Registry: reg}, nil)
 	for task, seg := range segs {
 		var b strings.Builder // the map's emit sequence, replayed
 		for i, rec := range seg.Records {
@@ -92,7 +95,8 @@ func TestChaosMapOnlyDelivery(t *testing.T) {
 			t.Fatalf("task %d: fault-free output is not the emit sequence\ngot:  %s\nwant: %s", task, want[task], b.String())
 		}
 	}
-	if wm.ShuffleBytes != 0 || wm.ShuffleRecords != 0 || wm.ReduceAttempts != 0 || wm.Groups != 0 || len(wm.MapTasks) != len(segs) {
+	if wm.ShuffleBytes != 0 || wm.ShuffleRecords != 0 || reg.Counter(MetricReduceAttempts).Value() != 0 ||
+		wm.Groups != 0 || len(wm.MapTasks) != len(segs) {
 		t.Fatalf("a map-only job crossed the shuffle: %+v", wm)
 	}
 
@@ -124,8 +128,9 @@ func TestChaosMapOnlyDelivery(t *testing.T) {
 func TestMapOnlyLosingAttemptDropped(t *testing.T) {
 	checkGoroutineLeaks(t)
 	const tasks, straggler = 8, 5
+	reg := obs.NewRegistry()
 	_, calls, m := mapOnlyCapture(t, countingSegments(tasks, 6),
-		Config{Parallelism: 4, Speculation: true}, func(task int, call int32) {
+		Config{Parallelism: 4, Speculation: true, Registry: reg}, func(task int, call int32) {
 			if task == straggler && call == 1 {
 				time.Sleep(150 * time.Millisecond)
 			}
@@ -133,9 +138,10 @@ func TestMapOnlyLosingAttemptDropped(t *testing.T) {
 	if calls[straggler] != 2 {
 		t.Errorf("straggler's output came from map call %d, want the backup's (2)", calls[straggler])
 	}
-	if m.SpeculativeWins < 1 || m.MapAttempts != tasks+1 || len(m.MapTasks) != tasks {
+	wins := reg.Counter(MetricSpecWins).Value()
+	if wins < 1 || m.MapAttempts != tasks+1 || len(m.MapTasks) != tasks {
 		t.Errorf("wins %d, attempts %d, committed %d: want a winning backup, %d attempts, %d tasks",
-			m.SpeculativeWins, m.MapAttempts, len(m.MapTasks), tasks+1, tasks)
+			wins, m.MapAttempts, len(m.MapTasks), tasks+1, tasks)
 	}
 }
 

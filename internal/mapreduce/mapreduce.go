@@ -270,14 +270,10 @@ type Metrics struct {
 	ReduceTasks         []TaskMetrics
 	Groups              int64
 
-	// Task-lifecycle counters. On a clean run with
-	// MaxAttempts 1 and no speculation: MapAttempts == map task count,
-	// ReduceAttempts == reduce task count, and the rest are zero.
-	MapAttempts      int64
-	ReduceAttempts   int64
-	TaskRetries      int64 // backoff retries, map and reduce
-	SpeculativeTasks int64 // backup attempts launched
-	SpeculativeWins  int64 // backup attempts that committed first
+	// MapAttempts counts map attempts, retries and backups included: on
+	// a clean run without speculation it is the map task count. The
+	// other task-lifecycle counts are in the registry only.
+	MapAttempts int64
 }
 
 // kvRec is a shuffled record inside the engine.

@@ -268,7 +268,6 @@ func TestMetricsDerivedFromRegistry(t *testing.T) {
 	snap := reg.Snapshot()
 	checks := map[string]int64{
 		MetricMapAttempts:    m.MapAttempts,
-		MetricReduceAttempts: m.ReduceAttempts,
 		MetricShuffleBytes:   m.ShuffleBytes,
 		MetricShuffleLogical: m.ShuffleLogicalBytes,
 		MetricShuffleRecords: m.ShuffleRecords,

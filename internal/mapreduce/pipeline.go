@@ -165,10 +165,6 @@ func (env *runEnv) metrics(maps, reduces []TaskMetrics) *Metrics {
 		ReduceTasks:         reduces,
 		Groups:              c(MetricGroups),
 		MapAttempts:         c(MetricMapAttempts),
-		ReduceAttempts:      c(MetricReduceAttempts),
-		TaskRetries:         c(MetricTaskRetries),
-		SpeculativeTasks:    c(MetricSpecTasks),
-		SpeculativeWins:     c(MetricSpecWins),
 	}
 	for _, t := range maps {
 		m.MapCPU += t.Duration

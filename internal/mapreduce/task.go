@@ -301,7 +301,6 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		n = 1
 	}
 	parts := make([][]kvRec, n)
-	var logical int64
 	arena := arenas.Get().(*valueArena)
 	// A kill or error fault inside the user map surfaces as a panic;
 	// recover it into the attempt's error, as if the worker died. A failed
@@ -350,7 +349,6 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			buf = getPartBuf()
 		}
 		parts[p] = append(buf, rec)
-		logical += rec.wireSize()
 	}
 	if err := mapFn(seg.ID, seg, emit); err != nil {
 		return nil, err
@@ -360,7 +358,6 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 	if sink == nil {
 		out.pairs, out.arena = parts[0], arena
 	} else {
-		out.LogicalOutBytes = logical
 		if err := spillRuns(ctx, parts, task, attempt, conf, sink, out, faults); err != nil {
 			return nil, err
 		}
@@ -379,8 +376,9 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 
 // spillRuns encodes each non-empty partition, in emit order, into its
 // wire segment (segcodec.go) and publishes the run, so run sizes are
-// always real encoder output, not a model of it. The run-send fault fires before the run it
-// counts is published.
+// always real encoder output, not a model of it; it sums the records'
+// logical size (wireSize) beside. The run-send fault fires before the
+// run it counts is published.
 func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Config, sink RunSink,
 	out *MapOutput, faults AttemptFaults) error {
 	for p := range parts {
@@ -392,6 +390,9 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 	for p := range parts {
 		if len(parts[p]) == 0 {
 			continue
+		}
+		for i := range parts[p] {
+			out.LogicalOutBytes += parts[p][i].wireSize()
 		}
 		sg := encodeSegment(parts[p])
 		putPartBuf(parts[p])

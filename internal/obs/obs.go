@@ -367,17 +367,6 @@ func (t *Trace) Start(kind, name string) *ActiveSpan {
 	}}
 }
 
-// Child opens a span parented to s instead of the job (nil on a nil
-// receiver: an untraced span has untraced children).
-func (s *ActiveSpan) Child(kind, name string) *ActiveSpan {
-	if s == nil {
-		return nil
-	}
-	c := s.t.Start(kind, name)
-	c.sp.Parent = s.sp.ID
-	return c
-}
-
 // ID returns the span's ID (0 on nil).
 func (s *ActiveSpan) ID() int64 {
 	if s == nil {

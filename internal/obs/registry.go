@@ -64,17 +64,9 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-write-wins instantaneous value.
+// Gauge is a high-water mark: it only rises.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Max raises the gauge to v if v is larger (for high-water marks).
@@ -213,8 +205,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // MergeInto folds this registry's values into dst: counters and
-// histogram aggregates add, gauges take the maximum (they are
-// high-water-style in this engine). Safe when dst is nil.
+// histogram aggregates add, gauges take the maximum (each is a
+// high-water mark). Safe when dst is nil.
 func (r *Registry) MergeInto(dst *Registry) {
 	if r == nil || dst == nil {
 		return

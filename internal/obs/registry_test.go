@@ -9,7 +9,7 @@ import (
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Inc()
-	r.Gauge("g").Set(5)
+	r.Gauge("g").Max(5)
 	r.Histogram("h").Observe(7)
 	r.MergeInto(NewRegistry())
 	if err := r.SelfCheck(); err != nil {
@@ -31,7 +31,7 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Fatalf("counter = %d, want 11", v)
 	}
 	g := r.Gauge("live")
-	g.Set(4)
+	g.Max(4)
 	g.Max(9)
 	g.Max(2)
 	if v := g.Value(); v != 9 {
@@ -80,13 +80,13 @@ func TestSelfCheckCatchesMisuse(t *testing.T) {
 func TestMergeInto(t *testing.T) {
 	per := NewRegistry()
 	per.Counter("n").Add(5)
-	per.Gauge("hw").Set(3)
+	per.Gauge("hw").Max(3)
 	per.Histogram("lat").Observe(10)
 	per.Histogram("lat").Observe(20)
 
 	dst := NewRegistry()
 	dst.Counter("n").Add(2)
-	dst.Gauge("hw").Set(8)
+	dst.Gauge("hw").Max(8)
 	dst.Histogram("lat").Observe(100)
 
 	per.MergeInto(dst)

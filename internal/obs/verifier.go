@@ -42,13 +42,8 @@ const containSlack = 5 * time.Millisecond
 const cpuSlack = 50 * time.Millisecond
 
 // Verifier checks a completed trace against the engine's invariants.
-// The zero value is ready to use; fields relax individual checks for
-// traces that legitimately lack the corresponding spans.
-type Verifier struct {
-	// SkipCPUBound disables the Σ-attempts-vs-wall check (needed for
-	// traces recorded with no parallelism attr on the job span).
-	SkipCPUBound bool
-}
+// The zero value is ready to use.
+type Verifier struct{}
 
 // Verify runs every invariant over the trace and returns all violations
 // (nil when clean). Spans from sequential jobs on one trace are grouped
@@ -188,7 +183,7 @@ func (v Verifier) verifyJob(job *Span, children []*Span) []Violation {
 	// spans bounded by job wall times worker parallelism" invariant.
 	// Attempt spans start after semaphore acquisition, so the sum of
 	// concurrent attempt time cannot exceed wall × parallelism.
-	if par := job.Attr(AttrParallelism); par > 0 && !v.SkipCPUBound {
+	if par := job.Attr(AttrParallelism); par > 0 {
 		var attemptSum time.Duration
 		for _, sp := range children {
 			if sp.Kind == KindMapAttempt || sp.Kind == KindReduceAttempt {

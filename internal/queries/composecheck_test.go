@@ -249,7 +249,7 @@ func checkEvents[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S],
 	if len(prefix) > 0 {
 		b, err := bundle(prefix)
 		if err == nil {
-			err = site.AddBundle(starts[1], b)
+			err = site.Fold(starts[1], starts[1], b)
 		}
 		if err != nil {
 			return true, fmt.Errorf("folding the events before them: %w", err)
@@ -258,8 +258,8 @@ func checkEvents[S sym.State, E any](x *sym.Executor[S, E], site *sym.Folder[S],
 	summary, got, want := sym.EncodeSummaryBundle(sums), site.NewState(), site.NewState()
 	for i, src := range starts {
 		before := foldStateBytes(src)
-		errE := site.AddBundleFrom(got, src, events)
-		errS := site.AddBundleFrom(want, src, summary)
+		errE := site.Fold(got, src, events)
+		errS := site.Fold(want, src, summary)
 		switch {
 		case errE != nil || errS != nil:
 			return true, fmt.Errorf("start state %d: events bundle %v, summary bundle %v", i, errE, errS)

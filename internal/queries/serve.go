@@ -155,7 +155,7 @@ func (s *serveSession[S, E, R]) fold(key, data []byte) error {
 	if src == nil {
 		src = st
 	}
-	return s.site.AddBundleFrom(st, src, data)
+	return s.site.Fold(st, src, data)
 }
 
 // Freeze builds the prefix whole — the base's keys keep their ids, the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/sym"
 )
 
@@ -142,16 +143,17 @@ func TestSympleLineSinkRetries(t *testing.T) {
 		for _, pt := range []mapreduce.FaultPoint{mapreduce.PointReduceMid, mapreduce.PointReduceMerge} {
 			plan := mapreduce.NewFaultPlan(7).WithPoints(pt).
 				WithKinds(mapreduce.KindError, mapreduce.KindKill).WithRate(1)
-			got, err := spec.Symple(segs, mapreduce.Config{NumReducers: reducers, MaxAttempts: 3, Faults: plan})
+			reg := obs.NewRegistry()
+			got, err := spec.Symple(segs, mapreduce.Config{NumReducers: reducers, MaxAttempts: 3, Faults: plan, Registry: reg})
 			if err != nil {
 				t.Fatalf("%s, %v: %v", spec.ID, pt, err)
 			}
 			// Every non-final attempt fails — but B1 has one group, which
 			// a mid-partition fault drawn past the first never follows.
 			one := spec.ID == "B1" && pt == mapreduce.PointReduceMid
-			if got.Metrics.ReduceAttempts != 3*reducers && !one {
+			if n := reg.Counter(mapreduce.MetricReduceAttempts).Value(); n != 3*reducers && !one {
 				t.Fatalf("%s, %v: %d reduce attempts for %d tasks: want every non-final attempt failed",
-					spec.ID, pt, got.Metrics.ReduceAttempts, reducers)
+					spec.ID, pt, n, reducers)
 			}
 			if got.Digest != seq.Digest || got.NumResults != seq.NumResults {
 				t.Errorf("%s, %v: digest %x (%d results) != sequential %x (%d)",

@@ -647,6 +647,49 @@ func TestServeColdPartsMatchShuffle(t *testing.T) {
 	}
 }
 
+// TestServeColdRunIgnoresReducers: a cold run is map-only, so the
+// engine's reduce-task count reaches nothing it caches. For every query,
+// the parts a cold job leaves at NumReducers 1 and at 4 hold the same
+// keys and bundle bytes in the same order, segment by segment.
+func TestServeColdRunIgnoresReducers(t *testing.T) {
+	checkGoroutineLeaks(t)
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
+	var srvs [2]*serve.Server
+	var clients [2]*serve.Client
+	for i, reducers := range []int{1, 4} {
+		var addr string
+		srvs[i], addr = startServer(t, serve.Config{Engine: mapreduce.Config{NumReducers: reducers}})
+		clients[i] = dialClient(t, addr)
+		for name, segs := range datasets {
+			srvs[i].AddDataset(name, segs)
+		}
+	}
+	for _, spec := range queries.All() {
+		schema := serve.Lookup(spec.ID).SchemaKey()
+		var parts [2][]string
+		for i, c := range clients {
+			wantProvenance(t, fmt.Sprintf("cold %s, server %d", spec.ID, i),
+				submitWait(t, c, "t", spec.ID, spec.Dataset), 0, len(datasets[spec.Dataset]))
+			for j, seg := range datasets[spec.Dataset] {
+				part, ok := srvs[i].CachedPart(schema, seg.Digest())
+				if !ok {
+					t.Fatalf("%s: segment %d left no part on server %d", spec.ID, j, i)
+				}
+				var b strings.Builder
+				for key, bundle := range part.All() {
+					fmt.Fprintf(&b, "%q=%x;", key, bundle)
+				}
+				parts[i] = append(parts[i], b.String())
+			}
+		}
+		for j := range parts[0] {
+			if parts[0][j] != parts[1][j] {
+				t.Errorf("%s segment %d: the part cached at 1 reducer differs from the one at 4", spec.ID, j)
+			}
+		}
+	}
+}
+
 // TestClientJobAllocCeiling: a job's handle buffers updates only if the
 // job tails. A submitted-and-awaited job answered from a prefix costs the
 // whole process — client, server and framing — a few KB; the 1 024-slot

@@ -16,7 +16,7 @@ import "repro/internal/wire"
 // Update on a copy of its concrete state, in order: the sequential
 // semantics (§5.4) by construction. The exec site writes the form
 // (Executor.FeedBatch, AppendBundle), the fold site reads it
-// (Folder.AddBundleFrom); it depends on the group's events alone. No
+// (Folder.Fold); it depends on the group's events alone. No
 // summary list is empty, so a count of 0 always announces events — also
 // ones their codec writes as zero bytes.
 

@@ -93,16 +93,6 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 	return nil
 }
 
-// AddBundle is Fold of one bundle onto st.
-func (f *Folder[S]) AddBundle(st *FoldState[S], data []byte) error {
-	return f.Fold(st, st, data)
-}
-
-// AddBundleFrom is Fold of one bundle from src onto dst.
-func (f *Folder[S]) AddBundleFrom(dst, src *FoldState[S], data []byte) error {
-	return f.Fold(dst, src, data)
-}
-
 // Fold folds the ordered encoded bundles (bundle.go) — a key's whole
 // reduce group, or one bundle — from src onto dst: dst becomes src with
 // every bundle applied, and src, when it is not dst, is only read, so a

@@ -67,7 +67,8 @@ func TestFoldAddFailureLeavesPrefix(t *testing.T) {
 	}
 }
 
-// TestFoldAddBundle: the bundle form decodes and folds in one call,
+// TestFoldAddBundle: Fold of one bundle onto a state decodes and folds
+// in one call,
 // and rejects a corrupt bundle before applying anything.
 func TestFoldAddBundle(t *testing.T) {
 	sc := newSchema(newIntState(math.MinInt64))
@@ -75,13 +76,13 @@ func TestFoldAddBundle(t *testing.T) {
 	st := f.NewState()
 	sums := append(maxChunkSummaries(t, []int64{4, 8}), maxChunkSummaries(t, []int64{6})...)
 	data := EncodeSummaryBundle(sums)
-	if err := f.AddBundle(st, data); err != nil {
+	if err := f.Fold(st, st, data); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.State().V.Get(); got != 8 {
 		t.Fatalf("state = %d, want 8", got)
 	}
-	if err := f.AddBundle(st, data[:len(data)-1]); err == nil {
+	if err := f.Fold(st, st, data[:len(data)-1]); err == nil {
 		t.Fatal("truncated bundle accepted")
 	}
 	if got := st.State().V.Get(); got != 8 {
@@ -239,7 +240,7 @@ func TestFoldGroup(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		src := site.NewState()
 		if trial%2 == 1 {
-			if err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))); err != nil {
+			if err := site.Fold(src, src, EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,7 +248,7 @@ func TestFoldGroup(t *testing.T) {
 		for _, g := range mixedGroups(t, r, sc) {
 			want := copyOfState(ref, src)
 			for _, b := range g.bundles {
-				if err := ref.AddBundle(want, b); err != nil {
+				if err := ref.Fold(want, want, b); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -300,7 +301,7 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					st = keys[key]
 				}
 				good := EncodeSummaryBundle(chunkSums(t, sc, sessionUpdate, sessionChunk(r)))
-				if err := site.AddBundle(st, good); err != nil {
+				if err := site.Fold(st, st, good); err != nil {
 					t.Fatal(err)
 				}
 				before := bytes.Clone(stateBytes(st))
@@ -320,16 +321,16 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					continue // a one-path summary admits everything: nothing to drop
 				}
 				bad := EncodeSummaryBundle(append(head, tail...))
-				if err := site.AddBundle(st, bad); !errors.Is(err, ErrNoPath) {
+				if err := site.Fold(st, st, bad); !errors.Is(err, ErrNoPath) {
 					t.Fatalf("trial %d: bad bundle: err %v; want ErrNoPath", trial, err)
 				}
 				if got := stateBytes(st); !bytes.Equal(got, before) {
 					t.Fatalf("trial %d: failed bundle moved the state:\n got %x\nwant %x", trial, got, before)
 				}
-				if err := site.AddBundle(st, bad[:len(bad)-1]); !errors.Is(err, wire.ErrCorrupt) {
+				if err := site.Fold(st, st, bad[:len(bad)-1]); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: truncated bundle: err %v, want ErrCorrupt", trial, err)
 				}
-				if err := site.AddBundle(st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
+				if err := site.Fold(st, st, append(bytes.Clone(good), 0)); !errors.Is(err, wire.ErrCorrupt) {
 					t.Fatalf("trial %d: trailing byte: err %v, want ErrCorrupt", trial, err)
 				}
 				// Update fails at event i of n, after the events before it
@@ -337,7 +338,7 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				evs := sessionChunk(r)
 				failing := slices.Clone(evs)
 				failing[r.Intn(len(failing))] = failEvent
-				if err := site.AddBundle(st, eventBundle(failing...)); !errors.Is(err, ErrOverflow) {
+				if err := site.Fold(st, st, eventBundle(failing...)); !errors.Is(err, ErrOverflow) {
 					t.Fatalf("trial %d: events %v: err %v, want ErrOverflow", trial, failing, err)
 				}
 				ev := eventBundle(evs...)
@@ -350,7 +351,7 @@ func TestFoldBundleErrorContract(t *testing.T) {
 					corrupt = append(corrupt, ev[:cut])
 				}
 				for _, data := range corrupt {
-					if err := site.AddBundle(st, data); !errors.Is(err, wire.ErrCorrupt) {
+					if err := site.Fold(st, st, data); !errors.Is(err, wire.ErrCorrupt) {
 						t.Fatalf("trial %d: event bundle %x: err %v, want ErrCorrupt", trial, data, err)
 					}
 				}
@@ -395,10 +396,10 @@ func TestFoldBundleErrorContract(t *testing.T) {
 				if trial%2 == 0 {
 					next = ev
 				}
-				if err := ref.AddBundle(want, next); err != nil {
+				if err := ref.Fold(want, want, next); err != nil {
 					t.Fatal(err)
 				}
-				if err := site.AddBundle(st, next); err != nil {
+				if err := site.Fold(st, st, next); err != nil {
 					t.Fatal(err)
 				}
 				if got := stateBytes(st); !bytes.Equal(got, stateBytes(want)) {
@@ -484,7 +485,7 @@ func checkSiteAliasing[S State](t *testing.T, newState func() S, update func(*Ct
 		solo := NewFolder(sc)
 		ref := solo.NewState()
 		for _, data := range bundles[k] {
-			if err := solo.AddBundle(ref, data); err != nil {
+			if err := solo.Fold(ref, ref, data); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -569,7 +570,7 @@ func TestFoldResultOutlivesReset(t *testing.T) {
 	fold := func(chunks ...[]int64) {
 		site.Reset(st)
 		for _, c := range chunks {
-			if err := site.AddBundle(st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, c))); err != nil {
+			if err := site.Fold(st, st, EncodeSummaryBundle(chunkSums(t, sc, logUpdate, c))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -692,7 +693,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := EncodeSummaryBundle(sums)
 		check("B3 shape", 1, 2, func() int {
 			site.Reset(st)
-			if err := site.AddBundle(st, data); err != nil {
+			if err := site.Fold(st, st, data); err != nil {
 				t.Fatal(err)
 			}
 			return sums[0].NumPaths()
@@ -708,7 +709,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := eventBundle(50, 55, 58)
 		check("B3 events", 1, 1, func() int {
 			site.Reset(st)
-			if err := site.AddBundle(st, data); err != nil {
+			if err := site.Fold(st, st, data); err != nil {
 				t.Fatal(err)
 			}
 			return 1
@@ -741,7 +742,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := eventBundle(slices.Repeat([]int64{-3, 9}, n)[:n]...)
 		check(fmt.Sprintf("a group of %d events", n), 0, 1, func() int {
 			site.Reset(st)
-			if err := site.AddBundle(st, data); err != nil {
+			if err := site.Fold(st, st, data); err != nil {
 				t.Fatal(err)
 			}
 			return 1
@@ -815,7 +816,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 		data := EncodeSummaryBundle(sums)
 		check("T1 shape", 1, sums[0].NumPaths(), func() int {
 			site.Reset(st)
-			if err := site.AddBundle(st, data); err != nil {
+			if err := site.Fold(st, st, data); err != nil {
 				t.Fatal(err)
 			}
 			return sums[0].NumPaths()
@@ -823,7 +824,7 @@ func TestFoldAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFoldAddBundleFrom: folding from one state into another leaves the
+// TestFoldAddBundleFrom: Fold from one state into another leaves the
 // source exactly as it was — whether the bundle has summaries, is an
 // event, or has a summary that fails to apply — so a frozen state can be
 // the source of any number of folds.
@@ -849,25 +850,25 @@ func TestFoldAddBundleFrom(t *testing.T) {
 
 	two := append(maxChunkSummaries(t, []int64{3}), maxChunkSummaries(t, []int64{8})...)
 	dst := f.NewState()
-	if err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(two)); err != nil {
+	if err := f.Fold(dst, src, EncodeSummaryBundle(two)); err != nil {
 		t.Fatal(err)
 	}
 	check("two summaries", dst, 8)
 
 	dst = f.NewState()
-	if err := f.AddBundleFrom(dst, src, eventBundle(2)); err != nil {
+	if err := f.Fold(dst, src, eventBundle(2)); err != nil {
 		t.Fatal(err)
 	}
 	check("an event", dst, 5)
 	// The copy is dst's own: folding onto it leaves the source alone too.
-	if err := f.AddBundle(dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
+	if err := f.Fold(dst, dst, EncodeSummaryBundle(maxChunkSummaries(t, []int64{6}))); err != nil {
 		t.Fatal(err)
 	}
 	check("fold onto the copy", dst, 6)
 
 	dst = f.NewState()
 	bad := append(maxChunkSummaries(t, []int64{7}), partialSummary(t, []int64{4}, 7))
-	if err := f.AddBundleFrom(dst, src, EncodeSummaryBundle(bad)); !errors.Is(err, ErrNoPath) {
+	if err := f.Fold(dst, src, EncodeSummaryBundle(bad)); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("error = %v, want ErrNoPath", err)
 	}
 	check("failed fold", dst, math.MinInt64)
@@ -878,7 +879,7 @@ func TestFoldAddBundleFrom(t *testing.T) {
 func TestFoldNoBundles(t *testing.T) {
 	f := NewFolder(eventSchema(t, newIntState(math.MinInt64), maxUpdate))
 	src, dst := f.NewState(), f.NewState()
-	if err := f.AddBundle(src, eventBundle(4)); err != nil {
+	if err := f.Fold(src, src, eventBundle(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Fold(dst, src); err != nil || dst.State().V.Get() != 4 || src.State().V.Get() != 4 {

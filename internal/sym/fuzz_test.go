@@ -113,19 +113,19 @@ func siteFold[S State, E any](newState func() S, update func(*Ctx, S, E),
 		}
 		site := NewFolder(sc)
 		src := site.NewState()
-		if err := site.AddBundle(src, EncodeSummaryBundle(chunkSums(t, sc, update, prefix))); err != nil {
+		if err := site.Fold(src, src, EncodeSummaryBundle(chunkSums(t, sc, update, prefix))); err != nil {
 			t.Fatal(err)
 		}
 		dst := site.NewState()
 		frozen, before := stateBytes(src), stateBytes(dst)
-		errFrom := site.AddBundleFrom(dst, src, data)
+		errFrom := site.Fold(dst, src, data)
 		if !bytes.Equal(stateBytes(src), frozen) {
 			t.Fatalf("folding from the prefix wrote it (err %v)", errFrom)
 		}
 		if errFrom != nil && !bytes.Equal(stateBytes(dst), before) {
 			t.Fatalf("a rejected bundle moved the destination: %v", errFrom)
 		}
-		err = site.AddBundle(src, data)
+		err = site.Fold(src, src, data)
 		if err != nil && !bytes.Equal(stateBytes(src), frozen) {
 			t.Fatalf("a rejected bundle moved the state: %v", err)
 		}
@@ -287,7 +287,7 @@ func TestBundleCountZeroIsAnEvent(t *testing.T) {
 		if events := bytes.Equal(enc.Bytes(), []byte{0, byte(n)}); events != (n <= maxEventGroup) {
 			t.Fatalf("a group of %d impressions shipped %x", n, enc.Bytes())
 		}
-		if err := site.AddBundle(st, enc.Bytes()); err != nil {
+		if err := site.Fold(st, st, enc.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		total += int64(n)
@@ -296,7 +296,8 @@ func TestBundleCountZeroIsAnEvent(t *testing.T) {
 		t.Fatalf("groups of zero-byte events counted %d, want %d", got, total)
 	}
 	plain := NewFolder(newSchema(newR1Shape))
-	if err := plain.AddBundle(plain.NewState(), []byte{0, 1}); !errors.Is(err, wire.ErrCorrupt) {
+	pst := plain.NewState()
+	if err := plain.Fold(pst, pst, []byte{0, 1}); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("without an event codec: %v, want ErrCorrupt", err)
 	}
 	defer func() {

@@ -120,7 +120,7 @@ leg traced env OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/cor
 # Benchmark smoke: all four workloads at 2000-record inputs, traced and
 # untraced, every job digest-checked against Spec.Sequential.
 leg benchsmoke go run ./benchmark -smoke
-# Size ratchet (ROADMAP item 3): lines per package and option-struct
+# Size ratchet (ROADMAP item 9): lines per package and option-struct
 # field counts, failing when any has grown past scripts/loc_record.txt.
 leg loc ./scripts/loc.sh --check
 rmdir "$logs" 2>/dev/null || true
