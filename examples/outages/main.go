@@ -64,18 +64,19 @@ func run(w io.Writer) error {
 		Filler: 32, Seed: 7, Outages: 9,
 	})
 
+	all := []byte("all") // the one group's key, shared by every record
 	q := &symple.Query[*OutageState, int64, [][2]int64]{
 		Name: "outages",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			ok, valid := data.ParseInt(data.Field(rec, 3))
 			if !valid || ok != 1 {
-				return "", 0, false
+				return nil, 0, false
 			}
 			ts, valid := data.ParseInt(data.Field(rec, 0))
 			if !valid {
-				return "", 0, false
+				return nil, 0, false
 			}
-			return "all", ts, true
+			return all, ts, true
 		},
 		NewState: newOutageState,
 		Update:   update,

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -118,17 +119,17 @@ func main() {
 func run(w io.Writer) error {
 	q := &symple.Query[*FunnelState, FunnelEvent, []string]{
 		Name: "purchase-funnel",
-		GroupBy: func(rec []byte) (string, FunnelEvent, bool) {
-			parts := strings.SplitN(string(rec), "\t", 3)
+		GroupBy: func(rec []byte) ([]byte, FunnelEvent, bool) {
+			parts := bytes.SplitN(rec, []byte("\t"), 3) // the key views the record
 			if len(parts) != 3 {
-				return "", FunnelEvent{}, false
+				return nil, FunnelEvent{}, false
 			}
 			for k, n := range kindNames {
-				if parts[1] == n {
-					return parts[0], FunnelEvent{Kind: int64(k), Item: parts[2]}, true
+				if string(parts[1]) == n {
+					return parts[0], FunnelEvent{Kind: int64(k), Item: string(parts[2])}, true
 				}
 			}
-			return "", FunnelEvent{}, false
+			return nil, FunnelEvent{}, false
 		},
 		NewState: newFunnelState,
 		Update:   update,

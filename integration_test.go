@@ -25,16 +25,16 @@ func (s *gapState) Fields() []symple.Value { return []symple.Value{&s.LastOk, &s
 func gapQuery() *symple.Query[*gapState, int64, []int64] {
 	return &symple.Query[*gapState, int64, []int64]{
 		Name: "integration-outages",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			ok, valid := data.ParseInt(data.Field(rec, 3))
 			if !valid || ok != 1 {
-				return "", 0, false
+				return nil, 0, false
 			}
 			ts, valid := data.ParseInt(data.Field(rec, 0))
 			if !valid {
-				return "", 0, false
+				return nil, 0, false
 			}
-			return string(data.Field(rec, 2)), ts, true
+			return data.Field(rec, 2), ts, true
 		},
 		NewState: func() *gapState {
 			return &gapState{LastOk: symple.NewSymInt(math.MaxInt64 / 2)}

@@ -103,9 +103,9 @@ func (s *sessState) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Count,
 func sessionQuery() *core.Query[*sessState, int64, []int64] {
 	return &core.Query[*sessState, int64, []int64]{
 		Name: "sessions",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			key, ts, ok := strings.Cut(string(rec), "\t")
-			v, err := strconv.ParseInt(ts, 10, 64)
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
+			key, ts, ok := bytes.Cut(rec, []byte("\t"))
+			v, err := strconv.ParseInt(string(ts), 10, 64)
 			return key, v, ok && err == nil
 		},
 		NewState: func() *sessState {

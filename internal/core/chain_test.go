@@ -21,8 +21,8 @@ func (s *countState) Fields() []sym.Value { return []sym.Value{&s.N} }
 func countQuery() *Query[*countState, struct{}, int64] {
 	return &Query[*countState, struct{}, int64]{
 		Name: "count",
-		GroupBy: func(rec []byte) (string, struct{}, bool) {
-			return string(rec), struct{}{}, true
+		GroupBy: func(rec []byte) ([]byte, struct{}, bool) {
+			return rec, struct{}{}, true
 		},
 		NewState:    func() *countState { return &countState{N: sym.NewSymInt(0)} },
 		Update:      func(_ *sym.Ctx, s *countState, _ struct{}) { s.N.Inc() },

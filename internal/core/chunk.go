@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/mapreduce"
@@ -46,6 +45,24 @@ type grouped[E any] struct {
 	offs   []int32
 	events []E
 	last   []int64
+}
+
+// kept is an exact-size copy of g for a segment to keep, its keys (views
+// of the records, maybe) copied end to end into one array.
+func (g *grouped[E]) kept() *grouped[E] {
+	n := 0
+	for _, k := range g.keys {
+		n += len(k)
+	}
+	buf := make([]byte, 0, n)
+	for _, k := range g.keys {
+		buf = append(buf, k...)
+	}
+	all, keys := unsafe.String(unsafe.SliceData(buf), n), make([]string, len(g.keys))
+	for i, k := range g.keys {
+		keys[i], all = all[:len(k)], all[len(k):]
+	}
+	return &grouped[E]{keys, slices.Clone(g.offs), slices.Clone(g.events), slices.Clone(g.last)}
 }
 
 // memo is what a segment keeps of a query (Segment.Derived, under
@@ -115,9 +132,11 @@ func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
 // each key through the site: Reset, feed the key's vector to FeedBatch
 // (which folds runs of identical events as units and executes quiet
 // stretches in place), and append the key's bundle — encoded straight
-// from the executor's paths — to the site's encoder. Pass two is timed
-// on its own (stats.ExecWall), net of the parse cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *batchExec[S, E], seg *mapreduce.Segment, trace *obs.Trace, mapperID int) (g *grouped[E], stats SymStats, err error) {
+// from the executor's paths — to the site's encoder; its span times it
+// apart from the parse every engine shares. A chunk that runs to the end
+// adds its counts to stats (nil: none are kept) under mu.
+func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *batchExec[S, E], seg *mapreduce.Segment,
+	trace *obs.Trace, mapperID int, mu *sync.Mutex, stats *SymStats) (g *grouped[E], err error) {
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrRecords, int64(len(seg.Records)))
@@ -128,7 +147,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *bat
 	if g == nil {
 		g = groupChunk(q, be, seg.Records)
 		if m != nil && m.touches.Add(1) == 2 {
-			m.g.Store(&grouped[E]{slices.Clone(g.keys), slices.Clone(g.offs), slices.Clone(g.events), slices.Clone(g.last)})
+			m.g.Store(g.kept())
 		}
 	}
 	// The records are read up to here; keys that view them leave with
@@ -136,17 +155,16 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *bat
 	runtime.KeepAlive(seg)
 	parseSpan.Attr(obs.AttrGroups, int64(len(g.keys))).
 		Attr(obs.AttrBatchRecords, int64(len(g.events))).End()
-	// The bundle list is sized here so the timed pass below only appends.
+	// The bundle list is sized here so the exec pass below only appends.
 	be.bundles = slices.Grow(be.bundles[:0], len(g.keys))
 
-	start := time.Now()
 	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d", mapperID)).
 		Attr(obs.AttrTask, int64(mapperID)).
 		Attr(obs.AttrGroups, int64(len(g.keys))).
 		Attr(obs.AttrBatchRecords, int64(len(g.events)))
 	fast, enc := be.fast, &be.enc
 	enc.Reset()
-	prev := fast.Stats()
+	prev, summaries := fast.Stats(), 0
 	// needReset tracks whether the executor has run a key since its last
 	// reset; the all-identity shortcut below bypasses the executor's
 	// paths entirely and so neither needs nor forces one. A pooled
@@ -156,7 +174,7 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *bat
 		evs := g.events[g.offs[ki]:g.offs[ki+1]]
 		if bundle := fast.IdentityBundle(evs); bundle != nil {
 			be.bundles = append(be.bundles, bundle)
-			stats.Summaries++
+			summaries++
 			continue
 		}
 		if needReset {
@@ -172,23 +190,28 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *bat
 			// The site is dropped, not repooled: an errored executor's
 			// path state is unspecified, and the attempt is over.
 			execSpan.Tag(obs.TagOutcome, "error").End()
-			return nil, stats, fmt.Errorf("key %q: %w", key, err)
+			return nil, fmt.Errorf("key %q: %w", key, err)
 		}
 		// Clipped, so nothing appends over the next key's; an array enc
 		// outgrows keeps its bundles until they are emitted.
 		be.bundles = append(be.bundles, enc.Bytes()[at:enc.Len():enc.Len()])
-		stats.Summaries += n
+		summaries += n
 	}
-	addStatsDelta(&stats, fast.Stats(), prev)
-	stats.ExecWall = time.Since(start)
 	execSpan.End()
 	be.used = needReset
-	return g, stats, nil
+	if stats != nil {
+		mu.Lock()
+		addStatsDelta(stats, fast.Stats(), prev)
+		stats.Summaries += summaries
+		mu.Unlock()
+	}
+	return g, nil
 }
 
 // groupChunk is pass one in the site's scratch: the query's GroupBy per
 // record, keys interned in first-use order, then a counting sort over the
-// key-index vector lays the events out key by key.
+// key-index vector lays the events out key by key. Keys are views, not
+// copies, until the site's next chunk: a first touch allocates per chunk.
 func groupChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], records [][]byte) *grouped[E] {
 	g := &be.g
 	clear(be.idx)
@@ -199,12 +222,13 @@ func groupChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], r
 		if !ok {
 			continue
 		}
-		ki, seen := be.idx[key]
+		ki, seen := be.idx[string(key)]
 		if !seen {
+			k := unsafe.String(unsafe.SliceData(key), len(key)) // a view: kept copies
 			ki = int32(len(g.keys))
-			g.keys = append(g.keys, key)
+			g.keys = append(g.keys, k)
 			g.last = append(g.last, 0)
-			be.idx[key] = ki
+			be.idx[k] = ki
 		}
 		g.last[ki] = int64(i) // rows ascend, so the final write is the max
 		be.keyIdx = append(be.keyIdx, ki)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +24,7 @@ type countedMax struct {
 func newCountedMax() *countedMax {
 	m := &countedMax{q: maxQuery()}
 	groupBy := m.q.GroupBy
-	m.q.GroupBy = func(rec []byte) (string, int64, bool) {
+	m.q.GroupBy = func(rec []byte) ([]byte, int64, bool) {
 		m.calls.Add(1)
 		return groupBy(rec)
 	}
@@ -150,5 +152,51 @@ func TestGroupedMemoConcurrentSecondTouch(t *testing.T) {
 		if keptForm(seg, m.q) != kept[i] {
 			t.Errorf("segment %d: a later job replaced the kept grouped form", i)
 		}
+	}
+}
+
+// TestGroupedMemoOwnsItsKeys: the chunk that keeps a segment's grouped
+// form built it with keys viewing the records, and the kept form copies
+// them. After every byte of a heap-backed segment's records is
+// overwritten in place, the kept forms' keys read as before, and a third
+// job, which reads the forms and calls no GroupBy, answers as the second
+// did.
+func TestGroupedMemoOwnsItsKeys(t *testing.T) {
+	segs := makeSegments(randMaxInput(rand.New(rand.NewSource(9)), 2000, 150), 2)
+	q := maxQuery()
+	var second *Output[int64]
+	for range 2 {
+		var err error
+		if second, err = RunSymple(q, segs, mapreduce.Config{NumReducers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([][]string, len(segs))
+	for i, seg := range segs {
+		g := keptForm(seg, q)
+		if g == nil {
+			t.Fatalf("segment %d keeps no grouped form after two jobs", i)
+		}
+		for _, k := range g.keys {
+			keys[i] = append(keys[i], strings.Clone(k))
+		}
+		for _, rec := range seg.Records {
+			for j := range rec {
+				rec[j] = '#'
+			}
+		}
+	}
+	third, err := RunSymple(q, segs, mapreduce.Config{NumReducers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range segs {
+		if got := keptForm(seg, q).keys; !slices.Equal(got, keys[i]) {
+			t.Errorf("segment %d: the kept form's keys changed with its records: %q…, were %q…", i, got[:3], keys[i][:3])
+		}
+	}
+	if !reflect.DeepEqual(third.Results, second.Results) {
+		t.Errorf("a job over the kept forms answered %d groups unlike the job before the records were overwritten (%d)",
+			len(third.Results), len(second.Results))
 	}
 }

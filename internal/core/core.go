@@ -24,7 +24,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,8 +53,10 @@ type Query[S sym.State, E, R any] struct {
 	// Only fields the UDA needs should be propagated into E — the same
 	// hand-optimization the paper applies to its baseline. It must be a
 	// pure function of the record: a segment keeps its output for every
-	// later job of the query.
-	GroupBy func(record []byte) (key string, event E, ok bool)
+	// later job of the query. The key may point into the record (a
+	// field of it, not a copy) or at bytes no one writes; it is read,
+	// never written, and every engine copies what it keeps.
+	GroupBy func(record []byte) (key []byte, event E, ok bool)
 
 	// NewState returns the initial aggregation state.
 	NewState func() S
@@ -90,25 +93,13 @@ func validateQuery[S sym.State, E, R any](q *Query[S, E, R]) error {
 	return nil
 }
 
-// SymStats aggregates symbolic-execution work across all mapper-side
-// executors of a run.
+// SymStats is a run's mapper-side symbolic work: its executors' counts
+// summed over the map chunks (MaxLive is not kept), and Summaries, the
+// elements shuffled — summaries, and the small groups that ship their
+// events instead (Events of them).
 type SymStats struct {
-	Records  int // events fed to symbolic executors
-	Runs     int // Update invocations (symbolic overhead factor)
-	Merges   int
-	Restarts int
-	// Summaries counts the elements shuffled: summaries, and the small
-	// groups that ship their events instead (Events of them).
+	sym.Stats
 	Summaries int
-	Events    int
-	// RunProbes counts runs of identical events the executor folded as
-	// a unit.
-	RunProbes int
-	// ExecWall is the wall time spent inside the symbolic-execution pass
-	// of the map chunks (feeding grouped events and finishing executors),
-	// excluding record parsing and grouping, summed across chunks. It
-	// isolates the engine cost from the parse cost every engine shares.
-	ExecWall time.Duration
 }
 
 // Output is the result of running a query under any engine.
@@ -119,14 +110,7 @@ type Output[R any] struct {
 }
 
 // Keys returns the sorted group keys, for deterministic iteration.
-func (o *Output[R]) Keys() []string {
-	keys := make([]string, 0, len(o.Results))
-	for k := range o.Results {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (o *Output[R]) Keys() []string { return slices.Sorted(maps.Keys(o.Results)) }
 
 // RunSequential executes the query in one sequential pass: the reference
 // semantics. Events are grouped per key preserving global input order and
@@ -147,11 +131,12 @@ func RunSequential[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 			if !ok {
 				continue
 			}
-			x := execs[key]
+			x := execs[string(key)]
 			if x == nil {
+				k := string(key) // the key's one copy
 				x = sym.NewConcreteExecutor(q.NewState, q.Update, q.Options)
-				execs[key] = x
-				order = append(order, key)
+				execs[k] = x
+				order = append(order, k)
 			}
 			if err := x.Feed(ev); err != nil {
 				return nil, fmt.Errorf("core %q: sequential key %q: %w", q.Name, key, err)
@@ -205,7 +190,7 @@ func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*B
 				}
 				e := wire.NewEncoder(16)
 				q.EncodeEvent(e, ev)
-				emit(key, int64(i), e.Bytes())
+				emit(string(key), int64(i), e.Bytes())
 				emitted++
 			}
 			span.Attr(obs.AttrRecords, int64(len(seg.Records))).

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -25,16 +25,10 @@ func (s *maxState) Fields() []sym.Value { return []sym.Value{&s.Max} }
 func maxQuery() *Query[*maxState, int64, int64] {
 	return &Query[*maxState, int64, int64]{
 		Name: "max",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			parts := strings.SplitN(string(rec), "\t", 2)
-			if len(parts) != 2 {
-				return "", 0, false
-			}
-			v, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return "", 0, false
-			}
-			return parts[0], v, true
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
+			key, raw, ok := bytes.Cut(rec, []byte("\t"))
+			v, err := strconv.ParseInt(string(raw), 10, 64)
+			return key, v, ok && err == nil
 		},
 		NewState: func() *maxState { return &maxState{Max: sym.NewSymInt(math.MinInt64)} },
 		Update: func(ctx *sym.Ctx, s *maxState, e int64) {
@@ -65,16 +59,10 @@ func gap(prev, cur int64) bool { return cur-prev < 100 }
 func sessionQuery() *Query[*sessState, int64, []int64] {
 	return &Query[*sessState, int64, []int64]{
 		Name: "sessions",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			parts := strings.SplitN(string(rec), "\t", 2)
-			if len(parts) != 2 {
-				return "", 0, false
-			}
-			v, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return "", 0, false
-			}
-			return parts[0], v, true
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
+			key, raw, ok := bytes.Cut(rec, []byte("\t"))
+			v, err := strconv.ParseInt(string(raw), 10, 64)
+			return key, v, ok && err == nil
 		},
 		NewState: func() *sessState {
 			return &sessState{
@@ -304,7 +292,7 @@ func (s *badState) Fields() []sym.Value { return []sym.Value{&s.A} }
 func TestEnginesRejectInvalidState(t *testing.T) {
 	q := &Query[*badState, int64, int64]{
 		Name:     "bad",
-		GroupBy:  func([]byte) (string, int64, bool) { return "k", 0, true },
+		GroupBy:  func([]byte) ([]byte, int64, bool) { return []byte("k"), 0, true },
 		NewState: func() *badState { return &badState{A: sym.NewSymInt(0), B: sym.NewSymInt(0)} },
 		Update:   func(*sym.Ctx, *badState, int64) {},
 		Result:   func(string, *badState) int64 { return 0 },

@@ -189,11 +189,11 @@ func TestChaosDroppedExecSite(t *testing.T) {
 // segment's first touch its memo entry.
 func TestMapChunkAllocCeiling(t *testing.T) {
 	q := maxQuery()
-	keys := make([]string, 4000)
+	keys := make([][]byte, 4000)
 	for i := range keys {
-		keys[i] = "k" + strconv.Itoa(i)
+		keys[i] = []byte("k" + strconv.Itoa(i))
 	}
-	q.GroupBy = func(rec []byte) (string, int64, bool) {
+	q.GroupBy = func(rec []byte) ([]byte, int64, bool) {
 		return keys[int(rec[0])|int(rec[1])<<8], int64(rec[2]), true
 	}
 	c, err := Compile(q)

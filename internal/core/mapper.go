@@ -23,7 +23,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		if be == nil {
 			be = &batchExec[S, E]{fast: sym.NewSchemaExecutor(sc, q.Update, q.Options), idx: map[string]int32{}}
 		}
-		g, local, err := symExecChunk(q, memoKey, be, seg, trace, mapperID)
+		g, err := symExecChunk(q, memoKey, be, seg, trace, mapperID, mu, stats)
 		if err != nil {
 			return err
 		}
@@ -44,19 +44,6 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		// Emit copied the bundles: the site is free for its next chunk.
 		pool.put(be)
 		lreg.MergeInto(reg)
-		if stats == nil {
-			return nil
-		}
-		mu.Lock()
-		stats.Records += local.Records
-		stats.Runs += local.Runs
-		stats.Merges += local.Merges
-		stats.Restarts += local.Restarts
-		stats.Summaries += local.Summaries
-		stats.Events += local.Events
-		stats.RunProbes += local.RunProbes
-		stats.ExecWall += local.ExecWall
-		mu.Unlock()
 		return nil
 	}
 }

@@ -4,6 +4,7 @@
 //
 //	records/   op streams and query-traffic records (FuzzWireRoundTrip)
 //	segments/  encoded shuffle segments, valid and corrupt (FuzzSegmentDecode)
+//	segment-files/  newline-delimited input files (FuzzReadSegments)
 //
 // Fuzz targets load a subcorpus with Load and f.Add every entry, so the
 // interesting shapes discovered once are shared by every future run.
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -47,9 +47,9 @@ func dir(sub string) (string, error) {
 	}
 }
 
-// Load reads every file of a subcorpus in name order. A missing
-// subcorpus directory is an error: the corpora are committed, so absence
-// means the checkout (or an -update run) is incomplete.
+// Load reads every file of a subcorpus in name order, ReadDir's. A
+// missing subcorpus directory is an error: the corpora are committed, so
+// absence means the checkout (or an -update run) is incomplete.
 func Load(sub string) ([]Seed, error) {
 	p, err := dir(sub)
 	if err != nil {
@@ -70,7 +70,6 @@ func Load(sub string) ([]Seed, error) {
 		}
 		seeds = append(seeds, Seed{Name: ent.Name(), Data: b})
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i].Name < seeds[j].Name })
 	return seeds, nil
 }
 

@@ -216,8 +216,8 @@ type TaskMetrics struct {
 	// Metrics.Groups.
 	Records int64
 	// OutBytes is, for map tasks, the wire bytes destined to each
-	// reducer — the encoded segment sizes actually shipped; for reduce
-	// tasks it is nil. Its sum
+	// reducer — the encoded segment sizes actually shipped; it is nil
+	// for reduce tasks and for a map task that shipped no run. Its sum
 	// is Metrics.ShuffleBytes; the cluster simulator charges transfer
 	// time against it.
 	OutBytes []int64

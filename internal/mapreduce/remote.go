@@ -52,21 +52,14 @@ type RemoteMapper interface {
 	RunMap(ctx context.Context, task, attempt int, seg *Segment, faults AttemptFaults) (*MapOutput, error)
 }
 
-// ExecuteMap runs one map attempt locally and publishes each non-empty
-// partition's encoded run into sink. It is the worker-side half of
-// remote execution and runs the engine's own attempt body (executeMap),
-// so a run produced here is byte-identical to one an in-process attempt
-// produces over the same segment.
-//
-// task and attempt label the published runs and trace spans; trace may
-// be nil; faults are the attempt's, fired as an in-process attempt fires
-// them. The returned MapOutput carries metrics only (Runs stays nil —
-// the runs went through sink, which may have streamed them away).
-//
-// compress must be false: a segment has one wire form, and true is an
-// error before anything runs or publishes. The parameter stays only
-// because the benchmark harness (benchmark/ledger.go) passes false; it
-// goes with ROADMAP item 1a.
+// ExecuteMap runs one map attempt locally — the worker-side half of
+// remote execution, on the engine's own attempt body (executeMap), so its
+// runs are byte-identical to an in-process attempt's over the same
+// segment — and publishes each non-empty partition's encoded run into
+// sink. task and attempt label the runs and trace spans; trace may be
+// nil; faults are the attempt's. The returned MapOutput carries metrics
+// only: the runs went through sink. compress must be false (a segment
+// has one wire form); the parameter stays for benchmark/ledger.go.
 func ExecuteMap(mapFn MapFunc, seg *Segment, task, attempt, numParts int,
 	compress bool, trace *obs.Trace, sink RunSink, faults ...Fault) (*MapOutput, error) {
 	if compress {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"syscall"
 	"unsafe"
 )
@@ -30,23 +29,19 @@ func ReadSegments(dir string) ([]*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: reading segment dir: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
+	var segs []*Segment
+	for _, e := range entries { // sorted by name
+		if e.IsDir() {
+			continue
 		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("mapreduce: no segment files in %s", dir)
-	}
-	sort.Strings(names)
-	segs := make([]*Segment, 0, len(names))
-	for i, name := range names {
-		seg, err := mapSegment(i, filepath.Join(dir, name))
+		seg, err := mapSegment(len(segs), filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
 		segs = append(segs, seg)
+	}
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("mapreduce: no segment files in %s", dir)
 	}
 	return segs, nil
 }
@@ -54,8 +49,10 @@ func ReadSegments(dir string) ([]*Segment, error) {
 // mapSegment maps one newline-delimited file as segment id: the
 // trailing newline is optional, a carriage return before a newline is
 // dropped, blank lines are skipped, and each record is a cap-clipped
-// sub-slice of the mapping. An empty file cannot be mapped: it is a
-// segment of no records.
+// sub-slice of the mapping. One scan splits the file into the record
+// table, which grows as it fills (remap), and sums the payload total, so
+// the segment is sized once loaded; its digest stays lazy. An empty file
+// cannot be mapped: it is a segment of no records.
 func mapSegment(id int, path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -74,15 +71,9 @@ func mapSegment(id int, path string) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: mapping %s: %w", path, err)
 	}
-	n := bytes.Count(buf, []byte{'\n'}) + 1
-	tab, err := syscall.Mmap(-1, 0, n*int(unsafe.Sizeof([]byte(nil))), syscall.PROT_READ|syscall.PROT_WRITE,
-		syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
-	if err != nil {
-		release(buf)
-		return nil, fmt.Errorf("mapreduce: mapping the record table of %s: %w", path, err)
-	}
-	recs := unsafe.Slice((*[]byte)(unsafe.Pointer(unsafe.SliceData(tab))), n)[:0]
-	for rest := buf; len(rest) > 0; {
+	tab, err := remap(nil, 64<<10)
+	recs, size := table(tab)[:0], int64(0)
+	for rest := buf; len(rest) > 0 && err == nil; {
 		line := rest
 		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
 			line, rest = rest[:nl], rest[nl+1:]
@@ -90,18 +81,58 @@ func mapSegment(id int, path string) (*Segment, error) {
 			rest = nil
 		}
 		line = bytes.TrimSuffix(line, []byte{'\r'})
-		if len(bytes.TrimSpace(line)) > 0 {
-			recs = append(recs, line[:len(line):len(line)])
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if len(recs) == cap(recs) { // grow to the count the bytes read so far predict, an eighth over
+			n := len(recs) * len(buf) / (len(buf) - len(rest)) * 9 / 8
+			if tab, err = remap(tab, max(n*recSize, 2*len(tab))); err != nil {
+				break
+			}
+			recs = table(tab)[:len(recs)]
+		}
+		recs = append(recs, line[:len(line):len(line)])
+		size += int64(len(line))
+	}
+	if err == nil { // cut to the pages it fills (a shrink stays in place) and seal
+		if tab, err = remap(tab, max(len(recs), 1)*recSize); err == nil {
+			err = syscall.Mprotect(tab, syscall.PROT_READ)
 		}
 	}
-	if err := syscall.Mprotect(tab, syscall.PROT_READ); err != nil {
+	if err != nil {
 		release(buf)
 		release(tab)
-		return nil, fmt.Errorf("mapreduce: sealing the record table of %s: %w", path, err)
+		return nil, fmt.Errorf("mapreduce: the record table of %s: %w", path, err)
 	}
 	seg.Records = recs[:len(recs):len(recs)]
+	seg.memo = segmentMemo{rows: len(recs), size: size, sized: true}
 	runtime.AddCleanup(seg, func(r [2][]byte) { release(r[0]); release(r[1]) }, [2][]byte{buf, tab})
 	return seg, nil
+}
+
+const recSize = int(unsafe.Sizeof([]byte(nil)))
+
+// table views mapping tab as a record table.
+func table(tab []byte) [][]byte {
+	return unsafe.Slice((*[]byte)(unsafe.Pointer(unsafe.SliceData(tab))), len(tab)/recSize)
+}
+
+// remap maps n anonymous bytes for a nil b, else resizes b (mremap,
+// moving pages, not bytes); a failed call leaves b as it was. Raw calls:
+// syscall.Mmap's record of a range would outlive a move or a cut.
+func remap(b []byte, n int) ([]byte, error) {
+	p, errno := uintptr(0), syscall.Errno(0)
+	if b == nil {
+		p, _, errno = syscall.Syscall6(syscall.SYS_MMAP, 0, uintptr(n), syscall.PROT_READ|syscall.PROT_WRITE,
+			syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS, ^uintptr(0), 0)
+	} else {
+		p, _, errno = syscall.Syscall6(syscall.SYS_MREMAP, uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(len(b)), uintptr(n),
+			1 /* MREMAP_MAYMOVE */, 0, 0)
+	}
+	if errno != 0 {
+		return b, errno
+	}
+	return unsafe.Slice((*byte)(unsafe.Add(nil, p)), n), nil
 }
 
 // release gives a mapping's memory back by replacing it in place with an

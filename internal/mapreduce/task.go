@@ -428,7 +428,9 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 		Duration:   max(out.Duration, time.Nanosecond), // keep the speculation median well-defined
 		InputBytes: st.seg.Bytes(),
 		Records:    int64(len(st.seg.Records)),
-		OutBytes:   make([]int64, env.conf.NumReducers),
+	}
+	if len(out.Runs) > 0 { // a map-only attempt publishes none
+		st.task.OutBytes = make([]int64, env.conf.NumReducers)
 	}
 	for _, r := range out.Runs {
 		st.task.OutBytes[r.Part] = int64(len(r.Seg))

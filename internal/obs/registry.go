@@ -2,8 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -276,22 +277,12 @@ func (r *Registry) SelfCheck() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counts))
-	for name := range r.counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(r.counts)) {
 		if n := r.counts[name].neg.Load(); n > 0 {
 			return fmt.Errorf("obs: counter %q received %d negative adds", name, n)
 		}
 	}
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(r.hists)) {
 		h := r.hists[name]
 		h.mu.Lock()
 		var btotal int64

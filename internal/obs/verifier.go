@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 )
@@ -342,15 +344,8 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 			attempts[k][sp.Attr(AttrAttempt)] = sp.Tag(TagOutcome)
 		}
 	}
-	keys := make([]taskKey, 0, len(commits))
-	for k := range commits {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].task < keys[j].task
+	keys := slices.SortedFunc(maps.Keys(commits), func(a, b taskKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.task, b.task))
 	})
 	for _, k := range keys {
 		atts := commits[k]
@@ -377,21 +372,9 @@ func verifyCommits(job *Span, children []*Span) []Violation {
 
 // sortedRunKeys returns map keys in deterministic order.
 func sortedRunKeys(m map[runKey]int) []runKey {
-	keys := make([]runKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.task != b.task {
-			return a.task < b.task
-		}
-		if a.attempt != b.attempt {
-			return a.attempt < b.attempt
-		}
-		return a.part < b.part
+	return slices.SortedFunc(maps.Keys(m), func(a, b runKey) int {
+		return cmp.Or(cmp.Compare(a.task, b.task), cmp.Compare(a.attempt, b.attempt), cmp.Compare(a.part, b.part))
 	})
-	return keys
 }
 
 // Check runs Verify and folds any violations into one error.

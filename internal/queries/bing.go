@@ -37,11 +37,12 @@ func (s *b1State) Fields() []sym.Value { return []sym.Value{&s.LastOk, &s.Out} }
 // query by any user. Grouping key is the constant "all": the query has
 // exactly one group, so symbolic parallelism is the only parallelism.
 func b1() *Spec {
+	b1Key := []byte("all") // every row's key: engines never write a key
 	q := &core.Query[*b1State, int64, []int64]{
 		Name: "B1",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			ts, ok := bingOkTs(data.Field2(rec, 0, 3))
-			return "all", ts, ok
+			return b1Key, ts, ok
 		},
 		NewState: func() *b1State { return &b1State{LastOk: sym.NewSymInt(farFuture)} },
 		Update: func(ctx *sym.Ctx, s *b1State, ts int64) {
@@ -79,12 +80,12 @@ func (s *b2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Count} }
 func b2() *Spec {
 	q := &core.Query[*b2State, int64, int64]{
 		Name: "B2",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			tsRaw, geo, okRaw := data.Field3(rec, 0, 2, 3)
 			if ts, ok := bingOkTs(tsRaw, okRaw); ok {
-				return string(geo), ts, true
+				return geo, ts, true
 			}
-			return "", 0, false
+			return nil, 0, false
 		},
 		NewState: func() *b2State {
 			return &b2State{
@@ -134,10 +135,10 @@ func (s *b3State) Fields() []sym.Value {
 func b3() *Spec {
 	q := &core.Query[*b3State, int64, []int64]{
 		Name: "B3",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			tsRaw, user := data.Field2(rec, 0, 1)
 			ts, ok := data.ParseInt(tsRaw)
-			return string(user), ts, ok
+			return user, ts, ok
 		},
 		NewState: func() *b3State {
 			return &b3State{

@@ -95,10 +95,10 @@ func composeCheckQuery[S sym.State, E, R any](
 			if !ok {
 				continue
 			}
-			if _, seen := events[key]; !seen {
-				order = append(order, key)
+			if _, seen := events[string(key)]; !seen {
+				order = append(order, string(key))
 			}
-			events[key] = append(events[key], ev)
+			events[string(key)] = append(events[string(key)], ev)
 		}
 	}
 	rep := &composeReport{}

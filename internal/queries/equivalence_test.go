@@ -313,8 +313,8 @@ func TestFoldSitesAgree(t *testing.T) {
 // keyOf is rec's group key under the query; ok is false for a record it
 // drops.
 func (r *serveRunner[S, E, R]) keyOf(rec []byte) (key string, ok bool) {
-	key, _, ok = r.q.GroupBy(rec)
-	return key, ok
+	k, _, ok := r.q.GroupBy(rec)
+	return string(k), ok
 }
 
 // eventCap is the largest group the query's exec site ships as its

@@ -13,10 +13,10 @@ import (
 
 // githubOp is G1–G3's GroupBy: key = repo, event = op code, unknown ops
 // dropped. One function, so the three share a segment's grouped form.
-func githubOp(rec []byte) (string, int64, bool) {
+func githubOp(rec []byte) ([]byte, int64, bool) {
 	repo, opName := data.Field2(rec, 1, 2)
 	op := data.GithubOpFromName(opName)
-	return string(repo), int64(op), op >= 0
+	return repo, int64(op), op >= 0
 }
 
 // ---- G1: repositories with only push commands ----
@@ -166,14 +166,14 @@ func (s *g4State) Fields() []sym.Value {
 func g4() *Spec {
 	q := &core.Query[*g4State, g4Event, []int64]{
 		Name: "G4",
-		GroupBy: func(rec []byte) (string, g4Event, bool) {
+		GroupBy: func(rec []byte) ([]byte, g4Event, bool) {
 			tsRaw, repo, opName := data.Field3(rec, 0, 1, 2)
 			op := data.GithubOpFromName(opName)
 			if op != data.OpBranchCreate && op != data.OpBranchDelete {
-				return "", g4Event{}, false
+				return nil, g4Event{}, false
 			}
 			ts, ok := data.ParseInt(tsRaw)
-			return string(repo), g4Event{Op: int64(op), Ts: ts}, ok
+			return repo, g4Event{Op: int64(op), Ts: ts}, ok
 		},
 		NewState: func() *g4State {
 			return &g4State{Deleted: sym.NewSymBool(false), DelTs: sym.NewSymInt(0)}

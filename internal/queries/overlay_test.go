@@ -117,10 +117,10 @@ func (s *tallyState) Fields() []sym.Value { return []sym.Value{&s.Sum} }
 func tallyQuery(id string) (*core.Query[*tallyState, int64, int64], func(string, int64) string) {
 	q := &core.Query[*tallyState, int64, int64]{
 		Name: id,
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			key, raw := data.Field2(rec, 0, 1)
 			n, ok := data.ParseInt(raw)
-			return string(key), n, ok
+			return key, n, ok
 		},
 		NewState:    func() *tallyState { return &tallyState{Sum: sym.NewSymInt(0)} },
 		Update:      func(_ *sym.Ctx, s *tallyState, n int64) { s.Sum.Add(n) },

@@ -29,9 +29,9 @@ func (s *r1State) Fields() []sym.Value { return []sym.Value{&s.Count} }
 func r1() *Spec {
 	q := &core.Query[*r1State, struct{}, int64]{
 		Name: "R1",
-		GroupBy: func(rec []byte) (string, struct{}, bool) {
+		GroupBy: func(rec []byte) ([]byte, struct{}, bool) {
 			adv := data.Field(rec, 1)
-			return string(adv), struct{}{}, adv != nil
+			return adv, struct{}{}, adv != nil
 		},
 		NewState: func() *r1State { return &r1State{Count: sym.NewSymInt(0)} },
 		Update: func(_ *sym.Ctx, s *r1State, _ struct{}) {
@@ -66,10 +66,10 @@ func (s *r2State) Fields() []sym.Value {
 func r2() *Spec {
 	q := &core.Query[*r2State, int64, string]{
 		Name: "R2",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			adv, country := data.Field2(rec, 1, 3)
 			cc := data.CountryIndex(country)
-			return string(adv), int64(cc), cc >= 0
+			return adv, int64(cc), cc >= 0
 		},
 		NewState: func() *r2State {
 			return &r2State{
@@ -166,10 +166,10 @@ func (s *r3State) Fields() []sym.Value { return []sym.Value{&s.LastTs, &s.Out} }
 func r3() *Spec {
 	q := &core.Query[*r3State, int64, []int64]{
 		Name: "R3",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			dt, adv := data.Field2(rec, 0, 1)
 			ts, ok := parseRedshiftTime(dt)
-			return string(adv), ts, ok
+			return adv, ts, ok
 		},
 		NewState: func() *r3State { return &r3State{LastTs: sym.NewSymInt(farFuture)} },
 		Update: func(ctx *sym.Ctx, s *r3State, ts int64) {
@@ -207,10 +207,10 @@ func (s *r4State) Fields() []sym.Value {
 func r4() *Spec {
 	q := &core.Query[*r4State, int64, []int64]{
 		Name: "R4",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			adv, camp := data.Field2(rec, 1, 2)
 			c := data.CampaignIndex(camp)
-			return string(adv), int64(c), c >= 0
+			return adv, int64(c), c >= 0
 		},
 		NewState: func() *r4State {
 			return &r4State{

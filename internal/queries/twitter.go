@@ -29,10 +29,10 @@ func (s *t1State) Fields() []sym.Value {
 func t1() *Spec {
 	q := &core.Query[*t1State, int64, []int64]{
 		Name: "T1",
-		GroupBy: func(rec []byte) (string, int64, bool) {
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
 			tag, spamRaw := data.Field2(rec, 1, 3)
 			spam, valid := data.ParseInt(spamRaw)
-			return string(tag), spam, valid && (spam == 0 || spam == 1)
+			return tag, spam, valid && (spam == 0 || spam == 1)
 		},
 		NewState: func() *t1State {
 			return &t1State{

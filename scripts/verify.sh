@@ -40,10 +40,12 @@ leg build go build ./...
 # which stand down under the race detector.
 leg unit go test ./...
 # Micro-benchmarks, run once each so that they keep compiling and
-# running: a registration's content digest over a fresh segment (MB/s)
-# and a first touch's pass one — GroupBy and counting sort — per query
-# (ns/row). EXPERIMENTS.md records what they read.
-leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkGroupFirstTouch' -benchtime 1x ./internal/mapreduce ./internal/queries
+# running: a registration's content digest over a fresh segment (MB/s),
+# loading a mapped multi-MB file — the one scan that builds its record
+# table (MB/s) — and a first touch's pass one — GroupBy and counting
+# sort — per query (ns/row), with their allocations. EXPERIMENTS.md
+# records what they read.
+leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkReadSegments|BenchmarkGroupFirstTouch' -benchmem -benchtime 1x ./internal/mapreduce ./internal/queries
 # The race leg covers the one SYMPLE engine end to end — the chunk
 # executor, whose grouped form concurrent jobs keep on a segment at its
 # second touch and share after (internal/mapreduce, internal/core,
@@ -102,7 +104,8 @@ leg frames go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejects
 # the segment's mappings released and faults here, not in a user's job:
 # the query service end to end, then the golden digests in every form
 # (from disk and from a segment's kept grouped form included), the
-# grouped-form memo's tests (its keys can view mapped records) and the
+# grouped-form memo's tests (a chunk's keys view the records; a kept
+# form's are its own copies: TestGroupedMemoOwnsItsKeys) and the
 # segment loads' mapping contract.
 leg gc-stress-serve env GOGC=1 go test -count=1 ./internal/serve
 leg gc-stress env GOGC=1 go test -count=1 -run 'Golden|ReadSegments|Segments|Memo' ./internal/queries ./internal/mapreduce ./internal/core

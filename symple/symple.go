@@ -88,11 +88,13 @@ type (
 
 // Query runtime (paper §1.2, §5.4).
 type (
-	// Query is a groupby-aggregate query with a UDA. Its event codec
-	// (EncodeEvent/DecodeEvent) serves both engines that shuffle: the
-	// baseline ships every event, SYMPLE the events of a (mapper, key)
-	// group that holds at most eight; both rely on a decoded event
-	// looking the same to Update as the one encoded.
+	// Query is a groupby-aggregate query with a UDA. Its GroupBy may
+	// return a key that points into the record, a field of it: keys
+	// are read, never written, and the engines copy those they keep.
+	// Its event codec (EncodeEvent/DecodeEvent) serves both engines
+	// that shuffle: the baseline ships every event, SYMPLE the events
+	// of a (mapper, key) group that holds at most eight; both rely on
+	// a decoded event looking the same to Update as the one encoded.
 	Query[S sym.State, E, R any] = core.Query[S, E, R]
 	// Output is an engine run's results and metrics.
 	Output[R any] = core.Output[R]

@@ -1,9 +1,9 @@
 package symple_test
 
 import (
+	"bytes"
 	"math"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -68,16 +68,10 @@ func TestFacadeExecutorRoundTrip(t *testing.T) {
 func TestFacadeQueryEngines(t *testing.T) {
 	q := &symple.Query[*maxState, int64, int64]{
 		Name: "max",
-		GroupBy: func(rec []byte) (string, int64, bool) {
-			parts := strings.SplitN(string(rec), "\t", 2)
-			if len(parts) != 2 {
-				return "", 0, false
-			}
-			v, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return "", 0, false
-			}
-			return parts[0], v, true
+		GroupBy: func(rec []byte) ([]byte, int64, bool) {
+			key, raw, ok := bytes.Cut(rec, []byte("\t"))
+			v, err := strconv.ParseInt(string(raw), 10, 64)
+			return key, v, ok && err == nil
 		},
 		NewState:    newMaxState,
 		Update:      maxUpdate,
