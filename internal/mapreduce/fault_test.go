@@ -365,6 +365,36 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 	}
 }
 
+// TestQueuedTasksAreNotStragglers: a task straggles from when its first
+// attempt holds a task slot, not from when the job started it. Eight
+// equal tasks on one slot queue behind each other; none is slow, so the
+// watchdog launches no backup and each task runs one attempt.
+func TestQueuedTasksAreNotStragglers(t *testing.T) {
+	const tasks = 8
+	reg := obs.NewRegistry()
+	job := &Job{
+		Name: "queued",
+		Map: func(_ int, seg *Segment, emit Emit) error {
+			time.Sleep(3 * time.Millisecond)
+			for i, rec := range seg.Records {
+				emit(string(rec), int64(i), nil)
+			}
+			return nil
+		},
+		Reduce: func(int, int, string, []Shuffled) error { return nil },
+		Conf:   Config{Parallelism: 1, Speculation: true, Registry: reg},
+	}
+	if _, err := job.Run(countingSegments(tasks, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(MetricSpecTasks).Value(); n != 0 {
+		t.Errorf("%s = %d for tasks that only queued, want 0", MetricSpecTasks, n)
+	}
+	if n := reg.Counter(MetricMapAttempts).Value(); n != tasks {
+		t.Errorf("%s = %d, want %d", MetricMapAttempts, n, tasks)
+	}
+}
+
 // TestChaosKillAtSpillWriteNeverPublishes kills every non-final attempt at
 // PointSpillWrite — after its runs are sorted and encoded, the last
 // point before commit — and checks the dead attempts' complete output is

@@ -76,8 +76,9 @@ func TestUpdateFuzzSeeds(t *testing.T) {
 }
 
 // TestFuzzSeedSegmentCorpus is the regression net over the committed
-// corpus: every corrupt-* seed must be rejected by decodeSegment and
-// every valid-* seed accepted — independent of how the seed was built,
+// corpus: every corrupt-* seed must be rejected by decodeSegment,
+// leaving the table it was decoded onto as it was, and every valid-*
+// seed accepted — independent of how the seed was built,
 // so decoder regressions against historical corruptions surface even if
 // the generator drifts.
 func TestFuzzSeedSegmentCorpus(t *testing.T) {
@@ -87,7 +88,7 @@ func TestFuzzSeedSegmentCorpus(t *testing.T) {
 	}
 	var valid, corrupt int
 	for _, s := range seeds {
-		got, _, err := decodeSegment(s.Data)
+		got, _, err := decodeOnto(t, s.Data)
 		switch {
 		case strings.HasPrefix(s.Name, "corrupt-"):
 			corrupt++
@@ -98,8 +99,6 @@ func TestFuzzSeedSegmentCorpus(t *testing.T) {
 			valid++
 			if err != nil {
 				t.Errorf("%s: valid seed rejected: %v", s.Name, err)
-			} else {
-				putKVBuf(got)
 			}
 		default:
 			t.Errorf("%s: seed name must start with valid- or corrupt-", s.Name)

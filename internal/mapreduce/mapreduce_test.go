@@ -355,11 +355,11 @@ func TestWarmJobRecyclesShuffleBuffers(t *testing.T) {
 	}
 }
 
-// TestWarmJobKeepsRecordBuffers: a map attempt's partition buffers are
-// pooled apart from the reduce side's decoded runs, which are pooled by
-// capacity class. So a warm job that partitions 128 records a task into
-// each partition, run after a job that left the pools full of one-record
-// runs, fills buffers that hold its records instead of growing small
+// TestWarmJobKeepsRecordBuffers: a map attempt's partition buffers live
+// in its pooled scratch, apart from the reduce tasks' tables, and keep
+// the capacity their emits grew them to. So a warm job that partitions
+// 128 records a task into each partition, run after a job of one-record
+// tasks, fills buffers that hold its records instead of growing small
 // ones, and allocates a small part of the record bytes it partitions.
 func TestWarmJobKeepsRecordBuffers(t *testing.T) {
 	if raceEnabled {
@@ -442,7 +442,7 @@ func TestValueArena(t *testing.T) {
 		t.Fatal("appending to one value wrote into the next")
 	}
 	chunks := len(a.chunks)
-	a.release()
+	a.reset()
 	for _, v := range want {
 		a.copy(v)
 	}
@@ -454,19 +454,20 @@ func TestValueArena(t *testing.T) {
 // TestDecodeRunAllocatesOneDictionary: a decoded run's keys are
 // substrings of one string, so a 1 000-key run costs the decoder a
 // handful of objects — its dictionary's slice and string — beside the
-// pooled record buffer, not one string per key.
+// table it appends to, not one string per key.
 func TestDecodeRunAllocatesOneDictionary(t *testing.T) {
 	recs := make([]kvRec, 1000)
 	for i := range recs {
 		recs[i] = kvRec{key: "key-" + strconv.Itoa(i), mapperID: 3, recordID: int64(i), value: []byte{byte(i)}}
 	}
 	buf := encodeSegment(recs)
+	var table []kvRec
 	decode := func() {
-		got, mapperID, err := decodeSegment(buf)
+		got, mapperID, err := decodeSegment(table[:0], buf)
 		if err != nil || mapperID != 3 || len(got) != len(recs) || got[999].key != "key-999" {
 			t.Fatalf("decoded %d records of mapper %d (%v), want %d of mapper 3", len(got), mapperID, err, len(recs))
 		}
-		putKVBuf(got)
+		table = got
 	}
 	decode()
 	if allocs := testing.AllocsPerRun(10, decode); allocs > 4 && !raceEnabled {

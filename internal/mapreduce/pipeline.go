@@ -175,14 +175,14 @@ func (env *runEnv) metrics(maps, reduces []TaskMetrics) *Metrics {
 	return m
 }
 
-// collectRuns drains one partition's channel until all map tasks are
-// resolved, decoding each run into a pooled buffer on arrival. Returns
-// the runs, total wire bytes received, active (decoding) time, and the
-// first run-load error.
-func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active time.Duration, err error) {
+// collectRuns drains one partition's channel into its table until all
+// map tasks are resolved, decoding each run on arrival. Returns the
+// total wire bytes received, active (decoding) time, and the first
+// run-load error.
+func (env *runEnv) collectRuns(p int, t *partTable) (inBytes int64, active time.Duration, err error) {
 	for r := range env.transport[p] {
 		t0 := time.Now()
-		run, derr := decodeRun(env.conf.Trace, p, r)
+		derr := t.decodeRun(env.conf.Trace, p, r)
 		active += time.Since(t0)
 		if derr != nil {
 			if err == nil {
@@ -190,37 +190,19 @@ func (env *runEnv) collectRuns(p int) (runs []spillRun, inBytes int64, active ti
 			}
 			continue
 		}
-		run.seg = r.Seg // the engine's own: recycled when the reduce task ends
-		runs = append(runs, run)
+		t.segs = append(t.segs, r.Seg) // the engine's own: recycled with the table
 		inBytes += int64(len(r.Seg))
 	}
-	return runs, inBytes, active, err
-}
-
-// decodeRun decodes one committed run for partition part's reducer under
-// a seg_decode span carrying the run's producer identity — the
-// consumption record the trace verifier joins against run_commit events
-// for the merged-exactly-once invariant.
-func decodeRun(trace *obs.Trace, part int, r Run) (spillRun, error) {
-	span := trace.Start(obs.KindSegDecode, fmt.Sprintf("part-%d", part)).
-		Attr(obs.AttrTask, int64(r.Task)).Attr(obs.AttrAttempt, int64(r.Attempt)).
-		Attr(obs.AttrPart, int64(r.Part)).Attr(obs.AttrBytes, int64(len(r.Seg)))
-	recs, mapperID, err := decodeSegment(r.Seg)
-	if err != nil {
-		span.Tag(obs.TagOutcome, "error").End()
-		return spillRun{}, fmt.Errorf("run (task %d attempt %d part %d): %w", r.Task, r.Attempt, r.Part, err)
-	}
-	span.End()
-	return spillRun{recs: recs, mapperID: mapperID, task: r.Task}, nil
+	return inBytes, active, err
 }
 
 // reduceGroups groups the partition's runs and streams each key group to
 // the reduce function.
-func (env *runEnv) reduceGroups(p int, runs []spillRun, faults AttemptFaults) (groups int64, err error) {
+func (env *runEnv) reduceGroups(p int, t *partTable, faults AttemptFaults) (groups int64, err error) {
 	j := env.job
 	groupHist := env.reg.Histogram(MetricGroupValues)
 	ord := 0
-	return groupAttempt(env.ctx, env.conf.Trace, p, runs, faults, func(key string, group []Shuffled) error {
+	return groupAttempt(env.ctx, env.conf.Trace, p, t, faults, func(key string, group []Shuffled) error {
 		groupHist.Observe(int64(len(group)))
 		if err := j.Reduce(p, ord, key, group); err != nil {
 			return fmt.Errorf("mapreduce %q: reduce task %d key %q: %w", j.Name, p, key, err)
@@ -231,10 +213,10 @@ func (env *runEnv) reduceGroups(p int, runs []spillRun, faults AttemptFaults) (g
 }
 
 // groupAttempt is a reduce attempt's body: the reduce-merge fault, then
-// groupRuns with the reduce-mid fault, if armed, firing after its
-// group — the ordinal is fixed once per attempt, so an unarmed attempt
-// streams straight to fn.
-func groupAttempt(ctx context.Context, trace *obs.Trace, part int, runs []spillRun, faults AttemptFaults,
+// the table's grouping pass with the reduce-mid fault, if armed, firing
+// after its group — the ordinal is fixed once per attempt, so an unarmed
+// attempt streams straight to fn.
+func groupAttempt(ctx context.Context, trace *obs.Trace, part int, t *partTable, faults AttemptFaults,
 	fn func(key string, group []Shuffled) error) (int64, error) {
 	if err := faults.Fire(ctx, PointReduceMerge, 0); err != nil {
 		return 0, err
@@ -252,7 +234,7 @@ func groupAttempt(ctx context.Context, trace *obs.Trace, part int, runs []spillR
 			return err
 		}
 	}
-	return groupRuns(trace, part, runs, fn)
+	return t.group(trace, part, fn)
 }
 
 // MergeEncodedRuns is a reduce attempt's grouping over wire-form runs
@@ -260,22 +242,21 @@ func groupAttempt(ctx context.Context, trace *obs.Trace, part int, runs []spillR
 // in exactly the order a reduce task produces — groups in order of first
 // appearance over the runs read by (mapperID, task), each run in emit
 // order; values ordered by (mapperID, recordID). Each run is decoded as
-// a reduce task decodes it (decodeRun).
+// a reduce task decodes it, into a pooled reduce-task table.
 //
-// The group slice and its values alias pooled buffers released when
-// MergeEncodedRuns returns: fn must copy or encode what it keeps. faults
-// are fired at the reduce points as a reduce attempt fires them.
+// The group slice and its values alias the table and rs, and the table
+// is released when MergeEncodedRuns returns: fn must copy or encode
+// what it keeps. faults are fired at the reduce points as a reduce
+// attempt fires them.
 func MergeEncodedRuns(part int, rs []Run, trace *obs.Trace,
 	fn func(key string, group []Shuffled) error, faults ...Fault) error {
-	runs := make([]spillRun, 0, len(rs))
-	defer func() { releaseRuns(runs) }()
+	t := partTables.Get().(*partTable)
+	defer t.release()
 	for _, r := range rs {
-		run, err := decodeRun(trace, part, r)
-		if err != nil {
+		if err := t.decodeRun(trace, part, r); err != nil {
 			return fmt.Errorf("mapreduce: %w", err)
 		}
-		runs = append(runs, run)
 	}
-	_, err := groupAttempt(context.Background(), trace, part, runs, faults, fn)
+	_, err := groupAttempt(context.Background(), trace, part, t, faults, fn)
 	return err
 }

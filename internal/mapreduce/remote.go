@@ -24,10 +24,9 @@ import (
 // same segment, which is what makes placement invisible to reducers.
 type MapOutput struct {
 	Runs []Run
-	// pairs is a map-only attempt's output instead of runs: the records
-	// it emitted, in emit order, their values in arena.
-	pairs   []kvRec
-	arena   *valueArena
+	// scratch is a map-only attempt's, holding its output instead of
+	// runs: the records it emitted, in emit order, in scratch.parts[0].
+	scratch *mapScratch
 	Emitted int64 // shuffle records across all partitions
 	// Duration is the worker-measured attempt time; it feeds the
 	// speculation watchdog's straggler medians and MetricMapTaskNS.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/wire"
@@ -43,30 +44,24 @@ const segRaw = 0x01
 // record-count claim of a corrupt header before any allocation.
 const segMinRecordBytes = 3
 
-// segEncoder is the encoder's pooled scratch: the key→index map it
-// builds per segment, the dictionary in first-use order and each
-// record's dictionary index.
+// segEncoder is the encoder's scratch, held by a map attempt's scratch
+// (mapScratch): the wire encoder, the key→index map it builds per
+// segment, the dictionary in first-use order and each record's
+// dictionary index. The zero value is ready to use.
 type segEncoder struct {
+	pe   wire.Encoder
 	idx  map[string]int32
 	dict []string
 	keys []int32
 }
 
-var segEncoders = sync.Pool{
-	New: func() any { return &segEncoder{idx: make(map[string]int32, 64)} },
-}
-
-// maxPooledKeyMap bounds the distinct-key count of maps returned to the
-// pool, so one enormous segment does not pin its buckets forever.
-const maxPooledKeyMap = 1 << 16
-
-// encodeSegment encodes one run into a buffer from runBufs. All records
-// must carry the same mapperID (one run is one mapper's output, asserted
+// encode encodes one run into a buffer from runBufs. All records must
+// carry the same mapperID (one run is one mapper's output, asserted
 // cheaply here). The returned slice is exactly the encoding: decoded
 // values alias it, so it lives as long as the run's records do.
-func encodeSegment(recs []kvRec) []byte {
-	pe := wire.GetEncoder()
-	defer wire.PutEncoder(pe)
+func (se *segEncoder) encode(recs []kvRec) []byte {
+	pe := &se.pe
+	pe.Reset()
 	pe.Uvarint(uint64(len(recs)))
 	var mapperID int
 	if len(recs) > 0 {
@@ -76,7 +71,9 @@ func encodeSegment(recs []kvRec) []byte {
 
 	// Key dictionary in first-use order. A key repeated back to back
 	// skips the map.
-	se := segEncoders.Get().(*segEncoder)
+	if se.idx == nil {
+		se.idx = make(map[string]int32, 64)
+	}
 	dict := se.dict[:0]
 	for i := range recs {
 		if i > 0 && recs[i].key == recs[i-1].key {
@@ -106,12 +103,14 @@ func encodeSegment(recs []kvRec) []byte {
 		pe.BytesField(r.value)
 		prevKeyIdx, prevRecID = ki, r.recordID
 	}
-	if len(se.idx) <= maxPooledKeyMap {
-		clear(se.idx)
-		clear(dict)
-		se.dict, se.keys = dict[:0], se.keys[:0]
-		segEncoders.Put(se)
+	// Keys may view a segment's records: none stays behind. A map grown
+	// past maxPooledKeyMap is dropped rather than kept with its buckets.
+	if len(se.idx) > maxPooledKeyMap {
+		se.idx = nil
 	}
+	clear(se.idx)
+	clear(dict)
+	se.dict, se.keys = dict[:0], se.keys[:0]
 
 	out := getRunBuf(1 + pe.Len())
 	out[0] = segRaw
@@ -141,38 +140,42 @@ func putRunBuf(b []byte) {
 	runBufs[bits.Len(uint(cap(b)))-1].Put(&b)
 }
 
-// decodeSegment decodes a segment into a pooled record buffer and returns
-// it with the header's mapperID, which a zero-record run carries too. Values
-// alias buf, and nothing else does. Malformed input — bad flags, truncated
-// frames, out-of-range dictionary indexes, forged counts — returns an
-// error; it never panics or over-allocates.
-func decodeSegment(buf []byte) ([]kvRec, int, error) {
+// decodeSegment appends a segment's records to recs and returns the
+// result with the header's mapperID, which a zero-record run carries too.
+// Values alias buf, and nothing else does. Malformed input — bad flags,
+// truncated frames, out-of-range dictionary indexes, forged counts —
+// returns an error and recs as it was, none of the segment's records
+// left in it, even past its length; it never panics or over-allocates.
+func decodeSegment(recs []kvRec, buf []byte) ([]kvRec, int, error) {
 	d := wire.NewDecoder(buf)
 	if flags := d.Byte(); flags != segRaw {
 		if err := d.Err(); err != nil {
-			return nil, 0, fmt.Errorf("mapreduce: segment: %w", err)
+			return recs, 0, fmt.Errorf("mapreduce: segment: %w", err)
 		}
-		return nil, 0, fmt.Errorf("%w: unknown segment flags %#x", wire.ErrCorrupt, flags)
+		return recs, 0, fmt.Errorf("%w: unknown segment flags %#x", wire.ErrCorrupt, flags)
 	}
 	n := d.Length(d.Remaining()/segMinRecordBytes + 1)
 	mapperID := d.Length(math.MaxInt32)
 	dict := d.StringDict(n)
 	if err := d.Err(); err != nil {
-		return nil, 0, fmt.Errorf("mapreduce: segment header: %w", err)
+		return recs, 0, fmt.Errorf("mapreduce: segment header: %w", err)
 	}
-	recs := getKVBuf(n)
+	lo := len(recs)
+	recs = slices.Grow(recs, n)
 	var keyIdx, recID int64
+	var err error
 	for i := 0; i < n; i++ {
 		keyIdx += d.Varint()
 		recID += d.Varint()
 		value := d.BytesField()
-		if d.Err() != nil {
+		if err = d.Err(); err != nil {
+			err = fmt.Errorf("mapreduce: segment record: %w", err)
 			break
 		}
 		if keyIdx < 0 || keyIdx >= int64(len(dict)) {
-			putKVBuf(recs)
-			return nil, 0, fmt.Errorf("%w: segment key index %d outside dictionary of %d",
+			err = fmt.Errorf("%w: segment key index %d outside dictionary of %d",
 				wire.ErrCorrupt, keyIdx, len(dict))
+			break
 		}
 		if len(value) == 0 {
 			value = nil
@@ -184,13 +187,12 @@ func decodeSegment(buf []byte) ([]kvRec, int, error) {
 			value:    value,
 		})
 	}
-	if err := d.Err(); err != nil {
-		putKVBuf(recs)
-		return nil, 0, fmt.Errorf("mapreduce: segment record: %w", err)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())
 	}
-	if d.Remaining() != 0 {
-		putKVBuf(recs)
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())
+	if err != nil {
+		clear(recs[lo:])
+		return recs[:lo], 0, err
 	}
 	return recs, mapperID, nil
 }

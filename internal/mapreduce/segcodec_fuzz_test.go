@@ -34,12 +34,42 @@ func segSeedRecs() []kvRec {
 	return recs
 }
 
+// encodeSegment encodes one run with a fresh encoder.
+func encodeSegment(recs []kvRec) []byte { return new(segEncoder).encode(recs) }
+
+// decodeOnto decodes in onto a table that already holds a record, as a
+// reduce task decodes a run after others, and holds the decoder to its
+// contract on that table: a rejected run leaves the table as it was —
+// its length, its record, and none of the run's records past its length
+// — and an accepted one only appends. It returns the run's records.
+func decodeOnto(t *testing.T, in []byte) ([]kvRec, int, error) {
+	t.Helper()
+	held := kvRec{key: "held", mapperID: 7, recordID: 42, value: []byte("v")}
+	got, mapperID, err := decodeSegment(append(make([]kvRec, 0, 4), held), in)
+	if len(got) < 1 || got[0].key != held.key || got[0].mapperID != held.mapperID ||
+		got[0].recordID != held.recordID || !bytes.Equal(got[0].value, held.value) {
+		t.Fatalf("decoding changed the record the table held: %+v", got)
+	}
+	if err == nil {
+		return got[1:], mapperID, nil
+	}
+	if len(got) != 1 {
+		t.Fatalf("a rejected run (%v) left the table at %d records, want 1", err, len(got))
+	}
+	for i, r := range got[1:cap(got)] {
+		if r.key != "" || r.mapperID != 0 || r.recordID != 0 || r.value != nil {
+			t.Fatalf("a rejected run (%v) left its record %d past the table's length: %+v", err, i, r)
+		}
+	}
+	return nil, 0, err
+}
+
 // FuzzSegmentDecode feeds decodeSegment arbitrary bytes. The contract
 // under test: malformed input — an unknown or retired flags byte,
 // forged record counts, out-of-range dictionary indexes, trailing
-// garbage — returns an error, never panics and never over-allocates;
-// input it accepts must survive a re-encode/decode round trip
-// unchanged. Seeds come from the committed corpus in
+// garbage — returns an error and leaves the table it was decoded onto
+// as it was, never panics and never over-allocates; input it accepts
+// must survive a re-encode/decode round trip unchanged. Seeds come from the committed corpus in
 // testdata/fuzz-seeds/segments — genuine encoder output plus one entry
 // per corruption class — so mutations start one bit-flip away from the
 // interesting paths.
@@ -54,7 +84,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		got, mapperID, err := decodeSegment(in)
+		got, mapperID, err := decodeOnto(t, in)
 		if err != nil {
 			return
 		}
@@ -62,7 +92,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		// them exactly (encode→decode is lossless, so decode→encode→decode
 		// is a fixpoint).
 		re := encodeSegment(got)
-		got2, mapperID2, err := decodeSegment(re)
+		got2, mapperID2, err := decodeOnto(t, re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded segment failed: %v", err)
 		}
@@ -80,8 +110,6 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("round trip changed record %d: %+v vs %+v", i, a, b)
 			}
 		}
-		putKVBuf(got2)
-		putKVBuf(got)
 	})
 }
 
@@ -97,7 +125,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	// Every strict prefix must be rejected: it must never silently
 	// produce the full record set.
 	for cut := 0; cut < len(seg); cut++ {
-		got, _, err := decodeSegment(seg[:cut])
+		got, _, err := decodeOnto(t, seg[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d accepted (%d records)", cut, len(seg), len(got))
 		}
@@ -108,7 +136,7 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	for _, flags := range []byte{0x7C, 0x02} {
 		bad := append([]byte(nil), seg...)
 		bad[0] = flags
-		if _, _, err := decodeSegment(bad); !errors.Is(err, wire.ErrCorrupt) {
+		if _, _, err := decodeOnto(t, bad); !errors.Is(err, wire.ErrCorrupt) {
 			t.Fatalf("flags byte %#x: %v, want ErrCorrupt", flags, err)
 		}
 	}
@@ -123,12 +151,12 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	e.Varint(0)            // recordID delta
 	e.BytesField([]byte{}) // value
 	buf := append([]byte{segRaw}, e.Bytes()...)
-	if _, _, err := decodeSegment(buf); err == nil {
+	if _, _, err := decodeOnto(t, buf); err == nil {
 		t.Fatal("out-of-range dictionary index accepted")
 	}
 
 	// Trailing garbage after a well-formed segment.
-	if _, _, err := decodeSegment(append(seg, 0xAA, 0xBB)); err == nil {
+	if _, _, err := decodeOnto(t, append(seg, 0xAA, 0xBB)); err == nil {
 		t.Fatal("trailing bytes after segment accepted")
 	}
 }

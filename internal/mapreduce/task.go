@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,7 +184,7 @@ type mapTask struct {
 
 	committed  atomic.Bool
 	attemptSeq atomic.Int32 // next attempt ID
-	firstStart atomic.Int64 // unix nanos of the driver's first attempt
+	firstStart atomic.Int64 // unix nanos the first attempt took its task slot
 	commitDur  atomic.Int64 // committed attempt's duration (nanos)
 
 	// Written once by the committing attempt (guarded by the commit CAS),
@@ -208,7 +208,6 @@ type mapTask struct {
 // win would. A task whose budget is spent while a backup is in flight
 // waits for the backup before it fails.
 func (env *runEnv) driveMapTask(st *mapTask) {
-	st.firstStart.Store(time.Now().UnixNano())
 	err := env.runTask(&env.maps, st.id, &st.committed, func(int) (int, error) {
 		id := int(st.attemptSeq.Add(1) - 1)
 		out, err := env.runMapAttempt(st, id, false)
@@ -254,6 +253,9 @@ func (env *runEnv) runMapAttempt(st *mapTask, attempt int, spec bool) (out *MapO
 	// wherever the body ran; adopt checks either's output the same way,
 	// so commit and the reduce side cannot tell.
 	err = env.runAttempt(&env.maps, st.id, attempt, spec, func(faults AttemptFaults) (int64, error) {
+		// A task straggles from when it first holds a slot: time queued
+		// for one is not the task's.
+		st.firstStart.CompareAndSwap(0, time.Now().UnixNano())
 		var err error
 		switch {
 		case env.conf.RemoteMap != nil:
@@ -300,11 +302,11 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 	if sink == nil {
 		n = 1
 	}
-	parts := make([][]kvRec, n)
-	arena := arenas.Get().(*valueArena)
+	s := mapScratches.Get().(*mapScratch)
+	parts := s.partitions(n)
 	// A kill or error fault inside the user map surfaces as a panic;
 	// recover it into the attempt's error, as if the worker died. A failed
-	// attempt's record buffers and arena go back to their pools.
+	// attempt returns its scratch at once.
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(attemptAbort)
@@ -314,10 +316,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			out, err = nil, ab.err
 		}
 		if err != nil {
-			for p := range parts {
-				putPartBuf(parts[p])
-			}
-			arena.release()
+			s.release()
 		}
 	}()
 
@@ -342,13 +341,8 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 			}
 		}
 		emitted++
-		rec := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: arena.copy(value)}
 		p := partition(key, n)
-		buf := parts[p]
-		if buf == nil {
-			buf = getPartBuf()
-		}
-		parts[p] = append(buf, rec)
+		parts[p] = append(parts[p], kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: s.arena.copy(value)})
 	}
 	if err := mapFn(seg.ID, seg, emit); err != nil {
 		return nil, err
@@ -356,13 +350,13 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 
 	out = &MapOutput{}
 	if sink == nil {
-		out.pairs, out.arena = parts[0], arena
+		out.scratch = s
 	} else {
-		if err := spillRuns(ctx, parts, task, attempt, conf, sink, out, faults); err != nil {
+		if err := spillRuns(ctx, parts, &s.enc, task, attempt, conf, sink, out, faults); err != nil {
 			return nil, err
 		}
-		arena.release()
-		arena = nil
+		s.release()
+		s = nil
 	}
 	// Emitted keys may view seg's records until encoded; a map-only
 	// attempt's pairs are read at its commit, whose task holds seg.
@@ -379,8 +373,8 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 // always real encoder output, not a model of it; it sums the records'
 // logical size (wireSize) beside. The run-send fault fires before the
 // run it counts is published.
-func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Config, sink RunSink,
-	out *MapOutput, faults AttemptFaults) error {
+func spillRuns(ctx context.Context, parts [][]kvRec, enc *segEncoder, task, attempt int, conf Config,
+	sink RunSink, out *MapOutput, faults AttemptFaults) error {
 	for p := range parts {
 		out.Emitted += int64(len(parts[p]))
 	}
@@ -394,9 +388,7 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 		for i := range parts[p] {
 			out.LogicalOutBytes += parts[p][i].wireSize()
 		}
-		sg := encodeSegment(parts[p])
-		putPartBuf(parts[p])
-		parts[p] = nil
+		sg := enc.encode(parts[p])
 		bytes += int64(len(sg))
 		err := faults.Fire(ctx, PointRunSend, sent)
 		if err == nil {
@@ -412,15 +404,82 @@ func spillRuns(ctx context.Context, parts [][]kvRec, task, attempt int, conf Con
 	return nil
 }
 
+// mapScratch is a map attempt's scratch, pooled across attempts: its
+// per-partition record buffers, each keeping the capacity its emits grew
+// it to, the value arena the emits copy into, and the run encoder. An
+// attempt returns it whole once its records are dead — its runs
+// encoded, its pairs handed to Output, or the attempt failed.
+type mapScratch struct {
+	parts [][]kvRec
+	arena valueArena
+	enc   segEncoder
+}
+
+var mapScratches = sync.Pool{New: func() any { return new(mapScratch) }}
+
+// partitions returns the scratch's first n record buffers, empty.
+func (s *mapScratch) partitions(n int) [][]kvRec {
+	for len(s.parts) < n {
+		s.parts = append(s.parts, nil)
+	}
+	return s.parts[:n]
+}
+
+// release returns the scratch to the pool, clearing its records so
+// pooled memory pins no user keys or values. nil is a no-op.
+func (s *mapScratch) release() {
+	if s == nil {
+		return
+	}
+	for i := range s.parts {
+		clear(s.parts[i])
+		s.parts[i] = s.parts[i][:0]
+	}
+	s.arena.reset()
+	mapScratches.Put(s)
+}
+
+// valueArena holds one map attempt's emitted values back to back in
+// 64 KB chunks (a larger value gets one of its own), each cap-clipped:
+// Emit copies into it, so a mapper reuses its own buffers, and the next
+// attempt to hold the scratch refills the chunks.
+type valueArena struct {
+	chunks [][]byte
+	cur    int // the chunk being filled
+}
+
+// copy returns a copy of v in the arena.
+func (a *valueArena) copy(v []byte) []byte {
+	for a.cur < len(a.chunks) && cap(a.chunks[a.cur])-len(a.chunks[a.cur]) < len(v) {
+		a.cur++
+	}
+	if a.cur == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(len(v), 64<<10)))
+	}
+	c := a.chunks[a.cur]
+	a.chunks[a.cur] = append(c, v...)
+	return a.chunks[a.cur][len(c) : len(c)+len(v) : len(c)+len(v)]
+}
+
+// reset empties the arena for refilling.
+func (a *valueArena) reset() {
+	for i := range a.chunks {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.cur = 0
+}
+
 // commit makes one attempt's output the task's. The per-task CAS
 // arbitrates between racing attempts: exactly one can win, and the
 // winner sends its runs to their reducers — or, map-only, hands its
 // pairs to the job's Output. won=false means another attempt committed
 // first (the caller drops out: its runs are plain heap bytes that were
-// never sent). An Output failure after the CAS is not an attempt fault:
-// the task has committed and cannot retry, so the error aborts the job
-// (won=true, err!=nil).
+// never sent). A map-only attempt's scratch returns either way. An
+// Output failure after the CAS is not an attempt fault: the task has
+// committed and cannot retry, so the error aborts the job (won=true,
+// err!=nil).
 func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, err error) {
+	defer out.scratch.release()
 	if !st.committed.CompareAndSwap(false, true) {
 		return false, nil
 	}
@@ -440,14 +499,13 @@ func (env *runEnv) commit(st *mapTask, attempt int, out *MapOutput) (won bool, e
 	env.reg.Histogram(MetricMapTaskNS).Observe(int64(st.task.Duration))
 	env.commitSpan(&env.maps, st.id, attempt)
 	if env.job.Reduce == nil {
-		defer out.arena.release()
-		defer putPartBuf(out.pairs)
 		if env.job.Output == nil {
 			return true, nil
 		}
+		pairs := out.scratch.parts[0]
 		if err = env.job.Output(st.id, func(yield func(string, []byte) bool) {
-			for i := range out.pairs {
-				if !yield(out.pairs[i].key, out.pairs[i].value) {
+			for i := range pairs {
+				if !yield(pairs[i].key, pairs[i].value) {
 					return
 				}
 			}
@@ -491,7 +549,7 @@ func (env *runEnv) speculationWatchdog(states []*mapTask, stop <-chan struct{}) 
 		if len(durs)*2 < len(states) {
 			continue
 		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+		slices.Sort(durs)
 		median := durs[len(durs)/2]
 		threshold := max(time.Duration(median)*speculationMultiple, speculationTick)
 		now := time.Now().UnixNano()
@@ -532,17 +590,18 @@ func (env *runEnv) runBackup(st *mapTask, b chan struct{}) {
 	}
 }
 
-// runReduceTask is partition p's reduce task: it collects the
-// partition's committed runs, then each attempt of the loop groups them
-// and streams the key groups to the user reduce function. Grouping never
-// mutates the runs' records, so a retry regroups the identical committed
-// inputs and re-invokes Reduce for every group, which the ReduceFunc
-// contract requires to be idempotent. The task's Duration is its active
+// runReduceTask is partition p's reduce task: it decodes the
+// partition's committed runs into its table, then each attempt of the
+// loop groups them and streams the key groups to the user reduce
+// function. Grouping never mutates the runs' records, so a retry
+// regroups the identical committed inputs and re-invokes Reduce for
+// every group, which the ReduceFunc contract requires to be idempotent. The task's Duration is its active
 // work: decoding its runs and its attempts, not waiting for map output
 // or a backoff.
 func (env *runEnv) runReduceTask(p int) (TaskMetrics, error) {
-	runs, inBytes, active, err := env.collectRuns(p)
-	defer releaseRuns(runs)
+	t := partTables.Get().(*partTable)
+	defer t.release()
+	inBytes, active, err := env.collectRuns(p, t)
 	if err != nil {
 		return TaskMetrics{}, fmt.Errorf("mapreduce %q: reduce task %d: %w", env.job.Name, p, err)
 	}
@@ -550,7 +609,7 @@ func (env *runEnv) runReduceTask(p int) (TaskMetrics, error) {
 	err = env.runTask(&env.reduces, p, nil, func(id int) (int, error) {
 		err := env.runAttempt(&env.reduces, p, id, false, func(faults AttemptFaults) (int64, error) {
 			t0 := time.Now()
-			groups, err := env.reduceGroups(p, runs, faults)
+			groups, err := env.reduceGroups(p, t, faults)
 			d := time.Since(t0)
 			active += d
 			if err == nil {
