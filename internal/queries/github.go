@@ -82,7 +82,7 @@ func g2() *Spec {
 		},
 		Result: func(_ string, s *g2State) []int64 {
 			// Drop sentinel entries (deletion was the first operation).
-			var out []int64
+			out := make([]int64, 0, s.Out.Len())
 			for _, v := range s.Out.Elems() {
 				if v != g2Sentinel {
 					out = append(out, v)

@@ -230,7 +230,7 @@ func r4() *Spec {
 		Result: func(_ string, s *r4State) []int64 {
 			// Drop the 0 pushed on the first-ever campaign change and
 			// include the still-open run.
-			var out []int64
+			out := make([]int64, 0, s.Out.Len()+1)
 			for _, v := range s.Out.Elems() {
 				if v > 0 {
 					out = append(out, v)

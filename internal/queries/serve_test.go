@@ -2,11 +2,13 @@ package queries
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -120,5 +122,42 @@ func TestServePrefixIsFrozen(t *testing.T) {
 				t.Error("sessions over the frozen prefix changed its states")
 			}
 		})
+	}
+}
+
+// TestServeStateOwnsItsVector: a session's states outlive every call,
+// so none may view storage its fold site works in. On B3, user a's first
+// segment folds a summary that fills its vector with sessions of two
+// queries; its second is a group of
+// events that push nothing, run on a spare that starts as a clipped copy
+// of a's state and is committed as a's, so the container that held a's
+// vector becomes a spare; user b's summary in the third segment is then
+// concretized on that spare, one-query sessions. a's sessions must read
+// as they were.
+func TestServeStateOwnsItsVector(t *testing.T) {
+	rec := func(ts int64, user string) []byte { return fmt.Appendf(nil, "%d\t%s\tg1\t1\tq", ts, user) }
+	sessions := func(user string, from, queries int64) *mapreduce.Segment {
+		seg := &mapreduce.Segment{}
+		for i := int64(0); i < 20*queries; i++ {
+			seg.Records = append(seg.Records, rec(from+1000*(i/queries)+10*(i%queries), user))
+		}
+		return seg
+	}
+	segs := []*mapreduce.Segment{
+		sessions("a", 0, 2),
+		{Records: [][]byte{rec(19020, "a"), rec(19030, "a"), rec(19040, "a")}},
+		sessions("b", 30000, 1),
+	}
+	want, err := ByID("B3").Sequential(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := segmentBundles(t, "B3", segs)
+	if bundles[0]["a"][0] == 0 || bundles[1]["a"][0] != 0 || bundles[2]["b"][0] == 0 {
+		t.Fatal("want a summary, an event group, then a summary")
+	}
+	if got := sessionFold(t, serve.Lookup("B3"), bundles); got.Digest != want.Digest || got.NumResults != want.NumResults {
+		t.Errorf("session: digest %016x (%d results), sequential %016x (%d)",
+			got.Digest, got.NumResults, want.Digest, want.NumResults)
 	}
 }

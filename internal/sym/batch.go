@@ -3,48 +3,32 @@ package sym
 import "repro/internal/wire"
 
 // Batch execution: FeedBatch processes a key's whole event vector with
-// batch-level strategies the record-at-a-time loop cannot use —
-// run-length transition probes and speculative in-place windows — while
-// remaining observationally identical to feeding the records one by one
-// (pinned by the equivalence and metamorphic tests, and end to end by
-// the golden digests, which every job reaches through this path).
-//
-// Three regimes, chosen per position in the vector:
+// strategies the record-at-a-time loop cannot use, observationally
+// identical to feeding the records one by one (the equivalence and
+// metamorphic tests, and the golden digests, pin it). Three regimes,
+// chosen per position in the vector:
 //
 //   - Run folding (feedRun): a run of identical events (≥ minRunLen, or
-//     any whole-vector run — high-cardinality groups are often two or
-//     three identical events) has one transition summary T; instead of
-//     exploring each record, the run is folded as a unit (stats.RunProbes)
-//     and the fold is either skipped outright (T is the identity — e.g. a
-//     push event on a push-only group) or applied as Tⁿ by
-//     square-and-multiply (composition is associative and exact, §3.6,
-//     and powers of one transition commute). One per-event run cache
-//     survives across keys (runEntry): an event's identity verdict (a run
-//     of a known-identity event skips under any regime), its squaring
-//     ladder T^(2^k) and its powers Tⁿ below runPowBound, so a run of a
-//     cached event builds nothing and, when short, composes nothing.
-//   - In-place windows (feedWindow): once the stream has been fork-free
-//     for windowQuiet records, live paths are checkpointed once per
-//     window and updated in place — no per-record clone/recycle. A fork
-//     mid-window rolls every path back to its checkpoint, replays the
-//     fork-free prefix (Update is deterministic, so the replay follows
-//     the original trajectory exactly), and routes the forking record
-//     through the scalar feed.
-//   - Scalar feed: everything else — records near a fork, and short
-//     runs, where the batch bookkeeping would cost more than it saves.
+//     a whole vector of two or more) has one transition summary T, so
+//     the run folds as a unit (stats.RunProbes): skipped when T is the
+//     identity (a push on a push-only group), else applied as Tⁿ by
+//     square-and-multiply (composition is associative and exact, §3.6).
+//     A per-event run cache (runEntry) keeps an event's identity verdict,
+//     its ladder T^(2^k) and its powers below runPowBound across keys.
+//   - In-place windows (feedWindow): after windowQuiet fork-free records,
+//     live paths are checkpointed once per window and updated in place.
+//     A fork mid-window rolls back, replays the fork-free prefix (Update
+//     is deterministic) and hands the forking record to the scalar feed.
+//   - Scalar feed: everything else — records near a fork, short runs.
 const (
-	// minRunLen is the shortest run worth a transition probe: below it
-	// the compose/fold bookkeeping costs more than scalar feeding.
+	// minRunLen is the shortest run worth a transition probe.
 	minRunLen = 4
-	// batchWindow bounds one speculative in-place window, so a fork
-	// never forces replaying more than this many records.
+	// batchWindow bounds a window, and so a fork's replay.
 	batchWindow = 64
-	// windowQuiet is the fork-free streak required before the batch
-	// path speculates on in-place windows.
+	// windowQuiet is the fork-free streak that starts windows.
 	windowQuiet = 3
-	// runCacheCap bounds the run cache. Query event alphabets are tiny
-	// (an op code, a small enum); eight entries hold a whole alphabet
-	// while keeping the linear eq scan trivially cheap.
+	// runCacheCap bounds the run cache: eight entries hold a query's
+	// event alphabet (an op code, a small enum) and scan cheaply.
 	runCacheCap = 8
 	// runPowBound bounds the run lengths whose powers a cache entry
 	// keeps: a shorter run (T1's are 4–26 long) is served its Tⁿ whole,
@@ -116,32 +100,22 @@ func (x *Executor[S, E]) feedBatch(evs []E) {
 	}
 }
 
-// IdentityBundle recognizes a key whose entire event vector consists of
-// known-identity events and returns that key's bundle directly: identity
-// transitions advance no path, so the group's summary is the identity
-// summary — one fresh symbolic path — no matter what the events' values
-// or multiplicities are, and its bundle is constant bytes built once
-// (shared by every such key: read-only, clipped to its length). The
-// whole Reset/FeedBatch/AppendBundle cycle for the key collapses to a
-// scan, without touching the executor's live paths (so no Reset is
-// needed before or after; the caller Resets only between keys that take
-// the regular path). On high-cardinality corpora where no-op events
-// dominate (G1's push events), most groups finish through this path.
+// IdentityBundle recognizes a key whose every event is a known identity
+// and returns its bundle directly: identity transitions advance no path,
+// so the summary is one fresh symbolic path, constant bytes built once
+// and shared read-only by every such key. The key's whole
+// Reset/FeedBatch/AppendBundle cycle collapses to a scan that leaves the
+// live paths alone — most of G1's keys finish here.
 //
-// It returns nil when the vector is not provably all-identity: an event
-// with no cached verdict, a cached non-identity verdict, or no cheap
-// event comparison at all — and, given the event codec, for every group
-// of at most maxEventGroup events, which ships its events whatever the
-// cache has learnt, so a group's form never depends on the keys an
-// executor ran before. Callers then run the regular
-// Reset/FeedBatch/AppendBundle path, which (via feedRun) is what seeds
-// the run cache in the first place.
+// It returns nil when the vector is not provably all-identity (an event
+// with no or a non-identity verdict, or no cheap comparison), and, given
+// the event codec, for every group of at most maxEventGroup events, which
+// ships its events so that its form never depends on the keys the
+// executor ran before. Callers then take the regular path, which seeds
+// the run cache (feedRun).
 func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
-	// identHotSet is true iff at least one identity verdict is cached, so
-	// without it the all-identity check cannot succeed. With it, runs of
-	// the hot identity are swallowed by the typed scan — an all-hot
-	// vector (the dominant case) costs one indirect call — and only
-	// other events pay the cache scan.
+	// identHotSet says an identity verdict is cached; runs of the hot
+	// identity cost one typed scan, other events a cache scan.
 	if x.err != nil || len(evs) == 0 || x.eq == nil || !x.identHotSet ||
 		(len(evs) <= maxEventGroup && x.encodeEvent != nil) {
 		return nil
@@ -175,12 +149,14 @@ func (x *Executor[S, E]) IdentityBundle(evs []E) []byte {
 // built deterministically from the fresh symbolic state, so the event
 // alone determines the identity verdict, the squaring ladder
 // ladder[k] = T^(2^k) and the powers pow[n] = Tⁿ (n < runPowBound and
-// not a power of two, which is a rung), all owned by the executor.
+// not a power of two, which is a rung), all owned by the executor, their
+// vectors' elements in the entry's vecs, which eviction reclaims.
 type runEntry[S State, E any] struct {
 	ev     E
 	ident  bool
 	ladder []*transition[S]
 	pow    [runPowBound]*transition[S]
+	vecs   vecArena
 }
 
 // runLookup returns ev's cache entry, or nil. Callers must hold a
@@ -216,8 +192,9 @@ func (x *Executor[S, E]) runInsert(ev E, tr *transition[S]) *runEntry[S, E] {
 				ce.pow[i] = nil
 			}
 		}
+		ce.vecs.reset()
 	}
-	ce.ev, ce.ident, ce.ladder = ev, x.isIdentity(tr), append(ce.ladder[:0], tr)
+	ce.ev, ce.ident, ce.ladder = ev, x.isIdentity(tr), append(ce.ladder[:0], x.keep(ce, tr))
 	if ce.ident && !x.identHotSet {
 		x.identHotEv, x.identHotSet = ev, true
 	}
@@ -225,9 +202,7 @@ func (x *Executor[S, E]) runInsert(ev E, tr *transition[S]) *runEntry[S, E] {
 }
 
 // initEq specializes the run-detection comparison for the event types
-// the queries use. Event types without a case here (or that are not
-// cheaply comparable at all) simply never fold runs — every other batch
-// strategy still applies.
+// the queries use; other event types never fold runs.
 func (x *Executor[S, E]) initEq() {
 	x.eqInit = true
 	switch f := any(&x.eq).(type) {
@@ -250,9 +225,8 @@ func (x *Executor[S, E]) initEq() {
 	}
 }
 
-// scanEq counts the leading events equal to hot, with the comparison
-// inlined at the concrete type — the amortized form of calling eq once
-// per record.
+// scanEq counts the leading events equal to hot, the comparison inlined
+// at the concrete type.
 func scanEq[T comparable](evs []T, hot T) int {
 	for i, e := range evs {
 		if e != hot {
@@ -262,10 +236,9 @@ func scanEq[T comparable](evs []T, hot T) int {
 	return len(evs)
 }
 
-// compactNe writes src's events that differ from hot into dst, in
-// order, and returns how many. The store is unconditional and the index
-// advance is a flag add, so the loop carries no data-dependent branch.
-// dst must have len ≥ len(src).
+// compactNe writes src's events that differ from hot into dst (len ≥
+// len(src)), in order, and returns how many: the store is unconditional
+// and the index advance a flag add, so no branch depends on the data.
 func compactNe[T comparable](dst, src []T, hot T) int {
 	j := 0
 	for _, e := range src {
@@ -278,18 +251,13 @@ func compactNe[T comparable](dst, src []T, hot T) int {
 }
 
 // feedWindow advances every live path in place over a fork-free prefix
-// of evs, returning how many events were consumed (always ≥ 1). In-place
-// update of a path that does not fork is equivalent to the scalar feed's
-// clone-then-update (the clone is a deep copy and the original is
-// recycled), so the only speculation is fork-freedom — repaired by
-// checkpoint rollback when it fails.
+// of evs, returning how many events were consumed (always ≥ 1). Updating
+// a path that does not fork in place is the scalar feed's
+// clone-then-update, so the only speculation is fork-freedom, repaired
+// by checkpoint rollback.
 func (x *Executor[S, E]) feedWindow(evs []E) int {
-	// A mixed window still carries known-identity events interleaved with
-	// advancing ones (G1: pushes between other ops). An identity event
-	// advances no path on any state — concrete included — so the hot
-	// identity event is skipped per record here, update never called: one
-	// flag test and one eq call, no scan, no closure. Queries with no
-	// identity event pay only the flag test.
+	// The hot identity event (G1's push between other ops) advances no
+	// path on any state: it is skipped per record, Update never called.
 	skipID := x.identHotSet && x.eq != nil
 	eq, hot := x.eq, x.identHotEv
 	if x.fastConcrete {
@@ -322,15 +290,11 @@ func (x *Executor[S, E]) feedWindow(evs []E) int {
 			}
 		}
 		if forked {
-			// Roll back and replay the fork-free prefix, then hand the
-			// forking record to the scalar feed, which owns the full
-			// explore/merge/restart bookkeeping. Identity events are
-			// skipped in the replay too — they did not move the state on
-			// the way in, so the replayed trajectory is identical.
+			// Roll back and replay the fork-free prefix (identity events
+			// skipped, as on the way in), then hand the forking record to
+			// the scalar feed and its explore/merge/restart bookkeeping.
 			for pi, p := range x.paths {
-				for fi, f := range p.fs {
-					f.CopyFrom(x.ckpt[pi].fs[fi])
-				}
+				p.copyFrom(x.ckpt[pi])
 			}
 			for _, prev := range evs[:k] {
 				if skipID && eq(prev, hot) {
@@ -350,10 +314,8 @@ func (x *Executor[S, E]) feedWindow(evs []E) int {
 		x.noForkRun = min(x.noForkRun+1, windowQuiet)
 		if len(x.paths) == 1 && allConcreteFields(x.paths[0].fs) {
 			// The single live path went fully concrete mid-window (a
-			// gate-style UDA collapsing on its first advancing event).
-			// Concrete fields cannot fork, so the checkpoints are moot
-			// and the rest of the window runs in the tight concrete
-			// loop.
+			// gate-style UDA): it cannot fork, so the rest of the window
+			// runs in the tight concrete loop.
 			x.fastConcrete = true
 			x.concreteTail(evs[k+1:], skipID, hot)
 			return len(evs)
@@ -363,22 +325,17 @@ func (x *Executor[S, E]) feedWindow(evs []E) int {
 	return len(evs)
 }
 
-// concreteTail runs evs over the single fully concrete live path. A
-// concrete path cannot fork (the scalar feed relies on the same
-// invariant), so one context reset covers the whole stretch and stats
-// accumulate in locals. With an identity event pinned, the tail first
-// compacts the advancing events branchlessly — a real corpus
-// interleaves identity and advancing events unpredictably, and taking
-// that interleaving as branches costs a mispredict per run boundary —
-// then updates over the dense vector, which the branch predictor
-// handles perfectly.
+// concreteTail runs evs over the single fully concrete live path, which
+// cannot fork, so one context reset covers the stretch. With an identity
+// event pinned, it first compacts the advancing events branchlessly (a
+// corpus interleaves them with identities unpredictably), then updates
+// over the dense vector.
 func (x *Executor[S, E]) concreteTail(evs []E, skipID bool, hot E) {
 	p := x.paths[0]
 	upd := x.update
 	x.ctx.reset()
 	x.ctx.begin()
-	n := len(evs)
-	runs := 0
+	n, runs := len(evs), len(evs)
 	if skipID {
 		if cap(x.evBuf) < n {
 			x.evBuf = make([]E, n)
@@ -390,7 +347,6 @@ func (x *Executor[S, E]) concreteTail(evs []E, skipID bool, hot E) {
 		}
 	} else {
 		for _, ev := range evs {
-			runs++
 			upd(&x.ctx, p.s, ev)
 		}
 	}
@@ -398,26 +354,20 @@ func (x *Executor[S, E]) concreteTail(evs []E, skipID bool, hot E) {
 	x.stats.Runs += runs
 }
 
-// saveCkpt snapshots every live path into the executor-owned checkpoint
-// buffer. Entries are containers claimed once and reused for all
-// subsequent windows, so a window costs field copies only.
+// saveCkpt snapshots every live path into checkpoint containers claimed
+// once, so a window costs field copies only.
 func (x *Executor[S, E]) saveCkpt() {
 	for len(x.ckpt) < len(x.paths) {
 		x.ckpt = append(x.ckpt, x.get())
 	}
 	for pi, p := range x.paths {
-		cf := x.ckpt[pi].fs
-		for fi, f := range p.fs {
-			cf[fi].CopyFrom(f)
-		}
+		x.ckpt[pi].copyFrom(p)
 	}
 }
 
-// feedRun folds a run of n identical events as a unit. A cached event
-// builds nothing; a miss builds T once and caches it. Any failure along
-// the way — unbuildable transition, compose overflow, path blow-up
-// during powering — falls back to the scalar feed loop, so feedRun never
-// gives up correctness, only speed.
+// feedRun folds a run of n identical events as a unit; a miss builds T
+// once and caches it. Any failure along the way (unbuildable transition,
+// overflow, path blow-up while powering) falls back to the scalar feed.
 func (x *Executor[S, E]) feedRun(ev E, n int) {
 	x.stats.RunProbes++
 	ce := x.runLookup(ev)
@@ -472,10 +422,8 @@ func (x *Executor[S, E]) feedLoop(ev E, n int) {
 	}
 }
 
-// isIdentity reports whether tr maps every state to itself: a single
-// path whose every field has the fresh state's transfer (each field is
-// its own symbolic input) and constraint (none). Composing an identity
-// transition onto any path reproduces that path.
+// isIdentity reports whether tr maps every state to itself: one path
+// whose every field has the fresh state's transfer and constraint.
 func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 	if len(tr.ps) != 1 {
 		return false
@@ -493,15 +441,12 @@ func (x *Executor[S, E]) isIdentity(tr *transition[S]) bool {
 }
 
 // power returns Tⁿ for ce's event by square-and-multiply over its
-// ladder — O(log n) compositions instead of n per-record folds, with
-// rungs added lazily when a longer run needs them. Composition of
-// summaries is associative and exact (§3.6) and powers of one transition
-// commute, so the fold order cannot change results; and it is
-// deterministic, so a power kept in ce.pow is the one recomputing it
-// would build. Returns nil when any intermediate fails to compose or
-// exceeds the live-path cap; the caller falls back to the scalar loop.
-// The result is the caller's to release (owned) only for n ≥
-// runPowBound not a power of two; otherwise ce keeps it.
+// ladder, rungs added as longer runs need them: composition is exact,
+// associative and deterministic (§3.6), so order cannot change results
+// and a power kept in ce.pow is the one rebuilding it would give. nil
+// means an intermediate failed or passed the live-path cap. The result
+// is the caller's to release (owned) only for n ≥ runPowBound not a
+// power of two; otherwise ce keeps it.
 func (x *Executor[S, E]) power(ce *runEntry[S, E], n int) (*transition[S], bool) {
 	if n < runPowBound && ce.pow[n] != nil {
 		return ce.pow[n], false
@@ -517,7 +462,7 @@ func (x *Executor[S, E]) power(ce *runEntry[S, E], n int) (*transition[S], bool)
 				}
 				return nil, false
 			}
-			ce.ladder = append(ce.ladder, next)
+			ce.ladder = append(ce.ladder, x.keep(ce, next))
 		}
 		if m&1 == 1 {
 			if result == nil {
@@ -536,39 +481,58 @@ func (x *Executor[S, E]) power(ce *runEntry[S, E], n int) (*transition[S], bool)
 		m >>= 1
 	}
 	if resultOwned && n < runPowBound {
-		ce.pow[n] = result
+		ce.pow[n] = x.keep(ce, result)
 		return result, false
 	}
 	return result, resultOwned
 }
 
-// composeTransitions builds "a then b" over the executor's schema:
-// the cross product of a's and b's paths, infeasible pairs dropped,
-// then merged and capped exactly like the live path set. nil means the
-// composition could not be represented (overflow, explosion past the
-// live cap) and the caller must fall back.
+// composeTransitions builds "a then b" in a retired transition when
+// there is one: the cross product of their paths, infeasible pairs
+// dropped, merged and capped like the live path set. nil means it could
+// not be represented (overflow, past the live cap).
 func (x *Executor[S, E]) composeTransitions(a, b *transition[S]) *transition[S] {
-	var out []*pathState[S]
+	tr := x.newTransition()
+	var err error
 	for _, pa := range a.ps {
-		var err error
-		if out, err = x.composeAfter(out, pa, b.ps, &x.senv); err != nil {
-			x.putAll(out)
-			return nil
+		if tr.ps, err = x.composeAfter(tr.ps, pa, b.ps, &x.senv); err != nil {
+			break
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	if !x.opts.DisableMerging {
+	if err == nil && len(tr.ps) > 0 && !x.opts.DisableMerging {
 		var m int
-		out, m = x.merge(out)
+		tr.ps, m = x.merge(tr.ps)
 		x.stats.Merges += m
 	}
-	if len(out) > x.opts.MaxLivePaths {
-		x.putAll(out)
+	if err != nil || len(tr.ps) == 0 || len(tr.ps) > x.opts.MaxLivePaths {
+		x.releaseTransition(tr)
 		return nil
 	}
-	return &transition[S]{ps: out}
+	return tr
 }
 
-func (x *Executor[S, E]) releaseTransition(tr *transition[S]) { x.putAll(tr.ps) }
+// newTransition returns a retired transition, paths empty, or a new one.
+func (x *Executor[S, E]) newTransition() *transition[S] {
+	if n := len(x.trs); n > 0 {
+		tr := x.trs[n-1]
+		x.trs = x.trs[:n-1]
+		return tr
+	}
+	return new(transition[S])
+}
+
+// releaseTransition retires tr and its paths.
+func (x *Executor[S, E]) releaseTransition(tr *transition[S]) {
+	x.putAll(tr.ps)
+	tr.ps = tr.ps[:0]
+	x.trs = append(x.trs, tr)
+}
+
+// keep moves the elements of a transition ce keeps past the key into
+// ce's storage: Reset reclaims the storage it was built in.
+func (x *Executor[S, E]) keep(ce *runEntry[S, E], tr *transition[S]) *transition[S] {
+	for _, p := range tr.ps {
+		x.sc.detach(p, &ce.vecs)
+	}
+	return tr
+}

@@ -39,11 +39,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts the work an Executor performed. Merges counts merges
-// performed, in the live path set and while powering a run transition:
-// a power the run cache serves adds none, so a query whose short runs
-// repeat (T1's rows in cmd/symple and in internal/bench's merging
-// ablation) counts merges only for the powers it built.
+// Stats counts the work an Executor performed. Merges counts merges in
+// the live path set and while powering a run transition; a power the run
+// cache serves adds none.
 type Stats struct {
 	Records  int // records fed
 	Runs     int // Update invocations (the symbolic overhead; run folding can keep it below Records)
@@ -51,8 +49,7 @@ type Stats struct {
 	Merges   int // path pairs merged (see above)
 	Restarts int // summaries emitted due to the live-path cap
 	// RunProbes counts runs of identical events FeedBatch folded as a
-	// unit (identity skip or transition powering) instead of processing
-	// them record by record; a run of a cached event builds nothing.
+	// unit (identity skip or transition powering).
 	RunProbes int
 	// Events counts the groups AppendBundle shipped as their events
 	// (bundle.go), each one element.
@@ -67,10 +64,11 @@ type Stats struct {
 // The executor is an exec site: it is driven by a compiled Schema and
 // owns the containers its path states live in — live paths, summaries
 // closed by a restart, checkpoints and the run cache's transitions all
-// draw from and retire to its private stack, so the per-record
-// clone/merge/compose work runs with zero State.Fields calls, no
-// steady-state allocation and no synchronization. A key that runs
-// through it owns nothing but the bytes AppendBundle leaves.
+// draw from and retire to its private stack — and the storage their
+// vectors grow into, which Reset reclaims. So the per-record work runs
+// with no State.Fields call, no steady-state allocation and no lock. A
+// key owns nothing but the bytes AppendBundle leaves; what outlives it
+// (the run cache's transitions, Finish's summaries) is moved out first.
 //
 // The zero Executor is not usable; construct with NewExecutor (symbolic
 // start, for mappers), NewConcreteExecutor (concrete start, for the
@@ -78,72 +76,51 @@ type Stats struct {
 // schema across the executors of one mapper).
 type Executor[S State, E any] struct {
 	containers[S]
+	vecs    vecArena // the containers' vectors' storage (containers.vecs)
 	update  func(*Ctx, S, E)
 	opts    Options
 	ctx     Ctx
 	paths   []*pathState[S]
 	scratch []*pathState[S] // recycled backing array for the next-paths slice
 	senv    SymEnv          // reused scratch for transition composition
-	// noForkRun counts consecutive records whose processing produced no
-	// fork (every live path advanced to exactly one successor), capped at
-	// windowQuiet: once it reaches the cap, FeedBatch runs in-place
-	// windows (batch.go). Any fork resets it.
+	// noForkRun counts consecutive fork-free records, capped at
+	// windowQuiet, where FeedBatch starts in-place windows (batch.go).
 	noForkRun int
-	// fastConcrete caches "exactly one live path and it is fully
-	// concrete". Concreteness is monotone within a path (no operation
-	// reintroduces symbolic state; only a restart does), so once set the
-	// per-record field walk is skipped entirely — the native-speed
-	// execution mode of a bound state (paper §4.1).
+	// fastConcrete caches "exactly one live path, fully concrete": only
+	// a restart makes a path symbolic again, so the per-record field walk
+	// is skipped — the native-speed mode of a bound state (paper §4.1).
 	fastConcrete bool
 	// done holds the path sets closed by live-path-cap restarts since the
-	// last Reset, in order: the key's earlier summaries.
+	// last Reset, in order: the key's earlier summaries. Reset keeps
+	// their lists in sets, for the next key's restarts.
 	done    [][]*pathState[S]
+	sets    [][]*pathState[S]
 	maxSeen int
 	err     error
 	stats   Stats
-	// eq compares two events for the batch path's run-length detection;
-	// nil (after eqInit) means the event type has no cheap comparison
-	// and FeedBatch never detects runs. Lazily specialized on first use.
-	eq     func(E, E) bool
-	eqInit bool
-	// identScan counts the leading events of a vector equal to a probe
-	// event. Specialized alongside eq for the concrete event types, so
-	// the comparison loop runs with an inlined == instead of one eq
-	// closure call per record — the batch hot loops swallow an identity
-	// run in a single indirect call. nil whenever eq is nil.
-	identScan func([]E, E) int
-	// identCompact filters a vector's non-hot events into dst with a
-	// store-then-advance loop (no data-dependent branch): the random
-	// identity/advancing interleaving of a real corpus costs no branch
-	// mispredicts, and the concrete tail's update loop then runs over a
-	// dense, perfectly predictable vector. Specialized with identScan.
+	// eq compares events for run detection, specialized at first use
+	// (initEq); nil when the event type has no cheap comparison.
+	// identScan counts a vector's leading events equal to a probe, and
+	// identCompact filters out the hot one without a data-dependent
+	// branch into evBuf (scanEq, compactNe): nil whenever eq is.
+	eq           func(E, E) bool
+	eqInit       bool
+	identScan    func([]E, E) int
 	identCompact func(dst, src []E, hot E) int
-	// evBuf is identCompact's reused destination (one speculative window
-	// long at most).
-	evBuf []E
-	// ckpt holds per-path checkpoints for FeedBatch's speculative
-	// in-place windows (batch.go); reused across windows.
+	evBuf        []E
+	// ckpt holds per-path checkpoints for in-place windows (batch.go).
 	ckpt []*pathState[S]
-	// runs is the per-event run cache (batch.go, runEntry; runCacheCap
-	// entries scanned linearly with eq, runPos the clock hand): each run
-	// event's identity verdict, squaring ladder and short powers. A
-	// transition is a property of the event alone, so one build serves
-	// every later run of the event — a run of a known-identity event is
-	// skipped outright under any regime, a short run of a cached event is
-	// served its power whole. A multi-entry cache matters: corpora
-	// interleave their run events, and a single entry thrashes between
-	// them. Survives Reset for the same reason noForkRun does.
-	runs   []runEntry[S, E]
-	runPos int
-	// identHotEv is the first identity event discovered — the one no-op
-	// event that dominates a corpus (G1's push) — pinned in a dedicated
-	// field so the per-record skip in feedWindow is a single eq call
-	// instead of a cache scan.
+	// trs are retired transitions, kept with their path lists.
+	trs []*transition[S]
+	// runs is the per-event run cache (batch.go, runEntry), runPos its
+	// clock hand: a transition is a property of the event alone, so it
+	// survives Reset, as noForkRun does. identHotEv is the first identity
+	// event found (G1's push), for feedWindow's one-eq skip; identBundle
+	// the bundle of an all-identity key (IdentityBundle).
+	runs        []runEntry[S, E]
+	runPos      int
 	identHotEv  E
 	identHotSet bool
-	// identBundle is the encoded bundle of an all-identity key — one
-	// summary of one fresh symbolic path — built at first need
-	// (IdentityBundle).
 	identBundle []byte
 	// encodeEvent is the schema's event codec, nil when it has none for
 	// E. empty: nothing fed since the last Reset. group, when not empty:
@@ -173,6 +150,7 @@ func NewSchemaExecutor[S State, E any](sc *Schema[S], update func(*Ctx, S, E), o
 		opts:       opts.withDefaults(),
 		empty:      true,
 	}
+	x.containers.vecs = &x.vecs
 	x.encodeEvent, _ = sc.encodeEvent.(func(*wire.Encoder, E))
 	x.paths = []*pathState[S]{x.fresh()}
 	x.maxSeen = 1
@@ -192,6 +170,7 @@ func NewConcreteExecutor[S State, E any](newState func() S, update func(*Ctx, S,
 		update:     update,
 		opts:       opts.withDefaults(),
 	}
+	x.containers.vecs = &x.vecs
 	x.paths = []*pathState[S]{wrapState(sc.newState())}
 	x.maxSeen = 1
 	x.stats.MaxLive = 1
@@ -292,7 +271,7 @@ func (x *Executor[S, E]) settle(next []*pathState[S], records int) {
 	}
 	if len(x.paths) > x.opts.MaxLivePaths {
 		x.done = append(x.done, x.paths)
-		x.paths = []*pathState[S]{x.fresh()}
+		x.paths = append(x.pathSet(), x.fresh())
 		x.maxSeen = 1
 		x.stats.Restarts++
 	}
@@ -319,6 +298,17 @@ func (x *Executor[S, E]) explore(next []*pathState[S], p *pathState[S], rec E) [
 	return next
 }
 
+// pathSet returns an empty path list a key's restart left, or nil.
+func (x *Executor[S, E]) pathSet() []*pathState[S] {
+	n := len(x.sets)
+	if n == 0 {
+		return nil
+	}
+	ps := x.sets[n-1]
+	x.sets = x.sets[:n-1]
+	return ps
+}
+
 // transition is a record-transition summary T_rec: the set of path
 // states produced by exploring one record from the fully symbolic state.
 type transition[S State] struct {
@@ -326,55 +316,45 @@ type transition[S State] struct {
 }
 
 // buildTransition explores the record once from a fresh symbolic state,
-// producing the record's transition summary T_rec: the map from any
-// pre-record state to the post-record state. Folding T_rec onto a live
-// path by composition is byte-identical to exploring the record from
-// that path (the decision procedures are exact, compositions are exact,
-// and filtering the fresh-state path enumeration by feasibility against
-// the live path preserves the lexicographic order the direct exploration
-// would produce).
-//
-// Exploration from an unconstrained state can fail where direct
-// exploration would not — more branches are feasible, so the
-// MaxRunsPerRecord cap bites earlier, and user code may read a value
-// that only the live path binds. Any such failure is swallowed here and
-// the transition reported as unbuildable (nil).
+// producing its transition summary T_rec. Composing T_rec onto a live
+// path is byte-identical to exploring the record from that path: the
+// decision procedures and compositions are exact, and filtering the
+// fresh-state paths by feasibility keeps the direct exploration's
+// lexicographic order. Exploring from an unconstrained state can fail
+// where the direct one would not (more branches hit MaxRunsPerRecord,
+// or Update reads what only the live path binds); then T_rec is
+// unbuildable (nil).
 func (x *Executor[S, E]) buildTransition(rec E) (tr *transition[S]) {
-	var built []*pathState[S]
+	tr = x.newTransition()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(failure); !ok {
 				panic(r)
 			}
-			x.putAll(built)
+			x.releaseTransition(tr)
 			tr = nil
 		}
 	}()
 	base := x.fresh()
-	built = x.explore(built[:0], base, rec)
+	tr.ps = x.explore(tr.ps, base, rec)
 	x.put(base)
-	return &transition[S]{ps: built}
+	return tr
 }
 
-// composeOnto folds a transition onto live path p (paper §3.6). When the
-// composition aborts (e.g. transfer-coefficient overflow that direct
-// execution on p's concrete values would not hit) or no transition path
-// admits p — a valid transition partitions the state space, so that
-// means the combination could not be represented — it reports ok=false
-// with next as it was, and the caller falls back to the scalar feed; p
-// is never mutated.
+// composeOnto folds a transition onto live path p (paper §3.6), p only
+// read. When the composition aborts (an overflow direct execution would
+// not hit) or no transition path admits p, it reports ok=false with next
+// as it was, and the caller falls back to the scalar feed.
 func (x *Executor[S, E]) composeOnto(next []*pathState[S], p *pathState[S], tr *transition[S]) ([]*pathState[S], bool) {
 	out, err := x.composeAfter(next, p, tr.ps, &x.senv)
 	return out, err == nil && len(out) > len(next)
 }
 
 // Finish returns the ordered symbolic summaries for everything fed so
-// far. A mapper usually produces one summary; path-explosion restarts
-// produce several, composed in order at the reducer. It is the snapshot
-// API: the summaries are plainly allocated copies the caller owns, and
-// the executor's own paths stay live, so feeding may continue. A map
-// task never materializes summaries — it appends each key's bundle
-// straight from the paths (AppendBundle).
+// far: one, or several after path-explosion restarts. It is the snapshot
+// API — plainly allocated copies the caller owns, off the site's storage,
+// while the paths stay live, so feeding may continue. A map task never
+// materializes summaries (AppendBundle).
 func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
 	if err := x.flush(); err != nil {
 		return nil, err
@@ -385,6 +365,7 @@ func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
 		for i, p := range ps {
 			cp[i] = x.sc.newContainer()
 			cp[i].copyFrom(p)
+			x.sc.detach(cp[i], nil)
 		}
 		out = append(out, &Summary[S]{ps: cp, newState: x.sc.newState, sc: x.sc})
 	}
@@ -394,10 +375,8 @@ func (x *Executor[S, E]) Finish() ([]*Summary[S], error) {
 // AppendBundle appends to e the bundle of everything fed since the last
 // Reset — the group of events FeedBatch took, or the summaries closed by
 // restarts and then the live paths (bundle.go) — and returns how many
-// elements that is. The summary form's bytes are exactly
-// EncodeSummaryBundle(Finish()), without a Summary in between: each path
-// set is compacted in place (which preserves its semantics, so feeding
-// may continue) and encoded from the executor's own containers.
+// elements that is: EncodeSummaryBundle(Finish())'s bytes, each path set
+// compacted in place and encoded from the executor's own containers.
 func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 	if x.err != nil {
 		return 0, x.err
@@ -421,14 +400,12 @@ func (x *Executor[S, E]) AppendBundle(e *wire.Encoder) (int, error) {
 	return len(x.done) + 1, nil
 }
 
-// Reset returns the executor to a fresh symbolic start for a new input
-// stream, retaining its schema, options, caches, scratch buffers and
-// cumulative Stats. One resettable executor can serve every group of a
-// map chunk in turn — for high-cardinality queries the per-group
-// constructor cost, not the per-record cost, dominated the mapper's
-// symbolic-execution profile. The first live container is reinitialized
-// in place; the rest, and the summaries restarts closed, retire to the
-// executor's stack.
+// Reset returns the executor to a fresh symbolic start for the next key,
+// keeping its schema, options, caches, scratch and cumulative Stats, so
+// one executor serves every key of a map chunk. The first live container
+// is reinitialized in place; the rest, and the summaries restarts closed,
+// retire to the stack, and the storage their vectors grew into is
+// reclaimed.
 func (x *Executor[S, E]) Reset() {
 	if x.err != nil {
 		// An aborted feed leaves the path set and the stack unspecified
@@ -439,6 +416,7 @@ func (x *Executor[S, E]) Reset() {
 	}
 	for _, ps := range x.done {
 		x.putAll(ps)
+		x.sets = append(x.sets, ps[:0])
 	}
 	x.done = x.done[:0]
 	x.putAll(x.paths[1:])
@@ -447,10 +425,9 @@ func (x *Executor[S, E]) Reset() {
 	x.maxSeen = 1
 	x.fastConcrete = false
 	x.empty, x.pending, x.group = true, false, x.group[:0]
-	// noForkRun deliberately survives Reset: forking behavior is a
-	// property of the query's Update function and event mix, not of the
-	// group, so a quiet streak learned on one group's stream carries to
-	// the next. Any fork still resets it.
+	x.vecs.reset()
+	// noForkRun survives: forking is a property of the query's Update
+	// and event mix, not of the key.
 }
 
 // ConcreteState returns the single live state of a concrete execution.

@@ -7,21 +7,19 @@ import (
 )
 
 // Folder is a fold site: the one way an ordered list of bundles becomes a
-// state, the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. A site owns
-// the machinery of folding — the containers a bundle decodes into, two
-// spare states and the Env — and a key owns nothing but its FoldState,
-// so a reduce task or a serve session holds one Folder and folds every
-// key through it. A key's group of bundles folds in one call (Fold) onto
-// one working spare, committed by swap after the last: a summary bundle
-// is wire bytes → site-owned containers → CopyFrom(admitting path) +
-// Concretize against the working state into the other spare, and an
-// event bundle is wire bytes → Update per event on the working spare.
-// Steady state, the only allocations are the ones Value.Decode,
-// Value.Concretize and the query's event decoder and Update make.
-//
-// Applying onto a concrete state costs O(paths) per summary and cannot
-// hit a path cap, where summary∘summary composition is a cross product
-// that can; so the fold never pre-composes.
+// state, the evaluation S_n(…S_2(S_1(c))…) of paper §3.6. The site owns
+// the machinery — the containers a bundle decodes into, two spare
+// states, the storage the spares' vectors grow into, the Env — and a key
+// owns only its FoldState, so a reduce task or a serve session folds
+// every key through one Folder. A key's group folds in one call (Fold)
+// onto one working spare, committed by swap after the last bundle: a
+// summary is decoded, its admitting path CopyFrom'd and Concretized
+// against the working state into the other spare, and events run Update
+// on the working spare. The state the site last Reset keeps the site's
+// vector storage until the next Reset reclaims it; any other state a call
+// commits gets arrays of its own (see Value on storage). Folding onto a
+// concrete state costs O(paths) per summary and never hits a path cap,
+// so the fold never pre-composes.
 //
 // A Folder and the states it folds are not safe for concurrent use.
 type Folder[S State] struct {
@@ -34,12 +32,16 @@ type Folder[S State] struct {
 	// reads one and writes another, events write the spare they are on,
 	// and the committed one is never written.
 	spare [2]*pathState[S]
-	env   Env
-	ctx   Ctx // runs Update for an event bundle
-	dec   wire.Decoder
+	// vecs is what the spares' vectors grow into; resident, the state
+	// last Reset, is the one committed state that may view it.
+	vecs     vecArena
+	resident *pathState[S]
+	env      Env
+	ctx      Ctx // runs Update for an event bundle
+	dec      wire.Decoder
 	// paths[:ends[len(ends)-1]] hold the decoded bundle, summary i's
 	// paths ending at ends[i]; the containers persist across calls and
-	// every Decode overwrites one in full.
+	// every Decode overwrites one in full, in storage of its own.
 	paths []*pathState[S]
 	ends  []int
 }
@@ -69,13 +71,21 @@ func (f *Folder[S]) NewState() *FoldState[S] {
 }
 
 // Reset returns st to the initial state, so one FoldState serves every
-// key of a partition in turn. Values a Result took from the old state
-// stay valid: Reset replaces slice headers, it does not write elements.
+// key of a partition in turn, and reclaims the site's vector storage for
+// st, the previous holder, if another, first getting arrays of its own.
+// What a Result took stays valid: SymIntVector.Elems copies, and
+// SymVector's arrays are its own.
 func (f *Folder[S]) Reset(st *FoldState[S]) {
 	if f.initial == nil {
 		f.initial = f.sc.newContainer()
 	}
-	(*pathState[S])(st).copyFrom(f.initial)
+	p := (*pathState[S])(st)
+	if f.resident != nil && f.resident != p {
+		f.sc.detach(f.resident, nil)
+	}
+	f.resident = p
+	f.vecs.reset()
+	p.copyFrom(f.initial)
 }
 
 // Add applies the ordered summaries onto st. The summaries are borrowed.
@@ -89,20 +99,17 @@ func (f *Folder[S]) Add(st *FoldState[S], sums []*Summary[S]) (err error) {
 			return fmt.Errorf("sym: %w", err)
 		}
 	}
-	commit(st, cur)
+	f.commit(st, cur)
 	return nil
 }
 
 // Fold folds the ordered encoded bundles (bundle.go) — a key's whole
 // reduce group, or one bundle — from src onto dst: dst becomes src with
-// every bundle applied, and src, when it is not dst, is only read, so a
-// frozen state shared between fold sites can be folded from by all of
-// them at once. The group folds onto one working spare and commits once,
-// by swap, after the last bundle: a summary steps from the working spare
-// into the other, and events run Update on the working spare in place —
-// on a copy of src first, when they come before any summary. A corrupt
-// or failing bundle anywhere (a summary list is decoded whole before any
-// of it applies) leaves dst as it was.
+// every bundle applied, and src, when it is not dst, is only read, so
+// fold sites may fold from one frozen state at once. Events that open
+// the group run on a copy of src. A corrupt or failing bundle anywhere
+// (a summary list is decoded whole before any of it applies) leaves dst
+// as it was.
 func (f *Folder[S]) Fold(dst, src *FoldState[S], bundles ...[]byte) (err error) {
 	defer catchFailure(&err)
 	cur := (*pathState[S])(src)
@@ -115,7 +122,7 @@ func (f *Folder[S]) Fold(dst, src *FoldState[S], bundles ...[]byte) (err error) 
 		cur = f.spareOff(cur)
 		cur.copyFrom((*pathState[S])(src))
 	}
-	commit(dst, cur)
+	f.commit(dst, cur)
 	return nil
 }
 
@@ -170,7 +177,8 @@ func (f *Folder[S]) step(cur *pathState[S], paths []*pathState[S], i, n int) (*p
 	return nil, fmt.Errorf("applying summary %d/%d: %w", i+1, n, ErrNoPath)
 }
 
-// spareOff returns the spare cur is not, built at first need.
+// spareOff returns the spare cur is not, built at first need and bound
+// to the site's storage: it may hold a state a call committed before.
 func (f *Folder[S]) spareOff(cur *pathState[S]) *pathState[S] {
 	i := 0
 	if cur == f.spare[0] {
@@ -179,13 +187,23 @@ func (f *Folder[S]) spareOff(cur *pathState[S]) *pathState[S] {
 	if f.spare[i] == nil {
 		f.spare[i] = f.sc.newContainer()
 	}
+	f.sc.bind(f.spare[i], &f.vecs)
 	return f.spare[i]
 }
 
-// commit swaps the spare a call ended on with the key's state.
-func commit[S State](st *FoldState[S], cur *pathState[S]) {
-	if p := (*pathState[S])(st); cur != p {
+// commit swaps the spare a call ended on with the key's state. A state
+// other than the resident one gets arrays of its own, and when no state
+// is resident nothing views the site's storage any more.
+func (f *Folder[S]) commit(st *FoldState[S], cur *pathState[S]) {
+	p := (*pathState[S])(st)
+	if cur != p {
 		*p, *cur = *cur, *p
+	}
+	if p != f.resident {
+		f.sc.detach(p, nil)
+		if f.resident == nil {
+			f.vecs.reset()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/wire"
@@ -8,28 +9,21 @@ import (
 
 // Schema is the compiled field plan of one State type: everything the
 // runtime needs to clone, merge, compose, apply and serialize states of
-// that shape without consulting State.Fields on the hot path. Fields()
-// allocates a fresh []Value on every call — at one executor run per
-// record per path that allocation (three per clone in the seed engine)
-// dominated the mapper profile. The schema walks the type once and pins
-// the field count and the per-field capability plan (which fields carry
-// a scalar input, which carry a scalar transfer); containers built on it
-// capture their field slice exactly once.
-//
-// A Schema is a plan, not a store: it owns no containers. An exec site
-// (Executor) keeps the containers it works in on a private stack, a fold
-// site (Folder) keeps the few it decodes and applies into, and a
-// Summary's are plain heap objects. Share one schema across every
-// executor, fold site and summary of a query; it is safe for concurrent
-// use (immutable but for an atomic counter).
+// that shape without calling State.Fields, which allocates, on the hot
+// path. It walks the type once and pins the field count and the
+// per-field capability plan; containers built on it capture their field
+// slice once. A Schema is a plan, not a store: the sites keep the
+// containers and storage they work in (Executor, Folder). Share one
+// schema across every site and summary of a query; it is safe for
+// concurrent use (immutable but for an atomic counter).
 type Schema[S State] struct {
 	newState func() S
 	nf       int
 	// scalarIn[i] / scalarTr[i] record whether field i implements
-	// scalarInput / scalarTransfer — probed once here instead of
-	// type-asserted per field per record in Env/SymEnv capture.
+	// scalarInput / scalarTransfer; vecs lists the SymIntVector fields.
 	scalarIn []bool
 	scalarTr []bool
+	vecs     []int
 	// The query's event codec (NewEventSchema), nil without one:
 	// applyEvent decodes the next event d holds and only then runs Update
 	// with it on s; encodeEvent is the func(*wire.Encoder, E) an Executor
@@ -37,9 +31,7 @@ type Schema[S State] struct {
 	applyEvent  func(ctx *Ctx, s S, d *wire.Decoder) error
 	encodeEvent any
 
-	// allocated counts containers ever built on the plan. Tests use it
-	// to assert that long runs reuse what a site holds instead of
-	// growing the heap.
+	// allocated counts containers ever built on the plan (Allocated).
 	allocated atomic.Int64
 }
 
@@ -74,6 +66,9 @@ func newSchema[S State](newState func() S) *Schema[S] {
 	for i, f := range fs {
 		_, sc.scalarIn[i] = f.(scalarInput)
 		_, sc.scalarTr[i] = f.(scalarTransfer)
+		if _, ok := f.(*SymIntVector); ok {
+			sc.vecs = append(sc.vecs, i)
+		}
 	}
 	return sc
 }
@@ -99,19 +94,17 @@ func (sc *Schema[S]) newContainer() *pathState[S] {
 	return &pathState[S]{s: s, fs: fs}
 }
 
-// containers is a site's private stack of path containers: whoever holds
-// one (an Executor; a composition, for its duration) draws from it and
-// retires to it with a slice push and pop — no pool, no lock — and builds
-// on the schema only when it is empty. Retiring a container is safe even
-// while live states alias its slice-valued fields: its next user
-// overwrites every field before appending to any (CopyFrom or
-// ResetSymbolic), and those install a clipped view (SymVector,
-// SymIntVector — see SymVector on who may hold spare capacity), copy on
-// append (SymPred) or replace whole slice headers, so reuse can never
-// scribble over data a live path still references.
+// containers is a site's private stack of path containers (an
+// Executor's; a composition's, for its duration): a slice push and pop,
+// no lock, building on the schema only when empty and binding what it
+// builds to vecs. Retiring a container while live paths view its
+// storage is safe: its next user overwrites every field before it
+// appends (CopyFrom clips, SymPred copies on append), and the storage in
+// vecs is reclaimed only when the site's key is done (Executor.Reset).
 type containers[S State] struct {
 	sc   *Schema[S]
 	free []*pathState[S]
+	vecs *vecArena // what built containers' vectors grow into; nil: the heap
 }
 
 // get returns a retired or new container. Its contents are whatever the
@@ -122,7 +115,9 @@ func (c *containers[S]) get() *pathState[S] {
 		c.free = c.free[:n-1]
 		return p
 	}
-	return c.sc.newContainer()
+	p := c.sc.newContainer()
+	c.sc.bind(p, c.vecs)
+	return p
 }
 
 // put retires a container no live path references; putAll, a list.
@@ -165,6 +160,76 @@ func (p *pathState[S]) resetSymbolic() {
 // capturing its field slice once.
 func wrapState[S State](s S) *pathState[S] {
 	return &pathState[S]{s: s, fs: s.Fields()}
+}
+
+// bind makes a the storage p's vectors grow into; detach moves their
+// elements, for a path that outlives the site's key, into into.
+func (sc *Schema[S]) bind(p *pathState[S], a *vecArena) {
+	for _, i := range sc.vecs {
+		p.fs[i].(*SymIntVector).site = a
+	}
+}
+
+func (sc *Schema[S]) detach(p *pathState[S], into *vecArena) {
+	for _, i := range sc.vecs {
+		p.fs[i].(*SymIntVector).detach(into)
+	}
+}
+
+// vecArena is the storage of the vectors a site works in; nil is the heap.
+type vecArena struct {
+	vals  arena[int64]
+	slots arena[symSlot]
+}
+
+func (a *vecArena) ints(s []int64, n int) []int64 {
+	if a == nil {
+		return slices.Grow(s, n)
+	}
+	return a.vals.grow(s, n)
+}
+
+func (a *vecArena) symSlots(s []symSlot, n int) []symSlot {
+	if a == nil {
+		return slices.Grow(s, n)
+	}
+	return a.slots.grow(s, n)
+}
+
+// reset reclaims every region: the site's key is done, nothing views it.
+func (a *vecArena) reset() { a.vals.top, a.slots.top = 0, 0 }
+
+// arena hands out regions of one slab front to back, each, spare
+// capacity included, its taker's alone until reset. A full slab is left
+// to the values viewing it for one twice its size, so a warm site's slab
+// holds a key's working set.
+type arena[T any] struct {
+	slab []T
+	top  int
+}
+
+// grow returns s with room for n more elements: s itself when it has
+// it, s extended in place when it is the last region taken, else s
+// copied into a new region twice its length.
+func (a *arena[T]) grow(s []T, n int) []T {
+	need, c := len(s)+n, cap(s)
+	if need <= c {
+		return s
+	}
+	if c > 0 && a.top >= c && &s[:c][c-1] == &a.slab[a.top-1] {
+		if start, end := a.top-c, a.top-c+max(need, 2*c); end <= len(a.slab) {
+			a.top = end
+			return a.slab[start : start+len(s) : end]
+		}
+	}
+	size := max(need, 2*len(s), 4)
+	if a.top+size > len(a.slab) {
+		a.slab, a.top = make([]T, max(2*len(a.slab), 2*size, 64)), 0
+	}
+	r := a.slab[a.top : a.top+len(s) : a.top+size]
+	a.top += size
+	copy(r, s)
+	return r
 }
 
 // captureSymEnv fills e with the scalar transfer functions of the path

@@ -19,15 +19,13 @@ import (
 // Use SymIntVector instead when appended elements can themselves be
 // symbolic (e.g. a count that is still a·x+b when pushed).
 //
-// Forked paths share a backing array (CopyFrom copies the slice header,
-// not the elements) under one invariant: at most one holder has spare
-// capacity over it. CopyFrom clips the receiver to its length, so the
-// copy's first Push reallocates while the source keeps appending in
-// place — past every clipped view's length, where no other holder can
-// see. Push is therefore plain append, amortised O(1); a vector value
-// must only ever be duplicated through CopyFrom, never by struct
-// assignment, or two holders would append into the same spare slots.
-// SymIntVector follows the same rule.
+// Forked paths share a backing array under one invariant: at most one
+// holder has spare capacity over it. CopyFrom clips the receiver to its
+// length, so the copy's first Push reallocates while the source appends
+// past every clipped view; a vector is duplicated only through CopyFrom,
+// never by struct assignment. A SymVector's arrays are its own, on the
+// heap — Elems hands out the backing array, which a Result may keep —
+// and Concretize and ComposeAfter build new ones.
 type SymVector[T any] struct {
 	codec Codec[T]
 	elems []T
@@ -42,7 +40,8 @@ func NewSymVector[T any](codec Codec[T]) SymVector[T] {
 // Push appends a concrete element.
 func (v *SymVector[T]) Push(e T) { v.elems = append(v.elems, e) }
 
-// Elems returns the vector contents. The slice must not be mutated.
+// Elems returns the vector contents, the backing array. The slice must
+// not be mutated.
 func (v *SymVector[T]) Elems() []T { return v.elems }
 
 // Len returns the number of elements.
@@ -86,19 +85,15 @@ func (v *SymVector[T]) UnionConstraint(Value) bool { return true }
 // Admits implements Value.
 func (v *SymVector[T]) Admits(Value) bool { return true }
 
-// Concretize implements Value: prepend the previous contents, in an
-// array of the receiver's own — also when there are none: what the
-// receiver holds is the storage of the path it was copied from, which a
-// fold site decodes over (see Value on storage).
+// Concretize implements Value: prepend the previous contents, in a new
+// array also when there are none (see Value on storage).
 func (v *SymVector[T]) Concretize(prev Value, _ *Env) {
 	v.elems = slices.Concat(prev.(*SymVector[T]).elems, v.elems)
 }
 
 // ComposeAfter implements Value.
 func (v *SymVector[T]) ComposeAfter(prev Value, _ *SymEnv) bool {
-	if p := prev.(*SymVector[T]); len(p.elems) > 0 {
-		v.elems = slices.Concat(p.elems, v.elems)
-	}
+	v.Concretize(prev, nil)
 	return true
 }
 
@@ -110,9 +105,8 @@ func (v *SymVector[T]) Encode(e *wire.Encoder) {
 	}
 }
 
-// SymVector's wire form carries no field tag to elide, so the tagless
-// form is the tagged one; implementing taglessCodec keeps a vector field
-// from forcing the whole summary back to tagged encoding.
+// A vector's wire form has no field tag, so its tagless form is the
+// tagged one: a vector field never forces a summary to tagged encoding.
 
 // tagMatches implements taglessCodec.
 func (v *SymVector[T]) tagMatches(int) bool { return true }
@@ -151,15 +145,17 @@ func (v *SymVector[T]) String() string {
 // count x+5 that a later composition turns concrete (§4.5).
 //
 // Almost every element is concrete, so the vector is one []int64 of
-// element values — a symbolic element's b — and a side list of its nsym
-// symbolic slots in ascending position: the first inline in head (B3's
-// paths push one), the rest in tail. CopyFrom clips both slices (see
-// SymVector) and copies head by value.
+// element values — a symbolic element's b — and a side list of its
+// symbolic slots in ascending position, both clipped by CopyFrom (see
+// SymVector). Both grow, and Concretize and ComposeAfter build them, in
+// the storage of the site that works in the vector — an Executor's
+// paths, a Folder's spares — which the site reclaims when its key is
+// done (see Value on storage); a vector no site works in grows on the
+// heap. Elems copies.
 type SymIntVector struct {
-	vals []int64
-	nsym int
-	head symSlot
-	tail []symSlot
+	vals  []int64
+	slots []symSlot
+	site  *vecArena // where vals and slots grow; nil: the heap
 }
 
 // symSlot marks vals[at] as the b of the symbolic element a·x(field)+b.
@@ -172,7 +168,12 @@ type symSlot struct {
 func NewSymIntVector() SymIntVector { return SymIntVector{} }
 
 // Push appends a concrete element.
-func (v *SymIntVector) Push(val int64) { v.vals = append(v.vals, val) }
+func (v *SymIntVector) Push(val int64) {
+	if len(v.vals) == cap(v.vals) {
+		v.vals = v.site.ints(v.vals, 1)
+	}
+	v.vals = append(v.vals, val)
+}
 
 // PushInt appends the current value of s, symbolic or not.
 func (v *SymIntVector) PushInt(s *SymInt) {
@@ -194,57 +195,44 @@ func (v *SymIntVector) PushEnum(s *SymEnum) {
 
 // pushSym appends the symbolic element a·x(field)+b.
 func (v *SymIntVector) pushSym(field int, a, b int64) {
-	v.addSlot(symSlot{at: len(v.vals), field: field, a: a})
-	v.vals = append(v.vals, b)
-}
-
-// addSlot appends s, which lies past every slot held, to the side list.
-func (v *SymIntVector) addSlot(s symSlot) {
-	if v.nsym == 0 {
-		v.head = s
-	} else {
-		v.tail = append(v.tail, s)
-	}
-	v.nsym++
-}
-
-// slot returns symbolic slot k, in ascending position.
-func (v *SymIntVector) slot(k int) symSlot {
-	if k == 0 {
-		return v.head
-	}
-	return v.tail[k-1]
+	v.slots = append(v.site.symSlots(v.slots, 1), symSlot{at: len(v.vals), field: field, a: a})
+	v.Push(b)
 }
 
 // Len returns the number of elements.
 func (v *SymIntVector) Len() int { return len(v.vals) }
 
-// Elems returns the concrete contents; it aborts if any element is still
-// symbolic (call only after full composition).
+// Elems returns a copy of the concrete contents; it aborts if any
+// element is still symbolic.
 func (v *SymIntVector) Elems() []int64 {
-	if v.nsym > 0 {
+	if len(v.slots) > 0 {
 		fail(ErrSymbolicRead)
 	}
 	return append(make([]int64, 0, len(v.vals)), v.vals...)
 }
 
 // ResetSymbolic implements Value.
-func (v *SymIntVector) ResetSymbolic(int) { *v = SymIntVector{} }
+func (v *SymIntVector) ResetSymbolic(int) { v.vals, v.slots = nil, nil }
 
-// CopyFrom implements Value.
+// CopyFrom implements Value. The receiver keeps its own site.
 func (v *SymIntVector) CopyFrom(src Value) {
-	*v = *src.(*SymIntVector)
-	v.vals, v.tail = slices.Clip(v.vals), slices.Clip(v.tail) // see SymVector
+	s := src.(*SymIntVector)
+	v.vals, v.slots = slices.Clip(s.vals), slices.Clip(s.slots) // see SymVector
+}
+
+// detach moves v's elements into new regions of into (nil: the heap).
+func (v *SymIntVector) detach(into *vecArena) {
+	v.vals = append(into.ints(nil, len(v.vals)), v.vals...)
+	v.slots = append(into.symSlots(nil, len(v.slots)), v.slots...)
 }
 
 // IsConcrete implements Value.
-func (v *SymIntVector) IsConcrete() bool { return v.nsym == 0 }
+func (v *SymIntVector) IsConcrete() bool { return len(v.slots) == 0 }
 
 // SameTransfer implements Value.
 func (v *SymIntVector) SameTransfer(other Value) bool {
 	o := other.(*SymIntVector)
-	return v.nsym == o.nsym && (v.nsym == 0 || v.head == o.head) &&
-		slices.Equal(v.vals, o.vals) && slices.Equal(v.tail, o.tail)
+	return slices.Equal(v.vals, o.vals) && slices.Equal(v.slots, o.slots)
 }
 
 // ConstraintEq implements Value.
@@ -269,30 +257,25 @@ func (v *SymIntVector) ComposeAfter(prev Value, senv *SymEnv) bool {
 	return true
 }
 
-// prepend rewrites v as p's elements then its own, in storage of its own,
+// prepend rewrites v as p's elements then its own, in new storage,
 // substituting into each symbolic a·x+b the transfer t of x that resolve
 // gives: t.b when bound, else t.a·x+t.b, leaving (a·t.a)·x + (a·t.b+b).
 func (v *SymIntVector) prepend(p *SymIntVector, resolve func(field int) symEnvEntry) {
 	n := len(p.vals)
 	if n+len(v.vals) == 0 { // most states' vectors stay empty: nothing to join
-		*v = SymIntVector{}
+		v.vals, v.slots = nil, nil
 		return
 	}
-	out := SymIntVector{vals: make([]int64, n+len(v.vals))}
-	copy(out.vals, p.vals)
-	copy(out.vals[n:], v.vals)
-	for k := range p.nsym {
-		out.addSlot(p.slot(k))
-	}
-	for k := range v.nsym {
-		s := v.slot(k)
+	vals := append(append(v.site.ints(nil, n+len(v.vals)), p.vals...), v.vals...)
+	slots := append(v.site.symSlots(nil, len(p.slots)+len(v.slots)), p.slots...)
+	for _, s := range v.slots {
 		t, at := resolve(s.field), n+s.at
-		out.vals[at] = addChecked(mulChecked(s.a, t.b), out.vals[at])
+		vals[at] = addChecked(mulChecked(s.a, t.b), vals[at])
 		if !t.bound {
-			out.addSlot(symSlot{at: at, field: s.field, a: mulChecked(s.a, t.a)})
+			slots = append(slots, symSlot{at: at, field: s.field, a: mulChecked(s.a, t.a)})
 		}
 	}
-	*v = out
+	v.vals, v.slots = vals, slots
 }
 
 // Encode implements Value: per element Bool(sym) Varint(b), then for a
@@ -301,13 +284,12 @@ func (v *SymIntVector) Encode(e *wire.Encoder) {
 	e.Uvarint(uint64(len(v.vals)))
 	k := 0
 	for i, b := range v.vals {
-		sym := k < v.nsym && v.slot(k).at == i
+		sym := k < len(v.slots) && v.slots[k].at == i
 		e.Bool(sym)
 		e.Varint(b)
 		if sym {
-			s := v.slot(k)
-			e.Uvarint(uint64(s.field))
-			e.Varint(s.a)
+			e.Uvarint(uint64(v.slots[k].field))
+			e.Varint(v.slots[k].a)
 			k++
 		}
 	}
@@ -325,12 +307,12 @@ func (v *SymIntVector) decodeTagless(d *wire.Decoder, _ int) error { return v.De
 // Decode implements Value.
 func (v *SymIntVector) Decode(d *wire.Decoder) error {
 	n := d.Length(d.Remaining()) // 0 on error: what is left is Err
-	v.vals, v.nsym, v.tail = slices.Grow(v.vals[:0], n)[:n], 0, v.tail[:0]
+	v.vals, v.slots = slices.Grow(v.vals[:0], n)[:n], v.slots[:0]
 	for i := range v.vals {
 		sym := d.Bool()
 		v.vals[i] = d.Varint()
 		if sym {
-			v.addSlot(symSlot{at: i, field: d.Length(maxFieldID), a: d.Varint()})
+			v.slots = append(v.slots, symSlot{at: i, field: d.Length(maxFieldID), a: d.Varint()})
 		}
 	}
 	return d.Err()
@@ -342,8 +324,7 @@ func (v *SymIntVector) String() string {
 	for i, b := range v.vals {
 		parts[i] = strconv.FormatInt(b, 10)
 	}
-	for k := range v.nsym {
-		s := v.slot(k)
+	for _, s := range v.slots {
 		parts[s.at] = fmt.Sprintf("%d·x%d%+d", s.a, s.field, v.vals[s.at])
 	}
 	return "[" + strings.Join(parts, " ") + "]"

@@ -41,8 +41,7 @@ func intElems(v *SymIntVector) []intElem {
 	for i, b := range v.vals {
 		out[i] = intElem{b: b}
 	}
-	for k := range v.nsym {
-		s := v.slot(k)
+	for _, s := range v.slots {
 		out[s.at] = intElem{sym: true, field: s.field, a: s.a, b: v.vals[s.at]}
 	}
 	return out

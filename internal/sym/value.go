@@ -14,18 +14,15 @@ import "repro/internal/wire"
 // a general solver, support merging, and serialize compactly.
 //
 // Storage. A Value whose representation has slices may share them between
-// copies (CopyFrom copies headers, not elements), under three rules the
-// runtime relies on. A value that shares storage never writes it in
-// place: appends go past every sharer's view or to a fresh array, and a
-// value of several slices — SymIntVector's values and side list, beside
-// its inline first slot — clips them all together. And the one pair of
-// calls that makes a value outlive its source — CopyFrom(path) then
-// Concretize(prev), how a fold site turns a decoded path into a key's
-// state — leaves the receiver sharing no storage with path, so the site
-// may decode the next bundle over path's storage (see Decode). And what
-// Concretize leaves may be written by Update: it shares no capacity with
-// prev, so a fold site runs a group's events in place on the state a
-// summary step just wrote.
+// copies (CopyFrom copies headers, not elements), so a value that shares
+// storage never writes it in place: appends go past every sharer's view
+// (CopyFrom clips) or to a fresh array. The storage a site's working
+// values grow into is the site's (SymIntVector: see Executor and Folder),
+// reclaimed when the site's key is done; whatever outlives that moves its
+// elements out first. And CopyFrom(path) then Concretize(prev) — how a
+// fold site turns a decoded path into a key's state — leaves the receiver
+// sharing no storage with path, so the site decodes the next bundle over
+// it, and no capacity with prev, so Update may append to it.
 type Value interface {
 	// ResetSymbolic reinitializes the value to a fresh, unconstrained
 	// symbolic input identified by field index id. Field indices are the
@@ -65,9 +62,8 @@ type Value interface {
 	// value, given prev as the concrete input for this field and env for
 	// cross-field references (symbolic elements inside vectors). The
 	// caller must have established Admits(prev). After Concretize the
-	// value reports IsConcrete and carries no constraint, and shares no
-	// storage with the value it was copied from; it may share prev's
-	// elements but no capacity past them, so Update may append to it.
+	// value reports IsConcrete, carries no constraint and holds storage
+	// as the type comment says.
 	Concretize(prev Value, env *Env)
 
 	// ComposeAfter rewrites the receiver — a field of a later summary's
@@ -83,10 +79,9 @@ type Value interface {
 	// Decode reads the canonical form written by Encode. The receiver
 	// must have been constructed with the same shape (e.g. enum domain
 	// size, vector codec) as the encoder side. Decode overwrites the
-	// receiver in full, whatever it held, and may reuse its storage: only
-	// decode into a value whose storage nothing else shares — a fold
-	// site's decode containers are written by Decode alone. Allocating
-	// afresh is always correct, reusing is cheaper.
+	// receiver in full and may reuse its storage, so only decode into a
+	// value whose storage is its own and unshared: a fold site's decode
+	// containers are written by Decode alone.
 	Decode(d *wire.Decoder) error
 
 	// String renders the constraint and transfer for diagnostics, e.g.

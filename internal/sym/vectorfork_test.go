@@ -109,6 +109,94 @@ func TestVectorForksNeverShareAppends(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		checkForkIsolation(t, symVectorModel, seed)
 		checkForkIsolation(t, symIntVectorModel, seed)
+		// Every holder grows in one site's storage, as a site's paths do:
+		// a region, and the last one taken grown in place, is one
+		// holder's alone.
+		site, onSite := new(vecArena), symIntVectorModel
+		onSite.push = func(v *SymIntVector, x int64) intElem {
+			v.site = site
+			return symIntVectorModel.push(v, x)
+		}
+		checkForkIsolation(t, onSite, seed)
+	}
+}
+
+// forkLog forks once on Base, which stays symbolic on both paths, then
+// logs records on both: the even ones on each, and every third on one of
+// them too.
+type forkLog struct {
+	Base SymInt
+	Log  SymIntVector
+}
+
+func (s *forkLog) Fields() []Value { return []Value{&s.Base, &s.Log} }
+
+func newForkLog() *forkLog { return &forkLog{Base: NewSymInt(0)} }
+
+func forkLogUpdate(ctx *Ctx, s *forkLog, e int64) {
+	if e%3 == 0 && s.Base.Lt(ctx, 10) {
+		s.Log.Push(-e)
+	}
+	if e%2 == 0 {
+		s.Log.Push(e)
+	}
+}
+
+// TestExecSiteRetiredStorageNeverAliases: the scalar feed clones each
+// live path per record and retires the original to the site's stack; a
+// clone that pushes nothing still views the original's elements, and the
+// next clone drawn from the original's container grows a vector of its
+// own. Neither that growth, nor a later key's pushes after Reset
+// reclaims the site's storage, may change what a sibling or Finish's
+// snapshot holds.
+func TestExecSiteRetiredStorageNeverAliases(t *testing.T) {
+	x := NewSchemaExecutor(newSchema(newForkLog), forkLogUpdate, DefaultOptions())
+	stream := make([]int64, 40)
+	for i := range stream {
+		stream[i] = int64(i + 1)
+		if err := x.Feed(stream[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := x.LivePaths(); got != 2 {
+		t.Fatalf("%d live paths, want the fork's 2", got)
+	}
+	sums, err := x.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, "the key's", stream, sums)
+	x.Reset()
+	for i := int64(0); i < 200; i++ {
+		if err := x.Feed(1000 + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(t, "after the next key, the key's", stream, sums)
+}
+
+// check applies sums, forkLog's summaries of stream, to both starts.
+func check(t *testing.T, what string, stream []int64, sums []*Summary[*forkLog]) {
+	t.Helper()
+	for _, base := range []int64{0, 20} {
+		start := func() *forkLog { s := newForkLog(); s.Base = NewSymInt(base); return s }
+		seq := NewConcreteExecutor(start, forkLogUpdate, DefaultOptions())
+		for _, e := range stream {
+			if err := seq.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := seq.ConcreteState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ApplyAll(start(), sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Log.Elems(), want.Log.Elems()) {
+			t.Errorf("base %d: %s snapshot applies to %v, want %v", base, what, got.Log.Elems(), want.Log.Elems())
+		}
 	}
 }
 

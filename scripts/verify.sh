@@ -43,9 +43,11 @@ leg unit go test ./...
 # running: a registration's content digest over a fresh segment (MB/s),
 # loading a mapped multi-MB file — the one scan that builds its record
 # table (MB/s) — and a first touch's pass one — GroupBy and counting
-# sort — per query (ns/row), with their allocations. EXPERIMENTS.md
-# records what they read.
-leg bench go test -run '^$' -bench 'BenchmarkSegmentDigest|BenchmarkReadSegments|BenchmarkGroupFirstTouch' -benchmem -benchtime 1x ./internal/mapreduce ./internal/queries
+# sort — per query (ns/row), with their allocations; then a warm job of
+# each batch class of the repository benchmark at one and two cores
+# (BenchmarkBatchClasses: records/s and allocations per job).
+# EXPERIMENTS.md records what they read.
+leg bench sh -c "go test -run '^\$' -bench 'BenchmarkSegmentDigest|BenchmarkReadSegments|BenchmarkGroupFirstTouch' -benchmem -benchtime 1x ./internal/mapreduce ./internal/queries && go test -run '^\$' -bench BenchmarkBatchClasses -cpu 1,2 -benchtime 1x ./internal/queries"
 # The race leg covers the one SYMPLE engine end to end — the chunk
 # executor, whose grouped form concurrent jobs keep on a segment at its
 # second touch and share after (internal/mapreduce, internal/core,
