@@ -15,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-var update = flag.Bool("update", false, "regenerate the golden digest file")
+var update = flag.Bool("update", false, "regenerate the golden digest and work files")
 
 // goldenPath holds the committed reference digests for all 12 queries
 // over the seeded small corpora. The data generators and the digest
@@ -210,6 +210,62 @@ func TestGoldenDigestsSymple(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goldenWorkPath holds what each query's jobs move through the shuffle
+// over the golden corpora at four reducers, in process: SYMPLE's wire
+// and logical bytes, records, groups and map attempts, and the
+// baseline's wire bytes and records. The run codec and the engines are
+// deterministic, so a diff of this file is a change's shuffle saving per
+// query; regenerate it deliberately:
+//
+//	go test ./internal/queries -run TestGoldenWork -update
+const goldenWorkPath = "testdata/golden_work.txt"
+
+func TestGoldenWork(t *testing.T) {
+	datasets := smallDatasets(goldenSegments)
+	conf := mapreduce.Config{NumReducers: 4}
+	var b strings.Builder
+	b.WriteString("# Shuffle work per query over the seeded small corpora (6 segments, 4 reducers, in process).\n")
+	b.WriteString("# Regenerate: go test ./internal/queries -run TestGoldenWork -update\n")
+	for _, spec := range All() {
+		segs := fresh(datasets[spec.Dataset])
+		symp, err := spec.Symple(segs, conf)
+		if err != nil {
+			t.Fatalf("%s: symple: %v", spec.ID, err)
+		}
+		base, err := spec.Baseline(segs, conf)
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", spec.ID, err)
+		}
+		s, m := symp.Metrics, base.Metrics
+		fmt.Fprintf(&b, "%s symple.shuffle_bytes=%d symple.logical_bytes=%d symple.records=%d symple.groups=%d symple.map_attempts=%d baseline.shuffle_bytes=%d baseline.records=%d\n",
+			spec.ID, s.ShuffleBytes, s.ShuffleLogicalBytes, s.ShuffleRecords, s.Groups, s.MapAttempts,
+			m.ShuffleBytes, m.ShuffleRecords)
+	}
+	if *update {
+		if err := os.WriteFile(goldenWorkPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenWorkPath)
+	if err != nil {
+		t.Fatalf("reading golden work file (regenerate with -update): %v", err)
+	}
+	want, got := strings.Split(string(raw), "\n"), strings.Split(b.String(), "\n")
+	for i := range max(len(want), len(got)) {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Errorf("%s:%d:\n got  %s\n want %s", goldenWorkPath, i+1, g, w)
+		}
 	}
 }
 
