@@ -158,10 +158,10 @@ func sortBaseline(spec *queries.Spec, segs []*mapreduce.Segment, conf mapreduce.
 //
 // Hex keeps tabs and newlines out of the fields and orders like the
 // bytes it encodes, and a tab sorts below every hex digit, so byte order
-// of the lines is (key, task, emit index) order. The baseline's map
-// emits in record order, so within a task emit index orders a group as
-// recordID does. reduce then receives each key's values in that order,
-// one call per key, MapperID the task and RecordID the emit index.
+// of the lines is (key, task, emit index) order: within a group, the
+// engine's shuffle order, and the baseline's map emits in record order.
+// reduce then receives each key's values in that order, one call per
+// key, MapperID the task.
 // Without a sort binary it fails: the bars measure the pipe. The
 // returned metrics are the map job's, TotalWall covering the whole.
 func sortShuffle(segs []*mapreduce.Segment, conf mapreduce.Config, mapFn mapreduce.MapFunc,
@@ -271,5 +271,5 @@ func parseSortedLine(line []byte) (string, mapreduce.Shuffled, error) {
 	if err := errors.Join(err0, err1, err2, err3); err != nil || task < 0 || index < 0 {
 		return "", mapreduce.Shuffled{}, fmt.Errorf("malformed sort line %q: %v", line, err)
 	}
-	return string(key), mapreduce.Shuffled{MapperID: int(task), RecordID: index, Value: value}, nil
+	return string(key), mapreduce.Shuffled{MapperID: int(task), Value: value}, nil
 }

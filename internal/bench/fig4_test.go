@@ -48,26 +48,26 @@ func TestSortShuffleOrder(t *testing.T) {
 		rr := rand.New(rand.NewSource(int64(task)))
 		for i := range seg.Records {
 			for range 1 + rr.Intn(2) {
-				emit(awkward[rr.Intn(len(awkward))], int64(i), []byte(strconv.Itoa(task)+"\t\n"+strconv.Itoa(i)))
+				emit(awkward[rr.Intn(len(awkward))], []byte(strconv.Itoa(task)+"\t\n"+strconv.Itoa(i)))
 			}
 		}
 		return nil
 	}
 	type pair struct {
-		key         string
-		task, index int
-		value       []byte
+		key   string
+		task  int
+		value []byte
 	}
+	// Collected in (task, emit index) order, so a stable sort by
+	// (key, task) leaves (key, task, emit index) order.
 	var want []pair
 	for task, seg := range segs {
-		index := 0
-		_ = mapFn(task, seg, func(key string, _ int64, value []byte) {
-			want = append(want, pair{key, task, index, value})
-			index++
+		_ = mapFn(task, seg, func(key string, value []byte) {
+			want = append(want, pair{key, task, value})
 		})
 	}
-	slices.SortFunc(want, func(a, b pair) int {
-		return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.task, b.task), cmp.Compare(a.index, b.index))
+	slices.SortStableFunc(want, func(a, b pair) int {
+		return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.task, b.task))
 	})
 	keys, groups := sortedGroups(t, segs, mapFn)
 	var got []pair
@@ -76,15 +76,14 @@ func TestSortShuffleOrder(t *testing.T) {
 			t.Fatalf("group %q after %q: keys out of order or split", key, keys[g-1])
 		}
 		for _, v := range groups[g] {
-			got = append(got, pair{key, v.MapperID, int(v.RecordID), v.Value})
+			got = append(got, pair{key, v.MapperID, v.Value})
 		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs came back, %d went in", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].key != want[i].key || got[i].task != want[i].task || got[i].index != want[i].index ||
-			!bytes.Equal(got[i].value, want[i].value) {
+		if got[i].key != want[i].key || got[i].task != want[i].task || !bytes.Equal(got[i].value, want[i].value) {
 			t.Fatalf("pair %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
@@ -189,7 +188,7 @@ func TestParseSortedLineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key != "a" || v.MapperID != 2 || v.RecordID != 3 || string(v.Value) != "b" {
+	if key != "a" || v.MapperID != 2 || string(v.Value) != "b" {
 		t.Fatalf("parsed %q %+v", key, v)
 	}
 }

@@ -107,11 +107,11 @@ func testSpec(t *testing.T) JobSpec {
 	t.Helper()
 	RegisterJob("cluster-unit-test", func(*obs.Trace) mapreduce.MapFunc {
 		return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
-			for i, rec := range seg.Records {
+			for _, rec := range seg.Records {
 				if len(rec) == 0 {
 					continue
 				}
-				emit(string(rec[:1]), int64(i), rec)
+				emit(string(rec[:1]), rec)
 			}
 			return nil
 		}

@@ -128,6 +128,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-hello-v11.bin", Data: frame(FrameHello, helloWith(helloMagic, 11))},
 		{Name: "corrupt-hello-v12.bin", Data: frame(FrameHello, helloWith(helloMagic, 12))},
 		{Name: "corrupt-hello-v13.bin", Data: frame(FrameHello, helloWith(helloMagic, 13))},
+		{Name: "corrupt-hello-v14.bin", Data: frame(FrameHello, helloWith(helloMagic, 14))},
 		{Name: "corrupt-hello-payload-trailing.bin",
 			Data: frame(FrameHello, append(encodeHello(), 0x00))},
 		{Name: "corrupt-assign-payload-trailing.bin",

@@ -34,8 +34,8 @@ func TestWorkerRunsOneJobConcurrently(t *testing.T) {
 	traced := func(trace *obs.Trace) mapreduce.MapFunc {
 		return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 			trace.Start(obs.KindMapExec, "exec").Attr(obs.AttrTask, int64(mapperID)).End()
-			for i, rec := range seg.Records {
-				emit(string(rec[:1]), int64(i), rec)
+			for _, rec := range seg.Records {
+				emit(string(rec[:1]), rec)
 			}
 			return nil
 		}

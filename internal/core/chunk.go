@@ -38,13 +38,11 @@ type batchExec[S sym.State, E any] struct {
 }
 
 // grouped is pass one's output, all pass two reads: keys in first-use
-// order, key k's events at events[offs[k]:offs[k+1]] in row order, and
-// its last row, the recordID its bundle ships under (§5.4).
+// order, and key k's events at events[offs[k]:offs[k+1]] in row order.
 type grouped[E any] struct {
 	keys   []string
 	offs   []int32
 	events []E
-	last   []int64
 }
 
 // kept is an exact-size copy of g for a segment to keep, its keys (views
@@ -62,7 +60,7 @@ func (g *grouped[E]) kept() *grouped[E] {
 	for i, k := range g.keys {
 		keys[i], all = all[:len(k)], all[len(k):]
 	}
-	return &grouped[E]{keys, slices.Clone(g.offs), slices.Clone(g.events), slices.Clone(g.last)}
+	return &grouped[E]{keys, slices.Clone(g.offs), slices.Clone(g.events)}
 }
 
 // memo is what a segment keeps of a query (Segment.Derived, under
@@ -215,9 +213,9 @@ func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], memoKey any, be *bat
 func groupChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], records [][]byte) *grouped[E] {
 	g := &be.g
 	clear(be.idx)
-	g.keys, g.last = g.keys[:0], g.last[:0]
+	g.keys = g.keys[:0]
 	be.keyIdx, be.rowEvs = be.keyIdx[:0], be.rowEvs[:0]
-	for i, rec := range records {
+	for _, rec := range records {
 		key, ev, ok := q.GroupBy(rec)
 		if !ok {
 			continue
@@ -227,10 +225,8 @@ func groupChunk[S sym.State, E, R any](q *Query[S, E, R], be *batchExec[S, E], r
 			k := unsafe.String(unsafe.SliceData(key), len(key)) // a view: kept copies
 			ki = int32(len(g.keys))
 			g.keys = append(g.keys, k)
-			g.last = append(g.last, 0)
 			be.idx[k] = ki
 		}
-		g.last[ki] = int64(i) // rows ascend, so the final write is the max
 		be.keyIdx = append(be.keyIdx, ki)
 		be.rowEvs = append(be.rowEvs, ev)
 	}

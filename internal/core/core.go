@@ -14,8 +14,9 @@
 //     running concretely in reducers.
 //   - RunSymple: the paper's contribution — mappers also run the UDA
 //     symbolically per group and shuffle compact symbolic summaries; the
-//     reducer folds each key's summaries, in input order, onto the
-//     initial state in one pass and applies Result.
+//     reducer folds each key's summaries onto the initial state in one
+//     pass, in the shuffle's (mapperID, emit) order — input order, since
+//     a map task emits one bundle per key — and applies Result.
 //
 // SYMPLE "lifts" the aggregation into mappers exactly like built-in
 // associative aggregations, parallelizing per-group work and shrinking
@@ -159,10 +160,10 @@ func RunSequential[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 
 // Baseline is the paper's hand-optimized Hadoop baseline as its two
 // halves: Map groups each record and emits the UDA's event fields under
-// the key, recordID its index in the segment; Reduce runs the UDA
-// concretely over one key's values in shuffle order and returns the
-// result. RunBaseline runs the pair as one job over the engine's shuffle;
-// a caller with a shuffle of its own (Fig 4 pipes the map output through
+// the key, in row order; Reduce runs the UDA concretely over one key's
+// values in shuffle order — input order — and returns the result.
+// RunBaseline runs the pair as one job over the engine's shuffle; a
+// caller with a shuffle of its own (Fig 4 pipes the map output through
 // Unix sort) runs the same pair around it.
 type Baseline[R any] struct {
 	Map    mapreduce.MapFunc
@@ -183,14 +184,14 @@ func NewBaseline[S sym.State, E, R any](q *Query[S, E, R], trace *obs.Trace) (*B
 			span := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d", mapperID)).
 				Attr(obs.AttrTask, int64(mapperID))
 			emitted := int64(0)
-			for i, rec := range seg.Records {
+			for _, rec := range seg.Records {
 				key, ev, ok := q.GroupBy(rec)
 				if !ok {
 					continue
 				}
 				e := wire.NewEncoder(16)
 				q.EncodeEvent(e, ev)
-				emit(string(key), int64(i), e.Bytes())
+				emit(string(key), e.Bytes())
 				emitted++
 			}
 			span.Attr(obs.AttrRecords, int64(len(seg.Records))).
@@ -254,10 +255,11 @@ func RunBaseline[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce
 // RunSymple executes the query with symbolic parallelism: each mapper
 // groups its segment and runs the UDA symbolically per group, shuffling
 // one compact record per (mapper, group) that carries the group's ordered
-// symbolic summaries. Reducers fold the summaries in (mapperID,
-// recordID) order onto the initial aggregation state — exactly the
-// sequential semantics (paper §5.4). It compiles q for this one run; a
-// caller that runs q many times compiles it once (Compile) and calls Run.
+// symbolic summaries. Reducers fold the summaries in (mapperID, emit)
+// order — input order, one bundle per (mapper, group) — onto the initial
+// aggregation state: exactly the sequential semantics (paper §5.4). It
+// compiles q for this one run; a caller that runs q many times compiles
+// it once (Compile) and calls Run.
 func RunSymple[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
 	c, err := Compile(q)
 	if err != nil {
@@ -338,8 +340,8 @@ func (c *Compiled[S, E, R]) Run(segments []*mapreduce.Segment, conf mapreduce.Co
 				sites[p] = newGroupFolder(c.sc)
 			}
 		}
-		// values arrive ordered by (mapperID, recordID): the order the
-		// chunks appear in the input.
+		// values arrive in mapperID order, one bundle a mapper: the order
+		// the chunks appear in the input.
 		final, err := sites[p].fold(values)
 		if err != nil {
 			sites[p] = nil

@@ -220,22 +220,22 @@ func TestMapChunkAllocCeiling(t *testing.T) {
 		var bundleBytes, next int
 		chunk := func() {
 			bundleBytes = 0
-			if err := mapFn(0, segs[next%len(segs)], func(_ string, _ int64, v []byte) { bundleBytes += len(v) }); err != nil {
+			if err := mapFn(0, segs[next%len(segs)], func(_ string, v []byte) { bundleBytes += len(v) }); err != nil {
 				t.Fatal(err)
 			}
 		}
 		scratch := func() { chunk(); next++ }
 		scratch()
 		be := pool.free[0]
-		bundles, last, events, enc := unsafe.SliceData(be.bundles), unsafe.SliceData(be.g.last),
+		bundles, keys, events, enc := unsafe.SliceData(be.bundles), unsafe.SliceData(be.g.keys),
 			unsafe.SliceData(be.g.events), unsafe.SliceData(be.enc.Bytes())
 		allocs := testing.AllocsPerRun(5, scratch)
 		if len(pool.free) != 1 || pool.free[0] != be {
 			t.Fatalf("%d keys: the pool holds %d sites, want the one warm site", nkeys, len(pool.free))
 		}
-		if unsafe.SliceData(be.bundles) != bundles || unsafe.SliceData(be.g.last) != last ||
+		if unsafe.SliceData(be.bundles) != bundles || unsafe.SliceData(be.g.keys) != keys ||
 			unsafe.SliceData(be.g.events) != events || unsafe.SliceData(be.enc.Bytes()) != enc {
-			t.Errorf("%d keys: a warm chunk replaced the site's bundle, last-row, event or bundle-byte array", nkeys)
+			t.Errorf("%d keys: a warm chunk replaced the site's bundle, key, event or bundle-byte array", nkeys)
 		}
 		if allocs > ceiling+1 && !raceEnabled {
 			t.Errorf("%d keys, %d bundle bytes: %v allocations a warm chunk's first touch, want at most %v", nkeys, bundleBytes, allocs, ceiling+1)

@@ -32,12 +32,12 @@ func partitionGroups(t *testing.T, c *Compiled[*sessState, int64, []int64], segs
 	mapFn := c.Mapper(nil)
 	groups = map[string][]mapreduce.Shuffled{}
 	for i, seg := range segs {
-		emit := func(key string, rec int64, value []byte) {
+		emit := func(key string, value []byte) {
 			if cap(value) != len(value) {
 				t.Errorf("mapper %d key %q: emitted value has %d spare bytes a holder could append into", i, key, cap(value)-len(value))
 			}
 			// Emit's caller owns value only until it returns.
-			groups[key] = append(groups[key], mapreduce.Shuffled{MapperID: i, RecordID: rec, Value: slices.Clone(value)})
+			groups[key] = append(groups[key], mapreduce.Shuffled{MapperID: i, Value: slices.Clone(value)})
 		}
 		if err := mapFn(i, seg, emit); err != nil {
 			t.Fatal(err)

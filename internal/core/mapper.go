@@ -39,7 +39,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		}
 		for i, key := range g.keys {
 			sumBytes.Observe(int64(len(be.bundles[i])))
-			emit(key, g.last[i], be.bundles[i])
+			emit(key, be.bundles[i])
 		}
 		// Emit copied the bundles: the site is free for its next chunk.
 		pool.put(be)

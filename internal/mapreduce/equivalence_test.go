@@ -19,9 +19,9 @@ import (
 // emits the keys emitsPerRecord names, with itself as the value.
 func wordMap(emitsPerRecord func(rec []byte) []string) MapFunc {
 	return func(id int, seg *Segment, emit Emit) error {
-		for i, rec := range seg.Records {
+		for _, rec := range seg.Records {
 			for _, key := range emitsPerRecord(rec) {
-				emit(key, int64(i), rec)
+				emit(key, rec)
 			}
 		}
 		return nil
@@ -30,7 +30,7 @@ func wordMap(emitsPerRecord func(rec []byte) []string) MapFunc {
 
 // captureJob runs a job under the given config and records the exact
 // reduce-side delivery — per reducer, the ordered stream of (key,
-// mapperID, recordID, value) — in a printable form, comparable byte for
+// mapperID, value) — in a printable form, comparable byte for
 // byte with modelShuffle's rendering.
 func captureJob(t *testing.T, segs []*Segment, conf Config, mapFn MapFunc) (map[int]string, *Metrics) {
 	t.Helper()
@@ -49,7 +49,7 @@ func captureJob(t *testing.T, segs []*Segment, conf Config, mapFn MapFunc) (map[
 			}
 			fmt.Fprintf(b, "group %q\n", key)
 			for _, v := range values {
-				fmt.Fprintf(b, "  %d %d %q\n", v.MapperID, v.RecordID, v.Value)
+				fmt.Fprintf(b, "  %d %q\n", v.MapperID, v.Value)
 			}
 			return nil
 		},
@@ -68,9 +68,9 @@ func captureJob(t *testing.T, segs []*Segment, conf Config, mapFn MapFunc) (map[
 
 // modelShuffle is §5.4 as a specification, not a second engine: run Map
 // serially in mapperID order, partition by FNV-1a, list each partition's
-// groups in order of first appearance over (mapperID, emit order), order
-// each group's values by (mapperID, recordID) with emit order breaking
-// ties, and print it the way captureJob does. It returns the per-reducer
+// groups in order of first appearance over (mapperID, emit order), keep
+// each group's values in that same (mapperID, emit) order, and print it
+// the way captureJob does. It returns the per-reducer
 // streams plus the record, group and logical-byte counts.
 func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]string, recs, groups, logical int64) {
 	type group struct {
@@ -80,7 +80,7 @@ func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]str
 	parts := make([][]*group, reducers)
 	byKey := map[string]*group{}
 	for _, seg := range slices.SortedStableFunc(slices.Values(segs), func(a, b *Segment) int { return cmp.Compare(a.ID, b.ID) }) {
-		_ = mapFn(seg.ID, seg, func(key string, recordID int64, value []byte) {
+		_ = mapFn(seg.ID, seg, func(key string, value []byte) {
 			g := byKey[key]
 			if g == nil {
 				h := fnv.New32a()
@@ -90,7 +90,7 @@ func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]str
 				p := h.Sum32() % uint32(reducers)
 				parts[p] = append(parts[p], g)
 			}
-			r := kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: value}
+			r := kvRec{key: key, mapperID: seg.ID, value: value}
 			g.recs = append(g.recs, r)
 			recs, logical = recs+1, logical+r.wireSize()
 		})
@@ -99,13 +99,10 @@ func modelShuffle(segs []*Segment, reducers int, mapFn MapFunc) (out map[int]str
 	for p, gs := range parts {
 		var b strings.Builder
 		for _, g := range gs {
-			slices.SortStableFunc(g.recs, func(x, y kvRec) int {
-				return cmp.Or(cmp.Compare(x.mapperID, y.mapperID), cmp.Compare(x.recordID, y.recordID))
-			})
 			groups++
 			fmt.Fprintf(&b, "group %q\n", g.key)
 			for _, r := range g.recs {
-				fmt.Fprintf(&b, "  %d %d %q\n", r.mapperID, r.recordID, r.value)
+				fmt.Fprintf(&b, "  %d %q\n", r.mapperID, r.value)
 			}
 		}
 		if len(gs) > 0 {
@@ -169,8 +166,7 @@ func TestStreamingMatchesModel(t *testing.T) {
 		numSegs := 1 + rng.Intn(7)
 		reducers := 1 + rng.Intn(5)
 		segs := randomSegments(rng, numSegs, 120)
-		// One emit per record with a skewed key space: ties in
-		// (key, mapperID, recordID) cannot occur.
+		// One emit per record with a skewed key space.
 		emits := func(rec []byte) []string {
 			return []string{fmt.Sprintf("key-%d", len(rec)%17)}
 		}
@@ -180,9 +176,8 @@ func TestStreamingMatchesModel(t *testing.T) {
 }
 
 // TestStreamingMatchesModelMultiEmit covers records that emit several
-// keys — including repeated keys from the same record, the one case
-// where a group's (mapperID, recordID) order has ties, which the engine
-// must resolve by emit order.
+// keys, including one key twice from the same record: both values reach
+// the group, in emit order.
 func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -196,16 +191,17 @@ func TestStreamingMatchesModelMultiEmit(t *testing.T) {
 }
 
 // TestStreamingMatchesModelDescending runs a map that walks its segment
-// backwards, so every key's records are emitted in descending recordID
-// order (twice per record on some keys, so ties too): delivery must
-// still be in (mapperID, recordID) order, emit order among equal pairs.
+// backwards, emitting each row's index as its value (twice on some rows):
+// the shuffle keeps emit order, so within a mapper a group's rows arrive
+// descending, a row's second emit after its first. Nothing re-sorts them
+// into input order; a map that needs input order emits in it.
 func TestStreamingMatchesModelDescending(t *testing.T) {
 	mapFn := func(id int, seg *Segment, emit Emit) error {
 		for i := len(seg.Records) - 1; i >= 0; i-- {
-			rec := seg.Records[i]
-			emit(fmt.Sprintf("d%d", len(rec)%5), int64(i), rec)
+			key := fmt.Sprintf("d%d", len(seg.Records[i])%5)
+			emit(key, fmt.Appendf(nil, "%d a", i))
 			if i%4 == 0 {
-				emit(fmt.Sprintf("d%d", len(rec)%5), int64(i), []byte("again"))
+				emit(key, fmt.Appendf(nil, "%d b", i))
 			}
 		}
 		return nil
@@ -215,17 +211,19 @@ func TestStreamingMatchesModelDescending(t *testing.T) {
 		segs := randomSegments(rng, 2+rng.Intn(4), 60)
 		checkAgainstModel(t, fmt.Sprintf("seed %d", seed), segs, Config{NumReducers: 2, Parallelism: 3}, mapFn)
 		got, _ := captureJob(t, segs, Config{NumReducers: 1}, mapFn)
-		var prevMapper, prevRec int64 = -1, -1
+		prevMapper, prevRow, prevEmit := -1, 0, ""
 		for _, line := range strings.Split(got[0], "\n") {
-			var m, r int64
-			if _, err := fmt.Sscanf(line, "  %d %d", &m, &r); err != nil {
-				prevMapper, prevRec = -1, -1 // a group header
+			var m, row int
+			var emit string
+			if _, err := fmt.Sscanf(line, "  %d \"%d %1s\"", &m, &row, &emit); err != nil {
+				prevMapper = -1 // a group header
 				continue
 			}
-			if m < prevMapper || m == prevMapper && r < prevRec {
-				t.Fatalf("seed %d: (%d, %d) delivered after (%d, %d)", seed, m, r, prevMapper, prevRec)
+			if m < prevMapper || m == prevMapper && (row > prevRow || row == prevRow && emit <= prevEmit) {
+				t.Fatalf("seed %d: mapper %d row %d %s delivered after mapper %d row %d %s",
+					seed, m, row, emit, prevMapper, prevRow, prevEmit)
 			}
-			prevMapper, prevRec = m, r
+			prevMapper, prevRow, prevEmit = m, row, emit
 		}
 	}
 }
@@ -299,17 +297,16 @@ func TestPartitionMatchesFNV(t *testing.T) {
 func TestWireSizeMatchesEncoder(t *testing.T) {
 	recs := []kvRec{
 		{},
-		{key: "k", mapperID: 1, recordID: 1, value: []byte("v")},
-		{key: strings.Repeat("k", 127), mapperID: 127, recordID: 127, value: make([]byte, 127)},
-		{key: strings.Repeat("k", 128), mapperID: 128, recordID: 128, value: make([]byte, 128)},
-		{key: strings.Repeat("k", 20000), mapperID: 1 << 20, recordID: 1 << 40, value: make([]byte, 16384)},
+		{key: "k", mapperID: 1, value: []byte("v")},
+		{key: strings.Repeat("k", 127), mapperID: 127, value: make([]byte, 127)},
+		{key: strings.Repeat("k", 128), mapperID: 128, value: make([]byte, 128)},
+		{key: strings.Repeat("k", 20000), mapperID: 1 << 20, value: make([]byte, 16384)},
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
 		recs = append(recs, kvRec{
 			key:      strings.Repeat("a", rng.Intn(500)),
 			mapperID: rng.Intn(1 << 16),
-			recordID: rng.Int63(),
 			value:    make([]byte, rng.Intn(2000)),
 		})
 	}
@@ -317,12 +314,11 @@ func TestWireSizeMatchesEncoder(t *testing.T) {
 		e := wire.NewEncoder(0)
 		e.Uvarint(uint64(len(r.key)))
 		e.Uvarint(uint64(r.mapperID))
-		e.Uvarint(uint64(r.recordID))
 		e.Uvarint(uint64(len(r.value)))
 		want := int64(e.Len() + len(r.key) + len(r.value))
 		if got := r.wireSize(); got != want {
-			t.Fatalf("wireSize(%d-byte key, mapper %d, record %d, %d-byte value) = %d, encoder says %d",
-				len(r.key), r.mapperID, r.recordID, len(r.value), got, want)
+			t.Fatalf("wireSize(%d-byte key, mapper %d, %d-byte value) = %d, encoder says %d",
+				len(r.key), r.mapperID, len(r.value), got, want)
 		}
 	}
 }
@@ -346,7 +342,7 @@ func TestPipelinedStress(t *testing.T) {
 		Name: "stress",
 		Map: func(id int, seg *Segment, emit Emit) error {
 			for i, rec := range seg.Records {
-				emit(fmt.Sprintf("key-%d", (id*perSeg+i)%97), int64(i), rec)
+				emit(fmt.Sprintf("key-%d", (id*perSeg+i)%97), rec)
 			}
 			return nil
 		},

@@ -132,9 +132,9 @@ func runIdempotentCapture(t *testing.T, segs []*Segment, conf Config) (string, *
 		Name: "chaos-capture",
 		Map: func(id int, seg *Segment, emit Emit) error {
 			for i, rec := range seg.Records {
-				emit(fmt.Sprintf("key-%d", (len(rec)+int(rec[0]))%13), int64(i), rec)
+				emit(fmt.Sprintf("key-%d", (len(rec)+int(rec[0]))%13), rec)
 				if i%3 == 0 {
-					emit(fmt.Sprintf("key-%d", i%7), int64(i), rec)
+					emit(fmt.Sprintf("key-%d", i%7), rec)
 				}
 			}
 			return nil
@@ -142,7 +142,7 @@ func runIdempotentCapture(t *testing.T, segs []*Segment, conf Config) (string, *
 		Reduce: func(r, _ int, key string, values []Shuffled) error {
 			var b strings.Builder
 			for _, v := range values {
-				fmt.Fprintf(&b, "%d:%d:%s ", v.MapperID, v.RecordID, v.Value)
+				fmt.Fprintf(&b, "%d:%s ", v.MapperID, v.Value)
 			}
 			mu.Lock()
 			groups[fmt.Sprintf("%d/%s", r, key)] = b.String()
@@ -260,8 +260,8 @@ func TestTaskRetries(t *testing.T) {
 								return err
 							}
 						}
-						for i, rec := range seg.Records {
-							emit(string(rec), int64(i), rec)
+						for _, rec := range seg.Records {
+							emit(string(rec), rec)
 						}
 						return nil
 					},
@@ -321,8 +321,8 @@ func TestSpeculationFirstFinisherWins(t *testing.T) {
 			} else {
 				calls[id].Add(1)
 			}
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), nil)
+			for _, rec := range seg.Records {
+				emit(string(rec), nil)
 			}
 			return nil
 		},
@@ -376,8 +376,8 @@ func TestQueuedTasksAreNotStragglers(t *testing.T) {
 		Name: "queued",
 		Map: func(_ int, seg *Segment, emit Emit) error {
 			time.Sleep(3 * time.Millisecond)
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), nil)
+			for _, rec := range seg.Records {
+				emit(string(rec), nil)
 			}
 			return nil
 		},
@@ -481,7 +481,7 @@ func TestChaosKillsEveryAttemptFailsCleanly(t *testing.T) {
 	job := &Job{
 		Name: "all-killed",
 		Map: func(id int, seg *Segment, emit Emit) error {
-			emit("k", 0, nil)
+			emit("k", nil)
 			return nil
 		},
 		Reduce: func(int, int, string, []Shuffled) error { return nil },
@@ -616,8 +616,8 @@ func TestNoGoroutineLeakOnSuccess(t *testing.T) {
 	if _, err := (&Job{
 		Name: "ok",
 		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), nil)
+			for _, rec := range seg.Records {
+				emit(string(rec), nil)
 			}
 			return nil
 		},
@@ -658,8 +658,8 @@ func cancelMidMap(t *testing.T, reduce ReduceFunc) {
 		Map: func(id int, seg *Segment, emit Emit) error {
 			once.Do(func() { close(started) })
 			time.Sleep(5 * time.Millisecond)
-			for i, rec := range seg.Records {
-				emit(string(rec), int64(i), nil)
+			for _, rec := range seg.Records {
+				emit(string(rec), nil)
 			}
 			return nil
 		},

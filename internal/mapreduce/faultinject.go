@@ -31,7 +31,7 @@ import (
 //
 // The paper's premise makes this testable at all: mappers recompute
 // symbolic summaries deterministically anywhere, and reducers compose
-// committed runs in (mapperID, recordID) order, so any retry or
+// committed runs in (mapperID, emit) order, so any retry or
 // re-execution schedule must reproduce the fault-free output byte for
 // byte (§5.4).
 

@@ -38,7 +38,6 @@ func segSeedCorpus() ([]fuzzseed.Seed, error) {
 	e.Uvarint(0)
 	e.StringDict(nil)
 	e.Varint(5)
-	e.Varint(0)
 	e.BytesField([]byte{})
 	badDict := append([]byte{segRaw}, e.Bytes()...)
 

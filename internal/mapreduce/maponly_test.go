@@ -34,9 +34,9 @@ func mapOnlyCapture(t *testing.T, segs []*Segment, conf Config, pre func(task in
 			for i, rec := range seg.Records {
 				// Descending keys with repeats: emit order is neither key
 				// order nor record order of any one key.
-				emit(fmt.Sprintf("key-%02d", 13-(len(rec)+i)%13), int64(i), fmt.Appendf(nil, "%s#%d", rec, call))
+				emit(fmt.Sprintf("key-%02d", 13-(len(rec)+i)%13), fmt.Appendf(nil, "%s#%d", rec, call))
 				if i%3 == 0 {
-					emit(fmt.Sprintf("key-%02d", i%7), int64(i), fmt.Appendf(nil, "%s#%d", rec, call))
+					emit(fmt.Sprintf("key-%02d", i%7), fmt.Appendf(nil, "%s#%d", rec, call))
 				}
 			}
 			return nil
@@ -152,7 +152,7 @@ func TestMapOnlyOutputErrorAborts(t *testing.T) {
 	boom := errors.New("sink full")
 	job := &Job{
 		Name: "map-only-output-error",
-		Map:  func(id int, seg *Segment, emit Emit) error { emit("k", 0, seg.Records[0]); return nil },
+		Map:  func(id int, seg *Segment, emit Emit) error { emit("k", seg.Records[0]); return nil },
 		Output: func(task int, _ iter.Seq2[string, []byte]) error {
 			if task == 2 {
 				return boom

@@ -7,10 +7,12 @@
 // matter for the reproduction and are modeled faithfully:
 //
 //   - Ordering. MapReduce treats a group's records as a set, but SYMPLE
-//     needs the original input order, so every shuffled record carries the
-//     (mapperID, recordID) pair and each group reaches the reducer in that
-//     order — the paper's triple (mapper_id, record_id, R). Nothing needs
-//     the keys themselves in order, so the engine never sorts by key.
+//     needs the original input order. Hadoop recovers it with a
+//     secondary sort on the paper's (mapper_id, record_id); here a run is
+//     one mapper's output in emit order and runs are read by mapperID,
+//     so each group reaches the reducer in (mapperID, emit) order with
+//     no sort at all — a map that emits in input order gets input order.
+//     Nothing needs the keys themselves in order either.
 //   - Accounting. The shuffle counts the exact wire bytes crossing the
 //     map→reduce boundary, the quantity behind the paper's Figures 6
 //     and 8, and per-task wall/CPU costs that the cluster simulator
@@ -101,23 +103,20 @@ func (s *Segment) Derived(key any, fresh func() any) any {
 	return nil
 }
 
-// Emit sends one keyed record from a mapper into the shuffle. recordID
-// is the record's position within the mapper's segment; the shuffle
-// orders each group by (mapperID, recordID), so reducers see input
-// order within a group regardless of the order of Emit calls —
-// monotonicity across calls is not required (records emitted in input
-// order just cost no sort). The engine copies value: the mapper may
-// reuse its bytes once Emit returns.
-type Emit func(key string, recordID int64, value []byte)
+// Emit sends one keyed record from a mapper into the shuffle. Each
+// group reaches its reducer in (mapperID, emit) order: a mapper's values
+// for a key in the order it emitted them, so a mapper that must deliver
+// input order emits in input order. The engine copies value: the mapper
+// may reuse its bytes once Emit returns.
+type Emit func(key string, value []byte)
 
 // MapFunc processes one input segment. mapperID is the segment's ID.
 type MapFunc func(mapperID int, seg *Segment, emit Emit) error
 
 // Shuffled is one record delivered to a reducer, already ordered within
-// its group by (MapperID, RecordID), emit order among equal pairs.
+// its group by MapperID, emit order within a mapper.
 type Shuffled struct {
 	MapperID int
-	RecordID int64
 	Value    []byte
 }
 
@@ -256,7 +255,7 @@ type Metrics struct {
 	// output, never estimated.
 	ShuffleBytes int64
 	// ShuffleLogicalBytes is the same traffic in the legacy per-record
-	// framing (length-prefixed key and value plus the ordering pair) — the
+	// framing (length-prefixed key and value plus the mapperID) — the
 	// quantity a stock Hadoop shuffle would move, and the baseline the
 	// wire experiment's reduction ratios divide by.
 	ShuffleLogicalBytes int64
@@ -280,13 +279,12 @@ type Metrics struct {
 type kvRec struct {
 	key      string
 	mapperID int
-	recordID int64
 	value    []byte
 }
 
 // wireSize is the record's logical cost: the framing a Hadoop
 // intermediate file would use (length-prefixed key and value plus the
-// ordering pair as varints). Since the segment codec (segcodec.go) this
+// mapperID as a varint). Since the segment codec (segcodec.go) this
 // is no longer what ships — it defines Metrics.ShuffleLogicalBytes, the
 // baseline the wire experiment compares against. Computed
 // arithmetically (pinned against wire.Encoder output by
@@ -295,7 +293,6 @@ type kvRec struct {
 func (r *kvRec) wireSize() int64 {
 	return int64(wire.UvarintLen(uint64(len(r.key))) +
 		wire.UvarintLen(uint64(r.mapperID)) +
-		wire.UvarintLen(uint64(r.recordID)) +
 		wire.UvarintLen(uint64(len(r.value))) +
 		len(r.key) + len(r.value))
 }

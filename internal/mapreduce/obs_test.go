@@ -23,9 +23,9 @@ func obsTestJob(reducers int) (*Job, []*Segment) {
 	job := &Job{
 		Name: "obs-test",
 		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
+			for _, rec := range seg.Records {
 				fields := strings.Fields(string(rec))
-				emit(fields[0], int64(i), []byte(fields[1]))
+				emit(fields[0], []byte(fields[1]))
 			}
 			return nil
 		},
@@ -132,8 +132,8 @@ func TestSpanCountExact(t *testing.T) {
 					// Every record under one key: one partition gets runs,
 					// the others none.
 					job.Map = func(_ int, seg *Segment, emit Emit) error {
-						for i, rec := range seg.Records {
-							emit("key00", int64(i), rec)
+						for _, rec := range seg.Records {
+							emit("key00", rec)
 						}
 						return nil
 					}

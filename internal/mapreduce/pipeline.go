@@ -14,8 +14,8 @@ import (
 // task and decode runs from per-partition channels as map attempts
 // commit. Once every run of a partition has arrived, the reduce attempt
 // groups them (rungroup.go): runs read in (mapperID, task) order, each
-// in emit order, are §5.4's (mapperID, recordID) composition order, so
-// neither side sorts by key and arrival order cannot reach the stream.
+// in emit order, are §5.4's composition order, so neither side sorts
+// and arrival order cannot reach the stream.
 //
 // Fault tolerance layers on top (task.go): each task runs as retryable
 // attempts, and only a committed attempt's runs ever reach a reduce
@@ -241,7 +241,7 @@ func groupAttempt(ctx context.Context, trace *obs.Trace, part int, t *partTable,
 // held outside a job: it decodes them and streams each key group to fn
 // in exactly the order a reduce task produces — groups in order of first
 // appearance over the runs read by (mapperID, task), each run in emit
-// order; values ordered by (mapperID, recordID). Each run is decoded as
+// order; values in (mapperID, emit) order. Each run is decoded as
 // a reduce task decodes it, into a pooled reduce-task table.
 //
 // The group slice and its values alias the table and rs, and the table

@@ -90,11 +90,11 @@ func (t *partTable) decodeRun(trace *obs.Trace, part int, r Run) error {
 
 // group lays out the table's runs as key groups and streams each group
 // to fn. Reading the runs in (mapperID, task) order, each in emit order,
-// already is §5.4's order, so no key needs sorting: groups come in
+// is the shuffle's whole order, so nothing is sorted: groups come in
 // first-appearance order over that read, and a group's values in
-// (mapperID, recordID) order, emit order among equal pairs. The layout
-// pass is the attempt's merge span, the fn calls that follow its compose
-// span. It returns the groups streamed.
+// (mapperID, emit) order. The layout pass is the attempt's merge span,
+// the fn calls that follow its compose span. It returns the groups
+// streamed.
 func (t *partTable) group(trace *obs.Trace, part int,
 	fn func(key string, group []Shuffled) error) (groups int64, err error) {
 	name := fmt.Sprintf("part-%d", part)
@@ -109,13 +109,11 @@ func (t *partTable) group(trace *obs.Trace, part int,
 		key := t.recs[t.order[start]].key
 		t.vals = t.vals[:0]
 		for _, i := range t.order[start:end] {
-			t.vals = append(t.vals, Shuffled{MapperID: t.recs[i].mapperID, RecordID: t.recs[i].recordID, Value: t.recs[i].value})
+			t.vals = append(t.vals, Shuffled{MapperID: t.recs[i].mapperID, Value: t.recs[i].value})
 		}
 		start = end
-		group := slices.Clip(t.vals)
-		sortGroup(group)
 		groups++
-		if err = fn(key, group); err != nil {
+		if err = fn(key, slices.Clip(t.vals)); err != nil {
 			span.Tag(obs.TagOutcome, "error")
 			break
 		}
@@ -169,22 +167,4 @@ func (t *partTable) clearGroups() {
 	clear(t.idx)
 	clear(t.vals)
 	t.ends, t.gids, t.order, t.vals = t.ends[:0], t.gids[:0], t.order[:0], t.vals[:0]
-}
-
-// sortGroup puts one group in (mapperID, recordID) order. The layout
-// already has mapperIDs ascending and each mapper's values in emit
-// order, so a linear check settles it unless a map emitted a key's
-// records out of recordID order; the stable sort then keeps emit order
-// among equal pairs.
-func sortGroup(group []Shuffled) {
-	for i := 1; i < len(group); i++ {
-		if cmpShuffled(group[i-1], group[i]) > 0 {
-			slices.SortStableFunc(group, cmpShuffled)
-			return
-		}
-	}
-}
-
-func cmpShuffled(a, b Shuffled) int {
-	return cmp.Or(cmp.Compare(a.MapperID, b.MapperID), cmp.Compare(a.RecordID, b.RecordID))
 }

@@ -12,7 +12,7 @@ import (
 
 // Segment codec: the compact wire form of one spill run (one mapper's
 // output for one partition, in emit order). The legacy per-record
-// framing — key, mapperID, recordID, value, each fully spelled out —
+// framing — key, mapperID, value, each fully spelled out —
 // pays for the group key once per record and for the mapper ID once per
 // record even though a run has exactly one mapper and few distinct keys.
 // The segment form factors the redundancy out:
@@ -22,14 +22,14 @@ import (
 //	  uvarint recordCount
 //	  uvarint mapperID     constant per run, written once
 //	  string dictionary    distinct keys in first-use order (wire.StringDict)
-//	  per record:
+//	  per record, in emit order:
 //	    varint Δ keyIndex  zig-zag delta vs previous record
-//	    varint Δ recordID  zig-zag delta (small: maps emit in input order)
 //	    bytes  value       length-prefixed payload
 //
-// First-use order keeps the key deltas small — a key's first record
-// indexes one past the previous new key — and zig-zag absorbs the sign
-// of a repeated key or a recordID that steps back. Decoding allocates
+// A record carries no position: emit order is the run's order, and the
+// reduce side keeps it (rungroup.go). First-use order keeps the key
+// deltas small — a key's first record indexes one past the previous new
+// key — and zig-zag absorbs the sign of a repeated key. Decoding allocates
 // one string per distinct key instead of one per record, so the
 // dictionary is a decode-side allocation win as well as a byte win.
 // Metrics.ShuffleBytes counts exactly these encoded bytes; the legacy
@@ -39,10 +39,10 @@ import (
 // as corrupt, like any flags byte but segRaw.
 const segRaw = 0x01
 
-// segMinRecordBytes is the smallest possible encoded record (two
-// one-byte deltas plus an empty value's length byte); it bounds the
+// segMinRecordBytes is the smallest possible encoded record (a one-byte
+// key delta plus an empty value's length byte); it bounds the
 // record-count claim of a corrupt header before any allocation.
-const segMinRecordBytes = 3
+const segMinRecordBytes = 2
 
 // segEncoder is the encoder's scratch, held by a map attempt's scratch
 // (mapScratch): the wire encoder, the key→index map it builds per
@@ -90,8 +90,8 @@ func (se *segEncoder) encode(recs []kvRec) []byte {
 	}
 	pe.StringDict(dict)
 
-	// Delta columns and values, row-wise.
-	var prevKeyIdx, prevRecID int64
+	// Key deltas and values, row-wise.
+	var prevKeyIdx int64
 	for i := range recs {
 		r := &recs[i]
 		if r.mapperID != mapperID {
@@ -99,9 +99,8 @@ func (se *segEncoder) encode(recs []kvRec) []byte {
 		}
 		ki := int64(se.keys[i])
 		pe.Varint(ki - prevKeyIdx)
-		pe.Varint(int64(uint64(r.recordID) - uint64(prevRecID)))
 		pe.BytesField(r.value)
-		prevKeyIdx, prevRecID = ki, r.recordID
+		prevKeyIdx = ki
 	}
 	// Keys may view a segment's records: none stays behind. A map grown
 	// past maxPooledKeyMap is dropped rather than kept with its buckets.
@@ -162,11 +161,10 @@ func decodeSegment(recs []kvRec, buf []byte) ([]kvRec, int, error) {
 	}
 	lo := len(recs)
 	recs = slices.Grow(recs, n)
-	var keyIdx, recID int64
+	var keyIdx int64
 	var err error
 	for i := 0; i < n; i++ {
 		keyIdx += d.Varint()
-		recID += d.Varint()
 		value := d.BytesField()
 		if err = d.Err(); err != nil {
 			err = fmt.Errorf("mapreduce: segment record: %w", err)
@@ -180,12 +178,7 @@ func decodeSegment(recs []kvRec, buf []byte) ([]kvRec, int, error) {
 		if len(value) == 0 {
 			value = nil
 		}
-		recs = append(recs, kvRec{
-			key:      dict[keyIdx],
-			mapperID: mapperID,
-			recordID: recID,
-			value:    value,
-		})
+		recs = append(recs, kvRec{key: dict[keyIdx], mapperID: mapperID, value: value})
 	}
 	if err == nil && d.Remaining() != 0 {
 		err = fmt.Errorf("%w: %d trailing bytes after segment", wire.ErrCorrupt, d.Remaining())

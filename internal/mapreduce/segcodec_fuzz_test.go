@@ -10,27 +10,26 @@ import (
 )
 
 // segSeedRecs builds a run shaped like real query traffic: a handful of
-// group keys interleaved in emit order, ascending recordIDs, and small
-// opaque summary payloads — what encodeSegment sees from a map that
-// walks its segment in input order.
+// group keys interleaved in emit order and small opaque summary
+// payloads — what encodeSegment sees from a map that walks its segment
+// in input order.
 func segSeedRecs() []kvRec {
 	keys := []string{"repo/alpha", "repo/beta", "repo/gamma", "user-17", ""}
 	var recs []kvRec
-	var rid int64
+	var row byte
 	for i := 0; i < 4; i++ {
 		for j, k := range keys {
-			rid += int64(j%3) + 1
+			row += byte(j%3) + 1
 			recs = append(recs, kvRec{
 				key:      k,
 				mapperID: 3,
-				recordID: rid,
-				value:    bytes.Repeat([]byte{byte(rid), 0x80, byte(i)}, i+1),
+				value:    bytes.Repeat([]byte{row, 0x80, byte(i)}, i+1),
 			})
 		}
 	}
 	// One empty value: decode canonicalizes it to nil and the round trip
 	// must still hold.
-	recs = append(recs, kvRec{key: "repo/alpha", mapperID: 3, recordID: rid + 9})
+	recs = append(recs, kvRec{key: "repo/alpha", mapperID: 3})
 	return recs
 }
 
@@ -44,10 +43,10 @@ func encodeSegment(recs []kvRec) []byte { return new(segEncoder).encode(recs) }
 // — and an accepted one only appends. It returns the run's records.
 func decodeOnto(t *testing.T, in []byte) ([]kvRec, int, error) {
 	t.Helper()
-	held := kvRec{key: "held", mapperID: 7, recordID: 42, value: []byte("v")}
+	held := kvRec{key: "held", mapperID: 7, value: []byte("v")}
 	got, mapperID, err := decodeSegment(append(make([]kvRec, 0, 4), held), in)
 	if len(got) < 1 || got[0].key != held.key || got[0].mapperID != held.mapperID ||
-		got[0].recordID != held.recordID || !bytes.Equal(got[0].value, held.value) {
+		!bytes.Equal(got[0].value, held.value) {
 		t.Fatalf("decoding changed the record the table held: %+v", got)
 	}
 	if err == nil {
@@ -57,7 +56,7 @@ func decodeOnto(t *testing.T, in []byte) ([]kvRec, int, error) {
 		t.Fatalf("a rejected run (%v) left the table at %d records, want 1", err, len(got))
 	}
 	for i, r := range got[1:cap(got)] {
-		if r.key != "" || r.mapperID != 0 || r.recordID != 0 || r.value != nil {
+		if r.key != "" || r.mapperID != 0 || r.value != nil {
 			t.Fatalf("a rejected run (%v) left its record %d past the table's length: %+v", err, i, r)
 		}
 	}
@@ -104,9 +103,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		for i := range got {
 			a, b := got[i], got2[i]
-			if a.key != b.key || a.mapperID != b.mapperID ||
-				a.recordID != b.recordID ||
-				!bytes.Equal(a.value, b.value) {
+			if a.key != b.key || a.mapperID != b.mapperID || !bytes.Equal(a.value, b.value) {
 				t.Fatalf("round trip changed record %d: %+v vs %+v", i, a, b)
 			}
 		}
@@ -148,7 +145,6 @@ func TestDecodeSegmentRejectsCorruption(t *testing.T) {
 	e.Uvarint(0)           // mapperID
 	e.StringDict(nil)      // empty dictionary
 	e.Varint(5)            // key index 5 — out of range
-	e.Varint(0)            // recordID delta
 	e.BytesField([]byte{}) // value
 	buf := append([]byte{segRaw}, e.Bytes()...)
 	if _, _, err := decodeOnto(t, buf); err == nil {

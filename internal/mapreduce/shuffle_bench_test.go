@@ -29,9 +29,9 @@ func benchJob(conf Config) *Job {
 	return &Job{
 		Name: "bench",
 		Map: func(id int, seg *Segment, emit Emit) error {
-			for i, rec := range seg.Records {
+			for _, rec := range seg.Records {
 				// Skewed key space: realistic group fan-in per reducer.
-				emit(fmt.Sprintf("key-%d", (int(rec[0])*31+int(rec[1]))%512), int64(i), rec)
+				emit(fmt.Sprintf("key-%d", (int(rec[0])*31+int(rec[1]))%512), rec)
 			}
 			return nil
 		},
@@ -82,7 +82,7 @@ func BenchmarkEmitHotPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			key := keys[i%len(keys)]
-			rec := kvRec{key: key, mapperID: 3, recordID: int64(i), value: value}
+			rec := kvRec{key: key, mapperID: 3, value: value}
 			p := partition(key, len(parts))
 			outBytes[p] += rec.wireSize()
 			if len(parts[p]) > 1<<16 {

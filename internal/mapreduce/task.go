@@ -23,7 +23,7 @@ import (
 // alone grouped. This is safe for the same reason the paper's summaries
 // parallelize at all: a map attempt is a deterministic recomputation
 // over its segment, and reducers compose whatever committed in
-// (mapperID, recordID) order (§5.4).
+// (mapperID, emit) order (§5.4).
 
 // speculationTick is the straggler watchdog's poll interval. It bounds
 // how quickly a backup attempt can launch; at in-process task durations
@@ -332,7 +332,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		}
 	}
 	var emitted int64
-	emit := func(key string, recordID int64, value []byte) {
+	emit := func(key string, value []byte) {
 		if len(trigs) > 0 && emitted == trigs[0].At {
 			f := trigs[0]
 			trigs = trigs[1:]
@@ -342,7 +342,7 @@ func executeMap(ctx context.Context, mapFn MapFunc, seg *Segment, task, attempt 
 		}
 		emitted++
 		p := partition(key, n)
-		parts[p] = append(parts[p], kvRec{key: key, mapperID: seg.ID, recordID: recordID, value: s.arena.copy(value)})
+		parts[p] = append(parts[p], kvRec{key: key, mapperID: seg.ID, value: s.arena.copy(value)})
 	}
 	if err := mapFn(seg.ID, seg, emit); err != nil {
 		return nil, err

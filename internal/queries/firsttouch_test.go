@@ -189,7 +189,7 @@ func BenchmarkGroupFirstTouch(b *testing.B) {
 			sink := obs.NewMemSink()
 			mapper := runner.mapper(obs.NewTrace(sink))
 			for i := 0; i < b.N; i++ {
-				if err := mapper(0, &mapreduce.Segment{Records: recs}, func(string, int64, []byte) {}); err != nil {
+				if err := mapper(0, &mapreduce.Segment{Records: recs}, func(string, []byte) {}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -229,7 +229,7 @@ func TestFirstTouchAllocatesPerChunk(t *testing.T) {
 			mapper(*obs.Trace) mapreduce.MapFunc
 		}).mapper(nil)
 		task := func(seg *mapreduce.Segment) {
-			if err := mapper(0, seg, func(string, int64, []byte) {}); err != nil {
+			if err := mapper(0, seg, func(string, []byte) {}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -171,23 +171,35 @@ func makeSpec[S sym.State, E, R any](
 	}
 }
 
-// resultLine renders one result line, "key:v₁,v₂,…", appended into a
-// single buffer — the one allocation is the returned string's, for any
-// line that fits the stack scratch. No values, no line: a key with
-// nothing to report renders "".
+// resultLine renders one result line, "key:v₁,v₂,…", in one allocation
+// however many values it holds: a line that surely fits the stack
+// scratch is formatted there and copied out, a longer one is measured
+// first and written into a builder of exactly its size. No values, no
+// line: a key with nothing to report renders "".
 func resultLine(key string, vs ...int64) string {
 	if len(vs) == 0 {
 		return ""
 	}
 	var scratch [128]byte
-	buf := append(append(scratch[:0], key...), ':')
-	for i, v := range vs {
-		if i > 0 {
-			buf = append(buf, ',')
+	if len(key)+21*len(vs) <= len(scratch) { // 21: a separator, a sign and 19 digits
+		buf := append(scratch[:0], key...)
+		for i, v := range vs {
+			buf = strconv.AppendInt(append(buf, ":,"[min(i, 1)]), v, 10)
 		}
-		buf = strconv.AppendInt(buf, v, 10)
+		return string(buf)
 	}
-	return string(buf)
+	n := len(key) + len(vs) // the ':' and the commas
+	for _, v := range vs {
+		n += len(strconv.AppendInt(scratch[:0], v, 10))
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(key)
+	for i, v := range vs {
+		b.WriteByte(":,"[min(i, 1)])
+		b.Write(strconv.AppendInt(scratch[:0], v, 10))
+	}
+	return b.String()
 }
 
 // all builds the twelve specs once per process, in Table 1 order: each

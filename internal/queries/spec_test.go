@@ -59,8 +59,10 @@ func TestResultLine(t *testing.T) {
 	if got := resultLine("k", long...); got != want {
 		t.Errorf("long line: %d bytes, want %d", len(got), len(want))
 	}
-	if n := testing.AllocsPerRun(100, func() { resultLine("repo/alpha", 12, 345, 6789) }); n != 1 {
-		t.Errorf("%v allocations per line, want 1 (the string)", n)
+	for _, vs := range [][]int64{{12, 345, 6789}, long} {
+		if n := testing.AllocsPerRun(100, func() { resultLine("repo/alpha", vs...) }); n != 1 {
+			t.Errorf("%d values: %v allocations per line, want 1 (the string)", len(vs), n)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // memo hit on the segment's kept grouped form once it has run twice, and
 // fold folds every key's group — the bundles of map tasks over recs in
 // segments of per rows, in segment order — on one fold site the way a
-// reduce task does: Reset, one Fold of the group, Result. fold returns
-// the key count.
+// reduce task does: Reset, one Fold of the group, Result, and the key's
+// result line. fold returns the key count.
 func (r *serveRunner[S, E, R]) warmJob(t *testing.T, recs [][]byte, per int) (task func(), fold func() int) {
 	mapper := r.c.Mapper(nil)
 	whole := &mapreduce.Segment{Records: recs}
@@ -28,7 +28,7 @@ func (r *serveRunner[S, E, R]) warmJob(t *testing.T, recs [][]byte, per int) (ta
 	}
 	var keys []string
 	groups := map[string][][]byte{}
-	collect := func(key string, _ int64, bundle []byte) {
+	collect := func(key string, bundle []byte) {
 		if groups[key] == nil {
 			keys = append(keys, key)
 		}
@@ -42,30 +42,31 @@ func (r *serveRunner[S, E, R]) warmJob(t *testing.T, recs [][]byte, per int) (ta
 	}
 	site := sym.NewFolder(r.c.Schema())
 	st := site.NewState()
-	var result R // the last key's, kept as a job's sink keeps it
+	var line string // the last key's, kept as a job's sink keeps it
 	fold = func() int {
 		for _, key := range keys {
 			site.Reset(st)
 			if err := site.Fold(st, st, groups[key]...); err != nil {
 				t.Fatal(err)
 			}
-			result = r.q.Result(key, st.State())
+			line = r.format(key, r.q.Result(key, st.State()))
 		}
-		_ = result
+		_ = line
 		return len(keys)
 	}
 	return task, fold
 }
 
-func discard(string, int64, []byte) {}
+func discard(string, []byte) {}
 
 // TestWarmJobAllocatesPerKey: on warm sites a job allocates per key, not
 // per row. Over the same keys at 1 000 and at 8 000 rows — eight times
 // the events per key, so eight times the vector pushes and runs eight
 // times as long — a map task that hits its segment's kept grouped form,
 // and a reduce fold of every key's group, eight times as many bundles
-// (one per 500-row map task), on one fold site, allocate at most a few
-// objects more at the larger size, for all 12 queries. Key populations
+// (one per 500-row map task), on one fold site, each key's result line
+// formatted, allocate at most a few objects more at the larger size, for
+// all 12 queries. Key populations
 // are small enough that both sizes touch every key.
 func TestWarmJobAllocatesPerKey(t *testing.T) {
 	if raceEnabled {

@@ -21,7 +21,7 @@ import (
 // retained untouched until they fold.
 //
 // Chunks are identified by a dense sequence number starting at 0 (e.g.
-// the (mapperID, recordID) order already used by the shuffle, flattened).
+// the shuffle's (mapperID, emit) order, flattened).
 // Add is not safe for concurrent use; wrap with a lock if needed.
 type StreamComposer[S State] struct {
 	site    *Folder[S]
