@@ -255,9 +255,10 @@ type Metrics struct {
 	// output, never estimated.
 	ShuffleBytes int64
 	// ShuffleLogicalBytes is the same traffic in the legacy per-record
-	// framing (length-prefixed key and value plus the mapperID) — the
-	// quantity a stock Hadoop shuffle would move, and the baseline the
-	// wire experiment's reduction ratios divide by.
+	// framing: length-prefixed key and value plus the mapperID, and no
+	// ordering key. It is the baseline the wire experiment's reduction
+	// ratios divide by, not what a stock Hadoop shuffle would move: that
+	// also ships the secondary-sort key its reducers order by.
 	ShuffleLogicalBytes int64
 	ShuffleRecords      int64
 	MapWall             time.Duration
@@ -282,11 +283,12 @@ type kvRec struct {
 	value    []byte
 }
 
-// wireSize is the record's logical cost: the framing a Hadoop
-// intermediate file would use (length-prefixed key and value plus the
-// mapperID as a varint). Since the segment codec (segcodec.go) this
-// is no longer what ships — it defines Metrics.ShuffleLogicalBytes, the
-// baseline the wire experiment compares against. Computed
+// wireSize is the record's logical cost: a per-record framing of
+// length-prefixed key and value plus the mapperID as a varint — a Hadoop
+// intermediate file without its secondary-sort key, which this engine
+// does not need. Since the segment codec (segcodec.go) this is no longer
+// what ships — it defines Metrics.ShuffleLogicalBytes, the baseline the
+// wire experiment compares against. Computed
 // arithmetically (pinned against wire.Encoder output by
 // TestWireSizeMatchesEncoder) — this runs once per emitted record, so it
 // must not touch an encoder.

@@ -172,32 +172,24 @@ func makeSpec[S sym.State, E, R any](
 }
 
 // resultLine renders one result line, "key:v₁,v₂,…", in one allocation
-// however many values it holds: a line that surely fits the stack
-// scratch is formatted there and copied out, a longer one is measured
-// first and written into a builder of exactly its size. No values, no
-// line: a key with nothing to report renders "".
+// however many values it holds: the line is measured first and written
+// into a builder of exactly its size. No values, no line: a key with
+// nothing to report renders "".
 func resultLine(key string, vs ...int64) string {
 	if len(vs) == 0 {
 		return ""
 	}
-	var scratch [128]byte
-	if len(key)+21*len(vs) <= len(scratch) { // 21: a separator, a sign and 19 digits
-		buf := append(scratch[:0], key...)
-		for i, v := range vs {
-			buf = strconv.AppendInt(append(buf, ":,"[min(i, 1)]), v, 10)
-		}
-		return string(buf)
-	}
+	var digits [20]byte     // a sign and 19 digits
 	n := len(key) + len(vs) // the ':' and the commas
 	for _, v := range vs {
-		n += len(strconv.AppendInt(scratch[:0], v, 10))
+		n += len(strconv.AppendInt(digits[:0], v, 10))
 	}
 	var b strings.Builder
 	b.Grow(n)
 	b.WriteString(key)
 	for i, v := range vs {
 		b.WriteByte(":,"[min(i, 1)])
-		b.Write(strconv.AppendInt(scratch[:0], v, 10))
+		b.Write(strconv.AppendInt(digits[:0], v, 10))
 	}
 	return b.String()
 }
