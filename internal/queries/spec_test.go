@@ -50,7 +50,7 @@ func TestResultLine(t *testing.T) {
 	if got := resultLine("repo/a", -1, 0, 7); got != "repo/a:-1,0,7" {
 		t.Errorf("multi: %q", got)
 	}
-	// Past the stack scratch the line is still whole.
+	// A 100-value line of the widest values is still whole.
 	long := make([]int64, 100)
 	for i := range long {
 		long[i] = math.MinInt64
